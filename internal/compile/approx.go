@@ -143,7 +143,7 @@ func ApproximateCtx(ctx context.Context, s algebra.Semiring, reg *vars.Registry,
 		return Bounds{}, ApproxReport{}, err
 	}
 	if e.Kind() != expr.KindSemiring {
-		return Bounds{}, ApproxReport{}, fmt.Errorf("compile: Approximate of a module expression %s", expr.String(e))
+		return Bounds{}, ApproxReport{}, fmt.Errorf("compile: Approximate of a module expression %s", expr.Abbrev(e))
 	}
 	if opts.Eps < 0 || opts.Eps >= 1 {
 		return Bounds{}, ApproxReport{}, fmt.Errorf("compile: epsilon %v out of range [0, 1)", opts.Eps)
@@ -155,6 +155,10 @@ func ApproximateCtx(ctx context.Context, s algebra.Semiring, reg *vars.Registry,
 		return Bounds{}, ApproxReport{}, err
 	}
 	t0 := time.Now()
+	// Validated and simplified once, here: every sub-expression the
+	// frontier classifies, closes or expands from now on is in simplified
+	// form, and the leaf closures compile it without re-checking.
+	e = expr.Simplify(e, s)
 	if opts.Eps == 0 {
 		// Exact fallback: the anytime engine's ε=0 contract is bit-for-bit
 		// agreement with the exact pipeline, so there is no partial result
@@ -178,7 +182,7 @@ func ApproximateCtx(ctx context.Context, s algebra.Semiring, reg *vars.Registry,
 		return b, rep, nil
 	}
 	ax := &approximator{s: s, reg: reg, opts: opts, ctx: ctx, memo: map[uint64][]closureEntry{}, tier: opts.leafBudget()}
-	root, err := ax.classify(expr.Simplify(e, s))
+	root, err := ax.classify(e)
 	if err != nil {
 		return Bounds{}, ApproxReport{}, err
 	}
@@ -197,11 +201,12 @@ func ApproximateCtx(ctx context.Context, s algebra.Semiring, reg *vars.Registry,
 	return b, ax.rep, nil
 }
 
-// exactTruth runs the exact compile→evaluate pipeline and returns the truth
+// exactTruth runs the exact compile→evaluate pipeline on an expression
+// that is already validated and in simplified form, and returns the truth
 // probability as a point interval.
 func exactTruth(ctx context.Context, s algebra.Semiring, reg *vars.Registry, e expr.Expr, opts Options) (Bounds, int, error) {
 	c := New(s, reg, opts)
-	res, err := c.CompileCtx(ctx, e)
+	res, err := c.compileSimplified(ctx, e)
 	if err != nil {
 		// The nodes created before a budget abort are real work; report
 		// them so ApproxReport and MaxNodes account for failed closures.
@@ -525,7 +530,7 @@ func (ax *approximator) split(kind anodeKind, groups [][]expr.Expr, rebuild func
 	n := ax.newNode(&anode{kind: kind})
 	n.children = make([]*anode, 0, len(groups))
 	for _, g := range groups {
-		c, err := ax.classify(expr.Simplify(rebuild(g), ax.s))
+		c, err := ax.classify(rebuild(g))
 		if err != nil {
 			return nil, err
 		}
@@ -718,8 +723,7 @@ func (ax *approximator) expand(leaf *anode) error {
 	children := make([]*anode, 0, d.Size())
 	weights := make([]float64, 0, d.Size())
 	for _, pair := range d.Pairs() {
-		sub := expr.Simplify(expr.SubstID(leaf.e, x, pair.V), ax.s)
-		c, err := ax.classify(sub)
+		c, err := ax.classify(expr.Restrict(leaf.e, x, pair.V, ax.s))
 		if err != nil {
 			return err
 		}

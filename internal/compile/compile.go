@@ -194,10 +194,18 @@ func (c *Compiler) CompileCtx(ctx context.Context, e expr.Expr) (Result, error) 
 	if err := c.reg.CheckDeclared(e); err != nil {
 		return Result{}, err
 	}
+	return c.compileSimplified(ctx, expr.Simplify(e, c.s))
+}
+
+// compileSimplified is CompileCtx for an expression the caller has already
+// validated, checked against the registry and brought into simplified
+// form — the entry of the anytime engine's leaf closures, whose residuals
+// are sub-expressions of one such root.
+func (c *Compiler) compileSimplified(ctx context.Context, e expr.Expr) (Result, error) {
 	c.ctx = ctx
 	c.st = Stats{}
 	c.steps = 0
-	root, err := c.compile(expr.Simplify(e, c.s))
+	root, err := c.compile(e)
 	if err != nil {
 		// Stats survive failure so callers (notably the anytime engine's
 		// budgeted closure attempts) can account for the work done.
@@ -219,6 +227,11 @@ func (c *Compiler) newNode(n dtree.Node) (dtree.Node, error) {
 	return n, nil
 }
 
+// compile compiles e, which must be in simplified form (expr.Simplify):
+// the root is simplified once by CompileCtx, children and regrouped
+// children of a simplified node are simplified, expr.Restrict keeps the
+// form under Shannon substitution, and the two places that build new
+// expressions (factoring residuals, pruned comparisons) re-simplify them.
 func (c *Compiler) compile(e expr.Expr) (dtree.Node, error) {
 	// A Shannon descent over a large sum does O(|e|) substitution and
 	// simplification work per level and creates its decision nodes only
@@ -297,13 +310,7 @@ func (c *Compiler) compileSum(terms []expr.Expr, module bool, agg algebra.Agg, w
 		c.st.SumSplits += len(groups) - 1
 		parts := make([]dtree.Node, len(groups))
 		for i, g := range groups {
-			var ge expr.Expr
-			if module {
-				ge = expr.MSum(agg, g...)
-			} else {
-				ge = expr.Sum(g...)
-			}
-			p, err := c.compile(expr.Simplify(ge, c.s))
+			p, err := c.compile(sumOf(g, module, agg))
 			if err != nil {
 				return nil, err
 			}
@@ -319,6 +326,16 @@ func (c *Compiler) compileSum(terms []expr.Expr, module bool, agg algebra.Agg, w
 		}
 	}
 	return c.shannon(whole)
+}
+
+// sumOf rebuilds the sum of a group of terms of a semiring (module=false)
+// or agg-monoid sum. A group of the terms of a simplified sum is itself
+// in simplified form.
+func sumOf(terms []expr.Expr, module bool, agg algebra.Agg) expr.Expr {
+	if module {
+		return expr.MSum(agg, terms...)
+	}
+	return expr.Sum(terms...)
 }
 
 // combinePlus folds independent parts into a balanced binary ⊕ tree.
@@ -374,13 +391,7 @@ func (c *Compiler) tryFactorSum(terms []expr.Expr, module bool, agg algebra.Agg)
 			continue
 		}
 		c.st.Factorings++
-		var rest expr.Expr
-		if module {
-			rest = expr.Simplify(expr.MSum(agg, residuals...), c.s)
-		} else {
-			rest = expr.Simplify(expr.Sum(residuals...), c.s)
-		}
-		restNode, err := c.compile(rest)
+		restNode, err := c.compile(expr.Simplify(sumOf(residuals, module, agg), c.s))
 		if err != nil {
 			return nil, false, err
 		}
@@ -488,7 +499,7 @@ func (c *Compiler) compileProduct(m expr.Mul, whole expr.Expr) (dtree.Node, erro
 		c.st.ProductSplits += len(groups) - 1
 		parts := make([]dtree.Node, len(groups))
 		for i, g := range groups {
-			p, err := c.compile(expr.Simplify(expr.Product(g...), c.s))
+			p, err := c.compile(expr.Product(g...))
 			if err != nil {
 				return nil, err
 			}
@@ -571,7 +582,7 @@ func (c *Compiler) compileCmp(cm expr.Cmp) (dtree.Node, error) {
 // shannon applies rule 5/6: mutex expansion ⊔x of the chosen variable.
 func (c *Compiler) shannon(e expr.Expr) (dtree.Node, error) {
 	// Poll unconditionally: one expansion level costs O(|e|) in
-	// substitution and simplification, which dwarfs the check, and a
+	// restriction work, which dwarfs the check, and a
 	// descent over a wide aggregate can run thousands of levels before
 	// creating its first (post-order) node.
 	if c.ctx != nil {
@@ -587,8 +598,7 @@ func (c *Compiler) shannon(e expr.Expr) (dtree.Node, error) {
 	c.st.Shannon++
 	branches := make([]dtree.Branch, 0, d.Size())
 	for _, pair := range d.Pairs() {
-		sub := expr.Simplify(expr.SubstID(e, x, pair.V), c.s)
-		child, err := c.compile(sub)
+		child, err := c.compile(expr.Restrict(e, x, pair.V, c.s))
 		if err != nil {
 			return nil, err
 		}

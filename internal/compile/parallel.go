@@ -264,6 +264,7 @@ func (r *prun) compileAll(es []expr.Expr) ([]dtree.Node, error) {
 	return out, nil
 }
 
+// compile mirrors Compiler.compile; e must be in simplified form.
 func (r *prun) compile(e expr.Expr) (dtree.Node, error) {
 	if r.aborted.Load() {
 		return nil, errStopped
@@ -338,13 +339,7 @@ func (r *prun) compileSum(terms []expr.Expr, module bool, agg algebra.Agg, whole
 		r.sumSplits.Add(int64(len(groups) - 1))
 		ges := make([]expr.Expr, len(groups))
 		for i, g := range groups {
-			var ge expr.Expr
-			if module {
-				ge = expr.MSum(agg, g...)
-			} else {
-				ge = expr.Sum(g...)
-			}
-			ges[i] = expr.Simplify(ge, r.s)
+			ges[i] = sumOf(g, module, agg)
 		}
 		parts, err := r.compileAll(ges)
 		if err != nil {
@@ -411,12 +406,7 @@ func (r *prun) tryFactorSum(terms []expr.Expr, module bool, agg algebra.Agg) (dt
 			continue
 		}
 		r.factorings.Add(1)
-		var rest expr.Expr
-		if module {
-			rest = expr.Simplify(expr.MSum(agg, residuals...), r.s)
-		} else {
-			rest = expr.Simplify(expr.Sum(residuals...), r.s)
-		}
+		rest := expr.Simplify(sumOf(residuals, module, agg), r.s)
 		sides, err := r.compileAll([]expr.Expr{expr.VFromID(x), rest})
 		if err != nil {
 			return nil, false, err
@@ -442,7 +432,7 @@ func (r *prun) compileProduct(m expr.Mul, whole expr.Expr) (dtree.Node, error) {
 		r.productSplits.Add(int64(len(groups) - 1))
 		ges := make([]expr.Expr, len(groups))
 		for i, g := range groups {
-			ges[i] = expr.Simplify(expr.Product(g...), r.s)
+			ges[i] = expr.Product(g...)
 		}
 		parts, err := r.compileAll(ges)
 		if err != nil {
@@ -536,7 +526,7 @@ func (r *prun) shannon(e expr.Expr) (dtree.Node, error) {
 	pairs := d.Pairs()
 	subs := make([]expr.Expr, len(pairs))
 	for i, pair := range pairs {
-		subs[i] = expr.Simplify(expr.SubstID(e, x, pair.V), r.s)
+		subs[i] = expr.Restrict(e, x, pair.V, r.s)
 	}
 	children, err := r.compileAll(subs)
 	if err != nil {

@@ -24,12 +24,12 @@ func (p *Pipeline) TruthProbabilityApprox(e expr.Expr, opts compile.ApproxOption
 // aborts the anytime computation promptly with ctx.Err().
 func (p *Pipeline) TruthProbabilityApproxCtx(ctx context.Context, e expr.Expr, opts compile.ApproxOptions) (compile.Bounds, compile.ApproxReport, error) {
 	if e.Kind() != expr.KindSemiring {
-		return compile.Bounds{}, compile.ApproxReport{}, fmt.Errorf("core: TruthProbabilityApprox of a module expression %s", expr.String(e))
+		return compile.Bounds{}, compile.ApproxReport{}, fmt.Errorf("core: TruthProbabilityApprox of a module expression %s", expr.Abbrev(e))
 	}
 	opts.Compile = p.Options
 	b, rep, err := compile.ApproximateCtx(ctx, p.Semiring, p.Registry, e, opts)
 	if err != nil {
-		return compile.Bounds{}, rep, fmt.Errorf("core: approximate %s: %w", expr.String(e), err)
+		return compile.Bounds{}, rep, fmt.Errorf("core: approximate %s: %w", expr.Abbrev(e), err)
 	}
 	return b, rep, nil
 }

@@ -59,7 +59,7 @@ func (p *Pipeline) DistributionCtx(ctx context.Context, e expr.Expr) (prob.Dist,
 	t0 := time.Now()
 	res, err := c.CompileCtx(ctx, e)
 	if err != nil {
-		return prob.Dist{}, rep, fmt.Errorf("core: compile %s: %w", expr.String(e), err)
+		return prob.Dist{}, rep, fmt.Errorf("core: compile %s: %w", expr.Abbrev(e), err)
 	}
 	rep.CompileTime = time.Since(t0)
 	rep.Compile = res.Stats
@@ -67,7 +67,7 @@ func (p *Pipeline) DistributionCtx(ctx context.Context, e expr.Expr) (prob.Dist,
 	t1 := time.Now()
 	d, evalStats, err := dtree.EvaluateShared(res.Root, dtree.Env{Semiring: p.Semiring, Registry: p.Registry}, p.Options.Shared.EvalCache())
 	if err != nil {
-		return prob.Dist{}, rep, fmt.Errorf("core: evaluate %s: %w", expr.String(e), err)
+		return prob.Dist{}, rep, fmt.Errorf("core: evaluate %s: %w", expr.Abbrev(e), err)
 	}
 	rep.EvalTime = time.Since(t1)
 	rep.Eval = evalStats
@@ -84,7 +84,7 @@ func (p *Pipeline) TruthProbability(e expr.Expr) (float64, Report, error) {
 // TruthProbabilityCtx is TruthProbability under a context.
 func (p *Pipeline) TruthProbabilityCtx(ctx context.Context, e expr.Expr) (float64, Report, error) {
 	if e.Kind() != expr.KindSemiring {
-		return 0, Report{}, fmt.Errorf("core: TruthProbability of a module expression %s", expr.String(e))
+		return 0, Report{}, fmt.Errorf("core: TruthProbability of a module expression %s", expr.Abbrev(e))
 	}
 	d, rep, err := p.DistributionCtx(ctx, e)
 	if err != nil {
@@ -137,15 +137,16 @@ func (p *Pipeline) Joint(es []expr.Expr) ([]JointOutcome, error) {
 // otherwise it Shannon-expands a variable shared between at least two of
 // them.
 func (p *Pipeline) joint(es []expr.Expr, weight float64, acc map[string]float64) error {
-	if x, shared := sharedVariable(es); shared {
-		d, err := p.Registry.Dist(x)
+	if name, shared := sharedVariable(es); shared {
+		x := expr.Intern(name)
+		d, err := p.Registry.DistByID(x)
 		if err != nil {
 			return err
 		}
 		for _, pair := range d.Pairs() {
 			sub := make([]expr.Expr, len(es))
 			for i, e := range es {
-				sub[i] = expr.Simplify(expr.Subst(e, x, pair.V), p.Semiring)
+				sub[i] = expr.Restrict(e, x, pair.V, p.Semiring)
 			}
 			if err := p.joint(sub, weight*pair.P, acc); err != nil {
 				return err

@@ -31,7 +31,7 @@ func (p *Pipeline) DistributionParallelCtx(ctx context.Context, e expr.Expr, par
 	t0 := time.Now()
 	res, err := c.CompileCtx(ctx, e)
 	if err != nil {
-		return prob.Dist{}, rep, fmt.Errorf("core: compile %s: %w", expr.String(e), err)
+		return prob.Dist{}, rep, fmt.Errorf("core: compile %s: %w", expr.Abbrev(e), err)
 	}
 	rep.CompileTime = time.Since(t0)
 	rep.Compile = res.Stats
@@ -39,7 +39,7 @@ func (p *Pipeline) DistributionParallelCtx(ctx context.Context, e expr.Expr, par
 	t1 := time.Now()
 	d, evalStats, err := dtree.EvaluateShared(res.Root, dtree.Env{Semiring: p.Semiring, Registry: p.Registry}, p.Options.Shared.EvalCache())
 	if err != nil {
-		return prob.Dist{}, rep, fmt.Errorf("core: evaluate %s: %w", expr.String(e), err)
+		return prob.Dist{}, rep, fmt.Errorf("core: evaluate %s: %w", expr.Abbrev(e), err)
 	}
 	rep.EvalTime = time.Since(t1)
 	rep.Eval = evalStats
@@ -55,7 +55,7 @@ func (p *Pipeline) TruthProbabilityParallel(e expr.Expr, parallelism int) (float
 // TruthProbabilityParallelCtx is TruthProbabilityParallel under a context.
 func (p *Pipeline) TruthProbabilityParallelCtx(ctx context.Context, e expr.Expr, parallelism int) (float64, Report, error) {
 	if e.Kind() != expr.KindSemiring {
-		return 0, Report{}, fmt.Errorf("core: TruthProbability of a module expression %s", expr.String(e))
+		return 0, Report{}, fmt.Errorf("core: TruthProbability of a module expression %s", expr.Abbrev(e))
 	}
 	d, rep, err := p.DistributionParallelCtx(ctx, e, parallelism)
 	if err != nil {

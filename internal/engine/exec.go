@@ -93,28 +93,28 @@ func (w *worker) distribution(ctx context.Context, e expr.Expr) (prob.Dist, core
 // tuple under the configured strategy. Errors identify the tuple.
 func (w *worker) outcome(ctx context.Context, idx int, t pvc.Tuple, moduleCols []int) (TupleOutcome, error) {
 	if t.Ann.Kind() != expr.KindSemiring {
-		return TupleOutcome{}, fmt.Errorf("engine: annotation of tuple %s is not a semiring expression", t.Key())
+		return TupleOutcome{}, fmt.Errorf("engine: annotation of tuple %s is not a semiring expression", t.Label())
 	}
 	out := TupleOutcome{Index: idx, Tuple: t}
 	switch {
 	case w.cfg.Approx != nil:
 		b, rep, err := w.pl.TruthProbabilityApproxCtx(ctx, t.Ann, *w.cfg.Approx)
 		if err != nil {
-			return TupleOutcome{}, fmt.Errorf("engine: annotation of tuple %s: %w", t.Key(), err)
+			return TupleOutcome{}, fmt.Errorf("engine: annotation of tuple %s: %w", t.Label(), err)
 		}
 		out.Confidence = b
 		out.Report.Approx = &rep
 	case w.cfg.Samples > 0:
 		b, err := w.sampleConfidence(ctx, idx, t.Ann)
 		if err != nil {
-			return TupleOutcome{}, fmt.Errorf("engine: annotation of tuple %s: %w", t.Key(), err)
+			return TupleOutcome{}, fmt.Errorf("engine: annotation of tuple %s: %w", t.Label(), err)
 		}
 		out.Confidence = b
 		out.Report.Samples = w.cfg.Samples
 	default:
 		d, rep, err := w.distribution(ctx, t.Ann)
 		if err != nil {
-			return TupleOutcome{}, fmt.Errorf("engine: annotation of tuple %s: %w", t.Key(), err)
+			return TupleOutcome{}, fmt.Errorf("engine: annotation of tuple %s: %w", t.Label(), err)
 		}
 		out.Confidence = compile.Point(d.TruthProbability())
 		out.Report.Exact = rep
@@ -132,7 +132,7 @@ func (w *worker) outcome(ctx context.Context, idx int, t pvc.Tuple, moduleCols [
 		}
 		d, rep, err := w.distribution(ctx, e)
 		if err != nil {
-			return TupleOutcome{}, fmt.Errorf("engine: aggregation value %s: %w", expr.String(e), err)
+			return TupleOutcome{}, fmt.Errorf("engine: aggregation column %d of tuple %s: %w", ci, t.Label(), err)
 		}
 		out.AggDists = append(out.AggDists, d)
 		out.Report.addAggregate(rep)

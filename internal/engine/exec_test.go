@@ -12,6 +12,7 @@ import (
 	"pvcagg/internal/expr"
 	"pvcagg/internal/pvc"
 	"pvcagg/internal/testutil"
+	"pvcagg/internal/tpch"
 )
 
 // streamDB builds a pvc-table with some healthy tuples and two tuples
@@ -68,6 +69,47 @@ func TestStreamPerTupleErrors(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestTupleErrorsAreBounded: a TPC-H Q1 group's annotation and COUNT
+// expression render to tens of kilobytes each, and a per-tuple error is
+// built for every tuple of a timed-out request and for every node-budget
+// probe Auto throws away. The error must stay small and still say which
+// tuple failed.
+func TestTupleErrorsAreBounded(t *testing.T) {
+	db, err := tpch.Generate(tpch.Config{SF: 0.001, Seed: 1, Probabilistic: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rel, _, err := engine.EvalPlan(context.Background(), db, tpch.Q1(1200))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(rel.Tuples[0].Key()); n < 10_000 {
+		t.Fatalf("Q1 tuple key is only %d bytes; the test needs a large aggregate", n)
+	}
+	check := func(what string, err, cause error) {
+		t.Helper()
+		if !errors.Is(err, cause) {
+			t.Fatalf("%s: error %v, want %v", what, err, cause)
+		}
+		msg := err.Error()
+		if len(msg) >= 1024 {
+			t.Errorf("%s: error is %d bytes, want < 1 KB: %.200s…", what, len(msg), msg)
+		}
+		flag, status := rel.Tuples[0].Cells[0].String(), rel.Tuples[0].Cells[1].String()
+		if !strings.Contains(msg, "⟨"+flag+", "+status+", ") {
+			t.Errorf("%s: error does not name tuple ⟨%s, %s, …⟩: %s", what, flag, status, msg)
+		}
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	_, err = engine.TupleOutcomeForTest(ctx, db, engine.ExecConfig{}, rel, 0)
+	check("cancelled compile", err, context.Canceled)
+	_, err = engine.Outcomes(context.Background(), db, rel, engine.ExecConfig{
+		Compile: compile.Options{MaxNodes: 4}, Parallelism: 1, FailFast: true,
+	})
+	check("node budget", err, compile.ErrNodeBudget)
 }
 
 // TestStreamCancelled: a context cancelled before the stream starts

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"unicode/utf8"
 
 	"pvcagg/internal/algebra"
 	"pvcagg/internal/value"
@@ -46,7 +47,7 @@ type Expr interface {
 	Kind() Kind
 	// appendString writes the canonical rendering (diagnostics only; the
 	// compilers memoise on Hash/Equal).
-	appendString(b *strings.Builder)
+	appendString(b *printer)
 	// collectVars adds every variable occurrence to counts.
 	collectVars(counts map[string]int)
 	// hash returns the structural hash, cached at construction for
@@ -406,21 +407,81 @@ func (cm Cmp) collectVars(c map[string]int) {
 // diagnostics and parsing round-trips (compilation memoises on the cached
 // structural hash, see Hash and Equal).
 func String(e Expr) string {
-	var b strings.Builder
+	var b printer
 	e.appendString(&b)
 	return b.String()
 }
 
-func (v Var) appendString(b *strings.Builder)   { b.WriteString(v.Name) }
-func (c Const) appendString(b *strings.Builder) { b.WriteString(c.V.String()) }
-func (m MConst) appendString(b *strings.Builder) {
+// abbrevLen is the longest rendering Abbrev prints in full.
+const abbrevLen = 160
+
+// Abbrev renders e for error messages in bounded space: the canonical
+// rendering when it is at most abbrevLen bytes, otherwise that prefix of
+// it followed by the node count and structural hash of the whole — query
+// annotations run to tens of kilobytes, and errors are built per tuple
+// and often discarded.
+func Abbrev(e Expr) string {
+	b := printer{max: abbrevLen}
+	e.appendString(&b)
+	if b.Len() <= abbrevLen {
+		return b.String()
+	}
+	cut := abbrevLen
+	for cut > 0 && !utf8.RuneStart(b.String()[cut]) {
+		cut--
+	}
+	return fmt.Sprintf("%s… (%d nodes, hash %016x)", b.String()[:cut], Size(e), Hash(e))
+}
+
+// Size returns the number of nodes of e.
+func Size(e Expr) int {
+	switch n := e.(type) {
+	case Add:
+		return 1 + sizeSeq(n.Terms)
+	case Mul:
+		return 1 + sizeSeq(n.Factors)
+	case Tensor:
+		return 1 + Size(n.Scalar) + Size(n.Mod)
+	case AggSum:
+		return 1 + sizeSeq(n.Terms)
+	case Cmp:
+		return 1 + Size(n.L) + Size(n.R)
+	default:
+		return 1
+	}
+}
+
+func sizeSeq(es []Expr) int {
+	n := 0
+	for _, e := range es {
+		n += Size(e)
+	}
+	return n
+}
+
+// printer accumulates a rendering; with max > 0 the n-ary nodes stop
+// adding children once max bytes are written, so a bounded prefix costs
+// bounded work.
+type printer struct {
+	strings.Builder
+	max int
+}
+
+func (b *printer) full() bool { return b.max > 0 && b.Len() > b.max }
+
+func (v Var) appendString(b *printer)   { b.WriteString(v.Name) }
+func (c Const) appendString(b *printer) { b.WriteString(c.V.String()) }
+func (m MConst) appendString(b *printer) {
 	b.WriteString("m:")
 	b.WriteString(m.V.String())
 }
 
-func (a Add) appendString(b *strings.Builder) {
+func (a Add) appendString(b *printer) {
 	b.WriteByte('(')
 	for i, t := range a.Terms {
+		if b.full() {
+			return
+		}
 		if i > 0 {
 			b.WriteString(" + ")
 		}
@@ -429,9 +490,12 @@ func (a Add) appendString(b *strings.Builder) {
 	b.WriteByte(')')
 }
 
-func (m Mul) appendString(b *strings.Builder) {
+func (m Mul) appendString(b *printer) {
 	b.WriteByte('(')
 	for i, f := range m.Factors {
+		if b.full() {
+			return
+		}
 		if i > 0 {
 			b.WriteByte('*')
 		}
@@ -440,7 +504,7 @@ func (m Mul) appendString(b *strings.Builder) {
 	b.WriteByte(')')
 }
 
-func (t Tensor) appendString(b *strings.Builder) {
+func (t Tensor) appendString(b *printer) {
 	b.WriteByte('(')
 	t.Scalar.appendString(b)
 	b.WriteString(" @")
@@ -450,10 +514,13 @@ func (t Tensor) appendString(b *strings.Builder) {
 	b.WriteByte(')')
 }
 
-func (a AggSum) appendString(b *strings.Builder) {
+func (a AggSum) appendString(b *printer) {
 	b.WriteString(strings.ToLower(a.Agg.String()))
 	b.WriteByte('(')
 	for i, t := range a.Terms {
+		if b.full() {
+			return
+		}
 		if i > 0 {
 			b.WriteString(", ")
 		}
@@ -462,7 +529,7 @@ func (a AggSum) appendString(b *strings.Builder) {
 	b.WriteByte(')')
 }
 
-func (c Cmp) appendString(b *strings.Builder) {
+func (c Cmp) appendString(b *printer) {
 	b.WriteByte('[')
 	c.L.appendString(b)
 	b.WriteByte(' ')

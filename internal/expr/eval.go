@@ -96,244 +96,3 @@ func MustEval(e Expr, nu Valuation, s algebra.Semiring) value.V {
 	}
 	return v
 }
-
-// Subst returns e with every occurrence of variable x replaced by the
-// semiring constant v (the Φ|x←v of Eq. (10)). Sub-expressions without x
-// are shared, not copied.
-func Subst(e Expr, x string, v value.V) Expr {
-	return SubstID(e, Intern(x), v)
-}
-
-// SubstID is Subst by interned variable ID — the form the compilers use on
-// the Shannon-expansion hot path. Sub-trees that do not mention the
-// variable are returned unchanged (pointer-shared, cached hash intact),
-// so each substitution allocates only along the paths that actually
-// contain x.
-func SubstID(e Expr, x VarID, v value.V) Expr {
-	out, _ := substID(e, x, v)
-	return out
-}
-
-func substID(e Expr, x VarID, v value.V) (Expr, bool) {
-	switch n := e.(type) {
-	case Var:
-		if n.ID() == x {
-			return Const{v}, true
-		}
-		return n, false
-	case Const, MConst:
-		return n, false
-	case Add:
-		if ts, changed := substAllID(n.Terms, x, v); changed {
-			return newAdd(ts), true
-		}
-		return n, false
-	case Mul:
-		if fs, changed := substAllID(n.Factors, x, v); changed {
-			return newMul(fs), true
-		}
-		return n, false
-	case Tensor:
-		sc, c1 := substID(n.Scalar, x, v)
-		mod, c2 := substID(n.Mod, x, v)
-		if !c1 && !c2 {
-			return n, false
-		}
-		return NewTensor(n.Agg, sc, mod), true
-	case AggSum:
-		if ts, changed := substAllID(n.Terms, x, v); changed {
-			return newAggSum(n.Agg, ts), true
-		}
-		return n, false
-	case Cmp:
-		l, c1 := substID(n.L, x, v)
-		r, c2 := substID(n.R, x, v)
-		if !c1 && !c2 {
-			return n, false
-		}
-		return newCmp(n.Th, l, r), true
-	default:
-		panic(fmt.Sprintf("expr: unknown node %T", e))
-	}
-}
-
-func substAllID(es []Expr, x VarID, v value.V) ([]Expr, bool) {
-	var out []Expr
-	for i, e := range es {
-		s, changed := substID(e, x, v)
-		if changed && out == nil {
-			out = make([]Expr, len(es))
-			copy(out, es[:i])
-		}
-		if out != nil {
-			out[i] = s
-		}
-	}
-	return out, out != nil
-}
-
-// Simplify performs semiring-aware normalisation: flattening of nested
-// sums/products, constant folding, and the unit laws 0+Φ = Φ, 1·Φ = Φ,
-// 0·Φ = 0, 0S⊗m = 0M, 1S⊗m = m, 0M +M α = α. Simplification preserves the
-// distribution of the expression under any valuation into s. It is applied
-// after every Shannon substitution during compilation.
-func Simplify(e Expr, s algebra.Semiring) Expr {
-	switch n := e.(type) {
-	case Var, Const, MConst:
-		return e
-	case Add:
-		terms := make([]Expr, 0, len(n.Terms))
-		acc := s.Zero()
-		hasConst := false
-		for _, t := range n.Terms {
-			t = Simplify(t, s)
-			if a, ok := t.(Add); ok {
-				for _, tt := range a.Terms {
-					if c, ok := tt.(Const); ok {
-						acc = s.Add(acc, c.V)
-						hasConst = true
-					} else {
-						terms = append(terms, tt)
-					}
-				}
-				continue
-			}
-			if c, ok := t.(Const); ok {
-				acc = s.Add(acc, c.V)
-				hasConst = true
-				continue
-			}
-			terms = append(terms, t)
-		}
-		if hasConst && !acc.IsZero() {
-			terms = append(terms, Const{acc})
-		}
-		if len(terms) == 0 {
-			return Const{s.Zero()}
-		}
-		if len(terms) == 1 {
-			return terms[0]
-		}
-		return newAdd(terms)
-	case Mul:
-		factors := make([]Expr, 0, len(n.Factors))
-		acc := s.One()
-		hasConst := false
-		for _, f := range n.Factors {
-			f = Simplify(f, s)
-			if m, ok := f.(Mul); ok {
-				for _, ff := range m.Factors {
-					if c, ok := ff.(Const); ok {
-						acc = s.Mul(acc, c.V)
-						hasConst = true
-					} else {
-						factors = append(factors, ff)
-					}
-				}
-				continue
-			}
-			if c, ok := f.(Const); ok {
-				acc = s.Mul(acc, c.V)
-				hasConst = true
-				continue
-			}
-			factors = append(factors, f)
-		}
-		if acc == s.Zero() && hasConst {
-			return Const{s.Zero()}
-		}
-		if hasConst && !acc.IsOne() {
-			factors = append(factors, Const{acc})
-		}
-		if len(factors) == 0 {
-			return Const{s.One()}
-		}
-		if len(factors) == 1 {
-			return factors[0]
-		}
-		return newMul(factors)
-	case Tensor:
-		mo := algebra.MonoidFor(n.Agg)
-		sc := Simplify(n.Scalar, s)
-		mod := Simplify(n.Mod, s)
-		if c, ok := sc.(Const); ok {
-			if c.V == s.Zero() {
-				return MConst{mo.Neutral()}
-			}
-			if mc, ok := mod.(MConst); ok {
-				return MConst{algebra.Action(s, mo, c.V, mc.V)}
-			}
-			if c.V == s.One() {
-				return mod
-			}
-		}
-		if mc, ok := mod.(MConst); ok && mc.V == mo.Neutral() {
-			return MConst{mo.Neutral()}
-		}
-		// (Φ1·…) ⊗ (Ψ ⊗ α) nests flatten via the (s1·s2)⊗m law.
-		if inner, ok := mod.(Tensor); ok && sameMonoid(inner.Agg, n.Agg) {
-			return Simplify(NewTensor(n.Agg, Product(sc, inner.Scalar), inner.Mod), s)
-		}
-		return NewTensor(n.Agg, sc, mod)
-	case AggSum:
-		mo := algebra.MonoidFor(n.Agg)
-		terms := make([]Expr, 0, len(n.Terms))
-		acc := mo.Neutral()
-		hasConst := false
-		for _, t := range n.Terms {
-			t = Simplify(t, s)
-			if a, ok := t.(AggSum); ok && sameMonoid(a.Agg, n.Agg) {
-				for _, tt := range a.Terms {
-					if c, ok := tt.(MConst); ok {
-						acc = mo.Combine(acc, c.V)
-						hasConst = true
-					} else {
-						terms = append(terms, tt)
-					}
-				}
-				continue
-			}
-			if c, ok := t.(MConst); ok {
-				acc = mo.Combine(acc, c.V)
-				hasConst = true
-				continue
-			}
-			terms = append(terms, t)
-		}
-		if hasConst && acc != mo.Neutral() {
-			terms = append(terms, MConst{acc})
-		}
-		if len(terms) == 0 {
-			return MConst{mo.Neutral()}
-		}
-		if len(terms) == 1 {
-			return terms[0]
-		}
-		return newAggSum(n.Agg, terms)
-	case Cmp:
-		l := Simplify(n.L, s)
-		r := Simplify(n.R, s)
-		lc, lok := constValue(l)
-		rc, rok := constValue(r)
-		if lok && rok {
-			if n.Th.Apply(lc, rc) {
-				return Const{s.One()}
-			}
-			return Const{s.Zero()}
-		}
-		return newCmp(n.Th, l, r)
-	default:
-		panic(fmt.Sprintf("expr: unknown node %T", e))
-	}
-}
-
-func constValue(e Expr) (value.V, bool) {
-	switch n := e.(type) {
-	case Const:
-		return n.V, true
-	case MConst:
-		return n.V, true
-	default:
-		return value.V{}, false
-	}
-}

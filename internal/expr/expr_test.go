@@ -221,19 +221,19 @@ func TestVarCounts(t *testing.T) {
 	}
 }
 
-func TestSubst(t *testing.T) {
-	e := MustParse("x*(y + x)")
-	got := Subst(e, "x", value.Bool(true))
+func TestRestrictSemantics(t *testing.T) {
+	e := Simplify(MustParse("x*(y + x)"), boolS)
+	got := Restrict(e, Intern("x"), value.Bool(true), boolS)
 	nu := Valuation{"y": value.Bool(false)}
 	v, err := Eval(got, nu, boolS)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if v != value.Bool(true) {
-		t.Errorf("after subst x←⊤, y←⊥: %v, want ⊤", v)
+		t.Errorf("after x←⊤, y←⊥: %v, want ⊤", v)
 	}
 	if len(Vars(got)) != 1 || Vars(got)[0] != "y" {
-		t.Errorf("Vars after subst = %v", Vars(got))
+		t.Errorf("Vars after restriction = %v", Vars(got))
 	}
 }
 

@@ -220,6 +220,43 @@ func ContainsAny(e Expr, s *VarSet) bool {
 	}
 }
 
+// FindVar returns the first variable occurrence of e, in rendering order,
+// that satisfies pred. The walk allocates nothing.
+func FindVar(e Expr, pred func(VarID) bool) (VarID, bool) {
+	switch n := e.(type) {
+	case Var:
+		if id := n.ID(); pred(id) {
+			return id, true
+		}
+	case Add:
+		return findVarSeq(n.Terms, pred)
+	case Mul:
+		return findVarSeq(n.Factors, pred)
+	case Tensor:
+		if id, ok := FindVar(n.Scalar, pred); ok {
+			return id, true
+		}
+		return FindVar(n.Mod, pred)
+	case AggSum:
+		return findVarSeq(n.Terms, pred)
+	case Cmp:
+		if id, ok := FindVar(n.L, pred); ok {
+			return id, true
+		}
+		return FindVar(n.R, pred)
+	}
+	return 0, false
+}
+
+func findVarSeq(es []Expr, pred func(VarID) bool) (VarID, bool) {
+	for _, e := range es {
+		if id, ok := FindVar(e, pred); ok {
+			return id, true
+		}
+	}
+	return 0, false
+}
+
 // HasVarID reports whether e mentions the variable id.
 func HasVarID(e Expr, id VarID) bool {
 	switch n := e.(type) {

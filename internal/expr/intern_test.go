@@ -161,37 +161,6 @@ func TestEqualCanonicalisesValues(t *testing.T) {
 	}
 }
 
-func TestSubstIDSharesUntouchedSubtrees(t *testing.T) {
-	left := Product(V("sx"), V("sy"))
-	right := Product(V("sz"), V("sw"))
-	e := Sum(left, right)
-	out := SubstID(e, Intern("sx"), value.Int(1))
-	add, ok := out.(Add)
-	if !ok {
-		t.Fatalf("Subst changed the node kind: %T", out)
-	}
-	// The untouched right subtree must be the very same node (shared
-	// slice), not a copy.
-	rm, ok := add.Terms[1].(Mul)
-	if !ok {
-		t.Fatalf("right term has kind %T", add.Terms[1])
-	}
-	om := right.(Mul)
-	if &rm.Factors[0] != &om.Factors[0] {
-		t.Error("untouched subtree was copied, not shared")
-	}
-	// Substituting a variable that does not occur returns the identical
-	// expression without allocation-bearing rewrites.
-	same := SubstID(e, Intern("s_not_present"), value.Int(0))
-	if !Equal(same, e) {
-		t.Error("no-op substitution changed the expression")
-	}
-	sm := same.(Add)
-	if &sm.Terms[:1][0] != &e.(Add).Terms[:1][0] {
-		t.Error("no-op substitution copied the expression")
-	}
-}
-
 func TestVarSetCollect(t *testing.T) {
 	e := MustParse("vs_a*vs_b + vs_a + [min(vs_c @min 3) <= 2]")
 	var s VarSet

@@ -30,6 +30,26 @@ func (t Tuple) Key() string {
 	return b.String()
 }
 
+// Label names the tuple in error messages: its value and string cells in
+// full, its aggregation expressions abbreviated (expr.Abbrev) — Key spells
+// them out, tens of kilobytes per aggregate of a large group.
+func (t Tuple) Label() string {
+	var b strings.Builder
+	b.WriteString("⟨")
+	for i, c := range t.Cells {
+		if i > 0 {
+			b.WriteString(", ")
+		}
+		if c.kind == KindExpr {
+			b.WriteString(expr.Abbrev(c.e))
+		} else {
+			b.WriteString(c.String())
+		}
+	}
+	b.WriteString("⟩")
+	return b.String()
+}
+
 // Relation is a pvc-table: a schema and a list of annotated tuples.
 type Relation struct {
 	Name   string

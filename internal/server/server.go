@@ -40,10 +40,12 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"runtime"
 	"runtime/debug"
@@ -314,11 +316,46 @@ type QueryRequest struct {
 // confidence interval (lo == hi under exact strategies) and the
 // expectation of each aggregation column.
 type QueryRow struct {
-	Cells      []string  `json:"cells"`
-	Lo         float64   `json:"lo"`
-	Hi         float64   `json:"hi"`
-	Converged  bool      `json:"converged"`
-	AggExpects []float64 `json:"agg_expects,omitempty"`
+	Cells      []string     `json:"cells"`
+	Lo         float64      `json:"lo"`
+	Hi         float64      `json:"hi"`
+	Converged  bool         `json:"converged"`
+	AggExpects Expectations `json:"agg_expects,omitempty"`
+}
+
+// Expectations is the agg_expects array of a row: one expectation per
+// aggregation column, in schema order. An entry is JSON null when the
+// expectation is not finite — MIN and MAX over probabilistic rows take
+// +∞ / −∞ in the worlds where no row survives, so their expectation is
+// infinite whenever that has positive probability. Decoding maps null
+// back to NaN.
+type Expectations []float64
+
+// MarshalJSON renders non-finite entries, which JSON cannot carry, as null.
+func (e Expectations) MarshalJSON() ([]byte, error) {
+	raw := make([]*float64, len(e))
+	for i, x := range e {
+		if !math.IsInf(x, 0) && !math.IsNaN(x) {
+			raw[i] = &e[i]
+		}
+	}
+	return json.Marshal(raw)
+}
+
+// UnmarshalJSON is the inverse of MarshalJSON.
+func (e *Expectations) UnmarshalJSON(data []byte) error {
+	var raw []*float64
+	if err := json.Unmarshal(data, &raw); err != nil {
+		return err
+	}
+	*e = make(Expectations, len(raw))
+	for i, x := range raw {
+		(*e)[i] = math.NaN()
+		if x != nil {
+			(*e)[i] = *x
+		}
+	}
+	return nil
 }
 
 // Timings is the per-request phase split, microseconds.
@@ -358,7 +395,7 @@ type QueryResponse struct {
 type errorResponse struct {
 	Error string `json:"error"`
 	// Code types the failure for programmatic clients: "panic",
-	// "partial_failure", "draining", "backend_unhealthy".
+	// "partial_failure", "draining", "backend_unhealthy", "encode".
 	Code string `json:"code,omitempty"`
 	// RequestID echoes X-Request-ID, tying the failure to server logs.
 	RequestID string `json:"request_id,omitempty"`
@@ -559,13 +596,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	s.m.ok.Add(1)
 	// resp.Degraded may already be set by a sound bounded-skip in the
 	// store layer; admission-pressure demotion is the second source.
 	resp.Degraded = resp.Degraded || degraded
-	if resp.Degraded {
-		s.m.degraded.Add(1)
-	}
 	resp.CachedPlan = cachedPlan
 	resp.RequestID = w.Header().Get("X-Request-ID")
 	resp.Timings = Timings{
@@ -573,7 +606,19 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		ParseUs:     parseDur.Microseconds(),
 		ExecUs:      execDur.Microseconds(),
 	}
-	writeJSON(w, http.StatusOK, resp)
+	// Encode before counting and before the status line: an answer JSON
+	// cannot carry is a failed request, not an empty 200.
+	body, err := encodeJSON(resp)
+	if err != nil {
+		s.m.errors.Add(1)
+		writeEncodeError(w, err)
+		return
+	}
+	s.m.ok.Add(1)
+	if resp.Degraded {
+		s.m.degraded.Add(1)
+	}
+	writeBody(w, http.StatusOK, body)
 }
 
 // degradable reports whether the requested mode tolerates the anytime
@@ -728,12 +773,38 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, st)
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
+func encodeJSON(v any) ([]byte, error) {
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetEscapeHTML(false)
+	if err := enc.Encode(v); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
+}
+
+func writeBody(w http.ResponseWriter, status int, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
-	_ = enc.Encode(v)
+	_, _ = w.Write(body) // the client hung up; there is no one left to tell
+}
+
+// writeJSON sends v with the given status. A value encoding/json refuses
+// (a non-finite float) is reported as a typed 500 rather than sent as an
+// empty body under the intended status.
+func writeJSON(w http.ResponseWriter, status int, v any) {
+	body, err := encodeJSON(v)
+	if err != nil {
+		writeEncodeError(w, err)
+		return
+	}
+	writeBody(w, status, body)
+}
+
+// writeEncodeError reports err; its own body holds strings only, so the
+// mutual recursion with writeJSON ends there.
+func writeEncodeError(w http.ResponseWriter, err error) {
+	writeErrorCode(w, http.StatusInternalServerError, "encode", "response is not encodable: "+err.Error())
 }
 
 func writeError(w http.ResponseWriter, status int, msg string) {

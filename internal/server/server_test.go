@@ -5,6 +5,8 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -163,6 +165,65 @@ func TestQueryExactDifferential(t *testing.T) {
 		if len(row.AggExpects) != 1 {
 			t.Errorf("row %v: %d aggregate expectations, want 1", row.Cells, len(row.AggExpects))
 		}
+	}
+}
+
+// TestQueryMinGroupByEncodes is the regression test for the empty 200
+// body: MIN over probabilistic rows is +∞ in the world where no row of the
+// group survives, so its expectation is infinite, which encoding/json
+// refuses — and the encoder's error used to be discarded after the status
+// line. The expectation now travels as null.
+func TestQueryMinGroupByEncodes(t *testing.T) {
+	srv := httptest.NewServer(New(shopDB(0.5), Config{}).Handler())
+	defer srv.Close()
+	body, err := json.Marshal(QueryRequest{
+		Query: `SELECT shop, MIN(price) AS lo, COUNT(*) AS n FROM S JOIN PS GROUP BY shop`,
+		Mode:  "exact",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := srv.Client().Post(srv.URL+"/query", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK || len(raw) == 0 {
+		t.Fatalf("status %d with a %d-byte body: %s", resp.StatusCode, len(raw), raw)
+	}
+	if !bytes.Contains(raw, []byte(`"agg_expects":[null,`)) {
+		t.Errorf("infinite MIN expectation is not encoded as null: %s", raw)
+	}
+	var qr QueryResponse
+	if err := json.Unmarshal(raw, &qr); err != nil {
+		t.Fatalf("decode response: %v\n%s", err, raw)
+	}
+	if len(qr.Rows) != 2 {
+		t.Fatalf("%d rows, want the 2 shops", len(qr.Rows))
+	}
+	for _, row := range qr.Rows {
+		if len(row.AggExpects) != 2 || !math.IsNaN(row.AggExpects[0]) || !(row.AggExpects[1] > 0) {
+			t.Errorf("row %v: agg_expects %v, want [NaN (null), a positive count]", row.Cells, row.AggExpects)
+		}
+	}
+}
+
+// TestWriteJSONUnencodable pins the second half of the fix: a value JSON
+// cannot carry becomes a typed 500, never a success status over an empty
+// body.
+func TestWriteJSONUnencodable(t *testing.T) {
+	rec := httptest.NewRecorder()
+	writeJSON(rec, http.StatusOK, QueryResponse{Rows: []QueryRow{{Lo: math.Inf(1)}}})
+	var e errorResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil {
+		t.Fatalf("body %q: %v", rec.Body.String(), err)
+	}
+	if rec.Code != http.StatusInternalServerError || e.Code != "encode" || e.Error == "" {
+		t.Errorf("status %d, body %+v; want a 500 with code \"encode\"", rec.Code, e)
 	}
 }
 

@@ -103,24 +103,26 @@ func (r *Registry) Names() []string {
 // Len returns the number of declared variables.
 func (r *Registry) Len() int { return len(r.order) }
 
-// CheckDeclared verifies that every variable of e is declared. The walk
-// uses interned IDs and a reusable set, so it costs one pass over e with
-// no per-variable allocation.
+// CheckDeclared verifies that every variable of e is declared: one walk
+// over e testing each occurrence's interned ID against the registry's
+// table, without allocating. Only the failing path collects names, to
+// report the alphabetically first undeclared one.
 func (r *Registry) CheckDeclared(e expr.Expr) error {
-	var s expr.VarSet
-	expr.CollectVarsInto(e, &s)
-	var undeclared []string
-	for _, id := range s.Touched() {
-		if !r.HasID(id) {
-			undeclared = append(undeclared, expr.VarName(id))
-		}
-	}
-	if len(undeclared) == 0 {
+	id, found := expr.FindVar(e, r.undeclared)
+	if !found {
 		return nil
 	}
-	sort.Strings(undeclared)
-	return fmt.Errorf("vars: expression uses undeclared variable %q", undeclared[0])
+	name := expr.VarName(id)
+	for _, x := range expr.Vars(e) { // sorted
+		if !r.Has(x) {
+			name = x
+			break
+		}
+	}
+	return fmt.Errorf("vars: expression uses undeclared variable %q", name)
 }
+
+func (r *Registry) undeclared(id ID) bool { return !r.HasID(id) }
 
 // Fresh returns a variable name of the form prefix#n that is not yet
 // declared, declares it with distribution d, and returns the name. It is

@@ -1,10 +1,13 @@
 package vars
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
+	"pvcagg/internal/algebra"
 	"pvcagg/internal/expr"
 	"pvcagg/internal/prob"
 	"pvcagg/internal/value"
@@ -83,6 +86,30 @@ func TestCheckDeclared(t *testing.T) {
 	}
 	if err := r.CheckDeclared(expr.MustParse("x*y")); err == nil {
 		t.Errorf("CheckDeclared missed undeclared variable")
+	}
+	// The alphabetically first undeclared variable is reported, wherever
+	// it occurs.
+	err := r.CheckDeclared(expr.MustParse("cd_z*x + cd_b*[cd_a <= x]"))
+	if err == nil || !strings.Contains(err.Error(), `"cd_a"`) {
+		t.Errorf("CheckDeclared = %v, want cd_a reported", err)
+	}
+}
+
+// TestCheckDeclaredDoesNotAllocate pins the per-compilation fixed cost:
+// the check runs once per compiled tuple, on registries whose interned IDs
+// run into the thousands, and must not size anything by them.
+func TestCheckDeclaredDoesNotAllocate(t *testing.T) {
+	r := NewRegistry()
+	terms := make([]expr.Expr, 5000)
+	for i := range terms {
+		name := fmt.Sprintf("cda%d", i)
+		r.DeclareBool(name, 0.5)
+		terms[i] = expr.Scale(algebra.Sum, expr.Product(expr.V(name), expr.V("cda0")), value.Int(int64(i)))
+	}
+	var e expr.Expr = expr.Compare(value.LE, expr.MSum(algebra.Sum, terms...), expr.MInt(70))
+	var err error
+	if n := testing.AllocsPerRun(20, func() { err = r.CheckDeclared(e) }); n != 0 || err != nil {
+		t.Errorf("CheckDeclared over 5000 declared variables: %v allocs/op (want 0), err %v", n, err)
 	}
 }
 
