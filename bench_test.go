@@ -274,35 +274,6 @@ func BenchmarkParallelProbabilities(b *testing.B) {
 	}
 }
 
-// BenchmarkParallelCompile: single-expression compilation with Shannon
-// branches fanned out, on a hard random instance (two-sided comparison).
-func BenchmarkParallelCompile(b *testing.B) {
-	p := benchBase()
-	p.NumClauses = 2
-	p.NumLiterals = 2
-	p.AggL, p.AggR = algebra.Min, algebra.Count
-	p.L, p.R = 30, 20
-	p.Theta = value.LE
-	p.Seed = 1
-	inst := gen.MustNew(p)
-	pl := core.New(algebra.Boolean, inst.Registry)
-	pl.Options = compile.Options{MaxNodes: 20_000_000}
-	b.Run("sequential", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, _, err := pl.Distribution(inst.Expr); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("parallel", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, _, err := pl.DistributionParallel(inst.Expr, 0); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
 // BenchmarkApproxVsExact: the anytime approximate engine against exact
 // compilation on a hard two-sided comparison with skewed marginals — the
 // regime where unexpanded Shannon branches carry little probability mass
@@ -479,33 +450,6 @@ func BenchmarkAblationNoFactoring(b *testing.B) {
 	}
 }
 
-// BenchmarkSharedCache: the cross-tuple compilation cache (WithSharedCache)
-// on a pvc-table whose tuples share their selection comparison — the
-// workload the cache exists for. The paired off/on runs report the
-// ablation directly.
-func BenchmarkSharedCache(b *testing.B) {
-	db, rel := sharedAnnotationTable(b, 64)
-	for _, cached := range []bool{false, true} {
-		name := "cache=off"
-		if cached {
-			name = "cache=on"
-		}
-		b.Run(name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				res, err := pvcagg.ExecTable(context.Background(), db, rel,
-					pvcagg.WithMode(pvcagg.Exact), pvcagg.WithParallelism(1), pvcagg.WithSharedCache(cached))
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := res.Collect(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 func thName(th value.Theta) string {
 	switch th {
 	case value.EQ:
@@ -593,9 +537,7 @@ func execBenchCases(sf float64) ([]execBenchCase, error) {
 	return []execBenchCase{
 		{"exact/seq", run(pvcagg.WithMode(pvcagg.Exact), pvcagg.WithParallelism(1))},
 		{"exact/seq+trace", traced(pvcagg.WithMode(pvcagg.Exact), pvcagg.WithParallelism(1))},
-		{"exact/par", run(pvcagg.WithMode(pvcagg.Exact), pvcagg.WithParallelism(0))},
 		{"exact/stream", stream(pvcagg.WithMode(pvcagg.Exact), pvcagg.WithParallelism(0))},
-		{"exact/seq+cache", run(pvcagg.WithMode(pvcagg.Exact), pvcagg.WithParallelism(1), pvcagg.WithSharedCache(true))},
 		{"anytime/0.05", run(pvcagg.WithMode(pvcagg.Anytime), pvcagg.WithEps(0.05))},
 		{"auto", run(pvcagg.WithEps(0.05))},
 		{"sample/10k", run(pvcagg.WithMode(pvcagg.Sample), pvcagg.WithSeed(1))},

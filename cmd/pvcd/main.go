@@ -1,7 +1,7 @@
 // Command pvcd is the long-running PVQL query service: it loads a demo
 // database (the Figure 1 shop database or generated probabilistic
-// TPC-H) and serves queries over HTTP with admission control, a
-// prepared-statement plan cache and a cross-query compilation cache.
+// TPC-H) and serves queries over HTTP with admission control and a
+// prepared-statement plan cache.
 //
 // Usage:
 //
@@ -9,7 +9,6 @@
 //	pvcd -demo tpch -sf 0.001 -addr :9090   # probabilistic TPC-H
 //	pvcd -store /data/tpch01                # disk-backed database (pvcimport)
 //	pvcd -workers 4 -queue 8                # tighter admission budget
-//	pvcd -shared-cache-entries -1           # disable the cross-query cache
 //
 // Query it with any HTTP client:
 //
@@ -60,7 +59,6 @@ func main() {
 		degradeAfter = flag.Duration("degrade-after", 0, "queue wait beyond which non-exact requests degrade to anytime bounds (0 = max-queue-wait/4)")
 		degradeEps   = flag.Float64("degrade-eps", 0.05, "anytime bound width for degraded requests")
 		planCache    = flag.Int("plan-cache", 128, "prepared-statement plan cache entries")
-		cacheEntries = flag.Int("shared-cache-entries", 0, "cross-query compilation cache bound (0 = default, negative disables)")
 		parallel     = flag.Int("parallel", 1, "per-query engine parallelism (0 = GOMAXPROCS)")
 		storeDir     = flag.String("store", "", "serve a disk-backed database written by pvcimport instead of a -demo database")
 		drainTimeout = flag.Duration("drain-timeout", 20*time.Second, "SIGTERM drain deadline for in-flight queries")
@@ -89,17 +87,16 @@ func main() {
 		}
 	}
 	cfg := server.Config{
-		Workers:            *workers,
-		QueueDepth:         *queue,
-		MaxQueueWait:       *maxQueueWait,
-		MaxTimeout:         *timeout,
-		DegradeAfter:       *degradeAfter,
-		DegradeEps:         *degradeEps,
-		PlanCacheSize:      *planCache,
-		SharedCacheEntries: *cacheEntries,
-		Parallelism:        *parallel,
-		Health:             health,
-		StoreMetrics:       storeMetrics,
+		Workers:       *workers,
+		QueueDepth:    *queue,
+		MaxQueueWait:  *maxQueueWait,
+		MaxTimeout:    *timeout,
+		DegradeAfter:  *degradeAfter,
+		DegradeEps:    *degradeEps,
+		PlanCacheSize: *planCache,
+		Parallelism:   *parallel,
+		Health:        health,
+		StoreMetrics:  storeMetrics,
 	}
 	if *retryBudget >= 0 {
 		// Bounded skips are on for the service: a block that is unreadable

@@ -166,8 +166,6 @@ type execConfig struct {
 	samples    int
 	samplesSet bool
 	failFast   bool
-	shared     bool
-	ext        *compile.SharedCache
 	evalPath   EvalPath
 	store      *Store
 	retry      RetryPolicy
@@ -205,9 +203,10 @@ func WithEps(eps float64) Option {
 	return func(c *execConfig) { c.eps, c.epsSet = eps, true }
 }
 
-// WithParallelism bounds the number of goroutines doing compilation and
-// evaluation work, across tuples and inside tuples combined. n <= 0
-// selects runtime.GOMAXPROCS(0) (the default); n == 1 runs sequentially.
+// WithParallelism bounds the number of worker goroutines across result
+// tuples. A single tuple — and so a bare ExecExpr — always compiles on
+// one goroutine. n <= 0 selects runtime.GOMAXPROCS(0) (the default);
+// n == 1 runs sequentially. Results are identical at every n.
 func WithParallelism(n int) Option { return func(c *execConfig) { c.par = n } }
 
 // WithCompileBudget aborts any exact compilation whose d-tree exceeds
@@ -261,73 +260,6 @@ func WithSeed(seed int64) Option {
 // DefaultSamples). Only meaningful with Sample.
 func WithSamples(n int) Option {
 	return func(c *execConfig) { c.samples, c.samplesSet = n, true }
-}
-
-// WithSharedCache enables (or, for ablation, explicitly disables) the
-// cross-tuple compilation cache: one bounded, shard-striped cache of
-// compiled d-tree nodes and their distributions, keyed by structural
-// expression hash and shared by every worker of the execution, so
-// sub-expressions repeated across a table's tuples compile and evaluate
-// once. The cache is scoped to the execution, never shared across Exec
-// calls.
-//
-// Under the exact strategy, probabilities and distributions are
-// bit-for-bit identical with the cache on or off at any parallelism
-// (cached nodes are structurally identical, so they evaluate to the same
-// distributions). What the cache does change is accounting and budgets:
-// per-tuple cost reports (TupleReport.Exact) count only the work a tuple
-// did itself, and compile node budgets (WithCompileBudget, the anytime
-// engine's leaf budgets) count only uncached nodes — so with
-// Parallelism > 1, which tuples hit the cache depends on scheduling,
-// making per-tuple reports, budget-abort points and anytime bound widths
-// (still always sound) run-to-run nondeterministic. Use Parallelism(1)
-// with the cache for reproducible reports and anytime bounds. This is
-// why the cache defaults to off; the run-level picture lives in
-// Result.Report.SharedCache.
-func WithSharedCache(enabled bool) Option {
-	return func(c *execConfig) { c.shared = enabled }
-}
-
-// SharedCache is a cross-query compilation cache: the same bounded,
-// shard-striped cache of compiled d-tree nodes and evaluator
-// distributions that WithSharedCache scopes to one execution, but owned
-// by the caller and handed to many executions over WithCache — the
-// long-running query service shares one across every request against a
-// database. See compile.SharedCache for the structure and the adaptive
-// bail-out.
-type SharedCache = compile.SharedCache
-
-// NewSharedCache returns an empty cross-query compilation cache bounded
-// to maxEntries compiled nodes (and as many cached distributions);
-// maxEntries <= 0 selects the default bound (256k). The cache carries
-// the adaptive bail-out: if its consecutive-miss streak ever reaches the
-// default threshold it switches itself off for the rest of its life, so
-// a long-lived cache that turns out not to help never keeps taxing
-// requests.
-func NewSharedCache(maxEntries int) *SharedCache {
-	return compile.NewSharedCache(maxEntries)
-}
-
-// WithCache attaches a caller-owned cross-query compilation cache to the
-// execution, so sub-expressions repeated across queries — not just
-// across the tuples of one query — compile and evaluate once. It implies
-// WithSharedCache(true) and wins over it: when both are given, the
-// external cache is used and no per-execution cache is created.
-//
-// A cache is only coherent for one database (one variable registry): the
-// cached d-tree leaves resolve variables by identity, so executing
-// against a different database with the same cache computes garbage.
-// Swap databases by swapping to a fresh cache — there is deliberately no
-// invalidation call; the query service's session swap does exactly this.
-// Stats (Result.Report.SharedCache) are cumulative over the cache's
-// life, not per-execution. The determinism caveats of WithSharedCache
-// apply across requests too: budgets and per-tuple reports depend on
-// what earlier queries left in the cache.
-func WithCache(cache *SharedCache) Option {
-	return func(c *execConfig) {
-		c.ext = cache
-		c.shared = cache != nil
-	}
 }
 
 // resolveOptions applies the options and validates their combination,
@@ -484,28 +416,16 @@ func (s Strategy) String() string {
 	}
 }
 
-// build resolves the engine configuration for the chosen strategy. When
-// WithSharedCache is on, a fresh cross-tuple cache scoped to this
-// execution is threaded into the compile options of every strategy (the
+// build resolves the engine configuration for the chosen strategy (the
 // sampling strategy still compiles aggregation columns exactly).
-func (c *execConfig) build(chosen Mode, verdict *Verdict) (Strategy, engine.ExecConfig, *compile.SharedCache) {
+func (c *execConfig) build(chosen Mode, verdict *Verdict) (Strategy, engine.ExecConfig) {
 	strat := Strategy{Requested: c.mode, Chosen: chosen, Verdict: verdict, Parallelism: c.par, EvalPath: c.evalPath}
-	var cache *compile.SharedCache
-	co := c.compile
-	if c.shared {
-		if c.ext != nil {
-			cache = c.ext
-		} else {
-			cache = compile.NewSharedCache(0)
-		}
-		co.Shared = cache
-	}
-	ecfg := engine.ExecConfig{Compile: co, Parallelism: c.par, OnBounds: c.onBounds, FailFast: c.failFast}
+	ecfg := engine.ExecConfig{Compile: c.compile, Parallelism: c.par, OnBounds: c.onBounds, FailFast: c.failFast}
 	switch chosen {
 	case Anytime:
 		a := c.approx
 		a.Eps = c.effEps()
-		a.Compile = co
+		a.Compile = c.compile
 		if c.onBounds != nil {
 			a.OnBounds = c.onBounds
 		}
@@ -517,7 +437,7 @@ func (c *execConfig) build(chosen Mode, verdict *Verdict) (Strategy, engine.Exec
 		strat.Samples = c.samples
 		strat.Seed = c.seed
 	}
-	return strat, ecfg, cache
+	return strat, ecfg
 }
 
 // WithRetry attaches a per-query retry budget for transient store read
@@ -544,10 +464,6 @@ var ErrConsumed = errors.New("pvcagg: Result stream already consumed")
 // ExecReport aggregates run-level execution statistics that have no
 // per-tuple home.
 type ExecReport struct {
-	// SharedCache reports the cross-tuple compilation cache
-	// (WithSharedCache): compiler node hits/misses and evaluator
-	// distribution hits/misses. All zeros when the cache is disabled.
-	SharedCache CacheStats
 	// Store reports what the WithRetry budget actually did: reads that
 	// needed retrying, retries spent, operations abandoned, and blocks
 	// soundly skipped via their all-zero annotation summaries. All zeros
@@ -560,10 +476,6 @@ type ExecReport struct {
 	// or the PVQL `EXPLAIN ANALYZE` prefix); nil otherwise.
 	Explain *ExplainNode
 }
-
-// CacheStats is a snapshot of the cross-tuple cache counters; see
-// compile.CacheStats.
-type CacheStats = compile.CacheStats
 
 // Result is one execution handed back by Exec or ExecTable: the evaluated
 // result pvc-table (step I, already done) and the probability computation
@@ -585,7 +497,6 @@ type Result struct {
 
 	db       *Database
 	cfg      engine.ExecConfig
-	cache    *compile.SharedCache
 	retry    *store.RetryState
 	ctx      context.Context
 	cancel   context.CancelFunc
@@ -609,9 +520,6 @@ func (r *Result) Len() int { return r.Rel.Len() }
 func (r *Result) Close() { r.finish() }
 
 func (r *Result) finish() {
-	if r.cache != nil {
-		r.Report.SharedCache = r.cache.Stats()
-	}
 	if r.retry != nil {
 		r.Report.Store = r.retry.Snapshot()
 	}
@@ -643,7 +551,6 @@ func (r *Result) noteOutcome(o TupleOutcome) {
 	}
 	sp.Add("tuples", 1)
 	sp.Add("memo_hits", int64(o.Report.Exact.Compile.CacheHits))
-	sp.Add("shared_hits", int64(o.Report.Exact.Compile.SharedHits))
 	sp.Add("dtree_nodes", int64(o.Report.Exact.Compile.Nodes))
 	if o.Report.Approx != nil {
 		sp.Add("frontier_expansions", int64(o.Report.Approx.Expansions))
@@ -744,7 +651,7 @@ func Exec(ctx context.Context, db *Database, plan Plan, opts ...Option) (*Result
 			chosen = Exact
 		}
 	}
-	strat, ecfg, cache := cfg.build(chosen, verdict)
+	strat, ecfg := cfg.build(chosen, verdict)
 	execSpan.SetAttr("parallelism", int64(ecfg.Parallelism))
 	var cancel context.CancelFunc
 	if cfg.timeout > 0 {
@@ -791,7 +698,6 @@ func Exec(ctx context.Context, db *Database, plan Plan, opts ...Option) (*Result
 		Timing:   RunTiming{Construct: construct},
 		db:       db,
 		cfg:      ecfg,
-		cache:    cache,
 		retry:    retry,
 		ctx:      ctx,
 		cancel:   cancel,
@@ -823,7 +729,7 @@ func ExecTable(ctx context.Context, db *Database, rel *Relation, opts ...Option)
 	if chosen == Auto {
 		chosen = Anytime
 	}
-	strat, ecfg, cache := cfg.build(chosen, nil)
+	strat, ecfg := cfg.build(chosen, nil)
 	var cancel context.CancelFunc
 	if cfg.timeout > 0 {
 		ctx, cancel = context.WithTimeout(ctx, cfg.timeout)
@@ -833,7 +739,6 @@ func ExecTable(ctx context.Context, db *Database, rel *Relation, opts ...Option)
 		Strategy: strat,
 		db:       db,
 		cfg:      ecfg,
-		cache:    cache,
 		ctx:      ctx,
 		cancel:   cancel,
 		execSpan: cfg.trace.StartSpan("exec"),
@@ -860,10 +765,6 @@ type ExprResult struct {
 	Report Report
 	// Approx describes the anytime computation (anytime strategy).
 	Approx *ApproxReport
-	// SharedCache reports the WithSharedCache compilation cache of this
-	// execution (all zeros when disabled). Under Auto, the counters are
-	// those of the attempt that produced the result.
-	SharedCache CacheStats
 }
 
 // ExecExpr computes the probabilistic interpretation of a bare semiring
@@ -888,19 +789,19 @@ func ExecExpr(ctx context.Context, e Expr, reg *Registry, kind SemiringKind, opt
 	semiring := e.Kind() == KindSemiring
 	switch cfg.mode {
 	case Exact:
-		strat, ecfg, _ := cfg.build(Exact, nil)
+		strat, ecfg := cfg.build(Exact, nil)
 		return execExprExact(ctx, e, reg, kind, ecfg, strat)
 	case Anytime:
 		if !semiring {
 			return nil, fmt.Errorf("pvcagg: the anytime engine brackets truth probabilities and %s is a semimodule expression; use Exact", ExprString(e))
 		}
-		strat, ecfg, _ := cfg.build(Anytime, nil)
+		strat, ecfg := cfg.build(Anytime, nil)
 		return execExprAnytime(ctx, e, reg, kind, ecfg, strat)
 	case Sample:
-		strat, ecfg, _ := cfg.build(Sample, nil)
+		strat, ecfg := cfg.build(Sample, nil)
 		return execExprSample(ctx, e, reg, kind, ecfg, strat)
 	default: // Auto
-		strat, ecfg, _ := cfg.build(Exact, nil)
+		strat, ecfg := cfg.build(Exact, nil)
 		if ecfg.Compile.MaxNodes == 0 {
 			ecfg.Compile.MaxNodes = autoExprBudget
 		}
@@ -908,30 +809,18 @@ func ExecExpr(ctx context.Context, e Expr, reg *Registry, kind SemiringKind, opt
 		if err == nil || !semiring || !errors.Is(err, compile.ErrNodeBudget) {
 			return res, err
 		}
-		strat, ecfg, _ = cfg.build(Anytime, nil)
+		strat, ecfg = cfg.build(Anytime, nil)
 		return execExprAnytime(ctx, e, reg, kind, ecfg, strat)
 	}
 }
 
 func execExprExact(ctx context.Context, e Expr, reg *Registry, kind SemiringKind, ecfg engine.ExecConfig, strat Strategy) (*ExprResult, error) {
 	pl := &core.Pipeline{Semiring: algebra.SemiringFor(kind), Registry: reg, Options: ecfg.Compile}
-	var (
-		d   Dist
-		rep Report
-		err error
-	)
-	// Parallelism follows WithParallelism's convention: 1 is sequential,
-	// <= 0 is GOMAXPROCS; a single expression parallelises by fanning its
-	// Shannon branches out (bit-for-bit identical results on every path).
-	if ecfg.Parallelism == 1 {
-		d, rep, err = pl.DistributionCtx(ctx, e)
-	} else {
-		d, rep, err = pl.DistributionParallelCtx(ctx, e, ecfg.Parallelism)
-	}
+	d, rep, err := pl.DistributionCtx(ctx, e)
 	if err != nil {
 		return nil, err
 	}
-	res := &ExprResult{Dist: d, Strategy: strat, Report: rep, SharedCache: ecfg.Compile.Shared.Stats()}
+	res := &ExprResult{Dist: d, Strategy: strat, Report: rep}
 	if e.Kind() == KindSemiring {
 		res.Confidence = compile.Point(d.TruthProbability())
 	}
@@ -946,7 +835,7 @@ func execExprAnytime(ctx context.Context, e Expr, reg *Registry, kind SemiringKi
 	if err != nil {
 		return nil, err
 	}
-	return &ExprResult{Confidence: b, Strategy: strat, Approx: &rep, SharedCache: ecfg.Approx.Compile.Shared.Stats()}, nil
+	return &ExprResult{Confidence: b, Strategy: strat, Approx: &rep}, nil
 }
 
 func execExprSample(ctx context.Context, e Expr, reg *Registry, kind SemiringKind, ecfg engine.ExecConfig, strat Strategy) (*ExprResult, error) {

@@ -9,6 +9,10 @@ import (
 	"time"
 
 	"pvcagg"
+	"pvcagg/internal/algebra"
+	"pvcagg/internal/compile"
+	"pvcagg/internal/gen"
+	"pvcagg/internal/value"
 )
 
 // execTestDB builds a small pvc-database with a grouped-SUM plan whose
@@ -413,6 +417,44 @@ func TestExecCancellation(t *testing.T) {
 	}
 }
 
+// TestExecExprBudgetDeterministic: a compile budget on a bare expression
+// is an exact statement about the d-tree, at the default parallelism too.
+// The budget equal to the node count of an unbudgeted run succeeds, one
+// node less fails with ErrNodeBudget, and neither ever flips: there is one
+// compiler and it counts the nodes of the d-tree it returns.
+func TestExecExprBudgetDeterministic(t *testing.T) {
+	ctx := context.Background()
+	// 3223 Shannon expansions, 5283 nodes: large enough that a compiler
+	// fanning Shannon branches over a shared memo compiles some
+	// sub-expression twice in about one run in six on two cores.
+	inst := gen.MustNew(gen.Params{
+		L: 16, R: 8, NumVars: 14, NumClauses: 2, NumLiterals: 2,
+		MaxV: 30, AggL: algebra.Min, AggR: algebra.Count, Theta: value.LE, Seed: 1,
+	})
+	free, err := pvcagg.ExecExpr(ctx, inst.Expr, inst.Registry, pvcagg.Boolean, pvcagg.WithMode(pvcagg.Exact))
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := free.Report.Compile.Nodes
+	if free.Report.Compile.Shannon < 1000 {
+		t.Fatalf("instance needs only %d Shannon expansions (%d nodes); not Shannon-heavy", free.Report.Compile.Shannon, n)
+	}
+	for rep := 0; rep < 20; rep++ {
+		fit, err := pvcagg.ExecExpr(ctx, inst.Expr, inst.Registry, pvcagg.Boolean,
+			pvcagg.WithMode(pvcagg.Exact), pvcagg.WithCompileBudget(n))
+		if err != nil {
+			t.Fatalf("rep %d: budget %d (the d-tree's size): %v", rep, n, err)
+		}
+		if fit.Report.Compile != free.Report.Compile || !fit.Dist.Equal(free.Dist, 0) {
+			t.Fatalf("rep %d: budgeted run differs: %+v vs %+v", rep, fit.Report.Compile, free.Report.Compile)
+		}
+		if _, err := pvcagg.ExecExpr(ctx, inst.Expr, inst.Registry, pvcagg.Boolean,
+			pvcagg.WithMode(pvcagg.Exact), pvcagg.WithCompileBudget(n-1)); !errors.Is(err, compile.ErrNodeBudget) {
+			t.Fatalf("rep %d: budget %d: err = %v, want ErrNodeBudget", rep, n-1, err)
+		}
+	}
+}
+
 // TestExecTable: the table-level entrypoint matches Exec on the same
 // plan's evaluated relation, and Auto selects the anytime engine.
 func TestExecTable(t *testing.T) {
@@ -529,13 +571,24 @@ func TestExecExpr(t *testing.T) {
 		t.Errorf("cancelled sample run: err = %v, want context.Canceled", err)
 	}
 
-	// WithParallelism reaches the exact compilation path bit-for-bit.
+	// WithParallelism counts workers across result tuples; a bare
+	// expression compiles on one goroutine whatever it says, so the
+	// distribution and the compilation itself are the same at every n.
+	par1, err := pvcagg.ExecExpr(ctx, e, reg, pvcagg.Boolean, pvcagg.WithMode(pvcagg.Exact), pvcagg.WithParallelism(1))
+	if err != nil {
+		t.Fatal(err)
+	}
 	par8, err := pvcagg.ExecExpr(ctx, e, reg, pvcagg.Boolean, pvcagg.WithMode(pvcagg.Exact), pvcagg.WithParallelism(8))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if par8.Confidence != exact.Confidence || !par8.Dist.Equal(exact.Dist, 0) {
-		t.Errorf("parallel ExecExpr %v != sequential %v", par8.Confidence, exact.Confidence)
+	for name, got := range map[string]*pvcagg.ExprResult{"WithParallelism(1)": par1, "WithParallelism(8)": par8} {
+		if got.Confidence != exact.Confidence || !got.Dist.Equal(exact.Dist, 0) {
+			t.Errorf("%s: ExecExpr %v != default %v", name, got.Confidence, exact.Confidence)
+		}
+		if got.Report.Compile != exact.Report.Compile {
+			t.Errorf("%s: compile stats %+v != default %+v", name, got.Report.Compile, exact.Report.Compile)
+		}
 	}
 
 	// Module expressions: exact only; Anytime refuses.

@@ -43,14 +43,10 @@ type Point struct {
 type Options struct {
 	Runs     int // expressions per point (paper: 10–40)
 	MaxNodes int // compilation node budget per run (0 = unlimited)
-	// Parallel is the compilation parallelism per run: 1 (or 0) keeps
-	// the sequential path; > 1 measures the parallel compiler instead.
-	Parallel int
 	// Eps > 0 measures the anytime approximate engine at that target
 	// bound width instead of exact compilation; the Nodes column then
 	// reports the anytime work proxy (partial-tree plus closure nodes),
-	// unconverged runs count as failed, and Parallel is ignored (the
-	// anytime expansion loop is sequential per expression).
+	// unconverged runs count as failed.
 	Eps float64
 }
 
@@ -95,11 +91,7 @@ func measure(p gen.Params, o Options) Point {
 			}
 		} else {
 			var rep core.Report
-			if o.Parallel > 1 {
-				_, rep, err = pl.DistributionParallelCtx(ctx, inst.Expr, o.Parallel)
-			} else {
-				_, rep, err = pl.DistributionCtx(ctx, inst.Expr)
-			}
+			_, rep, err = pl.DistributionCtx(ctx, inst.Expr)
 			runNodes = rep.Tree.Nodes
 		}
 		if err != nil {

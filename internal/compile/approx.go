@@ -212,7 +212,7 @@ func exactTruth(ctx context.Context, s algebra.Semiring, reg *vars.Registry, e e
 		// them so ApproxReport and MaxNodes account for failed closures.
 		return Bounds{}, res.Stats.Nodes, err
 	}
-	d, _, err := dtree.EvaluateShared(res.Root, dtree.Env{Semiring: s, Registry: reg}, opts.Shared.EvalCache())
+	d, _, err := dtree.Evaluate(res.Root, dtree.Env{Semiring: s, Registry: reg})
 	if err != nil {
 		return Bounds{}, res.Stats.Nodes, err
 	}

@@ -3,7 +3,10 @@
 // probability (against both the exact compiler and possible-worlds
 // enumeration), tighten monotonically as the frontier expands, reproduce
 // the exact value bit-for-bit at ε = 0, and beat exact compilation by an
-// order of magnitude in expanded nodes on hard instances.
+// order of magnitude in expanded nodes on hard instances. The exact
+// compiler's own generated-instance differential lives here too: gen
+// imports engine, which imports compile, so it needs the external
+// package.
 package compile_test
 
 import (
@@ -14,6 +17,7 @@ import (
 	"pvcagg/internal/algebra"
 	"pvcagg/internal/compile"
 	"pvcagg/internal/core"
+	"pvcagg/internal/dtree"
 	"pvcagg/internal/expr"
 	"pvcagg/internal/gen"
 	"pvcagg/internal/value"
@@ -47,6 +51,79 @@ func fuzzParams(seeds int) []gen.Params {
 		}
 	}
 	return out
+}
+
+// diffParams enumerates the instance grid of the exact compiler's
+// differential test: 3 sizes × 3 shapes × 4 aggregation monoids × 3
+// comparison operators = 108 instances, each with its own seed.
+func diffParams() []gen.Params {
+	aggs := []algebra.Agg{algebra.Min, algebra.Max, algebra.Sum, algebra.Count}
+	thetas := []value.Theta{value.LE, value.GE, value.EQ}
+	var out []gen.Params
+	seed := int64(0)
+	for _, size := range []struct{ v, l, r int }{{4, 3, 0}, {6, 5, 0}, {8, 6, 3}} {
+		for _, shape := range []struct{ cl, lit int }{{1, 2}, {2, 1}, {2, 2}} {
+			for _, agg := range aggs {
+				for _, th := range thetas {
+					seed++
+					out = append(out, gen.Params{
+						L:           size.l,
+						R:           size.r,
+						NumVars:     size.v,
+						NumClauses:  shape.cl,
+						NumLiterals: shape.lit,
+						MaxV:        10,
+						AggL:        agg,
+						AggR:        agg,
+						Theta:       th,
+						C:           5,
+						Seed:        seed,
+					})
+				}
+			}
+		}
+	}
+	return out
+}
+
+// TestParallelCompileDifferential compiles the 108 grid instances
+// concurrently — one Compiler per goroutine, the way the engine's
+// per-tuple fan-out runs them — and requires every root to be a valid
+// d-tree (Definition 7) whose distribution equals brute-force
+// possible-worlds enumeration. Under -race it is also the check that
+// concurrent compilations share nothing but the interning tables and
+// pools.
+func TestParallelCompileDifferential(t *testing.T) {
+	params := diffParams()
+	if len(params) < 100 {
+		t.Fatalf("differential grid has %d < 100 instances", len(params))
+	}
+	s := algebra.SemiringFor(algebra.Boolean)
+	for _, p := range params {
+		name := fmt.Sprintf("%s/%s/v%d/L%d/R%d/seed%d", p.AggL, p.Theta, p.NumVars, p.L, p.R, p.Seed)
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			inst := gen.MustNew(p)
+			res, err := compile.New(s, inst.Registry, compile.Options{}).Compile(inst.Expr)
+			if err != nil {
+				t.Fatalf("compile: %v", err)
+			}
+			if err := dtree.Validate(res.Root); err != nil {
+				t.Fatalf("d-tree violates Definition 7: %v", err)
+			}
+			got, _, err := dtree.Evaluate(res.Root, dtree.Env{Semiring: s, Registry: inst.Registry})
+			if err != nil {
+				t.Fatalf("evaluate: %v", err)
+			}
+			brute, err := worlds.Enumerate(inst.Expr, inst.Registry, s)
+			if err != nil {
+				t.Fatalf("enumerate: %v", err)
+			}
+			if !got.Equal(brute, 1e-9) {
+				t.Fatalf("compiled %v != possible worlds %v", got, brute)
+			}
+		})
+	}
 }
 
 // TestApproxDifferentialFuzz checks, on ≥150 random conditional

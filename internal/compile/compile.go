@@ -16,9 +16,7 @@
 // Compilation is memoised on the cached structural hash of
 // sub-expressions (with structural equality resolving collisions), so
 // repeated sub-problems (ubiquitous under Shannon expansion) compile once
-// and the resulting d-tree is a DAG. An optional SharedCache extends the
-// memoisation across compiler instances — the cross-tuple cache of the
-// engine's worker pools.
+// and the resulting d-tree is a DAG.
 package compile
 
 import (
@@ -65,13 +63,6 @@ type Options struct {
 	// exponential in the worst case (Section 5); the bound turns runaway
 	// compilations into errors.
 	MaxNodes int
-	// Shared, when non-nil, is a cross-compiler cache of compiled d-tree
-	// nodes consulted (and filled) alongside the per-compiler memo table,
-	// so structurally equal sub-expressions met by different compilations
-	// — e.g. the tuples of one pvc-table — compile once. Nodes served
-	// from the cache are not re-created, so Stats.Nodes reflects the work
-	// actually done, not the DAG size.
-	Shared *SharedCache
 }
 
 // Stats reports how an expression was compiled.
@@ -83,8 +74,7 @@ type Stats struct {
 	Factorings    int // read-once common-variable factorings
 	Shannon       int // ⊔x expansions
 	PrunedTerms   int // semimodule terms removed by pruning rules
-	CacheHits     int // memo hits, including shared-cache hits
-	SharedHits    int // hits served by Options.Shared
+	CacheHits     int // memo hits
 	Nodes         int // d-tree nodes created
 }
 
@@ -130,24 +120,16 @@ func newExprMemo() exprMemo {
 	return exprMemo{prim: map[uint64]memoEntry{}}
 }
 
-// findEntry scans a hash bucket for a structurally equal expression; it
-// is the one collision-resolution routine shared by the per-compiler
-// memo, the parallel sharded memo and the cross-tuple SharedCache.
-func findEntry(bucket []memoEntry, e expr.Expr) (dtree.Node, bool) {
-	for _, ent := range bucket {
-		if expr.Equal(ent.e, e) {
-			return ent.n, true
-		}
-	}
-	return nil, false
-}
-
 func (m *exprMemo) get(h uint64, e expr.Expr) (dtree.Node, bool) {
 	if ent, ok := m.prim[h]; ok {
 		if expr.Equal(ent.e, e) {
 			return ent.n, true
 		}
-		return findEntry(m.over[h], e)
+		for _, ent := range m.over[h] {
+			if expr.Equal(ent.e, e) {
+				return ent.n, true
+			}
+		}
 	}
 	return nil, false
 }
@@ -263,23 +245,12 @@ func (c *Compiler) compile(e expr.Expr) (dtree.Node, error) {
 			c.st.CacheHits++
 			return n, nil
 		}
-		if sc := c.opts.Shared; sc != nil {
-			if n, ok := sc.lookup(h, e); ok {
-				c.st.CacheHits++
-				c.st.SharedHits++
-				c.memo.put(h, e, n)
-				return n, nil
-			}
-		}
 	}
 	n, err := c.compileUncached(e)
 	if err != nil {
 		return nil, err
 	}
 	if memoised {
-		if sc := c.opts.Shared; sc != nil {
-			n = sc.insert(h, e, n)
-		}
 		c.memo.put(h, e, n)
 	}
 	return n, nil
@@ -627,8 +598,7 @@ func putVarSet(s *expr.VarSet) {
 // chooseVariable picks the Shannon-expansion variable of e under the
 // given heuristic. It is deterministic — ties break on the
 // lexicographically smallest name, exactly as the original sorted-name
-// implementation did — so sequential and parallel compilation expand the
-// same variables in the same places.
+// implementation did.
 func chooseVariable(e expr.Expr, order VarOrder) expr.VarID {
 	vs := getVarSet()
 	defer putVarSet(vs)

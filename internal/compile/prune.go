@@ -12,9 +12,9 @@ import (
 // of Section 5: algebraic rules that remove redundant semimodule terms
 // from comparisons, interval analysis that decides comparisons outright,
 // and the distribution caps that bound convolution sizes during d-tree
-// evaluation. The functions are free of compiler state so the sequential
-// and parallel compilation paths share them; the second result of
-// pruneCmp is the number of dropped terms, which the caller accounts.
+// evaluation. The functions are free of compiler state so the exact and
+// anytime engines share them; the second result of pruneCmp is the
+// number of dropped terms, which the caller accounts.
 
 // pruneCmp rewrites [α θ β] into an equivalent comparison with redundant
 // terms removed, reporting how many terms were dropped. Equivalence is

@@ -65,7 +65,7 @@ func (p *Pipeline) DistributionCtx(ctx context.Context, e expr.Expr) (prob.Dist,
 	rep.Compile = res.Stats
 	rep.Tree = dtree.Measure(res.Root)
 	t1 := time.Now()
-	d, evalStats, err := dtree.EvaluateShared(res.Root, dtree.Env{Semiring: p.Semiring, Registry: p.Registry}, p.Options.Shared.EvalCache())
+	d, evalStats, err := dtree.Evaluate(res.Root, dtree.Env{Semiring: p.Semiring, Registry: p.Registry})
 	if err != nil {
 		return prob.Dist{}, rep, fmt.Errorf("core: evaluate %s: %w", expr.Abbrev(e), err)
 	}

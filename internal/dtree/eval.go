@@ -2,8 +2,6 @@ package dtree
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"pvcagg/internal/algebra"
 	"pvcagg/internal/prob"
@@ -31,123 +29,10 @@ type memoKey struct {
 	cap *prob.Cap
 }
 
-// MissStreak is an adaptive bail-out shared by the caches of one
-// execution: it counts consecutive lookup misses across every cache that
-// feeds it, and trips permanently once the streak reaches the configured
-// length. A tripped streak tells its caches to stop probing (and stop
-// inserting), so a workload whose tuples share nothing — where every
-// hash+Equal probe and every distribution lookup is pure overhead —
-// degrades to the plain per-compilation memo instead of paying the cache
-// tax on every node. Any hit resets the streak; once tripped it stays
-// tripped (the remaining cost is one atomic load per would-be probe).
-//
-// All methods are safe for concurrent use and on a nil receiver (a nil
-// streak never trips).
-type MissStreak struct {
-	after   int64
-	streak  atomic.Int64
-	tripped atomic.Bool
-}
-
-// NewMissStreak returns a streak that trips after `after` consecutive
-// misses; after <= 0 returns nil (no bail-out).
-func NewMissStreak(after int64) *MissStreak {
-	if after <= 0 {
-		return nil
-	}
-	return &MissStreak{after: after}
-}
-
-// Hit resets the streak.
-func (s *MissStreak) Hit() {
-	if s != nil {
-		s.streak.Store(0)
-	}
-}
-
-// Miss advances the streak, tripping it at the configured length.
-func (s *MissStreak) Miss() {
-	if s == nil || s.tripped.Load() {
-		return
-	}
-	if s.streak.Add(1) >= s.after {
-		s.tripped.Store(true)
-	}
-}
-
-// Tripped reports whether the bail-out has engaged.
-func (s *MissStreak) Tripped() bool { return s != nil && s.tripped.Load() }
-
-// DistCache is a bounded, concurrency-safe cache of node distributions
-// keyed by (node identity, cap identity) — the same key as the per-call
-// evaluation memo. Shared d-tree nodes keep their identity across
-// compilations that share a compile.SharedCache, so one DistCache lets
-// every tuple of a pvc-table reuse the distributions of the sub-trees it
-// shares with already-evaluated tuples.
-type DistCache struct {
-	mu           sync.RWMutex
-	m            map[memoKey]prob.Dist
-	max          int
-	hits, misses atomic.Int64
-	streak       *MissStreak
-}
-
-// NewDistCache returns an empty cache bounded to max entries (insertions
-// beyond the bound are dropped, never evicted).
-func NewDistCache(max int) *DistCache {
-	return &DistCache{m: make(map[memoKey]prob.Dist, 256), max: max}
-}
-
-// SetMissStreak wires an adaptive bail-out into the cache (typically the
-// same streak as the compiler cache the d-tree nodes come from, so both
-// stop probing together). Must be called before the cache is shared
-// across goroutines.
-func (c *DistCache) SetMissStreak(s *MissStreak) { c.streak = s }
-
-// Stats reports the cache counters: hits, misses and resident entries.
-func (c *DistCache) Stats() (hits, misses, entries int64) {
-	if c == nil {
-		return 0, 0, 0
-	}
-	c.mu.RLock()
-	n := len(c.m)
-	c.mu.RUnlock()
-	return c.hits.Load(), c.misses.Load(), int64(n)
-}
-
-func (c *DistCache) get(k memoKey) (prob.Dist, bool) {
-	if c.streak.Tripped() {
-		return prob.Dist{}, false
-	}
-	c.mu.RLock()
-	d, ok := c.m[k]
-	c.mu.RUnlock()
-	if ok {
-		c.hits.Add(1)
-		c.streak.Hit()
-	} else {
-		c.misses.Add(1)
-		c.streak.Miss()
-	}
-	return d, ok
-}
-
-func (c *DistCache) put(k memoKey, d prob.Dist) {
-	if c.streak.Tripped() {
-		return
-	}
-	c.mu.Lock()
-	if len(c.m) < c.max {
-		c.m[k] = d
-	}
-	c.mu.Unlock()
-}
-
 type evaluator struct {
-	env    Env
-	memo   map[memoKey]prob.Dist
-	shared *DistCache
-	stats  EvalStats
+	env   Env
+	memo  map[memoKey]prob.Dist
+	stats EvalStats
 }
 
 // Evaluate computes the probability distribution represented by the d-tree
@@ -155,15 +40,7 @@ type evaluator struct {
 // Eq. (5) at ⊙, Eq. (7) at ⊗, Eqs. (8)/(9) at [θ] and Eq. (10) at ⊔
 // nodes. Shared sub-trees are evaluated once.
 func Evaluate(n Node, env Env) (prob.Dist, EvalStats, error) {
-	return EvaluateShared(n, env, nil)
-}
-
-// EvaluateShared is Evaluate consulting (and filling) a cross-evaluation
-// distribution cache; nil behaves exactly like Evaluate. Distributions
-// served from the cache do not count as node evaluations in EvalStats —
-// the stats report work done, not DAG size.
-func EvaluateShared(n Node, env Env, shared *DistCache) (prob.Dist, EvalStats, error) {
-	ev := &evaluator{env: env, memo: map[memoKey]prob.Dist{}, shared: shared}
+	ev := &evaluator{env: env, memo: map[memoKey]prob.Dist{}}
 	d, err := ev.eval(n, nil)
 	return d, ev.stats, err
 }
@@ -172,12 +49,6 @@ func (ev *evaluator) eval(n Node, cap *prob.Cap) (prob.Dist, error) {
 	key := memoKey{n, cap}
 	if d, ok := ev.memo[key]; ok {
 		return d, nil
-	}
-	if ev.shared != nil {
-		if d, ok := ev.shared.get(key); ok {
-			ev.memo[key] = d
-			return d, nil
-		}
 	}
 	d, err := ev.evalUncached(n, cap)
 	if err != nil {
@@ -188,9 +59,6 @@ func (ev *evaluator) eval(n Node, cap *prob.Cap) (prob.Dist, error) {
 	}
 	ev.stats.NodeEvals++
 	ev.memo[key] = d
-	if ev.shared != nil {
-		ev.shared.put(key, d)
-	}
 	return d, nil
 }
 

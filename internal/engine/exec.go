@@ -14,7 +14,6 @@ import (
 	"pvcagg/internal/compile"
 	"pvcagg/internal/core"
 	"pvcagg/internal/expr"
-	"pvcagg/internal/prob"
 	"pvcagg/internal/pvc"
 	"pvcagg/internal/worlds"
 )
@@ -32,8 +31,9 @@ type ExecConfig struct {
 	// Compile configures exact compilation: the annotation under the
 	// exact strategy and the aggregation columns under every strategy.
 	Compile compile.Options
-	// Parallelism bounds the number of goroutines across tuples and
-	// inside tuples combined, as in ParallelOptions (<= 0 ⇒ GOMAXPROCS).
+	// Parallelism bounds the number of worker goroutines across result
+	// tuples, as in ParallelOptions (<= 0 ⇒ GOMAXPROCS); each tuple
+	// compiles on one goroutine.
 	Parallelism int
 	// Approx, when non-nil, selects the anytime strategy: annotation
 	// confidences are bracketed within Approx.Eps instead of computed
@@ -66,27 +66,15 @@ type ExecConfig struct {
 // per-tuple strategy dispatch. Tuples share nothing beyond the read-only
 // registry.
 type worker struct {
-	pl    *core.Pipeline
-	inner int // leftover intra-tuple compilation parallelism
-	cfg   *ExecConfig
+	pl  *core.Pipeline
+	cfg *ExecConfig
 }
 
-func newWorker(db *pvc.Database, cfg *ExecConfig, inner int) *worker {
+func newWorker(db *pvc.Database, cfg *ExecConfig) *worker {
 	return &worker{
-		pl:    &core.Pipeline{Semiring: db.Semiring(), Registry: db.Registry, Options: cfg.Compile},
-		inner: inner,
-		cfg:   cfg,
+		pl:  &core.Pipeline{Semiring: db.Semiring(), Registry: db.Registry, Options: cfg.Compile},
+		cfg: cfg,
 	}
-}
-
-// distribution routes one exact distribution computation through either
-// the sequential or the parallel compilation path (inner > 1). Both paths
-// return bit-identical distributions.
-func (w *worker) distribution(ctx context.Context, e expr.Expr) (prob.Dist, core.Report, error) {
-	if w.inner > 1 {
-		return w.pl.DistributionParallelCtx(ctx, e, w.inner)
-	}
-	return w.pl.DistributionCtx(ctx, e)
 }
 
 // outcome computes the full probabilistic interpretation of one result
@@ -112,7 +100,7 @@ func (w *worker) outcome(ctx context.Context, idx int, t pvc.Tuple, moduleCols [
 		out.Confidence = b
 		out.Report.Samples = w.cfg.Samples
 	default:
-		d, rep, err := w.distribution(ctx, t.Ann)
+		d, rep, err := w.pl.DistributionCtx(ctx, t.Ann)
 		if err != nil {
 			return TupleOutcome{}, fmt.Errorf("engine: annotation of tuple %s: %w", t.Label(), err)
 		}
@@ -130,7 +118,7 @@ func (w *worker) outcome(ctx context.Context, idx int, t pvc.Tuple, moduleCols [
 		if err != nil {
 			return TupleOutcome{}, err
 		}
-		d, rep, err := w.distribution(ctx, e)
+		d, rep, err := w.pl.DistributionCtx(ctx, e)
 		if err != nil {
 			return TupleOutcome{}, fmt.Errorf("engine: aggregation column %d of tuple %s: %w", ci, t.Label(), err)
 		}
@@ -184,9 +172,8 @@ func (w *worker) sampleConfidence(ctx context.Context, idx int, ann expr.Expr) (
 }
 
 // Outcomes computes the outcome of every tuple of rel in tuple order,
-// distributing tuples over a bounded worker pool; when tuples are scarcer
-// than workers, the leftover parallelism moves inside each tuple's exact
-// compilations. Every failing tuple is reported, joined into one error;
+// distributing tuples over a bounded worker pool. Every failing tuple is
+// reported, joined into one error;
 // a cancelled context aborts the in-flight compilations and returns
 // ctx.Err().
 func Outcomes(ctx context.Context, db *pvc.Database, rel *pvc.Relation, cfg ExecConfig) ([]TupleOutcome, error) {
@@ -194,7 +181,7 @@ func Outcomes(ctx context.Context, db *pvc.Database, rel *pvc.Relation, cfg Exec
 	if n == 0 {
 		return []TupleOutcome{}, nil
 	}
-	workers, inner := ParallelOptions{Parallelism: cfg.Parallelism}.split(n)
+	workers := ParallelOptions{Parallelism: cfg.Parallelism}.workers(n)
 	moduleCols := rel.Schema.ModuleColumns()
 	out := make([]TupleOutcome, n)
 	errs := make([]error, n)
@@ -205,7 +192,7 @@ func Outcomes(ctx context.Context, db *pvc.Database, rel *pvc.Relation, cfg Exec
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			wk := newWorker(db, &cfg, inner)
+			wk := newWorker(db, &cfg)
 			for {
 				if ctx.Err() != nil || aborted.Load() {
 					return
@@ -260,7 +247,7 @@ func Stream(ctx context.Context, db *pvc.Database, rel *pvc.Relation, cfg ExecCo
 		}
 		sctx, cancel := context.WithCancel(ctx)
 		defer cancel()
-		workers, inner := ParallelOptions{Parallelism: cfg.Parallelism}.split(n)
+		workers := ParallelOptions{Parallelism: cfg.Parallelism}.workers(n)
 		moduleCols := rel.Schema.ModuleColumns()
 		type item struct {
 			out TupleOutcome
@@ -273,7 +260,7 @@ func Stream(ctx context.Context, db *pvc.Database, rel *pvc.Relation, cfg ExecCo
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				wk := newWorker(db, &cfg, inner)
+				wk := newWorker(db, &cfg)
 				for {
 					if sctx.Err() != nil {
 						return

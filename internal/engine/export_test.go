@@ -10,5 +10,5 @@ import (
 // external tests can see the per-tuple error of a cancelled compilation
 // (Outcomes replaces it by ctx.Err(), Stream may drop it).
 func TupleOutcomeForTest(ctx context.Context, db *pvc.Database, cfg ExecConfig, rel *pvc.Relation, idx int) (TupleOutcome, error) {
-	return newWorker(db, &cfg, 1).outcome(ctx, idx, rel.Tuples[idx], rel.Schema.ModuleColumns())
+	return newWorker(db, &cfg).outcome(ctx, idx, rel.Tuples[idx], rel.Schema.ModuleColumns())
 }

@@ -12,39 +12,25 @@ import (
 // This file implements the batched parallel probability step: every
 // result tuple's semimodule expressions compile and evaluate
 // independently (they only share the read-only registry), so the tuples
-// of a pvc-table fan out to a bounded worker pool. When tuples are
-// scarcer than workers, the leftover parallelism moves *inside* each
-// tuple's compilation (compile.ParallelCompiler fans Shannon branches),
-// so a single hard tuple still saturates the machine.
+// of a pvc-table fan out to a bounded worker pool. Each tuple compiles on
+// one goroutine.
 
 // ParallelOptions configure batched parallel probability computation.
 type ParallelOptions struct {
-	// Parallelism bounds the number of goroutines doing compilation and
-	// evaluation work, across tuples and inside tuples combined.
-	// Parallelism <= 0 selects runtime.GOMAXPROCS(0); Parallelism == 1
-	// reproduces the sequential path exactly.
+	// Parallelism bounds the number of worker goroutines across result
+	// tuples. Parallelism <= 0 selects runtime.GOMAXPROCS(0);
+	// Parallelism == 1 reproduces the sequential path exactly.
 	Parallelism int
 }
 
-// split divides the parallelism budget for a batch of n tuples into
-// tuple-level workers and per-tuple (intra-compilation) parallelism.
-func (o ParallelOptions) split(n int) (workers, inner int) {
+// workers is the pool size for a batch of n >= 1 tuples:
+// min(parallelism, n).
+func (o ParallelOptions) workers(n int) int {
 	par := o.Parallelism
 	if par <= 0 {
 		par = runtime.GOMAXPROCS(0)
 	}
-	if n < 1 {
-		n = 1
-	}
-	workers = par
-	if n < workers {
-		workers = n
-	}
-	inner = par / workers
-	if inner < 1 {
-		inner = 1
-	}
-	return workers, inner
+	return min(par, n)
 }
 
 // ProbabilitiesParallel is Probabilities with the result tuples

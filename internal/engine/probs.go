@@ -49,7 +49,7 @@ type RunTiming struct {
 // compilation (Section 5). It stops at the first failing tuple; the
 // pooled Outcomes reports every failure.
 func Probabilities(db *pvc.Database, rel *pvc.Relation, opts compile.Options) ([]TupleResult, error) {
-	wk := newWorker(db, &ExecConfig{Compile: opts}, 1)
+	wk := newWorker(db, &ExecConfig{Compile: opts})
 	moduleCols := rel.Schema.ModuleColumns()
 	out := make([]TupleResult, 0, len(rel.Tuples))
 	for i, t := range rel.Tuples {

@@ -220,7 +220,6 @@ func TestMetricsSmoke(t *testing.T) {
 		"pvcd_rows_returned_total",
 		"pvcd_inflight_queries",
 		`pvcd_plan_cache_events_total{event="hit"}`,
-		`pvcd_shared_cache_events_total{event="hit"}`,
 		"pvcd_store_blocks_read_total",
 		"pvcd_request_seconds_count",
 		"pvcd_request_seconds_sum",
@@ -232,6 +231,11 @@ func TestMetricsSmoke(t *testing.T) {
 	for _, name := range core {
 		if _, ok := first[name]; !ok {
 			t.Errorf("core series %q missing from exposition", name)
+		}
+	}
+	for name := range first {
+		if strings.HasPrefix(name, "pvcd_shared_") {
+			t.Errorf("series %q of the deleted cross-query cache is still exported", name)
 		}
 	}
 	if got := first["pvcd_requests_total"]; got != 33 {

@@ -65,8 +65,8 @@ func (s *Server) initProm() {
 	p.exec = reg.Histogram("pvcd_exec_seconds", "Engine execution time per request.", nil)
 	p.total = reg.Histogram("pvcd_request_seconds", "End-to-end request time.", nil)
 
-	// Caches: read off the *current* session at scrape time — a Swap
-	// resets these series along with the caches they describe, which is
+	// Plan cache: read off the *current* session at scrape time — a Swap
+	// resets these series along with the cache they describe, which is
 	// the truthful reading (the old cache is gone).
 	reg.CounterFunc(`pvcd_plan_cache_events_total{event="hit"}`, "Plan cache lookups by outcome.", func() int64 {
 		return s.sess.Load().plans.stats().Hits
@@ -77,32 +77,6 @@ func (s *Server) initProm() {
 	reg.GaugeFunc("pvcd_plan_cache_entries", "Plans cached in the current session.", func() int64 {
 		return s.sess.Load().plans.stats().Entries
 	})
-	sharedStat := func(f func(pvcagg.CacheStats) int64) func() int64 {
-		return func() int64 {
-			sess := s.sess.Load()
-			if sess.cache == nil {
-				return 0
-			}
-			return f(sess.cache.Stats())
-		}
-	}
-	reg.CounterFunc(`pvcd_shared_cache_events_total{event="hit"}`, "Shared compilation cache lookups by outcome.",
-		sharedStat(func(cs pvcagg.CacheStats) int64 { return cs.Hits }))
-	reg.CounterFunc(`pvcd_shared_cache_events_total{event="miss"}`, "Shared compilation cache lookups by outcome.",
-		sharedStat(func(cs pvcagg.CacheStats) int64 { return cs.Misses }))
-	reg.CounterFunc(`pvcd_shared_cache_events_total{event="dist_hit"}`, "Shared compilation cache lookups by outcome.",
-		sharedStat(func(cs pvcagg.CacheStats) int64 { return cs.DistHits }))
-	reg.CounterFunc(`pvcd_shared_cache_events_total{event="dist_miss"}`, "Shared compilation cache lookups by outcome.",
-		sharedStat(func(cs pvcagg.CacheStats) int64 { return cs.DistMisses }))
-	reg.GaugeFunc("pvcd_shared_cache_entries", "d-tree nodes in the shared compilation cache.",
-		sharedStat(func(cs pvcagg.CacheStats) int64 { return cs.Entries }))
-	reg.GaugeFunc("pvcd_shared_cache_disabled", "1 after the adaptive bail-out switched the shared cache off.",
-		sharedStat(func(cs pvcagg.CacheStats) int64 {
-			if cs.Disabled {
-				return 1
-			}
-			return 0
-		}))
 
 	// Storage I/O, when the backend exposes its counters (pvcd -store).
 	if s.cfg.StoreMetrics != nil {

@@ -17,18 +17,15 @@
 // (min(request timeout_ms, Config.MaxTimeout)), so disconnects and
 // deadlines cancel the in-flight compilation promptly.
 //
-// Two caches make the replayed-query workload cheap. The plan cache
-// memoises parsed+optimized plans by query text (the prepared-statement
-// pattern). The shared compilation cache — the WithCache form of the
-// library's WithSharedCache — persists compiled d-tree nodes and their
-// distributions across queries, so annotation structure repeated
-// between requests compiles once; its adaptive bail-out switches it off
-// by itself on workloads it cannot help. Both caches live in an
-// immutable session {database, plan cache, shared cache} held behind an
+// The plan cache makes the replayed-query workload cheap: it memoises
+// parsed+optimized plans by query text (the prepared-statement pattern).
+// It lives in an immutable session {database, plan cache} held behind an
 // atomic pointer: Server.Swap installs a new database by swapping the
 // whole session, which is the cache-invalidation contract — in-flight
 // queries keep the coherent old session, new requests see the new
-// database with cold caches, and no cache entry ever crosses databases.
+// database with a cold cache, and no cached plan ever crosses databases.
+// Nothing else is carried from one request to the next, so an answer is
+// a function of the query and the database alone.
 //
 // Endpoints: POST /query (QueryRequest in, QueryResponse out; EXPLAIN
 // and EXPLAIN ANALYZE query prefixes return the plan tree in the
@@ -79,9 +76,6 @@ type Config struct {
 	DegradeEps float64
 	// PlanCacheSize bounds the prepared-statement plan cache (0 ⇒ 128).
 	PlanCacheSize int
-	// SharedCacheEntries bounds the cross-query compilation cache
-	// (0 ⇒ the library default, 256k nodes); < 0 disables the cache.
-	SharedCacheEntries int
 	// Parallelism is the per-query worker bound passed to the engine
 	// (0 ⇒ 1, sequential — the service gets its parallelism across
 	// queries, so per-query fan-out only helps an idle server).
@@ -134,14 +128,13 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// session is one database with its caches. Immutable once installed:
-// Swap replaces the whole session, so a request that loaded a session
-// pointer sees a coherent {db, plans, cache} triple for its entire
-// life even across a concurrent swap.
+// session is one database with its plan cache. Immutable once
+// installed: Swap replaces the whole session, so a request that loaded a
+// session pointer sees a coherent {db, plans} pair for its entire life
+// even across a concurrent swap.
 type session struct {
 	db    *pvcagg.Database
 	plans *planCache
-	cache *pvcagg.SharedCache // nil when disabled
 }
 
 // Server is the query service. Create with New, expose via Handler.
@@ -183,19 +176,15 @@ func (s *Server) BeginDrain() { s.draining.Store(true) }
 func (s *Server) Draining() bool { return s.draining.Load() }
 
 func (s *Server) newSession(db *pvcagg.Database) *session {
-	sess := &session{db: db, plans: newPlanCache(s.cfg.PlanCacheSize)}
-	if s.cfg.SharedCacheEntries >= 0 {
-		sess.cache = pvcagg.NewSharedCache(s.cfg.SharedCacheEntries)
-	}
-	return sess
+	return &session{db: db, plans: newPlanCache(s.cfg.PlanCacheSize)}
 }
 
-// Swap atomically installs a new database with fresh plan and
-// compilation caches. This is the cache-invalidation contract: caches
-// are keyed by nothing database-specific, so the only sound
-// invalidation is wholesale — in-flight queries finish against the old
-// session (old database, old caches, still mutually coherent), and
-// every request admitted after Swap returns sees only the new one.
+// Swap atomically installs a new database with a fresh plan cache. This
+// is the cache-invalidation contract: the cache is keyed by nothing
+// database-specific, so the only sound invalidation is wholesale —
+// in-flight queries finish against the old session (old database, old
+// cache, still mutually coherent), and every request admitted after
+// Swap returns sees only the new one.
 func (s *Server) Swap(db *pvcagg.Database) {
 	s.sess.Store(s.newSession(db))
 }
@@ -422,10 +411,6 @@ type Stats struct {
 	Total     LatencyStats `json:"total"`
 
 	PlanCache PlanCacheStats `json:"plan_cache"`
-	// SharedCache reports the cross-query compilation cache of the
-	// current session (absent when disabled). Note Disabled: the
-	// adaptive bail-out may have switched the cache off mid-session.
-	SharedCache *pvcagg.CacheStats `json:"shared_cache,omitempty"`
 }
 
 var errSaturated = errors.New("server saturated")
@@ -554,7 +539,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		})
 		return
 	}
-	opts, err := s.execOptions(&req, sess, degraded, ctx)
+	opts, err := s.execOptions(&req, degraded, ctx)
 	if err != nil {
 		s.m.errors.Add(1)
 		writeError(w, http.StatusBadRequest, err.Error())
@@ -646,11 +631,8 @@ func (s *Server) lookupPlan(sess *session, query string) (planEntry, bool, error
 
 // execOptions translates the request (and any degradation) into engine
 // options.
-func (s *Server) execOptions(req *QueryRequest, sess *session, degraded bool, ctx context.Context) ([]pvcagg.Option, error) {
+func (s *Server) execOptions(req *QueryRequest, degraded bool, ctx context.Context) ([]pvcagg.Option, error) {
 	opts := []pvcagg.Option{pvcagg.WithParallelism(s.cfg.Parallelism)}
-	if sess.cache != nil {
-		opts = append(opts, pvcagg.WithCache(sess.cache))
-	}
 	if s.cfg.Retry != nil {
 		opts = append(opts, pvcagg.WithRetry(*s.cfg.Retry))
 	}
@@ -765,10 +747,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Exec:      s.m.exec.snapshot(),
 		Total:     s.m.total.snapshot(),
 		PlanCache: sess.plans.stats(),
-	}
-	if sess.cache != nil {
-		cs := sess.cache.Stats()
-		st.SharedCache = &cs
 	}
 	writeJSON(w, http.StatusOK, st)
 }

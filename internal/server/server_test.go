@@ -17,6 +17,7 @@ import (
 
 	"pvcagg"
 	"pvcagg/internal/testutil"
+	"pvcagg/internal/tpch"
 )
 
 // The server suite drives the service over real HTTP (httptest.Server,
@@ -438,8 +439,16 @@ func TestPlanCacheAndStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The plan cache is the only cache a session has.
+	if bytes.Contains(raw, []byte(`"shared_`)) {
+		t.Errorf("/stats still reports a cross-query compilation cache: %s", raw)
+	}
 	var st Stats
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+	if err := json.Unmarshal(raw, &st); err != nil {
 		t.Fatal(err)
 	}
 	if st.Requests < 2 || st.OK < 2 {
@@ -448,16 +457,89 @@ func TestPlanCacheAndStats(t *testing.T) {
 	if st.PlanCache.Hits < 1 || st.PlanCache.Misses < 1 || st.PlanCache.Entries < 1 {
 		t.Errorf("plan cache stats %+v, want ≥1 hit, miss and entry", st.PlanCache)
 	}
-	if st.SharedCache == nil {
-		t.Error("shared cache enabled by default but absent from /stats")
-	}
 	if st.Total.Count < 2 || st.Total.P99Us < st.Total.P50Us {
 		t.Errorf("latency snapshot malformed: %+v", st.Total)
 	}
 }
 
-// TestSwapInvalidation: Swap installs the new database and cold caches;
-// answers immediately reflect the new data.
+// TestAnytimeAnswerRepeats: an answer is a function of the query and the
+// database — not of what other requests the server has seen. The probe is
+// an anytime query whose bounds stay open at ε = 0.1 (so they depend on
+// exactly which leaf closures fit their node budgets); it is asked of a
+// fresh server and again after 52 mixed requests, some over the same
+// lineitems, have run concurrently. A node cache carried across requests
+// makes the second answer tighter than the first; without one the two are
+// bit-identical.
+func TestAnytimeAnswerRepeats(t *testing.T) {
+	db, err := tpch.Generate(tpch.Config{SF: 0.002, Seed: 1, Probabilistic: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// As many workers as clients: no request ever queues, so none can be
+	// rejected or degraded however loaded the machine is.
+	const clients, each = 4, 13 // 52 requests
+	srv := httptest.NewServer(New(db, Config{Workers: clients}).Handler())
+	defer srv.Close()
+
+	const sigma = `SELECT l_returnflag FROM (SELECT l_returnflag, SUM(l_quantity) AS q FROM lineitem WHERE l_orderkey <= %d GROUP BY l_returnflag) WHERE q >= %d`
+	probe := QueryRequest{Query: fmt.Sprintf(sigma, 8, 200), Mode: "anytime", Eps: 0.1}
+	ask := func() []QueryRow {
+		t.Helper()
+		status, qr, msg := post(t, srv.Client(), srv.URL, probe)
+		if status != http.StatusOK {
+			t.Fatalf("probe: status %d: %s", status, msg)
+		}
+		return qr.Rows
+	}
+	first := ask()
+	open := 0
+	for _, r := range first {
+		if r.Hi > r.Lo {
+			open++
+		}
+	}
+	if open == 0 {
+		t.Fatal("probe converged to points on every row; it cannot tell a cache from none")
+	}
+
+	seed := int64(7)
+	others := []QueryRequest{
+		{Query: probe.Query, Mode: "exact"},
+		{Query: fmt.Sprintf(sigma, 8, 150), Mode: "anytime", Eps: 0.05},
+		{Query: fmt.Sprintf(sigma, 6, 150), Mode: "exact"},
+		{Query: `SELECT l_returnflag, SUM(l_quantity) AS q FROM lineitem WHERE l_orderkey <= 8 GROUP BY l_returnflag`},
+		{Query: `SELECT l_returnflag, l_linestatus, COUNT(*) AS n FROM lineitem WHERE l_orderkey <= 40 GROUP BY l_returnflag, l_linestatus`, Mode: "exact"},
+		{Query: `SELECT l_linenumber, l_quantity FROM lineitem WHERE l_orderkey = 3`, Mode: "sample", Seed: &seed, Samples: 200},
+	}
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				req := others[(c+i)%len(others)]
+				if status, _, msg := post(t, srv.Client(), srv.URL, req); status != http.StatusOK {
+					t.Errorf("client %d: %q: status %d: %s", c, req.Query, status, msg)
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+
+	again := ask()
+	if len(again) != len(first) {
+		t.Fatalf("%d rows, then %d", len(first), len(again))
+	}
+	for i := range first {
+		if again[i].Lo != first[i].Lo || again[i].Hi != first[i].Hi {
+			t.Errorf("row %v: [%v, %v] on a fresh server, [%v, %v] after %d other requests",
+				first[i].Cells, first[i].Lo, first[i].Hi, again[i].Lo, again[i].Hi, clients*each)
+		}
+	}
+}
+
+// TestSwapInvalidation: Swap installs the new database and a cold plan
+// cache; answers immediately reflect the new data.
 func TestSwapInvalidation(t *testing.T) {
 	s := New(shopDB(0.5), Config{})
 	srv := httptest.NewServer(s.Handler())

@@ -42,11 +42,10 @@
 //
 //   - WithMode(Exact): full d-tree compilation (Section 5), exponential
 //     on hard queries; bound it with WithCompileBudget. The probability
-//     step is distributed over a bounded worker pool (WithParallelism,
-//     default GOMAXPROCS); when tuples are scarcer than workers the
-//     leftover parallelism moves inside each tuple's compilation,
-//     fanning Shannon branches over a shared memo table. All heuristics
-//     are deterministic, so results are bit-for-bit identical at every
+//     step is distributed over a bounded worker pool across result
+//     tuples (WithParallelism, default GOMAXPROCS); each tuple compiles
+//     on one goroutine. All heuristics are deterministic, so results —
+//     and compile budgets — are bit-for-bit identical at every
 //     parallelism.
 //   - WithMode(Anytime): guaranteed confidence bounds of width ≤ ε
 //     (WithEps, default DefaultEps) by priority-driven partial
@@ -139,22 +138,14 @@
 // memoise sub-expressions on cached structural hashes rather than
 // canonical strings, and the distribution kernels exploit the
 // value-sorted representation (dense-window convolution, k-way-merge
-// mixtures, prefix-mass comparisons in O(|a|+|b|)). Two knobs matter to
-// callers:
+// mixtures, prefix-mass comparisons in O(|a|+|b|)).
+// CompileOptions.DisableMemo ablates sub-expression memoisation (and
+// with it the structural-hash machinery) inside one compile.
 //
-//   - CompileOptions.DisableMemo ablates sub-expression memoisation
-//     (and with it the structural-hash machinery) inside one compile.
-//   - WithSharedCache(true) adds a cross-tuple cache shared by the whole
-//     execution: a bounded, shard-striped table of compiled d-tree nodes
-//     and their distributions keyed by structural hash, so tuples that
-//     repeat sub-expressions compile and evaluate them once. Hit/miss
-//     counters surface in Result.Report.SharedCache. It is off by
-//     default so per-tuple cost reports describe each tuple's own work.
-//
-// Memoisation, interning and the shared cache are exact (bit-for-bit);
-// of the kernels, Convolve/Map/Mixture accumulate in the reference
-// kernels' exact order while CmpConvolve regroups its summation and may
-// differ from the historical implementation in the final ulp.
+// Memoisation and interning are exact (bit-for-bit); of the kernels,
+// Convolve/Map/Mixture accumulate in the reference kernels' exact order
+// while CmpConvolve regroups its summation and may differ from the
+// historical implementation in the final ulp.
 //
 // The README's "Performance" section describes the design; BENCH_exec.json
 // records the measured trajectory across PRs.

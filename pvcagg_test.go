@@ -94,23 +94,6 @@ func TestFacadeBaselinesAgree(t *testing.T) {
 // parallel entry points return the same probabilities as the sequential
 // ones.
 func TestFacadeParallel(t *testing.T) {
-	reg := pvcagg.NewRegistry()
-	reg.DeclareBool("x", 0.5)
-	reg.DeclareBool("y", 0.5)
-	p := pvcagg.NewPipeline(pvcagg.Boolean, reg)
-	e := pvcagg.MustParseExpr("[min(x @min 10, y @min 20) <= 15]")
-	seq, _, err := p.Distribution(e)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, _, err := p.DistributionParallel(e, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !par.Equal(seq, 1e-12) {
-		t.Errorf("parallel %v != sequential %v", par, seq)
-	}
-
 	db := pvcagg.NewDatabase(pvcagg.Boolean)
 	r := pvcagg.NewRelation("R", pvcagg.Schema{
 		{Name: "a", Type: pvcagg.TValue},
