@@ -20,6 +20,7 @@ import (
 	"pvcagg/internal/dtree"
 	"pvcagg/internal/expr"
 	"pvcagg/internal/gen"
+	"pvcagg/internal/testutil"
 	"pvcagg/internal/value"
 	"pvcagg/internal/vars"
 	"pvcagg/internal/worlds"
@@ -361,7 +362,7 @@ func TestApproxNaturalSemiring(t *testing.T) {
 // nodes, ε = 0.05 bounds are reached while expanding < 10% of the exact
 // node count.
 func TestApproxHardInstance(t *testing.T) {
-	if testing.Short() || raceEnabled {
+	if testing.Short() || testutil.RaceEnabled {
 		t.Skip("hard instance: ~15s of exact compilation (single-goroutine; race detector adds nothing)")
 	}
 	s := algebra.SemiringFor(algebra.Boolean)

@@ -16,7 +16,8 @@
 // Compilation is memoised on the cached structural hash of
 // sub-expressions (with structural equality resolving collisions), so
 // repeated sub-problems (ubiquitous under Shannon expansion) compile once
-// and the resulting d-tree is a DAG.
+// and the resulting d-tree is a DAG. Every node is marked for the
+// evaluator: unique when created, shared when a memo hit reuses it.
 package compile
 
 import (
@@ -206,6 +207,9 @@ func (c *Compiler) newNode(n dtree.Node) (dtree.Node, error) {
 	if c.opts.MaxNodes > 0 && c.st.Nodes > c.opts.MaxNodes {
 		return nil, fmt.Errorf("compile: d-tree exceeds %d nodes: %w", c.opts.MaxNodes, ErrNodeBudget)
 	}
+	// A new node has the one parent its caller is about to give it; only a
+	// memo hit in compile hands a node out a second time.
+	dtree.MarkUnique(n)
 	return n, nil
 }
 
@@ -243,6 +247,7 @@ func (c *Compiler) compile(e expr.Expr) (dtree.Node, error) {
 		h = expr.Hash(e)
 		if n, ok := c.memo.get(h, e); ok {
 			c.st.CacheHits++
+			dtree.MarkShared(n)
 			return n, nil
 		}
 	}

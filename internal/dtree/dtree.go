@@ -23,14 +23,45 @@ import (
 // (the evaluator memoises by node identity), making them DAGs physically
 // while remaining trees logically.
 type Node interface {
-	node()
+	node() *header
 }
+
+// header is embedded in every node type. It carries what the builder of
+// the tree knows about the node's parents, so that walks need a visited
+// map only where a node can actually be reached twice. The zero value —
+// what a struct literal gives — claims nothing.
+type header struct{ own ownership }
+
+type ownership uint8
+
+const (
+	ownUnknown ownership = iota // hand-built: any number of parents
+	ownUnique                   // exactly one parent, or the root
+	ownShared                   // two or more parents
+)
+
+func (h *header) node() *header { return h }
+
+// MarkUnique records that n was just created and has at most one parent
+// so far. A compiler calls it on every node it creates.
+func MarkUnique(n Node) { n.node().own = ownUnique }
+
+// MarkShared records that n gained a further parent. A compiler calls it
+// whenever it reuses a node it created earlier. Marks are written while
+// the tree is built, by the goroutine building it; Evaluate and Measure
+// only read them.
+func MarkShared(n Node) { n.node().own = ownShared }
+
+// unique reports whether n is known to be reachable along one path only,
+// given that its parent is.
+func unique(n Node) bool { return n.node().own == ownUnique }
 
 // VarLeaf is a leaf holding a variable x ∈ X; its distribution is Px.
 // ID, when non-zero, is the interned vars.ID of Name; the compilers fill
 // it so evaluation resolves the distribution with a slice load instead of
 // a map lookup.
 type VarLeaf struct {
+	header
 	Name string
 	ID   vars.ID
 }
@@ -38,6 +69,7 @@ type VarLeaf struct {
 // ConstLeaf is a leaf holding a semiring constant s ∈ S or a monoid
 // constant m ∈ M (Module reports which); its distribution is {(v, 1)}.
 type ConstLeaf struct {
+	header
 	V      value.V
 	Module bool
 }
@@ -45,6 +77,7 @@ type ConstLeaf struct {
 // PlusNode is ⊕: the sum of two independent expressions — the semiring +
 // when Module is false (Eq. (4)), the monoid +M of Agg when true (Eq. (6)).
 type PlusNode struct {
+	header
 	Module bool
 	Agg    algebra.Agg
 	L, R   Node
@@ -52,11 +85,15 @@ type PlusNode struct {
 
 // TimesNode is ⊙: the product of two independent semiring expressions
 // (Eq. (5)).
-type TimesNode struct{ L, R Node }
+type TimesNode struct {
+	header
+	L, R Node
+}
 
 // TensorNode is ⊗: the scalar action of an independent semiring expression
 // on a semimodule expression over monoid Agg (Eq. (7)).
 type TensorNode struct {
+	header
 	Agg         algebra.Agg
 	Scalar, Mod Node
 }
@@ -66,6 +103,7 @@ type TensorNode struct {
 // sound for the operand distributions (Section 5, pruning): it bounds the
 // size of intermediate distributions under this node.
 type CmpNode struct {
+	header
 	Th   value.Theta
 	L, R Node
 	Cap  *prob.Cap
@@ -82,17 +120,10 @@ type Branch struct {
 // ExclusiveNode is ⊔x: the mutually exclusive expansion of variable x over
 // every value of non-zero probability (Eq. (10)).
 type ExclusiveNode struct {
+	header
 	Var      string
 	Branches []Branch
 }
-
-func (*VarLeaf) node()       {}
-func (*ConstLeaf) node()     {}
-func (*PlusNode) node()      {}
-func (*TimesNode) node()     {}
-func (*TensorNode) node()    {}
-func (*CmpNode) node()       {}
-func (*ExclusiveNode) node() {}
 
 // Stats summarises a d-tree for reporting: node and leaf counts, depth,
 // and the number of ⊔ (Shannon) nodes — the quantity that separates the
@@ -107,17 +138,22 @@ type Stats struct {
 
 // Measure computes Stats, counting shared sub-trees once.
 func Measure(n Node) Stats {
-	seen := map[Node]struct{}{}
+	var seen map[Node]struct{} // nodes not marked unique, which may recur
 	var s Stats
 	var walk func(n Node, depth int)
 	walk = func(n Node, depth int) {
 		if depth > s.Depth {
 			s.Depth = depth
 		}
-		if _, ok := seen[n]; ok {
-			return
+		if !unique(n) {
+			if _, ok := seen[n]; ok {
+				return
+			}
+			if seen == nil {
+				seen = map[Node]struct{}{}
+			}
+			seen[n] = struct{}{}
 		}
-		seen[n] = struct{}{}
 		s.Nodes++
 		switch t := n.(type) {
 		case *VarLeaf, *ConstLeaf:

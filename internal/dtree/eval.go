@@ -24,33 +24,58 @@ type EvalStats struct {
 	MaxDistSize int
 }
 
+// memoKey identifies one evaluation of a node that may be reached more
+// than once: the same node under two caps has two distributions.
 type memoKey struct {
 	n   Node
 	cap *prob.Cap
 }
 
 type evaluator struct {
-	env   Env
-	memo  map[memoKey]prob.Dist
-	stats EvalStats
+	env  Env
+	memo map[memoKey]prob.Dist // allocated on first use
+	// revisit is true while the evaluation in progress may be repeated
+	// under another cap: some enclosing node is not unique, and every cap
+	// since was inherited from it.
+	revisit bool
+	stats   EvalStats
 }
 
 // Evaluate computes the probability distribution represented by the d-tree
 // rooted at n, bottom-up in one pass (Theorem 2): Eq. (4)/(6) at ⊕ nodes,
 // Eq. (5) at ⊙, Eq. (7) at ⊗, Eqs. (8)/(9) at [θ] and Eq. (10) at ⊔
-// nodes. Shared sub-trees are evaluated once.
+// nodes. Shared sub-trees are evaluated once per cap they are reached
+// under: nodes marked unique (in a compiled tree, all but the compiler's
+// memo hits) by plain recursion, the others through a memo.
 func Evaluate(n Node, env Env) (prob.Dist, EvalStats, error) {
-	ev := &evaluator{env: env, memo: map[memoKey]prob.Dist{}}
-	d, err := ev.eval(n, nil)
+	ev := &evaluator{env: env}
+	d, err := ev.eval(n, nil, true)
 	return d, ev.stats, err
 }
 
-func (ev *evaluator) eval(n Node, cap *prob.Cap) (prob.Dist, error) {
+// eval evaluates n under cap. inherited says that cap is the cap n's
+// parent is being evaluated under, rather than one the parent chose (nil
+// for a scalar, the node's own for the left side of a [θ]).
+//
+// A unique node is reached only from its one parent, so it needs no memo
+// as long as each visit has a key of its own. Visits repeat when a
+// not-unique ancestor is evaluated under a second cap; along inherited
+// caps the keys then differ like the ancestor's, but a cap the parent
+// chose is the same both times — that child goes through the memo, and,
+// being evaluated once, shields what lies below it.
+func (ev *evaluator) eval(n Node, cap *prob.Cap, inherited bool) (prob.Dist, error) {
+	shared := !unique(n)
+	memoised := shared || (ev.revisit && !inherited)
 	key := memoKey{n, cap}
-	if d, ok := ev.memo[key]; ok {
-		return d, nil
+	if memoised {
+		if d, ok := ev.memo[key]; ok {
+			return d, nil
+		}
 	}
+	outer := ev.revisit
+	ev.revisit = shared || (outer && inherited)
 	d, err := ev.evalUncached(n, cap)
+	ev.revisit = outer
 	if err != nil {
 		return prob.Dist{}, err
 	}
@@ -58,8 +83,25 @@ func (ev *evaluator) eval(n Node, cap *prob.Cap) (prob.Dist, error) {
 		ev.stats.MaxDistSize = s
 	}
 	ev.stats.NodeEvals++
-	ev.memo[key] = d
+	if memoised {
+		if ev.memo == nil {
+			ev.memo = map[memoKey]prob.Dist{}
+		}
+		ev.memo[key] = d
+	}
 	return d, nil
+}
+
+// normalised returns d with the semiring's Normalise applied to its
+// values — d itself when that changes nothing, which is the case for every
+// variable of a Boolean query and every [θ] outcome.
+func normalised(d prob.Dist, s algebra.Semiring) prob.Dist {
+	for _, p := range d.Pairs() {
+		if s.Normalise(p.V) != p.V {
+			return prob.Map(d, s.Normalise)
+		}
+	}
+	return d
 }
 
 func (ev *evaluator) evalUncached(n Node, cap *prob.Cap) (prob.Dist, error) {
@@ -76,7 +118,7 @@ func (ev *evaluator) evalUncached(n Node, cap *prob.Cap) (prob.Dist, error) {
 		if err != nil {
 			return prob.Dist{}, err
 		}
-		return prob.Map(d, s.Normalise), nil
+		return normalised(d, s), nil
 	case *ConstLeaf:
 		if t.Module {
 			return cap.Clamp(prob.Point(t.V)), nil
@@ -84,64 +126,67 @@ func (ev *evaluator) evalUncached(n Node, cap *prob.Cap) (prob.Dist, error) {
 		return prob.Point(s.Normalise(t.V)), nil
 	case *PlusNode:
 		if t.Module {
-			mo := algebra.MonoidFor(t.Agg)
-			l, err := ev.eval(t.L, cap)
+			l, err := ev.eval(t.L, cap, true)
 			if err != nil {
 				return prob.Dist{}, err
 			}
-			r, err := ev.eval(t.R, cap)
+			r, err := ev.eval(t.R, cap, true)
 			if err != nil {
 				return prob.Dist{}, err
 			}
-			return prob.Convolve(l, r, mo.Combine, cap), nil
+			// SUM and COUNT combine by integer addition, which has a kernel
+			// of its own; the other monoids take the generic one.
+			if t.Agg == algebra.Sum || t.Agg == algebra.Count {
+				return prob.ConvolveSum(l, r, cap), nil
+			}
+			return prob.Convolve(l, r, algebra.MonoidFor(t.Agg).Combine, cap), nil
 		}
-		l, err := ev.eval(t.L, nil)
+		l, err := ev.eval(t.L, nil, false)
 		if err != nil {
 			return prob.Dist{}, err
 		}
-		r, err := ev.eval(t.R, nil)
+		r, err := ev.eval(t.R, nil, false)
 		if err != nil {
 			return prob.Dist{}, err
 		}
 		return prob.Convolve(l, r, s.Add, nil), nil
 	case *TimesNode:
-		l, err := ev.eval(t.L, nil)
+		l, err := ev.eval(t.L, nil, false)
 		if err != nil {
 			return prob.Dist{}, err
 		}
-		r, err := ev.eval(t.R, nil)
+		r, err := ev.eval(t.R, nil, false)
 		if err != nil {
 			return prob.Dist{}, err
 		}
 		return prob.Convolve(l, r, s.Mul, nil), nil
 	case *TensorNode:
 		mo := algebra.MonoidFor(t.Agg)
-		sc, err := ev.eval(t.Scalar, nil)
+		sc, err := ev.eval(t.Scalar, nil, false)
 		if err != nil {
 			return prob.Dist{}, err
 		}
-		mod, err := ev.eval(t.Mod, cap)
+		mod, err := ev.eval(t.Mod, cap, true)
 		if err != nil {
 			return prob.Dist{}, err
 		}
 		op := func(a, b value.V) value.V { return algebra.Action(s, mo, a, b) }
 		return prob.Convolve(sc, mod, op, cap), nil
 	case *CmpNode:
-		l, err := ev.eval(t.L, t.Cap)
+		l, err := ev.eval(t.L, t.Cap, false)
 		if err != nil {
 			return prob.Dist{}, err
 		}
-		r, err := ev.eval(t.R, nil)
+		r, err := ev.eval(t.R, nil, false)
 		if err != nil {
 			return prob.Dist{}, err
 		}
-		d := prob.CmpConvolve(l, r, t.Th)
-		return prob.Map(d, s.Normalise), nil
+		return normalised(prob.CmpConvolve(l, r, t.Th), s), nil
 	case *ExclusiveNode:
 		branches := make([]prob.Dist, len(t.Branches))
 		weights := make([]float64, len(t.Branches))
 		for i, br := range t.Branches {
-			d, err := ev.eval(br.Child, cap)
+			d, err := ev.eval(br.Child, cap, true)
 			if err != nil {
 				return prob.Dist{}, err
 			}

@@ -2,6 +2,7 @@ package prob
 
 import (
 	"math"
+	"math/bits"
 	"sort"
 	"sync"
 
@@ -108,6 +109,10 @@ type denseAcc struct {
 	used           bool
 	maxWidth       int
 	negInf, posInf float64
+	// Scratch of ConvolveSum (one operand staged as flat columns), pooled
+	// with the window.
+	bp  []float64
+	off []uint64
 }
 
 // maxDenseWidth bounds the pooled window (1 MiB of float64s); supports
@@ -116,21 +121,32 @@ const maxDenseWidth = 1 << 17
 
 var densePool = sync.Pool{New: func() any { return &denseAcc{probs: make([]float64, 0, 2048)} }}
 
+// denseBudget is the widest window worth using for a convolution of the
+// given number of cross-product cells: a window much wider than the cells
+// accumulated into it would make the O(width) emit scan dominate, so such
+// sparse supports take the map path instead.
+func denseBudget(cells int) int {
+	return min(max(4*cells, 1024), maxDenseWidth)
+}
+
 func getDense(cells int) *denseAcc {
 	d := densePool.Get().(*denseAcc)
 	d.used = false
 	d.negInf, d.posInf = 0, 0
-	// A window much wider than the number of accumulated cells would make
-	// the O(width) emit scan dominate; such sparse supports spill to the
-	// map path instead.
-	d.maxWidth = 4 * cells
-	if d.maxWidth < 1024 {
-		d.maxWidth = 1024
-	}
-	if d.maxWidth > maxDenseWidth {
-		d.maxWidth = maxDenseWidth
-	}
+	d.maxWidth = denseBudget(cells)
 	return d
+}
+
+// window sets the accumulator to the all-zero window [base, base+width),
+// for callers that know the output range up front and index probs directly.
+func (d *denseAcc) window(base int64, width int) {
+	if width > cap(d.probs) {
+		// Power-of-two capacities, so a pooled window is regrown rarely.
+		d.probs = make([]float64, width, 1<<bits.Len(uint(width-1)))
+	}
+	// The backing array beyond len(probs) is zero (see tryAdd).
+	d.probs = d.probs[:width]
+	d.base, d.used = base, true
 }
 
 func putDense(d *denseAcc) {
@@ -545,36 +561,15 @@ func cmpConvolveRef(a, b Dist, th value.Theta) Dist {
 // Soundness: for θ ∈ {≤, <, =} against constant c, every value v > c
 // satisfies the comparison identically (false), so mapping v to the
 // canonical overflow value c+1 preserves the comparison's distribution.
-// Symmetrically for {≥, >} below c. Monotone ops (+ for SUM, min/max)
+// For {≥, >, ≠} the values above c satisfy it identically (true), so the
+// same collapse applies. Monotone ops (+ for SUM, min/max)
 // cannot bring an overflowed value back across the threshold, which is why
 // capping may be applied at every intermediate node: once above c, a SUM
 // can only grow (values are non-negative monoid values by assumption).
 type Cap struct {
 	// Above, if set, collapses values > Limit to Limit+1.
 	Above bool
-	// Below, if set, collapses values < Limit to Limit−1.
-	Below bool
 	Limit value.V
-}
-
-// CapForComparison returns the value cap that may be applied to the left
-// operand of [α θ c] when α is built from non-negative terms by a monotone
-// non-decreasing monoid (SUM, COUNT, MIN, MAX). Returns nil when no cap is
-// sound (e.g. infinite or non-finite limits).
-func CapForComparison(th value.Theta, c value.V) *Cap {
-	if !c.IsInt() {
-		return nil
-	}
-	switch th {
-	case value.LE, value.LT, value.EQ:
-		return &Cap{Above: true, Limit: c}
-	case value.GE, value.GT:
-		return &Cap{Below: false, Above: true, Limit: c}
-	case value.NE:
-		return &Cap{Above: true, Limit: c}
-	default:
-		return nil
-	}
 }
 
 func (c *Cap) clamp(v value.V) value.V {
@@ -583,9 +578,6 @@ func (c *Cap) clamp(v value.V) value.V {
 	}
 	if c.Above && c.Limit.Less(v) && v.IsInt() {
 		return value.Int(c.Limit.Int64() + 1)
-	}
-	if c.Below && v.Less(c.Limit) && v.IsInt() {
-		return value.Int(c.Limit.Int64() - 1)
 	}
 	return v
 }

@@ -44,6 +44,44 @@ func BenchmarkConvolve(b *testing.B) {
 	}
 }
 
+// BenchmarkConvolveSum measures the ⊕sum shapes a TPC-H-style run is made
+// of — most nodes are 2×2, most cells sit in a few nodes with operands of
+// hundreds to thousands of points — uncapped and capped at the median
+// output value, for the integer-sum kernel, the generic kernel and the
+// map-based reference side by side.
+func BenchmarkConvolveSum(b *testing.B) {
+	for _, size := range []int{2, 16, 400, 1700} {
+		x, y := benchDist(size, 8), benchDist(size, 9)
+		for _, c := range []struct {
+			name string
+			cap  *Cap
+		}{
+			{"uncapped", nil},
+			{"capped", &Cap{Above: true, Limit: value.Int(int64(size - 1))}},
+		} {
+			shape := fmt.Sprintf("%dx%d/%s", size, size, c.name)
+			b.Run("sum/"+shape, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					ConvolveSum(x, y, c.cap)
+				}
+			})
+			b.Run("generic/"+shape, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					Convolve(x, y, value.V.Add, c.cap)
+				}
+			})
+			b.Run("mapref/"+shape, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					convolveRef(x, y, value.V.Add, c.cap)
+				}
+			})
+		}
+	}
+}
+
 func BenchmarkMixture(b *testing.B) {
 	branches := []Dist{benchDist(64, 3), benchDist(64, 4)}
 	weights := []float64{0.5, 0.5}

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"pvcagg/internal/testutil"
 	"pvcagg/internal/value"
 )
 
@@ -242,5 +243,201 @@ func TestDropBelowExactZero(t *testing.T) {
 	conv := Convolve(d, Point(value.Int(0)), func(a, b value.V) value.V { return a.Add(b) }, nil)
 	if p := conv.P(value.Int(1)); p != tiny {
 		t.Errorf("subnormal probability lost in Convolve: got %v", p)
+	}
+}
+
+// sumOperand draws one operand of the ConvolveSum differential in the
+// named shape. Probabilities are arbitrary floats, not dyadic: a kernel
+// that folded collisions in another order than the reference would differ
+// in the last bit here.
+func sumOperand(r *rand.Rand, shape string) Dist {
+	n := 1 + r.Intn(24)
+	pairs := make([]Pair, 0, n+1)
+	add := func(v value.V) { pairs = append(pairs, Pair{v, r.Float64() + 1e-3}) }
+	for i := 0; i < n; i++ {
+		switch shape {
+		case "dense":
+			add(value.Int(int64(r.Intn(40))))
+		case "contiguous":
+			add(value.Int(int64(i) - 5))
+		case "negative":
+			add(value.Int(int64(r.Intn(300) - 400)))
+		case "sparse": // too wide for the dense budget of ≤ 25×25 cells
+			add(value.Int(int64(r.Intn(2_000_000_000) - 1_000_000_000)))
+		case "posinf", "neginf":
+			add(value.Int(int64(r.Intn(40))))
+		case "maxint":
+			add(value.Int(math.MaxInt64 - int64(r.Intn(20))))
+		case "minint":
+			add(value.Int(math.MinInt64 + int64(r.Intn(20))))
+		}
+	}
+	switch shape {
+	case "posinf":
+		add(value.PosInf())
+	case "neginf":
+		add(value.NegInf())
+	}
+	return FromPairs(pairs)
+}
+
+func TestConvolveSumDifferential(t *testing.T) {
+	r := rand.New(rand.NewSource(23))
+	check := func(label string, a, b Dist, cap *Cap, wantDense bool) {
+		t.Helper()
+		assertBitIdentical(t, "ConvolveSum/"+label, ConvolveSum(a, b, cap), convolveRef(a, b, value.V.Add, cap))
+		_, width, dense := sumWindow(a.pairs, b.pairs, cap)
+		if dense != wantDense {
+			t.Fatalf("%s: dense kernel used = %v, want %v (a=%v b=%v cap=%+v)", label, dense, wantDense, a, b, cap)
+		}
+		if dense && (width < 1 || width > maxDenseWidth) {
+			t.Fatalf("%s: window width %d outside [1, %d]", label, width, maxDenseWidth)
+		}
+	}
+	// Finite, overflow-free, dense-enough operands take the kernel under
+	// every cap: below, inside and above the output range, and at the ends
+	// of int64.
+	for trial := 0; trial < 300; trial++ {
+		shapes := []string{"dense", "contiguous", "negative"}
+		a := sumOperand(r, shapes[r.Intn(len(shapes))])
+		b := sumOperand(r, shapes[r.Intn(len(shapes))])
+		lo := a.pairs[0].V.Int64() + b.pairs[0].V.Int64()
+		hi := a.pairs[len(a.pairs)-1].V.Int64() + b.pairs[len(b.pairs)-1].V.Int64()
+		caps := []*Cap{
+			nil,
+			{Above: true, Limit: value.Int(lo - 1 - int64(r.Intn(50)))},
+			{Above: true, Limit: value.Int(lo)},
+			{Above: true, Limit: value.Int(lo + r.Int63n(hi-lo+1))},
+			{Above: true, Limit: value.Int(hi)},
+			{Above: true, Limit: value.Int(hi + 1 + int64(r.Intn(50)))},
+			{Above: true, Limit: value.Int(math.MaxInt64)},
+			{Above: true, Limit: value.Int(math.MinInt64)},
+			{Limit: value.Int(lo)}, // Above unset: the identity
+		}
+		check("finite", a, b, caps[trial%len(caps)], true)
+	}
+	// randDyadicDist operands (the other kernels' generator): mixed dense
+	// and ±1000 values; whichever path each case takes, the answer is the
+	// reference's.
+	for trial := 0; trial < 200; trial++ {
+		a, b := randDyadicDist(r, 12, false), randDyadicDist(r, 12, false)
+		var cap *Cap
+		if trial%2 == 0 {
+			cap = &Cap{Above: true, Limit: value.Int(int64(r.Intn(80) - 20))}
+		}
+		assertBitIdentical(t, "ConvolveSum/dyadic", ConvolveSum(a, b, cap), convolveRef(a, b, value.V.Add, cap))
+	}
+	// Everything else must fall back: an infinity at either end of either
+	// operand, sums that would wrap int64, supports too sparse for the
+	// dense budget, and an infinite cap limit.
+	mid := &Cap{Above: true, Limit: value.Int(30)}
+	for trial := 0; trial < 100; trial++ {
+		dense := sumOperand(r, "dense")
+		for _, c := range []struct {
+			label string
+			a, b  Dist
+		}{
+			{"posinf-a", sumOperand(r, "posinf"), dense},
+			{"posinf-b", dense, sumOperand(r, "posinf")},
+			{"posinf-both", sumOperand(r, "posinf"), sumOperand(r, "posinf")},
+			{"neginf-a", sumOperand(r, "neginf"), dense},
+			{"neginf-b", dense, sumOperand(r, "neginf")},
+			{"overflow-hi", sumOperand(r, "maxint"), Point(value.Int(20 + int64(r.Intn(40))))},
+			{"overflow-hi-both", sumOperand(r, "maxint"), sumOperand(r, "maxint")},
+			{"overflow-lo", sumOperand(r, "minint"), Point(value.Int(-20 - int64(r.Intn(40))))},
+			{"overflow-lo-both", sumOperand(r, "minint"), sumOperand(r, "minint")},
+			{"sparse", sumOperand(r, "sparse"), FromPairs([]Pair{{value.Int(-1_000_000_000), 0.5}, {value.Int(1_000_000_000), 0.5}})},
+		} {
+			check(c.label, c.a, c.b, nil, false)
+			if c.label != "sparse" { // a cap narrows a sparse window back into budget
+				check(c.label+"/capped", c.a, c.b, mid, false)
+			}
+		}
+		check("inf-limit", dense, dense, &Cap{Above: true, Limit: value.PosInf()}, false)
+	}
+	// Next to the ends of int64 without crossing them, the kernel applies
+	// and its index arithmetic must not wrap.
+	top := FromPairs([]Pair{{value.Int(math.MaxInt64 - 9), 0.3}, {value.Int(math.MaxInt64 - 4), 0.7}})
+	bottom := FromPairs([]Pair{{value.Int(math.MinInt64 + 2), 0.6}, {value.Int(math.MinInt64 + 7), 0.4}})
+	small := FromPairs([]Pair{{value.Int(0), 0.2}, {value.Int(1), 0.3}, {value.Int(4), 0.5}})
+	check("near-max", top, small, nil, true)
+	check("near-max/capped", top, small, &Cap{Above: true, Limit: value.Int(math.MaxInt64 - 6)}, true)
+	check("near-min", small, bottom, nil, true)
+	check("near-min/capped", small, bottom, &Cap{Above: true, Limit: value.Int(math.MinInt64 + 5)}, true)
+	// Far-apart operands under a low cap: b's own span exceeds int64, the
+	// capped window is two cells.
+	wide := FromPairs([]Pair{{value.Int(math.MinInt64 + 1), 0.5}, {value.Int(math.MaxInt64 - 1), 0.5}})
+	check("wide-b/capped", Point(value.Int(0)), wide, &Cap{Above: true, Limit: value.Int(math.MinInt64 + 1)}, true)
+	assertBitIdentical(t, "ConvolveSum/empty", ConvolveSum(Dist{}, small, nil), Dist{})
+	assertBitIdentical(t, "ConvolveSum/empty", ConvolveSum(small, Dist{}, mid), Dist{})
+}
+
+// FuzzConvolveSum holds ConvolveSum to convolveRef under == on operands
+// decoded from the fuzzer's bytes: ten bytes per pair (value, kind,
+// probability), kinds covering small, medium, raw and end-of-range
+// integers and one sign of infinity per input (+∞ + −∞ is undefined).
+// Run by the fuzz-smoke CI job.
+func FuzzConvolveSum(f *testing.F) {
+	pair := func(v int64, kind, p byte) []byte {
+		return []byte{byte(v), byte(v >> 8), byte(v >> 16), byte(v >> 24), byte(v >> 32), byte(v >> 40), byte(v >> 48), byte(v >> 56), kind, p}
+	}
+	cat := func(ps ...[]byte) (out []byte) {
+		for _, p := range ps {
+			out = append(out, p...)
+		}
+		return out
+	}
+	f.Add(cat(pair(1, 0, 10), pair(2, 0, 20), pair(0, 0, 30), pair(7, 0, 40)), uint8(2), int64(5), true, false)
+	f.Add(cat(pair(3, 3, 10), pair(1, 0, 20), pair(9, 3, 30)), uint8(1), int64(0), false, false)
+	f.Add(cat(pair(3, 4, 10), pair(-1, 0, 20), pair(9, 4, 30)), uint8(2), int64(math.MinInt64), true, true)
+	f.Add(cat(pair(0, 5, 1), pair(5, 0, 2), pair(900, 1, 3), pair(-7, 2, 4)), uint8(1), int64(100), true, true)
+	f.Fuzz(func(t *testing.T, data []byte, split uint8, limit int64, capped, negInf bool) {
+		var pairs []Pair
+		for ; len(data) >= 10 && len(pairs) < 64; data = data[10:] {
+			raw := int64(uint64(data[0]) | uint64(data[1])<<8 | uint64(data[2])<<16 | uint64(data[3])<<24 |
+				uint64(data[4])<<32 | uint64(data[5])<<40 | uint64(data[6])<<48 | uint64(data[7])<<56)
+			var v value.V
+			switch data[8] % 6 {
+			case 0:
+				v = value.Int(raw % 64)
+			case 1:
+				v = value.Int(raw % 4096)
+			case 2:
+				v = value.Int(raw)
+			case 3:
+				v = value.Int(math.MaxInt64 - (raw & 15))
+			case 4:
+				v = value.Int(math.MinInt64 + (raw & 15))
+			default:
+				v = value.PosInf()
+				if negInf {
+					v = value.NegInf()
+				}
+			}
+			pairs = append(pairs, Pair{v, float64(1+int(data[9])) / 257})
+		}
+		k := min(int(split), len(pairs))
+		a, b := FromPairs(pairs[:k]), FromPairs(pairs[k:])
+		var cap *Cap
+		if capped {
+			cap = &Cap{Above: true, Limit: value.Int(limit)}
+		}
+		assertBitIdentical(t, "ConvolveSum/fuzz", ConvolveSum(a, b, cap), convolveRef(a, b, value.V.Add, cap))
+	})
+}
+
+// TestConvolveSumSmallAllocs pins that the kernel stages small operands
+// without allocating: a 2×2 SUM convolution — the shape of most ⊕ nodes —
+// allocates nothing beyond what Convolve does (the result).
+func TestConvolveSumSmallAllocs(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("allocation counts mean nothing under the race detector")
+	}
+	a := FromPairs([]Pair{{value.Int(0), 0.5}, {value.Int(3), 0.5}})
+	b := FromPairs([]Pair{{value.Int(0), 0.25}, {value.Int(7), 0.75}})
+	sum := testing.AllocsPerRun(200, func() { ConvolveSum(a, b, nil) })
+	generic := testing.AllocsPerRun(200, func() { Convolve(a, b, value.V.Add, nil) })
+	if sum > generic {
+		t.Errorf("2×2 ConvolveSum allocates %v per run, Convolve %v", sum, generic)
 	}
 }

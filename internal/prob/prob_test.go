@@ -232,8 +232,13 @@ func TestEqualDifferentSupport(t *testing.T) {
 	}
 }
 
+// capAbove is the cap on the left operand of [α θ c] for α built from
+// non-negative terms by a monotone monoid: whatever θ is, the values above
+// c are equivalent (what compile.capFor derives, minus its analysis of α).
+func capAbove(c value.V) *Cap { return &Cap{Above: true, Limit: c} }
+
 func TestCapClampLE(t *testing.T) {
-	c := CapForComparison(value.LE, value.Int(50))
+	c := capAbove(value.Int(50))
 	d := FromPairs([]Pair{
 		{value.Int(10), 0.25},
 		{value.Int(60), 0.25},
@@ -265,7 +270,7 @@ func TestCapSoundnessUnderSum(t *testing.T) {
 		b := randomDist(r, 3)
 		cv := value.Int(int64(r.Intn(15)))
 		for _, th := range []value.Theta{value.EQ, value.LE, value.GE, value.LT, value.GT, value.NE} {
-			cp := CapForComparison(th, cv)
+			cp := capAbove(cv)
 			exact := CmpConvolve(Convolve(a, b, add, nil), Point(cv), th)
 			capped := CmpConvolve(Convolve(cp.Clamp(a), cp.Clamp(b), add, cp), Point(cv), th)
 			if !exact.Equal(capped, 1e-9) {
@@ -285,7 +290,7 @@ func TestCapSoundnessUnderMinMax(t *testing.T) {
 		b := randomDist(r, 3)
 		cv := value.Int(int64(r.Intn(15)))
 		for _, th := range []value.Theta{value.EQ, value.LE, value.GE, value.LT, value.GT, value.NE} {
-			cp := CapForComparison(th, cv)
+			cp := capAbove(cv)
 			for _, op := range []Op{minOp, maxOp} {
 				exact := CmpConvolve(Convolve(a, b, op, nil), Point(cv), th)
 				capped := CmpConvolve(Convolve(cp.Clamp(a), cp.Clamp(b), op, cp), Point(cv), th)
