@@ -194,7 +194,10 @@ func providerEstimate(p pvc.TableProvider) CardEstimate {
 		}
 	}
 	rows := 0.0
+	var key []byte
 	for {
+		// The scan lends t's cells; only their keys — fresh strings, one
+		// per distinct value — outlive the row.
 		t, ok, err := it.Next()
 		if err != nil {
 			return CardEstimate{Rows: 1, Distinct: map[string]float64{}}
@@ -205,7 +208,10 @@ func providerEstimate(p pvc.TableProvider) CardEstimate {
 		rows++
 		for i := range schema {
 			if seen[i] != nil {
-				seen[i][t.Cells[i].Key()] = true
+				key = t.Cells[i].AppendKey(key[:0])
+				if !seen[i][string(key)] {
+					seen[i][string(key)] = true
+				}
 			}
 		}
 	}

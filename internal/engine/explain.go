@@ -264,23 +264,7 @@ func StreamEvalPlanExplain(ctx context.Context, db *pvc.Database, plan Plan) (*p
 		return nil, 0, nil, err
 	}
 	rel := pvc.NewRelation(name, schema)
-	for n := 0; ; n++ {
-		t, ok, err := it.Next()
-		if err != nil {
-			return nil, 0, nil, err
-		}
-		if !ok {
-			break
-		}
-		rel.Tuples = append(rel.Tuples, t)
-		if n&ctxPollMask == ctxPollMask {
-			if err := ctx.Err(); err != nil {
-				return nil, 0, nil, err
-			}
-		}
-	}
-	rel.Sort()
-	if err := ctx.Err(); err != nil {
+	if err := drainRoot(ctx, it, rel); err != nil {
 		return nil, 0, nil, err
 	}
 	root := b.exKids[0]

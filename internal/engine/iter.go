@@ -23,6 +23,24 @@ package engine
 // are produced in exactly the order Plan.Eval appends them, so grouping
 // sinks build identical annotation expression trees and StreamEvalPlan's
 // final Sort yields a relation deeply equal to EvalPlan's.
+//
+// Lent cells. A provider scan lends the Cells slice of each tuple until
+// its next Next or Close (pvc.TupleIter), and σ, δ and the analyze
+// decorator pass that slice through untouched; every other operator
+// emits cells it allocated. lendsCells decides at build time, from the
+// iterator tree, whether an input lends, and the sites that keep a tuple
+// across a Next of the iterator that produced it copy exactly then — so
+// plans over in-memory relations (sliceIter) copy nothing:
+//
+//   - pairIter.buildTable (the build side; the probe tuple is only held
+//     until the next probe pull, and output cells are fresh);
+//   - unionIter.drain's first-seen cells per group;
+//   - drainRoot, the root loop of StreamEvalPlan and
+//     StreamEvalPlanExplain, and Iterate, whose caller may keep a row;
+//   - outside this file: pvc.MaterializeProvider (always copies) and
+//     providerEstimate (keeps no tuple, only cell keys).
+//
+// π, π̂ and $ already copy the cells they keep into slices of their own.
 
 import (
 	"context"
@@ -50,6 +68,30 @@ type Iterator interface {
 
 // ctxPollMask throttles context polling in drain loops to every 256 rows.
 const ctxPollMask = 255
+
+// lendsCells reports whether the tuples it yields carry Cells lent by a
+// provider scan: the scan itself, or an operator that hands its input's
+// slice on unchanged.
+func lendsCells(it Iterator) bool {
+	switch v := it.(type) {
+	case *providerIter:
+		return true
+	case *selectIter:
+		return lendsCells(v.child)
+	case *countingIter:
+		return lendsCells(v.in)
+	}
+	return false
+}
+
+// owned returns t as the holder's own: a copy of the cells when the
+// producer lent them, t itself otherwise.
+func owned(t pvc.Tuple, lent bool) pvc.Tuple {
+	if lent {
+		return t.Clone()
+	}
+	return t
+}
 
 // iterBuilder compiles a Plan into an Iterator tree. All schema
 // resolution and static checks happen here, once per plan — which is why
@@ -237,7 +279,7 @@ func (b *iterBuilder) buildNode(p Plan) (Iterator, pvc.Schema, string, error) {
 				return nil, nil, "", fmt.Errorf("engine: ∪: aggregation column %q (Definition 5 constraint 2)", c.Name)
 			}
 		}
-		it := &unionIter{ctx: b.ctx, s: b.s, l: lIt, r: rIt}
+		it := &unionIter{ctx: b.ctx, s: b.s, in: [2]Iterator{lIt, rIt}, lent: [2]bool{lendsCells(lIt), lendsCells(rIt)}}
 		return it, ls, fmt.Sprintf("(%s∪%s)", lname, rname), nil
 
 	case *GroupAgg:
@@ -384,6 +426,7 @@ func (b *iterBuilder) buildPair(p Plan) (*pairIter, pvc.Schema, string, []pairRe
 	it := &pairIter{
 		ctx: b.ctx, s: b.s, left: lIt, right: rIt,
 		lKey: lKey, rKey: rKey, rCols: rCols, buildCap: buildCap, estBuild: estBuild,
+		rightLent: lendsCells(rIt),
 	}
 	return it, schema, name, refs, nil
 }
@@ -620,11 +663,14 @@ type pairIter struct {
 	dropZero    bool
 	buildCap    int
 	estBuild    float64      // Estimator's build-side row prediction
+	rightLent   bool         // the build input lends its cells: copy them
 	ex          *ExplainNode // analyze-mode counters; nil otherwise
 
 	built       bool
 	rightClosed bool
-	idx         map[string][]pvc.Tuple
+	idx         map[string]int // join key → index into buckets
+	buckets     [][]pvc.Tuple
+	key         []byte // reused key buffer of both sides
 	cur         pvc.Tuple
 	bucket      []pvc.Tuple
 	bi          int
@@ -637,10 +683,11 @@ func (it *pairIter) buildTable() error {
 	if err := it.right.Open(); err != nil {
 		return err
 	}
-	it.idx = make(map[string][]pvc.Tuple, it.buildCap)
+	it.idx = make(map[string]int, it.buildCap)
 	if len(it.rKey) == 0 && it.buildCap > 0 {
 		// ×: everything lands in one bucket — pre-size it.
-		it.idx[""] = make([]pvc.Tuple, 0, it.buildCap)
+		it.idx[""] = 0
+		it.buckets = [][]pvc.Tuple{make([]pvc.Tuple, 0, it.buildCap)}
 	}
 	rows := 0
 	for n := 0; ; n++ {
@@ -651,8 +698,14 @@ func (it *pairIter) buildTable() error {
 		if !ok {
 			break
 		}
-		k := joinKey(rt, it.rKey)
-		it.idx[k] = append(it.idx[k], rt)
+		it.key = appendJoinKey(it.key[:0], rt, it.rKey)
+		bi, seen := it.idx[string(it.key)]
+		if !seen {
+			bi = len(it.buckets)
+			it.idx[string(it.key)] = bi
+			it.buckets = append(it.buckets, nil)
+		}
+		it.buckets[bi] = append(it.buckets[bi], owned(rt, it.rightLent))
 		rows++
 		if n&ctxPollMask == ctxPollMask {
 			if err := it.ctx.Err(); err != nil {
@@ -687,7 +740,7 @@ func (it *pairIter) Next() (pvc.Tuple, bool, error) {
 				} else {
 					rc = pairCell(lt, rt, a.r)
 				}
-				if !constSatisfies(lc, a.th, rc) {
+				if !lc.Satisfies(a.th, rc) {
 					pass = false
 					break
 				}
@@ -716,7 +769,11 @@ func (it *pairIter) Next() (pvc.Tuple, bool, error) {
 			return pvc.Tuple{}, false, err
 		}
 		it.cur = lt
-		it.bucket = it.idx[joinKey(lt, it.lKey)]
+		it.key = appendJoinKey(it.key[:0], lt, it.lKey)
+		it.bucket = nil
+		if bi, ok := it.idx[string(it.key)]; ok {
+			it.bucket = it.buckets[bi]
+		}
 		it.bi = 0
 	}
 }
@@ -739,7 +796,8 @@ func (it *pairIter) Close() error {
 type unionIter struct {
 	ctx  context.Context
 	s    algebra.Semiring
-	l, r Iterator
+	in   [2]Iterator // left, right
+	lent [2]bool     // the side lends its cells: copy first-seen ones
 
 	drained    bool
 	order      []string
@@ -749,17 +807,18 @@ type unionIter struct {
 }
 
 func (it *unionIter) Open() error {
-	if err := it.l.Open(); err != nil {
+	if err := it.in[0].Open(); err != nil {
 		return err
 	}
-	return it.r.Open()
+	return it.in[1].Open()
 }
 
 func (it *unionIter) drain() error {
 	it.drained = true
 	it.groupCells = map[string][]pvc.Cell{}
 	it.groupAnns = map[string]*annSum{}
-	for _, side := range [2]Iterator{it.l, it.r} {
+	var key []byte
+	for si, side := range it.in {
 		for n := 0; ; n++ {
 			t, ok, err := side.Next()
 			if err != nil {
@@ -768,13 +827,16 @@ func (it *unionIter) drain() error {
 			if !ok {
 				break
 			}
-			key := t.Key()
-			if _, seen := it.groupCells[key]; !seen {
-				it.order = append(it.order, key)
-				it.groupCells[key] = t.Cells
-				it.groupAnns[key] = newAnnSum(it.s)
+			key = t.AppendKey(key[:0])
+			sum, seen := it.groupAnns[string(key)]
+			if !seen {
+				k := string(key)
+				sum = newAnnSum(it.s)
+				it.order = append(it.order, k)
+				it.groupCells[k] = owned(t, it.lent[si]).Cells
+				it.groupAnns[k] = sum
 			}
-			it.groupAnns[key].add(t.Ann)
+			sum.add(t.Ann)
 			if n&ctxPollMask == ctxPollMask {
 				if err := it.ctx.Err(); err != nil {
 					return err
@@ -800,8 +862,8 @@ func (it *unionIter) Next() (pvc.Tuple, bool, error) {
 }
 
 func (it *unionIter) Close() error {
-	err := it.l.Close()
-	if e := it.r.Close(); err == nil {
+	err := it.in[0].Close()
+	if e := it.in[1].Close(); err == nil {
 		err = e
 	}
 	return err
@@ -830,6 +892,7 @@ func (it *projectIter) drain() error {
 	it.drained = true
 	it.groupCells = map[string][]pvc.Cell{}
 	it.groupAnns = map[string]*annSum{}
+	var key []byte
 	for n := 0; ; n++ {
 		t, ok, err := it.child.Next()
 		if err != nil {
@@ -838,17 +901,20 @@ func (it *projectIter) drain() error {
 		if !ok {
 			return nil
 		}
-		key := joinKey(t, it.idx)
-		if _, seen := it.groupCells[key]; !seen {
+		key = appendJoinKey(key[:0], t, it.idx)
+		sum, seen := it.groupAnns[string(key)]
+		if !seen {
 			cells := make([]pvc.Cell, len(it.idx))
 			for i, j := range it.idx {
 				cells[i] = t.Cells[j]
 			}
-			it.order = append(it.order, key)
-			it.groupCells[key] = cells
-			it.groupAnns[key] = newAnnSum(it.s)
+			k := string(key)
+			sum = newAnnSum(it.s)
+			it.order = append(it.order, k)
+			it.groupCells[k] = cells
+			it.groupAnns[k] = sum
 		}
-		it.groupAnns[key].add(t.Ann)
+		sum.add(t.Ann)
 		if n&ctxPollMask == ctxPollMask {
 			if err := it.ctx.Err(); err != nil {
 				return err
@@ -920,6 +986,7 @@ func (it *groupAggIter) Open() error { return it.child.Open() }
 func (it *groupAggIter) drain() error {
 	it.drained = true
 	it.groups = map[string]*gaGroup{}
+	var key []byte
 	for n := 0; ; n++ {
 		t, ok, err := it.child.Next()
 		if err != nil {
@@ -928,16 +995,17 @@ func (it *groupAggIter) drain() error {
 		if !ok {
 			break
 		}
-		key := joinKey(t, it.gIdx)
-		g, seen := it.groups[key]
+		key = appendJoinKey(key[:0], t, it.gIdx)
+		g, seen := it.groups[string(key)]
 		if !seen {
 			cells := make([]pvc.Cell, len(it.gIdx))
 			for i, j := range it.gIdx {
 				cells[i] = t.Cells[j]
 			}
 			g = newGaGroup(cells, it.s, it.aggs)
-			it.groups[key] = g
-			it.order = append(it.order, key)
+			k := string(key)
+			it.groups[k] = g
+			it.order = append(it.order, k)
 		}
 		for ai, a := range it.aggs {
 			var mv value.V
@@ -1020,26 +1088,33 @@ func StreamEvalPlan(ctx context.Context, db *pvc.Database, plan Plan) (*pvc.Rela
 		return nil, 0, err
 	}
 	rel := pvc.NewRelation(name, schema)
+	if err := drainRoot(ctx, it, rel); err != nil {
+		return nil, 0, err
+	}
+	return rel, time.Since(t0), nil
+}
+
+// drainRoot appends every tuple of the opened root iterator to rel —
+// copying cells a scan lent, since rel keeps them all — and sorts it.
+func drainRoot(ctx context.Context, it Iterator, rel *pvc.Relation) error {
+	lent := lendsCells(it)
 	for n := 0; ; n++ {
 		t, ok, err := it.Next()
 		if err != nil {
-			return nil, 0, err
+			return err
 		}
 		if !ok {
 			break
 		}
-		rel.Tuples = append(rel.Tuples, t)
+		rel.Tuples = append(rel.Tuples, owned(t, lent))
 		if n&ctxPollMask == ctxPollMask {
 			if err := ctx.Err(); err != nil {
-				return nil, 0, err
+				return err
 			}
 		}
 	}
 	rel.Sort()
-	if err := ctx.Err(); err != nil {
-		return nil, 0, err
-	}
-	return rel, time.Since(t0), nil
+	return ctx.Err()
 }
 
 // Iterate exposes the streaming layer as an iter.Seq2: tuples arrive in
@@ -1058,6 +1133,7 @@ func Iterate(ctx context.Context, db *pvc.Database, plan Plan) iter.Seq2[pvc.Tup
 			yield(pvc.Tuple{}, err)
 			return
 		}
+		lent := lendsCells(it)
 		for n := 0; ; n++ {
 			t, ok, err := it.Next()
 			if err != nil {
@@ -1067,7 +1143,7 @@ func Iterate(ctx context.Context, db *pvc.Database, plan Plan) iter.Seq2[pvc.Tup
 			if !ok {
 				return
 			}
-			if !yield(t, nil) {
+			if !yield(owned(t, lent), nil) {
 				return
 			}
 			if n&ctxPollMask == ctxPollMask {

@@ -107,8 +107,9 @@ func iterDB() *pvc.Database {
 	return db
 }
 
-func TestStreamEvalPlanMatchesEval(t *testing.T) {
-	db := iterDB()
+// iterPlans is the hand-built plan corpus over iterDB: every operator,
+// over full, empty and unknown tables, alone and composed.
+func iterPlans() []Plan {
 	scanR := func() Plan { return &Scan{Table: "R"} }
 	groupSum := func(in Plan, out string) Plan {
 		return &GroupAgg{Input: in, GroupBy: []string{"a"}, Aggs: []AggSpec{{Out: out, Agg: algebra.Sum, Over: "b"}}}
@@ -177,7 +178,12 @@ func TestStreamEvalPlanMatchesEval(t *testing.T) {
 			Cols: []string{"a"},
 		},
 	}
-	for i, p := range plans {
+	return plans
+}
+
+func TestStreamEvalPlanMatchesEval(t *testing.T) {
+	db := iterDB()
+	for i, p := range iterPlans() {
 		t.Run(fmt.Sprintf("plan%02d", i), func(t *testing.T) {
 			streamMatches(t, db, p)
 		})

@@ -246,7 +246,7 @@ func applySelAtoms(atoms []selAtom, t pvc.Tuple, s algebra.Semiring) (ann expr.E
 		}
 		left := t.Cells[a.li]
 		if left.IsConst() && right.IsConst() {
-			if !constSatisfies(left, a.th, right) {
+			if !left.Satisfies(a.th, right) {
 				return nil, false, nil
 			}
 			continue
@@ -285,25 +285,6 @@ func (p *Select) Eval(db *pvc.Database) (*pvc.Relation, error) {
 		out.Tuples = append(out.Tuples, pvc.Tuple{Cells: t.Cells, Ann: ann})
 	}
 	return out, nil
-}
-
-// constSatisfies compares two constant cells.
-func constSatisfies(l pvc.Cell, th value.Theta, r pvc.Cell) bool {
-	c := l.Compare(r)
-	switch th {
-	case value.EQ:
-		return c == 0
-	case value.NE:
-		return c != 0
-	case value.LE:
-		return c <= 0
-	case value.GE:
-		return c >= 0
-	case value.LT:
-		return c < 0
-	default:
-		return c > 0
-	}
 }
 
 // comparisonExpr builds [A θ B] for cells of which at least one holds a
@@ -428,20 +409,18 @@ func (p *Product) Eval(db *pvc.Database) (*pvc.Relation, error) {
 	return out, nil
 }
 
-// joinKey encodes the cells at idx as a composite hash key — cell keys
-// joined by 0x1f, the same encoding Tuple.Key uses.
-func joinKey(t pvc.Tuple, idx []int) string {
-	if len(idx) == 1 {
-		return t.Cells[idx[0]].Key()
-	}
-	var b strings.Builder
+// appendJoinKey appends to buf the composite hash key of the cells at
+// idx — cell keys joined by 0x1f, the same encoding Tuple.Key uses. Hash
+// operators keep one buffer and look up m[string(buf)], which allocates
+// only when a new key is stored.
+func appendJoinKey(buf []byte, t pvc.Tuple, idx []int) []byte {
 	for i, j := range idx {
 		if i > 0 {
-			b.WriteByte(0x1f)
+			buf = append(buf, 0x1f)
 		}
-		b.WriteString(t.Cells[j].Key())
+		buf = t.Cells[j].AppendKey(buf)
 	}
-	return b.String()
+	return buf
 }
 
 func (p *Join) Eval(db *pvc.Database) (*pvc.Relation, error) {
@@ -482,12 +461,14 @@ func (p *Join) Eval(db *pvc.Database) (*pvc.Relation, error) {
 		rKey[i] = r.Schema.Index(name)
 	}
 	rIdx := map[string][]pvc.Tuple{}
+	var key []byte
 	for _, rt := range r.Tuples {
-		k := joinKey(rt, rKey)
-		rIdx[k] = append(rIdx[k], rt)
+		key = appendJoinKey(key[:0], rt, rKey)
+		rIdx[string(key)] = append(rIdx[string(key)], rt)
 	}
 	for _, lt := range l.Tuples {
-		for _, rt := range rIdx[joinKey(lt, lKey)] {
+		key = appendJoinKey(key[:0], lt, lKey)
+		for _, rt := range rIdx[string(key)] {
 			cells := make([]pvc.Cell, 0, len(lt.Cells)+len(rCols))
 			cells = append(cells, lt.Cells...)
 			for _, j := range rCols {

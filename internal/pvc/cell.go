@@ -99,23 +99,21 @@ func (c Cell) ModuleExpr() (expr.Expr, error) {
 // Key returns a canonical string usable for grouping constant cells; for
 // expression cells it is the canonical expression rendering.
 func (c Cell) Key() string {
-	var b strings.Builder
-	c.appendKey(&b)
-	return b.String()
+	var a [32]byte
+	return string(c.AppendKey(a[:0]))
 }
 
-// appendKey writes Key to b without the intermediate allocations.
-func (c Cell) appendKey(b *strings.Builder) {
+// AppendKey appends the bytes of Key to b. Hash operators build their
+// keys into a reused buffer with it and look up m[string(buf)], which
+// allocates only when a new key is stored.
+func (c Cell) AppendKey(b []byte) []byte {
 	switch c.kind {
 	case KindValue:
-		b.WriteString("v:")
-		b.WriteString(c.v.String())
+		return c.v.Append(append(b, "v:"...))
 	case KindString:
-		b.WriteString("s:")
-		b.WriteString(c.s)
+		return append(append(b, "s:"...), c.s...)
 	default:
-		b.WriteString("e:")
-		b.WriteString(expr.String(c.e))
+		return append(append(b, "e:"...), expr.String(c.e)...)
 	}
 }
 
@@ -132,30 +130,32 @@ func (c Cell) String() string {
 }
 
 // Equal reports deep equality of two cells.
-func (c Cell) Equal(o Cell) bool { return c.kind == o.kind && c.Key() == o.Key() }
+func (c Cell) Equal(o Cell) bool { return c.Compare(o) == 0 }
 
 // Compare orders two cells of the same kind: numerically for values,
 // lexicographically for strings (and for the rendering of expressions).
 func (c Cell) Compare(o Cell) int {
-	if c.kind != o.kind {
+	switch {
+	case c.kind != o.kind:
 		if c.kind < o.kind {
 			return -1
 		}
 		return 1
-	}
-	if c.kind == KindValue {
+	case c.kind == KindValue:
 		return c.v.Cmp(o.v)
-	}
-	a, b := c.Key(), o.Key()
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
+	case c.kind == KindString:
+		return strings.Compare(c.s, o.s)
 	default:
-		return 0
+		return strings.Compare(expr.String(c.e), expr.String(o.e))
 	}
 }
+
+// Satisfies reports whether c θ o holds under Compare's total order. It
+// is the one evaluation of a σ atom over two constant cells: the
+// engine's σ and fused ⋈ predicates, the store's zone-map test and its
+// in-scan row filter all call it, so a pushed-down hint can never
+// disagree with the σ that re-checks it.
+func (c Cell) Satisfies(th value.Theta, o Cell) bool { return th.Holds(c.Compare(o)) }
 
 // ColType is the declared type of a column.
 type ColType int

@@ -11,17 +11,37 @@ import (
 // storage-side half of the engine's iterator contract: Next returns
 // ok=false at end of stream, and Close releases resources, is
 // idempotent, and must be safe after an early break.
+//
+// Lent rows. The Cells slice of a tuple returned by Next is lent: it is
+// valid until the next call of Next or Close on the same iterator, which
+// may overwrite it in place (a columnar backend fills one row buffer per
+// scan instead of allocating a slice per row). Whoever keeps a tuple
+// past that point — a hash-join build table, a grouping sink's
+// first-seen cells, a result relation, a caller ranging over rows — must
+// copy the slice first (Tuple.Clone). Reading it, passing it up a
+// pipeline that consumes it before pulling the next row, and copying
+// individual Cells out of it need no copy: a Cell, its string and the
+// annotation expression are immutable values that never alias a buffer
+// the provider reuses (a string cell in particular owns its bytes).
 type TupleIter interface {
 	Next() (t Tuple, ok bool, err error)
 	Close() error
 }
 
-// ScanHint is an advisory σ atom pushed down into a provider scan so the
-// backend can skip storage units (blocks) that provably contain no
-// matching row. Columns are addressed by position in the provider's
-// schema — positions survive δ renames above the scan, names do not. A
-// provider is free to ignore any hint; it must never use one to drop an
-// individual row (the engine re-applies the full predicate).
+// ScanHint is a σ atom pushed down into a provider scan. Columns are
+// addressed by position in the provider's schema — positions survive δ
+// renames above the scan, names do not. Both operands are constant cells
+// (the engine pushes no atom that touches an aggregation column), so the
+// atom's truth on a row is Cell.Satisfies and nothing else.
+//
+// A hint is advisory in one direction only: a provider may ignore it,
+// may skip a storage unit (block) it proves holds no matching row, and
+// may drop an individual row it has proved fails the hint — but it must
+// never drop a row that satisfies every hint. The engine keeps the σ the
+// hints came from above the scan and re-applies the full predicate to
+// whatever the scan returns, so a provider that filters and one that
+// does not produce the same result (σ is idempotent), and EXPLAIN shows
+// the same plan either way.
 type ScanHint struct {
 	// Col is the left operand, an index into the provider's schema.
 	Col int
@@ -41,7 +61,7 @@ type ScanOptions struct {
 	// provider's schema, in output order. nil means all columns in schema
 	// order.
 	Cols []int
-	// Hints are advisory pushed-down σ atoms (see ScanHint).
+	// Hints are pushed-down σ atoms, a conjunction (see ScanHint).
 	Hints []ScanHint
 	// DropZero permits the provider to omit rows (and whole blocks)
 	// whose annotation is the constant 0S. Only set when a σ directly
@@ -61,6 +81,7 @@ type TableProvider interface {
 	Schema() Schema
 	// NewScan starts a scan. The context bounds the whole scan, not just
 	// the call; implementations should check it between storage units.
+	// The tuples it returns may have lent Cells (see TupleIter).
 	NewScan(ctx context.Context, opts ScanOptions) (TupleIter, error)
 }
 
@@ -118,7 +139,8 @@ func (db *Database) Schema(name string) (Schema, error) {
 
 // MaterializeProvider drains a full scan of p into an in-memory
 // Relation — the storage-side counterpart of Relation.Clone for the
-// materializing evaluation path.
+// materializing evaluation path. It keeps every tuple, so it copies the
+// cells each Next lent.
 func MaterializeProvider(ctx context.Context, p TableProvider) (*Relation, error) {
 	it, err := p.NewScan(ctx, ScanOptions{})
 	if err != nil {
@@ -134,6 +156,6 @@ func MaterializeProvider(ctx context.Context, p TableProvider) (*Relation, error
 		if !ok {
 			return rel, it.Close()
 		}
-		rel.Tuples = append(rel.Tuples, t)
+		rel.Tuples = append(rel.Tuples, t.Clone())
 	}
 }

@@ -232,3 +232,92 @@ func TestRelationStringAndSort(t *testing.T) {
 }
 
 func varName(i int) string { return string(rune('a'+i)) + "x" }
+
+// keyRef is Key as it was before AppendKey existed: the rendering every
+// group order, sort and digest downstream was built on.
+func keyRef(c Cell) string {
+	switch c.Kind() {
+	case KindValue:
+		return "v:" + c.Value().String()
+	case KindString:
+		return "s:" + c.Str()
+	default:
+		return "e:" + expr.String(c.Expr())
+	}
+}
+
+func orderCells() []Cell {
+	return []Cell{
+		ValueCell(value.NegInf()), IntCell(-12), IntCell(0), IntCell(7), IntCell(10), ValueCell(value.PosInf()),
+		StringCell(""), StringCell("Gap"), StringCell("M&S"), StringCell("M&S "), StringCell("s:"), StringCell("é"),
+		ExprCell(expr.MustParse("x @min 5")), ExprCell(expr.MustParse("x @sum 5")),
+	}
+}
+
+// TestAppendKeyMatchesKey: AppendKey emits exactly the bytes of the old
+// Key rendering, appends (never overwrites), and Tuple.AppendKey joins
+// them with 0x1f like Tuple.Key.
+func TestAppendKeyMatchesKey(t *testing.T) {
+	cells := orderCells()
+	var want []string
+	for _, c := range cells {
+		want = append(want, keyRef(c))
+		if got := c.Key(); got != keyRef(c) {
+			t.Errorf("Key(%s) = %q, want %q", c, got, keyRef(c))
+		}
+		if got := string(c.AppendKey([]byte("pre"))); got != "pre"+keyRef(c) {
+			t.Errorf("AppendKey(%s) = %q", c, got)
+		}
+	}
+	tup := Tuple{Cells: cells}
+	if got := tup.Key(); got != strings.Join(want, "\x1f") {
+		t.Errorf("Tuple.Key = %q", got)
+	}
+	if got := string(tup.AppendKey(nil)); got != tup.Key() {
+		t.Errorf("Tuple.AppendKey = %q, want %q", got, tup.Key())
+	}
+}
+
+// TestCompareOrder: Compare orders same-kind cells as comparing their
+// old Key renderings did for strings and expressions (the prefix is
+// common) and numerically for values; kinds order value < string < expr;
+// Equal and Satisfies are Compare read through θ.
+func TestCompareOrder(t *testing.T) {
+	sign := func(n int) int {
+		switch {
+		case n < 0:
+			return -1
+		case n > 0:
+			return 1
+		}
+		return 0
+	}
+	cells := orderCells()
+	for i, a := range cells {
+		for j, b := range cells {
+			want := sign(i - j)
+			if a.Kind() == b.Kind() && a.Kind() != KindValue {
+				want = strings.Compare(keyRef(a), keyRef(b))
+			}
+			got := a.Compare(b)
+			if sign(got) != want {
+				t.Errorf("Compare(%s, %s) = %d, want sign %d", a, b, got, want)
+			}
+			if a.Equal(b) != (want == 0) {
+				t.Errorf("Equal(%s, %s) = %v", a, b, a.Equal(b))
+			}
+			for th, holds := range map[value.Theta]bool{
+				value.EQ: want == 0, value.NE: want != 0, value.LT: want < 0,
+				value.LE: want <= 0, value.GT: want > 0, value.GE: want >= 0,
+			} {
+				if a.Satisfies(th, b) != holds {
+					t.Errorf("%s %s %s = %v, want %v", a, th, b, !holds, holds)
+				}
+			}
+		}
+	}
+	a, b := StringCell("Gap"), StringCell("M&S")
+	if n := testing.AllocsPerRun(100, func() { a.Compare(b) }); n != 0 {
+		t.Errorf("string Compare allocates %v times", n)
+	}
+}

@@ -13,21 +13,35 @@ import (
 )
 
 // Tuple is one row of a pvc-table: its cells and its semiring annotation Φ.
+// A tuple handed out by a TupleIter may have lent Cells (see TupleIter);
+// Clone makes it the holder's own.
 type Tuple struct {
 	Cells []Cell
 	Ann   expr.Expr
 }
 
+// Clone returns t with its own copy of Cells. Cells and annotations
+// themselves are immutable, so the copy is shallow.
+func (t Tuple) Clone() Tuple {
+	t.Cells = append([]Cell(nil), t.Cells...)
+	return t
+}
+
 // Key returns a canonical grouping key over all cells (not the annotation).
 func (t Tuple) Key() string {
-	var b strings.Builder
+	var a [64]byte
+	return string(t.AppendKey(a[:0]))
+}
+
+// AppendKey appends the bytes of Key to b: the cell keys joined by 0x1f.
+func (t Tuple) AppendKey(b []byte) []byte {
 	for i, c := range t.Cells {
 		if i > 0 {
-			b.WriteByte('\x1f')
+			b = append(b, 0x1f)
 		}
-		c.appendKey(&b)
+		b = c.AppendKey(b)
 	}
-	return b.String()
+	return b
 }
 
 // Label names the tuple in error messages: its value and string cells in

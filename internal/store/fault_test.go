@@ -50,7 +50,7 @@ func TestRetryTransientRecovers(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer it.Close()
-	if got := drain(t, it); len(got) != 100 {
+	if got := collect(t, it); len(got) != 100 {
 		t.Fatalf("scanned %d rows under transient faults, want 100", len(got))
 	}
 	stats := retry.Snapshot()
@@ -116,7 +116,7 @@ func TestRetryExhaustionPartial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	drain(t, it)
+	collect(t, it)
 	if err := st.Healthy(); err != nil {
 		t.Errorf("Healthy() = %v after recovery, want nil", err)
 	}
@@ -192,7 +192,7 @@ func TestBoundedSkipAllZero(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := drain(t, it); len(got) != 0 {
+	if got := collect(t, it); len(got) != 0 {
 		t.Fatalf("degraded scan returned %d rows, want 0", len(got))
 	}
 	stats := retry.Snapshot()
@@ -272,7 +272,7 @@ func TestCrashRecoveryRandomized(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tuples := drain(t, it)
+		tuples := collect(t, it)
 		if len(tuples) != rows {
 			t.Fatalf("kill %d: scanned %d rows, want %d", kill, len(tuples), rows)
 		}
@@ -339,7 +339,7 @@ func TestScanFDHygiene(t *testing.T) {
 				t.Fatalf("scan %d: Next after Close = %v, want ErrClosed", i, err)
 			}
 		default: // drained: exhaustion releases before Close
-			drain(t, it)
+			collect(t, it)
 			if err := it.Close(); err != nil {
 				t.Fatal(err)
 			}

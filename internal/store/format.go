@@ -126,6 +126,15 @@ func (r *reader) bytes(n uint64) ([]byte, error) {
 	return b, nil
 }
 
+// segment reads one length-prefixed segment.
+func (r *reader) segment() ([]byte, error) {
+	n, err := r.uvarint()
+	if err != nil {
+		return nil, err
+	}
+	return r.bytes(n)
+}
+
 func (r *reader) value() (value.V, error) {
 	tag, err := r.byte()
 	if err != nil {
@@ -196,16 +205,16 @@ func appendAnn(b []byte, ann expr.Expr, ord func(string) uint64) []byte {
 	}
 }
 
-// decodeAnn decodes one annotation record. varNames is the ordinal →
-// name table from the vars file.
-func (r *reader) ann(varNames []string) (expr.Expr, error) {
+// ann decodes one annotation record. vars is the ordinal → variable
+// table from the vars file.
+func (r *reader) ann(vars []expr.Expr) (expr.Expr, error) {
 	tag, err := r.byte()
 	if err != nil {
 		return nil, err
 	}
 	switch tag {
 	case annOne:
-		return expr.CInt(1), nil
+		return annOneExpr, nil
 	case annConst:
 		v, err := r.value()
 		if err != nil {
@@ -217,10 +226,10 @@ func (r *reader) ann(varNames []string) (expr.Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		if n >= uint64(len(varNames)) {
-			return nil, fmt.Errorf("variable ordinal %d out of range (%d vars)", n, len(varNames))
+		if n >= uint64(len(vars)) {
+			return nil, fmt.Errorf("variable ordinal %d out of range (%d vars)", n, len(vars))
 		}
-		return expr.V(varNames[n]), nil
+		return vars[n], nil
 	case annExpr:
 		s, err := r.string()
 		if err != nil {

@@ -75,48 +75,32 @@ func annClass(ann expr.Expr) (one, zero bool) {
 // mins/maxs can contain a row satisfying the hint. Unknown (out of
 // range) columns conservatively match. Cells compare with pvc.Cell's
 // total order, so mixed-kind comparisons behave exactly like the σ
-// evaluation they mirror.
+// evaluation they mirror. A constant right operand is the degenerate
+// zone [c, c].
 func blockMayMatch(h pvc.ScanHint, mins, maxs []pvc.Cell) bool {
 	if h.Col < 0 || h.Col >= len(mins) {
 		return true
 	}
 	lmin, lmax := mins[h.Col], maxs[h.Col]
-	if h.Cell != nil {
-		lo := lmin.Compare(*h.Cell)
-		hi := lmax.Compare(*h.Cell)
-		switch h.Th {
-		case value.EQ:
-			return lo <= 0 && hi >= 0
-		case value.NE:
-			return !(lo == 0 && hi == 0)
-		case value.LT:
-			return lo < 0
-		case value.LE:
-			return lo <= 0
-		case value.GT:
-			return hi > 0
-		case value.GE:
-			return hi >= 0
-		}
+	var rmin, rmax pvc.Cell
+	switch {
+	case h.Cell != nil:
+		rmin, rmax = *h.Cell, *h.Cell
+	case h.RightCol >= 0 && h.RightCol < len(mins):
+		rmin, rmax = mins[h.RightCol], maxs[h.RightCol]
+	default:
 		return true
 	}
-	if h.RightCol < 0 || h.RightCol >= len(mins) {
-		return true
-	}
-	rmin, rmax := mins[h.RightCol], maxs[h.RightCol]
 	switch h.Th {
+	case value.LT, value.LE:
+		return lmin.Satisfies(h.Th, rmax)
+	case value.GT, value.GE:
+		return lmax.Satisfies(h.Th, rmin)
 	case value.EQ:
-		return lmax.Compare(rmin) >= 0 && lmin.Compare(rmax) <= 0
+		return lmin.Satisfies(value.LE, rmax) && lmax.Satisfies(value.GE, rmin)
 	case value.NE:
-		return !(lmin.Compare(lmax) == 0 && rmin.Compare(rmax) == 0 && lmin.Compare(rmin) == 0)
-	case value.LT:
-		return lmin.Compare(rmax) < 0
-	case value.LE:
-		return lmin.Compare(rmax) <= 0
-	case value.GT:
-		return lmax.Compare(rmin) > 0
-	case value.GE:
-		return lmax.Compare(rmin) >= 0
+		// Fails only when both zones are the same single point.
+		return lmin.Satisfies(value.NE, lmax) || rmin.Satisfies(value.NE, rmax) || lmin.Satisfies(value.NE, rmin)
 	}
 	return true
 }

@@ -13,6 +13,7 @@ import (
 	"sync/atomic"
 
 	"pvcagg/internal/algebra"
+	"pvcagg/internal/expr"
 	"pvcagg/internal/faultfs"
 	"pvcagg/internal/obs"
 	"pvcagg/internal/prob"
@@ -76,7 +77,7 @@ type Store struct {
 	man      manifest
 	kind     algebra.SemiringKind
 	reg      *vars.Registry
-	varNames []string
+	varExprs []expr.Expr // ordinal → the variable, boxed once for every annotation that names it
 	tables   map[string]*Table
 	order    []string
 	metrics  Metrics
@@ -206,7 +207,7 @@ func (st *Store) loadVars() error {
 			return &CorruptError{File: varsName, Block: -1, Reason: fmt.Sprintf("bad variable record %q", name)}
 		}
 		st.reg.Declare(name, prob.FromPairs(pairs))
-		st.varNames = append(st.varNames, name)
+		st.varExprs = append(st.varExprs, expr.V(name))
 	}
 	return nil
 }
@@ -320,10 +321,11 @@ func (t *Table) TableStats() (pvc.TableStats, bool) {
 	return ts, true
 }
 
-// NewScan implements pvc.TableProvider: a batched block-granular scan
-// that skips blocks the zone maps prove cannot satisfy a hint, and —
-// when DropZero is set — blocks whose annotation summary proves every
-// row is annotated 0S.
+// NewScan implements pvc.TableProvider: a block-granular scan that skips
+// blocks the zone maps prove cannot satisfy a hint, drops the rows of a
+// read block that fail a hint, and — when DropZero is set — skips blocks
+// whose annotation summary proves every row is annotated 0S and drops
+// such rows. The tuples it returns have lent Cells (pvc.TupleIter).
 func (t *Table) NewScan(ctx context.Context, opts pvc.ScanOptions) (pvc.TupleIter, error) {
 	cols := opts.Cols
 	if cols == nil {
@@ -336,10 +338,6 @@ func (t *Table) NewScan(ctx context.Context, opts pvc.ScanOptions) (pvc.TupleIte
 		if c < 0 || c >= len(t.schema) {
 			return nil, fmt.Errorf("store: %s: column index %d out of range", t.meta.Name, c)
 		}
-	}
-	need := make([]bool, len(t.schema))
-	for _, c := range cols {
-		need[c] = true
 	}
 	retry := RetryFrom(ctx)
 	if retry == nil {
@@ -358,8 +356,9 @@ func (t *Table) NewScan(ctx context.Context, opts pvc.ScanOptions) (pvc.TupleIte
 	}
 	return &scanIter{
 		ctx: ctx, t: t, f: f, retry: retry, span: obs.SpanFrom(ctx),
-		cols: cols, need: need,
-		hints: opts.Hints, dropZero: opts.DropZero,
+		cols: cols, hints: opts.Hints, dropZero: opts.DropZero,
+		blk: newBlockVecs(t.schema, cols, opts.Hints),
+		row: make([]pvc.Cell, len(cols)),
 	}, nil
 }
 
@@ -369,6 +368,11 @@ func (t *Table) NewScan(ctx context.Context, opts pvc.ScanOptions) (pvc.TupleIte
 // allowed) or terminates the scan with a *PartialError — in both cases
 // the underlying file is released eagerly rather than waiting for
 // Close.
+//
+// Nothing is allocated per row: a block is decoded into the typed
+// vectors of blk, which the scan owns and refills for every block, and
+// Next copies the cells of one surviving row into row, the buffer every
+// returned tuple lends.
 type scanIter struct {
 	ctx      context.Context
 	t        *Table
@@ -376,13 +380,14 @@ type scanIter struct {
 	retry    *RetryState
 	span     *obs.Span // per-query trace counters; nil (no-op) untraced
 	cols     []int
-	need     []bool
 	hints    []pvc.ScanHint
 	dropZero bool
 
 	bi     int
-	batch  []pvc.Tuple
-	ri     int
+	buf    []byte // raw bytes of the current block
+	blk    *blockVecs
+	si     int        // next entry of blk.sel to hand out
+	row    []pvc.Cell // lent to the caller until the next Next or Close
 	closed bool
 }
 
@@ -404,10 +409,13 @@ func (it *scanIter) Next() (pvc.Tuple, bool, error) {
 		return pvc.Tuple{}, false, ErrClosed
 	}
 	for {
-		if it.ri < len(it.batch) {
-			t := it.batch[it.ri]
-			it.ri++
-			return t, true, nil
+		if it.si < len(it.blk.sel) {
+			i := int(it.blk.sel[it.si])
+			it.si++
+			for o, ci := range it.cols {
+				it.row[o] = it.blk.cell(ci, i)
+			}
+			return pvc.Tuple{Cells: it.row, Ann: it.blk.anns[i]}, true, nil
 		}
 		if err := it.ctx.Err(); err != nil {
 			it.release()
@@ -426,14 +434,8 @@ func (it *scanIter) Next() (pvc.Tuple, bool, error) {
 			// Close, surfacing any close error exactly once.
 			return pvc.Tuple{}, false, it.release()
 		}
-		var batch []pvc.Tuple
-		err := it.retry.do(it.ctx, func() error {
-			b, e := it.readBlock(it.bi)
-			if e == nil {
-				batch = b
-			}
-			return e
-		})
+		it.si = 0
+		err := it.retry.do(it.ctx, func() error { return it.readBlock(it.bi) })
 		if err != nil {
 			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 				it.release()
@@ -460,120 +462,45 @@ func (it *scanIter) Next() (pvc.Tuple, bool, error) {
 			it.release()
 			return pvc.Tuple{}, false, err
 		}
+		// Rows read are the rows decoded less the zero-annotated rows
+		// DropZero removed; the hints then filter blk.sel further.
+		rows := int64(len(it.blk.sel))
+		it.blk.filter(it.hints)
 		it.t.st.health.ok()
 		m.BlocksRead.Add(1)
 		m.BytesRead.Add(int64(it.t.meta.Blocks[it.bi].Len))
-		m.RowsRead.Add(int64(len(batch)))
+		m.RowsRead.Add(rows)
 		it.span.Add("store.blocks_read", 1)
 		it.span.Add("store.bytes_read", int64(it.t.meta.Blocks[it.bi].Len))
-		it.span.Add("store.rows_read", int64(len(batch)))
+		it.span.Add("store.rows_read", rows)
 		it.bi++
-		it.batch, it.ri = batch, 0
 	}
 }
 
-// readBlock reads, verifies, and decodes one block, materializing only
-// the needed columns.
-func (it *scanIter) readBlock(bi int) ([]pvc.Tuple, error) {
+// readBlock reads and verifies block bi into the scan's reused buffer and
+// decodes it into blk; on any error blk holds no row.
+func (it *scanIter) readBlock(bi int) error {
 	bm := it.t.meta.Blocks[bi]
-	corrupt := func(reason string) error {
-		return &CorruptError{File: it.t.meta.File, Block: bi, Reason: reason}
-	}
+	it.blk.sel = it.blk.sel[:0]
 	if it.f == nil {
-		return nil, ErrClosed
+		return ErrClosed
 	}
-	buf := make([]byte, bm.Len)
+	if cap(it.buf) < bm.Len {
+		it.buf = make([]byte, bm.Len)
+	}
+	buf := it.buf[:bm.Len]
 	if _, err := it.f.ReadAt(buf, bm.Off); err != nil {
 		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
 			// Truncation is damage, not a blip.
-			return nil, corrupt(fmt.Sprintf("read %d bytes at %d: %v", bm.Len, bm.Off, err))
+			return &CorruptError{File: it.t.meta.File, Block: bi, Reason: fmt.Sprintf("read %d bytes at %d: %v", bm.Len, bm.Off, err)}
 		}
 		// Preserve the chain so IsTransient can classify it.
-		return nil, fmt.Errorf("store: %s: block %d: read %d bytes at %d: %w", it.t.meta.File, bi, bm.Len, bm.Off, err)
+		return fmt.Errorf("store: %s: block %d: read %d bytes at %d: %w", it.t.meta.File, bi, bm.Len, bm.Off, err)
 	}
-	if len(buf) < len(blockMagic)+4 || string(buf[:len(blockMagic)]) != blockMagic {
-		return nil, corrupt("bad magic")
+	if err := it.blk.decode(buf, bm.Rows, it.t.st.varExprs, it.dropZero); err != nil {
+		return &CorruptError{File: it.t.meta.File, Block: bi, Reason: err.Error()}
 	}
-	body, tail := buf[:len(buf)-4], buf[len(buf)-4:]
-	if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(tail) {
-		return nil, corrupt("checksum mismatch")
-	}
-	r := &reader{buf: body, pos: len(blockMagic)}
-	nrows, err := r.uvarint()
-	if err != nil {
-		return nil, corrupt(err.Error())
-	}
-	if int(nrows) != bm.Rows {
-		return nil, corrupt(fmt.Sprintf("row count %d does not match index entry %d", nrows, bm.Rows))
-	}
-	ncols, err := r.uvarint()
-	if err != nil {
-		return nil, corrupt(err.Error())
-	}
-	if int(ncols) != len(it.t.schema) {
-		return nil, corrupt(fmt.Sprintf("column count %d does not match schema arity %d", ncols, len(it.t.schema)))
-	}
-	colCells := make([][]pvc.Cell, len(it.t.schema))
-	for ci := range it.t.schema {
-		seglen, err := r.uvarint()
-		if err != nil {
-			return nil, corrupt(err.Error())
-		}
-		seg, err := r.bytes(seglen)
-		if err != nil {
-			return nil, corrupt(err.Error())
-		}
-		if !it.need[ci] {
-			continue
-		}
-		cells := make([]pvc.Cell, nrows)
-		sr := &reader{buf: seg}
-		if it.t.schema[ci].Type == pvc.TValue {
-			for i := range cells {
-				v, err := sr.value()
-				if err != nil {
-					return nil, corrupt(fmt.Sprintf("column %s: %v", it.t.schema[ci].Name, err))
-				}
-				cells[i] = pvc.ValueCell(v)
-			}
-		} else {
-			for i := range cells {
-				s, err := sr.string()
-				if err != nil {
-					return nil, corrupt(fmt.Sprintf("column %s: %v", it.t.schema[ci].Name, err))
-				}
-				cells[i] = pvc.StringCell(s)
-			}
-		}
-		colCells[ci] = cells
-	}
-	seglen, err := r.uvarint()
-	if err != nil {
-		return nil, corrupt(err.Error())
-	}
-	seg, err := r.bytes(seglen)
-	if err != nil {
-		return nil, corrupt(err.Error())
-	}
-	sr := &reader{buf: seg}
-	out := make([]pvc.Tuple, 0, nrows)
-	for i := 0; i < int(nrows); i++ {
-		ann, err := sr.ann(it.t.st.varNames)
-		if err != nil {
-			return nil, corrupt(fmt.Sprintf("annotation: %v", err))
-		}
-		if it.dropZero {
-			if _, zero := annClass(ann); zero {
-				continue
-			}
-		}
-		cells := make([]pvc.Cell, len(it.cols))
-		for o, ci := range it.cols {
-			cells[o] = colCells[ci][i]
-		}
-		out = append(out, pvc.Tuple{Cells: cells, Ann: ann})
-	}
-	return out, nil
+	return nil
 }
 
 // release closes the underlying file once; later calls are no-ops.
@@ -591,6 +518,6 @@ func (it *scanIter) Close() error {
 		return nil
 	}
 	it.closed = true
-	it.batch = nil
+	it.blk.sel = nil
 	return it.release()
 }

@@ -48,7 +48,9 @@ func writeFixture(t *testing.T, rows, capacity int) string {
 	return dir
 }
 
-func drain(t *testing.T, it pvc.TupleIter) []pvc.Tuple {
+// collect drains it, cloning every tuple: a scan lends its row buffer
+// only until the next Next.
+func collect(t *testing.T, it pvc.TupleIter) []pvc.Tuple {
 	t.Helper()
 	var out []pvc.Tuple
 	for {
@@ -59,7 +61,7 @@ func drain(t *testing.T, it pvc.TupleIter) []pvc.Tuple {
 		if !ok {
 			return out
 		}
-		out = append(out, tup)
+		out = append(out, tup.Clone())
 	}
 }
 
@@ -84,7 +86,7 @@ func TestRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer it.Close()
-	tuples := drain(t, it)
+	tuples := collect(t, it)
 	if len(tuples) != 100 {
 		t.Fatalf("scanned %d rows, want 100", len(tuples))
 	}
@@ -116,7 +118,7 @@ func TestEmptyTable(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := drain(t, it); len(got) != 0 {
+		if got := collect(t, it); len(got) != 0 {
 			t.Errorf("%s: scanned %d rows from empty table", name, len(got))
 		}
 		it.Close()
@@ -162,7 +164,7 @@ func TestProjectionAndSkipping(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer it.Close()
-	tuples := drain(t, it)
+	tuples := collect(t, it)
 	// Blocks are pruned, not rows: the id = 80..95 block plus the tail.
 	if len(tuples) != 20 {
 		t.Errorf("scanned %d rows, want 20 (blocks 5-6)", len(tuples))
@@ -397,7 +399,7 @@ func TestCrashConsistency(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer it.Close()
-	if got := drain(t, it); len(got) != 20 {
+	if got := collect(t, it); len(got) != 20 {
 		t.Fatalf("scanned %d rows, want 20", len(got))
 	}
 }
@@ -539,7 +541,7 @@ func TestAnnotationsAndVarsRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer it.Close()
-	tuples := drain(t, it)
+	tuples := collect(t, it)
 	want := []string{"1", "t0", "t1", "(t2*t0)", "0"}
 	if len(tuples) != len(want) {
 		t.Fatalf("got %d rows, want %d", len(tuples), len(want))
@@ -555,7 +557,7 @@ func TestAnnotationsAndVarsRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer it2.Close()
-	if got := drain(t, it2); len(got) != len(want)-1 {
+	if got := collect(t, it2); len(got) != len(want)-1 {
 		t.Errorf("DropZero scanned %d rows, want %d", len(got), len(want)-1)
 	}
 }

@@ -17,21 +17,25 @@ const (
 )
 
 // Apply evaluates a θ b in the total order of extended integers.
-func (t Theta) Apply(a, b V) bool {
-	c := a.Cmp(b)
+func (t Theta) Apply(a, b V) bool { return t.Holds(a.Cmp(b)) }
+
+// Holds reports whether a θ b given cmp, the three-way comparison of a
+// with b in whatever total order the operands live in (negative, zero or
+// positive). Every θ evaluation in the module reduces to it.
+func (t Theta) Holds(cmp int) bool {
 	switch t {
 	case EQ:
-		return c == 0
+		return cmp == 0
 	case NE:
-		return c != 0
+		return cmp != 0
 	case LE:
-		return c <= 0
+		return cmp <= 0
 	case GE:
-		return c >= 0
+		return cmp >= 0
 	case LT:
-		return c < 0
+		return cmp < 0
 	case GT:
-		return c > 0
+		return cmp > 0
 	default:
 		panic(fmt.Sprintf("value: invalid Theta(%d)", int(t)))
 	}

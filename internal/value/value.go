@@ -189,6 +189,14 @@ func (v V) String() string {
 	}
 }
 
+// Append appends the String rendering of v to b.
+func (v V) Append(b []byte) []byte {
+	if v.inf == finite {
+		return strconv.AppendInt(b, v.n, 10)
+	}
+	return append(b, v.String()...)
+}
+
 // Parse parses the textual forms produced by String, plus "true"/"false"
 // for the Boolean embedding.
 func Parse(s string) (V, error) {

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"pvcagg"
+	"pvcagg/internal/pvc/pvctest"
 	"pvcagg/internal/server"
 	"pvcagg/internal/store"
 	"pvcagg/internal/tpch"
@@ -78,6 +79,10 @@ func TestStoreMatchesInMemory(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := mirrorToStore(t, db, 64) // small blocks: many skip decisions
+	// The third backend lends and poisons its rows (pvctest.Lender): the
+	// whole facade path — PVQL, optimizer, step I, step II — holds the
+	// lent-row contract, not only the engine's own loops.
+	lent := pvctest.LendingDatabase(db)
 	queries := []string{
 		"SELECT l_returnflag, l_linestatus, COUNT(*) AS n FROM lineitem WHERE l_shipdate <= 1200 GROUP BY l_returnflag, l_linestatus",
 		"SELECT l_returnflag, COUNT(*) AS n FROM lineitem WHERE l_shipdate <= 100 GROUP BY l_returnflag",
@@ -95,13 +100,19 @@ func TestStoreMatchesInMemory(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s (store): %v", q, err)
 		}
-		mem, disk := collectKeys(t, memRes), collectKeys(t, stRes)
-		if len(mem) != len(disk) {
-			t.Fatalf("%s: %d answers in memory, %d from store", q, len(mem), len(disk))
+		lentRes, err := pvcagg.ExecQuery(context.Background(), lent, q)
+		if err != nil {
+			t.Fatalf("%s (lender): %v", q, err)
 		}
-		for k, n := range mem {
-			if disk[k] != n {
-				t.Errorf("%s: answer %s ×%d in memory, ×%d from store", q, k, n, disk[k])
+		mem := collectKeys(t, memRes)
+		for backend, got := range map[string]map[string]int{"store": collectKeys(t, stRes), "lender": collectKeys(t, lentRes)} {
+			if len(mem) != len(got) {
+				t.Fatalf("%s: %d answers in memory, %d from %s", q, len(mem), len(got), backend)
+			}
+			for k, n := range mem {
+				if got[k] != n {
+					t.Errorf("%s: answer %s ×%d in memory, ×%d from %s", q, k, n, got[k], backend)
+				}
 			}
 		}
 	}
