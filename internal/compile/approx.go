@@ -499,6 +499,12 @@ func (ax *approximator) classify(e expr.Expr) (*anode, error) {
 			return ax.split(nkOr, groups, func(g []expr.Expr) expr.Expr { return expr.Sum(g...) })
 		}
 	case expr.Mul:
+		// The same product-level pruning the exact compiler starts with.
+		if !ax.opts.Compile.DisablePruning {
+			if pruned, n := pruneProduct(ax.s, ax.reg, t.Factors); n > 0 {
+				return ax.classify(pruned)
+			}
+		}
 		if groups := components(t.Factors); len(groups) > 1 {
 			return ax.split(nkAnd, groups, func(g []expr.Expr) expr.Expr { return expr.Product(g...) })
 		}

@@ -9,7 +9,12 @@
 //  3. products split into independent factor groups;
 //  4. tensors Φ ⊗ α split when scalar and module sides are independent;
 //  5. comparisons [Φ θ Ψ] split when the sides are independent, after the
-//     pruning rules for conditional expressions have been applied;
+//     pruning rules for conditional expressions have been applied — to
+//     a comparison alone, and before rule 3 to a product's factors
+//     together (prune.go): a guard [ΣΨj ≠ 0] beside [ΣΦi⊗αi θ c] with
+//     {Φi} ⊆ {Ψj} and [0M θ c] false is implied by it and dropped, and
+//     any comparison whose interval decides it becomes a constant, so σ
+//     over an aggregate costs at most one ⊔ per variable, not 2ⁿ−1;
 //  6. otherwise a variable is eliminated by Shannon (mutex) expansion ⊔x,
 //     choosing by default the variable with most occurrences.
 //
@@ -75,6 +80,7 @@ type Stats struct {
 	Factorings    int // read-once common-variable factorings
 	Shannon       int // ⊔x expansions
 	PrunedTerms   int // semimodule terms removed by pruning rules
+	PrunedGuards  int // product factors dropped as implied or decided (pruneProduct)
 	CacheHits     int // memo hits
 	Nodes         int // d-tree nodes created
 }
@@ -470,6 +476,12 @@ func removeFactor(t expr.Expr, x expr.VarID, module bool) (expr.Expr, bool) {
 // compileProduct applies rule 2: split the factors of a product into
 // independent groups.
 func (c *Compiler) compileProduct(m expr.Mul, whole expr.Expr) (dtree.Node, error) {
+	if !c.opts.DisablePruning {
+		if pruned, n := pruneProduct(c.s, c.reg, m.Factors); n > 0 {
+			c.st.PrunedGuards += n
+			return c.compile(pruned)
+		}
+	}
 	groups := components(m.Factors)
 	if len(groups) > 1 {
 		c.st.ProductSplits += len(groups) - 1

@@ -11,36 +11,150 @@ import (
 // This file implements the "Pruning Conditional Expressions" optimisation
 // of Section 5: algebraic rules that remove redundant semimodule terms
 // from comparisons, interval analysis that decides comparisons outright,
-// and the distribution caps that bound convolution sizes during d-tree
-// evaluation. The functions are free of compiler state so the exact and
-// anytime engines share them; the second result of pruneCmp is the
-// number of dropped terms, which the caller accounts.
+// the distribution caps that bound convolution sizes during d-tree
+// evaluation, and pruneProduct, which judges a comparison next to its
+// sibling factors. The functions are free of compiler state so the exact
+// and anytime engines share them; the callers account the counts they
+// return (terms dropped by pruneCmp, factors removed by pruneProduct).
+//
+// pruneProduct applies two rules to the factors of a product:
+//
+//	(a) Implied guard. A factor [Ψ1+…+Ψm ≠ 0] (or [Ψ ≠ 0]) is dropped
+//	    when a sibling [Φ1⊗α1 +M … +M Φn⊗αn θ c] has every term a tensor,
+//	    {Φi} ⊆ {Ψj} up to expr.Equal and [0M θ c] false, and scalarBounds
+//	    bounds the guard's sum (no negative constant or support). The
+//	    comparison true ⇒ the module sum ≠ 0M ⇒ some Φi ≠ 0 (0S⊗α = 0M)
+//	    ⇒ the guard's sum has a non-zero summand that nothing cancels (B
+//	    and N are positive semirings) ⇒ the guard true.
+//	(b) Decided comparison. A factor [Φ θ c] or [α θ c] whose left-side
+//	    interval (scalarBounds, bounds) decides θ against c alike in every
+//	    world becomes that constant: [(Φ+1) ≠ 0] ≡ 1S as soon as a
+//	    Shannon branch sets one summand of a guard.
 
 // pruneCmp rewrites [α θ β] into an equivalent comparison with redundant
 // terms removed, reporting how many terms were dropped. Equivalence is
 // with respect to the comparison's distribution, not the operand's.
 func pruneCmp(s algebra.Semiring, reg *vars.Registry, cm expr.Cmp) (expr.Expr, int) {
-	l, r := cm.L, cm.R
-	th := cm.Th
-	// Normalise a constant left side to the right: [c θ α] ≡ [α θ.Flip() c].
-	if isConst(l) && !isConst(r) {
-		l, r = r, l
-		th = th.Flip()
-	}
-	if cv, ok := constOf(r); ok && l.Kind() == expr.KindModule {
+	l, r, th := orient(cm)
+	if cv, ok := constOf(r); ok {
 		// Interval analysis: if every world's value of l decides θ against
 		// cv the same way, the comparison is constant (subsumes the
 		// paper's SUM rule "≡ 1S if Σ mi ≤ m").
-		if lo, hi, ok := bounds(s, reg, l); ok {
-			if decided, res := decide(th, lo, hi, cv); decided {
-				return expr.Const{V: boolTo(s, res)}, 0
-			}
+		if decided, res := decideCmp(s, reg, l, th, cv); decided {
+			return expr.Const{V: boolTo(s, res)}, 0
 		}
 		if pruned, dropped, ok := pruneTerms(l, th, cv); ok {
 			return expr.Cmp{Th: th, L: pruned, R: r}, dropped
 		}
 	}
 	return expr.Cmp{Th: th, L: l, R: r}, 0
+}
+
+// orient returns the sides of cm with a lone constant side on the right:
+// [c θ α] ≡ [α θ.Flip() c].
+func orient(cm expr.Cmp) (l, r expr.Expr, th value.Theta) {
+	if isConst(cm.L) && !isConst(cm.R) {
+		return cm.R, cm.L, cm.Th.Flip()
+	}
+	return cm.L, cm.R, cm.Th
+}
+
+// decideCmp reports whether, and how, interval analysis decides [l θ cv]
+// for every world: bounds for a module l, scalarBounds for a semiring l.
+func decideCmp(s algebra.Semiring, reg *vars.Registry, l expr.Expr, th value.Theta, cv value.V) (decided, res bool) {
+	interval := bounds
+	if l.Kind() == expr.KindSemiring {
+		interval, cv = scalarBounds, s.Normalise(cv) // cv as Eval reads it
+	}
+	lo, hi, ok := interval(s, reg, l)
+	if !ok {
+		return false, false
+	}
+	return decide(th, lo, hi, cv)
+}
+
+// pruneProduct applies rules (a) and (b) above to the factors of a
+// simplified product, returning the equivalent simplified expression and
+// the number of factors removed — 0 if neither rule fired.
+func pruneProduct(s algebra.Semiring, reg *vars.Registry, factors []expr.Expr) (expr.Expr, int) {
+	var kept []expr.Expr
+	removed := 0
+	for i, f := range factors {
+		drop := false
+		if cm, ok := f.(expr.Cmp); ok {
+			l, r, th := orient(cm)
+			if cv, ok := constOf(r); ok {
+				decided, res := decideCmp(s, reg, l, th, cv)
+				if decided && !res {
+					return expr.Const{V: s.Zero()}, 1
+				}
+				drop = decided || (th == value.NE && l.Kind() == expr.KindSemiring &&
+					s.Normalise(cv).IsZero() && impliedGuard(s, reg, l, factors))
+			}
+		}
+		if drop {
+			if removed++; removed == 1 {
+				kept = append(make([]expr.Expr, 0, len(factors)-1), factors[:i]...)
+			}
+		} else if removed > 0 {
+			kept = append(kept, f)
+		}
+	}
+	if removed == 0 {
+		return nil, 0
+	}
+	if len(kept) == 0 {
+		return expr.Const{V: s.One()}, removed
+	}
+	return expr.Product(kept...), removed
+}
+
+// impliedGuard reports whether the guard [sum ≠ 0] follows from one of
+// its sibling factors by rule (a).
+func impliedGuard(s algebra.Semiring, reg *vars.Registry, sum expr.Expr, factors []expr.Expr) bool {
+	psis := []expr.Expr{sum}
+	if a, ok := sum.(expr.Add); ok {
+		psis = a.Terms
+	}
+	for _, f := range factors {
+		cm, ok := f.(expr.Cmp)
+		if !ok {
+			continue
+		}
+		l, r, th := orient(cm)
+		cv, ok := constOf(r)
+		agg, isMod := moduleAgg(l)
+		if !ok || !isMod || th.Apply(algebra.MonoidFor(agg).Neutral(), cv) {
+			continue
+		}
+		terms := []expr.Expr{l}
+		if a, ok := l.(expr.AggSum); ok {
+			terms = a.Terms
+		}
+		if scalarsAmong(terms, psis) {
+			_, _, ok := scalarBounds(s, reg, sum)
+			return ok
+		}
+	}
+	return false
+}
+
+// scalarsAmong reports whether every term is a tensor with a scalar among
+// psis; a search resumes after the last match (linear for aligned sums).
+func scalarsAmong(terms, psis []expr.Expr) bool {
+	next := 0
+	for _, t := range terms {
+		tensor, ok := t.(expr.Tensor)
+		k := 0
+		for ok && k < len(psis) && !expr.Equal(tensor.Scalar, psis[(next+k)%len(psis)]) {
+			k++
+		}
+		if !ok || k == len(psis) {
+			return false
+		}
+		next = (next + k + 1) % len(psis)
+	}
+	return true
 }
 
 // pruneTerms applies the monoid-specific term-pruning rules against the
@@ -212,7 +326,7 @@ func scalarBounds(s algebra.Semiring, reg *vars.Registry, e expr.Expr) (value.V,
 		}
 		return v, v, true
 	case expr.Var:
-		d, err := reg.Dist(n.Name)
+		d, err := reg.DistByID(n.ID())
 		if err != nil {
 			return value.V{}, value.V{}, false
 		}

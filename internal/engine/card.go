@@ -45,17 +45,18 @@ func Estimate(p Plan, db *pvc.Database) CardEstimate {
 }
 
 // Estimator estimates plan cardinalities over one database, memoising
-// the per-relation row/distinct statistics (which cost a full scan of
-// the stored tuples) across calls. Safe for concurrent use: the stats
-// memo is mutex-guarded, so one Estimator can serve many goroutines —
-// the query service optimizes and estimates cached plans concurrently.
+// the statistics of provider-backed tables across calls (an in-memory
+// relation caches its own, pvc.Relation.Stats). Safe for concurrent use:
+// the stats memo is mutex-guarded, so one Estimator can serve many
+// goroutines — the query service optimizes and estimates cached plans
+// concurrently.
 // The returned CardEstimate values (including their Distinct maps) must
 // be treated as read-only by callers. The database must not gain or lose
 // tuples while the Estimator is in use.
 type Estimator struct {
 	db *pvc.Database
 	mu sync.Mutex
-	// scans memoises per-relation statistics. Guarded by mu; the stored
+	// scans memoises per-provider statistics. Guarded by mu; the stored
 	// estimates are never mutated after insertion, so returning them
 	// outside the lock is safe.
 	scans map[string]CardEstimate
@@ -88,9 +89,7 @@ func (e *Estimator) Estimate(p Plan) CardEstimate {
 		if err != nil {
 			return CardEstimate{Rows: 1, Distinct: map[string]float64{}}
 		}
-		est := scanEstimate(rel)
-		e.scans[n.Table] = est
-		return est
+		return scanEstimate(rel) // cached on the relation itself
 	case *Rename:
 		in := e.Estimate(n.Input)
 		out := CardEstimate{Rows: in.Rows, Distinct: make(map[string]float64, len(in.Distinct))}
@@ -224,20 +223,12 @@ func providerEstimate(p pvc.TableProvider) CardEstimate {
 	return out
 }
 
-// scanEstimate reads exact row and distinct counts off a stored relation.
+// scanEstimate reads row and distinct counts off a stored relation's
+// cached statistics (pvc.Relation.Stats), so only the first query over a
+// table pays the pass over its cells.
 func scanEstimate(rel *pvc.Relation) CardEstimate {
-	out := CardEstimate{Rows: float64(rel.Len()), Distinct: make(map[string]float64, len(rel.Schema))}
-	for i, col := range rel.Schema {
-		if col.Type == pvc.TModule {
-			continue
-		}
-		seen := map[string]bool{}
-		for _, t := range rel.Tuples {
-			seen[t.Cells[i].Key()] = true
-		}
-		out.Distinct[col.Name] = float64(len(seen))
-	}
-	return out
+	st := rel.Stats()
+	return CardEstimate{Rows: float64(st.Rows), Distinct: st.Distinct}
 }
 
 // atomSelectivity estimates the fraction of rows one comparison keeps.

@@ -128,8 +128,9 @@ func opName(p Plan) string {
 	return fmt.Sprintf("%T", p)
 }
 
-// planChildren returns a plan node's inputs in evaluation order.
-func planChildren(p Plan) []Plan {
+// Children returns a plan node's inputs in evaluation order (none for a
+// Scan, or for an operator this package does not know).
+func Children(p Plan) []Plan {
 	switch n := p.(type) {
 	case *Rename:
 		return []Plan{n.Input}
@@ -201,7 +202,7 @@ func explainEst(est *Estimator, p Plan) *ExplainNode {
 	if s, ok := p.(*Scan); ok {
 		n.Name = s.Table
 	}
-	for _, k := range planChildren(p) {
+	for _, k := range Children(p) {
 		n.Children = append(n.Children, explainEst(est, k))
 	}
 	return n
@@ -312,7 +313,7 @@ func (a *analyzeEvaluator) eval(db *pvc.Database, p Plan) (*pvc.Relation, *Expla
 	if err := a.ctx.Err(); err != nil {
 		return nil, nil, err
 	}
-	kids := planChildren(p)
+	kids := Children(p)
 	node := &ExplainNode{Op: opName(p), EstRows: a.est.Estimate(p).Rows}
 	q := p
 	if len(kids) > 0 {

@@ -1,6 +1,7 @@
 package expr
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"unicode"
@@ -20,7 +21,9 @@ import (
 // Aggregation names are min, max, sum, prod, count (case-insensitive).
 // Numeric literals are coerced to the sort their position requires
 // (monoid constants inside aggregation sums and on the constant side of a
-// comparison against a semimodule expression).
+// comparison against a semimodule expression). Input nested deeper than
+// maxParseDepth parentheses, brackets and aggregation calls is rejected
+// with ErrTooDeep.
 func Parse(input string) (Expr, error) {
 	p := &parser{lex: newLexer(input)}
 	if err := p.next(); err != nil {
@@ -39,6 +42,19 @@ func Parse(input string) (Expr, error) {
 	}
 	return e, nil
 }
+
+// ErrTooDeep is wrapped by Parse's error for input nested deeper than
+// maxParseDepth. The parser is recursive descent and its input arrives
+// from disk (store annotation records) and from callers (ParseExpr):
+// without the limit a megabyte of '(' is a fatal, unrecoverable stack
+// overflow rather than an error.
+var ErrTooDeep = errors.New("expression nested too deeply")
+
+// maxParseDepth bounds the nesting Parse accepts. String renders one
+// pair of delimiters per composite node, so everything the engine builds
+// from a query plan (nesting of a few dozen) reads back with room to
+// spare, and the recursion stays within a megabyte of stack.
+const maxParseDepth = 1000
 
 // MustParse is Parse for known-good literals in tests and examples.
 func MustParse(input string) Expr {
@@ -214,8 +230,9 @@ func isIdentStart(c byte) bool { return c == '_' || unicode.IsLetter(rune(c)) }
 func isIdentPart(c byte) bool  { return isIdentStart(c) || isDigit(c) }
 
 type parser struct {
-	lex *lexer
-	tok token
+	lex   *lexer
+	tok   token
+	depth int // parseTop calls on the stack
 }
 
 func (p *parser) next() error {
@@ -227,8 +244,21 @@ func (p *parser) next() error {
 	return nil
 }
 
-// parseTop parses addExpr optionally followed by a tensor '@agg modAtom'.
+// parseTop parses one nesting level, the one place the grammar recurses:
+// the whole input, the inside of ( ) and [ ], and each argument of an
+// aggregation call.
 func (p *parser) parseTop() (Expr, error) {
+	if p.depth > maxParseDepth {
+		return nil, fmt.Errorf("expr: nesting deeper than %d at offset %d: %w", maxParseDepth, p.tok.pos, ErrTooDeep)
+	}
+	p.depth++
+	e, err := p.parseTensor()
+	p.depth--
+	return e, err
+}
+
+// parseTensor parses addExpr optionally followed by a tensor '@agg modAtom'.
+func (p *parser) parseTensor() (Expr, error) {
 	l, err := p.parseAdd()
 	if err != nil {
 		return nil, err

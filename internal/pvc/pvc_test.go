@@ -321,3 +321,39 @@ func TestCompareOrder(t *testing.T) {
 		t.Errorf("string Compare allocates %v times", n)
 	}
 }
+
+// TestRelationStats: statistics are computed once, recomputed when the
+// row count moves, and forgotten by Database.Add — the one hook a caller
+// that rewrites tuples in place has.
+func TestRelationStats(t *testing.T) {
+	r := NewRelation("S", append(supplierSchema(), Col{Name: "q", Type: TModule}))
+	for i, shop := range []string{"M&S", "M&S", "Gap"} {
+		r.MustInsert(nil, IntCell(int64(i)), StringCell(shop), ExprCell(expr.MustParse("x @min 5")))
+	}
+	st := r.Stats()
+	if st.Rows != 3 || st.Distinct["sid"] != 3 || st.Distinct["shop"] != 2 {
+		t.Errorf("stats %+v, want 3 rows, 3 sids, 2 shops", st)
+	}
+	if _, ok := st.Distinct["q"]; ok {
+		t.Error("module column has a distinct count")
+	}
+	if r.Stats() != st {
+		t.Error("second call recomputed the statistics")
+	}
+	r.MustInsert(nil, IntCell(9), StringCell("H&M"), ExprCell(expr.MustParse("x @min 5")))
+	if st2 := r.Stats(); st2.Rows != 4 || st2.Distinct["shop"] != 3 {
+		t.Errorf("after an insert: %+v", st2)
+	}
+	// Same number of rows, different values: stale until added again.
+	r.Tuples[3].Cells[1] = StringCell("Gap")
+	if got := r.Stats().Distinct["shop"]; got != 3 {
+		t.Errorf("in-place rewrite changed cached stats to %v", got)
+	}
+	NewDatabase(algebra.Boolean).Add(r)
+	if got := r.Stats().Distinct["shop"]; got != 2 {
+		t.Errorf("after Add: %v distinct shops, want 2", got)
+	}
+	if r.Clone().Stats() == r.Stats() {
+		t.Error("a clone shares its original's statistics")
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync/atomic"
 
 	"pvcagg/internal/algebra"
 	"pvcagg/internal/expr"
@@ -69,6 +70,40 @@ type Relation struct {
 	Name   string
 	Schema Schema
 	Tuples []Tuple
+	stats  atomic.Pointer[Stats] // see Stats; nil until first asked for
+}
+
+// Stats are a relation's optimizer statistics: its row count and the
+// number of distinct values of every non-module column. The maps are
+// shared between callers and must not be written.
+type Stats struct {
+	Rows     int
+	Distinct map[string]float64
+}
+
+// Stats returns the relation's statistics, computing them (one pass over
+// every cell) on first use and again whenever the row count has changed
+// since; Database.Add forgets them too. They are advisory: code that
+// rewrites Tuples in place without changing their number sees stale
+// counts until the relation is added again, which can cost the optimizer
+// a worse join order or a mis-sized hash table, never a wrong answer.
+func (r *Relation) Stats() *Stats {
+	if st := r.stats.Load(); st != nil && st.Rows == len(r.Tuples) {
+		return st
+	}
+	st := &Stats{Rows: len(r.Tuples), Distinct: make(map[string]float64, len(r.Schema))}
+	for i, col := range r.Schema {
+		if col.Type == TModule {
+			continue
+		}
+		seen := map[string]struct{}{}
+		for _, t := range r.Tuples {
+			seen[t.Cells[i].Key()] = struct{}{}
+		}
+		st.Distinct[col.Name] = float64(len(seen))
+	}
+	r.stats.Store(st)
+	return st
 }
 
 // NewRelation returns an empty pvc-table.
@@ -192,8 +227,10 @@ func NewDatabase(kind algebra.SemiringKind) *Database {
 // Semiring returns the database's valuation semiring.
 func (db *Database) Semiring() algebra.Semiring { return algebra.SemiringFor(db.Kind) }
 
-// Add registers a relation (replacing any previous one of the same name).
+// Add registers a relation (replacing any previous one of the same name)
+// and forgets its cached Stats.
 func (db *Database) Add(r *Relation) {
+	r.stats.Store(nil)
 	if _, ok := db.rels[r.Name]; !ok {
 		db.order = append(db.order, r.Name)
 	}

@@ -464,12 +464,13 @@ func TestPlanCacheAndStats(t *testing.T) {
 
 // TestAnytimeAnswerRepeats: an answer is a function of the query and the
 // database — not of what other requests the server has seen. The probe is
-// an anytime query whose bounds stay open at ε = 0.1 (so they depend on
-// exactly which leaf closures fit their node budgets); it is asked of a
-// fresh server and again after 52 mixed requests, some over the same
-// lineitems, have run concurrently. A node cache carried across requests
-// makes the second answer tighter than the first; without one the two are
-// bit-identical.
+// an anytime query that is hard by construction — a self-join of partsupp
+// ("suppliers of two of the first c parts"), never hierarchical — so its
+// bounds stay open at ε = 0.1 and depend on exactly which leaf closures
+// fit their node budgets; it is asked of a fresh server and again after 52
+// mixed requests, some over the same partsupps, have run concurrently. A
+// node cache carried across requests makes the second answer tighter than
+// the first; without one the two are bit-identical.
 func TestAnytimeAnswerRepeats(t *testing.T) {
 	db, err := tpch.Generate(tpch.Config{SF: 0.002, Seed: 1, Probabilistic: true})
 	if err != nil {
@@ -481,8 +482,9 @@ func TestAnytimeAnswerRepeats(t *testing.T) {
 	srv := httptest.NewServer(New(db, Config{Workers: clients}).Handler())
 	defer srv.Close()
 
-	const sigma = `SELECT l_returnflag FROM (SELECT l_returnflag, SUM(l_quantity) AS q FROM lineitem WHERE l_orderkey <= %d GROUP BY l_returnflag) WHERE q >= %d`
-	probe := QueryRequest{Query: fmt.Sprintf(sigma, 8, 200), Mode: "anytime", Eps: 0.1}
+	const selfJoin = `SELECT ps_suppkey FROM (SELECT ps_partkey AS p1, ps_suppkey FROM partsupp WHERE ps_partkey <= %[1]d)` +
+		` JOIN (SELECT ps_partkey AS p2, ps_suppkey FROM partsupp WHERE ps_partkey <= %[1]d) WHERE p1 < p2`
+	probe := QueryRequest{Query: fmt.Sprintf(selfJoin, 70), Mode: "anytime", Eps: 0.1}
 	ask := func() []QueryRow {
 		t.Helper()
 		status, qr, msg := post(t, srv.Client(), srv.URL, probe)
@@ -505,8 +507,8 @@ func TestAnytimeAnswerRepeats(t *testing.T) {
 	seed := int64(7)
 	others := []QueryRequest{
 		{Query: probe.Query, Mode: "exact"},
-		{Query: fmt.Sprintf(sigma, 8, 150), Mode: "anytime", Eps: 0.05},
-		{Query: fmt.Sprintf(sigma, 6, 150), Mode: "exact"},
+		{Query: probe.Query, Mode: "anytime", Eps: 0.05},
+		{Query: fmt.Sprintf(selfJoin, 50), Mode: "exact"},
 		{Query: `SELECT l_returnflag, SUM(l_quantity) AS q FROM lineitem WHERE l_orderkey <= 8 GROUP BY l_returnflag`},
 		{Query: `SELECT l_returnflag, l_linestatus, COUNT(*) AS n FROM lineitem WHERE l_orderkey <= 40 GROUP BY l_returnflag, l_linestatus`, Mode: "exact"},
 		{Query: `SELECT l_linenumber, l_quantity FROM lineitem WHERE l_orderkey = 3`, Mode: "sample", Seed: &seed, Samples: 200},

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 
 	"pvcagg/internal/algebra"
@@ -79,6 +80,69 @@ func fuzzFixture(tb testing.TB) (*Table, [][]byte) {
 	return tab, blocks
 }
 
+// sealBlock returns body with its CRC trailer.
+func sealBlock(body []byte) []byte {
+	return binary.LittleEndian.AppendUint32(append([]byte(nil), body...), crc32.ChecksumIEEE(body))
+}
+
+// twoBlockScan returns a scan of tab's schema over a file holding first,
+// a valid block of tab, followed by second, indexed as holding rows rows.
+func twoBlockScan(tab *Table, first, second []byte, rows int) *scanIter {
+	meta := *tab.meta
+	meta.Blocks = []blockMeta{
+		{Rows: tab.meta.Blocks[0].Rows, Off: 0, Len: len(first)},
+		{Rows: rows, Off: int64(len(first)), Len: len(second)},
+	}
+	two := &Table{st: tab.st, meta: &meta, schema: tab.schema,
+		mins: [][]pvc.Cell{tab.mins[0], tab.mins[0]}, maxs: [][]pvc.Cell{tab.maxs[0], tab.maxs[0]}}
+	cols := []int{2, 1, 0}
+	return &scanIter{
+		ctx: context.Background(), t: two, f: memFile(append(append([]byte(nil), first...), second...)),
+		retry: NewRetryState(RetryPolicy{MaxAttempts: 1}), cols: cols,
+		blk: newBlockVecs(two.schema, cols, nil), row: make([]pvc.Cell, len(cols)),
+	}
+}
+
+// TestTooDeepAnnotationIsCorrupt: a CRC-valid block whose annotation
+// record is a million nested parentheses — which used to kill the process
+// in expr.Parse — scans to ErrCorrupt after the rows of the block before
+// it, with an error that does not echo the record.
+func TestTooDeepAnnotationIsCorrupt(t *testing.T) {
+	tab, blocks := fuzzFixture(t)
+	deep := strings.Repeat("(", 1_000_000) + "x" + strings.Repeat(")", 1_000_000)
+	if _, err := expr.Parse(deep); !errors.Is(err, expr.ErrTooDeep) {
+		t.Fatalf("expr.Parse: %v, want ErrTooDeep", err)
+	}
+	body := binary.AppendUvarint(binary.AppendUvarint([]byte(blockMagic), 1), 3)
+	for _, seg := range [][]byte{
+		appendValue(nil, value.Int(1)), appendString(nil, "a"), appendValue(nil, value.Int(2)),
+		appendString([]byte{annExpr}, deep),
+	} {
+		body = append(binary.AppendUvarint(body, uint64(len(seg))), seg...)
+	}
+	it := twoBlockScan(tab, blocks[0], sealBlock(body), 1)
+	n := 0
+	for {
+		_, ok, err := it.Next()
+		if err != nil {
+			if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "nested") {
+				t.Fatalf("scan error %v, want ErrCorrupt naming the nesting", err)
+			}
+			if len(err.Error()) > 500 {
+				t.Errorf("error of %d bytes echoes the record", len(err.Error()))
+			}
+			break
+		}
+		if !ok {
+			t.Fatal("scan ended without an error")
+		}
+		n++
+	}
+	if want := tab.meta.Blocks[0].Rows; n != want {
+		t.Errorf("%d rows before the corrupt block, want %d", n, want)
+	}
+}
+
 // FuzzReadBlock holds the block decoder to its contract on hostile
 // bytes: the body of a valid PVB1 block is mutated and its CRC
 // recomputed, so the checksum does not shield the decoder. A scan over
@@ -94,20 +158,8 @@ func FuzzReadBlock(f *testing.F) {
 	f.Add([]byte(blockMagic), uint16(0))
 	first := blocks[0]
 	f.Fuzz(func(t *testing.T, body []byte, rows uint16) {
-		mutated := binary.LittleEndian.AppendUint32(append([]byte(nil), body...), crc32.ChecksumIEEE(body))
-		meta := *tab.meta
-		meta.Blocks = []blockMeta{
-			{Rows: tab.meta.Blocks[0].Rows, Off: 0, Len: len(first)},
-			{Rows: int(rows), Off: int64(len(first)), Len: len(mutated)},
-		}
-		two := &Table{st: tab.st, meta: &meta, schema: tab.schema,
-			mins: [][]pvc.Cell{tab.mins[0], tab.mins[0]}, maxs: [][]pvc.Cell{tab.maxs[0], tab.maxs[0]}}
-		cols := []int{2, 1, 0}
-		it := &scanIter{
-			ctx: context.Background(), t: two, f: memFile(append(append([]byte(nil), first...), mutated...)),
-			retry: NewRetryState(RetryPolicy{MaxAttempts: 1}), cols: cols,
-			blk: newBlockVecs(two.schema, cols, nil), row: make([]pvc.Cell, len(cols)),
-		}
+		mutated := sealBlock(body)
+		it := twoBlockScan(tab, first, mutated, int(rows))
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		n := 0

@@ -237,7 +237,10 @@ func (r *reader) ann(vars []expr.Expr) (expr.Expr, error) {
 		}
 		e, err := expr.Parse(s)
 		if err != nil {
-			return nil, fmt.Errorf("bad annotation expression %q: %v", s, err)
+			// Quote a bounded prefix: a hostile record (expr.ErrTooDeep
+			// is a megabyte of parentheses) must not be echoed whole. The
+			// block decoder reports the failure as ErrCorrupt.
+			return nil, fmt.Errorf("bad annotation expression %.64q (%d bytes): %v", s, len(s), err)
 		}
 		return e, nil
 	default:

@@ -91,6 +91,16 @@ func Classify(p engine.Plan, db *pvc.Database) Verdict {
 			if inner.Class != Ind {
 				return Verdict{Hard, "aggregation input not in Qind"}
 			}
+			// The class is tractable in the paper through the joint
+			// distribution of the group's aggregates; the compiler has no
+			// joint node, and decides one comparison against a constant
+			// (compile/prune.go) but expands a product of two, or a
+			// comparison of two aggregates, world by world. Say so, so
+			// that Auto routes them to the anytime engine (contract_test.go
+			// holds every other verdict to a polynomial d-tree).
+			if n := body.aggComparisons(); n > 1 {
+				return Verdict{Hard, fmt.Sprintf("selection reads aggregates %d times: polynomial only through their joint distribution (Def. 8.2a), which the compiler does not build", n)}
+			}
 			return Verdict{Ind, "selection over one aggregated Qind sub-query (Def. 8.2a)"}
 		}
 		if !allInd(body) {
@@ -121,12 +131,40 @@ func Classify(p engine.Plan, db *pvc.Database) Verdict {
 		return Verdict{Hard, "join is not hierarchical"}
 	case *engine.Union:
 		l, r := Classify(n.L, db), Classify(n.R, db)
-		if l.Class != Hard && r.Class != Hard {
-			return Verdict{Hie, "union of tractable sub-queries"}
+		if l.Class == Hard || r.Class == Hard {
+			return Verdict{Hard, "union with a hard branch"}
 		}
-		return Verdict{Hard, "union with a hard branch"}
+		// Branches over disjoint relations contribute independent
+		// summands. A shared relation correlates them, and a union of
+		// hierarchical queries need not be hierarchical:
+		// π∅(R ⋈ S) ∪ π∅(S ⋈ T) is the #P-hard chain query.
+		left := map[string]bool{}
+		tables(n.L, left)
+		right := map[string]bool{}
+		tables(n.R, right)
+		var shared []string
+		for t := range right {
+			if left[t] {
+				shared = append(shared, t)
+			}
+		}
+		if len(shared) > 0 {
+			sort.Strings(shared)
+			return Verdict{Hard, fmt.Sprintf("union branches share %s (repeated relation symbol)", strings.Join(shared, ", "))}
+		}
+		return Verdict{Hie, "union of tractable sub-queries"}
 	default:
 		return Verdict{Hard, fmt.Sprintf("unsupported operator %T", p)}
+	}
+}
+
+// tables adds the base relations p scans to into.
+func tables(p engine.Plan, into map[string]bool) {
+	if s, ok := p.(*engine.Scan); ok {
+		into[s.Table] = true
+	}
+	for _, k := range engine.Children(p) {
+		tables(k, into)
 	}
 }
 
@@ -146,6 +184,21 @@ type flatQuery struct {
 	repeated  bool // a base relation occurs more than once
 	subVerd   []Verdict
 	aggInput  *engine.GroupAgg // set when the body is a single $ sub-query
+	aggCols   map[string]bool  // aggInput's aggregation columns, by their names at the top
+	selCols   []string         // the columns σ atoms above aggInput read, by their names at the top
+}
+
+// aggComparisons counts the reads of aggregation columns by the σ atoms
+// above the aggregated sub-query: an atom against a constant or a group
+// attribute reads one, an atom between two aggregates two.
+func (q *flatQuery) aggComparisons() int {
+	n := 0
+	for _, c := range q.selCols {
+		if q.aggCols[c] {
+			n++
+		}
+	}
+	return n
 }
 
 func allInd(q *flatQuery) bool {
@@ -283,6 +336,12 @@ func flatten(p engine.Plan, db *pvc.Database) (*flatQuery, error) {
 }
 
 func (q *flatQuery) walk(p engine.Plan, db *pvc.Database, rename map[string]string, top bool) error {
+	atTop := func(name string) string {
+		if to, ok := rename[name]; ok {
+			return to
+		}
+		return name
+	}
 	switch n := p.(type) {
 	case *engine.Scan:
 		schema, err := db.Schema(n.Table)
@@ -296,11 +355,7 @@ func (q *flatQuery) walk(p engine.Plan, db *pvc.Database, rename map[string]stri
 		}
 		attrs := map[string]bool{}
 		for _, c := range schema {
-			name := c.Name
-			if to, ok := rename[name]; ok {
-				name = to
-			}
-			attrs[name] = true
+			attrs[atTop(c.Name)] = true
 		}
 		q.rels = append(q.rels, relInfo{name: n.Table, attrs: attrs})
 		return nil
@@ -329,6 +384,12 @@ func (q *flatQuery) walk(p engine.Plan, db *pvc.Database, rename map[string]stri
 		return q.walk(n.R, db, rename, false)
 	case *engine.Select:
 		for _, a := range n.Pred.Atoms {
+			if top {
+				q.selCols = append(q.selCols, atTop(a.Left))
+				if a.RightCol != "" {
+					q.selCols = append(q.selCols, atTop(a.RightCol))
+				}
+			}
 			switch {
 			case a.RightVal != nil:
 				q.constant[a.Left] = true
@@ -348,6 +409,10 @@ func (q *flatQuery) walk(p engine.Plan, db *pvc.Database, rename map[string]stri
 	case *engine.GroupAgg:
 		if top && q.aggInput == nil && len(q.rels) == 0 {
 			q.aggInput = n
+			q.aggCols = map[string]bool{}
+			for _, a := range n.Aggs {
+				q.aggCols[atTop(a.Out)] = true
+			}
 			return nil
 		}
 		v := Classify(n, db)

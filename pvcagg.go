@@ -237,8 +237,11 @@ type (
 // Expression constructors and utilities.
 var (
 	// ParseExpr parses the textual expression syntax, e.g.
-	// "[min(x*y @min 5, z @min 10) <= 7]".
+	// "[min(x*y @min 5, z @min 10) <= 7]". Input nested more than a
+	// thousand levels deep fails with an error wrapping ErrTooDeep.
 	ParseExpr = expr.Parse
+	// ErrTooDeep is wrapped by ParseExpr's error for such input.
+	ErrTooDeep = expr.ErrTooDeep
 	// MustParseExpr is ParseExpr for known-good literals.
 	MustParseExpr = expr.MustParse
 	// ExprString renders an expression canonically.
