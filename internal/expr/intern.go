@@ -182,6 +182,33 @@ func CollectVarsInto(e Expr, s *VarSet) {
 	}
 }
 
+// AppendVars appends every variable occurrence of e to dst, in rendering
+// order and with repeats, and returns the extended slice. Unlike Vars it
+// builds no map and resolves no name.
+func AppendVars(dst []Var, e Expr) []Var {
+	switch n := e.(type) {
+	case Var:
+		dst = append(dst, n)
+	case Add:
+		for _, t := range n.Terms {
+			dst = AppendVars(dst, t)
+		}
+	case Mul:
+		for _, f := range n.Factors {
+			dst = AppendVars(dst, f)
+		}
+	case Tensor:
+		dst = AppendVars(AppendVars(dst, n.Scalar), n.Mod)
+	case AggSum:
+		for _, t := range n.Terms {
+			dst = AppendVars(dst, t)
+		}
+	case Cmp:
+		dst = AppendVars(AppendVars(dst, n.L), n.R)
+	}
+	return dst
+}
+
 // ContainsAny reports whether e mentions any variable of s, with early
 // exit on the first hit.
 func ContainsAny(e Expr, s *VarSet) bool {

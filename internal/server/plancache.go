@@ -18,13 +18,16 @@ import (
 //
 // The cache is scoped to one session — one database — because binding
 // resolves table schemas and optimization uses that database's
-// statistics; Server.Swap installs a fresh one. Eviction is
-// random-victim when full (Go map iteration order): the cache is a
-// working-set memo, not an LRU, and a bounded wrong-victim cost beats
-// per-hit bookkeeping on the hot path.
+// statistics; Server.Swap installs a fresh one. Eviction is CLOCK
+// (second chance): a hit sets the entry's reference bit under the read
+// lock, and a full cache evicts the first entry the hand finds with its
+// bit clear, clearing the bits it passes — so a text that is hit between
+// insertions outlives any number of texts that are sent once.
 type planCache struct {
 	mu           sync.RWMutex
-	m            map[string]planEntry
+	m            map[string]*planSlot
+	ring         []*planSlot // at most max entries; hand is the next eviction candidate
+	hand         int
 	max          int
 	hits, misses atomic.Int64
 }
@@ -37,37 +40,54 @@ type planEntry struct {
 	explain pvcagg.ExplainMode
 }
 
+// planSlot is one cached entry with its CLOCK reference bit.
+type planSlot struct {
+	query string
+	entry planEntry
+	used  atomic.Bool
+}
+
 func newPlanCache(max int) *planCache {
-	return &planCache{m: make(map[string]planEntry, max), max: max}
+	return &planCache{m: make(map[string]*planSlot, max), max: max}
 }
 
 // get returns the cached optimized plan for the query text, if any.
 func (c *planCache) get(query string) (planEntry, bool) {
 	c.mu.RLock()
-	p, ok := c.m[query]
-	c.mu.RUnlock()
-	if ok {
-		c.hits.Add(1)
-	} else {
-		c.misses.Add(1)
+	sl, ok := c.m[query]
+	if ok && !sl.used.Load() { // hot entries stay read-only, and their cache line shared
+		sl.used.Store(true)
 	}
-	return p, ok
+	c.mu.RUnlock()
+	if !ok {
+		c.misses.Add(1)
+		return planEntry{}, false
+	}
+	c.hits.Add(1)
+	return sl.entry, true
 }
 
-// put stores an optimized plan, evicting an arbitrary entry when full.
+// put stores an optimized plan, evicting when full the first entry past
+// the hand that no get has touched since the hand last passed it.
 func (c *planCache) put(query string, e planEntry) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if _, ok := c.m[query]; ok {
 		return
 	}
-	if len(c.m) >= c.max {
-		for k := range c.m {
-			delete(c.m, k)
-			break
-		}
+	sl := &planSlot{query: query, entry: e}
+	c.m[query] = sl
+	if len(c.ring) < c.max {
+		c.ring = append(c.ring, sl)
+		return
 	}
-	c.m[query] = e
+	for c.ring[c.hand].used.Load() {
+		c.ring[c.hand].used.Store(false)
+		c.hand = (c.hand + 1) % len(c.ring)
+	}
+	delete(c.m, c.ring[c.hand].query)
+	c.ring[c.hand] = sl
+	c.hand = (c.hand + 1) % len(c.ring)
 }
 
 // PlanCacheStats is the point-in-time plan-cache picture on /stats.

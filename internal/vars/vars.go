@@ -187,7 +187,10 @@ func (r *Registry) Enumerate(variables []string, f func(nu expr.Valuation, p flo
 	return nil
 }
 
-// Sample draws one valuation of the given variables using rng.
+// Sample draws one valuation of the given variables using rng: one
+// rng.Float64() per variable, in the order given. It defines the draw —
+// worlds.Sampler builds its tables to reproduce it bit for bit, and the
+// reference loop of that package's tests is its only caller.
 func (r *Registry) Sample(variables []string, rng *rand.Rand) (expr.Valuation, error) {
 	nu := expr.Valuation{}
 	for _, x := range variables {

@@ -127,39 +127,9 @@ func MonteCarlo(e expr.Expr, reg *vars.Registry, s algebra.Semiring, n int, rng 
 // MonteCarloCtx is MonteCarlo under a context: the sampling loop polls
 // ctx every 1024 worlds (polling consumes no randomness, so estimates
 // are identical to MonteCarlo's) and aborts with ctx.Err() once it is
-// cancelled.
+// cancelled. A caller that samples many expressions keeps a Sampler and
+// calls its Sample, which reuses the scratch this allocates per call.
 func MonteCarloCtx(ctx context.Context, e expr.Expr, reg *vars.Registry, s algebra.Semiring, n int, rng *rand.Rand) (prob.Dist, error) {
-	if err := ctx.Err(); err != nil {
-		return prob.Dist{}, err
-	}
-	if err := reg.CheckDeclared(e); err != nil {
-		return prob.Dist{}, err
-	}
-	if n <= 0 {
-		return prob.Dist{}, fmt.Errorf("worlds: MonteCarlo sample count %d must be positive", n)
-	}
-	vs := expr.Vars(e)
-	acc := map[value.V]float64{}
-	w := 1 / float64(n)
-	for i := 0; i < n; i++ {
-		if i&1023 == 0 && i > 0 {
-			if err := ctx.Err(); err != nil {
-				return prob.Dist{}, err
-			}
-		}
-		nu, err := reg.Sample(vs, rng)
-		if err != nil {
-			return prob.Dist{}, err
-		}
-		v, err := expr.Eval(e, nu, s)
-		if err != nil {
-			return prob.Dist{}, err
-		}
-		acc[v.Key()] += w
-	}
-	pairs := make([]prob.Pair, 0, len(acc))
-	for v, p := range acc {
-		pairs = append(pairs, prob.Pair{V: v, P: p})
-	}
-	return prob.FromPairs(pairs), nil
+	var sm Sampler
+	return sm.Sample(ctx, e, reg, s, n, rng)
 }
