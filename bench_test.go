@@ -20,7 +20,6 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"math/rand"
 	"runtime"
 	"testing"
 	"time"
@@ -32,7 +31,6 @@ import (
 	"pvcagg/internal/core"
 	"pvcagg/internal/engine"
 	"pvcagg/internal/gen"
-	"pvcagg/internal/pvc"
 	"pvcagg/internal/server"
 	"pvcagg/internal/tpch"
 	"pvcagg/internal/value"
@@ -190,6 +188,7 @@ func BenchmarkFig10ExpE(b *testing.B) {
 // increasing scale factors, separating Q0 (deterministic), ⟦·⟧
 // (expression construction) and P(·) (probability computation).
 func BenchmarkFig11ExpF(b *testing.B) {
+	ctx := context.Background()
 	for _, sf := range []float64{0.0002, 0.0005, 0.001} {
 		det, err := tpch.Generate(tpch.Config{SF: sf, Seed: 1})
 		if err != nil {
@@ -209,26 +208,26 @@ func BenchmarkFig11ExpF(b *testing.B) {
 		for _, q := range plans {
 			b.Run(fmt.Sprintf("%s/Q0/sf=%g", q.name, sf), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					if _, err := q.plan.Eval(det); err != nil {
+					if _, _, err := engine.StreamEvalPlan(ctx, det, q.plan); err != nil {
 						b.Fatal(err)
 					}
 				}
 			})
 			b.Run(fmt.Sprintf("%s/JK/sf=%g", q.name, sf), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					if _, err := q.plan.Eval(prb); err != nil {
+					if _, _, err := engine.StreamEvalPlan(ctx, prb, q.plan); err != nil {
 						b.Fatal(err)
 					}
 				}
 			})
 			b.Run(fmt.Sprintf("%s/P/sf=%g", q.name, sf), func(b *testing.B) {
-				rel, err := q.plan.Eval(prb)
+				rel, _, err := engine.StreamEvalPlan(ctx, prb, q.plan)
 				if err != nil {
 					b.Fatal(err)
 				}
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if _, err := engine.Probabilities(prb, rel, compile.Options{}); err != nil {
+					if _, err := engine.Outcomes(ctx, prb, rel, engine.ExecConfig{Parallelism: 1}); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -246,27 +245,27 @@ func BenchmarkFig11ExpF(b *testing.B) {
 // computation on a multi-tuple TPC-H-style workload (Q1's grouped
 // aggregates at growing scale factors).
 func BenchmarkParallelProbabilities(b *testing.B) {
+	ctx := context.Background()
 	for _, sf := range []float64{0.001, 0.002} {
 		prb, err := tpch.Generate(tpch.Config{SF: sf, Seed: 1, Probabilistic: true})
 		if err != nil {
 			b.Fatal(err)
 		}
 		plan := tpch.Q1(1200)
-		rel, err := plan.Eval(prb)
+		rel, _, err := engine.StreamEvalPlan(ctx, prb, plan)
 		if err != nil {
 			b.Fatal(err)
 		}
 		b.Run(fmt.Sprintf("sequential/sf=%g", sf), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := engine.Probabilities(prb, rel, compile.Options{}); err != nil {
+				if _, err := engine.Outcomes(ctx, prb, rel, engine.ExecConfig{Parallelism: 1}); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
 		b.Run(fmt.Sprintf("parallel/sf=%g", sf), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := engine.ProbabilitiesParallel(prb, rel, compile.Options{},
-					engine.ParallelOptions{}); err != nil {
+				if _, err := engine.Outcomes(ctx, prb, rel, engine.ExecConfig{}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -604,108 +603,6 @@ func BenchmarkExecQuery(b *testing.B) {
 	}
 }
 
-// evalPathBenchCases builds the streaming-vs-materialized step-I
-// ablation on join/product-heavy plans where the materializing engine
-// buffers a large intermediate the streaming path never allocates:
-//
-//   - product-select: σ[u≤w ∧ w≤u](PA × PB) — a θ-product of 360×360 =
-//     129,600 pairs of which ~65 survive. Materializing builds the full
-//     product relation first; streaming fuses the σ atoms into the pair
-//     iterator and allocates output cells and annotations only for
-//     survivors.
-//   - join-filter-group: $[a; COUNT](σ[u≤5](JA ⋈ JB)) — a selective
-//     filter over a wide hash join feeding a grouping sink. The
-//     materializing path buffers the whole join output; streaming keeps
-//     only the build table and the per-group accumulators.
-//
-// Both run engine.EvalPlan vs engine.StreamEvalPlan directly (step I
-// only — step II is identical by construction), with allocations
-// reported, so BENCH_exec.json records the memory cliff.
-func evalPathBenchCases() ([]execBenchCase, error) {
-	rng := rand.New(rand.NewSource(7))
-	db := pvc.NewDatabase(algebra.Boolean)
-	add := func(name string, cols [2]string, n int, row func(i int) [2]int64) error {
-		rel := pvc.NewRelation(name, pvc.Schema{
-			{Name: cols[0], Type: pvc.TValue},
-			{Name: cols[1], Type: pvc.TValue},
-		})
-		for i := 0; i < n; i++ {
-			r := row(i)
-			if _, err := db.InsertIndependent(rel, 0.5, pvc.IntCell(r[0]), pvc.IntCell(r[1])); err != nil {
-				return err
-			}
-		}
-		db.Add(rel)
-		return nil
-	}
-	if err := add("PA", [2]string{"a", "u"}, 360, func(i int) [2]int64 {
-		return [2]int64{int64(i), rng.Int63n(2000)}
-	}); err != nil {
-		return nil, err
-	}
-	if err := add("PB", [2]string{"b", "w"}, 360, func(i int) [2]int64 {
-		return [2]int64{int64(i), rng.Int63n(2000)}
-	}); err != nil {
-		return nil, err
-	}
-	if err := add("JA", [2]string{"a", "u"}, 400, func(i int) [2]int64 {
-		return [2]int64{rng.Int63n(50), rng.Int63n(100)}
-	}); err != nil {
-		return nil, err
-	}
-	if err := add("JB", [2]string{"a", "v"}, 200, func(i int) [2]int64 {
-		return [2]int64{rng.Int63n(50), int64(i)}
-	}); err != nil {
-		return nil, err
-	}
-	productSelect := &engine.Select{
-		Input: &engine.Product{L: &engine.Scan{Table: "PA"}, R: &engine.Scan{Table: "PB"}},
-		Pred:  engine.Where(engine.ColThetaCol("u", value.LE, "w"), engine.ColThetaCol("w", value.LE, "u")),
-	}
-	joinFilterGroup := &engine.GroupAgg{
-		Input: &engine.Select{
-			Input: &engine.Join{L: &engine.Scan{Table: "JA"}, R: &engine.Scan{Table: "JB"}},
-			Pred:  engine.Where(engine.ColTheta("u", value.LE, pvc.IntCell(5))),
-		},
-		GroupBy: []string{"a"},
-		Aggs:    []engine.AggSpec{{Out: "n", Agg: algebra.Count}},
-	}
-	mk := func(plan engine.Plan, streaming bool) func(b *testing.B) {
-		return func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				var err error
-				if streaming {
-					_, _, err = engine.StreamEvalPlan(context.Background(), db, plan)
-				} else {
-					_, _, err = engine.EvalPlan(context.Background(), db, plan)
-				}
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	}
-	return []execBenchCase{
-		{"product-select/materialized", mk(productSelect, false)},
-		{"product-select/streaming", mk(productSelect, true)},
-		{"join-filter-group/materialized", mk(joinFilterGroup, false)},
-		{"join-filter-group/streaming", mk(joinFilterGroup, true)},
-	}, nil
-}
-
-// BenchmarkEvalPath: streaming vs materialized step-I execution on
-// join/product-heavy plans (see evalPathBenchCases).
-func BenchmarkEvalPath(b *testing.B) {
-	cases, err := evalPathBenchCases()
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, c := range cases {
-		b.Run(c.name, c.fn)
-	}
-}
-
 // TestEmitBenchJSON runs the Exec benchmark family through
 // testing.Benchmark and writes the measurements to the file named by
 // -benchjson (skipped when the flag is unset), so CI and scripts can
@@ -722,11 +619,7 @@ func TestEmitBenchJSON(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	evalCases, err := evalPathBenchCases()
-	if err != nil {
-		t.Fatal(err)
-	}
-	records := make([]benchx.BenchRecord, 0, len(cases)+len(queryCases)+len(evalCases))
+	records := make([]benchx.BenchRecord, 0, len(cases)+len(queryCases))
 	emit := func(prefix string, cs []execBenchCase) {
 		for _, c := range cs {
 			// Level the heap between cases: earlier cases' garbage
@@ -746,7 +639,6 @@ func TestEmitBenchJSON(t *testing.T) {
 	}
 	emit("Exec/", cases)
 	emit("ExecQuery/", queryCases)
-	emit("EvalPath/", evalCases)
 	storeRecs, err := storeBenchRecords()
 	if err != nil {
 		t.Fatal(err)

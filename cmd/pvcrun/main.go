@@ -64,7 +64,6 @@ func main() {
 		sf       = flag.Float64("sf", 0.001, "TPC-H scale factor (tpch demo)")
 		parallel = flag.Int("parallel", 1, "probability-step parallelism (0 = GOMAXPROCS, 1 = sequential)")
 		mode     = flag.String("mode", "auto", "execution strategy: auto, exact, anytime or sample")
-		eval     = flag.String("eval", "streaming", "step-I physical execution layer: streaming or materialized")
 		eps      = flag.Float64("eps", 0, "anytime confidence-bound width (anytime/auto modes)")
 		seed     = flag.Int64("seed", 0, "Monte Carlo seed (required by -mode sample; estimates are reproducible from it)")
 		timeout  = flag.Duration("timeout", 0, "cancel the whole run after this duration (0 = none)")
@@ -82,7 +81,7 @@ func main() {
 			seedSet = true
 		}
 	})
-	opts, err := execOptions(*mode, *eval, *eps, *parallel, *timeout, *seed, seedSet)
+	opts, err := execOptions(*mode, *eps, *parallel, *timeout, *seed, seedSet)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "pvcrun:", err)
 		os.Exit(2)
@@ -138,16 +137,8 @@ func main() {
 }
 
 // execOptions translates the flags into Exec options.
-func execOptions(mode, eval string, eps float64, parallel int, timeout time.Duration, seed int64, seedSet bool) ([]pvcagg.Option, error) {
+func execOptions(mode string, eps float64, parallel int, timeout time.Duration, seed int64, seedSet bool) ([]pvcagg.Option, error) {
 	opts := []pvcagg.Option{pvcagg.WithParallelism(parallel)}
-	switch eval {
-	case "streaming":
-		opts = append(opts, pvcagg.WithEvalPath(pvcagg.StreamingEval))
-	case "materialized":
-		opts = append(opts, pvcagg.WithEvalPath(pvcagg.MaterializedEval))
-	default:
-		return nil, fmt.Errorf("unknown eval path %q (want streaming or materialized)", eval)
-	}
 	switch mode {
 	case "auto":
 		opts = append(opts, pvcagg.WithMode(pvcagg.Auto))

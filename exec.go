@@ -77,43 +77,6 @@ func (m Mode) String() string {
 	}
 }
 
-// EvalPath selects the physical execution layer for step I (plan
-// evaluation). Both paths produce bit-for-bit identical result
-// pvc-tables — tuples, annotations and aggregation expressions — so the
-// choice only affects time and memory.
-type EvalPath int
-
-const (
-	// StreamingEval (the default) evaluates plans through the pull
-	// iterator layer: σ/π̂/δ are fully pipelined, ⋈/× materialize only
-	// the hash-join build side, and π/∪/$ group incrementally — no
-	// operator buffers its whole input relation.
-	StreamingEval EvalPath = iota
-	// MaterializedEval evaluates every operator into a full intermediate
-	// relation (the classic Plan.Eval path) — the differential safety
-	// net, and occasionally faster on tiny inputs.
-	MaterializedEval
-)
-
-func (p EvalPath) String() string {
-	switch p {
-	case StreamingEval:
-		return "streaming"
-	case MaterializedEval:
-		return "materialized"
-	default:
-		return fmt.Sprintf("EvalPath(%d)", int(p))
-	}
-}
-
-// WithEvalPath selects the step-I physical execution layer (default
-// StreamingEval). Results are identical through both paths; use
-// MaterializedEval to pin the legacy evaluator, e.g. when bisecting a
-// suspected streaming issue or benchmarking the ablation.
-func WithEvalPath(p EvalPath) Option {
-	return func(c *execConfig) { c.evalPath = p }
-}
-
 // DefaultEps is the anytime target bound width used by Auto and Anytime
 // when WithEps is not given, so selecting the anytime engine never
 // silently degenerates to exact compilation.
@@ -166,7 +129,6 @@ type execConfig struct {
 	samples    int
 	samplesSet bool
 	failFast   bool
-	evalPath   EvalPath
 	store      *Store
 	retry      RetryPolicy
 	retrySet   bool
@@ -274,11 +236,6 @@ func resolveOptions(opts []Option) (*execConfig, error) {
 	case Auto, Exact, Anytime, Sample:
 	default:
 		return nil, fmt.Errorf("pvcagg: unknown mode %v", c.mode)
-	}
-	switch c.evalPath {
-	case StreamingEval, MaterializedEval:
-	default:
-		return nil, fmt.Errorf("pvcagg: unknown eval path %v", c.evalPath)
 	}
 	if c.epsSet && (c.eps < 0 || c.eps >= 1 || math.IsNaN(c.eps)) {
 		return nil, fmt.Errorf("pvcagg: epsilon %v out of range [0, 1)", c.eps)
@@ -394,9 +351,6 @@ type Strategy struct {
 	// Sample).
 	Samples int
 	Seed    int64
-	// EvalPath is the step-I physical execution layer (streaming by
-	// default; see WithEvalPath).
-	EvalPath EvalPath
 }
 
 func (s Strategy) String() string {
@@ -419,7 +373,7 @@ func (s Strategy) String() string {
 // build resolves the engine configuration for the chosen strategy (the
 // sampling strategy still compiles aggregation columns exactly).
 func (c *execConfig) build(chosen Mode, verdict *Verdict) (Strategy, engine.ExecConfig) {
-	strat := Strategy{Requested: c.mode, Chosen: chosen, Verdict: verdict, Parallelism: c.par, EvalPath: c.evalPath}
+	strat := Strategy{Requested: c.mode, Chosen: chosen, Verdict: verdict, Parallelism: c.par}
 	ecfg := engine.ExecConfig{Compile: c.compile, Parallelism: c.par, OnBounds: c.onBounds, FailFast: c.failFast}
 	switch chosen {
 	case Anytime:
@@ -672,13 +626,7 @@ func Exec(ctx context.Context, db *Database, plan Plan, opts ...Option) (*Result
 	var construct time.Duration
 	var explain *engine.ExplainNode
 	if cfg.analyze {
-		if cfg.evalPath == MaterializedEval {
-			rel, construct, explain, err = engine.EvalPlanExplain(evalCtx, db, plan)
-		} else {
-			rel, construct, explain, err = engine.StreamEvalPlanExplain(evalCtx, db, plan)
-		}
-	} else if cfg.evalPath == MaterializedEval {
-		rel, construct, err = engine.EvalPlan(evalCtx, db, plan)
+		rel, construct, explain, err = engine.StreamEvalPlanExplain(evalCtx, db, plan)
 	} else {
 		rel, construct, err = engine.StreamEvalPlan(evalCtx, db, plan)
 	}

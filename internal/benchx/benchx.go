@@ -264,20 +264,19 @@ func ExperimentF(sfs []float64, seed int64, parallelism int, eps float64) ([]FPo
 			{"Q1", tpch.Q1(1200)},
 			{"Q2", tpch.Q2(partKey, region)},
 		}
+		ctx := context.Background()
 		for _, q := range queries {
-			t0 := time.Now()
-			if _, err := q.plan.Eval(det); err != nil {
+			_, q0, err := engine.StreamEvalPlan(ctx, det, q.plan)
+			if err != nil {
 				return nil, fmt.Errorf("benchx: %s Q0 at SF %v: %w", q.name, sf, err)
 			}
-			q0 := time.Since(t0)
 			// One unified engine configuration covers all three measured
 			// variants: exact sequential, exact parallel, anytime.
 			cfg := engine.ExecConfig{Parallelism: parallelism}
 			if eps > 0 {
 				cfg.Approx = &compile.ApproxOptions{Eps: eps}
 			}
-			ctx := context.Background()
-			rel, construct, err := engine.EvalPlan(ctx, prb, q.plan)
+			rel, construct, err := engine.StreamEvalPlan(ctx, prb, q.plan)
 			if err != nil {
 				return nil, fmt.Errorf("benchx: %s at SF %v: %w", q.name, sf, err)
 			}
@@ -302,7 +301,7 @@ func pickQ2Instance(det *pvc.Database) (int64, string) {
 	regions := []string{"AFRICA", "AMERICA", "ASIA", "EUROPE", "MIDDLE EAST"}
 	for key := int64(1); key <= 25; key++ {
 		for _, r := range regions {
-			rel, err := tpch.Q2(key, r).Eval(det)
+			rel, _, err := engine.StreamEvalPlan(context.Background(), det, tpch.Q2(key, r))
 			if err == nil && rel.Len() > 0 {
 				return key, r
 			}

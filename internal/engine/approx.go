@@ -1,21 +1,10 @@
 package engine
 
 import (
-	"context"
-
 	"pvcagg/internal/compile"
 	"pvcagg/internal/prob"
 	"pvcagg/internal/pvc"
 )
-
-// This file surfaces the anytime approximate probability engine at the
-// pvc-table level through the legacy entry points; the per-tuple
-// computation itself lives in the unified worker (exec.go), which
-// brackets every result tuple's confidence by guaranteed bounds of width
-// ≤ ε while aggregation-column distributions stay exact — the hardness of
-// selections on aggregates lives in the annotations (the conditional
-// expressions multiplied in by Select), which is precisely the part the
-// anytime engine approximates.
 
 // ApproxTupleResult is the anytime interpretation of one result tuple:
 // guaranteed confidence bounds plus the exact marginal distribution of
@@ -31,35 +20,4 @@ type ApproxTupleResult struct {
 	// result schema, in schema order.
 	AggDists []prob.Dist
 	Report   compile.ApproxReport
-}
-
-// ProbabilitiesApprox computes, for every tuple of rel, guaranteed bounds
-// of width ≤ opts.Eps on the confidence of its annotation (budgets
-// permitting; see compile.ApproxReport.Converged) and the exact
-// distribution of each aggregation column. Tuples are distributed over a
-// bounded worker pool; results are returned in tuple order, and every
-// failing tuple is reported, joined into one error.
-//
-// Deprecated: use Outcomes with ExecConfig.Approx set (or the facade's
-// Exec).
-func ProbabilitiesApprox(db *pvc.Database, rel *pvc.Relation, opts compile.ApproxOptions, par ParallelOptions) ([]ApproxTupleResult, error) {
-	outs, err := Outcomes(context.Background(), db, rel,
-		ExecConfig{Compile: opts.Compile, Parallelism: par.Parallelism, Approx: &opts})
-	if err != nil {
-		return nil, err
-	}
-	res := make([]ApproxTupleResult, len(outs))
-	for i, o := range outs {
-		res[i] = o.AsApproxTupleResult()
-	}
-	return res, nil
-}
-
-// RunApprox is Run with the probability step replaced by the anytime
-// engine: it evaluates the plan and brackets every result tuple's
-// confidence within ε.
-func RunApprox(db *pvc.Database, plan Plan, opts compile.ApproxOptions, par ParallelOptions) (*pvc.Relation, []ApproxTupleResult, RunTiming, error) {
-	return runWith(db, plan, func(rel *pvc.Relation) ([]ApproxTupleResult, error) {
-		return ProbabilitiesApprox(db, rel, opts, par)
-	})
 }

@@ -1,20 +1,28 @@
 // Differential and convergence tests for the anytime approximate
-// probability engine at the pvc-table level: RunApprox/ProbabilitiesApprox
-// vs. the exact engine over randomly generated databases and plans, and
-// the convergence guarantee on every tractable (Qhie) instance. The tests
-// run with per-tuple parallelism, so `go test -race` exercises the
-// concurrent anytime path.
+// probability engine at the pvc-table level: Outcomes with
+// ExecConfig.Approx set vs. the exact strategy over randomly generated
+// databases and plans, and the convergence guarantee on every tractable
+// (Qhie) instance. The tests run with per-tuple parallelism, so `go test
+// -race` exercises the concurrent anytime path.
 package engine_test
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
 	"pvcagg/internal/compile"
 	"pvcagg/internal/engine"
 	"pvcagg/internal/gen"
+	"pvcagg/internal/pvc"
 	"pvcagg/internal/tractable"
 )
+
+// approxAt brackets every tuple's confidence on par workers.
+func approxAt(db *pvc.Database, rel *pvc.Relation, opts compile.ApproxOptions, par int) ([]engine.TupleOutcome, error) {
+	return engine.Outcomes(context.Background(), db, rel,
+		engine.ExecConfig{Compile: opts.Compile, Parallelism: par, Approx: &opts})
+}
 
 // TestProbabilitiesApproxDifferential evaluates randomly generated plans
 // and requires, per result tuple, that the anytime confidence bounds
@@ -27,18 +35,12 @@ func TestProbabilitiesApproxDifferential(t *testing.T) {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			t.Parallel()
 			inst := gen.MustNewDB(gen.DBParams{Seed: seed})
-			rel, err := inst.Plan.Eval(inst.DB)
-			if err != nil {
-				t.Fatalf("plan %s: %v", inst.Plan, err)
-			}
-			rel.Sort()
-			exact, err := engine.Probabilities(inst.DB, rel, compile.Options{})
+			rel := evalPlan(t, inst.DB, inst.Plan)
+			exact, err := exactAt(inst.DB, rel, 1)
 			if err != nil {
 				t.Fatalf("exact: %v", err)
 			}
-			approx, err := engine.ProbabilitiesApprox(inst.DB, rel,
-				compile.ApproxOptions{Eps: eps, MaxLeafNodes: 32},
-				engine.ParallelOptions{Parallelism: 4})
+			approx, err := approxAt(inst.DB, rel, compile.ApproxOptions{Eps: eps, MaxLeafNodes: 32}, 4)
 			if err != nil {
 				t.Fatalf("approx: %v", err)
 			}
@@ -47,11 +49,11 @@ func TestProbabilitiesApproxDifferential(t *testing.T) {
 			}
 			for i := range exact {
 				a := approx[i]
-				if !a.Confidence.Contains(exact[i].Confidence, 1e-9) {
+				if !a.Confidence.Contains(exact[i].Confidence.Lo, 1e-9) {
 					t.Errorf("tuple %d: exact confidence %v outside bounds %v",
 						i, exact[i].Confidence, a.Confidence)
 				}
-				if a.Report.Converged && a.Confidence.Width() > eps+1e-12 {
+				if a.Report.Approx.Converged && a.Confidence.Width() > eps+1e-12 {
 					t.Errorf("tuple %d: converged but width %v > eps", i, a.Confidence.Width())
 				}
 				if len(a.AggDists) != len(exact[i].AggDists) {
@@ -80,14 +82,13 @@ func TestRunApproxQhieConvergence(t *testing.T) {
 			continue
 		}
 		hie++
-		_, results, _, err := engine.RunApprox(inst.DB, inst.Plan,
-			compile.ApproxOptions{Eps: eps, MaxNodes: 100_000},
-			engine.ParallelOptions{Parallelism: 4})
+		results, err := approxAt(inst.DB, evalPlan(t, inst.DB, inst.Plan),
+			compile.ApproxOptions{Eps: eps, MaxNodes: 100_000}, 4)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		for i, r := range results {
-			if !r.Report.Converged {
+			if !r.Report.Approx.Converged {
 				t.Errorf("seed %d tuple %d: not converged within node budget (width %v)",
 					seed, i, r.Confidence.Width())
 			}
@@ -101,28 +102,27 @@ func TestRunApproxQhieConvergence(t *testing.T) {
 	}
 }
 
-// TestRunApproxEpsZeroMatchesRun checks that ε = 0 reproduces Run's exact
-// confidences bit-for-bit through the whole engine stack.
+// TestRunApproxEpsZeroMatchesRun checks that ε = 0 reproduces the exact
+// strategy's confidences bit-for-bit through the whole engine stack.
 func TestRunApproxEpsZeroMatchesRun(t *testing.T) {
 	inst := gen.MustNewDB(gen.DBParams{Tuples: 5, Seed: 21})
-	rel, exact, _, err := engine.Run(inst.DB, inst.Plan, compile.Options{})
+	rel := evalPlan(t, inst.DB, inst.Plan)
+	exact, err := exactAt(inst.DB, rel, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	relA, approx, _, err := engine.RunApprox(inst.DB, inst.Plan,
-		compile.ApproxOptions{}, engine.ParallelOptions{Parallelism: 3})
+	approx, err := approxAt(inst.DB, rel, compile.ApproxOptions{}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rel.Len() != relA.Len() || len(exact) != len(approx) {
-		t.Fatalf("result sizes differ: %d/%d tuples, %d/%d results",
-			rel.Len(), relA.Len(), len(exact), len(approx))
+	if len(exact) != len(approx) {
+		t.Fatalf("result sizes differ: %d/%d results", len(exact), len(approx))
 	}
 	for i := range exact {
 		if exact[i].Tuple.Key() != approx[i].Tuple.Key() {
 			t.Fatalf("tuple %d: key %q != %q", i, exact[i].Tuple.Key(), approx[i].Tuple.Key())
 		}
-		if approx[i].Confidence.Lo != exact[i].Confidence || approx[i].Confidence.Hi != exact[i].Confidence {
+		if approx[i].Confidence != exact[i].Confidence {
 			t.Errorf("tuple %d: eps=0 bounds %v, want exactly the confidence %v",
 				i, approx[i].Confidence, exact[i].Confidence)
 		}
@@ -132,13 +132,9 @@ func TestRunApproxEpsZeroMatchesRun(t *testing.T) {
 // TestProbabilitiesApproxEmpty checks the empty-relation edge case.
 func TestProbabilitiesApproxEmpty(t *testing.T) {
 	inst := gen.MustNewDB(gen.DBParams{Seed: 1})
-	rel, err := inst.Plan.Eval(inst.DB)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rel := evalPlan(t, inst.DB, inst.Plan)
 	rel.Tuples = nil
-	got, err := engine.ProbabilitiesApprox(inst.DB, rel, compile.ApproxOptions{Eps: 0.1},
-		engine.ParallelOptions{})
+	got, err := approxAt(inst.DB, rel, compile.ApproxOptions{Eps: 0.1}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,6 @@ import (
 	"runtime/debug"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"pvcagg/internal/compile"
 	"pvcagg/internal/core"
@@ -308,25 +307,4 @@ func Stream(ctx context.Context, db *pvc.Database, rel *pvc.Relation, cfg ExecCo
 			}
 		}
 	}
-}
-
-// EvalPlan runs step I of query evaluation — computing the result tuples
-// and their annotation and aggregation expressions (⟦·⟧) — returning the
-// sorted result pvc-table and the construction time. The context is
-// checked before and after (plan evaluation itself is polynomial; the
-// exponential danger lives in step II's compilations).
-func EvalPlan(ctx context.Context, db *pvc.Database, plan Plan) (*pvc.Relation, time.Duration, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, 0, err
-	}
-	t0 := time.Now()
-	rel, err := plan.Eval(db)
-	if err != nil {
-		return nil, 0, err
-	}
-	rel.Sort()
-	if err := ctx.Err(); err != nil {
-		return nil, 0, err
-	}
-	return rel, time.Since(t0), nil
 }

@@ -81,7 +81,7 @@ func TestTupleErrorsAreBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rel, _, err := engine.EvalPlan(context.Background(), db, tpch.Q1(1200))
+	rel, _, err := engine.StreamEvalPlan(context.Background(), db, tpch.Q1(1200))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,25 +219,22 @@ func TestOutcomesSamplingDeterminism(t *testing.T) {
 	}
 }
 
-// TestOutcomesAnytimeMatchesLegacy: the unified runner with Approx set
-// reproduces the legacy ProbabilitiesApprox bit-for-bit (the conversion
-// the deprecated facade wrappers rely on).
+// TestOutcomesAnytimeMatchesLegacy: an anytime outcome converts to the
+// legacy ApproxTupleResult without loss — bounds, report and aggregates
+// — which is the conversion the deprecated facade wrappers rely on.
 func TestOutcomesAnytimeMatchesLegacy(t *testing.T) {
 	db, rel := streamDB(t)
 	rel.Tuples = rel.Tuples[:5]
 	opts := compile.ApproxOptions{Eps: 0.01}
-	legacy, err := engine.ProbabilitiesApprox(db, rel, opts, engine.ParallelOptions{Parallelism: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
 	outs, err := engine.Outcomes(context.Background(), db, rel,
 		engine.ExecConfig{Parallelism: 2, Approx: &opts})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range legacy {
-		if legacy[i].Confidence != outs[i].Confidence {
-			t.Errorf("tuple %d: %v != %v", i, legacy[i].Confidence, outs[i].Confidence)
+	for i, o := range outs {
+		legacy := o.AsApproxTupleResult()
+		if legacy.Confidence != o.Confidence || legacy.Report != *o.Report.Approx || len(legacy.AggDists) != len(o.AggDists) {
+			t.Errorf("tuple %d: legacy %v %+v, outcome %v %+v", i, legacy.Confidence, legacy.Report, o.Confidence, *o.Report.Approx)
 		}
 	}
 }

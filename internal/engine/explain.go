@@ -1,13 +1,10 @@
 package engine
 
 // EXPLAIN / EXPLAIN ANALYZE support: the optimized plan tree annotated
-// with estimated vs. actual per-operator cardinalities. Both physical
-// paths are covered — the streaming path wraps each operator iterator
-// in a counting decorator, the materializing path re-evaluates each
-// node over its children's already-computed relations — so an
-// estimator misprediction shows up identically wherever the query
-// runs. ActualRows is -1 on estimate-only (EXPLAIN without ANALYZE)
-// trees.
+// with estimated vs. actual per-operator cardinalities. ANALYZE wraps
+// each operator iterator in a counting decorator, so the counts are
+// those of the operators the query ran. ActualRows is -1 on
+// estimate-only (EXPLAIN without ANALYZE) trees.
 
 import (
 	"context"
@@ -152,45 +149,6 @@ func Children(p Plan) []Plan {
 	return nil
 }
 
-// withChildren shallow-copies a plan node with its inputs replaced.
-func withChildren(p Plan, kids []Plan) Plan {
-	switch n := p.(type) {
-	case *Rename:
-		c := *n
-		c.Input = kids[0]
-		return &c
-	case *Select:
-		c := *n
-		c.Input = kids[0]
-		return &c
-	case *Project:
-		c := *n
-		c.Input = kids[0]
-		return &c
-	case *Prune:
-		c := *n
-		c.Input = kids[0]
-		return &c
-	case *GroupAgg:
-		c := *n
-		c.Input = kids[0]
-		return &c
-	case *Product:
-		c := *n
-		c.L, c.R = kids[0], kids[1]
-		return &c
-	case *Join:
-		c := *n
-		c.L, c.R = kids[0], kids[1]
-		return &c
-	case *Union:
-		c := *n
-		c.L, c.R = kids[0], kids[1]
-		return &c
-	}
-	return p
-}
-
 // Explain returns the estimate-only explain tree for a plan without
 // executing it: per-operator Estimator cardinalities, ActualRows = -1.
 func Explain(db *pvc.Database, plan Plan) *ExplainNode {
@@ -208,10 +166,10 @@ func explainEst(est *Estimator, p Plan) *ExplainNode {
 	return n
 }
 
-// countingIter is the EXPLAIN ANALYZE decorator for the streaming
-// path: it forwards to the wrapped iterator, counting Next calls and
-// emitted rows and accumulating wall time on its explain node. Step I
-// is single-threaded, so plain fields suffice.
+// countingIter is the EXPLAIN ANALYZE decorator: it forwards to the
+// wrapped iterator, counting Next calls and emitted rows and accumulating
+// wall time on its explain node. Step I is single-threaded, so plain
+// fields suffice.
 type countingIter struct {
 	in Iterator
 	n  *ExplainNode
@@ -250,95 +208,5 @@ func unwrapCounting(it Iterator) Iterator {
 // decorators; it additionally returns the analyzed explain tree. The
 // result relation is bit-for-bit identical to StreamEvalPlan's.
 func StreamEvalPlanExplain(ctx context.Context, db *pvc.Database, plan Plan) (*pvc.Relation, time.Duration, *ExplainNode, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, 0, nil, err
-	}
-	t0 := time.Now()
-	b := newIterBuilder(ctx, db)
-	b.analyze = true
-	it, schema, name, err := b.build(plan)
-	if err != nil {
-		return nil, 0, nil, err
-	}
-	defer it.Close()
-	if err := it.Open(); err != nil {
-		return nil, 0, nil, err
-	}
-	rel := pvc.NewRelation(name, schema)
-	if err := drainRoot(ctx, it, rel); err != nil {
-		return nil, 0, nil, err
-	}
-	root := b.exKids[0]
-	root.finalize()
-	return rel, time.Since(t0), root, nil
-}
-
-// EvalPlanExplain is EvalPlan with per-operator analysis: every plan
-// node is evaluated over its children's already-computed relations (a
-// relPlan stub returns them verbatim), so per-node output counts and
-// times are observable while the overall result stays bit-for-bit
-// identical to EvalPlan's.
-func EvalPlanExplain(ctx context.Context, db *pvc.Database, plan Plan) (*pvc.Relation, time.Duration, *ExplainNode, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, 0, nil, err
-	}
-	t0 := time.Now()
-	a := &analyzeEvaluator{ctx: ctx, est: NewEstimator(db)}
-	rel, root, err := a.eval(db, plan)
-	if err != nil {
-		return nil, 0, nil, err
-	}
-	rel.Sort()
-	if err := ctx.Err(); err != nil {
-		return nil, 0, nil, err
-	}
-	root.finalize()
-	return rel, time.Since(t0), root, nil
-}
-
-// relPlan is a Plan whose evaluation returns a pre-computed relation;
-// the analyzing evaluator substitutes it for already-evaluated
-// children.
-type relPlan struct{ rel *pvc.Relation }
-
-func (p *relPlan) Eval(*pvc.Database) (*pvc.Relation, error) { return p.rel, nil }
-func (p *relPlan) String() string                            { return p.rel.Name }
-
-type analyzeEvaluator struct {
-	ctx context.Context
-	est *Estimator
-}
-
-func (a *analyzeEvaluator) eval(db *pvc.Database, p Plan) (*pvc.Relation, *ExplainNode, error) {
-	if err := a.ctx.Err(); err != nil {
-		return nil, nil, err
-	}
-	kids := Children(p)
-	node := &ExplainNode{Op: opName(p), EstRows: a.est.Estimate(p).Rows}
-	q := p
-	if len(kids) > 0 {
-		stubs := make([]Plan, len(kids))
-		for i, k := range kids {
-			rel, kn, err := a.eval(db, k)
-			if err != nil {
-				return nil, nil, err
-			}
-			stubs[i] = &relPlan{rel: rel}
-			node.Children = append(node.Children, kn)
-		}
-		q = withChildren(p, stubs)
-	}
-	t0 := time.Now()
-	rel, err := q.Eval(db)
-	node.Time = time.Since(t0)
-	// Fold children in so Time is cumulative on both physical paths.
-	for _, kn := range node.Children {
-		node.Time += kn.Time
-	}
-	if err != nil {
-		return nil, nil, err
-	}
-	node.ActualRows = int64(len(rel.Tuples))
-	node.Name = rel.Name
-	return rel, node, nil
+	return streamEval(ctx, db, plan, true)
 }

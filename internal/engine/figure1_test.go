@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"pvcagg/internal/algebra"
-	"pvcagg/internal/compile"
 	"pvcagg/internal/expr"
 	"pvcagg/internal/pvc"
 	"pvcagg/internal/value"
@@ -110,20 +109,16 @@ func q2Plan(agg algebra.Agg) Plan {
 
 func TestFigure1Q1Tuples(t *testing.T) {
 	db := figure1DB(0.5)
-	rel, err := q1Plan().Eval(db)
+	rel, err := eval(db, q1Plan())
 	if err != nil {
 		t.Fatal(err)
 	}
-	rel.Sort()
 	if rel.Len() != 9 {
 		t.Fatalf("Q1 has %d tuples, want 9 (Figure 1d): \n%s", rel.Len(), rel)
 	}
 	// Annotation of 〈M&S, 10〉 must be equivalent to x1·y11·(z1+z5):
 	// probability p·p·(1−(1−p)²) at p = 0.5.
-	results, err := Probabilities(db, rel, compile.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	results := exactResults(t, db, rel)
 	var found bool
 	for _, r := range results {
 		if r.Tuple.Cells[0].Str() == "M&S" && r.Tuple.Cells[1].Value() == value.Int(10) {
@@ -144,10 +139,11 @@ func TestFigure1Q1Tuples(t *testing.T) {
 // probability of the answer under deterministic query semantics.
 func TestFigure1Q2AgainstPossibleWorlds(t *testing.T) {
 	db := figure1DB(0.4)
-	rel, results, _, err := Run(db, q2Plan(algebra.Max), compile.Options{})
+	rel, err := eval(db, q2Plan(algebra.Max))
 	if err != nil {
 		t.Fatal(err)
 	}
+	results := exactResults(t, db, rel)
 	if rel.Len() != 2 {
 		t.Fatalf("Q2 result has %d tuples, want 2:\n%s", rel.Len(), rel)
 	}
@@ -175,10 +171,11 @@ func TestFigure1Q2AgainstPossibleWorlds(t *testing.T) {
 // group-emptiness condition interacts differently but stays correct).
 func TestFigure1Q2PrimeMinAgainstPossibleWorlds(t *testing.T) {
 	db := figure1DB(0.35)
-	_, results, _, err := Run(db, q2Plan(algebra.Min), compile.Options{})
+	rel, err := eval(db, q2Plan(algebra.Min))
 	if err != nil {
 		t.Fatal(err)
 	}
+	results := exactResults(t, db, rel)
 	got := map[string]float64{}
 	for _, r := range results {
 		got[r.Tuple.Cells[0].Str()] = r.Confidence

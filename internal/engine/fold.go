@@ -2,14 +2,13 @@ package engine
 
 // Incremental constant folding for the grouping sinks (π, ∪, $).
 //
-// The materializing path accumulates every per-row expression of a group
-// and calls expr.Simplify on the whole Sum/AggSum at emission — O(rows)
-// memory per group even when every annotation is the constant 1S, which
-// is exactly the shape stored TPC-H data has. annSum and modSum fold
-// constants into a running accumulator at arrival instead, keeping only
-// the non-constant residue, and are constructed to reproduce
-// Simplify(Sum(e1…en)) / Simplify(MSum(agg, t1…tn)) EXACTLY, node for
-// node:
+// Figure 4 defines a group's annotation and aggregates as
+// Simplify(Sum(e1…en)) / Simplify(MSum(agg, t1…tn)) over its rows;
+// building that sum first costs O(rows) memory per group even when every
+// annotation is the constant 1S, which is exactly the shape stored TPC-H
+// data has. annSum and modSum fold constants into a running accumulator
+// at arrival instead, keeping only the non-constant residue, and are
+// constructed to reproduce those expressions EXACTLY, node for node:
 //
 //   - Simplify flattens a simplified Add one level and a simplified Add
 //     is never nested and holds at most one trailing Const, so folding
@@ -22,10 +21,10 @@ package engine
 //     was seen and differs from the identity) mirror Simplify's
 //     branches one for one.
 //
-// The streaming-vs-materializing differential suites pin this: with
-// these accumulators in the sinks, group state for deterministic
-// (constant-annotated) inputs is O(1) while probabilistic inputs retain
-// exactly the expression trees they always built.
+// TestFoldMatchesSimplify pins this: with these accumulators in the
+// sinks, group state for deterministic (constant-annotated) inputs is
+// O(1) while probabilistic inputs retain exactly the expression trees
+// the definition gives.
 
 import (
 	"pvcagg/internal/algebra"

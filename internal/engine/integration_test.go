@@ -1,181 +1,75 @@
 package engine
 
 import (
+	"context"
 	"fmt"
-	"math"
 	"math/rand"
 	"testing"
 
 	"pvcagg/internal/algebra"
-	"pvcagg/internal/compile"
 	"pvcagg/internal/expr"
 	"pvcagg/internal/prob"
 	"pvcagg/internal/pvc"
+	"pvcagg/internal/pvc/pvctest"
 	"pvcagg/internal/value"
 )
 
-// This file checks the possible-worlds commuting diagram on randomised
-// databases and a family of query shapes covering every operator:
-//
-//	symbolic evaluation + d-tree probability computation
-//	    ≡  deterministic evaluation in every possible world, weighted
-//
-// The deterministic side reuses the engine itself: materialising a world
-// turns every annotation into a constant, so the same plan run on the
-// materialised database produces the world's deterministic answer.
+// This file holds step I to the possible-worlds commuting diagram on
+// randomised databases and a family of query shapes covering every
+// operator: for every valuation ν, evaluating the symbolic result under ν
+// gives exactly what the same plan computes on the deterministic
+// database ν(D) (pvctest.CheckCommutes). The deterministic side reuses
+// the evaluator itself: materialising a world turns every annotation
+// into a constant, so the same plan run on the materialised database
+// produces the world's deterministic answer.
 
-// worldDatabase materialises the possible world of db under nu: tuples
-// whose annotation evaluates to 0S are dropped, kept tuples get the
-// annotation 1K.
-func worldDatabase(t *testing.T, db *pvc.Database, nu expr.Valuation) *pvc.Database {
-	t.Helper()
-	s := db.Semiring()
-	out := pvc.NewDatabase(db.Kind)
-	for _, name := range db.Names() {
-		rel, err := db.Relation(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wrel := pvc.NewRelation(name, rel.Schema)
-		for _, tup := range rel.Tuples {
-			v, err := expr.Eval(tup.Ann, nu, s)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if v == s.Zero() {
-				continue
-			}
-			wrel.MustInsert(expr.CInt(1), tup.Cells...)
-		}
-		out.Add(wrel)
-	}
-	return out
+// eval runs step I the way queries do; every test of this package
+// evaluates its plans through it.
+func eval(db *pvc.Database, plan Plan) (*pvc.Relation, error) {
+	rel, _, err := StreamEvalPlan(context.Background(), db, plan)
+	return rel, err
 }
 
-// constKey identifies a result tuple by its constant cells (module cells
-// evaluate per world and are checked separately).
-func constKey(sch pvc.Schema, t pvc.Tuple) string {
-	key := ""
-	for i, c := range sch {
-		if c.Type == pvc.TModule {
-			continue
-		}
-		key += t.Cells[i].Key() + "\x1f"
+// exactResults is step II at its plainest: every tuple's exact outcome,
+// computed on one goroutine.
+func exactResults(t *testing.T, db *pvc.Database, rel *pvc.Relation) []TupleResult {
+	t.Helper()
+	outs, err := Outcomes(context.Background(), db, rel, ExecConfig{Parallelism: 1})
+	if err != nil {
+		t.Fatal(err)
 	}
-	return key
+	res := make([]TupleResult, len(outs))
+	for i, o := range outs {
+		res[i] = o.AsTupleResult()
+	}
+	return res
 }
 
 func checkCommutes(t *testing.T, db *pvc.Database, plan Plan) {
 	t.Helper()
-	rel, results, _, err := Run(db, plan, compile.Options{})
-	if err != nil {
-		t.Fatalf("Run(%s): %v", plan, err)
-	}
-	sym := map[string]float64{}
-	aggSym := map[string]prob.Dist{}
-	for _, r := range results {
-		k := constKey(rel.Schema, r.Tuple)
-		sym[k] = r.Confidence
-		if len(r.AggDists) == 1 {
-			aggSym[k] = r.AggDists[0]
-		}
-	}
-	// Module column index, if exactly one.
-	modIdx := -1
-	nMod := 0
-	for i, c := range rel.Schema {
-		if c.Type == pvc.TModule {
-			modIdx = i
-			nMod++
-		}
-	}
-
-	want := map[string]float64{}
-	aggWant := map[string]map[value.V]float64{}
-	s := db.Semiring()
-	err = db.Registry.Enumerate(db.Registry.Names(), func(nu expr.Valuation, p float64) {
-		if p == 0 {
-			return
-		}
-		wdb := worldDatabase(t, db, nu)
-		wrel, werr := plan.Eval(wdb)
-		if werr != nil {
-			t.Fatalf("world eval: %v", werr)
-		}
-		seen := map[string]bool{}
-		for _, tup := range wrel.Tuples {
-			av, aerr := expr.Eval(tup.Ann, nil, s)
-			if aerr != nil {
-				t.Fatalf("world annotation %s: %v", expr.String(tup.Ann), aerr)
-			}
-			if av == s.Zero() {
-				continue
-			}
-			k := constKey(wrel.Schema, tup)
-			if seen[k] {
-				continue
-			}
-			seen[k] = true
-			want[k] += p
-			if nMod == 1 {
-				cell := tup.Cells[modIdx]
-				var mv value.V
-				switch cell.Kind() {
-				case pvc.KindExpr:
-					mv, aerr = expr.Eval(cell.Expr(), nil, s)
-					if aerr != nil {
-						t.Fatal(aerr)
-					}
-				case pvc.KindValue:
-					mv = cell.Value()
-				}
-				if aggWant[k] == nil {
-					aggWant[k] = map[value.V]float64{}
-				}
-				aggWant[k][mv.Key()] += p
-			}
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for k, w := range want {
-		if math.Abs(sym[k]-w) > 1e-9 {
-			t.Errorf("plan %s: P[%q] = %v symbolically, %v by worlds", plan, k, sym[k], w)
-		}
-	}
-	for k, p := range sym {
-		if p > 1e-9 && want[k] == 0 {
-			t.Errorf("plan %s: tuple %q has symbolic probability %v but never appears in a world", plan, k, p)
-		}
-	}
-	// Aggregation-value distributions: the symbolic marginal restricted
-	// to worlds where the group exists must match the per-world values.
-	for k, dist := range aggWant {
-		symDist, ok := aggSym[k]
-		if !ok {
-			continue
-		}
-		for v, p := range dist {
-			if got := symDist.P(v); got+1e-9 < p {
-				t.Errorf("plan %s: group %q value %v has world mass %v > symbolic %v", plan, k, v, p, got)
-			}
-		}
-	}
+	pvctest.CheckCommutes(t, db, func(d *pvc.Database) (*pvc.Relation, error) { return eval(d, plan) })
 }
 
 // randomSmallDB builds R(a, b) and S(b, c) with 3–4 independent tuples
-// each (≤ 2⁸ worlds).
-func randomSmallDB(r *rand.Rand) *pvc.Database {
-	db := pvc.NewDatabase(algebra.Boolean)
+// each (≤ 2⁸ worlds). Under N the first tuple of each table carries a
+// multiplicity variable over {0, 1, 2} instead of a Boolean one (≤ 2⁶·3²
+// worlds), so sums and products of annotations see values other than 0
+// and 1.
+func randomSmallDB(r *rand.Rand, kind algebra.SemiringKind) *pvc.Database {
+	db := pvc.NewDatabase(kind)
 	mk := func(name string, cols [2]string, rows int) {
 		rel := pvc.NewRelation(name, pvc.Schema{
 			{Name: cols[0], Type: pvc.TValue},
 			{Name: cols[1], Type: pvc.TValue},
 		})
 		for i := 0; i < rows; i++ {
-			if _, err := db.InsertIndependent(rel, 0.2+0.6*r.Float64(),
-				pvc.IntCell(int64(r.Intn(3))), pvc.IntCell(int64(r.Intn(4)*10))); err != nil {
+			p := 0.2 + 0.6*r.Float64()
+			cells := []pvc.Cell{pvc.IntCell(int64(r.Intn(3))), pvc.IntCell(int64(r.Intn(4) * 10))}
+			if kind == algebra.Natural && i == 0 {
+				x := db.Registry.Fresh(name+"_m", prob.FromPairs([]prob.Pair{
+					{V: value.Int(0), P: 1 - p}, {V: value.Int(1), P: p / 2}, {V: value.Int(2), P: p / 2}}))
+				rel.MustInsert(expr.V(x), cells...)
+			} else if _, err := db.InsertIndependent(rel, p, cells...); err != nil {
 				panic(err)
 			}
 		}
@@ -230,13 +124,20 @@ func queryShapes(r *rand.Rand) []Plan {
 	}
 }
 
-func TestRandomQueriesCommute(t *testing.T) {
+func TestRandomQueriesCommute(t *testing.T) { commuteTrials(t, 2024, algebra.Boolean, 24) }
+
+// TestRandomQueriesCommuteBag is the same diagram under N, where an
+// annotation's value is a multiplicity: π and ∪ must add them, ⋈ and ×
+// multiply them, and $ must scale by them.
+func TestRandomQueriesCommuteBag(t *testing.T) { commuteTrials(t, 2025, algebra.Natural, 16) }
+
+func commuteTrials(t *testing.T, seed int64, kind algebra.SemiringKind, trials int) {
 	if testing.Short() {
 		t.Skip("world enumeration is slow in -short mode")
 	}
-	r := rand.New(rand.NewSource(2024))
-	for trial := 0; trial < 8; trial++ {
-		db := randomSmallDB(r)
+	r := rand.New(rand.NewSource(seed))
+	for trial := 0; trial < trials; trial++ {
+		db := randomSmallDB(r, kind)
 		for i, plan := range queryShapes(r) {
 			t.Run(fmt.Sprintf("trial%d/shape%d", trial, i), func(t *testing.T) {
 				checkCommutes(t, db, plan)

@@ -1,7 +1,7 @@
 package engine
 
-// Streaming (pull/iterator) physical execution — the Volcano-style
-// counterpart of the materializing Plan.Eval path. Every operator is an
+// Step I — the rewriting ⟦·⟧ of Figure 4 — as a Volcano-style pull
+// pipeline, the one evaluator of Q-algebra plans. Every operator is an
 // Iterator with Open/Next/Close semantics:
 //
 //   - Scan streams the stored tuples lazily (no clone);
@@ -19,10 +19,11 @@ package engine
 //     representative cell slice and the annotation expressions per group
 //     instead of buffering their whole input.
 //
-// The stream is bit-for-bit identical to the materializing path: tuples
-// are produced in exactly the order Plan.Eval appends them, so grouping
-// sinks build identical annotation expression trees and StreamEvalPlan's
-// final Sort yields a relation deeply equal to EvalPlan's.
+// Row order is part of the contract: ⋈/× emit left-major, π and ∪ in
+// first-seen order, $ in group-key order, and the grouping sinks sum
+// annotations in arrival order, so the expression trees of a result —
+// which the goldens pin and the compilers' costs depend on — are a
+// function of the plan and the stored row order alone.
 //
 // Lent cells. A provider scan lends the Cells slice of each tuple until
 // its next Next or Close (pvc.TupleIter), and σ, δ and the analyze
@@ -37,8 +38,8 @@ package engine
 //   - unionIter.drain's first-seen cells per group;
 //   - drainRoot, the root loop of StreamEvalPlan and
 //     StreamEvalPlanExplain, and Iterate, whose caller may keep a row;
-//   - outside this file: pvc.MaterializeProvider (always copies) and
-//     providerEstimate (keeps no tuple, only cell keys).
+//   - outside this file: providerEstimate (keeps no tuple, only cell
+//     keys).
 //
 // π, π̂ and $ already copy the cells they keep into slices of their own.
 
@@ -95,9 +96,9 @@ func owned(t pvc.Tuple, lent bool) pvc.Tuple {
 
 // iterBuilder compiles a Plan into an Iterator tree. All schema
 // resolution and static checks happen here, once per plan — which is why
-// the streaming path reports unknown-column errors even over empty
-// inputs. The Estimator is created lazily on the first ⋈/× so plans
-// without pair operators never pay for table statistics.
+// an unknown column is an error even over empty inputs. The Estimator is
+// created lazily on the first ⋈/× so plans without pair operators never
+// pay for table statistics.
 type iterBuilder struct {
 	ctx context.Context
 	db  *pvc.Database
@@ -123,12 +124,12 @@ func (b *iterBuilder) estimator() *Estimator {
 }
 
 // build returns the iterator together with the output schema and the
-// relation name the materializing path would produce. In analyze mode
-// it additionally wraps the iterator in a counting decorator and
-// threads an ExplainNode per operator: children built during buildNode
-// land in b.exKids and are collected here. A σ fused into a ⋈/×
-// produces one node covering both (its children are the pair's
-// inputs), mirroring the single physical operator that runs.
+// result relation's name, composed from the operators' (σ(…), (…⋈…)).
+// In analyze mode it additionally wraps the iterator in a counting
+// decorator and threads an ExplainNode per operator: children built
+// during buildNode land in b.exKids and are collected here. A σ fused
+// into a ⋈/× produces one node covering both (its children are the
+// pair's inputs), mirroring the single physical operator that runs.
 func (b *iterBuilder) build(p Plan) (Iterator, pvc.Schema, string, error) {
 	if !b.analyze {
 		return b.buildNode(p)
@@ -432,11 +433,11 @@ func (b *iterBuilder) buildPair(p Plan) (*pairIter, pvc.Schema, string, []pairRe
 }
 
 // buildFusedSelect compiles σ directly above ⋈/×, pushing the leading
-// run of constant-comparison atoms into the pairIter (preserving the
-// materializing path's per-tuple atom evaluation order exactly: fused
-// atoms are a prefix, so short-circuiting and error precedence are
-// unchanged). Atoms from the first aggregation-column comparison onward
-// stay in a residual selectIter above the pair.
+// run of constant-comparison atoms into the pairIter (fused atoms are a
+// prefix of the conjunction, so per-tuple atom order, short-circuiting
+// and error precedence are those of an unfused σ). Atoms from the first
+// aggregation-column comparison onward stay in a residual selectIter
+// above the pair.
 func (b *iterBuilder) buildFusedSelect(n *Select) (Iterator, pvc.Schema, string, error) {
 	pit, schema, name, refs, err := b.buildPair(n.Input)
 	if err != nil {
@@ -649,10 +650,10 @@ func (it *pruneIter) Close() error { return it.child.Close() }
 // pairIter is the shared hash-based ⋈/× iterator: the right child is the
 // build side (materialized into a hash table pre-sized by the Estimator,
 // then closed), the left child is probed lazily in order, so emission is
-// left-major exactly like the materializing nested loop. A × is a ⋈ with
-// no key columns: every tuple hashes to the single empty-key bucket.
-// Fused σ atoms reject pairs before output cells or the product
-// annotation are constructed.
+// left-major, as a nested loop's would be. A × is a ⋈ with no key
+// columns: every tuple hashes to the single empty-key bucket. Fused σ
+// atoms reject pairs before output cells or the product annotation are
+// constructed.
 type pairIter struct {
 	ctx         context.Context
 	s           algebra.Semiring
@@ -951,7 +952,7 @@ type aggColRef struct {
 // aggregation, and the folded row-annotation sum for the Figure 4
 // non-emptiness condition. Constants fold at arrival (O(1) state for
 // deterministic data); non-constant terms are retained in row arrival
-// order, matching the materializing path's expression structure.
+// order.
 type gaGroup struct {
 	cells []pvc.Cell
 	aggs  []*modSum
@@ -1070,28 +1071,43 @@ func NewIterator(ctx context.Context, db *pvc.Database, plan Plan) (Iterator, pv
 	return it, schema, err
 }
 
-// StreamEvalPlan is EvalPlan over the streaming execution layer: it runs
-// step I through the iterator tree and returns the sorted result
-// pvc-table and the construction time. The result is bit-for-bit
-// identical to EvalPlan's.
+// StreamEvalPlan runs step I of query evaluation — computing the result
+// tuples and their annotation and aggregation expressions (⟦·⟧) through
+// the iterator tree — and returns the result pvc-table, sorted by tuple
+// key, and the construction time.
 func StreamEvalPlan(ctx context.Context, db *pvc.Database, plan Plan) (*pvc.Relation, time.Duration, error) {
+	rel, d, _, err := streamEval(ctx, db, plan, false)
+	return rel, d, err
+}
+
+// streamEval is the body of StreamEvalPlan and StreamEvalPlanExplain:
+// with analyze set every operator is wrapped in a counting decorator and
+// the explain tree is returned too.
+func streamEval(ctx context.Context, db *pvc.Database, plan Plan, analyze bool) (*pvc.Relation, time.Duration, *ExplainNode, error) {
 	if err := ctx.Err(); err != nil {
-		return nil, 0, err
+		return nil, 0, nil, err
 	}
 	t0 := time.Now()
-	it, schema, name, err := newIterBuilder(ctx, db).build(plan)
+	b := newIterBuilder(ctx, db)
+	b.analyze = analyze
+	it, schema, name, err := b.build(plan)
 	if err != nil {
-		return nil, 0, err
+		return nil, 0, nil, err
 	}
 	defer it.Close()
 	if err := it.Open(); err != nil {
-		return nil, 0, err
+		return nil, 0, nil, err
 	}
 	rel := pvc.NewRelation(name, schema)
 	if err := drainRoot(ctx, it, rel); err != nil {
-		return nil, 0, err
+		return nil, 0, nil, err
 	}
-	return rel, time.Since(t0), nil
+	var root *ExplainNode
+	if analyze {
+		root = b.exKids[0]
+		root.finalize()
+	}
+	return rel, time.Since(t0), root, nil
 }
 
 // drainRoot appends every tuple of the opened root iterator to rel —
@@ -1117,8 +1133,8 @@ func drainRoot(ctx context.Context, it Iterator, rel *pvc.Relation) error {
 	return ctx.Err()
 }
 
-// Iterate exposes the streaming layer as an iter.Seq2: tuples arrive in
-// pipeline (construction) order, NOT in the sorted order EvalPlan
+// Iterate exposes the iterator tree as an iter.Seq2: tuples arrive in
+// pipeline (construction) order, NOT in the sorted order StreamEvalPlan
 // returns. Breaking out of the range closes the iterator tree; a non-nil
 // error is yielded at most once, as the final element.
 func Iterate(ctx context.Context, db *pvc.Database, plan Plan) iter.Seq2[pvc.Tuple, error] {

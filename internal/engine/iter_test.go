@@ -13,9 +13,8 @@ import (
 	"pvcagg/internal/value"
 )
 
-// relEqual asserts the streaming result is deeply equal to the
-// materializing one: name, schema, tuple count, and per-tuple cells and
-// annotation expression structure.
+// relEqual asserts two results are deeply equal: name, schema, tuple
+// count, and per-tuple cells and annotation expression structure.
 func relEqual(t *testing.T, want, got *pvc.Relation) {
 	t.Helper()
 	if got.Name != want.Name {
@@ -41,25 +40,6 @@ func relEqual(t *testing.T, want, got *pvc.Relation) {
 			t.Fatalf("row %d annotation: got %s, want %s", i, gt.Ann, wt.Ann)
 		}
 	}
-}
-
-// streamMatches runs a plan through both execution paths and asserts
-// they produce identical results (or identical errors).
-func streamMatches(t *testing.T, db *pvc.Database, plan Plan) {
-	t.Helper()
-	ctx := context.Background()
-	want, _, errM := EvalPlan(ctx, db, plan)
-	got, _, errS := StreamEvalPlan(ctx, db, plan)
-	if (errM == nil) != (errS == nil) {
-		t.Fatalf("plan %s: materializing err %v, streaming err %v", plan, errM, errS)
-	}
-	if errM != nil {
-		if errM.Error() != errS.Error() {
-			t.Fatalf("plan %s: error mismatch: materializing %q, streaming %q", plan, errM, errS)
-		}
-		return
-	}
-	relEqual(t, want, got)
 }
 
 // iterDB extends the usual two-table fixture with a string-keyed table,
@@ -181,18 +161,28 @@ func iterPlans() []Plan {
 	return plans
 }
 
+// TestStreamEvalPlanMatchesEval holds StreamEvalPlan, on every plan of
+// the corpus, to the evaluation of the same plan in each of iterDB's 2¹¹
+// possible worlds. A plan the evaluator rejects must be one InferSchema
+// rejects too: static errors depend on the plan and the schemas alone.
 func TestStreamEvalPlanMatchesEval(t *testing.T) {
 	db := iterDB()
 	for i, p := range iterPlans() {
 		t.Run(fmt.Sprintf("plan%02d", i), func(t *testing.T) {
-			streamMatches(t, db, p)
+			if _, err := eval(db, p); err != nil {
+				if _, serr := InferSchema(p, db); serr == nil {
+					t.Fatalf("plan %s: evaluation failed (%v) on a plan InferSchema accepts", p, err)
+				}
+				return
+			}
+			checkCommutes(t, db, p)
 		})
 	}
 }
 
 // TestUnknownColumnOnEmptyInput pins the σ bugfix (column resolution
 // hoisted out of the tuple loop) and its analogues: an unknown column
-// must error on both paths even when the input relation is empty.
+// must error even when the input relation is empty.
 func TestUnknownColumnOnEmptyInput(t *testing.T) {
 	db := iterDB()
 	empty := func() Plan { return &Scan{Table: "E"} }
@@ -215,25 +205,16 @@ func TestUnknownColumnOnEmptyInput(t *testing.T) {
 	ctx := context.Background()
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, _, err := EvalPlan(ctx, db, tc.plan); err == nil {
-				t.Errorf("materializing path accepted unknown column over empty input")
-			}
 			if _, _, err := StreamEvalPlan(ctx, db, tc.plan); err == nil {
-				t.Errorf("streaming path accepted unknown column over empty input")
+				t.Errorf("unknown column accepted over empty input")
 			}
 		})
 	}
 }
 
-// stubPlan lets tests feed a fixed relation into an operator's Eval.
-type stubPlan struct{ rel *pvc.Relation }
-
-func (p *stubPlan) Eval(*pvc.Database) (*pvc.Relation, error) { return p.rel, nil }
-func (p *stubPlan) String() string                            { return p.rel.Name }
-
-// TestRenameSharesTupleStorage pins the δ bugfix: the output shares the
-// input's tuple storage (no per-tuple clone) and the input relation —
-// schema included — is not mutated.
+// TestRenameSharesTupleStorage pins the δ bugfix: δ is free — the
+// result's tuples share the stored relation's cell storage (no per-tuple
+// copy) — and the stored relation, schema included, is not mutated.
 func TestRenameSharesTupleStorage(t *testing.T) {
 	db := iterDB()
 	in := pvc.NewRelation("IN", pvc.Schema{
@@ -242,12 +223,13 @@ func TestRenameSharesTupleStorage(t *testing.T) {
 	})
 	in.MustInsert(expr.CInt(1), pvc.IntCell(1), pvc.IntCell(2))
 	in.MustInsert(expr.CInt(1), pvc.IntCell(3), pvc.IntCell(4))
-	out, err := (&Rename{Input: &stubPlan{rel: in}, From: "b", To: "price"}).Eval(db)
+	db.Add(in)
+	out, err := eval(db, &Rename{Input: &Scan{Table: "IN"}, From: "b", To: "price"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if &out.Tuples[0] != &in.Tuples[0] {
-		t.Errorf("δ copied the tuple storage instead of sharing it")
+	if &out.Tuples[0].Cells[0] != &in.Tuples[0].Cells[0] {
+		t.Errorf("δ copied the cell storage instead of sharing it")
 	}
 	if in.Schema.Index("b") != 1 || in.Schema.Index("price") != -1 {
 		t.Errorf("δ mutated the input schema: %v", in.Schema.Names())
@@ -259,7 +241,7 @@ func TestRenameSharesTupleStorage(t *testing.T) {
 
 // TestIterateEarlyBreak exercises the cancelled-consumer path: breaking
 // out of the range must close the iterator tree cleanly, and a full
-// drain must match the materializing row count.
+// drain must yield as many rows as StreamEvalPlan returns.
 func TestIterateEarlyBreak(t *testing.T) {
 	db := iterDB()
 	plan := &Select{
@@ -287,7 +269,7 @@ func TestIterateEarlyBreak(t *testing.T) {
 		}
 		total++
 	}
-	want, _, err := EvalPlan(ctx, db, plan)
+	want, _, err := StreamEvalPlan(ctx, db, plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -344,8 +326,8 @@ func TestStreamEvalPlanCancelled(t *testing.T) {
 	_ = gotErr
 }
 
-// TestStreamRelationNames pins the compositional relation naming of the
-// streaming path against the materializing one.
+// TestStreamRelationNames pins the compositional naming of result
+// relations: a σ fused into its ⋈ still shows in the name.
 func TestStreamRelationNames(t *testing.T) {
 	db := iterDB()
 	plan := &Select{
@@ -357,6 +339,6 @@ func TestStreamRelationNames(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !strings.HasPrefix(got.Name, "σ(") {
-		t.Fatalf("streaming name %q does not carry the σ wrapper", got.Name)
+		t.Fatalf("name %q does not carry the σ wrapper", got.Name)
 	}
 }

@@ -1,25 +1,39 @@
-// Differential and determinism tests for the batched parallel
-// probability engine: ProbabilitiesParallel vs. the sequential
-// Probabilities vs. brute-force possible-worlds enumeration
-// (worlds.RelationTruth), over randomly generated pvc-databases and
-// plans. The external test package lets the harness use gen (which
-// imports engine).
+// Differential and determinism tests for the worker pool of the
+// probability step: Outcomes at parallelism 4 vs. at parallelism 1 vs.
+// brute-force possible-worlds enumeration (worlds.RelationTruth), over
+// randomly generated pvc-databases and plans. The external test package
+// lets the harness use gen (which imports engine).
 package engine_test
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"strings"
 	"testing"
 
 	"pvcagg/internal/algebra"
-	"pvcagg/internal/compile"
 	"pvcagg/internal/engine"
 	"pvcagg/internal/expr"
 	"pvcagg/internal/gen"
 	"pvcagg/internal/pvc"
 	"pvcagg/internal/worlds"
 )
+
+// evalPlan runs step I of a generated instance the way queries do.
+func evalPlan(t testing.TB, db *pvc.Database, plan engine.Plan) *pvc.Relation {
+	t.Helper()
+	rel, _, err := engine.StreamEvalPlan(context.Background(), db, plan)
+	if err != nil {
+		t.Fatalf("plan %s: %v", plan, err)
+	}
+	return rel
+}
+
+// exactAt computes every tuple's exact outcome on par workers.
+func exactAt(db *pvc.Database, rel *pvc.Relation, par int) ([]engine.TupleOutcome, error) {
+	return engine.Outcomes(context.Background(), db, rel, engine.ExecConfig{Parallelism: par})
+}
 
 // TestProbabilitiesParallelDifferential evaluates 120 randomly generated
 // plans over randomly generated pvc-databases and requires, per result
@@ -34,17 +48,12 @@ func TestProbabilitiesParallelDifferential(t *testing.T) {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			t.Parallel()
 			inst := gen.MustNewDB(gen.DBParams{Seed: seed})
-			rel, err := inst.Plan.Eval(inst.DB)
-			if err != nil {
-				t.Fatalf("plan %s: %v", inst.Plan, err)
-			}
-			rel.Sort()
-			seq, err := engine.Probabilities(inst.DB, rel, compile.Options{})
+			rel := evalPlan(t, inst.DB, inst.Plan)
+			seq, err := exactAt(inst.DB, rel, 1)
 			if err != nil {
 				t.Fatalf("sequential: %v", err)
 			}
-			par, err := engine.ProbabilitiesParallel(inst.DB, rel, compile.Options{},
-				engine.ParallelOptions{Parallelism: 4})
+			par, err := exactAt(inst.DB, rel, 4)
 			if err != nil {
 				t.Fatalf("parallel: %v", err)
 			}
@@ -56,10 +65,10 @@ func TestProbabilitiesParallelDifferential(t *testing.T) {
 				t.Fatalf("result counts differ: seq %d, par %d, worlds %d", len(seq), len(par), len(truth))
 			}
 			for i := range seq {
-				if diff := par[i].Confidence - seq[i].Confidence; diff > 1e-12 || diff < -1e-12 {
+				if par[i].Confidence != seq[i].Confidence {
 					t.Errorf("tuple %d: parallel confidence %v != sequential %v", i, par[i].Confidence, seq[i].Confidence)
 				}
-				if diff := par[i].Confidence - truth[i].Confidence; diff > 1e-9 || diff < -1e-9 {
+				if !par[i].Confidence.Contains(truth[i].Confidence, 1e-9) || par[i].Confidence.Width() != 0 {
 					t.Errorf("tuple %d: parallel confidence %v != possible worlds %v", i, par[i].Confidence, truth[i].Confidence)
 				}
 				if len(par[i].AggDists) != len(seq[i].AggDists) || len(truth[i].AggDists) != len(seq[i].AggDists) {
@@ -81,7 +90,7 @@ func TestProbabilitiesParallelDifferential(t *testing.T) {
 	t.Cleanup(func() {
 		for seed := int64(1); seed <= 120; seed++ {
 			inst := gen.MustNewDB(gen.DBParams{Seed: seed})
-			if rel, err := inst.Plan.Eval(inst.DB); err == nil && rel.Len() > 0 {
+			if rel, _, err := engine.StreamEvalPlan(context.Background(), inst.DB, inst.Plan); err == nil && rel.Len() > 0 {
 				nonEmpty++
 			}
 		}
@@ -95,36 +104,36 @@ func TestProbabilitiesParallelDifferential(t *testing.T) {
 // across repeated runs and across parallelism 1, 2 and GOMAXPROCS.
 func TestProbabilitiesParallelDeterminism(t *testing.T) {
 	inst := gen.MustNewDB(gen.DBParams{Tuples: 6, Seed: 9})
-	rel, err := inst.Plan.Eval(inst.DB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rel.Sort()
-	ref, err := engine.Probabilities(inst.DB, rel, compile.Options{})
+	rel := evalPlan(t, inst.DB, inst.Plan)
+	ref, err := exactAt(inst.DB, rel, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, par := range []int{1, 2, runtime.GOMAXPROCS(0)} {
 		for rep := 0; rep < 3; rep++ {
-			got, err := engine.ProbabilitiesParallel(inst.DB, rel, compile.Options{},
-				engine.ParallelOptions{Parallelism: par})
+			got, err := exactAt(inst.DB, rel, par)
 			if err != nil {
 				t.Fatalf("parallelism %d rep %d: %v", par, rep, err)
 			}
-			if len(got) != len(ref) {
-				t.Fatalf("parallelism %d rep %d: %d results, want %d", par, rep, len(got), len(ref))
-			}
-			for i := range ref {
-				if diff := got[i].Confidence - ref[i].Confidence; diff > 1e-12 || diff < -1e-12 {
-					t.Fatalf("parallelism %d rep %d tuple %d: confidence %v != %v",
-						par, rep, i, got[i].Confidence, ref[i].Confidence)
-				}
-				for j := range ref[i].AggDists {
-					if !got[i].AggDists[j].Equal(ref[i].AggDists[j], 1e-12) {
-						t.Fatalf("parallelism %d rep %d tuple %d agg %d: %v != %v",
-							par, rep, i, j, got[i].AggDists[j], ref[i].AggDists[j])
-					}
-				}
+			sameExact(t, fmt.Sprintf("parallelism %d rep %d", par, rep), ref, got)
+		}
+	}
+}
+
+// sameExact fails unless two exact runs agree tuple for tuple.
+func sameExact(t *testing.T, what string, ref, got []engine.TupleOutcome) {
+	t.Helper()
+	if len(got) != len(ref) {
+		t.Fatalf("%s: %d results, want %d", what, len(got), len(ref))
+	}
+	for i := range ref {
+		if got[i].Tuple.Key() != ref[i].Tuple.Key() || got[i].Confidence != ref[i].Confidence {
+			t.Fatalf("%s tuple %d: %s %v != %s %v", what, i,
+				got[i].Tuple.Label(), got[i].Confidence, ref[i].Tuple.Label(), ref[i].Confidence)
+		}
+		for j := range ref[i].AggDists {
+			if !got[i].AggDists[j].Equal(ref[i].AggDists[j], 1e-12) {
+				t.Fatalf("%s tuple %d agg %d: %v != %v", what, i, j, got[i].AggDists[j], ref[i].AggDists[j])
 			}
 		}
 	}
@@ -141,11 +150,10 @@ func TestProbabilitiesParallelErrorAggregation(t *testing.T) {
 		pvc.Tuple{Cells: []pvc.Cell{pvc.IntCell(2)}, Ann: expr.V("ghost1")},
 		pvc.Tuple{Cells: []pvc.Cell{pvc.IntCell(3)}, Ann: expr.V("ghost2")},
 	)
-	// Aggregation must hold at every parallelism, including 1 (the
-	// sequential Probabilities, by contrast, stops at the first failure).
+	// Aggregation must hold at every parallelism, including 1 (only
+	// ExecConfig.FailFast stops at the first failure).
 	for _, par := range []int{1, 4} {
-		_, err := engine.ProbabilitiesParallel(db, rel, compile.Options{},
-			engine.ParallelOptions{Parallelism: par})
+		_, err := exactAt(db, rel, par)
 		if err == nil {
 			t.Fatalf("parallelism %d: expected error for undeclared variables", par)
 		}
@@ -162,7 +170,7 @@ func TestProbabilitiesParallelErrorAggregation(t *testing.T) {
 func TestProbabilitiesParallelEmpty(t *testing.T) {
 	db := pvc.NewDatabase(algebra.Boolean)
 	rel := pvc.NewRelation("empty", pvc.Schema{{Name: "a", Type: pvc.TValue}})
-	got, err := engine.ProbabilitiesParallel(db, rel, compile.Options{}, engine.ParallelOptions{})
+	got, err := exactAt(db, rel, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,28 +179,17 @@ func TestProbabilitiesParallelEmpty(t *testing.T) {
 	}
 }
 
-// TestRunParallelMatchesRun checks the end-to-end parallel entry point
-// against Run on a TPC-H-style figure-1 workload.
+// TestRunParallelMatchesRun checks both steps chained, sequential against
+// parallel, on one generated instance.
 func TestRunParallelMatchesRun(t *testing.T) {
 	inst := gen.MustNewDB(gen.DBParams{Tuples: 5, Seed: 21})
-	rel, seq, _, err := engine.Run(inst.DB, inst.Plan, compile.Options{})
+	seq, err := exactAt(inst.DB, evalPlan(t, inst.DB, inst.Plan), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	relP, par, _, err := engine.RunParallel(inst.DB, inst.Plan, compile.Options{},
-		engine.ParallelOptions{Parallelism: 3})
+	par, err := exactAt(inst.DB, evalPlan(t, inst.DB, inst.Plan), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rel.Len() != relP.Len() || len(seq) != len(par) {
-		t.Fatalf("result sizes differ: %d/%d tuples, %d/%d results", rel.Len(), relP.Len(), len(seq), len(par))
-	}
-	for i := range seq {
-		if seq[i].Tuple.Key() != par[i].Tuple.Key() {
-			t.Fatalf("tuple %d: key %q != %q", i, seq[i].Tuple.Key(), par[i].Tuple.Key())
-		}
-		if diff := seq[i].Confidence - par[i].Confidence; diff > 1e-12 || diff < -1e-12 {
-			t.Fatalf("tuple %d: confidence %v != %v", i, seq[i].Confidence, par[i].Confidence)
-		}
-	}
+	sameExact(t, "parallelism 3", seq, par)
 }

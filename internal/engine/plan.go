@@ -2,14 +2,13 @@
 // Definition 5 — positive relational algebra (δ, σ, π, ×, ⋈, ∪) extended
 // with the grouping/aggregation operator $ — together with the rewriting
 // ⟦·⟧ of Figure 4 that constructs the semiring annotations and semimodule
-// values of every result tuple. Evaluating a plan yields a pvc-table;
-// probability computation for its tuples is in probs.go.
+// values of every result tuple. The iterators of iter.go evaluate a plan
+// to a pvc-table (step I); exec.go computes the probabilities of its
+// tuples (step II).
 package engine
 
 import (
-	"context"
 	"fmt"
-	"sort"
 	"strings"
 
 	"pvcagg/internal/algebra"
@@ -20,9 +19,6 @@ import (
 
 // Plan is a node of a Q-algebra query plan.
 type Plan interface {
-	// Eval evaluates the plan on db and returns the result pvc-table with
-	// annotations constructed per Figure 4.
-	Eval(db *pvc.Database) (*pvc.Relation, error)
 	// String renders the plan as an algebra expression.
 	String() string
 }
@@ -163,42 +159,6 @@ func cellLiteral(c pvc.Cell) string {
 	return c.String()
 }
 
-// Eval implementations.
-
-func (p *Scan) Eval(db *pvc.Database) (*pvc.Relation, error) {
-	if prov, ok := db.Provider(p.Table); ok {
-		return pvc.MaterializeProvider(context.Background(), prov)
-	}
-	r, err := db.Relation(p.Table)
-	if err != nil {
-		return nil, err
-	}
-	return r.Clone(), nil
-}
-
-func (p *Rename) Eval(db *pvc.Database) (*pvc.Relation, error) {
-	in, err := p.Input.Eval(db)
-	if err != nil {
-		return nil, err
-	}
-	i := in.Schema.Index(p.From)
-	if i < 0 {
-		return nil, fmt.Errorf("engine: δ: unknown column %q in %s", p.From, p.Input)
-	}
-	if j := in.Schema.Index(p.To); j >= 0 {
-		return nil, fmt.Errorf("engine: δ: column %q already exists", p.To)
-	}
-	// δ touches only the schema: share the tuple storage (tuples and cells
-	// are immutable) instead of copying every row.
-	out := &pvc.Relation{
-		Name:   fmt.Sprintf("δ(%s)", in.Name),
-		Schema: in.Schema.Clone(),
-		Tuples: in.Tuples,
-	}
-	out.Schema[i].Name = p.To
-	return out, nil
-}
-
 // selAtom is one σ comparison with its column references resolved to
 // cell indices — resolved once per evaluation, not once per tuple, so an
 // unknown column errors even over an empty input.
@@ -263,30 +223,6 @@ func applySelAtoms(atoms []selAtom, t pvc.Tuple, s algebra.Semiring) (ann expr.E
 	return ann, true, nil
 }
 
-func (p *Select) Eval(db *pvc.Database) (*pvc.Relation, error) {
-	in, err := p.Input.Eval(db)
-	if err != nil {
-		return nil, err
-	}
-	s := db.Semiring()
-	atoms, err := resolveSelAtoms(p.Pred, in.Schema)
-	if err != nil {
-		return nil, err
-	}
-	out := pvc.NewRelation(fmt.Sprintf("σ(%s)", in.Name), in.Schema)
-	for _, t := range in.Tuples {
-		ann, keep, err := applySelAtoms(atoms, t, s)
-		if err != nil {
-			return nil, err
-		}
-		if !keep {
-			continue
-		}
-		out.Tuples = append(out.Tuples, pvc.Tuple{Cells: t.Cells, Ann: ann})
-	}
-	return out, nil
-}
-
 // comparisonExpr builds [A θ B] for cells of which at least one holds a
 // semimodule expression.
 func comparisonExpr(l pvc.Cell, th value.Theta, r pvc.Cell) (expr.Expr, error) {
@@ -311,104 +247,6 @@ func comparisonExpr(l pvc.Cell, th value.Theta, r pvc.Cell) (expr.Expr, error) {
 	return expr.Compare(th, le, re), nil
 }
 
-func (p *Project) Eval(db *pvc.Database) (*pvc.Relation, error) {
-	in, err := p.Input.Eval(db)
-	if err != nil {
-		return nil, err
-	}
-	s := db.Semiring()
-	idx := make([]int, len(p.Cols))
-	schema := make(pvc.Schema, len(p.Cols))
-	for i, c := range p.Cols {
-		j := in.Schema.Index(c)
-		if j < 0 {
-			return nil, fmt.Errorf("engine: π: unknown column %q", c)
-		}
-		if in.Schema[j].Type == pvc.TModule {
-			return nil, fmt.Errorf("engine: π: column %q is an aggregation attribute (Definition 5 constraint 1)", c)
-		}
-		idx[i] = j
-		schema[i] = in.Schema[j]
-	}
-	out := pvc.NewRelation(fmt.Sprintf("π(%s)", in.Name), schema)
-	groupAnns := map[string][]expr.Expr{}
-	groupCells := map[string][]pvc.Cell{}
-	var order []string
-	for _, t := range in.Tuples {
-		cells := make([]pvc.Cell, len(idx))
-		for i, j := range idx {
-			cells[i] = t.Cells[j]
-		}
-		key := pvc.Tuple{Cells: cells}.Key()
-		if _, ok := groupCells[key]; !ok {
-			order = append(order, key)
-			groupCells[key] = cells
-		}
-		groupAnns[key] = append(groupAnns[key], t.Ann)
-	}
-	for _, key := range order {
-		ann := expr.Simplify(expr.Sum(groupAnns[key]...), s)
-		out.Tuples = append(out.Tuples, pvc.Tuple{Cells: groupCells[key], Ann: ann})
-	}
-	return out, nil
-}
-
-func (p *Prune) Eval(db *pvc.Database) (*pvc.Relation, error) {
-	in, err := p.Input.Eval(db)
-	if err != nil {
-		return nil, err
-	}
-	idx := make([]int, len(p.Cols))
-	schema := make(pvc.Schema, len(p.Cols))
-	for i, c := range p.Cols {
-		j := in.Schema.Index(c)
-		if j < 0 {
-			return nil, fmt.Errorf("engine: π̂: unknown column %q", c)
-		}
-		idx[i] = j
-		schema[i] = in.Schema[j]
-	}
-	out := pvc.NewRelation(fmt.Sprintf("π̂(%s)", in.Name), schema)
-	out.Tuples = make([]pvc.Tuple, 0, len(in.Tuples))
-	for _, t := range in.Tuples {
-		cells := make([]pvc.Cell, len(idx))
-		for i, j := range idx {
-			cells[i] = t.Cells[j]
-		}
-		out.Tuples = append(out.Tuples, pvc.Tuple{Cells: cells, Ann: t.Ann})
-	}
-	return out, nil
-}
-
-func (p *Product) Eval(db *pvc.Database) (*pvc.Relation, error) {
-	l, err := p.L.Eval(db)
-	if err != nil {
-		return nil, err
-	}
-	r, err := p.R.Eval(db)
-	if err != nil {
-		return nil, err
-	}
-	for _, c := range r.Schema {
-		if l.Schema.Index(c.Name) >= 0 {
-			return nil, fmt.Errorf("engine: ×: duplicate column %q (rename first)", c.Name)
-		}
-	}
-	s := db.Semiring()
-	schema := append(l.Schema.Clone(), r.Schema.Clone()...)
-	out := pvc.NewRelation(fmt.Sprintf("(%s×%s)", l.Name, r.Name), schema)
-	for _, lt := range l.Tuples {
-		for _, rt := range r.Tuples {
-			cells := make([]pvc.Cell, 0, len(lt.Cells)+len(rt.Cells))
-			cells = append(cells, lt.Cells...)
-			cells = append(cells, rt.Cells...)
-			ann := expr.Simplify(expr.Product(lt.Ann, rt.Ann), s)
-			out.Tuples = append(out.Tuples, pvc.Tuple{Cells: cells, Ann: ann})
-		}
-	}
-	return out, nil
-}
-
 // appendJoinKey appends to buf the composite hash key of the cells at
 // idx — cell keys joined by 0x1f, the same encoding Tuple.Key uses. Hash
 // operators keep one buffer and look up m[string(buf)], which allocates
@@ -421,216 +259,4 @@ func appendJoinKey(buf []byte, t pvc.Tuple, idx []int) []byte {
 		buf = t.Cells[j].AppendKey(buf)
 	}
 	return buf
-}
-
-func (p *Join) Eval(db *pvc.Database) (*pvc.Relation, error) {
-	l, err := p.L.Eval(db)
-	if err != nil {
-		return nil, err
-	}
-	r, err := p.R.Eval(db)
-	if err != nil {
-		return nil, err
-	}
-	// Shared constant columns are the join keys.
-	var shared []string
-	for _, c := range l.Schema {
-		if j := r.Schema.Index(c.Name); j >= 0 {
-			if c.Type == pvc.TModule || r.Schema[j].Type == pvc.TModule {
-				return nil, fmt.Errorf("engine: ⋈: aggregation column %q cannot be a join key", c.Name)
-			}
-			shared = append(shared, c.Name)
-		}
-	}
-	s := db.Semiring()
-	schema := l.Schema.Clone()
-	var rCols []int
-	for j, c := range r.Schema {
-		if l.Schema.Index(c.Name) < 0 {
-			schema = append(schema, c)
-			rCols = append(rCols, j)
-		}
-	}
-	out := pvc.NewRelation(fmt.Sprintf("(%s⋈%s)", l.Name, r.Name), schema)
-	// Hash the right side on the join key. Key-column indices are resolved
-	// once per side, not once per tuple.
-	lKey := make([]int, len(shared))
-	rKey := make([]int, len(shared))
-	for i, name := range shared {
-		lKey[i] = l.Schema.Index(name)
-		rKey[i] = r.Schema.Index(name)
-	}
-	rIdx := map[string][]pvc.Tuple{}
-	var key []byte
-	for _, rt := range r.Tuples {
-		key = appendJoinKey(key[:0], rt, rKey)
-		rIdx[string(key)] = append(rIdx[string(key)], rt)
-	}
-	for _, lt := range l.Tuples {
-		key = appendJoinKey(key[:0], lt, lKey)
-		for _, rt := range rIdx[string(key)] {
-			cells := make([]pvc.Cell, 0, len(lt.Cells)+len(rCols))
-			cells = append(cells, lt.Cells...)
-			for _, j := range rCols {
-				cells = append(cells, rt.Cells[j])
-			}
-			ann := expr.Simplify(expr.Product(lt.Ann, rt.Ann), s)
-			out.Tuples = append(out.Tuples, pvc.Tuple{Cells: cells, Ann: ann})
-		}
-	}
-	return out, nil
-}
-
-func (p *Union) Eval(db *pvc.Database) (*pvc.Relation, error) {
-	l, err := p.L.Eval(db)
-	if err != nil {
-		return nil, err
-	}
-	r, err := p.R.Eval(db)
-	if err != nil {
-		return nil, err
-	}
-	if !l.Schema.Equal(r.Schema) {
-		return nil, fmt.Errorf("engine: ∪: incompatible schemas %v and %v", l.Schema.Names(), r.Schema.Names())
-	}
-	for _, c := range l.Schema {
-		if c.Type == pvc.TModule {
-			return nil, fmt.Errorf("engine: ∪: aggregation column %q (Definition 5 constraint 2)", c.Name)
-		}
-	}
-	s := db.Semiring()
-	out := pvc.NewRelation(fmt.Sprintf("(%s∪%s)", l.Name, r.Name), l.Schema)
-	groupAnns := map[string][]expr.Expr{}
-	groupCells := map[string][]pvc.Cell{}
-	var order []string
-	// Iterate both sides in place — no need to concatenate into a copy.
-	for _, side := range [2][]pvc.Tuple{l.Tuples, r.Tuples} {
-		for _, t := range side {
-			key := t.Key()
-			if _, ok := groupCells[key]; !ok {
-				order = append(order, key)
-				groupCells[key] = t.Cells
-			}
-			groupAnns[key] = append(groupAnns[key], t.Ann)
-		}
-	}
-	for _, key := range order {
-		ann := expr.Simplify(expr.Sum(groupAnns[key]...), s)
-		out.Tuples = append(out.Tuples, pvc.Tuple{Cells: groupCells[key], Ann: ann})
-	}
-	return out, nil
-}
-
-func (p *GroupAgg) Eval(db *pvc.Database) (*pvc.Relation, error) {
-	in, err := p.Input.Eval(db)
-	if err != nil {
-		return nil, err
-	}
-	s := db.Semiring()
-	// Resolve columns.
-	gIdx := make([]int, len(p.GroupBy))
-	for i, g := range p.GroupBy {
-		j := in.Schema.Index(g)
-		if j < 0 {
-			return nil, fmt.Errorf("engine: $: unknown group-by column %q", g)
-		}
-		if in.Schema[j].Type == pvc.TModule {
-			return nil, fmt.Errorf("engine: $: group-by column %q is an aggregation attribute", g)
-		}
-		gIdx[i] = j
-	}
-	type aggCol struct {
-		spec AggSpec
-		idx  int
-	}
-	aggs := make([]aggCol, len(p.Aggs))
-	for i, a := range p.Aggs {
-		idx := -1
-		if a.Agg != algebra.Count {
-			idx = in.Schema.Index(a.Over)
-			if idx < 0 {
-				return nil, fmt.Errorf("engine: $: unknown aggregation column %q", a.Over)
-			}
-			if in.Schema[idx].Type != pvc.TValue {
-				return nil, fmt.Errorf("engine: $: aggregation over non-value column %q", a.Over)
-			}
-		}
-		aggs[i] = aggCol{a, idx}
-	}
-	schema := make(pvc.Schema, 0, len(gIdx)+len(aggs))
-	for _, j := range gIdx {
-		schema = append(schema, in.Schema[j])
-	}
-	for _, a := range aggs {
-		schema = append(schema, pvc.Col{Name: a.spec.Out, Type: pvc.TModule, Agg: a.spec.Agg})
-	}
-	out := pvc.NewRelation(fmt.Sprintf("$(%s)", in.Name), schema)
-
-	type group struct {
-		cells []pvc.Cell
-		rows  []pvc.Tuple
-	}
-	groups := map[string]*group{}
-	var order []string
-	for _, t := range in.Tuples {
-		cells := make([]pvc.Cell, len(gIdx))
-		for i, j := range gIdx {
-			cells[i] = t.Cells[j]
-		}
-		key := pvc.Tuple{Cells: cells}.Key()
-		g, ok := groups[key]
-		if !ok {
-			g = &group{cells: cells}
-			groups[key] = g
-			order = append(order, key)
-		}
-		g.rows = append(g.rows, t)
-	}
-	// Figure 4: without grouping, the result is one tuple (neutral values
-	// on empty input) annotated 1K.
-	if len(p.GroupBy) == 0 && len(order) == 0 {
-		order = append(order, "")
-		groups[""] = &group{}
-	}
-	sort.Strings(order)
-	for _, key := range order {
-		g := groups[key]
-		cells := make([]pvc.Cell, 0, len(g.cells)+len(aggs))
-		cells = append(cells, g.cells...)
-		for _, a := range aggs {
-			monoidAgg := a.spec.Agg
-			terms := make([]expr.Expr, 0, len(g.rows))
-			for _, row := range g.rows {
-				var mv value.V
-				if a.spec.Agg == algebra.Count {
-					mv = value.Int(1)
-				} else {
-					c := row.Cells[a.idx]
-					if c.Kind() != pvc.KindValue {
-						return nil, fmt.Errorf("engine: $: aggregated cell %s is not a constant", c)
-					}
-					mv = c.Value()
-				}
-				terms = append(terms, expr.Scale(monoidAgg, row.Ann, mv))
-			}
-			var agg expr.Expr
-			if len(terms) == 0 {
-				agg = expr.MConst{V: algebra.MonoidFor(monoidAgg).Neutral()}
-			} else {
-				agg = expr.Simplify(expr.MSum(monoidAgg, terms...), s)
-			}
-			cells = append(cells, pvc.ExprCell(agg))
-		}
-		var ann expr.Expr = expr.CInt(1)
-		if len(p.GroupBy) > 0 {
-			anns := make([]expr.Expr, len(g.rows))
-			for i, row := range g.rows {
-				anns[i] = row.Ann
-			}
-			ann = expr.Simplify(
-				expr.Compare(value.NE, expr.Sum(anns...), expr.CInt(0)), s)
-		}
-		out.Tuples = append(out.Tuples, pvc.Tuple{Cells: cells, Ann: ann})
-	}
-	return out, nil
 }

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"pvcagg/internal/algebra"
-	"pvcagg/internal/compile"
 	"pvcagg/internal/expr"
 	"pvcagg/internal/pvc"
 	"pvcagg/internal/value"
@@ -40,34 +39,34 @@ func smallDB() *pvc.Database {
 
 func TestScanUnknownTable(t *testing.T) {
 	db := smallDB()
-	if _, err := (&Scan{Table: "nope"}).Eval(db); err == nil {
+	if _, err := eval(db, &Scan{Table: "nope"}); err == nil {
 		t.Errorf("unknown table accepted")
 	}
 }
 
 func TestRename(t *testing.T) {
 	db := smallDB()
-	rel, err := (&Rename{Input: &Scan{Table: "R"}, From: "b", To: "price"}).Eval(db)
+	rel, err := eval(db, &Rename{Input: &Scan{Table: "R"}, From: "b", To: "price"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rel.Schema.Index("price") != 1 || rel.Schema.Index("b") != -1 {
 		t.Errorf("rename failed: %v", rel.Schema.Names())
 	}
-	if _, err := (&Rename{Input: &Scan{Table: "R"}, From: "zz", To: "q"}).Eval(db); err == nil {
+	if _, err := eval(db, &Rename{Input: &Scan{Table: "R"}, From: "zz", To: "q"}); err == nil {
 		t.Errorf("renaming unknown column accepted")
 	}
-	if _, err := (&Rename{Input: &Scan{Table: "R"}, From: "a", To: "b"}).Eval(db); err == nil {
+	if _, err := eval(db, &Rename{Input: &Scan{Table: "R"}, From: "a", To: "b"}); err == nil {
 		t.Errorf("renaming onto existing column accepted")
 	}
 }
 
 func TestSelectConstantFilter(t *testing.T) {
 	db := smallDB()
-	rel, err := (&Select{
+	rel, err := eval(db, &Select{
 		Input: &Scan{Table: "R"},
 		Pred:  Where(ColTheta("a", value.EQ, pvc.IntCell(1))),
-	}).Eval(db)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,28 +74,76 @@ func TestSelectConstantFilter(t *testing.T) {
 		t.Errorf("σ[a=1] kept %d tuples, want 2", rel.Len())
 	}
 	// Column-to-column comparison.
-	rel, err = (&Select{
+	rel, err = eval(db, &Select{
 		Input: &Scan{Table: "R"},
 		Pred:  Where(ColThetaCol("a", value.LT, "b")),
-	}).Eval(db)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rel.Len() != 3 {
 		t.Errorf("σ[a<b] kept %d tuples, want 3", rel.Len())
 	}
-	if _, err := (&Select{Input: &Scan{Table: "R"}, Pred: Where(ColTheta("zz", value.EQ, pvc.IntCell(0)))}).Eval(db); err == nil {
+	if _, err := eval(db, &Select{Input: &Scan{Table: "R"}, Pred: Where(ColTheta("zz", value.EQ, pvc.IntCell(0)))}); err == nil {
 		t.Errorf("unknown column accepted")
+	}
+}
+
+// TestSelectThetaBoundaries pins what each θ means at its boundary, by
+// hand-computed expectations: the commuting oracle runs the same σ on
+// both sides of the diagram, so a comparison that is wrong in every world
+// alike is invisible to it. Constants filter (R's b is 10, 20, 30);
+// aggregation values condition the annotation (group a=1 has two
+// independent tuples at p = 1/2, so its COUNT is 0, 1, 2 with probability
+// 1/4, 1/2, 1/4 and the group exists unless it is 0).
+func TestSelectThetaBoundaries(t *testing.T) {
+	db := smallDB()
+	count := &GroupAgg{Input: &Scan{Table: "R"}, GroupBy: []string{"a"}, Aggs: []AggSpec{{Out: "n", Agg: algebra.Count}}}
+	for _, tc := range []struct {
+		th   value.Theta
+		kept int     // rows of σ[b θ 20](R)
+		conf float64 // P[a=1 in σ[n θ 1]($[a; n←COUNT](R))]
+	}{
+		{value.LT, 1, 0}, {value.LE, 2, 0.5}, {value.EQ, 1, 0.5},
+		{value.NE, 2, 0.25}, {value.GE, 2, 0.75}, {value.GT, 1, 0.25},
+	} {
+		rel, err := eval(db, &Select{Input: &Scan{Table: "R"}, Pred: Where(ColTheta("b", tc.th, pvc.IntCell(20)))})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rel.Len() != tc.kept {
+			t.Errorf("σ[b%s20] kept %d tuples, want %d", tc.th, rel.Len(), tc.kept)
+		}
+		// The same comparison between two columns: b θ b2 with b2 = 20.
+		twenty := &Rename{Input: &Select{Input: &Prune{Input: &Scan{Table: "R"}, Cols: []string{"b"}},
+			Pred: Where(ColTheta("b", value.EQ, pvc.IntCell(20)))}, From: "b", To: "b2"}
+		rel, err = eval(db, &Select{Input: &Product{L: &Scan{Table: "R"}, R: twenty}, Pred: Where(ColThetaCol("b", tc.th, "b2"))})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rel.Len() != tc.kept {
+			t.Errorf("σ[b%sb2] over R×{20} kept %d tuples, want %d", tc.th, rel.Len(), tc.kept)
+		}
+		rel, err = eval(db, &Select{Input: count, Pred: Where(ColTheta("n", tc.th, pvc.IntCell(1)))})
+		if err != nil {
+			t.Fatal(err)
+		}
+		conf := 0.0
+		if rel.Len() > 0 && rel.Tuples[0].Cells[0].Equal(pvc.IntCell(1)) {
+			conf = exactResults(t, db, rel)[0].Confidence
+		}
+		if conf != tc.conf {
+			t.Errorf("P[a=1 in σ[n%s1]] = %v, want %v", tc.th, conf, tc.conf)
+		}
 	}
 }
 
 func TestProjectSumsAnnotations(t *testing.T) {
 	db := smallDB()
-	rel, err := (&Project{Input: &Scan{Table: "R"}, Cols: []string{"a"}}).Eval(db)
+	rel, err := eval(db, &Project{Input: &Scan{Table: "R"}, Cols: []string{"a"}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rel.Sort()
 	if rel.Len() != 2 {
 		t.Fatalf("π[a] has %d tuples, want 2", rel.Len())
 	}
@@ -110,18 +157,18 @@ func TestProjectSumsAnnotations(t *testing.T) {
 func TestProjectRejectsModuleColumns(t *testing.T) {
 	db := smallDB()
 	agg := &GroupAgg{Input: &Scan{Table: "R"}, GroupBy: []string{"a"}, Aggs: []AggSpec{{Out: "m", Agg: algebra.Min, Over: "b"}}}
-	if _, err := (&Project{Input: agg, Cols: []string{"m"}}).Eval(db); err == nil {
+	if _, err := eval(db, &Project{Input: agg, Cols: []string{"m"}}); err == nil {
 		t.Errorf("projection onto aggregation attribute accepted (Definition 5)")
 	}
 }
 
 func TestProductAndDuplicateColumns(t *testing.T) {
 	db := smallDB()
-	if _, err := (&Product{L: &Scan{Table: "R"}, R: &Scan{Table: "R"}}).Eval(db); err == nil {
+	if _, err := eval(db, &Product{L: &Scan{Table: "R"}, R: &Scan{Table: "R"}}); err == nil {
 		t.Errorf("product with duplicate columns accepted")
 	}
 	renamed := &Rename{Input: &Rename{Input: &Scan{Table: "S2"}, From: "a", To: "a2"}, From: "c", To: "c2"}
-	rel, err := (&Product{L: &Scan{Table: "R"}, R: renamed}).Eval(db)
+	rel, err := eval(db, &Product{L: &Scan{Table: "R"}, R: renamed})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,24 +186,22 @@ func TestProductAndDuplicateColumns(t *testing.T) {
 
 func TestJoinMatchesProductSelectProject(t *testing.T) {
 	db := smallDB()
-	joined, err := (&Join{L: &Scan{Table: "R"}, R: &Scan{Table: "S2"}}).Eval(db)
+	joined, err := eval(db, &Join{L: &Scan{Table: "R"}, R: &Scan{Table: "S2"}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	joined.Sort()
 	// Equivalent formulation: rename, product, select, project.
 	renamed := &Rename{Input: &Scan{Table: "S2"}, From: "a", To: "a2"}
-	manual, err := (&Project{
+	manual, err := eval(db, &Project{
 		Cols: []string{"a", "b", "c"},
 		Input: &Select{
 			Pred:  Where(ColEqCol("a", "a2")),
 			Input: &Product{L: &Scan{Table: "R"}, R: renamed},
 		},
-	}).Eval(db)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	manual.Sort()
 	if joined.Len() != manual.Len() {
 		t.Fatalf("join %d tuples vs manual %d", joined.Len(), manual.Len())
 	}
@@ -182,17 +227,17 @@ func TestJoinRejectsModuleKeys(t *testing.T) {
 	db := smallDB()
 	agg := &GroupAgg{Input: &Scan{Table: "R"}, GroupBy: []string{"a"}, Aggs: []AggSpec{{Out: "m", Agg: algebra.Min, Over: "b"}}}
 	agg2 := &GroupAgg{Input: &Scan{Table: "S2"}, GroupBy: []string{"a"}, Aggs: []AggSpec{{Out: "m", Agg: algebra.Min, Over: "c"}}}
-	if _, err := (&Join{L: agg, R: agg2}).Eval(db); err == nil {
+	if _, err := eval(db, &Join{L: agg, R: agg2}); err == nil {
 		t.Errorf("join on aggregation column accepted")
 	}
 }
 
 func TestUnionChecks(t *testing.T) {
 	db := smallDB()
-	if _, err := (&Union{L: &Scan{Table: "R"}, R: &Scan{Table: "S2"}}).Eval(db); err == nil {
+	if _, err := eval(db, &Union{L: &Scan{Table: "R"}, R: &Scan{Table: "S2"}}); err == nil {
 		t.Errorf("union of incompatible schemas accepted")
 	}
-	rel, err := (&Union{L: &Scan{Table: "R"}, R: &Scan{Table: "R"}}).Eval(db)
+	rel, err := eval(db, &Union{L: &Scan{Table: "R"}, R: &Scan{Table: "R"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,22 +256,18 @@ func TestUnionChecks(t *testing.T) {
 
 func TestGroupAggCount(t *testing.T) {
 	db := smallDB()
-	rel, err := (&GroupAgg{
+	rel, err := eval(db, &GroupAgg{
 		Input:   &Scan{Table: "R"},
 		GroupBy: []string{"a"},
 		Aggs:    []AggSpec{{Out: "n", Agg: algebra.Count}},
-	}).Eval(db)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rel.Sort()
 	if rel.Len() != 2 {
 		t.Fatalf("groups = %d, want 2", rel.Len())
 	}
-	results, err := Probabilities(db, rel, compile.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	results := exactResults(t, db, rel)
 	// Group a=1 has two independent tuples at p=0.5: COUNT distribution
 	// {0:0.25, 1:0.5, 2:0.25}; confidence = P[group non-empty] = 0.75.
 	r0 := results[0]
@@ -254,10 +295,10 @@ func TestExample8GlobalAggregation(t *testing.T) {
 	}
 	db.Add(p1)
 
-	rel, err := (&GroupAgg{
+	rel, err := eval(db, &GroupAgg{
 		Input: &Scan{Table: "P1"},
 		Aggs:  []AggSpec{{Out: "alpha", Agg: algebra.Min, Over: "weight"}},
-	}).Eval(db)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,23 +315,20 @@ func TestExample8GlobalAggregation(t *testing.T) {
 	}
 
 	// π∅ σ5≤α of Example 8: the Boolean query "P[min weight ≥ 5]".
-	sel, err := (&Project{Cols: nil, Input: &Select{
+	sel, err := eval(db, &Project{Cols: nil, Input: &Select{
 		Input: &GroupAgg{
 			Input: &Scan{Table: "P1"},
 			Aggs:  []AggSpec{{Out: "alpha", Agg: algebra.Min, Over: "weight"}},
 		},
 		Pred: Where(ColTheta("alpha", value.GE, pvc.IntCell(5))),
-	}}).Eval(db)
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sel.Len() != 1 {
 		t.Fatalf("π∅ produced %d tuples", sel.Len())
 	}
-	results, err := Probabilities(db, sel, compile.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	results := exactResults(t, db, sel)
 	// Brute force: min present weight ≥ 5 iff z1 absent (weight 4 is the
 	// only one below 5); the empty minimum +∞ also satisfies ≥ 5.
 	if math.Abs(results[0].Confidence-0.5) > 1e-12 {
@@ -302,10 +340,10 @@ func TestGroupAggEmptyInputGlobal(t *testing.T) {
 	db := pvc.NewDatabase(algebra.Boolean)
 	r := pvc.NewRelation("E", pvc.Schema{{Name: "v", Type: pvc.TValue}})
 	db.Add(r)
-	rel, err := (&GroupAgg{
+	rel, err := eval(db, &GroupAgg{
 		Input: &Scan{Table: "E"},
 		Aggs:  []AggSpec{{Out: "m", Agg: algebra.Min, Over: "v"}, {Out: "n", Agg: algebra.Count}},
-	}).Eval(db)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,11 +357,11 @@ func TestGroupAggEmptyInputGlobal(t *testing.T) {
 		t.Errorf("COUNT over empty input = %s, want m:0", expr.String(got))
 	}
 	// Grouped aggregation over empty input has no groups.
-	rel, err = (&GroupAgg{
+	rel, err = eval(db, &GroupAgg{
 		Input:   &Scan{Table: "E"},
 		GroupBy: []string{"v"},
 		Aggs:    []AggSpec{{Out: "n", Agg: algebra.Count}},
-	}).Eval(db)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,25 +372,24 @@ func TestGroupAggEmptyInputGlobal(t *testing.T) {
 
 func TestGroupAggErrors(t *testing.T) {
 	db := smallDB()
-	if _, err := (&GroupAgg{Input: &Scan{Table: "R"}, GroupBy: []string{"zz"}, Aggs: []AggSpec{{Out: "n", Agg: algebra.Count}}}).Eval(db); err == nil {
+	if _, err := eval(db, &GroupAgg{Input: &Scan{Table: "R"}, GroupBy: []string{"zz"}, Aggs: []AggSpec{{Out: "n", Agg: algebra.Count}}}); err == nil {
 		t.Errorf("unknown group-by column accepted")
 	}
-	if _, err := (&GroupAgg{Input: &Scan{Table: "R"}, Aggs: []AggSpec{{Out: "m", Agg: algebra.Min, Over: "zz"}}}).Eval(db); err == nil {
+	if _, err := eval(db, &GroupAgg{Input: &Scan{Table: "R"}, Aggs: []AggSpec{{Out: "m", Agg: algebra.Min, Over: "zz"}}}); err == nil {
 		t.Errorf("unknown aggregation column accepted")
 	}
 }
 
 func TestJointResult(t *testing.T) {
 	db := smallDB()
-	rel, err := (&GroupAgg{
+	rel, err := eval(db, &GroupAgg{
 		Input:   &Scan{Table: "R"},
 		GroupBy: []string{"a"},
 		Aggs:    []AggSpec{{Out: "n", Agg: algebra.Count}},
-	}).Eval(db)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rel.Sort()
 	joint, err := JointResult(db, rel, 0)
 	if err != nil {
 		t.Fatal(err)

@@ -1,11 +1,9 @@
 package engine
 
 import (
-	"context"
 	"fmt"
 	"time"
 
-	"pvcagg/internal/compile"
 	"pvcagg/internal/core"
 	"pvcagg/internal/expr"
 	"pvcagg/internal/prob"
@@ -28,38 +26,10 @@ type TupleResult struct {
 	Report   core.Report
 }
 
-// Run evaluates a plan and computes the probability of every result tuple
-// — the paper's two query-evaluation steps chained. The returned duration
-// pair separates expression construction (⟦·⟧) from probability
-// computation (P(·)), the quantities Experiment F reports.
-func Run(db *pvc.Database, plan Plan, opts compile.Options) (*pvc.Relation, []TupleResult, RunTiming, error) {
-	return runWith(db, plan, func(rel *pvc.Relation) ([]TupleResult, error) {
-		return Probabilities(db, rel, opts)
-	})
-}
-
 // RunTiming separates the costs of the two evaluation steps.
 type RunTiming struct {
 	Construct   time.Duration // step I: computing tuples and expressions (⟦·⟧)
 	Probability time.Duration // step II: probability computation (P(·))
-}
-
-// Probabilities computes, for every tuple of rel, the confidence of its
-// annotation and the distribution of each aggregation column, by d-tree
-// compilation (Section 5). It stops at the first failing tuple; the
-// pooled Outcomes reports every failure.
-func Probabilities(db *pvc.Database, rel *pvc.Relation, opts compile.Options) ([]TupleResult, error) {
-	wk := newWorker(db, &ExecConfig{Compile: opts})
-	moduleCols := rel.Schema.ModuleColumns()
-	out := make([]TupleResult, 0, len(rel.Tuples))
-	for i, t := range rel.Tuples {
-		o, err := wk.outcome(context.Background(), i, t, moduleCols)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, o.AsTupleResult())
-	}
-	return out, nil
 }
 
 // JointResult computes the joint distribution of a tuple's annotation and

@@ -8,9 +8,10 @@ import (
 )
 
 // InferSchema computes the output schema of a plan without evaluating it,
-// mirroring the checks each operator performs in Eval. The binder and the
-// optimizer use it to resolve column references and to decide which
-// rewrites are schema-preserving.
+// applying the static checks iterBuilder applies when it builds the
+// operators (TestInferSchemaMatchesEval holds the two together). The
+// binder and the optimizer use it to resolve column references and to
+// decide which rewrites are schema-preserving.
 func InferSchema(p Plan, db *pvc.Database) (pvc.Schema, error) {
 	switch n := p.(type) {
 	case *Scan:

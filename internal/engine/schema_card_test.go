@@ -47,7 +47,7 @@ func schemaCardDB(t *testing.T) *pvc.Database {
 func TestPruneEval(t *testing.T) {
 	db := schemaCardDB(t)
 	p := &Prune{Input: &Scan{Table: "R"}, Cols: []string{"b"}}
-	rel, err := p.Eval(db)
+	rel, err := eval(db, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,8 @@ func TestPruneEval(t *testing.T) {
 	if got := rel.Schema.Names(); len(got) != 1 || got[0] != "b" {
 		t.Fatalf("π̂ schema = %v, want [b]", got)
 	}
-	in, _ := (&Scan{Table: "R"}).Eval(db)
+	// Both results are sorted, and R's b grows with (a, b).
+	in, _ := eval(db, &Scan{Table: "R"})
 	for i, tp := range rel.Tuples {
 		if !expr.Equal(tp.Ann, in.Tuples[i].Ann) {
 			t.Fatalf("π̂ changed annotation of tuple %d", i)
@@ -66,14 +67,14 @@ func TestPruneEval(t *testing.T) {
 	// Column reordering is allowed (used to restore schemas after join
 	// reordering).
 	p2 := &Prune{Input: &Scan{Table: "R"}, Cols: []string{"b", "a"}}
-	rel2, err := p2.Eval(db)
+	rel2, err := eval(db, p2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := rel2.Schema.Names(); got[0] != "b" || got[1] != "a" {
 		t.Fatalf("π̂ reorder schema = %v", got)
 	}
-	if _, err := (&Prune{Input: &Scan{Table: "R"}, Cols: []string{"zz"}}).Eval(db); err == nil {
+	if _, err := eval(db, &Prune{Input: &Scan{Table: "R"}, Cols: []string{"zz"}}); err == nil {
 		t.Fatal("π̂ of unknown column accepted")
 	}
 	if !strings.Contains(p.String(), "π̂[b]") {
@@ -98,7 +99,7 @@ func TestInferSchemaMatchesEval(t *testing.T) {
 		},
 	}
 	for _, p := range plans {
-		want, err := p.Eval(db)
+		want, err := eval(db, p)
 		if err != nil {
 			t.Fatalf("%s: Eval: %v", p, err)
 		}

@@ -1,8 +1,11 @@
 package gen
 
 import (
+	"context"
 	"strings"
 	"testing"
+
+	"pvcagg/internal/engine"
 )
 
 func TestNewDBDeterministic(t *testing.T) {
@@ -11,16 +14,14 @@ func TestNewDBDeterministic(t *testing.T) {
 	if a.Plan.String() != b.Plan.String() {
 		t.Fatalf("plans differ for one seed: %s vs %s", a.Plan, b.Plan)
 	}
-	ra, err := a.Plan.Eval(a.DB)
+	ra, _, err := engine.StreamEvalPlan(context.Background(), a.DB, a.Plan)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rb, err := b.Plan.Eval(b.DB)
+	rb, _, err := engine.StreamEvalPlan(context.Background(), b.DB, b.Plan)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ra.Sort()
-	rb.Sort()
 	if ra.String() != rb.String() {
 		t.Fatalf("results differ for one seed:\n%s\nvs\n%s", ra, rb)
 	}
@@ -30,7 +31,7 @@ func TestNewDBCoverage(t *testing.T) {
 	shapes := map[string]int{}
 	for seed := int64(1); seed <= 60; seed++ {
 		inst := MustNewDB(DBParams{Seed: seed})
-		if _, err := inst.Plan.Eval(inst.DB); err != nil {
+		if _, _, err := engine.StreamEvalPlan(context.Background(), inst.DB, inst.Plan); err != nil {
 			t.Fatalf("seed %d: plan %s: %v", seed, inst.Plan, err)
 		}
 		s := inst.Plan.String()

@@ -136,26 +136,3 @@ func (db *Database) Schema(name string) (Schema, error) {
 	}
 	return nil, fmt.Errorf("pvc: unknown relation %q", name)
 }
-
-// MaterializeProvider drains a full scan of p into an in-memory
-// Relation — the storage-side counterpart of Relation.Clone for the
-// materializing evaluation path. It keeps every tuple, so it copies the
-// cells each Next lent.
-func MaterializeProvider(ctx context.Context, p TableProvider) (*Relation, error) {
-	it, err := p.NewScan(ctx, ScanOptions{})
-	if err != nil {
-		return nil, err
-	}
-	defer it.Close()
-	rel := NewRelation(p.TableName(), p.Schema())
-	for {
-		t, ok, err := it.Next()
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			return rel, it.Close()
-		}
-		rel.Tuples = append(rel.Tuples, t.Clone())
-	}
-}

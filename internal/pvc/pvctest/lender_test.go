@@ -71,7 +71,7 @@ func TestLenderEndsLoans(t *testing.T) {
 }
 
 // TestLenderUsesItsFreedoms: it drops what hints and DropZero allow and
-// projects, and MaterializeProvider — which keeps every tuple — copies.
+// projects, and LendingDatabase lends the named relations only.
 func TestLenderUsesItsFreedoms(t *testing.T) {
 	ctx := context.Background()
 	rel := shops()
@@ -97,21 +97,8 @@ func TestLenderUsesItsFreedoms(t *testing.T) {
 	db := pvc.NewDatabase(algebra.Boolean)
 	db.Add(rel)
 	lent := pvctest.LendingDatabase(db)
-	prov, ok := lent.Provider("S")
-	if !ok {
+	if _, ok := lent.Provider("S"); !ok {
 		t.Fatal("LendingDatabase did not register a provider for S")
-	}
-	got, err := pvc.MaterializeProvider(ctx, prov)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Tuples) != len(rel.Tuples) {
-		t.Fatalf("materialized %d rows, want %d", len(got.Tuples), len(rel.Tuples))
-	}
-	for i, want := range rel.Tuples {
-		if got.Tuples[i].Key() != want.Key() || !expr.Equal(got.Tuples[i].Ann, want.Ann) {
-			t.Errorf("row %d: got %s %s, want %s %s", i, got.Tuples[i].Label(), got.Tuples[i].Ann, want.Label(), want.Ann)
-		}
 	}
 	if mixed := pvctest.LendingDatabase(db, "nope"); len(mixed.Names()) != 1 {
 		t.Errorf("names = %v", mixed.Names())

@@ -164,13 +164,6 @@ func (s tupleSorter) Swap(i, j int) {
 	s.keys[i], s.keys[j] = s.keys[j], s.keys[i]
 }
 
-// Clone returns a deep-enough copy (cells and annotations are immutable).
-func (r *Relation) Clone() *Relation {
-	out := &Relation{Name: r.Name, Schema: r.Schema.Clone(), Tuples: make([]Tuple, len(r.Tuples))}
-	copy(out.Tuples, r.Tuples)
-	return out
-}
-
 // String renders the relation as an aligned text table with the annotation
 // column Φ last.
 func (r *Relation) String() string {

@@ -1,6 +1,7 @@
 package bind
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -83,7 +84,7 @@ func TestBindFigure1Q2(t *testing.T) {
 	if plan.String() != want {
 		t.Fatalf("naive lowering:\n got %s\nwant %s", plan, want)
 	}
-	if _, err := plan.Eval(db); err != nil {
+	if _, _, err := engine.StreamEvalPlan(context.Background(), db, plan); err != nil {
 		t.Fatalf("bound plan does not evaluate: %v", err)
 	}
 }
@@ -124,7 +125,7 @@ func TestBindShapes(t *testing.T) {
 		if plan.String() != c.want {
 			t.Errorf("Bind(%q)\n got %s\nwant %s", c.src, plan, c.want)
 		}
-		if _, err := plan.Eval(db); err != nil {
+		if _, _, err := engine.StreamEvalPlan(context.Background(), db, plan); err != nil {
 			t.Errorf("Bind(%q): plan does not evaluate: %v", c.src, err)
 		}
 	}
@@ -209,7 +210,7 @@ func TestBindConstantVsAggregationComparisons(t *testing.T) {
 	for _, th := range []string{"=", "!=", "<=", ">=", "<", ">"} {
 		src := fmt.Sprintf("SELECT shop FROM (SELECT shop, sid, MAX(price) AS P FROM (SELECT * FROM S JOIN PS) GROUP BY shop, sid) WHERE sid %s P", th)
 		plan := mustBind(t, db, src)
-		if _, err := plan.Eval(db); err != nil {
+		if _, _, err := engine.StreamEvalPlan(context.Background(), db, plan); err != nil {
 			t.Errorf("σ[sid %s P]: plan does not evaluate: %v", th, err)
 		}
 	}

@@ -10,6 +10,7 @@ import (
 	"pvcagg/internal/algebra"
 	"pvcagg/internal/engine"
 	"pvcagg/internal/pvc"
+	"pvcagg/internal/pvc/pvctest"
 	"pvcagg/internal/pvql"
 	"pvcagg/internal/pvql/bind"
 	"pvcagg/internal/pvql/opt"
@@ -22,19 +23,21 @@ import (
 // probabilities are dyadic rationals that float64 arithmetic computes
 // exactly in any association order — reassociating rewrites (join
 // reordering) are held to the same zero tolerance as the
-// expression-preserving ones.
+// expression-preserving ones. TestOptimizerCommutes then holds both
+// lowerings of every template, and the physically commuted one, to the
+// possible-worlds semantics of step I.
 
 // diffDB builds a random database: R(a, b), S(a, c), T(a, b) and the
-// disconnected W(d, e), with random sizes and values, every tuple
-// independent at probability 1/2.
-func diffDB(rng *rand.Rand) *pvc.Database {
+// disconnected W(d, e), with random sizes (at most maxRows each) and
+// values, every tuple independent at probability 1/2.
+func diffDB(rng *rand.Rand, maxRows int) *pvc.Database {
 	db := pvc.NewDatabase(algebra.Boolean)
 	add := func(name, col1, col2 string, n int) {
 		rel := pvc.NewRelation(name, pvc.Schema{
 			{Name: col1, Type: pvc.TValue},
 			{Name: col2, Type: pvc.TValue},
 		})
-		for i := 0; i < n; i++ {
+		for i := 0; i < min(n, maxRows); i++ {
 			if _, err := db.InsertIndependent(rel, 0.5,
 				pvc.IntCell(rng.Int63n(3)), pvc.IntCell(rng.Int63n(8))); err != nil {
 				panic(err)
@@ -49,11 +52,22 @@ func diffDB(rng *rand.Rand) *pvc.Database {
 	return db
 }
 
-// randQuery produces one random PVQL query string. Templates cover every
+// diffRows is diffDB's size cap that caps nothing: tables of up to five
+// rows, too many worlds to enumerate but not to compile.
+const diffRows = 5
+
+// queryTemplates is the number of templates templateQuery knows.
+const queryTemplates = 12
+
+// randQuery produces one random PVQL query string from a random
+// template.
+func randQuery(rng *rand.Rand) string { return templateQuery(rng, rng.Intn(queryTemplates)) }
+
+// templateQuery fills in template tmpl at random. Templates cover every
 // optimizer rewrite: filter pushdown through joins, products, unions,
 // grouping and renames; Product+Select→Join fusion; join reordering;
 // projection and aggregate pruning; and σ over aggregation columns.
-func randQuery(rng *rand.Rand) string {
+func templateQuery(rng *rand.Rand, tmpl int) string {
 	thetas := []string{"=", "!=", "<=", ">=", "<", ">"}
 	aggs := []string{"SUM", "MIN", "MAX", "COUNT"}
 	th := func() string { return thetas[rng.Intn(len(thetas))] }
@@ -78,7 +92,7 @@ func randQuery(rng *rand.Rand) string {
 			return fmt.Sprintf("(SELECT * FROM R WHERE b %s %d)", th(), k())
 		}
 	}
-	switch rng.Intn(12) {
+	switch tmpl {
 	case 0:
 		return fmt.Sprintf("SELECT * FROM R WHERE b %s %d", th(), k())
 	case 1:
@@ -111,38 +125,46 @@ func randQuery(rng *rand.Rand) string {
 	panic("unreachable")
 }
 
-func TestOptimizerDifferential(t *testing.T) {
+// naivePlan parses and binds one generated query: its naive lowering.
+func naivePlan(t *testing.T, seed int64, db *pvc.Database, src string) engine.Plan {
+	t.Helper()
+	q, err := pvql.Parse(src)
+	if err != nil {
+		t.Fatalf("seed %d: Parse(%q): %v", seed, src, err)
+	}
+	naive, err := bind.Bind(db, q)
+	if err != nil {
+		t.Fatalf("seed %d: Bind(%q): %v", seed, src, err)
+	}
+	return naive
+}
+
+func TestOptimizerDifferential(t *testing.T) { optimizerDifferential(t, 0, 120) }
+
+// optimizerDifferential compares naive and optimized lowerings of the
+// queries generated from seeds first, first+1, …
+func optimizerDifferential(t *testing.T, first, queries int64) {
 	ctx := context.Background()
-	const queries = 120
-	ran := 0
-	for seed := int64(0); ran < queries; seed++ {
+	for seed := first; seed < first+queries; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		db := diffDB(rng)
+		db := diffDB(rng, diffRows)
 		src := randQuery(rng)
-		q, err := pvql.Parse(src)
-		if err != nil {
-			t.Fatalf("seed %d: Parse(%q): %v", seed, src, err)
-		}
-		naive, err := bind.Bind(db, q)
-		if err != nil {
-			t.Fatalf("seed %d: Bind(%q): %v", seed, src, err)
-		}
+		naive := naivePlan(t, seed, db, src)
 		optimized := opt.Optimize(naive, db)
 		compareBitForBit(t, ctx, db, src, seed, naive, optimized)
 		// The optimizer must be idempotent-safe: optimizing its own output
 		// keeps the answers identical too.
 		compareBitForBit(t, ctx, db, src, seed, naive, opt.Optimize(optimized, db))
-		ran++
 	}
 }
 
 func compareBitForBit(t *testing.T, ctx context.Context, db *pvc.Database, src string, seed int64, naive, optimized engine.Plan) {
 	t.Helper()
-	relN, _, err := engine.EvalPlan(ctx, db, naive)
+	relN, _, err := engine.StreamEvalPlan(ctx, db, naive)
 	if err != nil {
 		t.Fatalf("seed %d: %q: naive eval: %v", seed, src, err)
 	}
-	relO, _, err := engine.EvalPlan(ctx, db, optimized)
+	relO, _, err := engine.StreamEvalPlan(ctx, db, optimized)
 	if err != nil {
 		t.Fatalf("seed %d: %q: optimized eval of %s: %v", seed, src, optimized, err)
 	}
@@ -186,6 +208,43 @@ func compareBitForBit(t *testing.T, ctx context.Context, db *pvc.Database, src s
 	}
 }
 
+// TestOptimizerCommutes holds step I to the paper's semantics on what the
+// optimizer emits: every template, lowered naively, optimized, and
+// optimized with the build-side pass forced onto every eligible join,
+// must evaluate in each possible world to what its symbolic result says
+// (pvctest.CheckCommutes) — over tables of at most three rows, 2¹¹
+// worlds.
+func TestOptimizerCommutes(t *testing.T) {
+	if testing.Short() {
+		t.Skip("world enumeration is slow in -short mode")
+	}
+	ctx := context.Background()
+	for tmpl := 0; tmpl < queryTemplates; tmpl++ {
+		for rep := int64(0); rep < 4; rep++ {
+			seed := 7000 + 10*int64(tmpl) + rep
+			rng := rand.New(rand.NewSource(seed))
+			db := diffDB(rng, 3)
+			src := templateQuery(rng, tmpl)
+			naive := naivePlan(t, seed, db, src)
+			optimized := opt.Optimize(naive, db)
+			old := opt.BuildSideThreshold
+			opt.BuildSideThreshold = 1
+			commuted := opt.Optimize(naive, db)
+			opt.BuildSideThreshold = old
+			for i, plan := range []engine.Plan{naive, optimized, commuted} {
+				name := []string{"naive", "optimized", "commuted"}[i]
+				t.Run(fmt.Sprintf("template%02d/seed%d/%s", tmpl, seed, name), func(t *testing.T) {
+					t.Logf("%s\n%s", src, plan)
+					pvctest.CheckCommutes(t, db, func(d *pvc.Database) (*pvc.Relation, error) {
+						rel, _, err := engine.StreamEvalPlan(ctx, d, plan)
+						return rel, err
+					})
+				})
+			}
+		}
+	}
+}
+
 func constCells(tp pvc.Tuple, schema pvc.Schema) string {
 	var b strings.Builder
 	for i, c := range tp.Cells {
@@ -206,16 +265,8 @@ func constCells(tp pvc.Tuple, schema pvc.Schema) string {
 func TestPlanStringRoundTrip(t *testing.T) {
 	for seed := int64(0); seed < 150; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		db := diffDB(rng)
-		src := randQuery(rng)
-		q, err := pvql.Parse(src)
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		naive, err := bind.Bind(db, q)
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
+		db := diffDB(rng, diffRows)
+		naive := naivePlan(t, seed, db, randQuery(rng))
 		for _, plan := range []engine.Plan{naive, opt.Optimize(naive, db)} {
 			s := plan.String()
 			rt, err := pvql.ParsePlan(s)

@@ -48,11 +48,11 @@ func firstCol(table string) string {
 func evalBoth(t *testing.T, db *pvc.Database, naive, optimized engine.Plan) {
 	t.Helper()
 	ctx := context.Background()
-	relN, _, err := engine.EvalPlan(ctx, db, naive)
+	relN, _, err := engine.StreamEvalPlan(ctx, db, naive)
 	if err != nil {
 		t.Fatalf("naive eval: %v", err)
 	}
-	relO, _, err := engine.EvalPlan(ctx, db, optimized)
+	relO, _, err := engine.StreamEvalPlan(ctx, db, optimized)
 	if err != nil {
 		t.Fatalf("optimized eval (%s): %v", optimized, err)
 	}

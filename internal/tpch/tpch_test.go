@@ -1,10 +1,11 @@
 package tpch
 
 import (
+	"context"
 	"math"
 	"testing"
+	"time"
 
-	"pvcagg/internal/compile"
 	"pvcagg/internal/engine"
 	"pvcagg/internal/expr"
 	"pvcagg/internal/pvc"
@@ -12,6 +13,27 @@ import (
 )
 
 const testSF = 0.0005 // lineitem ≈ 3000 rows, partsupp ≈ 400
+
+// run chains the two evaluation steps the way queries do: step I through
+// StreamEvalPlan, step II exactly on one goroutine.
+func run(t *testing.T, db *pvc.Database, plan engine.Plan) (*pvc.Relation, []engine.TupleResult, engine.RunTiming) {
+	t.Helper()
+	ctx := context.Background()
+	rel, construct, err := engine.StreamEvalPlan(ctx, db, plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t0 := time.Now()
+	outs, err := engine.Outcomes(ctx, db, rel, engine.ExecConfig{Parallelism: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	results := make([]engine.TupleResult, len(outs))
+	for i, o := range outs {
+		results[i] = o.AsTupleResult()
+	}
+	return rel, results, engine.RunTiming{Construct: construct, Probability: time.Since(t0)}
+}
 
 func TestGenerateCardinalities(t *testing.T) {
 	db, err := Generate(Config{SF: testSF, Seed: 1})
@@ -95,11 +117,10 @@ func TestQ1Deterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rel, err := Q1(2000).Eval(db)
+	rel, _, err := engine.StreamEvalPlan(context.Background(), db, Q1(2000))
 	if err != nil {
 		t.Fatal(err)
 	}
-	rel.Sort()
 	if rel.Len() == 0 || rel.Len() > 6 {
 		t.Fatalf("Q1 produced %d groups, want 1..6", rel.Len())
 	}
@@ -129,10 +150,7 @@ func TestQ1Probabilistic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rel, results, timing, err := engine.Run(db, Q1(1200), compile.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rel, results, timing := run(t, db, Q1(1200))
 	if rel.Len() == 0 {
 		t.Fatalf("Q1 empty")
 	}
@@ -169,7 +187,7 @@ func TestQ2Deterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	partKey, region := pickQ2Params(t, db)
-	rel, err := Q2(partKey, region).Eval(db)
+	rel, _, err := engine.StreamEvalPlan(context.Background(), db, Q2(partKey, region))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,10 +212,7 @@ func TestQ2Probabilistic(t *testing.T) {
 		t.Fatal(err)
 	}
 	partKey, region := pickQ2Params(t, db)
-	rel, results, _, err := engine.Run(db, Q2(partKey, region), compile.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rel, results, _ := run(t, db, Q2(partKey, region))
 	if rel.Len() == 0 {
 		t.Skipf("no candidate suppliers for part %d in %s", partKey, region)
 	}

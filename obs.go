@@ -37,8 +37,8 @@ func WithTrace(tr *Trace) Option {
 
 // WithExplainAnalyze wraps step I in per-operator counting decorators
 // and returns the analyzed plan tree in ExecReport.Explain — the
-// programmatic form of the PVQL `EXPLAIN ANALYZE` prefix, applying to
-// both eval paths. The result relation is unchanged.
+// programmatic form of the PVQL `EXPLAIN ANALYZE` prefix. The result
+// relation is unchanged.
 func WithExplainAnalyze() Option {
 	return func(c *execConfig) { c.analyze = true }
 }
@@ -46,7 +46,7 @@ func WithExplainAnalyze() Option {
 // ExplainNode is one operator of an EXPLAIN / EXPLAIN ANALYZE tree:
 // estimated rows next to actual rows (-1 when not executed), per
 // operator, plus join build sizes vs. the Estimator's prediction and
-// σ-fusion reject counts on the streaming path.
+// σ-fusion reject counts.
 type ExplainNode = engine.ExplainNode
 
 // ExplainMode reports whether a PVQL query text carried an EXPLAIN

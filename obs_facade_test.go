@@ -12,7 +12,7 @@ import (
 )
 
 // Facade-level observability: trace determinism across parallelism, and
-// the EXPLAIN ANALYZE golden over TPC-H Q1 on both eval paths.
+// the EXPLAIN ANALYZE golden over TPC-H Q1.
 
 // normalizeSpans renders a span tree down to what must be
 // deterministic: names, structure, and counter attributes. Durations
@@ -98,9 +98,8 @@ func TestTraceOffIsAbsent(t *testing.T) {
 }
 
 // TestExplainAnalyzeGoldenTPCHQ1 pins the per-operator actual row
-// counts of TPC-H Q1 (SF 0.0005, seed 1) through both eval paths
-// against cardinalities computed independently from the generated
-// data: the scan sees every lineitem row, the σ passes exactly the
+// counts of TPC-H Q1 (SF 0.0005, seed 1) against cardinalities computed
+// independently from the generated data: the scan sees every lineitem row, the σ passes exactly the
 // rows with l_shipdate ≤ 1200, and the aggregation yields one row per
 // (l_returnflag, l_linestatus) group among them.
 func TestExplainAnalyzeGoldenTPCHQ1(t *testing.T) {
@@ -139,51 +138,49 @@ func TestExplainAnalyzeGoldenTPCHQ1(t *testing.T) {
 		t.Fatalf("degenerate golden inputs: total=%d filtered=%d groups=%d", total, filtered, len(groups))
 	}
 
-	for _, path := range []pvcagg.EvalPath{pvcagg.StreamingEval, pvcagg.MaterializedEval} {
-		res, err := pvcagg.Exec(context.Background(), db, tpch.Q1(1200),
-			pvcagg.WithMode(pvcagg.Exact), pvcagg.WithEvalPath(path), pvcagg.WithExplainAnalyze())
-		if err != nil {
-			t.Fatalf("%v: %v", path, err)
-		}
-		outs, err := res.Collect()
-		if err != nil {
-			t.Fatalf("%v: %v", path, err)
-		}
-		ex := res.Report.Explain
-		if ex == nil {
-			t.Fatalf("%v: no Explain tree", path)
-		}
-		// Shape: $ → σ → scan(lineitem).
-		if ex.Op != "$" || len(ex.Children) != 1 {
-			t.Fatalf("%v: root %q with %d children, want $ with 1", path, ex.Op, len(ex.Children))
-		}
-		sel := ex.Children[0]
-		if sel.Op != "σ" || len(sel.Children) != 1 {
-			t.Fatalf("%v: mid %q with %d children, want σ with 1", path, sel.Op, len(sel.Children))
-		}
-		scan := sel.Children[0]
-		if scan.Op != "scan" || scan.Name != "lineitem" {
-			t.Fatalf("%v: leaf %s(%s), want scan(lineitem)", path, scan.Op, scan.Name)
-		}
-		if got, want := ex.ActualRows, int64(len(groups)); got != want {
-			t.Errorf("%v: $ actual=%d, want %d groups", path, got, want)
-		}
-		if int64(len(outs)) != ex.ActualRows {
-			t.Errorf("%v: %d result tuples but root actual=%d", path, len(outs), ex.ActualRows)
-		}
-		if sel.ActualRows != filtered {
-			t.Errorf("%v: σ actual=%d, want %d (l_shipdate ≤ 1200)", path, sel.ActualRows, filtered)
-		}
-		if scan.ActualRows != total {
-			t.Errorf("%v: scan actual=%d, want %d lineitem rows", path, scan.ActualRows, total)
-		}
-		if scan.EstRows != float64(total) {
-			t.Errorf("%v: scan est=%v, want %d (table statistics are exact)", path, scan.EstRows, total)
-		}
-		for _, n := range []*pvcagg.ExplainNode{ex, sel, scan} {
-			if n.TimeUS < 0 {
-				t.Errorf("%v: %s has negative time %dµs", path, n.Op, n.TimeUS)
-			}
+	res, err := pvcagg.Exec(context.Background(), db, tpch.Q1(1200),
+		pvcagg.WithMode(pvcagg.Exact), pvcagg.WithExplainAnalyze())
+	if err != nil {
+		t.Fatal(err)
+	}
+	outs, err := res.Collect()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ex := res.Report.Explain
+	if ex == nil {
+		t.Fatal("no Explain tree")
+	}
+	// Shape: $ → σ → scan(lineitem).
+	if ex.Op != "$" || len(ex.Children) != 1 {
+		t.Fatalf("root %q with %d children, want $ with 1", ex.Op, len(ex.Children))
+	}
+	sel := ex.Children[0]
+	if sel.Op != "σ" || len(sel.Children) != 1 {
+		t.Fatalf("mid %q with %d children, want σ with 1", sel.Op, len(sel.Children))
+	}
+	scan := sel.Children[0]
+	if scan.Op != "scan" || scan.Name != "lineitem" {
+		t.Fatalf("leaf %s(%s), want scan(lineitem)", scan.Op, scan.Name)
+	}
+	if got, want := ex.ActualRows, int64(len(groups)); got != want {
+		t.Errorf("$ actual=%d, want %d groups", got, want)
+	}
+	if int64(len(outs)) != ex.ActualRows {
+		t.Errorf("%d result tuples but root actual=%d", len(outs), ex.ActualRows)
+	}
+	if sel.ActualRows != filtered {
+		t.Errorf("σ actual=%d, want %d (l_shipdate ≤ 1200)", sel.ActualRows, filtered)
+	}
+	if scan.ActualRows != total {
+		t.Errorf("scan actual=%d, want %d lineitem rows", scan.ActualRows, total)
+	}
+	if scan.EstRows != float64(total) {
+		t.Errorf("scan est=%v, want %d (table statistics are exact)", scan.EstRows, total)
+	}
+	for _, n := range []*pvcagg.ExplainNode{ex, sel, scan} {
+		if n.TimeUS < 0 {
+			t.Errorf("%s has negative time %dµs", n.Op, n.TimeUS)
 		}
 	}
 }

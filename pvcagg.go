@@ -79,23 +79,16 @@
 //
 // # Execution model
 //
-// Step I — evaluating the plan into the annotated answer relation — has
-// two physical paths selected by WithEvalPath and recorded in
-// Result.Strategy.EvalPath:
-//
-//   - StreamingEval (the default): a pull-iterator pipeline. Scans are
-//     lazy, selections/renames/prunes pipeline tuple-at-a-time, joins
-//     and products hash only their build side (pre-sized from the
-//     cardinality estimator), filters over joins fuse into the pair
-//     iterator so rejected pairs never allocate, and the
-//     duplicate-eliminating operators group incrementally.
-//   - MaterializedEval: the original recursion that materialises every
-//     operator's full output before its parent runs.
-//
-// Both paths produce bit-for-bit identical relations — same tuples,
-// same annotation expression trees — so probabilities agree exactly;
-// the differential suites hold them to tolerance 0 on every optimizer
-// template and on the pinned paper goldens.
+// Step I — evaluating the plan into the annotated answer relation — is
+// a pull-iterator pipeline. Scans are lazy, selections/renames/prunes
+// pipeline tuple-at-a-time, joins and products hash only their build
+// side (pre-sized from the cardinality estimator), filters over joins
+// fuse into the pair iterator so rejected pairs never allocate, and the
+// duplicate-eliminating operators group incrementally. It is held to the
+// paper's semantics world by world: for every valuation ν of the input's
+// variables, evaluating the result's annotations and aggregates under ν
+// gives exactly what the same plan computes on the deterministic
+// database ν selects.
 //
 // # Query language
 //
