@@ -168,7 +168,7 @@ func ApproximateCtx(ctx context.Context, s algebra.Semiring, reg *vars.Registry,
 		if opts.MaxNodes > 0 && (co.MaxNodes == 0 || opts.MaxNodes < co.MaxNodes) {
 			co.MaxNodes = opts.MaxNodes
 		}
-		b, nodes, err := exactTruth(ctx, s, reg, e, co)
+		b, nodes, err := exactTruth(ctx, s, reg, e, co, nil)
 		if err != nil {
 			return Bounds{}, ApproxReport{}, err
 		}
@@ -181,7 +181,8 @@ func ApproximateCtx(ctx context.Context, s algebra.Semiring, reg *vars.Registry,
 		}
 		return b, rep, nil
 	}
-	ax := &approximator{s: s, reg: reg, opts: opts, ctx: ctx, memo: map[uint64][]closureEntry{}, tier: opts.leafBudget()}
+	ax := &approximator{s: s, reg: reg, opts: opts, ctx: ctx, memo: map[uint64][]closureEntry{}, tier: opts.leafBudget(), sc: getScratch(e)}
+	defer putScratch(ax.sc)
 	root, err := ax.classify(e)
 	if err != nil {
 		return Bounds{}, ApproxReport{}, err
@@ -203,9 +204,11 @@ func ApproximateCtx(ctx context.Context, s algebra.Semiring, reg *vars.Registry,
 
 // exactTruth runs the exact compile→evaluate pipeline on an expression
 // that is already validated and in simplified form, and returns the truth
-// probability as a point interval.
-func exactTruth(ctx context.Context, s algebra.Semiring, reg *vars.Registry, e expr.Expr, opts Options) (Bounds, int, error) {
+// probability as a point interval. sc, when non-nil, is the scratch of
+// the anytime run e is a residual of, lent to the compilation.
+func exactTruth(ctx context.Context, s algebra.Semiring, reg *vars.Registry, e expr.Expr, opts Options, sc *scratch) (Bounds, int, error) {
 	c := New(s, reg, opts)
+	c.sc = sc
 	res, err := c.compileSimplified(ctx, e)
 	if err != nil {
 		// The nodes created before a budget abort are real work; report
@@ -389,6 +392,9 @@ type approximator struct {
 	// reason the exact compiler memoises), so a sub-problem closed — or
 	// proven too hard for a budget tier — once is never re-attempted.
 	memo map[uint64][]closureEntry
+	// sc is the run's scratch (scratch.go), shared with the exact compiler
+	// of every leaf closure: all of them work on residuals of one root.
+	sc *scratch
 }
 
 // closureEntry resolves hash collisions in the closure memo.
@@ -486,17 +492,18 @@ func (ax *approximator) classify(e expr.Expr) (*anode, error) {
 	// here (rather than only inside closure probes) shrinks every later
 	// substitution, memo key and Shannon expansion of this leaf.
 	if cm, ok := e.(expr.Cmp); ok && !ax.opts.Compile.DisablePruning {
-		pruned, _ := pruneCmp(ax.s, ax.reg, cm)
-		if s := expr.Simplify(pruned, ax.s); !expr.Equal(s, e) {
-			return ax.classify(s)
+		if pruned, _, changed := pruneCmp(ax.s, ax.reg, cm); changed {
+			return ax.classify(pruned)
 		}
 	}
-	// Structural splits on independent parts, mirroring rules 1 and 2 of
-	// the exact compiler.
+	// Structural splits on independent parts, mirroring rules 2 and 3 of
+	// the exact compiler. A group is adopted as the children of the node
+	// built over it (twice for a sum: the soundness test's node is
+	// discarded).
 	switch t := e.(type) {
 	case expr.Add:
-		if groups := components(t.Terms); len(groups) > 1 && ax.sumSplitsSound(groups) {
-			return ax.split(nkOr, groups, func(g []expr.Expr) expr.Expr { return expr.Sum(g...) })
+		if groups := ax.sc.components(t.Terms); len(groups) > 1 && ax.sumSplitsSound(groups) {
+			return ax.split(nkOr, groups, expr.AdoptSum)
 		}
 	case expr.Mul:
 		// The same product-level pruning the exact compiler starts with.
@@ -505,8 +512,8 @@ func (ax *approximator) classify(e expr.Expr) (*anode, error) {
 				return ax.classify(pruned)
 			}
 		}
-		if groups := components(t.Factors); len(groups) > 1 {
-			return ax.split(nkAnd, groups, func(g []expr.Expr) expr.Expr { return expr.Product(g...) })
+		if groups := ax.sc.components(t.Factors); len(groups) > 1 {
+			return ax.split(nkAnd, groups, expr.AdoptProduct)
 		}
 	}
 	leaf := ax.newNode(&anode{kind: nkFrontier, lo: 0, hi: 1, e: e})
@@ -524,7 +531,7 @@ func (ax *approximator) sumSplitsSound(groups [][]expr.Expr) bool {
 		return true
 	}
 	for _, g := range groups {
-		lo, _, ok := scalarBounds(ax.s, ax.reg, expr.Sum(g...))
+		lo, _, ok := scalarBounds(ax.s, ax.reg, expr.AdoptSum(g))
 		if !ok || lo.Less(value.Int(0)) {
 			return false
 		}
@@ -594,7 +601,7 @@ func (ax *approximator) close(e expr.Expr, budget int) (float64, bool, error) {
 	}
 	o := ax.opts.Compile
 	o.MaxNodes = budget
-	b, nodes, err := exactTruth(ax.ctx, ax.s, ax.reg, e, o)
+	b, nodes, err := exactTruth(ax.ctx, ax.s, ax.reg, e, o, ax.sc)
 	if err == nil {
 		ax.rep.ExactNodes += nodes
 		ax.rep.ExactLeaves++
@@ -720,7 +727,7 @@ func (ax *approximator) expand(leaf *anode) error {
 		}
 		return nil
 	}
-	x := chooseVariable(leaf.e, ax.opts.Compile.Order)
+	x, _ := chooseVariable(leaf.e, ax.opts.Compile.Order, &ax.sc.vs)
 	d, err := ax.reg.DistByID(x)
 	if err != nil {
 		return err
@@ -729,7 +736,7 @@ func (ax *approximator) expand(leaf *anode) error {
 	children := make([]*anode, 0, d.Size())
 	weights := make([]float64, 0, d.Size())
 	for _, pair := range d.Pairs() {
-		c, err := ax.classify(expr.Restrict(leaf.e, x, pair.V, ax.s))
+		c, err := ax.classify(ax.sc.cof.Restrict(leaf.e, x, pair.V, ax.s))
 		if err != nil {
 			return err
 		}

@@ -1,6 +1,7 @@
 // Package compile implements Algorithm 1 of the paper: compilation of
 // arbitrary semiring and semimodule expressions into decomposition trees.
-// The six decomposition rules are applied in order:
+// The six decomposition rules are applied in order (the numbers are the
+// ones Stats and the comments below use):
 //
 //  1. constant expressions become leaves;
 //  2. sums split into independent summands (connected components of the
@@ -18,6 +19,10 @@
 //  6. otherwise a variable is eliminated by Shannon (mutex) expansion ⊔x,
 //     choosing by default the variable with most occurrences.
 //
+// Independence (rules 2–5) is read off the variable signatures cached on
+// expression nodes wherever they are exact, and a Shannon step allocates
+// what it changes: see scratch.go and expr.Scratch.
+//
 // Compilation is memoised on the cached structural hash of
 // sub-expressions (with structural equality resolving collisions), so
 // repeated sub-problems (ubiquitous under Shannon expansion) compile once
@@ -28,8 +33,6 @@ package compile
 import (
 	"context"
 	"fmt"
-	"sort"
-	"sync"
 
 	"pvcagg/internal/algebra"
 	"pvcagg/internal/dtree"
@@ -73,12 +76,12 @@ type Options struct {
 
 // Stats reports how an expression was compiled.
 type Stats struct {
-	SumSplits     int // rule 1 applications (⊕ between independent parts)
-	ProductSplits int // rule 2 applications
-	TensorSplits  int // rule 3 applications
-	CmpSplits     int // rule 4 applications
-	Factorings    int // read-once common-variable factorings
-	Shannon       int // ⊔x expansions
+	SumSplits     int // rule 2 applications (⊕ between independent parts)
+	ProductSplits int // rule 3 applications
+	TensorSplits  int // rule 4 applications
+	CmpSplits     int // rule 5 applications
+	Factorings    int // read-once common-variable factorings (rule 2)
+	Shannon       int // rule 6 applications (⊔x expansions)
 	PrunedTerms   int // semimodule terms removed by pruning rules
 	PrunedGuards  int // product factors dropped as implied or decided (pruneProduct)
 	CacheHits     int // memo hits
@@ -105,6 +108,10 @@ type Compiler struct {
 	// materialise post-order), so cancellation polls keyed on it reach
 	// even a descent that has yet to create its first node.
 	steps uint64
+	// sc is the scratch of the compilation in progress (scratch.go): lent
+	// by an anytime run for its leaf closures, otherwise checked out when
+	// the compilation first needs one and returned by compileSimplified.
+	sc *scratch
 }
 
 // memoEntry pairs a memoised expression with its compiled node; the
@@ -194,7 +201,12 @@ func (c *Compiler) compileSimplified(ctx context.Context, e expr.Expr) (Result, 
 	c.ctx = ctx
 	c.st = Stats{}
 	c.steps = 0
+	lent := c.sc != nil
 	root, err := c.compile(e)
+	if !lent && c.sc != nil { // checked out by compileUncached
+		putScratch(c.sc)
+		c.sc = nil
+	}
 	if err != nil {
 		// Stats survive failure so callers (notably the anytime engine's
 		// budgeted closure attempts) can account for the work done.
@@ -236,7 +248,7 @@ func (c *Compiler) compile(e expr.Expr) (dtree.Node, error) {
 			return nil, err
 		}
 	}
-	// Rule 0: expressions without variables are constant leaves.
+	// Rule 1: expressions without variables are constant leaves.
 	if !expr.HasVars(e) {
 		v, err := expr.Eval(e, nil, c.s)
 		if err != nil {
@@ -268,6 +280,12 @@ func (c *Compiler) compile(e expr.Expr) (dtree.Node, error) {
 }
 
 func (c *Compiler) compileUncached(e expr.Expr) (dtree.Node, error) {
+	if c.sc == nil {
+		// The first expression to get here is the compilation's root: a
+		// constant or single-variable root, the annotation of most tuples,
+		// never needs a scratch.
+		c.sc = getScratch(e)
+	}
 	switch n := e.(type) {
 	case expr.Add:
 		return c.compileSum(n.Terms, false, 0, e)
@@ -284,10 +302,10 @@ func (c *Compiler) compileUncached(e expr.Expr) (dtree.Node, error) {
 	}
 }
 
-// compileSum handles Add (module=false) and AggSum (module=true): rule 1
-// (independent partition), then factoring, then Shannon.
+// compileSum handles Add (module=false) and AggSum (module=true): rule 2
+// (independent partition, then factoring), then Shannon.
 func (c *Compiler) compileSum(terms []expr.Expr, module bool, agg algebra.Agg, whole expr.Expr) (dtree.Node, error) {
-	groups := components(terms)
+	groups := c.sc.components(terms)
 	if len(groups) > 1 {
 		c.st.SumSplits += len(groups) - 1
 		parts := make([]dtree.Node, len(groups))
@@ -310,14 +328,14 @@ func (c *Compiler) compileSum(terms []expr.Expr, module bool, agg algebra.Agg, w
 	return c.shannon(whole)
 }
 
-// sumOf rebuilds the sum of a group of terms of a semiring (module=false)
-// or agg-monoid sum. A group of the terms of a simplified sum is itself
-// in simplified form.
+// sumOf builds the semiring (module=false) or agg-monoid sum of a group of
+// terms, whose slice it takes over as the node's children. A group of the
+// terms of a simplified sum is itself in simplified form.
 func sumOf(terms []expr.Expr, module bool, agg algebra.Agg) expr.Expr {
 	if module {
-		return expr.MSum(agg, terms...)
+		return expr.AdoptMSum(agg, terms)
 	}
-	return expr.Sum(terms...)
+	return expr.AdoptSum(terms)
 }
 
 // combinePlus folds independent parts into a balanced binary ⊕ tree.
@@ -347,7 +365,8 @@ func (c *Compiler) combinePlus(parts []dtree.Node, module bool, agg algebra.Agg)
 // (paper Example 14).
 func (c *Compiler) tryFactorSum(terms []expr.Expr, module bool, agg algebra.Agg) (dtree.Node, bool, error) {
 	// Candidate variables: factors of the first term.
-	for _, x := range factorVariables(terms[0], module) {
+	for _, xv := range factorVariables(terms[0], module) {
+		x := xv.ID()
 		residuals := make([]expr.Expr, len(terms))
 		ok := true
 		for i, t := range terms {
@@ -377,7 +396,7 @@ func (c *Compiler) tryFactorSum(terms []expr.Expr, module bool, agg algebra.Agg)
 		if err != nil {
 			return nil, false, err
 		}
-		xNode, err := c.compile(expr.VFromID(x))
+		xNode, err := c.compile(xv)
 		if err != nil {
 			return nil, false, err
 		}
@@ -398,8 +417,10 @@ func (c *Compiler) tryFactorSum(terms []expr.Expr, module bool, agg algebra.Agg)
 // factorVariables lists the variables available for factoring out of a
 // term: the top-level Var/Mul factors of a semiring term, or of the scalar
 // of a semimodule tensor term. Candidates are ordered by name, matching
-// the deterministic choice of the original string-keyed implementation.
-func factorVariables(t expr.Expr, module bool) []expr.VarID {
+// the deterministic choice of the original string-keyed implementation;
+// the names are the ones the Var nodes carry, so the interner is not
+// consulted.
+func factorVariables(t expr.Expr, module bool) []expr.Var {
 	if module {
 		tensor, ok := t.(expr.Tensor)
 		if !ok {
@@ -409,25 +430,25 @@ func factorVariables(t expr.Expr, module bool) []expr.VarID {
 	}
 	switch n := t.(type) {
 	case expr.Var:
-		return []expr.VarID{n.ID()}
+		return []expr.Var{n}
 	case expr.Mul:
-		var out []expr.VarID
+		var out []expr.Var
 		for _, f := range n.Factors {
-			if v, ok := f.(expr.Var); ok {
-				id := v.ID()
-				dup := false
-				for _, seen := range out {
-					if seen == id {
-						dup = true
-						break
-					}
-				}
-				if !dup {
-					out = append(out, id)
-				}
+			v, ok := f.(expr.Var)
+			if !ok {
+				continue
 			}
+			at := 0 // v's place in name order
+			for at < len(out) && out[at].Name < v.Name {
+				at++
+			}
+			if at < len(out) && out[at].Name == v.Name {
+				continue
+			}
+			out = append(out, v)
+			copy(out[at+1:], out[at:])
+			out[at] = v
 		}
-		sort.Slice(out, func(i, j int) bool { return expr.VarName(out[i]) < expr.VarName(out[j]) })
 		return out
 	default:
 		return nil
@@ -473,7 +494,7 @@ func removeFactor(t expr.Expr, x expr.VarID, module bool) (expr.Expr, bool) {
 	}
 }
 
-// compileProduct applies rule 2: split the factors of a product into
+// compileProduct applies rule 3: split the factors of a product into
 // independent groups.
 func (c *Compiler) compileProduct(m expr.Mul, whole expr.Expr) (dtree.Node, error) {
 	if !c.opts.DisablePruning {
@@ -482,12 +503,13 @@ func (c *Compiler) compileProduct(m expr.Mul, whole expr.Expr) (dtree.Node, erro
 			return c.compile(pruned)
 		}
 	}
-	groups := components(m.Factors)
+	groups := c.sc.components(m.Factors)
 	if len(groups) > 1 {
 		c.st.ProductSplits += len(groups) - 1
 		parts := make([]dtree.Node, len(groups))
 		for i, g := range groups {
-			p, err := c.compile(expr.Product(g...))
+			// A group of the factors of a simplified product is simplified.
+			p, err := c.compile(expr.AdoptProduct(g))
 			if err != nil {
 				return nil, err
 			}
@@ -513,9 +535,9 @@ func (c *Compiler) compileProduct(m expr.Mul, whole expr.Expr) (dtree.Node, erro
 	return c.shannon(whole)
 }
 
-// compileTensor applies rule 3: Φ ⊗ α with independent sides.
+// compileTensor applies rule 4: Φ ⊗ α with independent sides.
 func (c *Compiler) compileTensor(t expr.Tensor, whole expr.Expr) (dtree.Node, error) {
-	if disjoint(t.Scalar, t.Mod) {
+	if c.sc.disjoint(t.Scalar, t.Mod) {
 		c.st.TensorSplits++
 		sc, err := c.compile(t.Scalar)
 		if err != nil {
@@ -530,25 +552,26 @@ func (c *Compiler) compileTensor(t expr.Tensor, whole expr.Expr) (dtree.Node, er
 	return c.shannon(whole)
 }
 
-// compileCmp applies the pruning rules and then rule 4.
+// compileCmp applies the pruning rules and then rule 5.
 func (c *Compiler) compileCmp(cm expr.Cmp) (dtree.Node, error) {
 	if !c.opts.DisablePruning {
-		pruned, dropped := pruneCmp(c.s, c.reg, cm)
+		pruned, dropped, changed := pruneCmp(c.s, c.reg, cm)
 		c.st.PrunedTerms += dropped
-		simplified := expr.Simplify(pruned, c.s)
-		if !expr.HasVars(simplified) {
-			v, err := expr.Eval(simplified, nil, c.s)
-			if err != nil {
-				return nil, err
+		if changed {
+			if !expr.HasVars(pruned) {
+				v, err := expr.Eval(pruned, nil, c.s)
+				if err != nil {
+					return nil, err
+				}
+				return c.newNode(&dtree.ConstLeaf{V: v})
 			}
-			return c.newNode(&dtree.ConstLeaf{V: v})
-		}
-		var ok bool
-		if cm, ok = simplified.(expr.Cmp); !ok {
-			return c.compile(simplified)
+			var ok bool
+			if cm, ok = pruned.(expr.Cmp); !ok {
+				return c.compile(pruned)
+			}
 		}
 	}
-	if disjoint(cm.L, cm.R) {
+	if c.sc.disjoint(cm.L, cm.R) {
 		c.st.CmpSplits++
 		l, err := c.compile(cm.L)
 		if err != nil {
@@ -567,7 +590,7 @@ func (c *Compiler) compileCmp(cm expr.Cmp) (dtree.Node, error) {
 	return c.shannon(cm)
 }
 
-// shannon applies rule 5/6: mutex expansion ⊔x of the chosen variable.
+// shannon applies rule 6: mutex expansion ⊔x of the chosen variable.
 func (c *Compiler) shannon(e expr.Expr) (dtree.Node, error) {
 	// Poll unconditionally: one expansion level costs O(|e|) in
 	// restriction work, which dwarfs the check, and a
@@ -578,7 +601,7 @@ func (c *Compiler) shannon(e expr.Expr) (dtree.Node, error) {
 			return nil, err
 		}
 	}
-	x := c.chooseVariable(e)
+	x, name := chooseVariable(e, c.opts.Order, &c.sc.vs)
 	d, err := c.reg.DistByID(x)
 	if err != nil {
 		return nil, err
@@ -586,135 +609,53 @@ func (c *Compiler) shannon(e expr.Expr) (dtree.Node, error) {
 	c.st.Shannon++
 	branches := make([]dtree.Branch, 0, d.Size())
 	for _, pair := range d.Pairs() {
-		child, err := c.compile(expr.Restrict(e, x, pair.V, c.s))
+		child, err := c.compile(c.sc.cof.Restrict(e, x, pair.V, c.s))
 		if err != nil {
 			return nil, err
 		}
 		branches = append(branches, dtree.Branch{Val: pair.V, P: pair.P, Child: child})
 	}
-	return c.newNode(&dtree.ExclusiveNode{Var: expr.VarName(x), Branches: branches})
-}
-
-// chooseVariable applies the configured variable-order heuristic.
-func (c *Compiler) chooseVariable(e expr.Expr) expr.VarID {
-	return chooseVariable(e, c.opts.Order)
-}
-
-// varSetPool recycles the VarID-indexed occurrence sets used by the
-// variable-choice heuristic, the independence partition and the
-// disjointness tests — the hot helpers that previously allocated a
-// map[string]int per call.
-var varSetPool = sync.Pool{New: func() any { return new(expr.VarSet) }}
-
-func getVarSet() *expr.VarSet { return varSetPool.Get().(*expr.VarSet) }
-func putVarSet(s *expr.VarSet) {
-	s.Reset()
-	varSetPool.Put(s)
+	return c.newNode(&dtree.ExclusiveNode{Var: name, Branches: branches})
 }
 
 // chooseVariable picks the Shannon-expansion variable of e under the
-// given heuristic. It is deterministic — ties break on the
+// given heuristic and returns it with its name, counting occurrences in
+// vs (empty before and after). It is deterministic — ties break on the
 // lexicographically smallest name, exactly as the original sorted-name
-// implementation did.
-func chooseVariable(e expr.Expr, order VarOrder) expr.VarID {
-	vs := getVarSet()
-	defer putVarSet(vs)
+// implementation did — and asks the interner for a name once per tied
+// candidate: the incumbent's name is kept while it stands.
+func chooseVariable(e expr.Expr, order VarOrder, vs *expr.VarSet) (expr.VarID, string) {
 	expr.CollectVarsInto(e, vs)
 	ids := vs.Touched()
-	best := ids[0]
-	switch order {
-	case Lexicographic:
-		for _, x := range ids[1:] {
-			if expr.VarName(x) < expr.VarName(best) {
-				best = x
+	best, bestName := ids[0], ""
+	for _, x := range ids[1:] {
+		// behind > 0: x loses to the incumbent on occurrences; 0: a tie,
+		// which names break.
+		var behind int32
+		switch order {
+		case Lexicographic:
+		case LeastOccurrences:
+			behind = vs.Count(x) - vs.Count(best)
+		default: // MostOccurrences
+			behind = vs.Count(best) - vs.Count(x)
+		}
+		if behind > 0 {
+			continue
+		}
+		name := ""
+		if behind == 0 {
+			if bestName == "" {
+				bestName = expr.VarName(best)
+			}
+			if name = expr.VarName(x); name >= bestName {
+				continue
 			}
 		}
-	case LeastOccurrences:
-		for _, x := range ids[1:] {
-			cx, cb := vs.Count(x), vs.Count(best)
-			if cx < cb || (cx == cb && expr.VarName(x) < expr.VarName(best)) {
-				best = x
-			}
-		}
-	default: // MostOccurrences
-		for _, x := range ids[1:] {
-			cx, cb := vs.Count(x), vs.Count(best)
-			if cx > cb || (cx == cb && expr.VarName(x) < expr.VarName(best)) {
-				best = x
-			}
-		}
+		best, bestName = x, name
 	}
-	return best
-}
-
-// components partitions terms into connected components of the
-// clause-dependency graph: two terms are connected when they share a
-// variable. Constant terms get their own singleton components.
-func components(terms []expr.Expr) [][]expr.Expr {
-	n := len(terms)
-	if n == 1 {
-		return [][]expr.Expr{terms}
+	if bestName == "" {
+		bestName = expr.VarName(best)
 	}
-	parent := make([]int, n)
-	for i := range parent {
-		parent[i] = i
-	}
-	var find func(int) int
-	find = func(i int) int {
-		for parent[i] != i {
-			parent[i] = parent[parent[i]]
-			i = parent[i]
-		}
-		return i
-	}
-	union := func(a, b int) { parent[find(a)] = find(b) }
-
-	owner := getVarSet() // variable -> (first term index seen)+1
-	termVars := getVarSet()
-	for i, t := range terms {
-		termVars.Reset()
-		expr.CollectVarsInto(t, termVars)
-		for _, x := range termVars.Touched() {
-			if j, stored := owner.GetOrSet(x, int32(i+1)); !stored {
-				union(i, int(j-1))
-			}
-		}
-	}
-	putVarSet(termVars)
-	putVarSet(owner)
-	distinct := 0
-	for i := range terms {
-		if find(i) == i {
-			distinct++
-		}
-	}
-	if distinct == 1 {
-		return [][]expr.Expr{terms}
-	}
-	// Group terms by root, preserving first-seen root order; groupIdx
-	// doubles the parent slice's role as a root → output-group index.
-	groupIdx := make([]int, n)
-	for i := range groupIdx {
-		groupIdx[i] = -1
-	}
-	out := make([][]expr.Expr, 0, distinct)
-	for i, t := range terms {
-		r := find(i)
-		gi := groupIdx[r]
-		if gi < 0 {
-			gi = len(out)
-			groupIdx[r] = gi
-			out = append(out, nil)
-		}
-		out[gi] = append(out[gi], t)
-	}
-	return out
-}
-
-// disjoint reports whether two expressions share no variables.
-func disjoint(a, b expr.Expr) bool {
-	vs := getVarSet()
-	defer putVarSet(vs)
-	expr.CollectVarsInto(a, vs)
-	return !expr.ContainsAny(b, vs)
+	vs.Reset()
+	return best, bestName
 }

@@ -549,20 +549,15 @@ func TestCompileErrors(t *testing.T) {
 }
 
 func TestVariableChoiceHeuristics(t *testing.T) {
-	reg := boolReg(0.5, "rare", "often")
-	s := algebra.SemiringFor(algebra.Boolean)
 	e := expr.MustParse("often*rare + often + often*often")
-	most := New(s, reg, Options{Order: MostOccurrences})
-	if got := expr.VarName(most.chooseVariable(e)); got != "often" {
-		t.Errorf("MostOccurrences chose %q", got)
-	}
-	least := New(s, reg, Options{Order: LeastOccurrences})
-	if got := expr.VarName(least.chooseVariable(e)); got != "rare" {
-		t.Errorf("LeastOccurrences chose %q", got)
-	}
-	lex := New(s, reg, Options{Order: Lexicographic})
-	if got := expr.VarName(lex.chooseVariable(e)); got != "often" {
-		t.Errorf("Lexicographic chose %q", got)
+	for _, c := range []struct {
+		order VarOrder
+		want  string
+	}{{MostOccurrences, "often"}, {LeastOccurrences, "rare"}, {Lexicographic, "often"}} {
+		var vs expr.VarSet
+		if x, name := chooseVariable(e, c.order, &vs); name != c.want || expr.VarName(x) != name || vs.Len() != 0 {
+			t.Errorf("order %d chose %q (ID of %q), want %q, leaving %d variables in the set", c.order, name, expr.VarName(x), c.want, vs.Len())
+		}
 	}
 }
 
@@ -573,7 +568,7 @@ func TestComponentsPartition(t *testing.T) {
 		expr.Product(expr.V("b"), expr.V("e")),
 		expr.CInt(1),
 	}
-	groups := components(terms)
+	groups := new(scratch).components(terms)
 	if len(groups) != 3 {
 		t.Fatalf("components = %d groups, want 3", len(groups))
 	}

@@ -47,3 +47,18 @@ func BenchmarkCompileMemo(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkCompileShannon compiles one §7.1 instance at the repository
+// benchmark's parameters (expr-exact: 11 variables, three clauses of three
+// literals, 35 terms): most of its steps are Shannon expansions, so ns/op,
+// B/op and allocs/op are what one cofactor and one independence partition
+// cost.
+func BenchmarkCompileShannon(b *testing.B) {
+	c := eq11{numVars: 11, clauses: 3, literals: 3, maxV: 200, l: 35, agg: algebra.Sum, theta: value.LE, c: 1600}.instance("bench", 1007)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := New(c.s, c.reg, Options{}).Compile(c.e); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

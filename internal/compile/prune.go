@@ -31,23 +31,31 @@ import (
 //	    world becomes that constant: [(Φ+1) ≠ 0] ≡ 1S as soon as a
 //	    Shannon branch sets one summand of a guard.
 
-// pruneCmp rewrites [α θ β] into an equivalent comparison with redundant
-// terms removed, reporting how many terms were dropped. Equivalence is
-// with respect to the comparison's distribution, not the operand's.
-func pruneCmp(s algebra.Semiring, reg *vars.Registry, cm expr.Cmp) (expr.Expr, int) {
-	l, r, th := orient(cm)
-	if cv, ok := constOf(r); ok {
+// pruneCmp rewrites [α θ β] into an equivalent expression in simplified
+// form with a lone constant side on the right, decided comparisons
+// replaced by their constant and redundant terms removed, reporting how
+// many terms were dropped. Equivalence is with respect to the
+// comparison's distribution, not the operand's. changed is false when
+// there was nothing to do: the result is then cm itself, which the caller
+// holds in simplified form already.
+func pruneCmp(s algebra.Semiring, reg *vars.Registry, cm expr.Cmp) (out expr.Expr, dropped int, changed bool) {
+	if isConst(cm.L) && !isConst(cm.R) { // as orient does
+		cm, changed = expr.Compare(cm.Th.Flip(), cm.R, cm.L), true
+	}
+	if cv, ok := constOf(cm.R); ok {
 		// Interval analysis: if every world's value of l decides θ against
 		// cv the same way, the comparison is constant (subsumes the
 		// paper's SUM rule "≡ 1S if Σ mi ≤ m").
-		if decided, res := decideCmp(s, reg, l, th, cv); decided {
-			return expr.Const{V: boolTo(s, res)}, 0
+		if decided, res := decideCmp(s, reg, cm.L, cm.Th, cv); decided {
+			return expr.Const{V: boolTo(s, res)}, 0, true
 		}
-		if pruned, dropped, ok := pruneTerms(l, th, cv); ok {
-			return expr.Cmp{Th: th, L: pruned, R: r}, dropped
+		if pruned, dropped, ok := pruneTerms(cm.L, cm.Th, cv); ok {
+			// The kept terms are simplified; the comparison over them may
+			// have become one of two constants.
+			return expr.Simplify(expr.Compare(cm.Th, pruned, cm.R), s), dropped, true
 		}
 	}
-	return expr.Cmp{Th: th, L: l, R: r}, 0
+	return cm, 0, changed
 }
 
 // orient returns the sides of cm with a lone constant side on the right:

@@ -38,10 +38,12 @@ func (k Kind) String() string {
 // MConst, Add, Mul, Tensor, AggSum and Cmp. Expressions are immutable once
 // built; all rewriting returns new nodes. Composite nodes built through
 // the constructors (Sum, Product, Scale, MSum, Compare, NewTensor, V and
-// the rewrites in Simplify/Subst) carry a cached structural hash and
-// variable-occurrence count, making Hash, Equal and HasVars cheap on the
+// the rewrites in Simplify/Restrict) carry a cached structural hash, a
+// variable-occurrence count and a variable signature (Sig: one bit per
+// variable ID mod 64), making Hash, Equal, HasVars and the "does this
+// sub-tree mention x / share a variable with that one" tests cheap on the
 // compilation hot path; plain struct literals still work and fall back to
-// recomputing both on demand.
+// recomputing all three on demand.
 type Expr interface {
 	// Kind returns the sort of the expression.
 	Kind() Kind
@@ -72,6 +74,7 @@ type MConst struct{ V value.V }
 type Add struct {
 	Terms []Expr
 	h     uint64
+	sig   uint64
 	nv    int32
 }
 
@@ -79,6 +82,7 @@ type Add struct {
 type Mul struct {
 	Factors []Expr
 	h       uint64
+	sig     uint64
 	nv      int32
 }
 
@@ -90,6 +94,7 @@ type Tensor struct {
 	Scalar Expr
 	Mod    Expr
 	h      uint64
+	sig    uint64
 	nv     int32
 }
 
@@ -98,6 +103,7 @@ type AggSum struct {
 	Agg   algebra.Agg
 	Terms []Expr
 	h     uint64
+	sig   uint64
 	nv    int32
 }
 
@@ -108,6 +114,7 @@ type Cmp struct {
 	Th   value.Theta
 	L, R Expr
 	h    uint64
+	sig  uint64
 	nv   int32
 }
 
@@ -187,6 +194,55 @@ func MSum(agg algebra.Agg, terms ...Expr) Expr {
 		return flat[0]
 	}
 	return newAggSum(agg, flat)
+}
+
+// AdoptSum, AdoptProduct and AdoptMSum are Sum, Product and MSum for a
+// caller that gives its slice away: when no element is a node of the
+// kind being built — the children, or any regrouping of the children, of
+// a node in simplified form — the slice becomes the node's children as
+// it is, with no copy. The caller must not write to it afterwards. An
+// element of the node's own kind falls back to the flattening
+// constructor.
+
+// AdoptSum builds the semiring sum of terms, taking ownership of terms.
+func AdoptSum(terms []Expr) Expr {
+	if len(terms) == 1 {
+		return terms[0]
+	}
+	for _, t := range terms {
+		if _, ok := t.(Add); ok {
+			return Sum(terms...)
+		}
+	}
+	return newAdd(terms)
+}
+
+// AdoptProduct builds the semiring product of factors, taking ownership
+// of factors.
+func AdoptProduct(factors []Expr) Expr {
+	if len(factors) == 1 {
+		return factors[0]
+	}
+	for _, f := range factors {
+		if _, ok := f.(Mul); ok {
+			return Product(factors...)
+		}
+	}
+	return newMul(factors)
+}
+
+// AdoptMSum builds the monoid sum of terms over agg, taking ownership of
+// terms.
+func AdoptMSum(agg algebra.Agg, terms []Expr) Expr {
+	if len(terms) == 1 {
+		return terms[0]
+	}
+	for _, t := range terms {
+		if a, ok := t.(AggSum); ok && a.Agg == agg {
+			return MSum(agg, terms...)
+		}
+	}
+	return newAggSum(agg, terms)
 }
 
 // Compare builds the conditional expression [l θ r].

@@ -11,8 +11,11 @@ import (
 // language: a process-wide variable interner mapping names to dense int32
 // IDs, cached 64-bit structural hashes with cheap structural equality
 // (the memoisation key of the compilers — canonical string rendering
-// survives only for diagnostics), and reusable variable-occurrence sets
-// that replace the map[string]int allocations previously made at every
+// survives only for diagnostics), a 64-bit variable signature cached
+// beside the hash (Sig: which variable IDs mod 64 a sub-tree mentions, so
+// that "x does not occur here" and "these two share no variable" are
+// answered without a walk), and reusable variable-occurrence sets that
+// replace the map[string]int allocations previously made at every
 // decomposition step.
 
 // VarID is the dense interned identity of a variable name. IDs start at 1;
@@ -88,6 +91,7 @@ func VFromID(id VarID) Var { return Var{Name: VarName(id), id: id} }
 type VarSet struct {
 	counts  []int32
 	touched []VarID
+	sig     uint64 // OR of varBit over touched
 }
 
 // Reset empties the set, keeping its capacity.
@@ -96,6 +100,7 @@ func (s *VarSet) Reset() {
 		s.counts[id] = 0
 	}
 	s.touched = s.touched[:0]
+	s.sig = 0
 }
 
 func (s *VarSet) grow(id VarID) {
@@ -117,6 +122,7 @@ func (s *VarSet) add(id VarID, n int32) {
 	}
 	if s.counts[id] == 0 {
 		s.touched = append(s.touched, id)
+		s.sig |= varBit(id)
 	}
 	s.counts[id] += n
 }
@@ -152,6 +158,7 @@ func (s *VarSet) GetOrSet(id VarID, val int32) (prev int32, stored bool) {
 	}
 	s.counts[id] = val
 	s.touched = append(s.touched, id)
+	s.sig |= varBit(id)
 	return 0, true
 }
 
@@ -212,6 +219,9 @@ func AppendVars(dst []Var, e Expr) []Var {
 // ContainsAny reports whether e mentions any variable of s, with early
 // exit on the first hit.
 func ContainsAny(e Expr, s *VarSet) bool {
+	if cachedSig(e)&s.sig == 0 {
+		return false
+	}
 	switch n := e.(type) {
 	case Var:
 		return s.Has(n.ID())
@@ -286,6 +296,9 @@ func findVarSeq(es []Expr, pred func(VarID) bool) (VarID, bool) {
 
 // HasVarID reports whether e mentions the variable id.
 func HasVarID(e Expr, id VarID) bool {
+	if cachedSig(e)&varBit(id) == 0 {
+		return false
+	}
 	switch n := e.(type) {
 	case Var:
 		return n.ID() == id
@@ -321,10 +334,99 @@ func HasVarID(e Expr, id VarID) bool {
 	}
 }
 
-// Structural hashing. Every composite node caches its hash (and its
-// variable-occurrence count) at construction, so Hash is O(1) on
-// constructor-built trees and O(direct children) on struct literals —
-// never the O(subtree) canonical-string rendering it replaces.
+// Variable signatures. Sig(e) has bit id&63 set for every variable id of
+// e, and is cached at construction like the hash. It is a sound negative
+// filter on any expression: a clear bit for x means e does not mention x,
+// and Sig(a)&Sig(b) == 0 means a and b share no variable. When no two
+// variables of an expression fall on one bit (SigIsExact) the signature
+// of each of its sub-expressions, and of anything Restrict or the folds
+// derive from it, *is* its variable set.
+
+func varBit(id VarID) uint64 { return 1 << (uint32(id) & 63) }
+
+// cached returns the summaries e carries — structural hash, variable-
+// occurrence count, signature: computed on the spot for a leaf, read off
+// the node for a constructor-built composite. ok is false for a composite
+// built as a struct literal, which carries none.
+func cached(e Expr) (h uint64, nv int32, sig uint64, ok bool) {
+	switch n := e.(type) {
+	case Var:
+		return n.hash(), 1, varBit(n.ID()), true
+	case Const:
+		return n.hash(), 0, 0, true
+	case MConst:
+		return n.hash(), 0, 0, true
+	case Add:
+		return n.h, n.nv, n.sig, n.h != 0
+	case Mul:
+		return n.h, n.nv, n.sig, n.h != 0
+	case Tensor:
+		return n.h, n.nv, n.sig, n.h != 0
+	case AggSum:
+		return n.h, n.nv, n.sig, n.h != 0
+	case Cmp:
+		return n.h, n.nv, n.sig, n.h != 0
+	}
+	return 0, 0, 0, false
+}
+
+// Sig returns the variable signature of e.
+func Sig(e Expr) uint64 {
+	if _, _, sig, ok := cached(e); ok {
+		return sig
+	}
+	switch n := e.(type) {
+	case Add:
+		return sigSeq(n.Terms)
+	case Mul:
+		return sigSeq(n.Factors)
+	case Tensor:
+		return Sig(n.Scalar) | Sig(n.Mod)
+	case AggSum:
+		return sigSeq(n.Terms)
+	case Cmp:
+		return Sig(n.L) | Sig(n.R)
+	}
+	return 0
+}
+
+func sigSeq(es []Expr) uint64 {
+	var sig uint64
+	for _, e := range es {
+		sig |= Sig(e)
+	}
+	return sig
+}
+
+// cachedSig is Sig where it costs nothing and all ones elsewhere: the
+// filter of the walks above, which must not turn a walk over struct
+// literals into a walk per level.
+func cachedSig(e Expr) uint64 {
+	if _, _, sig, ok := cached(e); ok {
+		return sig
+	}
+	return ^uint64(0)
+}
+
+// SigIsExact reports whether no two distinct variables of e share a
+// signature bit, so that signatures of e's sub-expressions are variable
+// sets. It walks e once, stopping at the first clash.
+func SigIsExact(e Expr) bool {
+	var owner [64]VarID
+	_, clash := FindVar(e, func(id VarID) bool {
+		o := &owner[uint32(id)&63]
+		if *o == 0 {
+			*o = id
+		}
+		return *o != id
+	})
+	return !clash
+}
+
+// Structural hashing. Every composite node caches its hash (with its
+// variable-occurrence count and signature) at construction, so Hash is
+// O(1) on constructor-built trees and O(direct children) on struct
+// literals — never the O(subtree) canonical-string rendering it replaces.
 
 const hashPrime uint64 = 0x100000001b3
 
@@ -549,35 +651,61 @@ func equalSeq(a, b []Expr) bool {
 	return true
 }
 
-// Raw constructors: build a composite node with its structural hash and
-// variable-occurrence count precomputed from the (cached) hashes of the
-// children. They do not flatten or simplify — that is Sum/Product/MSum's
-// and Simplify's job.
+// Raw constructors: build a composite node with its structural hash,
+// variable-occurrence count and signature precomputed from the cached
+// ones of the children, in one pass over them. They do not flatten or
+// simplify — that is Sum/Product/MSum's and Simplify's job.
+
+// summary returns what a parent caches about its child e.
+func summary(e Expr) (h uint64, nv int32, sig uint64) {
+	if h, nv, sig, ok := cached(e); ok {
+		return h, nv, sig
+	}
+	return e.hash(), varOcc(e), Sig(e)
+}
+
+func summarySeq(salt uint64, es []Expr) (h uint64, nv int32, sig uint64) {
+	h = salt ^ mix64(uint64(len(es)))
+	for _, e := range es {
+		eh, env, esig := summary(e)
+		h = h*hashPrime ^ eh
+		nv += env
+		sig |= esig
+	}
+	return nonzero(h), nv, sig
+}
+
+func summaryPair(salt uint64, a, b Expr) (h uint64, nv int32, sig uint64) {
+	ah, anv, asig := summary(a)
+	bh, bnv, bsig := summary(b)
+	h = salt*hashPrime ^ ah
+	h = h*hashPrime ^ bh
+	return nonzero(h), anv + bnv, asig | bsig
+}
 
 func newAdd(terms []Expr) Add {
-	return Add{Terms: terms, h: hashSeq(hashSaltAdd, terms), nv: varOccSeq(terms)}
+	h, nv, sig := summarySeq(hashSaltAdd, terms)
+	return Add{Terms: terms, h: h, sig: sig, nv: nv}
 }
 
 func newMul(factors []Expr) Mul {
-	return Mul{Factors: factors, h: hashSeq(hashSaltMul, factors), nv: varOccSeq(factors)}
+	h, nv, sig := summarySeq(hashSaltMul, factors)
+	return Mul{Factors: factors, h: h, sig: sig, nv: nv}
 }
 
 func newAggSum(agg algebra.Agg, terms []Expr) AggSum {
-	return AggSum{Agg: agg, Terms: terms, h: hashSeq(hashSaltAggSum^mix64(uint64(agg)+1), terms), nv: varOccSeq(terms)}
+	h, nv, sig := summarySeq(hashSaltAggSum^mix64(uint64(agg)+1), terms)
+	return AggSum{Agg: agg, Terms: terms, h: h, sig: sig, nv: nv}
 }
 
 // NewTensor builds Φ ⊗ α with cached hash, for callers that hold the
 // module side as an expression (Scale covers the common MConst case).
 func NewTensor(agg algebra.Agg, scalar, mod Expr) Tensor {
-	h := hashSaltTensor ^ mix64(uint64(agg)+1)
-	h = h*hashPrime ^ scalar.hash()
-	h = h*hashPrime ^ mod.hash()
-	return Tensor{Agg: agg, Scalar: scalar, Mod: mod, h: nonzero(h), nv: varOcc(scalar) + varOcc(mod)}
+	h, nv, sig := summaryPair(hashSaltTensor^mix64(uint64(agg)+1), scalar, mod)
+	return Tensor{Agg: agg, Scalar: scalar, Mod: mod, h: h, sig: sig, nv: nv}
 }
 
 func newCmp(th value.Theta, l, r Expr) Cmp {
-	h := hashSaltCmp ^ mix64(uint64(th)+1)
-	h = h*hashPrime ^ l.hash()
-	h = h*hashPrime ^ r.hash()
-	return Cmp{Th: th, L: l, R: r, h: nonzero(h), nv: varOcc(l) + varOcc(r)}
+	h, nv, sig := summaryPair(hashSaltCmp^mix64(uint64(th)+1), l, r)
+	return Cmp{Th: th, L: l, R: r, h: h, sig: sig, nv: nv}
 }

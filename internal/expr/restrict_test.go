@@ -161,15 +161,41 @@ func (g restrictGen) any(depth int) Expr {
 	return g.semiring(depth)
 }
 
+// poison is what checkRestrict leaves in every slot of a scratch stack: a
+// result that still pointed into the stack would show it.
+var poison Expr = V("restrict_poisoned_scratch")
+
 // checkRestrict asserts the contract of Restrict on one simplified
-// expression and one (variable, value) pair.
+// expression and one (variable, value) pair: the result equals Simplify of
+// the plain substitution, structurally and by hash; every node of it
+// caches the hash, occurrence count and signature a rebuild computes; and
+// it does not refer to the scratch it was computed on — a second Restrict
+// on that scratch, and poison written over the whole stack, leave it what
+// it was.
 func checkRestrict(t *testing.T, e Expr, x VarID, v value.V, s algebra.Semiring) {
 	t.Helper()
-	got := Restrict(e, x, v, s)
+	var sc Scratch
+	got := sc.Restrict(e, x, v, s)
 	want := simplifySubst(e, x, v, s)
 	if !Equal(got, want) || Hash(got) != Hash(want) {
 		t.Fatalf("Restrict(%s, %s←%v) = %s (hash %x)\nSimplify(Subst) = %s (hash %x)",
 			String(e), VarName(x), v, String(got), Hash(got), String(want), Hash(want))
+	}
+	checkSummaries(t, got)
+	for _, name := range Vars(e) { // a later call that opens frames of its own
+		if y := Intern(name); y != x {
+			sc.Restrict(e, y, v, s)
+			break
+		}
+	}
+	sc.Restrict(e, x, s.One(), s)
+	stack := sc.stack[:cap(sc.stack)]
+	for i := range stack {
+		stack[i] = poison
+	}
+	if !Equal(got, want) || String(got) != String(want) {
+		t.Fatalf("Restrict(%s, %s←%v) changed under later use of its scratch: now %s, was %s",
+			String(e), VarName(x), v, String(got), String(want))
 	}
 }
 
@@ -249,8 +275,9 @@ func TestRestrictSharesUntouchedSubtrees(t *testing.T) {
 }
 
 // FuzzRestrict feeds parsed expression strings through the same contract
-// as TestRestrictEqualsSimplifySubst. Run by the fuzz-smoke CI job; grow
-// the corpus with `go test -fuzz FuzzRestrict ./internal/expr`.
+// as TestRestrictEqualsSimplifySubst (checkRestrict: equivalence, cached
+// summaries, no reference into the scratch). Run by the fuzz-smoke CI job;
+// grow the corpus with `go test -fuzz FuzzRestrict ./internal/expr`.
 func FuzzRestrict(f *testing.F) {
 	for _, seed := range []string{
 		"x1*y11*(z1 + z5)",
@@ -342,12 +369,15 @@ func restrictBenchExpr() (Expr, []VarID) {
 	return Simplify(Compare(value.LE, MSum(algebra.Min, terms...), MInt(60)), boolS), ids
 }
 
+// BenchmarkRestrict restricts as the compilers do: one Scratch kept across
+// calls.
 func BenchmarkRestrict(b *testing.B) {
 	e, ids := restrictBenchExpr()
+	var sc Scratch
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		restrictSink = Restrict(e, ids[i%len(ids)], value.Bool(i&16 == 0), boolS)
+		restrictSink = sc.Restrict(e, ids[i%len(ids)], value.Bool(i&16 == 0), boolS)
 	}
 }
 

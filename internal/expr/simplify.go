@@ -31,13 +31,13 @@ func Simplify(e Expr, s algebra.Semiring) Expr {
 	case Var, Const, MConst:
 		return e
 	case Add:
-		return foldAdd(simplifyAll(n.Terms, s), s)
+		return foldAdd(simplifyAll(n.Terms, s), s, false)
 	case Mul:
-		return foldMul(simplifyAll(n.Factors, s), s)
+		return foldMul(simplifyAll(n.Factors, s), s, false)
 	case Tensor:
 		return foldTensor(n.Agg, Simplify(n.Scalar, s), Simplify(n.Mod, s), s)
 	case AggSum:
-		return foldAggSum(n.Agg, simplifyAll(n.Terms, s))
+		return foldAggSum(n.Agg, simplifyAll(n.Terms, s), false)
 	case Cmp:
 		return foldCmp(n.Th, Simplify(n.L, s), Simplify(n.R, s), s)
 	default:
@@ -58,85 +58,160 @@ func simplifyAll(es []Expr, s algebra.Semiring) []Expr {
 // v, renormalised. e must be in simplified form; the result is then
 // structurally equal (and hash-equal) to Simplify of the plain
 // substitution, but is computed in one traversal that rebuilds only the
-// paths from the root to the occurrences of x. Every sub-tree that does
-// not mention x is returned as is — pointer-shared, cached hash intact,
-// no allocation — so restricting a variable that e does not mention
-// allocates nothing.
+// paths from the root to the occurrences of x. Every sub-tree whose
+// signature lacks x's bit is returned as is without being entered —
+// pointer-shared, cached hash intact, no allocation — so restricting a
+// variable that e does not mention allocates nothing.
+//
+// This form uses a Scratch of its own; a caller that restricts in a loop
+// keeps one and calls its method.
 func Restrict(e Expr, x VarID, v value.V, s algebra.Semiring) Expr {
-	out, _ := restrict(e, x, v, s)
+	var sc Scratch
+	return sc.Restrict(e, x, v, s)
+}
+
+// Scratch is the working memory of Restrict: a stack on which the
+// restricted children of every n-ary node on a path to x are collected
+// and folded, so that a node is allocated only if it survives the fold,
+// and then at its final length. The zero value is ready; a Scratch may be
+// reused for any number of calls, one at a time. No result of Restrict
+// refers to it: children are copied out of the stack before a node is
+// built over them.
+type Scratch struct{ stack []Expr }
+
+// Restrict is the package-level Restrict on this scratch.
+func (sc *Scratch) Restrict(e Expr, x VarID, v value.V, s algebra.Semiring) Expr {
+	r := restrictor{x: x, bit: varBit(x), c: semiringConst(v), s: s, stack: sc.stack[:0]}
+	out, _ := r.restrict(e)
+	sc.stack = r.stack[:0]
 	return out
+}
+
+// Release drops the expressions the stack still points to, keeping its
+// capacity: for a Scratch that outlives the expressions it worked on.
+func (sc *Scratch) Release() { clear(sc.stack[:cap(sc.stack)]) }
+
+// restrictor is one Restrict call: x, its signature bit, the constant
+// boxed once, and the scratch stack. A frame is stack[base:]; frames of
+// children lie above their parent's and are popped before it is folded,
+// and a frame is addressed by its base index, so the stack may move when
+// it grows.
+type restrictor struct {
+	x     VarID
+	bit   uint64
+	c     Expr
+	s     algebra.Semiring
+	stack []Expr
 }
 
 // restrict reports whether e mentioned x. An unchanged node is returned
 // as the interface value it arrived in, never re-boxed.
-func restrict(e Expr, x VarID, v value.V, s algebra.Semiring) (Expr, bool) {
+func (r *restrictor) restrict(e Expr) (Expr, bool) {
+	if cachedSig(e)&r.bit == 0 { // constants, and sub-trees known not to mention x
+		return e, false
+	}
 	switch n := e.(type) {
 	case Var:
-		if n.ID() == x {
-			return Const{v}, true
+		if n.ID() == r.x {
+			return r.c, true
 		}
-		return e, false
-	case Const, MConst:
 		return e, false
 	case Add:
-		if ts, changed := restrictAll(n.Terms, x, v, s); changed {
-			return foldAdd(ts, s), true
+		base, changed := r.restrictAll(n.Terms)
+		if !changed {
+			return e, false
 		}
-		return e, false
+		out := foldAdd(r.stack[base:], r.s, true)
+		r.stack = r.stack[:base]
+		return out, true
 	case Mul:
-		if fs, changed := restrictAll(n.Factors, x, v, s); changed {
-			return foldMul(fs, s), true
+		base, changed := r.restrictAll(n.Factors)
+		if !changed {
+			return e, false
 		}
-		return e, false
+		out := foldMul(r.stack[base:], r.s, true)
+		r.stack = r.stack[:base]
+		return out, true
 	case Tensor:
-		sc, c1 := restrict(n.Scalar, x, v, s)
-		mod, c2 := restrict(n.Mod, x, v, s)
+		sc, c1 := r.restrict(n.Scalar)
+		mod, c2 := r.restrict(n.Mod)
 		if !c1 && !c2 {
 			return e, false
 		}
-		return foldTensor(n.Agg, sc, mod, s), true
+		return foldTensor(n.Agg, sc, mod, r.s), true
 	case AggSum:
-		if ts, changed := restrictAll(n.Terms, x, v, s); changed {
-			return foldAggSum(n.Agg, ts), true
+		base, changed := r.restrictAll(n.Terms)
+		if !changed {
+			return e, false
 		}
-		return e, false
+		out := foldAggSum(n.Agg, r.stack[base:], true)
+		r.stack = r.stack[:base]
+		return out, true
 	case Cmp:
-		l, c1 := restrict(n.L, x, v, s)
-		r, c2 := restrict(n.R, x, v, s)
+		lhs, c1 := r.restrict(n.L)
+		rhs, c2 := r.restrict(n.R)
 		if !c1 && !c2 {
 			return e, false
 		}
-		return foldCmp(n.Th, l, r, s), true
+		return foldCmp(n.Th, lhs, rhs, r.s), true
 	default:
 		panic(fmt.Sprintf("expr: unknown node %T", e))
 	}
 }
 
-// restrictAll restricts every element of es, allocating the result only
-// once an element changes.
-func restrictAll(es []Expr, x VarID, v value.V, s algebra.Semiring) ([]Expr, bool) {
-	var out []Expr
+// restrictAll restricts every element of es. Once an element changes it
+// opens a frame holding the elements before it, and pushes every later
+// result; it returns the frame's base.
+func (r *restrictor) restrictAll(es []Expr) (base int, changed bool) {
+	base = -1
 	for i, e := range es {
-		r, changed := restrict(e, x, v, s)
-		if changed && out == nil {
-			out = make([]Expr, len(es))
-			copy(out, es[:i])
+		out, c := r.restrict(e)
+		if c && base < 0 {
+			base = len(r.stack)
+			r.stack = append(r.stack, es[:i]...)
 		}
-		if out != nil {
-			out[i] = r
+		if base >= 0 {
+			r.stack = append(r.stack, out)
 		}
 	}
-	return out, out != nil
+	return base, base >= 0
+}
+
+// Boxed constants: the integers 0 and 1 — 0S and 1S of both semirings —
+// and every monoid's neutral element are boxed once, here, and every fold
+// that produces one of them returns that box.
+var (
+	constZero    Expr = Const{value.Int(0)}
+	constOne     Expr = Const{value.Int(1)}
+	neutralConst      = func() (t [algebra.Count + 1]Expr) {
+		for agg := range t {
+			t[agg] = MConst{algebra.MonoidFor(algebra.Agg(agg)).Neutral()}
+		}
+		return t
+	}()
+)
+
+// semiringConst boxes the semiring constant v.
+func semiringConst(v value.V) Expr {
+	switch {
+	case v.IsZero():
+		return constZero
+	case v.IsOne():
+		return constOne
+	}
+	return Const{v}
 }
 
 // The fold functions rebuild one node from children that are already in
 // simplified form; they are the per-node laws shared by Simplify and
-// Restrict. The n-ary folds own the slice they are handed and compact it
-// in place: the write position never passes the read position, except
-// when a child of the node's own kind is flattened — the output then
-// moves to an array of its own first.
+// Restrict. The n-ary folds compact the slice they are handed in place:
+// the write position never passes the read position, except when a child
+// of the node's own kind is flattened — the output then moves to an array
+// of its own first. With borrowed unset the slice is the caller's gift
+// and becomes the node's children; with borrowed set it is a frame of a
+// Scratch, and a node that survives gets a copy at its final length.
 
-func foldAdd(terms []Expr, s algebra.Semiring) Expr {
+func foldAdd(terms []Expr, s algebra.Semiring, borrowed bool) Expr {
 	out := terms[:0]
 	acc := s.Zero()
 	hasConst, moved := false, false
@@ -163,18 +238,18 @@ func foldAdd(terms []Expr, s algebra.Semiring) Expr {
 		}
 	}
 	if hasConst && !acc.IsZero() {
-		out = append(out, Const{acc})
+		out = append(out, semiringConst(acc))
 	}
 	if len(out) == 0 {
-		return Const{s.Zero()}
+		return semiringConst(s.Zero())
 	}
 	if len(out) == 1 {
 		return out[0]
 	}
-	return newAdd(out)
+	return newAdd(owned(out, borrowed && !moved))
 }
 
-func foldMul(factors []Expr, s algebra.Semiring) Expr {
+func foldMul(factors []Expr, s algebra.Semiring, borrowed bool) Expr {
 	out := factors[:0]
 	acc := s.One()
 	hasConst, moved := false, false
@@ -201,35 +276,44 @@ func foldMul(factors []Expr, s algebra.Semiring) Expr {
 		}
 	}
 	if acc == s.Zero() && hasConst {
-		return Const{s.Zero()}
+		return semiringConst(acc)
 	}
 	if hasConst && !acc.IsOne() {
 		out = append(out, Const{acc})
 	}
 	if len(out) == 0 {
-		return Const{s.One()}
+		return semiringConst(s.One())
 	}
 	if len(out) == 1 {
 		return out[0]
 	}
-	return newMul(out)
+	return newMul(owned(out, borrowed && !moved))
+}
+
+// owned returns the children of a surviving n-ary node: out itself, or a
+// copy of exactly its length when out lies in a scratch frame.
+func owned(out []Expr, inFrame bool) []Expr {
+	if !inFrame {
+		return out
+	}
+	return append(make([]Expr, 0, len(out)), out...)
 }
 
 func foldTensor(agg algebra.Agg, sc, mod Expr, s algebra.Semiring) Expr {
 	mo := algebra.MonoidFor(agg)
 	if c, ok := sc.(Const); ok {
 		if c.V == s.Zero() {
-			return MConst{mo.Neutral()}
-		}
-		if mc, ok := mod.(MConst); ok {
-			return MConst{algebra.Action(s, mo, c.V, mc.V)}
+			return neutralConst[agg]
 		}
 		if c.V == s.One() {
 			return mod
 		}
+		if mc, ok := mod.(MConst); ok {
+			return MConst{algebra.Action(s, mo, c.V, mc.V)}
+		}
 	}
 	if mc, ok := mod.(MConst); ok && mc.V == mo.Neutral() {
-		return MConst{mo.Neutral()}
+		return neutralConst[agg]
 	}
 	// (Φ1·…) ⊗ (Ψ ⊗ α) nests flatten via the (s1·s2)⊗m law.
 	if inner, ok := mod.(Tensor); ok && sameMonoid(inner.Agg, agg) {
@@ -238,7 +322,7 @@ func foldTensor(agg algebra.Agg, sc, mod Expr, s algebra.Semiring) Expr {
 	return NewTensor(agg, sc, mod)
 }
 
-func foldAggSum(agg algebra.Agg, terms []Expr) Expr {
+func foldAggSum(agg algebra.Agg, terms []Expr, borrowed bool) Expr {
 	mo := algebra.MonoidFor(agg)
 	out := terms[:0]
 	acc := mo.Neutral()
@@ -270,12 +354,12 @@ func foldAggSum(agg algebra.Agg, terms []Expr) Expr {
 		out = append(out, MConst{acc})
 	}
 	if len(out) == 0 {
-		return MConst{mo.Neutral()}
+		return neutralConst[agg]
 	}
 	if len(out) == 1 {
 		return out[0]
 	}
-	return newAggSum(agg, out)
+	return newAggSum(agg, owned(out, borrowed && !moved))
 }
 
 func foldCmp(th value.Theta, l, r Expr, s algebra.Semiring) Expr {
@@ -283,9 +367,9 @@ func foldCmp(th value.Theta, l, r Expr, s algebra.Semiring) Expr {
 	rc, rok := constValue(r)
 	if lok && rok {
 		if th.Apply(lc, rc) {
-			return Const{s.One()}
+			return semiringConst(s.One())
 		}
-		return Const{s.Zero()}
+		return semiringConst(s.Zero())
 	}
 	return newCmp(th, l, r)
 }
