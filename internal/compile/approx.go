@@ -27,10 +27,18 @@ import (
 // the exact truth probability. A priority-driven frontier always expands
 // the leaf with the largest contribution to the root's bound width, and
 // expansion stops as soon as hi − lo ≤ ε (or a node/expansion/time budget
-// runs out). Frontier leaves whose residual expression is cheap are closed
-// exactly by the exact compiler under a small per-leaf node budget — this
-// is where the pruning rules and interval analysis of prune.go decide
-// comparisons outright and keep the expanded region tiny.
+// runs out).
+//
+// Frontier leaves are closed exactly by the run's one exact compiler, each
+// attempt under a small node budget — this is where the pruning rules and
+// interval analysis of prune.go decide comparisons outright and keep the
+// expanded region tiny. The compiler's memo outlives an attempt: a d-tree
+// depends on its sub-expression alone, so the sub-d-trees an attempt
+// finished before its budget ran out are kept, and the next attempt on
+// that leaf, or on the Shannon branches below it (the frontier chooses
+// and restricts variables as the compiler does, so a branch is the same
+// memo key), resumes from them. Anytime is exact compilation interrupted:
+// run to ε = 0 it builds the exact d-tree and little besides.
 
 // ErrNodeBudget is wrapped by compilation errors caused by the MaxNodes
 // budget (as opposed to malformed expressions); the anytime engine uses it
@@ -65,21 +73,19 @@ type ApproxOptions struct {
 	// Eps = 0 computes the exact probability through the exact pipeline,
 	// bit-for-bit identical to Pipeline.TruthProbability.
 	Eps float64
-	// MaxLeafNodes is the initial d-tree node budget for closing one
-	// frontier leaf exactly (0 ⇒ 512). Leaves above the budget stay on
-	// the frontier and are refined by Shannon expansion; when expansion
-	// stops tightening the bounds, the budget doubles (iterative
-	// deepening), so expressions that are tractable for the exact
-	// compiler but larger than any fixed budget still close at a small
-	// constant factor of their exact cost.
+	// MaxLeafNodes is the number of new d-tree nodes one attempt to close
+	// a popped frontier leaf exactly may build (0 ⇒ 512): one slice of
+	// work. A leaf whose attempt runs out stays on the frontier and is
+	// refined by Shannon expansion; what the attempt built is kept for
+	// the attempts that follow.
 	MaxLeafNodes int
 	// MaxExpansions bounds the number of Shannon expansions of the
 	// frontier (0 ⇒ unlimited). When exhausted, the current (sound but
 	// possibly wider than Eps) bounds are returned with Converged = false.
 	MaxExpansions int
 	// MaxNodes bounds the total work (ApproxReport.TotalNodes):
-	// partial-tree nodes plus all d-tree nodes created by exact leaf
-	// closures, including failed budgeted attempts (0 ⇒ unlimited).
+	// partial-tree nodes plus every d-tree node the exact leaf closures
+	// build, evaluated or not (0 ⇒ unlimited).
 	MaxNodes int
 	// Timeout bounds wall-clock time (0 ⇒ unlimited).
 	Timeout time.Duration
@@ -105,21 +111,22 @@ type ApproxReport struct {
 	Converged    bool          // Width() ≤ Eps on return
 	Expansions   int           // Shannon expansions of frontier leaves
 	TreeNodes    int           // partial-tree nodes created
-	ExactNodes   int           // d-tree nodes of *successful* exact leaf closures (retained)
-	WastedNodes  int           // d-tree nodes of failed closure probes/attempts (discarded)
+	ExactNodes   int           // d-tree nodes evaluated: those of the leaves closed exactly
+	WastedNodes  int           // d-tree nodes built but never evaluated
 	ExactLeaves  int           // frontier leaves closed exactly
 	FrontierOpen int           // unresolved frontier leaves on return
 	Elapsed      time.Duration // wall-clock time
 }
 
 // ExpandedNodes is the size of the partial compilation actually
-// materialised: partial-tree nodes plus the d-trees of successful leaf
-// closures. This is the quantity comparable against exact compilation's
-// d-tree node count.
+// materialised: partial-tree nodes plus the d-tree nodes of the leaves
+// closed exactly. This is the quantity comparable against exact
+// compilation's d-tree node count.
 func (r ApproxReport) ExpandedNodes() int { return r.TreeNodes + r.ExactNodes }
 
-// TotalNodes is the total work proxy: expanded nodes plus the scratch
-// nodes of failed closure probes (compiled under a budget and discarded).
+// TotalNodes is the total work proxy: partial-tree nodes plus every d-tree
+// node the closure attempts built — evaluated, or left by an attempt that
+// ran out of budget and never reached by one that closed.
 // ApproxOptions.MaxNodes bounds this quantity.
 func (r ApproxReport) TotalNodes() int { return r.TreeNodes + r.ExactNodes + r.WastedNodes }
 
@@ -168,7 +175,7 @@ func ApproximateCtx(ctx context.Context, s algebra.Semiring, reg *vars.Registry,
 		if opts.MaxNodes > 0 && (co.MaxNodes == 0 || opts.MaxNodes < co.MaxNodes) {
 			co.MaxNodes = opts.MaxNodes
 		}
-		b, nodes, err := exactTruth(ctx, s, reg, e, co, nil)
+		b, nodes, err := exactTruth(ctx, s, reg, e, co)
 		if err != nil {
 			return Bounds{}, ApproxReport{}, err
 		}
@@ -181,8 +188,13 @@ func ApproximateCtx(ctx context.Context, s algebra.Semiring, reg *vars.Registry,
 		}
 		return b, rep, nil
 	}
-	ax := &approximator{s: s, reg: reg, opts: opts, ctx: ctx, memo: map[uint64][]closureEntry{}, tier: opts.leafBudget(), sc: getScratch(e)}
-	defer putScratch(ax.sc)
+	ax := &approximator{
+		s: s, reg: reg, opts: opts, ctx: ctx,
+		c:  New(s, reg, opts.Compile),
+		ev: dtree.NewEvaluator(dtree.Env{Semiring: s, Registry: reg}),
+	}
+	ax.c.sc = getScratch(e)
+	defer putScratch(ax.c.sc)
 	root, err := ax.classify(e)
 	if err != nil {
 		return Bounds{}, ApproxReport{}, err
@@ -198,26 +210,24 @@ func ApproximateCtx(ctx context.Context, s algebra.Semiring, reg *vars.Registry,
 	ax.rep.Bounds = b
 	ax.rep.Converged = b.Width() <= opts.Eps
 	ax.rep.FrontierOpen = ax.frontier.open()
+	ax.rep.ExactNodes = ax.ev.Nodes()
+	ax.rep.WastedNodes = ax.built - ax.rep.ExactNodes
 	ax.rep.Elapsed = time.Since(t0)
 	return b, ax.rep, nil
 }
 
-// exactTruth runs the exact compile→evaluate pipeline on an expression
-// that is already validated and in simplified form, and returns the truth
-// probability as a point interval. sc, when non-nil, is the scratch of
-// the anytime run e is a residual of, lent to the compilation.
-func exactTruth(ctx context.Context, s algebra.Semiring, reg *vars.Registry, e expr.Expr, opts Options, sc *scratch) (Bounds, int, error) {
-	c := New(s, reg, opts)
-	c.sc = sc
-	res, err := c.compileSimplified(ctx, e)
+// exactTruth runs the exact compile→evaluate pipeline — the ε = 0 answer —
+// on an expression that is already validated and in simplified form, and
+// returns the truth probability as a point interval with the d-tree's
+// node count.
+func exactTruth(ctx context.Context, s algebra.Semiring, reg *vars.Registry, e expr.Expr, opts Options) (Bounds, int, error) {
+	res, err := New(s, reg, opts).compileSimplified(ctx, e)
 	if err != nil {
-		// The nodes created before a budget abort are real work; report
-		// them so ApproxReport and MaxNodes account for failed closures.
-		return Bounds{}, res.Stats.Nodes, err
+		return Bounds{}, 0, err
 	}
 	d, _, err := dtree.Evaluate(res.Root, dtree.Env{Semiring: s, Registry: reg})
 	if err != nil {
-		return Bounds{}, res.Stats.Nodes, err
+		return Bounds{}, 0, err
 	}
 	return Point(d.TruthProbability()), res.Stats.Nodes, nil
 }
@@ -371,86 +381,22 @@ type approximator struct {
 	root     *anode
 	frontier frontierHeap
 	rep      ApproxReport
-	// Iterative deepening of the closure budget: tier is the node budget
-	// invested when a popped frontier leaf is closed exactly. It starts at
-	// MaxLeafNodes; when stagnationWindow expansions pass without the root
-	// width improving — the signature of an expression that Shannon
-	// expansion cannot decide but a bigger exact compile can — escalation
-	// arms, and each failed escalated attempt doubles the tier. Failed
-	// escalated work is capped at a fraction of the total work done, so a
-	// frontier that does not benefit from bigger closures cannot burn more
-	// than a constant factor of the useful node count.
-	tier         int
-	escArmed     bool
-	escFailed    int     // nodes spent on failed escalated closure attempts
-	initWidth    float64 // root width before any expansion
-	lastWidth    float64
-	sinceImprove int
-	// memo caches exact-closure outcomes per structural sub-expression
-	// (keyed by cached hash, collisions resolved by structural equality):
-	// identical residuals recur massively under Shannon expansion (the
-	// reason the exact compiler memoises), so a sub-problem closed — or
-	// proven too hard for a budget tier — once is never re-attempted.
-	memo map[uint64][]closureEntry
-	// sc is the run's scratch (scratch.go), shared with the exact compiler
-	// of every leaf closure: all of them work on residuals of one root.
-	sc *scratch
-}
-
-// closureEntry resolves hash collisions in the closure memo.
-type closureEntry struct {
-	e expr.Expr
-	c closure
-}
-
-func (ax *approximator) memoGet(h uint64, e expr.Expr) (closure, bool) {
-	for _, ent := range ax.memo[h] {
-		if expr.Equal(ent.e, e) {
-			return ent.c, true
-		}
-	}
-	return closure{}, false
-}
-
-func (ax *approximator) memoSet(h uint64, e expr.Expr, c closure) {
-	bucket := ax.memo[h]
-	for i, ent := range bucket {
-		if expr.Equal(ent.e, e) {
-			bucket[i].c = c
-			return
-		}
-	}
-	ax.memo[h] = append(bucket, closureEntry{e, c})
-}
-
-// closure is the memoised outcome of exact-closure attempts on one
-// sub-expression: its truth probability when resolved, or the largest
-// node budget it is known to exceed.
-type closure struct {
-	resolved bool
-	p        float64
-	failedAt int
+	// c is the run's one exact compiler: every closure attempt is a
+	// compilation of c under that attempt's budget, so its memo — every
+	// sub-d-tree any attempt finished — and its scratch serve the whole
+	// run, all of whose attempts compile residuals of one root.
+	c *Compiler
+	// ev evaluates the d-trees of the closures that succeed. They are
+	// trees of one memo and share nodes, which ev evaluates once.
+	ev *dtree.Evaluator
+	// built counts the d-tree nodes c has built, evaluated or not.
+	built int
 }
 
 // cheapBudget is the node budget of the closure probe every classified
-// sub-expression gets; the full tier budget is invested only when a
+// sub-expression gets; the full leaf budget is invested only when a
 // frontier leaf is actually popped for expansion.
 const cheapBudget = 64
-
-// stagnationWindow is the minimum number of frontier expansions without
-// any width improvement after which the closure budget tier doubles; the
-// effective window also covers half a sweep of the current frontier, so a
-// large, steadily-progressing frontier does not trigger escalation just
-// because individual expansions happen not to move the bounds.
-const stagnationWindow = 48
-
-// escalationWaste caps the node budget available for *failed* escalated
-// closure attempts: escFailed plus the next attempt's tier must stay under
-// TotalNodes/escalationWaste (with a small absolute floor). Successful
-// escalated closures grow TotalNodes, funding further escalation — the
-// Q1-style chain of stubborn-but-closable leaves keeps closing — while a
-// frontier that never benefits stops escalating after bounded waste.
-const escalationWaste = 3
 
 func (ax *approximator) newNode(n *anode) *anode {
 	ax.rep.TreeNodes++
@@ -477,11 +423,7 @@ func (ax *approximator) classify(e expr.Expr) (*anode, error) {
 	// compiler brings the full arsenal — pruning, interval decision
 	// (prune.go's bounds/decide), factoring, memoisation — so decidable
 	// comparisons and tractable residuals resolve here at tiny cost.
-	probe := cheapBudget
-	if probe > ax.tier {
-		probe = ax.tier
-	}
-	p, closed, err := ax.close(e, probe)
+	p, closed, err := ax.close(e, min(cheapBudget, ax.opts.leafBudget()))
 	if err != nil {
 		return nil, err
 	}
@@ -502,7 +444,7 @@ func (ax *approximator) classify(e expr.Expr) (*anode, error) {
 	// discarded).
 	switch t := e.(type) {
 	case expr.Add:
-		if groups := ax.sc.components(t.Terms); len(groups) > 1 && ax.sumSplitsSound(groups) {
+		if groups := ax.c.sc.components(t.Terms); len(groups) > 1 && ax.sumSplitsSound(groups) {
 			return ax.split(nkOr, groups, expr.AdoptSum)
 		}
 	case expr.Mul:
@@ -512,7 +454,7 @@ func (ax *approximator) classify(e expr.Expr) (*anode, error) {
 				return ax.classify(pruned)
 			}
 		}
-		if groups := ax.sc.components(t.Factors); len(groups) > 1 {
+		if groups := ax.c.sc.components(t.Factors); len(groups) > 1 {
 			return ax.split(nkAnd, groups, expr.AdoptProduct)
 		}
 	}
@@ -554,66 +496,40 @@ func (ax *approximator) split(kind anodeKind, groups [][]expr.Expr, rebuild func
 	return n, nil
 }
 
-// escalationWorthwhile decides whether an escalated closure attempt at the
-// current tier is an economic use of nodes for this leaf. Failed escalated
-// work is capped at a fraction of the total work; beyond that, the tier
-// must be commensurate with the probability mass the closure would
-// resolve, priced at the run's observed nodes-per-width-resolved rate. A
-// stalled run (nothing resolved yet) always funds escalation — that is
-// the stagnation pathology escalation exists to break.
-func (ax *approximator) escalationWorthwhile(leaf *anode) bool {
-	if wasteCap := max(4*ax.opts.leafBudget(), ax.rep.TotalNodes()/escalationWaste); ax.escFailed+ax.tier > wasteCap {
-		return false
-	}
-	resolved := ax.initWidth - (ax.root.hi - ax.root.lo)
-	if resolved <= 0 {
-		return true
-	}
-	rate := float64(ax.rep.TotalNodes()) / resolved
-	return float64(ax.tier) <= 4*leaf.contribution()*rate
-}
+// work is the run's TotalNodes so far.
+func (ax *approximator) work() int { return ax.rep.TreeNodes + ax.built }
 
-// close attempts to resolve e exactly under the given node budget,
-// consulting and updating the memo. It reports the truth probability and
-// whether the closure succeeded; budget-exceeded failures are memoised per
-// tier so no budget is attempted twice for the same expression.
+// close attempts to resolve e exactly, building at most budget new d-tree
+// nodes. It reports the truth probability and whether the closure
+// succeeded. An attempt that runs out of budget leaves what it finished in
+// the compiler's memo, where the next attempt on e or on a residual of it
+// finds it.
 func (ax *approximator) close(e expr.Expr, budget int) (float64, bool, error) {
-	h := expr.Hash(e)
-	if m, ok := ax.memoGet(h, e); ok {
-		if m.resolved {
-			return m.p, true, nil
-		}
-		if m.failedAt >= budget {
-			return 0, false, nil
-		}
-	}
 	// MaxNodes bounds TotalNodes, and closure attempts are where nodes are
 	// created: clamp every attempt to the remaining allowance so the cap
 	// cannot be overshot between the run loop's checks.
 	if ax.opts.MaxNodes > 0 {
-		remaining := ax.opts.MaxNodes - ax.rep.TotalNodes()
+		remaining := ax.opts.MaxNodes - ax.work()
 		if remaining <= 0 {
 			return 0, false, nil
 		}
-		if budget > remaining {
-			budget = remaining
-		}
+		budget = min(budget, remaining)
 	}
-	o := ax.opts.Compile
-	o.MaxNodes = budget
-	b, nodes, err := exactTruth(ax.ctx, ax.s, ax.reg, e, o, ax.sc)
-	if err == nil {
-		ax.rep.ExactNodes += nodes
-		ax.rep.ExactLeaves++
-		ax.memoSet(h, e, closure{resolved: true, p: b.Lo})
-		return b.Lo, true, nil
+	ax.c.opts.MaxNodes = budget
+	res, err := ax.c.compileSimplified(ax.ctx, e)
+	ax.built += res.Stats.Nodes
+	if errors.Is(err, ErrNodeBudget) {
+		return 0, false, nil
 	}
-	ax.rep.WastedNodes += nodes
-	if !errors.Is(err, ErrNodeBudget) {
+	if err != nil {
 		return 0, false, err
 	}
-	ax.memoSet(h, e, closure{failedAt: budget})
-	return 0, false, nil
+	d, err := ax.ev.Evaluate(res.Root)
+	if err != nil {
+		return 0, false, err
+	}
+	ax.rep.ExactLeaves++
+	return d.TruthProbability(), true, nil
 }
 
 // run drives the priority frontier until the root interval is within ε or a
@@ -621,8 +537,6 @@ func (ax *approximator) close(e expr.Expr, budget int) (float64, bool, error) {
 func (ax *approximator) run(t0 time.Time) error {
 	ax.collectFrontier(ax.root)
 	heap.Init(&ax.frontier)
-	ax.initWidth = ax.root.hi - ax.root.lo
-	ax.lastWidth = ax.initWidth
 	for ax.root.hi-ax.root.lo > ax.opts.Eps {
 		if err := ax.ctx.Err(); err != nil {
 			return err
@@ -630,7 +544,7 @@ func (ax *approximator) run(t0 time.Time) error {
 		if ax.opts.MaxExpansions > 0 && ax.rep.Expansions >= ax.opts.MaxExpansions {
 			return nil
 		}
-		if ax.opts.MaxNodes > 0 && ax.rep.TotalNodes() >= ax.opts.MaxNodes {
+		if ax.opts.MaxNodes > 0 && ax.work() >= ax.opts.MaxNodes {
 			return nil
 		}
 		if ax.opts.Timeout > 0 && time.Since(t0) >= ax.opts.Timeout {
@@ -642,19 +556,6 @@ func (ax *approximator) run(t0 time.Time) error {
 		}
 		if err := ax.expand(leaf); err != nil {
 			return err
-		}
-		if w := ax.root.hi - ax.root.lo; w < ax.lastWidth {
-			ax.lastWidth = w
-			ax.sinceImprove = 0
-		} else if ax.sinceImprove++; ax.sinceImprove >= stagnationWindow && 2*ax.sinceImprove >= ax.frontier.Len() {
-			// Half a frontier sweep of Shannon expansion did not tighten
-			// the bounds; invest in bigger exact closures instead
-			// (iterative deepening).
-			if !ax.escArmed {
-				ax.escArmed = true
-				ax.tier *= 2
-			}
-			ax.sinceImprove = 0
 		}
 		if ax.opts.OnBounds != nil {
 			ax.opts.OnBounds(ax.root.bounds())
@@ -699,24 +600,13 @@ func (ax *approximator) popBest() *anode {
 // in an exact closure first; if the residual is still too hard, the leaf
 // Shannon-expands into a ⊔x mixture whose branches are the classified
 // residuals e|x←v, and the refreshed interval propagates to the root. The
-// variable choice reuses the exact compiler's heuristic, so ε→0 retraces
-// the exact expansion order.
+// variable choice and the restriction are the exact compiler's, so ε→0
+// retraces the exact expansion order and every branch is a memo key the
+// failed attempt may already have compiled.
 func (ax *approximator) expand(leaf *anode) error {
-	budget := ax.opts.leafBudget()
-	if ax.escArmed && ax.tier > budget && ax.escalationWorthwhile(leaf) {
-		budget = ax.tier
-	}
-	before := ax.rep.WastedNodes
-	p, closed, err := ax.close(leaf.e, budget)
+	p, closed, err := ax.close(leaf.e, ax.opts.leafBudget())
 	if err != nil {
 		return err
-	}
-	if budget > ax.opts.leafBudget() && !closed {
-		// The attempt failed: charge its cost against the waste cap and
-		// deepen, so the next funded attempt can close strictly harder
-		// leaves.
-		ax.escFailed += ax.rep.WastedNodes - before
-		ax.tier *= 2
 	}
 	if closed {
 		leaf.kind = nkPoint
@@ -727,7 +617,7 @@ func (ax *approximator) expand(leaf *anode) error {
 		}
 		return nil
 	}
-	x, _ := chooseVariable(leaf.e, ax.opts.Compile.Order, &ax.sc.vs)
+	x, _ := chooseVariable(leaf.e, ax.opts.Compile.Order, &ax.c.sc.vs)
 	d, err := ax.reg.DistByID(x)
 	if err != nil {
 		return err
@@ -736,7 +626,7 @@ func (ax *approximator) expand(leaf *anode) error {
 	children := make([]*anode, 0, d.Size())
 	weights := make([]float64, 0, d.Size())
 	for _, pair := range d.Pairs() {
-		c, err := ax.classify(ax.sc.cof.Restrict(leaf.e, x, pair.V, ax.s))
+		c, err := ax.classify(ax.c.sc.cof.Restrict(leaf.e, x, pair.V, ax.s))
 		if err != nil {
 			return err
 		}

@@ -173,6 +173,54 @@ func TestApproxDifferentialFuzz(t *testing.T) {
 	}
 }
 
+// TestAnytimeNeverRebuilds is the contract of the run's one compiler: an
+// anytime run builds each sub-d-tree once, so converged to a point it has
+// built little more than the exact d-tree — a closure attempt that runs
+// out of budget is resumed, not rebuilt. MaxLeafNodes is tiny so that
+// almost every closure runs out at least once. On the self-join shape
+// (Σ_{i<j} xi·xj at p = 0.9), where every attempt the frontier makes
+// before the answer converges at ε = 0.05 runs out, what it built must be
+// reached by the closures that follow.
+func TestAnytimeNeverRebuilds(t *testing.T) {
+	s := algebra.SemiringFor(algebra.Boolean)
+	worst := 0.0
+	for _, p := range fuzzParams(7) {
+		inst, err := gen.NewWithRand(p, gen.SeededRand(p.Seed))
+		if err != nil {
+			t.Fatalf("params %+v: %v", p, err)
+		}
+		res, err := compile.New(s, inst.Registry, compile.Options{}).Compile(inst.Expr)
+		if err != nil {
+			t.Fatalf("seed %d params %+v: exact: %v", p.Seed, p, err)
+		}
+		b, rep, err := compile.Approximate(s, inst.Registry, inst.Expr,
+			compile.ApproxOptions{Eps: 1e-12, MaxLeafNodes: 8})
+		if err != nil {
+			t.Fatalf("seed %d params %+v: approximate: %v", p.Seed, p, err)
+		}
+		if b.Width() != 0 {
+			t.Errorf("seed %d params %+v: bounds %v, want a point", p.Seed, p, b)
+		}
+		built := rep.ExactNodes + rep.WastedNodes
+		if 2*built > 3*res.Stats.Nodes {
+			t.Errorf("seed %d params %+v: anytime built %d d-tree nodes (%d never evaluated), exact compilation %d: more than 1.5×",
+				p.Seed, p, built, rep.WastedNodes, res.Stats.Nodes)
+		}
+		worst = max(worst, float64(built)/float64(res.Stats.Nodes))
+	}
+	t.Logf("worst built/exact ratio %.3f", worst)
+
+	reg, e := compile.SelfJoinPairs(15, 0.9)
+	_, rep, err := compile.Approximate(s, reg, e, compile.ApproxOptions{Eps: 0.05})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if 20*rep.WastedNodes > rep.TotalNodes() {
+		t.Errorf("self-join pairs: %d of %d nodes never evaluated, want ≤ 5%%", rep.WastedNodes, rep.TotalNodes())
+	}
+	t.Logf("self-join pairs: %+v", rep)
+}
+
 // TestApproxEpsZeroBitForBit checks that ε = 0 reproduces the exact truth
 // probability bit-for-bit (the anytime engine falls back to the exact
 // compile→evaluate pipeline).

@@ -27,7 +27,10 @@
 // sub-expressions (with structural equality resolving collisions), so
 // repeated sub-problems (ubiquitous under Shannon expansion) compile once
 // and the resulting d-tree is a DAG. Every node is marked for the
-// evaluator: unique when created, shared when a memo hit reuses it.
+// evaluator: unique when created, shared when a memo hit reuses it. The
+// memo outlives a compilation — an anytime run compiles all its leaf
+// closures with one Compiler — so a node may gain its second parent after
+// a tree it was unique in has been evaluated (dtree.NewEvaluator).
 package compile
 
 import (
@@ -108,9 +111,10 @@ type Compiler struct {
 	// materialise post-order), so cancellation polls keyed on it reach
 	// even a descent that has yet to create its first node.
 	steps uint64
-	// sc is the scratch of the compilation in progress (scratch.go): lent
-	// by an anytime run for its leaf closures, otherwise checked out when
-	// the compilation first needs one and returned by compileSimplified.
+	// sc is the scratch of the compilation in progress (scratch.go): an
+	// anytime run's, for all the run's leaf closures, or otherwise checked
+	// out when the compilation first needs one and returned by
+	// compileSimplified.
 	sc *scratch
 }
 

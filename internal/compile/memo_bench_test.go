@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"pvcagg/internal/algebra"
+	"pvcagg/internal/dtree"
 	"pvcagg/internal/expr"
 	"pvcagg/internal/value"
 	"pvcagg/internal/vars"
@@ -61,4 +62,55 @@ func BenchmarkCompileShannon(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// SelfJoinPairs is Σ_{i<j} xi·xj over n Boolean variables of marginal p:
+// the annotation of one result tuple of tpch-agg's self-join template
+// (two of a supplier's parts), which the repository benchmark runs
+// anytime. It is exported for approx_test.go.
+func SelfJoinPairs(n int, p float64) (*vars.Registry, expr.Expr) {
+	reg := vars.NewRegistry()
+	xs := make([]expr.Expr, n)
+	for i := range xs {
+		name := fmt.Sprintf("sj%d", i)
+		reg.DeclareBool(name, p)
+		xs[i] = expr.V(name)
+	}
+	var terms []expr.Expr
+	for i := range xs {
+		for j := i + 1; j < n; j++ {
+			terms = append(terms, expr.Product(xs[i], xs[j]))
+		}
+	}
+	return reg, expr.Sum(terms...)
+}
+
+// BenchmarkApproxPairs runs one self-join annotation (SelfJoinPairs(15,
+// 0.9)) anytime at ε = 0.05, the repository benchmark's setting, beside
+// its exact compilation and evaluation: the ratio of the two is what an
+// anytime answer costs against an exact one on the shape that asks for
+// it.
+func BenchmarkApproxPairs(b *testing.B) {
+	reg, e := SelfJoinPairs(15, 0.9)
+	s := algebra.SemiringFor(algebra.Boolean)
+	b.Run("anytime", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, _, err := Approximate(s, reg, e, ApproxOptions{Eps: 0.05}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("exact", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			res, err := New(s, reg, Options{}).Compile(e)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, _, err := dtree.Evaluate(res.Root, dtree.Env{Semiring: s, Registry: reg}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

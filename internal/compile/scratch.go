@@ -17,7 +17,8 @@ import (
 // out of scratchPool once and returns it when the compilation ends — the
 // Compiler for a bare exact compilation (compileUncached at the root,
 // compileSimplified on the way out), ApproximateCtx for an anytime run,
-// which lends its scratch to the exact compiler of every leaf closure.
+// which gives its scratch to the run's one compiler for every leaf
+// closure attempt and the frontier's own expansions.
 // Nothing on the hot path goes to a pool, and a scratch is never used by
 // two goroutines: a Compiler and an anytime run are single-goroutine by
 // contract.

@@ -21,7 +21,8 @@ import (
 // leaf — dtree.Evaluate and dtree.Measure as they were before nodes
 // carried ownership marks and SUM had a kernel of its own. The tests below
 // hold the shipped ones to these on distribution (bit for bit), EvalStats
-// and Stats.
+// and Stats, and an Evaluator that keeps what it evaluates to them on
+// distribution and node count.
 
 type refKey struct {
 	n   dtree.Node
@@ -146,6 +147,28 @@ func assertSameAsReference(t *testing.T, label string, root dtree.Node, env dtre
 	}
 	if got, want := dtree.Measure(root), refMeasure(root); got != want {
 		t.Fatalf("%s: Measure %+v, reference %+v", label, got, want)
+	}
+	// An Evaluator that keeps what it evaluates, handed the root's
+	// children before the root and the root twice — as trees of one memo
+	// reach nodes earlier calls evaluated while they were unique — gives
+	// the same distribution and counts each node once.
+	ev := dtree.NewEvaluator(env)
+	for _, c := range children(root) {
+		if _, err := ev.Evaluate(c); err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+	}
+	for i := 0; i < 2; i++ {
+		kept, err := ev.Evaluate(root)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		if !kept.Equal(want, 0) {
+			t.Fatalf("%s: kept evaluation %d: %v, reference %v", label, i, kept, want)
+		}
+	}
+	if got, want := ev.Nodes(), refMeasure(root).Nodes; got != want {
+		t.Fatalf("%s: kept evaluation counts %d nodes, Measure %d", label, got, want)
 	}
 }
 

@@ -31,15 +31,26 @@ type memoKey struct {
 	cap *prob.Cap
 }
 
-type evaluator struct {
+// Evaluator evaluates d-trees over one Env. One made by NewEvaluator keeps
+// the distribution of every node it evaluates for the calls that follow:
+// its owner hands it the trees of one compiler whose memo outlives a
+// compilation (the anytime engine's), and such a tree may reach, through a
+// later memo hit, a node an earlier call evaluated while the node was
+// still marked unique.
+type Evaluator struct {
 	env  Env
 	memo map[memoKey]prob.Dist // allocated on first use
+	// keep memoises every node, whatever its mark.
+	keep bool
 	// revisit is true while the evaluation in progress may be repeated
 	// under another cap: some enclosing node is not unique, and every cap
 	// since was inherited from it.
 	revisit bool
 	stats   EvalStats
 }
+
+// NewEvaluator returns an Evaluator that keeps what it evaluates.
+func NewEvaluator(env Env) *Evaluator { return &Evaluator{env: env, keep: true} }
 
 // Evaluate computes the probability distribution represented by the d-tree
 // rooted at n, bottom-up in one pass (Theorem 2): Eq. (4)/(6) at ⊕ nodes,
@@ -48,9 +59,39 @@ type evaluator struct {
 // under: nodes marked unique (in a compiled tree, all but the compiler's
 // memo hits) by plain recursion, the others through a memo.
 func Evaluate(n Node, env Env) (prob.Dist, EvalStats, error) {
-	ev := &evaluator{env: env}
-	d, err := ev.eval(n, nil, true)
+	ev := Evaluator{env: env}
+	d, err := ev.Evaluate(n)
 	return d, ev.stats, err
+}
+
+// Evaluate computes the distribution of the d-tree rooted at n, as the
+// package-level Evaluate does, reusing what earlier calls evaluated.
+func (ev *Evaluator) Evaluate(n Node) (prob.Dist, error) { return ev.eval(n, nil, true) }
+
+// Nodes returns the number of distinct nodes the calls of an Evaluator
+// made by NewEvaluator have evaluated: its memo's nodes, counted once
+// however many caps they were evaluated under.
+func (ev *Evaluator) Nodes() int {
+	n := len(ev.memo)
+	var capped map[Node]struct{} // nodes counted through a capped key
+	for k := range ev.memo {
+		if k.cap == nil {
+			continue
+		}
+		if _, ok := ev.memo[memoKey{k.n, nil}]; ok {
+			n--
+			continue
+		}
+		if _, ok := capped[k.n]; ok {
+			n--
+			continue
+		}
+		if capped == nil {
+			capped = map[Node]struct{}{}
+		}
+		capped[k.n] = struct{}{}
+	}
+	return n
 }
 
 // eval evaluates n under cap. inherited says that cap is the cap n's
@@ -63,9 +104,9 @@ func Evaluate(n Node, env Env) (prob.Dist, EvalStats, error) {
 // caps the keys then differ like the ancestor's, but a cap the parent
 // chose is the same both times — that child goes through the memo, and,
 // being evaluated once, shields what lies below it.
-func (ev *evaluator) eval(n Node, cap *prob.Cap, inherited bool) (prob.Dist, error) {
+func (ev *Evaluator) eval(n Node, cap *prob.Cap, inherited bool) (prob.Dist, error) {
 	shared := !unique(n)
-	memoised := shared || (ev.revisit && !inherited)
+	memoised := ev.keep || shared || (ev.revisit && !inherited)
 	key := memoKey{n, cap}
 	if memoised {
 		if d, ok := ev.memo[key]; ok {
@@ -104,7 +145,7 @@ func normalised(d prob.Dist, s algebra.Semiring) prob.Dist {
 	return d
 }
 
-func (ev *evaluator) evalUncached(n Node, cap *prob.Cap) (prob.Dist, error) {
+func (ev *Evaluator) evalUncached(n Node, cap *prob.Cap) (prob.Dist, error) {
 	s := ev.env.Semiring
 	switch t := n.(type) {
 	case *VarLeaf:
