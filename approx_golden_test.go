@@ -122,12 +122,8 @@ func TestGoldenFigure1Approx(t *testing.T) {
 	}
 	db := figure1ShopDB(0.5)
 	for _, eps := range []float64{0, 0.01, 0.1} {
-		_, results, _, err := pvcagg.RunApprox(db, figure1Q2(),
-			pvcagg.ApproxOptions{Eps: eps, MaxLeafNodes: 8},
-			pvcagg.ParallelOptions{Parallelism: 1})
-		if err != nil {
-			t.Fatalf("eps=%g: %v", eps, err)
-		}
+		_, results := collect(t, db, figure1Q2(), pvcagg.WithMode(pvcagg.Anytime), pvcagg.WithEps(eps),
+			pvcagg.WithApprox(pvcagg.ApproxOptions{MaxLeafNodes: 8}), pvcagg.WithParallelism(1))
 		want := golden[eps]
 		if len(results) != len(want) {
 			t.Fatalf("eps=%g: %d result tuples, want %d", eps, len(results), len(want))
@@ -143,15 +139,15 @@ func TestGoldenFigure1Approx(t *testing.T) {
 			if exact := golden[0][i].lo; !r.Confidence.Contains(exact, 0) {
 				t.Errorf("eps=%g tuple %d: bounds %v miss the exact answer %v", eps, i, r.Confidence, exact)
 			}
-			if r.Report.Expansions != w.expansions {
+			if r.Report.Approx.Expansions != w.expansions {
 				t.Errorf("eps=%g tuple %d: %d expansions, want %d (frontier heuristic changed?)",
-					eps, i, r.Report.Expansions, w.expansions)
+					eps, i, r.Report.Approx.Expansions, w.expansions)
 			}
-			if r.Report.TreeNodes != w.treeNodes || r.Report.ExactNodes != w.exactNodes {
+			if r.Report.Approx.TreeNodes != w.treeNodes || r.Report.Approx.ExactNodes != w.exactNodes {
 				t.Errorf("eps=%g tuple %d: tree/exact nodes %d/%d, want %d/%d",
-					eps, i, r.Report.TreeNodes, r.Report.ExactNodes, w.treeNodes, w.exactNodes)
+					eps, i, r.Report.Approx.TreeNodes, r.Report.Approx.ExactNodes, w.treeNodes, w.exactNodes)
 			}
-			if !r.Report.Converged {
+			if !r.Report.Approx.Converged {
 				t.Errorf("eps=%g tuple %d: not converged", eps, i)
 			}
 		}
@@ -168,11 +164,8 @@ func TestGoldenTPCHQ1Approx(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, eps := range []float64{0, 0.01, 0.1} {
-		_, results, _, err := pvcagg.RunApprox(db, tpch.Q1(1200),
-			pvcagg.ApproxOptions{Eps: eps}, pvcagg.ParallelOptions{Parallelism: 1})
-		if err != nil {
-			t.Fatalf("eps=%g: %v", eps, err)
-		}
+		_, results := collect(t, db, tpch.Q1(1200),
+			pvcagg.WithMode(pvcagg.Anytime), pvcagg.WithEps(eps), pvcagg.WithParallelism(1))
 		if len(results) != 6 {
 			t.Fatalf("eps=%g: %d result tuples, want 6", eps, len(results))
 		}
@@ -181,11 +174,11 @@ func TestGoldenTPCHQ1Approx(t *testing.T) {
 			if w := r.Confidence.Width(); w != 0 {
 				t.Errorf("eps=%g tuple %d: width %v, want 0 (exact closure)", eps, i, w)
 			}
-			if !r.Report.Converged {
+			if !r.Report.Approx.Converged {
 				t.Errorf("eps=%g tuple %d: not converged", eps, i)
 			}
-			totalExact += r.Report.ExactNodes
-			totalExpansions += r.Report.Expansions
+			totalExact += r.Report.Approx.ExactNodes
+			totalExpansions += r.Report.Approx.Expansions
 		}
 		if totalExpansions != 0 {
 			t.Errorf("eps=%g: %d frontier expansions, want 0", eps, totalExpansions)

@@ -17,12 +17,8 @@ package pvcagg_test
 
 import (
 	"context"
-	"encoding/json"
-	"flag"
 	"fmt"
-	"runtime"
 	"testing"
-	"time"
 
 	"pvcagg"
 	"pvcagg/internal/algebra"
@@ -31,7 +27,6 @@ import (
 	"pvcagg/internal/core"
 	"pvcagg/internal/engine"
 	"pvcagg/internal/gen"
-	"pvcagg/internal/server"
 	"pvcagg/internal/tpch"
 	"pvcagg/internal/value"
 )
@@ -460,239 +455,4 @@ func thName(th value.Theta) string {
 	default:
 		return th.String()
 	}
-}
-
-// The Exec benchmark family measures the unified entrypoint in each
-// strategy on the same TPC-H Q1 workload, so exact-vs-anytime-vs-parallel
-// trajectories accumulate across PRs. Run ad hoc with -bench=Exec, or
-// emit machine-readable JSON with
-//
-//	go test -run TestEmitBenchJSON -benchjson BENCH_exec.json
-//
-// (TestEmitBenchJSON drives the same closures through testing.Benchmark
-// and writes them via benchx.WriteBenchJSON.)
-
-var benchJSONPath = flag.String("benchjson", "", "write the Exec benchmark results as JSON to this file")
-
-// execBenchCase is one named Exec workload.
-type execBenchCase struct {
-	name string
-	fn   func(b *testing.B)
-}
-
-// execBenchCases builds the named Exec workloads shared by BenchmarkExec
-// and TestEmitBenchJSON, in a fixed emission order.
-func execBenchCases(sf float64) ([]execBenchCase, error) {
-	db, err := tpch.Generate(tpch.Config{SF: sf, Seed: 1, Probabilistic: true})
-	if err != nil {
-		return nil, err
-	}
-	plan := tpch.Q1(1200)
-	run := func(opts ...pvcagg.Option) func(b *testing.B) {
-		return func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				res, err := pvcagg.Exec(context.Background(), db, plan, opts...)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := res.Collect(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	}
-	stream := func(opts ...pvcagg.Option) func(b *testing.B) {
-		return func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				res, err := pvcagg.Exec(context.Background(), db, plan, opts...)
-				if err != nil {
-					b.Fatal(err)
-				}
-				for _, err := range res.Results() {
-					if err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-		}
-	}
-	// traced mirrors run with a fresh Trace per iteration — the overhead
-	// row for the <3% tracing budget (a shared trace would accumulate
-	// spans across iterations and measure slice growth, not tracing).
-	traced := func(opts ...pvcagg.Option) func(b *testing.B) {
-		return func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				res, err := pvcagg.Exec(context.Background(), db, plan,
-					append(opts[:len(opts):len(opts)], pvcagg.WithTrace(pvcagg.NewTrace()))...)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := res.Collect(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	}
-	return []execBenchCase{
-		{"exact/seq", run(pvcagg.WithMode(pvcagg.Exact), pvcagg.WithParallelism(1))},
-		{"exact/seq+trace", traced(pvcagg.WithMode(pvcagg.Exact), pvcagg.WithParallelism(1))},
-		{"exact/stream", stream(pvcagg.WithMode(pvcagg.Exact), pvcagg.WithParallelism(0))},
-		{"anytime/0.05", run(pvcagg.WithMode(pvcagg.Anytime), pvcagg.WithEps(0.05))},
-		{"auto", run(pvcagg.WithEps(0.05))},
-		{"sample/10k", run(pvcagg.WithMode(pvcagg.Sample), pvcagg.WithSeed(1))},
-	}, nil
-}
-
-// BenchmarkExec: the unified entrypoint across strategies on TPC-H Q1.
-func BenchmarkExec(b *testing.B) {
-	cases, err := execBenchCases(0.0005)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, c := range cases {
-		b.Run(c.name, c.fn)
-	}
-}
-
-// tpchQ1PVQLBench is TPC-H Q1 as PVQL text, the workload of
-// BenchmarkExecQuery.
-const tpchQ1PVQLBench = `SELECT l_returnflag, l_linestatus, COUNT(*) AS count_order
-  FROM lineitem WHERE l_shipdate <= 1200 GROUP BY l_returnflag, l_linestatus`
-
-// execQueryBenchCases builds the PVQL frontend workloads: compile-only
-// (parse + bind + optimize) and the full parse+optimize+run path, so the
-// frontend's overhead is tracked alongside engine performance.
-func execQueryBenchCases(sf float64) ([]execBenchCase, error) {
-	db, err := tpch.Generate(tpch.Config{SF: sf, Seed: 1, Probabilistic: true})
-	if err != nil {
-		return nil, err
-	}
-	return []execBenchCase{
-		{"compile", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := pvcagg.ParseQuery(db, tpchQ1PVQLBench); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}},
-		{"exact/seq", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				res, err := pvcagg.ExecQuery(context.Background(), db, tpchQ1PVQLBench,
-					pvcagg.WithMode(pvcagg.Exact), pvcagg.WithParallelism(1))
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := res.Collect(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}},
-	}, nil
-}
-
-// BenchmarkExecQuery: the PVQL frontend (parse + optimize + run) on
-// TPC-H Q1; compare with BenchmarkExec/exact/seq for the frontend
-// overhead.
-func BenchmarkExecQuery(b *testing.B) {
-	cases, err := execQueryBenchCases(0.0005)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, c := range cases {
-		b.Run(c.name, c.fn)
-	}
-}
-
-// TestEmitBenchJSON runs the Exec benchmark family through
-// testing.Benchmark and writes the measurements to the file named by
-// -benchjson (skipped when the flag is unset), so CI and scripts can
-// accumulate BENCH_exec.json without parsing -bench output.
-func TestEmitBenchJSON(t *testing.T) {
-	if *benchJSONPath == "" {
-		t.Skip("-benchjson not set")
-	}
-	cases, err := execBenchCases(0.0005)
-	if err != nil {
-		t.Fatal(err)
-	}
-	queryCases, err := execQueryBenchCases(0.0005)
-	if err != nil {
-		t.Fatal(err)
-	}
-	records := make([]benchx.BenchRecord, 0, len(cases)+len(queryCases))
-	emit := func(prefix string, cs []execBenchCase) {
-		for _, c := range cs {
-			// Level the heap between cases: earlier cases' garbage
-			// otherwise skews the GC pacing (and so the ns/op) of
-			// later ones, which run in one shared process here unlike
-			// under `go test -bench`.
-			runtime.GC()
-			r := testing.Benchmark(c.fn)
-			records = append(records, benchx.BenchRecord{
-				Name:        prefix + c.name,
-				N:           r.N,
-				NsPerOp:     float64(r.NsPerOp()),
-				AllocsPerOp: r.AllocsPerOp(),
-				BytesPerOp:  r.AllocedBytesPerOp(),
-			})
-		}
-	}
-	emit("Exec/", cases)
-	emit("ExecQuery/", queryCases)
-	storeRecs, err := storeBenchRecords()
-	if err != nil {
-		t.Fatal(err)
-	}
-	records = append(records, storeRecs...)
-	rep, err := pvcdWorkloadReport()
-	if err != nil {
-		t.Fatal(err)
-	}
-	records = append(records, rep.BenchRecords("pvcd/mixed")...)
-	if err := benchx.WriteBenchJSON(*benchJSONPath, records); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("wrote %d records to %s", len(records), *benchJSONPath)
-}
-
-// pvcdWorkloadReport drives the benchx workload driver against an
-// in-process query service on the same probabilistic TPC-H database as
-// the Exec family, producing the pvcd/* tail-latency rows (p50/p95/p99
-// over a mixed exact/anytime/sample request stream with a tight-deadline
-// component) of BENCH_exec.json.
-func pvcdWorkloadReport() (benchx.WorkloadReport, error) {
-	db, err := tpch.Generate(tpch.Config{SF: 0.0005, Seed: 1, Probabilistic: true})
-	if err != nil {
-		return benchx.WorkloadReport{}, err
-	}
-	s := server.New(db, server.Config{
-		Workers:      2,
-		QueueDepth:   8,
-		MaxQueueWait: 500 * time.Millisecond,
-		DegradeAfter: 100 * time.Millisecond,
-	})
-	mkBody := func(extra map[string]any) string {
-		m := map[string]any{"query": tpchQ1PVQLBench}
-		for k, v := range extra {
-			m[k] = v
-		}
-		b, err := json.Marshal(m)
-		if err != nil {
-			panic(err)
-		}
-		return string(b)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
-	defer cancel()
-	return benchx.RunWorkload(ctx, s.Handler(), benchx.WorkloadConfig{
-		Clients:  8,
-		Requests: 6,
-		Seed:     1,
-		Bodies: []string{
-			mkBody(map[string]any{"mode": "exact"}),
-			mkBody(map[string]any{"mode": "anytime", "eps": 0.1}),
-			mkBody(map[string]any{"mode": "sample", "seed": 7, "samples": 1000}),
-			mkBody(map[string]any{"timeout_ms": 1}),
-		},
-	})
 }

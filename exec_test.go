@@ -93,9 +93,9 @@ func collect(t *testing.T, db *pvcagg.Database, plan pvcagg.Plan, opts ...pvcagg
 }
 
 // TestExecDifferential is the acceptance criterion: the same plan runs
-// through Exec in every mode and through every deprecated wrapper, and
-// all agree — bit-for-bit for exact paths, identical bounds for anytime,
-// and Auto's chosen strategy matches Classify's verdict.
+// through Exec in every mode, and all agree — bit-for-bit for exact
+// paths, identical bounds for anytime, and Auto's chosen strategy matches
+// Classify's verdict.
 func TestExecDifferential(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -195,20 +195,6 @@ func TestExecDifferential(t *testing.T) {
 					t.Errorf("sample tuple %d: seed 7 not reproducible across parallelism: %v != %v", i, smp[i].Confidence, smp2[i].Confidence)
 				}
 			}
-
-			// Every deprecated wrapper delegates to Exec: see
-			// deprecated_test.go for the per-wrapper bit-for-bit assertions;
-			// here the five run functions are cross-checked against the
-			// reference in one sweep.
-			if _, legacy, _, err := pvcagg.Run(db, plan); err != nil {
-				t.Fatal(err)
-			} else {
-				for i := range ref {
-					if legacy[i].Confidence != ref[i].Confidence.Lo {
-						t.Errorf("Run tuple %d: %v != %v", i, legacy[i].Confidence, ref[i].Confidence.Lo)
-					}
-				}
-			}
 		})
 	}
 }
@@ -290,7 +276,9 @@ func TestExecStreaming(t *testing.T) {
 
 // TestExecOptionValidation: contradictory option combinations are
 // rejected with descriptive errors instead of silently picking a
-// semantics.
+// semantics, and every step-II setting has one spelling: WithApprox
+// carries budgets only, and each other field of ApproxOptions is
+// rejected with the name of the option that sets it.
 func TestExecOptionValidation(t *testing.T) {
 	db, plan := execTestDB(t)
 	cases := []struct {
@@ -301,11 +289,12 @@ func TestExecOptionValidation(t *testing.T) {
 		{"exact+eps", []pvcagg.Option{pvcagg.WithMode(pvcagg.Exact), pvcagg.WithEps(0.1)}, "WithEps conflicts with WithMode(Exact)"},
 		{"exact+approx", []pvcagg.Option{pvcagg.WithMode(pvcagg.Exact), pvcagg.WithApprox(pvcagg.ApproxOptions{Eps: 0.1})}, "WithApprox conflicts"},
 		{"eps-range", []pvcagg.Option{pvcagg.WithEps(1.5)}, "out of range"},
-		{"approx-eps-range", []pvcagg.Option{pvcagg.WithMode(pvcagg.Anytime), pvcagg.WithApprox(pvcagg.ApproxOptions{Eps: -0.5})}, "out of range"},
 		{"eps-negative", []pvcagg.Option{pvcagg.WithEps(-0.1)}, "out of range"},
-		{"eps-twice", []pvcagg.Option{pvcagg.WithMode(pvcagg.Anytime), pvcagg.WithEps(0.1), pvcagg.WithApprox(pvcagg.ApproxOptions{Eps: 0.2})}, "epsilon specified twice"},
-		// The legacy silent-mode mismatch: ε = 0 ("exact, please") plus a
-		// budget that can abandon convergence is now a hard error.
+		{"approx-eps", []pvcagg.Option{pvcagg.WithMode(pvcagg.Anytime), pvcagg.WithApprox(pvcagg.ApproxOptions{Eps: 0.2})}, "WithEps"},
+		{"approx-compile", []pvcagg.Option{pvcagg.WithApprox(pvcagg.ApproxOptions{Compile: pvcagg.CompileOptions{MaxNodes: 20}})}, "WithCompileBudget"},
+		{"approx-onbounds", []pvcagg.Option{pvcagg.WithMode(pvcagg.Anytime), pvcagg.WithApprox(pvcagg.ApproxOptions{OnBounds: func(pvcagg.Bounds) {}})}, "WithOnBounds"},
+		// ε = 0 ("exact, please") plus a budget that can abandon
+		// convergence is a hard error.
 		{"anytime-eps0-budget", []pvcagg.Option{pvcagg.WithMode(pvcagg.Anytime), pvcagg.WithEps(0), pvcagg.WithApprox(pvcagg.ApproxOptions{MaxNodes: 100})}, "contradictory anytime options"},
 		{"auto-eps0", []pvcagg.Option{pvcagg.WithEps(0)}, "disables the anytime fallback"},
 		{"sample-noseed", []pvcagg.Option{pvcagg.WithMode(pvcagg.Sample)}, "requires an explicit WithSeed"},
@@ -314,9 +303,6 @@ func TestExecOptionValidation(t *testing.T) {
 		{"seed-wrong-mode", []pvcagg.Option{pvcagg.WithMode(pvcagg.Exact), pvcagg.WithSeed(1)}, "WithSeed only applies"},
 		{"samples-wrong-mode", []pvcagg.Option{pvcagg.WithSamples(100)}, "WithSamples only applies"},
 		{"bad-timeout", []pvcagg.Option{pvcagg.WithTimeout(-time.Second)}, "must be positive"},
-		{"budget-twice", []pvcagg.Option{pvcagg.WithCompileBudget(10), pvcagg.WithCompileOptions(pvcagg.CompileOptions{MaxNodes: 20})}, "compile budget specified twice"},
-		{"budget-vs-approx", []pvcagg.Option{pvcagg.WithMode(pvcagg.Anytime), pvcagg.WithCompileBudget(10), pvcagg.WithApprox(pvcagg.ApproxOptions{Eps: 0.1, Compile: pvcagg.CompileOptions{MaxNodes: 20}})}, "compile budget specified twice"},
-		{"compile-twice", []pvcagg.Option{pvcagg.WithMode(pvcagg.Anytime), pvcagg.WithEps(0.1), pvcagg.WithCompileOptions(pvcagg.CompileOptions{MaxNodes: 100}), pvcagg.WithApprox(pvcagg.ApproxOptions{Compile: pvcagg.CompileOptions{MaxNodes: 1 << 20}})}, "compile options specified twice"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -331,7 +317,7 @@ func TestExecOptionValidation(t *testing.T) {
 	}
 
 	// Anytime ε = 0 with *no* budgets keeps the documented exact-fallback
-	// contract (the legacy RunApprox{Eps: 0} shape).
+	// contract.
 	_, outs := collect(t, db, plan, pvcagg.WithMode(pvcagg.Anytime), pvcagg.WithEps(0))
 	_, ref := collect(t, db, plan, pvcagg.WithMode(pvcagg.Exact))
 	for i := range ref {

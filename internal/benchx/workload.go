@@ -190,22 +190,6 @@ func quantile(sorted []time.Duration, p int) time.Duration {
 	return sorted[i-1]
 }
 
-// BenchRecords renders the report as BENCH_exec.json rows under the
-// given prefix (e.g. "pvcd/mixed"): one row per latency percentile,
-// with the outcome counts and throughput attached to the p50 row.
-func (r WorkloadReport) BenchRecords(prefix string) []BenchRecord {
-	return []BenchRecord{
-		{Name: prefix + "/p50", N: r.OK, NsPerOp: float64(r.P50), Extra: map[string]float64{
-			"throughput_rps": r.Throughput,
-			"rejected":       float64(r.Rejected),
-			"timeouts":       float64(r.Timeouts),
-			"degraded":       float64(r.Degraded),
-		}},
-		{Name: prefix + "/p95", N: r.OK, NsPerOp: float64(r.P95)},
-		{Name: prefix + "/p99", N: r.OK, NsPerOp: float64(r.P99)},
-	}
-}
-
 func (r WorkloadReport) String() string {
 	return fmt.Sprintf("total=%d ok=%d rejected=%d timeouts=%d errors=%d degraded=%d p50=%v p95=%v p99=%v %.0f req/s",
 		r.Total, r.OK, r.Rejected, r.Timeouts, r.Errors, r.Degraded, r.P50, r.P95, r.P99, r.Throughput)

@@ -31,8 +31,7 @@ type ExecConfig struct {
 	// exact strategy and the aggregation columns under every strategy.
 	Compile compile.Options
 	// Parallelism bounds the number of worker goroutines across result
-	// tuples, as in ParallelOptions (<= 0 ⇒ GOMAXPROCS); each tuple
-	// compiles on one goroutine.
+	// tuples (<= 0 ⇒ GOMAXPROCS); each tuple compiles on one goroutine.
 	Parallelism int
 	// Approx, when non-nil, selects the anytime strategy: annotation
 	// confidences are bracketed within Approx.Eps instead of computed
@@ -53,11 +52,6 @@ type ExecConfig struct {
 	// tuple with the final interval. With Parallelism > 1 it is invoked
 	// concurrently and must be safe for concurrent use.
 	OnBounds func(compile.Bounds)
-	// FailFast stops the run at the first failing tuple (in claim order)
-	// and returns that tuple's error alone, instead of computing every
-	// remaining tuple and joining all failures — the legacy sequential
-	// Probabilities contract, kept for the deprecated wrappers.
-	FailFast bool
 }
 
 // worker computes outcomes for one goroutine of the pool: it owns a
@@ -190,20 +184,18 @@ func Outcomes(ctx context.Context, db *pvc.Database, rel *pvc.Relation, cfg Exec
 	if n == 0 {
 		return []TupleOutcome{}, nil
 	}
-	workers := ParallelOptions{Parallelism: cfg.Parallelism}.workers(n)
 	moduleCols := rel.Schema.ModuleColumns()
 	out := make([]TupleOutcome, n)
 	errs := make([]error, n)
 	var next atomic.Int64
-	var aborted atomic.Bool
 	var wg sync.WaitGroup
-	for range workers {
+	for range workers(cfg.Parallelism, n) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			wk := newWorker(db, &cfg)
 			for {
-				if ctx.Err() != nil || aborted.Load() {
+				if ctx.Err() != nil {
 					return
 				}
 				i := int(next.Add(1)) - 1
@@ -211,23 +203,12 @@ func Outcomes(ctx context.Context, db *pvc.Database, rel *pvc.Relation, cfg Exec
 					return
 				}
 				out[i], errs[i] = wk.safeOutcome(ctx, i, rel.Tuples[i], moduleCols)
-				if errs[i] != nil && cfg.FailFast {
-					aborted.Store(true)
-					return
-				}
 			}
 		}()
 	}
 	wg.Wait()
 	if err := ctx.Err(); err != nil {
 		return nil, err
-	}
-	if cfg.FailFast {
-		for _, err := range errs {
-			if err != nil {
-				return nil, err
-			}
-		}
 	}
 	var failed []error
 	for _, err := range errs {
@@ -256,16 +237,16 @@ func Stream(ctx context.Context, db *pvc.Database, rel *pvc.Relation, cfg ExecCo
 		}
 		sctx, cancel := context.WithCancel(ctx)
 		defer cancel()
-		workers := ParallelOptions{Parallelism: cfg.Parallelism}.workers(n)
+		pool := workers(cfg.Parallelism, n)
 		moduleCols := rel.Schema.ModuleColumns()
 		type item struct {
 			out TupleOutcome
 			err error
 		}
-		ch := make(chan item, workers)
+		ch := make(chan item, pool)
 		var next atomic.Int64
 		var wg sync.WaitGroup
-		for range workers {
+		for range pool {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()

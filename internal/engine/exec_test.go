@@ -106,9 +106,8 @@ func TestTupleErrorsAreBounded(t *testing.T) {
 	cancel()
 	_, err = engine.TupleOutcomeForTest(ctx, db, engine.ExecConfig{}, rel, 0)
 	check("cancelled compile", err, context.Canceled)
-	_, err = engine.Outcomes(context.Background(), db, rel, engine.ExecConfig{
-		Compile: compile.Options{MaxNodes: 4}, Parallelism: 1, FailFast: true,
-	})
+	_, err = engine.TupleOutcomeForTest(context.Background(), db,
+		engine.ExecConfig{Compile: compile.Options{MaxNodes: 4}}, rel, 0)
 	check("node budget", err, compile.ErrNodeBudget)
 }
 
@@ -216,25 +215,5 @@ func TestOutcomesSamplingDeterminism(t *testing.T) {
 	}
 	if !changed {
 		t.Error("changing the seed changed no estimate")
-	}
-}
-
-// TestOutcomesAnytimeMatchesLegacy: an anytime outcome converts to the
-// legacy ApproxTupleResult without loss — bounds, report and aggregates
-// — which is the conversion the deprecated facade wrappers rely on.
-func TestOutcomesAnytimeMatchesLegacy(t *testing.T) {
-	db, rel := streamDB(t)
-	rel.Tuples = rel.Tuples[:5]
-	opts := compile.ApproxOptions{Eps: 0.01}
-	outs, err := engine.Outcomes(context.Background(), db, rel,
-		engine.ExecConfig{Parallelism: 2, Approx: &opts})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, o := range outs {
-		legacy := o.AsApproxTupleResult()
-		if legacy.Confidence != o.Confidence || legacy.Report != *o.Report.Approx || len(legacy.AggDists) != len(o.AggDists) {
-			t.Errorf("tuple %d: legacy %v %+v, outcome %v %+v", i, legacy.Confidence, legacy.Report, o.Confidence, *o.Report.Approx)
-		}
 	}
 }

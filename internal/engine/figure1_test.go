@@ -124,8 +124,8 @@ func TestFigure1Q1Tuples(t *testing.T) {
 		if r.Tuple.Cells[0].Str() == "M&S" && r.Tuple.Cells[1].Value() == value.Int(10) {
 			found = true
 			want := 0.5 * 0.5 * (1 - 0.25)
-			if math.Abs(r.Confidence-want) > 1e-12 {
-				t.Errorf("P[〈M&S,10〉] = %v, want %v", r.Confidence, want)
+			if math.Abs(r.Confidence.Lo-want) > 1e-12 {
+				t.Errorf("P[〈M&S,10〉] = %v, want %v", r.Confidence.Lo, want)
 			}
 		}
 	}
@@ -149,7 +149,7 @@ func TestFigure1Q2AgainstPossibleWorlds(t *testing.T) {
 	}
 	got := map[string]float64{}
 	for _, r := range results {
-		got[r.Tuple.Cells[0].Str()] = r.Confidence
+		got[r.Tuple.Cells[0].Str()] = r.Confidence.Lo
 	}
 	want := bruteForceQ2(t, db, func(prices []int64) (int64, bool) {
 		mx := int64(math.MinInt64)
@@ -178,7 +178,7 @@ func TestFigure1Q2PrimeMinAgainstPossibleWorlds(t *testing.T) {
 	results := exactResults(t, db, rel)
 	got := map[string]float64{}
 	for _, r := range results {
-		got[r.Tuple.Cells[0].Str()] = r.Confidence
+		got[r.Tuple.Cells[0].Str()] = r.Confidence.Lo
 	}
 	want := bruteForceQ2(t, db, func(prices []int64) (int64, bool) {
 		mn := int64(math.MaxInt64)

@@ -32,17 +32,13 @@ func eval(db *pvc.Database, plan Plan) (*pvc.Relation, error) {
 
 // exactResults is step II at its plainest: every tuple's exact outcome,
 // computed on one goroutine.
-func exactResults(t *testing.T, db *pvc.Database, rel *pvc.Relation) []TupleResult {
+func exactResults(t *testing.T, db *pvc.Database, rel *pvc.Relation) []TupleOutcome {
 	t.Helper()
 	outs, err := Outcomes(context.Background(), db, rel, ExecConfig{Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := make([]TupleResult, len(outs))
-	for i, o := range outs {
-		res[i] = o.AsTupleResult()
-	}
-	return res
+	return outs
 }
 
 func checkCommutes(t *testing.T, db *pvc.Database, plan Plan) {

@@ -56,31 +56,6 @@ func (r *TupleReport) addAggregate(rep core.Report) {
 	r.Exact.EvalTime += rep.EvalTime
 }
 
-// AsTupleResult converts to the legacy exact result type. The conversion
-// is lossless for outcomes computed by an exact strategy (Confidence is a
-// point interval).
-func (o TupleOutcome) AsTupleResult() TupleResult {
-	return TupleResult{
-		Tuple:      o.Tuple,
-		Confidence: o.Confidence.Lo,
-		AggDists:   o.AggDists,
-		Report:     o.Report.Exact,
-	}
-}
-
-// AsApproxTupleResult converts to the legacy anytime result type.
-func (o TupleOutcome) AsApproxTupleResult() ApproxTupleResult {
-	res := ApproxTupleResult{
-		Tuple:      o.Tuple,
-		Confidence: o.Confidence,
-		AggDists:   o.AggDists,
-	}
-	if o.Report.Approx != nil {
-		res.Report = *o.Report.Approx
-	}
-	return res
-}
-
 // tupleSeedStride decorrelates per-tuple sampling streams: tuple i draws
 // from seed + i·stride, so outcomes are reproducible from the run's single
 // explicit seed and independent of scheduling order and parallelism. The

@@ -2,22 +2,12 @@ package engine
 
 import "runtime"
 
-// ParallelOptions configure the worker pool of the probability step:
-// every result tuple's semimodule expressions compile and evaluate
+// workers is the pool size of the probability step for a batch of n >= 1
+// tuples: every result tuple's semimodule expressions compile and evaluate
 // independently (they only share the read-only registry), so the tuples
-// of a pvc-table fan out to a bounded pool. Each tuple compiles on one
-// goroutine.
-type ParallelOptions struct {
-	// Parallelism bounds the number of worker goroutines across result
-	// tuples. Parallelism <= 0 selects runtime.GOMAXPROCS(0);
-	// Parallelism == 1 reproduces the sequential path exactly.
-	Parallelism int
-}
-
-// workers is the pool size for a batch of n >= 1 tuples:
-// min(parallelism, n).
-func (o ParallelOptions) workers(n int) int {
-	par := o.Parallelism
+// fan out to min(par, n) goroutines, each tuple compiling on one.
+// par <= 0 selects runtime.GOMAXPROCS(0); par == 1 is the sequential path.
+func workers(par, n int) int {
 	if par <= 0 {
 		par = runtime.GOMAXPROCS(0)
 	}

@@ -150,8 +150,7 @@ func TestProbabilitiesParallelErrorAggregation(t *testing.T) {
 		pvc.Tuple{Cells: []pvc.Cell{pvc.IntCell(2)}, Ann: expr.V("ghost1")},
 		pvc.Tuple{Cells: []pvc.Cell{pvc.IntCell(3)}, Ann: expr.V("ghost2")},
 	)
-	// Aggregation must hold at every parallelism, including 1 (only
-	// ExecConfig.FailFast stops at the first failure).
+	// Aggregation must hold at every parallelism, including 1.
 	for _, par := range []int{1, 4} {
 		_, err := exactAt(db, rel, par)
 		if err == nil {

@@ -130,7 +130,7 @@ func TestSelectThetaBoundaries(t *testing.T) {
 		}
 		conf := 0.0
 		if rel.Len() > 0 && rel.Tuples[0].Cells[0].Equal(pvc.IntCell(1)) {
-			conf = exactResults(t, db, rel)[0].Confidence
+			conf = exactResults(t, db, rel)[0].Confidence.Lo
 		}
 		if conf != tc.conf {
 			t.Errorf("P[a=1 in σ[n%s1]] = %v, want %v", tc.th, conf, tc.conf)
@@ -271,8 +271,8 @@ func TestGroupAggCount(t *testing.T) {
 	// Group a=1 has two independent tuples at p=0.5: COUNT distribution
 	// {0:0.25, 1:0.5, 2:0.25}; confidence = P[group non-empty] = 0.75.
 	r0 := results[0]
-	if math.Abs(r0.Confidence-0.75) > 1e-12 {
-		t.Errorf("group confidence = %v, want 0.75", r0.Confidence)
+	if math.Abs(r0.Confidence.Lo-0.75) > 1e-12 {
+		t.Errorf("group confidence = %v, want 0.75", r0.Confidence.Lo)
 	}
 	d := r0.AggDists[0]
 	if math.Abs(d.P(value.Int(0))-0.25) > 1e-12 || math.Abs(d.P(value.Int(1))-0.5) > 1e-12 || math.Abs(d.P(value.Int(2))-0.25) > 1e-12 {
@@ -331,8 +331,8 @@ func TestExample8GlobalAggregation(t *testing.T) {
 	results := exactResults(t, db, sel)
 	// Brute force: min present weight ≥ 5 iff z1 absent (weight 4 is the
 	// only one below 5); the empty minimum +∞ also satisfies ≥ 5.
-	if math.Abs(results[0].Confidence-0.5) > 1e-12 {
-		t.Errorf("P[min weight ≥ 5] = %v, want 0.5", results[0].Confidence)
+	if math.Abs(results[0].Confidence.Lo-0.5) > 1e-12 {
+		t.Errorf("P[min weight ≥ 5] = %v, want 0.5", results[0].Confidence.Lo)
 	}
 }
 

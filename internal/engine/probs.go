@@ -6,25 +6,8 @@ import (
 
 	"pvcagg/internal/core"
 	"pvcagg/internal/expr"
-	"pvcagg/internal/prob"
 	"pvcagg/internal/pvc"
 )
-
-// TupleResult is the probabilistic interpretation of one result tuple:
-// its confidence (the probability that the annotation is non-zero) and the
-// marginal distribution of every aggregation column.
-//
-// Deprecated: TupleResult is the exact strategy's legacy result type; new
-// code consumes the unified TupleOutcome (whose Confidence is an interval,
-// zero-width for exact runs) via Outcomes or Stream.
-type TupleResult struct {
-	Tuple      pvc.Tuple
-	Confidence float64
-	// AggDists holds one distribution per TModule column of the result
-	// schema, in schema order.
-	AggDists []prob.Dist
-	Report   core.Report
-}
 
 // RunTiming separates the costs of the two evaluation steps.
 type RunTiming struct {

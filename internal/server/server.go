@@ -648,13 +648,13 @@ func (s *Server) execOptions(req *QueryRequest, degraded bool, ctx context.Conte
 		if req.Eps > eps {
 			eps = req.Eps
 		}
-		approx := pvcagg.ApproxOptions{Eps: eps}
+		var budgets pvcagg.ApproxOptions
 		if dl, ok := ctx.Deadline(); ok {
 			if remaining := time.Until(dl); remaining > 0 {
-				approx.Timeout = remaining / 2
+				budgets.Timeout = remaining / 2
 			}
 		}
-		return append(opts, pvcagg.WithMode(pvcagg.Anytime), pvcagg.WithApprox(approx)), nil
+		return append(opts, pvcagg.WithMode(pvcagg.Anytime), pvcagg.WithEps(eps), pvcagg.WithApprox(budgets)), nil
 	}
 	switch req.Mode {
 	case "", "auto":

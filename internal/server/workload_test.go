@@ -54,8 +54,4 @@ func TestWorkloadDriverSmoke(t *testing.T) {
 	if got := rep.OK + rep.Rejected + rep.Timeouts; got != rep.Total {
 		t.Errorf("outcome counts %d do not add up to %d issued requests", got, rep.Total)
 	}
-	recs := rep.BenchRecords("pvcd/mixed")
-	if len(recs) != 3 || recs[0].NsPerOp <= 0 {
-		t.Errorf("BenchRecords malformed: %+v", recs)
-	}
 }

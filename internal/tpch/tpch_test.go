@@ -16,7 +16,7 @@ const testSF = 0.0005 // lineitem ≈ 3000 rows, partsupp ≈ 400
 
 // run chains the two evaluation steps the way queries do: step I through
 // StreamEvalPlan, step II exactly on one goroutine.
-func run(t *testing.T, db *pvc.Database, plan engine.Plan) (*pvc.Relation, []engine.TupleResult, engine.RunTiming) {
+func run(t *testing.T, db *pvc.Database, plan engine.Plan) (*pvc.Relation, []engine.TupleOutcome, engine.RunTiming) {
 	t.Helper()
 	ctx := context.Background()
 	rel, construct, err := engine.StreamEvalPlan(ctx, db, plan)
@@ -28,11 +28,7 @@ func run(t *testing.T, db *pvc.Database, plan engine.Plan) (*pvc.Relation, []eng
 	if err != nil {
 		t.Fatal(err)
 	}
-	results := make([]engine.TupleResult, len(outs))
-	for i, o := range outs {
-		results[i] = o.AsTupleResult()
-	}
-	return rel, results, engine.RunTiming{Construct: construct, Probability: time.Since(t0)}
+	return rel, outs, engine.RunTiming{Construct: construct, Probability: time.Since(t0)}
 }
 
 func TestGenerateCardinalities(t *testing.T) {
@@ -172,8 +168,8 @@ func TestQ1Probabilistic(t *testing.T) {
 			t.Errorf("group %d: E[count] = %v, want %v", i, got, float64(n)/2)
 		}
 		wantConf := 1 - math.Pow(0.5, float64(n))
-		if math.Abs(r.Confidence-wantConf) > 1e-9 {
-			t.Errorf("group %d: confidence %v, want %v", i, r.Confidence, wantConf)
+		if math.Abs(r.Confidence.Lo-wantConf) > 1e-9 {
+			t.Errorf("group %d: confidence %v, want %v", i, r.Confidence.Lo, wantConf)
 		}
 	}
 	if timing.Construct <= 0 || timing.Probability <= 0 {
@@ -218,10 +214,10 @@ func TestQ2Probabilistic(t *testing.T) {
 	}
 	total := 0.0
 	for _, r := range results {
-		if r.Confidence < 0 || r.Confidence > 1 {
+		if r.Confidence.Lo < 0 || r.Confidence.Hi > 1 {
 			t.Errorf("confidence %v out of range", r.Confidence)
 		}
-		total += r.Confidence
+		total += r.Confidence.Lo
 	}
 	if total <= 0 {
 		t.Errorf("all Q2 answers have zero probability")

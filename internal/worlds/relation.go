@@ -11,9 +11,9 @@ import (
 // TupleTruth is the brute-force ground truth for one result tuple of a
 // pvc-table: the confidence of its annotation and the exact marginal
 // distribution of every aggregation column, computed by possible-worlds
-// enumeration (Eq. (3)). It mirrors engine.TupleResult and is the
-// reference the differential test harness compares the compiled
-// (sequential and parallel) probabilities against.
+// enumeration (Eq. (3)). It is the reference the differential test
+// harness compares the compiled (sequential and parallel) outcomes of
+// engine.Outcomes against.
 type TupleTruth struct {
 	Confidence float64
 	// AggDists holds one distribution per TModule column of the schema,

@@ -49,8 +49,9 @@
 //     parallelism.
 //   - WithMode(Anytime): guaranteed confidence bounds of width ≤ ε
 //     (WithEps, default DefaultEps) by priority-driven partial
-//     expansion; aggregation-column distributions stay exact. Budgets
-//     (WithApprox) return sound, unconverged bounds on exhaustion.
+//     expansion; aggregation-column distributions stay exact. WithApprox
+//     sets budgets only (leaf, expansion, node and per-tuple time
+//     budgets), which return sound, unconverged bounds on exhaustion.
 //   - WithMode(Sample): explicitly-seeded Monte Carlo estimation
 //     (WithSeed, required; WithSamples) with 95% Hoeffding intervals —
 //     the baseline strategy.
@@ -118,11 +119,6 @@
 // strategies, and the optimizer's rewrite list with its differential
 // guarantees.
 //
-// The pre-Exec entry points (Run, RunWithOptions, RunParallel,
-// RunParallelWithOptions, RunApprox, ProbabilitiesParallel,
-// ProbabilitiesApprox, Approximate) remain as deprecated wrappers that
-// delegate to Exec; see the README for the migration table.
-//
 // # Performance
 //
 // The probability pipeline is built for constant-factor speed without
@@ -140,8 +136,7 @@
 // while CmpConvolve regroups its summation and may differ from the
 // historical implementation in the final ulp.
 //
-// The README's "Performance" section describes the design; BENCH_exec.json
-// records the measured trajectory across PRs.
+// The README's "Performance" section describes the design.
 //
 // # Observability
 //
@@ -332,8 +327,6 @@ type (
 	GroupAgg = engine.GroupAgg
 	AggSpec  = engine.AggSpec
 	Pred     = engine.Pred
-	// TupleResult is the probabilistic interpretation of a result tuple.
-	TupleResult = engine.TupleResult
 	// RunTiming separates expression construction from probability
 	// computation.
 	RunTiming = engine.RunTiming
@@ -353,14 +346,13 @@ type (
 	// Bounds is an interval [Lo, Hi] guaranteed to contain the exact
 	// probability.
 	Bounds = compile.Bounds
-	// ApproxOptions configure anytime approximation: the target width
-	// Eps plus node/expansion/time budgets.
+	// ApproxOptions configure anytime approximation. WithApprox takes
+	// its budgets (MaxLeafNodes, MaxExpansions, MaxNodes, Timeout); the
+	// target width is WithEps.
 	ApproxOptions = compile.ApproxOptions
 	// ApproxReport describes one anytime computation (bounds,
 	// convergence, expansion and node counts).
 	ApproxReport = compile.ApproxReport
-	// ApproxTupleResult brackets one result tuple's confidence.
-	ApproxTupleResult = engine.ApproxTupleResult
 )
 
 // Tractability analysis (Section 6).

@@ -1,6 +1,7 @@
 package pvcagg_test
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -43,19 +44,16 @@ func TestFacadeDatabaseRoundTrip(t *testing.T) {
 		GroupBy: []string{"k"},
 		Aggs:    []pvcagg.AggSpec{{Out: "total", Agg: pvcagg.SUM, Over: "v"}},
 	}
-	rel, results, timing, err := pvcagg.Run(db, plan)
-	if err != nil {
-		t.Fatal(err)
+	res, results := collect(t, db, plan, pvcagg.WithMode(pvcagg.Exact))
+	if res.Len() != 2 || len(results) != 2 {
+		t.Fatalf("result size %d", res.Len())
 	}
-	if rel.Len() != 2 || len(results) != 2 {
-		t.Fatalf("result size %d", rel.Len())
-	}
-	for _, res := range results {
-		if math.Abs(res.Confidence-0.75) > 1e-12 {
-			t.Errorf("confidence = %v, want 0.75", res.Confidence)
+	for _, out := range results {
+		if math.Abs(out.Confidence.Lo-0.75) > 1e-12 || out.Confidence.Width() != 0 {
+			t.Errorf("confidence = %v, want [0.75, 0.75]", out.Confidence)
 		}
 	}
-	if timing.Construct <= 0 {
+	if res.Timing.Construct <= 0 {
 		t.Errorf("timing missing")
 	}
 	v := pvcagg.Classify(plan, db)
@@ -90,9 +88,9 @@ func TestFacadeBaselinesAgree(t *testing.T) {
 	}
 }
 
-// The "Parallel execution" example from the package documentation: the
-// parallel entry points return the same probabilities as the sequential
-// ones.
+// The "Parallel execution" example from the package documentation:
+// WithParallelism(4) returns the same probabilities as the sequential
+// run.
 func TestFacadeParallel(t *testing.T) {
 	db := pvcagg.NewDatabase(pvcagg.Boolean)
 	r := pvcagg.NewRelation("R", pvcagg.Schema{
@@ -111,19 +109,13 @@ func TestFacadeParallel(t *testing.T) {
 		GroupBy: []string{"a"},
 		Aggs:    []pvcagg.AggSpec{{Out: "S", Agg: pvcagg.SUM, Over: "b"}},
 	}
-	_, seqRes, _, err := pvcagg.Run(db, plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, parRes, _, err := pvcagg.RunParallel(db, plan, pvcagg.ParallelOptions{Parallelism: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, seqRes := collect(t, db, plan, pvcagg.WithMode(pvcagg.Exact), pvcagg.WithParallelism(1))
+	_, parRes := collect(t, db, plan, pvcagg.WithMode(pvcagg.Exact), pvcagg.WithParallelism(4))
 	if len(parRes) != len(seqRes) {
 		t.Fatalf("%d parallel results, want %d", len(parRes), len(seqRes))
 	}
 	for i := range seqRes {
-		if math.Abs(parRes[i].Confidence-seqRes[i].Confidence) > 1e-12 {
+		if parRes[i].Confidence != seqRes[i].Confidence {
 			t.Errorf("tuple %d: confidence %v != %v", i, parRes[i].Confidence, seqRes[i].Confidence)
 		}
 		for j := range seqRes[i].AggDists {
@@ -141,15 +133,16 @@ func TestFacadeApproximate(t *testing.T) {
 	reg.DeclareBool("x", 0.5)
 	reg.DeclareBool("y", 0.5)
 	e := pvcagg.MustParseExpr("[min(x @min 10, y @min 20) <= 15]")
-	b, rep, err := pvcagg.Approximate(e, reg, pvcagg.Boolean, pvcagg.ApproxOptions{Eps: 0.01})
+	res, err := pvcagg.ExecExpr(context.Background(), e, reg, pvcagg.Boolean,
+		pvcagg.WithMode(pvcagg.Anytime), pvcagg.WithEps(0.01))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !b.Contains(0.5, 1e-12) {
+	if b := res.Confidence; !b.Contains(0.5, 1e-12) {
 		t.Errorf("bounds %v do not contain the exact probability 0.5", b)
 	}
-	if !rep.Converged || b.Width() > 0.01 {
-		t.Errorf("not converged to width ≤ 0.01: %v (converged=%v)", b, rep.Converged)
+	if b := res.Confidence; !res.Approx.Converged || b.Width() > 0.01 {
+		t.Errorf("not converged to width ≤ 0.01: %v (converged=%v)", b, res.Approx.Converged)
 	}
 
 	db := pvcagg.NewDatabase(pvcagg.Boolean)
@@ -168,19 +161,13 @@ func TestFacadeApproximate(t *testing.T) {
 		GroupBy: []string{"k"},
 		Aggs:    []pvcagg.AggSpec{{Out: "total", Agg: pvcagg.SUM, Over: "v"}},
 	}
-	_, exact, _, err := pvcagg.Run(db, plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, approx, _, err := pvcagg.RunApprox(db, plan, pvcagg.ApproxOptions{Eps: 0.05}, pvcagg.ParallelOptions{Parallelism: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, exact := collect(t, db, plan, pvcagg.WithMode(pvcagg.Exact))
+	_, approx := collect(t, db, plan, pvcagg.WithMode(pvcagg.Anytime), pvcagg.WithEps(0.05), pvcagg.WithParallelism(2))
 	if len(approx) != len(exact) {
 		t.Fatalf("%d approx results, want %d", len(approx), len(exact))
 	}
 	for i := range exact {
-		if !approx[i].Confidence.Contains(exact[i].Confidence, 1e-12) {
+		if !approx[i].Confidence.Contains(exact[i].Confidence.Lo, 1e-12) {
 			t.Errorf("tuple %d: exact confidence %v outside bounds %v",
 				i, exact[i].Confidence, approx[i].Confidence)
 		}

@@ -74,11 +74,8 @@ func (s *Store) Epoch() uint64 { return s.st.Epoch() }
 func (s *Store) Names() []string { return s.st.Names() }
 
 // Metrics snapshots the cumulative I/O counters of every scan served by
-// this store since open (or the last ResetMetrics).
+// this store since open.
 func (s *Store) Metrics() StoreMetrics { return s.st.Metrics() }
-
-// ResetMetrics zeroes the I/O counters.
-func (s *Store) ResetMetrics() { s.st.ResetMetrics() }
 
 // Healthy returns nil while the storage backend looks fine, or a
 // descriptive error once enough consecutive block reads have failed

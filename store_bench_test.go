@@ -3,13 +3,9 @@ package pvcagg_test
 import (
 	"context"
 	"os"
-	"runtime"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"pvcagg"
-	"pvcagg/internal/benchx"
 	"pvcagg/internal/pvc"
 	"pvcagg/internal/store"
 	"pvcagg/internal/tpch"
@@ -18,10 +14,7 @@ import (
 
 // The store benchmark family measures the disk-backed scan path: raw
 // block-decode throughput, the payoff of zone-map block skipping under a
-// pushed-down selection, and the headline "TPC-H beyond RAM" run — Q1 as
-// PVQL at SF 0.1 over a dataset the query never fully materializes. The
-// emitter records bytes read vs bytes skipped (and, for the SF 0.1 run,
-// the on-disk dataset size vs the peak live heap) in BENCH_exec.json.
+// pushed-down selection, and Q1 as PVQL over a stored database.
 
 // buildStoreDir streams the TPC-H generator into a fresh store directory.
 func buildStoreDir(sf float64) (string, error) {
@@ -41,30 +34,14 @@ func buildStoreDir(sf float64) (string, error) {
 	return dir, w.Close()
 }
 
-// dirBytes sums the sizes of every file in the store directory.
-func dirBytes(dir string) float64 {
-	var total float64
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return 0
-	}
-	for _, e := range entries {
-		if fi, err := e.Info(); err == nil {
-			total += float64(fi.Size())
-		}
-	}
-	return total
-}
-
-// tpchQ1StorePVQL is Q1 against the streamed store schema (same query
-// text as tpchQ1PVQLBench; the store's lineitem has extra columns, which
-// π̂ prunes at the block reader so they are never decoded).
+// tpchQ1StorePVQL is TPC-H Q1 against the streamed store schema (the
+// store's lineitem has extra columns, which π̂ prunes at the block reader
+// so they are never decoded).
 const tpchQ1StorePVQL = `SELECT l_returnflag, l_linestatus, COUNT(*) AS count_order
 FROM lineitem WHERE l_shipdate <= 1200 GROUP BY l_returnflag, l_linestatus`
 
-// BenchmarkStore is the ad hoc (and CI bench-smoke) variant at a small
-// scale factor; TestEmitBenchJSON emits the recorded store/* rows, with
-// the headline Q1 run at SF 0.1.
+// BenchmarkStore runs the family at a small scale factor (CI's
+// bench-smoke runs it once through).
 func BenchmarkStore(b *testing.B) {
 	dir, err := buildStoreDir(0.002)
 	if err != nil {
@@ -125,123 +102,4 @@ func drainScan(tab *store.Table, hints []pvc.ScanHint) error {
 			return nil
 		}
 	}
-}
-
-// storeBenchRecords measures the store/* rows of BENCH_exec.json.
-func storeBenchRecords() ([]benchx.BenchRecord, error) {
-	var records []benchx.BenchRecord
-
-	// store/scan and store/skip: raw block-scan throughput at SF 0.01.
-	dir, err := buildStoreDir(0.01)
-	if err != nil {
-		return nil, err
-	}
-	defer os.RemoveAll(dir)
-	st, err := store.Open(dir)
-	if err != nil {
-		return nil, err
-	}
-	tab, _ := st.Table("lineitem")
-
-	measure := func(name string, hints []pvc.ScanHint) error {
-		runtime.GC()
-		st.ResetMetrics()
-		var iters int64
-		r := testing.Benchmark(func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if err := drainScan(tab, hints); err != nil {
-					b.Fatal(err)
-				}
-			}
-			atomic.AddInt64(&iters, int64(b.N))
-		})
-		m := st.Metrics()
-		n := float64(iters)
-		records = append(records, benchx.BenchRecord{
-			Name:        name,
-			N:           r.N,
-			NsPerOp:     float64(r.NsPerOp()),
-			AllocsPerOp: r.AllocsPerOp(),
-			BytesPerOp:  r.AllocedBytesPerOp(),
-			Extra: map[string]float64{
-				"rows_per_op":          float64(m.RowsRead) / n,
-				"blocks_read_per_op":   float64(m.BlocksRead) / n,
-				"blocks_skip_per_op":   float64(m.BlocksSkipped) / n,
-				"io_bytes_per_op":      float64(m.BytesRead) / n,
-				"io_bytes_skip_per_op": float64(m.BytesSkipped) / n,
-			},
-		})
-		return nil
-	}
-	if err := measure("store/scan", nil); err != nil {
-		return nil, err
-	}
-	cut := pvc.IntCell(600)
-	if err := measure("store/skip", []pvc.ScanHint{{Col: 8, Th: value.LE, RightCol: -1, Cell: &cut}}); err != nil {
-		return nil, err
-	}
-
-	// store/q1-sf0.1: the headline run. The dataset (~50 MB on disk) is
-	// queried through streaming block scans; the peak live heap during
-	// the query stays far below the dataset size, and the shipdate zone
-	// maps skip the blocks past the cutoff.
-	dirBig, err := buildStoreDir(0.1)
-	if err != nil {
-		return nil, err
-	}
-	defer os.RemoveAll(dirBig)
-	fst, err := pvcagg.OpenStore(dirBig)
-	if err != nil {
-		return nil, err
-	}
-	runtime.GC()
-	var iters int64
-	var peak atomic.Int64
-	stop := make(chan struct{})
-	go func() {
-		var ms runtime.MemStats
-		for {
-			select {
-			case <-stop:
-				return
-			case <-time.After(5 * time.Millisecond):
-				runtime.ReadMemStats(&ms)
-				if h := int64(ms.HeapAlloc); h > peak.Load() {
-					peak.Store(h)
-				}
-			}
-		}
-	}()
-	r := testing.Benchmark(func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			res, err := pvcagg.ExecQuery(context.Background(), nil, tpchQ1StorePVQL, pvcagg.WithStore(fst))
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := res.Collect(); err != nil {
-				b.Fatal(err)
-			}
-		}
-		atomic.AddInt64(&iters, int64(b.N))
-	})
-	close(stop)
-	m := fst.Metrics()
-	n := float64(iters)
-	records = append(records, benchx.BenchRecord{
-		Name:        "store/q1-sf0.1",
-		N:           r.N,
-		NsPerOp:     float64(r.NsPerOp()),
-		AllocsPerOp: r.AllocsPerOp(),
-		BytesPerOp:  r.AllocedBytesPerOp(),
-		Extra: map[string]float64{
-			"rows_per_op":          float64(m.RowsRead) / n,
-			"blocks_read_per_op":   float64(m.BlocksRead) / n,
-			"blocks_skip_per_op":   float64(m.BlocksSkipped) / n,
-			"io_bytes_per_op":      float64(m.BytesRead) / n,
-			"io_bytes_skip_per_op": float64(m.BytesSkipped) / n,
-			"dataset_bytes":        dirBytes(dirBig),
-			"heap_peak_bytes":      float64(peak.Load()),
-		},
-	})
-	return records, nil
 }
