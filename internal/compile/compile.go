@@ -128,10 +128,14 @@ type memoEntry struct {
 // exprMemo is a hash-keyed memo with a two-level layout: the primary map
 // stores one entry per hash inline (no per-entry slice allocation — the
 // overwhelmingly common case), and the rare colliding entries overflow
-// into a lazily-allocated bucket map.
+// into a lazily-allocated bucket map. Once the memo has been reset, keys
+// lists the primary map's keys since the last reset; a memo that is
+// never reset (a one-shot compiler's, an anytime run's) keeps no list.
 type exprMemo struct {
-	prim map[uint64]memoEntry
-	over map[uint64][]memoEntry
+	prim  map[uint64]memoEntry
+	over  map[uint64][]memoEntry
+	keys  []uint64
+	reuse bool // reset has run
 }
 
 func newExprMemo() exprMemo {
@@ -155,6 +159,9 @@ func (m *exprMemo) get(h uint64, e expr.Expr) (dtree.Node, bool) {
 func (m *exprMemo) put(h uint64, e expr.Expr, n dtree.Node) {
 	if _, ok := m.prim[h]; !ok {
 		m.prim[h] = memoEntry{e, n}
+		if m.reuse {
+			m.keys = append(m.keys, h)
+		}
 		return
 	}
 	if m.over == nil {
@@ -163,10 +170,34 @@ func (m *exprMemo) put(h uint64, e expr.Expr, n dtree.Node) {
 	m.over[h] = append(m.over[h], memoEntry{e, n})
 }
 
+// reset empties the memo. A Go map keeps the capacity of its largest
+// filling, and clearing it sweeps all of that, so only the first reset
+// clears — the map is then as large as what was put — and every later one
+// deletes the keys put since.
+func (m *exprMemo) reset() {
+	if m.reuse {
+		for _, h := range m.keys {
+			delete(m.prim, h)
+		}
+	} else {
+		clear(m.prim)
+		m.reuse = true
+	}
+	m.keys = m.keys[:0]
+	m.over = nil
+}
+
 // New returns a Compiler for the given semiring and registry.
 func New(s algebra.Semiring, reg *vars.Registry, opts Options) *Compiler {
 	return &Compiler{s: s, reg: reg, opts: opts, memo: newExprMemo()}
 }
+
+// Reset forgets every sub-expression the compiler has memoised, so that
+// the next compilation shares no node with the trees compiled before it,
+// as if it ran on a fresh Compiler, but without a fresh memo to allocate
+// and grow. It costs what the compilations since the last Reset put in
+// the memo.
+func (c *Compiler) Reset() { c.memo.reset() }
 
 // ctxCheckMask throttles cancellation polls to one per 256 nodes created:
 // node creation is the unit of expansion work, so a runaway Shannon
@@ -320,7 +351,9 @@ func (c *Compiler) compileSum(terms []expr.Expr, module bool, agg algebra.Agg, w
 			}
 			parts[i] = p
 		}
-		return c.combinePlus(parts, module, agg)
+		return c.combine(parts, func(l, r dtree.Node) dtree.Node {
+			return &dtree.PlusNode{Module: module, Agg: agg, L: l, R: r}
+		})
 	}
 	if !c.opts.DisableFactoring {
 		if node, ok, err := c.tryFactorSum(terms, module, agg); err != nil {
@@ -342,22 +375,25 @@ func sumOf(terms []expr.Expr, module bool, agg algebra.Agg) expr.Expr {
 	return expr.AdoptSum(terms)
 }
 
-// combinePlus folds independent parts into a balanced binary ⊕ tree.
-func (c *Compiler) combinePlus(parts []dtree.Node, module bool, agg algebra.Agg) (dtree.Node, error) {
+// combine folds independent parts into a balanced binary tree of the
+// nodes join builds (⊕ or ⊙), pairing neighbours level by level. Each
+// level is written over the front of parts: pair i/2 is written after
+// parts i and i+1 are read.
+func (c *Compiler) combine(parts []dtree.Node, join func(l, r dtree.Node) dtree.Node) (dtree.Node, error) {
 	for len(parts) > 1 {
-		next := make([]dtree.Node, 0, (len(parts)+1)/2)
-		for i := 0; i < len(parts); i += 2 {
+		k := 0
+		for i := 0; i < len(parts); i, k = i+2, k+1 {
 			if i+1 == len(parts) {
-				next = append(next, parts[i])
+				parts[k] = parts[i]
 				continue
 			}
-			n, err := c.newNode(&dtree.PlusNode{Module: module, Agg: agg, L: parts[i], R: parts[i+1]})
+			n, err := c.newNode(join(parts[i], parts[i+1]))
 			if err != nil {
 				return nil, err
 			}
-			next = append(next, n)
+			parts[k] = n
 		}
-		parts = next
+		parts = parts[:k]
 	}
 	return parts[0], nil
 }
@@ -519,22 +555,7 @@ func (c *Compiler) compileProduct(m expr.Mul, whole expr.Expr) (dtree.Node, erro
 			}
 			parts[i] = p
 		}
-		for len(parts) > 1 {
-			next := make([]dtree.Node, 0, (len(parts)+1)/2)
-			for i := 0; i < len(parts); i += 2 {
-				if i+1 == len(parts) {
-					next = append(next, parts[i])
-					continue
-				}
-				n, err := c.newNode(&dtree.TimesNode{L: parts[i], R: parts[i+1]})
-				if err != nil {
-					return nil, err
-				}
-				next = append(next, n)
-			}
-			parts = next
-		}
-		return parts[0], nil
+		return c.combine(parts, func(l, r dtree.Node) dtree.Node { return &dtree.TimesNode{L: l, R: r} })
 	}
 	return c.shannon(whole)
 }

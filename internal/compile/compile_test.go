@@ -487,6 +487,43 @@ func TestCappingBoundsDistributionSize(t *testing.T) {
 	}
 }
 
+// TestCapSoundWithNegativeSummands: the evaluator clamps every partial sum
+// under a cap, which is clamping the whole sum only when no summand is
+// negative — under a cap at 3, 5 + 5 becomes 4, and 4 + (−3) passes ≤ 3
+// where 10 − 3 does not. Over [5 + x0⊗5 + x1⊗(−3) + x2⊗4 θ c] for every
+// θ ∈ {≤, ≥, <, =}, c ∈ 3…12 and order of the variable terms, the compiled
+// answer is possible-worlds enumeration's at tolerance 0 (marginals ½ over
+// three variables: every sum is exact).
+func TestCapSoundWithNegativeSummands(t *testing.T) {
+	reg := boolReg(0.5, "x0", "x1", "x2")
+	s := algebra.SemiringFor(algebra.Boolean)
+	terms := []expr.Expr{
+		expr.Scale(algebra.Sum, expr.V("x0"), value.Int(5)),
+		expr.Scale(algebra.Sum, expr.V("x1"), value.Int(-3)),
+		expr.Scale(algebra.Sum, expr.V("x2"), value.Int(4)),
+	}
+	wrong := 0
+	for _, th := range []value.Theta{value.LE, value.GE, value.LT, value.EQ} {
+		for c := int64(3); c <= 12; c++ {
+			for _, o := range [][3]int{{0, 1, 2}, {0, 2, 1}, {1, 0, 2}, {1, 2, 0}, {2, 0, 1}, {2, 1, 0}} {
+				sum := expr.MSum(algebra.Sum, expr.MConst{V: value.Int(5)}, terms[o[0]], terms[o[1]], terms[o[2]])
+				e := expr.Compare(th, sum, expr.MConst{V: value.Int(c)})
+				want, err := worlds.Enumerate(e, reg, s)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := distOf(t, New(s, reg, Options{}), reg, s, e); !got.Equal(want, 0) {
+					wrong++
+					t.Errorf("%s: compiled %v, enumerated %v", expr.String(e), got, want)
+				}
+			}
+		}
+	}
+	if wrong > 0 {
+		t.Errorf("%d of 240 comparisons disagree with enumeration", wrong)
+	}
+}
+
 func binom(n, k int) float64 {
 	out := 1.0
 	for i := 0; i < k; i++ {

@@ -199,12 +199,18 @@ func TestDTreeGolden(t *testing.T) {
 	for _, c := range goldenCases() {
 		res := mustCompile(t, New(c.s, c.reg, c.opts), c.e)
 		rows = append(rows, goldenRow{Name: c.name, Stats: res.Stats, Digest: dtreeDigest(res.Root)})
-		// Once more on a lent scratch that does not trust signatures: the
-		// walking partition must build the same tree.
+		// Three times more on a lent scratch that does not trust
+		// signatures: the walking partition must build the same tree, and
+		// so must the same compiler after a first Reset and after a later
+		// one (which deletes what the compilation put in the memo), neither
+		// leaving a memo hit behind.
 		walker := New(c.s, c.reg, c.opts)
 		walker.sc = new(scratch)
-		if res := mustCompile(t, walker, c.e); res.Stats != rows[len(rows)-1].Stats || dtreeDigest(res.Root) != rows[len(rows)-1].Digest {
-			t.Errorf("%s: the d-tree depends on whether signatures are exact", c.name)
+		for range 3 {
+			if res := mustCompile(t, walker, c.e); res.Stats != rows[len(rows)-1].Stats || dtreeDigest(res.Root) != rows[len(rows)-1].Digest {
+				t.Errorf("%s: the d-tree depends on whether signatures are exact or on an earlier compilation", c.name)
+			}
+			walker.Reset()
 		}
 	}
 	if *updateDTreeGolden {

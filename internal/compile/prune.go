@@ -395,7 +395,10 @@ func scalarBounds(s algebra.Semiring, reg *vars.Registry, e expr.Expr) (value.V,
 // evaluator may collapse them during every intermediate convolution under
 // this node. Intermediate capping is sound only for monoids whose
 // combination cannot bring a value back below the cap: MIN, MAX, and
-// SUM/COUNT over provably non-negative contributions.
+// SUM/COUNT when every contribution is non-negative. For the last it is
+// not enough that the whole sum is: the evaluator clamps partial sums, in
+// whatever order the d-tree (or a fold) adds them, and a later negative
+// summand would bring a clamped one back below the cap.
 func capFor(s algebra.Semiring, reg *vars.Registry, cm expr.Cmp) *prob.Cap {
 	if cm.L.Kind() != expr.KindModule {
 		return nil
@@ -408,8 +411,7 @@ func capFor(s algebra.Semiring, reg *vars.Registry, cm expr.Cmp) *prob.Cap {
 	case algebra.Min, algebra.Max:
 		// always sound
 	case algebra.Sum, algebra.Count:
-		lo, _, ok := bounds(s, reg, cm.L)
-		if !ok || lo.Less(value.Int(0)) {
+		if !nonNegative(cm.L) {
 			return nil
 		}
 	default:
@@ -429,6 +431,27 @@ func capFor(s algebra.Semiring, reg *vars.Registry, cm expr.Cmp) *prob.Cap {
 		return nil
 	}
 	return &prob.Cap{Above: true, Limit: limit}
+}
+
+// nonNegative reports whether every monoid constant of the module
+// expression e is ≥ 0. Then so is every partial sum of e: the scalars a
+// constant is multiplied by are elements of B or N.
+func nonNegative(e expr.Expr) bool {
+	switch n := e.(type) {
+	case expr.MConst:
+		return !n.V.Less(value.Int(0))
+	case expr.Tensor:
+		return nonNegative(n.Mod)
+	case expr.AggSum:
+		for _, t := range n.Terms {
+			if !nonNegative(t) {
+				return false
+			}
+		}
+		return true
+	default:
+		return false
+	}
 }
 
 // moduleAgg returns the aggregation monoid of a module expression.

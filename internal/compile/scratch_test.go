@@ -192,12 +192,13 @@ func TestComponentsSignatureEqualsWalk(t *testing.T) {
 
 // TestCompileAllocationCeiling pins what one compilation allocates on a
 // fixed §7.1 cell (a Shannon-heavy SUM ≤ c cell of the golden grid, 217
-// expansions): 20 % above the figure measured when cofactors moved to
-// the scratch stack (7 312 allocations; 15 900 before). A change that
-// sends a Shannon step back to the allocator fails here before it shows
-// in a benchmark.
+// expansions): 20 % above the figure measured once independent parts were
+// combined in place and a SUM comparison's cap stopped computing bounds
+// (6 926 allocations; 7 312 before, 15 900 before cofactors moved to the
+// scratch stack). A change that sends a Shannon step back to the
+// allocator fails here before it shows in a benchmark.
 func TestCompileAllocationCeiling(t *testing.T) {
-	const cell, measured = "grid/SUM <= c=480 L=12", 7312
+	const cell, measured = "grid/SUM <= c=480 L=12", 6926
 	for _, c := range goldenGridCells() {
 		if c.name != cell {
 			continue

@@ -21,11 +21,16 @@ import (
 )
 
 // Pipeline computes distributions of expressions over a fixed probability
-// space. It is not safe for concurrent use.
+// space. It is not safe for concurrent use, and its fields must not change
+// once it is in use.
 type Pipeline struct {
 	Semiring algebra.Semiring
 	Registry *vars.Registry
 	Options  compile.Options
+	// c compiles every expression of the pipeline — an engine worker's
+	// annotations and columns, tuple after tuple — with its memo reset
+	// after each, so no two compilations share a node. Made on first use.
+	c *compile.Compiler
 }
 
 // New returns a pipeline over the given semiring kind and registry with
@@ -55,9 +60,12 @@ func (p *Pipeline) Distribution(e expr.Expr) (prob.Dist, Report, error) {
 // at expansion steps and aborts with ctx.Err() once it is cancelled.
 func (p *Pipeline) DistributionCtx(ctx context.Context, e expr.Expr) (prob.Dist, Report, error) {
 	var rep Report
-	c := compile.New(p.Semiring, p.Registry, p.Options)
+	if p.c == nil {
+		p.c = compile.New(p.Semiring, p.Registry, p.Options)
+	}
 	t0 := time.Now()
-	res, err := c.CompileCtx(ctx, e)
+	res, err := p.c.CompileCtx(ctx, e)
+	p.c.Reset()
 	if err != nil {
 		return prob.Dist{}, rep, fmt.Errorf("core: compile %s: %w", expr.Abbrev(e), err)
 	}

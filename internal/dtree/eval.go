@@ -2,6 +2,7 @@ package dtree
 
 import (
 	"fmt"
+	"sync"
 
 	"pvcagg/internal/algebra"
 	"pvcagg/internal/prob"
@@ -47,6 +48,10 @@ type Evaluator struct {
 	// since was inherited from it.
 	revisit bool
 	stats   EvalStats
+	// leaves is the stack evalSum evaluates a cluster's summands onto,
+	// checked out of leafPool by the first cluster and returned by the
+	// package-level Evaluate.
+	leaves *[]prob.Dist
 }
 
 // NewEvaluator returns an Evaluator that keeps what it evaluates.
@@ -61,6 +66,9 @@ func NewEvaluator(env Env) *Evaluator { return &Evaluator{env: env, keep: true} 
 func Evaluate(n Node, env Env) (prob.Dist, EvalStats, error) {
 	ev := Evaluator{env: env}
 	d, err := ev.Evaluate(n)
+	if ev.leaves != nil {
+		leafPool.Put(ev.leaves)
+	}
 	return d, ev.stats, err
 }
 
@@ -120,10 +128,7 @@ func (ev *Evaluator) eval(n Node, cap *prob.Cap, inherited bool) (prob.Dist, err
 	if err != nil {
 		return prob.Dist{}, err
 	}
-	if s := d.Size(); s > ev.stats.MaxDistSize {
-		ev.stats.MaxDistSize = s
-	}
-	ev.stats.NodeEvals++
+	ev.counted(d)
 	if memoised {
 		if ev.memo == nil {
 			ev.memo = map[memoKey]prob.Dist{}
@@ -131,6 +136,13 @@ func (ev *Evaluator) eval(n Node, cap *prob.Cap, inherited bool) (prob.Dist, err
 		ev.memo[key] = d
 	}
 	return d, nil
+}
+
+// counted accounts one node evaluation that produced d, and returns d.
+func (ev *Evaluator) counted(d prob.Dist) prob.Dist {
+	ev.stats.MaxDistSize = max(ev.stats.MaxDistSize, d.Size())
+	ev.stats.NodeEvals++
+	return d
 }
 
 // normalised returns d with the semiring's Normalise applied to its
@@ -167,6 +179,11 @@ func (ev *Evaluator) evalUncached(n Node, cap *prob.Cap) (prob.Dist, error) {
 		return prob.Point(s.Normalise(t.V)), nil
 	case *PlusNode:
 		if t.Module {
+			// SUM and COUNT combine by integer addition, which has kernels
+			// of its own; the other monoids take the generic one.
+			if t.Agg == algebra.Sum || t.Agg == algebra.Count {
+				return ev.evalSum(t, cap)
+			}
 			l, err := ev.eval(t.L, cap, true)
 			if err != nil {
 				return prob.Dist{}, err
@@ -174,11 +191,6 @@ func (ev *Evaluator) evalUncached(n Node, cap *prob.Cap) (prob.Dist, error) {
 			r, err := ev.eval(t.R, cap, true)
 			if err != nil {
 				return prob.Dist{}, err
-			}
-			// SUM and COUNT combine by integer addition, which has a kernel
-			// of its own; the other monoids take the generic one.
-			if t.Agg == algebra.Sum || t.Agg == algebra.Count {
-				return prob.ConvolveSum(l, r, cap), nil
 			}
 			return prob.Convolve(l, r, algebra.MonoidFor(t.Agg).Combine, cap), nil
 		}
@@ -238,4 +250,122 @@ func (ev *Evaluator) evalUncached(n Node, cap *prob.Cap) (prob.Dist, error) {
 	default:
 		return prob.Dist{}, fmt.Errorf("dtree: unknown node %T", n)
 	}
+}
+
+// inCluster reports whether n is a unique ⊕ node over the monoid agg,
+// which belongs to the cluster of its parent's (see evalSum).
+func inCluster(n Node, agg algebra.Agg) (*PlusNode, bool) {
+	p, ok := n.(*PlusNode)
+	return p, ok && p.Module && p.Agg == agg && unique(p)
+}
+
+// leafPool recycles the summand stacks of evaluators that fold.
+var leafPool = sync.Pool{New: func() any { return new([]prob.Dist) }}
+
+// evalSum evaluates a SUM/COUNT ⊕ node t under cap. t and the unique ⊕
+// nodes of its monoid below it form a cluster: each of those has one
+// parent and inherits t's cap, so eval would neither memoise it nor hand
+// its distribution to anything but that parent, and the cluster's leaves —
+// the first nodes below it that are not such ⊕ nodes — are independent
+// summands. An Evaluator that does not keep what it evaluates evaluates
+// them left to right, as eval would, onto its stack; it folds them into
+// one window (prob.FoldSum) when the cells that sweeps (prob.FoldCost) are
+// fewer than the cells of the cluster's own pairwise order (pairCost), and
+// convolves them in that order otherwise. One that keeps never folds: a
+// node marked unique there may gain a second parent after it has been
+// evaluated. NodeEvals counts every ⊕ node of a cluster either way; a fold
+// builds no distribution for the cluster's inner nodes, so MaxDistSize
+// does not see them.
+func (ev *Evaluator) evalSum(t *PlusNode, cap *prob.Cap) (prob.Dist, error) {
+	_, inL := inCluster(t.L, t.Agg)
+	_, inR := inCluster(t.R, t.Agg)
+	if ev.keep || !(inL || inR) {
+		l, err := ev.eval(t.L, cap, true)
+		if err != nil {
+			return prob.Dist{}, err
+		}
+		r, err := ev.eval(t.R, cap, true)
+		if err != nil {
+			return prob.Dist{}, err
+		}
+		return prob.ConvolveSum(l, r, cap), nil
+	}
+	if ev.leaves == nil {
+		ev.leaves = leafPool.Get().(*[]prob.Dist)
+	}
+	base := len(*ev.leaves)
+	err := ev.pushSummands(t, cap)
+	ds := (*ev.leaves)[base:]
+	var d prob.Dist
+	if err == nil {
+		fold := false
+		if cost, ok := prob.FoldCost(ds, cap); ok {
+			rest := ds
+			pairs, _ := pairCost(t, &rest, cap)
+			fold = cost < pairs
+		}
+		if fold {
+			d = prob.FoldSum(ds, cap)
+			ev.stats.NodeEvals += len(ds) - 2 // the cluster's ⊕ nodes but t
+		} else {
+			rest := ds
+			d = ev.convolvePairs(t, &rest, cap)
+		}
+	}
+	clear(ds) // the pooled stack keeps no distribution alive
+	*ev.leaves = (*ev.leaves)[:base]
+	return d, err
+}
+
+// pushSummands evaluates the summands of the cluster under t onto
+// ev.leaves, left to right.
+func (ev *Evaluator) pushSummands(t *PlusNode, cap *prob.Cap) error {
+	for _, c := range [2]Node{t.L, t.R} {
+		if p, ok := inCluster(c, t.Agg); ok {
+			if err := ev.pushSummands(p, cap); err != nil {
+				return err
+			}
+			continue
+		}
+		d, err := ev.eval(c, cap, true)
+		if err != nil {
+			return err
+		}
+		*ev.leaves = append(*ev.leaves, d)
+	}
+	return nil
+}
+
+// pairCost prices the cluster under t in its own order, taking its
+// summands from the front of ds: the cells |L|·|R| of each of its ⊕
+// nodes, an inner node's size estimated from its operands
+// (prob.SumShape.Plus). It returns the estimated shape of t too.
+func pairCost(t *PlusNode, ds *[]prob.Dist, cap *prob.Cap) (int, prob.SumShape) {
+	side := func(c Node) (int, prob.SumShape) {
+		if p, ok := inCluster(c, t.Agg); ok {
+			return pairCost(p, ds, cap)
+		}
+		s := prob.ShapeOf((*ds)[0])
+		*ds = (*ds)[1:]
+		return 0, s
+	}
+	cl, l := side(t.L)
+	cr, r := side(t.R)
+	return cl + cr + l.Size*r.Size, l.Plus(r, cap)
+}
+
+// convolvePairs convolves the summands of the cluster under t, taken from
+// the front of ds, in the cluster's own order, counting its inner nodes as
+// eval would have.
+func (ev *Evaluator) convolvePairs(t *PlusNode, ds *[]prob.Dist, cap *prob.Cap) prob.Dist {
+	side := func(c Node) prob.Dist {
+		if p, ok := inCluster(c, t.Agg); ok {
+			return ev.counted(ev.convolvePairs(p, ds, cap))
+		}
+		d := (*ds)[0]
+		*ds = (*ds)[1:]
+		return d
+	}
+	l := side(t.L)
+	return prob.ConvolveSum(l, side(t.R), cap)
 }

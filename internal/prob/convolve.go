@@ -426,14 +426,16 @@ func CmpConvolve(a, b Dist, th value.Theta) Dist {
 	pAll := a.Mass() * b.Mass()
 	pFalse := pAll - pTrue
 	// The prefix-mass regrouping can leave ulp-sized negatives where the
-	// exact result is 0; clamp so FromPairs' non-negativity holds.
-	if pTrue < 0 {
-		pTrue = 0
+	// exact result is 0; those are dropped with the zeros, ⊥ (0) before ⊤
+	// (1), as FromPairs would.
+	out := make([]Pair, 0, 2)
+	if pFalse > dropBelow {
+		out = append(out, Pair{value.Bool(false), pFalse})
 	}
-	if pFalse < 0 {
-		pFalse = 0
+	if pTrue > dropBelow {
+		out = append(out, Pair{value.Bool(true), pTrue})
 	}
-	return FromPairs([]Pair{{value.Bool(true), pTrue}, {value.Bool(false), pFalse}})
+	return Dist{out}
 }
 
 // orderMass returns P[x < y] (strict = !orEq) or P[x ≤ y] (orEq) for

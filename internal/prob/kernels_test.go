@@ -426,6 +426,152 @@ func FuzzConvolveSum(f *testing.F) {
 	})
 }
 
+// chainRef is the reference for FoldSum: convolveRef chained left to right.
+func chainRef(ds []Dist, cap *Cap) Dist {
+	out := ds[0]
+	for _, d := range ds[1:] {
+		out = convolveRef(out, d, value.V.Add, cap)
+	}
+	return out
+}
+
+// TestFoldSumDifferential holds FoldSum to the ConvolveSum chain bit for
+// bit on arbitrary probabilities — the fold adds every cell in the order
+// the chain does — over summands the dense fold takes: non-negative ones
+// under caps below, inside and above their range (the last collapses the
+// whole window into the overflow cell, the middle ones move the window's
+// base up past summands that are never 0), and signed ones without a cap.
+// The first summand is kept under the cap, as the evaluator's are.
+func TestFoldSumDifferential(t *testing.T) {
+	r := rand.New(rand.NewSource(29))
+	for trial := 0; trial < 600; trial++ {
+		n := 2 + r.Intn(7)
+		signed := trial%3 == 0
+		ds := make([]Dist, n)
+		var hi int64
+		for i := range ds {
+			m := 1 + r.Intn(5)
+			if r.Intn(3) == 0 {
+				m = 2
+			}
+			from := int64(r.Intn(4)) // never 0 in one summand of four
+			if signed {
+				from = int64(r.Intn(60) - 30)
+			}
+			pairs := make([]Pair, m)
+			for j := range pairs {
+				pairs[j] = Pair{value.Int(from + int64(r.Intn(1+r.Intn(40)))), r.Float64() + 1e-3}
+			}
+			ds[i] = FromPairs(pairs)
+			hi += ds[i].pairs[ds[i].Size()-1].V.Int64()
+		}
+		var cap *Cap
+		if !signed && trial%2 == 0 {
+			cap = &Cap{Above: true, Limit: value.Int(r.Int63n(hi + 2))}
+			ds[0] = cap.Clamp(ds[0])
+		}
+		if _, ok := FoldCost(ds, cap); !ok {
+			t.Fatalf("trial %d: the dense fold refused %v under %+v", trial, ds, cap)
+		}
+		want := ds[0]
+		for _, d := range ds[1:] {
+			want = ConvolveSum(want, d, cap)
+		}
+		assertBitIdentical(t, fmt.Sprintf("FoldSum/%d", trial), FoldSum(ds, cap), want)
+	}
+}
+
+// TestFoldCost pins the cost model on a capped fold: windows of width 3,
+// 5 and 5 (the cap at 3 makes the last one [0, 4]) swept by summands of
+// 2, 2 and 3 points; and Plus, the pairwise estimate, on the same shapes.
+func TestFoldCost(t *testing.T) {
+	ds := []Dist{
+		FromPairs([]Pair{{value.Int(0), 0.5}, {value.Int(2), 0.5}}),
+		FromPairs([]Pair{{value.Int(0), 0.5}, {value.Int(2), 0.5}}),
+		FromPairs([]Pair{{value.Int(0), 0.25}, {value.Int(1), 0.25}, {value.Int(5), 0.5}}),
+	}
+	cap := &Cap{Above: true, Limit: value.Int(3)}
+	if cost, ok := FoldCost(ds, cap); !ok || cost != 3*2+5*2+5*3 {
+		t.Fatalf("FoldCost = %d, %v; want %d", cost, ok, 3*2+5*2+5*3)
+	}
+	ab := ShapeOf(ds[0]).Plus(ShapeOf(ds[1]), cap)
+	if want := (SumShape{Size: 4, Width: 5, Lo: 0}); ab != want {
+		t.Fatalf("shape of a + b = %+v, want %+v", ab, want)
+	}
+	if got, want := ab.Plus(ShapeOf(ds[2]), cap), (SumShape{Size: 5, Width: 5, Lo: 0}); got != want {
+		t.Fatalf("capped shape of (a + b) + c = %+v, want %+v", got, want)
+	}
+	if got, want := ab.Plus(ShapeOf(ds[2]), nil), (SumShape{Size: 10, Width: 10, Lo: 0}); got != want {
+		t.Fatalf("shape of (a + b) + c = %+v, want %+v", got, want)
+	}
+	if _, ok := FoldCost(ds, &Cap{Above: true, Limit: value.PosInf()}); ok {
+		t.Fatal("FoldCost accepted an infinite cap limit")
+	}
+}
+
+// FuzzSumFold holds FoldSum to a left-to-right chain of convolveRef under
+// == on dyadic summands decoded from the fuzzer's bytes: at most six, of
+// at most four points each, probabilities in sixteenths (so every sum and
+// product is exact in any order), with and without a cap whose limit is
+// non-negative. One header byte per summand picks its size and kind: small
+// values in ±1000 (non-negative for kind 0, the dense fold's case under a
+// cap), or one of the fallbacks — an infinity (one sign per input; +∞ + −∞
+// is undefined), values at either end of int64, values spread too wide for
+// the window. Each point is two value bytes and one probability byte. The
+// fold runs twice, so a pooled window left dirty shows. Run by the
+// fuzz-smoke CI job.
+func FuzzSumFold(f *testing.F) {
+	f.Add([]byte{1, 3, 0, 4, 5, 0, 9, 0, 0, 2, 0, 0, 1, 7, 0, 15}, int64(6), true, false)
+	f.Add([]byte{5, 0xfd, 0xff, 3, 2, 0, 7, 4, 1, 0, 1, 3, 0, 3}, int64(0), false, false)
+	f.Add([]byte{0, 4, 0, 1, 16, 7, 0, 2, 1, 0, 5, 4, 0, 3, 0}, int64(2), true, false)
+	f.Add([]byte{1, 3, 0, 4, 5, 0, 9, 17, 0, 0, 2, 20, 0, 7}, int64(100), true, true)
+	f.Add([]byte{1, 3, 0, 4, 5, 0, 9, 21, 3, 0, 2, 8, 0, 7}, int64(1000), false, false)
+	f.Add([]byte{1, 3, 0, 4, 5, 0, 9, 25, 3, 0, 2, 8, 0, 7}, int64(10), true, false)
+	f.Add([]byte{29, 3, 0, 4, 5, 0, 9, 29, 3, 0, 2, 8, 0, 7}, int64(0), false, false)
+	f.Fuzz(func(t *testing.T, data []byte, limit int64, capped, negInf bool) {
+		var ds []Dist
+		for len(data) >= 4 && len(ds) < 6 {
+			h := data[0]
+			data = data[1:]
+			var pairs []Pair
+			for n := 1 + int(h%4); n > 0 && len(data) >= 3; n-- {
+				raw := int64(int16(uint16(data[0]) | uint16(data[1])<<8))
+				v := value.Int(raw % 1001)
+				switch h / 4 % 8 {
+				case 0:
+					v = value.Int((raw%1001 + 1001) % 1001)
+				case 4:
+					if raw%3 == 0 {
+						v = value.PosInf()
+						if negInf {
+							v = value.NegInf()
+						}
+					}
+				case 5:
+					v = value.Int(math.MaxInt64 - raw&15)
+				case 6:
+					v = value.Int(math.MinInt64 + raw&15)
+				case 7:
+					v = value.Int(raw * 4099)
+				}
+				pairs = append(pairs, Pair{v, float64(1+data[2]%16) / 16})
+				data = data[3:]
+			}
+			ds = append(ds, FromPairs(pairs))
+		}
+		if len(ds) == 0 {
+			return
+		}
+		var cap *Cap
+		if capped {
+			cap = &Cap{Above: true, Limit: value.Int((limit & math.MaxInt64) % 3000)}
+		}
+		want := chainRef(ds, cap)
+		assertBitIdentical(t, "FoldSum", FoldSum(ds, cap), want)
+		assertBitIdentical(t, "FoldSum/again", FoldSum(ds, cap), want)
+	})
+}
+
 // TestConvolveSumSmallAllocs pins that the kernel stages small operands
 // without allocating: a 2×2 SUM convolution — the shape of most ⊕ nodes —
 // allocates nothing beyond what Convolve does (the result).
