@@ -296,7 +296,7 @@ func BenchmarkApproxVsExact(b *testing.B) {
 	for _, eps := range []float64{0.05, 0.01} {
 		b.Run(fmt.Sprintf("approx/eps=%g", eps), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				_, rep, err := pl.TruthProbabilityApprox(inst.Expr, compile.ApproxOptions{Eps: eps})
+				_, rep, err := compile.Approximate(pl.Semiring, pl.Registry, inst.Expr, compile.ApproxOptions{Eps: eps, Compile: pl.Options})
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -6,18 +6,15 @@ import (
 	"fmt"
 	"iter"
 	"math"
-	"math/rand"
 	"time"
 
 	"pvcagg/internal/algebra"
 	"pvcagg/internal/compile"
-	"pvcagg/internal/core"
 	"pvcagg/internal/engine"
 	"pvcagg/internal/expr"
 	"pvcagg/internal/obs"
 	"pvcagg/internal/store"
 	"pvcagg/internal/tractable"
-	"pvcagg/internal/worlds"
 )
 
 // KindSemiring and KindModule name the two expression sorts of the
@@ -43,9 +40,9 @@ const (
 	// engine at the configured ε (DefaultEps unless WithEps is given).
 	// On an already-evaluated pvc-table there is no plan to analyse, so
 	// Auto selects the anytime engine, whose exact leaf closures resolve
-	// easy annotations to zero-width bounds anyway; on a bare expression
-	// it probes exact compilation under a node budget and falls back to
-	// the anytime engine if the budget is exceeded.
+	// easy annotations to zero-width bounds anyway; on a bare semiring
+	// expression it probes exact compilation under a node budget and falls
+	// back to the anytime engine if the budget is exceeded.
 	Auto Mode = iota
 	// Exact computes every confidence and distribution exactly by full
 	// d-tree compilation (exponential on hard queries; bound it with
@@ -87,9 +84,9 @@ const DefaultEps = 0.01
 const DefaultSamples = 10_000
 
 // autoExprBudget is Auto's exact-compilation probe budget for bare
-// expressions (ExecExpr) when no WithCompileBudget is given: expressions
-// whose d-tree stays under it run exactly; larger ones fall back to the
-// anytime engine.
+// semiring expressions (ExecExpr) when no WithCompileBudget is given:
+// expressions whose d-tree stays under it run exactly; larger ones fall
+// back to the anytime engine.
 const autoExprBudget = 1 << 18
 
 // TupleOutcome is the unified per-tuple result: interval confidence
@@ -193,8 +190,10 @@ func WithTimeout(d time.Duration) Option {
 // monotonically tightening sequence per tuple), under the exact and
 // sampling strategies once per tuple with the final interval — so the
 // callback reports progress under every strategy, including the exact
-// route of an Auto run. With Parallelism > 1 the callback is invoked
-// concurrently from multiple tuples and must be safe for concurrent use.
+// route of an Auto run. A semimodule expression given to ExecExpr has no
+// truth value and is never reported. With Parallelism > 1 the callback is
+// invoked concurrently from multiple tuples and must be safe for
+// concurrent use.
 func WithOnBounds(cb func(Bounds)) Option {
 	return func(c *execConfig) { c.onBounds = cb }
 }
@@ -653,8 +652,8 @@ func ExecTable(ctx context.Context, db *Database, rel *Relation, opts ...Option)
 type ExprResult struct {
 	// Confidence brackets the probability that the (semiring) expression
 	// is non-zero; zero-width under exact strategies, guaranteed bounds
-	// under Anytime, a 95% interval under Sample. Meaningless for
-	// semimodule expressions (which have no truth value).
+	// under Anytime, a 95% interval under Sample. Zero for semimodule
+	// expressions, which have no truth value.
 	Confidence Bounds
 	// Dist is the full distribution of the expression — exact under
 	// Exact/Auto-exact, a Monte Carlo estimate under Sample, empty under
@@ -671,9 +670,12 @@ type ExprResult struct {
 
 // ExecExpr computes the probabilistic interpretation of a bare semiring
 // or semimodule expression over a registry — the expression-level
-// counterpart of Exec. Auto mode probes exact compilation under a node
-// budget (WithCompileBudget, default 2¹⁸ nodes) and falls back to the
-// anytime engine at the configured ε when the budget is exceeded.
+// counterpart of Exec, computed by the same per-tuple dispatch as tuple 0.
+// Auto mode probes exact compilation of a semiring expression under a
+// node budget (WithCompileBudget, default 2¹⁸ nodes) and falls back to
+// the anytime engine at the configured ε when the budget is exceeded; a
+// semimodule expression has no anytime fallback, so Auto runs it exactly
+// under WithCompileBudget alone.
 func ExecExpr(ctx context.Context, e Expr, reg *Registry, kind SemiringKind, opts ...Option) (*ExprResult, error) {
 	cfg, err := resolveOptions(opts)
 	if err != nil {
@@ -682,76 +684,37 @@ func ExecExpr(ctx context.Context, e Expr, reg *Registry, kind SemiringKind, opt
 	if cfg.store != nil {
 		return nil, errors.New("pvcagg: WithStore does not apply to ExecExpr: a bare expression carries its own registry and scans no tables")
 	}
+	semiring := e.Kind() == KindSemiring
+	if cfg.mode == Anytime && !semiring {
+		return nil, fmt.Errorf("pvcagg: the anytime engine brackets truth probabilities and %s is a semimodule expression; use Exact", ExprString(e))
+	}
 	if cfg.timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, cfg.timeout)
 		defer cancel()
 	}
-	semiring := e.Kind() == KindSemiring
-	switch cfg.mode {
-	case Exact:
-		strat, ecfg := cfg.build(Exact, nil)
-		return execExprExact(ctx, e, reg, kind, ecfg, strat)
-	case Anytime:
-		if !semiring {
-			return nil, fmt.Errorf("pvcagg: the anytime engine brackets truth probabilities and %s is a semimodule expression; use Exact", ExprString(e))
-		}
-		strat, ecfg := cfg.build(Anytime, nil)
-		return execExprAnytime(ctx, e, reg, kind, ecfg, strat)
-	case Sample:
-		strat, ecfg := cfg.build(Sample, nil)
-		return execExprSample(ctx, e, reg, kind, ecfg, strat)
-	default: // Auto
-		strat, ecfg := cfg.build(Exact, nil)
-		if ecfg.Compile.MaxNodes == 0 {
-			ecfg.Compile.MaxNodes = autoExprBudget
-		}
-		res, err := execExprExact(ctx, e, reg, kind, ecfg, strat)
-		if err == nil || !semiring || !errors.Is(err, compile.ErrNodeBudget) {
-			return res, err
-		}
-		strat, ecfg = cfg.build(Anytime, nil)
-		return execExprAnytime(ctx, e, reg, kind, ecfg, strat)
+	chosen := cfg.mode
+	probe := chosen == Auto && semiring
+	if chosen == Auto {
+		chosen = Exact
 	}
+	strat, ecfg := cfg.build(chosen, nil)
+	if probe && ecfg.Compile.MaxNodes == 0 {
+		ecfg.Compile.MaxNodes = autoExprBudget
+	}
+	res, err := interpretExpr(ctx, e, reg, kind, strat, ecfg)
+	if !probe || !errors.Is(err, compile.ErrNodeBudget) {
+		return res, err
+	}
+	strat, ecfg = cfg.build(Anytime, nil)
+	return interpretExpr(ctx, e, reg, kind, strat, ecfg)
 }
 
-func execExprExact(ctx context.Context, e Expr, reg *Registry, kind SemiringKind, ecfg engine.ExecConfig, strat Strategy) (*ExprResult, error) {
-	pl := &core.Pipeline{Semiring: algebra.SemiringFor(kind), Registry: reg, Options: ecfg.Compile}
-	d, rep, err := pl.DistributionCtx(ctx, e)
+// interpretExpr runs ExecExpr's one strategy through the engine's dispatch.
+func interpretExpr(ctx context.Context, e Expr, reg *Registry, kind SemiringKind, strat Strategy, ecfg engine.ExecConfig) (*ExprResult, error) {
+	conf, d, rep, err := engine.Interpret(ctx, algebra.SemiringFor(kind), reg, e, ecfg)
 	if err != nil {
 		return nil, err
 	}
-	res := &ExprResult{Dist: d, Strategy: strat, Report: rep}
-	if e.Kind() == KindSemiring {
-		res.Confidence = compile.Point(d.TruthProbability())
-	}
-	if ecfg.OnBounds != nil {
-		ecfg.OnBounds(res.Confidence)
-	}
-	return res, nil
-}
-
-func execExprAnytime(ctx context.Context, e Expr, reg *Registry, kind SemiringKind, ecfg engine.ExecConfig, strat Strategy) (*ExprResult, error) {
-	b, rep, err := compile.ApproximateCtx(ctx, algebra.SemiringFor(kind), reg, e, *ecfg.Approx)
-	if err != nil {
-		return nil, err
-	}
-	return &ExprResult{Confidence: b, Strategy: strat, Approx: &rep}, nil
-}
-
-func execExprSample(ctx context.Context, e Expr, reg *Registry, kind SemiringKind, ecfg engine.ExecConfig, strat Strategy) (*ExprResult, error) {
-	rng := rand.New(rand.NewSource(ecfg.Seed))
-	d, err := worlds.MonteCarloCtx(ctx, e, reg, algebra.SemiringFor(kind), ecfg.Samples, rng)
-	if err != nil {
-		return nil, err
-	}
-	res := &ExprResult{Dist: d, Strategy: strat}
-	if e.Kind() == KindSemiring {
-		lo, hi := worlds.Hoeffding95(d.TruthProbability(), ecfg.Samples)
-		res.Confidence = Bounds{Lo: lo, Hi: hi}
-	}
-	if ecfg.OnBounds != nil {
-		ecfg.OnBounds(res.Confidence)
-	}
-	return res, nil
+	return &ExprResult{Confidence: conf, Dist: d, Strategy: strat, Report: rep.Exact, Approx: rep.Approx}, nil
 }

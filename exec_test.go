@@ -11,7 +11,9 @@ import (
 	"pvcagg"
 	"pvcagg/internal/algebra"
 	"pvcagg/internal/compile"
+	"pvcagg/internal/expr"
 	"pvcagg/internal/gen"
+	"pvcagg/internal/testutil"
 	"pvcagg/internal/value"
 )
 
@@ -328,17 +330,24 @@ func TestExecOptionValidation(t *testing.T) {
 }
 
 // TestExecOnBoundsAllModes: WithOnBounds is never silently dead — every
-// strategy (including Auto's exact route) reports per-tuple bounds.
+// strategy (including Auto's exact route) reports per-tuple bounds — and
+// never reports a semimodule expression given to ExecExpr, which has no
+// truth value (Anytime refuses one outright).
 func TestExecOnBoundsAllModes(t *testing.T) {
 	db, plan := execTestDB(t)
+	reg := pvcagg.NewRegistry()
+	reg.DeclareBool("x", 0.5)
+	reg.DeclareBool("y", 0.5)
+	m := pvcagg.MustParseExpr("sum(x @sum 5, y @sum 7)")
 	for _, tc := range []struct {
-		name string
-		opts []pvcagg.Option
+		name   string
+		opts   []pvcagg.Option
+		module bool // ExecExpr accepts a semimodule expression
 	}{
-		{"exact", []pvcagg.Option{pvcagg.WithMode(pvcagg.Exact)}},
-		{"anytime", []pvcagg.Option{pvcagg.WithMode(pvcagg.Anytime), pvcagg.WithEps(0.05)}},
-		{"auto-exact-route", nil},
-		{"sample", []pvcagg.Option{pvcagg.WithMode(pvcagg.Sample), pvcagg.WithSeed(1), pvcagg.WithSamples(100)}},
+		{"exact", []pvcagg.Option{pvcagg.WithMode(pvcagg.Exact)}, true},
+		{"anytime", []pvcagg.Option{pvcagg.WithMode(pvcagg.Anytime), pvcagg.WithEps(0.05)}, false},
+		{"auto-exact-route", nil, true},
+		{"sample", []pvcagg.Option{pvcagg.WithMode(pvcagg.Sample), pvcagg.WithSeed(1), pvcagg.WithSamples(100)}, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			calls := 0
@@ -355,6 +364,17 @@ func TestExecOnBoundsAllModes(t *testing.T) {
 			}
 			if calls < len(outs) {
 				t.Errorf("OnBounds called %d times for %d tuples", calls, len(outs))
+			}
+			if !tc.module {
+				return
+			}
+			calls = 0
+			mres, err := pvcagg.ExecExpr(context.Background(), m, reg, pvcagg.Boolean, opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if calls != 0 || mres.Confidence != (pvcagg.Bounds{}) {
+				t.Errorf("semimodule expression: OnBounds called %d times, Confidence %v; want 0 calls and no confidence", calls, mres.Confidence)
 			}
 		})
 	}
@@ -478,6 +498,70 @@ func TestExecTable(t *testing.T) {
 	for i := range want {
 		if !aouts[i].Confidence.Contains(want[i].Confidence.Lo, 1e-12) {
 			t.Errorf("tuple %d: auto bounds %v miss exact %v", i, aouts[i].Confidence, want[i].Confidence.Lo)
+		}
+	}
+}
+
+// TestExecExprAutoModuleNoProbe: Auto's node-budget probe exists to hand
+// a semiring expression to the anytime engine, which a semimodule
+// expression does not have; one whose d-tree exceeds the probe budget runs
+// exactly under Auto, as it does under Exact.
+func TestExecExprAutoModuleNoProbe(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("one goroutine compiling 421 138 d-tree nodes: nothing to race, 9× slower raced")
+	}
+	inst := gen.MustNew(gen.Params{
+		L: 40, NumVars: 32, NumClauses: 2, NumLiterals: 2,
+		MaxV: 20, AggL: algebra.Sum, Theta: value.LE, C: 100, Seed: 1,
+	})
+	m := inst.Expr.(expr.Cmp).L
+	res, err := pvcagg.ExecExpr(context.Background(), m, inst.Registry, pvcagg.Boolean)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := res.Report.Compile.Nodes; n <= 1<<18 {
+		t.Fatalf("d-tree has %d nodes, within the 2^18 probe budget: the instance no longer tests it", n)
+	}
+	if res.Strategy.Chosen != pvcagg.Exact || math.Abs(res.Dist.Mass()-1) > 1e-9 {
+		t.Errorf("Auto chose %v, distribution mass %v; want Exact and 1", res.Strategy.Chosen, res.Dist.Mass())
+	}
+}
+
+// TestExecSampleSeedContract: ExecExpr under Sample draws from the stream
+// seeded WithSeed itself, so its distribution is MonteCarlo's at that seed
+// bit for bit, and it is the dispatch ExecTable runs for tuple 0.
+func TestExecSampleSeedContract(t *testing.T) {
+	ctx := context.Background()
+	db, plan := execTestDB(t)
+	res, _ := collect(t, db, plan, pvcagg.WithMode(pvcagg.Exact))
+	const seed, n = 11, 3000
+	tab, err := pvcagg.ExecTable(ctx, db, res.Rel, pvcagg.WithMode(pvcagg.Sample), pvcagg.WithSeed(seed), pvcagg.WithSamples(n))
+	if err != nil {
+		t.Fatal(err)
+	}
+	outs, err := tab.Collect()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tup := res.Rel.Tuples[0]
+	col, err := tup.Cells[res.Rel.Schema.ModuleColumns()[0]].ModuleExpr()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, e := range []pvcagg.Expr{tup.Ann, col} {
+		got, err := pvcagg.ExecExpr(ctx, e, db.Registry, db.Kind, pvcagg.WithMode(pvcagg.Sample), pvcagg.WithSeed(seed), pvcagg.WithSamples(n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := pvcagg.MonteCarlo(e, db.Registry, db.Kind, n, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !got.Dist.Equal(want, 0) {
+			t.Errorf("%s: ExecExpr %v != MonteCarlo %v", e.Kind(), got.Dist, want)
+		}
+		if i == 0 && got.Confidence != outs[0].Confidence {
+			t.Errorf("ExecExpr confidence %v != ExecTable tuple 0 %v", got.Confidence, outs[0].Confidence)
 		}
 	}
 }

@@ -80,7 +80,8 @@ func measure(p gen.Params, o Options) Point {
 		var err error
 		if o.Eps > 0 {
 			var arep compile.ApproxReport
-			_, arep, err = pl.TruthProbabilityApproxCtx(ctx, inst.Expr, compile.ApproxOptions{Eps: o.Eps, MaxNodes: o.MaxNodes})
+			_, arep, err = compile.ApproximateCtx(ctx, pl.Semiring, pl.Registry, inst.Expr,
+				compile.ApproxOptions{Eps: o.Eps, MaxNodes: o.MaxNodes, Compile: pl.Options})
 			runNodes = arep.TotalNodes()
 			if err == nil && !arep.Converged {
 				// A budget-exhausted anytime run is the analogue of the

@@ -26,6 +26,12 @@ import (
 	"pvcagg/internal/worlds"
 )
 
+// exactTruth is the exact pipeline's truth probability of e.
+func exactTruth(reg *vars.Registry, e expr.Expr) (float64, error) {
+	d, _, err := core.New(algebra.Boolean, reg).Distribution(e)
+	return d.TruthProbability(), err
+}
+
 // fuzzParams enumerates the random-expression grid of the differential
 // fuzz tests: every aggregation monoid and comparison operator, one- and
 // two-sided comparisons, over a handful of logged seeds. Variable counts
@@ -143,8 +149,7 @@ func TestApproxDifferentialFuzz(t *testing.T) {
 		if err != nil {
 			t.Fatalf("params %+v: %v", p, err)
 		}
-		pl := core.New(algebra.Boolean, inst.Registry)
-		exact, _, err := pl.TruthProbability(inst.Expr)
+		exact, err := exactTruth(inst.Registry, inst.Expr)
 		if err != nil {
 			t.Fatalf("seed %d params %+v: exact: %v", p.Seed, p, err)
 		}
@@ -228,8 +233,7 @@ func TestApproxEpsZeroBitForBit(t *testing.T) {
 	s := algebra.SemiringFor(algebra.Boolean)
 	for _, p := range fuzzParams(2) {
 		inst := gen.MustNew(p)
-		pl := core.New(algebra.Boolean, inst.Registry)
-		exact, _, err := pl.TruthProbability(inst.Expr)
+		exact, err := exactTruth(inst.Registry, inst.Expr)
 		if err != nil {
 			t.Fatalf("seed %d params %+v: exact: %v", p.Seed, p, err)
 		}
@@ -257,8 +261,7 @@ func TestApproxMonotoneTightening(t *testing.T) {
 			MaxV: 30, AggL: algebra.Sum, AggR: algebra.Count, Theta: value.LE, Seed: seed,
 		}
 		inst := gen.MustNew(p)
-		pl := core.New(algebra.Boolean, inst.Registry)
-		exact, _, err := pl.TruthProbability(inst.Expr)
+		exact, err := exactTruth(inst.Registry, inst.Expr)
 		if err != nil {
 			t.Fatalf("seed %d: exact: %v", seed, err)
 		}
@@ -301,8 +304,7 @@ func TestApproxBudgets(t *testing.T) {
 		MaxV: 100, AggL: algebra.Min, AggR: algebra.Count, Theta: value.LE, Seed: 3,
 	}
 	inst := gen.MustNew(p)
-	pl := core.New(algebra.Boolean, inst.Registry)
-	exact, _, err := pl.TruthProbability(inst.Expr)
+	exact, err := exactTruth(inst.Registry, inst.Expr)
 	if err != nil {
 		t.Fatal(err)
 	}

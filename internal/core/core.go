@@ -3,6 +3,12 @@
 // into a decomposition tree (Algorithm 1) and computes its exact
 // probability distribution bottom-up (Theorem 2). It also implements the
 // joint-distribution compilation sketched at the end of Section 5.
+//
+// Step II of a query does not start here: the engine's worker dispatch
+// (behind Exec, ExecTable and ExecExpr) picks the exact, anytime or
+// sampling strategy and uses a Pipeline for its exact compilations. What
+// else Pipeline is for is the compile ablations, which set its Options
+// directly, and the Section 5 joint (Joint, Average).
 package core
 
 import (
@@ -80,25 +86,6 @@ func (p *Pipeline) DistributionCtx(ctx context.Context, e expr.Expr) (prob.Dist,
 	rep.EvalTime = time.Since(t1)
 	rep.Eval = evalStats
 	return d, rep, nil
-}
-
-// TruthProbability computes the probability that the semiring expression e
-// evaluates to a non-zero semiring element — the confidence of a tuple
-// annotated with e.
-func (p *Pipeline) TruthProbability(e expr.Expr) (float64, Report, error) {
-	return p.TruthProbabilityCtx(context.Background(), e)
-}
-
-// TruthProbabilityCtx is TruthProbability under a context.
-func (p *Pipeline) TruthProbabilityCtx(ctx context.Context, e expr.Expr) (float64, Report, error) {
-	if e.Kind() != expr.KindSemiring {
-		return 0, Report{}, fmt.Errorf("core: TruthProbability of a module expression %s", expr.Abbrev(e))
-	}
-	d, rep, err := p.DistributionCtx(ctx, e)
-	if err != nil {
-		return 0, rep, err
-	}
-	return d.TruthProbability(), rep, nil
 }
 
 // JointOutcome is one row of a joint distribution: the values the input

@@ -32,19 +32,19 @@ func TestDistributionEndToEnd(t *testing.T) {
 	}
 }
 
+// The confidence of a tuple annotated with e is its distribution's mass
+// off the semiring's zero.
 func TestTruthProbability(t *testing.T) {
 	reg := vars.NewRegistry()
 	reg.DeclareBool("x", 0.25)
+	reg.DeclareBool("y", 0.5)
 	p := New(algebra.Boolean, reg)
-	got, _, err := p.TruthProbability(expr.V("x"))
+	d, _, err := p.Distribution(expr.MustParse("x*y"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(got-0.25) > 1e-12 {
-		t.Errorf("TruthProbability = %v", got)
-	}
-	if _, _, err := p.TruthProbability(expr.MustParse("min(x @min 3)")); err == nil {
-		t.Errorf("module expression accepted by TruthProbability")
+	if got := d.TruthProbability(); math.Abs(got-0.125) > 1e-12 {
+		t.Errorf("TruthProbability = %v, want 0.125", got)
 	}
 }
 

@@ -6,23 +6,28 @@ import (
 	"fmt"
 	"iter"
 	"math/rand"
+	"runtime"
 	"runtime/debug"
 	"sync"
 	"sync/atomic"
 
+	"pvcagg/internal/algebra"
 	"pvcagg/internal/compile"
 	"pvcagg/internal/core"
 	"pvcagg/internal/expr"
+	"pvcagg/internal/prob"
 	"pvcagg/internal/pvc"
+	"pvcagg/internal/vars"
 	"pvcagg/internal/worlds"
 )
 
-// This file implements the unified probability step behind the facade's
-// Exec API: one worker pool computes TupleOutcomes under any strategy
-// (exact, anytime, sampling), either as an ordered batch (Outcomes) or as
-// a stream that surfaces tuples in completion order (Stream), and the
-// whole computation honours a context — cancellation reaches into the
-// per-tuple compilations, which poll ctx at expansion steps.
+// This file is step II behind the facade's Exec, ExecTable and ExecExpr:
+// one strategy dispatch (exact, anytime, sampling; worker.interpret) and
+// one worker pool (run) that computes TupleOutcomes either as an ordered
+// batch (Outcomes) or as a stream that surfaces tuples in completion order
+// (Stream). The whole computation honours a context — cancellation
+// reaches into the per-tuple compilations, which poll ctx at expansion
+// steps.
 
 // ExecConfig selects and parameterises one execution strategy. The zero
 // value is the exact strategy at GOMAXPROCS parallelism.
@@ -55,9 +60,9 @@ type ExecConfig struct {
 }
 
 // worker computes outcomes for one goroutine of the pool: it owns a
-// pipeline (core.Pipeline is not safe for concurrent use) and the
-// per-tuple strategy dispatch. Tuples share nothing beyond the read-only
-// registry.
+// pipeline (core.Pipeline is not safe for concurrent use) and runs step
+// II's one strategy dispatch, interpret. Tuples share nothing beyond the
+// read-only registry.
 type worker struct {
 	pl  *core.Pipeline
 	cfg *ExecConfig
@@ -67,9 +72,9 @@ type worker struct {
 	rng     *rand.Rand
 }
 
-func newWorker(db *pvc.Database, cfg *ExecConfig) *worker {
+func newWorker(s algebra.Semiring, reg *vars.Registry, cfg *ExecConfig) *worker {
 	w := &worker{
-		pl:  &core.Pipeline{Semiring: db.Semiring(), Registry: db.Registry, Options: cfg.Compile},
+		pl:  &core.Pipeline{Semiring: s, Registry: reg, Options: cfg.Compile},
 		cfg: cfg,
 	}
 	if cfg.Samples > 0 {
@@ -78,42 +83,69 @@ func newWorker(db *pvc.Database, cfg *ExecConfig) *worker {
 	return w
 }
 
+// Interpret computes the probabilistic interpretation of one bare
+// expression under cfg by the dispatch every tuple's annotation goes
+// through, as tuple 0 (so a sampled expression draws from the stream
+// seeded cfg.Seed itself). See interpret for what it returns.
+func Interpret(ctx context.Context, s algebra.Semiring, reg *vars.Registry, e expr.Expr, cfg ExecConfig) (compile.Bounds, prob.Dist, TupleReport, error) {
+	return newWorker(s, reg, &cfg).interpret(ctx, 0, e)
+}
+
+// interpret is step II's strategy dispatch. It returns e's confidence
+// (zero for a semimodule expression, which has no truth value), its
+// distribution and the report of the strategy that ran (all meaningless
+// alongside an error):
+//   - exact: the pipeline's distribution, and a point confidence;
+//   - anytime: guaranteed bounds from compile.ApproximateCtx, which
+//     reports every expansion to Approx.OnBounds itself; no distribution;
+//   - sample: Samples worlds drawn from the stream seeded
+//     Seed + idx·stride, and a 95% Hoeffding interval (statistical,
+//     unlike the anytime engine's guaranteed bounds).
+//
+// Under the exact and sampling strategies OnBounds observes a semiring
+// expression's final interval once, so the callback is never silently
+// dead under any strategy.
+func (w *worker) interpret(ctx context.Context, idx int, e expr.Expr) (b compile.Bounds, d prob.Dist, rep TupleReport, err error) {
+	switch {
+	case w.cfg.Approx != nil:
+		var arep compile.ApproxReport
+		b, arep, err = compile.ApproximateCtx(ctx, w.pl.Semiring, w.pl.Registry, e, *w.cfg.Approx)
+		return b, d, TupleReport{Approx: &arep}, err
+	case w.cfg.Samples > 0:
+		// Seed leaves rng in the state rand.New(rand.NewSource(seed)) starts
+		// in, without allocating a 4.9 KB source per tuple.
+		w.rng.Seed(int64(uint64(w.cfg.Seed) + uint64(idx)*tupleSeedStride))
+		d, err = w.sampler.Sample(ctx, e, w.pl.Registry, w.pl.Semiring, w.cfg.Samples, w.rng)
+		rep.Samples = w.cfg.Samples
+	default:
+		d, rep.Exact, err = w.pl.DistributionCtx(ctx, e)
+	}
+	if err != nil || e.Kind() != expr.KindSemiring {
+		return b, d, rep, err
+	}
+	if w.cfg.Samples > 0 {
+		b.Lo, b.Hi = worlds.Hoeffding95(d.TruthProbability(), w.cfg.Samples)
+	} else {
+		b = compile.Point(d.TruthProbability())
+	}
+	if w.cfg.OnBounds != nil {
+		w.cfg.OnBounds(b)
+	}
+	return b, d, rep, nil
+}
+
 // outcome computes the full probabilistic interpretation of one result
-// tuple under the configured strategy. Errors identify the tuple.
+// tuple: its annotation through interpret, its aggregation columns
+// exactly. Errors identify the tuple.
 func (w *worker) outcome(ctx context.Context, idx int, t pvc.Tuple, moduleCols []int) (TupleOutcome, error) {
 	if t.Ann.Kind() != expr.KindSemiring {
 		return TupleOutcome{}, fmt.Errorf("engine: annotation of tuple %s is not a semiring expression", t.Label())
 	}
-	out := TupleOutcome{Index: idx, Tuple: t}
-	switch {
-	case w.cfg.Approx != nil:
-		b, rep, err := w.pl.TruthProbabilityApproxCtx(ctx, t.Ann, *w.cfg.Approx)
-		if err != nil {
-			return TupleOutcome{}, fmt.Errorf("engine: annotation of tuple %s: %w", t.Label(), err)
-		}
-		out.Confidence = b
-		out.Report.Approx = &rep
-	case w.cfg.Samples > 0:
-		b, err := w.sampleConfidence(ctx, idx, t.Ann)
-		if err != nil {
-			return TupleOutcome{}, fmt.Errorf("engine: annotation of tuple %s: %w", t.Label(), err)
-		}
-		out.Confidence = b
-		out.Report.Samples = w.cfg.Samples
-	default:
-		d, rep, err := w.pl.DistributionCtx(ctx, t.Ann)
-		if err != nil {
-			return TupleOutcome{}, fmt.Errorf("engine: annotation of tuple %s: %w", t.Label(), err)
-		}
-		out.Confidence = compile.Point(d.TruthProbability())
-		out.Report.Exact = rep
+	conf, _, rep, err := w.interpret(ctx, idx, t.Ann)
+	if err != nil {
+		return TupleOutcome{}, fmt.Errorf("engine: annotation of tuple %s: %w", t.Label(), err)
 	}
-	// Anytime observation happens per expansion through Approx.OnBounds;
-	// the other strategies report each tuple's final interval once, so
-	// the callback is never silently dead under any strategy.
-	if w.cfg.OnBounds != nil && w.cfg.Approx == nil {
-		w.cfg.OnBounds(out.Confidence)
-	}
+	out := TupleOutcome{Index: idx, Tuple: t, Confidence: conf, Report: rep}
 	for _, ci := range moduleCols {
 		e, err := t.Cells[ci].ModuleExpr()
 		if err != nil {
@@ -159,54 +191,63 @@ func (w *worker) safeOutcome(ctx context.Context, idx int, t pvc.Tuple, moduleCo
 	return w.outcome(ctx, idx, t, moduleCols)
 }
 
-// sampleConfidence estimates the annotation's truth probability from
-// Samples explicitly-seeded worlds, returning a 95% Hoeffding interval
-// (statistical, unlike the anytime engine's guaranteed bounds).
-func (w *worker) sampleConfidence(ctx context.Context, idx int, ann expr.Expr) (compile.Bounds, error) {
-	// Seed leaves rng in the state rand.New(rand.NewSource(seed)) starts
-	// in, without allocating a 4.9 KB source per tuple.
-	w.rng.Seed(int64(uint64(w.cfg.Seed) + uint64(idx)*tupleSeedStride))
-	d, err := w.sampler.Sample(ctx, ann, w.pl.Registry, w.pl.Semiring, w.cfg.Samples, w.rng)
-	if err != nil {
-		return compile.Bounds{}, err
+// workers is the pool size of the probability step for a batch of n
+// tuples: every result tuple's semimodule expressions compile and evaluate
+// independently (they only share the read-only registry), so the tuples
+// fan out to min(par, n) goroutines, each tuple compiling on one.
+// par <= 0 selects runtime.GOMAXPROCS(0); par == 1 is the sequential path.
+func workers(par, n int) int {
+	if par <= 0 {
+		par = runtime.GOMAXPROCS(0)
 	}
-	lo, hi := worlds.Hoeffding95(d.TruthProbability(), w.cfg.Samples)
-	return compile.Bounds{Lo: lo, Hi: hi}, nil
+	return min(par, n)
 }
 
-// Outcomes computes the outcome of every tuple of rel in tuple order,
-// distributing tuples over a bounded worker pool. Every failing tuple is
-// reported, joined into one error;
-// a cancelled context aborts the in-flight compilations and returns
-// ctx.Err().
-func Outcomes(ctx context.Context, db *pvc.Database, rel *pvc.Relation, cfg ExecConfig) ([]TupleOutcome, error) {
+// run is the worker pool behind Outcomes and Stream: each of its workers
+// claims the next unclaimed tuple of rel, computes its outcome (a panic
+// becomes that tuple's *PanicError) and hands it to emit, until no tuple
+// is left, ctx is done or emit returns false. emit is called concurrently
+// from every worker; run returns once all of them have stopped.
+func run(ctx context.Context, db *pvc.Database, rel *pvc.Relation, cfg ExecConfig, emit func(idx int, out TupleOutcome, err error) bool) {
 	n := len(rel.Tuples)
-	if n == 0 {
-		return []TupleOutcome{}, nil
-	}
 	moduleCols := rel.Schema.ModuleColumns()
-	out := make([]TupleOutcome, n)
-	errs := make([]error, n)
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	for range workers(cfg.Parallelism, n) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			wk := newWorker(db, &cfg)
-			for {
-				if ctx.Err() != nil {
-					return
-				}
+			wk := newWorker(db.Semiring(), db.Registry, &cfg)
+			for ctx.Err() == nil {
 				i := int(next.Add(1)) - 1
 				if i >= n {
 					return
 				}
-				out[i], errs[i] = wk.safeOutcome(ctx, i, rel.Tuples[i], moduleCols)
+				out, err := wk.safeOutcome(ctx, i, rel.Tuples[i], moduleCols)
+				if !emit(i, out, err) {
+					return
+				}
 			}
 		}()
 	}
 	wg.Wait()
+}
+
+// Outcomes computes the outcome of every tuple of rel in tuple order,
+// distributing tuples over a bounded worker pool. Every failing tuple is
+// reported, joined into one error in tuple order; a cancelled context
+// aborts the in-flight compilations and returns ctx.Err().
+func Outcomes(ctx context.Context, db *pvc.Database, rel *pvc.Relation, cfg ExecConfig) ([]TupleOutcome, error) {
+	n := len(rel.Tuples)
+	if n == 0 {
+		return []TupleOutcome{}, nil
+	}
+	out := make([]TupleOutcome, n)
+	errs := make([]error, n)
+	run(ctx, db, rel, cfg, func(i int, o TupleOutcome, err error) bool {
+		out[i], errs[i] = o, err
+		return true
+	})
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -231,45 +272,24 @@ func Outcomes(ctx context.Context, db *pvc.Database, rel *pvc.Relation, cfg Exec
 // ctx.Err()) is yielded.
 func Stream(ctx context.Context, db *pvc.Database, rel *pvc.Relation, cfg ExecConfig) iter.Seq2[TupleOutcome, error] {
 	return func(yield func(TupleOutcome, error) bool) {
-		n := len(rel.Tuples)
-		if n == 0 {
-			return
-		}
 		sctx, cancel := context.WithCancel(ctx)
 		defer cancel()
-		pool := workers(cfg.Parallelism, n)
-		moduleCols := rel.Schema.ModuleColumns()
 		type item struct {
 			out TupleOutcome
 			err error
 		}
-		ch := make(chan item, pool)
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for range pool {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				wk := newWorker(db, &cfg)
-				for {
-					if sctx.Err() != nil {
-						return
-					}
-					i := int(next.Add(1)) - 1
-					if i >= n {
-						return
-					}
-					out, err := wk.safeOutcome(sctx, i, rel.Tuples[i], moduleCols)
-					select {
-					case ch <- item{out, err}:
-					case <-sctx.Done():
-						return
-					}
-				}
-			}()
-		}
+		// One slot per worker: a worker hands over a finished tuple and
+		// claims the next without waiting for the consumer.
+		ch := make(chan item, workers(cfg.Parallelism, len(rel.Tuples)))
 		go func() {
-			wg.Wait()
+			run(sctx, db, rel, cfg, func(_ int, out TupleOutcome, err error) bool {
+				select {
+				case ch <- item{out, err}:
+					return true
+				case <-sctx.Done():
+					return false
+				}
+			})
 			close(ch)
 		}()
 		yielded := 0
@@ -282,7 +302,7 @@ func Stream(ctx context.Context, db *pvc.Database, rel *pvc.Relation, cfg ExecCo
 			}
 			yielded++
 		}
-		if yielded < n {
+		if yielded < len(rel.Tuples) {
 			if err := ctx.Err(); err != nil {
 				yield(TupleOutcome{}, err)
 			}

@@ -1,11 +1,19 @@
 package engine
 
 import (
+	"time"
+
 	"pvcagg/internal/compile"
 	"pvcagg/internal/core"
 	"pvcagg/internal/prob"
 	"pvcagg/internal/pvc"
 )
+
+// RunTiming separates the costs of the two evaluation steps.
+type RunTiming struct {
+	Construct   time.Duration // step I: computing tuples and expressions (⟦·⟧)
+	Probability time.Duration // step II: probability computation (P(·))
+}
 
 // TupleOutcome is the unified probabilistic interpretation of one result
 // tuple, shared by every execution strategy: its confidence as an interval

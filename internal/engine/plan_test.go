@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"pvcagg/internal/algebra"
+	"pvcagg/internal/core"
 	"pvcagg/internal/expr"
 	"pvcagg/internal/pvc"
 	"pvcagg/internal/value"
@@ -380,6 +381,9 @@ func TestGroupAggErrors(t *testing.T) {
 	}
 }
 
+// TestJointResult: the Section 5 joint of a group's annotation and its
+// COUNT column equals possible-worlds enumeration, and never puts mass on
+// a present group counting 0.
 func TestJointResult(t *testing.T) {
 	db := smallDB()
 	rel, err := eval(db, &GroupAgg{
@@ -390,13 +394,28 @@ func TestJointResult(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	joint, err := JointResult(db, rel, 0)
+	tup := rel.Tuples[0]
+	es := []expr.Expr{tup.Ann}
+	for _, ci := range rel.Schema.ModuleColumns() {
+		e, err := tup.Cells[ci].ModuleExpr()
+		if err != nil {
+			t.Fatal(err)
+		}
+		es = append(es, e)
+	}
+	joint, err := core.New(db.Kind, db.Registry).Joint(es)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := worlds.EnumerateJoint(es, db.Registry, db.Semiring())
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Outcomes are (annotation, count): (0,0) with 0.25, (1,1) 0.5, (1,2) 0.25.
+	got := map[string]float64{}
 	total := 0.0
 	for _, o := range joint {
+		got[strings.Join(o.Values, ",")] += o.P
 		total += o.P
 		if o.Values[0] == "1" && o.Values[1] == "0" {
 			t.Errorf("inconsistent outcome: group present with count 0")
@@ -405,8 +424,15 @@ func TestJointResult(t *testing.T) {
 	if math.Abs(total-1) > 1e-12 {
 		t.Errorf("joint mass = %v", total)
 	}
-	if _, err := JointResult(db, rel, 99); err == nil {
-		t.Errorf("row out of range accepted")
+	for k, p := range want {
+		if math.Abs(got[k]-p) > 1e-12 {
+			t.Errorf("P[%s] = %v, possible worlds give %v", k, got[k], p)
+		}
+	}
+	for k := range got {
+		if _, ok := want[k]; !ok {
+			t.Errorf("outcome %s has mass %v, possible worlds give none", k, got[k])
+		}
 	}
 }
 

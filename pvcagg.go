@@ -9,7 +9,7 @@
 // downstream user needs is re-exported here:
 //
 //   - expression parsing and probability computation (ParseExpr,
-//     ExecExpr, NewPipeline);
+//     ExecExpr);
 //   - pvc-databases and relations (NewDatabase, NewRelation, cells);
 //   - query plans (Scan, Select, Project, Join, Union, GroupAgg) and
 //     end-to-end evaluation (Exec);
@@ -76,7 +76,15 @@
 //	}
 //
 // Bare expressions run through ExecExpr and already-evaluated pvc-tables
-// through ExecTable, with the same options.
+// through ExecTable, with the same options. Step II exists once: Exec,
+// ExecTable and ExecExpr all compute a confidence through the engine's one
+// strategy dispatch, and Exec and ExecTable fan tuples over its one worker
+// pool.
+//
+// Pipeline (NewPipeline) is not a way to run queries or expressions. It is
+// the exact compile-and-evaluate pipeline itself, kept for the compile
+// ablations (CompileOptions set on it directly) and for the joint
+// distribution of Section 5 (Pipeline.Joint, Pipeline.Average).
 //
 // # Execution model
 //
@@ -261,7 +269,8 @@ type Registry = vars.Registry
 func NewRegistry() *Registry { return vars.NewRegistry() }
 
 // Pipeline compiles expressions to decomposition trees and computes exact
-// probability distributions (the paper's Section 5).
+// probability distributions (the paper's Section 5); see the package
+// documentation for what it is still for.
 type Pipeline = core.Pipeline
 
 // Report describes compilation and evaluation cost of one computation.

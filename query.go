@@ -67,8 +67,8 @@ func ParseQueryExplain(db *Database, query string) (Plan, ExplainMode, error) {
 
 // ExecQuery is Exec over PVQL text: it parses, binds and optimizes the
 // query, then executes the plan under the configured strategy — all Exec
-// options (modes, ε, parallelism, budgets, seeds, the shared cache)
-// apply unchanged. Auto mode classifies the optimized plan.
+// options (modes, ε, parallelism, budgets, seeds, store, retries,
+// tracing) apply unchanged. Auto mode classifies the optimized plan.
 //
 //	res, err := pvcagg.ExecQuery(ctx, db, "SELECT a, COUNT(*) AS n FROM R GROUP BY a")
 //	outs, err := res.Collect()
