@@ -24,11 +24,12 @@ import (
 	"pvcagg/internal/algebra"
 	"pvcagg/internal/benchx"
 	"pvcagg/internal/compile"
-	"pvcagg/internal/core"
 	"pvcagg/internal/engine"
+	"pvcagg/internal/expr"
 	"pvcagg/internal/gen"
 	"pvcagg/internal/tpch"
 	"pvcagg/internal/value"
+	"pvcagg/internal/vars"
 )
 
 // benchBase mirrors Section 7.1's base parameters, scaled down
@@ -38,11 +39,18 @@ func benchBase() gen.Params { return benchx.QuickBase() }
 func distOnce(b *testing.B, p gen.Params) {
 	b.Helper()
 	inst := gen.MustNew(p)
-	pl := core.New(algebra.Boolean, inst.Registry)
-	pl.Options = compile.Options{MaxNodes: 5_000_000}
+	exactLoop(b, inst.Expr, inst.Registry, compile.Options{MaxNodes: 5_000_000})
+}
+
+// exactLoop computes e's exact distribution b.N times on the engine's
+// exact path, compiled under o.
+func exactLoop(b *testing.B, e expr.Expr, reg *vars.Registry, o compile.Options) {
+	b.Helper()
+	cfg := engine.ExecConfig{Compile: o}
+	s := algebra.SemiringFor(algebra.Boolean)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := pl.Distribution(inst.Expr); err != nil {
+		if _, _, _, err := engine.Interpret(context.Background(), s, reg, e, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -284,19 +292,14 @@ func BenchmarkApproxVsExact(b *testing.B) {
 	p.VarProb = 0.95
 	p.Seed = 1
 	inst := gen.MustNew(p)
-	pl := core.New(algebra.Boolean, inst.Registry)
-	pl.Options = compile.Options{MaxNodes: 20_000_000}
+	opts := compile.Options{MaxNodes: 20_000_000}
 	b.Run("exact", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, _, err := pl.Distribution(inst.Expr); err != nil {
-				b.Fatal(err)
-			}
-		}
+		exactLoop(b, inst.Expr, inst.Registry, opts)
 	})
 	for _, eps := range []float64{0.05, 0.01} {
 		b.Run(fmt.Sprintf("approx/eps=%g", eps), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				_, rep, err := compile.Approximate(pl.Semiring, pl.Registry, inst.Expr, compile.ApproxOptions{Eps: eps, Compile: pl.Options})
+				_, rep, err := compile.Approximate(algebra.SemiringFor(algebra.Boolean), inst.Registry, inst.Expr, compile.ApproxOptions{Eps: eps, Compile: opts})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -337,14 +340,7 @@ func BenchmarkAblationNoPruning(b *testing.B) {
 		}
 		b.Run(name, func(b *testing.B) {
 			inst := gen.MustNew(params)
-			pl := core.New(algebra.Boolean, inst.Registry)
-			pl.Options = compile.Options{DisablePruning: off, MaxNodes: 5_000_000}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, _, err := pl.Distribution(inst.Expr); err != nil {
-					b.Fatal(err)
-				}
-			}
+			exactLoop(b, inst.Expr, inst.Registry, compile.Options{DisablePruning: off, MaxNodes: 5_000_000})
 		})
 	}
 }
@@ -361,14 +357,7 @@ func BenchmarkAblationNoMemo(b *testing.B) {
 		}
 		b.Run(name, func(b *testing.B) {
 			inst := gen.MustNew(p)
-			pl := core.New(algebra.Boolean, inst.Registry)
-			pl.Options = compile.Options{DisableMemo: off, MaxNodes: 20_000_000}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, _, err := pl.Distribution(inst.Expr); err != nil {
-					b.Fatal(err)
-				}
-			}
+			exactLoop(b, inst.Expr, inst.Registry, compile.Options{DisableMemo: off, MaxNodes: 20_000_000})
 		})
 	}
 }
@@ -389,14 +378,7 @@ func BenchmarkAblationVarOrder(b *testing.B) {
 	for _, o := range orders {
 		b.Run(o.name, func(b *testing.B) {
 			inst := gen.MustNew(p)
-			pl := core.New(algebra.Boolean, inst.Registry)
-			pl.Options = compile.Options{Order: o.ord, MaxNodes: 20_000_000}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, _, err := pl.Distribution(inst.Expr); err != nil {
-					b.Fatal(err)
-				}
-			}
+			exactLoop(b, inst.Expr, inst.Registry, compile.Options{Order: o.ord, MaxNodes: 20_000_000})
 		})
 	}
 }
@@ -432,14 +414,7 @@ func BenchmarkAblationNoFactoring(b *testing.B) {
 			name = "factoring=off"
 		}
 		b.Run(name, func(b *testing.B) {
-			pl := pvcagg.NewPipeline(pvcagg.Boolean, reg)
-			pl.Options = compile.Options{DisableFactoring: off, MaxNodes: 20_000_000}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, _, err := pl.Distribution(e); err != nil {
-					b.Fatal(err)
-				}
-			}
+			exactLoop(b, e, reg, compile.Options{DisableFactoring: off, MaxNodes: 20_000_000})
 		})
 	}
 }

@@ -93,9 +93,8 @@ func main() {
 	fmt.Printf("\nP[quorum ∧ sum ≤ 120] = %.4f\n", d.P(pvcagg.BoolV(true)))
 
 	// Exact joint distribution of (quorum condition, report count) —
-	// correlated expressions, handled by mutex decomposition (the one
-	// computation with no Exec counterpart: it stays on the Pipeline).
-	joint, err := pvcagg.NewPipeline(pvcagg.Boolean, reg).Joint([]pvcagg.Expr{quorum, reports})
+	// correlated expressions, handled by mutex decomposition.
+	joint, err := pvcagg.Joint(ctx, []pvcagg.Expr{quorum, reports}, reg, pvcagg.Boolean)
 	if err != nil {
 		log.Fatal(err)
 	}

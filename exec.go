@@ -245,7 +245,7 @@ func resolveOptions(opts []Option) (*execConfig, error) {
 		switch {
 		case c.approx.Eps != 0:
 			return nil, errors.New("pvcagg: WithApprox sets budgets only; set the target width with WithEps")
-		case c.approx.Compile != (CompileOptions{}):
+		case c.approx.Compile != (compile.Options{}):
 			return nil, errors.New("pvcagg: WithApprox sets budgets only; set the compile budget with WithCompileBudget")
 		case c.approx.OnBounds != nil:
 			return nil, errors.New("pvcagg: WithApprox sets budgets only; observe bounds with WithOnBounds")
@@ -330,7 +330,7 @@ func (s Strategy) String() string {
 // sampling strategy still compiles aggregation columns exactly).
 func (c *execConfig) build(chosen Mode, verdict *Verdict) (Strategy, engine.ExecConfig) {
 	strat := Strategy{Requested: c.mode, Chosen: chosen, Verdict: verdict, Parallelism: c.par}
-	ecfg := engine.ExecConfig{Compile: CompileOptions{MaxNodes: c.budget}, Parallelism: c.par, OnBounds: c.onBounds}
+	ecfg := engine.ExecConfig{Compile: compile.Options{MaxNodes: c.budget}, Parallelism: c.par, OnBounds: c.onBounds}
 	switch chosen {
 	case Anytime:
 		a := c.approx

@@ -293,7 +293,7 @@ func TestExecOptionValidation(t *testing.T) {
 		{"eps-range", []pvcagg.Option{pvcagg.WithEps(1.5)}, "out of range"},
 		{"eps-negative", []pvcagg.Option{pvcagg.WithEps(-0.1)}, "out of range"},
 		{"approx-eps", []pvcagg.Option{pvcagg.WithMode(pvcagg.Anytime), pvcagg.WithApprox(pvcagg.ApproxOptions{Eps: 0.2})}, "WithEps"},
-		{"approx-compile", []pvcagg.Option{pvcagg.WithApprox(pvcagg.ApproxOptions{Compile: pvcagg.CompileOptions{MaxNodes: 20}})}, "WithCompileBudget"},
+		{"approx-compile", []pvcagg.Option{pvcagg.WithApprox(pvcagg.ApproxOptions{Compile: compile.Options{MaxNodes: 20}})}, "WithCompileBudget"},
 		{"approx-onbounds", []pvcagg.Option{pvcagg.WithMode(pvcagg.Anytime), pvcagg.WithApprox(pvcagg.ApproxOptions{OnBounds: func(pvcagg.Bounds) {}})}, "WithOnBounds"},
 		// ε = 0 ("exact, please") plus a budget that can abandon
 		// convergence is a hard error.

@@ -20,7 +20,6 @@ import (
 
 	"pvcagg/internal/algebra"
 	"pvcagg/internal/compile"
-	"pvcagg/internal/core"
 	"pvcagg/internal/engine"
 	"pvcagg/internal/gen"
 	"pvcagg/internal/pvc"
@@ -69,31 +68,22 @@ func measure(p gen.Params, o Options) Point {
 	for r := 0; r < o.Runs; r++ {
 		p.Seed = int64(r + 1)
 		inst := gen.MustNew(p)
-		pl := core.Pipeline{
-			Semiring: algebra.SemiringFor(algebra.Boolean),
-			Registry: inst.Registry,
-			Options:  compile.Options{MaxNodes: o.MaxNodes},
-		}
-		ctx := context.Background()
-		t0 := time.Now()
-		runNodes := 0
-		var err error
+		cfg := engine.ExecConfig{Compile: compile.Options{MaxNodes: o.MaxNodes}}
 		if o.Eps > 0 {
-			var arep compile.ApproxReport
-			_, arep, err = compile.ApproximateCtx(ctx, pl.Semiring, pl.Registry, inst.Expr,
-				compile.ApproxOptions{Eps: o.Eps, MaxNodes: o.MaxNodes, Compile: pl.Options})
-			runNodes = arep.TotalNodes()
-			if err == nil && !arep.Converged {
+			cfg.Approx = &compile.ApproxOptions{Eps: o.Eps, MaxNodes: o.MaxNodes, Compile: cfg.Compile}
+		}
+		t0 := time.Now()
+		_, _, rep, err := engine.Interpret(context.Background(), algebra.SemiringFor(algebra.Boolean), inst.Registry, inst.Expr, cfg)
+		runNodes := rep.Exact.Tree.Nodes
+		if rep.Approx != nil {
+			runNodes = rep.Approx.TotalNodes()
+			if err == nil && !rep.Approx.Converged {
 				// A budget-exhausted anytime run is the analogue of the
 				// exact path's MaxNodes abort: count it as failed rather
 				// than averaging its truncated time into the series.
 				failed++
 				continue
 			}
-		} else {
-			var rep core.Report
-			_, rep, err = pl.DistributionCtx(ctx, inst.Expr)
-			runNodes = rep.Tree.Nodes
 		}
 		if err != nil {
 			failed++

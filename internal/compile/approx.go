@@ -70,8 +70,8 @@ func (b Bounds) String() string {
 // exact answer (Eps = 0) with default budgets.
 type ApproxOptions struct {
 	// Eps is the target bound width: expansion stops once Hi − Lo ≤ Eps.
-	// Eps = 0 computes the exact probability through the exact pipeline,
-	// bit-for-bit identical to Pipeline.TruthProbability.
+	// Eps = 0 computes the exact probability by full compilation,
+	// bit-for-bit identical to the exact strategy's confidence.
 	Eps float64
 	// MaxLeafNodes is the number of new d-tree nodes one attempt to close
 	// a popped frontier leaf exactly may build (0 ⇒ 512): one slice of

@@ -10,14 +10,15 @@
 package compile_test
 
 import (
+	"context"
 	"fmt"
 	"testing"
 	"time"
 
 	"pvcagg/internal/algebra"
 	"pvcagg/internal/compile"
-	"pvcagg/internal/core"
 	"pvcagg/internal/dtree"
+	"pvcagg/internal/engine"
 	"pvcagg/internal/expr"
 	"pvcagg/internal/gen"
 	"pvcagg/internal/testutil"
@@ -26,10 +27,10 @@ import (
 	"pvcagg/internal/worlds"
 )
 
-// exactTruth is the exact pipeline's truth probability of e.
+// exactTruth is the exact strategy's truth probability of e.
 func exactTruth(reg *vars.Registry, e expr.Expr) (float64, error) {
-	d, _, err := core.New(algebra.Boolean, reg).Distribution(e)
-	return d.TruthProbability(), err
+	b, _, _, err := engine.Interpret(context.Background(), algebra.SemiringFor(algebra.Boolean), reg, e, engine.ExecConfig{})
+	return b.Lo, err
 }
 
 // fuzzParams enumerates the random-expression grid of the differential

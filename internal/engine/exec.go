@@ -10,10 +10,11 @@ import (
 	"runtime/debug"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"pvcagg/internal/algebra"
 	"pvcagg/internal/compile"
-	"pvcagg/internal/core"
+	"pvcagg/internal/dtree"
 	"pvcagg/internal/expr"
 	"pvcagg/internal/prob"
 	"pvcagg/internal/pvc"
@@ -59,13 +60,17 @@ type ExecConfig struct {
 	OnBounds func(compile.Bounds)
 }
 
-// worker computes outcomes for one goroutine of the pool: it owns a
-// pipeline (core.Pipeline is not safe for concurrent use) and runs step
+// worker computes outcomes for one goroutine of the pool and runs step
 // II's one strategy dispatch, interpret. Tuples share nothing beyond the
 // read-only registry.
 type worker struct {
-	pl  *core.Pipeline
+	s   algebra.Semiring
+	reg *vars.Registry
 	cfg *ExecConfig
+	// c compiles every exact expression of the worker — annotations and
+	// columns, tuple after tuple — with its memo reset after each, so no
+	// two compilations share a node. Made on first use.
+	c *compile.Compiler
 	// The sampling strategy's scratch and generator, reused from tuple to
 	// tuple (rng is re-seeded for every tuple); nil under the others.
 	sampler *worlds.Sampler
@@ -73,14 +78,49 @@ type worker struct {
 }
 
 func newWorker(s algebra.Semiring, reg *vars.Registry, cfg *ExecConfig) *worker {
-	w := &worker{
-		pl:  &core.Pipeline{Semiring: s, Registry: reg, Options: cfg.Compile},
-		cfg: cfg,
-	}
+	w := &worker{s: s, reg: reg, cfg: cfg}
 	if cfg.Samples > 0 {
 		w.sampler, w.rng = new(worlds.Sampler), rand.New(rand.NewSource(0))
 	}
 	return w
+}
+
+// ExactReport describes one exact computation, or the sum of several:
+// compilation statistics, the d-tree shape, evaluation statistics and
+// wall-clock timings. These are the quantities the paper's experiments
+// report (run time, d-tree size, distribution sizes).
+type ExactReport struct {
+	Compile     compile.Stats
+	Tree        dtree.Stats
+	Eval        dtree.EvalStats
+	CompileTime time.Duration
+	EvalTime    time.Duration
+}
+
+// exact is the exact path: it compiles e (Algorithm 1), measures the
+// d-tree and evaluates it bottom-up (Theorem 2).
+func (w *worker) exact(ctx context.Context, e expr.Expr) (prob.Dist, ExactReport, error) {
+	var rep ExactReport
+	if w.c == nil {
+		w.c = compile.New(w.s, w.reg, w.cfg.Compile)
+	}
+	t0 := time.Now()
+	res, err := w.c.CompileCtx(ctx, e)
+	w.c.Reset()
+	if err != nil {
+		return prob.Dist{}, rep, fmt.Errorf("engine: compile %s: %w", expr.Abbrev(e), err)
+	}
+	rep.CompileTime = time.Since(t0)
+	rep.Compile = res.Stats
+	rep.Tree = dtree.Measure(res.Root)
+	t1 := time.Now()
+	d, evalStats, err := dtree.Evaluate(res.Root, dtree.Env{Semiring: w.s, Registry: w.reg})
+	if err != nil {
+		return prob.Dist{}, rep, fmt.Errorf("engine: evaluate %s: %w", expr.Abbrev(e), err)
+	}
+	rep.EvalTime = time.Since(t1)
+	rep.Eval = evalStats
+	return d, rep, nil
 }
 
 // Interpret computes the probabilistic interpretation of one bare
@@ -95,7 +135,7 @@ func Interpret(ctx context.Context, s algebra.Semiring, reg *vars.Registry, e ex
 // (zero for a semimodule expression, which has no truth value), its
 // distribution and the report of the strategy that ran (all meaningless
 // alongside an error):
-//   - exact: the pipeline's distribution, and a point confidence;
+//   - exact: the exact path's distribution, and a point confidence;
 //   - anytime: guaranteed bounds from compile.ApproximateCtx, which
 //     reports every expansion to Approx.OnBounds itself; no distribution;
 //   - sample: Samples worlds drawn from the stream seeded
@@ -109,16 +149,16 @@ func (w *worker) interpret(ctx context.Context, idx int, e expr.Expr) (b compile
 	switch {
 	case w.cfg.Approx != nil:
 		var arep compile.ApproxReport
-		b, arep, err = compile.ApproximateCtx(ctx, w.pl.Semiring, w.pl.Registry, e, *w.cfg.Approx)
+		b, arep, err = compile.ApproximateCtx(ctx, w.s, w.reg, e, *w.cfg.Approx)
 		return b, d, TupleReport{Approx: &arep}, err
 	case w.cfg.Samples > 0:
 		// Seed leaves rng in the state rand.New(rand.NewSource(seed)) starts
 		// in, without allocating a 4.9 KB source per tuple.
 		w.rng.Seed(int64(uint64(w.cfg.Seed) + uint64(idx)*tupleSeedStride))
-		d, err = w.sampler.Sample(ctx, e, w.pl.Registry, w.pl.Semiring, w.cfg.Samples, w.rng)
+		d, err = w.sampler.Sample(ctx, e, w.reg, w.s, w.cfg.Samples, w.rng)
 		rep.Samples = w.cfg.Samples
 	default:
-		d, rep.Exact, err = w.pl.DistributionCtx(ctx, e)
+		d, rep.Exact, err = w.exact(ctx, e)
 	}
 	if err != nil || e.Kind() != expr.KindSemiring {
 		return b, d, rep, err
@@ -151,12 +191,12 @@ func (w *worker) outcome(ctx context.Context, idx int, t pvc.Tuple, moduleCols [
 		if err != nil {
 			return TupleOutcome{}, err
 		}
-		d, rep, err := w.pl.DistributionCtx(ctx, e)
+		d, rep, err := w.exact(ctx, e)
 		if err != nil {
 			return TupleOutcome{}, fmt.Errorf("engine: aggregation column %d of tuple %s: %w", ci, t.Label(), err)
 		}
 		out.AggDists = append(out.AggDists, d)
-		out.Report.addAggregate(rep)
+		out.Report.Exact.add(rep)
 	}
 	return out, nil
 }

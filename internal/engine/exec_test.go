@@ -3,6 +3,8 @@ package engine_test
 import (
 	"context"
 	"errors"
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -10,9 +12,13 @@ import (
 	"pvcagg/internal/compile"
 	"pvcagg/internal/engine"
 	"pvcagg/internal/expr"
+	"pvcagg/internal/prob"
 	"pvcagg/internal/pvc"
 	"pvcagg/internal/testutil"
 	"pvcagg/internal/tpch"
+	"pvcagg/internal/value"
+	"pvcagg/internal/vars"
+	"pvcagg/internal/worlds"
 )
 
 // streamDB builds a pvc-table with some healthy tuples and two tuples
@@ -215,5 +221,70 @@ func TestOutcomesSamplingDeterminism(t *testing.T) {
 	}
 	if !changed {
 		t.Error("changing the seed changed no estimate")
+	}
+}
+
+// exactDist computes e's distribution and report on the exact strategy.
+func exactDist(t *testing.T, reg *vars.Registry, e expr.Expr) (prob.Dist, engine.ExactReport) {
+	t.Helper()
+	_, d, rep, err := engine.Interpret(context.Background(), algebra.SemiringFor(algebra.Boolean), reg, e, engine.ExecConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d, rep.Exact
+}
+
+func TestDistributionEndToEnd(t *testing.T) {
+	reg := vars.NewRegistry()
+	reg.DeclareBool("x", 0.5)
+	reg.DeclareBool("y", 0.4)
+	d, rep := exactDist(t, reg, expr.MustParse("x+y"))
+	want := 1 - 0.5*0.6
+	if got := d.P(value.Bool(true)); math.Abs(got-want) > 1e-12 {
+		t.Errorf("P[x∨y] = %v, want %v", got, want)
+	}
+	if rep.Tree.Nodes == 0 || rep.Eval.NodeEvals == 0 {
+		t.Errorf("report not filled: %+v", rep)
+	}
+}
+
+// The confidence of a tuple annotated with e is its distribution's mass
+// off the semiring's zero.
+func TestTruthProbability(t *testing.T) {
+	reg := vars.NewRegistry()
+	reg.DeclareBool("x", 0.25)
+	reg.DeclareBool("y", 0.5)
+	d, _ := exactDist(t, reg, expr.MustParse("x*y"))
+	if got := d.TruthProbability(); math.Abs(got-0.125) > 1e-12 {
+		t.Errorf("TruthProbability = %v, want 0.125", got)
+	}
+}
+
+// The exact path handles annotations mixing several monoids in one
+// conditional product (as produced by $ with several aggregates).
+func TestMixedMonoidAnnotation(t *testing.T) {
+	reg := vars.NewRegistry()
+	for i := 0; i < 4; i++ {
+		reg.DeclareBool(fmt.Sprintf("x%d", i), 0.5)
+	}
+	e := expr.MustParse("[min(x0 @min 5, x1 @min 9) <= 6] * [sum(x2 @sum 2, x3 @sum 2) >= 2]")
+	d, _ := exactDist(t, reg, e)
+	want, err := worlds.Enumerate(e, reg, algebra.SemiringFor(algebra.Boolean))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !d.Equal(want, 1e-9) {
+		t.Errorf("mixed-monoid distribution:\n got %v\nwant %v", d, want)
+	}
+}
+
+func TestDistributionErrorPropagation(t *testing.T) {
+	reg := vars.NewRegistry()
+	s := algebra.SemiringFor(algebra.Boolean)
+	if _, _, _, err := engine.Interpret(context.Background(), s, reg, expr.V("ghost"), engine.ExecConfig{}); err == nil {
+		t.Errorf("undeclared variable accepted")
+	}
+	if _, err := engine.Joint(context.Background(), s, reg, []expr.Expr{expr.V("ghost")}, engine.ExecConfig{}); err == nil {
+		t.Errorf("Joint accepted undeclared variable")
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"pvcagg/internal/compile"
-	"pvcagg/internal/core"
 	"pvcagg/internal/prob"
 	"pvcagg/internal/pvc"
 )
@@ -43,7 +42,7 @@ type TupleReport struct {
 	// Exact aggregates every exact compilation done for this tuple: the
 	// annotation under the exact strategy, plus all aggregation columns
 	// under every strategy.
-	Exact core.Report
+	Exact ExactReport
 	// Approx is the anytime report of the annotation (anytime strategy
 	// only).
 	Approx *compile.ApproxReport
@@ -51,17 +50,28 @@ type TupleReport struct {
 	Samples int
 }
 
-// addAggregate folds one aggregation column's exact report into the
-// per-tuple totals (node counts and times add, the largest intermediate
-// distribution wins).
-func (r *TupleReport) addAggregate(rep core.Report) {
-	r.Exact.Compile.Nodes += rep.Compile.Nodes
-	r.Exact.Eval.NodeEvals += rep.Eval.NodeEvals
-	if rep.Eval.MaxDistSize > r.Exact.Eval.MaxDistSize {
-		r.Exact.Eval.MaxDistSize = rep.Eval.MaxDistSize
-	}
-	r.Exact.CompileTime += rep.CompileTime
-	r.Exact.EvalTime += rep.EvalTime
+// add folds one more exact computation into r: counters and times add,
+// the deepest d-tree and the largest intermediate distribution win.
+func (r *ExactReport) add(o ExactReport) {
+	c := &r.Compile
+	c.SumSplits += o.Compile.SumSplits
+	c.ProductSplits += o.Compile.ProductSplits
+	c.TensorSplits += o.Compile.TensorSplits
+	c.CmpSplits += o.Compile.CmpSplits
+	c.Factorings += o.Compile.Factorings
+	c.Shannon += o.Compile.Shannon
+	c.PrunedTerms += o.Compile.PrunedTerms
+	c.PrunedGuards += o.Compile.PrunedGuards
+	c.CacheHits += o.Compile.CacheHits
+	c.Nodes += o.Compile.Nodes
+	r.Tree.Nodes += o.Tree.Nodes
+	r.Tree.Leaves += o.Tree.Leaves
+	r.Tree.Depth = max(r.Tree.Depth, o.Tree.Depth)
+	r.Tree.Exclusive += o.Tree.Exclusive
+	r.Eval.NodeEvals += o.Eval.NodeEvals
+	r.Eval.MaxDistSize = max(r.Eval.MaxDistSize, o.Eval.MaxDistSize)
+	r.CompileTime += o.CompileTime
+	r.EvalTime += o.EvalTime
 }
 
 // tupleSeedStride decorrelates per-tuple sampling streams: tuple i draws

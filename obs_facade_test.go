@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"pvcagg"
+	"pvcagg/internal/expr"
 	"pvcagg/internal/tpch"
 )
 
@@ -94,6 +95,46 @@ func TestTraceOffIsAbsent(t *testing.T) {
 	}
 	if res.Report.Explain != nil {
 		t.Error("Report.Explain non-nil without WithExplainAnalyze")
+	}
+}
+
+// TestTupleReportFoldsColumns: a tuple's exact report, and with it the
+// probability span, counts every compile counter of its aggregation
+// columns, not only their d-tree nodes.
+func TestTupleReportFoldsColumns(t *testing.T) {
+	inst, err := pvcagg.Generate(pvcagg.GenParams{L: 12, NumVars: 8, NumClauses: 2, NumLiterals: 2,
+		MaxV: 5, AggL: pvcagg.SUM, Theta: pvcagg.LE, C: 10, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	col := inst.Expr.(expr.Cmp).L
+	alone, err := pvcagg.ExecExpr(context.Background(), col, inst.Registry, pvcagg.Boolean, pvcagg.WithMode(pvcagg.Exact))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c := alone.Report.Compile; c.CacheHits == 0 || c.Shannon == 0 {
+		t.Fatalf("column compiles with %+v; the test needs memo hits and Shannon expansions", c)
+	}
+	db := pvcagg.NewDatabase(pvcagg.Boolean)
+	db.Registry = inst.Registry
+	rel := pvcagg.NewRelation("R", pvcagg.Schema{{Name: "s", Type: pvcagg.TModule}})
+	rel.MustInsert(pvcagg.MustParseExpr("1"), pvcagg.ExprCell(col))
+	tr := pvcagg.NewTrace()
+	res, err := pvcagg.ExecTable(context.Background(), db, rel, pvcagg.WithMode(pvcagg.Exact), pvcagg.WithTrace(tr))
+	if err != nil {
+		t.Fatal(err)
+	}
+	outs, err := res.Collect()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, want := outs[0].Report.Exact.Compile, alone.Report.Compile
+	want.Nodes++ // the annotation's one constant leaf
+	if got != want {
+		t.Errorf("tuple report %+v, want the column's %+v plus one node", got, want)
+	}
+	if trace := normalizeSpans(tr.Spans()); !strings.Contains(trace, fmt.Sprintf("memo_hits=%d ", want.CacheHits)) {
+		t.Errorf("probability span lacks memo_hits=%d:\n%s", want.CacheHits, trace)
 	}
 }
 

@@ -9,7 +9,7 @@
 // downstream user needs is re-exported here:
 //
 //   - expression parsing and probability computation (ParseExpr,
-//     ExecExpr);
+//     ExecExpr), and joint distributions (Joint, Average);
 //   - pvc-databases and relations (NewDatabase, NewRelation, cells);
 //   - query plans (Scan, Select, Project, Join, Union, GroupAgg) and
 //     end-to-end evaluation (Exec);
@@ -81,11 +81,6 @@
 // strategy dispatch, and Exec and ExecTable fan tuples over its one worker
 // pool.
 //
-// Pipeline (NewPipeline) is not a way to run queries or expressions. It is
-// the exact compile-and-evaluate pipeline itself, kept for the compile
-// ablations (CompileOptions set on it directly) and for the joint
-// distribution of Section 5 (Pipeline.Joint, Pipeline.Average).
-//
 // # Execution model
 //
 // Step I — evaluating the plan into the annotated answer relation — is
@@ -136,8 +131,6 @@
 // canonical strings, and the distribution kernels exploit the
 // value-sorted representation (dense-window convolution, k-way-merge
 // mixtures, prefix-mass comparisons in O(|a|+|b|)).
-// CompileOptions.DisableMemo ablates sub-expression memoisation (and
-// with it the structural-hash machinery) inside one compile.
 //
 // Memoisation and interning are exact (bit-for-bit); of the kernels,
 // Convolve/Map/Mixture accumulate in the reference kernels' exact order
@@ -160,11 +153,11 @@
 package pvcagg
 
 import (
+	"context"
 	"math/rand"
 
 	"pvcagg/internal/algebra"
 	"pvcagg/internal/compile"
-	"pvcagg/internal/core"
 	"pvcagg/internal/engine"
 	"pvcagg/internal/expr"
 	"pvcagg/internal/gen"
@@ -268,19 +261,9 @@ type Registry = vars.Registry
 // NewRegistry returns an empty variable registry.
 func NewRegistry() *Registry { return vars.NewRegistry() }
 
-// Pipeline compiles expressions to decomposition trees and computes exact
-// probability distributions (the paper's Section 5); see the package
-// documentation for what it is still for.
-type Pipeline = core.Pipeline
-
-// Report describes compilation and evaluation cost of one computation.
-type Report = core.Report
-
-// CompileOptions configure d-tree compilation (ablations and budgets).
-type CompileOptions = compile.Options
-
-// NewPipeline returns a Pipeline over the given semiring and registry.
-func NewPipeline(kind SemiringKind, reg *Registry) *Pipeline { return core.New(kind, reg) }
+// Report describes compilation and evaluation cost of one exact
+// computation.
+type Report = engine.ExactReport
 
 // pvc-tables.
 type (
@@ -382,14 +365,30 @@ const (
 // Classify analyses a plan per Definitions 8/9.
 func Classify(p Plan, db *Database) Verdict { return tractable.Classify(p, db) }
 
-// AVG composition (paper Section 2.2: AVG is composed from SUM and COUNT
-// via the joint distribution).
+// Joint distributions (Section 5) and the AVG composed from them
+// (Section 2.2: AVG is composed from SUM and COUNT).
 type (
+	// JointOutcome is one value tuple of a joint distribution.
+	JointOutcome = engine.JointOutcome
 	// AvgDist is the exact distribution of an average.
-	AvgDist = core.AvgDist
+	AvgDist = engine.AvgDist
 	// Ratio is an exact rational average outcome.
-	Ratio = core.Ratio
+	Ratio = engine.Ratio
 )
+
+// Joint computes the exact joint distribution of several expressions over
+// reg, by mutex decomposition on their shared variables, on the exact
+// path of Exec. Outcomes are sorted by value tuple.
+func Joint(ctx context.Context, es []Expr, reg *Registry, kind SemiringKind) ([]JointOutcome, error) {
+	return engine.Joint(ctx, algebra.SemiringFor(kind), reg, es, engine.ExecConfig{})
+}
+
+// Average computes the exact distribution of sum/count for the SUM and
+// COUNT semimodule expressions of one group, from their joint
+// distribution.
+func Average(ctx context.Context, sum, count Expr, reg *Registry, kind SemiringKind) (AvgDist, error) {
+	return engine.Average(ctx, algebra.SemiringFor(kind), reg, sum, count, engine.ExecConfig{})
+}
 
 // Baselines.
 

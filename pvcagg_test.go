@@ -2,29 +2,22 @@ package pvcagg_test
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"testing"
 
 	"pvcagg"
 )
 
-// The quick-start from the package documentation.
-func TestQuickStart(t *testing.T) {
+// The quick start of the package documentation.
+func ExampleExecExpr() {
 	reg := pvcagg.NewRegistry()
 	reg.DeclareBool("x", 0.5)
 	reg.DeclareBool("y", 0.5)
-	p := pvcagg.NewPipeline(pvcagg.Boolean, reg)
 	e := pvcagg.MustParseExpr("[min(x @min 10, y @min 20) <= 15]")
-	d, rep, err := p.Distribution(e)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := d.P(pvcagg.BoolV(true)); math.Abs(got-0.5) > 1e-12 {
-		t.Errorf("P[⊤] = %v, want 0.5 (y is pruned)", got)
-	}
-	if rep.Tree.Nodes == 0 {
-		t.Errorf("report empty")
-	}
+	res, _ := pvcagg.ExecExpr(context.Background(), e, reg, pvcagg.Boolean)
+	fmt.Println(res.Dist)
+	// Output: {(0, 0.5), (1, 0.5)}
 }
 
 func TestFacadeDatabaseRoundTrip(t *testing.T) {
@@ -71,13 +64,12 @@ func TestFacadeBaselinesAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := pvcagg.NewPipeline(pvcagg.Boolean, reg)
-	compiled, _, err := p.Distribution(e)
+	compiled, err := pvcagg.ExecExpr(context.Background(), e, reg, pvcagg.Boolean, pvcagg.WithMode(pvcagg.Exact))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !compiled.Equal(exact, 1e-12) {
-		t.Errorf("pipeline %v vs enumeration %v", compiled, exact)
+	if !compiled.Dist.Equal(exact, 1e-12) {
+		t.Errorf("exact %v vs enumeration %v", compiled.Dist, exact)
 	}
 	mc, err := pvcagg.MonteCarlo(e, reg, pvcagg.Boolean, 20000, 1)
 	if err != nil {
@@ -185,8 +177,7 @@ func TestFacadeGenerator(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := pvcagg.NewPipeline(pvcagg.Boolean, inst.Registry)
-	if _, _, err := p.Distribution(inst.Expr); err != nil {
+	if _, err := pvcagg.ExecExpr(context.Background(), inst.Expr, inst.Registry, pvcagg.Boolean, pvcagg.WithMode(pvcagg.Exact)); err != nil {
 		t.Fatal(err)
 	}
 }
