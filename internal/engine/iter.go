@@ -25,23 +25,23 @@ package engine
 // which the goldens pin and the compilers' costs depend on — are a
 // function of the plan and the stored row order alone.
 //
-// Lent cells. A provider scan lends the Cells slice of each tuple until
-// its next Next or Close (pvc.TupleIter), and σ, δ and the analyze
-// decorator pass that slice through untouched; every other operator
-// emits cells it allocated. lendsCells decides at build time, from the
-// iterator tree, whether an input lends, and the sites that keep a tuple
-// across a Next of the iterator that produced it copy exactly then — so
-// plans over in-memory relations (sliceIter) copy nothing:
+// Lent cells. A provider scan, π̂ and ⋈/× lend the Cells of each tuple
+// until their next Next or Close (pvc.TupleIter); π̂ and ⋈/× refill one
+// row of their own, so a row σ drops costs no slice. σ, δ and the
+// analyze decorator pass their input's slice on; π, ∪ and $ emit slices
+// they keep. lendsCells decides at build time, from the iterator tree,
+// whether an input lends, and the sites that keep a tuple across a Next
+// of the iterator that produced it copy exactly then:
 //
 //   - pairIter.buildTable (the build side; the probe tuple is only held
-//     until the next probe pull, and output cells are fresh);
+//     until the next probe pull);
 //   - unionIter.drain's first-seen cells per group;
 //   - drainRoot, the root loop of StreamEvalPlan and
 //     StreamEvalPlanExplain, and Iterate, whose caller may keep a row;
 //   - outside this file: providerEstimate (keeps no tuple, only cell
 //     keys).
 //
-// π, π̂ and $ already copy the cells they keep into slices of their own.
+// π and $ copy the group cells they keep into slices of their own.
 
 import (
 	"context"
@@ -70,12 +70,12 @@ type Iterator interface {
 // ctxPollMask throttles context polling in drain loops to every 256 rows.
 const ctxPollMask = 255
 
-// lendsCells reports whether the tuples it yields carry Cells lent by a
-// provider scan: the scan itself, or an operator that hands its input's
-// slice on unchanged.
+// lendsCells reports whether the tuples it yields carry lent Cells: a
+// provider scan's, π̂'s or ⋈/×'s own row, or one an operator hands on
+// unchanged from its input.
 func lendsCells(it Iterator) bool {
 	switch v := it.(type) {
-	case *providerIter:
+	case *providerIter, *pruneIter, *pairIter:
 		return true
 	case *selectIter:
 		return lendsCells(v.child)
@@ -257,7 +257,7 @@ func (b *iterBuilder) buildNode(p Plan) (Iterator, pvc.Schema, string, error) {
 			pit.project(idx)
 			return child, schema, fmt.Sprintf("π̂(%s)", cname), nil
 		}
-		return &pruneIter{child: child, idx: idx}, schema, fmt.Sprintf("π̂(%s)", cname), nil
+		return &pruneIter{child: child, idx: idx, row: make([]pvc.Cell, len(idx))}, schema, fmt.Sprintf("π̂(%s)", cname), nil
 
 	case *Join, *Product:
 		it, schema, name, _, err := b.buildPair(p)
@@ -427,7 +427,7 @@ func (b *iterBuilder) buildPair(p Plan) (*pairIter, pvc.Schema, string, []pairRe
 	it := &pairIter{
 		ctx: b.ctx, s: b.s, left: lIt, right: rIt,
 		lKey: lKey, rKey: rKey, rCols: rCols, buildCap: buildCap, estBuild: estBuild,
-		rightLent: lendsCells(rIt),
+		rightLent: lendsCells(rIt), row: make([]pvc.Cell, 0, len(schema)),
 	}
 	return it, schema, name, refs, nil
 }
@@ -625,10 +625,11 @@ func (it *selectIter) Next() (pvc.Tuple, bool, error) {
 
 func (it *selectIter) Close() error { return it.child.Close() }
 
-// pruneIter pipelines π̂: per-tuple column projection, no collapsing.
+// pruneIter pipelines π̂ into one lent row: no collapsing.
 type pruneIter struct {
 	child Iterator
 	idx   []int
+	row   []pvc.Cell
 }
 
 func (it *pruneIter) Open() error { return it.child.Open() }
@@ -638,11 +639,10 @@ func (it *pruneIter) Next() (pvc.Tuple, bool, error) {
 	if err != nil || !ok {
 		return pvc.Tuple{}, false, err
 	}
-	cells := make([]pvc.Cell, len(it.idx))
 	for i, j := range it.idx {
-		cells[i] = t.Cells[j]
+		it.row[i] = t.Cells[j]
 	}
-	return pvc.Tuple{Cells: cells, Ann: t.Ann}, true, nil
+	return pvc.Tuple{Cells: it.row, Ann: t.Ann}, true, nil
 }
 
 func (it *pruneIter) Close() error { return it.child.Close() }
@@ -652,8 +652,8 @@ func (it *pruneIter) Close() error { return it.child.Close() }
 // then closed), the left child is probed lazily in order, so emission is
 // left-major, as a nested loop's would be. A × is a ⋈ with no key
 // columns: every tuple hashes to the single empty-key bucket. Fused σ
-// atoms reject pairs before output cells or the product annotation are
-// constructed.
+// atoms reject pairs before the output row is filled or the product
+// annotation constructed.
 type pairIter struct {
 	ctx         context.Context
 	s           algebra.Semiring
@@ -671,7 +671,8 @@ type pairIter struct {
 	rightClosed bool
 	idx         map[string]int // join key → index into buckets
 	buckets     [][]pvc.Tuple
-	key         []byte // reused key buffer of both sides
+	key         []byte     // reused key buffer of both sides
+	row         []pvc.Cell // the output row, refilled per Next and lent
 	cur         pvc.Tuple
 	bucket      []pvc.Tuple
 	bi          int
@@ -758,12 +759,11 @@ func (it *pairIter) Next() (pvc.Tuple, bool, error) {
 					continue
 				}
 			}
-			cells := make([]pvc.Cell, 0, len(lt.Cells)+len(it.rCols))
-			cells = append(cells, lt.Cells...)
+			it.row = append(it.row[:0], lt.Cells...)
 			for _, j := range it.rCols {
-				cells = append(cells, rt.Cells[j])
+				it.row = append(it.row, rt.Cells[j])
 			}
-			return pvc.Tuple{Cells: cells, Ann: ann}, true, nil
+			return pvc.Tuple{Cells: it.row, Ann: ann}, true, nil
 		}
 		lt, ok, err := it.left.Next()
 		if err != nil || !ok {
@@ -1064,8 +1064,8 @@ func (it *groupAggIter) Next() (pvc.Tuple, bool, error) {
 func (it *groupAggIter) Close() error { return it.child.Close() }
 
 // NewIterator compiles a plan into a streaming iterator and its output
-// schema. The context is captured for cancellation checks inside drain
-// and build loops; the caller owns Open/Next/Close.
+// schema, capturing ctx for cancellation checks in drain and build
+// loops. The caller owns Open/Next/Close and Clones any tuple it keeps.
 func NewIterator(ctx context.Context, db *pvc.Database, plan Plan) (Iterator, pvc.Schema, error) {
 	it, schema, _, err := newIterBuilder(ctx, db).build(plan)
 	return it, schema, err

@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"strings"
 	"testing"
 
 	"pvcagg/internal/algebra"
@@ -89,8 +90,10 @@ func sameOutcome(t *testing.T, what string, want *pvc.Relation, errW error, got 
 // the build side and both sides of every ⋈, × and ∪. StreamEvalPlan,
 // EXPLAIN ANALYZE and Iterate with an early break are all held to it;
 // the estimator scans the lender for its statistics on the way. The
-// in-memory reference is independent of what it guards: a sliceIter
-// never lends.
+// in-memory reference is not independent of what it guards: in-memory
+// π̂ and ⋈/× lend their own rows through the same keep sites, so a
+// missing copy there corrupts both sides alike. TestLendersAtKeepSites
+// holds those sites to answers written by hand.
 func TestPoisonedLenderDifferential(t *testing.T) {
 	ctx := context.Background()
 	db := lenderDB()
@@ -145,17 +148,117 @@ func TestPoisonedLenderDifferential(t *testing.T) {
 	}
 }
 
-// TestGroupKeyNoAllocOnHit pins the allocation shape of the keyed
-// operators: $ over a two-group input builds each row's key into a
-// reused buffer and looks it up without allocating, so ten times the
-// rows — every one of them a hit on an existing group — allocate no
-// more.
-func TestGroupKeyNoAllocOnHit(t *testing.T) {
+// rowStrings renders tuples as "cell cell … : annotation", expressions
+// in full.
+func rowStrings(ts []pvc.Tuple) []string {
+	out := make([]string, len(ts))
+	for i, t := range ts {
+		cells := make([]string, len(t.Cells))
+		for j, c := range t.Cells {
+			cells[j] = c.String()
+		}
+		out[i] = strings.Join(cells, " ") + " : " + expr.String(t.Ann)
+	}
+	return out
+}
+
+// TestLendersAtKeepSites holds every site that keeps a tuple across a
+// Next of its producer to answers written by hand, with the row coming
+// from an in-memory π̂ or ⋈ — lenders whose missing copy the poisoned
+// differential cannot see, its reference running them too. Each plan
+// yields at least three distinct rows, so a kept row that still aliases
+// its lender's buffer shows up as a repeat of the last one.
+func TestLendersAtKeepSites(t *testing.T) {
+	ctx := context.Background()
+	db := iterDB()
+	scan := func(name string) Plan { return &Scan{Table: name} }
+	pruneR := func(cols ...string) Plan { return &Prune{Input: scan("R"), Cols: cols} }
+	joinRS := func() Plan { return &Join{L: scan("R"), R: scan("S2")} }
+	count := []AggSpec{{Out: "N", Agg: algebra.Count}}
+	cases := []struct {
+		site    string
+		plan    Plan
+		iterate bool // keep the first three rows of Iterate, then break
+		want    []string
+	}{
+		{"root/π̂", pruneR("b", "a"), false, []string{
+			"10 1 : ir0", "10 3 : ir4", "20 1 : ir1", "30 2 : ir2", "30 2 : ir3"}},
+		{"root/σ/π̂", &Select{Input: pruneR("b", "a"), Pred: Where(ColTheta("b", value.LE, pvc.IntCell(20)))}, false, []string{
+			"10 1 : ir0", "10 3 : ir4", "20 1 : ir1"}},
+		{"root/⋈", joinRS(), false, []string{
+			"1 10 100 : (ir0*is0)", "1 20 100 : (ir1*is0)", "2 30 200 : (ir2*is1)", "2 30 200 : (ir3*is1)"}},
+		{"∪/π̂", &Union{L: pruneR("a", "b"), R: scan("E")}, false, []string{
+			"1 10 : ir0", "1 20 : ir1", "2 30 : (ir2 + ir3)", "3 10 : ir4"}},
+		{"∪/⋈", &Union{L: joinRS(), R: &Select{Input: joinRS(), Pred: Where(ColTheta("c", value.GE, pvc.IntCell(1000)))}}, false, []string{
+			"1 10 100 : (ir0*is0)", "1 20 100 : (ir1*is0)", "2 30 200 : ((ir2*is1) + (ir3*is1))"}},
+		{"build/π̂", &Join{L: scan("S2"), R: pruneR("b", "a")}, false, []string{
+			"1 100 10 : (is0*ir0)", "1 100 20 : (is0*ir1)", "2 200 30 : (is1*ir2)", "2 200 30 : (is1*ir3)"}},
+		{"build/⋈", &Join{L: scan("W"), R: joinRS()}, false, []string{
+			"x 10 1 100 : (iw0*ir0*is0)", "x 30 2 200 : (iw2*ir2*is1)", "x 30 2 200 : (iw2*ir3*is1)", "y 20 1 100 : (iw1*ir1*is0)"}},
+		{"π/π̂", &Project{Input: pruneR("b", "a"), Cols: []string{"a"}}, false, []string{
+			"1 : (ir0 + ir1)", "2 : (ir2 + ir3)", "3 : ir4"}},
+		{"π/⋈", &Project{Input: joinRS(), Cols: []string{"b"}}, false, []string{
+			"10 : (ir0*is0)", "20 : (ir1*is0)", "30 : ((ir2*is1) + (ir3*is1))"}},
+		{"$/π̂", &GroupAgg{Input: pruneR("b", "a"), GroupBy: []string{"a"}, Aggs: count}, false, []string{
+			"1 count((ir0 @count m:1), (ir1 @count m:1)) : [(ir0 + ir1) != 0]",
+			"2 count((ir2 @count m:1), (ir3 @count m:1)) : [(ir2 + ir3) != 0]",
+			"3 (ir4 @count m:1) : [ir4 != 0]"}},
+		{"$/⋈", &GroupAgg{Input: joinRS(), GroupBy: []string{"b"}, Aggs: count}, false, []string{
+			"10 ((ir0*is0) @count m:1) : [(ir0*is0) != 0]",
+			"20 ((ir1*is0) @count m:1) : [(ir1*is0) != 0]",
+			"30 count(((ir2*is1) @count m:1), ((ir3*is1) @count m:1)) : [((ir2*is1) + (ir3*is1)) != 0]"}},
+		{"Iterate/π̂", pruneR("b", "a"), true, []string{
+			"10 1 : ir0", "20 1 : ir1", "30 2 : ir2"}},
+		{"Iterate/⋈", joinRS(), true, []string{
+			"1 10 100 : (ir0*is0)", "1 20 100 : (ir1*is0)", "2 30 200 : (ir2*is1)"}},
+	}
+	for _, c := range cases {
+		t.Run(c.site, func(t *testing.T) {
+			check := func(how string, got []pvc.Tuple) {
+				t.Helper()
+				if g := rowStrings(got); strings.Join(g, "\n") != strings.Join(c.want, "\n") {
+					t.Errorf("%s:\ngot  %q\nwant %q", how, g, c.want)
+				}
+			}
+			if c.iterate {
+				var kept []pvc.Tuple
+				for tup, err := range Iterate(ctx, db, c.plan) {
+					if err != nil {
+						t.Fatal(err)
+					}
+					if kept = append(kept, tup); len(kept) == 3 {
+						break
+					}
+				}
+				check("Iterate", kept)
+				return
+			}
+			rel, _, err := StreamEvalPlan(ctx, db, c.plan)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check("StreamEvalPlan", rel.Tuples)
+			rel, _, _, err = StreamEvalPlanExplain(ctx, db, c.plan)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check("EXPLAIN ANALYZE", rel.Tuples)
+		})
+	}
+}
+
+// flatAllocs drains $ (COUNT and SUM grouped by g, h) over in(R), where
+// R holds 200 and then 2 000 rows in two groups, and fails when the
+// larger input allocates more than the smaller one plus 2.
+func flatAllocs(t *testing.T, what string, in func(Plan) Plan) {
+	t.Helper()
 	if testutil.RaceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
 	ctx := context.Background()
-	build := func(rows int) *pvc.Database {
+	plan := &GroupAgg{Input: in(&Scan{Table: "R"}), GroupBy: []string{"g", "h"},
+		Aggs: []AggSpec{{Out: "N", Agg: algebra.Count}, {Out: "S", Agg: algebra.Sum, Over: "b"}}}
+	allocs := func(rows int) float64 {
 		db := pvc.NewDatabase(algebra.Natural)
 		r := pvc.NewRelation("R", pvc.Schema{
 			{Name: "g", Type: pvc.TString}, {Name: "h", Type: pvc.TValue}, {Name: "b", Type: pvc.TValue},
@@ -164,12 +267,6 @@ func TestGroupKeyNoAllocOnHit(t *testing.T) {
 			r.MustInsert(expr.CInt(1), pvc.StringCell([]string{"returned", "shipped"}[i%2]), pvc.IntCell(int64(i%2)), pvc.IntCell(int64(i)))
 		}
 		db.Add(r)
-		return db
-	}
-	plan := &GroupAgg{Input: &Scan{Table: "R"}, GroupBy: []string{"g", "h"},
-		Aggs: []AggSpec{{Out: "N", Agg: algebra.Count}, {Out: "S", Agg: algebra.Sum, Over: "b"}}}
-	allocs := func(rows int) float64 {
-		db := build(rows)
 		return testing.AllocsPerRun(5, func() {
 			it, _, err := NewIterator(ctx, db, plan)
 			if err != nil {
@@ -192,8 +289,27 @@ func TestGroupKeyNoAllocOnHit(t *testing.T) {
 		})
 	}
 	small, large := allocs(200), allocs(2000)
-	t.Logf("$ over two groups: %.0f allocations for 200 rows, %.0f for 2000", small, large)
+	t.Logf("%s: %.0f allocations for 200 rows, %.0f for 2000", what, small, large)
 	if large > small+2 {
-		t.Errorf("allocations grow with rows: %.0f for 200, %.0f for 2000", small, large)
+		t.Errorf("%s: allocations grow with rows: %.0f for 200, %.0f for 2000", what, small, large)
 	}
+}
+
+// TestGroupKeyNoAllocOnHit pins the allocation shape of the keyed
+// operators: $ over a two-group input builds each row's key into a
+// reused buffer and looks it up without allocating, so ten times the
+// rows — every one of them a hit on an existing group — allocate no
+// more.
+func TestGroupKeyNoAllocOnHit(t *testing.T) {
+	flatAllocs(t, "$ over a scan", func(p Plan) Plan { return p })
+}
+
+// TestPruneNoAllocPerRow pins the lent π̂ row: over an in-memory scan, π̂
+// refills one row, σ passes it on or drops it, and $ copies only a new
+// group's cells, so ten times the rows allocate no more.
+func TestPruneNoAllocPerRow(t *testing.T) {
+	flatAllocs(t, "$ over σ over π̂", func(p Plan) Plan {
+		return &Select{Input: &Prune{Input: p, Cols: []string{"b", "h", "g"}},
+			Pred: Where(ColTheta("b", value.GE, pvc.IntCell(2)))}
+	})
 }

@@ -22,7 +22,8 @@ import (
 // pipeline that consumes it before pulling the next row, and copying
 // individual Cells out of it need no copy: a Cell, its string and the
 // annotation expression are immutable values that never alias a buffer
-// the provider reuses (a string cell in particular owns its bytes).
+// the provider reuses (a string cell in particular owns its bytes). The
+// engine's π̂ and ⋈/× iterators lend their output rows on the same terms.
 type TupleIter interface {
 	Next() (t Tuple, ok bool, err error)
 	Close() error

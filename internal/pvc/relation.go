@@ -14,8 +14,9 @@ import (
 )
 
 // Tuple is one row of a pvc-table: its cells and its semiring annotation Φ.
-// A tuple handed out by a TupleIter may have lent Cells (see TupleIter);
-// Clone makes it the holder's own.
+// A tuple handed out by a TupleIter, or by the engine's π̂ and ⋈/×
+// iterators, may have lent Cells (see TupleIter); Clone makes it the
+// holder's own.
 type Tuple struct {
 	Cells []Cell
 	Ann   expr.Expr
@@ -141,27 +142,64 @@ func (r *Relation) MustInsert(ann expr.Expr, cells ...Cell) {
 // Len returns the number of tuples.
 func (r *Relation) Len() int { return len(r.Tuples) }
 
-// Sort orders tuples by their cell keys, making output deterministic.
+// Sort orders tuples stably by Key, making output deterministic. Key
+// spells out every aggregation expression, so a tuple is keyed by its
+// leading constant cells, plus the separator when more cells follow (an
+// exact prefix of Key), and its full Key is rendered only when one
+// tuple's prefix is a prefix of the other's.
 func (r *Relation) Sort() {
-	// Decorate-sort-undecorate: each tuple's key is built once, not at
-	// every comparison.
-	s := tupleSorter{tuples: r.Tuples, keys: make([]string, len(r.Tuples))}
+	s := tupleSorter{tuples: r.Tuples, keys: make([]string, len(r.Tuples)), full: make([]bool, len(r.Tuples))}
+	var b []byte
 	for i, t := range r.Tuples {
-		s.keys[i] = t.Key()
+		b, s.full[i] = appendLeadKey(b[:0], t)
+		s.keys[i] = string(b)
 	}
 	sort.Stable(s)
 }
 
-type tupleSorter struct {
-	tuples []Tuple
-	keys   []string
+// appendLeadKey appends t.Key up to its first expression cell, separator
+// included, and reports whether that is all of Key.
+func appendLeadKey(b []byte, t Tuple) ([]byte, bool) {
+	for i, c := range t.Cells {
+		if i > 0 {
+			b = append(b, 0x1f)
+		}
+		if c.kind == KindExpr {
+			return b, false
+		}
+		b = c.AppendKey(b)
+	}
+	return b, true
 }
 
-func (s tupleSorter) Len() int           { return len(s.tuples) }
-func (s tupleSorter) Less(i, j int) bool { return s.keys[i] < s.keys[j] }
+type tupleSorter struct {
+	tuples []Tuple
+	keys   []string // a prefix of the tuple's Key, all of it when full
+	full   []bool
+}
+
+func (s tupleSorter) Len() int { return len(s.tuples) }
+
+func (s tupleSorter) Less(i, j int) bool {
+	a, b := s.keys[i], s.keys[j]
+	if strings.HasPrefix(a, b) || strings.HasPrefix(b, a) {
+		return s.fullKey(i) < s.fullKey(j)
+	}
+	return a < b
+}
+
+// fullKey returns tuple i's whole Key, rendering it on first need.
+func (s tupleSorter) fullKey(i int) string {
+	if !s.full[i] {
+		s.keys[i], s.full[i] = s.tuples[i].Key(), true
+	}
+	return s.keys[i]
+}
+
 func (s tupleSorter) Swap(i, j int) {
 	s.tuples[i], s.tuples[j] = s.tuples[j], s.tuples[i]
 	s.keys[i], s.keys[j] = s.keys[j], s.keys[i]
+	s.full[i], s.full[j] = s.full[j], s.full[i]
 }
 
 // String renders the relation as an aligned text table with the annotation

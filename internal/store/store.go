@@ -191,6 +191,11 @@ func (st *Store) loadVars() error {
 		if err != nil {
 			return &CorruptError{File: varsName, Block: -1, Reason: err.Error()}
 		}
+		// A pair takes at least 9 bytes (a value tag and a float64), so a
+		// count the bytes left cannot hold is corrupt, not a size.
+		if left := uint64(len(r.buf) - r.pos); np > left/9 {
+			return &CorruptError{File: varsName, Block: -1, Reason: fmt.Sprintf("variable %q: %d pairs in %d bytes", name, np, left)}
+		}
 		pairs := make([]prob.Pair, 0, np)
 		for j := uint64(0); j < np; j++ {
 			v, err := r.value()
@@ -201,12 +206,16 @@ func (st *Store) loadVars() error {
 			if err != nil {
 				return &CorruptError{File: varsName, Block: -1, Reason: err.Error()}
 			}
+			if !(p >= 0) {
+				return &CorruptError{File: varsName, Block: -1, Reason: fmt.Sprintf("variable %q: probability %v", name, p)}
+			}
 			pairs = append(pairs, prob.Pair{V: v, P: p})
 		}
-		if len(pairs) == 0 || st.reg.Has(name) {
+		d := prob.FromPairs(pairs)
+		if d.Size() == 0 || st.reg.Has(name) {
 			return &CorruptError{File: varsName, Block: -1, Reason: fmt.Sprintf("bad variable record %q", name)}
 		}
-		st.reg.Declare(name, prob.FromPairs(pairs))
+		st.reg.Declare(name, d)
 		st.varExprs = append(st.varExprs, expr.V(name))
 	}
 	return nil
