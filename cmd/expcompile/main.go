@@ -37,7 +37,6 @@ func main() {
 		semiring  = flag.String("semiring", "B", "valuation semiring: B (Boolean) or N (naturals)")
 		dot       = flag.Bool("dot", false, "print the d-tree in Graphviz DOT syntax")
 		noPrune   = flag.Bool("no-pruning", false, "disable pruning rules and capping")
-		noMemo    = flag.Bool("no-memo", false, "disable sub-expression memoisation")
 		maxNodes  = flag.Int("max-nodes", 10_000_000, "abort compilation beyond this many d-tree nodes")
 		varsGiven varFlags
 	)
@@ -83,7 +82,6 @@ func main() {
 
 	c := compile.New(s, reg, compile.Options{
 		DisablePruning: *noPrune,
-		DisableMemo:    *noMemo,
 		MaxNodes:       *maxNodes,
 	})
 	res, err := c.Compile(e)

@@ -617,7 +617,7 @@ func (ax *approximator) expand(leaf *anode) error {
 		}
 		return nil
 	}
-	x, _ := chooseVariable(leaf.e, ax.opts.Compile.Order, &ax.c.sc.vs)
+	x, _ := chooseVariable(leaf.e, &ax.c.sc.vs)
 	d, err := ax.reg.DistByID(x)
 	if err != nil {
 		return err

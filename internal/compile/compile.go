@@ -17,7 +17,7 @@
 //     any comparison whose interval decides it becomes a constant, so σ
 //     over an aggregate costs at most one ⊔ per variable, not 2ⁿ−1;
 //  6. otherwise a variable is eliminated by Shannon (mutex) expansion ⊔x,
-//     choosing by default the variable with most occurrences.
+//     choosing the variable with most occurrences.
 //
 // Independence (rules 2–5) is read off the variable signatures cached on
 // expression nodes wherever they are exact, and a Shannon step allocates
@@ -44,32 +44,13 @@ import (
 	"pvcagg/internal/vars"
 )
 
-// VarOrder selects the Shannon-expansion variable-choice heuristic.
-type VarOrder int
-
-const (
-	// MostOccurrences picks the variable occurring most often (the
-	// paper's choice, after [18]). Ties break lexicographically.
-	MostOccurrences VarOrder = iota
-	// LeastOccurrences picks the rarest variable (ablation baseline).
-	LeastOccurrences
-	// Lexicographic picks the alphabetically first variable (ablation).
-	Lexicographic
-)
-
 // Options configure compilation. The zero value enables every technique
 // described in the paper.
 type Options struct {
 	// DisablePruning turns off the conditional-expression pruning rules
-	// and distribution capping (ablation).
+	// and distribution capping: the reference compilation that pruning's
+	// soundness tests compare against.
 	DisablePruning bool
-	// DisableMemo turns off sub-expression memoisation (ablation).
-	DisableMemo bool
-	// DisableFactoring turns off read-once common-variable factoring
-	// (ablation); sums that do not split then go straight to Shannon.
-	DisableFactoring bool
-	// Order is the Shannon variable-choice heuristic.
-	Order VarOrder
 	// MaxNodes aborts compilation when the d-tree exceeds this many
 	// nodes (0 means no limit). Compilation of hard expressions is
 	// exponential in the worst case (Section 5); the bound turns runaway
@@ -294,23 +275,17 @@ func (c *Compiler) compile(e expr.Expr) (dtree.Node, error) {
 	if v, ok := e.(expr.Var); ok {
 		return c.newNode(&dtree.VarLeaf{Name: v.Name, ID: v.ID()})
 	}
-	var h uint64
-	memoised := !c.opts.DisableMemo
-	if memoised {
-		h = expr.Hash(e)
-		if n, ok := c.memo.get(h, e); ok {
-			c.st.CacheHits++
-			dtree.MarkShared(n)
-			return n, nil
-		}
+	h := expr.Hash(e)
+	if n, ok := c.memo.get(h, e); ok {
+		c.st.CacheHits++
+		dtree.MarkShared(n)
+		return n, nil
 	}
 	n, err := c.compileUncached(e)
 	if err != nil {
 		return nil, err
 	}
-	if memoised {
-		c.memo.put(h, e, n)
-	}
+	c.memo.put(h, e, n)
 	return n, nil
 }
 
@@ -355,12 +330,10 @@ func (c *Compiler) compileSum(terms []expr.Expr, module bool, agg algebra.Agg, w
 			return &dtree.PlusNode{Module: module, Agg: agg, L: l, R: r}
 		})
 	}
-	if !c.opts.DisableFactoring {
-		if node, ok, err := c.tryFactorSum(terms, module, agg); err != nil {
-			return nil, err
-		} else if ok {
-			return node, nil
-		}
+	if node, ok, err := c.tryFactorSum(terms, module, agg); err != nil {
+		return nil, err
+	} else if ok {
+		return node, nil
 	}
 	return c.shannon(whole)
 }
@@ -626,7 +599,7 @@ func (c *Compiler) shannon(e expr.Expr) (dtree.Node, error) {
 			return nil, err
 		}
 	}
-	x, name := chooseVariable(e, c.opts.Order, &c.sc.vs)
+	x, name := chooseVariable(e, &c.sc.vs)
 	d, err := c.reg.DistByID(x)
 	if err != nil {
 		return nil, err
@@ -643,27 +616,21 @@ func (c *Compiler) shannon(e expr.Expr) (dtree.Node, error) {
 	return c.newNode(&dtree.ExclusiveNode{Var: name, Branches: branches})
 }
 
-// chooseVariable picks the Shannon-expansion variable of e under the
-// given heuristic and returns it with its name, counting occurrences in
-// vs (empty before and after). It is deterministic — ties break on the
-// lexicographically smallest name, exactly as the original sorted-name
-// implementation did — and asks the interner for a name once per tied
-// candidate: the incumbent's name is kept while it stands.
-func chooseVariable(e expr.Expr, order VarOrder, vs *expr.VarSet) (expr.VarID, string) {
+// chooseVariable picks the Shannon-expansion variable of e, the one with
+// most occurrences (the paper's choice, after [18]), and returns it with
+// its name, counting occurrences in vs (empty before and after). It is
+// deterministic — ties break on the lexicographically smallest name,
+// exactly as the original sorted-name implementation did — and asks the
+// interner for a name once per tied candidate: the incumbent's name is
+// kept while it stands.
+func chooseVariable(e expr.Expr, vs *expr.VarSet) (expr.VarID, string) {
 	expr.CollectVarsInto(e, vs)
 	ids := vs.Touched()
 	best, bestName := ids[0], ""
 	for _, x := range ids[1:] {
 		// behind > 0: x loses to the incumbent on occurrences; 0: a tie,
 		// which names break.
-		var behind int32
-		switch order {
-		case Lexicographic:
-		case LeastOccurrences:
-			behind = vs.Count(x) - vs.Count(best)
-		default: // MostOccurrences
-			behind = vs.Count(best) - vs.Count(x)
-		}
+		behind := vs.Count(best) - vs.Count(x)
 		if behind > 0 {
 			continue
 		}

@@ -358,40 +358,23 @@ func TestCompileMatchesEnumerationNatural(t *testing.T) {
 	}
 }
 
-// Ablations must not change results, only cost.
+// Pruning must not change results, only cost: compiled with and without
+// it, every expression has the distribution possible-worlds enumeration
+// gives it.
 func TestAblationsPreserveDistributions(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	s := algebra.SemiringFor(algebra.Boolean)
-	opts := []Options{
-		{},
-		{DisablePruning: true},
-		{DisableMemo: true},
-		{DisableFactoring: true},
-		{Order: Lexicographic},
-		{Order: LeastOccurrences},
-		{DisablePruning: true, DisableMemo: true, DisableFactoring: true},
-	}
 	for trial := 0; trial < 25; trial++ {
 		names := []string{"a", "b", "c", "d", "e"}
 		reg := boolReg(0.35, names...)
 		e := randomExpr(r, names, 2)
-		var base prob.Dist
-		for i, o := range opts {
-			c := New(s, reg, o)
-			res, err := c.Compile(e)
-			if err != nil {
-				t.Fatalf("opts %d: %v", i, err)
-			}
-			d, _, err := dtree.Evaluate(res.Root, dtree.Env{Semiring: s, Registry: reg})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if i == 0 {
-				base = d
-				continue
-			}
-			if !d.Equal(base, 1e-9) {
-				t.Fatalf("option set %d changed the distribution of %s:\n got %v\nwant %v", i, expr.String(e), d, base)
+		want, err := worlds.Enumerate(e, reg, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, o := range []Options{{}, {DisablePruning: true}} {
+			if got := distOf(t, New(s, reg, o), reg, s, e); !got.Equal(want, 1e-9) {
+				t.Fatalf("%+v: %s\n got %v\nwant %v", o, expr.String(e), got, want)
 			}
 		}
 	}
@@ -587,14 +570,9 @@ func TestCompileErrors(t *testing.T) {
 
 func TestVariableChoiceHeuristics(t *testing.T) {
 	e := expr.MustParse("often*rare + often + often*often")
-	for _, c := range []struct {
-		order VarOrder
-		want  string
-	}{{MostOccurrences, "often"}, {LeastOccurrences, "rare"}, {Lexicographic, "often"}} {
-		var vs expr.VarSet
-		if x, name := chooseVariable(e, c.order, &vs); name != c.want || expr.VarName(x) != name || vs.Len() != 0 {
-			t.Errorf("order %d chose %q (ID of %q), want %q, leaving %d variables in the set", c.order, name, expr.VarName(x), c.want, vs.Len())
-		}
+	var vs expr.VarSet
+	if x, name := chooseVariable(e, &vs); name != "often" || expr.VarName(x) != name || vs.Len() != 0 {
+		t.Errorf("chose %q (ID of %q), want the most frequent variable \"often\", leaving %d variables in the set", name, expr.VarName(x), vs.Len())
 	}
 }
 

@@ -135,7 +135,7 @@ func goldenCases() []goldenCase {
 		"sum(x1*x2 @sum 3, x1*x3 @sum 4, x1*x4*x5 @sum 5)",
 	} {
 		for _, kind := range []algebra.SemiringKind{algebra.Boolean, algebra.Natural} {
-			for _, o := range []Options{{}, {DisablePruning: true}, {DisableFactoring: true, Order: LeastOccurrences}, {DisableMemo: true, Order: Lexicographic}} {
+			for _, o := range []Options{{}, {DisablePruning: true}} {
 				cases = append(cases, goldenCase{
 					name: fmt.Sprintf("shape/%v %+v %s", kind, o, src),
 					s:    algebra.SemiringFor(kind), reg: boolReg(0.5, names...), e: expr.MustParse(src), opts: o,

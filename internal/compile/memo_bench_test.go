@@ -31,22 +31,12 @@ func BenchmarkCompileMemo(b *testing.B) {
 	e := expr.Compare(value.EQ, expr.MSum(algebra.Count, terms...), expr.MConst{V: value.Int(5)})
 	s := algebra.SemiringFor(algebra.Boolean)
 
-	b.Run("memo=on", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := New(s, reg, Options{MaxNodes: 20_000_000}).Compile(e); err != nil {
-				b.Fatal(err)
-			}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := New(s, reg, Options{MaxNodes: 20_000_000}).Compile(e); err != nil {
+			b.Fatal(err)
 		}
-	})
-	b.Run("memo=off", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := New(s, reg, Options{DisableMemo: true, MaxNodes: 20_000_000}).Compile(e); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	}
 }
 
 // BenchmarkCompileShannon compiles one §7.1 instance at the repository

@@ -214,8 +214,8 @@ func factorsOf(e expr.Expr) []expr.Expr {
 // TestDisablePruningReproducesParent pins the d-trees of the ablation:
 // with DisablePruning the product-level rules are off along with the
 // rest, and the statistics are those of the commit before the rules
-// existed, so cmd/experiments' pruning ablation still measures the whole
-// of Section 5's optimisation. With pruning on, σ over one aggregate
+// existed, so DisablePruning is still the reference without any of
+// Section 5's optimisation. With pruning on, σ over one aggregate
 // needs no ⊔ where rule (a) applies and one per variable where only rule
 // (b) does; the product of two comparisons (third case) stays as it was.
 func TestDisablePruningReproducesParent(t *testing.T) {

@@ -276,6 +276,9 @@ func independentPair(l, r Node, op string, walk func(Node) (map[string]struct{},
 	if err != nil {
 		return nil, err
 	}
+	if lv == nil { // a constant left child
+		return rv, nil
+	}
 	for x := range lv {
 		if _, ok := rv[x]; ok {
 			return nil, fmt.Errorf("dtree: %s children share variable %s", op, x)

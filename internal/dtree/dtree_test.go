@@ -95,6 +95,11 @@ func TestValidateRejectsSharedVariables(t *testing.T) {
 	if err := Validate(badEx); err == nil {
 		t.Fatalf("⊔x with x in branch accepted")
 	}
+	// A constant left child mentions no variable; this used to panic.
+	good := &PlusNode{L: &ConstLeaf{V: value.Bool(true)}, R: &TimesNode{L: &VarLeaf{Name: "x"}, R: &VarLeaf{Name: "y"}}}
+	if err := Validate(good); err != nil {
+		t.Fatalf("⊕ with a constant left child rejected: %v", err)
+	}
 }
 
 func TestEvaluateCmpNode(t *testing.T) {

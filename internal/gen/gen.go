@@ -106,7 +106,8 @@ func NewWithRand(p Params, rng *rand.Rand) (Instance, error) {
 	return Instance{Expr: e, Registry: reg, Params: p}, nil
 }
 
-// MustNew is New for parameters known valid (benchmarks).
+// MustNew is New for parameters known valid: fixed test instances, such
+// as those of the Section 7 shape tests (paper_test.go).
 func MustNew(p Params) Instance {
 	inst, err := New(p)
 	if err != nil {

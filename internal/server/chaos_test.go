@@ -8,7 +8,6 @@ import (
 
 	"pvcagg"
 	"pvcagg/internal/algebra"
-	"pvcagg/internal/benchx"
 	"pvcagg/internal/store"
 	"pvcagg/internal/testutil"
 )
@@ -77,17 +76,10 @@ func TestChaosSoak(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), *chaosSoak)
 	defer cancel()
-	rep, err := benchx.RunWorkload(ctx, s.Handler(), benchx.WorkloadConfig{
-		Clients: 8,
-		Seed:    1,
-		Bodies:  mixedWorkloadBodies(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("chaos soak: %v", rep)
+	rep := drive(ctx, s.Handler(), mixedWorkloadBodies())
+	t.Logf("chaos soak: %+v", rep)
 
-	if rep.OK == 0 {
+	if rep.ok == 0 {
 		t.Fatal("no request succeeded under 1% read faults")
 	}
 	// Zero deaths: every injected fault was retried, soundly degraded, or
@@ -98,11 +90,8 @@ func TestChaosSoak(t *testing.T) {
 	// Bounded error rate: with transient faults at 1% and 4 attempts per
 	// read, a request should essentially never fail terminally. Allow 1%
 	// of the issued requests as slack before calling it a regression.
-	if limit := rep.Total/100 + 1; rep.Errors > limit {
-		t.Errorf("%d of %d requests failed terminally, want <= %d", rep.Errors, rep.Total, limit)
-	}
-	if got := rep.OK + rep.Rejected + rep.Timeouts + rep.Errors; got != rep.Total {
-		t.Errorf("outcome counts %d do not add up to %d issued requests", got, rep.Total)
+	if limit := rep.total()/100 + 1; rep.errors > limit {
+		t.Errorf("%d of %d requests failed terminally, want <= %d", rep.errors, rep.total(), limit)
 	}
 	checkLeaks()
 }

@@ -85,7 +85,7 @@ func (b *blockVecs) cell(ci, i int) pvc.Cell {
 // the block decoded before it is visible.
 func (b *blockVecs) decode(buf []byte, wantRows int, vars []expr.Expr, dropZero bool) error {
 	b.sel = b.sel[:0]
-	if len(buf) < len(blockMagic)+4 || string(buf[:len(blockMagic)]) != blockMagic {
+	if len(buf) < minBlockLen || string(buf[:len(blockMagic)]) != blockMagic {
 		return errors.New("bad magic")
 	}
 	body, tail := buf[:len(buf)-4], buf[len(buf)-4:]

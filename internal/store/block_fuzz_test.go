@@ -96,8 +96,9 @@ func twoBlockScan(tab *Table, first, second []byte, rows int) *scanIter {
 	two := &Table{st: tab.st, meta: &meta, schema: tab.schema,
 		mins: [][]pvc.Cell{tab.mins[0], tab.mins[0]}, maxs: [][]pvc.Cell{tab.maxs[0], tab.maxs[0]}}
 	cols := []int{2, 1, 0}
+	file := memFile(append(append([]byte(nil), first...), second...))
 	return &scanIter{
-		ctx: context.Background(), t: two, f: memFile(append(append([]byte(nil), first...), second...)),
+		ctx: context.Background(), t: two, f: file, size: int64(len(file)),
 		retry: NewRetryState(RetryPolicy{MaxAttempts: 1}), cols: cols,
 		blk: newBlockVecs(two.schema, cols, nil), row: make([]pvc.Cell, len(cols)),
 	}

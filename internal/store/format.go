@@ -51,6 +51,9 @@ const (
 	varsMagic  = "PVV1"
 )
 
+// minBlockLen is the length of the smallest block: its magic and CRC.
+const minBlockLen = len(blockMagic) + 4
+
 // Value encoding tags.
 const (
 	tagFinite byte = 0

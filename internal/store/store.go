@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"sync/atomic"
@@ -134,6 +135,11 @@ func OpenFS(dir string, fsys faultfs.FS) (*Store, error) {
 			t.schema = append(t.schema, pvc.Col{Name: c.Name, Type: ty})
 		}
 		for bi, b := range tm.Blocks {
+			// The extent is checked against the data file when a scan
+			// opens it; here, what no file of any size could hold.
+			if b.Rows < 0 || b.Off < 0 || b.Len < minBlockLen || b.Off > math.MaxInt64-int64(b.Len) {
+				return nil, &CorruptError{File: manifestName, Block: bi, Reason: fmt.Sprintf("table %s: block of %d rows in %d bytes at %d", tm.Name, b.Rows, b.Len, b.Off)}
+			}
 			if len(b.Mins) != len(t.schema) || len(b.Maxs) != len(t.schema) {
 				return nil, &CorruptError{File: manifestName, Block: bi, Reason: fmt.Sprintf("table %s: zone map arity mismatch", tm.Name)}
 			}
@@ -354,17 +360,30 @@ func (t *Table) NewScan(ctx context.Context, opts pvc.ScanOptions) (pvc.TupleIte
 		// blips, with a private per-scan budget.
 		retry = NewRetryState(DefaultRetryPolicy)
 	}
-	var f faultfs.File
+	var (
+		f  faultfs.File
+		fi os.FileInfo
+	)
+	path := filepath.Join(t.st.dir, t.meta.File)
 	err := retry.do(ctx, func() error {
 		var e error
-		f, e = t.st.fs.Open(filepath.Join(t.st.dir, t.meta.File))
+		if fi, e = t.st.fs.Stat(path); e != nil {
+			return e
+		}
+		f, e = t.st.fs.Open(path)
 		return e
 	})
-	if err != nil {
+	switch {
+	case errors.Is(err, os.ErrNotExist):
+		return nil, &CorruptError{File: t.meta.File, Block: -1, Reason: fmt.Sprintf("table %s: data file missing", t.meta.Name)}
+	case err != nil:
 		return nil, fmt.Errorf("store: %s: %w", t.meta.Name, err)
+	case !fi.Mode().IsRegular():
+		f.Close()
+		return nil, &CorruptError{File: t.meta.File, Block: -1, Reason: fmt.Sprintf("table %s: data file is not a regular file", t.meta.Name)}
 	}
 	return &scanIter{
-		ctx: ctx, t: t, f: f, retry: retry, span: obs.SpanFrom(ctx),
+		ctx: ctx, t: t, f: f, size: fi.Size(), retry: retry, span: obs.SpanFrom(ctx),
 		cols: cols, hints: opts.Hints, dropZero: opts.DropZero,
 		blk: newBlockVecs(t.schema, cols, opts.Hints),
 		row: make([]pvc.Cell, len(cols)),
@@ -386,6 +405,7 @@ type scanIter struct {
 	ctx      context.Context
 	t        *Table
 	f        faultfs.File
+	size     int64 // of the data file when the scan opened it
 	retry    *RetryState
 	span     *obs.Span // per-query trace counters; nil (no-op) untraced
 	cols     []int
@@ -493,6 +513,9 @@ func (it *scanIter) readBlock(bi int) error {
 	it.blk.sel = it.blk.sel[:0]
 	if it.f == nil {
 		return ErrClosed
+	}
+	if bm.Off+int64(bm.Len) > it.size {
+		return &CorruptError{File: it.t.meta.File, Block: bi, Reason: fmt.Sprintf("table %s: %d bytes at %d reach past the file's %d", it.t.meta.Name, bm.Len, bm.Off, it.size)}
 	}
 	if cap(it.buf) < bm.Len {
 		it.buf = make([]byte, bm.Len)

@@ -19,7 +19,7 @@ import (
 
 // writeFixture builds a small two-table store: "items" with ascending
 // ids (tight zone maps across blocks) and an empty table "none".
-func writeFixture(t *testing.T, rows, capacity int) string {
+func writeFixture(t testing.TB, rows, capacity int) string {
 	t.Helper()
 	dir := t.TempDir()
 	reg := vars.NewRegistry()
