@@ -19,7 +19,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -447,7 +449,16 @@ func FromEnv(key string) (FS, *Injector, error) {
 	return in, in, nil
 }
 
-// ParsePlan parses the FromEnv spec grammar into a Plan.
+// count parses a whole spec value as a count: decimal digits only (no
+// sign, no trailing bytes) of a number that fits in bits bits.
+func count(val string, bits int) (uint64, bool) {
+	n, err := strconv.ParseUint(val, 10, bits)
+	return n, err == nil
+}
+
+// ParsePlan parses the FromEnv spec grammar into a Plan. Every value is
+// parsed whole: a count is a non-negative decimal, p a number in [0, 1],
+// a stall a non-negative duration.
 func ParsePlan(spec string) (Plan, error) {
 	var plan Plan
 	plan.Seed = 1
@@ -466,29 +477,35 @@ func ParsePlan(spec string) (Plan, error) {
 		}
 		switch {
 		case key == "seed":
-			var n uint64
-			if _, err := fmt.Sscanf(val, "%d", &n); err != nil {
+			n, ok := count(val, 64)
+			if !ok {
 				return Plan{}, fmt.Errorf("bad seed %q", val)
 			}
 			plan.Seed = n
 		case key == "shortwrite":
-			if _, err := fmt.Sscanf(val, "%d", &plan.ShortWriteNth); err != nil {
+			n, ok := count(val, 63)
+			if !ok {
 				return Plan{}, fmt.Errorf("bad shortwrite %q", val)
 			}
+			plan.ShortWriteNth = int64(n)
 		case key == "crash":
-			if _, err := fmt.Sscanf(val, "%d", &plan.CrashNth); err != nil {
+			n, ok := count(val, 63)
+			if !ok {
 				return Plan{}, fmt.Errorf("bad crash %q", val)
 			}
+			plan.CrashNth = int64(n)
 		case key == "stall":
 			d, err := time.ParseDuration(val)
-			if err != nil {
+			if err != nil || d < 0 {
 				return Plan{}, fmt.Errorf("bad stall %q", val)
 			}
 			plan.Stall = d
 		case key == "maxfd":
-			if _, err := fmt.Sscanf(val, "%d", &plan.MaxOpenFiles); err != nil {
+			n, ok := count(val, strconv.IntSize-1)
+			if !ok {
 				return Plan{}, fmt.Errorf("bad maxfd %q", val)
 			}
+			plan.MaxOpenFiles = int(n)
 		case strings.Contains(key, ":"):
 			opName, mode, _ := strings.Cut(key, ":")
 			op, err := ParseOp(opName)
@@ -497,16 +514,20 @@ func ParsePlan(spec string) (Plan, error) {
 			}
 			switch mode {
 			case "nth":
-				if _, err := fmt.Sscanf(val, "%d", &plan.FailNth[op]); err != nil {
+				n, ok := count(val, 63)
+				if !ok {
 					return Plan{}, fmt.Errorf("bad %s:nth %q", op, val)
 				}
+				plan.FailNth[op] = int64(n)
 			case "p":
-				if _, err := fmt.Sscanf(val, "%g", &plan.FailProb[op]); err != nil {
+				p, err := strconv.ParseFloat(val, 64)
+				if err != nil || math.IsNaN(p) {
 					return Plan{}, fmt.Errorf("bad %s:p %q", op, val)
 				}
-				if plan.FailProb[op] < 0 || plan.FailProb[op] > 1 {
-					return Plan{}, fmt.Errorf("%s:p %v out of [0,1]", op, plan.FailProb[op])
+				if p < 0 || p > 1 {
+					return Plan{}, fmt.Errorf("%s:p %v out of [0,1]", op, p)
 				}
+				plan.FailProb[op] = p
 			default:
 				return Plan{}, fmt.Errorf("bad op spec %q (want %s:nth or %s:p)", key, opName, opName)
 			}

@@ -279,6 +279,57 @@ func TestParsePlan(t *testing.T) {
 	}
 }
 
+// TestParsePlanRejectsMalformedValues: each spec used to parse, its
+// value read up to the first bad byte or taken as given.
+func TestParsePlanRejectsMalformedValues(t *testing.T) {
+	for _, bad := range []string{
+		"crash=5x",       // was CrashNth 5
+		"read:nth=1e3",   // was FailNth[read] 1: the first read failed
+		"read:p=0.5junk", // was 0.5
+		"read:p=NaN",     // passed the [0,1] check
+		"read:nth=-3",
+		"maxfd=-1",
+		"stall=-5s",
+	} {
+		if plan, err := ParsePlan(bad); err == nil {
+			t.Errorf("ParsePlan(%q) accepted: %+v", bad, plan)
+		}
+	}
+}
+
+// FuzzParsePlan holds the PVC_FAULTFS grammar to an error or a plan
+// whose counts and stall are non-negative, whose probabilities lie in
+// [0, 1], and that parses the same a second time; never a panic.
+func FuzzParsePlan(f *testing.F) {
+	for _, seed := range []string{
+		"read:p=0.01,seed=7,transient,stall=1ms,maxfd=64",
+		"write:nth=3", "crash=12,shortwrite=4", "open:p=1,close:nth=2",
+		"crash=5x", "read:nth=1e3", "read:p=NaN", "stall=-5s", " , ,transient",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		plan, err := ParsePlan(spec)
+		if err != nil {
+			return
+		}
+		for op := Op(0); op < numOps; op++ {
+			if plan.FailNth[op] < 0 {
+				t.Errorf("%q: FailNth[%s] = %d", spec, op, plan.FailNth[op])
+			}
+			if p := plan.FailProb[op]; !(p >= 0 && p <= 1) {
+				t.Errorf("%q: FailProb[%s] = %v", spec, op, p)
+			}
+		}
+		if plan.ShortWriteNth < 0 || plan.CrashNth < 0 || plan.MaxOpenFiles < 0 || plan.Stall < 0 {
+			t.Errorf("%q: negative count or stall in %+v", spec, plan)
+		}
+		if again, err := ParsePlan(spec); err != nil || again != plan {
+			t.Errorf("%q parsed to %+v, then to %+v (%v)", spec, plan, again, err)
+		}
+	})
+}
+
 func TestFromEnv(t *testing.T) {
 	t.Setenv("PVC_FAULTFS_TEST", "")
 	fsys, in, err := FromEnv("PVC_FAULTFS_TEST")

@@ -15,31 +15,45 @@ import (
 // constant shared by all rows of all scans (expressions are immutable).
 var annOneExpr expr.Expr = expr.CInt(1)
 
-// blockVecs is one block decoded column-wise: a typed vector per needed
-// column, the annotation vector, and the selection vector naming the rows
-// that are still in play. A scan owns one blockVecs and decodes every
-// block it reads into the same vectors, so the cost of a block is its
-// bytes, not its rows. Value vectors are pointer-free; string vectors
-// own their bytes (they never alias the raw block buffer, which the next
-// block overwrites).
+// blockVecs is one block decoded column-wise: the raw block buffer, a
+// typed vector per needed column, the annotation vector, and the
+// selection vector naming the rows that are still in play. It is a
+// table's scan scratch: a scan borrows one from its table's pool
+// (Table.borrow), decodes every block it reads into the same vectors and
+// returns it at Close, so after a table's first query neither a block
+// nor a scan costs an allocation of block size. Nothing a scan hands out
+// aliases the scratch, so a later scan may overwrite it while rows of an
+// earlier one are still held: a cell copies its value.V, string vectors
+// own their bytes (reader.string copies them out of raw), and
+// annotations are the store's shared boxed expressions. The row buffer a
+// scan lends is the scan's own and is never pooled.
 type blockVecs struct {
 	schema pvc.Schema
-	vals   [][]value.V // by schema column; nil unless needed and TValue
-	strs   [][]string  // by schema column; nil unless needed and TString
+	raw    []byte      // bytes of the block being decoded
+	vals   [][]value.V // by schema column; nil until needed and TValue
+	strs   [][]string  // by schema column; nil until needed and TString
 	need   []bool      // by schema column: decode it
 	anns   []expr.Expr
 	sel    []int32 // surviving rows, ascending
 }
 
-// newBlockVecs sizes the column table for a scan that outputs cols and
-// filters on hints (a hint may name a column the scan does not output).
-func newBlockVecs(schema pvc.Schema, cols []int, hints []pvc.ScanHint) *blockVecs {
-	b := &blockVecs{
+// newBlockVecs sizes the column table for schema; reset readies it for
+// a scan.
+func newBlockVecs(schema pvc.Schema) *blockVecs {
+	return &blockVecs{
 		schema: schema,
 		vals:   make([][]value.V, len(schema)),
 		strs:   make([][]string, len(schema)),
 		need:   make([]bool, len(schema)),
 	}
+}
+
+// reset readies the scratch for a scan that outputs cols and filters on
+// hints (a hint may name a column the scan does not output): it decodes
+// exactly those columns and holds no row. Vectors of columns an earlier
+// scan decoded keep their storage but are never read.
+func (b *blockVecs) reset(cols []int, hints []pvc.ScanHint) {
+	clear(b.need)
 	for _, c := range cols {
 		b.need[c] = true
 	}
@@ -51,7 +65,7 @@ func newBlockVecs(schema pvc.Schema, cols []int, hints []pvc.ScanHint) *blockVec
 			}
 		}
 	}
-	return b
+	b.sel = b.sel[:0]
 }
 
 // filters reports whether h can be evaluated row by row: its columns

@@ -4,7 +4,9 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
+	"hash/fnv"
 	"io"
 	"os"
 	"path/filepath"
@@ -85,9 +87,15 @@ func sealBlock(body []byte) []byte {
 	return binary.LittleEndian.AppendUint32(append([]byte(nil), body...), crc32.ChecksumIEEE(body))
 }
 
-// twoBlockScan returns a scan of tab's schema over a file holding first,
-// a valid block of tab, followed by second, indexed as holding rows rows.
-func twoBlockScan(tab *Table, first, second []byte, rows int) *scanIter {
+// twoBlocks is a table of a fixture's schema over an in-memory file
+// holding a valid block of the fixture followed by a block under test.
+type twoBlocks struct {
+	t    *Table
+	file memFile
+}
+
+// newTwoBlocks indexes second as holding rows rows.
+func newTwoBlocks(tab *Table, first, second []byte, rows int) *twoBlocks {
 	meta := *tab.meta
 	meta.Blocks = []blockMeta{
 		{Rows: tab.meta.Blocks[0].Rows, Off: 0, Len: len(first)},
@@ -95,12 +103,18 @@ func twoBlockScan(tab *Table, first, second []byte, rows int) *scanIter {
 	}
 	two := &Table{st: tab.st, meta: &meta, schema: tab.schema,
 		mins: [][]pvc.Cell{tab.mins[0], tab.mins[0]}, maxs: [][]pvc.Cell{tab.maxs[0], tab.maxs[0]}}
+	return &twoBlocks{t: two, file: memFile(append(append([]byte(nil), first...), second...))}
+}
+
+// scan opens a scan of columns 2, 1, 0 that borrows its scratch from the
+// table as NewScan does, so a scan opened after another closed decodes
+// into the vectors that one left behind.
+func (tb *twoBlocks) scan() *scanIter {
 	cols := []int{2, 1, 0}
-	file := memFile(append(append([]byte(nil), first...), second...))
 	return &scanIter{
-		ctx: context.Background(), t: two, f: file, size: int64(len(file)),
+		ctx: context.Background(), t: tb.t, f: tb.file, size: int64(len(tb.file)),
 		retry: NewRetryState(RetryPolicy{MaxAttempts: 1}), cols: cols,
-		blk: newBlockVecs(two.schema, cols, nil), row: make([]pvc.Cell, len(cols)),
+		blk: tb.t.borrow(cols, nil), row: make([]pvc.Cell, len(cols)),
 	}
 }
 
@@ -121,7 +135,7 @@ func TestTooDeepAnnotationIsCorrupt(t *testing.T) {
 	} {
 		body = append(binary.AppendUvarint(body, uint64(len(seg))), seg...)
 	}
-	it := twoBlockScan(tab, blocks[0], sealBlock(body), 1)
+	it := newTwoBlocks(tab, blocks[0], sealBlock(body), 1).scan()
 	n := 0
 	for {
 		_, ok, err := it.Next()
@@ -151,6 +165,9 @@ func TestTooDeepAnnotationIsCorrupt(t *testing.T) {
 // and then either rows of the right shape or an ErrCorrupt — never a
 // panic, never memory out of proportion to the block, and after a failed
 // decode never a row more (the vectors still hold the previous block).
+// Each input is scanned twice on one table: the second scan borrows the
+// scratch the first gave back after its rows or its ErrCorrupt, and must
+// return the same rows and the same error.
 func FuzzReadBlock(f *testing.F) {
 	tab, blocks := fuzzFixture(f)
 	for bi, b := range blocks {
@@ -160,40 +177,53 @@ func FuzzReadBlock(f *testing.F) {
 	first := blocks[0]
 	f.Fuzz(func(t *testing.T, body []byte, rows uint16) {
 		mutated := sealBlock(body)
-		it := twoBlockScan(tab, first, mutated, int(rows))
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		n := 0
-		var scanErr error
-		for {
-			tup, ok, err := it.Next()
-			if err != nil {
-				scanErr = err
-				break
+		tb := newTwoBlocks(tab, first, mutated, int(rows))
+		// run drains one scan and returns its row count, a digest of its
+		// rows' keys and its error.
+		run := func() (int, uint64, error) {
+			it := tb.scan()
+			defer it.Close()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			n := 0
+			digest := fnv.New64a()
+			var scanErr error
+			for {
+				tup, ok, err := it.Next()
+				if err != nil {
+					scanErr = err
+					break
+				}
+				if !ok {
+					break
+				}
+				n++
+				if tup.Cells[0].Kind() != pvc.KindValue || tup.Cells[1].Kind() != pvc.KindString || tup.Cells[2].Kind() != pvc.KindValue || tup.Ann == nil {
+					t.Fatalf("row %d has the wrong shape: %v %v", n, tup.Cells, tup.Ann)
+				}
+				io.WriteString(digest, tup.Key())
 			}
-			if !ok {
-				break
+			runtime.ReadMemStats(&after)
+			if limit := uint64(1<<20 + 1024*len(mutated)); after.TotalAlloc-before.TotalAlloc > limit {
+				t.Errorf("scan of a %d-byte block allocated %d bytes", len(mutated), after.TotalAlloc-before.TotalAlloc)
 			}
-			n++
-			if tup.Cells[0].Kind() != pvc.KindValue || tup.Cells[1].Kind() != pvc.KindString || tup.Cells[2].Kind() != pvc.KindValue || tup.Ann == nil {
-				t.Fatalf("row %d has the wrong shape: %v %v", n, tup.Cells, tup.Ann)
+			want := tab.meta.Blocks[0].Rows
+			if scanErr == nil {
+				want += int(rows)
+			} else if !errors.Is(scanErr, ErrCorrupt) {
+				t.Fatalf("scan error is not ErrCorrupt: %v", scanErr)
+			} else if _, ok, err := it.Next(); ok || !errors.Is(err, ErrClosed) {
+				t.Fatalf("Next after a corrupt block: ok=%v err=%v", ok, err)
 			}
-			_ = tup.Key()
+			if n != want {
+				t.Fatalf("scan returned %d rows, want %d (err %v)", n, want, scanErr)
+			}
+			return n, digest.Sum64(), scanErr
 		}
-		runtime.ReadMemStats(&after)
-		if limit := uint64(1<<20 + 1024*len(mutated)); after.TotalAlloc-before.TotalAlloc > limit {
-			t.Errorf("scan of a %d-byte block allocated %d bytes", len(mutated), after.TotalAlloc-before.TotalAlloc)
-		}
-		want := tab.meta.Blocks[0].Rows
-		if scanErr == nil {
-			want += int(rows)
-		} else if !errors.Is(scanErr, ErrCorrupt) {
-			t.Fatalf("scan error is not ErrCorrupt: %v", scanErr)
-		} else if _, ok, err := it.Next(); ok || !errors.Is(err, ErrClosed) {
-			t.Fatalf("Next after a corrupt block: ok=%v err=%v", ok, err)
-		}
-		if n != want {
-			t.Fatalf("scan returned %d rows, want %d (err %v)", n, want, scanErr)
+		n1, d1, err1 := run()
+		n2, d2, err2 := run()
+		if n1 != n2 || d1 != d2 || fmt.Sprint(err1) != fmt.Sprint(err2) {
+			t.Fatalf("scan over the scratch of an earlier scan: %d rows (digest %x, err %v), first scan %d rows (digest %x, err %v)", n2, d2, err2, n1, d1, err1)
 		}
 	})
 }

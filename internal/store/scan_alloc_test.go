@@ -3,6 +3,7 @@ package store
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"pvcagg/internal/algebra"
@@ -74,27 +75,48 @@ func drainScan(tb testing.TB, tab *Table, opts pvc.ScanOptions) int {
 // TestScanAllocsPerBlock pins the allocation shape of a scan: draining
 // an all-integer table costs a fixed number of allocations per scan and
 // per block, and none per row — eight times the rows in the same number
-// of blocks allocate no more.
+// of blocks allocate no more. In bytes, a scan borrows its block buffer
+// and vectors from the table, so once a first scan has sized them a
+// repeat scan allocates less than one block.
 func TestScanAllocsPerBlock(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
 	const blocks = 12
-	allocs := func(perBlock int) float64 {
-		tab := writeWide(t, blocks, perBlock)
-		return testing.AllocsPerRun(5, func() {
-			if n := drainScan(t, tab, pvc.ScanOptions{}); n != blocks*perBlock {
-				t.Fatalf("scanned %d rows, want %d", n, blocks*perBlock)
-			}
-		})
+	drain := func(tab *Table, rows int) {
+		if n := drainScan(t, tab, pvc.ScanOptions{}); n != rows {
+			t.Fatalf("scanned %d rows, want %d", n, rows)
+		}
 	}
-	small, large := allocs(32), allocs(256)
+	allocs := func(tab *Table, perBlock int) float64 {
+		return testing.AllocsPerRun(5, func() { drain(tab, blocks*perBlock) })
+	}
+	smallTab, largeTab := writeWide(t, blocks, 32), writeWide(t, blocks, 256)
+	small, large := allocs(smallTab, 32), allocs(largeTab, 256)
 	t.Logf("allocations per scan of %d blocks: %.0f at 32 rows a block, %.0f at 256", blocks, small, large)
 	if large > small+2 {
 		t.Errorf("allocations grow with rows: %.0f for %d rows, %.0f for %d", small, blocks*32, large, blocks*256)
 	}
 	if limit := float64(40 + 4*blocks); large > limit {
 		t.Errorf("%.0f allocations for a %d-block scan, want at most %.0f", large, blocks, limit)
+	}
+
+	// One P, as AllocsPerRun runs: the pool hands a goroutine back what
+	// it put on its own P.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const scans = 20
+	drain(largeTab, blocks*256)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < scans; i++ {
+		drain(largeTab, blocks*256)
+	}
+	runtime.ReadMemStats(&after)
+	perScan := (after.TotalAlloc - before.TotalAlloc) / scans
+	block := uint64(largeTab.meta.Blocks[0].Len)
+	t.Logf("bytes per repeat scan: %d (a block is %d)", perScan, block)
+	if perScan >= block {
+		t.Errorf("a repeat scan allocated %d bytes, want less than one %d-byte block", perScan, block)
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"sync"
 	"sync/atomic"
 
 	"pvcagg/internal/algebra"
@@ -312,6 +313,7 @@ type Table struct {
 	meta       *tableMeta
 	schema     pvc.Schema
 	mins, maxs [][]pvc.Cell
+	scratch    sync.Pool // of *blockVecs over schema, lent to one scan at a time
 }
 
 // TableName implements pvc.TableProvider.
@@ -385,9 +387,21 @@ func (t *Table) NewScan(ctx context.Context, opts pvc.ScanOptions) (pvc.TupleIte
 	return &scanIter{
 		ctx: ctx, t: t, f: f, size: fi.Size(), retry: retry, span: obs.SpanFrom(ctx),
 		cols: cols, hints: opts.Hints, dropZero: opts.DropZero,
-		blk: newBlockVecs(t.schema, cols, opts.Hints),
+		blk: t.borrow(cols, opts.Hints),
 		row: make([]pvc.Cell, len(cols)),
 	}, nil
+}
+
+// borrow takes a scan scratch from the table's pool, or makes one, and
+// readies it for a scan of cols under hints. The scan gives it back
+// (scanIter.giveBack) when it closes.
+func (t *Table) borrow(cols []int, hints []pvc.ScanHint) *blockVecs {
+	b, _ := t.scratch.Get().(*blockVecs)
+	if b == nil {
+		b = newBlockVecs(t.schema)
+	}
+	b.reset(cols, hints)
+	return b
 }
 
 // scanIter streams one table block by block. Transient read errors are
@@ -397,10 +411,11 @@ func (t *Table) NewScan(ctx context.Context, opts pvc.ScanOptions) (pvc.TupleIte
 // the underlying file is released eagerly rather than waiting for
 // Close.
 //
-// Nothing is allocated per row: a block is decoded into the typed
-// vectors of blk, which the scan owns and refills for every block, and
-// Next copies the cells of one surviving row into row, the buffer every
-// returned tuple lends.
+// Nothing is allocated per row: a block is read and decoded into blk,
+// the scratch the scan borrowed from its table and refills for every
+// block, and Next copies the cells of one surviving row into row, the
+// buffer every returned tuple lends. Once closed, the scan holds no
+// reference to blk.
 type scanIter struct {
 	ctx      context.Context
 	t        *Table
@@ -413,8 +428,7 @@ type scanIter struct {
 	dropZero bool
 
 	bi     int
-	buf    []byte // raw bytes of the current block
-	blk    *blockVecs
+	blk    *blockVecs // borrowed from t until closed
 	si     int        // next entry of blk.sel to hand out
 	row    []pvc.Cell // lent to the caller until the next Next or Close
 	closed bool
@@ -488,6 +502,7 @@ func (it *scanIter) Next() (pvc.Tuple, bool, error) {
 				err = &PartialError{Table: it.t.meta.Name, Block: it.bi, Err: err}
 			}
 			it.closed = true
+			it.giveBack()
 			it.release()
 			return pvc.Tuple{}, false, err
 		}
@@ -506,7 +521,7 @@ func (it *scanIter) Next() (pvc.Tuple, bool, error) {
 	}
 }
 
-// readBlock reads and verifies block bi into the scan's reused buffer and
+// readBlock reads and verifies block bi into blk's reused buffer and
 // decodes it into blk; on any error blk holds no row.
 func (it *scanIter) readBlock(bi int) error {
 	bm := it.t.meta.Blocks[bi]
@@ -517,10 +532,8 @@ func (it *scanIter) readBlock(bi int) error {
 	if bm.Off+int64(bm.Len) > it.size {
 		return &CorruptError{File: it.t.meta.File, Block: bi, Reason: fmt.Sprintf("table %s: %d bytes at %d reach past the file's %d", it.t.meta.Name, bm.Len, bm.Off, it.size)}
 	}
-	if cap(it.buf) < bm.Len {
-		it.buf = make([]byte, bm.Len)
-	}
-	buf := it.buf[:bm.Len]
+	it.blk.raw = grow(it.blk.raw, bm.Len)
+	buf := it.blk.raw
 	if _, err := it.f.ReadAt(buf, bm.Off); err != nil {
 		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
 			// Truncation is damage, not a blip.
@@ -545,11 +558,20 @@ func (it *scanIter) release() error {
 	return f.Close()
 }
 
+// giveBack returns the scan's scratch to its table. It runs once per
+// scan, as the scan becomes closed (in Close, or in Next on a terminal
+// failure), and drops the scan's reference, so a scratch is never lent
+// to two scans.
+func (it *scanIter) giveBack() {
+	it.t.scratch.Put(it.blk)
+	it.blk = nil
+}
+
 func (it *scanIter) Close() error {
 	if it.closed {
 		return nil
 	}
 	it.closed = true
-	it.blk.sel = nil
+	it.giveBack()
 	return it.release()
 }
