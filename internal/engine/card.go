@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"math"
 	"sync"
 
 	"pvcagg/internal/pvc"
@@ -124,11 +125,10 @@ func (e *Estimator) Estimate(p Plan) CardEstimate {
 		return e.Estimate(n.Input)
 	case *Product:
 		l, r := e.Estimate(n.L), e.Estimate(n.R)
-		out := CardEstimate{Rows: l.Rows * r.Rows, Distinct: merged(l.Distinct, r.Distinct)}
-		return out
+		return CardEstimate{Rows: finite(l.Rows * r.Rows), Distinct: merged(l.Distinct, r.Distinct)}
 	case *Join:
 		l, r := e.Estimate(n.L), e.Estimate(n.R)
-		rows := l.Rows * r.Rows
+		rows := finite(l.Rows * r.Rows)
 		for c := range l.Distinct {
 			if rd, ok := r.Distinct[c]; ok {
 				if d := max(l.Distinct[c], rd); d > 0 {
@@ -139,7 +139,7 @@ func (e *Estimator) Estimate(p Plan) CardEstimate {
 		return clampDistinct(CardEstimate{Rows: rows, Distinct: merged(l.Distinct, r.Distinct)})
 	case *Union:
 		l, r := e.Estimate(n.L), e.Estimate(n.R)
-		out := CardEstimate{Rows: l.Rows + r.Rows, Distinct: make(map[string]float64, len(l.Distinct))}
+		out := CardEstimate{Rows: finite(l.Rows + r.Rows), Distinct: make(map[string]float64, len(l.Distinct))}
 		for c, d := range l.Distinct {
 			out.Distinct[c] = d + r.Distinct[c]
 		}
@@ -255,6 +255,11 @@ func atomSelectivity(a Atom, in CardEstimate) float64 {
 		return ineqSelectivity
 	}
 }
+
+// finite clamps a row count that overflowed to +Inf back to the largest
+// float: a wide cross product must stay orderable for the optimizer and
+// encodable in EXPLAIN, and a later selectivity of 0 must give 0, not NaN.
+func finite(rows float64) float64 { return min(rows, math.MaxFloat64) }
 
 func distinctOr(in CardEstimate, col string, def float64) float64 {
 	if d, ok := in.Distinct[col]; ok && d > 0 {

@@ -37,7 +37,7 @@ package engine
 //     until the next probe pull);
 //   - unionIter.drain's first-seen cells per group;
 //   - drainRoot, the root loop of StreamEvalPlan and
-//     StreamEvalPlanExplain, and Iterate, whose caller may keep a row;
+//     StreamEvalPlanExplain, the one driver of the iterator tree;
 //   - outside this file: providerEstimate (keeps no tuple, only cell
 //     keys).
 //
@@ -46,7 +46,6 @@ package engine
 import (
 	"context"
 	"fmt"
-	"iter"
 	"sort"
 	"time"
 
@@ -1063,14 +1062,6 @@ func (it *groupAggIter) Next() (pvc.Tuple, bool, error) {
 
 func (it *groupAggIter) Close() error { return it.child.Close() }
 
-// NewIterator compiles a plan into a streaming iterator and its output
-// schema, capturing ctx for cancellation checks in drain and build
-// loops. The caller owns Open/Next/Close and Clones any tuple it keeps.
-func NewIterator(ctx context.Context, db *pvc.Database, plan Plan) (Iterator, pvc.Schema, error) {
-	it, schema, _, err := newIterBuilder(ctx, db).build(plan)
-	return it, schema, err
-}
-
 // StreamEvalPlan runs step I of query evaluation — computing the result
 // tuples and their annotation and aggregation expressions (⟦·⟧) through
 // the iterator tree — and returns the result pvc-table, sorted by tuple
@@ -1131,43 +1122,4 @@ func drainRoot(ctx context.Context, it Iterator, rel *pvc.Relation) error {
 	}
 	rel.Sort()
 	return ctx.Err()
-}
-
-// Iterate exposes the iterator tree as an iter.Seq2: tuples arrive in
-// pipeline (construction) order, NOT in the sorted order StreamEvalPlan
-// returns. Breaking out of the range closes the iterator tree; a non-nil
-// error is yielded at most once, as the final element.
-func Iterate(ctx context.Context, db *pvc.Database, plan Plan) iter.Seq2[pvc.Tuple, error] {
-	return func(yield func(pvc.Tuple, error) bool) {
-		it, _, _, err := newIterBuilder(ctx, db).build(plan)
-		if err != nil {
-			yield(pvc.Tuple{}, err)
-			return
-		}
-		defer it.Close()
-		if err := it.Open(); err != nil {
-			yield(pvc.Tuple{}, err)
-			return
-		}
-		lent := lendsCells(it)
-		for n := 0; ; n++ {
-			t, ok, err := it.Next()
-			if err != nil {
-				yield(pvc.Tuple{}, err)
-				return
-			}
-			if !ok {
-				return
-			}
-			if !yield(owned(t, lent), nil) {
-				return
-			}
-			if n&ctxPollMask == ctxPollMask {
-				if err := ctx.Err(); err != nil {
-					yield(pvc.Tuple{}, err)
-					return
-				}
-			}
-		}
-	}
 }

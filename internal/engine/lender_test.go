@@ -87,9 +87,8 @@ func sameOutcome(t *testing.T, what string, want *pvc.Relation, errW error, got 
 // as its loan ends — and that filters on hints and drops zero rows —
 // what it computes over the same tables in memory. Lending R alone,
 // everything but R, and everything puts the lender on the probe side,
-// the build side and both sides of every ⋈, × and ∪. StreamEvalPlan,
-// EXPLAIN ANALYZE and Iterate with an early break are all held to it;
-// the estimator scans the lender for its statistics on the way. The
+// the build side and both sides of every ⋈, × and ∪. StreamEvalPlan and
+// EXPLAIN ANALYZE are both held to it; the estimator scans the lender for its statistics on the way. The
 // in-memory reference is not independent of what it guards: in-memory
 // π̂ and ⋈/× lend their own rows through the same keep sites, so a
 // missing copy there corrupts both sides alike. TestLendersAtKeepSites
@@ -123,26 +122,6 @@ func TestPoisonedLenderDifferential(t *testing.T) {
 						t.Errorf("root actual rows = %d, want %d", gotEx.ActualRows, len(want.Tuples))
 					}
 				}
-
-				if errW != nil {
-					return
-				}
-				// Iterate: keep the first two tuples, break, and read them
-				// only after the tree is closed.
-				head := func(db *pvc.Database) *pvc.Relation {
-					rel := pvc.NewRelation(want.Name, want.Schema)
-					for tup, err := range Iterate(ctx, db, plan) {
-						if err != nil {
-							t.Fatal(err)
-						}
-						rel.Tuples = append(rel.Tuples, tup)
-						if len(rel.Tuples) == 2 {
-							break
-						}
-					}
-					return rel
-				}
-				relEqual(t, head(db), head(v.db))
 			})
 		}
 	}
@@ -176,41 +155,36 @@ func TestLendersAtKeepSites(t *testing.T) {
 	joinRS := func() Plan { return &Join{L: scan("R"), R: scan("S2")} }
 	count := []AggSpec{{Out: "N", Agg: algebra.Count}}
 	cases := []struct {
-		site    string
-		plan    Plan
-		iterate bool // keep the first three rows of Iterate, then break
-		want    []string
+		site string
+		plan Plan
+		want []string
 	}{
-		{"root/π̂", pruneR("b", "a"), false, []string{
+		{"root/π̂", pruneR("b", "a"), []string{
 			"10 1 : ir0", "10 3 : ir4", "20 1 : ir1", "30 2 : ir2", "30 2 : ir3"}},
-		{"root/σ/π̂", &Select{Input: pruneR("b", "a"), Pred: Where(ColTheta("b", value.LE, pvc.IntCell(20)))}, false, []string{
+		{"root/σ/π̂", &Select{Input: pruneR("b", "a"), Pred: Where(ColTheta("b", value.LE, pvc.IntCell(20)))}, []string{
 			"10 1 : ir0", "10 3 : ir4", "20 1 : ir1"}},
-		{"root/⋈", joinRS(), false, []string{
+		{"root/⋈", joinRS(), []string{
 			"1 10 100 : (ir0*is0)", "1 20 100 : (ir1*is0)", "2 30 200 : (ir2*is1)", "2 30 200 : (ir3*is1)"}},
-		{"∪/π̂", &Union{L: pruneR("a", "b"), R: scan("E")}, false, []string{
+		{"∪/π̂", &Union{L: pruneR("a", "b"), R: scan("E")}, []string{
 			"1 10 : ir0", "1 20 : ir1", "2 30 : (ir2 + ir3)", "3 10 : ir4"}},
-		{"∪/⋈", &Union{L: joinRS(), R: &Select{Input: joinRS(), Pred: Where(ColTheta("c", value.GE, pvc.IntCell(1000)))}}, false, []string{
+		{"∪/⋈", &Union{L: joinRS(), R: &Select{Input: joinRS(), Pred: Where(ColTheta("c", value.GE, pvc.IntCell(1000)))}}, []string{
 			"1 10 100 : (ir0*is0)", "1 20 100 : (ir1*is0)", "2 30 200 : ((ir2*is1) + (ir3*is1))"}},
-		{"build/π̂", &Join{L: scan("S2"), R: pruneR("b", "a")}, false, []string{
+		{"build/π̂", &Join{L: scan("S2"), R: pruneR("b", "a")}, []string{
 			"1 100 10 : (is0*ir0)", "1 100 20 : (is0*ir1)", "2 200 30 : (is1*ir2)", "2 200 30 : (is1*ir3)"}},
-		{"build/⋈", &Join{L: scan("W"), R: joinRS()}, false, []string{
+		{"build/⋈", &Join{L: scan("W"), R: joinRS()}, []string{
 			"x 10 1 100 : (iw0*ir0*is0)", "x 30 2 200 : (iw2*ir2*is1)", "x 30 2 200 : (iw2*ir3*is1)", "y 20 1 100 : (iw1*ir1*is0)"}},
-		{"π/π̂", &Project{Input: pruneR("b", "a"), Cols: []string{"a"}}, false, []string{
+		{"π/π̂", &Project{Input: pruneR("b", "a"), Cols: []string{"a"}}, []string{
 			"1 : (ir0 + ir1)", "2 : (ir2 + ir3)", "3 : ir4"}},
-		{"π/⋈", &Project{Input: joinRS(), Cols: []string{"b"}}, false, []string{
+		{"π/⋈", &Project{Input: joinRS(), Cols: []string{"b"}}, []string{
 			"10 : (ir0*is0)", "20 : (ir1*is0)", "30 : ((ir2*is1) + (ir3*is1))"}},
-		{"$/π̂", &GroupAgg{Input: pruneR("b", "a"), GroupBy: []string{"a"}, Aggs: count}, false, []string{
+		{"$/π̂", &GroupAgg{Input: pruneR("b", "a"), GroupBy: []string{"a"}, Aggs: count}, []string{
 			"1 count((ir0 @count m:1), (ir1 @count m:1)) : [(ir0 + ir1) != 0]",
 			"2 count((ir2 @count m:1), (ir3 @count m:1)) : [(ir2 + ir3) != 0]",
 			"3 (ir4 @count m:1) : [ir4 != 0]"}},
-		{"$/⋈", &GroupAgg{Input: joinRS(), GroupBy: []string{"b"}, Aggs: count}, false, []string{
+		{"$/⋈", &GroupAgg{Input: joinRS(), GroupBy: []string{"b"}, Aggs: count}, []string{
 			"10 ((ir0*is0) @count m:1) : [(ir0*is0) != 0]",
 			"20 ((ir1*is0) @count m:1) : [(ir1*is0) != 0]",
 			"30 count(((ir2*is1) @count m:1), ((ir3*is1) @count m:1)) : [((ir2*is1) + (ir3*is1)) != 0]"}},
-		{"Iterate/π̂", pruneR("b", "a"), true, []string{
-			"10 1 : ir0", "20 1 : ir1", "30 2 : ir2"}},
-		{"Iterate/⋈", joinRS(), true, []string{
-			"1 10 100 : (ir0*is0)", "1 20 100 : (ir1*is0)", "2 30 200 : (ir2*is1)"}},
 	}
 	for _, c := range cases {
 		t.Run(c.site, func(t *testing.T) {
@@ -219,19 +193,6 @@ func TestLendersAtKeepSites(t *testing.T) {
 				if g := rowStrings(got); strings.Join(g, "\n") != strings.Join(c.want, "\n") {
 					t.Errorf("%s:\ngot  %q\nwant %q", how, g, c.want)
 				}
-			}
-			if c.iterate {
-				var kept []pvc.Tuple
-				for tup, err := range Iterate(ctx, db, c.plan) {
-					if err != nil {
-						t.Fatal(err)
-					}
-					if kept = append(kept, tup); len(kept) == 3 {
-						break
-					}
-				}
-				check("Iterate", kept)
-				return
 			}
 			rel, _, err := StreamEvalPlan(ctx, db, c.plan)
 			if err != nil {
@@ -268,7 +229,7 @@ func flatAllocs(t *testing.T, what string, in func(Plan) Plan) {
 		}
 		db.Add(r)
 		return testing.AllocsPerRun(5, func() {
-			it, _, err := NewIterator(ctx, db, plan)
+			it, _, _, err := newIterBuilder(ctx, db).build(plan)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -149,9 +149,9 @@ func (p Pred) String() string {
 	return strings.Join(parts, "∧")
 }
 
-// cellLiteral renders a constant cell so the rendering stays parseable
-// (pvql.ParsePlan): string constants are single-quoted with ” escaping,
-// distinguishing them from column names; values render bare.
+// cellLiteral renders a constant cell for display: string constants are
+// single-quoted, an embedded quote doubled, so σ[a='b'] compares with a
+// constant and σ[a=b] with a column; values render bare.
 func cellLiteral(c pvc.Cell) string {
 	if c.Kind() == pvc.KindString {
 		return "'" + strings.ReplaceAll(c.Str(), "'", "''") + "'"

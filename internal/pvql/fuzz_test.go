@@ -22,9 +22,9 @@ func FuzzParse(f *testing.F) {
 		"SELECT a FROM R WHERE 1 = 2",
 		"select A.b from (select * from x) as A group by A.b",
 		"SELECT ( FROM 'unterminated",
-		"π[shop,price]((S ⋈ PS))",
-		"σ[x<=50∧name='M''S'](R)",
-		"$[a;n←COUNT(),x←SUM(b)](R)",
+		"EXPLAIN ANALYZE SELECT shop, COUNT(*) AS n FROM S GROUP BY shop",
+		"SELECT a FROM R WHERE name = 'M''S' UNION SELECT b AS a FROM T",
+		"SELECT MIN(x) AS lo, PROD(y) AS p FROM R WHERE x <> +INF GROUP BY",
 	} {
 		f.Add(seed)
 	}
@@ -34,10 +34,6 @@ func FuzzParse(f *testing.F) {
 			checkError(t, src, err)
 		} else if q == nil || len(q.Selects) == 0 {
 			t.Fatalf("Parse(%q) returned no error and no query", src)
-		}
-		// The algebra re-parser shares the crash-freedom contract.
-		if _, err := ParsePlan(src); err != nil {
-			checkError(t, src, err)
 		}
 	})
 }

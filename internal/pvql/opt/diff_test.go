@@ -256,26 +256,3 @@ func constCells(tp pvc.Tuple, schema pvc.Schema) string {
 	}
 	return b.String()
 }
-
-// TestPlanStringRoundTrip pins the algebra rendering to the pvql
-// grammar: every naive and optimizer-produced plan re-parses through
-// ParsePlan into a plan with the identical rendering (the printable
-// subset documented on ParsePlan covers everything the binder and
-// optimizer emit).
-func TestPlanStringRoundTrip(t *testing.T) {
-	for seed := int64(0); seed < 150; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		db := diffDB(rng, diffRows)
-		naive := naivePlan(t, seed, db, randQuery(rng))
-		for _, plan := range []engine.Plan{naive, opt.Optimize(naive, db)} {
-			s := plan.String()
-			rt, err := pvql.ParsePlan(s)
-			if err != nil {
-				t.Fatalf("seed %d: ParsePlan(%q): %v", seed, s, err)
-			}
-			if rt.String() != s {
-				t.Fatalf("seed %d: round trip drift:\n in  %s\n out %s", seed, s, rt.String())
-			}
-		}
-	}
-}

@@ -4,9 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"pvcagg/internal/algebra"
-	"pvcagg/internal/engine"
-	"pvcagg/internal/pvc"
 	"pvcagg/internal/value"
 )
 
@@ -139,65 +136,5 @@ func TestErrorRender(t *testing.T) {
 	r := err.(*Error).Render(src)
 	if !strings.Contains(r, "3:") || !strings.Contains(r, "^") || !strings.Contains(r, "WHERE x =") {
 		t.Fatalf("Render = %q", r)
-	}
-}
-
-func TestParsePlanRoundTrip(t *testing.T) {
-	plans := []engine.Plan{
-		&engine.Scan{Table: "lineitem"},
-		&engine.Rename{Input: &engine.Scan{Table: "R"}, From: "a", To: "b"},
-		&engine.Project{
-			Cols: []string{"shop", "price"},
-			Input: &engine.Join{
-				L: &engine.Join{L: &engine.Scan{Table: "S"}, R: &engine.Scan{Table: "PS"}},
-				R: &engine.Union{L: &engine.Scan{Table: "P1"}, R: &engine.Scan{Table: "P2"}},
-			},
-		},
-		&engine.Select{
-			Input: &engine.Scan{Table: "R"},
-			Pred: engine.Where(
-				engine.ColTheta("r_name", value.EQ, pvc.StringCell("AFRICA")),
-				engine.ColTheta("w", value.NE, pvc.StringCell("it's")),
-				engine.ColTheta("b", value.LE, pvc.IntCell(-3)),
-				engine.ColTheta("c", value.LT, pvc.ValueCell(value.PosInf())),
-				engine.ColThetaCol("b", value.GE, "c"),
-			),
-		},
-		&engine.Prune{Input: &engine.Scan{Table: "R"}, Cols: []string{"b", "a"}},
-		&engine.Product{L: &engine.Scan{Table: "A"}, R: &engine.Scan{Table: "B"}},
-		&engine.GroupAgg{
-			Input:   &engine.Scan{Table: "R"},
-			GroupBy: []string{"a", "b"},
-			Aggs: []engine.AggSpec{
-				{Out: "n", Agg: algebra.Count},
-				{Out: "m", Agg: algebra.Min, Over: "b"},
-			},
-		},
-		&engine.GroupAgg{
-			Input: &engine.Scan{Table: "R"},
-			Aggs:  []engine.AggSpec{{Out: "x", Agg: algebra.Sum, Over: "b"}},
-		},
-	}
-	for _, p := range plans {
-		s := p.String()
-		got, err := ParsePlan(s)
-		if err != nil {
-			t.Errorf("ParsePlan(%q): %v", s, err)
-			continue
-		}
-		if got.String() != s {
-			t.Errorf("round trip: %q -> %q", s, got.String())
-		}
-	}
-}
-
-func TestParsePlanErrors(t *testing.T) {
-	for _, src := range []string{
-		"", "π[", "σ[a<5](R", "(A ? B)", "$[a](R)", "π[a](R) trailing",
-		"σ[a<'oops](R)", "$[;x←WAT(b)](R)",
-	} {
-		if _, err := ParsePlan(src); err == nil {
-			t.Errorf("ParsePlan(%q) succeeded", src)
-		}
 	}
 }

@@ -34,9 +34,8 @@
 // paper's σ over semimodule values — they multiply the conditional
 // expression [A θ B] into the annotation rather than filtering.
 //
-// This package also parses the algebra rendering produced by
-// engine.Plan.String (ParsePlan), pinning the rendering and the grammar
-// to each other; see that function for the printable subset.
+// PVQL is the only textual form of a plan: engine.Plan.String renders
+// the algebra for display and is not parsed back.
 package pvql
 
 import "fmt"

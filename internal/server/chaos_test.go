@@ -84,7 +84,7 @@ func TestChaosSoak(t *testing.T) {
 	}
 	// Zero deaths: every injected fault was retried, soundly degraded, or
 	// surfaced as a typed error — never a panic.
-	if got := s.m.panics.Load(); got != 0 {
+	if got := s.m.panics.Value(); got != 0 {
 		t.Errorf("%d panics during the soak, want 0", got)
 	}
 	// Bounded error rate: with transient faults at 1% and 4 attempts per

@@ -3,6 +3,8 @@ package server
 import (
 	"bufio"
 	"encoding/json"
+	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -10,80 +12,13 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"pvcagg"
 )
 
 // Observability suite: the /metrics exposition under a workload soak,
-// the /healthz build-info body, EXPLAIN routing through /query and the
-// plan cache, trace-on-request, and the latency-recorder arithmetic.
-
-// TestPercentileNearestRank pins the nearest-rank convention: index
-// ceil(len*p/100), 1-based, clamped to the first sample — the p-th
-// percentile is always an observed sample, never an interpolation.
-func TestPercentileNearestRank(t *testing.T) {
-	ramp := func(n int) []time.Duration {
-		s := make([]time.Duration, n)
-		for i := range s {
-			s[i] = time.Duration(i+1) * time.Microsecond
-		}
-		return s
-	}
-	cases := []struct {
-		name   string
-		sorted []time.Duration
-		p      int
-		want   time.Duration
-	}{
-		{"empty/p50", nil, 50, 0},
-		{"one/p50", ramp(1), 50, 1 * time.Microsecond},
-		{"one/p95", ramp(1), 95, 1 * time.Microsecond},
-		{"one/p99", ramp(1), 99, 1 * time.Microsecond},
-		{"two/p50", ramp(2), 50, 1 * time.Microsecond},
-		{"two/p95", ramp(2), 95, 2 * time.Microsecond},
-		{"two/p99", ramp(2), 99, 2 * time.Microsecond},
-		{"window/p50", ramp(windowSize), 50, time.Duration(windowSize/2) * time.Microsecond},
-		{"window/p95", ramp(windowSize), 95, time.Duration((windowSize*95+99)/100) * time.Microsecond},
-		{"window/p99", ramp(windowSize), 99, time.Duration((windowSize*99+99)/100) * time.Microsecond},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			if got := percentile(tc.sorted, tc.p); got != tc.want {
-				t.Errorf("percentile(%d samples, p%d) = %v, want %v", len(tc.sorted), tc.p, got, tc.want)
-			}
-		})
-	}
-}
-
-// TestRecorderSnapshot covers the pooled snapshot path: lifetime count
-// and total survive window wrap, percentiles read the window, and
-// repeated snapshots (pool reuse) agree.
-func TestRecorderSnapshot(t *testing.T) {
-	r := newRecorder()
-	if st := r.snapshot(); st.Count != 0 || st.TotalUs != 0 || st.P50Us != 0 {
-		t.Fatalf("empty snapshot = %+v, want zeros", st)
-	}
-	n := windowSize + 100
-	for i := 1; i <= n; i++ {
-		r.add(time.Duration(i) * time.Microsecond)
-	}
-	st := r.snapshot()
-	if st.Count != int64(n) {
-		t.Errorf("Count = %d, want %d (lifetime, not window)", st.Count, n)
-	}
-	if want := int64(n) * int64(n+1) / 2; st.TotalUs != want {
-		t.Errorf("TotalUs = %d, want %d", st.TotalUs, want)
-	}
-	// The window now holds 101..windowSize+100; p50 over it is the
-	// nearest-rank sample windowSize/2 positions in.
-	if want := int64(100 + windowSize/2); st.P50Us != want {
-		t.Errorf("P50Us = %d, want %d", st.P50Us, want)
-	}
-	if st2 := r.snapshot(); st2 != st {
-		t.Errorf("repeated snapshot differs: %+v vs %+v", st2, st)
-	}
-}
+// /stats as a reading of it, the /healthz build-info body, EXPLAIN
+// routing through /query and the plan cache, and trace-on-request.
 
 func TestHealthzBuildInfo(t *testing.T) {
 	s := New(shopDB(0.5), Config{})
@@ -182,8 +117,9 @@ func scrape(t *testing.T, client *http.Client, url string) map[string]float64 {
 }
 
 // TestMetricsSmoke soaks the server with a small workload, scrapes
-// twice, and asserts the exposition parses, the core series exist, and
-// counters are monotone between scrapes.
+// twice, and asserts the exposition parses, the core series exist,
+// counters are monotone between scrapes, and /stats reads the same
+// counters and phase counts as the scrape.
 func TestMetricsSmoke(t *testing.T) {
 	db := shopDB(0.5)
 	s := New(db, Config{StoreMetrics: func() pvcagg.StoreMetrics {
@@ -269,6 +205,39 @@ func TestMetricsSmoke(t *testing.T) {
 	if second["pvcd_requests_total"] != first["pvcd_requests_total"]+8 {
 		t.Errorf("pvcd_requests_total %v → %v, want +8", first["pvcd_requests_total"], second["pvcd_requests_total"])
 	}
+
+	// The server is idle, so /stats and a scrape read the same values.
+	var st Stats
+	getJSON(t, srv.URL+"/stats", &st)
+	third := scrape(t, srv.Client(), srv.URL)
+	for series, got := range map[string]int64{
+		"pvcd_requests_total":           st.Requests,
+		"pvcd_requests_ok_total":        st.OK,
+		"pvcd_requests_rejected_total":  st.Rejected,
+		"pvcd_requests_degraded_total":  st.Degraded,
+		"pvcd_requests_timeout_total":   st.Timeouts,
+		"pvcd_requests_error_total":     st.Errors,
+		"pvcd_panics_total":             st.Panics,
+		"pvcd_queue_wait_seconds_count": st.QueueWait.Count,
+		"pvcd_parse_seconds_count":      st.Parse.Count,
+		"pvcd_exec_seconds_count":       st.Exec.Count,
+		"pvcd_request_seconds_count":    st.Total.Count,
+	} {
+		if want, ok := third[series]; !ok || float64(got) != want {
+			t.Errorf("/stats reads %d where %s is %v", got, series, want)
+		}
+	}
+	if st.Requests != 41 || st.OK != 40 {
+		t.Errorf("/stats requests=%d ok=%d, want 41 and 40", st.Requests, st.OK)
+	}
+	resp, err := srv.Client().Post(srv.URL+"/stats", "application/json", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusMethodNotAllowed {
+		t.Errorf("POST /stats: %d, want 405", resp.StatusCode)
+	}
 }
 
 // TestQueryExplain routes the PVQL EXPLAIN prefixes through /query: the
@@ -350,5 +319,42 @@ func TestQueryTrace(t *testing.T) {
 	}
 	if !kids["eval"] || !kids["probability"] {
 		t.Errorf("exec span children = %+v, want eval and probability", exec.Children)
+	}
+}
+
+// wideExplain is EXPLAIN over a 110-way cross product of a 1 000-row
+// table: its estimated row count, 1000¹¹⁰, is past the largest float.
+func wideExplain() string {
+	from := make([]string, 110)
+	for i := range from {
+		from[i] = fmt.Sprintf("(SELECT a AS a%d FROM R)", i)
+	}
+	return "EXPLAIN SELECT * FROM " + strings.Join(from, ", ")
+}
+
+// TestExplainWideProduct: the estimate of a cross product too wide for a
+// float is clamped, so EXPLAIN answers 200 with a finite est_rows, and
+// /stats counts the request once, as ok.
+func TestExplainWideProduct(t *testing.T) {
+	db := pvcagg.NewDatabase(pvcagg.Boolean)
+	r := pvcagg.NewRelation("R", pvcagg.Schema{{Name: "a", Type: pvcagg.TValue}})
+	for i := 0; i < 1000; i++ {
+		r.MustInsert(pvcagg.MustParseExpr("1"), pvcagg.IntCell(int64(i)))
+	}
+	db.Add(r)
+	srv := httptest.NewServer(New(db, Config{}).Handler())
+	defer srv.Close()
+
+	code, resp, msg := post(t, srv.Client(), srv.URL, QueryRequest{Query: wideExplain()})
+	if code != http.StatusOK {
+		t.Fatalf("EXPLAIN: %d %s", code, msg)
+	}
+	if est := resp.Explain.EstRows; math.IsInf(est, 0) || math.IsNaN(est) || est <= 0 {
+		t.Errorf("est_rows = %v, want finite and positive", est)
+	}
+	var st Stats
+	getJSON(t, srv.URL+"/stats", &st)
+	if st.OK != 1 || st.Errors != 0 {
+		t.Errorf("/stats ok=%d errors=%d, want 1 and 0", st.OK, st.Errors)
 	}
 }

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"math"
 	"net/http"
 	"time"
 
@@ -8,21 +9,30 @@ import (
 	"pvcagg/internal/obs"
 )
 
-// Prometheus-style metrics: every subsystem the service composes —
-// admission control, the two caches, the engine, the storage backend —
-// publishes into one obs.Registry served at GET /metrics in text
-// exposition format. Counters that already live in atomics (the /stats
-// admission counters, the cache stats, the store I/O totals) are
-// bridged with scrape-time Func instruments rather than double-counted;
-// phase latencies get real histograms observed at the same sites as the
-// /stats sliding-window recorders, so the two surfaces can never
-// disagree about what happened.
+// Metrics: every subsystem the service composes — admission control,
+// the plan cache, the engine, the storage backend — publishes into one
+// obs.Registry served at GET /metrics in text exposition format. It is
+// the service's only instrument: GET /stats is a JSON reading of the
+// same counters and histograms. State that already lives elsewhere (the
+// plan cache's stats, the store I/O totals, in-flight and queued
+// requests) is bridged with scrape-time Func instruments rather than
+// counted twice.
 
-// promMetrics holds the instruments the request path writes directly;
+// metrics holds the instruments the request path writes directly;
 // everything Func-bridged lives only in the registry.
-type promMetrics struct {
+type metrics struct {
 	reg *obs.Registry
 
+	// Admission outcomes.
+	requests *obs.Counter
+	ok       *obs.Counter
+	rejected *obs.Counter
+	degraded *obs.Counter
+	timeouts *obs.Counter
+	errors   *obs.Counter
+	panics   *obs.Counter
+
+	// Per-request phases, in seconds.
 	queueWait *obs.Histogram
 	parse     *obs.Histogram
 	exec      *obs.Histogram
@@ -33,20 +43,19 @@ type promMetrics struct {
 	boundedBlocks *obs.Counter
 }
 
-// initProm builds the registry. Called once from New, after the
-// admission metrics and the first session exist.
-func (s *Server) initProm() {
+// initMetrics builds the registry. Called once from New, after the first
+// session exists.
+func (s *Server) initMetrics() {
 	reg := obs.NewRegistry()
-	p := &promMetrics{reg: reg}
+	m := &metrics{reg: reg}
 
-	// Admission outcomes: scrape-time bridges over the /stats atomics.
-	reg.CounterFunc("pvcd_requests_total", "Queries received.", s.m.requests.Load)
-	reg.CounterFunc("pvcd_requests_ok_total", "Queries answered 200.", s.m.ok.Load)
-	reg.CounterFunc("pvcd_requests_rejected_total", "Queries rejected 429 at admission.", s.m.rejected.Load)
-	reg.CounterFunc("pvcd_requests_degraded_total", "Queries degraded to sound anytime bounds.", s.m.degraded.Load)
-	reg.CounterFunc("pvcd_requests_timeout_total", "Queries lost to their deadline.", s.m.timeouts.Load)
-	reg.CounterFunc("pvcd_requests_error_total", "Queries failed with an error.", s.m.errors.Load)
-	reg.CounterFunc("pvcd_panics_total", "Panics contained by the recovery middleware or engine workers.", s.m.panics.Load)
+	m.requests = reg.Counter("pvcd_requests_total", "Queries received.")
+	m.ok = reg.Counter("pvcd_requests_ok_total", "Queries answered 200.")
+	m.rejected = reg.Counter("pvcd_requests_rejected_total", "Queries rejected 429 at admission.")
+	m.degraded = reg.Counter("pvcd_requests_degraded_total", "Queries degraded to sound anytime bounds.")
+	m.timeouts = reg.Counter("pvcd_requests_timeout_total", "Queries lost to their deadline.")
+	m.errors = reg.Counter("pvcd_requests_error_total", "Queries failed with an error.")
+	m.panics = reg.Counter("pvcd_panics_total", "Panics contained by the recovery middleware or engine workers.")
 	reg.GaugeFunc("pvcd_inflight_queries", "Queries holding a worker slot right now.", s.inflight.Load)
 	reg.GaugeFunc("pvcd_queued_requests", "Requests waiting for a worker slot.", s.waiting.Load)
 	reg.GaugeFunc("pvcd_draining", "1 after BeginDrain flipped readiness off.", func() int64 {
@@ -60,10 +69,10 @@ func (s *Server) initProm() {
 	})
 
 	// Per-request phase latencies, in seconds (Prometheus convention).
-	p.queueWait = reg.Histogram("pvcd_queue_wait_seconds", "Worker-slot queue wait per request.", nil)
-	p.parse = reg.Histogram("pvcd_parse_seconds", "Parse+bind+optimize (or plan-cache hit) time per request.", nil)
-	p.exec = reg.Histogram("pvcd_exec_seconds", "Engine execution time per request.", nil)
-	p.total = reg.Histogram("pvcd_request_seconds", "End-to-end request time.", nil)
+	m.queueWait = reg.Histogram("pvcd_queue_wait_seconds", "Worker-slot queue wait per request.", nil)
+	m.parse = reg.Histogram("pvcd_parse_seconds", "Parse+bind+optimize (or plan-cache hit) time per request.", nil)
+	m.exec = reg.Histogram("pvcd_exec_seconds", "Engine execution time per request.", nil)
+	m.total = reg.Histogram("pvcd_request_seconds", "End-to-end request time.", nil)
 
 	// Plan cache: read off the *current* session at scrape time — a Swap
 	// resets these series along with the cache they describe, which is
@@ -96,11 +105,11 @@ func (s *Server) initProm() {
 	}
 
 	// Engine/retry outcomes accumulated per request in runQuery.
-	p.rows = reg.Counter("pvcd_rows_returned_total", "Answer tuples returned across all queries.")
-	p.retries = reg.Counter("pvcd_store_retries_total", "Store read retries spent under WithRetry budgets.")
-	p.boundedBlocks = reg.Counter("pvcd_store_bounded_blocks_total", "Blocks soundly skipped after retry exhaustion (degraded answers).")
+	m.rows = reg.Counter("pvcd_rows_returned_total", "Answer tuples returned across all queries.")
+	m.retries = reg.Counter("pvcd_store_retries_total", "Store read retries spent under WithRetry budgets.")
+	m.boundedBlocks = reg.Counter("pvcd_store_bounded_blocks_total", "Blocks soundly skipped after retry exhaustion (degraded answers).")
 
-	s.prom = p
+	s.m = m
 }
 
 // handleMetrics serves GET /metrics in Prometheus text exposition
@@ -111,5 +120,44 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	_ = s.prom.reg.WritePrometheus(w)
+	_ = s.m.reg.WritePrometheus(w)
+}
+
+// LatencyStats is one request phase on /stats: lifetime sample count and
+// total in microseconds, read off the phase's pvcd_*_seconds histogram.
+// Quantiles come from that histogram's buckets on /metrics.
+type LatencyStats struct {
+	Count   int64 `json:"count"`
+	TotalUs int64 `json:"total_us"`
+}
+
+func latency(h *obs.Histogram) LatencyStats {
+	return LatencyStats{Count: h.Count(), TotalUs: int64(math.Round(h.Sum() * 1e6))}
+}
+
+// handleStats serves GET /stats: the admission counters and phase
+// totals of /metrics as one JSON object, next to the in-flight count,
+// the drain flag and the current session's plan-cache stats.
+func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
+	if r.Method != http.MethodGet {
+		writeError(w, http.StatusMethodNotAllowed, "GET only")
+		return
+	}
+	m := s.m
+	writeJSON(w, http.StatusOK, Stats{
+		Requests:  m.requests.Value(),
+		OK:        m.ok.Value(),
+		Rejected:  m.rejected.Value(),
+		Degraded:  m.degraded.Value(),
+		Timeouts:  m.timeouts.Value(),
+		Errors:    m.errors.Value(),
+		Panics:    m.panics.Value(),
+		InFlight:  s.inflight.Load(),
+		Draining:  s.draining.Load(),
+		QueueWait: latency(m.queueWait),
+		Parse:     latency(m.parse),
+		Exec:      latency(m.exec),
+		Total:     latency(m.total),
+		PlanCache: s.sess.Load().plans.stats(),
+	})
 }

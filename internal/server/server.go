@@ -30,10 +30,10 @@
 // Endpoints: POST /query (QueryRequest in, QueryResponse out; EXPLAIN
 // and EXPLAIN ANALYZE query prefixes return the plan tree in the
 // response's explain field, and "trace": true returns the execution
-// trace), GET /stats (Stats: admission counters, phase latency
-// percentiles and lifetime totals, cache hit rates), GET /metrics
-// (Prometheus text exposition), GET /healthz (liveness plus build
-// info), GET /readyz.
+// trace), GET /metrics (Prometheus text exposition: admission counters,
+// phase latency histograms, cache and store series), GET /stats (Stats:
+// the same counters and each phase's count and total as JSON, plus the
+// plan cache), GET /healthz (liveness plus build info), GET /readyz.
 package server
 
 import (
@@ -145,7 +145,6 @@ type Server struct {
 	waiting   atomic.Int64
 	inflight  atomic.Int64
 	m         *metrics
-	prom      *promMetrics
 	draining  atomic.Bool
 	startNano int64
 	reqSeq    atomic.Int64
@@ -159,10 +158,10 @@ type Server struct {
 
 // New returns a Server serving queries against db.
 func New(db *pvcagg.Database, cfg Config) *Server {
-	s := &Server{cfg: cfg.withDefaults(), m: newMetrics(), startNano: time.Now().UnixNano()}
+	s := &Server{cfg: cfg.withDefaults(), startNano: time.Now().UnixNano()}
 	s.slots = make(chan struct{}, s.cfg.Workers)
 	s.sess.Store(s.newSession(db))
-	s.initProm()
+	s.initMetrics()
 	return s
 }
 
@@ -477,8 +476,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 
 	wait, release, err := s.admit(ctx)
-	s.m.queueWait.add(wait)
-	s.prom.queueWait.Observe(wait.Seconds())
+	s.m.queueWait.Observe(wait.Seconds())
 	if err != nil {
 		if errors.Is(err, errSaturated) {
 			s.m.rejected.Add(1)
@@ -509,8 +507,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	parse0 := time.Now()
 	entry, cachedPlan, err := s.lookupPlan(sess, req.Query)
 	parseDur := time.Since(parse0)
-	s.m.parse.add(parseDur)
-	s.prom.parse.Observe(parseDur.Seconds())
+	s.m.parse.Observe(parseDur.Seconds())
 	if err != nil {
 		s.m.errors.Add(1)
 		msg := err.Error()
@@ -525,11 +522,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		// EXPLAIN without ANALYZE: report the optimized plan with
 		// cardinality estimates and execute nothing — the worker slot is
 		// released without an exec phase.
-		totalDur := time.Since(total0)
-		s.m.total.add(totalDur)
-		s.prom.total.Observe(totalDur.Seconds())
-		s.m.ok.Add(1)
-		writeJSON(w, http.StatusOK, &QueryResponse{
+		s.m.total.Observe(time.Since(total0).Seconds())
+		s.answer(w, &QueryResponse{
 			Rows:       []QueryRow{},
 			Strategy:   "explain",
 			Explain:    pvcagg.Explain(sess.db, entry.plan),
@@ -556,10 +550,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	resp, err := s.runQuery(ctx, sess.db, entry.plan, opts)
 	execDur := time.Since(exec0)
 	totalDur := time.Since(total0)
-	s.m.exec.add(execDur)
-	s.prom.exec.Observe(execDur.Seconds())
-	s.m.total.add(totalDur)
-	s.prom.total.Observe(totalDur.Seconds())
+	s.m.exec.Observe(execDur.Seconds())
+	s.m.total.Observe(totalDur.Seconds())
 	if err != nil {
 		if ctx.Err() != nil {
 			s.m.timeouts.Add(1)
@@ -591,8 +583,12 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		ParseUs:     parseDur.Microseconds(),
 		ExecUs:      execDur.Microseconds(),
 	}
-	// Encode before counting and before the status line: an answer JSON
-	// cannot carry is a failed request, not an empty 200.
+	s.answer(w, resp)
+}
+
+// answer encodes resp before counting it and before the status line: an
+// answer JSON cannot carry is a failed request, not an empty 200.
+func (s *Server) answer(w http.ResponseWriter, resp *QueryResponse) {
 	body, err := encodeJSON(resp)
 	if err != nil {
 		s.m.errors.Add(1)
@@ -699,9 +695,9 @@ func (s *Server) runQuery(ctx context.Context, db *pvcagg.Database, plan pvcagg.
 	if err != nil {
 		return nil, err
 	}
-	s.prom.rows.Add(int64(len(outs)))
-	s.prom.retries.Add(res.Report.Store.Retries)
-	s.prom.boundedBlocks.Add(res.Report.Store.BoundedBlocks)
+	s.m.rows.Add(int64(len(outs)))
+	s.m.retries.Add(res.Report.Store.Retries)
+	s.m.boundedBlocks.Add(res.Report.Store.BoundedBlocks)
 	resp := &QueryResponse{
 		Strategy: res.Strategy.String(),
 		Rows:     make([]QueryRow, len(outs)),
@@ -728,27 +724,6 @@ func (s *Server) runQuery(ctx context.Context, db *pvcagg.Database, plan pvcagg.
 		resp.Rows[i] = row
 	}
 	return resp, nil
-}
-
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	sess := s.sess.Load()
-	st := Stats{
-		Requests:  s.m.requests.Load(),
-		OK:        s.m.ok.Load(),
-		Rejected:  s.m.rejected.Load(),
-		Degraded:  s.m.degraded.Load(),
-		Timeouts:  s.m.timeouts.Load(),
-		Errors:    s.m.errors.Load(),
-		Panics:    s.m.panics.Load(),
-		InFlight:  s.inflight.Load(),
-		Draining:  s.draining.Load(),
-		QueueWait: s.m.queueWait.snapshot(),
-		Parse:     s.m.parse.snapshot(),
-		Exec:      s.m.exec.snapshot(),
-		Total:     s.m.total.snapshot(),
-		PlanCache: sess.plans.stats(),
-	}
-	writeJSON(w, http.StatusOK, st)
 }
 
 func encodeJSON(v any) ([]byte, error) {

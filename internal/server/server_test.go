@@ -358,8 +358,8 @@ func TestAdmissionControl(t *testing.T) {
 			t.Errorf("held request finished with %d, want 200", status)
 		}
 	}
-	if s.m.rejected.Load() != 1 {
-		t.Errorf("rejected counter %d, want 1", s.m.rejected.Load())
+	if s.m.rejected.Value() != 1 {
+		t.Errorf("rejected counter %d, want 1", s.m.rejected.Value())
 	}
 }
 
@@ -415,7 +415,7 @@ func TestDegradation(t *testing.T) {
 			t.Errorf("degraded row %v: bounds [%v,%v] exclude exact %v", row.Cells, row.Lo, row.Hi, exact)
 		}
 	}
-	if s.m.degraded.Load() == 0 {
+	if s.m.degraded.Value() == 0 {
 		t.Error("degraded counter not incremented")
 	}
 }
@@ -457,8 +457,8 @@ func TestPlanCacheAndStats(t *testing.T) {
 	if st.PlanCache.Hits < 1 || st.PlanCache.Misses < 1 || st.PlanCache.Entries < 1 {
 		t.Errorf("plan cache stats %+v, want ≥1 hit, miss and entry", st.PlanCache)
 	}
-	if st.Total.Count < 2 || st.Total.P99Us < st.Total.P50Us {
-		t.Errorf("latency snapshot malformed: %+v", st.Total)
+	if st.Total.Count < 2 || st.Total.TotalUs <= 0 {
+		t.Errorf("latency totals malformed: %+v", st.Total)
 	}
 }
 
@@ -661,7 +661,7 @@ func TestServerConcurrency(t *testing.T) {
 	}
 	wg.Wait()
 	t.Logf("concurrency sweep: ok=%d rejected=%d timeout=%d degraded=%d",
-		ok.Load(), rejected.Load(), timedOut.Load(), s.m.degraded.Load())
+		ok.Load(), rejected.Load(), timedOut.Load(), s.m.degraded.Value())
 	if total := ok.Load() + rejected.Load() + timedOut.Load(); total != clients*requests {
 		t.Errorf("%d classified responses, want %d", total, clients*requests)
 	}

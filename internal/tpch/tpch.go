@@ -4,9 +4,9 @@
 // deterministic seeded content, and optionally wraps the fact tables
 // (lineitem, partsupp) as tuple-independent probabilistic relations.
 //
-// Substitution note (DESIGN.md): the official dbgen tool is replaced by
-// this generator; Experiment F's measured quantities depend only on table
-// cardinalities and join fan-outs, which are preserved.
+// Substitution note: this generator stands in for the official dbgen
+// tool. Experiment F's measured quantities depend only on table
+// cardinalities and join fan-outs, and those are preserved.
 package tpch
 
 import (
@@ -14,7 +14,6 @@ import (
 	"math/rand"
 
 	"pvcagg/internal/algebra"
-	"pvcagg/internal/expr"
 	"pvcagg/internal/pvc"
 )
 
@@ -209,9 +208,3 @@ func Generate(cfg Config) (*pvc.Database, error) {
 	db.Add(lineitem)
 	return db, nil
 }
-
-// varsOf is a testing helper: the number of declared random variables.
-func varsOf(db *pvc.Database) int { return db.Registry.Len() }
-
-var _ = varsOf
-var _ = expr.String

@@ -116,8 +116,8 @@
 //
 // WHERE comparisons over aggregation columns are the paper's σ over
 // semimodule values; AVG lowers to the joint (SUM, COUNT) pair of
-// Section 2.2. ParseQuery compiles without executing; ParsePlan inverts
-// Plan.String over its printable subset. The README's "Query language"
+// Section 2.2. ParseQuery compiles without executing; Plan.String renders
+// the optimized plan for display. The README's "Query language"
 // section has the full grammar (EBNF), worked examples for all three
 // strategies, and the optimizer's rewrite list with its differential
 // guarantees.

@@ -116,11 +116,6 @@ func ExecQuery(ctx context.Context, db *Database, query string, opts ...Option) 
 	return Exec(ctx, db, plan, opts...)
 }
 
-// ParsePlan parses the algebra rendering produced by Plan.String back
-// into a plan — the inverse of the renderer over its printable subset
-// (identifier names, numeric and quoted-string constants).
-func ParsePlan(s string) (Plan, error) { return pvql.ParsePlan(s) }
-
 // EstimateCardinality estimates the number of result tuples of a plan —
 // the cost signal the PVQL optimizer's greedy join reordering uses.
 func EstimateCardinality(p Plan, db *Database) float64 {

@@ -116,6 +116,9 @@ func TestExecQueryFigure1Q2BitForBit(t *testing.T) {
 		}
 		assertSameResults(t, want, got)
 	}
+	if est := pvcagg.EstimateCardinality(&pvcagg.Scan{Table: "PS"}, db); est != 9 {
+		t.Fatalf("EstimateCardinality(PS) = %v, want 9", est)
+	}
 }
 
 func TestExecQuerySampleMode(t *testing.T) {
@@ -154,24 +157,6 @@ func TestExecQueryErrors(t *testing.T) {
 		if r := qe.Render(c.src); !strings.Contains(r, "^") {
 			t.Fatalf("Render missing caret: %q", r)
 		}
-	}
-}
-
-func TestParsePlanFacade(t *testing.T) {
-	db := figure1ShopDB(0.5)
-	plan, err := pvcagg.ParseQuery(db, figure1Q2PVQL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rt, err := pvcagg.ParsePlan(plan.String())
-	if err != nil {
-		t.Fatalf("ParsePlan(%q): %v", plan.String(), err)
-	}
-	if rt.String() != plan.String() {
-		t.Fatalf("round trip drift:\n%s\n%s", plan, rt)
-	}
-	if est := pvcagg.EstimateCardinality(&pvcagg.Scan{Table: "PS"}, db); est != 9 {
-		t.Fatalf("EstimateCardinality(PS) = %v, want 9", est)
 	}
 }
 
