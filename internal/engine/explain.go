@@ -125,30 +125,6 @@ func opName(p Plan) string {
 	return fmt.Sprintf("%T", p)
 }
 
-// Children returns a plan node's inputs in evaluation order (none for a
-// Scan, or for an operator this package does not know).
-func Children(p Plan) []Plan {
-	switch n := p.(type) {
-	case *Rename:
-		return []Plan{n.Input}
-	case *Select:
-		return []Plan{n.Input}
-	case *Project:
-		return []Plan{n.Input}
-	case *Prune:
-		return []Plan{n.Input}
-	case *GroupAgg:
-		return []Plan{n.Input}
-	case *Product:
-		return []Plan{n.L, n.R}
-	case *Join:
-		return []Plan{n.L, n.R}
-	case *Union:
-		return []Plan{n.L, n.R}
-	}
-	return nil
-}
-
 // Explain returns the estimate-only explain tree for a plan without
 // executing it: per-operator Estimator cardinalities, ActualRows = -1.
 func Explain(db *pvc.Database, plan Plan) *ExplainNode {

@@ -15,9 +15,13 @@ package engine
 //   - σ directly above ⋈/× fuses its leading constant-comparison atoms
 //     into the pairIter so failing pairs are rejected before any output
 //     cells or annotation expressions are allocated;
-//   - π, ∪ and $ are sinks that group incrementally, retaining one
-//     representative cell slice and the annotation expressions per group
-//     instead of buffering their whole input.
+//   - π, ∪ and $ are sinks that group incrementally, retaining a copy of
+//     one representative's group cells and the annotation expressions
+//     per group instead of buffering their whole input; π and ∪ share
+//     one sink (groupIter), ∪ being π over two inputs onto every column.
+//
+// Every operator's output schema and static checks come from one rule
+// per operator (shapeOf, schema.go), which InferSchema applies too.
 //
 // Row order is part of the contract: ⋈/× emit left-major, π and ∪ in
 // first-seen order, $ in group-key order, and the grouping sinks sum
@@ -28,20 +32,18 @@ package engine
 // Lent cells. A provider scan, π̂ and ⋈/× lend the Cells of each tuple
 // until their next Next or Close (pvc.TupleIter); π̂ and ⋈/× refill one
 // row of their own, so a row σ drops costs no slice. σ, δ and the
-// analyze decorator pass their input's slice on; π, ∪ and $ emit slices
-// they keep. lendsCells decides at build time, from the iterator tree,
-// whether an input lends, and the sites that keep a tuple across a Next
-// of the iterator that produced it copy exactly then:
+// analyze decorator pass their input's slice on; the sinks copy the
+// group cells they keep into slices of their own and emit those.
+// lendsCells decides at build time, from the iterator tree, whether an
+// input lends, and the sites that keep a whole tuple across a Next of
+// the iterator that produced it copy exactly then:
 //
 //   - pairIter.buildTable (the build side; the probe tuple is only held
 //     until the next probe pull);
-//   - unionIter.drain's first-seen cells per group;
 //   - drainRoot, the root loop of StreamEvalPlan and
 //     StreamEvalPlanExplain, the one driver of the iterator tree;
 //   - outside this file: providerEstimate (keeps no tuple, only cell
 //     keys).
-//
-// π and $ copy the group cells they keep into slices of their own.
 
 import (
 	"context"
@@ -93,8 +95,8 @@ func owned(t pvc.Tuple, lent bool) pvc.Tuple {
 	return t
 }
 
-// iterBuilder compiles a Plan into an Iterator tree. All schema
-// resolution and static checks happen here, once per plan — which is why
+// iterBuilder compiles a Plan into an Iterator tree. Schema resolution
+// and static checks (shapeOf) happen here, once per plan — which is why
 // an unknown column is an error even over empty inputs. The Estimator is
 // created lazily on the first ⋈/× so plans without pair operators never
 // pay for table statistics.
@@ -171,163 +173,79 @@ func (b *iterBuilder) buildNode(p Plan) (Iterator, pvc.Schema, string, error) {
 			return nil, nil, "", err
 		}
 		return &sliceIter{tuples: r.Tuples}, r.Schema, r.Name, nil
-
-	case *Rename:
-		child, cs, cname, err := b.build(n.Input)
+	case *Join, *Product:
+		it, sh, name, err := b.buildPair(p)
 		if err != nil {
 			return nil, nil, "", err
 		}
-		i := cs.Index(n.From)
-		if i < 0 {
-			return nil, nil, "", fmt.Errorf("engine: δ: unknown column %q in %s", n.From, n.Input)
-		}
-		if j := cs.Index(n.To); j >= 0 {
-			return nil, nil, "", fmt.Errorf("engine: δ: column %q already exists", n.To)
-		}
-		schema := cs.Clone()
-		schema[i].Name = n.To
-		return child, schema, fmt.Sprintf("δ(%s)", cname), nil
-
+		return it, sh.schema, name, nil
 	case *Select:
 		switch n.Input.(type) {
 		case *Join, *Product:
 			return b.buildFusedSelect(n)
 		}
-		child, cs, cname, err := b.build(n.Input)
-		if err != nil {
-			return nil, nil, "", err
-		}
-		atoms, err := resolveSelAtoms(n.Pred, cs)
-		if err != nil {
-			return nil, nil, "", err
-		}
+	}
+	in, sh, name, err := b.buildInputs(p)
+	if err != nil {
+		return nil, nil, "", err
+	}
+	switch p.(type) {
+	case *Rename:
+		return in[0], sh.schema, name, nil
+	case *Select:
 		// σ over a provider scan (possibly through π̂/δ, which keep column
 		// positions): push the atoms down as advisory block-skipping
-		// hints. Sound only when no atom touches a module column — then
-		// atom evaluation cannot error and cannot rescale annotations, so
-		// a block whose rows all fail a hint (or are all annotated 0S)
-		// contributes nothing to σ's output.
-		if pit, ok := unwrapCounting(child).(*providerIter); ok && allAtomsHintable(atoms, cs) {
-			pit.pushDown(atoms)
+		// hints. Sound only when every atom compares constant cells —
+		// then atom evaluation cannot error and cannot rescale
+		// annotations, so a block whose rows all fail a hint (or are all
+		// annotated 0S) contributes nothing to σ's output.
+		if pit, ok := unwrapCounting(in[0]).(*providerIter); ok && constPrefix(sh.atoms, sh.schema) == len(sh.atoms) {
+			pit.pushDown(sh.atoms)
 		}
-		return &selectIter{child: child, atoms: atoms, s: b.s}, cs, fmt.Sprintf("σ(%s)", cname), nil
-
-	case *Project:
-		child, cs, cname, err := b.build(n.Input)
-		if err != nil {
-			return nil, nil, "", err
-		}
-		idx := make([]int, len(n.Cols))
-		schema := make(pvc.Schema, len(n.Cols))
-		for i, c := range n.Cols {
-			j := cs.Index(c)
-			if j < 0 {
-				return nil, nil, "", fmt.Errorf("engine: π: unknown column %q", c)
-			}
-			if cs[j].Type == pvc.TModule {
-				return nil, nil, "", fmt.Errorf("engine: π: column %q is an aggregation attribute (Definition 5 constraint 1)", c)
-			}
-			idx[i] = j
-			schema[i] = cs[j]
-		}
-		it := &projectIter{ctx: b.ctx, s: b.s, child: child, idx: idx}
-		return it, schema, fmt.Sprintf("π(%s)", cname), nil
-
+		return &selectIter{child: in[0], atoms: sh.atoms, s: b.s}, sh.schema, name, nil
+	case *Project, *Union:
+		return &groupIter{ctx: b.ctx, s: b.s, in: in, cols: sh.cols}, sh.schema, name, nil
 	case *Prune:
-		child, cs, cname, err := b.build(n.Input)
-		if err != nil {
-			return nil, nil, "", err
-		}
-		idx := make([]int, len(n.Cols))
-		schema := make(pvc.Schema, len(n.Cols))
-		for i, c := range n.Cols {
-			j := cs.Index(c)
-			if j < 0 {
-				return nil, nil, "", fmt.Errorf("engine: π̂: unknown column %q", c)
-			}
-			idx[i] = j
-			schema[i] = cs[j]
-		}
 		// π̂ directly over a provider scan folds into the scan itself:
 		// the storage layer then decodes only the live columns. The fold
 		// mutates the provider iterator in place, so any analyze
 		// decorator around it stays valid.
-		if pit, ok := unwrapCounting(child).(*providerIter); ok {
-			pit.project(idx)
-			return child, schema, fmt.Sprintf("π̂(%s)", cname), nil
+		if pit, ok := unwrapCounting(in[0]).(*providerIter); ok {
+			pit.project(sh.cols)
+			return in[0], sh.schema, name, nil
 		}
-		return &pruneIter{child: child, idx: idx, row: make([]pvc.Cell, len(idx))}, schema, fmt.Sprintf("π̂(%s)", cname), nil
-
-	case *Join, *Product:
-		it, schema, name, _, err := b.buildPair(p)
-		return it, schema, name, err
-
-	case *Union:
-		lIt, ls, lname, err := b.build(n.L)
-		if err != nil {
-			return nil, nil, "", err
-		}
-		rIt, rs, rname, err := b.build(n.R)
-		if err != nil {
-			return nil, nil, "", err
-		}
-		if !ls.Equal(rs) {
-			return nil, nil, "", fmt.Errorf("engine: ∪: incompatible schemas %v and %v", ls.Names(), rs.Names())
-		}
-		for _, c := range ls {
-			if c.Type == pvc.TModule {
-				return nil, nil, "", fmt.Errorf("engine: ∪: aggregation column %q (Definition 5 constraint 2)", c.Name)
-			}
-		}
-		it := &unionIter{ctx: b.ctx, s: b.s, in: [2]Iterator{lIt, rIt}, lent: [2]bool{lendsCells(lIt), lendsCells(rIt)}}
-		return it, ls, fmt.Sprintf("(%s∪%s)", lname, rname), nil
-
-	case *GroupAgg:
-		child, cs, cname, err := b.build(n.Input)
-		if err != nil {
-			return nil, nil, "", err
-		}
-		gIdx := make([]int, len(n.GroupBy))
-		for i, g := range n.GroupBy {
-			j := cs.Index(g)
-			if j < 0 {
-				return nil, nil, "", fmt.Errorf("engine: $: unknown group-by column %q", g)
-			}
-			if cs[j].Type == pvc.TModule {
-				return nil, nil, "", fmt.Errorf("engine: $: group-by column %q is an aggregation attribute", g)
-			}
-			gIdx[i] = j
-		}
-		aggs := make([]aggColRef, len(n.Aggs))
-		for i, a := range n.Aggs {
-			idx := -1
-			if a.Agg != algebra.Count {
-				idx = cs.Index(a.Over)
-				if idx < 0 {
-					return nil, nil, "", fmt.Errorf("engine: $: unknown aggregation column %q", a.Over)
-				}
-				if cs[idx].Type != pvc.TValue {
-					return nil, nil, "", fmt.Errorf("engine: $: aggregation over non-value column %q", a.Over)
-				}
-			}
-			aggs[i] = aggColRef{a, idx}
-		}
-		schema := make(pvc.Schema, 0, len(gIdx)+len(aggs))
-		for _, j := range gIdx {
-			schema = append(schema, cs[j])
-		}
-		for _, a := range aggs {
-			schema = append(schema, pvc.Col{Name: a.spec.Out, Type: pvc.TModule, Agg: a.spec.Agg})
-		}
+		return &pruneIter{child: in[0], idx: sh.cols, row: make([]pvc.Cell, len(sh.cols))}, sh.schema, name, nil
+	default: // *GroupAgg; shapeOf rejected every other node
 		it := &groupAggIter{
-			ctx: b.ctx, s: b.s, child: child,
-			gIdx: gIdx, aggs: aggs, grouped: len(n.GroupBy) > 0,
+			ctx: b.ctx, s: b.s, child: in[0],
+			gIdx: sh.cols, aggs: sh.aggs, grouped: len(sh.cols) > 0,
 		}
-		return it, schema, fmt.Sprintf("$(%s)", cname), nil
-
-	default:
-		return nil, nil, "", fmt.Errorf("engine: streaming: unsupported plan node %T", p)
+		return it, sh.schema, name, nil
 	}
+}
+
+// buildInputs builds p's inputs and applies p's schema rule (shapeOf) to
+// their schemas. name is the result relation's name, composed from the
+// inputs' names as σ(…) for a unary operator and (…⋈…) for a binary one.
+func (b *iterBuilder) buildInputs(p Plan) ([]Iterator, opShape, string, error) {
+	kids := Children(p)
+	in := make([]Iterator, len(kids))
+	schemas := make([]pvc.Schema, len(kids))
+	names := make([]string, len(kids))
+	for i, k := range kids {
+		var err error
+		if in[i], schemas[i], names[i], err = b.build(k); err != nil {
+			return nil, opShape{}, "", err
+		}
+	}
+	sh, err := shapeOf(p, schemas)
+	if err != nil {
+		return nil, opShape{}, "", err
+	}
+	if len(names) == 2 {
+		return in, sh, "(" + names[0] + opName(p) + names[1] + ")", nil
+	}
+	return in, sh, opName(p) + "(" + names[0] + ")", nil
 }
 
 // pairRef addresses one cell of a ⋈/× output tuple without materializing
@@ -351,84 +269,38 @@ func pairCell(lt, rt pvc.Tuple, r pairRef) pvc.Cell {
 	return rt.Cells[r.idx]
 }
 
+// ref addresses output column i of a ⋈/× of shape sh, whose left input
+// contributes every column before the right input's rCols.
+func (sh opShape) ref(i int) pairRef {
+	nl := len(sh.schema) - len(sh.rCols)
+	if i < nl {
+		return pairRef{0, i}
+	}
+	return pairRef{1, sh.rCols[i-nl]}
+}
+
 // buildPair compiles a *Join or *Product into a pairIter, also returning
-// the output schema, relation name, and the cell-address table used by
-// σ fusion.
-func (b *iterBuilder) buildPair(p Plan) (*pairIter, pvc.Schema, string, []pairRef, error) {
-	var lp, rp Plan
-	join := false
-	switch n := p.(type) {
-	case *Join:
-		lp, rp, join = n.L, n.R, true
-	case *Product:
-		lp, rp = n.L, n.R
-	}
-	lIt, ls, lname, err := b.build(lp)
+// its shape, which σ fusion resolves its atoms against.
+func (b *iterBuilder) buildPair(p Plan) (*pairIter, opShape, string, error) {
+	in, sh, name, err := b.buildInputs(p)
 	if err != nil {
-		return nil, nil, "", nil, err
-	}
-	rIt, rs, rname, err := b.build(rp)
-	if err != nil {
-		return nil, nil, "", nil, err
-	}
-	var shared []string
-	if join {
-		for _, c := range ls {
-			if j := rs.Index(c.Name); j >= 0 {
-				if c.Type == pvc.TModule || rs[j].Type == pvc.TModule {
-					return nil, nil, "", nil, fmt.Errorf("engine: ⋈: aggregation column %q cannot be a join key", c.Name)
-				}
-				shared = append(shared, c.Name)
-			}
-		}
-	} else {
-		for _, c := range rs {
-			if ls.Index(c.Name) >= 0 {
-				return nil, nil, "", nil, fmt.Errorf("engine: ×: duplicate column %q (rename first)", c.Name)
-			}
-		}
-	}
-	schema := ls.Clone()
-	var rCols []int
-	for j, c := range rs {
-		if join && ls.Index(c.Name) >= 0 {
-			continue
-		}
-		schema = append(schema, c)
-		rCols = append(rCols, j)
-	}
-	lKey := make([]int, len(shared))
-	rKey := make([]int, len(shared))
-	for i, name := range shared {
-		lKey[i] = ls.Index(name)
-		rKey[i] = rs.Index(name)
-	}
-	refs := make([]pairRef, len(schema))
-	for i := range ls {
-		refs[i] = pairRef{0, i}
-	}
-	for i, j := range rCols {
-		refs[len(ls)+i] = pairRef{1, j}
+		return nil, opShape{}, "", err
 	}
 	// Pre-size the build side from the Estimator's cardinality estimate.
 	buildCap := 0
-	estBuild := b.estimator().Estimate(rp).Rows
+	estBuild := b.estimator().Estimate(Children(p)[1]).Rows
 	if rows := estBuild; rows > 0 {
 		if rows > 1<<20 {
 			rows = 1 << 20
 		}
 		buildCap = int(rows)
 	}
-	name := fmt.Sprintf("(%s×%s)", lname, rname)
-	if join {
-		name = fmt.Sprintf("(%s⋈%s)", lname, rname)
-	}
 	it := &pairIter{
-		ctx: b.ctx, s: b.s, left: lIt, right: rIt,
-		lKey: lKey, rKey: rKey, rCols: rCols, buildCap: buildCap, estBuild: estBuild,
-		rightLent: lendsCells(rIt), row: make([]pvc.Cell, 0, len(schema)),
+		ctx: b.ctx, s: b.s, left: in[0], right: in[1],
+		lKey: sh.lKey, rKey: sh.rKey, rCols: sh.rCols, buildCap: buildCap, estBuild: estBuild,
+		rightLent: lendsCells(in[1]), row: make([]pvc.Cell, 0, len(sh.schema)),
 	}
-	return it, schema, name, refs, nil
+	return it, sh, name, nil
 }
 
 // buildFusedSelect compiles σ directly above ⋈/×, pushing the leading
@@ -438,44 +310,30 @@ func (b *iterBuilder) buildPair(p Plan) (*pairIter, pvc.Schema, string, []pairRe
 // aggregation-column comparison onward stay in a residual selectIter
 // above the pair.
 func (b *iterBuilder) buildFusedSelect(n *Select) (Iterator, pvc.Schema, string, error) {
-	pit, schema, name, refs, err := b.buildPair(n.Input)
+	pit, pair, name, err := b.buildPair(n.Input)
 	if err != nil {
 		return nil, nil, "", err
 	}
-	atoms, err := resolveSelAtoms(n.Pred, schema)
+	sh, err := shapeOf(n, []pvc.Schema{pair.schema})
 	if err != nil {
 		return nil, nil, "", err
 	}
-	k := 0
-	for k < len(atoms) {
-		a := atoms[k]
-		if schema[a.li].Type == pvc.TModule {
-			break // left operand can hold an expression cell
-		}
-		if a.rv != nil {
-			if !a.rv.IsConst() {
-				break
-			}
-		} else if schema[a.ri].Type == pvc.TModule {
-			break
-		}
-		k++
-	}
-	for _, a := range atoms[:k] {
-		fa := pairAtom{l: refs[a.li], th: a.th, rv: a.rv}
+	k := constPrefix(sh.atoms, sh.schema)
+	for _, a := range sh.atoms[:k] {
+		fa := pairAtom{l: pair.ref(a.li), th: a.th, rv: a.rv}
 		if a.rv == nil {
-			fa.r = refs[a.ri]
+			fa.r = pair.ref(a.ri)
 		}
 		pit.fused = append(pit.fused, fa)
 	}
-	name = fmt.Sprintf("σ(%s)", name)
-	if k == len(atoms) {
+	name = opName(n) + "(" + name + ")"
+	if k == len(sh.atoms) {
 		// Every atom fused: the σ-level zero-annotation drop moves into
 		// the pair iterator.
 		pit.dropZero = true
-		return pit, schema, name, nil
+		return pit, sh.schema, name, nil
 	}
-	return &selectIter{child: pit, atoms: atoms[k:], s: b.s}, schema, name, nil
+	return &selectIter{child: pit, atoms: sh.atoms[k:], s: b.s}, sh.schema, name, nil
 }
 
 // providerIter adapts a pvc.TableProvider scan (e.g. an on-disk store
@@ -531,24 +389,20 @@ func (it *providerIter) pushDown(atoms []selAtom) {
 	it.dropZero = true
 }
 
-// allAtomsHintable reports whether every σ atom compares constant cells
-// only — the condition under which atom evaluation cannot error, cannot
-// rescale an annotation, and therefore block skipping plus zero-row
-// dropping below the σ is bit-for-bit sound.
-func allAtomsHintable(atoms []selAtom, cs pvc.Schema) bool {
-	for _, a := range atoms {
-		if cs[a.li].Type == pvc.TModule {
-			return false
-		}
-		if a.rv != nil {
-			if !a.rv.IsConst() {
-				return false
-			}
-		} else if cs[a.ri].Type == pvc.TModule {
-			return false
+// constPrefix returns the length of the leading run of atoms that
+// compare constant cells only: no aggregation column on either side and
+// a constant right operand. Such an atom cannot error and cannot rescale
+// an annotation, so σ may fuse it into a ⋈/× below or hint it to a scan.
+func constPrefix(atoms []selAtom, cs pvc.Schema) int {
+	for k, a := range atoms {
+		switch {
+		case cs[a.li].Type == pvc.TModule,
+			a.rv != nil && !a.rv.IsConst(),
+			a.rv == nil && cs[a.ri].Type == pvc.TModule:
+			return k
 		}
 	}
-	return true
+	return len(atoms)
 }
 
 func (it *providerIter) Open() error {
@@ -789,15 +643,17 @@ func (it *pairIter) Close() error {
 	return err
 }
 
-// unionIter is the ∪ sink: it drains both sides on the first Next,
-// grouping duplicate tuples in encounter order (left side first) and
-// retaining only one representative cell slice plus the annotation
-// expressions per group; results are emitted incrementally.
-type unionIter struct {
+// groupIter is the sink of π and ∪: it drains its inputs in order on
+// the first Next, grouping tuples by the cells at cols in encounter
+// order and summing each group's annotations, and retains per group only
+// a copy of those cells — allocated for a group's first tuple alone, so
+// its inputs may lend theirs — and the annotation expressions. π has one
+// input and keeps its projected columns; ∪ has two and keeps them whole.
+type groupIter struct {
 	ctx  context.Context
 	s    algebra.Semiring
-	in   [2]Iterator // left, right
-	lent [2]bool     // the side lends its cells: copy first-seen ones
+	in   []Iterator
+	cols []int
 
 	drained    bool
 	order      []string
@@ -806,34 +662,40 @@ type unionIter struct {
 	i          int
 }
 
-func (it *unionIter) Open() error {
-	if err := it.in[0].Open(); err != nil {
-		return err
+func (it *groupIter) Open() error {
+	for _, in := range it.in {
+		if err := in.Open(); err != nil {
+			return err
+		}
 	}
-	return it.in[1].Open()
+	return nil
 }
 
-func (it *unionIter) drain() error {
+func (it *groupIter) drain() error {
 	it.drained = true
 	it.groupCells = map[string][]pvc.Cell{}
 	it.groupAnns = map[string]*annSum{}
 	var key []byte
-	for si, side := range it.in {
+	for _, in := range it.in {
 		for n := 0; ; n++ {
-			t, ok, err := side.Next()
+			t, ok, err := in.Next()
 			if err != nil {
 				return err
 			}
 			if !ok {
 				break
 			}
-			key = t.AppendKey(key[:0])
+			key = appendJoinKey(key[:0], t, it.cols)
 			sum, seen := it.groupAnns[string(key)]
 			if !seen {
+				cells := make([]pvc.Cell, len(it.cols))
+				for i, j := range it.cols {
+					cells[i] = t.Cells[j]
+				}
 				k := string(key)
 				sum = newAnnSum(it.s)
 				it.order = append(it.order, k)
-				it.groupCells[k] = owned(t, it.lent[si]).Cells
+				it.groupCells[k] = cells
 				it.groupAnns[k] = sum
 			}
 			sum.add(t.Ann)
@@ -847,7 +709,7 @@ func (it *unionIter) drain() error {
 	return nil
 }
 
-func (it *unionIter) Next() (pvc.Tuple, bool, error) {
+func (it *groupIter) Next() (pvc.Tuple, bool, error) {
 	if !it.drained {
 		if err := it.drain(); err != nil {
 			return pvc.Tuple{}, false, err
@@ -861,83 +723,15 @@ func (it *unionIter) Next() (pvc.Tuple, bool, error) {
 	return pvc.Tuple{Cells: it.groupCells[key], Ann: it.groupAnns[key].result()}, true, nil
 }
 
-func (it *unionIter) Close() error {
-	err := it.in[0].Close()
-	if e := it.in[1].Close(); err == nil {
-		err = e
+func (it *groupIter) Close() error {
+	var err error
+	for _, in := range it.in {
+		if e := in.Close(); err == nil {
+			err = e
+		}
 	}
 	return err
 }
-
-// projectIter is the π sink: like unionIter it groups in encounter
-// order, but projects onto idx first. The group key is computed directly
-// from the input cells — the projected cell slice is only allocated for
-// the first tuple of each group.
-type projectIter struct {
-	ctx   context.Context
-	s     algebra.Semiring
-	child Iterator
-	idx   []int
-
-	drained    bool
-	order      []string
-	groupCells map[string][]pvc.Cell
-	groupAnns  map[string]*annSum
-	i          int
-}
-
-func (it *projectIter) Open() error { return it.child.Open() }
-
-func (it *projectIter) drain() error {
-	it.drained = true
-	it.groupCells = map[string][]pvc.Cell{}
-	it.groupAnns = map[string]*annSum{}
-	var key []byte
-	for n := 0; ; n++ {
-		t, ok, err := it.child.Next()
-		if err != nil {
-			return err
-		}
-		if !ok {
-			return nil
-		}
-		key = appendJoinKey(key[:0], t, it.idx)
-		sum, seen := it.groupAnns[string(key)]
-		if !seen {
-			cells := make([]pvc.Cell, len(it.idx))
-			for i, j := range it.idx {
-				cells[i] = t.Cells[j]
-			}
-			k := string(key)
-			sum = newAnnSum(it.s)
-			it.order = append(it.order, k)
-			it.groupCells[k] = cells
-			it.groupAnns[k] = sum
-		}
-		sum.add(t.Ann)
-		if n&ctxPollMask == ctxPollMask {
-			if err := it.ctx.Err(); err != nil {
-				return err
-			}
-		}
-	}
-}
-
-func (it *projectIter) Next() (pvc.Tuple, bool, error) {
-	if !it.drained {
-		if err := it.drain(); err != nil {
-			return pvc.Tuple{}, false, err
-		}
-	}
-	if it.i >= len(it.order) {
-		return pvc.Tuple{}, false, nil
-	}
-	key := it.order[it.i]
-	it.i++
-	return pvc.Tuple{Cells: it.groupCells[key], Ann: it.groupAnns[key].result()}, true, nil
-}
-
-func (it *projectIter) Close() error { return it.child.Close() }
 
 // aggColRef is an AggSpec with its Over column resolved (idx < 0 for
 // COUNT, which reads no column).

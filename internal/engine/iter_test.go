@@ -164,14 +164,15 @@ func iterPlans() []Plan {
 // TestStreamEvalPlanMatchesEval holds StreamEvalPlan, on every plan of
 // the corpus, to the evaluation of the same plan in each of iterDB's 2¹¹
 // possible worlds. A plan the evaluator rejects must be one InferSchema
-// rejects too: static errors depend on the plan and the schemas alone.
+// rejects with the same error: static errors depend on the plan and the
+// schemas alone.
 func TestStreamEvalPlanMatchesEval(t *testing.T) {
 	db := iterDB()
 	for i, p := range iterPlans() {
 		t.Run(fmt.Sprintf("plan%02d", i), func(t *testing.T) {
 			if _, err := eval(db, p); err != nil {
-				if _, serr := InferSchema(p, db); serr == nil {
-					t.Fatalf("plan %s: evaluation failed (%v) on a plan InferSchema accepts", p, err)
+				if _, serr := InferSchema(p, db); serr == nil || serr.Error() != err.Error() {
+					t.Fatalf("plan %s: evaluation failed (%v), InferSchema says %v", p, err, serr)
 				}
 				return
 			}

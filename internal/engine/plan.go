@@ -109,6 +109,56 @@ func (p *GroupAgg) String() string {
 	return fmt.Sprintf("$[%s;%s](%s)", strings.Join(p.GroupBy, ","), strings.Join(specs, ","), p.Input)
 }
 
+// Children returns a plan node's inputs in evaluation order (none for a
+// Scan, or for an operator this package does not know).
+func Children(p Plan) []Plan {
+	switch n := p.(type) {
+	case *Rename:
+		return []Plan{n.Input}
+	case *Select:
+		return []Plan{n.Input}
+	case *Project:
+		return []Plan{n.Input}
+	case *Prune:
+		return []Plan{n.Input}
+	case *GroupAgg:
+		return []Plan{n.Input}
+	case *Product:
+		return []Plan{n.L, n.R}
+	case *Join:
+		return []Plan{n.L, n.R}
+	case *Union:
+		return []Plan{n.L, n.R}
+	}
+	return nil
+}
+
+// MapChildren returns p rebuilt over f applied to each of its inputs, in
+// Children order, so a rewrite that treats an operator like any other
+// recurses without naming it. A Scan, or an operator this package does
+// not know, is returned as is.
+func MapChildren(p Plan, f func(Plan) Plan) Plan {
+	switch n := p.(type) {
+	case *Rename:
+		return &Rename{Input: f(n.Input), From: n.From, To: n.To}
+	case *Select:
+		return &Select{Input: f(n.Input), Pred: n.Pred}
+	case *Project:
+		return &Project{Input: f(n.Input), Cols: n.Cols}
+	case *Prune:
+		return &Prune{Input: f(n.Input), Cols: n.Cols}
+	case *GroupAgg:
+		return &GroupAgg{Input: f(n.Input), GroupBy: n.GroupBy, Aggs: n.Aggs}
+	case *Product:
+		return &Product{L: f(n.L), R: f(n.R)}
+	case *Join:
+		return &Join{L: f(n.L), R: f(n.R)}
+	case *Union:
+		return &Union{L: f(n.L), R: f(n.R)}
+	}
+	return p
+}
+
 // Pred is a conjunction of comparison atoms.
 type Pred struct{ Atoms []Atom }
 

@@ -111,16 +111,33 @@ func TestInferSchemaMatchesEval(t *testing.T) {
 			t.Fatalf("%s: InferSchema = %v, Eval schema = %v", p, got.Names(), want.Schema.Names())
 		}
 	}
-	// Error paths agree with Eval's rejections.
+	// One rule per operator: every rejection is the same error from both.
+	scan := func(t string) Plan { return &Scan{Table: t} }
+	sumB := &GroupAgg{Input: scan("R"), GroupBy: []string{"a"}, Aggs: []AggSpec{{Out: "X", Agg: algebra.Sum, Over: "b"}}}
+	count := []AggSpec{{Out: "N", Agg: algebra.Count}}
 	bad := []Plan{
-		&Scan{Table: "nope"},
-		&Project{Input: &GroupAgg{Input: &Scan{Table: "R"}, GroupBy: []string{"a"}, Aggs: []AggSpec{{Out: "X", Agg: algebra.Sum, Over: "b"}}}, Cols: []string{"X"}},
-		&Union{L: &Scan{Table: "R"}, R: &Scan{Table: "T"}},
-		&Join{L: &GroupAgg{Input: &Scan{Table: "R"}, GroupBy: []string{"a"}, Aggs: []AggSpec{{Out: "b", Agg: algebra.Sum, Over: "b"}}}, R: &Scan{Table: "R"}},
+		scan("nope"),
+		&Rename{Input: scan("R"), From: "zz", To: "q"},
+		&Rename{Input: scan("R"), From: "a", To: "b"},
+		&Select{Input: scan("R"), Pred: Where(ColThetaCol("a", value.EQ, "zz"))},
+		&Select{Input: &Join{L: scan("R"), R: scan("T")}, Pred: Where(ColTheta("zz", value.EQ, pvc.IntCell(1)))},
+		&Project{Input: sumB, Cols: []string{"X"}},
+		&Project{Input: scan("R"), Cols: []string{"zz"}},
+		&Prune{Input: scan("R"), Cols: []string{"zz"}},
+		&Union{L: scan("R"), R: scan("T")},
+		&Union{L: sumB, R: sumB},
+		&Join{L: &GroupAgg{Input: scan("R"), GroupBy: []string{"a"}, Aggs: []AggSpec{{Out: "b", Agg: algebra.Sum, Over: "b"}}}, R: scan("R")},
+		&Product{L: scan("R"), R: scan("T")},
+		&GroupAgg{Input: scan("R"), GroupBy: []string{"zz"}, Aggs: count},
+		&GroupAgg{Input: sumB, GroupBy: []string{"X"}, Aggs: count},
+		&GroupAgg{Input: scan("R"), Aggs: []AggSpec{{Out: "S", Agg: algebra.Sum, Over: "zz"}}},
+		&GroupAgg{Input: scan("T"), Aggs: []AggSpec{{Out: "S", Agg: algebra.Sum, Over: "c"}}},
 	}
 	for _, p := range bad {
-		if _, err := InferSchema(p, db); err == nil {
-			t.Fatalf("%s: InferSchema accepted an invalid plan", p)
+		_, serr := InferSchema(p, db)
+		_, eerr := eval(db, p)
+		if serr == nil || eerr == nil || serr.Error() != eerr.Error() {
+			t.Errorf("%s: InferSchema error %v, evaluation error %v", p, serr, eerr)
 		}
 	}
 }

@@ -120,22 +120,8 @@ func pushdown(p engine.Plan, db *pvc.Database) engine.Plan {
 			return in
 		}
 		return &engine.Select{Input: in, Pred: engine.Pred{Atoms: remaining}}
-	case *engine.Rename:
-		return &engine.Rename{Input: pushdown(n.Input, db), From: n.From, To: n.To}
-	case *engine.Project:
-		return &engine.Project{Input: pushdown(n.Input, db), Cols: n.Cols}
-	case *engine.Prune:
-		return &engine.Prune{Input: pushdown(n.Input, db), Cols: n.Cols}
-	case *engine.Product:
-		return &engine.Product{L: pushdown(n.L, db), R: pushdown(n.R, db)}
-	case *engine.Join:
-		return &engine.Join{L: pushdown(n.L, db), R: pushdown(n.R, db)}
-	case *engine.Union:
-		return &engine.Union{L: pushdown(n.L, db), R: pushdown(n.R, db)}
-	case *engine.GroupAgg:
-		return &engine.GroupAgg{Input: pushdown(n.Input, db), GroupBy: n.GroupBy, Aggs: n.Aggs}
 	default:
-		return p
+		return engine.MapChildren(p, func(c engine.Plan) engine.Plan { return pushdown(c, db) })
 	}
 }
 
@@ -181,10 +167,8 @@ func sink(a engine.Atom, p engine.Plan, db *pvc.Database) (engine.Plan, bool) {
 			return &engine.Rename{Input: np, From: n.From, To: n.To}, true
 		}
 		return p, false
-	case *engine.Project:
-		return &engine.Project{Input: place(n.Input), Cols: n.Cols}, true
-	case *engine.Prune:
-		return &engine.Prune{Input: place(n.Input), Cols: n.Cols}, true
+	case *engine.Project, *engine.Prune, *engine.Union:
+		return engine.MapChildren(p, place), true
 	case *engine.Join:
 		l, errL := engine.InferSchema(n.L, db)
 		r, errR := engine.InferSchema(n.R, db)
@@ -216,15 +200,13 @@ func sink(a engine.Atom, p engine.Plan, db *pvc.Database) (engine.Plan, bool) {
 		default:
 			return p, false
 		}
-	case *engine.Union:
-		return &engine.Union{L: place(n.L), R: place(n.R)}, true
 	case *engine.GroupAgg:
 		for _, c := range cols {
 			if !slices.Contains(n.GroupBy, c) {
 				return p, false
 			}
 		}
-		return &engine.GroupAgg{Input: place(n.Input), GroupBy: n.GroupBy, Aggs: n.Aggs}, true
+		return engine.MapChildren(p, place), true
 	default:
 		return p, false
 	}
@@ -382,7 +364,7 @@ func fuseSelect(sel *engine.Select, db *pvc.Database, live map[string]bool) engi
 // Pass 3: greedy join reordering.
 
 func reorder(p engine.Plan, db *pvc.Database, est *engine.Estimator) engine.Plan {
-	switch n := p.(type) {
+	switch p.(type) {
 	case *engine.Join:
 		leaves := flattenJoin(p)
 		for i := range leaves {
@@ -411,22 +393,8 @@ func reorder(p engine.Plan, db *pvc.Database, est *engine.Estimator) engine.Plan
 			return greedyAny
 		}
 		return greedy
-	case *engine.Select:
-		return &engine.Select{Input: reorder(n.Input, db, est), Pred: n.Pred}
-	case *engine.Rename:
-		return &engine.Rename{Input: reorder(n.Input, db, est), From: n.From, To: n.To}
-	case *engine.Project:
-		return &engine.Project{Input: reorder(n.Input, db, est), Cols: n.Cols}
-	case *engine.Prune:
-		return &engine.Prune{Input: reorder(n.Input, db, est), Cols: n.Cols}
-	case *engine.Product:
-		return &engine.Product{L: reorder(n.L, db, est), R: reorder(n.R, db, est)}
-	case *engine.Union:
-		return &engine.Union{L: reorder(n.L, db, est), R: reorder(n.R, db, est)}
-	case *engine.GroupAgg:
-		return &engine.GroupAgg{Input: reorder(n.Input, db, est), GroupBy: n.GroupBy, Aggs: n.Aggs}
 	default:
-		return p
+		return engine.MapChildren(p, func(c engine.Plan) engine.Plan { return reorder(c, db, est) })
 	}
 }
 

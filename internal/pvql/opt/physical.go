@@ -47,21 +47,7 @@ func buildSides(p engine.Plan, db *pvc.Database, est *engine.Estimator) engine.P
 			return flipped
 		}
 		return &engine.Prune{Input: flipped, Cols: origSchema.Names()}
-	case *engine.Select:
-		return &engine.Select{Input: buildSides(n.Input, db, est), Pred: n.Pred}
-	case *engine.Rename:
-		return &engine.Rename{Input: buildSides(n.Input, db, est), From: n.From, To: n.To}
-	case *engine.Project:
-		return &engine.Project{Input: buildSides(n.Input, db, est), Cols: n.Cols}
-	case *engine.Prune:
-		return &engine.Prune{Input: buildSides(n.Input, db, est), Cols: n.Cols}
-	case *engine.Product:
-		return &engine.Product{L: buildSides(n.L, db, est), R: buildSides(n.R, db, est)}
-	case *engine.Union:
-		return &engine.Union{L: buildSides(n.L, db, est), R: buildSides(n.R, db, est)}
-	case *engine.GroupAgg:
-		return &engine.GroupAgg{Input: buildSides(n.Input, db, est), GroupBy: n.GroupBy, Aggs: n.Aggs}
 	default:
-		return p
+		return engine.MapChildren(p, func(c engine.Plan) engine.Plan { return buildSides(c, db, est) })
 	}
 }
