@@ -89,9 +89,10 @@ func figure1Q2() pvcagg.Plan {
 }
 
 // TestGoldenFigure1Approx pins the anytime engine's behaviour on Figure 1
-// Q2 at ε ∈ {0, 0.01, 0.1}. MaxLeafNodes is deliberately tiny so the
-// priority frontier does real work (the Gap/M&S annotations are otherwise
-// closed exactly at the first probe).
+// Q2 at ε ∈ {0.01, 0.1}, and the ε = 0 request, which runs the exact
+// strategy, at the exact d-tree's size. MaxLeafNodes is deliberately tiny
+// so the priority frontier does real work (the Gap/M&S annotations are
+// otherwise closed exactly at the first probe).
 func TestGoldenFigure1Approx(t *testing.T) {
 	type tupleGold struct {
 		lo, hi     float64
@@ -106,7 +107,8 @@ func TestGoldenFigure1Approx(t *testing.T) {
 		// nodes is resumed by the next one instead of rebuilt, so leaves
 		// close after a few Shannon expansions (Gap 15 → 3, M&S 92 → 11 at
 		// ε = 0.01) and exactNodes counts the d-tree nodes evaluated. The
-		// ε = 0 rows did not move; every interval contains them.
+		// ε = 0 rows are the exact strategy's (Report.Exact: no expansion,
+		// no partial tree); every interval contains them.
 		0: {
 			{lo: 0.26953125, hi: 0.26953125, expansions: 0, treeNodes: 0, exactNodes: 51},
 			{lo: 0.44317626953125, hi: 0.44317626953125, expansions: 0, treeNodes: 0, exactNodes: 190},
@@ -139,6 +141,13 @@ func TestGoldenFigure1Approx(t *testing.T) {
 			if exact := golden[0][i].lo; !r.Confidence.Contains(exact, 0) {
 				t.Errorf("eps=%g tuple %d: bounds %v miss the exact answer %v", eps, i, r.Confidence, exact)
 			}
+			if eps == 0 {
+				if r.Report.Approx != nil || r.Report.Exact.Compile.Nodes != w.exactNodes {
+					t.Errorf("eps=0 tuple %d: approx report %v, exact d-tree %d nodes; want none and %d",
+						i, r.Report.Approx, r.Report.Exact.Compile.Nodes, w.exactNodes)
+				}
+				continue
+			}
 			if r.Report.Approx.Expansions != w.expansions {
 				t.Errorf("eps=%g tuple %d: %d expansions, want %d (frontier heuristic changed?)",
 					eps, i, r.Report.Approx.Expansions, w.expansions)
@@ -157,12 +166,14 @@ func TestGoldenFigure1Approx(t *testing.T) {
 // TestGoldenTPCHQ1Approx pins the anytime engine on TPC-H Q1 (SF 0.0005):
 // every group annotation closes exactly within the default per-leaf
 // budget, so all widths are 0 at every ε with no frontier expansion —
-// Q1's hardness lives in its [SUM ≤ c] selection, which pruning caps.
+// Q1's hardness lives in its [SUM ≤ c] selection, which pruning caps. The
+// ε = 0 request runs the exact strategy: its reports are Exact's.
 func TestGoldenTPCHQ1Approx(t *testing.T) {
 	db, err := tpch.Generate(tpch.Config{SF: 0.0005, Seed: 1, Probabilistic: true})
 	if err != nil {
 		t.Fatal(err)
 	}
+	_, exact := collect(t, db, tpch.Q1(1200), pvcagg.WithMode(pvcagg.Exact), pvcagg.WithParallelism(1))
 	for _, eps := range []float64{0, 0.01, 0.1} {
 		_, results := collect(t, db, tpch.Q1(1200),
 			pvcagg.WithMode(pvcagg.Anytime), pvcagg.WithEps(eps), pvcagg.WithParallelism(1))
@@ -174,11 +185,24 @@ func TestGoldenTPCHQ1Approx(t *testing.T) {
 			if w := r.Confidence.Width(); w != 0 {
 				t.Errorf("eps=%g tuple %d: width %v, want 0 (exact closure)", eps, i, w)
 			}
+			if eps == 0 {
+				if r.Confidence != exact[i].Confidence {
+					t.Errorf("eps=0 tuple %d: confidence %v, want exactly %v", i, r.Confidence, exact[i].Confidence)
+				}
+				if r.Report.Approx != nil || r.Report.Exact.Compile != exact[i].Report.Exact.Compile {
+					t.Errorf("eps=0 tuple %d: reports %v/%+v, want none and the exact run's %+v",
+						i, r.Report.Approx, r.Report.Exact.Compile, exact[i].Report.Exact.Compile)
+				}
+				continue
+			}
 			if !r.Report.Approx.Converged {
 				t.Errorf("eps=%g tuple %d: not converged", eps, i)
 			}
 			totalExact += r.Report.Approx.ExactNodes
 			totalExpansions += r.Report.Approx.Expansions
+		}
+		if eps == 0 {
+			continue
 		}
 		if totalExpansions != 0 {
 			t.Errorf("eps=%g: %d frontier expansions, want 0", eps, totalExpansions)

@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -84,7 +85,7 @@ func main() {
 		DisablePruning: *noPrune,
 		MaxNodes:       *maxNodes,
 	})
-	res, err := c.Compile(e)
+	res, err := c.CompileCtx(context.Background(), e)
 	if err != nil {
 		fatal(err)
 	}

@@ -173,7 +173,7 @@ func execOptions(mode string, eps float64, parallel int, timeout time.Duration, 
 // With trace, the execution trace is printed after the summary; with a
 // store, so are the scan's I/O and retry counters.
 func runQuery(ctx context.Context, db *pvcagg.Database, src string, opts []pvcagg.Option, verbose, trace bool, st *pvcagg.Store) error {
-	plan, explain, err := pvcagg.ParseQueryExplain(db, src)
+	plan, explain, err := pvcagg.ParseQuery(db, src)
 	if err != nil {
 		var qe *pvcagg.QueryError
 		if errors.As(err, &qe) {

@@ -26,10 +26,9 @@ const (
 )
 
 // This file is the unified execution API: one context-aware entrypoint
-// (Exec for plans, ExecTable for already-evaluated pvc-tables, ExecExpr
-// for bare expressions) configured by functional options, with adaptive
-// strategy selection (Auto mode routes through the Section 6 tractability
-// analysis) and streaming results.
+// (Exec for plans, ExecExpr for bare expressions) configured by
+// functional options, with adaptive strategy selection (Auto mode routes
+// through the Section 6 tractability analysis) and streaming results.
 
 // Mode selects the execution strategy.
 type Mode int
@@ -37,12 +36,10 @@ type Mode int
 const (
 	// Auto picks the strategy per query: Classify routes tractable plans
 	// (Qind/Qhie) to the exact engine and hard plans to the anytime
-	// engine at the configured ε (DefaultEps unless WithEps is given).
-	// On an already-evaluated pvc-table there is no plan to analyse, so
-	// Auto selects the anytime engine, whose exact leaf closures resolve
-	// easy annotations to zero-width bounds anyway; on a bare semiring
-	// expression it probes exact compilation under a node budget and falls
-	// back to the anytime engine if the budget is exceeded.
+	// engine at the configured ε (DefaultEps unless WithEps is given). On
+	// a bare semiring expression it probes exact compilation under a node
+	// budget and falls back to the anytime engine if the budget is
+	// exceeded.
 	Auto Mode = iota
 	// Exact computes every confidence and distribution exactly by full
 	// d-tree compilation (exponential on hard queries; bound it with
@@ -50,7 +47,8 @@ const (
 	Exact
 	// Anytime brackets every confidence within ε by partial d-tree
 	// expansion with guaranteed bounds; aggregation-column distributions
-	// stay exact.
+	// stay exact. WithEps(0) asks for the exact answer, so it runs Exact
+	// (Strategy.Chosen reports it).
 	Anytime
 	// Sample estimates every confidence from explicitly-seeded Monte
 	// Carlo worlds with a 95% Hoeffding interval. Unlike Anytime's, the
@@ -105,11 +103,12 @@ type PanicError = engine.PanicError
 // IsPanic reports whether err is (or wraps) a contained worker panic.
 func IsPanic(err error) bool { return engine.IsPanic(err) }
 
-// Option configures Exec, ExecTable and ExecExpr.
+// Option configures Exec, ExecQuery and ExecExpr.
 type Option func(*execConfig)
 
 type execConfig struct {
 	mode       Mode
+	chosen     Mode // the strategy a non-Auto mode runs; Auto until routed
 	eps        float64
 	epsSet     bool
 	par        int
@@ -162,17 +161,18 @@ func WithParallelism(n int) Option { return func(c *execConfig) { c.par = n } }
 // WithCompileBudget aborts any exact compilation whose d-tree exceeds
 // maxNodes, turning runaway Shannon expansions into errors (under Exact)
 // or anytime fallbacks (under Auto on expressions). It bounds every full
-// exact compilation: annotations under Exact and under Anytime at ε = 0,
-// and aggregation columns under every strategy.
+// exact compilation: annotations under Exact (and so under Anytime at
+// ε = 0, which runs Exact), and aggregation columns under every strategy.
 func WithCompileBudget(maxNodes int) Option {
 	return func(c *execConfig) { c.budget = maxNodes }
 }
 
 // WithApprox sets the anytime engine's budgets: MaxLeafNodes,
-// MaxExpansions, MaxNodes and the per-tuple Timeout. Budgets only: the
-// target width is WithEps, the compile budget WithCompileBudget and the
-// bounds callback WithOnBounds, and setting ApproxOptions.Eps, Compile or
-// OnBounds here is an error naming the option to use instead.
+// MaxExpansions, MaxNodes and the per-tuple Timeout, each non-negative
+// (0 takes the default the field names). Budgets only: the target width
+// is WithEps and the bounds callback WithOnBounds, and setting
+// ApproxOptions.Eps or OnBounds here is an error naming the option to use
+// instead.
 func WithApprox(o ApproxOptions) Option {
 	return func(c *execConfig) { c.approx, c.approxSet = o, true }
 }
@@ -233,6 +233,19 @@ func resolveOptions(opts []Option) (*execConfig, error) {
 	if c.budget < 0 {
 		return nil, fmt.Errorf("pvcagg: WithCompileBudget(%d) must be non-negative", c.budget)
 	}
+	for _, f := range []struct {
+		name string
+		neg  bool
+	}{
+		{"MaxLeafNodes", c.approx.MaxLeafNodes < 0},
+		{"MaxExpansions", c.approx.MaxExpansions < 0},
+		{"MaxNodes", c.approx.MaxNodes < 0},
+		{"Timeout", c.approx.Timeout < 0},
+	} {
+		if f.neg {
+			return nil, fmt.Errorf("pvcagg: WithApprox: ApproxOptions.%s must be non-negative", f.name)
+		}
+	}
 	switch c.mode {
 	case Exact:
 		if c.epsSet && c.eps > 0 {
@@ -245,8 +258,6 @@ func resolveOptions(opts []Option) (*execConfig, error) {
 		switch {
 		case c.approx.Eps != 0:
 			return nil, errors.New("pvcagg: WithApprox sets budgets only; set the target width with WithEps")
-		case c.approx.Compile != (compile.Options{}):
-			return nil, errors.New("pvcagg: WithApprox sets budgets only; set the compile budget with WithCompileBudget")
 		case c.approx.OnBounds != nil:
 			return nil, errors.New("pvcagg: WithApprox sets budgets only; observe bounds with WithOnBounds")
 		}
@@ -277,6 +288,10 @@ func resolveOptions(opts []Option) (*execConfig, error) {
 	}
 	if c.samplesSet && c.mode != Sample {
 		return nil, fmt.Errorf("pvcagg: WithSamples only applies to WithMode(Sample)")
+	}
+	c.chosen = c.mode
+	if c.mode == Anytime && c.effEps() == 0 {
+		c.chosen = Exact // an anytime run to width 0 is the exact run
 	}
 	return c, nil
 }
@@ -335,7 +350,6 @@ func (c *execConfig) build(chosen Mode, verdict *Verdict) (Strategy, engine.Exec
 	case Anytime:
 		a := c.approx
 		a.Eps = c.effEps()
-		a.Compile = ecfg.Compile
 		a.OnBounds = c.onBounds
 		ecfg.Approx = &a
 		strat.Eps = a.Eps
@@ -385,7 +399,7 @@ type ExecReport struct {
 	Explain *ExplainNode
 }
 
-// Result is one execution handed back by Exec or ExecTable: the evaluated
+// Result is one execution handed back by Exec or ExecQuery: the evaluated
 // result pvc-table (step I, already done) and the probability computation
 // (step II), which runs on demand — either as an ordered batch (Collect)
 // or as a stream that surfaces tuples as workers finish (Results).
@@ -544,12 +558,17 @@ func Exec(ctx context.Context, db *Database, plan Plan, opts ...Option) (*Result
 	if db, err = cfg.resolveDB(db); err != nil {
 		return nil, err
 	}
+	return cfg.exec(ctx, db, plan)
+}
+
+// exec is Exec under resolved options, on the resolved database.
+func (cfg *execConfig) exec(ctx context.Context, db *Database, plan Plan) (*Result, error) {
 	// Nil-safe span plumbing: without WithTrace every span is nil and
 	// every span call below is a no-op — zero cost on the hot path.
 	execSpan := cfg.trace.StartSpan("exec")
-	chosen := cfg.mode
+	chosen := cfg.chosen
 	var verdict *Verdict
-	if cfg.mode == Auto {
+	if chosen == Auto {
 		v := tractable.Classify(plan, db)
 		verdict = &v
 		if v.Class == Hard {
@@ -578,6 +597,7 @@ func Exec(ctx context.Context, db *Database, plan Plan, opts ...Option) (*Result
 	var rel *Relation
 	var construct time.Duration
 	var explain *engine.ExplainNode
+	var err error
 	if cfg.analyze {
 		rel, construct, explain, err = engine.StreamEvalPlanExplain(evalCtx, db, plan)
 	} else {
@@ -614,40 +634,6 @@ func Exec(ctx context.Context, db *Database, plan Plan, opts ...Option) (*Result
 	return res, nil
 }
 
-// ExecTable is Exec over an already-evaluated pvc-table: only step II
-// runs. Auto mode selects the anytime engine (there is no plan to
-// classify; its exact leaf closures resolve easy annotations to
-// zero-width bounds anyway).
-func ExecTable(ctx context.Context, db *Database, rel *Relation, opts ...Option) (*Result, error) {
-	cfg, err := resolveOptions(opts)
-	if err != nil {
-		return nil, err
-	}
-	if db, err = cfg.resolveDB(db); err != nil {
-		return nil, err
-	}
-	chosen := cfg.mode
-	if chosen == Auto {
-		chosen = Anytime
-	}
-	strat, ecfg := cfg.build(chosen, nil)
-	var cancel context.CancelFunc
-	if cfg.timeout > 0 {
-		ctx, cancel = context.WithTimeout(ctx, cfg.timeout)
-	}
-	res := &Result{
-		Rel:      rel,
-		Strategy: strat,
-		db:       db,
-		cfg:      ecfg,
-		ctx:      ctx,
-		cancel:   cancel,
-		execSpan: cfg.trace.StartSpan("exec"),
-	}
-	res.Report.Trace = cfg.trace
-	return res, nil
-}
-
 // ExprResult is the probabilistic interpretation of one bare expression.
 type ExprResult struct {
 	// Confidence brackets the probability that the (semiring) expression
@@ -675,17 +661,25 @@ type ExprResult struct {
 // node budget (WithCompileBudget, default 2¹⁸ nodes) and falls back to
 // the anytime engine at the configured ε when the budget is exceeded; a
 // semimodule expression has no anytime fallback, so Auto runs it exactly
-// under WithCompileBudget alone.
+// under WithCompileBudget alone. WithStore, WithRetry, WithTrace and
+// WithExplainAnalyze, which only a plan execution reads, are errors.
 func ExecExpr(ctx context.Context, e Expr, reg *Registry, kind SemiringKind, opts ...Option) (*ExprResult, error) {
 	cfg, err := resolveOptions(opts)
 	if err != nil {
 		return nil, err
 	}
-	if cfg.store != nil {
+	switch {
+	case cfg.store != nil:
 		return nil, errors.New("pvcagg: WithStore does not apply to ExecExpr: a bare expression carries its own registry and scans no tables")
+	case cfg.retrySet:
+		return nil, errors.New("pvcagg: WithRetry does not apply to ExecExpr: a bare expression scans no tables, so there are no reads to retry")
+	case cfg.trace != nil:
+		return nil, errors.New("pvcagg: WithTrace does not apply to ExecExpr: it records the stages of a plan execution; read ExprResult.Report or Approx instead")
+	case cfg.analyze:
+		return nil, errors.New("pvcagg: WithExplainAnalyze does not apply to ExecExpr: a bare expression has no plan to explain")
 	}
 	semiring := e.Kind() == KindSemiring
-	if cfg.mode == Anytime && !semiring {
+	if cfg.chosen == Anytime && !semiring {
 		return nil, fmt.Errorf("pvcagg: the anytime engine brackets truth probabilities and %s is a semimodule expression; use Exact", ExprString(e))
 	}
 	if cfg.timeout > 0 {
@@ -693,7 +687,7 @@ func ExecExpr(ctx context.Context, e Expr, reg *Registry, kind SemiringKind, opt
 		ctx, cancel = context.WithTimeout(ctx, cfg.timeout)
 		defer cancel()
 	}
-	chosen := cfg.mode
+	chosen := cfg.chosen
 	probe := chosen == Auto && semiring
 	if chosen == Auto {
 		chosen = Exact

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
 	"time"
@@ -15,6 +16,7 @@ import (
 	"pvcagg/internal/gen"
 	"pvcagg/internal/testutil"
 	"pvcagg/internal/value"
+	"pvcagg/internal/worlds"
 )
 
 // execTestDB builds a small pvc-database with a grouped-SUM plan whose
@@ -279,36 +281,53 @@ func TestExecStreaming(t *testing.T) {
 // TestExecOptionValidation: contradictory option combinations are
 // rejected with descriptive errors instead of silently picking a
 // semantics, and every step-II setting has one spelling: WithApprox
-// carries budgets only, and each other field of ApproxOptions is
-// rejected with the name of the option that sets it.
+// carries non-negative budgets only, and each other field of
+// ApproxOptions is rejected with the name of the option that sets it.
+// Rows marked expr run through ExecExpr, which rejects the options that
+// only a plan execution reads.
 func TestExecOptionValidation(t *testing.T) {
 	db, plan := execTestDB(t)
+	reg := pvcagg.NewRegistry()
+	reg.DeclareBool("x", 0.5)
+	x := pvcagg.MustParseExpr("x")
 	cases := []struct {
 		name string
 		opts []pvcagg.Option
 		want string
+		expr bool
 	}{
-		{"exact+eps", []pvcagg.Option{pvcagg.WithMode(pvcagg.Exact), pvcagg.WithEps(0.1)}, "WithEps conflicts with WithMode(Exact)"},
-		{"exact+approx", []pvcagg.Option{pvcagg.WithMode(pvcagg.Exact), pvcagg.WithApprox(pvcagg.ApproxOptions{Eps: 0.1})}, "WithApprox conflicts"},
-		{"eps-range", []pvcagg.Option{pvcagg.WithEps(1.5)}, "out of range"},
-		{"eps-negative", []pvcagg.Option{pvcagg.WithEps(-0.1)}, "out of range"},
-		{"approx-eps", []pvcagg.Option{pvcagg.WithMode(pvcagg.Anytime), pvcagg.WithApprox(pvcagg.ApproxOptions{Eps: 0.2})}, "WithEps"},
-		{"approx-compile", []pvcagg.Option{pvcagg.WithApprox(pvcagg.ApproxOptions{Compile: compile.Options{MaxNodes: 20}})}, "WithCompileBudget"},
-		{"approx-onbounds", []pvcagg.Option{pvcagg.WithMode(pvcagg.Anytime), pvcagg.WithApprox(pvcagg.ApproxOptions{OnBounds: func(pvcagg.Bounds) {}})}, "WithOnBounds"},
+		{"exact+eps", []pvcagg.Option{pvcagg.WithMode(pvcagg.Exact), pvcagg.WithEps(0.1)}, "WithEps conflicts with WithMode(Exact)", false},
+		{"exact+approx", []pvcagg.Option{pvcagg.WithMode(pvcagg.Exact), pvcagg.WithApprox(pvcagg.ApproxOptions{Eps: 0.1})}, "WithApprox conflicts", false},
+		{"eps-range", []pvcagg.Option{pvcagg.WithEps(1.5)}, "out of range", false},
+		{"eps-negative", []pvcagg.Option{pvcagg.WithEps(-0.1)}, "out of range", false},
+		{"approx-eps", []pvcagg.Option{pvcagg.WithMode(pvcagg.Anytime), pvcagg.WithApprox(pvcagg.ApproxOptions{Eps: 0.2})}, "WithEps", false},
+		{"approx-onbounds", []pvcagg.Option{pvcagg.WithMode(pvcagg.Anytime), pvcagg.WithApprox(pvcagg.ApproxOptions{OnBounds: func(pvcagg.Bounds) {}})}, "WithOnBounds", false},
 		// ε = 0 ("exact, please") plus a budget that can abandon
 		// convergence is a hard error.
-		{"anytime-eps0-budget", []pvcagg.Option{pvcagg.WithMode(pvcagg.Anytime), pvcagg.WithEps(0), pvcagg.WithApprox(pvcagg.ApproxOptions{MaxNodes: 100})}, "contradictory anytime options"},
-		{"auto-eps0", []pvcagg.Option{pvcagg.WithEps(0)}, "disables the anytime fallback"},
-		{"sample-noseed", []pvcagg.Option{pvcagg.WithMode(pvcagg.Sample)}, "requires an explicit WithSeed"},
-		{"sample+eps", []pvcagg.Option{pvcagg.WithMode(pvcagg.Sample), pvcagg.WithSeed(1), pvcagg.WithEps(0.1)}, "WithEps conflicts with WithMode(Sample)"},
-		{"sample-bad-n", []pvcagg.Option{pvcagg.WithMode(pvcagg.Sample), pvcagg.WithSeed(1), pvcagg.WithSamples(0)}, "must be positive"},
-		{"seed-wrong-mode", []pvcagg.Option{pvcagg.WithMode(pvcagg.Exact), pvcagg.WithSeed(1)}, "WithSeed only applies"},
-		{"samples-wrong-mode", []pvcagg.Option{pvcagg.WithSamples(100)}, "WithSamples only applies"},
-		{"bad-timeout", []pvcagg.Option{pvcagg.WithTimeout(-time.Second)}, "must be positive"},
+		{"anytime-eps0-budget", []pvcagg.Option{pvcagg.WithMode(pvcagg.Anytime), pvcagg.WithEps(0), pvcagg.WithApprox(pvcagg.ApproxOptions{MaxNodes: 100})}, "contradictory anytime options", false},
+		{"auto-eps0", []pvcagg.Option{pvcagg.WithEps(0)}, "disables the anytime fallback", false},
+		{"sample-noseed", []pvcagg.Option{pvcagg.WithMode(pvcagg.Sample)}, "requires an explicit WithSeed", false},
+		{"sample+eps", []pvcagg.Option{pvcagg.WithMode(pvcagg.Sample), pvcagg.WithSeed(1), pvcagg.WithEps(0.1)}, "WithEps conflicts with WithMode(Sample)", false},
+		{"sample-bad-n", []pvcagg.Option{pvcagg.WithMode(pvcagg.Sample), pvcagg.WithSeed(1), pvcagg.WithSamples(0)}, "must be positive", false},
+		{"seed-wrong-mode", []pvcagg.Option{pvcagg.WithMode(pvcagg.Exact), pvcagg.WithSeed(1)}, "WithSeed only applies", false},
+		{"samples-wrong-mode", []pvcagg.Option{pvcagg.WithSamples(100)}, "WithSamples only applies", false},
+		{"bad-timeout", []pvcagg.Option{pvcagg.WithTimeout(-time.Second)}, "must be positive", false},
+		{"approx-negative-leaf", []pvcagg.Option{pvcagg.WithApprox(pvcagg.ApproxOptions{MaxLeafNodes: -1})}, "MaxLeafNodes must be non-negative", false},
+		{"approx-negative-expansions", []pvcagg.Option{pvcagg.WithApprox(pvcagg.ApproxOptions{MaxExpansions: -1})}, "MaxExpansions must be non-negative", false},
+		{"approx-negative-nodes", []pvcagg.Option{pvcagg.WithApprox(pvcagg.ApproxOptions{MaxNodes: -1})}, "MaxNodes must be non-negative", false},
+		{"approx-negative-timeout", []pvcagg.Option{pvcagg.WithApprox(pvcagg.ApproxOptions{Timeout: -time.Second})}, "Timeout must be non-negative", false},
+		{"expr-trace", []pvcagg.Option{pvcagg.WithTrace(pvcagg.NewTrace())}, "WithTrace does not apply to ExecExpr", true},
+		{"expr-retry", []pvcagg.Option{pvcagg.WithRetry(pvcagg.RetryPolicy{})}, "WithRetry does not apply to ExecExpr", true},
+		{"expr-explain-analyze", []pvcagg.Option{pvcagg.WithExplainAnalyze()}, "WithExplainAnalyze does not apply to ExecExpr", true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := pvcagg.Exec(context.Background(), db, plan, tc.opts...)
+			var err error
+			if tc.expr {
+				_, err = pvcagg.ExecExpr(context.Background(), x, reg, pvcagg.Boolean, tc.opts...)
+			} else {
+				_, err = pvcagg.Exec(context.Background(), db, plan, tc.opts...)
+			}
 			if err == nil {
 				t.Fatalf("no error for %s", tc.name)
 			}
@@ -318,13 +337,21 @@ func TestExecOptionValidation(t *testing.T) {
 		})
 	}
 
-	// Anytime ε = 0 with *no* budgets keeps the documented exact-fallback
-	// contract.
-	_, outs := collect(t, db, plan, pvcagg.WithMode(pvcagg.Anytime), pvcagg.WithEps(0))
+	// Anytime ε = 0 with *no* budgets asks for the exact answer, and runs
+	// the exact strategy: the same confidences and distributions.
+	res, outs := collect(t, db, plan, pvcagg.WithMode(pvcagg.Anytime), pvcagg.WithEps(0))
+	if res.Strategy.Requested != pvcagg.Anytime || res.Strategy.Chosen != pvcagg.Exact {
+		t.Errorf("anytime ε=0: strategy requested %v chosen %v, want Anytime and Exact", res.Strategy.Requested, res.Strategy.Chosen)
+	}
 	_, ref := collect(t, db, plan, pvcagg.WithMode(pvcagg.Exact))
 	for i := range ref {
 		if outs[i].Confidence != ref[i].Confidence {
 			t.Errorf("tuple %d: anytime ε=0 %v != exact %v (bit-for-bit contract)", i, outs[i].Confidence, ref[i].Confidence)
+		}
+		for j := range ref[i].AggDists {
+			if !outs[i].AggDists[j].Equal(ref[i].AggDists[j], 0) {
+				t.Errorf("tuple %d agg %d: anytime ε=0 %v != exact %v", i, j, outs[i].AggDists[j], ref[i].AggDists[j])
+			}
 		}
 	}
 }
@@ -461,43 +488,37 @@ func TestExecExprBudgetDeterministic(t *testing.T) {
 	}
 }
 
-// TestExecTable: the table-level entrypoint matches Exec on the same
-// plan's evaluated relation, and Auto selects the anytime engine.
+// scanOf adds an already-evaluated relation to db as table name and
+// returns the plan that scans it: step I hands its tuples on unchanged, so
+// Exec over it runs step II alone, tuple i being rel's tuple i.
+func scanOf(db *pvcagg.Database, rel *pvcagg.Relation, name string) pvcagg.Plan {
+	t := pvcagg.NewRelation(name, rel.Schema)
+	t.Tuples = rel.Tuples
+	db.Add(t)
+	return &pvcagg.Scan{Table: name}
+}
+
+// TestExecTable: Exec over a Scan of a plan's evaluated relation matches
+// Exec on the plan itself, exactly and under Anytime.
 func TestExecTable(t *testing.T) {
 	db, plan := execTestDB(t)
 	res, want := collect(t, db, plan, pvcagg.WithMode(pvcagg.Exact))
+	scan := scanOf(db, res.Rel, "T")
 
-	tres, err := pvcagg.ExecTable(context.Background(), db, res.Rel, pvcagg.WithMode(pvcagg.Exact))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := tres.Collect()
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, got := collect(t, db, scan, pvcagg.WithMode(pvcagg.Exact))
 	if len(got) != len(want) {
 		t.Fatalf("%d outcomes, want %d", len(got), len(want))
 	}
 	for i := range want {
-		if got[i].Confidence != want[i].Confidence {
-			t.Errorf("tuple %d: %v != %v", i, got[i].Confidence, want[i].Confidence)
+		if got[i].Tuple.Key() != want[i].Tuple.Key() || got[i].Confidence != want[i].Confidence {
+			t.Errorf("tuple %d: %q %v != %q %v", i, got[i].Tuple.Key(), got[i].Confidence, want[i].Tuple.Key(), want[i].Confidence)
 		}
 	}
 
-	auto, err := pvcagg.ExecTable(context.Background(), db, res.Rel)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if auto.Strategy.Chosen != pvcagg.Anytime {
-		t.Errorf("ExecTable Auto chose %v, want Anytime", auto.Strategy.Chosen)
-	}
-	aouts, err := auto.Collect()
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, aouts := collect(t, db, scan, pvcagg.WithMode(pvcagg.Anytime))
 	for i := range want {
 		if !aouts[i].Confidence.Contains(want[i].Confidence.Lo, 1e-12) {
-			t.Errorf("tuple %d: auto bounds %v miss exact %v", i, aouts[i].Confidence, want[i].Confidence.Lo)
+			t.Errorf("tuple %d: anytime bounds %v miss exact %v", i, aouts[i].Confidence, want[i].Confidence.Lo)
 		}
 	}
 }
@@ -528,21 +549,15 @@ func TestExecExprAutoModuleNoProbe(t *testing.T) {
 }
 
 // TestExecSampleSeedContract: ExecExpr under Sample draws from the stream
-// seeded WithSeed itself, so its distribution is MonteCarlo's at that seed
-// bit for bit, and it is the dispatch ExecTable runs for tuple 0.
+// seeded WithSeed itself, so its distribution is worlds.MonteCarloCtx's
+// from a generator seeded so, bit for bit, and it is the dispatch Exec
+// runs for tuple 0.
 func TestExecSampleSeedContract(t *testing.T) {
 	ctx := context.Background()
 	db, plan := execTestDB(t)
 	res, _ := collect(t, db, plan, pvcagg.WithMode(pvcagg.Exact))
 	const seed, n = 11, 3000
-	tab, err := pvcagg.ExecTable(ctx, db, res.Rel, pvcagg.WithMode(pvcagg.Sample), pvcagg.WithSeed(seed), pvcagg.WithSamples(n))
-	if err != nil {
-		t.Fatal(err)
-	}
-	outs, err := tab.Collect()
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, outs := collect(t, db, scanOf(db, res.Rel, "T"), pvcagg.WithMode(pvcagg.Sample), pvcagg.WithSeed(seed), pvcagg.WithSamples(n))
 	tup := res.Rel.Tuples[0]
 	col, err := tup.Cells[res.Rel.Schema.ModuleColumns()[0]].ModuleExpr()
 	if err != nil {
@@ -553,15 +568,15 @@ func TestExecSampleSeedContract(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := pvcagg.MonteCarlo(e, db.Registry, db.Kind, n, seed)
+		want, err := worlds.MonteCarloCtx(ctx, e, db.Registry, db.Semiring(), n, rand.New(rand.NewSource(seed)))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !got.Dist.Equal(want, 0) {
-			t.Errorf("%s: ExecExpr %v != MonteCarlo %v", e.Kind(), got.Dist, want)
+			t.Errorf("%s: ExecExpr %v != MonteCarloCtx %v", e.Kind(), got.Dist, want)
 		}
 		if i == 0 && got.Confidence != outs[0].Confidence {
-			t.Errorf("ExecExpr confidence %v != ExecTable tuple 0 %v", got.Confidence, outs[0].Confidence)
+			t.Errorf("ExecExpr confidence %v != Exec tuple 0 %v", got.Confidence, outs[0].Confidence)
 		}
 	}
 }

@@ -38,7 +38,8 @@ import (
 // that leaf, or on the Shannon branches below it (the frontier chooses
 // and restricts variables as the compiler does, so a branch is the same
 // memo key), resumes from them. Anytime is exact compilation interrupted:
-// run to ε = 0 it builds the exact d-tree and little besides.
+// run to a point it builds the exact d-tree and little besides, which is
+// why ε = 0 is not an anytime request but the exact strategy's.
 
 // ErrNodeBudget is wrapped by compilation errors caused by the MaxNodes
 // budget (as opposed to malformed expressions); the anytime engine uses it
@@ -66,12 +67,12 @@ func (b Bounds) String() string {
 	return fmt.Sprintf("[%.6g, %.6g]", b.Lo, b.Hi)
 }
 
-// ApproxOptions configure anytime approximation. The zero value requests an
-// exact answer (Eps = 0) with default budgets.
+// ApproxOptions configure anytime approximation. Eps must be set; the
+// budgets default to the values their fields name.
 type ApproxOptions struct {
-	// Eps is the target bound width: expansion stops once Hi − Lo ≤ Eps.
-	// Eps = 0 computes the exact probability by full compilation,
-	// bit-for-bit identical to the exact strategy's confidence.
+	// Eps is the target bound width, in (0, 1): expansion stops once
+	// Hi − Lo ≤ Eps. An exact answer is the exact strategy's (compile,
+	// then dtree.Evaluate); there is no anytime run at Eps = 0.
 	Eps float64
 	// MaxLeafNodes is the number of new d-tree nodes one attempt to close
 	// a popped frontier leaf exactly may build (0 ⇒ 512): one slice of
@@ -89,9 +90,6 @@ type ApproxOptions struct {
 	MaxNodes int
 	// Timeout bounds wall-clock time (0 ⇒ unlimited).
 	Timeout time.Duration
-	// Compile configures the exact compiler used for leaf closures and for
-	// the Eps = 0 fallback (its MaxNodes applies only to the fallback).
-	Compile Options
 	// OnBounds, when non-nil, observes the root bounds after every frontier
 	// expansion (first call: the initial bounds before any expansion). The
 	// sequence of observed intervals is monotonically tightening.
@@ -130,19 +128,14 @@ func (r ApproxReport) ExpandedNodes() int { return r.TreeNodes + r.ExactNodes }
 // ApproxOptions.MaxNodes bounds this quantity.
 func (r ApproxReport) TotalNodes() int { return r.TreeNodes + r.ExactNodes + r.WastedNodes }
 
-// Approximate computes guaranteed bounds on the truth probability of the
-// semiring expression e (the probability that e is non-zero — the
+// ApproximateCtx computes guaranteed bounds on the truth probability of
+// the semiring expression e (the probability that e is non-zero — the
 // confidence of a tuple annotated with e), expanding only as much of the
 // decomposition as the target width requires. The returned interval always
 // contains the exact probability; Converged reports whether the target was
-// reached within the budgets.
-func Approximate(s algebra.Semiring, reg *vars.Registry, e expr.Expr, opts ApproxOptions) (Bounds, ApproxReport, error) {
-	return ApproximateCtx(context.Background(), s, reg, e, opts)
-}
-
-// ApproximateCtx is Approximate under a context: the frontier loop polls
-// ctx between expansions and every exact leaf closure compiles under it,
-// so cancellation aborts the anytime computation promptly with ctx.Err()
+// reached within the budgets. The frontier loop polls ctx between
+// expansions and every exact leaf closure compiles under it, so
+// cancellation aborts the computation promptly with ctx.Err()
 // (cancellation is an error, not an early convergence — no partial bounds
 // are returned).
 func ApproximateCtx(ctx context.Context, s algebra.Semiring, reg *vars.Registry, e expr.Expr, opts ApproxOptions) (Bounds, ApproxReport, error) {
@@ -150,10 +143,10 @@ func ApproximateCtx(ctx context.Context, s algebra.Semiring, reg *vars.Registry,
 		return Bounds{}, ApproxReport{}, err
 	}
 	if e.Kind() != expr.KindSemiring {
-		return Bounds{}, ApproxReport{}, fmt.Errorf("compile: Approximate of a module expression %s", expr.Abbrev(e))
+		return Bounds{}, ApproxReport{}, fmt.Errorf("compile: anytime bounds of a module expression %s", expr.Abbrev(e))
 	}
-	if opts.Eps < 0 || opts.Eps >= 1 {
-		return Bounds{}, ApproxReport{}, fmt.Errorf("compile: epsilon %v out of range [0, 1)", opts.Eps)
+	if !(opts.Eps > 0 && opts.Eps < 1) {
+		return Bounds{}, ApproxReport{}, fmt.Errorf("compile: epsilon %v out of range (0, 1)", opts.Eps)
 	}
 	if err := expr.Validate(e); err != nil {
 		return Bounds{}, ApproxReport{}, err
@@ -166,31 +159,9 @@ func ApproximateCtx(ctx context.Context, s algebra.Semiring, reg *vars.Registry,
 	// frontier classifies, closes or expands from now on is in simplified
 	// form, and the leaf closures compile it without re-checking.
 	e = expr.Simplify(e, s)
-	if opts.Eps == 0 {
-		// Exact fallback: the anytime engine's ε=0 contract is bit-for-bit
-		// agreement with the exact pipeline, so there is no partial result
-		// to return — MaxNodes becomes the exact compiler's node budget
-		// and exceeding it is an error. Timeout does not apply at ε = 0.
-		co := opts.Compile
-		if opts.MaxNodes > 0 && (co.MaxNodes == 0 || opts.MaxNodes < co.MaxNodes) {
-			co.MaxNodes = opts.MaxNodes
-		}
-		b, nodes, err := exactTruth(ctx, s, reg, e, co)
-		if err != nil {
-			return Bounds{}, ApproxReport{}, err
-		}
-		rep := ApproxReport{
-			Bounds: b, Converged: true, ExactLeaves: 1, ExactNodes: nodes,
-			Elapsed: time.Since(t0),
-		}
-		if opts.OnBounds != nil {
-			opts.OnBounds(b)
-		}
-		return b, rep, nil
-	}
 	ax := &approximator{
 		s: s, reg: reg, opts: opts, ctx: ctx,
-		c:  New(s, reg, opts.Compile),
+		c:  New(s, reg, Options{}),
 		ev: dtree.NewEvaluator(dtree.Env{Semiring: s, Registry: reg}),
 	}
 	ax.c.sc = getScratch(e)
@@ -214,22 +185,6 @@ func ApproximateCtx(ctx context.Context, s algebra.Semiring, reg *vars.Registry,
 	ax.rep.WastedNodes = ax.built - ax.rep.ExactNodes
 	ax.rep.Elapsed = time.Since(t0)
 	return b, ax.rep, nil
-}
-
-// exactTruth runs the exact compile→evaluate pipeline — the ε = 0 answer —
-// on an expression that is already validated and in simplified form, and
-// returns the truth probability as a point interval with the d-tree's
-// node count.
-func exactTruth(ctx context.Context, s algebra.Semiring, reg *vars.Registry, e expr.Expr, opts Options) (Bounds, int, error) {
-	res, err := New(s, reg, opts).compileSimplified(ctx, e)
-	if err != nil {
-		return Bounds{}, 0, err
-	}
-	d, _, err := dtree.Evaluate(res.Root, dtree.Env{Semiring: s, Registry: reg})
-	if err != nil {
-		return Bounds{}, 0, err
-	}
-	return Point(d.TruthProbability()), res.Stats.Nodes, nil
 }
 
 // Partial-tree node kinds. The tree mirrors the decomposition rules the
@@ -433,7 +388,7 @@ func (ax *approximator) classify(e expr.Expr) (*anode, error) {
 	// Keep frontier comparisons pruned: dropping provably redundant terms
 	// here (rather than only inside closure probes) shrinks every later
 	// substitution, memo key and Shannon expansion of this leaf.
-	if cm, ok := e.(expr.Cmp); ok && !ax.opts.Compile.DisablePruning {
+	if cm, ok := e.(expr.Cmp); ok {
 		if pruned, _, changed := pruneCmp(ax.s, ax.reg, cm); changed {
 			return ax.classify(pruned)
 		}
@@ -449,10 +404,8 @@ func (ax *approximator) classify(e expr.Expr) (*anode, error) {
 		}
 	case expr.Mul:
 		// The same product-level pruning the exact compiler starts with.
-		if !ax.opts.Compile.DisablePruning {
-			if pruned, n := pruneProduct(ax.s, ax.reg, t.Factors); n > 0 {
-				return ax.classify(pruned)
-			}
+		if pruned, n := pruneProduct(ax.s, ax.reg, t.Factors); n > 0 {
+			return ax.classify(pruned)
 		}
 		if groups := ax.c.sc.components(t.Factors); len(groups) > 1 {
 			return ax.split(nkAnd, groups, expr.AdoptProduct)

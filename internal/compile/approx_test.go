@@ -1,8 +1,8 @@
 // Differential, convergence and acceptance tests of the anytime
 // approximate probability engine: bounds must always bracket the exact
 // probability (against both the exact compiler and possible-worlds
-// enumeration), tighten monotonically as the frontier expands, reproduce
-// the exact value bit-for-bit at ε = 0, and beat exact compilation by an
+// enumeration), tighten monotonically as the frontier expands, converge
+// to a point when asked to, and beat exact compilation by an
 // order of magnitude in expanded nodes on hard instances. The exact
 // compiler's own generated-instance differential lives here too: gen
 // imports engine, which imports compile, so it needs the external
@@ -112,7 +112,7 @@ func TestParallelCompileDifferential(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
 			inst := gen.MustNew(p)
-			res, err := compile.New(s, inst.Registry, compile.Options{}).Compile(inst.Expr)
+			res, err := compile.New(s, inst.Registry, compile.Options{}).CompileCtx(context.Background(), inst.Expr)
 			if err != nil {
 				t.Fatalf("compile: %v", err)
 			}
@@ -159,7 +159,7 @@ func TestApproxDifferentialFuzz(t *testing.T) {
 			t.Fatalf("seed %d params %+v: enumerate: %v", p.Seed, p, err)
 		}
 		eps := epss[i%len(epss)]
-		b, rep, err := compile.Approximate(s, inst.Registry, inst.Expr,
+		b, rep, err := compile.ApproximateCtx(context.Background(), s, inst.Registry, inst.Expr,
 			compile.ApproxOptions{Eps: eps, MaxLeafNodes: 32})
 		if err != nil {
 			t.Fatalf("seed %d params %+v: approximate: %v", p.Seed, p, err)
@@ -195,11 +195,11 @@ func TestAnytimeNeverRebuilds(t *testing.T) {
 		if err != nil {
 			t.Fatalf("params %+v: %v", p, err)
 		}
-		res, err := compile.New(s, inst.Registry, compile.Options{}).Compile(inst.Expr)
+		res, err := compile.New(s, inst.Registry, compile.Options{}).CompileCtx(context.Background(), inst.Expr)
 		if err != nil {
 			t.Fatalf("seed %d params %+v: exact: %v", p.Seed, p, err)
 		}
-		b, rep, err := compile.Approximate(s, inst.Registry, inst.Expr,
+		b, rep, err := compile.ApproximateCtx(context.Background(), s, inst.Registry, inst.Expr,
 			compile.ApproxOptions{Eps: 1e-12, MaxLeafNodes: 8})
 		if err != nil {
 			t.Fatalf("seed %d params %+v: approximate: %v", p.Seed, p, err)
@@ -217,7 +217,7 @@ func TestAnytimeNeverRebuilds(t *testing.T) {
 	t.Logf("worst built/exact ratio %.3f", worst)
 
 	reg, e := compile.SelfJoinPairs(15, 0.9)
-	_, rep, err := compile.Approximate(s, reg, e, compile.ApproxOptions{Eps: 0.05})
+	_, rep, err := compile.ApproximateCtx(context.Background(), s, reg, e, compile.ApproxOptions{Eps: 0.05})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,30 +225,6 @@ func TestAnytimeNeverRebuilds(t *testing.T) {
 		t.Errorf("self-join pairs: %d of %d nodes never evaluated, want ≤ 5%%", rep.WastedNodes, rep.TotalNodes())
 	}
 	t.Logf("self-join pairs: %+v", rep)
-}
-
-// TestApproxEpsZeroBitForBit checks that ε = 0 reproduces the exact truth
-// probability bit-for-bit (the anytime engine falls back to the exact
-// compile→evaluate pipeline).
-func TestApproxEpsZeroBitForBit(t *testing.T) {
-	s := algebra.SemiringFor(algebra.Boolean)
-	for _, p := range fuzzParams(2) {
-		inst := gen.MustNew(p)
-		exact, err := exactTruth(inst.Registry, inst.Expr)
-		if err != nil {
-			t.Fatalf("seed %d params %+v: exact: %v", p.Seed, p, err)
-		}
-		b, rep, err := compile.Approximate(s, inst.Registry, inst.Expr, compile.ApproxOptions{})
-		if err != nil {
-			t.Fatalf("seed %d params %+v: approximate: %v", p.Seed, p, err)
-		}
-		if b.Lo != exact || b.Hi != exact {
-			t.Errorf("seed %d params %+v: eps=0 bounds %v, want exactly [%v, %v]", p.Seed, p, b, exact, exact)
-		}
-		if !rep.Converged || b.Width() != 0 {
-			t.Errorf("seed %d params %+v: eps=0 report not converged to a point: %+v", p.Seed, p, rep)
-		}
-	}
 }
 
 // TestApproxMonotoneTightening checks the anytime property: every observed
@@ -267,7 +243,7 @@ func TestApproxMonotoneTightening(t *testing.T) {
 			t.Fatalf("seed %d: exact: %v", seed, err)
 		}
 		var history []compile.Bounds
-		b, _, err := compile.Approximate(s, inst.Registry, inst.Expr, compile.ApproxOptions{
+		b, _, err := compile.ApproximateCtx(context.Background(), s, inst.Registry, inst.Expr, compile.ApproxOptions{
 			Eps:          0.01,
 			MaxLeafNodes: 16, // force real frontier expansions
 			OnBounds:     func(b compile.Bounds) { history = append(history, b) },
@@ -314,7 +290,7 @@ func TestApproxBudgets(t *testing.T) {
 		"nodes":      {Eps: 0.001, MaxLeafNodes: 16, MaxNodes: 200},
 		"timeout":    {Eps: 0.001, MaxLeafNodes: 16, Timeout: time.Nanosecond},
 	} {
-		b, rep, err := compile.Approximate(s, inst.Registry, inst.Expr, opts)
+		b, rep, err := compile.ApproximateCtx(context.Background(), s, inst.Registry, inst.Expr, opts)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -331,13 +307,17 @@ func TestApproxBudgets(t *testing.T) {
 			// soundness is all that is guaranteed.
 		}
 	}
-	if _, _, err := compile.Approximate(s, inst.Registry, inst.Expr, compile.ApproxOptions{Eps: -0.1}); err == nil {
+	if _, _, err := compile.ApproximateCtx(context.Background(), s, inst.Registry, inst.Expr, compile.ApproxOptions{Eps: -0.1}); err == nil {
 		t.Error("negative epsilon accepted")
 	}
-	if _, _, err := compile.Approximate(s, inst.Registry, inst.Expr, compile.ApproxOptions{Eps: 1.5}); err == nil {
+	// ε = 0 is an exact request, which the exact strategy answers.
+	if _, _, err := compile.ApproximateCtx(context.Background(), s, inst.Registry, inst.Expr, compile.ApproxOptions{}); err == nil {
+		t.Error("zero epsilon accepted")
+	}
+	if _, _, err := compile.ApproximateCtx(context.Background(), s, inst.Registry, inst.Expr, compile.ApproxOptions{Eps: 1.5}); err == nil {
 		t.Error("epsilon ≥ 1 accepted")
 	}
-	if _, _, err := compile.Approximate(s, inst.Registry, expr.MInt(3), compile.ApproxOptions{Eps: 0.1}); err == nil {
+	if _, _, err := compile.ApproximateCtx(context.Background(), s, inst.Registry, expr.MInt(3), compile.ApproxOptions{Eps: 0.1}); err == nil {
 		t.Error("module expression accepted")
 	}
 }
@@ -371,7 +351,7 @@ func TestApproxNestedSplitFrontier(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bounds, rep, err := compile.Approximate(s, reg, e, compile.ApproxOptions{Eps: 0.01, MaxLeafNodes: 8})
+	bounds, rep, err := compile.ApproximateCtx(context.Background(), s, reg, e, compile.ApproxOptions{Eps: 0.01, MaxLeafNodes: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -399,7 +379,7 @@ func TestApproxNaturalSemiring(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _, err := compile.Approximate(s, reg, e, compile.ApproxOptions{Eps: 0.05})
+	b, _, err := compile.ApproximateCtx(context.Background(), s, reg, e, compile.ApproxOptions{Eps: 0.05})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -429,7 +409,7 @@ func TestApproxHardInstance(t *testing.T) {
 	}
 	inst := gen.MustNew(p)
 	c := compile.New(s, inst.Registry, compile.Options{MaxNodes: 5_000_000})
-	res, err := c.Compile(inst.Expr)
+	res, err := c.CompileCtx(context.Background(), inst.Expr)
 	if err != nil {
 		t.Fatalf("exact compile: %v", err)
 	}
@@ -437,7 +417,7 @@ func TestApproxHardInstance(t *testing.T) {
 	if exactNodes <= 100_000 {
 		t.Fatalf("exact compilation took %d nodes, want > 10⁵ (instance not hard enough)", exactNodes)
 	}
-	b, rep, err := compile.Approximate(s, inst.Registry, inst.Expr, compile.ApproxOptions{Eps: 0.05})
+	b, rep, err := compile.ApproximateCtx(context.Background(), s, inst.Registry, inst.Expr, compile.ApproxOptions{Eps: 0.05})
 	if err != nil {
 		t.Fatalf("approximate: %v", err)
 	}

@@ -1,6 +1,7 @@
 package compile
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -29,7 +30,7 @@ func TestProposition2SelectiveMonoidBound(t *testing.T) {
 		e := expr.MSum(agg, terms...)
 		s := algebra.SemiringFor(algebra.Boolean)
 		c := New(s, reg, Options{})
-		res, err := c.Compile(e)
+		res, err := c.CompileCtx(context.Background(), e)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -65,7 +66,7 @@ func TestProposition3BoundedSum(t *testing.T) {
 	e := expr.MSum(algebra.Sum, terms...)
 	s := algebra.SemiringFor(algebra.Boolean)
 	c := New(s, reg, Options{})
-	res, err := c.Compile(e)
+	res, err := c.CompileCtx(context.Background(), e)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +106,7 @@ func TestHierarchicalAnnotationsStayPolynomial(t *testing.T) {
 	e := expr.MSum(algebra.Sum, outer...)
 	s := algebra.SemiringFor(algebra.Boolean)
 	c := New(s, reg, Options{})
-	res, err := c.Compile(e)
+	res, err := c.CompileCtx(context.Background(), e)
 	if err != nil {
 		t.Fatal(err)
 	}

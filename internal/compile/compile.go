@@ -186,16 +186,11 @@ func (c *Compiler) Reset() { c.memo.reset() }
 // (well under a millisecond) without an atomic load on every node.
 const ctxCheckMask = 255
 
-// Compile compiles e into a d-tree. The result's distribution (computed by
-// dtree.Evaluate) equals the distribution of e over the registry's
-// probability space (Proposition 4).
-func (c *Compiler) Compile(e expr.Expr) (Result, error) {
-	return c.CompileCtx(context.Background(), e)
-}
-
-// CompileCtx is Compile under a context: compilation polls ctx at
-// expansion steps and aborts with ctx.Err() once it is cancelled, turning
-// runaway Shannon expansions into promptly-interruptible work.
+// CompileCtx compiles e into a d-tree. The result's distribution (computed
+// by dtree.Evaluate) equals the distribution of e over the registry's
+// probability space (Proposition 4). Compilation polls ctx at expansion
+// steps and aborts with ctx.Err() once it is cancelled, turning runaway
+// Shannon expansions into promptly-interruptible work.
 func (c *Compiler) CompileCtx(ctx context.Context, e expr.Expr) (Result, error) {
 	if err := ctx.Err(); err != nil {
 		return Result{}, err

@@ -1,6 +1,7 @@
 package compile
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -24,7 +25,7 @@ func boolReg(p float64, names ...string) *vars.Registry {
 
 func mustCompile(t *testing.T, c *Compiler, e expr.Expr) Result {
 	t.Helper()
-	res, err := c.Compile(e)
+	res, err := c.CompileCtx(context.Background(), e)
 	if err != nil {
 		t.Fatalf("Compile(%s): %v", expr.String(e), err)
 	}
@@ -236,7 +237,7 @@ func TestCompileMatchesEnumerationProperty(t *testing.T) {
 		}
 		e := randomExpr(r, names, 3)
 		c := New(s, reg, Options{})
-		res, err := c.Compile(e)
+		res, err := c.CompileCtx(context.Background(), e)
 		if err != nil {
 			t.Fatalf("Compile(%s): %v", expr.String(e), err)
 		}
@@ -340,7 +341,7 @@ func TestCompileMatchesEnumerationNatural(t *testing.T) {
 		}
 		e := randomExpr(r, names, 2)
 		c := New(s, reg, Options{})
-		res, err := c.Compile(e)
+		res, err := c.CompileCtx(context.Background(), e)
 		if err != nil {
 			t.Fatalf("Compile(%s): %v", expr.String(e), err)
 		}
@@ -541,11 +542,11 @@ func TestCompileErrors(t *testing.T) {
 	s := algebra.SemiringFor(algebra.Boolean)
 	c := New(s, reg, Options{})
 	// Undeclared variable.
-	if _, err := c.Compile(expr.V("ghost")); err == nil {
+	if _, err := c.CompileCtx(context.Background(), expr.V("ghost")); err == nil {
 		t.Errorf("undeclared variable accepted")
 	}
 	// Ill-formed expression.
-	if _, err := c.Compile(expr.Add{Terms: []expr.Expr{expr.V("x"), expr.MInt(1)}}); err == nil {
+	if _, err := c.CompileCtx(context.Background(), expr.Add{Terms: []expr.Expr{expr.V("x"), expr.MInt(1)}}); err == nil {
 		t.Errorf("ill-formed expression accepted")
 	}
 	// Node budget.
@@ -563,7 +564,7 @@ func TestCompileErrors(t *testing.T) {
 		}
 	}
 	cLim := New(s, regBig, Options{MaxNodes: 50})
-	if _, err := cLim.Compile(expr.Sum(terms...)); err == nil {
+	if _, err := cLim.CompileCtx(context.Background(), expr.Sum(terms...)); err == nil {
 		t.Errorf("node budget not enforced")
 	}
 }

@@ -1,6 +1,7 @@
 package compile
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -33,7 +34,7 @@ func BenchmarkCompileMemo(b *testing.B) {
 
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := New(s, reg, Options{MaxNodes: 20_000_000}).Compile(e); err != nil {
+		if _, err := New(s, reg, Options{MaxNodes: 20_000_000}).CompileCtx(context.Background(), e); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -48,7 +49,7 @@ func BenchmarkCompileShannon(b *testing.B) {
 	c := eq11{numVars: 11, clauses: 3, literals: 3, maxV: 200, l: 35, agg: algebra.Sum, theta: value.LE, c: 1600}.instance("bench", 1007)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := New(c.s, c.reg, Options{}).Compile(c.e); err != nil {
+		if _, err := New(c.s, c.reg, Options{}).CompileCtx(context.Background(), c.e); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -86,7 +87,7 @@ func BenchmarkApproxPairs(b *testing.B) {
 	b.Run("anytime", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, _, err := Approximate(s, reg, e, ApproxOptions{Eps: 0.05}); err != nil {
+			if _, _, err := ApproximateCtx(context.Background(), s, reg, e, ApproxOptions{Eps: 0.05}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -94,7 +95,7 @@ func BenchmarkApproxPairs(b *testing.B) {
 	b.Run("exact", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			res, err := New(s, reg, Options{}).Compile(e)
+			res, err := New(s, reg, Options{}).CompileCtx(context.Background(), e)
 			if err != nil {
 				b.Fatal(err)
 			}

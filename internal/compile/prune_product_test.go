@@ -1,6 +1,7 @@
 package compile
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -191,7 +192,7 @@ func TestPruneProductSoundness(t *testing.T) {
 				t.Fatalf("%s: pruneProduct removes %d factors, Stats.PrunedGuards = %d", g.what, removed, res.Stats.PrunedGuards)
 			}
 		}
-		b, _, err := Approximate(g.s, g.reg, e, ApproxOptions{Eps: 0.05, MaxLeafNodes: 4})
+		b, _, err := ApproximateCtx(context.Background(), g.s, g.reg, e, ApproxOptions{Eps: 0.05, MaxLeafNodes: 4})
 		if err != nil {
 			t.Fatalf("%s: %v", g.what, err)
 		}

@@ -1,6 +1,7 @@
 package compile
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -204,7 +205,7 @@ func TestCompileAllocationCeiling(t *testing.T) {
 			continue
 		}
 		got := testing.AllocsPerRun(10, func() {
-			if _, err := New(c.s, c.reg, c.opts).Compile(c.e); err != nil {
+			if _, err := New(c.s, c.reg, c.opts).CompileCtx(context.Background(), c.e); err != nil {
 				t.Fatal(err)
 			}
 		})

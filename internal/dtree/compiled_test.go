@@ -1,6 +1,7 @@
 package dtree_test
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -217,7 +218,7 @@ func TestCompiledTreesMatchReference(t *testing.T) {
 		inst := gen.MustNew(p)
 		for _, kind := range []algebra.SemiringKind{algebra.Boolean, algebra.Natural} {
 			s := algebra.SemiringFor(kind)
-			res, err := compile.New(s, inst.Registry, compile.Options{}).Compile(inst.Expr)
+			res, err := compile.New(s, inst.Registry, compile.Options{}).CompileCtx(context.Background(), inst.Expr)
 			if err != nil {
 				t.Fatalf("seed %d: %v", seed, err)
 			}
@@ -371,7 +372,7 @@ func independentSum(tb testing.TB, n int, v func(i int) int64) (dtree.Node, dtre
 		terms[i] = expr.Scale(algebra.Sum, expr.V(x), value.Int(v(i)))
 	}
 	s := algebra.SemiringFor(algebra.Boolean)
-	res, err := compile.New(s, reg, compile.Options{}).Compile(expr.MSum(algebra.Sum, terms...))
+	res, err := compile.New(s, reg, compile.Options{}).CompileCtx(context.Background(), expr.MSum(algebra.Sum, terms...))
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -21,7 +21,7 @@ import (
 // approxAt brackets every tuple's confidence on par workers.
 func approxAt(db *pvc.Database, rel *pvc.Relation, opts compile.ApproxOptions, par int) ([]engine.TupleOutcome, error) {
 	return engine.Outcomes(context.Background(), db, rel,
-		engine.ExecConfig{Compile: opts.Compile, Parallelism: par, Approx: &opts})
+		engine.ExecConfig{Parallelism: par, Approx: &opts})
 }
 
 // TestProbabilitiesApproxDifferential evaluates randomly generated plans
@@ -99,33 +99,6 @@ func TestRunApproxQhieConvergence(t *testing.T) {
 	}
 	if hie < 10 {
 		t.Errorf("only %d Qhie instances in the grid; harness too weak", hie)
-	}
-}
-
-// TestRunApproxEpsZeroMatchesRun checks that ε = 0 reproduces the exact
-// strategy's confidences bit-for-bit through the whole engine stack.
-func TestRunApproxEpsZeroMatchesRun(t *testing.T) {
-	inst := gen.MustNewDB(gen.DBParams{Tuples: 5, Seed: 21})
-	rel := evalPlan(t, inst.DB, inst.Plan)
-	exact, err := exactAt(inst.DB, rel, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	approx, err := approxAt(inst.DB, rel, compile.ApproxOptions{}, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(exact) != len(approx) {
-		t.Fatalf("result sizes differ: %d/%d results", len(exact), len(approx))
-	}
-	for i := range exact {
-		if exact[i].Tuple.Key() != approx[i].Tuple.Key() {
-			t.Fatalf("tuple %d: key %q != %q", i, exact[i].Tuple.Key(), approx[i].Tuple.Key())
-		}
-		if approx[i].Confidence != exact[i].Confidence {
-			t.Errorf("tuple %d: eps=0 bounds %v, want exactly the confidence %v",
-				i, approx[i].Confidence, exact[i].Confidence)
-		}
 	}
 }
 

@@ -22,7 +22,7 @@ import (
 	"pvcagg/internal/worlds"
 )
 
-// This file is step II behind the facade's Exec, ExecTable and ExecExpr:
+// This file is step II behind the facade's Exec and ExecExpr:
 // one strategy dispatch (exact, anytime, sampling; worker.interpret) and
 // one worker pool (run) that computes TupleOutcomes either as an ordered
 // batch (Outcomes) or as a stream that surfaces tuples in completion order

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -211,8 +210,9 @@ func Average(ctx context.Context, s algebra.Semiring, reg *vars.Registry, sum, c
 	for r, pr := range acc {
 		out.Outcomes = append(out.Outcomes, AvgOutcome{Avg: r, P: pr})
 	}
+	// Exactly: the cross products Num·Den of two int64 ratios overflow.
 	slices.SortFunc(out.Outcomes, func(a, b AvgOutcome) int {
-		return cmp.Compare(a.Avg.Num*b.Avg.Den, b.Avg.Num*a.Avg.Den)
+		return big.NewRat(a.Avg.Num, a.Avg.Den).Cmp(big.NewRat(b.Avg.Num, b.Avg.Den))
 	})
 	return out, nil
 }

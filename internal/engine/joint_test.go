@@ -223,6 +223,26 @@ func TestAverageNonIntegerRatios(t *testing.T) {
 	}
 }
 
+// Outcomes are sorted by their exact value even where the cross products
+// of numerators and denominators overflow int64: 2⁶²−1 times a count of
+// 2 or 3 does.
+func TestAverageSortsLargeRatios(t *testing.T) {
+	reg := vars.NewRegistry()
+	for _, x := range []string{"x", "y", "z"} {
+		reg.DeclareBool(x, 0.5)
+	}
+	d := groupAverage(t, reg, []string{"x", "y", "z"}, []int64{1<<62 - 1, 1, 4})
+	if len(d.Outcomes) != 7 {
+		t.Fatalf("outcomes = %v, want one per non-empty world", d.Outcomes)
+	}
+	for i := 1; i < len(d.Outcomes); i++ {
+		a, b := d.Outcomes[i-1].Avg, d.Outcomes[i].Avg
+		if big.NewRat(a.Num, a.Den).Cmp(big.NewRat(b.Num, b.Den)) >= 0 {
+			t.Errorf("outcome %d (%v) not below outcome %d (%v): %v", i-1, a, i, b, d.Outcomes)
+		}
+	}
+}
+
 // An empty group's SUM and COUNT are the SUM monoid's neutral element.
 func TestAverageEmptyGroup(t *testing.T) {
 	zero := expr.MConst{V: value.Int(0)}

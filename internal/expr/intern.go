@@ -64,14 +64,6 @@ func VarName(id VarID) string {
 	return interner.names[id-1]
 }
 
-// NumVarIDs returns one past the largest assigned VarID, the size needed
-// for dense ID-indexed tables.
-func NumVarIDs() int {
-	interner.mu.RLock()
-	defer interner.mu.RUnlock()
-	return len(interner.names) + 1
-}
-
 // ID returns the interned ID of the variable, interning its name on first
 // use for Var values that were built as struct literals rather than V().
 func (v Var) ID() VarID {

@@ -1,6 +1,7 @@
 package gen
 
 import (
+	"context"
 	"testing"
 
 	"pvcagg/internal/algebra"
@@ -113,7 +114,7 @@ func TestGeneratedInstancesCompileCorrectly(t *testing.T) {
 			p.Seed = int64(agg)*10 + int64(th)
 			inst := MustNew(p)
 			c := compile.New(s, inst.Registry, compile.Options{})
-			res, err := c.Compile(inst.Expr)
+			res, err := c.CompileCtx(context.Background(), inst.Expr)
 			if err != nil {
 				t.Fatalf("%v %v: %v", agg, th, err)
 			}

@@ -616,7 +616,7 @@ func (s *Server) lookupPlan(sess *session, query string) (planEntry, bool, error
 	if e, ok := sess.plans.get(query); ok {
 		return e, true, nil
 	}
-	plan, mode, err := pvcagg.ParseQueryExplain(sess.db, query)
+	plan, mode, err := pvcagg.ParseQuery(sess.db, query)
 	if err != nil {
 		return planEntry{}, false, err
 	}

@@ -34,7 +34,7 @@ import (
 //	confidence and aggregate distributions == possible-worlds
 //	  enumeration at tolerance 0 (every marginal is dyadic, so every
 //	  probability is an exact float whatever the order of summation);
-//	compile.Approximate containing that confidence and closed to a point,
+//	compile.ApproximateCtx containing that confidence and closed to a point,
 //
 // over group sizes n = 1…12, both semirings, and — where the class has an
 // aggregate — all five monoids, all six θ and constants below, inside
@@ -223,7 +223,7 @@ func checkContract(db *pvc.Database, cp contractPlan, fail func(format string, a
 			for _, x := range expr.Vars(e) {
 				v += reg.MustDist(x).Size() - 1
 			}
-			res, err := compile.New(s, reg, compile.Options{}).Compile(e)
+			res, err := compile.New(s, reg, compile.Options{}).CompileCtx(context.Background(), e)
 			if err != nil {
 				fail("%s: compile: %v", tup.Label(), err)
 				continue
@@ -255,7 +255,7 @@ func checkContract(db *pvc.Database, cp contractPlan, fail func(format string, a
 				continue // aggregate column: a module expression has no confidence
 			}
 			p := want.TruthProbability()
-			b, rep, err := compile.Approximate(s, reg, e, compile.ApproxOptions{Eps: 0.01})
+			b, rep, err := compile.ApproximateCtx(context.Background(), s, reg, e, compile.ApproxOptions{Eps: 0.01})
 			if err != nil {
 				fail("%s: approximate: %v", tup.Label(), err)
 				continue

@@ -459,9 +459,3 @@ func (u *unionFind) union(a, b string) {
 }
 
 func (u *unionFind) same(a, b string) bool { return a == b || u.find(a) == u.find(b) }
-
-// Explain renders a verdict for CLI output.
-func Explain(p engine.Plan, db *pvc.Database) string {
-	v := Classify(p, db)
-	return fmt.Sprintf("%s: %s — %s", strings.TrimSpace(p.String()), v.Class, v.Reason)
-}

@@ -207,14 +207,6 @@ func TestUnionOfTractable(t *testing.T) {
 	}
 }
 
-func TestExplain(t *testing.T) {
-	db := testDB()
-	s := Explain(&engine.Scan{Table: "R"}, db)
-	if !strings.Contains(s, "Qind") {
-		t.Errorf("Explain = %q", s)
-	}
-}
-
 func TestClassStrings(t *testing.T) {
 	if Ind.String() != "Qind" || Hie.String() != "Qhie" || Hard.String() != "hard" {
 		t.Errorf("Class names wrong")

@@ -202,7 +202,7 @@ func TestSampleProgramUnknownNode(t *testing.T) {
 		for _, kind := range []algebra.SemiringKind{algebra.Boolean, algebra.Natural} {
 			s := algebra.SemiringFor(kind)
 			_, want := expr.Eval(e, expr.Valuation{"x": value.Int(1)}, s)
-			_, got := MonteCarlo(e, reg, s, 10, rand.New(rand.NewSource(1)))
+			_, got := MonteCarloCtx(context.Background(), e, reg, s, 10, rand.New(rand.NewSource(1)))
 			if want == nil || got == nil || got.Error() != want.Error() {
 				t.Errorf("%s over %v: error %v, want %v", fmt.Sprint(e), kind, got, want)
 			}

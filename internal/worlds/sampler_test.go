@@ -362,7 +362,7 @@ func TestSampleCancellation(t *testing.T) {
 	if polled.polls != 1+(n-1)/1024 {
 		t.Errorf("%d polls over %d worlds, want %d", polled.polls, n, 1+(n-1)/1024)
 	}
-	want, err := worlds.MonteCarlo(e, reg, s, n, rand.New(rand.NewSource(5)))
+	want, err := worlds.MonteCarloCtx(context.Background(), e, reg, s, n, rand.New(rand.NewSource(5)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -119,16 +119,12 @@ func EnumerateJoint(es []expr.Expr, reg *vars.Registry, s algebra.Semiring) (map
 	return acc, nil
 }
 
-// MonteCarlo estimates the distribution of e from n sampled worlds.
-func MonteCarlo(e expr.Expr, reg *vars.Registry, s algebra.Semiring, n int, rng *rand.Rand) (prob.Dist, error) {
-	return MonteCarloCtx(context.Background(), e, reg, s, n, rng)
-}
-
-// MonteCarloCtx is MonteCarlo under a context: the sampling loop polls
-// ctx every 1024 worlds (polling consumes no randomness, so estimates
-// are identical to MonteCarlo's) and aborts with ctx.Err() once it is
-// cancelled. A caller that samples many expressions keeps a Sampler and
-// calls its Sample, which reuses the scratch this allocates per call.
+// MonteCarloCtx estimates the distribution of e from n sampled worlds
+// drawn from rng. The sampling loop polls ctx every 1024 worlds (polling
+// consumes no randomness, so the estimate is a function of rng alone)
+// and aborts with ctx.Err() once it is cancelled. A caller that samples
+// many expressions keeps a Sampler and calls its Sample, which reuses the
+// scratch this allocates per call.
 func MonteCarloCtx(ctx context.Context, e expr.Expr, reg *vars.Registry, s algebra.Semiring, n int, rng *rand.Rand) (prob.Dist, error) {
 	var sm Sampler
 	return sm.Sample(ctx, e, reg, s, n, rng)

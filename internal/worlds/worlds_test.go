@@ -1,6 +1,7 @@
 package worlds
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -103,7 +104,7 @@ func TestMonteCarloConverges(t *testing.T) {
 	s := algebra.SemiringFor(algebra.Boolean)
 	e := expr.MustParse("x*y")
 	rng := rand.New(rand.NewSource(3))
-	est, err := MonteCarlo(e, reg, s, 40000, rng)
+	est, err := MonteCarloCtx(context.Background(), e, reg, s, 40000, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +115,7 @@ func TestMonteCarloConverges(t *testing.T) {
 	if !est.Equal(exact, 0.02) {
 		t.Errorf("Monte-Carlo estimate too far:\n est %v\nexact %v", est, exact)
 	}
-	if _, err := MonteCarlo(e, reg, s, 0, rng); err == nil {
+	if _, err := MonteCarloCtx(context.Background(), e, reg, s, 0, rng); err == nil {
 		t.Errorf("zero samples accepted")
 	}
 }

@@ -50,7 +50,7 @@ func WithExplainAnalyze() Option {
 type ExplainNode = engine.ExplainNode
 
 // ExplainMode reports whether a PVQL query text carried an EXPLAIN
-// prefix; see ParseQueryExplain.
+// prefix; see ParseQuery.
 type ExplainMode = pvql.ExplainMode
 
 const (

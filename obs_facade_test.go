@@ -119,8 +119,9 @@ func TestTupleReportFoldsColumns(t *testing.T) {
 	db.Registry = inst.Registry
 	rel := pvcagg.NewRelation("R", pvcagg.Schema{{Name: "s", Type: pvcagg.TModule}})
 	rel.MustInsert(pvcagg.MustParseExpr("1"), pvcagg.ExprCell(col))
+	db.Add(rel)
 	tr := pvcagg.NewTrace()
-	res, err := pvcagg.ExecTable(context.Background(), db, rel, pvcagg.WithMode(pvcagg.Exact), pvcagg.WithTrace(tr))
+	res, err := pvcagg.Exec(context.Background(), db, &pvcagg.Scan{Table: "R"}, pvcagg.WithMode(pvcagg.Exact), pvcagg.WithTrace(tr))
 	if err != nil {
 		t.Fatal(err)
 	}

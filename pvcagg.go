@@ -14,8 +14,8 @@
 //   - query plans (Scan, Select, Project, Join, Union, GroupAgg) and
 //     end-to-end evaluation (Exec);
 //   - the Qind/Qhie tractability analysis (Classify);
-//   - the possible-worlds and Monte-Carlo baselines (Enumerate,
-//     MonteCarlo) for validation.
+//   - the possible-worlds baseline (Enumerate) for validation; the
+//     Monte Carlo baseline is the Sample strategy.
 //
 // Quick start:
 //
@@ -49,7 +49,8 @@
 //     parallelism.
 //   - WithMode(Anytime): guaranteed confidence bounds of width ≤ ε
 //     (WithEps, default DefaultEps) by priority-driven partial
-//     expansion; aggregation-column distributions stay exact. WithApprox
+//     expansion; aggregation-column distributions stay exact. WithEps(0)
+//     asks for the exact answer and runs WithMode(Exact). WithApprox
 //     sets budgets only (leaf, expansion, node and per-tuple time
 //     budgets), which return sound, unconverged bounds on exhaustion.
 //   - WithMode(Sample): explicitly-seeded Monte Carlo estimation
@@ -75,11 +76,10 @@
 //		// out.Index identifies the tuple; completion order
 //	}
 //
-// Bare expressions run through ExecExpr and already-evaluated pvc-tables
-// through ExecTable, with the same options. Step II exists once: Exec,
-// ExecTable and ExecExpr all compute a confidence through the engine's one
-// strategy dispatch, and Exec and ExecTable fan tuples over its one worker
-// pool.
+// Bare expressions run through ExecExpr, with the same step-II options.
+// Step II exists once: Exec and ExecExpr compute a confidence through
+// the engine's one strategy dispatch, and Exec fans tuples over its one
+// worker pool.
 //
 // # Execution model
 //
@@ -154,7 +154,6 @@ package pvcagg
 
 import (
 	"context"
-	"math/rand"
 
 	"pvcagg/internal/algebra"
 	"pvcagg/internal/compile"
@@ -396,13 +395,6 @@ func Average(ctx context.Context, sum, count Expr, reg *Registry, kind SemiringK
 // (exponential; for validation on small inputs).
 func Enumerate(e Expr, reg *Registry, kind SemiringKind) (Dist, error) {
 	return worlds.Enumerate(e, reg, algebra.SemiringFor(kind))
-}
-
-// MonteCarlo estimates a distribution from n sampled worlds. Sampling is
-// driven by an explicitly seeded rand.Rand, so any estimate is
-// reproducible from the logged seed.
-func MonteCarlo(e Expr, reg *Registry, kind SemiringKind, n int, seed int64) (Dist, error) {
-	return worlds.MonteCarlo(e, reg, algebra.SemiringFor(kind), n, rand.New(rand.NewSource(seed)))
 }
 
 // Random expression generation (the paper's Section 7.1 workload).

@@ -71,12 +71,12 @@ func TestFacadeBaselinesAgree(t *testing.T) {
 	if !compiled.Dist.Equal(exact, 1e-12) {
 		t.Errorf("exact %v vs enumeration %v", compiled.Dist, exact)
 	}
-	mc, err := pvcagg.MonteCarlo(e, reg, pvcagg.Boolean, 20000, 1)
+	mc, err := pvcagg.ExecExpr(context.Background(), e, reg, pvcagg.Boolean, pvcagg.WithMode(pvcagg.Sample), pvcagg.WithSeed(1), pvcagg.WithSamples(20000))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !mc.Equal(exact, 0.02) {
-		t.Errorf("Monte Carlo too far: %v vs %v", mc, exact)
+	if !mc.Dist.Equal(exact, 0.02) {
+		t.Errorf("Monte Carlo too far: %v vs %v", mc.Dist, exact)
 	}
 }
 

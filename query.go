@@ -4,6 +4,7 @@ import (
 	"context"
 
 	"pvcagg/internal/engine"
+	"pvcagg/internal/obs"
 	"pvcagg/internal/pvql"
 	"pvcagg/internal/pvql/bind"
 	"pvcagg/internal/pvql/opt"
@@ -20,8 +21,12 @@ import (
 type QueryError = pvql.Error
 
 // ParseQuery compiles a PVQL query against a database into an optimized
-// Q-algebra plan. The syntax (see the package documentation's "Query
-// language" section, or internal/pvql for the full EBNF):
+// Q-algebra plan, and reports the query's EXPLAIN prefix: whether the
+// caller asked for `EXPLAIN` (plan + estimates, no execution) or
+// `EXPLAIN ANALYZE` (execute, report actuals next to estimates). The
+// prefix never changes planning. The syntax (see the package
+// documentation's "Query language" section, or internal/pvql for the
+// full EBNF):
 //
 //	SELECT shop FROM (
 //	  SELECT shop, MAX(price) AS P FROM (
@@ -30,39 +35,29 @@ type QueryError = pvql.Error
 //	) WHERE P <= 50
 //
 // Errors are *QueryError values pointing at the offending byte span.
-func ParseQuery(db *Database, query string) (Plan, error) {
-	naive, err := parseQueryNaive(db, query)
-	if err != nil {
-		return nil, err
-	}
-	return opt.Optimize(naive, db), nil
+func ParseQuery(db *Database, query string) (Plan, ExplainMode, error) {
+	return parseQuery(db, query, nil)
 }
 
-// parseQueryNaive is the rewrite-free lowering (parse + bind only),
-// shared by ParseQuery and the optimizer's differential tests.
-func parseQueryNaive(db *Database, query string) (Plan, error) {
+// parseQuery is parse → bind → optimize, each stage recorded as a span
+// of tr (nil-safe: without a trace the span calls are no-ops).
+func parseQuery(db *Database, query string, tr *obs.Trace) (Plan, ExplainMode, error) {
+	sp := tr.StartSpan("parse")
 	q, err := pvql.Parse(query)
-	if err != nil {
-		return nil, err
-	}
-	return bind.Bind(db, q)
-}
-
-// ParseQueryExplain is ParseQuery plus the query's EXPLAIN mode: the
-// plan is the optimized plan of the query proper (the prefix never
-// changes planning), and the mode says whether the caller asked for
-// `EXPLAIN` (plan + estimates, no execution) or `EXPLAIN ANALYZE`
-// (execute, report actuals next to estimates).
-func ParseQueryExplain(db *Database, query string) (Plan, ExplainMode, error) {
-	q, err := pvql.Parse(query)
+	sp.End()
 	if err != nil {
 		return nil, ExplainNone, err
 	}
+	sp = tr.StartSpan("bind")
 	naive, err := bind.Bind(db, q)
+	sp.End()
 	if err != nil {
 		return nil, ExplainNone, err
 	}
-	return opt.Optimize(naive, db), q.Explain, nil
+	sp = tr.StartSpan("optimize")
+	plan := opt.Optimize(naive, db)
+	sp.End()
+	return plan, q.Explain, nil
 }
 
 // ExecQuery is Exec over PVQL text: it parses, binds and optimizes the
@@ -80,7 +75,7 @@ func ParseQueryExplain(db *Database, query string) (Plan, ExplainMode, error) {
 // the frontend stages record parse/bind/optimize spans.
 func ExecQuery(ctx context.Context, db *Database, query string, opts ...Option) (*Result, error) {
 	// WithStore resolves before the parse: binding needs the store's
-	// table schemas. Exec re-resolves the same way (idempotent).
+	// table schemas.
 	cfg, err := resolveOptions(opts)
 	if err != nil {
 		return nil, err
@@ -88,32 +83,20 @@ func ExecQuery(ctx context.Context, db *Database, query string, opts ...Option) 
 	if db, err = cfg.resolveDB(db); err != nil {
 		return nil, err
 	}
-	tr := cfg.trace
-	sp := tr.StartSpan("parse")
-	q, err := pvql.Parse(query)
-	sp.End()
+	plan, mode, err := parseQuery(db, query, cfg.trace)
 	if err != nil {
 		return nil, err
 	}
-	sp = tr.StartSpan("bind")
-	naive, err := bind.Bind(db, q)
-	sp.End()
-	if err != nil {
-		return nil, err
-	}
-	sp = tr.StartSpan("optimize")
-	plan := opt.Optimize(naive, db)
-	sp.End()
-	switch q.Explain {
+	switch mode {
 	case ExplainPlan:
 		res := &Result{Rel: NewRelation("explain", nil), collected: true}
 		res.Report.Explain = Explain(db, plan)
-		res.Report.Trace = tr
+		res.Report.Trace = cfg.trace
 		return res, nil
 	case ExplainAnalyze:
-		opts = append(opts[:len(opts):len(opts)], WithExplainAnalyze())
+		cfg.analyze = true
 	}
-	return Exec(ctx, db, plan, opts...)
+	return cfg.exec(ctx, db, plan)
 }
 
 // EstimateCardinality estimates the number of result tuples of a plan —

@@ -171,7 +171,7 @@ func TestParseQueryConcurrent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := pvcagg.ParseQuery(db, tpchQ1PVQL)
+	want, _, err := pvcagg.ParseQuery(db, tpchQ1PVQL)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +183,7 @@ func TestParseQueryConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for round := 0; round < 25; round++ {
-				p, err := pvcagg.ParseQuery(db, tpchQ1PVQL)
+				p, _, err := pvcagg.ParseQuery(db, tpchQ1PVQL)
 				if err != nil {
 					errs <- err
 					return

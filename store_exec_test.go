@@ -138,11 +138,11 @@ func TestStoreStatsPinJoinOrder(t *testing.T) {
 		"SELECT p_mfgr FROM part, partsupp, supplier WHERE p_partkey = ps_partkey AND ps_suppkey = s_suppkey AND p_size <= 5",
 	}
 	for _, q := range queries {
-		memPlan, err := pvcagg.ParseQuery(db, q)
+		memPlan, _, err := pvcagg.ParseQuery(db, q)
 		if err != nil {
 			t.Fatalf("%s (memory): %v", q, err)
 		}
-		stPlan, err := pvcagg.ParseQuery(st.DB(), q)
+		stPlan, _, err := pvcagg.ParseQuery(st.DB(), q)
 		if err != nil {
 			t.Fatalf("%s (store): %v", q, err)
 		}
