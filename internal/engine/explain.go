@@ -169,13 +169,31 @@ func (it *countingIter) Next() (pvc.Tuple, bool, error) {
 	return t, ok, err
 }
 
+func (it *countingIter) batches() bool {
+	b, ok := it.in.(batcher)
+	return ok && b.batches()
+}
+
+// nextBatch forwards a batch, counting its selected rows as emitted.
+func (it *countingIter) nextBatch() (*pvc.Batch, bool, error) {
+	t0 := time.Now()
+	b, ok, err := it.in.(batcher).nextBatch()
+	it.n.Time += time.Since(t0)
+	it.n.NextCalls++
+	if ok {
+		it.n.ActualRows += int64(len(b.Sel))
+	}
+	return b, ok, err
+}
+
 func (it *countingIter) Close() error { return it.in.Close() }
 
-// unwrapCounting strips the analyze decorator so builder optimizations
-// (σ push-down, π̂ folding) still see the physical iterator beneath.
+// unwrapCounting strips every analyze decorator (δ, a folded π̂ and a
+// discharged σ each add one around the same scan), so builder
+// optimizations see the physical iterator beneath, as without ANALYZE.
 func unwrapCounting(it Iterator) Iterator {
 	if c, ok := it.(*countingIter); ok {
-		return c.in
+		return unwrapCounting(c.in)
 	}
 	return it
 }

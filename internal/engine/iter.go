@@ -29,21 +29,21 @@ package engine
 // which the goldens pin and the compilers' costs depend on — are a
 // function of the plan and the stored row order alone.
 //
-// Lent cells. A provider scan, π̂ and ⋈/× lend the Cells of each tuple
-// until their next Next or Close (pvc.TupleIter); π̂ and ⋈/× refill one
-// row of their own, so a row σ drops costs no slice. σ, δ and the
-// analyze decorator pass their input's slice on; the sinks copy the
-// group cells they keep into slices of their own and emit those.
-// lendsCells decides at build time, from the iterator tree, whether an
-// input lends, and the sites that keep a whole tuple across a Next of
-// the iterator that produced it copy exactly then:
-//
-//   - pairIter.buildTable (the build side; the probe tuple is only held
-//     until the next probe pull);
-//   - drainRoot, the root loop of StreamEvalPlan and
-//     StreamEvalPlanExplain, the one driver of the iterator tree;
-//   - outside this file: providerEstimate (keeps no tuple, only cell
-//     keys).
+// Lent cells and batches. A provider scan, π̂ and ⋈/× lend the Cells of
+// each tuple until their next Next or Close (pvc.TupleIter); π̂ and ⋈/×
+// refill one row of their own, so a row σ drops costs no slice. A scan
+// may lend a whole block's vectors instead (pvc.BatchIter). σ and the
+// analyze decorator pass their input's slice on; δ, a π̂ folded into a
+// scan and a σ discharged into an exact scan build no iterator. The
+// operators that drain their whole input — π/∪, $, the ⋈/× build side
+// and drainRoot — share one loop, drainRows, which hands their per-row
+// body each row of a scan's blocks, read from the vectors. The sinks
+// copy the group cells they keep; the sites that keep a whole row past
+// its loan copy it then (row.keep, told by lendsCells whether a tuple
+// input lends): pairIter.buildTable (the probe tuple is only held until
+// the next probe pull) and drainRoot, the root loop of StreamEvalPlan
+// and StreamEvalPlanExplain. Outside this file, providerEstimate keeps
+// no tuple, only cell keys.
 
 import (
 	"context"
@@ -68,6 +68,13 @@ type Iterator interface {
 	Close() error
 }
 
+// batcher is a provider scan, or the analyze decorator around one:
+// batches reports, after Open, whether nextBatch serves its rows.
+type batcher interface {
+	batches() bool
+	nextBatch() (*pvc.Batch, bool, error)
+}
+
 // ctxPollMask throttles context polling in drain loops to every 256 rows.
 const ctxPollMask = 255
 
@@ -86,13 +93,110 @@ func lendsCells(it Iterator) bool {
 	return false
 }
 
-// owned returns t as the holder's own: a copy of the cells when the
-// producer lent them, t itself otherwise.
-func owned(t pvc.Tuple, lent bool) pvc.Tuple {
-	if lent {
-		return t.Clone()
+// row is one input row as drainRows lends it to a per-row body: row i of
+// batch b, or t when b is nil, annotated ann.
+type row struct {
+	t   pvc.Tuple
+	b   *pvc.Batch
+	i   int
+	ann expr.Expr
+}
+
+func (r *row) cell(c int) pvc.Cell {
+	if r.b != nil {
+		return r.b.Cell(c, r.i)
 	}
-	return t
+	return r.t.Cells[c]
+}
+
+// appendKey appends to buf the composite hash key of the cells at idx —
+// cell keys joined by 0x1f, as in Tuple.Key. Hash operators keep one
+// buffer and look up m[string(buf)], which allocates only on a new key.
+func (r *row) appendKey(buf []byte, idx []int) []byte {
+	for k, j := range idx {
+		if k > 0 {
+			buf = append(buf, 0x1f)
+		}
+		if r.b != nil {
+			buf = r.b.AppendKey(buf, j, r.i)
+		} else {
+			buf = r.t.Cells[j].AppendKey(buf)
+		}
+	}
+	return buf
+}
+
+// value returns the cell at c if it is a numeric constant.
+func (r *row) value(c int) (value.V, bool) {
+	if r.b != nil && r.b.Strs[c] == nil {
+		return r.b.Vals[c][r.i], true
+	}
+	if cell := r.cell(c); cell.Kind() == pvc.KindValue {
+		return cell.Value(), true
+	}
+	return value.V{}, false
+}
+
+// pick returns a new slice of the cells at idx.
+func (r *row) pick(idx []int) []pvc.Cell {
+	cells := make([]pvc.Cell, len(idx))
+	for k, j := range idx {
+		cells[k] = r.cell(j)
+	}
+	return cells
+}
+
+// keep returns the row as its holder's own tuple: copied out of the
+// vectors, or t — copied when its producer lent it.
+func (r *row) keep(lent bool) pvc.Tuple {
+	switch {
+	case r.b != nil:
+		cells := make([]pvc.Cell, len(r.b.Vals))
+		for c := range cells {
+			cells[c] = r.b.Cell(c, r.i)
+		}
+		return pvc.Tuple{Cells: cells, Ann: r.ann}
+	case lent:
+		return r.t.Clone()
+	}
+	return r.t
+}
+
+// drainRows hands every row of the opened in to body, lent for the call:
+// a block at a time when in serves batches (the scan polls ctx between
+// blocks), polling ctx every ctxPollMask+1 tuples otherwise.
+func drainRows(ctx context.Context, in Iterator, body func(*row) error) error {
+	var r row
+	if b, ok := in.(batcher); ok && b.batches() {
+		for {
+			bt, ok, err := b.nextBatch()
+			if err != nil || !ok {
+				return err
+			}
+			r.b = bt
+			for _, i := range bt.Sel {
+				r.i, r.ann = int(i), bt.Anns[i]
+				if err := body(&r); err != nil {
+					return err
+				}
+			}
+		}
+	}
+	for n := 0; ; n++ {
+		t, ok, err := in.Next()
+		if err != nil || !ok {
+			return err
+		}
+		r.t, r.ann = t, t.Ann
+		if err := body(&r); err != nil {
+			return err
+		}
+		if n&ctxPollMask == ctxPollMask {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+		}
+	}
 }
 
 // iterBuilder compiles a Plan into an Iterator tree. Schema resolution
@@ -198,9 +302,13 @@ func (b *iterBuilder) buildNode(p Plan) (Iterator, pvc.Schema, string, error) {
 		// hints. Sound only when every atom compares constant cells —
 		// then atom evaluation cannot error and cannot rescale
 		// annotations, so a block whose rows all fail a hint (or are all
-		// annotated 0S) contributes nothing to σ's output.
+		// annotated 0S) contributes nothing to σ's output. A provider that
+		// states its selection exact returns σ's output: σ is discharged.
 		if pit, ok := unwrapCounting(in[0]).(*providerIter); ok && constPrefix(sh.atoms, sh.schema) == len(sh.atoms) {
 			pit.pushDown(sh.atoms)
+			if ex, ok := pit.prov.(pvc.ExactScanner); ok && ex.ExactHints(pit.hints) {
+				return in[0], sh.schema, name, nil
+			}
 		}
 		return &selectIter{child: in[0], atoms: sh.atoms, s: b.s}, sh.schema, name, nil
 	case *Project, *Union:
@@ -348,6 +456,15 @@ type providerIter struct {
 	hints    []pvc.ScanHint
 	dropZero bool
 	it       pvc.TupleIter
+}
+
+func (it *providerIter) batches() bool {
+	_, ok := it.it.(pvc.BatchIter)
+	return ok
+}
+
+func (it *providerIter) nextBatch() (*pvc.Batch, bool, error) {
+	return it.it.(pvc.BatchIter).NextBatch()
 }
 
 // project composes a π̂ column selection into the scan.
@@ -545,28 +662,20 @@ func (it *pairIter) buildTable() error {
 		it.buckets = [][]pvc.Tuple{make([]pvc.Tuple, 0, it.buildCap)}
 	}
 	rows := 0
-	for n := 0; ; n++ {
-		rt, ok, err := it.right.Next()
-		if err != nil {
-			return err
-		}
-		if !ok {
-			break
-		}
-		it.key = appendJoinKey(it.key[:0], rt, it.rKey)
+	err := drainRows(it.ctx, it.right, func(r *row) error {
+		it.key = r.appendKey(it.key[:0], it.rKey)
 		bi, seen := it.idx[string(it.key)]
 		if !seen {
 			bi = len(it.buckets)
 			it.idx[string(it.key)] = bi
 			it.buckets = append(it.buckets, nil)
 		}
-		it.buckets[bi] = append(it.buckets[bi], owned(rt, it.rightLent))
+		it.buckets[bi] = append(it.buckets[bi], r.keep(it.rightLent))
 		rows++
-		if n&ctxPollMask == ctxPollMask {
-			if err := it.ctx.Err(); err != nil {
-				return err
-			}
-		}
+		return nil
+	})
+	if err != nil {
+		return err
 	}
 	if it.ex != nil {
 		it.ex.BuildRows = int64(rows)
@@ -623,7 +732,8 @@ func (it *pairIter) Next() (pvc.Tuple, bool, error) {
 			return pvc.Tuple{}, false, err
 		}
 		it.cur = lt
-		it.key = appendJoinKey(it.key[:0], lt, it.lKey)
+		probe := row{t: lt}
+		it.key = probe.appendKey(it.key[:0], it.lKey)
 		it.bucket = nil
 		if bi, ok := it.idx[string(it.key)]; ok {
 			it.bucket = it.buckets[bi]
@@ -676,34 +786,22 @@ func (it *groupIter) drain() error {
 	it.groupCells = map[string][]pvc.Cell{}
 	it.groupAnns = map[string]*annSum{}
 	var key []byte
+	add := func(r *row) error {
+		key = r.appendKey(key[:0], it.cols)
+		sum, seen := it.groupAnns[string(key)]
+		if !seen {
+			k := string(key)
+			sum = newAnnSum(it.s)
+			it.order = append(it.order, k)
+			it.groupCells[k] = r.pick(it.cols)
+			it.groupAnns[k] = sum
+		}
+		sum.add(r.ann)
+		return nil
+	}
 	for _, in := range it.in {
-		for n := 0; ; n++ {
-			t, ok, err := in.Next()
-			if err != nil {
-				return err
-			}
-			if !ok {
-				break
-			}
-			key = appendJoinKey(key[:0], t, it.cols)
-			sum, seen := it.groupAnns[string(key)]
-			if !seen {
-				cells := make([]pvc.Cell, len(it.cols))
-				for i, j := range it.cols {
-					cells[i] = t.Cells[j]
-				}
-				k := string(key)
-				sum = newAnnSum(it.s)
-				it.order = append(it.order, k)
-				it.groupCells[k] = cells
-				it.groupAnns[k] = sum
-			}
-			sum.add(t.Ann)
-			if n&ctxPollMask == ctxPollMask {
-				if err := it.ctx.Err(); err != nil {
-					return err
-				}
-			}
+		if err := drainRows(it.ctx, in, add); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -781,45 +879,30 @@ func (it *groupAggIter) drain() error {
 	it.drained = true
 	it.groups = map[string]*gaGroup{}
 	var key []byte
-	for n := 0; ; n++ {
-		t, ok, err := it.child.Next()
-		if err != nil {
-			return err
-		}
-		if !ok {
-			break
-		}
-		key = appendJoinKey(key[:0], t, it.gIdx)
+	err := drainRows(it.ctx, it.child, func(r *row) error {
+		key = r.appendKey(key[:0], it.gIdx)
 		g, seen := it.groups[string(key)]
 		if !seen {
-			cells := make([]pvc.Cell, len(it.gIdx))
-			for i, j := range it.gIdx {
-				cells[i] = t.Cells[j]
-			}
-			g = newGaGroup(cells, it.s, it.aggs)
+			g = newGaGroup(r.pick(it.gIdx), it.s, it.aggs)
 			k := string(key)
 			it.groups[k] = g
 			it.order = append(it.order, k)
 		}
 		for ai, a := range it.aggs {
-			var mv value.V
-			if a.spec.Agg == algebra.Count {
-				mv = value.Int(1)
-			} else {
-				c := t.Cells[a.idx]
-				if c.Kind() != pvc.KindValue {
-					return fmt.Errorf("engine: $: aggregated cell %s is not a constant", c)
+			mv := value.Int(1)
+			if a.spec.Agg != algebra.Count {
+				var ok bool
+				if mv, ok = r.value(a.idx); !ok {
+					return fmt.Errorf("engine: $: aggregated cell %s is not a constant", r.cell(a.idx))
 				}
-				mv = c.Value()
 			}
-			g.aggs[ai].add(t.Ann, mv)
+			g.aggs[ai].add(r.ann, mv)
 		}
-		g.ann.add(t.Ann)
-		if n&ctxPollMask == ctxPollMask {
-			if err := it.ctx.Err(); err != nil {
-				return err
-			}
-		}
+		g.ann.add(r.ann)
+		return nil
+	})
+	if err != nil {
+		return err
 	}
 	// Figure 4: without grouping, the result is one tuple (neutral values
 	// on empty input) annotated 1K.
@@ -899,20 +982,12 @@ func streamEval(ctx context.Context, db *pvc.Database, plan Plan, analyze bool) 
 // copying cells a scan lent, since rel keeps them all — and sorts it.
 func drainRoot(ctx context.Context, it Iterator, rel *pvc.Relation) error {
 	lent := lendsCells(it)
-	for n := 0; ; n++ {
-		t, ok, err := it.Next()
-		if err != nil {
-			return err
-		}
-		if !ok {
-			break
-		}
-		rel.Tuples = append(rel.Tuples, owned(t, lent))
-		if n&ctxPollMask == ctxPollMask {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-		}
+	err := drainRows(ctx, it, func(r *row) error {
+		rel.Tuples = append(rel.Tuples, r.keep(lent))
+		return nil
+	})
+	if err != nil {
+		return err
 	}
 	rel.Sort()
 	return ctx.Err()

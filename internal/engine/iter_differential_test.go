@@ -3,8 +3,9 @@ package engine_test
 // External-package checks of step I over generated instances (gen
 // imports engine, so they cannot live in package engine):
 // tuple-independent databases with join/union/σ shapes under $ must
-// commute with possible-worlds evaluation, and must evaluate identically
-// over tables that lend and poison their rows.
+// commute with possible-worlds evaluation, in memory and over tables
+// that lend and poison their rows and batches, and must evaluate
+// identically over both.
 
 import (
 	"context"
@@ -27,6 +28,11 @@ func TestStreamEvalPlanMatchesEvalGenerated(t *testing.T) {
 			return rel, err
 		}
 		pvctest.CheckCommutes(t, inst.DB, eval)
+		// Every table served by a lender, in every world too: scans hand
+		// batches to the operators and discharge the σ pushed into them.
+		pvctest.CheckCommutes(t, inst.DB, func(db *pvc.Database) (*pvc.Relation, error) {
+			return eval(pvctest.LendingDatabase(db))
+		})
 		// The same seed's larger instance over tables that lend and poison
 		// their rows (see TestPoisonedLenderDifferential): the rendering
 		// of a relation spells out every cell and annotation.

@@ -296,17 +296,3 @@ func comparisonExpr(l pvc.Cell, th value.Theta, r pvc.Cell) (expr.Expr, error) {
 	}
 	return expr.Compare(th, le, re), nil
 }
-
-// appendJoinKey appends to buf the composite hash key of the cells at
-// idx — cell keys joined by 0x1f, the same encoding Tuple.Key uses. Hash
-// operators keep one buffer and look up m[string(buf)], which allocates
-// only when a new key is stored.
-func appendJoinKey(buf []byte, t pvc.Tuple, idx []int) []byte {
-	for i, j := range idx {
-		if i > 0 {
-			buf = append(buf, 0x1f)
-		}
-		buf = t.Cells[j].AppendKey(buf)
-	}
-	return buf
-}

@@ -109,13 +109,17 @@ func (c Cell) Key() string {
 func (c Cell) AppendKey(b []byte) []byte {
 	switch c.kind {
 	case KindValue:
-		return c.v.Append(append(b, "v:"...))
+		return appendValueKey(b, c.v)
 	case KindString:
-		return append(append(b, "s:"...), c.s...)
+		return appendStringKey(b, c.s)
 	default:
 		return append(append(b, "e:"...), expr.String(c.e)...)
 	}
 }
+
+func appendValueKey(b []byte, v value.V) []byte { return v.Append(append(b, "v:"...)) }
+
+func appendStringKey(b []byte, s string) []byte { return append(append(b, "s:"...), s...) }
 
 // String renders the cell for display.
 func (c Cell) String() string {
@@ -153,8 +157,9 @@ func (c Cell) Compare(o Cell) int {
 // Satisfies reports whether c θ o holds under Compare's total order. It
 // is the one evaluation of a σ atom over two constant cells: the
 // engine's σ and fused ⋈ predicates, the store's zone-map test and its
-// in-scan row filter all call it, so a pushed-down hint can never
-// disagree with the σ that re-checks it.
+// in-scan row filter all call it (the filter reads two values' Cmp off
+// its vector, which is Compare on value cells), so a pushed-down hint
+// can never disagree with the σ that re-checks it or that it discharges.
 func (c Cell) Satisfies(th value.Theta, o Cell) bool { return th.Holds(c.Compare(o)) }
 
 // ColType is the declared type of a column.

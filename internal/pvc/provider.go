@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"pvcagg/internal/expr"
 	"pvcagg/internal/value"
 )
 
@@ -29,6 +30,44 @@ type TupleIter interface {
 	Close() error
 }
 
+// BatchIter is a TupleIter that can also hand over its rows a block at
+// a time: NextBatch returns the rows Next would return next, up to the
+// end of the current storage unit, as a Batch of at least one row
+// (ok=false at end of stream). The Batch and its vectors are lent like a
+// row, until the next Next, NextBatch or Close; what is read out of them
+// is the caller's.
+type BatchIter interface {
+	TupleIter
+	NextBatch() (b *Batch, ok bool, err error)
+}
+
+// Batch is a block of rows column-wise: row i of column c is Strs[c][i]
+// when Strs[c] is non-nil (a string column) and Vals[c][i] otherwise,
+// annotated Anns[i]; Sel names the rows in play.
+type Batch struct {
+	Vals [][]value.V
+	Strs [][]string
+	Anns []expr.Expr
+	Sel  []int32 // ascending
+}
+
+// Cell returns row i of column c.
+func (b *Batch) Cell(c, i int) Cell {
+	if s := b.Strs[c]; s != nil {
+		return StringCell(s[i])
+	}
+	return ValueCell(b.Vals[c][i])
+}
+
+// AppendKey appends to buf the key of row i of column c, the
+// bytes Cell.AppendKey appends for Cell(c, i).
+func (b *Batch) AppendKey(buf []byte, c, i int) []byte {
+	if s := b.Strs[c]; s != nil {
+		return appendStringKey(buf, s[i])
+	}
+	return appendValueKey(buf, b.Vals[c][i])
+}
+
 // ScanHint is a σ atom pushed down into a provider scan. Columns are
 // addressed by position in the provider's schema — positions survive δ
 // renames above the scan, names do not. Both operands are constant cells
@@ -39,10 +78,11 @@ type TupleIter interface {
 // may skip a storage unit (block) it proves holds no matching row, and
 // may drop an individual row it has proved fails the hint — but it must
 // never drop a row that satisfies every hint. The engine keeps the σ the
-// hints came from above the scan and re-applies the full predicate to
-// whatever the scan returns, so a provider that filters and one that
-// does not produce the same result (σ is idempotent), and EXPLAIN shows
-// the same plan either way.
+// hints came from above the scan and re-applies it to whatever the scan
+// returns (σ is idempotent), unless the provider states with
+// ExactScanner that its scan filters exactly; then the scan's output is
+// σ's, and σ is not evaluated a second time. Either way EXPLAIN shows
+// the same plan.
 type ScanHint struct {
 	// Col is the left operand, an index into the provider's schema.
 	Col int
@@ -84,6 +124,14 @@ type TableProvider interface {
 	// the call; implementations should check it between storage units.
 	// The tuples it returns may have lent Cells (see TupleIter).
 	NewScan(ctx context.Context, opts ScanOptions) (TupleIter, error)
+}
+
+// ExactScanner is optionally implemented by a TableProvider that can
+// state that a scan under hints returns exactly the rows that satisfy
+// every hint and, under DropZero, are not annotated with the constant 0S.
+// false states nothing: the σ above the scan stays.
+type ExactScanner interface {
+	ExactHints(hints []ScanHint) bool
 }
 
 // TableStats are persisted base-table statistics a provider can serve

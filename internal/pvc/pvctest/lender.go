@@ -8,6 +8,7 @@ import (
 
 	"pvcagg/internal/expr"
 	"pvcagg/internal/pvc"
+	"pvcagg/internal/value"
 )
 
 // Poison is the string every cell of a row buffer is overwritten with
@@ -15,22 +16,42 @@ import (
 // from a tuple kept across a Next or Close without a copy.
 const Poison = "☠ lent row read after its loan ended"
 
+// batchRows is how many stored rows one batch of a Lender spans, before
+// its selection drops any.
+const batchRows = 3
+
 // Lender is a pvc.TableProvider over an in-memory relation that uses
 // every freedom the scan contracts give a provider, so that a consumer
 // relying on more than the contracts promise computes a visibly wrong
-// answer: the row buffer a Next lends is poisoned for good by the next
-// Next (end of stream included) and by Close; rows that fail a hint are
-// dropped, and under DropZero so are rows annotated with the constant
-// 0S. It serves no statistics, so the estimator scans it too.
-type Lender struct{ rel *pvc.Relation }
+// answer. The row buffer a Next lends, and the vectors, annotations and
+// selection of a batch a NextBatch lends, are poisoned for good by the
+// next Next or NextBatch (end of stream included) and by Close. A scan
+// whose columns are all constant serves batches (pvc.BatchIter) of
+// batchRows stored rows each. An exact lender drops the rows that fail
+// a hint, and under DropZero those annotated with the constant 0S, and
+// states so (pvc.ExactScanner); an inexact one returns every row and
+// states nothing. It serves no statistics, so the estimator scans it too.
+type Lender struct {
+	rel   *pvc.Relation
+	exact bool
+}
 
-// NewLender returns a lender over rel, which it only reads.
-func NewLender(rel *pvc.Relation) Lender { return Lender{rel} }
+// NewLender returns an exact lender over rel, which it only reads.
+func NewLender(rel *pvc.Relation) Lender { return Lender{rel, true} }
 
 // LendingDatabase returns a database over db's registry and semiring in
 // which the named relations of db (all of them when none is named) are
-// served by Lenders and the others stay in memory.
+// served by exact Lenders and the others stay in memory.
 func LendingDatabase(db *pvc.Database, names ...string) *pvc.Database {
+	return lendingDatabase(db, true, names)
+}
+
+// InexactLendingDatabase is LendingDatabase with inexact Lenders.
+func InexactLendingDatabase(db *pvc.Database, names ...string) *pvc.Database {
+	return lendingDatabase(db, false, names)
+}
+
+func lendingDatabase(db *pvc.Database, exact bool, names []string) *pvc.Database {
 	lend := map[string]bool{}
 	for _, n := range names {
 		lend[n] = true
@@ -43,7 +64,7 @@ func LendingDatabase(db *pvc.Database, names ...string) *pvc.Database {
 			panic(fmt.Sprintf("pvctest: %v", err)) // Names lists relations only
 		}
 		if len(names) == 0 || lend[name] {
-			out.AddProvider(NewLender(rel))
+			out.AddProvider(Lender{rel, exact})
 		} else {
 			out.Add(rel)
 		}
@@ -54,6 +75,10 @@ func LendingDatabase(db *pvc.Database, names ...string) *pvc.Database {
 func (l Lender) TableName() string  { return l.rel.Name }
 func (l Lender) Schema() pvc.Schema { return l.rel.Schema }
 
+// ExactHints implements pvc.ExactScanner: an exact lender evaluates
+// every hint.
+func (l Lender) ExactHints([]pvc.ScanHint) bool { return l.exact }
+
 func (l Lender) NewScan(ctx context.Context, opts pvc.ScanOptions) (pvc.TupleIter, error) {
 	cols := opts.Cols
 	if cols == nil {
@@ -62,12 +87,21 @@ func (l Lender) NewScan(ctx context.Context, opts pvc.ScanOptions) (pvc.TupleIte
 			cols[i] = i
 		}
 	}
+	batches := true
 	for _, c := range cols {
 		if c < 0 || c >= len(l.rel.Schema) {
 			return nil, fmt.Errorf("pvctest: %s: column index %d out of range", l.rel.Name, c)
 		}
+		batches = batches && l.rel.Schema[c].Type != pvc.TModule
 	}
-	return &lendIter{ctx: ctx, rel: l.rel, cols: cols, opts: opts}, nil
+	if !l.exact {
+		opts = pvc.ScanOptions{}
+	}
+	it := &lendIter{ctx: ctx, rel: l.rel, cols: cols, opts: opts}
+	if batches {
+		return batchIter{it}, nil
+	}
+	return it, nil
 }
 
 type lendIter struct {
@@ -76,10 +110,11 @@ type lendIter struct {
 	cols []int
 	opts pvc.ScanOptions
 	i    int
-	// lent is the buffer out on loan. Each Next lends a new one, so a
-	// buffer whose loan ended holds poison from then on — never a later
-	// row, which could pass for an answer.
+	// lent and batch are what is out on loan. Each Next and NextBatch
+	// lends new ones, so one whose loan ended holds poison from then on
+	// — never a later row, which could pass for an answer.
 	lent   []pvc.Cell
+	batch  *pvc.Batch
 	closed bool
 }
 
@@ -88,14 +123,33 @@ func (it *lendIter) poison() {
 		it.lent[i] = pvc.StringCell(Poison)
 	}
 	it.lent = nil
+	if b := it.batch; b != nil {
+		for i := range b.Anns {
+			for c := range b.Vals {
+				if b.Strs[c] != nil {
+					b.Strs[c][i] = Poison
+				} else {
+					b.Vals[c][i] = value.PosInf()
+				}
+			}
+			b.Anns[i] = expr.V(Poison)
+		}
+		clear(b.Sel)
+		it.batch = nil
+	}
+}
+
+// start ends the current loan and checks the scan may go on.
+func (it *lendIter) start() error {
+	it.poison()
+	if it.closed {
+		return fmt.Errorf("pvctest: %s: read after Close", it.rel.Name)
+	}
+	return it.ctx.Err()
 }
 
 func (it *lendIter) Next() (pvc.Tuple, bool, error) {
-	it.poison()
-	if it.closed {
-		return pvc.Tuple{}, false, fmt.Errorf("pvctest: %s: Next after Close", it.rel.Name)
-	}
-	if err := it.ctx.Err(); err != nil {
+	if err := it.start(); err != nil {
 		return pvc.Tuple{}, false, err
 	}
 	for it.i < len(it.rel.Tuples) {
@@ -135,4 +189,38 @@ func (it *lendIter) Close() error {
 	it.poison()
 	it.closed = true
 	return nil
+}
+
+// batchIter is a lendIter over constant columns, which also lends
+// batches.
+type batchIter struct{ *lendIter }
+
+// NextBatch implements pvc.BatchIter: the next window of batchRows
+// stored rows that keeps a row, every row of it in the vectors and the
+// kept ones in the selection.
+func (it batchIter) NextBatch() (*pvc.Batch, bool, error) {
+	if err := it.start(); err != nil {
+		return nil, false, err
+	}
+	for it.i < len(it.rel.Tuples) {
+		b := &pvc.Batch{Vals: make([][]value.V, len(it.cols)), Strs: make([][]string, len(it.cols))}
+		for i := int32(0); i < batchRows && it.i < len(it.rel.Tuples); i, it.i = i+1, it.i+1 {
+			t := it.rel.Tuples[it.i]
+			for o, c := range it.cols {
+				if it.rel.Schema[c].Type == pvc.TString {
+					b.Strs[o] = append(b.Strs[o], t.Cells[c].Str())
+				} else {
+					b.Vals[o] = append(b.Vals[o], t.Cells[c].Value())
+				}
+			}
+			if b.Anns = append(b.Anns, t.Ann); it.keeps(t) {
+				b.Sel = append(b.Sel, i)
+			}
+		}
+		if len(b.Sel) > 0 {
+			it.batch = b
+			return b, true, nil
+		}
+	}
+	return nil, false, nil
 }

@@ -2,6 +2,7 @@ package pvctest_test
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"pvcagg/internal/algebra"
@@ -104,5 +105,82 @@ func TestLenderUsesItsFreedoms(t *testing.T) {
 		t.Errorf("names = %v", mixed.Names())
 	} else if _, ok := mixed.Provider("S"); ok {
 		t.Error("unnamed relation was lent")
+	}
+}
+
+// TestLenderLendsBatches: a scan over constant columns serves batches of
+// three stored rows whose selection holds the rows Next would
+// return, and a batch kept past its loan reads poison in its vectors,
+// annotations and selection; an inexact lender ignores hints and
+// DropZero and states nothing, an exact one states its selection exact.
+func TestLenderLendsBatches(t *testing.T) {
+	ctx := context.Background()
+	rel := shops()
+	gap := pvc.StringCell("Gap")
+	opts := pvc.ScanOptions{
+		Cols: []int{1, 0}, DropZero: true,
+		Hints: []pvc.ScanHint{{Col: 1, Th: value.EQ, RightCol: -1, Cell: &gap}},
+	}
+	db := pvc.NewDatabase(algebra.Boolean)
+	db.Add(rel)
+	for _, c := range []struct {
+		db    *pvc.Database
+		exact bool
+		sel   [][]int32
+	}{
+		{pvctest.LendingDatabase(db), true, [][]int32{{2}}},
+		{pvctest.InexactLendingDatabase(db), false, [][]int32{{0, 1, 2}, {0}}},
+	} {
+		p, _ := c.db.Provider("S")
+		if got := p.(pvc.ExactScanner).ExactHints(opts.Hints); got != c.exact {
+			t.Errorf("ExactHints = %v, want %v", got, c.exact)
+		}
+		sc, err := p.NewScan(ctx, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		it := sc.(pvc.BatchIter)
+		var kept []*pvc.Batch
+		for {
+			b, ok, err := it.NextBatch()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ok {
+				break
+			}
+			if len(kept) < len(c.sel) && fmt.Sprint(b.Sel) != fmt.Sprint(c.sel[len(kept)]) {
+				t.Errorf("batch %d selects %v, want %v", len(kept), b.Sel, c.sel[len(kept)])
+			}
+			if b.Strs[0] == nil || b.Vals[1] == nil || !b.Cell(0, int(b.Sel[0])).Equal(pvc.StringCell(rel.Tuples[3*len(kept)+int(b.Sel[0])].Cells[1].Str())) {
+				t.Errorf("batch %d has the wrong vectors: %+v", len(kept), b)
+			}
+			kept = append(kept, b)
+		}
+		if len(kept) != len(c.sel) {
+			t.Fatalf("%d batches, want %d", len(kept), len(c.sel))
+		}
+		for _, b := range kept {
+			for i := range b.Anns {
+				if b.Strs[0][i] != pvctest.Poison || !b.Vals[1][i].IsPosInf() || expr.String(b.Anns[i]) != expr.String(expr.V(pvctest.Poison)) {
+					t.Errorf("batch row %d still readable after its loan: %q %v %s", i, b.Strs[0][i], b.Vals[1][i], expr.String(b.Anns[i]))
+				}
+			}
+			for _, i := range b.Sel {
+				if i != 0 {
+					t.Errorf("selection %v still readable after its loan", b.Sel)
+				}
+			}
+		}
+		sc.Close()
+	}
+
+	m := pvc.NewRelation("M", pvc.Schema{{Name: "X", Type: pvc.TModule}})
+	sc, err := pvctest.NewLender(m).NewScan(ctx, pvc.ScanOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := sc.(pvc.BatchIter); ok {
+		t.Error("a scan of an aggregation column serves batches")
 	}
 }

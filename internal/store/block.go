@@ -15,9 +15,11 @@ import (
 // constant shared by all rows of all scans (expressions are immutable).
 var annOneExpr expr.Expr = expr.CInt(1)
 
-// blockVecs is one block decoded column-wise: the raw block buffer, a
-// typed vector per needed column, the annotation vector, and the
-// selection vector naming the rows that are still in play. It is a
+// blockVecs is one block decoded column-wise: the raw block buffer and
+// a pvc.Batch over the schema's columns — a typed vector per needed
+// column (Vals for TValue, Strs for TString, nil until needed), the
+// annotation vector, and the selection vector naming the rows that are
+// still in play. It is a
 // table's scan scratch: a scan borrows one from its table's pool
 // (Table.borrow), decodes every block it reads into the same vectors and
 // returns it at Close, so after a table's first query neither a block
@@ -28,22 +30,18 @@ var annOneExpr expr.Expr = expr.CInt(1)
 // annotations are the store's shared boxed expressions. The row buffer a
 // scan lends is the scan's own and is never pooled.
 type blockVecs struct {
+	pvc.Batch
 	schema pvc.Schema
-	raw    []byte      // bytes of the block being decoded
-	vals   [][]value.V // by schema column; nil until needed and TValue
-	strs   [][]string  // by schema column; nil until needed and TString
-	need   []bool      // by schema column: decode it
-	anns   []expr.Expr
-	sel    []int32 // surviving rows, ascending
+	raw    []byte // bytes of the block being decoded
+	need   []bool // by schema column: decode it
 }
 
 // newBlockVecs sizes the column table for schema; reset readies it for
 // a scan.
 func newBlockVecs(schema pvc.Schema) *blockVecs {
 	return &blockVecs{
+		Batch:  pvc.Batch{Vals: make([][]value.V, len(schema)), Strs: make([][]string, len(schema))},
 		schema: schema,
-		vals:   make([][]value.V, len(schema)),
-		strs:   make([][]string, len(schema)),
 		need:   make([]bool, len(schema)),
 	}
 }
@@ -58,47 +56,39 @@ func (b *blockVecs) reset(cols []int, hints []pvc.ScanHint) {
 		b.need[c] = true
 	}
 	for _, h := range hints {
-		if b.filters(h) {
+		if filterable(b.schema, h) {
 			b.need[h.Col] = true
 			if h.Cell == nil {
 				b.need[h.RightCol] = true
 			}
 		}
 	}
-	b.sel = b.sel[:0]
+	b.Sel = b.Sel[:0]
 }
 
-// filters reports whether h can be evaluated row by row: its columns
-// exist and its right operand is a column or a constant cell. Any other
-// hint is ignored, as the contract allows.
-func (b *blockVecs) filters(h pvc.ScanHint) bool {
-	if h.Col < 0 || h.Col >= len(b.schema) {
+// filterable reports whether h can be evaluated row by row over schema:
+// its columns exist and its right operand is a column or a constant
+// cell. Any other hint is ignored, as the contract allows.
+func filterable(schema pvc.Schema, h pvc.ScanHint) bool {
+	if h.Col < 0 || h.Col >= len(schema) {
 		return false
 	}
 	if h.Cell != nil {
 		return h.Cell.IsConst()
 	}
-	return h.RightCol >= 0 && h.RightCol < len(b.schema)
-}
-
-// cell returns row i of column ci as a cell.
-func (b *blockVecs) cell(ci, i int) pvc.Cell {
-	if v := b.vals[ci]; v != nil {
-		return pvc.ValueCell(v[i])
-	}
-	return pvc.StringCell(b.strs[ci][i])
+	return h.RightCol >= 0 && h.RightCol < len(schema)
 }
 
 // decode verifies one raw block (magic, CRC, row and column counts,
 // segment bounds) and decodes its needed columns and annotations into
-// the vectors, leaving in sel every row — or, under dropZero, every row
+// the vectors, leaving in Sel every row — or, under dropZero, every row
 // whose annotation is not the constant 0S. wantRows is the row count the
 // block index recorded; vectors are sized by it only after the block's
 // own header agrees and the block is long enough to hold that many
-// annotation records. On error sel is empty: no row of this block or of
+// annotation records. On error Sel is empty: no row of this block or of
 // the block decoded before it is visible.
 func (b *blockVecs) decode(buf []byte, wantRows int, vars []expr.Expr, dropZero bool) error {
-	b.sel = b.sel[:0]
+	b.Sel = b.Sel[:0]
 	if len(buf) < minBlockLen || string(buf[:len(blockMagic)]) != blockMagic {
 		return errors.New("bad magic")
 	}
@@ -135,16 +125,16 @@ func (b *blockVecs) decode(buf []byte, wantRows int, vars []expr.Expr, dropZero 
 		}
 		sr := &reader{buf: seg}
 		if col.Type == pvc.TValue {
-			vals := grow(b.vals[ci], n)
-			b.vals[ci] = vals
+			vals := grow(b.Vals[ci], n)
+			b.Vals[ci] = vals
 			for i := range vals {
 				if vals[i], err = sr.value(); err != nil {
 					return fmt.Errorf("column %s: %v", col.Name, err)
 				}
 			}
 		} else {
-			strs := grow(b.strs[ci], n)
-			b.strs[ci] = strs
+			strs := grow(b.Strs[ci], n)
+			b.Strs[ci] = strs
 			for i := range strs {
 				if strs[i], err = sr.string(); err != nil {
 					return fmt.Errorf("column %s: %v", col.Name, err)
@@ -157,48 +147,60 @@ func (b *blockVecs) decode(buf []byte, wantRows int, vars []expr.Expr, dropZero 
 		return err
 	}
 	sr := &reader{buf: seg}
-	b.anns = grow(b.anns, n)
-	b.sel = grow(b.sel, n)[:0]
-	for i := range b.anns {
+	b.Anns = grow(b.Anns, n)
+	b.Sel = grow(b.Sel, n)[:0]
+	for i := range b.Anns {
 		ann, err := sr.ann(vars)
 		if err != nil {
-			b.sel = b.sel[:0]
+			b.Sel = b.Sel[:0]
 			return fmt.Errorf("annotation: %v", err)
 		}
-		b.anns[i] = ann
+		b.Anns[i] = ann
 		if dropZero {
 			if _, zero := annClass(ann); zero {
 				continue
 			}
 		}
-		b.sel = append(b.sel, int32(i))
+		b.Sel = append(b.Sel, int32(i))
 	}
 	return nil
 }
 
-// filter drops from sel the rows that fail a hint, one hint (one pass
+// filter drops from Sel the rows that fail a hint, one hint (one pass
 // over the operand vectors) at a time. A hint's truth on a row is
 // pvc.Cell.Satisfies, exactly what the σ above the scan evaluates, so
-// only rows that σ would drop are dropped.
+// under filterable hints the rows left are exactly those σ keeps
+// (Table.ExactHints).
 func (b *blockVecs) filter(hints []pvc.ScanHint) {
 	for _, h := range hints {
-		if !b.filters(h) {
+		if !filterable(b.schema, h) {
 			continue
 		}
-		var right pvc.Cell
-		if h.Cell != nil {
-			right = *h.Cell
-		}
-		keep := b.sel[:0]
-		for _, i := range b.sel {
-			if h.Cell == nil {
-				right = b.cell(h.RightCol, int(i))
+		keep := b.Sel[:0]
+		if v := b.Vals[h.Col]; v != nil && h.Cell != nil && h.Cell.Kind() == pvc.KindValue {
+			// A value column against a numeric constant: Satisfies is
+			// Holds of their Cmp, read off the vector without a cell.
+			w := h.Cell.Value()
+			for _, i := range b.Sel {
+				if h.Th.Holds(v[i].Cmp(w)) {
+					keep = append(keep, i)
+				}
 			}
-			if b.cell(h.Col, int(i)).Satisfies(h.Th, right) {
-				keep = append(keep, i)
+		} else {
+			var right pvc.Cell
+			if h.Cell != nil {
+				right = *h.Cell
+			}
+			for _, i := range b.Sel {
+				if h.Cell == nil {
+					right = b.Cell(h.RightCol, int(i))
+				}
+				if b.Cell(h.Col, int(i)).Satisfies(h.Th, right) {
+					keep = append(keep, i)
+				}
 			}
 		}
-		b.sel = keep
+		b.Sel = keep
 	}
 }
 

@@ -164,10 +164,12 @@ func TestTooDeepAnnotationIsCorrupt(t *testing.T) {
 // [a valid block, the mutated block] must return the valid block's rows
 // and then either rows of the right shape or an ErrCorrupt — never a
 // panic, never memory out of proportion to the block, and after a failed
-// decode never a row more (the vectors still hold the previous block).
-// Each input is scanned twice on one table: the second scan borrows the
-// scratch the first gave back after its rows or its ErrCorrupt, and must
-// return the same rows and the same error.
+// decode never a row or a batch more (the vectors still hold the previous
+// block). Each input is scanned three times on one table, each scan
+// borrowing the scratch the one before gave back after its rows or its
+// ErrCorrupt: twice row by row (Next) and once batch by batch
+// (NextBatch), and all three must return the same rows and the same
+// error.
 func FuzzReadBlock(f *testing.F) {
 	tab, blocks := fuzzFixture(f)
 	for bi, b := range blocks {
@@ -178,18 +180,46 @@ func FuzzReadBlock(f *testing.F) {
 	f.Fuzz(func(t *testing.T, body []byte, rows uint16) {
 		mutated := sealBlock(body)
 		tb := newTwoBlocks(tab, first, mutated, int(rows))
-		// run drains one scan and returns its row count, a digest of its
-		// rows' keys and its error.
-		run := func() (int, uint64, error) {
+		// run drains one scan, row by row or batch by batch, and returns
+		// its row count, a digest of its rows' keys and its error.
+		run := func(batched bool) (int, uint64, error) {
 			it := tb.scan()
 			defer it.Close()
+			var (
+				b     *pvc.Batch
+				k     int
+				cells []pvc.Cell
+			)
+			next := func() (pvc.Tuple, bool, error) {
+				if !batched {
+					return it.Next()
+				}
+				for b == nil || k == len(b.Sel) {
+					var ok bool
+					var err error
+					if b, ok, err = it.NextBatch(); err != nil || !ok {
+						return pvc.Tuple{}, false, err
+					}
+					if len(b.Sel) == 0 {
+						t.Fatal("NextBatch returned an empty batch")
+					}
+					k = 0
+				}
+				i := int(b.Sel[k])
+				k++
+				cells = cells[:0]
+				for c := range b.Vals {
+					cells = append(cells, b.Cell(c, i))
+				}
+				return pvc.Tuple{Cells: cells, Ann: b.Anns[i]}, true, nil
+			}
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
 			n := 0
 			digest := fnv.New64a()
 			var scanErr error
 			for {
-				tup, ok, err := it.Next()
+				tup, ok, err := next()
 				if err != nil {
 					scanErr = err
 					break
@@ -214,16 +244,20 @@ func FuzzReadBlock(f *testing.F) {
 				t.Fatalf("scan error is not ErrCorrupt: %v", scanErr)
 			} else if _, ok, err := it.Next(); ok || !errors.Is(err, ErrClosed) {
 				t.Fatalf("Next after a corrupt block: ok=%v err=%v", ok, err)
+			} else if b, ok, err := it.NextBatch(); ok || b != nil || !errors.Is(err, ErrClosed) {
+				t.Fatalf("NextBatch after a corrupt block: ok=%v err=%v", ok, err)
 			}
 			if n != want {
 				t.Fatalf("scan returned %d rows, want %d (err %v)", n, want, scanErr)
 			}
 			return n, digest.Sum64(), scanErr
 		}
-		n1, d1, err1 := run()
-		n2, d2, err2 := run()
-		if n1 != n2 || d1 != d2 || fmt.Sprint(err1) != fmt.Sprint(err2) {
-			t.Fatalf("scan over the scratch of an earlier scan: %d rows (digest %x, err %v), first scan %d rows (digest %x, err %v)", n2, d2, err2, n1, d1, err1)
+		n1, d1, err1 := run(false)
+		for _, batched := range []bool{false, true} {
+			n2, d2, err2 := run(batched)
+			if n1 != n2 || d1 != d2 || fmt.Sprint(err1) != fmt.Sprint(err2) {
+				t.Fatalf("scan (batched %v) over the scratch of an earlier scan: %d rows (digest %x, err %v), first scan %d rows (digest %x, err %v)", batched, n2, d2, err2, n1, d1, err1)
+			}
 		}
 	})
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"pvcagg/internal/algebra"
+	"pvcagg/internal/engine"
 	"pvcagg/internal/pvc"
 	"pvcagg/internal/testutil"
 	"pvcagg/internal/value"
@@ -72,6 +73,28 @@ func drainScan(tb testing.TB, tab *Table, opts pvc.ScanOptions) int {
 	}
 }
 
+// drainBatches runs one scan to exhaustion batch by batch and returns
+// the rows its selections named.
+func drainBatches(tb testing.TB, tab *Table, opts pvc.ScanOptions) int {
+	sc, err := tab.NewScan(context.Background(), opts)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	defer sc.Close()
+	it := sc.(pvc.BatchIter)
+	n := 0
+	for {
+		b, ok, err := it.NextBatch()
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if !ok {
+			return n
+		}
+		n += len(b.Sel)
+	}
+}
+
 // TestScanAllocsPerBlock pins the allocation shape of a scan: draining
 // an all-integer table costs a fixed number of allocations per scan and
 // per block, and none per row — eight times the rows in the same number
@@ -120,11 +143,83 @@ func TestScanAllocsPerBlock(t *testing.T) {
 	}
 }
 
+// TestBatchDrainAllocsPerBlock pins the allocation shape of the batch
+// path: a scan drained batch by batch costs a fixed number of
+// allocations per scan and per block, and a $ over a store scan — its σ
+// discharged into the scan, its groups filed from the batch vectors —
+// none per row: eight times the rows in the same number of blocks
+// allocate no more.
+func TestBatchDrainAllocsPerBlock(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	const blocks = 12
+	smallTab, largeTab := writeWide(t, blocks, 32), writeWide(t, blocks, 256)
+	flat := func(what string, allocs func(tab *Table, rows int) float64) {
+		t.Helper()
+		small, large := allocs(smallTab, blocks*32), allocs(largeTab, blocks*256)
+		t.Logf("%s: %.0f allocations over %d blocks at 32 rows a block, %.0f at 256", what, small, blocks, large)
+		if large > small+2 {
+			t.Errorf("%s: allocations grow with rows: %.0f for %d rows, %.0f for %d", what, small, blocks*32, large, blocks*256)
+		}
+	}
+	flat("batch drain", func(tab *Table, rows int) float64 {
+		n := testing.AllocsPerRun(5, func() {
+			if n := drainBatches(t, tab, pvc.ScanOptions{}); n != rows {
+				t.Fatalf("drained %d rows, want %d", n, rows)
+			}
+		})
+		if limit := float64(40 + 4*blocks); n > limit {
+			t.Errorf("%.0f allocations for a %d-block batch drain, want at most %.0f", n, blocks, limit)
+		}
+		return n
+	})
+	// COUNT and SUM grouped by the cycling column, under a σ on it that
+	// keeps nine groups of ten.
+	plan := &engine.GroupAgg{
+		Input:   &engine.Select{Input: &engine.Scan{Table: "wide"}, Pred: engine.Where(engine.ColTheta("c15", value.GE, pvc.IntCell(1)))},
+		GroupBy: []string{"c15"},
+		Aggs:    []engine.AggSpec{{Out: "n", Agg: algebra.Count}, {Out: "s", Agg: algebra.Sum, Over: "c00"}},
+	}
+	flat("$ over σ over a scan", func(tab *Table, rows int) float64 {
+		db := pvc.NewDatabase(algebra.Boolean)
+		db.AddProvider(tab)
+		return testing.AllocsPerRun(5, func() {
+			rel, _, err := engine.StreamEvalPlan(context.Background(), db, plan)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(rel.Tuples) != 9 {
+				t.Fatalf("%d groups, want 9", len(rel.Tuples))
+			}
+		})
+	})
+
+	// EXPLAIN ANALYZE runs the same batch path: σ and the scan are pulled
+	// once per block (and once more for the end), and each reports the
+	// rows its batches selected.
+	db := pvc.NewDatabase(algebra.Boolean)
+	db.AddProvider(largeTab)
+	_, _, ex, err := engine.StreamEvalPlanExplain(context.Background(), db, plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for n := ex.Children[0]; ; n = n.Children[0] {
+		if n.NextCalls != blocks+1 || n.ActualRows != blocks*256*9/10 {
+			t.Errorf("%s: %d pulls for %d rows, want %d pulls for %d", n.Op, n.NextCalls, n.ActualRows, blocks+1, blocks*256*9/10)
+		}
+		if len(n.Children) == 0 {
+			break
+		}
+	}
+}
+
 // BenchmarkScanDrain is the kernel benchmark of the read path: one scan
 // of a 64-block, 16-column integer table drained to exhaustion — in
 // full, under a hint one row in ten satisfies (every block is still
-// read), and projected to three of the sixteen columns. MB/s are over
-// the bytes a scan reads, which are the same in all three.
+// read), and projected to three of the sixteen columns — row by row
+// (Next) and, in the -batches cases, batch by batch (NextBatch). MB/s
+// are over the bytes a scan reads, which are the same in all six.
 func BenchmarkScanDrain(b *testing.B) {
 	const blocks, perBlock = 64, 1024
 	tab := writeWide(b, blocks, perBlock)
@@ -142,14 +237,19 @@ func BenchmarkScanDrain(b *testing.B) {
 		{"selective-10pct", pvc.ScanOptions{Hints: []pvc.ScanHint{{Col: 15, Th: value.EQ, RightCol: -1, Cell: &zero}}}, (blocks*perBlock + 9) / 10},
 		{"three-of-sixteen", pvc.ScanOptions{Cols: []int{0, 7, 15}}, blocks * perBlock},
 	} {
-		b.Run(bc.name, func(b *testing.B) {
-			b.ReportAllocs()
-			b.SetBytes(bytes)
-			for i := 0; i < b.N; i++ {
-				if n := drainScan(b, tab, bc.opts); n != bc.rows {
-					b.Fatalf("scanned %d rows, want %d", n, bc.rows)
+		for _, d := range []struct {
+			suffix string
+			drain  func(testing.TB, *Table, pvc.ScanOptions) int
+		}{{"", drainScan}, {"-batches", drainBatches}} {
+			b.Run(bc.name+d.suffix, func(b *testing.B) {
+				b.ReportAllocs()
+				b.SetBytes(bytes)
+				for i := 0; i < b.N; i++ {
+					if n := d.drain(b, tab, bc.opts); n != bc.rows {
+						b.Fatalf("scanned %d rows, want %d", n, bc.rows)
+					}
 				}
-			}
-		})
+			})
+		}
 	}
 }

@@ -203,7 +203,8 @@ func sameTuples(t *testing.T, what string, got, want []pvc.Tuple) {
 
 // TestInScanFilterSoundness: for random tables and random hintable
 // predicates, scan(hints, dropZero) followed by σ equals the full scan
-// followed by σ, tuple for tuple and in order — over a clean disk, over
+// followed by σ, tuple for tuple and in order, and under dropZero so
+// does the scan alone, as Table.ExactHints states — over a clean disk, over
 // one that fails reads transiently so blocks are re-read into the scan's
 // reused buffers, and over one that loses an all-zero block for good and
 // degrades to a bounded skip. The counters keep their meaning: rows read
@@ -266,6 +267,12 @@ func TestInScanFilterSoundness(t *testing.T) {
 		}
 		got := collect(t, it)
 		sameTuples(t, label+": σ(hinted scan)", refSigma(got, outHints), want)
+		if !tab.ExactHints(hints) {
+			t.Fatalf("%s: ExactHints false on hints the scan evaluates", label)
+		}
+		if dropZero { // exact: the engine discharges σ
+			sameTuples(t, label+": hinted scan", got, want)
+		}
 		var wantRows, wantRead, wantSkipped int64
 		for bi := 0; bi*pt.capacity < len(pt.rows); bi++ {
 			block := pt.rows[bi*pt.capacity : min((bi+1)*pt.capacity, len(pt.rows))]

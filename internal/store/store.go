@@ -338,11 +338,23 @@ func (t *Table) TableStats() (pvc.TableStats, bool) {
 	return ts, true
 }
 
+// ExactHints implements pvc.ExactScanner: a scan filters exactly on the
+// hints it can evaluate (blockVecs.filter) and DropZero.
+func (t *Table) ExactHints(hints []pvc.ScanHint) bool {
+	for _, h := range hints {
+		if !filterable(t.schema, h) {
+			return false
+		}
+	}
+	return true
+}
+
 // NewScan implements pvc.TableProvider: a block-granular scan that skips
 // blocks the zone maps prove cannot satisfy a hint, drops the rows of a
 // read block that fail a hint, and — when DropZero is set — skips blocks
 // whose annotation summary proves every row is annotated 0S and drops
-// such rows. The tuples it returns have lent Cells (pvc.TupleIter).
+// such rows. It is a pvc.BatchIter: its tuples have lent Cells, and its
+// batches lend the block's vectors.
 func (t *Table) NewScan(ctx context.Context, opts pvc.ScanOptions) (pvc.TupleIter, error) {
 	cols := opts.Cols
 	if cols == nil {
@@ -413,9 +425,10 @@ func (t *Table) borrow(cols []int, hints []pvc.ScanHint) *blockVecs {
 //
 // Nothing is allocated per row: a block is read and decoded into blk,
 // the scratch the scan borrowed from its table and refills for every
-// block, and Next copies the cells of one surviving row into row, the
-// buffer every returned tuple lends. Once closed, the scan holds no
-// reference to blk.
+// block, and batch views its surviving rows column-wise. NextBatch lends
+// batch; Next walks it, copying the cells of one row into row, the buffer
+// every returned tuple lends. Once closed, the scan holds no reference to
+// blk.
 type scanIter struct {
 	ctx      context.Context
 	t        *Table
@@ -429,8 +442,9 @@ type scanIter struct {
 
 	bi     int
 	blk    *blockVecs // borrowed from t until closed
-	si     int        // next entry of blk.sel to hand out
+	si     int        // next entry of blk.Sel to hand out
 	row    []pvc.Cell // lent to the caller until the next Next or Close
+	batch  pvc.Batch  // blk's output columns; lent like row
 	closed bool
 }
 
@@ -448,21 +462,38 @@ func (it *scanIter) skip(bi int) bool {
 }
 
 func (it *scanIter) Next() (pvc.Tuple, bool, error) {
-	if it.closed {
-		return pvc.Tuple{}, false, ErrClosed
+	if ok, err := it.fill(); !ok {
+		return pvc.Tuple{}, false, err
 	}
-	for {
-		if it.si < len(it.blk.sel) {
-			i := int(it.blk.sel[it.si])
-			it.si++
-			for o, ci := range it.cols {
-				it.row[o] = it.blk.cell(ci, i)
-			}
-			return pvc.Tuple{Cells: it.row, Ann: it.blk.anns[i]}, true, nil
-		}
+	i := int(it.blk.Sel[it.si])
+	it.si++
+	for o := range it.cols {
+		it.row[o] = it.batch.Cell(o, i)
+	}
+	return pvc.Tuple{Cells: it.row, Ann: it.batch.Anns[i]}, true, nil
+}
+
+// NextBatch implements pvc.BatchIter: the rows of the current block that
+// Next has not handed out.
+func (it *scanIter) NextBatch() (*pvc.Batch, bool, error) {
+	if ok, err := it.fill(); !ok {
+		return nil, false, err
+	}
+	it.batch.Sel = it.blk.Sel[it.si:]
+	it.si = len(it.blk.Sel)
+	return &it.batch, true, nil
+}
+
+// fill makes sure the current block has a row left to hand out, reading
+// blocks until one has: ok=false at end of stream or on error.
+func (it *scanIter) fill() (bool, error) {
+	if it.closed {
+		return false, ErrClosed
+	}
+	for it.si >= len(it.blk.Sel) {
 		if err := it.ctx.Err(); err != nil {
 			it.release()
-			return pvc.Tuple{}, false, err
+			return false, err
 		}
 		m := &it.t.st.metrics
 		for it.bi < len(it.t.meta.Blocks) && it.skip(it.bi) {
@@ -475,14 +506,14 @@ func (it *scanIter) Next() (pvc.Tuple, bool, error) {
 		if it.bi >= len(it.t.meta.Blocks) {
 			// Exhausted: release the file now rather than waiting for
 			// Close, surfacing any close error exactly once.
-			return pvc.Tuple{}, false, it.release()
+			return false, it.release()
 		}
 		it.si = 0
 		err := it.retry.do(it.ctx, func() error { return it.readBlock(it.bi) })
 		if err != nil {
 			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 				it.release()
-				return pvc.Tuple{}, false, err
+				return false, err
 			}
 			if IsTransient(err) && it.retry.policy.AllowBoundedSkip && it.t.meta.Blocks[it.bi].AllZero {
 				// Sound degradation: the annotation summary proves every
@@ -504,12 +535,17 @@ func (it *scanIter) Next() (pvc.Tuple, bool, error) {
 			it.closed = true
 			it.giveBack()
 			it.release()
-			return pvc.Tuple{}, false, err
+			return false, err
 		}
 		// Rows read are the rows decoded less the zero-annotated rows
-		// DropZero removed; the hints then filter blk.sel further.
-		rows := int64(len(it.blk.sel))
+		// DropZero removed; the hints then filter blk.Sel further.
+		rows := int64(len(it.blk.Sel))
 		it.blk.filter(it.hints)
+		b := &it.batch
+		b.Vals, b.Strs, b.Anns = b.Vals[:0], b.Strs[:0], it.blk.Anns
+		for _, ci := range it.cols {
+			b.Vals, b.Strs = append(b.Vals, it.blk.Vals[ci]), append(b.Strs, it.blk.Strs[ci])
+		}
 		it.t.st.health.ok()
 		m.BlocksRead.Add(1)
 		m.BytesRead.Add(int64(it.t.meta.Blocks[it.bi].Len))
@@ -519,13 +555,14 @@ func (it *scanIter) Next() (pvc.Tuple, bool, error) {
 		it.span.Add("store.rows_read", rows)
 		it.bi++
 	}
+	return true, nil
 }
 
 // readBlock reads and verifies block bi into blk's reused buffer and
 // decodes it into blk; on any error blk holds no row.
 func (it *scanIter) readBlock(bi int) error {
 	bm := it.t.meta.Blocks[bi]
-	it.blk.sel = it.blk.sel[:0]
+	it.blk.Sel = it.blk.Sel[:0]
 	if it.f == nil {
 		return ErrClosed
 	}
@@ -564,7 +601,7 @@ func (it *scanIter) release() error {
 // to two scans.
 func (it *scanIter) giveBack() {
 	it.t.scratch.Put(it.blk)
-	it.blk = nil
+	it.blk, it.batch = nil, pvc.Batch{}
 }
 
 func (it *scanIter) Close() error {

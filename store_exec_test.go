@@ -121,6 +121,50 @@ func TestStoreMatchesInMemory(t *testing.T) {
 	}
 }
 
+// TestStoreExplainAnalyzeReadsSameBlocks: EXPLAIN ANALYZE over a store
+// runs the physical plan plain execution runs — σ pushed down through δ
+// and a folded π̂, and discharged — so it reads and skips the same blocks,
+// reads the same rows and returns the same answers.
+func TestStoreExplainAnalyzeReadsSameBlocks(t *testing.T) {
+	db, err := tpch.Generate(tpch.Config{SF: 0.002, Seed: 7, Probabilistic: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := mirrorToStore(t, db, 64)
+	queries := []string{
+		"SELECT l_linenumber, l_quantity FROM lineitem WHERE l_orderkey = 17",
+		"SELECT l_returnflag, COUNT(*) AS n FROM lineitem WHERE l_shipdate <= 100 GROUP BY l_returnflag",
+		"SELECT o_custkey, COUNT(*) AS n FROM (SELECT o_orderkey AS l_orderkey, o_custkey FROM orders WHERE o_orderkey <= 40) JOIN lineitem GROUP BY o_custkey",
+	}
+	for _, q := range queries {
+		run := func(opts ...pvcagg.Option) (pvcagg.StoreMetrics, map[string]int) {
+			before := st.Metrics()
+			res, err := pvcagg.ExecQuery(context.Background(), nil, q, append(opts, pvcagg.WithStore(st))...)
+			if err != nil {
+				t.Fatalf("%s: %v", q, err)
+			}
+			keys := collectKeys(t, res)
+			after := st.Metrics()
+			return pvcagg.StoreMetrics{
+				BlocksRead: after.BlocksRead - before.BlocksRead, BlocksSkipped: after.BlocksSkipped - before.BlocksSkipped,
+				BytesRead: after.BytesRead - before.BytesRead, BytesSkipped: after.BytesSkipped - before.BytesSkipped,
+				RowsRead: after.RowsRead - before.RowsRead,
+			}, keys
+		}
+		plain, want := run()
+		analyzed, got := run(pvcagg.WithExplainAnalyze())
+		if plain.BlocksSkipped == 0 {
+			t.Errorf("%s: the plain run skipped no block: %+v", q, plain)
+		}
+		if analyzed != plain {
+			t.Errorf("%s: EXPLAIN ANALYZE store counters %+v, plain run %+v", q, analyzed, plain)
+		}
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("%s: EXPLAIN ANALYZE answers %v, plain run %v", q, got, want)
+		}
+	}
+}
+
 // TestStoreStatsPinJoinOrder is the estimator differential: the
 // optimizer must pick the same join order whether base-table statistics
 // come from exact in-memory scans or from the store's persisted stats
