@@ -144,8 +144,11 @@ func explainEst(est *Estimator, p Plan) *ExplainNode {
 
 // countingIter is the EXPLAIN ANALYZE decorator: it forwards to the
 // wrapped iterator, counting Next calls and emitted rows and accumulating
-// wall time on its explain node. Step I is single-threaded, so plain
-// fields suffice.
+// wall time on its explain node. Step I's operators run on one
+// goroutine, so plain fields suffice. A store scan that reads ahead
+// decodes on a helper goroutine, so a scan node's time= is the
+// consumer's wait — its reads, the blocks it decodes itself and its
+// waits for the helper — not the helper's decoding.
 type countingIter struct {
 	in Iterator
 	n  *ExplainNode

@@ -690,6 +690,11 @@ func (it *pairIter) Next() (pvc.Tuple, bool, error) {
 			return pvc.Tuple{}, false, err
 		}
 	}
+	if len(it.buckets) == 0 || len(it.buckets[0]) == 0 {
+		// The build side kept no row (×'s pre-made "" bucket is empty):
+		// no pair exists, so the left input is never pulled.
+		return pvc.Tuple{}, false, nil
+	}
 	for {
 		for it.bi < len(it.bucket) {
 			rt := it.bucket[it.bi]

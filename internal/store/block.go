@@ -15,24 +15,24 @@ import (
 // constant shared by all rows of all scans (expressions are immutable).
 var annOneExpr expr.Expr = expr.CInt(1)
 
-// blockVecs is one block decoded column-wise: the raw block buffer and
-// a pvc.Batch over the schema's columns — a typed vector per needed
-// column (Vals for TValue, Strs for TString, nil until needed), the
-// annotation vector, and the selection vector naming the rows that are
-// still in play. It is a
-// table's scan scratch: a scan borrows one from its table's pool
-// (Table.borrow), decodes every block it reads into the same vectors and
-// returns it at Close, so after a table's first query neither a block
-// nor a scan costs an allocation of block size. Nothing a scan hands out
-// aliases the scratch, so a later scan may overwrite it while rows of an
-// earlier one are still held: a cell copies its value.V, string vectors
-// own their bytes (reader.string copies them out of raw), and
-// annotations are the store's shared boxed expressions. The row buffer a
-// scan lends is the scan's own and is never pooled.
+// blockVecs is one block decoded column-wise: a pvc.Batch over the
+// schema's columns — a typed vector per needed column (Vals for TValue,
+// Strs for TString, nil until needed), the annotation vector, and the
+// selection vector naming the rows still in play. It is a table's scan
+// scratch: a scan borrows one, or two when it reads ahead, from its
+// table's free list (Table.borrow), decodes its blocks into them and
+// returns them at Close, so after a table's first query neither a block
+// nor a scan costs an allocation of block size. The one raw buffer a
+// scan reads into travels with the scratch it lends. Nothing a scan
+// hands out aliases a scratch, so a later scan may overwrite it while
+// rows of an earlier one are still held: a cell copies its value.V,
+// string vectors own their bytes (reader.string copies them out of
+// raw), and annotations are the store's shared boxed expressions. The
+// row buffer a scan lends is the scan's own and is never pooled.
 type blockVecs struct {
 	pvc.Batch
 	schema pvc.Schema
-	raw    []byte // bytes of the block being decoded
+	raw    []byte // the scan's read buffer while this scratch is its blk
 	need   []bool // by schema column: decode it
 }
 

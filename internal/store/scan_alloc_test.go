@@ -100,7 +100,9 @@ func drainBatches(tb testing.TB, tab *Table, opts pvc.ScanOptions) int {
 // per block, and none per row — eight times the rows in the same number
 // of blocks allocate no more. In bytes, a scan borrows its block buffer
 // and vectors from the table, so once a first scan has sized them a
-// repeat scan allocates less than one block.
+// repeat scan allocates less than one block, with read-ahead or
+// without, and after garbage collections too; the table keeps no more
+// scratches than its bound.
 func TestScanAllocsPerBlock(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -124,22 +126,55 @@ func TestScanAllocsPerBlock(t *testing.T) {
 		t.Errorf("%.0f allocations for a %d-block scan, want at most %.0f", large, blocks, limit)
 	}
 
-	// One P, as AllocsPerRun runs: the pool hands a goroutine back what
-	// it put on its own P.
+	// A repeat scan borrows the scratches an earlier one gave back, with
+	// one P (inline) and with two (read-ahead), also after two garbage
+	// collections, which do not empty the table's free list.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	const scans = 20
-	drain(largeTab, blocks*256)
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < scans; i++ {
-		drain(largeTab, blocks*256)
-	}
-	runtime.ReadMemStats(&after)
-	perScan := (after.TotalAlloc - before.TotalAlloc) / scans
 	block := uint64(largeTab.meta.Blocks[0].Len)
-	t.Logf("bytes per repeat scan: %d (a block is %d)", perScan, block)
-	if perScan >= block {
-		t.Errorf("a repeat scan allocated %d bytes, want less than one %d-byte block", perScan, block)
+	for _, procs := range []int{1, 2} {
+		runtime.GOMAXPROCS(procs)
+		const scans = 20
+		drain(largeTab, blocks*256)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < scans; i++ {
+			drain(largeTab, blocks*256)
+		}
+		runtime.ReadMemStats(&after)
+		perScan := (after.TotalAlloc - before.TotalAlloc) / scans
+		t.Logf("%d Ps: bytes per repeat scan: %d (a block is %d)", procs, perScan, block)
+		if perScan >= block {
+			t.Errorf("%d Ps: a repeat scan allocated %d bytes, want less than one %d-byte block", procs, perScan, block)
+		}
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		drain(largeTab, blocks*256)
+		runtime.ReadMemStats(&after)
+		if got := after.TotalAlloc - before.TotalAlloc; got >= block {
+			t.Errorf("%d Ps: a scan after two GCs allocated %d bytes, want less than one %d-byte block", procs, got, block)
+		}
+	}
+
+	// However many scans give their scratches back, the free list keeps
+	// at most two per P: six scans reading ahead under two Ps return
+	// twelve, and the list keeps four.
+	var open []pvc.TupleIter
+	for i := 0; i < 6; i++ {
+		it, err := largeTab.NewScan(context.Background(), pvc.ScanOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := it.Next(); err != nil {
+			t.Fatal(err)
+		}
+		open = append(open, it)
+	}
+	for _, it := range open {
+		it.Close()
+	}
+	if n, bound := len(largeTab.scratch.free), 2*runtime.GOMAXPROCS(0); n != bound {
+		t.Errorf("free list holds %d scratches after %d scans closed, want its bound %d", n, len(open), bound)
 	}
 }
 

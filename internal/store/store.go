@@ -11,6 +11,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -313,7 +314,15 @@ type Table struct {
 	meta       *tableMeta
 	schema     pvc.Schema
 	mins, maxs [][]pvc.Cell
-	scratch    sync.Pool // of *blockVecs over schema, lent to one scan at a time
+
+	// scratch is the free list of scan scratches (blockVecs over schema),
+	// each lent to one scan at a time. Unlike a sync.Pool, garbage
+	// collection does not empty it; it keeps at most two per GOMAXPROCS,
+	// as a scan that reads ahead borrows two.
+	scratch struct {
+		sync.Mutex
+		free []*blockVecs
+	}
 }
 
 // TableName implements pvc.TableProvider.
@@ -404,11 +413,17 @@ func (t *Table) NewScan(ctx context.Context, opts pvc.ScanOptions) (pvc.TupleIte
 	}, nil
 }
 
-// borrow takes a scan scratch from the table's pool, or makes one, and
-// readies it for a scan of cols under hints. The scan gives it back
+// borrow takes a scan scratch from the table's free list, or makes one,
+// and readies it for a scan of cols under hints. The scan gives it back
 // (scanIter.giveBack) when it closes.
 func (t *Table) borrow(cols []int, hints []pvc.ScanHint) *blockVecs {
-	b, _ := t.scratch.Get().(*blockVecs)
+	var b *blockVecs
+	t.scratch.Lock()
+	if n := len(t.scratch.free); n > 0 {
+		b = t.scratch.free[n-1]
+		t.scratch.free = t.scratch.free[:n-1]
+	}
+	t.scratch.Unlock()
 	if b == nil {
 		b = newBlockVecs(t.schema)
 	}
@@ -423,12 +438,24 @@ func (t *Table) borrow(cols []int, hints []pvc.ScanHint) *blockVecs {
 // the underlying file is released eagerly rather than waiting for
 // Close.
 //
-// Nothing is allocated per row: a block is read and decoded into blk,
-// the scratch the scan borrowed from its table and refills for every
-// block, and batch views its surviving rows column-wise. NextBatch lends
-// batch; Next walks it, copying the cells of one row into row, the buffer
-// every returned tuple lends. Once closed, the scan holds no reference to
-// blk.
+// Every read happens on the scan's goroutine, in block order: stage
+// reads the next block not skipped into blk.raw. Once a scan has taken
+// its first block, if another remains and GOMAXPROCS > 1, it reads
+// ahead: it borrows a second scratch, next, starts one helper goroutine
+// and, on taking each block, stages the following one at once, which
+// the helper verifies, decodes and filters into next while the operator
+// above consumes blk. A block the helper has not begun the scan decodes
+// itself, so it never waits for work that has not started. Otherwise it
+// stages and decodes each block inline when it needs it. Either way
+// errors, cancellation and the end surface in block order, at block
+// boundaries.
+//
+// Nothing is allocated per row or per block: blocks are decoded into
+// scratches borrowed from the table, the two of a scan that reads ahead
+// share blk's raw buffer, and batch views blk's surviving rows
+// column-wise. NextBatch lends batch; Next walks it, copying the cells
+// of one row into row, the buffer every returned tuple lends. Once
+// closed, the scan has joined its helper and holds no scratch.
 type scanIter struct {
 	ctx      context.Context
 	t        *Table
@@ -440,13 +467,32 @@ type scanIter struct {
 	hints    []pvc.ScanHint
 	dropZero bool
 
-	bi     int
-	blk    *blockVecs // borrowed from t until closed
+	bi     int        // the block staged or to stage; len(Blocks) at the end
+	blk    *blockVecs // borrowed from t until closed; holds the raw buffer
 	si     int        // next entry of blk.Sel to hand out
 	row    []pvc.Cell // lent to the caller until the next Next or Close
 	batch  pvc.Batch  // blk's output columns; lent like row
 	closed bool
+
+	// Read-ahead (next is nil without it). While a job is pending or
+	// taken, the scan touches nerr, nrows and next only once it has
+	// claimed the job or received done.
+	nerr  error         // the staged block's read or decode error
+	nrows int64         // rows the staged block decoded to, before the hints
+	next  *blockVecs    // the scratch block bi is decoded into
+	job   atomic.Int32  // jobIdle, jobPending or jobTaken
+	wake  chan struct{} // signals a job may be pending; closed to stop the helper
+	done  chan struct{} // a job the helper took is decoded; closed as it exits
 }
+
+// The read-ahead job: the helper begins a staged block by moving it
+// from pending to taken, the scan claims one not begun by moving it to
+// idle.
+const (
+	jobIdle int32 = iota
+	jobPending
+	jobTaken
+)
 
 // skip reports whether block bi can be skipped without reading it.
 func (it *scanIter) skip(bi int) bool {
@@ -484,18 +530,105 @@ func (it *scanIter) NextBatch() (*pvc.Batch, bool, error) {
 	return &it.batch, true, nil
 }
 
-// fill makes sure the current block has a row left to hand out, reading
-// blocks until one has: ok=false at end of stream or on error.
+// fill makes sure the current block has a row left to hand out, taking
+// staged blocks until one has: ok=false at end of stream or on error.
 func (it *scanIter) fill() (bool, error) {
 	if it.closed {
 		return false, ErrClosed
 	}
 	for it.si >= len(it.blk.Sel) {
 		if err := it.ctx.Err(); err != nil {
+			it.stop()
 			it.release()
 			return false, err
 		}
+		if it.next == nil {
+			it.stage()
+		}
+		if it.bi >= len(it.t.meta.Blocks) {
+			// Exhausted: release the file now rather than waiting for
+			// Close, surfacing any close error exactly once.
+			it.stop()
+			return false, it.release()
+		}
+		dst := it.blk
+		if it.next != nil {
+			dst = it.next
+		}
+		switch {
+		case it.job.CompareAndSwap(jobPending, jobIdle): // not begun
+			it.decodeStaged(dst)
+		case it.job.CompareAndSwap(jobTaken, jobIdle):
+			<-it.done
+		case it.nerr == nil: // nothing handed to the helper
+			it.decodeStaged(dst)
+		}
+		if err := it.nerr; err != nil {
+			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+				it.stop()
+				it.release()
+				return false, err
+			}
+			it.t.st.health.fail()
+			if IsTransient(err) {
+				err = &PartialError{Table: it.t.meta.Name, Block: it.bi, Err: err}
+			}
+			it.closed = true
+			it.stop()
+			it.giveBack()
+			it.release()
+			return false, err
+		}
+		if dst != it.blk {
+			// The raw buffer stays with the lent scratch.
+			it.blk, it.next = dst, it.blk
+			it.blk.raw, it.next.raw = it.next.raw, it.blk.raw
+		}
+		it.si = 0
+		b := &it.batch
+		b.Vals, b.Strs, b.Anns = b.Vals[:0], b.Strs[:0], it.blk.Anns
+		for _, ci := range it.cols {
+			b.Vals, b.Strs = append(b.Vals, it.blk.Vals[ci]), append(b.Strs, it.blk.Strs[ci])
+		}
+		it.t.st.health.ok()
 		m := &it.t.st.metrics
+		m.BlocksRead.Add(1)
+		m.BytesRead.Add(int64(it.t.meta.Blocks[it.bi].Len))
+		m.RowsRead.Add(it.nrows)
+		it.span.Add("store.blocks_read", 1)
+		it.span.Add("store.bytes_read", int64(it.t.meta.Blocks[it.bi].Len))
+		it.span.Add("store.rows_read", it.nrows)
+		it.bi++
+		if it.next == nil && runtime.GOMAXPROCS(0) > 1 && it.more() {
+			it.next = it.t.borrow(it.cols, it.hints)
+			it.wake, it.done = make(chan struct{}, 1), make(chan struct{}, 1)
+			go it.readAhead()
+		}
+		if it.next != nil {
+			it.stage()
+		}
+	}
+	return true, nil
+}
+
+// more reports whether a block from bi on survives the zone maps and
+// AllZero.
+func (it *scanIter) more() bool {
+	for bi := it.bi; bi < len(it.t.meta.Blocks); bi++ {
+		if !it.skip(bi) {
+			return true
+		}
+	}
+	return false
+}
+
+// stage moves bi to the next block the scan does not skip and reads it
+// into blk.raw under the scan's RetryState, leaving the read's error in
+// nerr; an unreadable AllZero block it may skip soundly, it skips. A
+// block read without error goes to the helper when the scan reads ahead.
+func (it *scanIter) stage() {
+	m := &it.t.st.metrics
+	for ; ; it.bi++ {
 		for it.bi < len(it.t.meta.Blocks) && it.skip(it.bi) {
 			m.BlocksSkipped.Add(1)
 			m.BytesSkipped.Add(int64(it.t.meta.Blocks[it.bi].Len))
@@ -504,65 +637,62 @@ func (it *scanIter) fill() (bool, error) {
 			it.bi++
 		}
 		if it.bi >= len(it.t.meta.Blocks) {
-			// Exhausted: release the file now rather than waiting for
-			// Close, surfacing any close error exactly once.
-			return false, it.release()
+			return
 		}
-		it.si = 0
-		err := it.retry.do(it.ctx, func() error { return it.readBlock(it.bi) })
-		if err != nil {
-			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-				it.release()
-				return false, err
-			}
-			if IsTransient(err) && it.retry.policy.AllowBoundedSkip && it.t.meta.Blocks[it.bi].AllZero {
-				// Sound degradation: the annotation summary proves every
-				// row in the block is annotated 0S, so dropping it can
-				// only omit result tuples whose confidence is exactly
-				// zero. Anything else unreadable is a partial failure.
-				it.retry.noteBounded()
-				m.BlocksSkipped.Add(1)
-				m.BytesSkipped.Add(int64(it.t.meta.Blocks[it.bi].Len))
-				it.span.Add("store.blocks_skipped", 1)
-				it.span.Add("store.bounded_blocks", 1)
-				it.bi++
-				continue
-			}
-			it.t.st.health.fail()
-			if IsTransient(err) {
-				err = &PartialError{Table: it.t.meta.Name, Block: it.bi, Err: err}
-			}
-			it.closed = true
-			it.giveBack()
-			it.release()
-			return false, err
+		it.nerr = it.retry.do(it.ctx, func() error { return it.readBlock(it.bi) })
+		if it.nerr != nil && IsTransient(it.nerr) && it.retry.policy.AllowBoundedSkip && it.t.meta.Blocks[it.bi].AllZero {
+			// Sound degradation: the annotation summary proves every
+			// row in the block is annotated 0S, so dropping it can
+			// only omit result tuples whose confidence is exactly
+			// zero. Anything else unreadable is a partial failure.
+			it.retry.noteBounded()
+			m.BlocksSkipped.Add(1)
+			m.BytesSkipped.Add(int64(it.t.meta.Blocks[it.bi].Len))
+			it.span.Add("store.blocks_skipped", 1)
+			it.span.Add("store.bounded_blocks", 1)
+			continue
 		}
-		// Rows read are the rows decoded less the zero-annotated rows
-		// DropZero removed; the hints then filter blk.Sel further.
-		rows := int64(len(it.blk.Sel))
-		it.blk.filter(it.hints)
-		b := &it.batch
-		b.Vals, b.Strs, b.Anns = b.Vals[:0], b.Strs[:0], it.blk.Anns
-		for _, ci := range it.cols {
-			b.Vals, b.Strs = append(b.Vals, it.blk.Vals[ci]), append(b.Strs, it.blk.Strs[ci])
-		}
-		it.t.st.health.ok()
-		m.BlocksRead.Add(1)
-		m.BytesRead.Add(int64(it.t.meta.Blocks[it.bi].Len))
-		m.RowsRead.Add(rows)
-		it.span.Add("store.blocks_read", 1)
-		it.span.Add("store.bytes_read", int64(it.t.meta.Blocks[it.bi].Len))
-		it.span.Add("store.rows_read", rows)
-		it.bi++
+		break
 	}
-	return true, nil
+	if it.next != nil && it.nerr == nil {
+		it.job.Store(jobPending)
+		select {
+		case it.wake <- struct{}{}:
+		default: // a signal is already waiting
+		}
+	}
 }
 
-// readBlock reads and verifies block bi into blk's reused buffer and
-// decodes it into blk; on any error blk holds no row.
+// readAhead is the helper: it decodes each staged block it can take
+// from pending until stop closes wake.
+func (it *scanIter) readAhead() {
+	defer close(it.done)
+	for range it.wake {
+		if it.job.CompareAndSwap(jobPending, jobTaken) {
+			it.decodeStaged(it.next)
+			it.done <- struct{}{}
+		}
+	}
+}
+
+// decodeStaged verifies and decodes staged block bi from blk.raw into
+// dst and filters it under the hints; on error dst holds no row. It
+// leaves in nrows the rows read — the rows decoded less the zero-
+// annotated rows DropZero removed — before the hints filter dst.Sel
+// further. The inline path and the helper both decode with it.
+func (it *scanIter) decodeStaged(dst *blockVecs) {
+	bm := it.t.meta.Blocks[it.bi]
+	if err := dst.decode(it.blk.raw[:bm.Len], bm.Rows, it.t.st.varExprs, it.dropZero); err != nil {
+		it.nerr = &CorruptError{File: it.t.meta.File, Block: it.bi, Reason: err.Error()}
+		return
+	}
+	it.nrows = int64(len(dst.Sel))
+	dst.filter(it.hints)
+}
+
+// readBlock reads block bi, unverified, into blk's reused buffer.
 func (it *scanIter) readBlock(bi int) error {
 	bm := it.t.meta.Blocks[bi]
-	it.blk.Sel = it.blk.Sel[:0]
 	if it.f == nil {
 		return ErrClosed
 	}
@@ -570,8 +700,7 @@ func (it *scanIter) readBlock(bi int) error {
 		return &CorruptError{File: it.t.meta.File, Block: bi, Reason: fmt.Sprintf("table %s: %d bytes at %d reach past the file's %d", it.t.meta.Name, bm.Len, bm.Off, it.size)}
 	}
 	it.blk.raw = grow(it.blk.raw, bm.Len)
-	buf := it.blk.raw
-	if _, err := it.f.ReadAt(buf, bm.Off); err != nil {
+	if _, err := it.f.ReadAt(it.blk.raw, bm.Off); err != nil {
 		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
 			// Truncation is damage, not a blip.
 			return &CorruptError{File: it.t.meta.File, Block: bi, Reason: fmt.Sprintf("read %d bytes at %d: %v", bm.Len, bm.Off, err)}
@@ -579,10 +708,21 @@ func (it *scanIter) readBlock(bi int) error {
 		// Preserve the chain so IsTransient can classify it.
 		return fmt.Errorf("store: %s: block %d: read %d bytes at %d: %w", it.t.meta.File, bi, bm.Len, bm.Off, err)
 	}
-	if err := it.blk.decode(buf, bm.Rows, it.t.st.varExprs, it.dropZero); err != nil {
-		return &CorruptError{File: it.t.meta.File, Block: bi, Reason: err.Error()}
-	}
 	return nil
+}
+
+// stop ends read-ahead: it claims a block the helper has not begun,
+// stops the helper and waits for it to exit, so that neither scratch is
+// written again. Later calls are no-ops.
+func (it *scanIter) stop() {
+	if it.wake == nil {
+		return
+	}
+	it.job.CompareAndSwap(jobPending, jobIdle)
+	close(it.wake)
+	for range it.done {
+	}
+	it.wake = nil
 }
 
 // release closes the underlying file once; later calls are no-ops.
@@ -595,13 +735,22 @@ func (it *scanIter) release() error {
 	return f.Close()
 }
 
-// giveBack returns the scan's scratch to its table. It runs once per
-// scan, as the scan becomes closed (in Close, or in Next on a terminal
-// failure), and drops the scan's reference, so a scratch is never lent
-// to two scans.
+// giveBack returns the scan's scratches to its table's free list, blk
+// last so that the next scan borrows the one holding the raw buffer
+// first; the list drops what would overflow it. It runs once per scan,
+// after stop, as the scan becomes closed (in Close, or in Next on a
+// terminal failure), and drops the scan's references, so a scratch is
+// never lent to two scans.
 func (it *scanIter) giveBack() {
-	it.t.scratch.Put(it.blk)
-	it.blk, it.batch = nil, pvc.Batch{}
+	sc := &it.t.scratch
+	sc.Lock()
+	for _, b := range [...]*blockVecs{it.next, it.blk} {
+		if b != nil && len(sc.free) < 2*runtime.GOMAXPROCS(0) {
+			sc.free = append(sc.free, b)
+		}
+	}
+	sc.Unlock()
+	it.blk, it.next, it.batch = nil, nil, pvc.Batch{}
 }
 
 func (it *scanIter) Close() error {
@@ -609,6 +758,7 @@ func (it *scanIter) Close() error {
 		return nil
 	}
 	it.closed = true
+	it.stop()
 	it.giveBack()
 	return it.release()
 }
