@@ -120,9 +120,10 @@ func (e *Estimator) Estimate(p Plan) CardEstimate {
 				break
 			}
 		}
-		return clampDistinct(CardEstimate{Rows: min(in.Rows, limit), Distinct: in.Distinct})
+		return clampDistinct(CardEstimate{Rows: min(in.Rows, limit), Distinct: only(in.Distinct, n.Cols)})
 	case *Prune:
-		return e.Estimate(n.Input)
+		in := e.Estimate(n.Input)
+		return CardEstimate{Rows: in.Rows, Distinct: only(in.Distinct, n.Cols)}
 	case *Product:
 		l, r := e.Estimate(n.L), e.Estimate(n.R)
 		return CardEstimate{Rows: finite(l.Rows * r.Rows), Distinct: merged(l.Distinct, r.Distinct)}
@@ -273,6 +274,18 @@ func clampDistinct(e CardEstimate) CardEstimate {
 	out := CardEstimate{Rows: e.Rows, Distinct: make(map[string]float64, len(e.Distinct))}
 	for c, d := range e.Distinct {
 		out.Distinct[c] = min(d, max(1, e.Rows))
+	}
+	return out
+}
+
+// only returns the distinct counts of cols alone: a column π or π̂
+// dropped must not count as a join key above it.
+func only(d map[string]float64, cols []string) map[string]float64 {
+	out := make(map[string]float64, len(cols))
+	for _, c := range cols {
+		if v, ok := d[c]; ok {
+			out[c] = v
+		}
 	}
 	return out
 }

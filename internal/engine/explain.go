@@ -15,13 +15,14 @@ import (
 	"pvcagg/internal/pvc"
 )
 
-// ExplainNode is one operator of an explained plan. ActualRows counts
-// the tuples the operator emitted (-1 when the plan was not executed);
-// Time is the operator's cumulative wall time including its children
-// (streaming operators pull through each other, so exclusive times are
-// not well defined). BuildRows/EstBuildRows compare a ⋈/× build-side
-// materialization against the Estimator's prediction for it, and
-// FusedRejects counts pairs a fused σ rejected before allocation.
+// ExplainNode is one operator of an explained plan; EXPLAIN and EXPLAIN
+// ANALYZE of one plan draw the same tree, one node per plan operator.
+// ActualRows counts the tuples the operator emitted (-1 when the plan
+// was not executed); Time is the operator's cumulative wall time
+// including its children (streaming operators pull through each other,
+// so exclusive times are not well defined). BuildRows/EstBuildRows
+// compare a ⋈/× build-side materialization against the Estimator's
+// prediction for it.
 type ExplainNode struct {
 	Op           string         `json:"op"`
 	Name         string         `json:"name,omitempty"`
@@ -30,8 +31,6 @@ type ExplainNode struct {
 	NextCalls    int64          `json:"next_calls,omitempty"`
 	BuildRows    int64          `json:"build_rows,omitempty"`
 	EstBuildRows float64        `json:"est_build_rows,omitempty"`
-	FusedAtoms   int            `json:"fused_atoms,omitempty"`
-	FusedRejects int64          `json:"fused_rejects,omitempty"`
 	Time         time.Duration  `json:"-"`
 	TimeUS       int64          `json:"time_us"`
 	Children     []*ExplainNode `json:"children,omitempty"`
@@ -85,12 +84,6 @@ func (n *ExplainNode) render(b []byte, depth int) []byte {
 		b = strconv.AppendInt(b, n.BuildRows, 10)
 		b = append(b, " est_build="...)
 		b = strconv.AppendFloat(b, n.EstBuildRows, 'f', -1, 64)
-	}
-	if n.FusedAtoms > 0 {
-		b = append(b, " fused_atoms="...)
-		b = strconv.AppendInt(b, int64(n.FusedAtoms), 10)
-		b = append(b, " fused_rejects="...)
-		b = strconv.AppendInt(b, n.FusedRejects, 10)
 	}
 	b = append(b, '\n')
 	for _, c := range n.Children {

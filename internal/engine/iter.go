@@ -12,9 +12,6 @@ package engine
 //     build (right) side, pre-sized by the Estimator's cardinality
 //     estimate — the build side itself is chosen by the optimizer's
 //     physical pass, which commutes the smaller input to the right;
-//   - σ directly above ⋈/× fuses its leading constant-comparison atoms
-//     into the pairIter so failing pairs are rejected before any output
-//     cells or annotation expressions are allocated;
 //   - π, ∪ and $ are sinks that group incrementally, retaining a copy of
 //     one representative's group cells and the annotation expressions
 //     per group instead of buffering their whole input; π and ∪ share
@@ -232,9 +229,8 @@ func (b *iterBuilder) estimator() *Estimator {
 // result relation's name, composed from the operators' (σ(…), (…⋈…)).
 // In analyze mode it additionally wraps the iterator in a counting
 // decorator and threads an ExplainNode per operator: children built
-// during buildNode land in b.exKids and are collected here. A σ fused
-// into a ⋈/× produces one node covering both (its children are the
-// pair's inputs), mirroring the single physical operator that runs.
+// during buildNode land in b.exKids and are collected here, so the
+// analyzed tree has one node per plan operator, as Explain's has.
 func (b *iterBuilder) build(p Plan) (Iterator, pvc.Schema, string, error) {
 	if !b.analyze {
 		return b.buildNode(p)
@@ -248,17 +244,9 @@ func (b *iterBuilder) build(p Plan) (Iterator, pvc.Schema, string, error) {
 		return nil, nil, "", err
 	}
 	node := &ExplainNode{Op: opName(p), Name: name, EstRows: b.estimator().Estimate(p).Rows, Children: kids}
-	switch v := it.(type) {
-	case *pairIter:
-		v.ex = node
-		node.EstBuildRows = v.estBuild
-		node.FusedAtoms = len(v.fused)
-	case *selectIter:
-		if pi, ok := v.child.(*pairIter); ok {
-			pi.ex = node
-			node.EstBuildRows = pi.estBuild
-			node.FusedAtoms = len(pi.fused)
-		}
+	if pi, ok := it.(*pairIter); ok {
+		pi.ex = node
+		node.EstBuildRows = pi.estBuild
 	}
 	b.exKids = append(b.exKids, node)
 	return &countingIter{in: it, n: node}, schema, name, nil
@@ -267,8 +255,7 @@ func (b *iterBuilder) build(p Plan) (Iterator, pvc.Schema, string, error) {
 // buildNode compiles one plan node (and, recursively via b.build, its
 // inputs).
 func (b *iterBuilder) buildNode(p Plan) (Iterator, pvc.Schema, string, error) {
-	switch n := p.(type) {
-	case *Scan:
+	if n, ok := p.(*Scan); ok {
 		if p, ok := b.db.Provider(n.Table); ok {
 			return &providerIter{ctx: b.ctx, prov: p}, p.Schema(), n.Table, nil
 		}
@@ -277,17 +264,6 @@ func (b *iterBuilder) buildNode(p Plan) (Iterator, pvc.Schema, string, error) {
 			return nil, nil, "", err
 		}
 		return &sliceIter{tuples: r.Tuples}, r.Schema, r.Name, nil
-	case *Join, *Product:
-		it, sh, name, err := b.buildPair(p)
-		if err != nil {
-			return nil, nil, "", err
-		}
-		return it, sh.schema, name, nil
-	case *Select:
-		switch n.Input.(type) {
-		case *Join, *Product:
-			return b.buildFusedSelect(n)
-		}
 	}
 	in, sh, name, err := b.buildInputs(p)
 	if err != nil {
@@ -304,7 +280,7 @@ func (b *iterBuilder) buildNode(p Plan) (Iterator, pvc.Schema, string, error) {
 		// annotations, so a block whose rows all fail a hint (or are all
 		// annotated 0S) contributes nothing to σ's output. A provider that
 		// states its selection exact returns σ's output: σ is discharged.
-		if pit, ok := unwrapCounting(in[0]).(*providerIter); ok && constPrefix(sh.atoms, sh.schema) == len(sh.atoms) {
+		if pit, ok := unwrapCounting(in[0]).(*providerIter); ok && allConst(sh.atoms, sh.schema) {
 			pit.pushDown(sh.atoms)
 			if ex, ok := pit.prov.(pvc.ExactScanner); ok && ex.ExactHints(pit.hints) {
 				return in[0], sh.schema, name, nil
@@ -313,6 +289,14 @@ func (b *iterBuilder) buildNode(p Plan) (Iterator, pvc.Schema, string, error) {
 		return &selectIter{child: in[0], atoms: sh.atoms, s: b.s}, sh.schema, name, nil
 	case *Project, *Union:
 		return &groupIter{ctx: b.ctx, s: b.s, in: in, cols: sh.cols}, sh.schema, name, nil
+	case *Join, *Product:
+		it := &pairIter{
+			ctx: b.ctx, s: b.s, left: in[0], right: in[1],
+			lKey: sh.lKey, rKey: sh.rKey, rCols: sh.rCols,
+			estBuild:  b.estimator().Estimate(Children(p)[1]).Rows,
+			rightLent: lendsCells(in[1]), row: make([]pvc.Cell, 0, len(sh.schema)),
+		}
+		return it, sh.schema, name, nil
 	case *Prune:
 		// π̂ directly over a provider scan folds into the scan itself:
 		// the storage layer then decodes only the live columns. The fold
@@ -354,94 +338,6 @@ func (b *iterBuilder) buildInputs(p Plan) ([]Iterator, opShape, string, error) {
 		return in, sh, "(" + names[0] + opName(p) + names[1] + ")", nil
 	}
 	return in, sh, opName(p) + "(" + names[0] + ")", nil
-}
-
-// pairRef addresses one cell of a ⋈/× output tuple without materializing
-// it: side 0 is the probe (left) input, side 1 the build (right) input.
-type pairRef struct{ side, idx int }
-
-// pairAtom is a σ comparison fused into a pairIter: both operands are
-// statically known to be constant cells, so the atom filters (lt, rt)
-// pairs before the output tuple is allocated.
-type pairAtom struct {
-	l  pairRef
-	th value.Theta
-	r  pairRef   // valid when rv == nil
-	rv *pvc.Cell // right constant; nil when comparing two columns
-}
-
-func pairCell(lt, rt pvc.Tuple, r pairRef) pvc.Cell {
-	if r.side == 0 {
-		return lt.Cells[r.idx]
-	}
-	return rt.Cells[r.idx]
-}
-
-// ref addresses output column i of a ⋈/× of shape sh, whose left input
-// contributes every column before the right input's rCols.
-func (sh opShape) ref(i int) pairRef {
-	nl := len(sh.schema) - len(sh.rCols)
-	if i < nl {
-		return pairRef{0, i}
-	}
-	return pairRef{1, sh.rCols[i-nl]}
-}
-
-// buildPair compiles a *Join or *Product into a pairIter, also returning
-// its shape, which σ fusion resolves its atoms against.
-func (b *iterBuilder) buildPair(p Plan) (*pairIter, opShape, string, error) {
-	in, sh, name, err := b.buildInputs(p)
-	if err != nil {
-		return nil, opShape{}, "", err
-	}
-	// Pre-size the build side from the Estimator's cardinality estimate.
-	buildCap := 0
-	estBuild := b.estimator().Estimate(Children(p)[1]).Rows
-	if rows := estBuild; rows > 0 {
-		if rows > 1<<20 {
-			rows = 1 << 20
-		}
-		buildCap = int(rows)
-	}
-	it := &pairIter{
-		ctx: b.ctx, s: b.s, left: in[0], right: in[1],
-		lKey: sh.lKey, rKey: sh.rKey, rCols: sh.rCols, buildCap: buildCap, estBuild: estBuild,
-		rightLent: lendsCells(in[1]), row: make([]pvc.Cell, 0, len(sh.schema)),
-	}
-	return it, sh, name, nil
-}
-
-// buildFusedSelect compiles σ directly above ⋈/×, pushing the leading
-// run of constant-comparison atoms into the pairIter (fused atoms are a
-// prefix of the conjunction, so per-tuple atom order, short-circuiting
-// and error precedence are those of an unfused σ). Atoms from the first
-// aggregation-column comparison onward stay in a residual selectIter
-// above the pair.
-func (b *iterBuilder) buildFusedSelect(n *Select) (Iterator, pvc.Schema, string, error) {
-	pit, pair, name, err := b.buildPair(n.Input)
-	if err != nil {
-		return nil, nil, "", err
-	}
-	sh, err := shapeOf(n, []pvc.Schema{pair.schema})
-	if err != nil {
-		return nil, nil, "", err
-	}
-	k := constPrefix(sh.atoms, sh.schema)
-	for _, a := range sh.atoms[:k] {
-		fa := pairAtom{l: pair.ref(a.li), th: a.th, rv: a.rv}
-		if a.rv == nil {
-			fa.r = pair.ref(a.ri)
-		}
-		pit.fused = append(pit.fused, fa)
-	}
-	name = opName(n) + "(" + name + ")"
-	if k == len(sh.atoms) {
-		// Every atom fused: the σ-level zero-annotation drop moves into
-		// the pair iterator.
-		pit.dropZero = true
-		return pit, sh.schema, name, nil
-	}
-	return &selectIter{child: pit, atoms: sh.atoms[k:], s: b.s}, sh.schema, name, nil
 }
 
 // providerIter adapts a pvc.TableProvider scan (e.g. an on-disk store
@@ -506,20 +402,18 @@ func (it *providerIter) pushDown(atoms []selAtom) {
 	it.dropZero = true
 }
 
-// constPrefix returns the length of the leading run of atoms that
-// compare constant cells only: no aggregation column on either side and
-// a constant right operand. Such an atom cannot error and cannot rescale
-// an annotation, so σ may fuse it into a ⋈/× below or hint it to a scan.
-func constPrefix(atoms []selAtom, cs pvc.Schema) int {
-	for k, a := range atoms {
-		switch {
-		case cs[a.li].Type == pvc.TModule,
-			a.rv != nil && !a.rv.IsConst(),
-			a.rv == nil && cs[a.ri].Type == pvc.TModule:
-			return k
+// allConst reports whether every atom compares constant cells only: no
+// aggregation column on either side and a constant right operand. Such
+// an atom cannot error and cannot rescale an annotation, so σ may hint
+// it to a scan.
+func allConst(atoms []selAtom, cs pvc.Schema) bool {
+	for _, a := range atoms {
+		if cs[a.li].Type == pvc.TModule || a.rv != nil && !a.rv.IsConst() ||
+			a.rv == nil && cs[a.ri].Type == pvc.TModule {
+			return false
 		}
 	}
-	return len(atoms)
+	return true
 }
 
 func (it *providerIter) Open() error {
@@ -621,19 +515,14 @@ func (it *pruneIter) Close() error { return it.child.Close() }
 // build side (materialized into a hash table pre-sized by the Estimator,
 // then closed), the left child is probed lazily in order, so emission is
 // left-major, as a nested loop's would be. A × is a ⋈ with no key
-// columns: every tuple hashes to the single empty-key bucket. Fused σ
-// atoms reject pairs before the output row is filled or the product
-// annotation constructed.
+// columns: every tuple hashes to the single empty-key bucket.
 type pairIter struct {
 	ctx         context.Context
 	s           algebra.Semiring
 	left, right Iterator
 	lKey, rKey  []int
 	rCols       []int
-	fused       []pairAtom
-	dropZero    bool
-	buildCap    int
-	estBuild    float64      // Estimator's build-side row prediction
+	estBuild    float64      // Estimator's build-side row prediction, which pre-sizes the table
 	rightLent   bool         // the build input lends its cells: copy them
 	ex          *ExplainNode // analyze-mode counters; nil otherwise
 
@@ -655,11 +544,12 @@ func (it *pairIter) buildTable() error {
 	if err := it.right.Open(); err != nil {
 		return err
 	}
-	it.idx = make(map[string]int, it.buildCap)
-	if len(it.rKey) == 0 && it.buildCap > 0 {
+	buildCap := int(min(max(it.estBuild, 0), 1<<20))
+	it.idx = make(map[string]int, buildCap)
+	if len(it.rKey) == 0 && buildCap > 0 {
 		// ×: everything lands in one bucket — pre-size it.
 		it.idx[""] = 0
-		it.buckets = [][]pvc.Tuple{make([]pvc.Tuple, 0, it.buildCap)}
+		it.buckets = [][]pvc.Tuple{make([]pvc.Tuple, 0, buildCap)}
 	}
 	rows := 0
 	err := drainRows(it.ctx, it.right, func(r *row) error {
@@ -699,38 +589,11 @@ func (it *pairIter) Next() (pvc.Tuple, bool, error) {
 		for it.bi < len(it.bucket) {
 			rt := it.bucket[it.bi]
 			it.bi++
-			lt := it.cur
-			pass := true
-			for _, a := range it.fused {
-				lc := pairCell(lt, rt, a.l)
-				var rc pvc.Cell
-				if a.rv != nil {
-					rc = *a.rv
-				} else {
-					rc = pairCell(lt, rt, a.r)
-				}
-				if !lc.Satisfies(a.th, rc) {
-					pass = false
-					break
-				}
-			}
-			if !pass {
-				if it.ex != nil {
-					it.ex.FusedRejects++
-				}
-				continue
-			}
-			ann := expr.Simplify(expr.Product(lt.Ann, rt.Ann), it.s)
-			if it.dropZero {
-				if c, isConst := ann.(expr.Const); isConst && c.V == it.s.Zero() {
-					continue
-				}
-			}
-			it.row = append(it.row[:0], lt.Cells...)
+			it.row = append(it.row[:0], it.cur.Cells...)
 			for _, j := range it.rCols {
 				it.row = append(it.row, rt.Cells[j])
 			}
-			return pvc.Tuple{Cells: it.row, Ann: ann}, true, nil
+			return pvc.Tuple{Cells: it.row, Ann: expr.Simplify(expr.Product(it.cur.Ann, rt.Ann), it.s)}, true, nil
 		}
 		lt, ok, err := it.left.Next()
 		if err != nil || !ok {

@@ -126,12 +126,12 @@ func iterPlans() []Plan {
 		groupSum(&Scan{Table: "E"}, "X"),
 		&GroupAgg{Input: scanR(), GroupBy: []string{"a"}, Aggs: []AggSpec{
 			{Out: "N", Agg: algebra.Count}, {Out: "M", Agg: algebra.Max, Over: "b"}}},
-		// σ over a module column (residual, non-fusable).
+		// σ over a module column.
 		&Select{Input: groupSum(scanR(), "X"), Pred: Where(ColTheta("X", value.GE, pvc.IntCell(30)))},
-		// σ over ⋈: fully fused.
+		// σ over ⋈.
 		&Select{Input: &Join{L: scanR(), R: &Scan{Table: "S2"}},
 			Pred: Where(ColTheta("c", value.GE, pvc.IntCell(150)))},
-		// σ over ×: fused column-vs-column comparison across sides.
+		// σ over ×: a column-vs-column comparison across sides.
 		&Select{
 			Input: &Product{L: scanR(), R: &Rename{Input: &Rename{Input: &Scan{Table: "S2"}, From: "a", To: "a2"}, From: "c", To: "c2"}},
 			Pred:  Where(ColThetaCol("a", value.EQ, "a2"), ColTheta("b", value.LE, pvc.IntCell(20))),
@@ -141,7 +141,7 @@ func iterPlans() []Plan {
 			Input: &Product{L: scanR(), R: &Rename{Input: &Rename{Input: &Scan{Table: "S2"}, From: "a", To: "a2"}, From: "c", To: "c2"}},
 			Pred:  Where(ColTheta("b", value.GT, pvc.IntCell(1000))),
 		},
-		// σ over × mixing a fused prefix with a residual module atom.
+		// σ over × mixing a constant comparison with a module atom.
 		&Select{
 			Input: &Product{
 				L: &Rename{Input: groupSum(scanR(), "X"), From: "a", To: "ga"},
@@ -275,7 +275,7 @@ func TestStreamEvalPlanCancelled(t *testing.T) {
 }
 
 // TestStreamRelationNames pins the compositional naming of result
-// relations: a σ fused into its ⋈ still shows in the name.
+// relations: a σ over a ⋈ shows in the name.
 func TestStreamRelationNames(t *testing.T) {
 	db := iterDB()
 	plan := &Select{

@@ -94,9 +94,10 @@ func sameOutcome(t *testing.T, what string, want *pvc.Relation, errW error, got 
 // answer. StreamEvalPlan and EXPLAIN ANALYZE are both held to it, and
 // every node of the analyzed tree to the in-memory run's actual rows
 // (sameActuals); the estimator scans the lender for its statistics on
-// the way. The in-memory reference is not independent of what it
-// guards: in-memory π̂ and ⋈/× lend their own rows through the same keep
-// sites, so a missing copy there corrupts both sides alike.
+// the way. The in-memory run's analyzed tree must have Explain's shape:
+// one node per plan operator. The in-memory reference is not independent
+// of what it guards: in-memory π̂ and ⋈/× lend their own rows through the
+// same keep sites, so a missing copy there corrupts both sides alike.
 // TestLendersAtKeepSites holds those sites to answers written by hand.
 func TestPoisonedLenderDifferential(t *testing.T) {
 	ctx := context.Background()
@@ -120,6 +121,9 @@ func TestPoisonedLenderDifferential(t *testing.T) {
 	for i, plan := range lenderPlans() {
 		want, _, errW := StreamEvalPlan(ctx, db, plan)
 		_, _, wantEx, _ := StreamEvalPlanExplain(ctx, db, plan)
+		if errW == nil && explainShape(Explain(db, plan)) != explainShape(wantEx) {
+			t.Errorf("plan%02d: EXPLAIN draws %s, EXPLAIN ANALYZE %s", i, explainShape(Explain(db, plan)), explainShape(wantEx))
+		}
 		for _, v := range variants {
 			t.Run(fmt.Sprintf("plan%02d/%s", i, v.name), func(t *testing.T) {
 				got, _, errG := StreamEvalPlan(ctx, v.db, plan)
@@ -159,7 +163,7 @@ func sameActuals(t *testing.T, want, got *ExplainNode, exact bool, floor int64) 
 	}
 	below := int64(-1)
 	switch {
-	case got.Op == "σ" && len(got.Children) == 1: // a σ fused into ⋈/× has the pair's two inputs
+	case got.Op == "σ":
 		below = got.ActualRows
 	case got.Op == "δ" || got.Op == "π̂":
 		below = floor

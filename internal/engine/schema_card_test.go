@@ -208,3 +208,35 @@ func TestEstimatorConcurrent(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestEstimateDropsProjectedColumns: a column π or π̂ dropped is no join
+// key above it. Over T(k, v) — 100 rows, 10 distinct k, 100 distinct v —
+// π̂[k](T) ⋈ π̂[k](T) joins on k alone and returns 100·100/10 rows; were
+// v's distinct count still carried, the ⋈ would divide by it too.
+func TestEstimateDropsProjectedColumns(t *testing.T) {
+	db := pvc.NewDatabase(algebra.Boolean)
+	tbl := pvc.NewRelation("T", pvc.Schema{{Name: "k", Type: pvc.TValue}, {Name: "v", Type: pvc.TValue}})
+	for i := range int64(100) {
+		if _, err := db.InsertIndependent(tbl, 0.5, pvc.IntCell(i%10), pvc.IntCell(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	db.Add(tbl)
+	scan := &Scan{Table: "T"}
+	pruned := &Join{L: &Prune{Input: scan, Cols: []string{"k"}}, R: &Prune{Input: scan, Cols: []string{"k"}}}
+	rel, err := eval(db, pruned)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := EstimateCardinality(pruned, db); got != 1000 || rel.Len() != 1000 {
+		t.Errorf("π̂[k](T) ⋈ π̂[k](T): estimate %v, actual %d, want 1000 both", got, rel.Len())
+	}
+	// π collapses T to its 10 keys, and the ⋈ of two such sets is 10.
+	projected := &Join{L: &Project{Input: scan, Cols: []string{"k"}}, R: &Project{Input: scan, Cols: []string{"k"}}}
+	if got := EstimateCardinality(projected, db); got != 10 {
+		t.Errorf("π[k](T) ⋈ π[k](T): estimate %v, want 10", got)
+	}
+	if d := Estimate(&Prune{Input: scan, Cols: []string{"k"}}, db).Distinct; len(d) != 1 || d["k"] != 10 {
+		t.Errorf("π̂[k](T) distinct counts %v, want only k: 10", d)
+	}
+}

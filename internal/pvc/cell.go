@@ -156,7 +156,7 @@ func (c Cell) Compare(o Cell) int {
 
 // Satisfies reports whether c θ o holds under Compare's total order. It
 // is the one evaluation of a σ atom over two constant cells: the
-// engine's σ and fused ⋈ predicates, the store's zone-map test and its
+// engine's σ, the store's zone-map test and its
 // in-scan row filter all call it (the filter reads two values' Cmp off
 // its vector, which is Compare on value cells), so a pushed-down hint
 // can never disagree with the σ that re-checks it or that it discharges.

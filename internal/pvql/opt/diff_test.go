@@ -2,12 +2,14 @@ package opt_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
 
 	"pvcagg/internal/algebra"
+	"pvcagg/internal/compile"
 	"pvcagg/internal/engine"
 	"pvcagg/internal/pvc"
 	"pvcagg/internal/pvc/pvctest"
@@ -206,6 +208,46 @@ func compareBitForBit(t *testing.T, ctx context.Context, db *pvc.Database, src s
 			}
 		}
 	}
+}
+
+// fuzzNodes is FuzzOptimize's d-tree budget per compilation: a text
+// whose naive answer needs more is skipped, not compared.
+const fuzzNodes = 20000
+
+// FuzzOptimize extends the differential beyond its fixed seeds: any PVQL
+// text that parses and binds over one fixed diffDB is lowered naively,
+// optimized, and optimized twice, and all three are held to each other
+// bit for bit. It guards the column-needs rule that fusion and pruning
+// both recurse through. A text whose naive lowering fails in step I, or
+// whose exact compilation exceeds fuzzNodes, is skipped. The corpus is
+// seeded with one instance of each template.
+func FuzzOptimize(f *testing.F) {
+	for tmpl := 0; tmpl < queryTemplates; tmpl++ {
+		f.Add(templateQuery(rand.New(rand.NewSource(int64(tmpl))), tmpl))
+	}
+	db := diffDB(rand.New(rand.NewSource(1)), diffRows)
+	ctx := context.Background()
+	f.Fuzz(func(t *testing.T, src string) {
+		q, err := pvql.Parse(src)
+		if err != nil {
+			t.Skip()
+		}
+		naive, err := bind.Bind(db, q)
+		if err != nil {
+			t.Skip()
+		}
+		rel, _, err := engine.StreamEvalPlan(ctx, db, naive)
+		if err != nil {
+			t.Skip()
+		}
+		cfg := engine.ExecConfig{Parallelism: 1, Compile: compile.Options{MaxNodes: fuzzNodes}}
+		if _, err := engine.Outcomes(ctx, db, rel, cfg); errors.Is(err, compile.ErrNodeBudget) {
+			t.Skip()
+		}
+		optimized := opt.Optimize(naive, db)
+		compareBitForBit(t, ctx, db, src, 0, naive, optimized)
+		compareBitForBit(t, ctx, db, src, 0, naive, opt.Optimize(optimized, db))
+	})
 }
 
 // TestOptimizerCommutes holds step I to the paper's semantics on what the

@@ -28,6 +28,10 @@
 //     order; joins whose build side stays under BuildSideThreshold rows
 //     are left alone.
 //
+// Passes 2 and 4 carry the columns live above each node down the tree
+// through one rule, needs, which says per operator what it reads from
+// each input; each pass adds only the cases it rewrites.
+//
 // Every rewrite preserves the result relation — tuples, annotations and
 // aggregation expressions — exactly, with two documented exceptions that
 // preserve probabilities but may reassociate annotation expressions:
@@ -40,6 +44,7 @@
 package opt
 
 import (
+	"maps"
 	"slices"
 
 	"pvcagg/internal/engine"
@@ -66,9 +71,7 @@ func Optimize(p engine.Plan, db *pvc.Database) engine.Plan {
 
 func nameSet(names []string) map[string]bool {
 	s := make(map[string]bool, len(names))
-	for _, n := range names {
-		s[n] = true
-	}
+	setAll(s, names...)
 	return s
 }
 
@@ -219,68 +222,12 @@ func fuse(p engine.Plan, db *pvc.Database, live map[string]bool) engine.Plan {
 	if sel, ok := p.(*engine.Select); ok {
 		p = fuseSelect(sel, db, live)
 	}
-	switch n := p.(type) {
-	case *engine.Select:
-		childLive := copySet(live)
-		for _, a := range n.Pred.Atoms {
-			for _, c := range atomCols(a) {
-				childLive[c] = true
-			}
-		}
-		return &engine.Select{Input: fuse(n.Input, db, childLive), Pred: n.Pred}
-	case *engine.Rename:
-		childLive := copySet(live)
-		if childLive[n.To] {
-			delete(childLive, n.To)
-			childLive[n.From] = true
-		}
-		return &engine.Rename{Input: fuse(n.Input, db, childLive), From: n.From, To: n.To}
-	case *engine.Project:
-		return &engine.Project{Input: fuse(n.Input, db, nameSet(n.Cols)), Cols: n.Cols}
-	case *engine.Prune:
-		return &engine.Prune{Input: fuse(n.Input, db, nameSet(n.Cols)), Cols: n.Cols}
-	case *engine.Product:
-		l2, r2, ok := fuseSides(n.L, n.R, db, live)
-		if !ok {
-			return p
-		}
-		return &engine.Product{L: l2, R: r2}
-	case *engine.Join:
-		l2, r2, ok := fuseSides(n.L, n.R, db, live)
-		if !ok {
-			return p
-		}
-		return &engine.Join{L: l2, R: r2}
-	case *engine.Union:
-		ls, err := engine.InferSchema(n.L, db)
-		if err != nil {
-			return p
-		}
-		all := nameSet(ls.Names())
-		return &engine.Union{L: fuse(n.L, db, all), R: fuse(n.R, db, all)}
-	case *engine.GroupAgg:
-		childLive := nameSet(n.GroupBy)
-		for _, a := range n.Aggs {
-			if a.Over != "" {
-				childLive[a.Over] = true
-			}
-		}
-		return &engine.GroupAgg{Input: fuse(n.Input, db, childLive), GroupBy: n.GroupBy, Aggs: n.Aggs}
-	default:
+	in := [2]map[string]bool{{}, {}}
+	if !needs(p, db, live, in) {
 		return p
 	}
-}
-
-// fuseSides recurses fusion into both sides of a join or product with
-// the join keys forced live.
-func fuseSides(l, r engine.Plan, db *pvc.Database, live map[string]bool) (engine.Plan, engine.Plan, bool) {
-	ls, errL := engine.InferSchema(l, db)
-	rs, errR := engine.InferSchema(r, db)
-	if errL != nil || errR != nil {
-		return nil, nil, false
-	}
-	keys := sharedCols(ls, rs)
-	return fuse(l, db, sideLive(live, ls, keys)), fuse(r, db, sideLive(live, rs, keys)), true
+	i := -1
+	return engine.MapChildren(p, func(c engine.Plan) engine.Plan { i++; return fuse(c, db, in[i]) })
 }
 
 // fuseSelect turns σ[… x=y …](L × R) into σ[…](L ⋈ δ[x←y](R)) when x and
@@ -526,67 +473,6 @@ func prunePass(p engine.Plan, db *pvc.Database, live map[string]bool) engine.Pla
 			keep = []string{schema[0].Name}
 		}
 		return &engine.Prune{Input: p, Cols: keep}
-	case *engine.Rename:
-		if !live[n.To] {
-			// The renamed column is dead: recurse without keeping From
-			// alive, hoping the child prunes it. Only drop the δ node when
-			// From actually disappeared — if the child had to keep it
-			// (e.g. under a ∪), dropping the rename would re-expose From
-			// and silently widen the key set of a natural join above.
-			childLive := copySet(live)
-			delete(childLive, n.To)
-			child := prunePass(n.Input, db, childLive)
-			if s, err := engine.InferSchema(child, db); err == nil && s.Index(n.From) < 0 {
-				return child
-			}
-			return &engine.Rename{Input: child, From: n.From, To: n.To}
-		}
-		childLive := copySet(live)
-		delete(childLive, n.To)
-		childLive[n.From] = true
-		return &engine.Rename{Input: prunePass(n.Input, db, childLive), From: n.From, To: n.To}
-	case *engine.Select:
-		childLive := copySet(live)
-		for _, a := range n.Pred.Atoms {
-			for _, c := range atomCols(a) {
-				childLive[c] = true
-			}
-		}
-		return &engine.Select{Input: prunePass(n.Input, db, childLive), Pred: n.Pred}
-	case *engine.Project:
-		return &engine.Project{Input: prunePass(n.Input, db, nameSet(n.Cols)), Cols: n.Cols}
-	case *engine.Prune:
-		return &engine.Prune{Input: prunePass(n.Input, db, nameSet(n.Cols)), Cols: n.Cols}
-	case *engine.Product:
-		ls, errL := engine.InferSchema(n.L, db)
-		rs, errR := engine.InferSchema(n.R, db)
-		if errL != nil || errR != nil {
-			return p
-		}
-		return &engine.Product{
-			L: prunePass(n.L, db, sideLive(live, ls, nil)),
-			R: prunePass(n.R, db, sideLive(live, rs, nil)),
-		}
-	case *engine.Join:
-		ls, errL := engine.InferSchema(n.L, db)
-		rs, errR := engine.InferSchema(n.R, db)
-		if errL != nil || errR != nil {
-			return p
-		}
-		keys := sharedCols(ls, rs)
-		return &engine.Join{
-			L: prunePass(n.L, db, sideLive(live, ls, keys)),
-			R: prunePass(n.R, db, sideLive(live, rs, keys)),
-		}
-	case *engine.Union:
-		// Pruning below ∪ could collapse tuples that differ only in a
-		// pruned column, changing the summed annotations — blocked.
-		ls, err := engine.InferSchema(n.L, db)
-		if err != nil {
-			return p
-		}
-		all := nameSet(ls.Names())
-		return &engine.Union{L: prunePass(n.L, db, all), R: prunePass(n.R, db, all)}
 	case *engine.GroupAgg:
 		kept := make([]engine.AggSpec, 0, len(n.Aggs))
 		for _, a := range n.Aggs {
@@ -597,16 +483,91 @@ func prunePass(p engine.Plan, db *pvc.Database, live map[string]bool) engine.Pla
 		if len(kept) == 0 && len(n.GroupBy) == 0 && len(n.Aggs) > 0 {
 			kept = n.Aggs[:1] // keep the relation non-empty-schema'd
 		}
-		childLive := nameSet(n.GroupBy)
-		for _, a := range kept {
-			if a.Over != "" {
-				childLive[a.Over] = true
-			}
-		}
-		return &engine.GroupAgg{Input: prunePass(n.Input, db, childLive), GroupBy: n.GroupBy, Aggs: kept}
-	default:
+		p = &engine.GroupAgg{Input: n.Input, GroupBy: n.GroupBy, Aggs: kept}
+	}
+	in := [2]map[string]bool{{}, {}}
+	if !needs(p, db, live, in) {
 		return p
 	}
+	i := -1
+	out := engine.MapChildren(p, func(c engine.Plan) engine.Plan { i++; return prunePass(c, db, in[i]) })
+	if r, ok := out.(*engine.Rename); ok && !live[r.To] {
+		// The renamed column is dead, so needs did not keep From alive.
+		// Drop the δ node only when From actually disappeared — if the
+		// child had to keep it (e.g. under a ∪), dropping the rename would
+		// re-expose From and silently widen the key set of a natural join
+		// above.
+		if s, err := engine.InferSchema(r.Input, db); err == nil && s.Index(r.From) < 0 {
+			return r.Input
+		}
+	}
+	return out
+}
+
+// ---------------------------------------------------------------------
+// The column-needs rule fusion and pruning share.
+
+// needs writes into in, for each input of p in Children order, the
+// columns p reads from it given the live columns of its output: σ adds
+// its atoms' columns, δ maps To back to From, π and π̂ need their
+// columns, $ its group-by and Over columns, ∪ every column, and ⋈ and ×
+// each side's live columns plus the join keys. It reports false for a
+// Scan and for inputs whose schemas do not infer. The passes make the
+// sets and recurse by name, which keeps the sets off the heap.
+func needs(p engine.Plan, db *pvc.Database, live map[string]bool, in [2]map[string]bool) bool {
+	switch n := p.(type) {
+	case *engine.Select:
+		maps.Copy(in[0], live)
+		for _, a := range n.Pred.Atoms {
+			setAll(in[0], atomCols(a)...)
+		}
+	case *engine.Rename:
+		maps.Copy(in[0], live)
+		if live[n.To] {
+			delete(in[0], n.To)
+			in[0][n.From] = true
+		}
+	case *engine.Project:
+		setAll(in[0], n.Cols...)
+	case *engine.Prune:
+		setAll(in[0], n.Cols...)
+	case *engine.GroupAgg:
+		setAll(in[0], n.GroupBy...)
+		for _, a := range n.Aggs {
+			if a.Over != "" {
+				in[0][a.Over] = true
+			}
+		}
+	case *engine.Union:
+		ls, err := engine.InferSchema(n.L, db)
+		if err != nil {
+			return false
+		}
+		// Narrowing a ∪ could collapse tuples that differ only in a dropped
+		// column, changing the summed annotations: both inputs stay whole.
+		for _, c := range ls {
+			in[0][c.Name], in[1][c.Name] = true, true
+		}
+	case *engine.Join, *engine.Product:
+		kids := engine.Children(p)
+		ls, errL := engine.InferSchema(kids[0], db)
+		rs, errR := engine.InferSchema(kids[1], db)
+		if errL != nil || errR != nil {
+			return false
+		}
+		keys := sharedCols(ls, rs) // none under a valid ×
+		for i, side := range [2]pvc.Schema{ls, rs} {
+			for _, c := range side {
+				if live[c.Name] {
+					in[i][c.Name] = true
+				}
+			}
+			setAll(in[i], keys...)
+		}
+	default:
+		return false
+	}
+	return true
 }
 
 // ---------------------------------------------------------------------
@@ -629,27 +590,8 @@ func sharedCols(a, b pvc.Schema) []string {
 	return out
 }
 
-// sideLive restricts a live set to one side of a join/product, forcing
-// the join keys live.
-func sideLive(live map[string]bool, side pvc.Schema, keys []string) map[string]bool {
-	out := make(map[string]bool, len(live)+len(keys))
-	for _, c := range side {
-		if live[c.Name] {
-			out[c.Name] = true
-		}
+func setAll(s map[string]bool, names ...string) {
+	for _, n := range names {
+		s[n] = true
 	}
-	for _, k := range keys {
-		out[k] = true
-	}
-	return out
-}
-
-func copySet(s map[string]bool) map[string]bool {
-	out := make(map[string]bool, len(s))
-	for k, v := range s {
-		if v {
-			out[k] = true
-		}
-	}
-	return out
 }

@@ -86,8 +86,7 @@
 // Step I — evaluating the plan into the annotated answer relation — is
 // a pull-iterator pipeline. Scans are lazy, selections/renames/prunes
 // pipeline tuple-at-a-time, joins and products hash only their build
-// side (pre-sized from the cardinality estimator), filters over joins
-// fuse into the pair iterator so rejected pairs never allocate, and the
+// side (pre-sized from the cardinality estimator), and the
 // duplicate-eliminating operators group incrementally. It is held to the
 // paper's semantics world by world: for every valuation ν of the input's
 // variables, evaluating the result's annotations and aggregates under ν
