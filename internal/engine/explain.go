@@ -1,10 +1,10 @@
 package engine
 
 // EXPLAIN / EXPLAIN ANALYZE support: the optimized plan tree annotated
-// with estimated vs. actual per-operator cardinalities. ANALYZE wraps
-// each operator iterator in a counting decorator, so the counts are
-// those of the operators the query ran. ActualRows is -1 on
-// estimate-only (EXPLAIN without ANALYZE) trees.
+// with each operator's proved row bound (RowBound) and, under ANALYZE,
+// its actual rows. ANALYZE wraps each operator iterator in a counting
+// decorator, so the counts are those of the operators the query ran.
+// ActualRows is -1 on unexecuted (EXPLAIN without ANALYZE) trees.
 
 import (
 	"context"
@@ -20,20 +20,18 @@ import (
 // ActualRows counts the tuples the operator emitted (-1 when the plan
 // was not executed); Time is the operator's cumulative wall time
 // including its children (streaming operators pull through each other,
-// so exclusive times are not well defined). BuildRows/EstBuildRows
-// compare a ⋈/× build-side materialization against the Estimator's
-// prediction for it.
+// so exclusive times are not well defined). BuildRows counts the rows
+// a ⋈/× materialized as its build side.
 type ExplainNode struct {
-	Op           string         `json:"op"`
-	Name         string         `json:"name,omitempty"`
-	EstRows      float64        `json:"est_rows"`
-	ActualRows   int64          `json:"actual_rows"`
-	NextCalls    int64          `json:"next_calls,omitempty"`
-	BuildRows    int64          `json:"build_rows,omitempty"`
-	EstBuildRows float64        `json:"est_build_rows,omitempty"`
-	Time         time.Duration  `json:"-"`
-	TimeUS       int64          `json:"time_us"`
-	Children     []*ExplainNode `json:"children,omitempty"`
+	Op         string         `json:"op"`
+	Name       string         `json:"name,omitempty"`
+	RowsBound  int64          `json:"rows_bound"`
+	ActualRows int64          `json:"actual_rows"`
+	NextCalls  int64          `json:"next_calls,omitempty"`
+	BuildRows  int64          `json:"build_rows,omitempty"`
+	Time       time.Duration  `json:"-"`
+	TimeUS     int64          `json:"time_us"`
+	Children   []*ExplainNode `json:"children,omitempty"`
 }
 
 // finalize stamps the JSON-visible microsecond times from the
@@ -56,7 +54,7 @@ func (n *ExplainNode) label() string {
 }
 
 // Render returns an indented text rendering of the explain tree, one
-// operator per line with estimated and (when analyzed) actual rows.
+// operator per line with its row bound and (when analyzed) actual rows.
 func (n *ExplainNode) Render() string {
 	var b []byte
 	b = n.render(b, 0)
@@ -71,19 +69,17 @@ func (n *ExplainNode) render(b []byte, depth int) []byte {
 		b = append(b, "  "...)
 	}
 	b = append(b, n.label()...)
-	b = append(b, "  est="...)
-	b = strconv.AppendFloat(b, n.EstRows, 'f', -1, 64)
+	b = append(b, "  rows≤"...)
+	b = strconv.AppendInt(b, n.RowsBound, 10)
 	if n.ActualRows >= 0 {
 		b = append(b, " actual="...)
 		b = strconv.AppendInt(b, n.ActualRows, 10)
 		b = append(b, " time="...)
 		b = append(b, time.Duration(n.TimeUS*int64(time.Microsecond)).String()...)
 	}
-	if n.BuildRows > 0 || n.EstBuildRows > 0 {
+	if n.BuildRows > 0 {
 		b = append(b, " build="...)
 		b = strconv.AppendInt(b, n.BuildRows, 10)
-		b = append(b, " est_build="...)
-		b = strconv.AppendFloat(b, n.EstBuildRows, 'f', -1, 64)
 	}
 	b = append(b, '\n')
 	for _, c := range n.Children {
@@ -118,19 +114,15 @@ func opName(p Plan) string {
 	return fmt.Sprintf("%T", p)
 }
 
-// Explain returns the estimate-only explain tree for a plan without
-// executing it: per-operator Estimator cardinalities, ActualRows = -1.
-func Explain(db *pvc.Database, plan Plan) *ExplainNode {
-	return explainEst(NewEstimator(db), plan)
-}
-
-func explainEst(est *Estimator, p Plan) *ExplainNode {
-	n := &ExplainNode{Op: opName(p), EstRows: est.Estimate(p).Rows, ActualRows: -1}
+// Explain returns the explain tree for a plan without executing it:
+// per-operator row bounds, ActualRows = -1.
+func Explain(db *pvc.Database, p Plan) *ExplainNode {
+	n := &ExplainNode{Op: opName(p), RowsBound: RowBound(p, db), ActualRows: -1}
 	if s, ok := p.(*Scan); ok {
 		n.Name = s.Table
 	}
 	for _, k := range Children(p) {
-		n.Children = append(n.Children, explainEst(est, k))
+		n.Children = append(n.Children, Explain(db, k))
 	}
 	return n
 }

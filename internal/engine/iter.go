@@ -9,9 +9,9 @@ package engine
 //     is renamed at build time);
 //   - σ and π̂ are fully pipelined;
 //   - ⋈ and × share one hash-based pairIter that materializes only its
-//     build (right) side, pre-sized by the Estimator's cardinality
-//     estimate — the build side itself is chosen by the optimizer's
-//     physical pass, which commutes the smaller input to the right;
+//     build (right) side, grown as its rows arrive — the build side
+//     itself is chosen by the optimizer's physical pass, which commutes
+//     the input with the smaller row bound to the right;
 //   - π, ∪ and $ are sinks that group incrementally, retaining a copy of
 //     one representative's group cells and the annotation expressions
 //     per group instead of buffering their whole input; π and ∪ share
@@ -198,14 +198,11 @@ func drainRows(ctx context.Context, in Iterator, body func(*row) error) error {
 
 // iterBuilder compiles a Plan into an Iterator tree. Schema resolution
 // and static checks (shapeOf) happen here, once per plan — which is why
-// an unknown column is an error even over empty inputs. The Estimator is
-// created lazily on the first ⋈/× so plans without pair operators never
-// pay for table statistics.
+// an unknown column is an error even over empty inputs.
 type iterBuilder struct {
 	ctx context.Context
 	db  *pvc.Database
 	s   algebra.Semiring
-	est *Estimator
 
 	// analyze wraps every operator iterator in a counting decorator and
 	// collects the EXPLAIN ANALYZE tree; exKids accumulates the explain
@@ -216,13 +213,6 @@ type iterBuilder struct {
 
 func newIterBuilder(ctx context.Context, db *pvc.Database) *iterBuilder {
 	return &iterBuilder{ctx: ctx, db: db, s: db.Semiring()}
-}
-
-func (b *iterBuilder) estimator() *Estimator {
-	if b.est == nil {
-		b.est = NewEstimator(b.db)
-	}
-	return b.est
 }
 
 // build returns the iterator together with the output schema and the
@@ -243,10 +233,9 @@ func (b *iterBuilder) build(p Plan) (Iterator, pvc.Schema, string, error) {
 	if err != nil {
 		return nil, nil, "", err
 	}
-	node := &ExplainNode{Op: opName(p), Name: name, EstRows: b.estimator().Estimate(p).Rows, Children: kids}
+	node := &ExplainNode{Op: opName(p), Name: name, RowsBound: RowBound(p, b.db), Children: kids}
 	if pi, ok := it.(*pairIter); ok {
 		pi.ex = node
-		node.EstBuildRows = pi.estBuild
 	}
 	b.exKids = append(b.exKids, node)
 	return &countingIter{in: it, n: node}, schema, name, nil
@@ -293,7 +282,6 @@ func (b *iterBuilder) buildNode(p Plan) (Iterator, pvc.Schema, string, error) {
 		it := &pairIter{
 			ctx: b.ctx, s: b.s, left: in[0], right: in[1],
 			lKey: sh.lKey, rKey: sh.rKey, rCols: sh.rCols,
-			estBuild:  b.estimator().Estimate(Children(p)[1]).Rows,
 			rightLent: lendsCells(in[1]), row: make([]pvc.Cell, 0, len(sh.schema)),
 		}
 		return it, sh.schema, name, nil
@@ -512,17 +500,16 @@ func (it *pruneIter) Next() (pvc.Tuple, bool, error) {
 func (it *pruneIter) Close() error { return it.child.Close() }
 
 // pairIter is the shared hash-based ⋈/× iterator: the right child is the
-// build side (materialized into a hash table pre-sized by the Estimator,
-// then closed), the left child is probed lazily in order, so emission is
-// left-major, as a nested loop's would be. A × is a ⋈ with no key
-// columns: every tuple hashes to the single empty-key bucket.
+// build side (materialized into a hash table that grows as its rows
+// arrive, then closed), the left child is probed lazily in order, so
+// emission is left-major, as a nested loop's would be. A × is a ⋈ with
+// no key columns: every tuple hashes to the single empty-key bucket.
 type pairIter struct {
 	ctx         context.Context
 	s           algebra.Semiring
 	left, right Iterator
 	lKey, rKey  []int
 	rCols       []int
-	estBuild    float64      // Estimator's build-side row prediction, which pre-sizes the table
 	rightLent   bool         // the build input lends its cells: copy them
 	ex          *ExplainNode // analyze-mode counters; nil otherwise
 
@@ -544,13 +531,7 @@ func (it *pairIter) buildTable() error {
 	if err := it.right.Open(); err != nil {
 		return err
 	}
-	buildCap := int(min(max(it.estBuild, 0), 1<<20))
-	it.idx = make(map[string]int, buildCap)
-	if len(it.rKey) == 0 && buildCap > 0 {
-		// ×: everything lands in one bucket — pre-size it.
-		it.idx[""] = 0
-		it.buckets = [][]pvc.Tuple{make([]pvc.Tuple, 0, buildCap)}
-	}
+	it.idx = map[string]int{}
 	rows := 0
 	err := drainRows(it.ctx, it.right, func(r *row) error {
 		it.key = r.appendKey(it.key[:0], it.rKey)
@@ -580,9 +561,9 @@ func (it *pairIter) Next() (pvc.Tuple, bool, error) {
 			return pvc.Tuple{}, false, err
 		}
 	}
-	if len(it.buckets) == 0 || len(it.buckets[0]) == 0 {
-		// The build side kept no row (×'s pre-made "" bucket is empty):
-		// no pair exists, so the left input is never pulled.
+	if len(it.buckets) == 0 {
+		// The build side kept no row: no pair exists, so the left input
+		// is never pulled.
 		return pvc.Tuple{}, false, nil
 	}
 	for {

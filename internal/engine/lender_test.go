@@ -93,8 +93,7 @@ func sameOutcome(t *testing.T, what string, want *pvc.Relation, errW error, got 
 // which ignore the hints, so every σ stays and must still give the same
 // answer. StreamEvalPlan and EXPLAIN ANALYZE are both held to it, and
 // every node of the analyzed tree to the in-memory run's actual rows
-// (sameActuals); the estimator scans the lender for its statistics on
-// the way. The in-memory run's analyzed tree must have Explain's shape:
+// (sameActuals). The in-memory run's analyzed tree must have Explain's shape:
 // one node per plan operator. The in-memory reference is not independent
 // of what it guards: in-memory π̂ and ⋈/× lend their own rows through the
 // same keep sites, so a missing copy there corrupts both sides alike.

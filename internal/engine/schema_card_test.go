@@ -2,13 +2,14 @@ package engine
 
 import (
 	"fmt"
+	"math"
 	"strings"
-	"sync"
 	"testing"
 
 	"pvcagg/internal/algebra"
 	"pvcagg/internal/expr"
 	"pvcagg/internal/pvc"
+	"pvcagg/internal/pvc/pvctest"
 	"pvcagg/internal/value"
 )
 
@@ -142,101 +143,50 @@ func TestInferSchemaMatchesEval(t *testing.T) {
 	}
 }
 
-func TestEstimateCardinality(t *testing.T) {
+// TestRowBound holds each operator's bound to its rule, over in-memory
+// relations and over providers, and a product too wide for int64 to the
+// saturated bound.
+func TestRowBound(t *testing.T) {
 	db := schemaCardDB(t)
-	if got := EstimateCardinality(&Scan{Table: "R"}, db); got != 4 {
-		t.Fatalf("scan estimate = %v, want 4", got)
+	r, tt := &Scan{Table: "R"}, &Scan{Table: "T"}
+	count := []AggSpec{{Out: "X", Agg: algebra.Count}}
+	cases := []struct {
+		p    Plan
+		want int64
+	}{
+		{r, 4},
+		{&Scan{Table: "nosuch"}, 0},
+		{&Rename{Input: r, From: "b", To: "z"}, 4},
+		{&Select{Input: r, Pred: Where(ColTheta("a", value.EQ, pvc.IntCell(1)))}, 4},
+		{&Project{Input: r, Cols: []string{"a"}}, 4},
+		{&Prune{Input: r, Cols: []string{"a"}}, 4},
+		{&Join{L: r, R: tt}, 8},
+		{&Product{L: r, R: &Prune{Input: tt, Cols: []string{"c"}}}, 8},
+		{&Union{L: r, R: r}, 8},
+		{&GroupAgg{Input: r, GroupBy: []string{"a"}, Aggs: count}, 4},
+		{&GroupAgg{Input: r, Aggs: count}, 1},
 	}
-	// R ⋈ T on a: 4·2 / max(2, 2) = 4.
-	if got := EstimateCardinality(&Join{L: &Scan{Table: "R"}, R: &Scan{Table: "T"}}, db); got != 4 {
-		t.Fatalf("join estimate = %v, want 4", got)
-	}
-	// Equality selection divides by the distinct count of a (2).
-	sel := &Select{Input: &Scan{Table: "R"}, Pred: Where(ColTheta("a", value.EQ, pvc.IntCell(1)))}
-	if got := EstimateCardinality(sel, db); got != 2 {
-		t.Fatalf("eq-select estimate = %v, want 2", got)
-	}
-	// Grouping caps at the distinct group keys.
-	ga := &GroupAgg{Input: &Scan{Table: "R"}, GroupBy: []string{"a"}, Aggs: []AggSpec{{Out: "X", Agg: algebra.Count}}}
-	if got := EstimateCardinality(ga, db); got != 2 {
-		t.Fatalf("group estimate = %v, want 2", got)
-	}
-	// Prune is size-transparent.
-	if got := EstimateCardinality(&Prune{Input: &Scan{Table: "R"}, Cols: []string{"a"}}, db); got != 4 {
-		t.Fatalf("π̂ estimate = %v, want 4", got)
-	}
-}
-
-// TestEstimatorConcurrent: one Estimator serves 8 goroutines estimating
-// the same plans against one database — the query service's shape, where
-// cached plans are re-estimated concurrently. Run under -race in CI; the
-// assertions additionally pin that every goroutine sees the same
-// (memoised) statistics.
-func TestEstimatorConcurrent(t *testing.T) {
-	db := schemaCardDB(t)
-	est := NewEstimator(db)
-	plans := []Plan{
-		&Scan{Table: "R"},
-		&Join{L: &Scan{Table: "R"}, R: &Scan{Table: "T"}},
-		&GroupAgg{Input: &Scan{Table: "R"}, GroupBy: []string{"a"}, Aggs: []AggSpec{{Out: "X", Agg: algebra.Count}}},
-		&Select{Input: &Scan{Table: "T"}, Pred: Where(ColTheta("a", value.LE, pvc.IntCell(5)))},
-	}
-	want := make([]float64, len(plans))
-	for i, p := range plans {
-		want[i] = NewEstimator(db).Estimate(p).Rows
-	}
-	const goroutines = 8
-	var wg sync.WaitGroup
-	errs := make(chan error, goroutines)
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for round := 0; round < 50; round++ {
-				for i, p := range plans {
-					if got := est.Estimate(p).Rows; got != want[i] {
-						errs <- fmt.Errorf("plan %d: rows %v, want %v", i, got, want[i])
-						return
-					}
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Error(err)
-	}
-}
-
-// TestEstimateDropsProjectedColumns: a column π or π̂ dropped is no join
-// key above it. Over T(k, v) — 100 rows, 10 distinct k, 100 distinct v —
-// π̂[k](T) ⋈ π̂[k](T) joins on k alone and returns 100·100/10 rows; were
-// v's distinct count still carried, the ⋈ would divide by it too.
-func TestEstimateDropsProjectedColumns(t *testing.T) {
-	db := pvc.NewDatabase(algebra.Boolean)
-	tbl := pvc.NewRelation("T", pvc.Schema{{Name: "k", Type: pvc.TValue}, {Name: "v", Type: pvc.TValue}})
-	for i := range int64(100) {
-		if _, err := db.InsertIndependent(tbl, 0.5, pvc.IntCell(i%10), pvc.IntCell(i)); err != nil {
-			t.Fatal(err)
+	for _, c := range cases {
+		if got := RowBound(c.p, db); got != c.want {
+			t.Errorf("RowBound(%s) = %d, want %d", c.p, got, c.want)
+		}
+		if got := RowBound(c.p, pvctest.LendingDatabase(db)); got != c.want {
+			t.Errorf("RowBound(%s) over providers = %d, want %d", c.p, got, c.want)
 		}
 	}
-	db.Add(tbl)
-	scan := &Scan{Table: "T"}
-	pruned := &Join{L: &Prune{Input: scan, Cols: []string{"k"}}, R: &Prune{Input: scan, Cols: []string{"k"}}}
-	rel, err := eval(db, pruned)
-	if err != nil {
+	// 4³² = 2⁶⁴ rows: the product saturates, and so does a ∪ over it.
+	ra := &Prune{Input: r, Cols: []string{"a"}}
+	wide := Plan(ra)
+	for i := 0; i < 31; i++ {
+		wide = &Product{L: wide, R: &Rename{Input: ra, From: "a", To: fmt.Sprintf("a%d", i)}}
+	}
+	if _, err := InferSchema(wide, db); err != nil {
 		t.Fatal(err)
 	}
-	if got := EstimateCardinality(pruned, db); got != 1000 || rel.Len() != 1000 {
-		t.Errorf("π̂[k](T) ⋈ π̂[k](T): estimate %v, actual %d, want 1000 both", got, rel.Len())
+	if got := RowBound(wide, db); got != math.MaxInt64 {
+		t.Errorf("RowBound(R×…×R, 32 factors) = %d, want %d", got, int64(math.MaxInt64))
 	}
-	// π collapses T to its 10 keys, and the ⋈ of two such sets is 10.
-	projected := &Join{L: &Project{Input: scan, Cols: []string{"k"}}, R: &Project{Input: scan, Cols: []string{"k"}}}
-	if got := EstimateCardinality(projected, db); got != 10 {
-		t.Errorf("π[k](T) ⋈ π[k](T): estimate %v, want 10", got)
-	}
-	if d := Estimate(&Prune{Input: scan, Cols: []string{"k"}}, db).Distinct; len(d) != 1 || d["k"] != 10 {
-		t.Errorf("π̂[k](T) distinct counts %v, want only k: 10", d)
+	if got := RowBound(&Union{L: wide, R: wide}, db); got != math.MaxInt64 {
+		t.Errorf("RowBound(wide ∪ wide) = %d, want %d", got, int64(math.MaxInt64))
 	}
 }

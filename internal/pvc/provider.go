@@ -120,6 +120,9 @@ type TableProvider interface {
 	TableName() string
 	// Schema returns the table's schema. Callers must not mutate it.
 	Schema() Schema
+	// Rows returns the table's row count: what a scan without hints or
+	// DropZero returns, and so a bound on the rows of any scan.
+	Rows() int64
 	// NewScan starts a scan. The context bounds the whole scan, not just
 	// the call; implementations should check it between storage units.
 	// The tuples it returns may have lent Cells (see TupleIter).
@@ -132,19 +135,6 @@ type TableProvider interface {
 // false states nothing: the σ above the scan stays.
 type ExactScanner interface {
 	ExactHints(hints []ScanHint) bool
-}
-
-// TableStats are persisted base-table statistics a provider can serve
-// without scanning.
-type TableStats struct {
-	Rows     float64
-	Distinct map[string]float64 // per column name; module columns absent
-}
-
-// StatsProvider is optionally implemented by a TableProvider whose
-// backend persists table statistics. ok=false falls back to a full scan.
-type StatsProvider interface {
-	TableStats() (TableStats, bool)
 }
 
 // AddProvider registers a provider-backed table (replacing any previous

@@ -30,7 +30,7 @@ const batchRows = 3
 // batchRows stored rows each. An exact lender drops the rows that fail
 // a hint, and under DropZero those annotated with the constant 0S, and
 // states so (pvc.ExactScanner); an inexact one returns every row and
-// states nothing. It serves no statistics, so the estimator scans it too.
+// states nothing.
 type Lender struct {
 	rel   *pvc.Relation
 	exact bool
@@ -74,6 +74,7 @@ func lendingDatabase(db *pvc.Database, exact bool, names []string) *pvc.Database
 
 func (l Lender) TableName() string  { return l.rel.Name }
 func (l Lender) Schema() pvc.Schema { return l.rel.Schema }
+func (l Lender) Rows() int64        { return int64(l.rel.Len()) }
 
 // ExactHints implements pvc.ExactScanner: an exact lender evaluates
 // every hint.

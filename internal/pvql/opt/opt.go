@@ -13,20 +13,23 @@
 //     cross product (or an existing join) becomes a natural join after
 //     δ-renaming y to x, when y is dead above and unreferenced by the
 //     remaining atoms.
-//  3. greedy join reordering — maximal natural-join trees re-associate
-//     left-deep by estimated cardinality (engine.Estimate), taking a
-//     reordering only when it strictly improves the estimated total
-//     intermediate size; a π̂ restores the original column order when it
-//     changes.
+//  3. structural join order — a maximal natural-join tree in which every
+//     ⋈ shares a column stays as written; otherwise it is rebuilt
+//     left-deep, each next leaf the first (left to right) that shares a
+//     column with those already joined, so no ⋈ becomes a cross product
+//     that a later leaf could have keyed. A π̂ restores the original
+//     column order when it changes. No cardinality is consulted: the
+//     order follows from the query's structure alone.
 //  4. projection pruning — π̂ nodes drop dead columns directly above the
 //     scans, dead aggregation specs disappear from $, and renames of
 //     dead columns vanish. π̂ never collapses tuples, so annotations are
 //     untouched.
-//  5. build-side choice (physical.go) — each ⋈ commutes its estimated
-//     smaller input to the right, the side the streaming hash join
+//  5. build-side choice (physical.go) — each ⋈ commutes the input with
+//     the smaller row bound (engine.RowBound: table row counts, never
+//     estimates) to the right, the side the streaming hash join
 //     materializes as its build table, with a π̂ restoring the column
-//     order; joins whose build side stays under BuildSideThreshold rows
-//     are left alone.
+//     order; joins whose build side is bounded under BuildSideThreshold
+//     rows are left alone.
 //
 // Passes 2 and 4 carry the columns live above each node down the tree
 // through one rule, needs, which says per operator what it reads from
@@ -60,12 +63,11 @@ func Optimize(p engine.Plan, db *pvc.Database) engine.Plan {
 		return p
 	}
 	live := nameSet(schema.Names())
-	est := engine.NewEstimator(db)
 	p = pushdown(p, db)
 	p = fuse(p, db, live)
-	p = reorder(p, db, est)
+	p = reorder(p, db)
 	p = prunePass(p, db, live)
-	p = buildSides(p, db, est)
+	p = buildSides(p, db)
 	return p
 }
 
@@ -308,41 +310,62 @@ func fuseSelect(sel *engine.Select, db *pvc.Database, live map[string]bool) engi
 }
 
 // ---------------------------------------------------------------------
-// Pass 3: greedy join reordering.
+// Pass 3: structural join order.
 
-func reorder(p engine.Plan, db *pvc.Database, est *engine.Estimator) engine.Plan {
-	switch p.(type) {
-	case *engine.Join:
-		leaves := flattenJoin(p)
-		for i := range leaves {
-			leaves[i] = reorder(leaves[i], db, est)
-		}
-		scratch := append([]engine.Plan{}, leaves...)
-		rebuilt := rebuildJoin(p, &scratch)
-		if len(leaves) < 3 {
-			return rebuilt
-		}
-		greedy, ok := greedyJoin(leaves, db, est)
-		if !ok {
-			return rebuilt
-		}
-		if joinCost(greedy, est) >= joinCost(rebuilt, est) {
-			return rebuilt
-		}
-		origSchema, err1 := engine.InferSchema(rebuilt, db)
-		newSchema, err2 := engine.InferSchema(greedy, db)
-		if err1 != nil || err2 != nil {
-			return rebuilt
-		}
-		if !origSchema.Equal(newSchema) {
-			greedyAny := engine.Plan(greedy)
-			greedyAny = &engine.Prune{Input: greedyAny, Cols: origSchema.Names()}
-			return greedyAny
-		}
-		return greedy
-	default:
-		return engine.MapChildren(p, func(c engine.Plan) engine.Plan { return reorder(c, db, est) })
+// reorder keeps a maximal ⋈ tree as written when every ⋈ in it shares a
+// column. Otherwise the tree is rebuilt left-deep: its leaves are taken
+// left to right, each next leaf being the first that shares a column
+// with those already taken (the first left when none does), and a π̂
+// restores the column order.
+func reorder(p engine.Plan, db *pvc.Database) engine.Plan {
+	if _, ok := p.(*engine.Join); !ok {
+		return engine.MapChildren(p, func(c engine.Plan) engine.Plan { return reorder(c, db) })
 	}
+	leaves := flattenJoin(p)
+	for i := range leaves {
+		leaves[i] = reorder(leaves[i], db)
+	}
+	scratch := slices.Clone(leaves)
+	written := rebuildJoin(p, &scratch)
+	if connected(written, db) {
+		return written
+	}
+	joined := leaves[0]
+	taken, _ := engine.InferSchema(joined, db)
+	rest := leaves[1:]
+	for len(rest) > 0 {
+		next := 0
+		for i, l := range rest {
+			if s, err := engine.InferSchema(l, db); err == nil && len(sharedCols(taken, s)) > 0 {
+				next = i
+				break
+			}
+		}
+		joined = &engine.Join{L: joined, R: rest[next]}
+		rest = slices.Delete(rest, next, next+1)
+		taken, _ = engine.InferSchema(joined, db)
+	}
+	want, err1 := engine.InferSchema(written, db)
+	got, err2 := engine.InferSchema(joined, db)
+	if err1 != nil || err2 != nil {
+		return written
+	}
+	if want.Equal(got) {
+		return joined
+	}
+	return &engine.Prune{Input: joined, Cols: want.Names()}
+}
+
+// connected reports whether every ⋈ of a ⋈ tree shares a column.
+func connected(p engine.Plan, db *pvc.Database) bool {
+	j, ok := p.(*engine.Join)
+	if !ok {
+		return true
+	}
+	ls, errL := engine.InferSchema(j.L, db)
+	rs, errR := engine.InferSchema(j.R, db)
+	return errL == nil && errR == nil && len(sharedCols(ls, rs)) > 0 &&
+		connected(j.L, db) && connected(j.R, db)
 }
 
 // flattenJoin lists the non-Join leaves of a maximal Join tree, left to
@@ -365,82 +388,6 @@ func rebuildJoin(p engine.Plan, leaves *[]engine.Plan) engine.Plan {
 	leaf := (*leaves)[0]
 	*leaves = (*leaves)[1:]
 	return leaf
-}
-
-// joinCost sums the estimated sizes of every intermediate join result.
-func joinCost(p engine.Plan, est *engine.Estimator) float64 {
-	j, ok := p.(*engine.Join)
-	if !ok {
-		return 0
-	}
-	return est.Estimate(p).Rows + joinCost(j.L, est) + joinCost(j.R, est)
-}
-
-// greedyJoin builds a left-deep join over the leaves: start from the
-// cheapest (preferring connected) pair, then repeatedly absorb the leaf
-// minimising the estimated intermediate size, preferring leaves that
-// share a column with the tree so far. Ties keep the original leaf
-// order, so a plan whose original order is already optimal reproduces
-// itself and the strict-improvement gate in reorder leaves it untouched.
-func greedyJoin(leaves []engine.Plan, db *pvc.Database, est *engine.Estimator) (engine.Plan, bool) {
-	schemas := make([]pvc.Schema, len(leaves))
-	for i, l := range leaves {
-		s, err := engine.InferSchema(l, db)
-		if err != nil {
-			return nil, false
-		}
-		schemas[i] = s
-	}
-	connected := func(a, b pvc.Schema) bool { return len(sharedCols(a, b)) > 0 }
-	used := make([]bool, len(leaves))
-	// Seed pair.
-	bestI, bestJ, bestRows := -1, -1, 0.0
-	for pass := 0; pass < 2 && bestI < 0; pass++ {
-		for i := range leaves {
-			for j := i + 1; j < len(leaves); j++ {
-				if pass == 0 && !connected(schemas[i], schemas[j]) {
-					continue
-				}
-				rows := est.Estimate(&engine.Join{L: leaves[i], R: leaves[j]}).Rows
-				if bestI < 0 || rows < bestRows {
-					bestI, bestJ, bestRows = i, j, rows
-				}
-			}
-		}
-	}
-	if bestI < 0 {
-		return nil, false
-	}
-	cur := engine.Plan(&engine.Join{L: leaves[bestI], R: leaves[bestJ]})
-	used[bestI], used[bestJ] = true, true
-	curSchema, err := engine.InferSchema(cur, db)
-	if err != nil {
-		return nil, false
-	}
-	for n := 2; n < len(leaves); n++ {
-		next, nextRows := -1, 0.0
-		for pass := 0; pass < 2 && next < 0; pass++ {
-			for i := range leaves {
-				if used[i] {
-					continue
-				}
-				if pass == 0 && !connected(curSchema, schemas[i]) {
-					continue
-				}
-				rows := est.Estimate(&engine.Join{L: cur, R: leaves[i]}).Rows
-				if next < 0 || rows < nextRows {
-					next, nextRows = i, rows
-				}
-			}
-		}
-		cur = &engine.Join{L: cur, R: leaves[next]}
-		used[next] = true
-		curSchema, err = engine.InferSchema(cur, db)
-		if err != nil {
-			return nil, false
-		}
-	}
-	return cur, true
 }
 
 // ---------------------------------------------------------------------

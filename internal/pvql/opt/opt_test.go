@@ -228,42 +228,36 @@ func TestPruneBlockedUnderUnion(t *testing.T) {
 	evalBoth(t, db, naive, got)
 }
 
-func TestReorderJoinsByCardinality(t *testing.T) {
+// TestStructuralJoinOrder: a ⋈ tree in which every ⋈ shares a column
+// comes back as written; one with a keyless ⋈ is rebuilt left-deep,
+// each next leaf the first that shares a column with those before it,
+// under a π̂ restoring the column order. Answers stay bit for bit.
+func TestStructuralJoinOrder(t *testing.T) {
 	db := optDB(t)
-	// V (6 rows) ⋈ R (4) ⋈ S (2): greedy should join the small pair
-	// first. All three share (only) column a, so every order is connected.
-	naive := &engine.Join{
-		L: &engine.Join{L: &engine.Scan{Table: "V"}, R: &engine.Scan{Table: "R"}},
-		R: &engine.Scan{Table: "S"},
-	}
-	got := Optimize(naive, db)
-	s := got.String()
-	if !strings.Contains(s, "(R ⋈ S)") && !strings.Contains(s, "(S ⋈ R)") {
-		t.Fatalf("small relations not joined first: %s", s)
-	}
-	// The output schema (column order) must be restored.
-	wantSchema, _ := engine.InferSchema(naive, db)
-	gotSchema, err := engine.InferSchema(got, db)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !wantSchema.Equal(gotSchema) {
-		t.Fatalf("schema changed: %v vs %v", wantSchema.Names(), gotSchema.Names())
-	}
-	evalBoth(t, db, naive, got)
-}
-
-func TestReorderKeepsOptimalOrder(t *testing.T) {
-	db := optDB(t)
-	// S (2) ⋈ R (4) ⋈ V (6) is already the greedy order: the plan must
-	// come back untouched.
-	naive := &engine.Join{
-		L: &engine.Join{L: &engine.Scan{Table: "S"}, R: &engine.Scan{Table: "R"}},
-		R: &engine.Scan{Table: "V"},
-	}
-	got := reorder(naive, db, engine.NewEstimator(db))
-	if got.String() != naive.String() {
-		t.Fatalf("optimal order disturbed: %s -> %s", naive, got)
+	scan := func(name string) engine.Plan { return &engine.Scan{Table: name} }
+	for _, c := range []struct {
+		name string
+		in   engine.Plan
+		want string
+	}{
+		// W(d, e) shares no column with R(a, b): R ⋈ S joins on a first,
+		// and W, which shares none with either, comes last.
+		{"keyless", &engine.Join{L: &engine.Join{L: scan("R"), R: scan("W")}, R: scan("S")},
+			"π̂[a,b,d,e,c](((R ⋈ S) ⋈ W))"},
+		// V, R and S share a: every ⋈ is keyed, so nothing moves.
+		{"connected", &engine.Join{L: &engine.Join{L: scan("V"), R: scan("R")}, R: scan("S")},
+			"((V ⋈ R) ⋈ S)"},
+	} {
+		got := reorder(c.in, db)
+		if got.String() != c.want {
+			t.Errorf("%s: %s → %s, want %s", c.name, c.in, got, c.want)
+		}
+		want, _ := engine.InferSchema(c.in, db)
+		gotSchema, err := engine.InferSchema(got, db)
+		if err != nil || !want.Equal(gotSchema) {
+			t.Errorf("%s: schema %v (%v), want %v", c.name, gotSchema.Names(), err, want.Names())
+		}
+		evalBoth(t, db, c.in, got)
 	}
 }
 

@@ -21,13 +21,13 @@ import (
 // comparisons at tolerance 0: naive vs rewritten (the commute preserves
 // answers) and idempotence of the full pipeline.
 func TestStreamingDifferentialForcedBuildSides(t *testing.T) {
-	defer func(old float64) { opt.BuildSideThreshold = old }(opt.BuildSideThreshold)
+	defer func(old int64) { opt.BuildSideThreshold = old }(opt.BuildSideThreshold)
 	opt.BuildSideThreshold = 1
 	optimizerDifferential(t, 9000, 60)
 }
 
-// TestBuildSidePass pins the plan shape: a join whose left input is
-// estimated smaller than its right commutes — the smaller side moves to
+// TestBuildSidePass pins the plan shape: a join whose left input has a
+// smaller row bound than its right commutes — the smaller side moves to
 // the build (right) position — and a π̂ restores the column order.
 func TestBuildSidePass(t *testing.T) {
 	db := pvc.NewDatabase(algebra.Boolean)

@@ -241,7 +241,7 @@ func TestMetricsSmoke(t *testing.T) {
 }
 
 // TestQueryExplain routes the PVQL EXPLAIN prefixes through /query: the
-// plain prefix returns the estimated tree with no execution, ANALYZE
+// plain prefix returns the tree with row bounds and no execution, ANALYZE
 // executes and reports actuals, and both coexist with the plan cache.
 func TestQueryExplain(t *testing.T) {
 	s := New(shopDB(0.5), Config{})
@@ -323,7 +323,7 @@ func TestQueryTrace(t *testing.T) {
 }
 
 // wideExplain is EXPLAIN over a 110-way cross product of a 1 000-row
-// table: its estimated row count, 1000¹¹⁰, is past the largest float.
+// table: its row bound, 1000¹¹⁰, is past the largest int64.
 func wideExplain() string {
 	from := make([]string, 110)
 	for i := range from {
@@ -332,9 +332,9 @@ func wideExplain() string {
 	return "EXPLAIN SELECT * FROM " + strings.Join(from, ", ")
 }
 
-// TestExplainWideProduct: the estimate of a cross product too wide for a
-// float is clamped, so EXPLAIN answers 200 with a finite est_rows, and
-// /stats counts the request once, as ok.
+// TestExplainWideProduct: the row bound of a cross product too wide for
+// an int64 saturates, so EXPLAIN answers 200 with rows_bound at the
+// largest int64, and /stats counts the request once, as ok.
 func TestExplainWideProduct(t *testing.T) {
 	db := pvcagg.NewDatabase(pvcagg.Boolean)
 	r := pvcagg.NewRelation("R", pvcagg.Schema{{Name: "a", Type: pvcagg.TValue}})
@@ -349,8 +349,8 @@ func TestExplainWideProduct(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("EXPLAIN: %d %s", code, msg)
 	}
-	if est := resp.Explain.EstRows; math.IsInf(est, 0) || math.IsNaN(est) || est <= 0 {
-		t.Errorf("est_rows = %v, want finite and positive", est)
+	if bound := resp.Explain.RowsBound; bound != math.MaxInt64 {
+		t.Errorf("rows_bound = %d, want %d", bound, int64(math.MaxInt64))
 	}
 	var st Stats
 	getJSON(t, srv.URL+"/stats", &st)

@@ -8,17 +8,17 @@ import (
 )
 
 // planCache is the prepared-statement cache: optimized Q-algebra plans
-// keyed by the exact PVQL text. Parsing is cheap but optimization walks
-// the plan estimating cardinalities per candidate join order, so a
-// service replaying a small set of query shapes (the prepared-statement
+// keyed by the exact PVQL text. Parsing is cheap, but binding and
+// optimization each walk the plan inferring schemas, so a service
+// replaying a small set of query shapes (the prepared-statement
 // workload) saves the whole frontend on every hit. Plans are immutable
 // during evaluation (operators resolve their predicates into fresh
 // slices), so one cached plan serves concurrent requests without
 // copying.
 //
 // The cache is scoped to one session — one database — because binding
-// resolves table schemas and optimization uses that database's
-// statistics; Server.Swap installs a fresh one. Eviction is CLOCK
+// resolves table schemas and optimization reads that database's row
+// counts; Server.Swap installs a fresh one. Eviction is CLOCK
 // (second chance): a hit sets the entry's reference bit under the read
 // lock, and a full cache evicts the first entry the hand finds with its
 // bit clear, clearing the bits it passes — so a text that is hit between

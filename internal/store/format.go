@@ -11,10 +11,10 @@
 //
 //	manifest.json  — format version, epoch, semiring, schemas, and the
 //	                 whole block index (offsets, row counts, zone maps,
-//	                 annotation summaries, distinct estimates); written
-//	                 atomically (temp + rename) and written LAST, so a
-//	                 crash mid-ingest leaves no readable store rather
-//	                 than a partially indexed one
+//	                 annotation summaries); written atomically (temp +
+//	                 rename) and written LAST, so a crash mid-ingest
+//	                 leaves no readable store rather than a partially
+//	                 indexed one
 //	vars.dat       — the variable registry (names + distributions) in
 //	                 declaration order, CRC-trailed
 //	tNNNN.dat      — one data file per table: a sequence of blocks

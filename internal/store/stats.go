@@ -1,56 +1,10 @@
 package store
 
 import (
-	"hash/fnv"
-	"sort"
-
 	"pvcagg/internal/expr"
 	"pvcagg/internal/pvc"
 	"pvcagg/internal/value"
 )
-
-// kmvK is the sketch size: distinct counts up to kmvK are exact, larger
-// ones are estimated from the k-th minimum hash value.
-const kmvK = 1024
-
-// kmv is a k-minimum-values distinct-count sketch over cell keys. It is
-// deterministic (FNV-1a, no seed), so re-ingesting the same data yields
-// the same persisted statistics.
-type kmv struct {
-	hs []uint64 // the k smallest distinct hashes, ascending
-}
-
-func (s *kmv) add(key string) {
-	h := fnv.New64a()
-	h.Write([]byte(key))
-	v := h.Sum64()
-	i := sort.Search(len(s.hs), func(i int) bool { return s.hs[i] >= v })
-	if i < len(s.hs) && s.hs[i] == v {
-		return
-	}
-	if len(s.hs) >= kmvK {
-		if v >= s.hs[kmvK-1] {
-			return
-		}
-		s.hs = s.hs[:kmvK-1]
-	}
-	s.hs = append(s.hs, 0)
-	copy(s.hs[i+1:], s.hs[i:])
-	s.hs[i] = v
-}
-
-// estimate returns the distinct-count estimate: exact while fewer than k
-// distinct values have been seen, (k-1)/k-th-minimum-fraction beyond.
-func (s *kmv) estimate() float64 {
-	if len(s.hs) < kmvK {
-		return float64(len(s.hs))
-	}
-	frac := float64(s.hs[kmvK-1]) / float64(1<<63) / 2
-	if frac <= 0 {
-		return float64(kmvK)
-	}
-	return float64(kmvK-1) / frac
-}
 
 // annSummary summarizes the annotation column of one block, enough to
 // decide that the block cannot contribute: AllZero means every row is

@@ -306,9 +306,8 @@ func (st *Store) Healthy() error {
 	return nil
 }
 
-// Table is one stored table: schema, block index with parsed zone maps,
-// and persisted statistics. It implements pvc.TableProvider and
-// pvc.StatsProvider.
+// Table is one stored table: schema and block index with parsed zone
+// maps. It implements pvc.TableProvider and pvc.ExactScanner.
 type Table struct {
 	st         *Store
 	meta       *tableMeta
@@ -331,21 +330,11 @@ func (t *Table) TableName() string { return t.meta.Name }
 // Schema implements pvc.TableProvider. The caller must not mutate it.
 func (t *Table) Schema() pvc.Schema { return t.schema }
 
-// Rows returns the stored row count.
+// Rows implements pvc.TableProvider: the stored row count.
 func (t *Table) Rows() int64 { return t.meta.Rows }
 
 // Blocks returns the number of blocks.
 func (t *Table) Blocks() int { return len(t.meta.Blocks) }
-
-// TableStats implements pvc.StatsProvider from the persisted manifest
-// statistics — no scan.
-func (t *Table) TableStats() (pvc.TableStats, bool) {
-	ts := pvc.TableStats{Rows: float64(t.meta.Rows), Distinct: make(map[string]float64, len(t.meta.Distinct))}
-	for k, v := range t.meta.Distinct {
-		ts.Distinct[k] = v
-	}
-	return ts, true
-}
 
 // ExactHints implements pvc.ExactScanner: a scan filters exactly on the
 // hints it can evaluate (blockVecs.filter) and DropZero.

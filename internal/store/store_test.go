@@ -2,6 +2,7 @@ package store
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -125,25 +126,44 @@ func TestEmptyTable(t *testing.T) {
 	}
 }
 
+// TestStats: format 1 manifests once carried per-column distinct-count
+// estimates ("distinct"). Nothing reads them any more, and a store
+// written with them still opens and scans whole.
 func TestStats(t *testing.T) {
 	dir := writeFixture(t, 100, 16)
+	path := filepath.Join(dir, manifestName)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var man map[string]any
+	if err := json.Unmarshal(data, &man); err != nil {
+		t.Fatal(err)
+	}
+	for _, tm := range man["tables"].([]any) {
+		tm.(map[string]any)["distinct"] = map[string]float64{"id": 100, "name": 100}
+	}
+	if data, err = json.MarshalIndent(man, "", "  "); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
 	st, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	tab, _ := st.Table("items")
-	ts, ok := tab.TableStats()
-	if !ok {
-		t.Fatal("no persisted stats")
+	if tab.Rows() != 100 {
+		t.Errorf("rows = %d, want 100", tab.Rows())
 	}
-	if ts.Rows != 100 {
-		t.Errorf("stats rows = %v", ts.Rows)
+	it, err := tab.NewScan(context.Background(), pvc.ScanOptions{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Both columns are unique; KMV is exact below its sketch size.
-	for _, col := range []string{"id", "name"} {
-		if d := ts.Distinct[col]; d != 100 {
-			t.Errorf("distinct[%s] = %v, want 100", col, d)
-		}
+	defer it.Close()
+	if got := collect(t, it); len(got) != 100 {
+		t.Errorf("scanned %d rows, want 100", len(got))
 	}
 }
 

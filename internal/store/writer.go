@@ -37,12 +37,11 @@ type manifest struct {
 }
 
 type tableMeta struct {
-	Name     string             `json:"name"`
-	File     string             `json:"file"`
-	Rows     int64              `json:"rows"`
-	Cols     []colMeta          `json:"cols"`
-	Distinct map[string]float64 `json:"distinct"`
-	Blocks   []blockMeta        `json:"blocks"`
+	Name   string      `json:"name"`
+	File   string      `json:"file"`
+	Rows   int64       `json:"rows"`
+	Cols   []colMeta   `json:"cols"`
+	Blocks []blockMeta `json:"blocks"`
 }
 
 type colMeta struct {
@@ -153,12 +152,11 @@ func (w *Writer) CreateTable(name string, schema pvc.Schema) (*TableWriter, erro
 	}
 	tw := &TableWriter{
 		w: w, f: f,
-		meta:     tableMeta{Name: name, File: file, Distinct: map[string]float64{}},
-		schema:   schema.Clone(),
-		segs:     make([][]byte, len(schema)),
-		mins:     make([]pvc.Cell, len(schema)),
-		maxs:     make([]pvc.Cell, len(schema)),
-		sketches: make([]kmv, len(schema)),
+		meta:   tableMeta{Name: name, File: file},
+		schema: schema.Clone(),
+		segs:   make([][]byte, len(schema)),
+		mins:   make([]pvc.Cell, len(schema)),
+		maxs:   make([]pvc.Cell, len(schema)),
 	}
 	w.tables = append(w.tables, tw)
 	return tw, nil
@@ -184,8 +182,7 @@ type TableWriter struct {
 	allZero bool
 	off     int64
 
-	sketches []kmv
-	done     bool
+	done bool
 }
 
 // Append adds one row. A nil annotation means the constant 1S, matching
@@ -216,7 +213,6 @@ func (tw *TableWriter) Append(ann expr.Expr, cells ...pvc.Cell) error {
 		case pvc.TString:
 			tw.segs[i] = appendString(tw.segs[i], c.Str())
 		}
-		tw.sketches[i].add(c.Key())
 		if tw.rows == 0 {
 			tw.mins[i], tw.maxs[i] = c, c
 		} else {
@@ -295,7 +291,7 @@ func (tw *TableWriter) flush() error {
 	return nil
 }
 
-// finish flushes the trailing partial block, fills the table stats, and
+// finish flushes the trailing partial block, records the column types, and
 // closes the data file.
 func (tw *TableWriter) finish() error {
 	if tw.done {
@@ -306,8 +302,7 @@ func (tw *TableWriter) finish() error {
 		tw.err = tw.flush()
 	}
 	if tw.err == nil {
-		for i, c := range tw.schema {
-			tw.meta.Distinct[c.Name] = tw.sketches[i].estimate()
+		for _, c := range tw.schema {
 			ty := "value"
 			if c.Type == pvc.TString {
 				ty = "string"

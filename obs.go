@@ -43,10 +43,9 @@ func WithExplainAnalyze() Option {
 	return func(c *execConfig) { c.analyze = true }
 }
 
-// ExplainNode is one operator of an EXPLAIN / EXPLAIN ANALYZE tree:
-// estimated rows next to actual rows (-1 when not executed), per
-// operator, plus join build sizes vs. the Estimator's prediction and
-// σ-fusion reject counts.
+// ExplainNode is one operator of an EXPLAIN / EXPLAIN ANALYZE tree: its
+// proved row bound next to its actual rows (-1 when not executed), plus
+// the rows a join materialized as its build side.
 type ExplainNode = engine.ExplainNode
 
 // ExplainMode reports whether a PVQL query text carried an EXPLAIN
@@ -57,14 +56,14 @@ const (
 	// ExplainNone is an ordinary query.
 	ExplainNone = pvql.ExplainNone
 	// ExplainPlan is the `EXPLAIN` prefix: return the optimized plan
-	// with cardinality estimates, do not execute.
+	// with row bounds, do not execute.
 	ExplainPlan = pvql.ExplainPlan
 	// ExplainAnalyze is the `EXPLAIN ANALYZE` prefix: execute and
-	// report actual row counts next to the estimates.
+	// report actual row counts next to the bounds.
 	ExplainAnalyze = pvql.ExplainAnalyze
 )
 
-// Explain returns the estimate-only plan tree for an optimized plan
+// Explain returns the plan tree with row bounds for an optimized plan
 // without executing it (ActualRows is -1 throughout) — what the PVQL
 // `EXPLAIN` prefix reports.
 func Explain(db *Database, plan Plan) *ExplainNode {

@@ -217,8 +217,8 @@ func TestExplainAnalyzeGoldenTPCHQ1(t *testing.T) {
 	if scan.ActualRows != total {
 		t.Errorf("scan actual=%d, want %d lineitem rows", scan.ActualRows, total)
 	}
-	if scan.EstRows != float64(total) {
-		t.Errorf("scan est=%v, want %d (table statistics are exact)", scan.EstRows, total)
+	if scan.RowsBound != total {
+		t.Errorf("scan rows≤%d, want its %d rows", scan.RowsBound, total)
 	}
 	for _, n := range []*pvcagg.ExplainNode{ex, sel, scan} {
 		if n.TimeUS < 0 {
@@ -228,7 +228,7 @@ func TestExplainAnalyzeGoldenTPCHQ1(t *testing.T) {
 }
 
 // TestExecQueryExplainPrefix: the EXPLAIN prefix through the text
-// frontend returns the estimate-only tree without executing.
+// frontend returns the tree with row bounds without executing.
 func TestExecQueryExplainPrefix(t *testing.T) {
 	db, _ := execTestDB(t)
 	res, err := pvcagg.ExecQuery(context.Background(), db, "EXPLAIN SELECT k, COUNT(*) AS n FROM R GROUP BY k")

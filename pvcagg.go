@@ -101,10 +101,10 @@
 // AS for δ, sub-queries for nesting), binds it against the database
 // schema with byte-positioned errors (*QueryError), rewrites the plan
 // through a logical optimizer — predicate pushdown, Product+Select→Join
-// fusion, greedy join reordering by estimated cardinality, and
-// collapse-free projection pruning (the π̂ Prune operator) — and then
-// executes it through Exec, so every option applies and Auto classifies
-// the optimized plan:
+// fusion, a structural join order, collapse-free projection pruning (the
+// π̂ Prune operator) and a build-side choice by provable row bounds — and
+// then executes it through Exec, so every option applies and Auto
+// classifies the optimized plan:
 //
 //	res, err := pvcagg.ExecQuery(ctx, db, `
 //	  SELECT shop FROM (
@@ -144,7 +144,7 @@
 // records a span tree (parse → bind → optimize → exec{eval,
 // probability}) with wall time, allocation deltas and stage counters;
 // WithExplainAnalyze — or a PVQL `EXPLAIN [ANALYZE]` prefix — returns
-// the plan tree with estimated vs. actual per-operator row counts in
+// the plan tree with per-operator row bounds and actual row counts in
 // ExecReport.Explain; and the internal/server service exports
 // Prometheus metrics on /metrics with opt-in pprof. The README's
 // "Observability" section has the trace anatomy, the metric series, an

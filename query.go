@@ -3,7 +3,6 @@ package pvcagg
 import (
 	"context"
 
-	"pvcagg/internal/engine"
 	"pvcagg/internal/obs"
 	"pvcagg/internal/pvql"
 	"pvcagg/internal/pvql/bind"
@@ -22,8 +21,8 @@ type QueryError = pvql.Error
 
 // ParseQuery compiles a PVQL query against a database into an optimized
 // Q-algebra plan, and reports the query's EXPLAIN prefix: whether the
-// caller asked for `EXPLAIN` (plan + estimates, no execution) or
-// `EXPLAIN ANALYZE` (execute, report actuals next to estimates). The
+// caller asked for `EXPLAIN` (plan + row bounds, no execution) or
+// `EXPLAIN ANALYZE` (execute, report actuals next to the bounds). The
 // prefix never changes planning. The syntax (see the package
 // documentation's "Query language" section, or internal/pvql for the
 // full EBNF):
@@ -69,9 +68,9 @@ func parseQuery(db *Database, query string, tr *obs.Trace) (Plan, ExplainMode, e
 //	outs, err := res.Collect()
 //
 // A query prefixed `EXPLAIN` returns a Result with zero tuples whose
-// Report.Explain holds the estimated plan tree (nothing executes); an
-// `EXPLAIN ANALYZE` prefix executes normally and additionally fills
-// Report.Explain with per-operator actual row counts. With WithTrace,
+// Report.Explain holds the plan tree with row bounds (nothing
+// executes); an `EXPLAIN ANALYZE` prefix executes normally and
+// additionally fills Report.Explain with per-operator actual row counts. With WithTrace,
 // the frontend stages record parse/bind/optimize spans.
 func ExecQuery(ctx context.Context, db *Database, query string, opts ...Option) (*Result, error) {
 	// WithStore resolves before the parse: binding needs the store's
@@ -97,10 +96,4 @@ func ExecQuery(ctx context.Context, db *Database, query string, opts ...Option) 
 		cfg.analyze = true
 	}
 	return cfg.exec(ctx, db, plan)
-}
-
-// EstimateCardinality estimates the number of result tuples of a plan —
-// the cost signal the PVQL optimizer's greedy join reordering uses.
-func EstimateCardinality(p Plan, db *Database) float64 {
-	return engine.EstimateCardinality(p, db)
 }

@@ -116,8 +116,8 @@ func TestExecQueryFigure1Q2BitForBit(t *testing.T) {
 		}
 		assertSameResults(t, want, got)
 	}
-	if est := pvcagg.EstimateCardinality(&pvcagg.Scan{Table: "PS"}, db); est != 9 {
-		t.Fatalf("EstimateCardinality(PS) = %v, want 9", est)
+	if bound := pvcagg.Explain(db, &pvcagg.Scan{Table: "PS"}).RowsBound; bound != 9 {
+		t.Fatalf("Explain(PS).RowsBound = %d, want its 9 rows", bound)
 	}
 }
 
@@ -163,9 +163,7 @@ func TestExecQueryErrors(t *testing.T) {
 // TestParseQueryConcurrent: the query service parses, binds and optimizes
 // the same PVQL text from many goroutines against one database (a cold
 // plan-cache stampede). Each goroutine must produce the same optimized
-// plan with no data race — run under -race in the service CI job. The
-// optimizer's Estimator memoises table statistics; this pins that
-// concurrent optimization passes over one database are safe.
+// plan with no data race — run under -race in the service CI job.
 func TestParseQueryConcurrent(t *testing.T) {
 	db, err := tpch.Generate(tpch.Config{SF: 0.0005, Seed: 1, Probabilistic: true})
 	if err != nil {

@@ -205,11 +205,9 @@ func TestStoreEmptyBuildSideReadsNoProbe(t *testing.T) {
 	}
 }
 
-// TestStoreStatsPinJoinOrder is the estimator differential: the
-// optimizer must pick the same join order whether base-table statistics
-// come from exact in-memory scans or from the store's persisted stats
-// (row counts are exact; KMV distinct sketches are exact below the
-// sketch size, which these tables are).
+// TestStoreStatsPinJoinOrder: the optimizer must pick the same plan
+// whether a table's row bound comes from an in-memory relation's length
+// or from the store manifest's row count, which are equal.
 func TestStoreStatsPinJoinOrder(t *testing.T) {
 	db, err := tpch.Generate(tpch.Config{SF: 0.002, Seed: 7})
 	if err != nil {
