@@ -228,36 +228,56 @@ func TestPruneBlockedUnderUnion(t *testing.T) {
 	evalBoth(t, db, naive, got)
 }
 
-// TestStructuralJoinOrder: a ⋈ tree in which every ⋈ shares a column
-// comes back as written; one with a keyless ⋈ is rebuilt left-deep,
-// each next leaf the first that shares a column with those before it,
-// under a π̂ restoring the column order. Answers stay bit for bit.
+// TestStructuralJoinOrder: a ⋈ tree with a keyless ⋈ is rebuilt
+// left-deep, each next leaf the first that shares a column with those
+// before it, under a π̂ restoring the column order. Answers stay bit for
+// bit.
 func TestStructuralJoinOrder(t *testing.T) {
 	db := optDB(t)
-	scan := func(name string) engine.Plan { return &engine.Scan{Table: name} }
-	for _, c := range []struct {
-		name string
-		in   engine.Plan
-		want string
-	}{
-		// W(d, e) shares no column with R(a, b): R ⋈ S joins on a first,
-		// and W, which shares none with either, comes last.
-		{"keyless", &engine.Join{L: &engine.Join{L: scan("R"), R: scan("W")}, R: scan("S")},
-			"π̂[a,b,d,e,c](((R ⋈ S) ⋈ W))"},
-		// V, R and S share a: every ⋈ is keyed, so nothing moves.
-		{"connected", &engine.Join{L: &engine.Join{L: scan("V"), R: scan("R")}, R: scan("S")},
-			"((V ⋈ R) ⋈ S)"},
-	} {
-		got := reorder(c.in, db)
-		if got.String() != c.want {
-			t.Errorf("%s: %s → %s, want %s", c.name, c.in, got, c.want)
-		}
-		want, _ := engine.InferSchema(c.in, db)
-		gotSchema, err := engine.InferSchema(got, db)
-		if err != nil || !want.Equal(gotSchema) {
-			t.Errorf("%s: schema %v (%v), want %v", c.name, gotSchema.Names(), err, want.Names())
-		}
-		evalBoth(t, db, c.in, got)
+	// W(d, e) shares no column with R(a, b): R ⋈ S joins on a first, and
+	// W, which shares none with either, comes last.
+	naive := &engine.Join{
+		L: &engine.Join{L: &engine.Scan{Table: "R"}, R: &engine.Scan{Table: "W"}},
+		R: &engine.Scan{Table: "S"},
+	}
+	got := reorder(naive, db)
+	if want := "π̂[a,b,d,e,c](((R ⋈ S) ⋈ W))"; got.String() != want {
+		t.Fatalf("%s → %s, want %s", naive, got, want)
+	}
+	wantSchema, _ := engine.InferSchema(naive, db)
+	gotSchema, err := engine.InferSchema(got, db)
+	if err != nil || !wantSchema.Equal(gotSchema) {
+		t.Fatalf("schema %v (%v), want %v", gotSchema.Names(), err, wantSchema.Names())
+	}
+	evalBoth(t, db, naive, got)
+}
+
+// TestReorderJoinsByCardinality: row counts do not order joins. V (6
+// rows) ⋈ R (4) ⋈ S (2) share column a at every ⋈, so the optimizer
+// keeps the written order although the small pair comes last.
+func TestReorderJoinsByCardinality(t *testing.T) {
+	db := optDB(t)
+	naive := &engine.Join{
+		L: &engine.Join{L: &engine.Scan{Table: "V"}, R: &engine.Scan{Table: "R"}},
+		R: &engine.Scan{Table: "S"},
+	}
+	got := Optimize(naive, db)
+	if got.String() != naive.String() {
+		t.Fatalf("connected ⋈ tree reordered: %s -> %s", naive, got)
+	}
+	evalBoth(t, db, naive, got)
+}
+
+// TestReorderKeepsOptimalOrder: a ⋈ tree whose every ⋈ shares a column
+// comes back from the reorder pass untouched.
+func TestReorderKeepsOptimalOrder(t *testing.T) {
+	db := optDB(t)
+	naive := &engine.Join{
+		L: &engine.Join{L: &engine.Scan{Table: "S"}, R: &engine.Scan{Table: "R"}},
+		R: &engine.Scan{Table: "V"},
+	}
+	if got := reorder(naive, db); got.String() != naive.String() {
+		t.Fatalf("connected order disturbed: %s -> %s", naive, got)
 	}
 }
 
