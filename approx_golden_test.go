@@ -8,62 +8,13 @@
 package pvcagg_test
 
 import (
-	"fmt"
 	"math"
 	"testing"
 
 	"pvcagg"
+	"pvcagg/internal/gen"
 	"pvcagg/internal/tpch"
 )
-
-// figure1ShopDB is the paper's Figure 1 database (also cmd/pvcrun's shop
-// demo) with every tuple marginal p.
-func figure1ShopDB(p float64) *pvcagg.Database {
-	db := pvcagg.NewDatabase(pvcagg.Boolean)
-	s := pvcagg.NewRelation("S", pvcagg.Schema{
-		{Name: "sid", Type: pvcagg.TValue},
-		{Name: "shop", Type: pvcagg.TString},
-	})
-	for i, shop := range []string{"M&S", "M&S", "M&S", "Gap", "Gap"} {
-		db.Registry.DeclareBool(fmt.Sprintf("x%d", i+1), p)
-		s.MustInsert(pvcagg.MustParseExpr(fmt.Sprintf("x%d", i+1)),
-			pvcagg.IntCell(int64(i+1)), pvcagg.StringCell(shop))
-	}
-	db.Add(s)
-	ps := pvcagg.NewRelation("PS", pvcagg.Schema{
-		{Name: "sid", Type: pvcagg.TValue},
-		{Name: "pid", Type: pvcagg.TValue},
-		{Name: "price", Type: pvcagg.TValue},
-	})
-	for _, row := range [][3]int64{
-		{1, 1, 10}, {1, 2, 50}, {2, 1, 11}, {2, 2, 60}, {3, 3, 15},
-		{3, 4, 40}, {4, 1, 15}, {4, 3, 60}, {5, 1, 10},
-	} {
-		v := fmt.Sprintf("y%d%d", row[0], row[1])
-		db.Registry.DeclareBool(v, p)
-		ps.MustInsert(pvcagg.MustParseExpr(v),
-			pvcagg.IntCell(row[0]), pvcagg.IntCell(row[1]), pvcagg.IntCell(row[2]))
-	}
-	db.Add(ps)
-	p1 := pvcagg.NewRelation("P1", pvcagg.Schema{
-		{Name: "pid", Type: pvcagg.TValue},
-		{Name: "weight", Type: pvcagg.TValue},
-	})
-	for i, row := range [][2]int64{{1, 4}, {2, 8}, {3, 7}, {4, 6}} {
-		v := fmt.Sprintf("z%d", i+1)
-		db.Registry.DeclareBool(v, p)
-		p1.MustInsert(pvcagg.MustParseExpr(v), pvcagg.IntCell(row[0]), pvcagg.IntCell(row[1]))
-	}
-	db.Add(p1)
-	p2 := pvcagg.NewRelation("P2", pvcagg.Schema{
-		{Name: "pid", Type: pvcagg.TValue},
-		{Name: "weight", Type: pvcagg.TValue},
-	})
-	db.Registry.DeclareBool("z5", p)
-	p2.MustInsert(pvcagg.MustParseExpr("z5"), pvcagg.IntCell(1), pvcagg.IntCell(5))
-	db.Add(p2)
-	return db
-}
 
 // figure1Q2 is the running-example query Q2: shops whose most expensive
 // offered product costs at most 50.
@@ -122,7 +73,7 @@ func TestGoldenFigure1Approx(t *testing.T) {
 			{lo: 0.40289306640625, hi: 0.46539306640625, expansions: 9, treeNodes: 19, exactNodes: 145},
 		},
 	}
-	db := figure1ShopDB(0.5)
+	db := gen.Figure1(0.5)
 	for _, eps := range []float64{0, 0.01, 0.1} {
 		_, results := collect(t, db, figure1Q2(), pvcagg.WithMode(pvcagg.Anytime), pvcagg.WithEps(eps),
 			pvcagg.WithApprox(pvcagg.ApproxOptions{MaxLeafNodes: 8}), pvcagg.WithParallelism(1))

@@ -42,6 +42,7 @@ import (
 	"time"
 
 	"pvcagg"
+	"pvcagg/internal/gen"
 	"pvcagg/internal/server"
 	"pvcagg/internal/tpch"
 )
@@ -156,60 +157,10 @@ func main() {
 func buildDB(demo string, p, sf float64) (*pvcagg.Database, error) {
 	switch demo {
 	case "shop":
-		return shopDB(p), nil
+		return gen.Figure1(p), nil
 	case "tpch":
 		return tpch.Generate(tpch.Config{SF: sf, Seed: 1, Probabilistic: true})
 	default:
 		return nil, fmt.Errorf("unknown demo %q (want shop or tpch)", demo)
 	}
-}
-
-// shopDB is the paper's Figure 1 running-example database with
-// independent Boolean annotations at marginal p.
-func shopDB(p float64) *pvcagg.Database {
-	db := pvcagg.NewDatabase(pvcagg.Boolean)
-	s := pvcagg.NewRelation("S", pvcagg.Schema{
-		{Name: "sid", Type: pvcagg.TValue},
-		{Name: "shop", Type: pvcagg.TString},
-	})
-	shops := []string{"M&S", "M&S", "M&S", "Gap", "Gap"}
-	for i, shop := range shops {
-		db.Registry.DeclareBool(fmt.Sprintf("x%d", i+1), p)
-		s.MustInsert(pvcagg.MustParseExpr(fmt.Sprintf("x%d", i+1)),
-			pvcagg.IntCell(int64(i+1)), pvcagg.StringCell(shop))
-	}
-	db.Add(s)
-	ps := pvcagg.NewRelation("PS", pvcagg.Schema{
-		{Name: "sid", Type: pvcagg.TValue},
-		{Name: "pid", Type: pvcagg.TValue},
-		{Name: "price", Type: pvcagg.TValue},
-	})
-	for _, row := range [][3]int64{
-		{1, 1, 10}, {1, 2, 50}, {2, 1, 11}, {2, 2, 60}, {3, 3, 15},
-		{3, 4, 40}, {4, 1, 15}, {4, 3, 60}, {5, 1, 10},
-	} {
-		v := fmt.Sprintf("y%d%d", row[0], row[1])
-		db.Registry.DeclareBool(v, p)
-		ps.MustInsert(pvcagg.MustParseExpr(v),
-			pvcagg.IntCell(row[0]), pvcagg.IntCell(row[1]), pvcagg.IntCell(row[2]))
-	}
-	db.Add(ps)
-	p1 := pvcagg.NewRelation("P1", pvcagg.Schema{
-		{Name: "pid", Type: pvcagg.TValue},
-		{Name: "weight", Type: pvcagg.TValue},
-	})
-	for i, row := range [][2]int64{{1, 4}, {2, 8}, {3, 7}, {4, 6}} {
-		v := fmt.Sprintf("z%d", i+1)
-		db.Registry.DeclareBool(v, p)
-		p1.MustInsert(pvcagg.MustParseExpr(v), pvcagg.IntCell(row[0]), pvcagg.IntCell(row[1]))
-	}
-	db.Add(p1)
-	p2 := pvcagg.NewRelation("P2", pvcagg.Schema{
-		{Name: "pid", Type: pvcagg.TValue},
-		{Name: "weight", Type: pvcagg.TValue},
-	})
-	db.Registry.DeclareBool("z5", p)
-	p2.MustInsert(pvcagg.MustParseExpr("z5"), pvcagg.IntCell(1), pvcagg.IntCell(5))
-	db.Add(p2)
-	return db
 }

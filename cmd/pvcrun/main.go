@@ -49,11 +49,11 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"sort"
 	"strings"
 	"time"
 
 	"pvcagg"
+	"pvcagg/internal/gen"
 	"pvcagg/internal/tpch"
 )
 
@@ -105,19 +105,9 @@ func main() {
 			fmt.Println("use -query or -repl to run PVQL against it")
 			return
 		}
-	} else {
-		switch *demo {
-		case "shop":
-			db = shopDB(*p)
-		case "tpch":
-			db, err = tpch.Generate(tpch.Config{SF: *sf, Seed: 1, Probabilistic: true})
-			if err != nil {
-				fatal(err)
-			}
-		default:
-			fmt.Fprintf(os.Stderr, "pvcrun: unknown demo %q\n", *demo)
-			os.Exit(2)
-		}
+	} else if db, err = buildDB(*demo, *p, *sf); err != nil {
+		fmt.Fprintln(os.Stderr, "pvcrun:", err)
+		os.Exit(2)
 	}
 	switch {
 	case *query != "":
@@ -168,8 +158,9 @@ func execOptions(mode string, eps float64, parallel int, timeout time.Duration, 
 
 // runQuery compiles and executes one PVQL query, printing the optimized
 // plan, its classification, the strategy and every answer. An EXPLAIN
-// prefix prints the estimated plan tree without executing; EXPLAIN
-// ANALYZE executes and prints estimates next to per-operator actuals.
+// prefix prints the plan tree with each operator's row bound (rows≤N)
+// without executing; EXPLAIN ANALYZE executes and prints the bounds next
+// to per-operator actuals.
 // With trace, the execution trace is printed after the summary; with a
 // store, so are the scan's I/O and retry counters.
 func runQuery(ctx context.Context, db *pvcagg.Database, src string, opts []pvcagg.Option, verbose, trace bool, st *pvcagg.Store) error {
@@ -321,6 +312,19 @@ func listTables(db *pvcagg.Database) {
 	}
 }
 
+// buildDB builds the -demo database: Figure 1 at marginal p, or TPC-H at
+// scale factor sf.
+func buildDB(demo string, p, sf float64) (*pvcagg.Database, error) {
+	switch demo {
+	case "shop":
+		return gen.Figure1(p), nil
+	case "tpch":
+		return tpch.Generate(tpch.Config{SF: sf, Seed: 1, Probabilistic: true})
+	default:
+		return nil, fmt.Errorf("unknown demo %q (want shop or tpch)", demo)
+	}
+}
+
 func firstTable(db *pvcagg.Database) string {
 	if names := db.Names(); len(names) > 0 {
 		return names[0]
@@ -339,25 +343,13 @@ func confString(b pvcagg.Bounds) string {
 
 // printResult runs step II of an Exec result and prints every answer
 // tuple with its confidence and, when present, the expectation of the
-// first aggregation column. It consumes the result as a stream, so a
-// cancelled run (REPL Ctrl-C) still prints the tuples that finished —
-// for an anytime query, their sound bounds — before reporting the
-// cancellation.
+// first aggregation column. Collect hands back the tuples that finished
+// even when the run fails, so a cancelled run (REPL Ctrl-C) still prints
+// them — for an anytime query, their sound bounds — before reporting the
+// error.
 func printResult(res *pvcagg.Result, verbose bool) error {
-	var outs []pvcagg.TupleOutcome
-	var firstErr error
-	for o, err := range res.Results() {
-		if err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
-		}
-		outs = append(outs, o)
-	}
-	// The stream yields in completion order; restore tuple order.
-	sort.Slice(outs, func(i, j int) bool { return outs[i].Index < outs[j].Index })
-	if firstErr != nil && len(outs) > 0 {
+	outs, err := res.Collect()
+	if err != nil && len(outs) > 0 {
 		fmt.Printf("   (partial: %d of %d tuples computed)\n", len(outs), res.Len())
 	}
 	for i, o := range outs {
@@ -371,7 +363,7 @@ func printResult(res *pvcagg.Result, verbose bool) error {
 		}
 		fmt.Println()
 	}
-	return firstErr
+	return err
 }
 
 func runShop(ctx context.Context, db *pvcagg.Database, opts []pvcagg.Option) {
@@ -432,54 +424,6 @@ func runTPCH(ctx context.Context, db *pvcagg.Database, opts []pvcagg.Option) {
 		fmt.Printf("   %d answer tuples; ⟦·⟧ %v, P(·) %v\n\n",
 			res.Len(), res.Timing.Construct, res.Timing.Probability)
 	}
-}
-
-func shopDB(p float64) *pvcagg.Database {
-	db := pvcagg.NewDatabase(pvcagg.Boolean)
-	s := pvcagg.NewRelation("S", pvcagg.Schema{
-		{Name: "sid", Type: pvcagg.TValue},
-		{Name: "shop", Type: pvcagg.TString},
-	})
-	shops := []string{"M&S", "M&S", "M&S", "Gap", "Gap"}
-	for i, shop := range shops {
-		db.Registry.DeclareBool(fmt.Sprintf("x%d", i+1), p)
-		s.MustInsert(pvcagg.MustParseExpr(fmt.Sprintf("x%d", i+1)),
-			pvcagg.IntCell(int64(i+1)), pvcagg.StringCell(shop))
-	}
-	db.Add(s)
-	ps := pvcagg.NewRelation("PS", pvcagg.Schema{
-		{Name: "sid", Type: pvcagg.TValue},
-		{Name: "pid", Type: pvcagg.TValue},
-		{Name: "price", Type: pvcagg.TValue},
-	})
-	for _, row := range [][3]int64{
-		{1, 1, 10}, {1, 2, 50}, {2, 1, 11}, {2, 2, 60}, {3, 3, 15},
-		{3, 4, 40}, {4, 1, 15}, {4, 3, 60}, {5, 1, 10},
-	} {
-		v := fmt.Sprintf("y%d%d", row[0], row[1])
-		db.Registry.DeclareBool(v, p)
-		ps.MustInsert(pvcagg.MustParseExpr(v),
-			pvcagg.IntCell(row[0]), pvcagg.IntCell(row[1]), pvcagg.IntCell(row[2]))
-	}
-	db.Add(ps)
-	p1 := pvcagg.NewRelation("P1", pvcagg.Schema{
-		{Name: "pid", Type: pvcagg.TValue},
-		{Name: "weight", Type: pvcagg.TValue},
-	})
-	for i, row := range [][2]int64{{1, 4}, {2, 8}, {3, 7}, {4, 6}} {
-		v := fmt.Sprintf("z%d", i+1)
-		db.Registry.DeclareBool(v, p)
-		p1.MustInsert(pvcagg.MustParseExpr(v), pvcagg.IntCell(row[0]), pvcagg.IntCell(row[1]))
-	}
-	db.Add(p1)
-	p2 := pvcagg.NewRelation("P2", pvcagg.Schema{
-		{Name: "pid", Type: pvcagg.TValue},
-		{Name: "weight", Type: pvcagg.TValue},
-	})
-	db.Registry.DeclareBool("z5", p)
-	p2.MustInsert(pvcagg.MustParseExpr("z5"), pvcagg.IntCell(1), pvcagg.IntCell(5))
-	db.Add(p2)
-	return db
 }
 
 func cellsOf(t pvcagg.Tuple) string {

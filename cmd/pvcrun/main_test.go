@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"pvcagg"
+	"pvcagg/internal/gen"
 )
 
 // TestExecOptions: the flag translation accepts every mode, rejects what
@@ -44,7 +45,7 @@ func TestExecOptions(t *testing.T) {
 		{name: "unknown-mode", mode: "fast", parallel: 1, wantErr: `unknown mode "fast"`},
 		{name: "empty-mode", mode: "", parallel: 1, wantErr: "unknown mode"},
 	}
-	db := shopDB(0.5)
+	db := gen.Figure1(0.5)
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			opts, err := execOptions(tc.mode, tc.eps, tc.parallel, tc.timeout, tc.seed, tc.seedSet)

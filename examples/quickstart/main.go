@@ -37,7 +37,7 @@ func main() {
 	fmt.Println("distribution:", res.Dist)
 	fmt.Printf("P[total ≤ 120] = %.4f\n", res.Confidence.Lo)
 	fmt.Printf("d-tree: %d nodes, largest intermediate distribution %d entries\n",
-		res.Report.Tree.Nodes, res.Report.Eval.MaxDistSize)
+		res.Report.Compile.Nodes, res.Report.Eval.MaxDistSize)
 
 	// The distribution of the SUM itself (a semimodule expression —
 	// always computed exactly).

@@ -55,7 +55,7 @@ func main() {
 	alarm := pvcagg.MustParseExpr("[max(" + terms + ") > 35]")
 	d, res := exec(alarm)
 	fmt.Printf("P[max temperature > 35°C] = %.4f  (d-tree: %d nodes)\n",
-		d.P(pvcagg.BoolV(true)), res.Report.Tree.Nodes)
+		d.P(pvcagg.BoolV(true)), res.Report.Compile.Nodes)
 
 	// MIN: "is the coldest reported reading below 15°C?" Note the MIN
 	// neutral element +∞: with no reports the condition is false.

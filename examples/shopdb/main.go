@@ -109,11 +109,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	// Stream the answers as workers finish instead of waiting for all.
-	for o, err := range res.Results() {
-		if err != nil {
-			log.Fatal(err)
-		}
+	outs, err = res.Collect()
+	if err != nil {
+		log.Fatal(err)
+	}
+	for _, o := range outs {
 		fmt.Printf("  P[%s answers] = %.6g\n", o.Tuple.Cells[0], o.Confidence.Lo)
 	}
 }

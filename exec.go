@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"iter"
 	"math"
 	"time"
 
@@ -28,7 +27,7 @@ const (
 // This file is the unified execution API: one context-aware entrypoint
 // (Exec for plans, ExecExpr for bare expressions) configured by
 // functional options, with adaptive strategy selection (Auto mode routes
-// through the Section 6 tractability analysis) and streaming results.
+// through the Section 6 tractability analysis).
 
 // Mode selects the execution strategy.
 type Mode int
@@ -117,7 +116,6 @@ type execConfig struct {
 	approxSet  bool
 	timeout    time.Duration
 	timeoutSet bool
-	onBounds   func(Bounds)
 	seed       int64
 	seedSet    bool
 	samples    int
@@ -170,9 +168,7 @@ func WithCompileBudget(maxNodes int) Option {
 // WithApprox sets the anytime engine's budgets: MaxLeafNodes,
 // MaxExpansions, MaxNodes and the per-tuple Timeout, each non-negative
 // (0 takes the default the field names). Budgets only: the target width
-// is WithEps and the bounds callback WithOnBounds, and setting
-// ApproxOptions.Eps or OnBounds here is an error naming the option to use
-// instead.
+// is WithEps, and setting ApproxOptions.Eps here is an error naming it.
 func WithApprox(o ApproxOptions) Option {
 	return func(c *execConfig) { c.approx, c.approxSet = o, true }
 }
@@ -183,19 +179,6 @@ func WithApprox(o ApproxOptions) Option {
 // budget that returns sound unconverged bounds.)
 func WithTimeout(d time.Duration) Option {
 	return func(c *execConfig) { c.timeout, c.timeoutSet = d, true }
-}
-
-// WithOnBounds observes per-tuple confidence bounds as they are computed:
-// under the anytime engine after every frontier expansion (a
-// monotonically tightening sequence per tuple), under the exact and
-// sampling strategies once per tuple with the final interval — so the
-// callback reports progress under every strategy, including the exact
-// route of an Auto run. A semimodule expression given to ExecExpr has no
-// truth value and is never reported. With Parallelism > 1 the callback is
-// invoked concurrently from multiple tuples and must be safe for
-// concurrent use.
-func WithOnBounds(cb func(Bounds)) Option {
-	return func(c *execConfig) { c.onBounds = cb }
 }
 
 // WithSeed sets the explicit random seed required by the Sample strategy;
@@ -255,11 +238,8 @@ func resolveOptions(opts []Option) (*execConfig, error) {
 			return nil, errors.New("pvcagg: WithApprox conflicts with WithMode(Exact); use Anytime or Auto")
 		}
 	case Anytime, Auto:
-		switch {
-		case c.approx.Eps != 0:
+		if c.approx.Eps != 0 {
 			return nil, errors.New("pvcagg: WithApprox sets budgets only; set the target width with WithEps")
-		case c.approx.OnBounds != nil:
-			return nil, errors.New("pvcagg: WithApprox sets budgets only; observe bounds with WithOnBounds")
 		}
 		if c.effEps() == 0 {
 			if c.mode == Auto {
@@ -345,12 +325,11 @@ func (s Strategy) String() string {
 // sampling strategy still compiles aggregation columns exactly).
 func (c *execConfig) build(chosen Mode, verdict *Verdict) (Strategy, engine.ExecConfig) {
 	strat := Strategy{Requested: c.mode, Chosen: chosen, Verdict: verdict, Parallelism: c.par}
-	ecfg := engine.ExecConfig{Compile: compile.Options{MaxNodes: c.budget}, Parallelism: c.par, OnBounds: c.onBounds}
+	ecfg := engine.ExecConfig{Compile: compile.Options{MaxNodes: c.budget}, Parallelism: c.par}
 	switch chosen {
 	case Anytime:
 		a := c.approx
 		a.Eps = c.effEps()
-		a.OnBounds = c.onBounds
 		ecfg.Approx = &a
 		strat.Eps = a.Eps
 	case Sample:
@@ -379,10 +358,6 @@ func WithRetry(p RetryPolicy) Option {
 	return func(c *execConfig) { c.retry, c.retrySet = p, true }
 }
 
-// ErrConsumed is returned when a Result's streaming iterator has already
-// been consumed; run Exec again to iterate anew.
-var ErrConsumed = errors.New("pvcagg: Result stream already consumed")
-
 // ExecReport aggregates run-level execution statistics that have no
 // per-tuple home.
 type ExecReport struct {
@@ -401,8 +376,7 @@ type ExecReport struct {
 
 // Result is one execution handed back by Exec or ExecQuery: the evaluated
 // result pvc-table (step I, already done) and the probability computation
-// (step II), which runs on demand — either as an ordered batch (Collect)
-// or as a stream that surfaces tuples as workers finish (Results).
+// (step II), which runs on demand when Collect is called.
 type Result struct {
 	// Rel is the evaluated result pvc-table, sorted by tuple key.
 	Rel *Relation
@@ -410,11 +384,9 @@ type Result struct {
 	// tractability verdict that routed an Auto run.
 	Strategy Strategy
 	// Timing separates step I (Construct, final) from step II
-	// (Probability, populated once Collect returns or the stream is
-	// consumed).
+	// (Probability, populated once Collect returns).
 	Timing RunTiming
-	// Report carries run-level statistics, populated once Collect returns
-	// or the stream is consumed.
+	// Report carries run-level statistics, populated once Collect returns.
 	Report ExecReport
 
 	db       *Database
@@ -426,7 +398,6 @@ type Result struct {
 	probSpan *obs.Span // WithTrace: step II span, opened lazily
 
 	collected bool
-	streamed  bool
 	outcomes  []TupleOutcome
 	err       error
 }
@@ -435,8 +406,7 @@ type Result struct {
 func (r *Result) Len() int { return r.Rel.Len() }
 
 // Close releases the Result's timeout context (WithTimeout) without
-// consuming it. Collect and a drained Results call it implicitly;
-// calling it is only needed when a WithTimeout Result is abandoned
+// consuming it. Collect calls it implicitly; calling it is only needed when a WithTimeout Result is abandoned
 // before step II — e.g. after inspecting only Rel or Strategy — so its
 // timer does not linger until the deadline. Idempotent.
 func (r *Result) Close() { r.finish() }
@@ -482,13 +452,13 @@ func (r *Result) noteOutcome(o TupleOutcome) {
 	}
 }
 
-// Collect computes (or returns the already-computed) outcome of every
-// result tuple, in tuple order. Every failing tuple is reported, joined
-// into one error; a cancelled context returns ctx.Err().
+// Collect computes (or returns the already-computed) outcomes of the
+// result tuples. It returns the outcomes that finished, in tuple order
+// (TupleOutcome.Index names each one's tuple), alongside an error: the
+// context's when it was cancelled or timed out before every tuple
+// finished, and otherwise every failing tuple's, joined into one. So a
+// cancelled run still hands back what it computed.
 func (r *Result) Collect() ([]TupleOutcome, error) {
-	if r.streamed {
-		return nil, ErrConsumed
-	}
 	if !r.collected {
 		r.probSpan = r.execSpan.StartSpan("probability")
 		t0 := time.Now()
@@ -503,53 +473,13 @@ func (r *Result) Collect() ([]TupleOutcome, error) {
 	return r.outcomes, r.err
 }
 
-// Results streams tuple outcomes as workers finish — completion order,
-// not tuple order (TupleOutcome.Index re-associates them) — so large
-// workloads surface answers without a barrier. Per-tuple failures are
-// yielded as (zero outcome, error) and the stream continues; breaking out
-// cancels the remaining work. The live stream is single-use (ErrConsumed
-// afterwards); after Collect, Results replays the cached outcomes in
-// tuple order.
-func (r *Result) Results() iter.Seq2[TupleOutcome, error] {
-	return func(yield func(TupleOutcome, error) bool) {
-		if r.collected {
-			for _, o := range r.outcomes {
-				if !yield(o, nil) {
-					return
-				}
-			}
-			if r.err != nil {
-				yield(TupleOutcome{}, r.err)
-			}
-			return
-		}
-		if r.streamed {
-			yield(TupleOutcome{}, ErrConsumed)
-			return
-		}
-		r.streamed = true
-		r.probSpan = r.execSpan.StartSpan("probability")
-		t0 := time.Now()
-		for o, err := range engine.Stream(r.ctx, r.db, r.Rel, r.cfg) {
-			if err == nil {
-				r.noteOutcome(o)
-			}
-			if !yield(o, err) {
-				break
-			}
-		}
-		r.Timing.Probability = time.Since(t0)
-		r.finish()
-	}
-}
-
 // Exec evaluates a plan on a database and computes the probabilistic
 // interpretation of every result tuple under the configured strategy.
 // Plan evaluation (step I) happens before Exec returns; probability
-// computation (step II) runs when the Result is consumed via Collect or
-// Results. The context cancels both steps: every compilation polls ctx
-// at expansion steps, so even a runaway Shannon expansion aborts
-// promptly with ctx.Err().
+// computation (step II) runs when the Result's Collect is called. The
+// context cancels both steps: every compilation polls ctx at expansion
+// steps, so even a runaway Shannon expansion aborts promptly with
+// ctx.Err().
 func Exec(ctx context.Context, db *Database, plan Plan, opts ...Option) (*Result, error) {
 	cfg, err := resolveOptions(opts)
 	if err != nil {

@@ -203,78 +203,60 @@ func TestExecDifferential(t *testing.T) {
 	}
 }
 
-// TestExecStreaming: the streaming iterator yields every tuple exactly
-// once (re-associated via Index), matching Collect bit-for-bit, and an
-// early break cancels the remaining work without deadlock.
+// TestExecStreaming: the worker pool hands its outcomes out through
+// Collect alone — in tuple order, each at the position its Index names,
+// bit for bit the sequential run's at parallelism 4 — with the step II
+// time recorded, and a second Collect returns the same outcomes without
+// running step II again.
 func TestExecStreaming(t *testing.T) {
 	db, plan := execTestDB(t)
-	_, want := collect(t, db, plan, pvcagg.WithMode(pvcagg.Exact))
-
-	res, err := pvcagg.Exec(context.Background(), db, plan, pvcagg.WithMode(pvcagg.Exact), pvcagg.WithParallelism(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := make(map[int]pvcagg.TupleOutcome)
-	for o, err := range res.Results() {
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, dup := got[o.Index]; dup {
-			t.Fatalf("tuple %d yielded twice", o.Index)
-		}
-		got[o.Index] = o
-	}
+	_, want := collect(t, db, plan, pvcagg.WithMode(pvcagg.Exact), pvcagg.WithParallelism(1))
+	res, got := collect(t, db, plan, pvcagg.WithMode(pvcagg.Exact), pvcagg.WithParallelism(4))
 	if len(got) != len(want) {
-		t.Fatalf("streamed %d outcomes, want %d", len(got), len(want))
+		t.Fatalf("collected %d outcomes, want %d", len(got), len(want))
 	}
 	for i, w := range want {
 		g := got[i]
-		if g.Confidence != w.Confidence || g.Tuple.Key() != w.Tuple.Key() {
-			t.Errorf("tuple %d: streamed %v/%q, want %v/%q", i, g.Confidence, g.Tuple.Key(), w.Confidence, w.Tuple.Key())
+		if g.Index != i || g.Confidence != w.Confidence || g.Tuple.Key() != w.Tuple.Key() {
+			t.Errorf("position %d: tuple %d %v/%q, want tuple %d %v/%q", i, g.Index, g.Confidence, g.Tuple.Key(), i, w.Confidence, w.Tuple.Key())
 		}
 	}
 	if res.Timing.Probability <= 0 {
-		t.Errorf("Timing.Probability not populated after stream drain")
+		t.Errorf("Timing.Probability not populated after Collect")
 	}
+	again, err := res.Collect()
+	if err != nil || len(again) != len(got) || &again[0] != &got[0] {
+		t.Errorf("second Collect: %d outcomes, err %v; want the first call's %d", len(again), err, len(got))
+	}
+}
 
-	// The stream is single-use.
-	if _, err := res.Collect(); !errors.Is(err, pvcagg.ErrConsumed) {
-		t.Errorf("Collect after stream: err = %v, want ErrConsumed", err)
-	}
-
-	// Early break terminates cleanly.
-	res2, err := pvcagg.Exec(context.Background(), db, plan, pvcagg.WithMode(pvcagg.Exact), pvcagg.WithParallelism(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := 0
-	for _, err := range res2.Results() {
+// TestExecCollectReturnsFinished: when some tuples fail, Collect still hands
+// back the ones that finished, in tuple order, alongside an error that
+// names the failure. The compile budget makes the failure deterministic:
+// the SUM columns of the two-row groups (k = 0, 2) compile within 8
+// nodes, that of the three-row group (k = 1) does not.
+func TestExecCollectReturnsFinished(t *testing.T) {
+	db, plan := execTestDB(t)
+	_, ref := collect(t, db, plan, pvcagg.WithMode(pvcagg.Exact))
+	for _, par := range []int{1, 4} {
+		res, err := pvcagg.Exec(context.Background(), db, plan, pvcagg.WithMode(pvcagg.Exact),
+			pvcagg.WithCompileBudget(8), pvcagg.WithParallelism(par))
 		if err != nil {
 			t.Fatal(err)
 		}
-		n++
-		if n == 2 {
-			break
+		outs, err := res.Collect()
+		if !errors.Is(err, compile.ErrNodeBudget) || !strings.Contains(err.Error(), "1 of 3 tuples failed") {
+			t.Fatalf("parallelism %d: error %v, want one tuple over the node budget", par, err)
 		}
-	}
-	if n != 2 {
-		t.Fatalf("broke after %d outcomes, want 2", n)
-	}
-
-	// After Collect, Results replays the cached outcomes in tuple order.
-	res3, outs := collect(t, db, plan, pvcagg.WithMode(pvcagg.Exact))
-	i := 0
-	for o, err := range res3.Results() {
-		if err != nil {
-			t.Fatal(err)
+		if len(outs) != 2 || outs[0].Index != 0 || outs[1].Index != 2 {
+			t.Fatalf("parallelism %d: got %d outcomes %v, want tuples 0 and 2", par, len(outs), outs)
 		}
-		if o.Index != outs[i].Index {
-			t.Errorf("replay out of order: got %d at position %d", o.Index, i)
+		for _, o := range outs {
+			w := ref[o.Index]
+			if o.Confidence != w.Confidence || !o.AggDists[0].Equal(w.AggDists[0], 0) {
+				t.Errorf("parallelism %d tuple %d: %v %v, want %v %v", par, o.Index, o.Confidence, o.AggDists[0], w.Confidence, w.AggDists[0])
+			}
 		}
-		i++
-	}
-	if i != len(outs) {
-		t.Errorf("replayed %d outcomes, want %d", i, len(outs))
 	}
 }
 
@@ -301,7 +283,6 @@ func TestExecOptionValidation(t *testing.T) {
 		{"eps-range", []pvcagg.Option{pvcagg.WithEps(1.5)}, "out of range", false},
 		{"eps-negative", []pvcagg.Option{pvcagg.WithEps(-0.1)}, "out of range", false},
 		{"approx-eps", []pvcagg.Option{pvcagg.WithMode(pvcagg.Anytime), pvcagg.WithApprox(pvcagg.ApproxOptions{Eps: 0.2})}, "WithEps", false},
-		{"approx-onbounds", []pvcagg.Option{pvcagg.WithMode(pvcagg.Anytime), pvcagg.WithApprox(pvcagg.ApproxOptions{OnBounds: func(pvcagg.Bounds) {}})}, "WithOnBounds", false},
 		// ε = 0 ("exact, please") plus a budget that can abandon
 		// convergence is a hard error.
 		{"anytime-eps0-budget", []pvcagg.Option{pvcagg.WithMode(pvcagg.Anytime), pvcagg.WithEps(0), pvcagg.WithApprox(pvcagg.ApproxOptions{MaxNodes: 100})}, "contradictory anytime options", false},
@@ -353,57 +334,6 @@ func TestExecOptionValidation(t *testing.T) {
 				t.Errorf("tuple %d agg %d: anytime ε=0 %v != exact %v", i, j, outs[i].AggDists[j], ref[i].AggDists[j])
 			}
 		}
-	}
-}
-
-// TestExecOnBoundsAllModes: WithOnBounds is never silently dead — every
-// strategy (including Auto's exact route) reports per-tuple bounds — and
-// never reports a semimodule expression given to ExecExpr, which has no
-// truth value (Anytime refuses one outright).
-func TestExecOnBoundsAllModes(t *testing.T) {
-	db, plan := execTestDB(t)
-	reg := pvcagg.NewRegistry()
-	reg.DeclareBool("x", 0.5)
-	reg.DeclareBool("y", 0.5)
-	m := pvcagg.MustParseExpr("sum(x @sum 5, y @sum 7)")
-	for _, tc := range []struct {
-		name   string
-		opts   []pvcagg.Option
-		module bool // ExecExpr accepts a semimodule expression
-	}{
-		{"exact", []pvcagg.Option{pvcagg.WithMode(pvcagg.Exact)}, true},
-		{"anytime", []pvcagg.Option{pvcagg.WithMode(pvcagg.Anytime), pvcagg.WithEps(0.05)}, false},
-		{"auto-exact-route", nil, true},
-		{"sample", []pvcagg.Option{pvcagg.WithMode(pvcagg.Sample), pvcagg.WithSeed(1), pvcagg.WithSamples(100)}, true},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			calls := 0
-			opts := append(tc.opts,
-				pvcagg.WithParallelism(1), // single worker: no locking needed
-				pvcagg.WithOnBounds(func(pvcagg.Bounds) { calls++ }))
-			res, err := pvcagg.Exec(context.Background(), db, plan, opts...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			outs, err := res.Collect()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if calls < len(outs) {
-				t.Errorf("OnBounds called %d times for %d tuples", calls, len(outs))
-			}
-			if !tc.module {
-				return
-			}
-			calls = 0
-			mres, err := pvcagg.ExecExpr(context.Background(), m, reg, pvcagg.Boolean, opts...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if calls != 0 || mres.Confidence != (pvcagg.Bounds{}) {
-				t.Errorf("semimodule expression: OnBounds called %d times, Confidence %v; want 0 calls and no confidence", calls, mres.Confidence)
-			}
-		})
 	}
 }
 
@@ -684,6 +614,18 @@ func TestExecExpr(t *testing.T) {
 	}
 	if mres.Strategy.Chosen != pvcagg.Exact || mres.Dist.Size() == 0 {
 		t.Errorf("module expression: strategy %v, dist %v", mres.Strategy.Chosen, mres.Dist)
+	}
+	// It has no truth value: every strategy that accepts it leaves the
+	// confidence zero.
+	for _, opts := range [][]pvcagg.Option{nil, {pvcagg.WithMode(pvcagg.Exact)},
+		{pvcagg.WithMode(pvcagg.Sample), pvcagg.WithSeed(1), pvcagg.WithSamples(100)}} {
+		res, err := pvcagg.ExecExpr(ctx, m, reg, pvcagg.Boolean, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Confidence != (pvcagg.Bounds{}) {
+			t.Errorf("%v on a module expression: confidence %v, want none", res.Strategy, res.Confidence)
+		}
 	}
 	if _, err := pvcagg.ExecExpr(ctx, m, reg, pvcagg.Boolean, pvcagg.WithMode(pvcagg.Anytime)); err == nil {
 		t.Error("Anytime on a module expression: want error")

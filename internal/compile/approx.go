@@ -90,10 +90,6 @@ type ApproxOptions struct {
 	MaxNodes int
 	// Timeout bounds wall-clock time (0 ⇒ unlimited).
 	Timeout time.Duration
-	// OnBounds, when non-nil, observes the root bounds after every frontier
-	// expansion (first call: the initial bounds before any expansion). The
-	// sequence of observed intervals is monotonically tightening.
-	OnBounds func(Bounds)
 }
 
 func (o ApproxOptions) leafBudget() int {
@@ -105,22 +101,12 @@ func (o ApproxOptions) leafBudget() int {
 
 // ApproxReport describes one anytime computation.
 type ApproxReport struct {
-	Bounds       Bounds
-	Converged    bool          // Width() ≤ Eps on return
-	Expansions   int           // Shannon expansions of frontier leaves
-	TreeNodes    int           // partial-tree nodes created
-	ExactNodes   int           // d-tree nodes evaluated: those of the leaves closed exactly
-	WastedNodes  int           // d-tree nodes built but never evaluated
-	ExactLeaves  int           // frontier leaves closed exactly
-	FrontierOpen int           // unresolved frontier leaves on return
-	Elapsed      time.Duration // wall-clock time
+	Converged   bool // Width() ≤ Eps on return
+	Expansions  int  // Shannon expansions of frontier leaves
+	TreeNodes   int  // partial-tree nodes created
+	ExactNodes  int  // d-tree nodes evaluated: those of the leaves closed exactly
+	WastedNodes int  // d-tree nodes built but never evaluated
 }
-
-// ExpandedNodes is the size of the partial compilation actually
-// materialised: partial-tree nodes plus the d-tree nodes of the leaves
-// closed exactly. This is the quantity comparable against exact
-// compilation's d-tree node count.
-func (r ApproxReport) ExpandedNodes() int { return r.TreeNodes + r.ExactNodes }
 
 // TotalNodes is the total work proxy: partial-tree nodes plus every d-tree
 // node the closure attempts built — evaluated, or left by an attempt that
@@ -171,19 +157,13 @@ func ApproximateCtx(ctx context.Context, s algebra.Semiring, reg *vars.Registry,
 		return Bounds{}, ApproxReport{}, err
 	}
 	ax.root = root
-	if opts.OnBounds != nil {
-		opts.OnBounds(root.bounds())
-	}
 	if err := ax.run(t0); err != nil {
 		return Bounds{}, ApproxReport{}, err
 	}
-	b := root.bounds()
-	ax.rep.Bounds = b
+	b := Bounds{root.lo, root.hi}
 	ax.rep.Converged = b.Width() <= opts.Eps
-	ax.rep.FrontierOpen = ax.frontier.open()
 	ax.rep.ExactNodes = ax.ev.Nodes()
 	ax.rep.WastedNodes = ax.built - ax.rep.ExactNodes
-	ax.rep.Elapsed = time.Since(t0)
 	return b, ax.rep, nil
 }
 
@@ -211,8 +191,6 @@ type anode struct {
 	// heap bookkeeping for frontier leaves (lazy priority queue).
 	prio float64
 }
-
-func (n *anode) bounds() Bounds { return Bounds{n.lo, n.hi} }
 
 // recompute refreshes [lo, hi] of an inner node from its children:
 //
@@ -316,16 +294,6 @@ func (h *frontierHeap) Pop() any {
 	old[n-1] = nil
 	*h = old[:n-1]
 	return x
-}
-
-func (h frontierHeap) open() int {
-	n := 0
-	for _, l := range h {
-		if l.kind == nkFrontier {
-			n++
-		}
-	}
-	return n
 }
 
 type approximator struct {
@@ -481,7 +449,6 @@ func (ax *approximator) close(e expr.Expr, budget int) (float64, bool, error) {
 	if err != nil {
 		return 0, false, err
 	}
-	ax.rep.ExactLeaves++
 	return d.TruthProbability(), true, nil
 }
 
@@ -509,9 +476,6 @@ func (ax *approximator) run(t0 time.Time) error {
 		}
 		if err := ax.expand(leaf); err != nil {
 			return err
-		}
-		if ax.opts.OnBounds != nil {
-			ax.opts.OnBounds(ax.root.bounds())
 		}
 	}
 	return nil

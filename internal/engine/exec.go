@@ -4,13 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"iter"
 	"math/rand"
 	"runtime"
 	"runtime/debug"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"pvcagg/internal/algebra"
 	"pvcagg/internal/compile"
@@ -24,11 +22,10 @@ import (
 
 // This file is step II behind the facade's Exec and ExecExpr:
 // one strategy dispatch (exact, anytime, sampling; worker.interpret) and
-// one worker pool (run) that computes TupleOutcomes either as an ordered
-// batch (Outcomes) or as a stream that surfaces tuples in completion order
-// (Stream). The whole computation honours a context — cancellation
-// reaches into the per-tuple compilations, which poll ctx at expansion
-// steps.
+// one worker pool (Outcomes) that computes the TupleOutcomes of a result
+// pvc-table in tuple order. The whole computation honours a context —
+// cancellation reaches into the per-tuple compilations, which poll ctx at
+// expansion steps.
 
 // ExecConfig selects and parameterises one execution strategy. The zero
 // value is the exact strategy at GOMAXPROCS parallelism.
@@ -52,12 +49,6 @@ type ExecConfig struct {
 	// derived as Seed + i·stride, so results are reproducible from the
 	// single logged seed at any parallelism.
 	Seed int64
-	// OnBounds, when non-nil, observes each tuple's confidence bounds:
-	// under the anytime strategy after every frontier expansion (via
-	// Approx.OnBounds), under the exact and sampling strategies once per
-	// tuple with the final interval. With Parallelism > 1 it is invoked
-	// concurrently and must be safe for concurrent use.
-	OnBounds func(compile.Bounds)
 }
 
 // worker computes outcomes for one goroutine of the pool and runs step
@@ -86,39 +77,32 @@ func newWorker(s algebra.Semiring, reg *vars.Registry, cfg *ExecConfig) *worker 
 }
 
 // ExactReport describes one exact computation, or the sum of several:
-// compilation statistics, the d-tree shape, evaluation statistics and
-// wall-clock timings. These are the quantities the paper's experiments
-// report (run time, d-tree size, distribution sizes).
+// the compiler's statistics and the evaluation's. These are the
+// quantities the paper's experiments report: the d-tree's size is
+// Compile.Nodes and its exclusive (Shannon) nodes Compile.Shannon, the
+// largest distribution Eval.MaxDistSize.
 type ExactReport struct {
-	Compile     compile.Stats
-	Tree        dtree.Stats
-	Eval        dtree.EvalStats
-	CompileTime time.Duration
-	EvalTime    time.Duration
+	Compile compile.Stats
+	Eval    dtree.EvalStats
 }
 
-// exact is the exact path: it compiles e (Algorithm 1), measures the
-// d-tree and evaluates it bottom-up (Theorem 2).
+// exact is the exact path: it compiles e (Algorithm 1) and evaluates the
+// d-tree bottom-up (Theorem 2).
 func (w *worker) exact(ctx context.Context, e expr.Expr) (prob.Dist, ExactReport, error) {
 	var rep ExactReport
 	if w.c == nil {
 		w.c = compile.New(w.s, w.reg, w.cfg.Compile)
 	}
-	t0 := time.Now()
 	res, err := w.c.CompileCtx(ctx, e)
 	w.c.Reset()
 	if err != nil {
 		return prob.Dist{}, rep, fmt.Errorf("engine: compile %s: %w", expr.Abbrev(e), err)
 	}
-	rep.CompileTime = time.Since(t0)
 	rep.Compile = res.Stats
-	rep.Tree = dtree.Measure(res.Root)
-	t1 := time.Now()
 	d, evalStats, err := dtree.Evaluate(res.Root, dtree.Env{Semiring: w.s, Registry: w.reg})
 	if err != nil {
 		return prob.Dist{}, rep, fmt.Errorf("engine: evaluate %s: %w", expr.Abbrev(e), err)
 	}
-	rep.EvalTime = time.Since(t1)
 	rep.Eval = evalStats
 	return d, rep, nil
 }
@@ -136,15 +120,11 @@ func Interpret(ctx context.Context, s algebra.Semiring, reg *vars.Registry, e ex
 // distribution and the report of the strategy that ran (all meaningless
 // alongside an error):
 //   - exact: the exact path's distribution, and a point confidence;
-//   - anytime: guaranteed bounds from compile.ApproximateCtx, which
-//     reports every expansion to Approx.OnBounds itself; no distribution;
+//   - anytime: guaranteed bounds from compile.ApproximateCtx; no
+//     distribution;
 //   - sample: Samples worlds drawn from the stream seeded
 //     Seed + idx·stride, and a 95% Hoeffding interval (statistical,
 //     unlike the anytime engine's guaranteed bounds).
-//
-// Under the exact and sampling strategies OnBounds observes a semiring
-// expression's final interval once, so the callback is never silently
-// dead under any strategy.
 func (w *worker) interpret(ctx context.Context, idx int, e expr.Expr) (b compile.Bounds, d prob.Dist, rep TupleReport, err error) {
 	switch {
 	case w.cfg.Approx != nil:
@@ -167,9 +147,6 @@ func (w *worker) interpret(ctx context.Context, idx int, e expr.Expr) (b compile
 		b.Lo, b.Hi = worlds.Hoeffding95(d.TruthProbability(), w.cfg.Samples)
 	} else {
 		b = compile.Point(d.TruthProbability())
-	}
-	if w.cfg.OnBounds != nil {
-		w.cfg.OnBounds(b)
 	}
 	return b, d, rep, nil
 }
@@ -243,14 +220,21 @@ func workers(par, n int) int {
 	return min(par, n)
 }
 
-// run is the worker pool behind Outcomes and Stream: each of its workers
-// claims the next unclaimed tuple of rel, computes its outcome (a panic
-// becomes that tuple's *PanicError) and hands it to emit, until no tuple
-// is left, ctx is done or emit returns false. emit is called concurrently
-// from every worker; run returns once all of them have stopped.
-func run(ctx context.Context, db *pvc.Database, rel *pvc.Relation, cfg ExecConfig, emit func(idx int, out TupleOutcome, err error) bool) {
+// Outcomes computes the outcome of every tuple of rel over a bounded
+// worker pool: each worker claims the next unclaimed tuple and computes
+// its outcome (a panic becomes that tuple's *PanicError) until no tuple is
+// left or ctx is done. It returns the outcomes that finished, in tuple
+// order, alongside an error: ctx.Err() when the context was cancelled —
+// which also aborts the in-flight compilations — and otherwise every
+// tuple failure, joined into one error in tuple order.
+func Outcomes(ctx context.Context, db *pvc.Database, rel *pvc.Relation, cfg ExecConfig) ([]TupleOutcome, error) {
 	n := len(rel.Tuples)
+	if n == 0 {
+		return []TupleOutcome{}, nil
+	}
 	moduleCols := rel.Schema.ModuleColumns()
+	outs := make([]TupleOutcome, n)
+	errs := make([]error, n)
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	for range workers(cfg.Parallelism, n) {
@@ -263,89 +247,28 @@ func run(ctx context.Context, db *pvc.Database, rel *pvc.Relation, cfg ExecConfi
 				if i >= n {
 					return
 				}
-				out, err := wk.safeOutcome(ctx, i, rel.Tuples[i], moduleCols)
-				if !emit(i, out, err) {
-					return
-				}
+				outs[i], errs[i] = wk.safeOutcome(ctx, i, rel.Tuples[i], moduleCols)
 			}
 		}()
 	}
 	wg.Wait()
-}
-
-// Outcomes computes the outcome of every tuple of rel in tuple order,
-// distributing tuples over a bounded worker pool. Every failing tuple is
-// reported, joined into one error in tuple order; a cancelled context
-// aborts the in-flight compilations and returns ctx.Err().
-func Outcomes(ctx context.Context, db *pvc.Database, rel *pvc.Relation, cfg ExecConfig) ([]TupleOutcome, error) {
-	n := len(rel.Tuples)
-	if n == 0 {
-		return []TupleOutcome{}, nil
-	}
-	out := make([]TupleOutcome, n)
-	errs := make([]error, n)
-	run(ctx, db, rel, cfg, func(i int, o TupleOutcome, err error) bool {
-		out[i], errs[i] = o, err
-		return true
-	})
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
+	// Tuples are claimed in index order and a claimed tuple is always
+	// computed, so those below the last claim are exactly the ones that ran.
+	ran := min(int(next.Load()), n)
+	finished := outs[:0]
 	var failed []error
-	for _, err := range errs {
-		if err != nil {
-			failed = append(failed, err)
+	for i, o := range outs[:ran] {
+		if errs[i] != nil {
+			failed = append(failed, errs[i])
+		} else {
+			finished = append(finished, o)
 		}
+	}
+	if err := ctx.Err(); err != nil {
+		return finished, err
 	}
 	if len(failed) > 0 {
-		return nil, fmt.Errorf("engine: %d of %d tuples failed: %w", len(failed), n, errors.Join(failed...))
+		return finished, fmt.Errorf("engine: %d of %d tuples failed: %w", len(failed), n, errors.Join(failed...))
 	}
-	return out, nil
-}
-
-// Stream computes the outcome of every tuple of rel and yields each as
-// soon as its worker finishes — completion order, not tuple order — so
-// large workloads surface answers without a barrier. Per-tuple failures
-// are yielded as (zero outcome, error) and the stream continues; breaking
-// out of the iteration cancels the remaining work. When the context is
-// cancelled before every tuple has been yielded, one final (zero outcome,
-// ctx.Err()) is yielded.
-func Stream(ctx context.Context, db *pvc.Database, rel *pvc.Relation, cfg ExecConfig) iter.Seq2[TupleOutcome, error] {
-	return func(yield func(TupleOutcome, error) bool) {
-		sctx, cancel := context.WithCancel(ctx)
-		defer cancel()
-		type item struct {
-			out TupleOutcome
-			err error
-		}
-		// One slot per worker: a worker hands over a finished tuple and
-		// claims the next without waiting for the consumer.
-		ch := make(chan item, workers(cfg.Parallelism, len(rel.Tuples)))
-		go func() {
-			run(sctx, db, rel, cfg, func(_ int, out TupleOutcome, err error) bool {
-				select {
-				case ch <- item{out, err}:
-					return true
-				case <-sctx.Done():
-					return false
-				}
-			})
-			close(ch)
-		}()
-		yielded := 0
-		for it := range ch {
-			if !yield(it.out, it.err) {
-				cancel()
-				for range ch { // unblock remaining workers until close
-				}
-				return
-			}
-			yielded++
-		}
-		if yielded < len(rel.Tuples) {
-			if err := ctx.Err(); err != nil {
-				yield(TupleOutcome{}, err)
-			}
-		}
-	}
+	return finished, nil
 }

@@ -10,8 +10,10 @@ import (
 
 	"pvcagg/internal/algebra"
 	"pvcagg/internal/compile"
+	"pvcagg/internal/dtree"
 	"pvcagg/internal/engine"
 	"pvcagg/internal/expr"
+	"pvcagg/internal/gen"
 	"pvcagg/internal/prob"
 	"pvcagg/internal/pvc"
 	"pvcagg/internal/testutil"
@@ -42,36 +44,27 @@ func streamDB(t *testing.T) (*pvc.Database, *pvc.Relation) {
 	return db, rel
 }
 
-// TestStreamPerTupleErrors: failing tuples are yielded as (zero, err)
-// while the healthy ones still arrive, at every parallelism.
+// TestStreamPerTupleErrors: Outcomes hands back the healthy tuples, in
+// tuple order, alongside one error that joins the failures, at every
+// parallelism.
 func TestStreamPerTupleErrors(t *testing.T) {
 	db, rel := streamDB(t)
 	for _, par := range []int{1, 4} {
-		ok, failed := 0, 0
-		for o, err := range engine.Stream(context.Background(), db, rel, engine.ExecConfig{Parallelism: par}) {
-			if err != nil {
-				if !strings.Contains(err.Error(), "ghost") {
-					t.Errorf("parallelism %d: unexpected error %v", par, err)
-				}
-				failed++
-				continue
-			}
-			if o.Confidence.Lo != 0.5 || o.Confidence.Hi != 0.5 {
-				t.Errorf("parallelism %d tuple %d: confidence %v, want [0.5, 0.5]", par, o.Index, o.Confidence)
-			}
-			ok++
+		outs, err := engine.Outcomes(context.Background(), db, rel, engine.ExecConfig{Parallelism: par})
+		if err == nil {
+			t.Fatalf("parallelism %d: want error", par)
 		}
-		if ok != 5 || failed != 2 {
-			t.Errorf("parallelism %d: %d ok / %d failed, want 5/2", par, ok, failed)
-		}
-	}
-	// The barrier version joins all failures into one error.
-	if _, err := engine.Outcomes(context.Background(), db, rel, engine.ExecConfig{Parallelism: 4}); err == nil {
-		t.Fatal("Outcomes: want error")
-	} else {
 		for _, want := range []string{"2 of 7 tuples failed", "ghost1", "ghost2"} {
 			if !strings.Contains(err.Error(), want) {
-				t.Errorf("Outcomes error %q does not mention %q", err, want)
+				t.Errorf("parallelism %d: error %q does not mention %q", par, err, want)
+			}
+		}
+		if len(outs) != 5 {
+			t.Fatalf("parallelism %d: %d outcomes, want the 5 healthy tuples", par, len(outs))
+		}
+		for i, o := range outs {
+			if o.Index != i || o.Confidence != compile.Point(0.5) {
+				t.Errorf("parallelism %d position %d: tuple %d confidence %v, want tuple %d [0.5, 0.5]", par, i, o.Index, o.Confidence, i)
 			}
 		}
 	}
@@ -117,70 +110,104 @@ func TestTupleErrorsAreBounded(t *testing.T) {
 	check("node budget", err, compile.ErrNodeBudget)
 }
 
-// TestStreamCancelled: a context cancelled before the stream starts
-// yields a final context.Canceled instead of hanging or silently
-// truncating.
+// TestStreamCancelled: a context cancelled before Outcomes starts
+// returns context.Canceled and fewer than all tuples instead of hanging
+// or silently truncating.
 func TestStreamCancelled(t *testing.T) {
 	db, rel := streamDB(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	sawCancel := false
-	n := 0
-	for _, err := range engine.Stream(ctx, db, rel, engine.ExecConfig{Parallelism: 4}) {
-		if err != nil && errors.Is(err, context.Canceled) {
-			sawCancel = true
-			continue
-		}
-		if err == nil {
-			n++
-		}
+	outs, err := engine.Outcomes(ctx, db, rel, engine.ExecConfig{Parallelism: 4})
+	if !errors.Is(err, context.Canceled) {
+		t.Errorf("error %v, want context.Canceled", err)
 	}
-	if !sawCancel {
-		t.Error("no context.Canceled yielded from a cancelled stream")
-	}
-	if n == len(rel.Tuples) {
-		t.Error("cancelled stream still yielded every tuple")
+	if len(outs) >= len(rel.Tuples) {
+		t.Errorf("cancelled run still returned %d of %d tuples", len(outs), len(rel.Tuples))
 	}
 }
 
 // TestPanicContainment: a panic while computing one tuple (here a nil
 // annotation) is recovered in the worker goroutine and surfaces as a
-// typed *PanicError for that tuple only — the other tuples still arrive,
-// no goroutine dies with the process, and none leak.
+// typed *PanicError for that tuple only — the other tuples still come
+// back, no goroutine dies with the process, and none leak.
 func TestPanicContainment(t *testing.T) {
 	checkLeaks := testutil.CheckGoroutines(t)
 	db, rel := streamDB(t)
 	rel.Tuples = rel.Tuples[:5]
 	rel.Tuples = append(rel.Tuples, pvc.Tuple{Cells: []pvc.Cell{pvc.IntCell(200)}, Ann: nil})
 	for _, par := range []int{1, 4} {
-		ok, panics := 0, 0
-		for o, err := range engine.Stream(context.Background(), db, rel, engine.ExecConfig{Parallelism: par}) {
-			if err != nil {
-				if !engine.IsPanic(err) {
-					t.Errorf("parallelism %d: non-panic error %v", par, err)
-					continue
-				}
-				var pe *engine.PanicError
-				if !errors.As(err, &pe) || pe.Index != 5 || len(pe.Stack) == 0 {
-					t.Errorf("parallelism %d: PanicError = %+v, want index 5 with a stack", par, pe)
-				}
-				panics++
-				continue
-			}
-			ok++
-			_ = o
+		outs, err := engine.Outcomes(context.Background(), db, rel, engine.ExecConfig{Parallelism: par})
+		var pe *engine.PanicError
+		if !errors.As(err, &pe) || pe.Index != 5 || len(pe.Stack) == 0 {
+			t.Fatalf("parallelism %d: error %v, want the PanicError of tuple 5 with a stack", par, err)
 		}
-		if ok != 5 || panics != 1 {
-			t.Errorf("parallelism %d: %d ok / %d panics, want 5/1", par, ok, panics)
+		if !strings.Contains(err.Error(), "1 of 6 tuples failed") {
+			t.Errorf("parallelism %d: error %q does not count one failure", par, err)
 		}
-	}
-	// The barrier runner reports the panic in its joined error.
-	if _, err := engine.Outcomes(context.Background(), db, rel, engine.ExecConfig{Parallelism: 4}); err == nil {
-		t.Fatal("Outcomes: want error")
-	} else if !engine.IsPanic(err) || !strings.Contains(err.Error(), "panic computing tuple 5") {
-		t.Errorf("Outcomes error %q is not the contained panic", err)
+		if len(outs) != 5 || outs[4].Index != 4 {
+			t.Errorf("parallelism %d: %d outcomes, want tuples 0–4", par, len(outs))
+		}
 	}
 	checkLeaks()
+}
+
+// TestCompileCountsTheTree: for the compilations the worker runs — one
+// compiler per worker, its memo reset after every annotation and column —
+// the compiler's own counters are the d-tree's size: Stats.Nodes is every
+// node reachable from the root and Stats.Shannon its exclusive (⊔x)
+// nodes, and the report's Compile.Nodes sums them over a tuple. So no
+// second walk of the tree has to count it again.
+func TestCompileCountsTheTree(t *testing.T) {
+	ctx := context.Background()
+	check := func(name string, db *pvc.Database, plan engine.Plan) {
+		t.Helper()
+		rel, _, err := engine.StreamEvalPlan(ctx, db, plan)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		outs, err := engine.Outcomes(ctx, db, rel, engine.ExecConfig{Parallelism: 1})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		c := compile.New(db.Semiring(), db.Registry, compile.Options{})
+		for i, tup := range rel.Tuples {
+			exprs := []expr.Expr{tup.Ann}
+			for _, ci := range rel.Schema.ModuleColumns() {
+				e, err := tup.Cells[ci].ModuleExpr()
+				if err != nil {
+					t.Fatal(err)
+				}
+				exprs = append(exprs, e)
+			}
+			nodes := 0
+			for _, e := range exprs {
+				res, err := c.CompileCtx(ctx, e)
+				c.Reset()
+				if err != nil {
+					t.Fatalf("%s tuple %d: %v", name, i, err)
+				}
+				m := dtree.Measure(res.Root)
+				if res.Stats.Nodes != m.Nodes || res.Stats.Shannon != m.Exclusive {
+					t.Errorf("%s tuple %d: compiler counted %d nodes, %d Shannon; the tree has %d nodes, %d exclusive",
+						name, i, res.Stats.Nodes, res.Stats.Shannon, m.Nodes, m.Exclusive)
+				}
+				nodes += m.Nodes
+			}
+			if got := outs[i].Report.Exact.Compile.Nodes; got != nodes {
+				t.Errorf("%s tuple %d: report counts %d nodes, its trees have %d", name, i, got, nodes)
+			}
+		}
+	}
+	tp, err := tpch.Generate(tpch.Config{SF: 0.0005, Seed: 1, Probabilistic: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("TPC-H Q1", tp, tpch.Q1(1200))
+	check("TPC-H Q2", tp, tpch.Q2(1, "AFRICA"))
+	for seed := int64(1); seed <= 40; seed++ {
+		inst := gen.MustNewDB(gen.DBParams{Seed: seed})
+		check(fmt.Sprintf("generated seed %d", seed), inst.DB, inst.Plan)
+	}
 }
 
 // TestOutcomesSamplingDeterminism: the sampling strategy is reproducible
@@ -243,7 +270,7 @@ func TestDistributionEndToEnd(t *testing.T) {
 	if got := d.P(value.Bool(true)); math.Abs(got-want) > 1e-12 {
 		t.Errorf("P[x∨y] = %v, want %v", got, want)
 	}
-	if rep.Tree.Nodes == 0 || rep.Eval.NodeEvals == 0 {
+	if rep.Compile.Nodes == 0 || rep.Eval.NodeEvals == 0 {
 		t.Errorf("report not filled: %+v", rep)
 	}
 }

@@ -39,8 +39,7 @@ package engine
 // its loan copy it then (row.keep, told by lendsCells whether a tuple
 // input lends): pairIter.buildTable (the probe tuple is only held until
 // the next probe pull) and drainRoot, the root loop of StreamEvalPlan
-// and StreamEvalPlanExplain. Outside this file, providerEstimate keeps
-// no tuple, only cell keys.
+// and StreamEvalPlanExplain.
 
 import (
 	"context"

@@ -22,9 +22,9 @@ type RunTiming struct {
 // hardness of selections on aggregates lives in the annotations), and the
 // per-tuple cost report.
 type TupleOutcome struct {
-	// Index is the ordinal of the tuple in the (sorted) result pvc-table;
-	// streaming consumers receive outcomes in completion order and use it
-	// to re-associate them.
+	// Index is the ordinal of the tuple in the (sorted) result pvc-table.
+	// It differs from the outcome's position in a slice that omits tuples
+	// which did not finish.
 	Index int
 	Tuple pvc.Tuple
 	// Confidence brackets the probability that the tuple's annotation is
@@ -50,8 +50,8 @@ type TupleReport struct {
 	Samples int
 }
 
-// add folds one more exact computation into r: counters and times add,
-// the deepest d-tree and the largest intermediate distribution win.
+// add folds one more exact computation into r: counters add, the largest
+// intermediate distribution wins.
 func (r *ExactReport) add(o ExactReport) {
 	c := &r.Compile
 	c.SumSplits += o.Compile.SumSplits
@@ -64,14 +64,8 @@ func (r *ExactReport) add(o ExactReport) {
 	c.PrunedGuards += o.Compile.PrunedGuards
 	c.CacheHits += o.Compile.CacheHits
 	c.Nodes += o.Compile.Nodes
-	r.Tree.Nodes += o.Tree.Nodes
-	r.Tree.Leaves += o.Tree.Leaves
-	r.Tree.Depth = max(r.Tree.Depth, o.Tree.Depth)
-	r.Tree.Exclusive += o.Tree.Exclusive
 	r.Eval.NodeEvals += o.Eval.NodeEvals
 	r.Eval.MaxDistSize = max(r.Eval.MaxDistSize, o.Eval.MaxDistSize)
-	r.CompileTime += o.CompileTime
-	r.EvalTime += o.EvalTime
 }
 
 // tupleSeedStride decorrelates per-tuple sampling streams: tuple i draws

@@ -13,11 +13,11 @@ type ExplainMode int
 const (
 	// ExplainNone is an ordinary query.
 	ExplainNone ExplainMode = iota
-	// ExplainPlan asks for the optimized plan with cardinality
-	// estimates, without executing (EXPLAIN ...).
+	// ExplainPlan asks for the optimized plan with each operator's
+	// proved row bound, without executing (EXPLAIN ...).
 	ExplainPlan
 	// ExplainAnalyze asks to execute and report per-operator actual
-	// row counts next to the estimates (EXPLAIN ANALYZE ...).
+	// row counts next to the row bounds (EXPLAIN ANALYZE ...).
 	ExplainAnalyze
 )
 

@@ -8,6 +8,7 @@ import (
 
 	"pvcagg"
 	"pvcagg/internal/algebra"
+	"pvcagg/internal/gen"
 	"pvcagg/internal/store"
 	"pvcagg/internal/testutil"
 )
@@ -28,7 +29,7 @@ var chaosSoak = flag.Duration("chaos-soak", 2*time.Second, "wall-clock budget fo
 func chaosStore(t *testing.T) string {
 	t.Helper()
 	dir := t.TempDir()
-	db := shopDB(0.5)
+	db := gen.Figure1(0.5)
 	w, err := store.Create(dir, algebra.Boolean, db.Registry, store.Options{BlockCapacity: 4})
 	if err != nil {
 		t.Fatal(err)

@@ -7,6 +7,8 @@ import (
 	"net/http/httptest"
 	"testing"
 	"time"
+
+	"pvcagg/internal/gen"
 )
 
 // FuzzQueryBody posts arbitrary bytes to /query. Every response must be
@@ -29,7 +31,7 @@ func FuzzQueryBody(f *testing.F) {
 		"EXPLAIN ANALYZE SELECT shop, COUNT(*) AS n FROM S GROUP BY shop",
 		"SELECT a FROM R WHERE name = 'M''S' UNION SELECT b AS a FROM T",
 		"SELECT MIN(x) AS lo, PROD(y) AS p FROM R WHERE x <> +INF GROUP BY",
-		// Queries over shopDB, and the wide EXPLAIN.
+		// Queries over gen.Figure1, and the wide EXPLAIN.
 		qCount,
 		qHard,
 		wideExplain(),
@@ -53,7 +55,7 @@ func FuzzQueryBody(f *testing.F) {
 		f.Add([]byte(raw))
 	}
 
-	h := New(shopDB(0.5), Config{MaxTimeout: 100 * time.Millisecond}).Handler()
+	h := New(gen.Figure1(0.5), Config{MaxTimeout: 100 * time.Millisecond}).Handler()
 	okCount := func(t *testing.T) int64 {
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/stats", nil))

@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"pvcagg"
+	"pvcagg/internal/gen"
 )
 
 // Observability suite: the /metrics exposition under a workload soak,
@@ -21,7 +22,7 @@ import (
 // routing through /query and the plan cache, and trace-on-request.
 
 func TestHealthzBuildInfo(t *testing.T) {
-	s := New(shopDB(0.5), Config{})
+	s := New(gen.Figure1(0.5), Config{})
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
 
@@ -121,7 +122,7 @@ func scrape(t *testing.T, client *http.Client, url string) map[string]float64 {
 // counters are monotone between scrapes, and /stats reads the same
 // counters and phase counts as the scrape.
 func TestMetricsSmoke(t *testing.T) {
-	db := shopDB(0.5)
+	db := gen.Figure1(0.5)
 	s := New(db, Config{StoreMetrics: func() pvcagg.StoreMetrics {
 		return pvcagg.StoreMetrics{BlocksRead: 7, BytesRead: 128, RowsRead: 42}
 	}})
@@ -244,7 +245,7 @@ func TestMetricsSmoke(t *testing.T) {
 // plain prefix returns the tree with row bounds and no execution, ANALYZE
 // executes and reports actuals, and both coexist with the plan cache.
 func TestQueryExplain(t *testing.T) {
-	s := New(shopDB(0.5), Config{})
+	s := New(gen.Figure1(0.5), Config{})
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
 
@@ -292,7 +293,7 @@ func TestQueryExplain(t *testing.T) {
 
 // TestQueryTrace: "trace": true returns the span tree; off by default.
 func TestQueryTrace(t *testing.T) {
-	s := New(shopDB(0.5), Config{})
+	s := New(gen.Figure1(0.5), Config{})
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
 

@@ -8,6 +8,8 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"pvcagg/internal/gen"
 )
 
 // postRaw posts a QueryRequest with optional extra headers and returns
@@ -47,7 +49,7 @@ func postRaw(t *testing.T, url string, req QueryRequest, hdr map[string]string) 
 // response header and in success and error bodies; absent (or oversized)
 // ones are replaced by generated unique IDs.
 func TestRequestIDs(t *testing.T) {
-	srv := httptest.NewServer(New(shopDB(0.5), Config{}).Handler())
+	srv := httptest.NewServer(New(gen.Figure1(0.5), Config{}).Handler())
 	defer srv.Close()
 
 	resp, qr, _ := postRaw(t, srv.URL, QueryRequest{Query: qCount}, map[string]string{"X-Request-ID": "client-abc"})
@@ -91,7 +93,7 @@ func TestRequestIDs(t *testing.T) {
 // structured 500 with code "panic" and a request ID, counts in /stats,
 // and leaves the server fully able to serve the next request.
 func TestPanicRecovery(t *testing.T) {
-	s := New(shopDB(0.5), Config{})
+	s := New(gen.Figure1(0.5), Config{})
 	boom := true
 	s.execGate = func() {
 		if boom {
@@ -143,7 +145,7 @@ func getJSON(t *testing.T, url string, v any) int {
 // backend reports sticky failures, with queries still served throughout.
 func TestReadiness(t *testing.T) {
 	backendErr := error(nil)
-	s := New(shopDB(0.5), Config{Health: func() error { return backendErr }})
+	s := New(gen.Figure1(0.5), Config{Health: func() error { return backendErr }})
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
 
@@ -196,7 +198,7 @@ func TestReadiness(t *testing.T) {
 // TestBodyCap: request bodies beyond MaxBodyBytes are cut off with 413,
 // not read to exhaustion.
 func TestBodyCap(t *testing.T) {
-	srv := httptest.NewServer(New(shopDB(0.5), Config{MaxBodyBytes: 256}).Handler())
+	srv := httptest.NewServer(New(gen.Figure1(0.5), Config{MaxBodyBytes: 256}).Handler())
 	defer srv.Close()
 
 	big, err := json.Marshal(QueryRequest{Query: qCount + strings.Repeat(" ", 1024)})

@@ -371,8 +371,8 @@ type QueryResponse struct {
 	// RequestID echoes X-Request-ID (client-provided or generated).
 	RequestID string  `json:"request_id,omitempty"`
 	Timings   Timings `json:"timings"`
-	// Explain is the plan tree for EXPLAIN-prefixed queries: estimates
-	// only under EXPLAIN (rows is empty, nothing executed), estimates
+	// Explain is the plan tree for EXPLAIN-prefixed queries: row bounds
+	// only under EXPLAIN (rows is empty, nothing executed), row bounds
 	// next to per-operator actuals under EXPLAIN ANALYZE.
 	Explain *pvcagg.ExplainNode `json:"explain,omitempty"`
 	// Trace is the execution trace's span tree, present when the
@@ -520,7 +520,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	if entry.explain == pvcagg.ExplainPlan {
 		// EXPLAIN without ANALYZE: report the optimized plan with
-		// cardinality estimates and execute nothing — the worker slot is
+		// its row bounds and execute nothing — the worker slot is
 		// released without an exec phase.
 		s.m.total.Observe(time.Since(total0).Seconds())
 		s.answer(w, &QueryResponse{

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"pvcagg"
+	"pvcagg/internal/gen"
 	"pvcagg/internal/testutil"
 	"pvcagg/internal/tpch"
 )
@@ -25,56 +26,6 @@ import (
 // the paper's Figure 1 shop database, and checks every response against
 // the only three acceptable shapes: a correct result (differential vs
 // direct ExecQuery), a sound interval, or a clean 429/timeout.
-
-// shopDB is the Figure 1 database: 5 shop tuples, 9 price listings, 5
-// product weights, all annotated with independent Booleans at marginal p.
-func shopDB(p float64) *pvcagg.Database {
-	db := pvcagg.NewDatabase(pvcagg.Boolean)
-	s := pvcagg.NewRelation("S", pvcagg.Schema{
-		{Name: "sid", Type: pvcagg.TValue},
-		{Name: "shop", Type: pvcagg.TString},
-	})
-	shops := []string{"M&S", "M&S", "M&S", "Gap", "Gap"}
-	for i, shop := range shops {
-		db.Registry.DeclareBool(fmt.Sprintf("x%d", i+1), p)
-		s.MustInsert(pvcagg.MustParseExpr(fmt.Sprintf("x%d", i+1)),
-			pvcagg.IntCell(int64(i+1)), pvcagg.StringCell(shop))
-	}
-	db.Add(s)
-	ps := pvcagg.NewRelation("PS", pvcagg.Schema{
-		{Name: "sid", Type: pvcagg.TValue},
-		{Name: "pid", Type: pvcagg.TValue},
-		{Name: "price", Type: pvcagg.TValue},
-	})
-	for _, row := range [][3]int64{
-		{1, 1, 10}, {1, 2, 50}, {2, 1, 11}, {2, 2, 60}, {3, 3, 15},
-		{3, 4, 40}, {4, 1, 15}, {4, 3, 60}, {5, 1, 10},
-	} {
-		v := fmt.Sprintf("y%d%d", row[0], row[1])
-		db.Registry.DeclareBool(v, p)
-		ps.MustInsert(pvcagg.MustParseExpr(v),
-			pvcagg.IntCell(row[0]), pvcagg.IntCell(row[1]), pvcagg.IntCell(row[2]))
-	}
-	db.Add(ps)
-	p1 := pvcagg.NewRelation("P1", pvcagg.Schema{
-		{Name: "pid", Type: pvcagg.TValue},
-		{Name: "weight", Type: pvcagg.TValue},
-	})
-	for i, row := range [][2]int64{{1, 4}, {2, 8}, {3, 7}, {4, 6}} {
-		v := fmt.Sprintf("z%d", i+1)
-		db.Registry.DeclareBool(v, p)
-		p1.MustInsert(pvcagg.MustParseExpr(v), pvcagg.IntCell(row[0]), pvcagg.IntCell(row[1]))
-	}
-	db.Add(p1)
-	p2 := pvcagg.NewRelation("P2", pvcagg.Schema{
-		{Name: "pid", Type: pvcagg.TValue},
-		{Name: "weight", Type: pvcagg.TValue},
-	})
-	db.Registry.DeclareBool("z5", p)
-	p2.MustInsert(pvcagg.MustParseExpr("z5"), pvcagg.IntCell(1), pvcagg.IntCell(5))
-	db.Add(p2)
-	return db
-}
 
 const (
 	qCount = `SELECT shop, COUNT(*) AS n FROM S GROUP BY shop`
@@ -140,7 +91,7 @@ func post(t testing.TB, client *http.Client, url string, req QueryRequest) (int,
 }
 
 func TestQueryExactDifferential(t *testing.T) {
-	db := shopDB(0.5)
+	db := gen.Figure1(0.5)
 	srv := httptest.NewServer(New(db, Config{}).Handler())
 	defer srv.Close()
 	ref := exactReference(t, db, qCount)
@@ -175,7 +126,7 @@ func TestQueryExactDifferential(t *testing.T) {
 // refuses — and the encoder's error used to be discarded after the status
 // line. The expectation now travels as null.
 func TestQueryMinGroupByEncodes(t *testing.T) {
-	srv := httptest.NewServer(New(shopDB(0.5), Config{}).Handler())
+	srv := httptest.NewServer(New(gen.Figure1(0.5), Config{}).Handler())
 	defer srv.Close()
 	body, err := json.Marshal(QueryRequest{
 		Query: `SELECT shop, MIN(price) AS lo, COUNT(*) AS n FROM S JOIN PS GROUP BY shop`,
@@ -229,7 +180,7 @@ func TestWriteJSONUnencodable(t *testing.T) {
 }
 
 func TestQueryAnytimeSound(t *testing.T) {
-	db := shopDB(0.5)
+	db := gen.Figure1(0.5)
 	srv := httptest.NewServer(New(db, Config{}).Handler())
 	defer srv.Close()
 	ref := exactReference(t, db, qHard)
@@ -253,7 +204,7 @@ func TestQueryAnytimeSound(t *testing.T) {
 }
 
 func TestQueryBadRequests(t *testing.T) {
-	srv := httptest.NewServer(New(shopDB(0.5), Config{}).Handler())
+	srv := httptest.NewServer(New(gen.Figure1(0.5), Config{}).Handler())
 	defer srv.Close()
 	cases := []struct {
 		name string
@@ -280,7 +231,7 @@ func TestQueryBadRequests(t *testing.T) {
 }
 
 func TestQuerySampleSeeded(t *testing.T) {
-	db := shopDB(0.5)
+	db := gen.Figure1(0.5)
 	srv := httptest.NewServer(New(db, Config{}).Handler())
 	defer srv.Close()
 	seed := int64(42)
@@ -304,7 +255,7 @@ func TestQuerySampleSeeded(t *testing.T) {
 // executes (held at the gate), the second queues, the third bounces with
 // 429 + Retry-After immediately.
 func TestAdmissionControl(t *testing.T) {
-	s := New(shopDB(0.5), Config{Workers: 1, QueueDepth: 1, MaxQueueWait: 5 * time.Second})
+	s := New(gen.Figure1(0.5), Config{Workers: 1, QueueDepth: 1, MaxQueueWait: 5 * time.Second})
 	gate := make(chan struct{})
 	var gated atomic.Int32
 	s.execGate = func() {
@@ -366,7 +317,7 @@ func TestAdmissionControl(t *testing.T) {
 // TestDegradation: a request that queues past DegradeAfter is demoted to
 // anytime bounds (Degraded=true) that are still sound.
 func TestDegradation(t *testing.T) {
-	db := shopDB(0.5)
+	db := gen.Figure1(0.5)
 	s := New(db, Config{Workers: 1, QueueDepth: 2, MaxQueueWait: 5 * time.Second, DegradeAfter: time.Nanosecond})
 	gate := make(chan struct{})
 	var first atomic.Bool
@@ -421,7 +372,7 @@ func TestDegradation(t *testing.T) {
 }
 
 func TestPlanCacheAndStats(t *testing.T) {
-	s := New(shopDB(0.5), Config{})
+	s := New(gen.Figure1(0.5), Config{})
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
 
@@ -545,7 +496,7 @@ func TestAnytimeAnswerRepeats(t *testing.T) {
 // TestSwapInvalidation: Swap installs the new database and a cold plan
 // cache; answers immediately reflect the new data.
 func TestSwapInvalidation(t *testing.T) {
-	s := New(shopDB(0.5), Config{})
+	s := New(gen.Figure1(0.5), Config{})
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
 
@@ -553,7 +504,7 @@ func TestSwapInvalidation(t *testing.T) {
 
 	// New database with different marginals: same rows, different
 	// confidences — a stale cache would be visibly wrong.
-	s.Swap(shopDB(0.9))
+	s.Swap(gen.Figure1(0.9))
 	_, after, _ := post(t, srv.Client(), srv.URL, QueryRequest{Query: qCount, Mode: "exact"})
 	if after.CachedPlan {
 		t.Error("plan cache survived Swap")
@@ -567,7 +518,7 @@ func TestSwapInvalidation(t *testing.T) {
 	if !changed {
 		t.Error("confidences unchanged after swapping to p=0.9 database (stale session?)")
 	}
-	ref := exactReference(t, shopDB(0.9), qCount)
+	ref := exactReference(t, gen.Figure1(0.9), qCount)
 	for _, row := range after.Rows {
 		if want := ref[rowKey(row)]; row.Lo != want {
 			t.Errorf("post-swap row %v: %v, want %v", row.Cells, row.Lo, want)
@@ -583,7 +534,7 @@ func TestSwapInvalidation(t *testing.T) {
 // server must not leak goroutines. Run under -race in the service CI
 // job.
 func TestServerConcurrency(t *testing.T) {
-	db := shopDB(0.5)
+	db := gen.Figure1(0.5)
 	s := New(db, Config{Workers: 2, QueueDepth: 2, MaxQueueWait: 200 * time.Millisecond, DegradeAfter: 10 * time.Millisecond})
 	srv := httptest.NewServer(s.Handler())
 	refs := map[string]map[string]float64{

@@ -10,6 +10,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"pvcagg/internal/gen"
 )
 
 // The workload-driver smoke: a mixed-mode client fleet runs against the
@@ -77,7 +79,7 @@ func drive(ctx context.Context, h http.Handler, bodies []string) tally {
 }
 
 func TestWorkloadDriverSmoke(t *testing.T) {
-	s := New(shopDB(0.5), Config{Workers: 2, QueueDepth: 4, MaxQueueWait: 100 * time.Millisecond, DegradeAfter: 10 * time.Millisecond})
+	s := New(gen.Figure1(0.5), Config{Workers: 2, QueueDepth: 4, MaxQueueWait: 100 * time.Millisecond, DegradeAfter: 10 * time.Millisecond})
 	ctx, cancel := context.WithTimeout(context.Background(), *workloadSmoke)
 	defer cancel()
 	rep := drive(ctx, s.Handler(), mixedWorkloadBodies())

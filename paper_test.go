@@ -1,6 +1,6 @@
 // The paper's evaluation (Section 7) as assertions. Each test states the
 // shape of one figure on counters that do not depend on the machine: the
-// mean number of d-tree nodes (dtree.Measure) and of Shannon expansions,
+// mean number of d-tree nodes (compile.Stats.Nodes) and of Shannon expansions,
 // and the largest distribution evaluation built, over the instances of
 // seeds 1–3. No time is asserted. Run with
 //
@@ -56,7 +56,7 @@ func measure(t *testing.T, p gen.Params) point {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pt.nodes += float64(rep.Exact.Tree.Nodes) / seeds
+		pt.nodes += float64(rep.Exact.Compile.Nodes) / seeds
 		pt.shannon += float64(rep.Exact.Compile.Shannon) / seeds
 		pt.maxDist = max(pt.maxDist, rep.Exact.Eval.MaxDistSize)
 	}
@@ -214,7 +214,7 @@ func TestFig11ExpF(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, o := range outs {
-			nodes += o.Report.Exact.Tree.Nodes
+			nodes += o.Report.Exact.Compile.Nodes
 			shannon += o.Report.Exact.Compile.Shannon
 		}
 		return len(outs), nodes, shannon

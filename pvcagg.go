@@ -67,14 +67,8 @@
 //
 //	ctx, cancel := context.WithCancel(context.Background())
 //	res, err := pvcagg.Exec(ctx, db, plan, pvcagg.WithMode(pvcagg.Exact))
-//	// cancel() from another goroutine → Collect returns ctx.Err()
-//
-// Large workloads can consume tuples as workers finish instead of after a
-// barrier, via the streaming iterator:
-//
-//	for out, err := range res.Results() {
-//		// out.Index identifies the tuple; completion order
-//	}
+//	// cancel() from another goroutine → Collect returns ctx.Err(),
+//	// alongside the outcomes of the tuples that finished first
 //
 // Bare expressions run through ExecExpr, with the same step-II options.
 // Step II exists once: Exec and ExecExpr compute a confidence through
@@ -86,8 +80,7 @@
 // Step I — evaluating the plan into the annotated answer relation — is
 // a pull-iterator pipeline. Scans are lazy, selections/renames/prunes
 // pipeline tuple-at-a-time, joins and products hash only their build
-// side (pre-sized from the cardinality estimator), and the
-// duplicate-eliminating operators group incrementally. It is held to the
+// side, and the duplicate-eliminating operators group incrementally. It is held to the
 // paper's semantics world by world: for every valuation ν of the input's
 // variables, evaluating the result's annotations and aggregates under ν
 // gives exactly what the same plan computes on the deterministic
@@ -340,8 +333,8 @@ type (
 	// its budgets (MaxLeafNodes, MaxExpansions, MaxNodes, Timeout); the
 	// target width is WithEps.
 	ApproxOptions = compile.ApproxOptions
-	// ApproxReport describes one anytime computation (bounds,
-	// convergence, expansion and node counts).
+	// ApproxReport describes one anytime computation (convergence,
+	// expansion and node counts).
 	ApproxReport = compile.ApproxReport
 )
 

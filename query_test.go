@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"pvcagg"
+	"pvcagg/internal/gen"
 	"pvcagg/internal/tpch"
 )
 
@@ -96,7 +97,7 @@ func TestExecQueryTPCHQ1BitForBit(t *testing.T) {
 }
 
 func TestExecQueryFigure1Q2BitForBit(t *testing.T) {
-	db := figure1ShopDB(0.5)
+	db := gen.Figure1(0.5)
 	ctx := context.Background()
 	// Auto routes Q2 identically for both plans (verdict compared), and
 	// the anytime bounds — expansion-order sensitive — must also agree,
@@ -122,7 +123,7 @@ func TestExecQueryFigure1Q2BitForBit(t *testing.T) {
 }
 
 func TestExecQuerySampleMode(t *testing.T) {
-	db := figure1ShopDB(0.5)
+	db := gen.Figure1(0.5)
 	ctx := context.Background()
 	want, err := pvcagg.Exec(ctx, db, figure1Q2(), pvcagg.WithMode(pvcagg.Sample), pvcagg.WithSeed(7), pvcagg.WithSamples(500))
 	if err != nil {
@@ -136,7 +137,7 @@ func TestExecQuerySampleMode(t *testing.T) {
 }
 
 func TestExecQueryErrors(t *testing.T) {
-	db := figure1ShopDB(0.5)
+	db := gen.Figure1(0.5)
 	ctx := context.Background()
 	for _, c := range []struct{ src, frag string }{
 		{"SELECT", "expected a column"},
