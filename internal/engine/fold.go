@@ -101,6 +101,19 @@ func (a *annSum) neCond() expr.Expr {
 	return expr.Compare(value.NE, l, expr.CInt(0))
 }
 
+// mulAnn folds the annotation of a ⋈/× match: its result is
+// Simplify(Product(l, r), s) — l itself, with nothing allocated, when
+// both are the semiring's constant 1, as on every match over certain
+// data.
+func mulAnn(l, r expr.Expr, s algebra.Semiring) expr.Expr {
+	if lc, ok := l.(expr.Const); ok && lc.V == s.One() {
+		if rc, ok := r.(expr.Const); ok && rc.V == s.One() {
+			return l
+		}
+	}
+	return expr.Simplify(expr.Product(l, r), s)
+}
+
 // modSum folds one aggregation column of a $ group: its result is
 //
 //	Simplify(MSum(agg, Scale(agg, ann1, mv1) … Scale(agg, annn, mvn)), s)

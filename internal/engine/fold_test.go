@@ -72,3 +72,26 @@ func TestFoldMatchesSimplify(t *testing.T) {
 		}
 	}
 }
+
+// TestMulAnnMatchesSimplify holds the ⋈/× annotation fold to the product
+// it stands for, node for node: mulAnn(l, r) = Simplify(Product(l, r))
+// over constants (0S and 1S included), variables, sums and products,
+// simplified or not, under both semirings.
+func TestMulAnnMatchesSimplify(t *testing.T) {
+	fa, fb := expr.V("fa"), expr.V("fb")
+	for _, kind := range []algebra.SemiringKind{algebra.Boolean, algebra.Natural} {
+		s := algebra.SemiringFor(kind)
+		anns := []expr.Expr{expr.CInt(0), expr.CInt(1), fa, expr.Product(fa, fb), expr.Sum(fa, expr.CInt(1)),
+			expr.Sum(fa, expr.CInt(0)), expr.Product(fb, expr.CInt(1))} // the last two not simplified
+		if kind == algebra.Natural {
+			anns = append(anns, expr.CInt(2))
+		}
+		for _, l := range anns {
+			for _, r := range anns {
+				if got, want := mulAnn(l, r, s), expr.Simplify(expr.Product(l, r), s); !expr.Equal(got, want) {
+					t.Errorf("%v: mulAnn(%s, %s) = %s, want %s", kind, l, r, got, want)
+				}
+			}
+		}
+	}
+}

@@ -21,10 +21,10 @@ package engine
 // per operator (shapeOf, schema.go), which InferSchema applies too.
 //
 // Row order is part of the contract: ⋈/× emit left-major, π and ∪ in
-// first-seen order, $ in group-key order, and the grouping sinks sum
-// annotations in arrival order, so the expression trees of a result —
-// which the goldens pin and the compilers' costs depend on — are a
-// function of the plan and the stored row order alone.
+// first-seen order, $ in its groups' text-key order (Tuple.Key), and the
+// grouping sinks sum annotations in arrival order, so the expression
+// trees of a result — which the goldens pin and the compilers' costs
+// depend on — are a function of the plan and the stored row order alone.
 //
 // Lent cells and batches. A provider scan, π̂ and ⋈/× lend the Cells of
 // each tuple until their next Next or Close (pvc.TupleIter); π̂ and ⋈/×
@@ -32,19 +32,21 @@ package engine
 // may lend a whole block's vectors instead (pvc.BatchIter). σ and the
 // analyze decorator pass their input's slice on; δ, a π̂ folded into a
 // scan and a σ discharged into an exact scan build no iterator. The
-// operators that drain their whole input — π/∪, $, the ⋈/× build side
-// and drainRoot — share one loop, drainRows, which hands their per-row
-// body each row of a scan's blocks, read from the vectors. The sinks
-// copy the group cells they keep; the sites that keep a whole row past
-// its loan copy it then (row.keep, told by lendsCells whether a tuple
-// input lends): pairIter.buildTable (the probe tuple is only held until
-// the next probe pull) and drainRoot, the root loop of StreamEvalPlan
-// and StreamEvalPlanExplain.
+// keyed operators (⋈/×, π/∪ and $, whose hash keys and their one table
+// are keytab.go's) and drainRoot read their inputs through one cursor,
+// which steps through a scan's blocks and reads each row off the
+// vectors: π/∪, $, the ⋈/× build side and drainRoot drain it with
+// drainRows, the ⋈/× probe side pulls it. The sinks copy the group cells
+// they keep and the probe the cells of a row that matches; the sites
+// that keep a whole row past its loan copy it then (row.keep, told by
+// lendsCells whether a tuple input lends): pairIter.buildTable and
+// drainRoot, the root loop of StreamEvalPlan and StreamEvalPlanExplain.
 
 import (
 	"context"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 	"time"
 
 	"pvcagg/internal/algebra"
@@ -70,9 +72,6 @@ type batcher interface {
 	batches() bool
 	nextBatch() (*pvc.Batch, bool, error)
 }
-
-// ctxPollMask throttles context polling in drain loops to every 256 rows.
-const ctxPollMask = 255
 
 // lendsCells reports whether the tuples it yields carry lent Cells: a
 // provider scan's, π̂'s or ⋈/×'s own row, or one an operator hands on
@@ -105,23 +104,6 @@ func (r *row) cell(c int) pvc.Cell {
 	return r.t.Cells[c]
 }
 
-// appendKey appends to buf the composite hash key of the cells at idx —
-// cell keys joined by 0x1f, as in Tuple.Key. Hash operators keep one
-// buffer and look up m[string(buf)], which allocates only on a new key.
-func (r *row) appendKey(buf []byte, idx []int) []byte {
-	for k, j := range idx {
-		if k > 0 {
-			buf = append(buf, 0x1f)
-		}
-		if r.b != nil {
-			buf = r.b.AppendKey(buf, j, r.i)
-		} else {
-			buf = r.t.Cells[j].AppendKey(buf)
-		}
-	}
-	return buf
-}
-
 // value returns the cell at c if it is a numeric constant.
 func (r *row) value(c int) (value.V, bool) {
 	if r.b != nil && r.b.Strs[c] == nil {
@@ -142,55 +124,86 @@ func (r *row) pick(idx []int) []pvc.Cell {
 	return cells
 }
 
-// keep returns the row as its holder's own tuple: copied out of the
-// vectors, or t — copied when its producer lent it.
-func (r *row) keep(lent bool) pvc.Tuple {
-	switch {
-	case r.b != nil:
-		cells := make([]pvc.Cell, len(r.b.Vals))
-		for c := range cells {
-			cells[c] = r.b.Cell(c, r.i)
-		}
-		return pvc.Tuple{Cells: cells, Ann: r.ann}
-	case lent:
-		return r.t.Clone()
+// appendCells appends every cell of the row to cells.
+func (r *row) appendCells(cells []pvc.Cell) []pvc.Cell {
+	if r.b == nil {
+		return append(cells, r.t.Cells...)
 	}
-	return r.t
+	cells = slices.Grow(cells, len(r.b.Vals))
+	for c := range r.b.Vals {
+		cells = append(cells, r.b.Cell(c, r.i))
+	}
+	return cells
 }
 
-// drainRows hands every row of the opened in to body, lent for the call:
-// a block at a time when in serves batches (the scan polls ctx between
-// blocks), polling ctx every ctxPollMask+1 tuples otherwise.
-func drainRows(ctx context.Context, in Iterator, body func(*row) error) error {
-	var r row
-	if b, ok := in.(batcher); ok && b.batches() {
-		for {
-			bt, ok, err := b.nextBatch()
-			if err != nil || !ok {
-				return err
-			}
-			r.b = bt
-			for _, i := range bt.Sel {
-				r.i, r.ann = int(i), bt.Anns[i]
-				if err := body(&r); err != nil {
-					return err
-				}
-			}
-		}
+// keep returns the row as its holder's own tuple: t, unless its producer
+// lent it, or a copy of its cells.
+func (r *row) keep(lent bool) pvc.Tuple {
+	if r.b == nil && !lent {
+		return r.t
 	}
-	for n := 0; ; n++ {
-		t, ok, err := in.Next()
+	return pvc.Tuple{Cells: r.appendCells(nil), Ann: r.ann}
+}
+
+// cursor steps through the rows of an opened input, lending each until
+// the next step: off a batch's selection when it serves batches (a scan
+// polls ctx between blocks), by Next otherwise, polling ctx per 256 rows.
+type cursor struct {
+	row
+	ctx context.Context
+	in  Iterator
+	bt  batcher // in, when it serves batches
+	sel []int32 // the rows of the batch in hand not yet stepped to
+	n   int     // rows pulled by Next
+}
+
+func newCursor(ctx context.Context, in Iterator) cursor {
+	c := cursor{ctx: ctx, in: in}
+	if b, ok := in.(batcher); ok && b.batches() {
+		c.bt = b
+	}
+	return c
+}
+
+// next steps to the next row; false at the end of the input.
+func (c *cursor) next() (bool, error) {
+	if c.bt == nil {
+		if c.n++; c.n&255 == 0 && c.ctx.Err() != nil {
+			return false, c.ctx.Err()
+		}
+		t, ok, err := c.in.Next()
+		c.t, c.ann = t, t.Ann
+		return ok, err
+	}
+	for len(c.sel) == 0 {
+		b, ok, err := c.bt.nextBatch()
 		if err != nil || !ok {
+			return false, err
+		}
+		c.b, c.sel = b, b.Sel
+	}
+	c.step()
+	return true, nil
+}
+
+// step moves to the next row of the batch in hand.
+func (c *cursor) step() {
+	c.i, c.sel = int(c.sel[0]), c.sel[1:]
+	c.ann = c.b.Anns[c.i]
+}
+
+// drainRows hands every row of the opened in to body, lent for the call,
+// stepping through a batch in hand without a call to next per row.
+func drainRows(ctx context.Context, in Iterator, body func(*row) error) error {
+	c := newCursor(ctx, in)
+	for {
+		if len(c.sel) > 0 {
+			c.step()
+		} else if ok, err := c.next(); err != nil || !ok {
 			return err
 		}
-		r.t, r.ann = t, t.Ann
-		if err := body(&r); err != nil {
+		if err := body(&c.row); err != nil {
 			return err
-		}
-		if n&ctxPollMask == ctxPollMask {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
 		}
 	}
 }
@@ -500,9 +513,11 @@ func (it *pruneIter) Close() error { return it.child.Close() }
 
 // pairIter is the shared hash-based ⋈/× iterator: the right child is the
 // build side (materialized into a hash table that grows as its rows
-// arrive, then closed), the left child is probed lazily in order, so
-// emission is left-major, as a nested loop's would be. A × is a ⋈ with
-// no key columns: every tuple hashes to the single empty-key bucket.
+// arrive, then closed), the left child is probed lazily in order — a
+// block at a time when it serves batches, each row keyed straight off
+// the vectors and copied out only when it matches — so emission is
+// left-major, as a nested loop's would be. A × is a ⋈ with no key
+// columns: every tuple hashes to the single empty-key bucket.
 type pairIter struct {
 	ctx         context.Context
 	s           algebra.Semiring
@@ -512,32 +527,30 @@ type pairIter struct {
 	rightLent   bool         // the build input lends its cells: copy them
 	ex          *ExplainNode // analyze-mode counters; nil otherwise
 
-	built       bool
-	rightClosed bool
-	idx         map[string]int // join key → index into buckets
-	buckets     [][]pvc.Tuple
-	key         []byte     // reused key buffer of both sides
-	row         []pvc.Cell // the output row, refilled per Next and lent
-	cur         pvc.Tuple
-	bucket      []pvc.Tuple
-	bi          int
+	built   bool
+	tab     keyTable      // join key → index into buckets
+	buckets [][]pvc.Tuple // per join key: its build rows
+	key     []byte        // reused key buffer of both sides
+	probe   cursor        // over the left input
+	row     []pvc.Cell    // the output row, refilled per Next and lent
+	nl      int           // the probe row's cells at the head of row
+	bucket  []pvc.Tuple   // the probe row's matches
+	bi      int
 }
 
 func (it *pairIter) Open() error { return it.left.Open() }
 
 func (it *pairIter) buildTable() error {
 	it.built = true
+	it.probe = newCursor(it.ctx, it.left)
 	if err := it.right.Open(); err != nil {
 		return err
 	}
-	it.idx = map[string]int{}
 	rows := 0
 	err := drainRows(it.ctx, it.right, func(r *row) error {
 		it.key = r.appendKey(it.key[:0], it.rKey)
-		bi, seen := it.idx[string(it.key)]
-		if !seen {
-			bi = len(it.buckets)
-			it.idx[string(it.key)] = bi
+		bi, added := it.tab.intern(it.key)
+		if added {
 			it.buckets = append(it.buckets, nil)
 		}
 		it.buckets[bi] = append(it.buckets[bi], r.keep(it.rightLent))
@@ -550,7 +563,6 @@ func (it *pairIter) buildTable() error {
 	if it.ex != nil {
 		it.ex.BuildRows = int64(rows)
 	}
-	it.rightClosed = true
 	return it.right.Close()
 }
 
@@ -565,38 +577,32 @@ func (it *pairIter) Next() (pvc.Tuple, bool, error) {
 		// is never pulled.
 		return pvc.Tuple{}, false, nil
 	}
-	for {
-		for it.bi < len(it.bucket) {
-			rt := it.bucket[it.bi]
-			it.bi++
-			it.row = append(it.row[:0], it.cur.Cells...)
-			for _, j := range it.rCols {
-				it.row = append(it.row, rt.Cells[j])
-			}
-			return pvc.Tuple{Cells: it.row, Ann: expr.Simplify(expr.Product(it.cur.Ann, rt.Ann), it.s)}, true, nil
-		}
-		lt, ok, err := it.left.Next()
-		if err != nil || !ok {
+	// Step the probe to a left row with matches; its cells head the row.
+	for it.bi == len(it.bucket) {
+		if ok, err := it.probe.next(); err != nil || !ok {
 			return pvc.Tuple{}, false, err
 		}
-		it.cur = lt
-		probe := row{t: lt}
-		it.key = probe.appendKey(it.key[:0], it.lKey)
-		it.bucket = nil
-		if bi, ok := it.idx[string(it.key)]; ok {
-			it.bucket = it.buckets[bi]
+		it.key = it.probe.appendKey(it.key[:0], it.lKey)
+		if bi := it.tab.find(it.key); bi >= 0 {
+			it.bucket, it.bi = it.buckets[bi], 0
+			it.row = it.probe.appendCells(it.row[:0])
+			it.nl = len(it.row)
 		}
-		it.bi = 0
 	}
+	rt := it.bucket[it.bi]
+	it.bi++
+	it.row = it.row[:it.nl]
+	for _, j := range it.rCols {
+		it.row = append(it.row, rt.Cells[j])
+	}
+	return pvc.Tuple{Cells: it.row, Ann: mulAnn(it.probe.ann, rt.Ann, it.s)}, true, nil
 }
 
+// Close closes both inputs; closing the built right one again is harmless.
 func (it *pairIter) Close() error {
 	err := it.left.Close()
-	if !it.rightClosed {
-		it.rightClosed = true
-		if e := it.right.Close(); err == nil {
-			err = e
-		}
+	if e := it.right.Close(); err == nil {
+		err = e
 	}
 	return err
 }
@@ -613,11 +619,11 @@ type groupIter struct {
 	in   []Iterator
 	cols []int
 
-	drained    bool
-	order      []string
-	groupCells map[string][]pvc.Cell
-	groupAnns  map[string]*annSum
-	i          int
+	drained bool
+	tab     keyTable     // group key → group id, in first-seen order
+	cells   [][]pvc.Cell // per group id
+	sums    []*annSum    // per group id
+	i       int
 }
 
 func (it *groupIter) Open() error {
@@ -631,20 +637,15 @@ func (it *groupIter) Open() error {
 
 func (it *groupIter) drain() error {
 	it.drained = true
-	it.groupCells = map[string][]pvc.Cell{}
-	it.groupAnns = map[string]*annSum{}
 	var key []byte
 	add := func(r *row) error {
 		key = r.appendKey(key[:0], it.cols)
-		sum, seen := it.groupAnns[string(key)]
-		if !seen {
-			k := string(key)
-			sum = newAnnSum(it.s)
-			it.order = append(it.order, k)
-			it.groupCells[k] = r.pick(it.cols)
-			it.groupAnns[k] = sum
+		g, added := it.tab.intern(key)
+		if added {
+			it.cells = append(it.cells, r.pick(it.cols))
+			it.sums = append(it.sums, newAnnSum(it.s))
 		}
-		sum.add(r.ann)
+		it.sums[g].add(r.ann)
 		return nil
 	}
 	for _, in := range it.in {
@@ -661,12 +662,12 @@ func (it *groupIter) Next() (pvc.Tuple, bool, error) {
 			return pvc.Tuple{}, false, err
 		}
 	}
-	if it.i >= len(it.order) {
+	if it.i >= len(it.cells) {
 		return pvc.Tuple{}, false, nil
 	}
-	key := it.order[it.i]
+	g := it.i
 	it.i++
-	return pvc.Tuple{Cells: it.groupCells[key], Ann: it.groupAnns[key].result()}, true, nil
+	return pvc.Tuple{Cells: it.cells[g], Ann: it.sums[g].result()}, true, nil
 }
 
 func (it *groupIter) Close() error {
@@ -687,19 +688,20 @@ type aggColRef struct {
 }
 
 // gaGroup accumulates one $ group incrementally: the representative
-// group-by cells, one constant-folding semimodule accumulator per
-// aggregation, and the folded row-annotation sum for the Figure 4
-// non-emptiness condition. Constants fold at arrival (O(1) state for
-// deterministic data); non-constant terms are retained in row arrival
-// order.
+// group-by cells and their text key (Tuple.Key, which orders $'s
+// output), one constant-folding semimodule accumulator per aggregation,
+// and the folded row-annotation sum for the Figure 4 non-emptiness
+// condition. Constants fold at arrival (O(1) state for deterministic
+// data); non-constant terms are retained in row arrival order.
 type gaGroup struct {
 	cells []pvc.Cell
+	text  string
 	aggs  []*modSum
 	ann   *annSum
 }
 
 func newGaGroup(cells []pvc.Cell, s algebra.Semiring, aggs []aggColRef) *gaGroup {
-	g := &gaGroup{cells: cells, aggs: make([]*modSum, len(aggs)), ann: newAnnSum(s)}
+	g := &gaGroup{cells: cells, text: pvc.Tuple{Cells: cells}.Key(), aggs: make([]*modSum, len(aggs)), ann: newAnnSum(s)}
 	for ai, a := range aggs {
 		g.aggs[ai] = newModSum(s, a.spec.Agg)
 	}
@@ -716,8 +718,8 @@ type groupAggIter struct {
 	grouped bool
 
 	drained bool
-	groups  map[string]*gaGroup
-	order   []string
+	tab     keyTable   // group key → index into groups until drained
+	groups  []*gaGroup // in first-seen order, then in emission order
 	i       int
 }
 
@@ -725,17 +727,14 @@ func (it *groupAggIter) Open() error { return it.child.Open() }
 
 func (it *groupAggIter) drain() error {
 	it.drained = true
-	it.groups = map[string]*gaGroup{}
 	var key []byte
 	err := drainRows(it.ctx, it.child, func(r *row) error {
 		key = r.appendKey(key[:0], it.gIdx)
-		g, seen := it.groups[string(key)]
-		if !seen {
-			g = newGaGroup(r.pick(it.gIdx), it.s, it.aggs)
-			k := string(key)
-			it.groups[k] = g
-			it.order = append(it.order, k)
+		gi, added := it.tab.intern(key)
+		if added {
+			it.groups = append(it.groups, newGaGroup(r.pick(it.gIdx), it.s, it.aggs))
 		}
+		g := it.groups[gi]
 		for ai, a := range it.aggs {
 			mv := value.Int(1)
 			if a.spec.Agg != algebra.Count {
@@ -754,11 +753,12 @@ func (it *groupAggIter) drain() error {
 	}
 	// Figure 4: without grouping, the result is one tuple (neutral values
 	// on empty input) annotated 1K.
-	if !it.grouped && len(it.order) == 0 {
-		it.order = append(it.order, "")
-		it.groups[""] = newGaGroup(nil, it.s, it.aggs)
+	if !it.grouped && len(it.groups) == 0 {
+		it.groups = append(it.groups, newGaGroup(nil, it.s, it.aggs))
 	}
-	sort.Strings(it.order)
+	// Groups leave in text-key order; groups whose distinct cells render
+	// to one text key, in first-seen order.
+	slices.SortStableFunc(it.groups, func(a, b *gaGroup) int { return strings.Compare(a.text, b.text) })
 	return nil
 }
 
@@ -768,10 +768,10 @@ func (it *groupAggIter) Next() (pvc.Tuple, bool, error) {
 			return pvc.Tuple{}, false, err
 		}
 	}
-	if it.i >= len(it.order) {
+	if it.i >= len(it.groups) {
 		return pvc.Tuple{}, false, nil
 	}
-	g := it.groups[it.order[it.i]]
+	g := it.groups[it.i]
 	it.i++
 	cells := make([]pvc.Cell, 0, len(g.cells)+len(it.aggs))
 	cells = append(cells, g.cells...)

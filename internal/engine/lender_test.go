@@ -58,6 +58,9 @@ func lenderPlans() []Plan {
 		&GroupAgg{Input: sel(scan("R"), bLE20), Aggs: []AggSpec{{Out: "N", Agg: algebra.Count}}},
 		&GroupAgg{Input: sel(scan("W"), ColTheta("b", value.GE, pvc.IntCell(20))), GroupBy: []string{"name"},
 			Aggs: []AggSpec{{Out: "N", Agg: algebra.Count}, {Out: "S", Agg: algebra.Sum, Over: "b"}}},
+		// ⋈ probing R a batch at a time, two matches for most probe rows.
+		&Join{L: scan("R"), R: &Rename{Input: scan("R"), From: "a", To: "a2"}},
+		&GroupAgg{Input: &Join{L: scan("R"), R: scan("W")}, GroupBy: []string{"name"}, Aggs: []AggSpec{{Out: "N", Agg: algebra.Count}}},
 	)
 }
 
@@ -191,7 +194,10 @@ func rowStrings(ts []pvc.Tuple) []string {
 // from an in-memory π̂ or ⋈ — lenders whose missing copy the poisoned
 // differential cannot see, its reference running them too. Each plan
 // yields at least three distinct rows, so a kept row that still aliases
-// its lender's buffer shows up as a repeat of the last one.
+// its lender's buffer shows up as a repeat of the last one. The last
+// case serves R from a pvctest.Lender to a ⋈ that probes it a batch at
+// a time, each batch poisoned at the next one: the scan is pulled once
+// per block and once more for the end.
 func TestLendersAtKeepSites(t *testing.T) {
 	ctx := context.Background()
 	db := iterDB()
@@ -203,33 +209,38 @@ func TestLendersAtKeepSites(t *testing.T) {
 		site string
 		plan Plan
 		want []string
+		lend string // the table served by a Lender, if any
 	}{
 		{"root/π̂", pruneR("b", "a"), []string{
-			"10 1 : ir0", "10 3 : ir4", "20 1 : ir1", "30 2 : ir2", "30 2 : ir3"}},
+			"10 1 : ir0", "10 3 : ir4", "20 1 : ir1", "30 2 : ir2", "30 2 : ir3"}, ""},
 		{"root/σ/π̂", &Select{Input: pruneR("b", "a"), Pred: Where(ColTheta("b", value.LE, pvc.IntCell(20)))}, []string{
-			"10 1 : ir0", "10 3 : ir4", "20 1 : ir1"}},
+			"10 1 : ir0", "10 3 : ir4", "20 1 : ir1"}, ""},
 		{"root/⋈", joinRS(), []string{
-			"1 10 100 : (ir0*is0)", "1 20 100 : (ir1*is0)", "2 30 200 : (ir2*is1)", "2 30 200 : (ir3*is1)"}},
+			"1 10 100 : (ir0*is0)", "1 20 100 : (ir1*is0)", "2 30 200 : (ir2*is1)", "2 30 200 : (ir3*is1)"}, ""},
 		{"∪/π̂", &Union{L: pruneR("a", "b"), R: scan("E")}, []string{
-			"1 10 : ir0", "1 20 : ir1", "2 30 : (ir2 + ir3)", "3 10 : ir4"}},
+			"1 10 : ir0", "1 20 : ir1", "2 30 : (ir2 + ir3)", "3 10 : ir4"}, ""},
 		{"∪/⋈", &Union{L: joinRS(), R: &Select{Input: joinRS(), Pred: Where(ColTheta("c", value.GE, pvc.IntCell(1000)))}}, []string{
-			"1 10 100 : (ir0*is0)", "1 20 100 : (ir1*is0)", "2 30 200 : ((ir2*is1) + (ir3*is1))"}},
+			"1 10 100 : (ir0*is0)", "1 20 100 : (ir1*is0)", "2 30 200 : ((ir2*is1) + (ir3*is1))"}, ""},
 		{"build/π̂", &Join{L: scan("S2"), R: pruneR("b", "a")}, []string{
-			"1 100 10 : (is0*ir0)", "1 100 20 : (is0*ir1)", "2 200 30 : (is1*ir2)", "2 200 30 : (is1*ir3)"}},
+			"1 100 10 : (is0*ir0)", "1 100 20 : (is0*ir1)", "2 200 30 : (is1*ir2)", "2 200 30 : (is1*ir3)"}, ""},
 		{"build/⋈", &Join{L: scan("W"), R: joinRS()}, []string{
-			"x 10 1 100 : (iw0*ir0*is0)", "x 30 2 200 : (iw2*ir2*is1)", "x 30 2 200 : (iw2*ir3*is1)", "y 20 1 100 : (iw1*ir1*is0)"}},
+			"x 10 1 100 : (iw0*ir0*is0)", "x 30 2 200 : (iw2*ir2*is1)", "x 30 2 200 : (iw2*ir3*is1)", "y 20 1 100 : (iw1*ir1*is0)"}, ""},
 		{"π/π̂", &Project{Input: pruneR("b", "a"), Cols: []string{"a"}}, []string{
-			"1 : (ir0 + ir1)", "2 : (ir2 + ir3)", "3 : ir4"}},
+			"1 : (ir0 + ir1)", "2 : (ir2 + ir3)", "3 : ir4"}, ""},
 		{"π/⋈", &Project{Input: joinRS(), Cols: []string{"b"}}, []string{
-			"10 : (ir0*is0)", "20 : (ir1*is0)", "30 : ((ir2*is1) + (ir3*is1))"}},
+			"10 : (ir0*is0)", "20 : (ir1*is0)", "30 : ((ir2*is1) + (ir3*is1))"}, ""},
 		{"$/π̂", &GroupAgg{Input: pruneR("b", "a"), GroupBy: []string{"a"}, Aggs: count}, []string{
 			"1 count((ir0 @count m:1), (ir1 @count m:1)) : [(ir0 + ir1) != 0]",
 			"2 count((ir2 @count m:1), (ir3 @count m:1)) : [(ir2 + ir3) != 0]",
-			"3 (ir4 @count m:1) : [ir4 != 0]"}},
+			"3 (ir4 @count m:1) : [ir4 != 0]"}, ""},
 		{"$/⋈", &GroupAgg{Input: joinRS(), GroupBy: []string{"b"}, Aggs: count}, []string{
 			"10 ((ir0*is0) @count m:1) : [(ir0*is0) != 0]",
 			"20 ((ir1*is0) @count m:1) : [(ir1*is0) != 0]",
-			"30 count(((ir2*is1) @count m:1), ((ir3*is1) @count m:1)) : [((ir2*is1) + (ir3*is1)) != 0]"}},
+			"30 count(((ir2*is1) @count m:1), ((ir3*is1) @count m:1)) : [((ir2*is1) + (ir3*is1)) != 0]"}, ""},
+		{"probe/batch", &Join{L: scan("R"), R: &Rename{Input: scan("R"), From: "a", To: "a2"}}, []string{
+			"1 10 1 : (ir0*ir0)", "1 10 3 : (ir0*ir4)", "1 20 1 : (ir1*ir1)",
+			"2 30 2 : (ir2*ir2)", "2 30 2 : (ir2*ir3)", "2 30 2 : (ir3*ir2)", "2 30 2 : (ir3*ir3)",
+			"3 10 1 : (ir4*ir0)", "3 10 3 : (ir4*ir4)"}, "R"},
 	}
 	for _, c := range cases {
 		t.Run(c.site, func(t *testing.T) {
@@ -239,40 +250,128 @@ func TestLendersAtKeepSites(t *testing.T) {
 					t.Errorf("%s:\ngot  %q\nwant %q", how, g, c.want)
 				}
 			}
+			db := db
+			if c.lend != "" {
+				db = pvctest.LendingDatabase(db, c.lend)
+			}
 			rel, _, err := StreamEvalPlan(ctx, db, c.plan)
 			if err != nil {
 				t.Fatal(err)
 			}
 			check("StreamEvalPlan", rel.Tuples)
-			rel, _, _, err = StreamEvalPlanExplain(ctx, db, c.plan)
+			rel, _, ex, err := StreamEvalPlanExplain(ctx, db, c.plan)
 			if err != nil {
 				t.Fatal(err)
 			}
 			check("EXPLAIN ANALYZE", rel.Tuples)
+			if probe := ex.Children[0]; c.lend != "" && probe.NextCalls != 3 {
+				t.Errorf("probe %s pulled %d times, want 3: two batches and the end", probe.label(), probe.NextCalls)
+			}
 		})
 	}
 }
 
-// flatAllocs drains $ (COUNT and SUM grouped by g, h) over in(R), where
-// R holds 200 and then 2 000 rows in two groups, and fails when the
-// larger input allocates more than the smaller one plus 2.
-func flatAllocs(t *testing.T, what string, in func(Plan) Plan) {
+// vecTable is a provider that serves a relation of constant cells from
+// column vectors built once, vecBlock rows a batch, refilling one lent
+// Batch: a batch scan that allocates per scan, never per block or row.
+// It serves no rows through Next.
+type vecTable struct {
+	rel  *pvc.Relation
+	vals [][]value.V
+	strs [][]string
+	anns []expr.Expr
+	sel  []int32
+}
+
+const vecBlock = 64
+
+func newVecTable(rel *pvc.Relation) *vecTable {
+	v := &vecTable{rel: rel, vals: make([][]value.V, len(rel.Schema)), strs: make([][]string, len(rel.Schema))}
+	for i, tu := range rel.Tuples {
+		for c, cell := range tu.Cells {
+			if cell.Kind() == pvc.KindString {
+				v.strs[c] = append(v.strs[c], cell.Str())
+			} else {
+				v.vals[c] = append(v.vals[c], cell.Value())
+			}
+		}
+		v.anns = append(v.anns, tu.Ann)
+		if i < vecBlock {
+			v.sel = append(v.sel, int32(i))
+		}
+	}
+	return v
+}
+
+func (v *vecTable) TableName() string  { return v.rel.Name }
+func (v *vecTable) Schema() pvc.Schema { return v.rel.Schema }
+func (v *vecTable) Rows() int64        { return int64(v.rel.Len()) }
+
+func (v *vecTable) NewScan(_ context.Context, opts pvc.ScanOptions) (pvc.TupleIter, error) {
+	if opts.Cols != nil || opts.Hints != nil {
+		return nil, fmt.Errorf("vecTable: scan options %+v", opts)
+	}
+	n := len(v.rel.Schema)
+	return &vecScan{v: v, b: pvc.Batch{Vals: make([][]value.V, n), Strs: make([][]string, n)}}, nil
+}
+
+type vecScan struct {
+	v  *vecTable
+	b  pvc.Batch
+	lo int
+}
+
+func (s *vecScan) Next() (pvc.Tuple, bool, error) {
+	return pvc.Tuple{}, false, fmt.Errorf("vecTable: rows are served by NextBatch")
+}
+
+func (s *vecScan) NextBatch() (*pvc.Batch, bool, error) {
+	if s.lo == len(s.v.anns) {
+		return nil, false, nil
+	}
+	hi := min(s.lo+vecBlock, len(s.v.anns))
+	for c := range s.b.Vals {
+		if s.v.strs[c] != nil {
+			s.b.Strs[c] = s.v.strs[c][s.lo:hi]
+		} else {
+			s.b.Vals[c] = s.v.vals[c][s.lo:hi]
+		}
+	}
+	s.b.Anns, s.b.Sel = s.v.anns[s.lo:hi], s.v.sel[:hi-s.lo]
+	s.lo = hi
+	return &s.b, true, nil
+}
+
+func (s *vecScan) Close() error { return nil }
+
+// flatAllocs drains plan over R, which holds 200 and then 2 000 rows in
+// two groups of (g, h), and K, which holds those two keys once each; it
+// fails unless plan yields two rows, or when the larger input allocates
+// more than the smaller one plus 2. With vectors set, R is a vecTable.
+func flatAllocs(t *testing.T, what string, plan Plan, vectors bool) {
 	t.Helper()
 	if testutil.RaceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
 	ctx := context.Background()
-	plan := &GroupAgg{Input: in(&Scan{Table: "R"}), GroupBy: []string{"g", "h"},
-		Aggs: []AggSpec{{Out: "N", Agg: algebra.Count}, {Out: "S", Agg: algebra.Sum, Over: "b"}}}
+	schema := pvc.Schema{{Name: "g", Type: pvc.TString}, {Name: "h", Type: pvc.TValue}}
+	groups := []string{"returned", "shipped"}
 	allocs := func(rows int) float64 {
 		db := pvc.NewDatabase(algebra.Natural)
-		r := pvc.NewRelation("R", pvc.Schema{
-			{Name: "g", Type: pvc.TString}, {Name: "h", Type: pvc.TValue}, {Name: "b", Type: pvc.TValue},
-		})
+		r := pvc.NewRelation("R", append(schema.Clone(), pvc.Col{Name: "b", Type: pvc.TValue}))
 		for i := 0; i < rows; i++ {
-			r.MustInsert(expr.CInt(1), pvc.StringCell([]string{"returned", "shipped"}[i%2]), pvc.IntCell(int64(i%2)), pvc.IntCell(int64(i)))
+			r.MustInsert(expr.CInt(1), pvc.StringCell(groups[i%2]), pvc.IntCell(int64(i%2)), pvc.IntCell(int64(i)))
 		}
-		db.Add(r)
+		if vectors {
+			db.AddProvider(newVecTable(r))
+		} else {
+			db.Add(r)
+		}
+		k := pvc.NewRelation("K", append(schema.Clone(), pvc.Col{Name: "k", Type: pvc.TValue}))
+		for i, g := range groups {
+			k.MustInsert(expr.CInt(1), pvc.StringCell(g), pvc.IntCell(int64(i)), pvc.IntCell(int64(i)))
+		}
+		db.Add(k)
 		return testing.AllocsPerRun(5, func() {
 			it, _, _, err := newIterBuilder(ctx, db).build(plan)
 			if err != nil {
@@ -301,21 +400,28 @@ func flatAllocs(t *testing.T, what string, in func(Plan) Plan) {
 	}
 }
 
+// groupGH is $ (COUNT and SUM of b) grouped by g, h over in.
+func groupGH(in Plan) Plan {
+	return &GroupAgg{Input: in, GroupBy: []string{"g", "h"},
+		Aggs: []AggSpec{{Out: "N", Agg: algebra.Count}, {Out: "S", Agg: algebra.Sum, Over: "b"}}}
+}
+
 // TestGroupKeyNoAllocOnHit pins the allocation shape of the keyed
-// operators: $ over a two-group input builds each row's key into a
-// reused buffer and looks it up without allocating, so ten times the
-// rows — every one of them a hit on an existing group — allocate no
-// more.
+// operators: each builds a row's key into a reused buffer and looks it
+// up in its key table without allocating, so ten times the rows — every
+// one of them a hit on an existing group or bucket — allocate no more:
+// $ and π over a scan, and a ⋈ that probes a batch scan's vectors (its
+// 1·1 annotations multiplied without a Product) under $.
 func TestGroupKeyNoAllocOnHit(t *testing.T) {
-	flatAllocs(t, "$ over a scan", func(p Plan) Plan { return p })
+	flatAllocs(t, "$ over a scan", groupGH(&Scan{Table: "R"}), false)
+	flatAllocs(t, "π over a scan", &Project{Input: &Scan{Table: "R"}, Cols: []string{"g", "h"}}, false)
+	flatAllocs(t, "$ over ⋈ probed over a batch scan", groupGH(&Join{L: &Scan{Table: "R"}, R: &Scan{Table: "K"}}), true)
 }
 
 // TestPruneNoAllocPerRow pins the lent π̂ row: over an in-memory scan, π̂
 // refills one row, σ passes it on or drops it, and $ copies only a new
 // group's cells, so ten times the rows allocate no more.
 func TestPruneNoAllocPerRow(t *testing.T) {
-	flatAllocs(t, "$ over σ over π̂", func(p Plan) Plan {
-		return &Select{Input: &Prune{Input: p, Cols: []string{"b", "h", "g"}},
-			Pred: Where(ColTheta("b", value.GE, pvc.IntCell(2)))}
-	})
+	flatAllocs(t, "$ over σ over π̂", groupGH(&Select{Input: &Prune{Input: &Scan{Table: "R"}, Cols: []string{"b", "h", "g"}},
+		Pred: Where(ColTheta("b", value.GE, pvc.IntCell(2)))}), false)
 }

@@ -103,23 +103,20 @@ func (c Cell) Key() string {
 	return string(c.AppendKey(a[:0]))
 }
 
-// AppendKey appends the bytes of Key to b. Hash operators build their
-// keys into a reused buffer with it and look up m[string(buf)], which
-// allocates only when a new key is stored.
+// AppendKey appends the bytes of Key to b. It spells the text keys of
+// Tuple.Key, which Relation.Sort orders by and the engine's $ emits its
+// groups in; the engine's hash operators key on a binary encoding of
+// their own.
 func (c Cell) AppendKey(b []byte) []byte {
 	switch c.kind {
 	case KindValue:
-		return appendValueKey(b, c.v)
+		return c.v.Append(append(b, "v:"...))
 	case KindString:
-		return appendStringKey(b, c.s)
+		return append(append(b, "s:"...), c.s...)
 	default:
 		return append(append(b, "e:"...), expr.String(c.e)...)
 	}
 }
-
-func appendValueKey(b []byte, v value.V) []byte { return v.Append(append(b, "v:"...)) }
-
-func appendStringKey(b []byte, s string) []byte { return append(append(b, "s:"...), s...) }
 
 // String renders the cell for display.
 func (c Cell) String() string {

@@ -59,15 +59,6 @@ func (b *Batch) Cell(c, i int) Cell {
 	return ValueCell(b.Vals[c][i])
 }
 
-// AppendKey appends to buf the key of row i of column c, the
-// bytes Cell.AppendKey appends for Cell(c, i).
-func (b *Batch) AppendKey(buf []byte, c, i int) []byte {
-	if s := b.Strs[c]; s != nil {
-		return appendStringKey(buf, s[i])
-	}
-	return appendValueKey(buf, b.Vals[c][i])
-}
-
 // ScanHint is a σ atom pushed down into a provider scan. Columns are
 // addressed by position in the provider's schema — positions survive δ
 // renames above the scan, names do not. Both operands are constant cells
