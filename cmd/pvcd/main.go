@@ -44,7 +44,6 @@ import (
 	"pvcagg"
 	"pvcagg/internal/gen"
 	"pvcagg/internal/server"
-	"pvcagg/internal/tpch"
 )
 
 func main() {
@@ -83,7 +82,7 @@ func main() {
 		served = fmt.Sprintf("store %s (epoch %d)", *storeDir, st.Epoch())
 	} else {
 		var err error
-		if db, err = buildDB(*demo, *p, *sf); err != nil {
+		if db, err = gen.Demo(*demo, *p, *sf); err != nil {
 			log.Fatalf("pvcd: %v", err)
 		}
 	}
@@ -151,16 +150,5 @@ func main() {
 	log.Printf("pvcd: serving %s on %s", served, *addr)
 	if err := httpSrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		log.Fatalf("pvcd: %v", err)
-	}
-}
-
-func buildDB(demo string, p, sf float64) (*pvcagg.Database, error) {
-	switch demo {
-	case "shop":
-		return gen.Figure1(p), nil
-	case "tpch":
-		return tpch.Generate(tpch.Config{SF: sf, Seed: 1, Probabilistic: true})
-	default:
-		return nil, fmt.Errorf("unknown demo %q (want shop or tpch)", demo)
 	}
 }

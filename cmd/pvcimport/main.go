@@ -58,12 +58,34 @@ func main() {
 	}
 }
 
+// createStore starts the output store; tests swap it to inject faults
+// through store.CreateFS.
+var createStore = store.Create
+
 func run(out, gen string, sf float64, seed int64, prob bool, p float64, csvPath, table, schemaSpec, semiring string, block int) error {
 	if out == "" {
 		return fmt.Errorf("-out is required")
 	}
 	if (gen == "") == (csvPath == "") {
 		return fmt.Errorf("exactly one of -gen or -csv must be given")
+	}
+	if gen != "" && gen != "tpch" {
+		return fmt.Errorf("unknown generator %q (tpch)", gen)
+	}
+	var schema pvc.Schema
+	var csvFile *os.File
+	if csvPath != "" {
+		if table == "" {
+			return fmt.Errorf("-csv requires -table")
+		}
+		var err error
+		if schema, err = parseSchema(schemaSpec); err != nil {
+			return err
+		}
+		if csvFile, err = os.Open(csvPath); err != nil {
+			return err
+		}
+		defer csvFile.Close()
 	}
 	var kind algebra.SemiringKind
 	switch semiring {
@@ -75,24 +97,20 @@ func run(out, gen string, sf float64, seed int64, prob bool, p float64, csvPath,
 		return fmt.Errorf("unknown semiring %q (boolean or natural)", semiring)
 	}
 
+	// Every flag is valid and the input opens: only now does the output
+	// directory appear.
 	reg := vars.NewRegistry()
-	w, err := store.Create(out, kind, reg, store.Options{BlockCapacity: block})
+	w, err := createStore(out, kind, reg, store.Options{BlockCapacity: block})
 	if err != nil {
 		return err
 	}
-
-	switch {
-	case gen == "tpch":
+	if gen == "tpch" {
 		cfg := tpch.Config{SF: sf, Seed: seed, Probabilistic: prob, TupleProb: p}
 		if err := tpch.Stream(cfg, reg, &writerSink{w: w}); err != nil {
 			return err
 		}
-	case gen != "":
-		return fmt.Errorf("unknown generator %q (tpch)", gen)
-	default:
-		if err := importCSV(w, csvPath, table, schemaSpec); err != nil {
-			return err
-		}
+	} else if err := importCSV(w, csvFile, table, schema); err != nil {
+		return err
 	}
 	if err := w.Close(); err != nil {
 		return err
@@ -128,19 +146,7 @@ func (s *writerSink) Row(ann expr.Expr, cells ...pvc.Cell) error {
 }
 
 // importCSV streams one headerless CSV file into a table, row by row.
-func importCSV(w *store.Writer, path, table, schemaSpec string) error {
-	if table == "" {
-		return fmt.Errorf("-csv requires -table")
-	}
-	schema, err := parseSchema(schemaSpec)
-	if err != nil {
-		return err
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
+func importCSV(w *store.Writer, f *os.File, table string, schema pvc.Schema) error {
 	tw, err := w.CreateTable(table, schema)
 	if err != nil {
 		return err
@@ -163,7 +169,7 @@ func importCSV(w *store.Writer, path, table, schemaSpec string) error {
 			}
 			v, err := value.Parse(strings.TrimSpace(field))
 			if err != nil {
-				return fmt.Errorf("%s line %d column %s: %w", path, line, schema[i].Name, err)
+				return fmt.Errorf("%s line %d column %s: %w", f.Name(), line, schema[i].Name, err)
 			}
 			cells[i] = pvc.ValueCell(v)
 		}

@@ -1,13 +1,17 @@
 package main
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"pvcagg/internal/algebra"
+	"pvcagg/internal/faultfs"
 	"pvcagg/internal/store"
+	"pvcagg/internal/vars"
 )
 
 // The import error-path suite: every way an ingest can die — unwritable
@@ -77,11 +81,18 @@ func TestImportUnwritableDir(t *testing.T) {
 	}
 }
 
-// TestImportDiskFull: the hidden PVC_FAULTFS knob makes the second data
-// write fail (disk full mid-stream); the ingest must report the error
+// TestImportDiskFull: an injector under store.CreateFS fails the second
+// data write (disk full mid-stream); the ingest must report the error
 // and commit nothing.
 func TestImportDiskFull(t *testing.T) {
-	t.Setenv("PVC_FAULTFS", "write:nth=2")
+	var plan faultfs.Plan
+	plan.FailNth[faultfs.OpWrite] = 2
+	in := faultfs.NewInjector(faultfs.OS(), plan)
+	create := createStore
+	t.Cleanup(func() { createStore = create })
+	createStore = func(dir string, kind algebra.SemiringKind, reg *vars.Registry, opts store.Options) (*store.Writer, error) {
+		return store.CreateFS(dir, in, kind, reg, opts)
+	}
 	out := filepath.Join(t.TempDir(), "db")
 	csvPath := writeCSV(t, 50, 0)
 	err := run(out, "", 0, 0, false, 0, csvPath, "items", "id:value,name:string", "boolean", 8)
@@ -90,6 +101,9 @@ func TestImportDiskFull(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "injected") {
 		t.Errorf("error %v does not surface the write fault", err)
+	}
+	if in.Stats().Injected != 1 {
+		t.Errorf("injector stats %+v, want exactly one injected fault", in.Stats())
 	}
 	assertNoStore(t, out)
 }
@@ -109,32 +123,45 @@ func TestImportMalformedCSV(t *testing.T) {
 	assertNoStore(t, out)
 }
 
+// TestImportFlagValidation: an invalid flag or a missing input is an
+// error, and -out is not created, since both are checked before the
+// store is.
 func TestImportFlagValidation(t *testing.T) {
 	csvPath := writeCSV(t, 1, 0)
 	cases := []struct {
 		name string
 		err  string
-		run  func() error
+		run  func(out string) error
 	}{
-		{"no out", "-out is required", func() error {
+		{"no out", "-out is required", func(string) error {
 			return run("", "", 0, 0, false, 0, csvPath, "t", "id:value", "boolean", 8)
 		}},
-		{"gen and csv", "exactly one", func() error {
-			return run(filepath.Join(t.TempDir(), "db"), "tpch", 0.01, 1, false, 0, csvPath, "t", "id:value", "boolean", 8)
+		{"gen and csv", "exactly one", func(out string) error {
+			return run(out, "tpch", 0.01, 1, false, 0, csvPath, "t", "id:value", "boolean", 8)
 		}},
-		{"bad semiring", "unknown semiring", func() error {
-			return run(filepath.Join(t.TempDir(), "db"), "", 0, 0, false, 0, csvPath, "t", "id:value", "viterbi", 8)
+		{"unknown generator", "unknown generator", func(out string) error {
+			return run(out, "foo", 0.01, 1, false, 0, "", "", "", "boolean", 8)
 		}},
-		{"csv without table", "-csv requires -table", func() error {
-			return run(filepath.Join(t.TempDir(), "db"), "", 0, 0, false, 0, csvPath, "", "id:value", "boolean", 8)
+		{"bad semiring", "unknown semiring", func(out string) error {
+			return run(out, "", 0, 0, false, 0, csvPath, "t", "id:value", "viterbi", 8)
 		}},
-		{"csv without schema", "-csv requires -schema", func() error {
-			return run(filepath.Join(t.TempDir(), "db"), "", 0, 0, false, 0, csvPath, "t", "", "boolean", 8)
+		{"csv without table", "-csv requires -table", func(out string) error {
+			return run(out, "", 0, 0, false, 0, csvPath, "", "id:value", "boolean", 8)
+		}},
+		{"csv without schema", "-csv requires -schema", func(out string) error {
+			return run(out, "", 0, 0, false, 0, csvPath, "t", "", "boolean", 8)
+		}},
+		{"missing csv", "no such file", func(out string) error {
+			return run(out, "", 0, 0, false, 0, csvPath+".missing", "t", "id:value", "boolean", 8)
 		}},
 	}
 	for _, c := range cases {
-		if err := c.run(); err == nil || !strings.Contains(err.Error(), c.err) {
+		out := filepath.Join(t.TempDir(), "db")
+		if err := c.run(out); err == nil || !strings.Contains(err.Error(), c.err) {
 			t.Errorf("%s: err = %v, want mention of %q", c.name, err, c.err)
+		}
+		if _, err := os.Stat(out); !errors.Is(err, os.ErrNotExist) {
+			t.Errorf("%s: -out exists after the rejected flags (stat: %v)", c.name, err)
 		}
 	}
 }

@@ -105,7 +105,7 @@ func main() {
 			fmt.Println("use -query or -repl to run PVQL against it")
 			return
 		}
-	} else if db, err = buildDB(*demo, *p, *sf); err != nil {
+	} else if db, err = gen.Demo(*demo, *p, *sf); err != nil {
 		fmt.Fprintln(os.Stderr, "pvcrun:", err)
 		os.Exit(2)
 	}
@@ -309,19 +309,6 @@ func listTables(db *pvcagg.Database) {
 		} else {
 			fmt.Printf("  %s(%s) — on disk\n", name, strings.Join(cols, ", "))
 		}
-	}
-}
-
-// buildDB builds the -demo database: Figure 1 at marginal p, or TPC-H at
-// scale factor sf.
-func buildDB(demo string, p, sf float64) (*pvcagg.Database, error) {
-	switch demo {
-	case "shop":
-		return gen.Figure1(p), nil
-	case "tpch":
-		return tpch.Generate(tpch.Config{SF: sf, Seed: 1, Probabilistic: true})
-	default:
-		return nil, fmt.Errorf("unknown demo %q (want shop or tpch)", demo)
 	}
 }
 

@@ -3,28 +3,22 @@
 // read and write paths go through, plus an Injector that wraps any FS
 // with a deterministic fault plan — error on the Nth operation of a
 // class, probabilistic transient faults from a seeded stream, torn
-// (short) writes, latency stalls, file-descriptor exhaustion, and a
-// crash mode that tears the in-flight write and fails every operation
-// after it, simulating SIGKILL for on-disk state.
+// (short) writes, and a crash mode that tears the in-flight write and
+// fails every operation after it, simulating SIGKILL for on-disk state.
 //
 // Injected errors wrap ErrInjected and carry a Transient marker, so the
 // store's retry classifier (store.IsTransient) can distinguish a blip
-// worth retrying from permanent damage. The injector is activated
-// explicitly in tests, or process-wide through the hidden PVC_FAULTFS
-// environment knob (see FromEnv) that the CI chaos job uses to run the
-// whole binary under injected faults without code changes.
+// worth retrying from permanent damage. Faults reach the store only
+// through this seam: a test builds an Injector and passes it to
+// store.OpenFS or store.CreateFS; store.Open and store.Create use OS().
 package faultfs
 
 import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"os"
-	"strconv"
-	"strings"
 	"sync"
-	"time"
 )
 
 // File is the slice of *os.File the storage engine uses.
@@ -97,16 +91,6 @@ func (o Op) String() string {
 	return fmt.Sprintf("op(%d)", int(o))
 }
 
-// ParseOp parses an Op name as used in the PVC_FAULTFS spec.
-func ParseOp(s string) (Op, error) {
-	for o := Op(0); o < numOps; o++ {
-		if o.String() == s {
-			return o, nil
-		}
-	}
-	return 0, fmt.Errorf("faultfs: unknown op %q", s)
-}
-
 // ErrInjected is the sentinel every injected fault wraps, so tests can
 // errors.Is an observed failure back to the injector.
 var ErrInjected = fmt.Errorf("faultfs: injected fault")
@@ -144,7 +128,8 @@ func IsTransient(err error) bool {
 // Plan is one fault schedule. The zero value injects nothing.
 type Plan struct {
 	// FailNth[op], when > 0, fails the Nth operation of that class
-	// (1-based, counted per injector) and every ShortWriteNth below it.
+	// (1-based, counted per injector). A write counts toward FailNth and
+	// FailProb only when ShortWriteNth and CrashNth leave it whole.
 	FailNth [numOps]int64
 	// FailProb[op], when > 0, fails each operation of that class with
 	// the given probability, drawn from the Seed-determined stream.
@@ -164,12 +149,6 @@ type Plan struct {
 	// any class fails with ErrCrashed. On-disk state is whatever the
 	// earlier operations left, exactly like SIGKILL.
 	CrashNth int64
-	// Stall delays every operation, modelling a slow or contended disk.
-	Stall time.Duration
-	// MaxOpenFiles, when > 0, bounds concurrently open files; Open and
-	// Create beyond the bound fail, modelling fd exhaustion. Injected
-	// fd-exhaustion faults are transient (closing files clears them).
-	MaxOpenFiles int
 }
 
 // Stats counts what an injector saw and did.
@@ -191,7 +170,6 @@ type Injector struct {
 	writes  int64
 	rng     uint64
 	crashed bool
-	open    int
 	stats   Stats
 }
 
@@ -243,40 +221,16 @@ func (in *Injector) decide(op Op, path string) error {
 	return nil
 }
 
-// before runs the shared prologue: stall, then the plan decision.
+// before charges one non-write operation against the plan.
 func (in *Injector) before(op Op, path string) error {
-	if in.plan.Stall > 0 {
-		time.Sleep(in.plan.Stall)
-	}
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	return in.decide(op, path)
 }
 
-// acquireFD charges one open file against MaxOpenFiles.
-func (in *Injector) acquireFD(op Op, path string) error {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	if in.plan.MaxOpenFiles > 0 && in.open >= in.plan.MaxOpenFiles {
-		in.stats.Injected++
-		return fmt.Errorf("%w: %s %s: too many open files", &FaultError{Op: op, Path: path, Transient: true}, op, path)
-	}
-	in.open++
-	return nil
-}
-
-func (in *Injector) releaseFD() {
-	in.mu.Lock()
-	in.open--
-	in.mu.Unlock()
-}
-
 // writeDecision resolves the fate of one write: pass, torn (write half,
 // then fail with the returned error), or fail outright.
 func (in *Injector) writeDecision(path string) (torn bool, err error) {
-	if in.plan.Stall > 0 {
-		time.Sleep(in.plan.Stall)
-	}
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	if in.crashed {
@@ -302,12 +256,8 @@ func (in *Injector) Open(name string) (File, error) {
 	if err := in.before(OpOpen, name); err != nil {
 		return nil, err
 	}
-	if err := in.acquireFD(OpOpen, name); err != nil {
-		return nil, err
-	}
 	f, err := in.base.Open(name)
 	if err != nil {
-		in.releaseFD()
 		return nil, err
 	}
 	return &file{in: in, f: f, name: name}, nil
@@ -317,12 +267,8 @@ func (in *Injector) Create(name string) (File, error) {
 	if err := in.before(OpCreate, name); err != nil {
 		return nil, err
 	}
-	if err := in.acquireFD(OpCreate, name); err != nil {
-		return nil, err
-	}
 	f, err := in.base.Create(name)
 	if err != nil {
-		in.releaseFD()
 		return nil, err
 	}
 	return &file{in: in, f: f, name: name}, nil
@@ -375,11 +321,9 @@ func (in *Injector) Stat(name string) (os.FileInfo, error) {
 
 // file wraps an open File with the injector's read/write/close faults.
 type file struct {
-	in     *Injector
-	f      File
-	name   string
-	closed bool
-	mu     sync.Mutex
+	in   *Injector
+	f    File
+	name string
 }
 
 func (f *file) ReadAt(p []byte, off int64) (int, error) {
@@ -402,138 +346,11 @@ func (f *file) Write(p []byte) (int, error) {
 }
 
 func (f *file) Close() error {
-	f.mu.Lock()
-	wasClosed := f.closed
-	f.closed = true
-	f.mu.Unlock()
-	if !wasClosed {
-		f.in.releaseFD()
-	}
-	// Close faults are injected after the fd bookkeeping: an injected
-	// close failure must not leak the slot (the kernel releases the fd
-	// even when close reports an error).
+	// An injected close failure still closes the file, as the kernel
+	// releases the fd even when close reports an error.
 	if err := f.in.before(OpClose, f.name); err != nil {
 		f.f.Close()
 		return err
 	}
 	return f.f.Close()
-}
-
-// FromEnv returns the FS selected by the named environment variable: the
-// real filesystem when unset, or an injector over it configured by a
-// comma-separated spec. This is the hidden chaos knob — not a documented
-// flag — that lets CI run any binary under injected faults.
-//
-// Spec grammar (all parts optional, comma-separated):
-//
-//	<op>:nth=<N>        fail the Nth <op> (open|create|read|write|close|rename|stat)
-//	<op>:p=<float>      fail each <op> with probability p
-//	seed=<N>            seed for the probabilistic stream (default 1)
-//	transient           injected faults are transient (retryable)
-//	shortwrite=<N>      tear the Nth write
-//	crash=<N>           crash at the Nth write (torn, then everything fails)
-//	stall=<duration>    delay every operation
-//	maxfd=<N>           bound concurrently open files
-//
-// Example: PVC_FAULTFS="read:p=0.01,seed=7,transient"
-func FromEnv(key string) (FS, *Injector, error) {
-	spec := os.Getenv(key)
-	if spec == "" {
-		return OS(), nil, nil
-	}
-	plan, err := ParsePlan(spec)
-	if err != nil {
-		return nil, nil, fmt.Errorf("faultfs: %s: %w", key, err)
-	}
-	in := NewInjector(OS(), plan)
-	return in, in, nil
-}
-
-// count parses a whole spec value as a count: decimal digits only (no
-// sign, no trailing bytes) of a number that fits in bits bits.
-func count(val string, bits int) (uint64, bool) {
-	n, err := strconv.ParseUint(val, 10, bits)
-	return n, err == nil
-}
-
-// ParsePlan parses the FromEnv spec grammar into a Plan. Every value is
-// parsed whole: a count is a non-negative decimal, p a number in [0, 1],
-// a stall a non-negative duration.
-func ParsePlan(spec string) (Plan, error) {
-	var plan Plan
-	plan.Seed = 1
-	for _, part := range strings.Split(spec, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		if part == "transient" {
-			plan.Transient = true
-			continue
-		}
-		key, val, ok := strings.Cut(part, "=")
-		if !ok {
-			return Plan{}, fmt.Errorf("bad spec part %q (want key=value or transient)", part)
-		}
-		switch {
-		case key == "seed":
-			n, ok := count(val, 64)
-			if !ok {
-				return Plan{}, fmt.Errorf("bad seed %q", val)
-			}
-			plan.Seed = n
-		case key == "shortwrite":
-			n, ok := count(val, 63)
-			if !ok {
-				return Plan{}, fmt.Errorf("bad shortwrite %q", val)
-			}
-			plan.ShortWriteNth = int64(n)
-		case key == "crash":
-			n, ok := count(val, 63)
-			if !ok {
-				return Plan{}, fmt.Errorf("bad crash %q", val)
-			}
-			plan.CrashNth = int64(n)
-		case key == "stall":
-			d, err := time.ParseDuration(val)
-			if err != nil || d < 0 {
-				return Plan{}, fmt.Errorf("bad stall %q", val)
-			}
-			plan.Stall = d
-		case key == "maxfd":
-			n, ok := count(val, strconv.IntSize-1)
-			if !ok {
-				return Plan{}, fmt.Errorf("bad maxfd %q", val)
-			}
-			plan.MaxOpenFiles = int(n)
-		case strings.Contains(key, ":"):
-			opName, mode, _ := strings.Cut(key, ":")
-			op, err := ParseOp(opName)
-			if err != nil {
-				return Plan{}, err
-			}
-			switch mode {
-			case "nth":
-				n, ok := count(val, 63)
-				if !ok {
-					return Plan{}, fmt.Errorf("bad %s:nth %q", op, val)
-				}
-				plan.FailNth[op] = int64(n)
-			case "p":
-				p, err := strconv.ParseFloat(val, 64)
-				if err != nil || math.IsNaN(p) {
-					return Plan{}, fmt.Errorf("bad %s:p %q", op, val)
-				}
-				if p < 0 || p > 1 {
-					return Plan{}, fmt.Errorf("%s:p %v out of [0,1]", op, p)
-				}
-				plan.FailProb[op] = p
-			default:
-				return Plan{}, fmt.Errorf("bad op spec %q (want %s:nth or %s:p)", key, opName, opName)
-			}
-		default:
-			return Plan{}, fmt.Errorf("unknown spec key %q", key)
-		}
-	}
-	return plan, nil
 }

@@ -2,12 +2,10 @@ package faultfs
 
 import (
 	"errors"
-	"fmt"
 	"os"
 	"path/filepath"
 	"sync"
 	"testing"
-	"time"
 )
 
 func write(t *testing.T, fsys FS, path string, data []byte) error {
@@ -168,60 +166,6 @@ func TestCrashMode(t *testing.T) {
 	}
 }
 
-func TestFDExhaustion(t *testing.T) {
-	dir := t.TempDir()
-	for i := 0; i < 3; i++ {
-		if err := write(t, OS(), filepath.Join(dir, fmt.Sprint(i)), []byte("x")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	in := NewInjector(OS(), Plan{MaxOpenFiles: 2})
-	f0, err := in.Open(filepath.Join(dir, "0"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	f1, err := in.Open(filepath.Join(dir, "1"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := in.Open(filepath.Join(dir, "2")); !errors.Is(err, ErrInjected) || !IsTransient(err) {
-		t.Fatalf("third open = %v, want transient fd-exhaustion fault", err)
-	}
-	f0.Close()
-	f2, err := in.Open(filepath.Join(dir, "2"))
-	if err != nil {
-		t.Fatalf("open after close: %v", err)
-	}
-	f2.Close()
-	f1.Close()
-	// Double close must not double-release the slot.
-	f1.Close()
-	in.mu.Lock()
-	open := in.open
-	in.mu.Unlock()
-	if open != 0 {
-		t.Errorf("open-file accounting leaked: %d", open)
-	}
-}
-
-func TestStall(t *testing.T) {
-	dir := t.TempDir()
-	p := filepath.Join(dir, "f")
-	if err := write(t, OS(), p, []byte("x")); err != nil {
-		t.Fatal(err)
-	}
-	in := NewInjector(OS(), Plan{Stall: 20 * time.Millisecond})
-	t0 := time.Now()
-	if _, err := in.ReadFile(p); err != nil {
-		t.Fatal(err)
-	}
-	// A lower bound on a sleep: machine load can only lengthen it, so this
-	// cannot flake the way an upper bound or a ratio of two timings can.
-	if d := time.Since(t0); d < 20*time.Millisecond {
-		t.Errorf("stalled read took %v, want >= 20ms", d)
-	}
-}
-
 func TestConcurrentInjector(t *testing.T) {
 	dir := t.TempDir()
 	p := filepath.Join(dir, "f")
@@ -254,98 +198,5 @@ func TestConcurrentInjector(t *testing.T) {
 	wg.Wait()
 	if st := in.Stats(); st.Injected == 0 {
 		t.Error("no faults injected across 1600 raced reads at p=0.1")
-	}
-}
-
-func TestParsePlan(t *testing.T) {
-	plan, err := ParsePlan("read:p=0.01,seed=7,transient,stall=1ms,maxfd=64")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plan.FailProb[OpRead] != 0.01 || plan.Seed != 7 || !plan.Transient ||
-		plan.Stall != time.Millisecond || plan.MaxOpenFiles != 64 {
-		t.Errorf("parsed plan %+v", plan)
-	}
-	if _, err := ParsePlan("write:nth=3"); err != nil {
-		t.Errorf("write:nth=3: %v", err)
-	}
-	if _, err := ParsePlan("crash=12,shortwrite=4"); err != nil {
-		t.Errorf("crash/shortwrite: %v", err)
-	}
-	for _, bad := range []string{"read:p=2", "frobnicate:nth=1", "read:q=1", "nonsense", "seed=x"} {
-		if _, err := ParsePlan(bad); err == nil {
-			t.Errorf("ParsePlan(%q) accepted", bad)
-		}
-	}
-}
-
-// TestParsePlanRejectsMalformedValues: each spec used to parse, its
-// value read up to the first bad byte or taken as given.
-func TestParsePlanRejectsMalformedValues(t *testing.T) {
-	for _, bad := range []string{
-		"crash=5x",       // was CrashNth 5
-		"read:nth=1e3",   // was FailNth[read] 1: the first read failed
-		"read:p=0.5junk", // was 0.5
-		"read:p=NaN",     // passed the [0,1] check
-		"read:nth=-3",
-		"maxfd=-1",
-		"stall=-5s",
-	} {
-		if plan, err := ParsePlan(bad); err == nil {
-			t.Errorf("ParsePlan(%q) accepted: %+v", bad, plan)
-		}
-	}
-}
-
-// FuzzParsePlan holds the PVC_FAULTFS grammar to an error or a plan
-// whose counts and stall are non-negative, whose probabilities lie in
-// [0, 1], and that parses the same a second time; never a panic.
-func FuzzParsePlan(f *testing.F) {
-	for _, seed := range []string{
-		"read:p=0.01,seed=7,transient,stall=1ms,maxfd=64",
-		"write:nth=3", "crash=12,shortwrite=4", "open:p=1,close:nth=2",
-		"crash=5x", "read:nth=1e3", "read:p=NaN", "stall=-5s", " , ,transient",
-	} {
-		f.Add(seed)
-	}
-	f.Fuzz(func(t *testing.T, spec string) {
-		plan, err := ParsePlan(spec)
-		if err != nil {
-			return
-		}
-		for op := Op(0); op < numOps; op++ {
-			if plan.FailNth[op] < 0 {
-				t.Errorf("%q: FailNth[%s] = %d", spec, op, plan.FailNth[op])
-			}
-			if p := plan.FailProb[op]; !(p >= 0 && p <= 1) {
-				t.Errorf("%q: FailProb[%s] = %v", spec, op, p)
-			}
-		}
-		if plan.ShortWriteNth < 0 || plan.CrashNth < 0 || plan.MaxOpenFiles < 0 || plan.Stall < 0 {
-			t.Errorf("%q: negative count or stall in %+v", spec, plan)
-		}
-		if again, err := ParsePlan(spec); err != nil || again != plan {
-			t.Errorf("%q parsed to %+v, then to %+v (%v)", spec, plan, again, err)
-		}
-	})
-}
-
-func TestFromEnv(t *testing.T) {
-	t.Setenv("PVC_FAULTFS_TEST", "")
-	fsys, in, err := FromEnv("PVC_FAULTFS_TEST")
-	if err != nil || in != nil || fsys == nil {
-		t.Fatalf("unset env: fs=%v injector=%v err=%v", fsys, in, err)
-	}
-	t.Setenv("PVC_FAULTFS_TEST", "read:nth=1,transient")
-	fsys, in, err = FromEnv("PVC_FAULTFS_TEST")
-	if err != nil || in == nil {
-		t.Fatalf("set env: injector=%v err=%v", in, err)
-	}
-	if _, err := fsys.ReadFile("/nonexistent"); !errors.Is(err, ErrInjected) {
-		t.Errorf("first read through env injector = %v, want injected", err)
-	}
-	t.Setenv("PVC_FAULTFS_TEST", "garbage spec")
-	if _, _, err := FromEnv("PVC_FAULTFS_TEST"); err == nil {
-		t.Error("bad spec accepted")
 	}
 }

@@ -57,3 +57,20 @@ func TestNewDBValidates(t *testing.T) {
 		t.Fatal("expected error for negative tuple count")
 	}
 }
+
+func TestDemo(t *testing.T) {
+	shop, err := Demo("shop", 0.5, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := strings.Join(shop.Names(), ","), strings.Join(Figure1(0.5).Names(), ","); got != want {
+		t.Fatalf("Demo(shop) tables %s, want the Figure 1 tables %s", got, want)
+	}
+	tp, err := Demo("tpch", 0, 0.0005)
+	if err != nil || len(tp.Names()) == 0 {
+		t.Fatalf("Demo(tpch) err = %v, want generated tables", err)
+	}
+	if _, err := Demo("foo", 0.5, 0.001); err == nil || !strings.Contains(err.Error(), "unknown demo") {
+		t.Fatalf("Demo(foo) err = %v, want unknown demo", err)
+	}
+}

@@ -6,7 +6,22 @@ import (
 	"pvcagg/internal/algebra"
 	"pvcagg/internal/expr"
 	"pvcagg/internal/pvc"
+	"pvcagg/internal/tpch"
 )
+
+// Demo builds the named demo database of pvcrun and pvcd: "shop" is
+// Figure 1 at marginal p, "tpch" is probabilistic TPC-H at scale factor
+// sf (seed 1).
+func Demo(name string, p, sf float64) (*pvc.Database, error) {
+	switch name {
+	case "shop":
+		return Figure1(p), nil
+	case "tpch":
+		return tpch.Generate(tpch.Config{SF: sf, Seed: 1, Probabilistic: true})
+	default:
+		return nil, fmt.Errorf("unknown demo %q (want shop or tpch)", name)
+	}
+}
 
 // Figure1 builds the paper's running-example database (Figure 1) over the
 // Boolean semiring: shops S (x1..x5), their price listings PS (y11..y51)

@@ -8,17 +8,19 @@ import (
 
 	"pvcagg"
 	"pvcagg/internal/algebra"
+	"pvcagg/internal/faultfs"
 	"pvcagg/internal/gen"
 	"pvcagg/internal/store"
 	"pvcagg/internal/testutil"
 )
 
 // The chaos soak: the full service stack — HTTP handler, admission
-// control, engine, disk-backed store — runs a mixed workload while the
-// PVC_FAULTFS knob injects transient faults into 1% of block reads. The
-// run must stay clean: the process survives (zero panics), no goroutine
-// leaks, and every response is a correct result, a sound degraded one,
-// or a typed rejection/timeout. CI's chaos job runs this with
+// control, engine, disk-backed store — runs a mixed workload over a store
+// opened through a faultfs injector that fails 1% of block reads
+// transiently. The run must stay clean: the process survives (zero
+// panics), no goroutine leaks, and every response is a correct result, a
+// sound degraded one, or a typed rejection/timeout; and it must show
+// that faults were injected and retried. CI's chaos job runs this with
 // -chaos-soak=30s; the default keeps `go test` fast locally.
 
 var chaosSoak = flag.Duration("chaos-soak", 2*time.Second, "wall-clock budget for the fault-injected service soak")
@@ -59,14 +61,16 @@ func TestChaosSoak(t *testing.T) {
 	checkLeaks := testutil.CheckGoroutines(t)
 	dir := chaosStore(t)
 
-	// Every file operation from here on runs under the hidden chaos knob:
-	// 1% of block reads fail transiently, from a fixed seed.
-	t.Setenv("PVC_FAULTFS", "read:p=0.01,transient,seed=7")
-	st, err := pvcagg.OpenStore(dir)
+	// Every read through the opened store runs under the injector: 1% of
+	// reads fail transiently, from a fixed seed.
+	plan := faultfs.Plan{Seed: 7, Transient: true}
+	plan.FailProb[faultfs.OpRead] = 0.01
+	in := faultfs.NewInjector(faultfs.OS(), plan)
+	st, err := store.OpenFS(dir, in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := New(st.DB(), Config{
+	s := New(st.Database(), Config{
 		Workers:      2,
 		QueueDepth:   8,
 		MaxQueueWait: 100 * time.Millisecond,
@@ -78,10 +82,17 @@ func TestChaosSoak(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), *chaosSoak)
 	defer cancel()
 	rep := drive(ctx, s.Handler(), mixedWorkloadBodies())
-	t.Logf("chaos soak: %+v", rep)
+	t.Logf("chaos soak: %+v; injector %+v; %d retries", rep, in.Stats(), s.m.retries.Value())
 
 	if rep.ok == 0 {
 		t.Fatal("no request succeeded under 1% read faults")
+	}
+	// The soak proves something only if faults fired and were retried.
+	if st := in.Stats(); st.Injected == 0 {
+		t.Errorf("injector stats %+v: no fault injected", st)
+	}
+	if got := s.m.retries.Value(); got == 0 {
+		t.Error("no store read was retried during the soak")
 	}
 	// Zero deaths: every injected fault was retried, soundly degraded, or
 	// surfaced as a typed error — never a panic.

@@ -87,25 +87,14 @@ type Store struct {
 	health   storeHealth
 }
 
-// FaultFSEnv is the hidden chaos knob: when set, Open and Create route
-// every file operation through a faultfs injector configured by its
-// spec (see faultfs.FromEnv). Unset, the real filesystem is used with
-// no indirection cost beyond one interface call per file operation.
-const FaultFSEnv = "PVC_FAULTFS"
+// Open loads the manifest and variable registry of a store directory
+// from the real filesystem. A directory without a committed manifest
+// (e.g. after a crashed ingest) is refused with a plain error; damaged
+// files surface *CorruptError.
+func Open(dir string) (*Store, error) { return OpenFS(dir, faultfs.OS()) }
 
-// Open loads the manifest and variable registry of a store directory. A
-// directory without a committed manifest (e.g. after a crashed ingest)
-// is refused with a plain error; damaged files surface *CorruptError.
-func Open(dir string) (*Store, error) {
-	fsys, _, err := faultfs.FromEnv(FaultFSEnv)
-	if err != nil {
-		return nil, err
-	}
-	return OpenFS(dir, fsys)
-}
-
-// OpenFS is Open over an explicit filesystem — the seam fault-injection
-// tests use directly.
+// OpenFS is Open over an explicit filesystem: the one seam through which
+// tests inject faults into a store's reads.
 func OpenFS(dir string, fsys faultfs.FS) (*Store, error) {
 	data, err := fsys.ReadFile(filepath.Join(dir, manifestName))
 	if err != nil {

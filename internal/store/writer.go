@@ -82,20 +82,18 @@ type Writer struct {
 	closed   bool
 }
 
-// Create starts a new store in dir (created if missing; an existing
-// manifest.json is refused — the format is append-only per ingest, not
-// updatable in place). The registry is shared with the data producer so
-// variables declared during generation are captured at Close.
+// Create starts a new store in dir on the real filesystem (dir is
+// created if missing; an existing manifest.json is refused — the format
+// is append-only per ingest, not updatable in place). The registry is
+// shared with the data producer so variables declared during generation
+// are captured at Close.
 func Create(dir string, kind algebra.SemiringKind, reg *vars.Registry, opts Options) (*Writer, error) {
-	fsys, _, err := faultfs.FromEnv(FaultFSEnv)
-	if err != nil {
-		return nil, err
-	}
-	return CreateFS(dir, fsys, kind, reg, opts)
+	return CreateFS(dir, faultfs.OS(), kind, reg, opts)
 }
 
-// CreateFS is Create over an explicit filesystem — the seam the
-// crash-recovery harness drives to tear writes at arbitrary points.
+// CreateFS is Create over an explicit filesystem: the one seam through
+// which tests inject faults into an ingest, from a failed write to a
+// crash that tears a write at an arbitrary point.
 func CreateFS(dir string, fsys faultfs.FS, kind algebra.SemiringKind, reg *vars.Registry, opts Options) (*Writer, error) {
 	if opts.BlockCapacity <= 0 {
 		opts.BlockCapacity = DefaultBlockCapacity
