@@ -53,6 +53,11 @@ func (a *annSum) fold(v value.V) {
 
 func (a *annSum) add(e expr.Expr) {
 	a.n++
+	if c, ok := e.(expr.Const); ok {
+		// Simplify returns a constant as it is.
+		a.fold(c.V)
+		return
+	}
 	e = expr.Simplify(e, a.s)
 	switch t := e.(type) {
 	case expr.Add:
@@ -140,7 +145,13 @@ func (m *modSum) fold(v value.V) {
 
 // add folds one row, mirroring Simplify's Tensor case over
 // Scale(agg, ann, mv) = ann ⊗ mv followed by its AggSum MConst folding.
+// A row annotated with the semiring's 1 folds mv itself: 1 ⊗ mv = mv in
+// every monoid (Action of 1 is mv for SUM, COUNT, MIN, MAX and PROD).
 func (m *modSum) add(ann expr.Expr, mv value.V) {
+	if c, ok := ann.(expr.Const); ok && c.V == m.s.One() {
+		m.fold(mv)
+		return
+	}
 	sc := expr.Simplify(ann, m.s)
 	if c, ok := sc.(expr.Const); ok {
 		if c.V == m.s.Zero() {

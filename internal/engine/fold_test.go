@@ -17,7 +17,8 @@ import (
 //	annSum.neCond = Simplify([Sum(e1…en) ≠ 0])
 //	modSum.result = Simplify(MSum(agg, e1⊗v1 … en⊗vn))
 //
-// under both semirings and every monoid, neutral values included.
+// under both semirings and every monoid, neutral values included, and
+// over rows annotated 1S, 0S and (under N) 2 alone.
 func TestFoldMatchesSimplify(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	vars := []expr.Expr{expr.V("fa"), expr.V("fb"), expr.V("fc")}
@@ -68,6 +69,39 @@ func TestFoldMatchesSimplify(t *testing.T) {
 			}
 			if got := ms.result(); !expr.Equal(got, want) {
 				t.Fatalf("%v %v: modSum of %v = %s, want %s", kind, agg, terms, got, want)
+			}
+		}
+	}
+
+	// Constant annotations: the semiring's 1 folds mv without Simplify or
+	// Action, and 0 and a Natural 2 take the general path; every monoid,
+	// over values that include ±∞, 0, a negative and the neutral value.
+	mvs := []value.V{value.Int(-3), value.Int(0), value.Int(1), value.Int(5), value.PosInf(), value.NegInf()}
+	for _, kind := range []algebra.SemiringKind{algebra.Boolean, algebra.Natural} {
+		s := algebra.SemiringFor(kind)
+		consts := []expr.Expr{expr.CInt(1), expr.CInt(0)}
+		if kind == algebra.Natural {
+			consts = append(consts, expr.CInt(2))
+		}
+		for _, agg := range []algebra.Agg{algebra.Sum, algebra.Count, algebra.Min, algebra.Max, algebra.Prod} {
+			mvs := append(mvs, algebra.MonoidFor(agg).Neutral())
+			for _, e := range consts {
+				for _, rows := range [][]int{{0}, {1, 3}, {4, 2, 6, 0}, {5, 3, 1}} { // never +∞ with −∞
+					as, ms := newAnnSum(s), newModSum(s, agg)
+					var anns, terms []expr.Expr
+					for _, k := range rows {
+						as.add(e)
+						ms.add(e, mvs[k])
+						anns = append(anns, e)
+						terms = append(terms, expr.Scale(agg, e, mvs[k]))
+					}
+					if got, want := as.result(), expr.Simplify(expr.Sum(anns...), s); !expr.Equal(got, want) {
+						t.Errorf("%v: annSum of %v = %s, want %s", kind, anns, got, want)
+					}
+					if got, want := ms.result(), expr.Simplify(expr.MSum(agg, terms...), s); !expr.Equal(got, want) {
+						t.Errorf("%v %v: modSum of %v = %s, want %s", kind, agg, terms, got, want)
+					}
+				}
 			}
 		}
 	}

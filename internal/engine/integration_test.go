@@ -141,3 +141,65 @@ func commuteTrials(t *testing.T, seed int64, kind algebra.SemiringKind, trials i
 		}
 	}
 }
+
+// TestCodedGroupsCommute is the diagram over tables served by dictionary
+// lenders (pvctest.DictLendingDatabase), whose batches code their string
+// columns with a dictionary that changes order from batch to batch: π/∪
+// and $ group those rows by their codes, in every world too, and must
+// give the in-memory answer.
+func TestCodedGroupsCommute(t *testing.T) {
+	if testing.Short() {
+		t.Skip("world enumeration is slow in -short mode")
+	}
+	r := rand.New(rand.NewSource(46))
+	flags, states := []string{"A", "N", "R"}, []string{"F", "O"}
+	for trial := 0; trial < 12; trial++ {
+		kind := []algebra.SemiringKind{algebra.Boolean, algebra.Natural}[trial%2]
+		db := pvc.NewDatabase(kind)
+		// U spans one lent batch and T two, so a ∪ of U then T takes T's
+		// first batch under the number U's last batch had.
+		for _, tab := range []struct {
+			name string
+			rows int
+		}{{"T", 4 + r.Intn(2)}, {"U", 2 + r.Intn(2)}} {
+			name, rows := tab.name, tab.rows
+			rel := pvc.NewRelation(name, pvc.Schema{
+				{Name: "f", Type: pvc.TString}, {Name: "s", Type: pvc.TString}, {Name: "b", Type: pvc.TValue},
+			})
+			for i := 0; i < rows; i++ {
+				cells := []pvc.Cell{pvc.StringCell(flags[r.Intn(3)]), pvc.StringCell(states[r.Intn(2)]), pvc.IntCell(int64(r.Intn(4) * 10))}
+				if r.Intn(4) == 0 {
+					rel.MustInsert(nil, cells...) // certain: annotated 1
+				} else if _, err := db.InsertIndependent(rel, 0.2+0.6*r.Float64(), cells...); err != nil {
+					t.Fatal(err)
+				}
+			}
+			db.Add(rel)
+		}
+		agg := []algebra.Agg{algebra.Min, algebra.Max, algebra.Sum, algebra.Count}[trial%4]
+		for i, plan := range []Plan{
+			&GroupAgg{Input: &Scan{Table: "T"}, GroupBy: []string{"f"}, Aggs: []AggSpec{{Out: "m", Agg: agg, Over: "b"}}},
+			&GroupAgg{Input: &Scan{Table: "T"}, GroupBy: []string{"s", "f"}, Aggs: []AggSpec{{Out: "n", Agg: algebra.Count}, {Out: "m", Agg: agg, Over: "b"}}},
+			&GroupAgg{Input: &Scan{Table: "T"}, Aggs: []AggSpec{{Out: "m", Agg: agg, Over: "b"}}},
+			&Project{Cols: []string{"f", "s"}, Input: &Scan{Table: "T"}},
+			&Union{L: &Project{Cols: []string{"f"}, Input: &Scan{Table: "T"}}, R: &Project{Cols: []string{"f"}, Input: &Scan{Table: "U"}}},
+			&Union{L: &Scan{Table: "T"}, R: &Scan{Table: "U"}},
+			// π̂ folds into the scans: ∪ keys their coded batches.
+			&Union{L: &Prune{Cols: []string{"f", "s"}, Input: &Scan{Table: "U"}}, R: &Prune{Cols: []string{"f", "s"}, Input: &Scan{Table: "T"}}},
+		} {
+			t.Run(fmt.Sprintf("trial%d/shape%d", trial, i), func(t *testing.T) {
+				coded := func(d *pvc.Database) (*pvc.Relation, error) { return eval(pvctest.DictLendingDatabase(d), plan) }
+				pvctest.CheckCommutes(t, db, coded)
+				want, err := eval(db, plan)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := coded(db)
+				if err != nil {
+					t.Fatal(err)
+				}
+				relEqual(t, want, got)
+			})
+		}
+	}
+}

@@ -36,11 +36,13 @@ package engine
 // are keytab.go's) and drainRoot read their inputs through one cursor,
 // which steps through a scan's blocks and reads each row off the
 // vectors: π/∪, $, the ⋈/× build side and drainRoot drain it with
-// drainRows, the ⋈/× probe side pulls it. The sinks copy the group cells
-// they keep and the probe the cells of a row that matches; the sites
-// that keep a whole row past its loan copy it then (row.keep, told by
-// lendsCells whether a tuple input lends): pairIter.buildTable and
-// drainRoot, the root loop of StreamEvalPlan and StreamEvalPlanExplain.
+// drainRows, the ⋈/× probe side pulls it; π/∪ and $ find the group of a
+// row of a dictionary-coded block by its codes (codeIDs). The sinks
+// copy the group cells they keep and the probe the cells of a row that
+// matches; the sites that keep a whole row past its loan copy it then
+// (row.keep, told by lendsCells whether a tuple input lends):
+// pairIter.buildTable and drainRoot, the root loop of StreamEvalPlan and
+// StreamEvalPlanExplain.
 
 import (
 	"context"
@@ -89,12 +91,14 @@ func lendsCells(it Iterator) bool {
 }
 
 // row is one input row as drainRows lends it to a per-row body: row i of
-// batch b, or t when b is nil, annotated ann.
+// batch b, or t when b is nil, annotated ann. batch counts the batches
+// its cursor has taken, b's included; it is 0 for a tuple.
 type row struct {
-	t   pvc.Tuple
-	b   *pvc.Batch
-	i   int
-	ann expr.Expr
+	t     pvc.Tuple
+	b     *pvc.Batch
+	i     int
+	batch int
+	ann   expr.Expr
 }
 
 func (r *row) cell(c int) pvc.Cell {
@@ -181,6 +185,7 @@ func (c *cursor) next() (bool, error) {
 			return false, err
 		}
 		c.b, c.sel = b, b.Sel
+		c.batch++
 	}
 	c.step()
 	return true, nil
@@ -621,6 +626,7 @@ type groupIter struct {
 
 	drained bool
 	tab     keyTable     // group key → group id, in first-seen order
+	ids     codeIDs      // a coded batch's rows → their group ids
 	cells   [][]pvc.Cell // per group id
 	sums    []*annSum    // per group id
 	i       int
@@ -637,10 +643,8 @@ func (it *groupIter) Open() error {
 
 func (it *groupIter) drain() error {
 	it.drained = true
-	var key []byte
 	add := func(r *row) error {
-		key = r.appendKey(key[:0], it.cols)
-		g, added := it.tab.intern(key)
+		g, added := it.ids.id(&it.tab, r, it.cols)
 		if added {
 			it.cells = append(it.cells, r.pick(it.cols))
 			it.sums = append(it.sums, newAnnSum(it.s))
@@ -649,6 +653,7 @@ func (it *groupIter) drain() error {
 		return nil
 	}
 	for _, in := range it.in {
+		it.ids.reset() // each input's cursor counts its batches from 1
 		if err := drainRows(it.ctx, in, add); err != nil {
 			return err
 		}
@@ -719,6 +724,7 @@ type groupAggIter struct {
 
 	drained bool
 	tab     keyTable   // group key → index into groups until drained
+	ids     codeIDs    // a coded batch's rows → their indices into groups
 	groups  []*gaGroup // in first-seen order, then in emission order
 	i       int
 }
@@ -727,10 +733,8 @@ func (it *groupAggIter) Open() error { return it.child.Open() }
 
 func (it *groupAggIter) drain() error {
 	it.drained = true
-	var key []byte
 	err := drainRows(it.ctx, it.child, func(r *row) error {
-		key = r.appendKey(key[:0], it.gIdx)
-		gi, added := it.tab.intern(key)
+		gi, added := it.ids.id(&it.tab, r, it.gIdx)
 		if added {
 			it.groups = append(it.groups, newGaGroup(r.pick(it.gIdx), it.s, it.aggs))
 		}

@@ -82,6 +82,80 @@ func (r *row) appendKey(buf []byte, idx []int) []byte {
 	return buf
 }
 
+// maxCodeIDs caps the code combinations a codeIDs array indexes (16 KiB
+// of ids): a batch whose key columns' dictionary sizes multiply past it
+// is keyed by bytes.
+const maxCodeIDs = 1 << 12
+
+// codeIDs gives the rows of a batch whose key columns are all
+// dictionary-coded (pvc.Batch.Coded) their ids in a keyTable, for π/∪
+// and $. The first row of each code combination in the batch is keyed
+// by bytes and interned like any row, so equal cells get one id across
+// batches whose dictionaries differ; the later ones read that id from
+// an array indexed by their codes. The array is sized to the product of
+// the dictionary sizes, reused, and cleared whenever the cursor takes a
+// new batch (row.batch changes): a code means nothing outside its
+// batch. A tuple row, and a row of a batch with a plain key column or
+// more than maxCodeIDs combinations, is keyed by bytes. The zero value
+// is ready; an operator with several inputs resets it before each.
+type codeIDs struct {
+	batch  int       // the row.batch the array serves
+	on     bool      // that batch's key columns are all coded
+	codes  [][]uint8 // per key column, that batch's codes
+	stride []int     // per key column, its code's weight in a combination
+	ids    []int32   // per combination: id+1, 0 until its first row
+	key    []byte    // reused key buffer
+}
+
+func (c *codeIDs) reset() { c.batch, c.on = 0, false }
+
+// id returns the id in t of r's key, the cells at idx, and whether it
+// was added.
+func (c *codeIDs) id(t *keyTable, r *row, idx []int) (int, bool) {
+	if r.batch != c.batch {
+		c.setup(r, idx)
+	}
+	if !c.on {
+		c.key = r.appendKey(c.key[:0], idx)
+		return t.intern(c.key)
+	}
+	slot := 0
+	for k, codes := range c.codes {
+		slot += int(codes[r.i]) * c.stride[k]
+	}
+	if id := c.ids[slot]; id > 0 {
+		return int(id - 1), false
+	}
+	c.key = r.appendKey(c.key[:0], idx)
+	id, added := t.intern(c.key)
+	c.ids[slot] = int32(id + 1)
+	return id, added
+}
+
+// setup readies the array for r's batch.
+func (c *codeIDs) setup(r *row, idx []int) {
+	c.batch, c.on = r.batch, false
+	if r.b == nil {
+		return
+	}
+	c.codes, c.stride = c.codes[:0], c.stride[:0]
+	n := 1
+	for _, j := range idx {
+		dict, codes := r.b.Coded(j)
+		if codes == nil || n*len(dict) > maxCodeIDs {
+			return
+		}
+		c.codes, c.stride = append(c.codes, codes), append(c.stride, n)
+		n *= len(dict)
+	}
+	if cap(c.ids) < n {
+		c.ids = make([]int32, n)
+	}
+	c.ids = c.ids[:n]
+	clear(c.ids)
+	c.on = true
+}
+
 // keyTable interns keys as dense ids 0, 1, … in first-seen order: one
 // open-addressing table (linear probing, grown at ½ load) whose slots
 // hold ids, each id holding its key's hash and the end of its key in a
@@ -89,11 +163,12 @@ func (r *row) appendKey(buf []byte, idx []int) []byte {
 // nothing iterates over the slots, so no output depends on the hash
 // seed. The zero value is an empty table.
 type keyTable struct {
-	seed  uint64
-	slots []int32  // id+1 of the key in the slot; 0 when it is free
-	hash  []uint64 // per id
-	end   []int    // per id: the end of its key in arena
-	arena []byte
+	interns int // calls of intern, which the tests count
+	seed    uint64
+	slots   []int32  // id+1 of the key in the slot; 0 when it is free
+	hash    []uint64 // per id
+	end     []int    // per id: the end of its key in arena
+	arena   []byte
 }
 
 // find returns key's id, or -1 when it was never interned.
@@ -107,6 +182,7 @@ func (t *keyTable) find(key []byte) int {
 
 // intern returns key's id, giving it the next one when it is new.
 func (t *keyTable) intern(key []byte) (id int, added bool) {
+	t.interns++
 	if 2*(len(t.end)+1) > len(t.slots) {
 		t.grow()
 	}

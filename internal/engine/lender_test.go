@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -94,7 +95,10 @@ func sameOutcome(t *testing.T, what string, want *pvc.Relation, errW error, got 
 // exact lenders — which filter on every hint and drop zero rows, so a σ
 // whose atoms all reach the scan is discharged — and over inexact ones,
 // which ignore the hints, so every σ stays and must still give the same
-// answer. StreamEvalPlan and EXPLAIN ANALYZE are both held to it, and
+// answer, and over dictionary lenders, whose batches code their string
+// columns with dictionaries that change order from batch to batch, so
+// π/∪ and $ group their rows by codes. StreamEvalPlan and EXPLAIN
+// ANALYZE are both held to it, and
 // every node of the analyzed tree to the in-memory run's actual rows
 // (sameActuals). The in-memory run's analyzed tree must have Explain's shape:
 // one node per plan operator. The in-memory reference is not independent
@@ -114,7 +118,7 @@ func TestPoisonedLenderDifferential(t *testing.T) {
 		prefix string
 		exact  bool
 		lend   func(*pvc.Database, ...string) *pvc.Database
-	}{{"", true, pvctest.LendingDatabase}, {"inexact/", false, pvctest.InexactLendingDatabase}} {
+	}{{"", true, pvctest.LendingDatabase}, {"inexact/", false, pvctest.InexactLendingDatabase}, {"dict/", true, pvctest.DictLendingDatabase}} {
 		variants = append(variants,
 			variant{m.prefix + "all", m.lend(db), m.exact},
 			variant{m.prefix + "R", m.lend(db, "R"), m.exact},
@@ -274,13 +278,44 @@ func TestLendersAtKeepSites(t *testing.T) {
 // vecTable is a provider that serves a relation of constant cells from
 // column vectors built once, vecBlock rows a batch, refilling one lent
 // Batch: a batch scan that allocates per scan, never per block or row.
-// It serves no rows through Next.
+// It serves no rows through Next. A coded one (newCodedVecTable) also
+// codes its string columns, a dictionary per batch in first-seen order,
+// reversed in odd batches.
 type vecTable struct {
-	rel  *pvc.Relation
-	vals [][]value.V
-	strs [][]string
-	anns []expr.Expr
-	sel  []int32
+	rel   *pvc.Relation
+	vals  [][]value.V
+	strs  [][]string
+	dicts [][][]string // per column, per batch; nil unless coded
+	codes [][]uint8    // per column; nil unless coded
+	anns  []expr.Expr
+	sel   []int32
+}
+
+func newCodedVecTable(rel *pvc.Relation) *vecTable {
+	v := newVecTable(rel)
+	v.dicts, v.codes = make([][][]string, len(rel.Schema)), make([][]uint8, len(rel.Schema))
+	for c, strs := range v.strs {
+		if strs == nil {
+			continue
+		}
+		for lo := 0; lo < len(strs); lo += vecBlock {
+			block := strs[lo:min(lo+vecBlock, len(strs))]
+			var dict []string
+			for _, s := range block {
+				if !slices.Contains(dict, s) {
+					dict = append(dict, s)
+				}
+			}
+			if len(v.dicts[c])%2 == 1 {
+				slices.Reverse(dict)
+			}
+			for _, s := range block {
+				v.codes[c] = append(v.codes[c], uint8(slices.Index(dict, s)))
+			}
+			v.dicts[c] = append(v.dicts[c], dict)
+		}
+	}
+	return v
 }
 
 const vecBlock = 64
@@ -312,7 +347,11 @@ func (v *vecTable) NewScan(_ context.Context, opts pvc.ScanOptions) (pvc.TupleIt
 		return nil, fmt.Errorf("vecTable: scan options %+v", opts)
 	}
 	n := len(v.rel.Schema)
-	return &vecScan{v: v, b: pvc.Batch{Vals: make([][]value.V, n), Strs: make([][]string, n)}}, nil
+	sc := &vecScan{v: v, b: pvc.Batch{Vals: make([][]value.V, n), Strs: make([][]string, n)}}
+	if v.codes != nil {
+		sc.b.Dicts, sc.b.Codes = make([][]string, n), make([][]uint8, n)
+	}
+	return sc, nil
 }
 
 type vecScan struct {
@@ -333,6 +372,9 @@ func (s *vecScan) NextBatch() (*pvc.Batch, bool, error) {
 	for c := range s.b.Vals {
 		if s.v.strs[c] != nil {
 			s.b.Strs[c] = s.v.strs[c][s.lo:hi]
+			if s.v.codes != nil {
+				s.b.Dicts[c], s.b.Codes[c] = s.v.dicts[c][s.lo/vecBlock], s.v.codes[c][s.lo:hi]
+			}
 		} else {
 			s.b.Vals[c] = s.v.vals[c][s.lo:hi]
 		}
@@ -424,4 +466,77 @@ func TestGroupKeyNoAllocOnHit(t *testing.T) {
 func TestPruneNoAllocPerRow(t *testing.T) {
 	flatAllocs(t, "$ over σ over π̂", groupGH(&Select{Input: &Prune{Input: &Scan{Table: "R"}, Cols: []string{"b", "h", "g"}},
 		Pred: Where(ColTheta("b", value.GE, pvc.IntCell(2)))}), false)
+}
+
+// TestCodedGroupsInternPerBatch: over a batch scan whose key columns are
+// all coded, π and $ key and intern a code combination once per batch
+// and find every later row of it by its codes, so they intern at most
+// (combinations × batches) keys, not one a row — and give the answers
+// they give in memory. Over the same vectors uncoded they intern one key
+// a row, except $ without grouping, whose empty key has no column to be
+// plain and is interned once per batch either way.
+func TestCodedGroupsInternPerBatch(t *testing.T) {
+	ctx := context.Background()
+	const rows = 2000
+	flags, states := []string{"A", "N", "R"}, []string{"F", "O"}
+	r := pvc.NewRelation("R", pvc.Schema{{Name: "f", Type: pvc.TString}, {Name: "s", Type: pvc.TString}, {Name: "b", Type: pvc.TValue}})
+	for i := 0; i < rows; i++ {
+		r.MustInsert(nil, pvc.StringCell(flags[i%3]), pvc.StringCell(states[i/7%2]), pvc.IntCell(int64(i)))
+	}
+	mem := pvc.NewDatabase(algebra.Boolean)
+	mem.Add(r)
+	batches := (rows + vecBlock - 1) / vecBlock
+	for _, c := range []struct {
+		name   string
+		plan   Plan
+		combos int
+		plain  int // interns over the uncoded vectors
+	}{
+		{"$ by f, s", &GroupAgg{Input: &Scan{Table: "R"}, GroupBy: []string{"f", "s"},
+			Aggs: []AggSpec{{Out: "N", Agg: algebra.Count}, {Out: "S", Agg: algebra.Sum, Over: "b"}}}, 6, rows},
+		{"$ by s", &GroupAgg{Input: &Scan{Table: "R"}, GroupBy: []string{"s"}, Aggs: []AggSpec{{Out: "M", Agg: algebra.Max, Over: "b"}}}, 2, rows},
+		{"$ ungrouped", &GroupAgg{Input: &Scan{Table: "R"}, Aggs: []AggSpec{{Out: "N", Agg: algebra.Count}}}, 1, batches},
+		{"π onto f, s", &Project{Input: &Scan{Table: "R"}, Cols: []string{"f", "s"}}, 6, rows},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			want, err := eval(mem, c.plan)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, coded := range []bool{true, false} {
+				db := pvc.NewDatabase(algebra.Boolean)
+				if coded {
+					db.AddProvider(newCodedVecTable(r))
+				} else {
+					db.AddProvider(newVecTable(r))
+				}
+				it, schema, name, err := newIterBuilder(ctx, db).build(c.plan)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := it.Open(); err != nil {
+					t.Fatal(err)
+				}
+				got := pvc.NewRelation(name, schema)
+				if err := drainRoot(ctx, it, got); err != nil {
+					t.Fatal(err)
+				}
+				it.Close()
+				relEqual(t, want, got)
+				var interns int
+				switch sink := it.(type) {
+				case *groupAggIter:
+					interns = sink.tab.interns
+				case *groupIter:
+					interns = sink.tab.interns
+				}
+				switch {
+				case coded && interns > c.combos*batches:
+					t.Errorf("coded: %d interns for %d rows, want at most %d combinations × %d batches", interns, rows, c.combos, batches)
+				case !coded && interns != c.plain:
+					t.Errorf("plain: %d interns for %d rows, want %d", interns, rows, c.plain)
+				}
+			}
+		})
+	}
 }

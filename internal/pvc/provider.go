@@ -44,11 +44,32 @@ type BatchIter interface {
 // Batch is a block of rows column-wise: row i of column c is Strs[c][i]
 // when Strs[c] is non-nil (a string column) and Vals[c][i] otherwise,
 // annotated Anns[i]; Sel names the rows in play.
+//
+// A string column may also come dictionary-coded: Dicts[c] lists its
+// distinct strings in the block's own order and Codes[c][i] is row i's
+// index into it, so Strs[c][i] == Dicts[c][Codes[c][i]] for every row.
+// Dicts[c] and Codes[c] are nil for a plain column; Dicts and Codes are
+// either nil (no column is coded) or hold an entry per column. A
+// dictionary is the block's: another batch of the same scan may list
+// the same strings in another order, or other strings, so a code means
+// nothing outside its batch. Readers that ignore the codes read Strs as
+// before.
 type Batch struct {
-	Vals [][]value.V
-	Strs [][]string
-	Anns []expr.Expr
-	Sel  []int32 // ascending
+	Vals  [][]value.V
+	Strs  [][]string
+	Dicts [][]string
+	Codes [][]uint8
+	Anns  []expr.Expr
+	Sel   []int32 // ascending
+}
+
+// Coded returns column c's dictionary and codes, or nils for a plain
+// column.
+func (b *Batch) Coded(c int) ([]string, []uint8) {
+	if b.Codes == nil || b.Codes[c] == nil {
+		return nil, nil
+	}
+	return b.Dicts[c], b.Codes[c]
 }
 
 // Cell returns row i of column c.

@@ -5,6 +5,7 @@ package pvctest
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"pvcagg/internal/expr"
 	"pvcagg/internal/pvc"
@@ -30,28 +31,39 @@ const batchRows = 3
 // batchRows stored rows each. An exact lender drops the rows that fail
 // a hint, and under DropZero those annotated with the constant 0S, and
 // states so (pvc.ExactScanner); an inexact one returns every row and
-// states nothing.
+// states nothing. A dictionary lender (exact) also codes every string
+// column of its batches (pvc.Batch.Coded), listing each batch's strings
+// in first-seen order in even batches and in reverse in odd ones, so a
+// code names a different string from one batch to the next; the
+// dictionaries and codes of a batch are poisoned with it.
 type Lender struct {
 	rel   *pvc.Relation
 	exact bool
+	dict  bool
 }
 
 // NewLender returns an exact lender over rel, which it only reads.
-func NewLender(rel *pvc.Relation) Lender { return Lender{rel, true} }
+func NewLender(rel *pvc.Relation) Lender { return Lender{rel: rel, exact: true} }
 
 // LendingDatabase returns a database over db's registry and semiring in
 // which the named relations of db (all of them when none is named) are
 // served by exact Lenders and the others stay in memory.
 func LendingDatabase(db *pvc.Database, names ...string) *pvc.Database {
-	return lendingDatabase(db, true, names)
+	return lendingDatabase(db, Lender{exact: true}, names)
 }
 
 // InexactLendingDatabase is LendingDatabase with inexact Lenders.
 func InexactLendingDatabase(db *pvc.Database, names ...string) *pvc.Database {
-	return lendingDatabase(db, false, names)
+	return lendingDatabase(db, Lender{}, names)
 }
 
-func lendingDatabase(db *pvc.Database, exact bool, names []string) *pvc.Database {
+// DictLendingDatabase is LendingDatabase with dictionary Lenders.
+func DictLendingDatabase(db *pvc.Database, names ...string) *pvc.Database {
+	return lendingDatabase(db, Lender{exact: true, dict: true}, names)
+}
+
+// lendingDatabase lends the named relations by copies of l.
+func lendingDatabase(db *pvc.Database, l Lender, names []string) *pvc.Database {
 	lend := map[string]bool{}
 	for _, n := range names {
 		lend[n] = true
@@ -64,7 +76,8 @@ func lendingDatabase(db *pvc.Database, exact bool, names []string) *pvc.Database
 			panic(fmt.Sprintf("pvctest: %v", err)) // Names lists relations only
 		}
 		if len(names) == 0 || lend[name] {
-			out.AddProvider(Lender{rel, exact})
+			l.rel = rel
+			out.AddProvider(l)
 		} else {
 			out.Add(rel)
 		}
@@ -98,7 +111,7 @@ func (l Lender) NewScan(ctx context.Context, opts pvc.ScanOptions) (pvc.TupleIte
 	if !l.exact {
 		opts = pvc.ScanOptions{}
 	}
-	it := &lendIter{ctx: ctx, rel: l.rel, cols: cols, opts: opts}
+	it := &lendIter{ctx: ctx, rel: l.rel, cols: cols, opts: opts, dict: l.dict}
 	if batches {
 		return batchIter{it}, nil
 	}
@@ -110,7 +123,9 @@ type lendIter struct {
 	rel  *pvc.Relation
 	cols []int
 	opts pvc.ScanOptions
+	dict bool // code the string columns of batches
 	i    int
+	nb   int // batches lent
 	// lent and batch are what is out on loan. Each Next and NextBatch
 	// lends new ones, so one whose loan ended holds poison from then on
 	// — never a later row, which could pass for an answer.
@@ -134,6 +149,12 @@ func (it *lendIter) poison() {
 				}
 			}
 			b.Anns[i] = expr.V(Poison)
+		}
+		for c := range b.Codes {
+			clear(b.Codes[c])
+			for k := range b.Dicts[c] {
+				b.Dicts[c][k] = Poison
+			}
 		}
 		clear(b.Sel)
 		it.batch = nil
@@ -219,9 +240,38 @@ func (it batchIter) NextBatch() (*pvc.Batch, bool, error) {
 			}
 		}
 		if len(b.Sel) > 0 {
+			if it.dict {
+				it.code(b)
+			}
+			it.nb++
 			it.batch = b
 			return b, true, nil
 		}
 	}
 	return nil, false, nil
+}
+
+// code dictionary-codes every string column of b, listing its strings
+// in first-seen order, reversed in odd batches.
+func (it batchIter) code(b *pvc.Batch) {
+	b.Dicts, b.Codes = make([][]string, len(b.Strs)), make([][]uint8, len(b.Strs))
+	for c, strs := range b.Strs {
+		if strs == nil {
+			continue
+		}
+		var dict []string
+		for _, s := range strs {
+			if !slices.Contains(dict, s) {
+				dict = append(dict, s)
+			}
+		}
+		if it.nb%2 == 1 {
+			slices.Reverse(dict)
+		}
+		codes := make([]uint8, len(strs))
+		for i, s := range strs {
+			codes[i] = uint8(slices.Index(dict, s))
+		}
+		b.Dicts[c], b.Codes[c] = dict, codes
+	}
 }

@@ -184,3 +184,52 @@ func TestLenderLendsBatches(t *testing.T) {
 		t.Error("a scan of an aggregation column serves batches")
 	}
 }
+
+// TestDictLenderCodesBatches: a dictionary lender codes each string
+// column of a batch, Strs[c][i] = Dicts[c][Codes[c][i]], in first-seen
+// order in even batches and reversed in odd ones, leaves value columns
+// plain, and poisons dictionaries and codes with the batch.
+func TestDictLenderCodesBatches(t *testing.T) {
+	rel := pvc.NewRelation("S", pvc.Schema{{Name: "sid", Type: pvc.TValue}, {Name: "shop", Type: pvc.TString}})
+	for i, shop := range []string{"M&S", "Gap", "Gap", "M&S", "Gap", "M&S"} {
+		rel.MustInsert(nil, pvc.IntCell(int64(i)), pvc.StringCell(shop))
+	}
+	db := pvc.NewDatabase(algebra.Boolean)
+	db.Add(rel)
+	p, _ := pvctest.DictLendingDatabase(db).Provider("S")
+	sc, err := p.NewScan(context.Background(), pvc.ScanOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sc.Close()
+	it := sc.(pvc.BatchIter)
+	var kept []*pvc.Batch
+	for _, want := range [][]string{{"M&S", "Gap"}, {"Gap", "M&S"}} {
+		b, ok, err := it.NextBatch()
+		if err != nil || !ok {
+			t.Fatalf("NextBatch: ok=%v err=%v", ok, err)
+		}
+		if d, codes := b.Coded(0); d != nil || codes != nil {
+			t.Errorf("value column coded: %v %v", d, codes)
+		}
+		dict, codes := b.Coded(1)
+		if fmt.Sprint(dict) != fmt.Sprint(want) {
+			t.Errorf("batch %d dictionary %q, want %q", len(kept), dict, want)
+		}
+		for i, s := range b.Strs[1] {
+			if dict[codes[i]] != s {
+				t.Errorf("batch %d row %d: code %d names %q, the row holds %q", len(kept), i, codes[i], dict[codes[i]], s)
+			}
+		}
+		kept = append(kept, b)
+	}
+	if _, ok, _ := it.NextBatch(); ok {
+		t.Fatal("a third batch")
+	}
+	for _, b := range kept {
+		dict, codes := b.Coded(1)
+		if dict[codes[0]] != pvctest.Poison || dict[codes[2]] != pvctest.Poison {
+			t.Errorf("coded batch still readable after its loan: %q %v", dict, codes)
+		}
+	}
+}

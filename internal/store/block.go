@@ -26,23 +26,36 @@ var annOneExpr expr.Expr = expr.CInt(1)
 // scan reads into travels with the scratch it lends. Nothing a scan
 // hands out aliases a scratch, so a later scan may overwrite it while
 // rows of an earlier one are still held: a cell copies its value.V,
-// string vectors own their bytes (reader.string copies them out of
-// raw), and annotations are the store's shared boxed expressions. The
-// row buffer a scan lends is the scan's own and is never pooled.
+// string vectors own their bytes (reader.string and the dictionary
+// decoder copy them out of raw), and annotations are the store's shared
+// boxed expressions. The row buffer a scan lends is the scan's own and
+// is never pooled.
+//
+// A dictionary-coded string column (format.go) also sets the Batch's
+// Dicts and Codes entries; they are nil for a plain column. Their
+// storage stays in dicts and codes while a column's blocks are plain,
+// and a dictionary entry equal to the one it replaces keeps its string,
+// so blocks that list the same strings allocate nothing.
 type blockVecs struct {
 	pvc.Batch
 	schema pvc.Schema
-	raw    []byte // the scan's read buffer while this scratch is its blk
-	need   []bool // by schema column: decode it
+	raw    []byte     // the scan's read buffer while this scratch is its blk
+	need   []bool     // by schema column: decode it
+	dicts  [][]string // by schema column: the last dictionary decoded
+	codes  [][]uint8  // by schema column: the last codes decoded
 }
 
 // newBlockVecs sizes the column table for schema; reset readies it for
 // a scan.
 func newBlockVecs(schema pvc.Schema) *blockVecs {
+	n := len(schema)
 	return &blockVecs{
-		Batch:  pvc.Batch{Vals: make([][]value.V, len(schema)), Strs: make([][]string, len(schema))},
+		Batch: pvc.Batch{Vals: make([][]value.V, n), Strs: make([][]string, n),
+			Dicts: make([][]string, n), Codes: make([][]uint8, n)},
 		schema: schema,
-		need:   make([]bool, len(schema)),
+		need:   make([]bool, n),
+		dicts:  make([][]string, n),
+		codes:  make([][]uint8, n),
 	}
 }
 
@@ -132,14 +145,8 @@ func (b *blockVecs) decode(buf []byte, wantRows int, vars []expr.Expr, dropZero 
 					return fmt.Errorf("column %s: %v", col.Name, err)
 				}
 			}
-		} else {
-			strs := grow(b.Strs[ci], n)
-			b.Strs[ci] = strs
-			for i := range strs {
-				if strs[i], err = sr.string(); err != nil {
-					return fmt.Errorf("column %s: %v", col.Name, err)
-				}
-			}
+		} else if err := b.decodeStrings(ci, sr, n); err != nil {
+			return fmt.Errorf("column %s: %v", col.Name, err)
 		}
 	}
 	seg, err := r.segment()
@@ -163,6 +170,70 @@ func (b *blockVecs) decode(buf []byte, wantRows int, vars []expr.Expr, dropZero 
 		}
 		b.Sel = append(b.Sel, int32(i))
 	}
+	return nil
+}
+
+// decodeStrings decodes string column ci of an n-row block from its
+// segment: plain, each row's string copied out of the segment, or
+// dictionary-coded, each row's string the dictionary's. A dictionary of
+// more than maxDict entries or more than n, a code past its end and a
+// short run of codes are errors; nothing is sized by the dictionary's
+// count before it is checked.
+func (b *blockVecs) decodeStrings(ci int, sr *reader, n int) error {
+	strs := grow(b.Strs[ci], n)
+	b.Strs[ci], b.Dicts[ci], b.Codes[ci] = strs, nil, nil
+	enc, err := sr.byte()
+	if err != nil {
+		return err
+	}
+	switch enc {
+	case strPlain:
+		for i := range strs {
+			if strs[i], err = sr.string(); err != nil {
+				return err
+			}
+		}
+		return nil
+	case strDict:
+	default:
+		return fmt.Errorf("bad string encoding %d", enc)
+	}
+	k, err := sr.uvarint()
+	if err != nil {
+		return err
+	}
+	if k > maxDict || k > uint64(n) {
+		return fmt.Errorf("dictionary of %d entries for %d rows", k, n)
+	}
+	dict := grow(b.dicts[ci], int(k))
+	b.dicts[ci] = dict
+	for j := range dict {
+		m, err := sr.uvarint()
+		if err != nil {
+			return err
+		}
+		s, err := sr.bytes(m)
+		if err != nil {
+			return err
+		}
+		if dict[j] != string(s) {
+			dict[j] = string(s)
+		}
+	}
+	raw, err := sr.bytes(uint64(n))
+	if err != nil {
+		return fmt.Errorf("codes: %v", err)
+	}
+	codes := grow(b.codes[ci], n)
+	b.codes[ci] = codes
+	copy(codes, raw)
+	for i, c := range codes {
+		if int(c) >= len(dict) {
+			return fmt.Errorf("code %d at row %d past a dictionary of %d", c, i, len(dict))
+		}
+		strs[i] = dict[c]
+	}
+	b.Dicts[ci], b.Codes[ci] = dict, codes
 	return nil
 }
 

@@ -87,6 +87,30 @@ func sealBlock(body []byte) []byte {
 	return binary.LittleEndian.AppendUint32(append([]byte(nil), body...), crc32.ChecksumIEEE(body))
 }
 
+// blockBody assembles the body of a block of rows rows, without its
+// CRC, from its column segments and its annotation segment (last).
+func blockBody(rows int, segs ...[]byte) []byte {
+	body := binary.AppendUvarint(binary.AppendUvarint([]byte(blockMagic), uint64(rows)), uint64(len(segs)-1))
+	for _, seg := range segs {
+		body = append(binary.AppendUvarint(body, uint64(len(seg))), seg...)
+	}
+	return body
+}
+
+// fixtureBody is the body of a block of the fuzz fixture's schema (id,
+// name, w) over names, its string column coded when the writer would
+// code it, every row annotated 1.
+func fixtureBody(names ...string) []byte {
+	var ids, ws, anns []byte
+	for i := range names {
+		ids = appendValue(ids, value.Int(int64(i)))
+		ws = appendValue(ws, value.Int(int64(-i)))
+		anns = append(anns, annOne)
+	}
+	var d dictCoder
+	return blockBody(len(names), ids, d.appendColumn(nil, names), ws, anns)
+}
+
 // twoBlocks is a table of a fixture's schema over an in-memory file
 // holding a valid block of the fixture followed by a block under test.
 type twoBlocks struct {
@@ -128,13 +152,8 @@ func TestTooDeepAnnotationIsCorrupt(t *testing.T) {
 	if _, err := expr.Parse(deep); !errors.Is(err, expr.ErrTooDeep) {
 		t.Fatalf("expr.Parse: %v, want ErrTooDeep", err)
 	}
-	body := binary.AppendUvarint(binary.AppendUvarint([]byte(blockMagic), 1), 3)
-	for _, seg := range [][]byte{
-		appendValue(nil, value.Int(1)), appendString(nil, "a"), appendValue(nil, value.Int(2)),
-		appendString([]byte{annExpr}, deep),
-	} {
-		body = append(binary.AppendUvarint(body, uint64(len(seg))), seg...)
-	}
+	body := blockBody(1, appendValue(nil, value.Int(1)), appendString([]byte{strPlain}, "a"), appendValue(nil, value.Int(2)),
+		appendString([]byte{annExpr}, deep))
 	it := newTwoBlocks(tab, blocks[0], sealBlock(body), 1).scan()
 	n := 0
 	for {
@@ -159,7 +178,8 @@ func TestTooDeepAnnotationIsCorrupt(t *testing.T) {
 }
 
 // FuzzReadBlock holds the block decoder to its contract on hostile
-// bytes: the body of a valid PVB1 block is mutated and its CRC
+// bytes: the body of a valid PVB2 block — plain or dictionary-coded
+// strings — is mutated and its CRC
 // recomputed, so the checksum does not shield the decoder. A scan over
 // [a valid block, the mutated block] must return the valid block's rows
 // and then either rows of the right shape or an ErrCorrupt — never a
@@ -176,6 +196,15 @@ func FuzzReadBlock(f *testing.F) {
 		f.Add(b[:len(b)-4], uint16(tab.meta.Blocks[bi].Rows))
 	}
 	f.Add([]byte(blockMagic), uint16(0))
+	// Coded name columns: two strings, one (the empty string), and the
+	// fixture's four in eight rows.
+	for _, names := range [][]string{
+		{"a", "M&S", "a", "a", "M&S", "a"},
+		{"", "", "", ""},
+		{"longer name", "", "a", "M&S", "a", "", "longer name", "M&S"},
+	} {
+		f.Add(fixtureBody(names...), uint16(len(names)))
+	}
 	first := blocks[0]
 	f.Fuzz(func(t *testing.T, body []byte, rows uint16) {
 		mutated := sealBlock(body)

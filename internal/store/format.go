@@ -21,17 +21,29 @@
 //
 // Each block is self-delimiting and CRC-trailed:
 //
-//	"PVB1" | uvarint nrows | uvarint ncols
+//	"PVB2" | uvarint nrows | uvarint ncols
 //	ncols × (uvarint seglen | segment)       — column segments
 //	uvarint seglen | segment                 — annotation segment
 //	crc32(IEEE) over everything above, 4 bytes little-endian
 //
-// Value cells are a tag byte (finite / +inf / -inf) plus a zigzag
-// varint; string cells are length-prefixed bytes. Annotation records are
-// tagged: the constant 1S (the overwhelmingly common deterministic
-// case) costs one byte, other constants inline their value, Boolean
-// variables store an ordinal into the vars file, and anything else
-// round-trips through the canonical expr.String/expr.Parse rendering.
+// A value column's segment is its nrows cells, each a tag byte (finite /
+// +inf / -inf) plus a zigzag varint. A string column's segment opens
+// with an encoding byte:
+//
+//	0 (plain) | nrows × (uvarint len | bytes)
+//	1 (dict)  | uvarint k | k × (uvarint len | bytes) | nrows code bytes
+//
+// The writer codes a block's string column when it holds at most 255
+// distinct strings and at most half as many as the block has rows; the
+// dictionary lists them in first-seen order and row i's byte is its
+// string's index in it. A decoder reads the dictionary from the block
+// and fills each row's string from it, with nothing allocated per row.
+//
+// Annotation records are tagged: the constant 1S (the overwhelmingly
+// common deterministic case) costs one byte, other constants inline
+// their value, Boolean variables store an ordinal into the vars file,
+// and anything else round-trips through the canonical
+// expr.String/expr.Parse rendering.
 package store
 
 import (
@@ -43,11 +55,13 @@ import (
 	"pvcagg/internal/value"
 )
 
-// Format is the on-disk format version recorded in the manifest.
-const Format = 1
+// Format is the on-disk format version recorded in the manifest. Format
+// 2 added dictionary-coded string columns; Open refuses any other
+// version with ErrFormat.
+const Format = 2
 
 const (
-	blockMagic = "PVB1"
+	blockMagic = "PVB2"
 	varsMagic  = "PVV1"
 )
 
@@ -84,6 +98,56 @@ func appendValue(b []byte, v value.V) []byte {
 func appendString(b []byte, s string) []byte {
 	b = binary.AppendUvarint(b, uint64(len(s)))
 	return append(b, s...)
+}
+
+// String column encodings: the first byte of a string column's segment.
+const (
+	strPlain byte = 0
+	strDict  byte = 1
+)
+
+// maxDict is the most entries a dictionary may hold: a code is one byte.
+const maxDict = 255
+
+// dictCoder encodes the string columns of a writer's blocks; its map
+// and buffers are reused from block to block.
+type dictCoder struct {
+	ids   map[string]uint8
+	dict  []string // the block's strings, in first-seen order
+	codes []byte
+}
+
+// appendColumn encodes one string column of a block: dictionary-coded
+// when it holds at most maxDict distinct strings and at most half as
+// many as it has rows, plain otherwise.
+func (d *dictCoder) appendColumn(b []byte, strs []string) []byte {
+	if d.ids == nil {
+		d.ids = map[string]uint8{}
+	}
+	clear(d.ids)
+	d.dict, d.codes = d.dict[:0], d.codes[:0]
+	limit := min(maxDict, len(strs)/2)
+	for _, s := range strs {
+		code, ok := d.ids[s]
+		if !ok {
+			if len(d.dict) == limit {
+				b = append(b, strPlain)
+				for _, s := range strs {
+					b = appendString(b, s)
+				}
+				return b
+			}
+			code = uint8(len(d.dict))
+			d.ids[s] = code
+			d.dict = append(d.dict, s)
+		}
+		d.codes = append(d.codes, code)
+	}
+	b = binary.AppendUvarint(append(b, strDict), uint64(len(d.dict)))
+	for _, s := range d.dict {
+		b = appendString(b, s)
+	}
+	return append(b, d.codes...)
 }
 
 // reader is a bounds-checked cursor over one decoded segment; every

@@ -33,6 +33,11 @@ var ErrCorrupt = errors.New("store: corrupt data")
 // engine-side NewScan) never ran.
 var ErrClosed = errors.New("store: iterator closed")
 
+// ErrFormat is the sentinel wrapped by Open's error for a store written
+// in an on-disk format this build does not read: such a store must be
+// imported again with pvcimport.
+var ErrFormat = errors.New("store: unsupported format")
+
 // CorruptError reports a failed CRC, a truncated file, or an undecodable
 // segment, locating the damage.
 type CorruptError struct {
@@ -89,8 +94,9 @@ type Store struct {
 
 // Open loads the manifest and variable registry of a store directory
 // from the real filesystem. A directory without a committed manifest
-// (e.g. after a crashed ingest) is refused with a plain error; damaged
-// files surface *CorruptError.
+// (e.g. after a crashed ingest) is refused with a plain error, a store
+// written in another format with ErrFormat; damaged files surface
+// *CorruptError.
 func Open(dir string) (*Store, error) { return OpenFS(dir, faultfs.OS()) }
 
 // OpenFS is Open over an explicit filesystem: the one seam through which
@@ -105,7 +111,7 @@ func OpenFS(dir string, fsys faultfs.FS) (*Store, error) {
 		return nil, &CorruptError{File: manifestName, Block: -1, Reason: fmt.Sprintf("bad manifest: %v", err)}
 	}
 	if man.Format != Format {
-		return nil, fmt.Errorf("store: %s: format %d not supported (want %d)", dir, man.Format, Format)
+		return nil, fmt.Errorf("%w: %s holds format %d and this build reads format %d; re-import it with pvcimport", ErrFormat, dir, man.Format, Format)
 	}
 	kind, err := parseSemiring(man.Semiring)
 	if err != nil {
@@ -565,8 +571,10 @@ func (it *scanIter) fill() (bool, error) {
 		it.si = 0
 		b := &it.batch
 		b.Vals, b.Strs, b.Anns = b.Vals[:0], b.Strs[:0], it.blk.Anns
+		b.Dicts, b.Codes = b.Dicts[:0], b.Codes[:0]
 		for _, ci := range it.cols {
 			b.Vals, b.Strs = append(b.Vals, it.blk.Vals[ci]), append(b.Strs, it.blk.Strs[ci])
+			b.Dicts, b.Codes = append(b.Dicts, it.blk.Dicts[ci]), append(b.Codes, it.blk.Codes[ci])
 		}
 		it.t.st.health.ok()
 		m := &it.t.st.metrics

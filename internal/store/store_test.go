@@ -126,9 +126,9 @@ func TestEmptyTable(t *testing.T) {
 	}
 }
 
-// TestStats: format 1 manifests once carried per-column distinct-count
-// estimates ("distinct"). Nothing reads them any more, and a store
-// written with them still opens and scans whole.
+// TestStats: manifests once carried per-column distinct-count estimates
+// ("distinct"). Nothing reads them any more, and a manifest that
+// carries them still opens and scans whole.
 func TestStats(t *testing.T) {
 	dir := writeFixture(t, 100, 16)
 	path := filepath.Join(dir, manifestName)

@@ -153,6 +153,7 @@ func (w *Writer) CreateTable(name string, schema pvc.Schema) (*TableWriter, erro
 		meta:   tableMeta{Name: name, File: file},
 		schema: schema.Clone(),
 		segs:   make([][]byte, len(schema)),
+		strs:   make([][]string, len(schema)),
 		mins:   make([]pvc.Cell, len(schema)),
 		maxs:   make([]pvc.Cell, len(schema)),
 	}
@@ -161,8 +162,10 @@ func (w *Writer) CreateTable(name string, schema pvc.Schema) (*TableWriter, erro
 }
 
 // TableWriter appends rows to one table, cutting a block every
-// BlockCapacity rows. Only the current block's encoded segments are held
-// in memory, so ingest streams.
+// BlockCapacity rows. Only the current block is held in memory — its
+// value and annotation columns encoded, its string columns as strings
+// until the block is cut and each is coded or written plain — so ingest
+// streams.
 type TableWriter struct {
 	w      *Writer
 	f      faultfs.File
@@ -171,7 +174,9 @@ type TableWriter struct {
 	err    error
 
 	// current block
-	segs    [][]byte
+	segs    [][]byte   // encoded value columns; string columns at flush
+	strs    [][]string // string columns
+	coder   dictCoder
 	annSeg  []byte
 	rows    int
 	mins    []pvc.Cell
@@ -209,7 +214,7 @@ func (tw *TableWriter) Append(ann expr.Expr, cells ...pvc.Cell) error {
 		case pvc.TValue:
 			tw.segs[i] = appendValue(tw.segs[i], c.Value())
 		case pvc.TString:
-			tw.segs[i] = appendString(tw.segs[i], c.Str())
+			tw.strs[i] = append(tw.strs[i], c.Str())
 		}
 		if tw.rows == 0 {
 			tw.mins[i], tw.maxs[i] = c, c
@@ -249,6 +254,11 @@ func (tw *TableWriter) flush() error {
 	if tw.rows == 0 {
 		return nil
 	}
+	for i, col := range tw.schema {
+		if col.Type == pvc.TString {
+			tw.segs[i] = tw.coder.appendColumn(tw.segs[i][:0], tw.strs[i])
+		}
+	}
 	buf := make([]byte, 0, len(tw.annSeg)+64)
 	buf = append(buf, blockMagic...)
 	buf = binary.AppendUvarint(buf, uint64(tw.rows))
@@ -284,6 +294,7 @@ func (tw *TableWriter) flush() error {
 	tw.rows = 0
 	for i := range tw.segs {
 		tw.segs[i] = tw.segs[i][:0]
+		tw.strs[i] = tw.strs[i][:0]
 	}
 	tw.annSeg = tw.annSeg[:0]
 	return nil
