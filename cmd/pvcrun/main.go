@@ -10,7 +10,7 @@
 //	pvcrun -demo tpch  -sf 0.001            # TPC-H Q1 and Q2
 //	pvcrun -demo tpch  -sf 0.001 -parallel 0   # parallel probability step (GOMAXPROCS)
 //	pvcrun -demo shop  -mode anytime -eps 0.01 # anytime bounds of width ≤ 0.01
-//	pvcrun -demo shop  -mode auto              # Classify routes each query
+//	pvcrun -demo shop  -mode auto              # exact within the node bound, else anytime, per tuple
 //	pvcrun -demo shop  -mode sample -seed 42   # seeded Monte Carlo estimation
 //	pvcrun -demo tpch  -timeout 5s             # cancel runaway compilations
 //

@@ -32,7 +32,7 @@ func TestExecOptions(t *testing.T) {
 		wantEps   float64
 		deadline  bool // the query must die of the timeout
 	}{
-		{name: "auto", mode: "auto", parallel: 1, requested: pvcagg.Auto, chosen: pvcagg.Exact},
+		{name: "auto", mode: "auto", parallel: 1, requested: pvcagg.Auto, chosen: pvcagg.Auto, wantEps: pvcagg.DefaultEps},
 		{name: "exact", mode: "exact", parallel: 3, requested: pvcagg.Exact, chosen: pvcagg.Exact},
 		{name: "anytime", mode: "anytime", parallel: 0, requested: pvcagg.Anytime, chosen: pvcagg.Anytime, wantEps: pvcagg.DefaultEps},
 		{name: "anytime-eps", mode: "anytime", eps: 0.125, parallel: 2, requested: pvcagg.Anytime, chosen: pvcagg.Anytime, wantEps: 0.125},

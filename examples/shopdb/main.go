@@ -2,8 +2,8 @@
 // suppliers/products database, the positive query Q1 and the aggregate
 // query Q2 ("shops in which the maximal price for the products in P1 or
 // P2 is at most 50"), with exact answer probabilities computed through
-// the unified Exec entrypoint in Auto mode — Classify routes each query
-// to the exact or anytime engine. Run with:
+// the unified Exec entrypoint in Auto mode — each tuple compiles exactly
+// within the paper's polynomial node bound, else runs anytime. Run with:
 //
 //	go run ./examples/shopdb
 package main
@@ -56,7 +56,7 @@ func main() {
 	}
 
 	fmt.Println("\nQ2 =", q2)
-	res, err = pvcagg.Exec(ctx, db, q2) // Auto: Classify picks the engine
+	res, err = pvcagg.Exec(ctx, db, q2) // Auto: exact per tuple within the node bound
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -72,7 +72,7 @@ func main() {
 	fmt.Println()
 
 	// Q2: minimum-cost suppliers for part 1 in AFRICA, with a nested
-	// aggregation sub-query; Auto mode lets Classify pick the engine.
+	// aggregation sub-query; Auto runs each tuple exact within its node bound.
 	fmt.Println("TPC-H Q2 (nested MIN over a 5-way join):")
 	res, err = pvcagg.Exec(ctx, db, tpch.Q2(1, "AFRICA"))
 	if err != nil {

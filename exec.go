@@ -10,35 +10,25 @@ import (
 	"pvcagg/internal/algebra"
 	"pvcagg/internal/compile"
 	"pvcagg/internal/engine"
-	"pvcagg/internal/expr"
 	"pvcagg/internal/obs"
 	"pvcagg/internal/store"
-	"pvcagg/internal/tractable"
-)
-
-// KindSemiring and KindModule name the two expression sorts of the
-// paper's language (semiring annotations vs semimodule aggregation
-// values), re-exported so callers can dispatch ExecExpr results.
-const (
-	KindSemiring = expr.KindSemiring
-	KindModule   = expr.KindModule
 )
 
 // This file is the unified execution API: one context-aware entrypoint
 // (Exec for plans, ExecExpr for bare expressions) configured by
-// functional options, with adaptive strategy selection (Auto mode routes
-// through the Section 6 tractability analysis).
+// functional options, with adaptive strategy selection (Auto mode picks
+// exact or anytime per tuple, by the Section 6 node bound).
 
 // Mode selects the execution strategy.
 type Mode int
 
 const (
-	// Auto picks the strategy per query: Classify routes tractable plans
-	// (Qind/Qhie) to the exact engine and hard plans to the anytime
-	// engine at the configured ε (DefaultEps unless WithEps is given). On
-	// a bare semiring expression it probes exact compilation under a node
-	// budget and falls back to the anytime engine if the budget is
-	// exceeded.
+	// Auto picks the strategy per tuple: each annotation compiles exactly
+	// under WithCompileBudget or, without one, under the Section 6 bound
+	// every tuple of a tractable query meets (v² + 6v + 8 d-tree nodes, v
+	// the sum of its variables' support sizes less one); one over it is
+	// bracketed by the anytime engine at the configured ε (DefaultEps
+	// unless WithEps is given), from scratch.
 	Auto Mode = iota
 	// Exact computes every confidence and distribution exactly by full
 	// d-tree compilation (exponential on hard queries; bound it with
@@ -80,12 +70,6 @@ const DefaultEps = 0.01
 // WithSamples is not given.
 const DefaultSamples = 10_000
 
-// autoExprBudget is Auto's exact-compilation probe budget for bare
-// semiring expressions (ExecExpr) when no WithCompileBudget is given:
-// expressions whose d-tree stays under it run exactly; larger ones fall
-// back to the anytime engine.
-const autoExprBudget = 1 << 18
-
 // TupleOutcome is the unified per-tuple result: interval confidence
 // (zero-width for exact strategies), exact aggregation-column
 // distributions, and the per-tuple cost report.
@@ -107,7 +91,6 @@ type Option func(*execConfig)
 
 type execConfig struct {
 	mode       Mode
-	chosen     Mode // the strategy a non-Auto mode runs; Auto until routed
 	eps        float64
 	epsSet     bool
 	par        int
@@ -158,9 +141,10 @@ func WithParallelism(n int) Option { return func(c *execConfig) { c.par = n } }
 
 // WithCompileBudget aborts any exact compilation whose d-tree exceeds
 // maxNodes, turning runaway Shannon expansions into errors (under Exact)
-// or anytime fallbacks (under Auto on expressions). It bounds every full
-// exact compilation: annotations under Exact (and so under Anytime at
-// ε = 0, which runs Exact), and aggregation columns under every strategy.
+// or anytime fallbacks (under Auto, where it replaces the per-tuple
+// Section 6 bound). It bounds every full exact compilation: annotations
+// under Exact and Auto (and under Anytime at ε = 0, which runs Exact),
+// and aggregation columns under every strategy.
 func WithCompileBudget(maxNodes int) Option {
 	return func(c *execConfig) { c.budget = maxNodes }
 }
@@ -269,10 +253,6 @@ func resolveOptions(opts []Option) (*execConfig, error) {
 	if c.samplesSet && c.mode != Sample {
 		return nil, fmt.Errorf("pvcagg: WithSamples only applies to WithMode(Sample)")
 	}
-	c.chosen = c.mode
-	if c.mode == Anytime && c.effEps() == 0 {
-		c.chosen = Exact // an anytime run to width 0 is the exact run
-	}
 	return c, nil
 }
 
@@ -288,13 +268,11 @@ func (c *execConfig) effEps() float64 {
 type Strategy struct {
 	// Requested is the mode the caller asked for.
 	Requested Mode
-	// Chosen is the strategy that runs — Exact, Anytime or Sample, never
-	// Auto.
+	// Chosen is the strategy that runs: Auto for an Auto plan, whose
+	// anytime-bracketed tuples set TupleReport.Approx, and Exact or
+	// Anytime for ExecExpr's one expression.
 	Chosen Mode
-	// Verdict is the tractability classification that routed an Auto
-	// plan execution (nil otherwise).
-	Verdict *Verdict
-	// Eps is the anytime target bound width (Chosen == Anytime).
+	// Eps is the anytime target bound width (Chosen Anytime or Auto).
 	Eps float64
 	// Parallelism is the configured worker bound (<= 0 ⇒ GOMAXPROCS).
 	Parallelism int
@@ -306,31 +284,31 @@ type Strategy struct {
 
 func (s Strategy) String() string {
 	switch s.Chosen {
+	case Auto:
+		return fmt.Sprintf("auto(ε=%g)", s.Eps)
 	case Anytime:
-		if s.Verdict != nil {
-			return fmt.Sprintf("anytime(ε=%g; %s)", s.Eps, s.Verdict.Reason)
-		}
 		return fmt.Sprintf("anytime(ε=%g)", s.Eps)
 	case Sample:
 		return fmt.Sprintf("sample(n=%d, seed=%d)", s.Samples, s.Seed)
 	default:
-		if s.Verdict != nil {
-			return fmt.Sprintf("exact(%s)", s.Verdict.Reason)
-		}
 		return "exact"
 	}
 }
 
-// build resolves the engine configuration for the chosen strategy (the
-// sampling strategy still compiles aggregation columns exactly).
-func (c *execConfig) build(chosen Mode, verdict *Verdict) (Strategy, engine.ExecConfig) {
-	strat := Strategy{Requested: c.mode, Chosen: chosen, Verdict: verdict, Parallelism: c.par}
+// build resolves the engine configuration for the chosen strategy (every
+// strategy still compiles aggregation columns exactly).
+func (c *execConfig) build() (Strategy, engine.ExecConfig) {
+	strat := Strategy{Requested: c.mode, Chosen: c.mode, Parallelism: c.par}
+	if c.mode == Anytime && c.effEps() == 0 {
+		strat.Chosen = Exact // an anytime run to width 0 is the exact run
+	}
 	ecfg := engine.ExecConfig{Compile: compile.Options{MaxNodes: c.budget}, Parallelism: c.par}
-	switch chosen {
-	case Anytime:
+	switch strat.Chosen {
+	case Anytime, Auto:
 		a := c.approx
 		a.Eps = c.effEps()
 		ecfg.Approx = &a
+		ecfg.Auto = strat.Chosen == Auto
 		strat.Eps = a.Eps
 	case Sample:
 		ecfg.Samples = c.samples
@@ -380,8 +358,7 @@ type ExecReport struct {
 type Result struct {
 	// Rel is the evaluated result pvc-table, sorted by tuple key.
 	Rel *Relation
-	// Strategy records the chosen execution strategy, including the
-	// tractability verdict that routed an Auto run.
+	// Strategy records the chosen execution strategy.
 	Strategy Strategy
 	// Timing separates step I (Construct, final) from step II
 	// (Probability, populated once Collect returns).
@@ -496,18 +473,7 @@ func (cfg *execConfig) exec(ctx context.Context, db *Database, plan Plan) (*Resu
 	// Nil-safe span plumbing: without WithTrace every span is nil and
 	// every span call below is a no-op — zero cost on the hot path.
 	execSpan := cfg.trace.StartSpan("exec")
-	chosen := cfg.chosen
-	var verdict *Verdict
-	if chosen == Auto {
-		v := tractable.Classify(plan, db)
-		verdict = &v
-		if v.Class == Hard {
-			chosen = Anytime
-		} else {
-			chosen = Exact
-		}
-	}
-	strat, ecfg := cfg.build(chosen, verdict)
+	strat, ecfg := cfg.build()
 	execSpan.SetAttr("parallelism", int64(ecfg.Parallelism))
 	var cancel context.CancelFunc
 	if cfg.timeout > 0 {
@@ -572,11 +538,11 @@ type ExprResult struct {
 	// expressions, which have no truth value.
 	Confidence Bounds
 	// Dist is the full distribution of the expression — exact under
-	// Exact/Auto-exact, a Monte Carlo estimate under Sample, empty under
-	// Anytime (which brackets the confidence only).
+	// Exact, a Monte Carlo estimate under Sample, empty under Anytime
+	// (which brackets the confidence only).
 	Dist Dist
 	// Strategy records the chosen strategy; under Auto, Chosen reports
-	// whether the exact probe succeeded or the anytime engine took over.
+	// whether the expression compiled within its node budget.
 	Strategy Strategy
 	// Report describes the exact computation (exact strategies).
 	Report Report
@@ -586,10 +552,8 @@ type ExprResult struct {
 
 // ExecExpr computes the probabilistic interpretation of a bare semiring
 // or semimodule expression over a registry — the expression-level
-// counterpart of Exec, computed by the same per-tuple dispatch as tuple 0.
-// Auto mode probes exact compilation of a semiring expression under a
-// node budget (WithCompileBudget, default 2¹⁸ nodes) and falls back to
-// the anytime engine at the configured ε when the budget is exceeded; a
+// counterpart of Exec, computed by the same per-tuple dispatch as tuple 0,
+// so Auto treats it as it treats a tuple's annotation (see Auto); a
 // semimodule expression has no anytime fallback, so Auto runs it exactly
 // under WithCompileBudget alone. WithStore, WithRetry, WithTrace and
 // WithExplainAnalyze, which only a plan execution reads, are errors.
@@ -608,37 +572,21 @@ func ExecExpr(ctx context.Context, e Expr, reg *Registry, kind SemiringKind, opt
 	case cfg.analyze:
 		return nil, errors.New("pvcagg: WithExplainAnalyze does not apply to ExecExpr: a bare expression has no plan to explain")
 	}
-	semiring := e.Kind() == KindSemiring
-	if cfg.chosen == Anytime && !semiring {
-		return nil, fmt.Errorf("pvcagg: the anytime engine brackets truth probabilities and %s is a semimodule expression; use Exact", ExprString(e))
-	}
 	if cfg.timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, cfg.timeout)
 		defer cancel()
 	}
-	chosen := cfg.chosen
-	probe := chosen == Auto && semiring
-	if chosen == Auto {
-		chosen = Exact
-	}
-	strat, ecfg := cfg.build(chosen, nil)
-	if probe && ecfg.Compile.MaxNodes == 0 {
-		ecfg.Compile.MaxNodes = autoExprBudget
-	}
-	res, err := interpretExpr(ctx, e, reg, kind, strat, ecfg)
-	if !probe || !errors.Is(err, compile.ErrNodeBudget) {
-		return res, err
-	}
-	strat, ecfg = cfg.build(Anytime, nil)
-	return interpretExpr(ctx, e, reg, kind, strat, ecfg)
-}
-
-// interpretExpr runs ExecExpr's one strategy through the engine's dispatch.
-func interpretExpr(ctx context.Context, e Expr, reg *Registry, kind SemiringKind, strat Strategy, ecfg engine.ExecConfig) (*ExprResult, error) {
+	strat, ecfg := cfg.build()
 	conf, d, rep, err := engine.Interpret(ctx, algebra.SemiringFor(kind), reg, e, ecfg)
 	if err != nil {
 		return nil, err
+	}
+	if strat.Chosen == Auto {
+		strat.Chosen, strat.Eps = Exact, 0
+		if rep.Approx != nil {
+			strat.Chosen, strat.Eps = Anytime, ecfg.Approx.Eps
+		}
 	}
 	return &ExprResult{Confidence: conf, Dist: d, Strategy: strat, Report: rep.Exact, Approx: rep.Approx}, nil
 }

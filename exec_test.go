@@ -12,9 +12,9 @@ import (
 	"pvcagg"
 	"pvcagg/internal/algebra"
 	"pvcagg/internal/compile"
+	"pvcagg/internal/engine"
 	"pvcagg/internal/expr"
 	"pvcagg/internal/gen"
-	"pvcagg/internal/testutil"
 	"pvcagg/internal/value"
 	"pvcagg/internal/worlds"
 )
@@ -98,8 +98,8 @@ func collect(t *testing.T, db *pvcagg.Database, plan pvcagg.Plan, opts ...pvcagg
 
 // TestExecDifferential is the acceptance criterion: the same plan runs
 // through Exec in every mode, and all agree — bit-for-bit for exact
-// paths, identical bounds for anytime, and Auto's chosen strategy matches
-// Classify's verdict.
+// paths, identical bounds for anytime, and Auto equal to Exact where every
+// tuple compiles within its node bound.
 func TestExecDifferential(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -161,28 +161,16 @@ func TestExecDifferential(t *testing.T) {
 				}
 			}
 
-			// Auto: the chosen strategy must match Classify's verdict.
+			// Auto routes each tuple: every tuple of both plans — the hard
+			// one's too — compiles within its node bound, so Auto is Exact
+			// bit for bit, and the strategy stays Auto.
 			autoRes, autoOuts := collect(t, db, plan, pvcagg.WithEps(eps))
-			v := pvcagg.Classify(plan, db)
-			wantMode := pvcagg.Exact
-			if v.Class == pvcagg.Hard {
-				wantMode = pvcagg.Anytime
-			}
-			if autoRes.Strategy.Chosen != wantMode {
-				t.Errorf("Auto chose %v for a %v plan, want %v", autoRes.Strategy.Chosen, v.Class, wantMode)
-			}
-			if autoRes.Strategy.Requested != pvcagg.Auto {
-				t.Errorf("Strategy.Requested = %v, want Auto", autoRes.Strategy.Requested)
-			}
-			if autoRes.Strategy.Verdict == nil || autoRes.Strategy.Verdict.Class != v.Class {
-				t.Errorf("Strategy.Verdict = %+v, want class %v", autoRes.Strategy.Verdict, v.Class)
+			if s := autoRes.Strategy; s.Requested != pvcagg.Auto || s.Chosen != pvcagg.Auto || s.Eps != eps {
+				t.Errorf("Strategy = %+v, want Auto requested and chosen at ε %v", s, eps)
 			}
 			for i := range ref {
-				if !autoOuts[i].Confidence.Contains(ref[i].Confidence.Lo, 1e-12) {
-					t.Errorf("auto tuple %d: %v does not contain exact %v", i, autoOuts[i].Confidence, ref[i].Confidence.Lo)
-				}
-				if wantMode == pvcagg.Exact && autoOuts[i].Confidence != ref[i].Confidence {
-					t.Errorf("auto tuple %d: exact route must be bit-for-bit, got %v want %v", i, autoOuts[i].Confidence, ref[i].Confidence)
+				if autoOuts[i].Confidence != ref[i].Confidence || autoOuts[i].Report.Approx != nil {
+					t.Errorf("auto tuple %d: %v (anytime report %v), want exact %v", i, autoOuts[i].Confidence, autoOuts[i].Report.Approx, ref[i].Confidence)
 				}
 			}
 
@@ -200,6 +188,106 @@ func TestExecDifferential(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// autoHardDB builds a hard plan — σ reads two aggregates of a group, so
+// Classify calls it hard — whose two-row group k = 2 and one-row group
+// k = 3 compile within their Section 6 node bound and whose 16-row group
+// k = 1 (572 nodes, bound 360) does not.
+func autoHardDB(t *testing.T) (*pvcagg.Database, pvcagg.Plan) {
+	t.Helper()
+	db := pvcagg.NewDatabase(pvcagg.Boolean)
+	r := pvcagg.NewRelation("R", pvcagg.Schema{{Name: "k", Type: pvcagg.TValue}, {Name: "v", Type: pvcagg.TValue}})
+	rows := [][2]int64{{2, 10}, {2, 12}, {3, 25}}
+	for i := int64(0); i < 16; i++ {
+		rows = append(rows, [2]int64{1, 1 + (i*2)%3})
+	}
+	for _, row := range rows {
+		if _, err := db.InsertIndependent(r, 0.5, pvcagg.IntCell(row[0]), pvcagg.IntCell(row[1])); err != nil {
+			t.Fatal(err)
+		}
+	}
+	db.Add(r)
+	return db, &pvcagg.Project{Cols: []string{"k"}, Input: &pvcagg.Select{
+		Pred: pvcagg.Where(pvcagg.ColTheta("s", pvcagg.GE, pvcagg.IntCell(20)), pvcagg.ColTheta("n", pvcagg.LE, pvcagg.IntCell(10))),
+		Input: &pvcagg.GroupAgg{Input: &pvcagg.Scan{Table: "R"}, GroupBy: []string{"k"},
+			Aggs: []pvcagg.AggSpec{{Out: "s", Agg: pvcagg.SUM, Over: "v"}, {Out: "n", Agg: pvcagg.COUNT, Over: "v"}}},
+	}}
+}
+
+// TestExecAutoRoutesEachTuple: Auto decides per tuple, not per plan. Over
+// a hard plan the tuples within the node bound answer bit for bit as
+// under Exact, and the one over it is bracketed by the anytime engine
+// within ε around the possible-worlds answer — the same bounds at
+// parallelism 1 and 4.
+func TestExecAutoRoutesEachTuple(t *testing.T) {
+	db, plan := autoHardDB(t)
+	if v := pvcagg.Classify(plan, db); v.Class != pvcagg.Hard {
+		t.Fatalf("classified %v (%s), want hard", v.Class, v.Reason)
+	}
+	_, exact := collect(t, db, plan, pvcagg.WithMode(pvcagg.Exact), pvcagg.WithParallelism(1))
+	const eps = 0.01
+	var first []pvcagg.TupleOutcome
+	for _, par := range []int{1, 4} {
+		res, outs := collect(t, db, plan, pvcagg.WithEps(eps), pvcagg.WithParallelism(par))
+		if res.Strategy.Chosen != pvcagg.Auto || len(outs) != 3 {
+			t.Fatalf("parallelism %d: strategy %v, %d tuples; want Auto and 3", par, res.Strategy, len(outs))
+		}
+		for i, o := range outs {
+			ann := o.Tuple.Ann
+			bound := engine.NodeBound(engine.Weight(ann, db.Registry))
+			if large := exact[i].Report.Exact.Compile.Nodes > bound; large != (i == 0) {
+				t.Fatalf("tuple %d: %d nodes against bound %d; want only tuple 0 over it", i, exact[i].Report.Exact.Compile.Nodes, bound)
+			}
+			if i > 0 {
+				if o.Confidence != exact[i].Confidence || o.Report.Approx != nil {
+					t.Errorf("parallelism %d tuple %d: %v (anytime report %v), want exact %v", par, i, o.Confidence, o.Report.Approx, exact[i].Confidence)
+				}
+				continue
+			}
+			want, err := worlds.Enumerate(ann, db.Registry, db.Semiring())
+			if err != nil {
+				t.Fatal(err)
+			}
+			p := want.TruthProbability()
+			if o.Report.Approx == nil || !o.Confidence.Contains(p, 0) || o.Confidence.Width() > eps {
+				t.Errorf("parallelism %d tuple 0: %v (anytime report %v), want a bracket of width ≤ %v around %v", par, o.Confidence, o.Report.Approx, eps, p)
+			}
+		}
+		if first == nil {
+			first = outs
+		} else if outs[0].Confidence != first[0].Confidence {
+			t.Errorf("tuple 0: bounds %v at parallelism 4, %v at 1", outs[0].Confidence, first[0].Confidence)
+		}
+	}
+}
+
+// TestExecAutoEasyPlanIsExact: every tuple of a tractable plan compiles
+// within its node bound, so Auto answers it as Exact does, bit for bit —
+// confidences and aggregation columns — and no tuple reports an anytime
+// run, at parallelism 1 and 4.
+func TestExecAutoEasyPlanIsExact(t *testing.T) {
+	db, plan := execTestDB(t)
+	if v := pvcagg.Classify(plan, db); v.Class == pvcagg.Hard {
+		t.Fatalf("classified hard (%s), want tractable", v.Reason)
+	}
+	_, exact := collect(t, db, plan, pvcagg.WithMode(pvcagg.Exact), pvcagg.WithParallelism(1))
+	for _, par := range []int{1, 4} {
+		_, outs := collect(t, db, plan, pvcagg.WithParallelism(par))
+		if len(outs) != len(exact) {
+			t.Fatalf("parallelism %d: %d tuples, want %d", par, len(outs), len(exact))
+		}
+		for i, o := range outs {
+			if o.Confidence != exact[i].Confidence || o.Report.Approx != nil {
+				t.Errorf("parallelism %d tuple %d: %v (anytime report %v), want exact %v", par, i, o.Confidence, o.Report.Approx, exact[i].Confidence)
+			}
+			for j, d := range exact[i].AggDists {
+				if !o.AggDists[j].Equal(d, 0) {
+					t.Errorf("parallelism %d tuple %d agg %d: %v != %v", par, i, j, o.AggDists[j], d)
+				}
+			}
+		}
 	}
 }
 
@@ -453,16 +541,14 @@ func TestExecTable(t *testing.T) {
 	}
 }
 
-// TestExecExprAutoModuleNoProbe: Auto's node-budget probe exists to hand
-// a semiring expression to the anytime engine, which a semimodule
-// expression does not have; one whose d-tree exceeds the probe budget runs
-// exactly under Auto, as it does under Exact.
+// TestExecExprAutoModuleNoProbe: Auto's node bound exists to hand a
+// semiring expression to the anytime engine, which a semimodule
+// expression does not have; one whose d-tree exceeds the bound of its
+// weight runs exactly under Auto, as it does under Exact, while the
+// comparison over it goes to the anytime engine.
 func TestExecExprAutoModuleNoProbe(t *testing.T) {
-	if testutil.RaceEnabled {
-		t.Skip("one goroutine compiling 421 138 d-tree nodes: nothing to race, 9× slower raced")
-	}
 	inst := gen.MustNew(gen.Params{
-		L: 40, NumVars: 32, NumClauses: 2, NumLiterals: 2,
+		L: 12, NumVars: 12, NumClauses: 2, NumLiterals: 2,
 		MaxV: 20, AggL: algebra.Sum, Theta: value.LE, C: 100, Seed: 1,
 	})
 	m := inst.Expr.(expr.Cmp).L
@@ -470,11 +556,25 @@ func TestExecExprAutoModuleNoProbe(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := res.Report.Compile.Nodes; n <= 1<<18 {
-		t.Fatalf("d-tree has %d nodes, within the 2^18 probe budget: the instance no longer tests it", n)
+	if n, bound := res.Report.Compile.Nodes, engine.NodeBound(engine.Weight(m, inst.Registry)); n <= bound {
+		t.Fatalf("d-tree has %d nodes, within its node bound %d: the instance no longer tests it", n, bound)
 	}
 	if res.Strategy.Chosen != pvcagg.Exact || math.Abs(res.Dist.Mass()-1) > 1e-9 {
 		t.Errorf("Auto chose %v, distribution mass %v; want Exact and 1", res.Strategy.Chosen, res.Dist.Mass())
+	}
+	exact, err := pvcagg.ExecExpr(context.Background(), inst.Expr, inst.Registry, pvcagg.Boolean, pvcagg.WithMode(pvcagg.Exact))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, bound := exact.Report.Compile.Nodes, engine.NodeBound(engine.Weight(inst.Expr, inst.Registry)); n <= bound {
+		t.Fatalf("comparison's d-tree has %d nodes, within its node bound %d", n, bound)
+	}
+	cmp, err := pvcagg.ExecExpr(context.Background(), inst.Expr, inst.Registry, pvcagg.Boolean)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cmp.Strategy.Chosen != pvcagg.Anytime || cmp.Approx == nil || !cmp.Confidence.Contains(exact.Confidence.Lo, 1e-12) {
+		t.Errorf("Auto on the comparison: %v %v, want Anytime bounds around %v", cmp.Strategy, cmp.Confidence, exact.Confidence.Lo)
 	}
 }
 
@@ -512,7 +612,7 @@ func TestExecSampleSeedContract(t *testing.T) {
 }
 
 // TestExecExpr: the expression-level entrypoint across modes, including
-// Auto's exact-probe-then-anytime fallback.
+// Auto's exact-within-the-bound-then-anytime fallback.
 func TestExecExpr(t *testing.T) {
 	ctx := context.Background()
 	reg := pvcagg.NewRegistry()
@@ -535,20 +635,21 @@ func TestExecExpr(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if auto.Strategy.Chosen != pvcagg.Exact {
-		t.Errorf("Auto on a tiny expression chose %v, want Exact (probe succeeds)", auto.Strategy.Chosen)
+	if auto.Strategy.Chosen != pvcagg.Exact || auto.Approx != nil {
+		t.Errorf("Auto on a tiny expression chose %v, want Exact (within its node bound)", auto.Strategy.Chosen)
 	}
-	if auto.Confidence != exact.Confidence {
-		t.Errorf("auto %v != exact %v", auto.Confidence, exact.Confidence)
+	if auto.Confidence != exact.Confidence || auto.Report.Compile != exact.Report.Compile {
+		t.Errorf("auto %v %+v != exact %v %+v", auto.Confidence, auto.Report.Compile, exact.Confidence, exact.Report.Compile)
 	}
 
-	// A compile budget of 1 node forces Auto's anytime fallback.
+	// A compile budget of 1 node replaces the node bound and forces
+	// Auto's anytime fallback.
 	fb, err := pvcagg.ExecExpr(ctx, e, reg, pvcagg.Boolean, pvcagg.WithCompileBudget(1), pvcagg.WithEps(0.01))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fb.Strategy.Chosen != pvcagg.Anytime {
-		t.Errorf("Auto with a 1-node budget chose %v, want Anytime fallback", fb.Strategy.Chosen)
+	if fb.Strategy.Chosen != pvcagg.Anytime || fb.Strategy.Eps != 0.01 || fb.Approx == nil {
+		t.Errorf("Auto with a 1-node budget chose %v (ε %v), want the Anytime fallback at ε 0.01", fb.Strategy.Chosen, fb.Strategy.Eps)
 	}
 	if !fb.Confidence.Contains(0.5, 1e-12) || fb.Confidence.Width() > 0.01 {
 		t.Errorf("fallback bounds %v, want ⊇ 0.5 with width ≤ 0.01", fb.Confidence)

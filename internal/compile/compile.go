@@ -180,6 +180,9 @@ func New(s algebra.Semiring, reg *vars.Registry, opts Options) *Compiler {
 // the memo.
 func (c *Compiler) Reset() { c.memo.reset() }
 
+// SetMaxNodes replaces Options.MaxNodes for the compilations that follow.
+func (c *Compiler) SetMaxNodes(n int) { c.opts.MaxNodes = n }
+
 // ctxCheckMask throttles cancellation polls to one per 256 nodes created:
 // node creation is the unit of expansion work, so a runaway Shannon
 // expansion notices a cancelled context within a few thousand cheap steps

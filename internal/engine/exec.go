@@ -31,7 +31,7 @@ import (
 // value is the exact strategy at GOMAXPROCS parallelism.
 type ExecConfig struct {
 	// Compile configures exact compilation: the annotation under the
-	// exact strategy and the aggregation columns under every strategy.
+	// exact strategy and Auto, and the aggregation columns under all.
 	Compile compile.Options
 	// Parallelism bounds the number of worker goroutines across result
 	// tuples (<= 0 ⇒ GOMAXPROCS); each tuple compiles on one goroutine.
@@ -40,6 +40,10 @@ type ExecConfig struct {
 	// confidences are bracketed within Approx.Eps instead of computed
 	// exactly.
 	Approx *compile.ApproxOptions
+	// Auto makes Approx a per-tuple fallback: a semiring annotation
+	// compiles exactly under Compile.MaxNodes, or NodeBound of its Weight
+	// if that is 0, and only one that exceeds it runs under Approx.
+	Auto bool
 	// Samples, when > 0, selects the Monte Carlo strategy: annotation
 	// confidences are estimated from this many sampled worlds with a 95%
 	// Hoeffding interval. Sampling requires an explicit Seed — there is
@@ -86,13 +90,38 @@ type ExactReport struct {
 	Eval    dtree.EvalStats
 }
 
-// exact is the exact path: it compiles e (Algorithm 1) and evaluates the
-// d-tree bottom-up (Theorem 2).
-func (w *worker) exact(ctx context.Context, e expr.Expr) (prob.Dist, ExactReport, error) {
+// NodeBound is Section 6's bound on the d-tree of a tractable query's
+// tuple of annotation weight v: the decided-guard chain (compile/prune.go,
+// rule (b)) spends one ⊔ per variable and hangs a comparison under it.
+func NodeBound(v int) int { return v*v + 6*v + 8 }
+
+// varSets lends Weight a scratch already grown to the largest variable ID.
+var varSets = sync.Pool{New: func() any { return new(expr.VarSet) }}
+
+// Weight is NodeBound's v: the sum over e's distinct variables of their
+// support size less one (over B, the variable count).
+func Weight(e expr.Expr, reg *vars.Registry) int {
+	vs := varSets.Get().(*expr.VarSet)
+	defer varSets.Put(vs)
+	vs.Reset()
+	expr.CollectVarsInto(e, vs)
+	v := 0
+	for _, id := range vs.Touched() {
+		if d, err := reg.DistByID(id); err == nil {
+			v += d.Size() - 1
+		}
+	}
+	return v
+}
+
+// exact is the exact path: it compiles e (Algorithm 1) within maxNodes
+// (0: no limit) and evaluates the d-tree bottom-up (Theorem 2).
+func (w *worker) exact(ctx context.Context, e expr.Expr, maxNodes int) (prob.Dist, ExactReport, error) {
 	var rep ExactReport
 	if w.c == nil {
 		w.c = compile.New(w.s, w.reg, w.cfg.Compile)
 	}
+	w.c.SetMaxNodes(maxNodes)
 	res, err := w.c.CompileCtx(ctx, e)
 	w.c.Reset()
 	if err != nil {
@@ -122,12 +151,22 @@ func Interpret(ctx context.Context, s algebra.Semiring, reg *vars.Registry, e ex
 //   - exact: the exact path's distribution, and a point confidence;
 //   - anytime: guaranteed bounds from compile.ApproximateCtx; no
 //     distribution;
+//   - auto: exact within ExecConfig.Auto's node budget, else anytime;
 //   - sample: Samples worlds drawn from the stream seeded
 //     Seed + idx·stride, and a 95% Hoeffding interval (statistical,
 //     unlike the anytime engine's guaranteed bounds).
 func (w *worker) interpret(ctx context.Context, idx int, e expr.Expr) (b compile.Bounds, d prob.Dist, rep TupleReport, err error) {
 	switch {
-	case w.cfg.Approx != nil:
+	case w.cfg.Auto && e.Kind() == expr.KindSemiring:
+		budget := w.cfg.Compile.MaxNodes
+		if budget == 0 {
+			budget = NodeBound(Weight(e, w.reg))
+		}
+		if d, rep.Exact, err = w.exact(ctx, e, budget); !errors.Is(err, compile.ErrNodeBudget) {
+			break
+		}
+		fallthrough
+	case w.cfg.Approx != nil && !w.cfg.Auto:
 		var arep compile.ApproxReport
 		b, arep, err = compile.ApproximateCtx(ctx, w.s, w.reg, e, *w.cfg.Approx)
 		return b, d, TupleReport{Approx: &arep}, err
@@ -138,7 +177,7 @@ func (w *worker) interpret(ctx context.Context, idx int, e expr.Expr) (b compile
 		d, err = w.sampler.Sample(ctx, e, w.reg, w.s, w.cfg.Samples, w.rng)
 		rep.Samples = w.cfg.Samples
 	default:
-		d, rep.Exact, err = w.exact(ctx, e)
+		d, rep.Exact, err = w.exact(ctx, e, w.cfg.Compile.MaxNodes)
 	}
 	if err != nil || e.Kind() != expr.KindSemiring {
 		return b, d, rep, err
@@ -168,7 +207,7 @@ func (w *worker) outcome(ctx context.Context, idx int, t pvc.Tuple, moduleCols [
 		if err != nil {
 			return TupleOutcome{}, err
 		}
-		d, rep, err := w.exact(ctx, e)
+		d, rep, err := w.exact(ctx, e, w.cfg.Compile.MaxNodes)
 		if err != nil {
 			return TupleOutcome{}, fmt.Errorf("engine: aggregation column %d of tuple %s: %w", ci, t.Label(), err)
 		}

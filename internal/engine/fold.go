@@ -39,7 +39,6 @@ type annSum struct {
 	acc      value.V
 	hasConst bool
 	terms    []expr.Expr
-	n        int
 }
 
 func newAnnSum(s algebra.Semiring) *annSum {
@@ -52,7 +51,6 @@ func (a *annSum) fold(v value.V) {
 }
 
 func (a *annSum) add(e expr.Expr) {
-	a.n++
 	if c, ok := e.(expr.Const); ok {
 		// Simplify returns a constant as it is.
 		a.fold(c.V)
@@ -131,6 +129,7 @@ type modSum struct {
 	acc      value.V
 	hasConst bool
 	terms    []expr.Expr
+	pos, neg bool // SUM: +∞, −∞ among the added values
 }
 
 func newModSum(s algebra.Semiring, agg algebra.Agg) *modSum {
@@ -147,10 +146,18 @@ func (m *modSum) fold(v value.V) {
 // Scale(agg, ann, mv) = ann ⊗ mv followed by its AggSum MConst folding.
 // A row annotated with the semiring's 1 folds mv itself: 1 ⊗ mv = mv in
 // every monoid (Action of 1 is mv for SUM, COUNT, MIN, MAX and PROD).
-func (m *modSum) add(ann expr.Expr, mv value.V) {
+// A SUM that has added both +∞ and −∞ fails with value.ErrUndefined,
+// whatever the rows' annotations: a world may hold both rows.
+func (m *modSum) add(ann expr.Expr, mv value.V) error {
+	if m.agg == algebra.Sum && !mv.IsInt() {
+		m.pos, m.neg = m.pos || mv.IsPosInf(), m.neg || mv.IsNegInf()
+		if m.pos && m.neg {
+			return value.ErrUndefined
+		}
+	}
 	if c, ok := ann.(expr.Const); ok && c.V == m.s.One() {
 		m.fold(mv)
-		return
+		return nil
 	}
 	sc := expr.Simplify(ann, m.s)
 	if c, ok := sc.(expr.Const); ok {
@@ -159,13 +166,14 @@ func (m *modSum) add(ann expr.Expr, mv value.V) {
 		} else {
 			m.fold(algebra.Action(m.s, m.mo, c.V, mv))
 		}
-		return
+		return nil
 	}
 	if mv == m.mo.Neutral() {
 		m.fold(m.mo.Neutral())
-		return
+		return nil
 	}
 	m.terms = append(m.terms, expr.NewTensor(m.agg, sc, expr.MConst{V: mv}))
+	return nil
 }
 
 func (m *modSum) result() expr.Expr {

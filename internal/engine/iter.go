@@ -747,7 +747,9 @@ func (it *groupAggIter) drain() error {
 					return fmt.Errorf("engine: $: aggregated cell %s is not a constant", r.cell(a.idx))
 				}
 			}
-			g.aggs[ai].add(r.ann, mv)
+			if err := g.aggs[ai].add(r.ann, mv); err != nil {
+				return fmt.Errorf("engine: $: %s←SUM(%s) of group %q: %w", a.spec.Out, a.spec.Over, g.text, err)
+			}
 		}
 		g.ann.add(r.ann)
 		return nil

@@ -91,7 +91,7 @@ func (j *joint) expand(ctx context.Context, es []expr.Expr, weight float64) erro
 	}
 	dists := make([]prob.Dist, len(es))
 	for i, e := range es {
-		d, _, err := j.w.exact(ctx, e)
+		d, _, err := j.w.exact(ctx, e, j.w.cfg.Compile.MaxNodes)
 		if err != nil {
 			return err
 		}

@@ -40,11 +40,11 @@ type TupleOutcome struct {
 // fields of the strategy that ran are populated.
 type TupleReport struct {
 	// Exact aggregates every exact compilation done for this tuple: the
-	// annotation under the exact strategy, plus all aggregation columns
+	// annotation when it compiled exactly, plus all aggregation columns
 	// under every strategy.
 	Exact ExactReport
-	// Approx is the anytime report of the annotation (anytime strategy
-	// only).
+	// Approx is the anytime report of the annotation (anytime strategy,
+	// and Auto over its node bound).
 	Approx *compile.ApproxReport
 	// Samples is the Monte Carlo sample count (sampling strategy only).
 	Samples int

@@ -357,7 +357,8 @@ type Timings struct {
 type QueryResponse struct {
 	Rows []QueryRow `json:"rows"`
 	// Strategy is the engine's chosen-strategy rendering (e.g.
-	// "anytime(ε=0.05)").
+	// "anytime(ε=0.05)"; under mode auto "auto(ε=…)", each row's
+	// converged flag and [lo, hi] saying how it ran).
 	Strategy string `json:"strategy"`
 	// Degraded reports a sound-bounds degradation: admission pressure
 	// demoted this request to anytime bounds at the degraded ε, or the
@@ -565,6 +566,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			// after retries and was not provably boundable — there is no
 			// sound answer to give, degraded or otherwise.
 			writeErrorCode(w, http.StatusServiceUnavailable, "partial_failure", err.Error())
+		case errors.Is(err, pvcagg.ErrUndefined):
+			writeError(w, http.StatusUnprocessableEntity, err.Error())
 		case pvcagg.IsPanic(err):
 			s.m.panics.Add(1)
 			writeErrorCode(w, http.StatusInternalServerError, "panic", err.Error())

@@ -30,7 +30,8 @@ import (
 //	  variables) — and 0 wherever the paper's class promises a
 //	  decomposition without ⊔ or the implied-guard rule (compile/prune.go,
 //	  rule (a)) applies;
-//	d-tree nodes ≤ contractNodes(v), a stated quadratic;
+//	d-tree nodes ≤ engine.NodeBound(v), v = engine.Weight — the bound
+//	  Auto compiles every tuple under before it falls back to anytime;
 //	confidence and aggregate distributions == possible-worlds
 //	  enumeration at tolerance 0 (every marginal is dyadic, so every
 //	  probability is an exact float whatever the order of summation);
@@ -42,11 +43,6 @@ import (
 // aggregates cannot meet the bound (the compiler has no joint B × M node)
 // and must be classified Hard; TestContractHardWhereNotPolynomial pins
 // that, and that the bound does fail there.
-
-// contractNodes bounds the d-tree of a tuple of weight v: the
-// decided-guard chain (rule (b)) spends one ⊔ per variable and hangs a
-// comparison over the remaining sum under it.
-func contractNodes(v int) int { return v*v + 6*v + 8 }
 
 var contractMonoids = []algebra.Agg{algebra.Sum, algebra.Count, algebra.Min, algebra.Max, algebra.Prod}
 
@@ -219,10 +215,7 @@ func checkContract(db *pvc.Database, cp contractPlan, fail func(format string, a
 			}
 		}
 		for i, e := range exprs {
-			v := 0
-			for _, x := range expr.Vars(e) {
-				v += reg.MustDist(x).Size() - 1
-			}
+			v := engine.Weight(e, reg)
 			res, err := compile.New(s, reg, compile.Options{}).CompileCtx(context.Background(), e)
 			if err != nil {
 				fail("%s: compile: %v", tup.Label(), err)
@@ -235,8 +228,8 @@ func checkContract(db *pvc.Database, cp contractPlan, fail func(format string, a
 				fail("%s: %d Shannon expansions, bound %d (zero promised: %v), compiling %s",
 					tup.Label(), res.Stats.Shannon, v, cp.zeroShannon, expr.Abbrev(e))
 			}
-			if res.Stats.Nodes > contractNodes(v) {
-				fail("%s: %d d-tree nodes, bound %d", tup.Label(), res.Stats.Nodes, contractNodes(v))
+			if res.Stats.Nodes > engine.NodeBound(v) {
+				fail("%s: %d d-tree nodes, bound %d", tup.Label(), res.Stats.Nodes, engine.NodeBound(v))
 			}
 			got, _, err := dtree.Evaluate(res.Root, dtree.Env{Semiring: s, Registry: reg})
 			if err != nil {
@@ -374,7 +367,7 @@ func chainUnion(m int) (*pvc.Database, contractPlan) {
 
 // TestContractHardWhereNotPolynomial: the verdict is Hard, with a reason
 // that says why, exactly where the contract's bound does not hold — so
-// Auto routes these to the anytime engine instead of promising exact.
+// Classify never promises what Auto's per-tuple bound may refuse.
 func TestContractHardWhereNotPolynomial(t *testing.T) {
 	type hardCase struct {
 		db  *pvc.Database

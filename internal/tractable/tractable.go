@@ -95,9 +95,9 @@ func Classify(p engine.Plan, db *pvc.Database) Verdict {
 			// distribution of the group's aggregates; the compiler has no
 			// joint node, and decides one comparison against a constant
 			// (compile/prune.go) but expands a product of two, or a
-			// comparison of two aggregates, world by world. Say so, so
-			// that Auto routes them to the anytime engine (contract_test.go
-			// holds every other verdict to a polynomial d-tree).
+			// comparison of two aggregates, world by world. Say so
+			// (contract_test.go holds every other verdict to the node
+			// bound that Auto compiles each tuple under).
 			if n := body.aggComparisons(); n > 1 {
 				return Verdict{Hard, fmt.Sprintf("selection reads aggregates %d times: polynomial only through their joint distribution (Def. 8.2a), which the compiler does not build", n)}
 			}

@@ -9,6 +9,7 @@
 package value
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"strconv"
@@ -96,9 +97,13 @@ func (v V) Cmp(w V) int {
 // Less reports v < w in the extended-integer order.
 func (v V) Less(w V) bool { return v.Cmp(w) < 0 }
 
+// ErrUndefined matches (via errors.Is) the error of a sum that may add
+// +∞ and −∞, which has no value.
+var ErrUndefined = errors.New("value: +∞ + −∞ is undefined")
+
 // Add returns v + w. Adding infinities of equal sign (or an infinity and a
 // finite value) follows the usual extended-arithmetic rules; +∞ + −∞ is
-// undefined and panics, as it never arises from well-formed expressions.
+// undefined and panics with ErrUndefined (step I refuses a SUM of both).
 func (v V) Add(w V) V {
 	switch {
 	case v.inf == finite && w.inf == finite:
@@ -110,7 +115,7 @@ func (v V) Add(w V) V {
 	case v.inf == w.inf:
 		return v
 	default:
-		panic("value: +∞ + −∞ is undefined")
+		panic(ErrUndefined)
 	}
 }
 

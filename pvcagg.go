@@ -56,10 +56,10 @@
 //   - WithMode(Sample): explicitly-seeded Monte Carlo estimation
 //     (WithSeed, required; WithSamples) with 95% Hoeffding intervals —
 //     the baseline strategy.
-//   - WithMode(Auto), the default: the Section 6 tractability analysis
-//     (Classify) routes each plan — tractable plans (Qind/Qhie) run
-//     exactly, hard plans run on the anytime engine — and the verdict is
-//     recorded in Result.Strategy.
+//   - WithMode(Auto), the default: each tuple compiles exactly within
+//     the Section 6 node bound every tuple of a Qind/Qhie query meets
+//     (or WithCompileBudget); one over it is bracketed by the anytime
+//     engine at ε, and its TupleReport.Approx says so.
 //
 // Execution is context-aware end to end: every compilation polls ctx at
 // expansion steps, so cancelling the context (or WithTimeout) aborts even
@@ -97,7 +97,7 @@
 // fusion, a structural join order, collapse-free projection pruning (the
 // π̂ Prune operator) and a build-side choice by provable row bounds — and
 // then executes it through Exec, so every option applies and Auto
-// classifies the optimized plan:
+// routes each tuple of the optimized plan:
 //
 //	res, err := pvcagg.ExecQuery(ctx, db, `
 //	  SELECT shop FROM (
@@ -175,6 +175,10 @@ var (
 	PosInf = value.PosInf
 	NegInf = value.NegInf
 )
+
+// ErrUndefined matches (via errors.Is) the step I error of a SUM group
+// that holds both +∞ and −∞: a world with both rows has no sum.
+var ErrUndefined = value.ErrUndefined
 
 // Comparison operators.
 const (

@@ -11,8 +11,8 @@ import (
 
 // This file is the PVQL frontend: declarative queries compile through
 // parse → bind → optimize into Q-algebra plans and execute through Exec,
-// so every strategy option applies unchanged and Result.Strategy is
-// driven by Classify on the *optimized* plan.
+// so every strategy option applies unchanged; under Auto each tuple of
+// the *optimized* plan is routed by its own node bound.
 
 // QueryError is a positioned PVQL parse or semantic error: Pos and End
 // are byte offsets into the query text, and Render formats the error

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -301,4 +302,50 @@ func (s storeSink) Table(name string, schema pvcagg.Schema) error {
 
 func (s storeSink) Row(ann pvcagg.Expr, cells ...pvcagg.Cell) error {
 	return (*s.tw).Append(ann, cells...)
+}
+
+// TestExecSumOfOppositeInfinities: a SUM group that holds both +∞ and −∞
+// has no sum in a world with both rows. Step I refuses it with an error
+// matching ErrUndefined, never a panic, whether the rows are certain or
+// carry variables, in memory and through a store; pvcd answers it as a
+// client error.
+func TestExecSumOfOppositeInfinities(t *testing.T) {
+	const query = "SELECT a, SUM(w) AS s FROM W GROUP BY a"
+	plan := &pvcagg.GroupAgg{Input: &pvcagg.Scan{Table: "W"}, GroupBy: []string{"a"},
+		Aggs: []pvcagg.AggSpec{{Out: "s", Agg: pvcagg.SUM, Over: "w"}}}
+	ctx := context.Background()
+	for _, certain := range []bool{true, false} {
+		db := pvcagg.NewDatabase(pvcagg.Boolean)
+		rel := pvcagg.NewRelation("W", pvcagg.Schema{{Name: "a", Type: pvcagg.TValue}, {Name: "w", Type: pvcagg.TValue}})
+		for _, w := range []pvcagg.V{pvcagg.PosInf(), pvcagg.NegInf()} {
+			cells := []pvcagg.Cell{pvcagg.IntCell(1), pvcagg.ValueCell(w)}
+			if certain {
+				rel.MustInsert(pvcagg.MustParseExpr("1"), cells...)
+			} else if _, err := db.InsertIndependent(rel, 0.5, cells...); err != nil {
+				t.Fatal(err)
+			}
+		}
+		db.Add(rel)
+		st := mirrorToStore(t, db, 0)
+		for name, run := range map[string]func() (*pvcagg.Result, error){
+			"Exec":            func() (*pvcagg.Result, error) { return pvcagg.Exec(ctx, db, plan) },
+			"ExecQuery":       func() (*pvcagg.Result, error) { return pvcagg.ExecQuery(ctx, db, query) },
+			"ExecQuery store": func() (*pvcagg.Result, error) { return pvcagg.ExecQuery(ctx, nil, query, pvcagg.WithStore(st)) },
+		} {
+			if res, err := run(); !errors.Is(err, pvcagg.ErrUndefined) || pvcagg.IsPanic(err) {
+				t.Errorf("certain=%v %s: result %v, err %v; want a step I error matching ErrUndefined", certain, name, res, err)
+			}
+		}
+		srv := httptest.NewServer(server.New(db, server.Config{}).Handler())
+		body, _ := json.Marshal(map[string]any{"query": query})
+		resp, err := http.Post(srv.URL+"/query", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		srv.Close()
+		if resp.StatusCode != http.StatusUnprocessableEntity {
+			t.Errorf("certain=%v pvcd: status %d, want %d", certain, resp.StatusCode, http.StatusUnprocessableEntity)
+		}
+	}
 }
