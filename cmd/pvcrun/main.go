@@ -25,12 +25,12 @@
 //	pvcrun -store /data/tpch01 -query "SELECT l_returnflag, COUNT(*) AS n FROM lineitem GROUP BY l_returnflag"
 //	pvcrun -store /data/tpch01 -repl
 //
-//	# observability: print the execution trace, or a per-operator
-//	# EXPLAIN / EXPLAIN ANALYZE plan tree
+//	# observability: print the execution trace and the query's counters,
+//	# or a per-operator EXPLAIN / EXPLAIN ANALYZE plan tree
 //	pvcrun -demo shop -trace -query "SELECT shop, COUNT(*) AS n FROM S GROUP BY shop"
 //	pvcrun -demo shop -query "EXPLAIN ANALYZE SELECT shop, COUNT(*) AS n FROM S GROUP BY shop"
 //
-// Disk-backed queries additionally print the scan's I/O summary (blocks
+// Disk-backed queries additionally print the query's own I/O (blocks
 // read vs skipped) and, when retries engaged, the retry budget's work.
 //
 // The sample mode requires -seed: the engine has no ambient randomness,
@@ -70,7 +70,7 @@ func main() {
 		query    = flag.String("query", "", "run one PVQL query against the demo database and exit")
 		repl     = flag.Bool("repl", false, "interactive PVQL prompt over the demo database")
 		storeDir = flag.String("store", "", "open a disk-backed database written by pvcimport instead of a -demo database")
-		trace    = flag.Bool("trace", false, "record and print the execution trace (spans with wall time, allocations and stage counters)")
+		trace    = flag.Bool("trace", false, "record and print the execution trace (spans with wall time and allocations) and the query's counters")
 	)
 	flag.Parse()
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
@@ -87,9 +87,8 @@ func main() {
 		os.Exit(2)
 	}
 	var db *pvcagg.Database
-	var st *pvcagg.Store
 	if *storeDir != "" {
-		st, err = pvcagg.OpenStore(*storeDir)
+		st, err := pvcagg.OpenStore(*storeDir)
 		if err != nil {
 			fatal(err)
 		}
@@ -111,14 +110,14 @@ func main() {
 	}
 	switch {
 	case *query != "":
-		if err := runQuery(ctx, db, *query, opts, true, *trace, st); err != nil {
+		if err := runQuery(ctx, db, *query, opts, true, *trace, *storeDir != ""); err != nil {
 			fatal(err)
 		}
 	case *repl:
 		// Release the process-wide handler: the REPL scopes SIGINT to the
 		// query it is running, so Ctrl-C must not cancel a shared context.
 		stop()
-		runREPL(db, opts, *trace, st)
+		runREPL(db, opts, *trace, *storeDir != "")
 	case *demo == "shop":
 		runShop(ctx, db, opts)
 	default:
@@ -161,9 +160,9 @@ func execOptions(mode string, eps float64, parallel int, timeout time.Duration, 
 // prefix prints the plan tree with each operator's row bound (rows≤N)
 // without executing; EXPLAIN ANALYZE executes and prints the bounds next
 // to per-operator actuals.
-// With trace, the execution trace is printed after the summary; with a
-// store, so are the scan's I/O and retry counters.
-func runQuery(ctx context.Context, db *pvcagg.Database, src string, opts []pvcagg.Option, verbose, trace bool, st *pvcagg.Store) error {
+// Over a store, the query's I/O and retry counters are printed after the
+// summary; with trace, the execution trace and the query's counters.
+func runQuery(ctx context.Context, db *pvcagg.Database, src string, opts []pvcagg.Option, verbose, trace, onStore bool) error {
 	plan, explain, err := pvcagg.ParseQuery(db, src)
 	if err != nil {
 		var qe *pvcagg.QueryError
@@ -189,10 +188,6 @@ func runQuery(ctx context.Context, db *pvcagg.Database, src string, opts []pvcag
 		tr = pvcagg.NewTrace()
 		opts = append(opts, pvcagg.WithTrace(tr))
 	}
-	var before pvcagg.StoreMetrics
-	if st != nil {
-		before = st.Metrics()
-	}
 	res, err := pvcagg.Exec(ctx, db, plan, opts...)
 	if err != nil {
 		return err
@@ -205,12 +200,11 @@ func runQuery(ctx context.Context, db *pvcagg.Database, src string, opts []pvcag
 	if res.Report.Explain != nil {
 		fmt.Print(indent(res.Report.Explain.Render()))
 	}
-	if st != nil {
-		m, r := st.Metrics(), res.Report.Store
+	c := res.Report.Counters
+	if onStore {
+		m, r := c.Store, res.Report.Store
 		fmt.Printf("   store: blocks read=%d skipped=%d, bytes read=%d skipped=%d, rows=%d\n",
-			m.BlocksRead-before.BlocksRead, m.BlocksSkipped-before.BlocksSkipped,
-			m.BytesRead-before.BytesRead, m.BytesSkipped-before.BytesSkipped,
-			m.RowsRead-before.RowsRead)
+			m.BlocksRead, m.BlocksSkipped, m.BytesRead, m.BytesSkipped, m.RowsRead)
 		if r.Attempts > 0 || r.BoundedBlocks > 0 {
 			fmt.Printf("   retries: reads retried=%d retries spent=%d exhausted=%d bounded skips=%d\n",
 				r.Attempts, r.Retries, r.Exhausted, r.BoundedBlocks)
@@ -218,6 +212,9 @@ func runQuery(ctx context.Context, db *pvcagg.Database, src string, opts []pvcag
 	}
 	if tr != nil {
 		fmt.Print(indent(tr.Render()))
+		e := c.Exact
+		fmt.Printf("   counters: rows=%d tuples=%d dtree_nodes=%d shannon=%d memo_hits=%d node_evals=%d max_dist=%d expansions=%d samples=%d\n",
+			c.Rows, c.Tuples, e.Compile.Nodes, e.Compile.Shannon, e.Compile.CacheHits, e.Eval.NodeEvals, e.Eval.MaxDistSize, c.Expansions, c.Samples)
 	}
 	return nil
 }
@@ -233,7 +230,7 @@ func indent(s string) string {
 // SIGINT is scoped per query: the first Ctrl-C cancels the in-flight
 // query (its partial results are printed) and the loop returns to the
 // prompt; a second Ctrl-C before the query winds down exits the shell.
-func runREPL(db *pvcagg.Database, opts []pvcagg.Option, trace bool, st *pvcagg.Store) {
+func runREPL(db *pvcagg.Database, opts []pvcagg.Option, trace, onStore bool) {
 	sigs := make(chan os.Signal, 2)
 	signal.Notify(sigs, os.Interrupt)
 	defer signal.Stop(sigs)
@@ -278,7 +275,7 @@ func runREPL(db *pvcagg.Database, opts []pvcagg.Option, trace bool, st *pvcagg.S
 			case <-done:
 			}
 		}()
-		err := runQuery(qctx, db, line, opts, true, trace, st)
+		err := runQuery(qctx, db, line, opts, true, trace, onStore)
 		close(done)
 		cancel()
 		if err != nil {

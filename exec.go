@@ -336,16 +336,41 @@ func WithRetry(p RetryPolicy) Option {
 	return func(c *execConfig) { c.retry, c.retrySet = p, true }
 }
 
+// Counters is what one execution counted, filled on every run whether
+// or not it is traced. The paper's Section 7 quantities are
+// Exact.Compile.Nodes (the d-trees' size), Exact.Compile.Shannon and
+// Exact.Eval.MaxDistSize.
+type Counters struct {
+	// Rows is the result pvc-table's tuple count (step I).
+	Rows int
+	// Store is the I/O of this execution's own store scans (step I):
+	// blocks and bytes read and skipped, rows read. Zero in memory.
+	Store StoreMetrics
+	// Tuples counts the outcomes that finished (step II).
+	Tuples int
+	// Exact sums their exact compilations and evaluations: every
+	// counter adds, and Eval.MaxDistSize is the largest distribution.
+	Exact Report
+	// Expansions sums their anytime frontier expansions, Samples their
+	// sampled worlds.
+	Expansions int
+	Samples    int
+}
+
 // ExecReport aggregates run-level execution statistics that have no
 // per-tuple home.
 type ExecReport struct {
+	// Counters is what the execution counted: step I's as Exec or
+	// ExecQuery returns, step II's once Collect returns.
+	Counters Counters
 	// Store reports what the WithRetry budget actually did: reads that
 	// needed retrying, retries spent, operations abandoned, and blocks
 	// soundly skipped via their all-zero annotation summaries. All zeros
 	// without WithRetry.
 	Store RetryStats
 	// Trace is the execution trace passed via WithTrace (the same
-	// pointer, for convenience); nil when tracing is off.
+	// pointer, for convenience): the stages' spans and their times. Nil
+	// when tracing is off.
 	Trace *Trace
 	// Explain is the analyzed per-operator plan tree (WithExplainAnalyze
 	// or the PVQL `EXPLAIN ANALYZE` prefix); nil otherwise.
@@ -372,7 +397,6 @@ type Result struct {
 	ctx      context.Context
 	cancel   context.CancelFunc
 	execSpan *obs.Span // WithTrace: this execution's top-level span
-	probSpan *obs.Span // WithTrace: step II span, opened lazily
 
 	collected bool
 	outcomes  []TupleOutcome
@@ -392,40 +416,10 @@ func (r *Result) finish() {
 	if r.retry != nil {
 		r.Report.Store = r.retry.Snapshot()
 	}
-	r.probSpan.End()
-	if r.execSpan != nil {
-		if r.retry != nil {
-			s := r.Report.Store
-			r.execSpan.SetAttr("store.retry_attempts", s.Attempts)
-			r.execSpan.SetAttr("store.retries", s.Retries)
-			r.execSpan.SetAttr("store.retries_exhausted", s.Exhausted)
-			r.execSpan.SetAttr("store.bounded_blocks", s.BoundedBlocks)
-		}
-		r.execSpan.End()
-		r.execSpan = nil
-	}
+	r.execSpan.End()
 	if r.cancel != nil {
 		r.cancel()
 		r.cancel = nil
-	}
-}
-
-// noteOutcome folds one tuple outcome's report counters into the
-// probability span. Sums over outcomes are order-independent, so the
-// recorded attributes are deterministic at every parallelism.
-func (r *Result) noteOutcome(o TupleOutcome) {
-	sp := r.probSpan
-	if sp == nil {
-		return
-	}
-	sp.Add("tuples", 1)
-	sp.Add("memo_hits", int64(o.Report.Exact.Compile.CacheHits))
-	sp.Add("dtree_nodes", int64(o.Report.Exact.Compile.Nodes))
-	if o.Report.Approx != nil {
-		sp.Add("frontier_expansions", int64(o.Report.Approx.Expansions))
-	}
-	if o.Report.Samples > 0 {
-		sp.Add("samples", int64(o.Report.Samples))
 	}
 }
 
@@ -437,14 +431,15 @@ func (r *Result) noteOutcome(o TupleOutcome) {
 // cancelled run still hands back what it computed.
 func (r *Result) Collect() ([]TupleOutcome, error) {
 	if !r.collected {
-		r.probSpan = r.execSpan.StartSpan("probability")
+		sp := r.execSpan.StartSpan("probability")
 		t0 := time.Now()
 		r.outcomes, r.err = engine.Outcomes(r.ctx, r.db, r.Rel, r.cfg)
 		r.Timing.Probability = time.Since(t0)
+		sp.End()
 		r.collected = true
-		for _, o := range r.outcomes {
-			r.noteOutcome(o)
-		}
+		c := &r.Report.Counters
+		c.Tuples = len(r.outcomes)
+		c.Exact, c.Expansions, c.Samples = engine.SumReports(r.outcomes)
 		r.finish()
 	}
 	return r.outcomes, r.err
@@ -474,7 +469,6 @@ func (cfg *execConfig) exec(ctx context.Context, db *Database, plan Plan) (*Resu
 	// every span call below is a no-op — zero cost on the hot path.
 	execSpan := cfg.trace.StartSpan("exec")
 	strat, ecfg := cfg.build()
-	execSpan.SetAttr("parallelism", int64(ecfg.Parallelism))
 	var cancel context.CancelFunc
 	if cfg.timeout > 0 {
 		ctx, cancel = context.WithTimeout(ctx, cfg.timeout)
@@ -484,31 +478,27 @@ func (cfg *execConfig) exec(ctx context.Context, db *Database, plan Plan) (*Resu
 		retry = store.NewRetryState(cfg.retry)
 		ctx = store.ContextWithRetry(ctx, retry)
 	}
+	// The query's store scans count into its own account.
+	reads := new(store.Metrics)
+	ctx = store.ContextWithMetrics(ctx, reads)
 	evalSpan := execSpan.StartSpan("eval")
-	evalCtx := ctx
-	if evalSpan != nil {
-		// Store scans attribute their block counters to the eval span.
-		evalCtx = obs.ContextWithSpan(ctx, evalSpan)
-	}
 	var rel *Relation
 	var construct time.Duration
 	var explain *engine.ExplainNode
 	var err error
 	if cfg.analyze {
-		rel, construct, explain, err = engine.StreamEvalPlanExplain(evalCtx, db, plan)
+		rel, construct, explain, err = engine.StreamEvalPlanExplain(ctx, db, plan)
 	} else {
-		rel, construct, err = engine.StreamEvalPlan(evalCtx, db, plan)
+		rel, construct, err = engine.StreamEvalPlan(ctx, db, plan)
 	}
+	evalSpan.End()
 	if err != nil {
-		evalSpan.End()
 		execSpan.End()
 		if cancel != nil {
 			cancel()
 		}
 		return nil, err
 	}
-	evalSpan.SetAttr("rows", int64(rel.Len()))
-	evalSpan.End()
 	res := &Result{
 		Rel:      rel,
 		Strategy: strat,
@@ -520,6 +510,8 @@ func (cfg *execConfig) exec(ctx context.Context, db *Database, plan Plan) (*Resu
 		cancel:   cancel,
 		execSpan: execSpan,
 	}
+	res.Report.Counters.Rows = rel.Len()
+	res.Report.Counters.Store = reads.Snapshot()
 	res.Report.Trace = cfg.trace
 	res.Report.Explain = explain
 	if retry != nil {

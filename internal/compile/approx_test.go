@@ -21,6 +21,7 @@ import (
 	"pvcagg/internal/engine"
 	"pvcagg/internal/expr"
 	"pvcagg/internal/gen"
+	"pvcagg/internal/prob"
 	"pvcagg/internal/testutil"
 	"pvcagg/internal/value"
 	"pvcagg/internal/vars"
@@ -390,6 +391,52 @@ func TestApproxNaturalSemiring(t *testing.T) {
 	}
 	if pt := enum.TruthProbability(); !b.Contains(pt, 1e-9) {
 		t.Errorf("enumerated %v outside bounds %v", pt, b)
+	}
+}
+
+// TestApproxSumSplit: a sum of independent parts splits into an or-node
+// of them only where no cancellation across the parts is possible. The
+// Boolean a·b + c·d splits and its parts close exactly, with no
+// expansion, at a leaf budget too small for the whole sum. The Natural
+// x + y over x, y ∈ {−1, 1} is 0 when they differ, so it must not split
+// (an or-node would claim truth probability 1); it reaches the exact ½
+// by expanding. Both answers are held to possible-worlds enumeration.
+func TestApproxSumSplit(t *testing.T) {
+	boolReg := vars.NewRegistry()
+	for _, x := range []string{"a", "b", "c", "d"} {
+		boolReg.DeclareBool(x, 0.5)
+	}
+	signReg := vars.NewRegistry()
+	for _, x := range []string{"x", "y"} {
+		signReg.Declare(x, prob.FromPairs([]prob.Pair{{V: value.Int(-1), P: 0.5}, {V: value.Int(1), P: 0.5}}))
+	}
+	for _, tc := range []struct {
+		name       string
+		kind       algebra.SemiringKind
+		reg        *vars.Registry
+		e          expr.Expr
+		want       float64
+		expansions int
+	}{
+		{"Boolean a·b + c·d", algebra.Boolean, boolReg, expr.MustParse("a*b + c*d"), 0.4375, 0},
+		{"Natural x + y", algebra.Natural, signReg, expr.MustParse("x + y"), 0.5, 3},
+	} {
+		s := algebra.SemiringFor(tc.kind)
+		enum, err := worlds.Enumerate(tc.e, tc.reg, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pt := enum.TruthProbability(); pt != tc.want {
+			t.Fatalf("%s: enumeration gives %v, want %v", tc.name, pt, tc.want)
+		}
+		b, rep, err := compile.ApproximateCtx(context.Background(), s, tc.reg, tc.e, compile.ApproxOptions{Eps: 0.01, MaxLeafNodes: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b.Lo != tc.want || b.Hi != tc.want || !rep.Converged || rep.Expansions != tc.expansions {
+			t.Errorf("%s: bounds %v after %d expansions (converged %v), want the point %v after %d",
+				tc.name, b, rep.Expansions, rep.Converged, tc.want, tc.expansions)
+		}
 	}
 }
 

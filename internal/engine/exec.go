@@ -139,8 +139,10 @@ func (w *worker) exact(ctx context.Context, e expr.Expr, maxNodes int) (prob.Dis
 // Interpret computes the probabilistic interpretation of one bare
 // expression under cfg by the dispatch every tuple's annotation goes
 // through, as tuple 0 (so a sampled expression draws from the stream
-// seeded cfg.Seed itself). See interpret for what it returns.
-func Interpret(ctx context.Context, s algebra.Semiring, reg *vars.Registry, e expr.Expr, cfg ExecConfig) (compile.Bounds, prob.Dist, TupleReport, error) {
+// seeded cfg.Seed itself, and a panic is tuple 0's *PanicError). See
+// interpret for what it returns.
+func Interpret(ctx context.Context, s algebra.Semiring, reg *vars.Registry, e expr.Expr, cfg ExecConfig) (b compile.Bounds, d prob.Dist, rep TupleReport, err error) {
+	defer contain(0, &err)
 	return newWorker(s, reg, &cfg).interpret(ctx, 0, e)
 }
 
@@ -217,9 +219,10 @@ func (w *worker) outcome(ctx context.Context, idx int, t pvc.Tuple, moduleCols [
 	return out, nil
 }
 
-// PanicError is a panic recovered in a worker-pool goroutine, converted
-// to a typed per-tuple error: the panicking tuple fails, the other
-// tuples of the batch are unaffected, and the process survives.
+// PanicError is a panic recovered in step II, converted to a typed
+// per-tuple error: the panicking tuple fails, the other tuples of the
+// batch are unaffected, and the process survives. A bare expression
+// (Interpret) and a joint (Joint, Average) are tuple 0.
 type PanicError struct {
 	Index int
 	Value any
@@ -236,14 +239,18 @@ func IsPanic(err error) bool {
 	return errors.As(err, &pe)
 }
 
+// contain is step II's one panic containment, deferred by every entry
+// point into it: a panic of the computation of tuple idx becomes its
+// *PanicError in err.
+func contain(idx int, err *error) {
+	if r := recover(); r != nil {
+		*err = &PanicError{Index: idx, Value: r, Stack: debug.Stack()}
+	}
+}
+
 // safeOutcome is outcome with panic containment.
 func (w *worker) safeOutcome(ctx context.Context, idx int, t pvc.Tuple, moduleCols []int) (out TupleOutcome, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			out = TupleOutcome{}
-			err = &PanicError{Index: idx, Value: r, Stack: debug.Stack()}
-		}
-	}()
+	defer contain(idx, &err)
 	return w.outcome(ctx, idx, t, moduleCols)
 }
 

@@ -27,8 +27,10 @@ type JointOutcome struct {
 // of them until they are pairwise independent, and multiplies the
 // distributions of independent expressions, each computed on a worker's
 // exact path under cfg.Compile and ctx. Outcomes are sorted by value
-// tuple; the joint of no expressions is the empty tuple with P = 1.
-func Joint(ctx context.Context, s algebra.Semiring, reg *vars.Registry, es []expr.Expr, cfg ExecConfig) ([]JointOutcome, error) {
+// tuple; the joint of no expressions is the empty tuple with P = 1. A
+// panic is tuple 0's *PanicError.
+func Joint(ctx context.Context, s algebra.Semiring, reg *vars.Registry, es []expr.Expr, cfg ExecConfig) (outs []JointOutcome, err error) {
+	defer contain(0, &err)
 	simplified := make([]expr.Expr, len(es))
 	for i, e := range es {
 		if err := expr.Validate(e); err != nil {

@@ -68,6 +68,19 @@ func (r *ExactReport) add(o ExactReport) {
 	r.Eval.MaxDistSize = max(r.Eval.MaxDistSize, o.Eval.MaxDistSize)
 }
 
+// SumReports adds up step II's counters over outcomes: their exact
+// reports by add, their anytime expansions and their sampled worlds.
+func SumReports(outs []TupleOutcome) (exact ExactReport, expansions, samples int) {
+	for _, o := range outs {
+		exact.add(o.Report.Exact)
+		if o.Report.Approx != nil {
+			expansions += o.Report.Approx.Expansions
+		}
+		samples += o.Report.Samples
+	}
+	return exact, expansions, samples
+}
+
 // tupleSeedStride decorrelates per-tuple sampling streams: tuple i draws
 // from seed + i·stride, so outcomes are reproducible from the run's single
 // explicit seed and independent of scheduling order and parallelism. The

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"context"
 	"encoding/json"
 	"strings"
 	"sync"
@@ -16,11 +15,9 @@ func TestNilTraceIsNoOp(t *testing.T) {
 		t.Fatalf("nil trace StartSpan = %v, want nil", s)
 	}
 	c := s.StartSpan("child")
-	c.Add("k", 1)
-	c.SetAttr("k", 2)
 	c.End()
-	if got := c.Attr("k"); got != 0 {
-		t.Fatalf("nil span Attr = %d, want 0", got)
+	if got := c.Duration(); got != 0 {
+		t.Fatalf("nil span Duration = %v, want 0", got)
 	}
 	if got := tr.Spans(); got != nil {
 		t.Fatalf("nil trace Spans = %v, want nil", got)
@@ -28,32 +25,18 @@ func TestNilTraceIsNoOp(t *testing.T) {
 	if got := tr.Render(); got != "" {
 		t.Fatalf("nil trace Render = %q, want empty", got)
 	}
-	// A context without a span yields a nil (no-op) span.
-	sp := SpanFrom(context.Background())
-	sp.Add("x", 1)
-	if sp != nil {
-		t.Fatalf("SpanFrom(empty ctx) = %v, want nil", sp)
-	}
-	if ctx := ContextWithSpan(context.Background(), nil); SpanFrom(ctx) != nil {
-		t.Fatal("attaching a nil span must leave the context empty")
-	}
 }
 
 func TestTraceSpanTree(t *testing.T) {
 	tr := NewTrace()
 	exec := tr.StartSpan("exec")
 	eval := exec.StartSpan("eval")
-	eval.Add("rows", 3)
-	eval.Add("rows", 4)
-	eval.SetAttr("blocks", 2)
 	eval.End()
-	eval.End() // idempotent
+	first := eval.Duration()
 	exec.End()
-
-	ctx := ContextWithSpan(context.Background(), eval)
-	SpanFrom(ctx).Add("rows", 1)
-	if got := eval.Attr("rows"); got != 8 {
-		t.Fatalf("rows attr = %d, want 8", got)
+	eval.End() // idempotent
+	if got := eval.Duration(); got != first {
+		t.Fatalf("second End moved the duration from %v to %v", first, got)
 	}
 
 	views := tr.Spans()
@@ -61,8 +44,8 @@ func TestTraceSpanTree(t *testing.T) {
 		t.Fatalf("top-level spans = %+v, want one named exec", views)
 	}
 	kids := views[0].Children
-	if len(kids) != 1 || kids[0].Name != "eval" || kids[0].Attrs["blocks"] != 2 {
-		t.Fatalf("children = %+v, want eval with blocks=2", kids)
+	if len(kids) != 1 || kids[0].Name != "eval" {
+		t.Fatalf("children = %+v, want eval", kids)
 	}
 	if eval.Duration() <= 0 {
 		t.Fatal("ended span must have a positive duration")
@@ -76,13 +59,13 @@ func TestTraceSpanTree(t *testing.T) {
 		t.Fatalf("trace JSON missing eval span: %s", raw)
 	}
 	text := tr.Render()
-	if !strings.Contains(text, "exec") || !strings.Contains(text, "rows=8") {
-		t.Fatalf("Render missing span or attr:\n%s", text)
+	if !strings.Contains(text, "exec ") || !strings.Contains(text, "\n  eval ") {
+		t.Fatalf("Render missing a span or its nesting:\n%s", text)
 	}
 }
 
-// TestTraceConcurrent exercises sibling spans and attribute updates
-// from many goroutines; run under -race in CI.
+// TestTraceConcurrent exercises sibling spans opened and ended from
+// many goroutines; run under -race in CI.
 func TestTraceConcurrent(t *testing.T) {
 	tr := NewTrace()
 	root := tr.StartSpan("root")
@@ -91,12 +74,9 @@ func TestTraceConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			s := root.StartSpan("worker")
 			for j := 0; j < 100; j++ {
-				s.Add("n", 1)
-				root.Add("total", 1)
+				root.StartSpan("worker").End()
 			}
-			s.End()
 		}()
 	}
 	done := make(chan struct{})
@@ -110,11 +90,8 @@ func TestTraceConcurrent(t *testing.T) {
 	wg.Wait()
 	<-done
 	root.End()
-	if got := root.Attr("total"); got != 800 {
-		t.Fatalf("total = %d, want 800", got)
-	}
-	if got := len(tr.Spans()[0].Children); got != 8 {
-		t.Fatalf("children = %d, want 8", got)
+	if got := len(tr.Spans()[0].Children); got != 800 {
+		t.Fatalf("children = %d, want 800", got)
 	}
 }
 

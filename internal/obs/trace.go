@@ -1,20 +1,18 @@
 // Package obs is the dependency-free observability layer: execution
-// traces (nested spans with wall time, allocation deltas and integer
-// attributes), a process-wide metrics registry with Prometheus text
-// exposition, and the context plumbing that threads both through the
-// execution stages without any cost when they are disabled.
+// traces (nested spans with wall time and allocation deltas) and a
+// process-wide metrics registry with Prometheus text exposition. What a
+// query counted lives in its report, not in its spans.
 //
 // Every type is nil-safe: methods on a nil *Trace or nil *Span are
-// no-ops, so instrumented code stays linear — it asks the context for
-// the current span once and calls methods unconditionally. A query
-// executed without WithTrace never allocates a span, never reads the
-// clock and never touches a mutex.
+// no-ops, so instrumented code stays linear and calls them
+// unconditionally. A query executed without WithTrace never allocates a
+// span, never reads the clock and never touches a mutex.
 package obs
 
 import (
-	"context"
 	"encoding/json"
 	"runtime/metrics"
+	"strconv"
 	"sync"
 	"time"
 )
@@ -32,9 +30,8 @@ type Trace struct {
 func NewTrace() *Trace { return &Trace{} }
 
 // Span is one timed stage of an execution: a name, wall-clock
-// duration, heap-allocation delta, integer attributes (counters the
-// stage accumulated) and child spans. Durations and allocation deltas
-// are captured at End; attributes accumulate via Add/SetAttr.
+// duration, heap-allocation delta and child spans. Durations and
+// allocation deltas are captured at End.
 type Span struct {
 	tr       *Trace
 	name     string
@@ -43,7 +40,6 @@ type Span struct {
 	dur      time.Duration
 	alloc    uint64
 	done     bool
-	attrs    map[string]int64
 	children []*Span
 }
 
@@ -64,7 +60,7 @@ func (t *Trace) StartSpan(name string) *Span {
 	if t == nil {
 		return nil
 	}
-	s := &Span{tr: t, name: name, start: time.Now(), allocAt: allocSample(), attrs: map[string]int64{}}
+	s := &Span{tr: t, name: name, start: time.Now(), allocAt: allocSample()}
 	t.mu.Lock()
 	t.spans = append(t.spans, s)
 	t.mu.Unlock()
@@ -76,7 +72,7 @@ func (s *Span) StartSpan(name string) *Span {
 	if s == nil {
 		return nil
 	}
-	c := &Span{tr: s.tr, name: name, start: time.Now(), allocAt: allocSample(), attrs: map[string]int64{}}
+	c := &Span{tr: s.tr, name: name, start: time.Now(), allocAt: allocSample()}
 	s.tr.mu.Lock()
 	s.children = append(s.children, c)
 	s.tr.mu.Unlock()
@@ -100,26 +96,6 @@ func (s *Span) End() {
 	s.tr.mu.Unlock()
 }
 
-// Add accumulates delta into the named attribute. No-op on nil.
-func (s *Span) Add(key string, delta int64) {
-	if s == nil {
-		return
-	}
-	s.tr.mu.Lock()
-	s.attrs[key] += delta
-	s.tr.mu.Unlock()
-}
-
-// SetAttr sets the named attribute. No-op on nil.
-func (s *Span) SetAttr(key string, v int64) {
-	if s == nil {
-		return
-	}
-	s.tr.mu.Lock()
-	s.attrs[key] = v
-	s.tr.mu.Unlock()
-}
-
 // Name returns the span's name ("" on nil).
 func (s *Span) Name() string {
 	if s == nil {
@@ -139,33 +115,16 @@ func (s *Span) Duration() time.Duration {
 	return s.dur
 }
 
-// Attr returns the named attribute's value (0 when absent or nil).
-func (s *Span) Attr(key string) int64 {
-	if s == nil {
-		return 0
-	}
-	s.tr.mu.Lock()
-	defer s.tr.mu.Unlock()
-	return s.attrs[key]
-}
-
 // SpanView is the immutable JSON shape of one span.
 type SpanView struct {
-	Name       string           `json:"name"`
-	DurationUS int64            `json:"duration_us"`
-	AllocBytes uint64           `json:"alloc_bytes,omitempty"`
-	Attrs      map[string]int64 `json:"attrs,omitempty"`
-	Children   []SpanView       `json:"children,omitempty"`
+	Name       string     `json:"name"`
+	DurationUS int64      `json:"duration_us"`
+	AllocBytes uint64     `json:"alloc_bytes,omitempty"`
+	Children   []SpanView `json:"children,omitempty"`
 }
 
 func (s *Span) viewLocked() SpanView {
 	v := SpanView{Name: s.name, DurationUS: s.dur.Microseconds(), AllocBytes: s.alloc}
-	if len(s.attrs) > 0 {
-		v.Attrs = make(map[string]int64, len(s.attrs))
-		for k, a := range s.attrs {
-			v.Attrs[k] = a
-		}
-	}
 	for _, c := range s.children {
 		v.Children = append(v.Children, c.viewLocked())
 	}
@@ -195,8 +154,7 @@ func (t *Trace) MarshalJSON() ([]byte, error) {
 }
 
 // Render returns an indented text rendering of the span tree for CLI
-// output: one line per span with duration, allocation delta and
-// attributes (keys sorted).
+// output: one line per span with its duration and allocation delta.
 func (t *Trace) Render() string {
 	if t == nil {
 		return ""
@@ -216,72 +174,13 @@ func renderSpan(b []byte, v SpanView, depth int) []byte {
 	b = append(b, ' ')
 	b = append(b, time.Duration(v.DurationUS*int64(time.Microsecond)).String()...)
 	if v.AllocBytes > 0 {
-		b = appendKV(b, " alloc", int64(v.AllocBytes))
+		b = append(b, " alloc="...)
+		b = strconv.AppendUint(b, v.AllocBytes, 10)
 		b = append(b, 'B')
-	}
-	for _, k := range sortedKeys(v.Attrs) {
-		b = appendKV(b, " "+k, v.Attrs[k])
 	}
 	b = append(b, '\n')
 	for _, c := range v.Children {
 		b = renderSpan(b, c, depth+1)
 	}
 	return b
-}
-
-func appendKV(b []byte, k string, v int64) []byte {
-	b = append(b, k...)
-	b = append(b, '=')
-	return appendInt(b, v)
-}
-
-func appendInt(b []byte, v int64) []byte {
-	if v < 0 {
-		b = append(b, '-')
-		v = -v
-	}
-	var tmp [20]byte
-	i := len(tmp)
-	for {
-		i--
-		tmp[i] = byte('0' + v%10)
-		v /= 10
-		if v == 0 {
-			break
-		}
-	}
-	return append(b, tmp[i:]...)
-}
-
-func sortedKeys(m map[string]int64) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	for i := 1; i < len(keys); i++ {
-		for j := i; j > 0 && keys[j] < keys[j-1]; j-- {
-			keys[j], keys[j-1] = keys[j-1], keys[j]
-		}
-	}
-	return keys
-}
-
-// spanKey carries the current span through contexts, mirroring the
-// store's retry-state carriage: unexported key type, value is the
-// *Span itself.
-type spanKey struct{}
-
-// ContextWithSpan attaches the span as the context's current span so
-// downstream stages (store scans) can attribute their counters to it.
-func ContextWithSpan(ctx context.Context, s *Span) context.Context {
-	if s == nil {
-		return ctx
-	}
-	return context.WithValue(ctx, spanKey{}, s)
-}
-
-// SpanFrom returns the context's current span, or nil (a no-op span).
-func SpanFrom(ctx context.Context) *Span {
-	s, _ := ctx.Value(spanKey{}).(*Span)
-	return s
 }

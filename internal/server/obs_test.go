@@ -291,19 +291,23 @@ func TestQueryExplain(t *testing.T) {
 	}
 }
 
-// TestQueryTrace: "trace": true returns the span tree; off by default.
+// TestQueryTrace: "trace": true returns the span tree and the query's
+// counters; both are off by default.
 func TestQueryTrace(t *testing.T) {
 	s := New(gen.Figure1(0.5), Config{})
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
 
 	_, plain, _ := post(t, srv.Client(), srv.URL, QueryRequest{Query: qCount})
-	if plain.Trace != nil {
-		t.Error("trace present without being requested")
+	if plain.Trace != nil || plain.Counters != nil {
+		t.Error("trace or counters present without being requested")
 	}
 	_, traced, _ := post(t, srv.Client(), srv.URL, QueryRequest{Query: qCount, Trace: true})
 	if len(traced.Trace) == 0 {
 		t.Fatal("trace requested but absent")
+	}
+	if c := traced.Counters; c == nil || c.Rows != len(traced.Rows) || c.Tuples != len(traced.Rows) || c.Exact.Compile.Nodes == 0 {
+		t.Errorf("counters %+v, want one row and tuple per answer row (%d) and some d-tree nodes", c, len(traced.Rows))
 	}
 	var exec *pvcagg.SpanView
 	for i := range traced.Trace {

@@ -16,9 +16,9 @@ import (
 // slices), so one cached plan serves concurrent requests without
 // copying.
 //
-// The cache is scoped to one session — one database — because binding
+// The cache belongs to the server's one database, because binding
 // resolves table schemas and optimization reads that database's row
-// counts; Server.Swap installs a fresh one. Eviction is CLOCK
+// counts. Eviction is CLOCK
 // (second chance): a hit sets the entry's reference bit under the read
 // lock, and a full cache evicts the first entry the hand finds with its
 // bit clear, clearing the bits it passes — so a text that is hit between

@@ -43,8 +43,8 @@ type metrics struct {
 	boundedBlocks *obs.Counter
 }
 
-// initMetrics builds the registry. Called once from New, after the first
-// session exists.
+// initMetrics builds the registry. Called once from New, after the plan
+// cache exists.
 func (s *Server) initMetrics() {
 	reg := obs.NewRegistry()
 	m := &metrics{reg: reg}
@@ -74,17 +74,15 @@ func (s *Server) initMetrics() {
 	m.exec = reg.Histogram("pvcd_exec_seconds", "Engine execution time per request.", nil)
 	m.total = reg.Histogram("pvcd_request_seconds", "End-to-end request time.", nil)
 
-	// Plan cache: read off the *current* session at scrape time — a Swap
-	// resets these series along with the cache they describe, which is
-	// the truthful reading (the old cache is gone).
+	// Plan cache, read at scrape time.
 	reg.CounterFunc(`pvcd_plan_cache_events_total{event="hit"}`, "Plan cache lookups by outcome.", func() int64 {
-		return s.sess.Load().plans.stats().Hits
+		return s.plans.stats().Hits
 	})
 	reg.CounterFunc(`pvcd_plan_cache_events_total{event="miss"}`, "Plan cache lookups by outcome.", func() int64 {
-		return s.sess.Load().plans.stats().Misses
+		return s.plans.stats().Misses
 	})
-	reg.GaugeFunc("pvcd_plan_cache_entries", "Plans cached in the current session.", func() int64 {
-		return s.sess.Load().plans.stats().Entries
+	reg.GaugeFunc("pvcd_plan_cache_entries", "Plans cached.", func() int64 {
+		return s.plans.stats().Entries
 	})
 
 	// Storage I/O, when the backend exposes its counters (pvcd -store).
@@ -137,7 +135,7 @@ func latency(h *obs.Histogram) LatencyStats {
 
 // handleStats serves GET /stats: the admission counters and phase
 // totals of /metrics as one JSON object, next to the in-flight count,
-// the drain flag and the current session's plan-cache stats.
+// the drain flag and the plan-cache stats.
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		writeError(w, http.StatusMethodNotAllowed, "GET only")
@@ -158,6 +156,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Parse:     latency(m.parse),
 		Exec:      latency(m.exec),
 		Total:     latency(m.total),
-		PlanCache: s.sess.Load().plans.stats(),
+		PlanCache: s.plans.stats(),
 	})
 }

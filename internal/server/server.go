@@ -18,22 +18,19 @@
 // deadlines cancel the in-flight compilation promptly.
 //
 // The plan cache makes the replayed-query workload cheap: it memoises
-// parsed+optimized plans by query text (the prepared-statement pattern).
-// It lives in an immutable session {database, plan cache} held behind an
-// atomic pointer: Server.Swap installs a new database by swapping the
-// whole session, which is the cache-invalidation contract — in-flight
-// queries keep the coherent old session, new requests see the new
-// database with a cold cache, and no cached plan ever crosses databases.
-// Nothing else is carried from one request to the next, so an answer is
-// a function of the query and the database alone.
+// parsed+optimized plans by query text (the prepared-statement pattern)
+// for the one database the server was created with. Nothing else is
+// carried from one request to the next, so an answer is a function of
+// the query and the database alone.
 //
 // Endpoints: POST /query (QueryRequest in, QueryResponse out; EXPLAIN
 // and EXPLAIN ANALYZE query prefixes return the plan tree in the
 // response's explain field, and "trace": true returns the execution
-// trace), GET /metrics (Prometheus text exposition: admission counters,
-// phase latency histograms, cache and store series), GET /stats (Stats:
-// the same counters and each phase's count and total as JSON, plus the
-// plan cache), GET /healthz (liveness plus build info), GET /readyz.
+// trace and the query's counters), GET /metrics (Prometheus text
+// exposition: admission counters, phase latency histograms, cache and
+// store series), GET /stats (Stats: the same counters and each phase's
+// count and total as JSON, plus the plan cache), GET /healthz (liveness
+// plus build info), GET /readyz.
 package server
 
 import (
@@ -128,19 +125,11 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// session is one database with its plan cache. Immutable once
-// installed: Swap replaces the whole session, so a request that loaded a
-// session pointer sees a coherent {db, plans} pair for its entire life
-// even across a concurrent swap.
-type session struct {
-	db    *pvcagg.Database
-	plans *planCache
-}
-
 // Server is the query service. Create with New, expose via Handler.
 type Server struct {
 	cfg       Config
-	sess      atomic.Pointer[session]
+	db        *pvcagg.Database
+	plans     *planCache
 	slots     chan struct{}
 	waiting   atomic.Int64
 	inflight  atomic.Int64
@@ -158,9 +147,9 @@ type Server struct {
 
 // New returns a Server serving queries against db.
 func New(db *pvcagg.Database, cfg Config) *Server {
-	s := &Server{cfg: cfg.withDefaults(), startNano: time.Now().UnixNano()}
+	s := &Server{cfg: cfg.withDefaults(), db: db, startNano: time.Now().UnixNano()}
+	s.plans = newPlanCache(s.cfg.PlanCacheSize)
 	s.slots = make(chan struct{}, s.cfg.Workers)
-	s.sess.Store(s.newSession(db))
 	s.initMetrics()
 	return s
 }
@@ -170,23 +159,6 @@ func New(db *pvcagg.Database, cfg Config) *Server {
 // and even new requests on already-open connections — keep working.
 // Call it before http.Server.Shutdown to drain gracefully.
 func (s *Server) BeginDrain() { s.draining.Store(true) }
-
-// Draining reports whether BeginDrain has been called.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
-func (s *Server) newSession(db *pvcagg.Database) *session {
-	return &session{db: db, plans: newPlanCache(s.cfg.PlanCacheSize)}
-}
-
-// Swap atomically installs a new database with a fresh plan cache. This
-// is the cache-invalidation contract: the cache is keyed by nothing
-// database-specific, so the only sound invalidation is wholesale —
-// in-flight queries finish against the old session (old database, old
-// cache, still mutually coherent), and every request admitted after
-// Swap returns sees only the new one.
-func (s *Server) Swap(db *pvcagg.Database) {
-	s.sess.Store(s.newSession(db))
-}
 
 // Handler returns the service's HTTP handler: the endpoints wrapped in
 // the request-ID and panic-containment middleware.
@@ -295,8 +267,8 @@ type QueryRequest struct {
 	Seed *int64 `json:"seed,omitempty"`
 	// Samples is the Monte Carlo sample count (mode "sample").
 	Samples int `json:"samples,omitempty"`
-	// Trace asks for the execution trace (span tree with wall time,
-	// allocation deltas and stage counters) in the response.
+	// Trace asks for the execution trace (span tree with wall time and
+	// allocation deltas) and the query's counters in the response.
 	Trace bool `json:"trace,omitempty"`
 }
 
@@ -376,9 +348,13 @@ type QueryResponse struct {
 	// only under EXPLAIN (rows is empty, nothing executed), row bounds
 	// next to per-operator actuals under EXPLAIN ANALYZE.
 	Explain *pvcagg.ExplainNode `json:"explain,omitempty"`
-	// Trace is the execution trace's span tree, present when the
-	// request set "trace": true.
+	// Trace is the execution trace's span tree: each stage's wall time
+	// and allocation delta. Present when the request set "trace": true.
 	Trace []pvcagg.SpanView `json:"trace,omitempty"`
+	// Counters is what the query counted — its rows, its own store I/O,
+	// its d-trees and distributions (pvcagg.Counters). Present when the
+	// request set "trace": true.
+	Counters *pvcagg.Counters `json:"counters,omitempty"`
 }
 
 type errorResponse struct {
@@ -504,9 +480,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// declared (or defaulted) elastic.
 	degraded := wait > s.cfg.DegradeAfter && degradable(req.Mode)
 
-	sess := s.sess.Load()
 	parse0 := time.Now()
-	entry, cachedPlan, err := s.lookupPlan(sess, req.Query)
+	entry, cachedPlan, err := s.lookupPlan(req.Query)
 	parseDur := time.Since(parse0)
 	s.m.parse.Observe(parseDur.Seconds())
 	if err != nil {
@@ -527,7 +502,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		s.answer(w, &QueryResponse{
 			Rows:       []QueryRow{},
 			Strategy:   "explain",
-			Explain:    pvcagg.Explain(sess.db, entry.plan),
+			Explain:    pvcagg.Explain(s.db, entry.plan),
 			CachedPlan: cachedPlan,
 			RequestID:  w.Header().Get("X-Request-ID"),
 			Timings:    Timings{QueueWaitUs: wait.Microseconds(), ParseUs: parseDur.Microseconds()},
@@ -548,7 +523,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 
 	exec0 := time.Now()
-	resp, err := s.runQuery(ctx, sess.db, entry.plan, opts)
+	resp, err := s.runQuery(ctx, entry.plan, opts)
 	execDur := time.Since(exec0)
 	totalDur := time.Since(total0)
 	s.m.exec.Observe(execDur.Seconds())
@@ -613,18 +588,18 @@ func degradable(mode string) bool {
 }
 
 // lookupPlan serves the optimized plan (and the query text's EXPLAIN
-// mode) from the session's prepared-statement cache, compiling and
-// caching on miss.
-func (s *Server) lookupPlan(sess *session, query string) (planEntry, bool, error) {
-	if e, ok := sess.plans.get(query); ok {
+// mode) from the prepared-statement cache, compiling and caching on
+// miss.
+func (s *Server) lookupPlan(query string) (planEntry, bool, error) {
+	if e, ok := s.plans.get(query); ok {
 		return e, true, nil
 	}
-	plan, mode, err := pvcagg.ParseQuery(sess.db, query)
+	plan, mode, err := pvcagg.ParseQuery(s.db, query)
 	if err != nil {
 		return planEntry{}, false, err
 	}
 	e := planEntry{plan: plan, explain: mode}
-	sess.plans.put(query, e)
+	s.plans.put(query, e)
 	return e, false, nil
 }
 
@@ -689,8 +664,8 @@ func (s *Server) execOptions(req *QueryRequest, degraded bool, ctx context.Conte
 }
 
 // runQuery executes the plan and renders the answer tuples.
-func (s *Server) runQuery(ctx context.Context, db *pvcagg.Database, plan pvcagg.Plan, opts []pvcagg.Option) (*QueryResponse, error) {
-	res, err := pvcagg.Exec(ctx, db, plan, opts...)
+func (s *Server) runQuery(ctx context.Context, plan pvcagg.Plan, opts []pvcagg.Option) (*QueryResponse, error) {
+	res, err := pvcagg.Exec(ctx, s.db, plan, opts...)
 	if err != nil {
 		return nil, err
 	}
@@ -710,6 +685,9 @@ func (s *Server) runQuery(ctx context.Context, db *pvcagg.Database, plan pvcagg.
 		// zero-annotated rows — but the client should know the answer
 		// omits confidence-0 tuples it might otherwise have listed.
 		Degraded: res.Report.Store.BoundedBlocks > 0,
+	}
+	if res.Report.Trace != nil {
+		resp.Counters = &res.Report.Counters
 	}
 	for i, o := range outs {
 		row := QueryRow{

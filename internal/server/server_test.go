@@ -493,39 +493,6 @@ func TestAnytimeAnswerRepeats(t *testing.T) {
 	}
 }
 
-// TestSwapInvalidation: Swap installs the new database and a cold plan
-// cache; answers immediately reflect the new data.
-func TestSwapInvalidation(t *testing.T) {
-	s := New(gen.Figure1(0.5), Config{})
-	srv := httptest.NewServer(s.Handler())
-	defer srv.Close()
-
-	_, before, _ := post(t, srv.Client(), srv.URL, QueryRequest{Query: qCount, Mode: "exact"})
-
-	// New database with different marginals: same rows, different
-	// confidences — a stale cache would be visibly wrong.
-	s.Swap(gen.Figure1(0.9))
-	_, after, _ := post(t, srv.Client(), srv.URL, QueryRequest{Query: qCount, Mode: "exact"})
-	if after.CachedPlan {
-		t.Error("plan cache survived Swap")
-	}
-	changed := false
-	for i := range after.Rows {
-		if after.Rows[i].Lo != before.Rows[i].Lo {
-			changed = true
-		}
-	}
-	if !changed {
-		t.Error("confidences unchanged after swapping to p=0.9 database (stale session?)")
-	}
-	ref := exactReference(t, gen.Figure1(0.9), qCount)
-	for _, row := range after.Rows {
-		if want := ref[rowKey(row)]; row.Lo != want {
-			t.Errorf("post-swap row %v: %v, want %v", row.Cells, row.Lo, want)
-		}
-	}
-}
-
 // TestServerConcurrency is the mixed-mode sweep of the acceptance
 // criteria: 8 parallel clients × {exact, anytime, sample} × randomized
 // deadlines against a deliberately small worker budget, so admission

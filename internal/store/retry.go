@@ -143,9 +143,6 @@ func (s *RetryState) Snapshot() RetryStats {
 	return s.stats
 }
 
-// Policy returns the state's (defaulted) policy.
-func (s *RetryState) Policy() RetryPolicy { return s.policy }
-
 // nextJitter is splitmix64 — the repo has no ambient randomness, so
 // backoff jitter comes from a deterministic stream too.
 func (s *RetryState) nextJitter() uint64 {

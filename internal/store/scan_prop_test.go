@@ -9,7 +9,6 @@ import (
 	"pvcagg/internal/algebra"
 	"pvcagg/internal/expr"
 	"pvcagg/internal/faultfs"
-	"pvcagg/internal/obs"
 	"pvcagg/internal/pvc"
 	"pvcagg/internal/value"
 	"pvcagg/internal/vars"
@@ -259,9 +258,9 @@ func TestInScanFilterSoundness(t *testing.T) {
 			t.Fatal(err)
 		}
 		sameTuples(t, label+": σ(full scan)", refSigma(collect(t, full), outHints), want)
-		st.ResetMetrics()
-		span := obs.NewTrace().StartSpan("scan")
-		it, err := tab.NewScan(obs.ContextWithSpan(context.Background(), span), opts)
+		before := st.Metrics()
+		var own Metrics
+		it, err := tab.NewScan(ContextWithMetrics(context.Background(), &own), opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -297,12 +296,12 @@ func TestInScanFilterSoundness(t *testing.T) {
 				wantRows += int64(len(block))
 			}
 		}
-		m := st.Metrics()
+		m := since(st.Metrics(), before)
 		if m.RowsRead != wantRows || m.BlocksRead != wantRead || m.BlocksSkipped != wantSkipped {
 			t.Errorf("%s: metrics %+v, want rows %d, blocks read %d, skipped %d", label, m, wantRows, wantRead, wantSkipped)
 		}
-		if n := span.Attr("store.rows_read"); n != wantRows {
-			t.Errorf("%s: span store.rows_read = %d, want %d", label, n, wantRows)
+		if got := own.Snapshot(); got != m {
+			t.Errorf("%s: the scan's own account %+v, want the totals' delta %+v", label, got, m)
 		}
 		if int64(len(got)) > wantRows {
 			t.Errorf("%s: scan returned %d rows of %d read", label, len(got), wantRows)
@@ -332,13 +331,19 @@ func TestInScanFilterSoundness(t *testing.T) {
 		// Degraded: without DropZero an all-zero block is read — unless its
 		// read fails for good, when a bounded skip drops it. σ cannot tell.
 		opts.DropZero = false
+		hintSkipped := make([]bool, len(tab.meta.Blocks))
+		hintSkips := int64(0)
+		for bi := range hintSkipped {
+			for _, h := range hints {
+				hintSkipped[bi] = hintSkipped[bi] || !blockMayMatch(h, tab.mins[bi], tab.maxs[bi])
+			}
+			if hintSkipped[bi] {
+				hintSkips++
+			}
+		}
 		reads := int64(0)
 		for bi, bm := range tab.meta.Blocks {
-			skipped := false
-			for _, h := range hints {
-				skipped = skipped || !blockMayMatch(h, tab.mins[bi], tab.maxs[bi])
-			}
-			if skipped {
+			if hintSkipped[bi] {
 				continue
 			}
 			reads++
@@ -351,13 +356,20 @@ func TestInScanFilterSoundness(t *testing.T) {
 			dst := openFaulty(t, pt.dir, lost)
 			dtab, _ := dst.Table("p")
 			retry := NewRetryState(RetryPolicy{MaxAttempts: 1, AllowBoundedSkip: true})
-			it, err := dtab.NewScan(ContextWithRetry(context.Background(), retry), opts)
+			var own Metrics
+			ctx := ContextWithMetrics(ContextWithRetry(context.Background(), retry), &own)
+			it, err := dtab.NewScan(ctx, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
 			sameTuples(t, label+": σ(degraded scan)", refSigma(collect(t, it), outHints), want)
 			if n := retry.Snapshot().BoundedBlocks; n != 1 {
 				t.Errorf("%s: %d bounded blocks, want 1 (block %d)", label, n, bi)
+			}
+			// The bounded skip counts as a skipped block, bytes included,
+			// in the query's account as in the store's totals.
+			if got, m := own.Snapshot(), dst.Metrics(); got != m || m.BlocksSkipped != hintSkips+1 {
+				t.Errorf("%s: degraded scan's own account %+v, totals %+v, want equal with %d blocks skipped", label, got, m, hintSkips+1)
 			}
 			degraded++
 			break
@@ -367,6 +379,17 @@ func TestInScanFilterSoundness(t *testing.T) {
 		t.Errorf("vacuous run: %d rows filtered in scans, %d reads retried, %d degraded scans", filtered, retried, degraded)
 	}
 	t.Logf("%d rows filtered in scans, %d reads retried, %d degraded scans", filtered, retried, degraded)
+}
+
+// since is the I/O counted between two snapshots of one store.
+func since(now, then MetricsSnapshot) MetricsSnapshot {
+	return MetricsSnapshot{
+		BlocksRead:    now.BlocksRead - then.BlocksRead,
+		BlocksSkipped: now.BlocksSkipped - then.BlocksSkipped,
+		BytesRead:     now.BytesRead - then.BytesRead,
+		BytesSkipped:  now.BytesSkipped - then.BytesSkipped,
+		RowsRead:      now.RowsRead - then.RowsRead,
+	}
 }
 
 // TestScanHintOnUnprojectedColumn: a hint may name a column the scan

@@ -18,7 +18,6 @@ import (
 	"pvcagg/internal/algebra"
 	"pvcagg/internal/expr"
 	"pvcagg/internal/faultfs"
-	"pvcagg/internal/obs"
 	"pvcagg/internal/prob"
 	"pvcagg/internal/pvc"
 	"pvcagg/internal/vars"
@@ -55,9 +54,10 @@ func (e *CorruptError) Error() string {
 
 func (e *CorruptError) Unwrap() error { return ErrCorrupt }
 
-// Metrics counts scan-level I/O. Bytes skipped are the encoded lengths
-// of blocks the zone maps or annotation summaries proved irrelevant —
-// the direct measure of how much the index saved.
+// Metrics counts scan-level I/O: a store's totals, or one query's own
+// account (ContextWithMetrics). Bytes skipped are the encoded lengths of
+// blocks the zone maps or annotation summaries proved irrelevant — the
+// direct measure of how much the index saved.
 type Metrics struct {
 	BlocksRead    atomic.Int64
 	BlocksSkipped atomic.Int64
@@ -73,6 +73,27 @@ type MetricsSnapshot struct {
 	BytesRead     int64
 	BytesSkipped  int64
 	RowsRead      int64
+}
+
+// Snapshot copies the counters.
+func (m *Metrics) Snapshot() MetricsSnapshot {
+	return MetricsSnapshot{
+		BlocksRead:    m.BlocksRead.Load(),
+		BlocksSkipped: m.BlocksSkipped.Load(),
+		BytesRead:     m.BytesRead.Load(),
+		BytesSkipped:  m.BytesSkipped.Load(),
+		RowsRead:      m.RowsRead.Load(),
+	}
+}
+
+// metricsKey keys a query's own Metrics in a context.
+type metricsKey struct{}
+
+// ContextWithMetrics attaches a query's own I/O account: every scan
+// opened under the returned context counts into m as well as into its
+// store's totals.
+func ContextWithMetrics(ctx context.Context, m *Metrics) context.Context {
+	return context.WithValue(ctx, metricsKey{}, m)
 }
 
 // Store is a read-only snapshot of an on-disk store directory: the
@@ -258,25 +279,8 @@ func (st *Store) Database() *pvc.Database {
 	return db
 }
 
-// Metrics returns a snapshot of the scan counters.
-func (st *Store) Metrics() MetricsSnapshot {
-	return MetricsSnapshot{
-		BlocksRead:    st.metrics.BlocksRead.Load(),
-		BlocksSkipped: st.metrics.BlocksSkipped.Load(),
-		BytesRead:     st.metrics.BytesRead.Load(),
-		BytesSkipped:  st.metrics.BytesSkipped.Load(),
-		RowsRead:      st.metrics.RowsRead.Load(),
-	}
-}
-
-// ResetMetrics zeroes the scan counters.
-func (st *Store) ResetMetrics() {
-	st.metrics.BlocksRead.Store(0)
-	st.metrics.BlocksSkipped.Store(0)
-	st.metrics.BytesRead.Store(0)
-	st.metrics.BytesSkipped.Store(0)
-	st.metrics.RowsRead.Store(0)
-}
+// Metrics returns a snapshot of the store's scan totals since Open.
+func (st *Store) Metrics() MetricsSnapshot { return st.metrics.Snapshot() }
 
 // storeHealth tracks consecutive terminal block-read failures, the
 // sticky signal a server's readiness probe watches.
@@ -389,9 +393,11 @@ func (t *Table) NewScan(ctx context.Context, opts pvc.ScanOptions) (pvc.TupleIte
 		f.Close()
 		return nil, &CorruptError{File: t.meta.File, Block: -1, Reason: fmt.Sprintf("table %s: data file is not a regular file", t.meta.Name)}
 	}
+	query, _ := ctx.Value(metricsKey{}).(*Metrics)
 	return &scanIter{
-		ctx: ctx, t: t, f: f, size: fi.Size(), retry: retry, span: obs.SpanFrom(ctx),
-		cols: cols, hints: opts.Hints, dropZero: opts.DropZero,
+		ctx: ctx, t: t, f: f, size: fi.Size(), retry: retry,
+		accounts: [2]*Metrics{&t.st.metrics, query},
+		cols:     cols, hints: opts.Hints, dropZero: opts.DropZero,
 		blk: t.borrow(cols, opts.Hints),
 		row: make([]pvc.Cell, len(cols)),
 	}, nil
@@ -446,7 +452,7 @@ type scanIter struct {
 	f        faultfs.File
 	size     int64 // of the data file when the scan opened it
 	retry    *RetryState
-	span     *obs.Span // per-query trace counters; nil (no-op) untraced
+	accounts [2]*Metrics // the store's totals and the query's own, if any
 	cols     []int
 	hints    []pvc.ScanHint
 	dropZero bool
@@ -577,13 +583,7 @@ func (it *scanIter) fill() (bool, error) {
 			b.Dicts, b.Codes = append(b.Dicts, it.blk.Dicts[ci]), append(b.Codes, it.blk.Codes[ci])
 		}
 		it.t.st.health.ok()
-		m := &it.t.st.metrics
-		m.BlocksRead.Add(1)
-		m.BytesRead.Add(int64(it.t.meta.Blocks[it.bi].Len))
-		m.RowsRead.Add(it.nrows)
-		it.span.Add("store.blocks_read", 1)
-		it.span.Add("store.bytes_read", int64(it.t.meta.Blocks[it.bi].Len))
-		it.span.Add("store.rows_read", it.nrows)
+		it.count(true)
 		it.bi++
 		if it.next == nil && runtime.GOMAXPROCS(0) > 1 && it.more() {
 			it.next = it.t.borrow(it.cols, it.hints)
@@ -613,13 +613,9 @@ func (it *scanIter) more() bool {
 // nerr; an unreadable AllZero block it may skip soundly, it skips. A
 // block read without error goes to the helper when the scan reads ahead.
 func (it *scanIter) stage() {
-	m := &it.t.st.metrics
 	for ; ; it.bi++ {
 		for it.bi < len(it.t.meta.Blocks) && it.skip(it.bi) {
-			m.BlocksSkipped.Add(1)
-			m.BytesSkipped.Add(int64(it.t.meta.Blocks[it.bi].Len))
-			it.span.Add("store.blocks_skipped", 1)
-			it.span.Add("store.bytes_skipped", int64(it.t.meta.Blocks[it.bi].Len))
+			it.count(false)
 			it.bi++
 		}
 		if it.bi >= len(it.t.meta.Blocks) {
@@ -632,10 +628,7 @@ func (it *scanIter) stage() {
 			// only omit result tuples whose confidence is exactly
 			// zero. Anything else unreadable is a partial failure.
 			it.retry.noteBounded()
-			m.BlocksSkipped.Add(1)
-			m.BytesSkipped.Add(int64(it.t.meta.Blocks[it.bi].Len))
-			it.span.Add("store.blocks_skipped", 1)
-			it.span.Add("store.bounded_blocks", 1)
+			it.count(false)
 			continue
 		}
 		break
@@ -645,6 +638,25 @@ func (it *scanIter) stage() {
 		select {
 		case it.wake <- struct{}{}:
 		default: // a signal is already waiting
+		}
+	}
+}
+
+// count adds block bi to every account of the scan: read, as nrows
+// rows, or skipped. Each count goes to the store's totals and to the
+// query's account alike, so the two cannot drift.
+func (it *scanIter) count(read bool) {
+	n := int64(it.t.meta.Blocks[it.bi].Len)
+	for _, m := range it.accounts {
+		switch {
+		case m == nil:
+		case read:
+			m.BlocksRead.Add(1)
+			m.BytesRead.Add(n)
+			m.RowsRead.Add(it.nrows)
+		default:
+			m.BlocksSkipped.Add(1)
+			m.BytesSkipped.Add(n)
 		}
 	}
 }

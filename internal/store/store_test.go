@@ -176,7 +176,8 @@ func TestProjectionAndSkipping(t *testing.T) {
 	tab, _ := st.Table("items")
 	// ids ascend, 16 per block: id >= 80 touches blocks 5 and 6 only.
 	hint := pvc.ScanHint{Col: 0, Th: value.GE, RightCol: -1, Cell: cellPtr(pvc.IntCell(80))}
-	it, err := tab.NewScan(context.Background(), pvc.ScanOptions{
+	var own Metrics
+	it, err := tab.NewScan(ContextWithMetrics(context.Background(), &own), pvc.ScanOptions{
 		Cols:  []int{1},
 		Hints: []pvc.ScanHint{hint},
 	})
@@ -201,9 +202,8 @@ func TestProjectionAndSkipping(t *testing.T) {
 	if m.BytesSkipped == 0 || m.BytesRead == 0 {
 		t.Errorf("byte counters empty: %+v", m)
 	}
-	st.ResetMetrics()
-	if m := st.Metrics(); m.BlocksRead != 0 {
-		t.Errorf("reset failed: %+v", m)
+	if got := own.Snapshot(); got != m {
+		t.Errorf("the scan's own account %+v, want the store's %+v", got, m)
 	}
 }
 

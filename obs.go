@@ -11,13 +11,14 @@ import (
 // consume both without importing internal packages. See the README's
 // "Observability" section for the trace anatomy and a walkthrough.
 
-// Trace records the nested spans of an execution: parse → bind →
-// optimize → eval (step I, with store read counters) → probability
-// (step II, with memo/shared-cache/frontier counters). Create one with
-// NewTrace, pass it via WithTrace, read it back from ExecReport.Trace
-// (the same pointer), render it with Render or marshal it to JSON. A
-// Trace may be reused across executions; each Exec appends its own
-// top-level spans. All methods are concurrency-safe and nil-safe.
+// Trace records the nested spans of an execution, each with its wall
+// time and allocation delta: parse → bind → optimize → exec{eval (step
+// I), probability (step II)}. What the execution counted is in
+// ExecReport.Counters, traced or not. Create one with NewTrace, pass it
+// via WithTrace, read it back from ExecReport.Trace (the same pointer),
+// render it with Render or marshal it to JSON. A Trace may be reused
+// across executions; each Exec appends its own top-level spans. All
+// methods are concurrency-safe and nil-safe.
 type Trace = obs.Trace
 
 // SpanView is the immutable snapshot of one trace span, as returned by
@@ -27,10 +28,10 @@ type SpanView = obs.SpanView
 // NewTrace returns an empty execution trace for WithTrace.
 func NewTrace() *Trace { return obs.NewTrace() }
 
-// WithTrace records the execution's stages into tr: wall time,
-// allocation deltas and stage counters per span. Tracing off (no
-// WithTrace) costs nothing on the hot path; tracing on costs a few
-// clock reads per stage, not per tuple.
+// WithTrace records the execution's stages into tr: wall time and
+// allocation delta per span. Tracing off (no WithTrace) costs nothing on
+// the hot path; tracing on costs a few clock reads per stage, not per
+// tuple.
 func WithTrace(tr *Trace) Option {
 	return func(c *execConfig) { c.trace = tr }
 }

@@ -3,7 +3,6 @@ package pvcagg_test
 import (
 	"context"
 	"fmt"
-	"sort"
 	"strings"
 	"testing"
 
@@ -16,25 +15,13 @@ import (
 // the EXPLAIN ANALYZE golden over TPC-H Q1.
 
 // normalizeSpans renders a span tree down to what must be
-// deterministic: names, structure, and counter attributes. Durations
-// and allocation deltas vary run to run; the parallelism attribute is
-// the independent variable of the determinism test.
+// deterministic: names and structure. Durations and allocation deltas
+// vary run to run.
 func normalizeSpans(spans []pvcagg.SpanView) string {
 	var b strings.Builder
 	var walk func(s pvcagg.SpanView, depth int)
 	walk = func(s pvcagg.SpanView, depth int) {
-		fmt.Fprintf(&b, "%*s%s", 2*depth, "", s.Name)
-		keys := make([]string, 0, len(s.Attrs))
-		for k := range s.Attrs {
-			if k != "parallelism" {
-				keys = append(keys, k)
-			}
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			fmt.Fprintf(&b, " %s=%d", k, s.Attrs[k])
-		}
-		b.WriteByte('\n')
+		fmt.Fprintf(&b, "%*s%s\n", 2*depth, "", s.Name)
 		for _, c := range s.Children {
 			walk(c, depth+1)
 		}
@@ -45,15 +32,15 @@ func normalizeSpans(spans []pvcagg.SpanView) string {
 	return b.String()
 }
 
-// TestTraceDeterminism: the span tree — names, nesting, and every
-// counter attribute (memo hits, d-tree nodes, rows, tuples) — is
-// identical at Parallelism 1 and 4, because all trace counters are
-// order-independent sums. Only wall time and allocation may differ.
+// TestTraceDeterminism: the span tree — names and nesting — and the
+// query's counters are identical at Parallelism 1 and 4, because the
+// counters are order-independent sums. Only wall time and allocation
+// may differ.
 func TestTraceDeterminism(t *testing.T) {
-	db, plan := execTestDB(t)
+	db, _ := execTestDB(t)
 	const q = "SELECT k, COUNT(*) AS n FROM R GROUP BY k"
-	_ = plan
 	var got [2]string
+	var counters [2]pvcagg.Counters
 	for i, par := range []int{1, 4} {
 		tr := pvcagg.NewTrace()
 		res, err := pvcagg.ExecQuery(context.Background(), db, q,
@@ -68,15 +55,20 @@ func TestTraceDeterminism(t *testing.T) {
 			t.Fatal("ExecReport.Trace is not the WithTrace pointer")
 		}
 		got[i] = normalizeSpans(tr.Spans())
+		counters[i] = res.Report.Counters
 	}
 	if got[0] != got[1] {
 		t.Errorf("trace differs between Parallelism 1 and 4:\n--- p=1\n%s--- p=4\n%s", got[0], got[1])
 	}
-	// And it contains the stage spans with live counters.
-	for _, want := range []string{"parse\n", "bind\n", "optimize\n", "exec", "eval rows=", "probability", "tuples="} {
-		if !strings.Contains(got[0], want) {
-			t.Errorf("normalized trace lacks %q:\n%s", want, got[0])
-		}
+	if counters[0] != counters[1] {
+		t.Errorf("counters differ between Parallelism 1 and 4: %+v and %+v", counters[0], counters[1])
+	}
+	// And it contains the stage spans, nested.
+	if want := "parse\nbind\noptimize\nexec\n  eval\n  probability\n"; got[0] != want {
+		t.Errorf("normalized trace\n%swant\n%s", got[0], want)
+	}
+	if c := counters[0]; c.Rows != 3 || c.Tuples != 3 || c.Exact.Compile.Nodes == 0 {
+		t.Errorf("counters %+v, want 3 rows and tuples and some d-tree nodes", c)
 	}
 }
 
@@ -99,7 +91,7 @@ func TestTraceOffIsAbsent(t *testing.T) {
 }
 
 // TestTupleReportFoldsColumns: a tuple's exact report, and with it the
-// probability span, counts every compile counter of its aggregation
+// query's counters, counts every compile counter of its aggregation
 // columns, not only their d-tree nodes.
 func TestTupleReportFoldsColumns(t *testing.T) {
 	inst, err := pvcagg.Generate(pvcagg.GenParams{L: 12, NumVars: 8, NumClauses: 2, NumLiterals: 2,
@@ -120,8 +112,7 @@ func TestTupleReportFoldsColumns(t *testing.T) {
 	rel := pvcagg.NewRelation("R", pvcagg.Schema{{Name: "s", Type: pvcagg.TModule}})
 	rel.MustInsert(pvcagg.MustParseExpr("1"), pvcagg.ExprCell(col))
 	db.Add(rel)
-	tr := pvcagg.NewTrace()
-	res, err := pvcagg.Exec(context.Background(), db, &pvcagg.Scan{Table: "R"}, pvcagg.WithMode(pvcagg.Exact), pvcagg.WithTrace(tr))
+	res, err := pvcagg.Exec(context.Background(), db, &pvcagg.Scan{Table: "R"}, pvcagg.WithMode(pvcagg.Exact))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,8 +125,8 @@ func TestTupleReportFoldsColumns(t *testing.T) {
 	if got != want {
 		t.Errorf("tuple report %+v, want the column's %+v plus one node", got, want)
 	}
-	if trace := normalizeSpans(tr.Spans()); !strings.Contains(trace, fmt.Sprintf("memo_hits=%d ", want.CacheHits)) {
-		t.Errorf("probability span lacks memo_hits=%d:\n%s", want.CacheHits, trace)
+	if c := res.Report.Counters.Exact.Compile; c != want {
+		t.Errorf("query counters %+v, want the tuple's %+v", c, want)
 	}
 }
 

@@ -133,10 +133,10 @@
 //
 // # Observability
 //
-// Every stage is instrumented, at zero cost when unused: WithTrace
-// records a span tree (parse → bind → optimize → exec{eval,
-// probability}) with wall time, allocation deltas and stage counters;
-// WithExplainAnalyze — or a PVQL `EXPLAIN [ANALYZE]` prefix — returns
+// Every run fills ExecReport.Counters (rows, its own store I/O, d-tree
+// and distribution sizes); WithTrace records a span tree (parse → bind →
+// optimize → exec{eval, probability}) with wall time and allocation
+// deltas, at zero cost when unused; WithExplainAnalyze — or a PVQL `EXPLAIN [ANALYZE]` prefix — returns
 // the plan tree with per-operator row bounds and actual row counts in
 // ExecReport.Explain; and the internal/server service exports
 // Prometheus metrics on /metrics with opt-in pprof. The README's

@@ -145,12 +145,7 @@ func TestStoreExplainAnalyzeReadsSameBlocks(t *testing.T) {
 				t.Fatalf("%s: %v", q, err)
 			}
 			keys := collectKeys(t, res)
-			after := st.Metrics()
-			return pvcagg.StoreMetrics{
-				BlocksRead: after.BlocksRead - before.BlocksRead, BlocksSkipped: after.BlocksSkipped - before.BlocksSkipped,
-				BytesRead: after.BytesRead - before.BytesRead, BytesSkipped: after.BytesSkipped - before.BytesSkipped,
-				RowsRead: after.RowsRead - before.RowsRead,
-			}, keys
+			return since(st.Metrics(), before), keys
 		}
 		plain, want := run()
 		analyzed, got := run(pvcagg.WithExplainAnalyze())
