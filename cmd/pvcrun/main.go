@@ -161,7 +161,8 @@ func execOptions(mode string, eps float64, parallel int, timeout time.Duration, 
 // without executing; EXPLAIN ANALYZE executes and prints the bounds next
 // to per-operator actuals.
 // Over a store, the query's I/O and retry counters are printed after the
-// summary; with trace, the execution trace and the query's counters.
+// summary; with trace, the execution trace — parse, bind and optimize
+// included, as ExecQuery runs them — and the query's counters.
 func runQuery(ctx context.Context, db *pvcagg.Database, src string, opts []pvcagg.Option, verbose, trace, onStore bool) error {
 	plan, explain, err := pvcagg.ParseQuery(db, src)
 	if err != nil {
@@ -177,18 +178,14 @@ func runQuery(ctx context.Context, db *pvcagg.Database, src string, opts []pvcag
 		return nil
 	}
 	fmt.Printf("   class: %v\n", pvcagg.Classify(plan, db))
-	// The three-index append keeps per-query options (a fresh trace, the
-	// analyze decorators) out of the caller's shared slice.
-	opts = opts[:len(opts):len(opts)]
-	if explain == pvcagg.ExplainAnalyze {
-		opts = append(opts, pvcagg.WithExplainAnalyze())
-	}
 	var tr *pvcagg.Trace
 	if trace {
+		// The three-index append keeps the fresh trace out of the
+		// caller's shared slice.
 		tr = pvcagg.NewTrace()
-		opts = append(opts, pvcagg.WithTrace(tr))
+		opts = append(opts[:len(opts):len(opts)], pvcagg.WithTrace(tr))
 	}
-	res, err := pvcagg.Exec(ctx, db, plan, opts...)
+	res, err := pvcagg.ExecQuery(ctx, db, src, opts...)
 	if err != nil {
 		return err
 	}

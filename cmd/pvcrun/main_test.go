@@ -3,6 +3,8 @@ package main
 import (
 	"context"
 	"errors"
+	"io"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -86,5 +88,50 @@ func TestExecOptions(t *testing.T) {
 				t.Errorf("%d outcomes, err %v; want the two shops", len(outs), err)
 			}
 		})
+	}
+}
+
+// stdout runs f and returns what it printed to standard output.
+func stdout(t *testing.T, f func()) string {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	saved := os.Stdout
+	os.Stdout = w
+	out := make(chan string)
+	go func() {
+		b, _ := io.ReadAll(r)
+		out <- string(b)
+	}()
+	f()
+	os.Stdout = saved
+	w.Close()
+	return <-out
+}
+
+// TestRunQueryTracesFrontEnd: a traced query prints the front end's
+// parse, bind and optimize spans before exec and its eval and
+// probability spans, each once.
+func TestRunQueryTracesFrontEnd(t *testing.T) {
+	db := gen.Figure1(0.5)
+	var err error
+	out := stdout(t, func() {
+		err = runQuery(context.Background(), db, "SELECT shop, COUNT(*) AS n FROM S GROUP BY shop", nil, false, true, false)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var spans []string
+	for _, line := range strings.Split(out, "\n") {
+		for _, name := range []string{"parse", "bind", "optimize", "exec", "eval", "probability"} {
+			if strings.HasPrefix(strings.TrimSpace(line), name+" ") {
+				spans = append(spans, name)
+			}
+		}
+	}
+	if got, want := strings.Join(spans, " "), "parse bind optimize exec eval probability"; got != want {
+		t.Errorf("spans printed: %q, want %q; output:\n%s", got, want, out)
 	}
 }

@@ -62,6 +62,21 @@ func TestTraceSpanTree(t *testing.T) {
 	if !strings.Contains(text, "exec ") || !strings.Contains(text, "\n  eval ") {
 		t.Fatalf("Render missing a span or its nesting:\n%s", text)
 	}
+	// A span carries its name and wall time, nothing else.
+	for _, line := range strings.Split(strings.TrimSpace(text), "\n") {
+		if f := strings.Fields(line); len(f) != 2 {
+			t.Errorf("Render line %q, want a name and a duration", line)
+		}
+	}
+	var spans struct{ Spans []map[string]any }
+	if err := json.Unmarshal(raw, &spans); err != nil {
+		t.Fatal(err)
+	}
+	for key := range spans.Spans[0] {
+		if key != "name" && key != "duration_us" && key != "children" {
+			t.Errorf("span JSON has field %q", key)
+		}
+	}
 }
 
 // TestTraceConcurrent exercises sibling spans opened and ended from

@@ -1,5 +1,5 @@
 // Package obs is the dependency-free observability layer: execution
-// traces (nested spans with wall time and allocation deltas) and a
+// traces (nested spans with wall time) and a
 // process-wide metrics registry with Prometheus text exposition. What a
 // query counted lives in its report, not in its spans.
 //
@@ -11,8 +11,6 @@ package obs
 
 import (
 	"encoding/json"
-	"runtime/metrics"
-	"strconv"
 	"sync"
 	"time"
 )
@@ -29,29 +27,15 @@ type Trace struct {
 // NewTrace returns an empty trace ready to be passed to an execution.
 func NewTrace() *Trace { return &Trace{} }
 
-// Span is one timed stage of an execution: a name, wall-clock
-// duration, heap-allocation delta and child spans. Durations and
-// allocation deltas are captured at End.
+// Span is one timed stage of an execution: a name, wall-clock duration
+// and child spans. The duration is captured at End.
 type Span struct {
 	tr       *Trace
 	name     string
 	start    time.Time
-	allocAt  uint64
 	dur      time.Duration
-	alloc    uint64
 	done     bool
 	children []*Span
-}
-
-// allocSample reads cumulative heap-allocated bytes via the cheap
-// runtime/metrics path (no stop-the-world, unlike ReadMemStats).
-func allocSample() uint64 {
-	s := []metrics.Sample{{Name: "/gc/heap/allocs:bytes"}}
-	metrics.Read(s)
-	if s[0].Value.Kind() == metrics.KindUint64 {
-		return s[0].Value.Uint64()
-	}
-	return 0
 }
 
 // StartSpan opens a new top-level span on the trace. Returns nil (a
@@ -60,7 +44,7 @@ func (t *Trace) StartSpan(name string) *Span {
 	if t == nil {
 		return nil
 	}
-	s := &Span{tr: t, name: name, start: time.Now(), allocAt: allocSample()}
+	s := &Span{tr: t, name: name, start: time.Now()}
 	t.mu.Lock()
 	t.spans = append(t.spans, s)
 	t.mu.Unlock()
@@ -72,15 +56,14 @@ func (s *Span) StartSpan(name string) *Span {
 	if s == nil {
 		return nil
 	}
-	c := &Span{tr: s.tr, name: name, start: time.Now(), allocAt: allocSample()}
+	c := &Span{tr: s.tr, name: name, start: time.Now()}
 	s.tr.mu.Lock()
 	s.children = append(s.children, c)
 	s.tr.mu.Unlock()
 	return c
 }
 
-// End stamps the span's wall time and allocation delta. Idempotent;
-// no-op on nil.
+// End stamps the span's wall time. Idempotent; no-op on nil.
 func (s *Span) End() {
 	if s == nil {
 		return
@@ -89,9 +72,6 @@ func (s *Span) End() {
 	if !s.done {
 		s.done = true
 		s.dur = time.Since(s.start)
-		if a := allocSample(); a >= s.allocAt {
-			s.alloc = a - s.allocAt
-		}
 	}
 	s.tr.mu.Unlock()
 }
@@ -119,12 +99,11 @@ func (s *Span) Duration() time.Duration {
 type SpanView struct {
 	Name       string     `json:"name"`
 	DurationUS int64      `json:"duration_us"`
-	AllocBytes uint64     `json:"alloc_bytes,omitempty"`
 	Children   []SpanView `json:"children,omitempty"`
 }
 
 func (s *Span) viewLocked() SpanView {
-	v := SpanView{Name: s.name, DurationUS: s.dur.Microseconds(), AllocBytes: s.alloc}
+	v := SpanView{Name: s.name, DurationUS: s.dur.Microseconds()}
 	for _, c := range s.children {
 		v.Children = append(v.Children, c.viewLocked())
 	}
@@ -154,7 +133,7 @@ func (t *Trace) MarshalJSON() ([]byte, error) {
 }
 
 // Render returns an indented text rendering of the span tree for CLI
-// output: one line per span with its duration and allocation delta.
+// output: one line per span with its duration.
 func (t *Trace) Render() string {
 	if t == nil {
 		return ""
@@ -173,11 +152,6 @@ func renderSpan(b []byte, v SpanView, depth int) []byte {
 	b = append(b, v.Name...)
 	b = append(b, ' ')
 	b = append(b, time.Duration(v.DurationUS*int64(time.Microsecond)).String()...)
-	if v.AllocBytes > 0 {
-		b = append(b, " alloc="...)
-		b = strconv.AppendUint(b, v.AllocBytes, 10)
-		b = append(b, 'B')
-	}
 	b = append(b, '\n')
 	for _, c := range v.Children {
 		b = renderSpan(b, c, depth+1)

@@ -267,8 +267,8 @@ type QueryRequest struct {
 	Seed *int64 `json:"seed,omitempty"`
 	// Samples is the Monte Carlo sample count (mode "sample").
 	Samples int `json:"samples,omitempty"`
-	// Trace asks for the execution trace (span tree with wall time and
-	// allocation deltas) and the query's counters in the response.
+	// Trace asks for the execution trace (span tree with wall times) and
+	// the query's counters in the response.
 	Trace bool `json:"trace,omitempty"`
 }
 
@@ -348,8 +348,8 @@ type QueryResponse struct {
 	// only under EXPLAIN (rows is empty, nothing executed), row bounds
 	// next to per-operator actuals under EXPLAIN ANALYZE.
 	Explain *pvcagg.ExplainNode `json:"explain,omitempty"`
-	// Trace is the execution trace's span tree: each stage's wall time
-	// and allocation delta. Present when the request set "trace": true.
+	// Trace is the execution trace's span tree: each stage's wall time.
+	// Present when the request set "trace": true.
 	Trace []pvcagg.SpanView `json:"trace,omitempty"`
 	// Counters is what the query counted — its rows, its own store I/O,
 	// its d-trees and distributions (pvcagg.Counters). Present when the

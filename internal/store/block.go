@@ -97,9 +97,9 @@ func filterable(schema pvc.Schema, h pvc.ScanHint) bool {
 // the vectors, leaving in Sel every row — or, under dropZero, every row
 // whose annotation is not the constant 0S. wantRows is the row count the
 // block index recorded; vectors are sized by it only after the block's
-// own header agrees and the block is long enough to hold that many
-// annotation records. On error Sel is empty: no row of this block or of
-// the block decoded before it is visible.
+// own header agrees and the block holds at least one byte per row. On
+// error Sel is empty: no row of this block or of the block decoded
+// before it is visible.
 func (b *blockVecs) decode(buf []byte, wantRows int, vars []expr.Expr, dropZero bool) error {
 	b.Sel = b.Sel[:0]
 	if len(buf) < minBlockLen || string(buf[:len(blockMagic)]) != blockMagic {
@@ -138,14 +138,11 @@ func (b *blockVecs) decode(buf []byte, wantRows int, vars []expr.Expr, dropZero 
 		}
 		sr := &reader{buf: seg}
 		if col.Type == pvc.TValue {
-			vals := grow(b.Vals[ci], n)
-			b.Vals[ci] = vals
-			for i := range vals {
-				if vals[i], err = sr.value(); err != nil {
-					return fmt.Errorf("column %s: %v", col.Name, err)
-				}
-			}
-		} else if err := b.decodeStrings(ci, sr, n); err != nil {
+			err = b.decodeValues(ci, sr, n)
+		} else {
+			err = b.decodeStrings(ci, sr, n)
+		}
+		if err != nil {
 			return fmt.Errorf("column %s: %v", col.Name, err)
 		}
 	}
@@ -153,14 +150,84 @@ func (b *blockVecs) decode(buf []byte, wantRows int, vars []expr.Expr, dropZero 
 	if err != nil {
 		return err
 	}
-	sr := &reader{buf: seg}
+	if err := b.decodeAnns(&reader{buf: seg}, n, vars, dropZero); err != nil {
+		b.Sel = b.Sel[:0]
+		return fmt.Errorf("annotation: %v", err)
+	}
+	return nil
+}
+
+// decodeValues decodes value column ci of an n-row block from its
+// segment, plain or packed.
+func (b *blockVecs) decodeValues(ci int, sr *reader, n int) error {
+	vals := grow(b.Vals[ci], n)
+	b.Vals[ci] = vals
+	enc, err := sr.byte()
+	if err != nil {
+		return err
+	}
+	switch enc {
+	case valPlain:
+		for i := range vals {
+			if vals[i], err = sr.value(); err != nil {
+				return err
+			}
+		}
+		return nil
+	case valPacked:
+		p, err := sr.run(n)
+		if err != nil {
+			return err
+		}
+		p.values(vals)
+		return nil
+	}
+	return fmt.Errorf("bad value encoding %d", enc)
+}
+
+// decodeAnns decodes the annotation segment of an n-row block into Anns
+// and leaves in Sel every row, or under dropZero every row not
+// annotated 0S: all 1S, a packed run of variable ordinals, each checked
+// against vars, or one record per row.
+func (b *blockVecs) decodeAnns(sr *reader, n int, vars []expr.Expr, dropZero bool) error {
 	b.Anns = grow(b.Anns, n)
 	b.Sel = grow(b.Sel, n)[:0]
+	enc, err := sr.byte()
+	if err != nil {
+		return err
+	}
+	switch enc {
+	case annsOne:
+		if len(sr.buf) != 1 {
+			return fmt.Errorf("all-one segment of %d bytes", len(sr.buf))
+		}
+		b.Sel = b.Sel[:n]
+		for i := range b.Sel {
+			b.Anns[i], b.Sel[i] = annOneExpr, int32(i)
+		}
+		return nil
+	case annsVars:
+		p, err := sr.run(n)
+		if err != nil {
+			return err
+		}
+		b.Sel = b.Sel[:n]
+		for i := range b.Sel {
+			o := p.base + int64(p.at(i))
+			if o < 0 || o >= int64(len(vars)) {
+				return fmt.Errorf("variable ordinal %d out of range (%d vars)", o, len(vars))
+			}
+			b.Anns[i], b.Sel[i] = vars[o], int32(i)
+		}
+		return nil
+	case annsRecords:
+	default:
+		return fmt.Errorf("bad annotation encoding %d", enc)
+	}
 	for i := range b.Anns {
 		ann, err := sr.ann(vars)
 		if err != nil {
-			b.Sel = b.Sel[:0]
-			return fmt.Errorf("annotation: %v", err)
+			return err
 		}
 		b.Anns[i] = ann
 		if dropZero {

@@ -97,18 +97,40 @@ func blockBody(rows int, segs ...[]byte) []byte {
 	return body
 }
 
+// valueSeg is the segment of a value column over vals, packed or plain
+// as the writer would write it.
+func valueSeg(vals ...value.V) []byte {
+	lo, hi := vals[0], vals[0]
+	for _, v := range vals {
+		if v.Less(lo) {
+			lo = v
+		}
+		if hi.Less(v) {
+			hi = v
+		}
+	}
+	return appendValues(nil, vals, lo, hi)
+}
+
 // fixtureBody is the body of a block of the fuzz fixture's schema (id,
 // name, w) over names, its string column coded when the writer would
-// code it, every row annotated 1.
+// code it, its value columns packed (w against a negative base), every
+// row annotated 1 in a one-byte segment.
 func fixtureBody(names ...string) []byte {
-	var ids, ws, anns []byte
+	var ids, ws []value.V
 	for i := range names {
-		ids = appendValue(ids, value.Int(int64(i)))
-		ws = appendValue(ws, value.Int(int64(-i)))
-		anns = append(anns, annOne)
+		ids = append(ids, value.Int(int64(i)))
+		ws = append(ws, value.Int(int64(-i)))
 	}
 	var d dictCoder
-	return blockBody(len(names), ids, d.appendColumn(nil, names), ws, anns)
+	return blockBody(len(names), valueSeg(ids...), d.appendColumn(nil, names), valueSeg(ws...), []byte{annsOne})
+}
+
+// appendColumn is the segment of a string column over strs, coded or
+// plain as the writer would write it.
+func appendColumn(strs []string) []byte {
+	var d dictCoder
+	return d.appendColumn(nil, strs)
 }
 
 // twoBlocks is a table of a fixture's schema over an in-memory file
@@ -152,8 +174,8 @@ func TestTooDeepAnnotationIsCorrupt(t *testing.T) {
 	if _, err := expr.Parse(deep); !errors.Is(err, expr.ErrTooDeep) {
 		t.Fatalf("expr.Parse: %v, want ErrTooDeep", err)
 	}
-	body := blockBody(1, appendValue(nil, value.Int(1)), appendString([]byte{strPlain}, "a"), appendValue(nil, value.Int(2)),
-		appendString([]byte{annExpr}, deep))
+	body := blockBody(1, valueSeg(value.Int(1)), appendString([]byte{strPlain}, "a"), valueSeg(value.Int(2)),
+		appendString([]byte{annsRecords, annExpr}, deep))
 	it := newTwoBlocks(tab, blocks[0], sealBlock(body), 1).scan()
 	n := 0
 	for {
@@ -178,9 +200,10 @@ func TestTooDeepAnnotationIsCorrupt(t *testing.T) {
 }
 
 // FuzzReadBlock holds the block decoder to its contract on hostile
-// bytes: the body of a valid PVB2 block — plain or dictionary-coded
-// strings — is mutated and its CRC
-// recomputed, so the checksum does not shield the decoder. A scan over
+// bytes: the body of a valid PVB3 block — plain or packed value columns,
+// plain or dictionary-coded strings, annotations as records, all 1S or
+// packed variable ordinals — is mutated and its CRC recomputed, so the
+// checksum does not shield the decoder. A scan over
 // [a valid block, the mutated block] must return the valid block's rows
 // and then either rows of the right shape or an ErrCorrupt — never a
 // panic, never memory out of proportion to the block, and after a failed
@@ -205,6 +228,13 @@ func FuzzReadBlock(f *testing.F) {
 	} {
 		f.Add(fixtureBody(names...), uint16(len(names)))
 	}
+	// Packed value columns at width 56 and 7 over the fixture's variables
+	// x and y (ordinals 0 and 1), and a column spanning 2⁵⁶, written plain.
+	wide := []value.V{value.Int(-1 << 55), value.Int(1<<55 - 1), value.Int(0)}
+	f.Add(blockBody(3, valueSeg(wide...), appendColumn([]string{"a", "b", "a"}), valueSeg(value.Int(-100), value.Int(27), value.Int(-3)),
+		appendOrdinals(nil, []uint64{0, 1, 1})), uint16(3))
+	f.Add(blockBody(2, valueSeg(value.Int(-1<<55), value.Int(1<<55)), appendColumn([]string{"", "z"}), valueSeg(value.Int(5), value.Int(5)),
+		appendOrdinals(nil, []uint64{1, 0})), uint16(2))
 	first := blocks[0]
 	f.Fuzz(func(t *testing.T, body []byte, rows uint16) {
 		mutated := sealBlock(body)

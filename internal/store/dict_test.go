@@ -21,8 +21,8 @@ import (
 	"pvcagg/internal/vars"
 )
 
-// TestOldFormatFailsClearly: a store whose manifest records format 1
-// does not open; the error is ErrFormat and tells the user to import the
+// TestOldFormatFailsClearly: a store whose manifest records format 2
+// (before packed integer columns) does not open; the error is ErrFormat and tells the user to import the
 // data again with pvcimport.
 func TestOldFormatFailsClearly(t *testing.T) {
 	dir := writeFixture(t, 10, 4)
@@ -35,10 +35,10 @@ func TestOldFormatFailsClearly(t *testing.T) {
 	if err := json.Unmarshal(data, &man); err != nil {
 		t.Fatal(err)
 	}
-	if man["format"] != float64(2) {
-		t.Fatalf("a new store records format %v, want 2", man["format"])
+	if man["format"] != float64(3) {
+		t.Fatalf("a new store records format %v, want 3", man["format"])
 	}
-	man["format"] = 1
+	man["format"] = 2
 	if data, err = json.Marshal(man); err != nil {
 		t.Fatal(err)
 	}
@@ -47,9 +47,9 @@ func TestOldFormatFailsClearly(t *testing.T) {
 	}
 	_, err = Open(dir)
 	if !errors.Is(err, ErrFormat) || errors.Is(err, ErrCorrupt) {
-		t.Fatalf("Open of a format-1 store: %v, want ErrFormat", err)
+		t.Fatalf("Open of a format-2 store: %v, want ErrFormat", err)
 	}
-	if msg := err.Error(); !strings.Contains(msg, "format 1") || !strings.Contains(msg, "pvcimport") {
+	if msg := err.Error(); !strings.Contains(msg, "format 2") || !strings.Contains(msg, "pvcimport") {
 		t.Errorf("error %q does not name the format and pvcimport", msg)
 	}
 }
@@ -152,13 +152,12 @@ func TestDictDecoderRejectsHostileBlocks(t *testing.T) {
 	tab, blocks := fuzzFixture(t)
 	// coded is the body of a block of n rows whose name segment is seg.
 	coded := func(n int, seg []byte) []byte {
-		var ids, ws, anns []byte
+		var ids, ws []value.V
 		for i := 0; i < n; i++ {
-			ids = appendValue(ids, value.Int(int64(i)))
-			ws = appendValue(ws, value.Int(1))
-			anns = append(anns, annOne)
+			ids = append(ids, value.Int(int64(i)))
+			ws = append(ws, value.Int(1))
 		}
-		return blockBody(n, ids, seg, ws, anns)
+		return blockBody(n, valueSeg(ids...), seg, valueSeg(ws...), []byte{annsOne})
 	}
 	dict := func(k int, entries ...string) []byte {
 		b := binary.AppendUvarint([]byte{strDict}, uint64(k))
@@ -182,33 +181,42 @@ func TestDictDecoderRejectsHostileBlocks(t *testing.T) {
 		{"unknown encoding", coded(4, []byte{2, 0, 0, 0, 0}), 4, "bad string encoding 2"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			it := newTwoBlocks(tab, blocks[0], sealBlock(c.body), c.rows).scan()
-			defer it.Close()
-			n := 0
-			for {
-				_, ok, err := it.Next()
-				if err != nil {
-					if c.reason == "" || !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), c.reason) {
-						t.Fatalf("scan error %v, want ErrCorrupt naming %q", err, c.reason)
-					}
-					break
-				}
-				if !ok {
-					if c.reason != "" {
-						t.Fatal("scan ended without an error")
-					}
-					break
-				}
-				n++
-			}
-			want := tab.meta.Blocks[0].Rows
-			if c.reason == "" {
-				want += c.rows
-			}
-			if n != want {
-				t.Errorf("%d rows, want %d", n, want)
-			}
+			scanHostile(t, tab, blocks[0], c.body, c.rows, c.reason)
 		})
+	}
+}
+
+// scanHostile scans a valid block of tab, first, followed by the block
+// of rows rows whose body is body: it must return first's rows and then
+// fail with an ErrCorrupt naming reason or, for reason "", return body's
+// rows too.
+func scanHostile(t *testing.T, tab *Table, first, body []byte, rows int, reason string) {
+	t.Helper()
+	it := newTwoBlocks(tab, first, sealBlock(body), rows).scan()
+	defer it.Close()
+	n := 0
+	for {
+		_, ok, err := it.Next()
+		if err != nil {
+			if reason == "" || !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), reason) {
+				t.Fatalf("scan error %v, want ErrCorrupt naming %q", err, reason)
+			}
+			break
+		}
+		if !ok {
+			if reason != "" {
+				t.Fatal("scan ended without an error")
+			}
+			break
+		}
+		n++
+	}
+	want := tab.meta.Blocks[0].Rows
+	if reason == "" {
+		want += rows
+	}
+	if n != want {
+		t.Errorf("%d rows, want %d", n, want)
 	}
 }
 

@@ -21,14 +21,31 @@
 //
 // Each block is self-delimiting and CRC-trailed:
 //
-//	"PVB2" | uvarint nrows | uvarint ncols
+//	"PVB3" | uvarint nrows | uvarint ncols
 //	ncols × (uvarint seglen | segment)       — column segments
 //	uvarint seglen | segment                 — annotation segment
 //	crc32(IEEE) over everything above, 4 bytes little-endian
 //
-// A value column's segment is its nrows cells, each a tag byte (finite /
-// +inf / -inf) plus a zigzag varint. A string column's segment opens
-// with an encoding byte:
+// Every segment opens with an encoding byte. A value column's segment
+// is
+//
+//	0 (plain)  | nrows × (tag byte | zigzag varint)
+//	1 (packed) | run
+//
+// where a packed run is
+//
+//	zigzag varint base | width byte w ≤ 56 | ⌈nrows·w/8⌉ bytes
+//
+// and holds row i's value as base plus the w bits from bit i·w of its
+// payload, LSB-first. The writer packs a block's column against its
+// minimum when the column holds no ±∞ and its maximum exceeds its
+// minimum by less than 2⁵⁶, and writes it plain (a tag byte — finite,
+// +inf or -inf — and a varint per cell) otherwise; a constant column
+// packs at width 0, with no payload. A decoder unpacks a run with one
+// 64-bit load per row: a row's bits start in some byte at bit offset at
+// most 7, so 56 of them still lie in that byte's 64-bit word.
+//
+// A string column's segment is
 //
 //	0 (plain) | nrows × (uvarint len | bytes)
 //	1 (dict)  | uvarint k | k × (uvarint len | bytes) | nrows code bytes
@@ -39,29 +56,40 @@
 // string's index in it. A decoder reads the dictionary from the block
 // and fills each row's string from it, with nothing allocated per row.
 //
-// Annotation records are tagged: the constant 1S (the overwhelmingly
-// common deterministic case) costs one byte, other constants inline
-// their value, Boolean variables store an ordinal into the vars file,
-// and anything else round-trips through the canonical
-// expr.String/expr.Parse rendering.
+// The annotation segment is
+//
+//	0 (records) | nrows records
+//	1 (all one)                  — every row is the constant 1S
+//	2 (all vars) | run           — row i is the variable of ordinal i
+//
+// The writer picks 1 when every row of the block is annotated 1S (the
+// overwhelmingly common deterministic case; the segment is its encoding
+// byte alone), 2 when every row is a Boolean variable (a packed run of
+// ordinals into the vars file), and 0 otherwise. Records are tagged:
+// the constant 1S costs one byte, other constants inline their value,
+// Boolean variables store an ordinal into the vars file, and anything
+// else round-trips through the canonical expr.String/expr.Parse
+// rendering.
 package store
 
 import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 
 	"pvcagg/internal/expr"
 	"pvcagg/internal/value"
 )
 
 // Format is the on-disk format version recorded in the manifest. Format
-// 2 added dictionary-coded string columns; Open refuses any other
-// version with ErrFormat.
-const Format = 2
+// 2 added dictionary-coded string columns, format 3 packed integer
+// columns and the all-one and all-variable annotation segments; Open
+// refuses any other version with ErrFormat.
+const Format = 3
 
 const (
-	blockMagic = "PVB2"
+	blockMagic = "PVB3"
 	varsMagic  = "PVV1"
 )
 
@@ -82,6 +110,165 @@ const (
 	annVar   byte = 2 // a variable, as an ordinal into the vars file
 	annExpr  byte = 3 // canonical expr.String rendering, length-prefixed
 )
+
+// Value column encodings: the first byte of a value column's segment.
+const (
+	valPlain  byte = 0
+	valPacked byte = 1
+)
+
+// Annotation segment encodings: the first byte of the annotation
+// segment.
+const (
+	annsRecords byte = 0
+	annsOne     byte = 1
+	annsVars    byte = 2
+)
+
+// maxWidth is the widest packed row, in bits: at bit offset 7 of its
+// first byte a row of 56 bits still ends inside that byte's 64-bit word.
+const maxWidth = 56
+
+// appendValues encodes one value column of a block whose cells lie in
+// [lo, hi]: packed against lo when neither is infinite and hi − lo <
+// 2⁵⁶, plain otherwise.
+func appendValues(b []byte, vals []value.V, lo, hi value.V) []byte {
+	if lo.IsInt() && hi.IsInt() {
+		base := lo.Int64()
+		if span := uint64(hi.Int64()) - uint64(base); span < 1<<maxWidth {
+			var p packer
+			b, p = beginRun(append(b, valPacked), base, span)
+			for _, v := range vals {
+				b = p.add(b, uint64(v.Int64())-uint64(base))
+			}
+			return p.end(b)
+		}
+	}
+	b = append(b, valPlain)
+	for _, v := range vals {
+		b = appendValue(b, v)
+	}
+	return b
+}
+
+// appendOrdinals encodes an all-variable annotation segment: the
+// variables' ordinals as a packed run against their minimum.
+func appendOrdinals(b []byte, ords []uint64) []byte {
+	lo, hi := ords[0], ords[0]
+	for _, o := range ords {
+		lo, hi = min(lo, o), max(hi, o)
+	}
+	b, p := beginRun(append(b, annsVars), int64(lo), hi-lo)
+	for _, o := range ords {
+		b = p.add(b, o-lo)
+	}
+	return p.end(b)
+}
+
+// packer appends the payload of a packed run one row at a time.
+type packer struct {
+	acc   uint64 // bits not yet appended, LSB-first
+	nbits uint   // how many; fewer than 8 between rows
+	w     uint
+}
+
+// beginRun appends the header of a packed run of rows in [base, base +
+// span] — its base and the width that span needs — and returns the
+// packer for its rows.
+func beginRun(b []byte, base int64, span uint64) ([]byte, packer) {
+	w := uint(bits.Len64(span))
+	return append(binary.AppendVarint(b, base), byte(w)), packer{w: w}
+}
+
+// add appends row offset d (< 2^w) to the run.
+func (p *packer) add(b []byte, d uint64) []byte {
+	p.acc |= d << p.nbits
+	for p.nbits += p.w; p.nbits >= 8; p.nbits -= 8 {
+		b = append(b, byte(p.acc))
+		p.acc >>= 8
+	}
+	return b
+}
+
+// end appends the run's last partial byte.
+func (p *packer) end(b []byte) []byte {
+	if p.nbits > 0 {
+		b = append(b, byte(p.acc))
+	}
+	return b
+}
+
+// run is a packed run as read from a segment: row i is base plus the w
+// bits from bit i·w of bits.
+type run struct {
+	base int64
+	w    uint
+	bits []byte
+}
+
+// run reads a packed run of n rows that fills the rest of the segment.
+// Its width is checked before anything is sized by it, and its payload
+// must be exactly ⌈n·w/8⌉ bytes, so no row's bits lie outside it.
+func (r *reader) run(n int) (run, error) {
+	base, err := r.varint()
+	if err != nil {
+		return run{}, err
+	}
+	w, err := r.byte()
+	if err != nil {
+		return run{}, err
+	}
+	if w > maxWidth {
+		return run{}, fmt.Errorf("packed width %d exceeds %d", w, maxWidth)
+	}
+	need := (uint64(n)*uint64(w) + 7) / 8
+	if have := uint64(len(r.buf) - r.pos); have != need {
+		return run{}, fmt.Errorf("packed run of %d rows at width %d needs %d bytes, segment holds %d", n, w, need, have)
+	}
+	p := run{base: base, w: uint(w), bits: r.buf[r.pos:]}
+	r.pos = len(r.buf)
+	return p, nil
+}
+
+// at returns row i's offset from base; i must be below the run's rows.
+func (p *run) at(i int) uint64 {
+	bit := uint(i) * p.w
+	off := bit >> 3
+	var word uint64
+	if off+8 <= uint(len(p.bits)) {
+		word = binary.LittleEndian.Uint64(p.bits[off:])
+	} else {
+		for j, c := range p.bits[off:] {
+			word |= uint64(c) << (8 * j)
+		}
+	}
+	return word >> (bit & 7) & (1<<p.w - 1)
+}
+
+// values decodes the run into dst, one row per element: one 64-bit
+// load per row whose word lies inside the payload, at for the last few.
+func (p *run) values(dst []value.V) {
+	if p.w == 0 {
+		for i := range dst {
+			dst[i] = value.Int(p.base)
+		}
+		return
+	}
+	// Row i's word lies inside the payload while (i·w)/8 + 8 ≤ len(bits).
+	fast := 0
+	if len(p.bits) >= 8 {
+		fast = min(len(dst), ((len(p.bits)-8)*8+7)/int(p.w)+1)
+	}
+	mask, bit := uint64(1)<<p.w-1, uint(0)
+	head := dst[:fast]
+	for i := range head {
+		head[i] = value.Int(p.base + int64(binary.LittleEndian.Uint64(p.bits[bit>>3:])>>(bit&7)&mask))
+		bit += p.w
+	}
+	for i := fast; i < len(dst); i++ {
+		dst[i] = value.Int(p.base + int64(p.at(i)))
+	}
+}
 
 func appendValue(b []byte, v value.V) []byte {
 	switch {

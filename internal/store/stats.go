@@ -6,18 +6,9 @@ import (
 	"pvcagg/internal/value"
 )
 
-// annSummary summarizes the annotation column of one block, enough to
-// decide that the block cannot contribute: AllZero means every row is
-// annotated with the constant 0S (so a σ above the scan would drop every
-// row); AllOne means every row carries the constant 1S (deterministic
-// data, the common TPC-H case).
-type annSummary struct {
-	AllOne  bool
-	AllZero bool
-}
-
-// annClass classifies one annotation for summarization and returns its
-// (one, zero) nature; non-constant annotations are neither.
+// annClass reports whether an annotation is the constant 1S or 0S; a
+// block whose rows are all 0S is marked AllZero in the block index, and
+// one whose rows are all 1S is written as a one-byte segment.
 func annClass(ann expr.Expr) (one, zero bool) {
 	if c, ok := ann.(expr.Const); ok {
 		return c.V.IsOne(), c.V.IsZero()

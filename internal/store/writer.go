@@ -50,16 +50,15 @@ type colMeta struct {
 }
 
 // blockMeta is one block-index entry: location, row count, per-column
-// zone maps, and the annotation summary. Zone-map entries are rendered
-// as strings (value.V's canonical form for value columns, the raw string
-// for string columns) and re-parsed at Open.
+// zone maps, and whether every row is annotated 0S. Zone-map entries
+// are rendered as strings (value.V's canonical form for value columns,
+// the raw string for string columns) and re-parsed at Open.
 type blockMeta struct {
 	Rows    int      `json:"rows"`
 	Off     int64    `json:"off"`
 	Len     int      `json:"len"`
 	Mins    []string `json:"mins"`
 	Maxs    []string `json:"maxs"`
-	AllOne  bool     `json:"all_one,omitempty"`
 	AllZero bool     `json:"all_zero,omitempty"`
 }
 
@@ -153,6 +152,7 @@ func (w *Writer) CreateTable(name string, schema pvc.Schema) (*TableWriter, erro
 		meta:   tableMeta{Name: name, File: file},
 		schema: schema.Clone(),
 		segs:   make([][]byte, len(schema)),
+		vals:   make([][]value.V, len(schema)),
 		strs:   make([][]string, len(schema)),
 		mins:   make([]pvc.Cell, len(schema)),
 		maxs:   make([]pvc.Cell, len(schema)),
@@ -163,8 +163,8 @@ func (w *Writer) CreateTable(name string, schema pvc.Schema) (*TableWriter, erro
 
 // TableWriter appends rows to one table, cutting a block every
 // BlockCapacity rows. Only the current block is held in memory — its
-// value and annotation columns encoded, its string columns as strings
-// until the block is cut and each is coded or written plain — so ingest
+// columns as cells and its annotations as records until the block is
+// cut and each column and the annotations are encoded — so ingest
 // streams.
 type TableWriter struct {
 	w      *Writer
@@ -174,14 +174,18 @@ type TableWriter struct {
 	err    error
 
 	// current block
-	segs    [][]byte   // encoded value columns; string columns at flush
-	strs    [][]string // string columns
+	segs    [][]byte    // encoded columns, at flush
+	vals    [][]value.V // value columns
+	strs    [][]string  // string columns
 	coder   dictCoder
-	annSeg  []byte
+	recs    []byte   // the annotation records
+	ords    []uint64 // the annotations' ordinals while all are variables
+	annSeg  []byte   // the annotation segment, at flush
 	rows    int
 	mins    []pvc.Cell
 	maxs    []pvc.Cell
 	allOne  bool
+	allVar  bool
 	allZero bool
 	off     int64
 
@@ -212,7 +216,7 @@ func (tw *TableWriter) Append(ann expr.Expr, cells ...pvc.Cell) error {
 		}
 		switch tw.schema[i].Type {
 		case pvc.TValue:
-			tw.segs[i] = appendValue(tw.segs[i], c.Value())
+			tw.vals[i] = append(tw.vals[i], c.Value())
 		case pvc.TString:
 			tw.strs[i] = append(tw.strs[i], c.Str())
 		}
@@ -227,13 +231,18 @@ func (tw *TableWriter) Append(ann expr.Expr, cells ...pvc.Cell) error {
 			}
 		}
 	}
-	tw.annSeg = appendAnn(tw.annSeg, ann, tw.w.ordinal)
+	tw.recs = appendAnn(tw.recs, ann, tw.w.ordinal)
 	one, zero := annClass(ann)
+	v, isVar := ann.(expr.Var)
 	if tw.rows == 0 {
-		tw.allOne, tw.allZero = one, zero
+		tw.allOne, tw.allVar, tw.allZero = one, isVar, zero
 	} else {
 		tw.allOne = tw.allOne && one
+		tw.allVar = tw.allVar && isVar
 		tw.allZero = tw.allZero && zero
+	}
+	if tw.allVar {
+		tw.ords = append(tw.ords, tw.w.ordinal(v.Name))
 	}
 	tw.rows++
 	tw.meta.Rows++
@@ -257,8 +266,11 @@ func (tw *TableWriter) flush() error {
 	for i, col := range tw.schema {
 		if col.Type == pvc.TString {
 			tw.segs[i] = tw.coder.appendColumn(tw.segs[i][:0], tw.strs[i])
+		} else {
+			tw.segs[i] = appendValues(tw.segs[i][:0], tw.vals[i], tw.mins[i].Value(), tw.maxs[i].Value())
 		}
 	}
+	tw.encodeAnns()
 	buf := make([]byte, 0, len(tw.annSeg)+64)
 	buf = append(buf, blockMagic...)
 	buf = binary.AppendUvarint(buf, uint64(tw.rows))
@@ -282,7 +294,6 @@ func (tw *TableWriter) flush() error {
 		Len:     len(buf),
 		Mins:    make([]string, len(tw.schema)),
 		Maxs:    make([]string, len(tw.schema)),
-		AllOne:  tw.allOne,
 		AllZero: tw.allZero,
 	}
 	for i := range tw.schema {
@@ -293,11 +304,25 @@ func (tw *TableWriter) flush() error {
 	tw.off += int64(len(buf))
 	tw.rows = 0
 	for i := range tw.segs {
-		tw.segs[i] = tw.segs[i][:0]
+		tw.vals[i] = tw.vals[i][:0]
 		tw.strs[i] = tw.strs[i][:0]
 	}
-	tw.annSeg = tw.annSeg[:0]
+	tw.recs, tw.ords = tw.recs[:0], tw.ords[:0]
 	return nil
+}
+
+// encodeAnns encodes the current block's annotation segment into annSeg:
+// one byte when every row is 1S, a packed run of ordinals when every row
+// is a variable, the records otherwise.
+func (tw *TableWriter) encodeAnns() {
+	switch {
+	case tw.allOne:
+		tw.annSeg = append(tw.annSeg[:0], annsOne)
+	case tw.allVar:
+		tw.annSeg = appendOrdinals(tw.annSeg[:0], tw.ords)
+	default:
+		tw.annSeg = append(append(tw.annSeg[:0], annsRecords), tw.recs...)
+	}
 }
 
 // finish flushes the trailing partial block, records the column types, and

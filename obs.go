@@ -12,8 +12,8 @@ import (
 // "Observability" section for the trace anatomy and a walkthrough.
 
 // Trace records the nested spans of an execution, each with its wall
-// time and allocation delta: parse → bind → optimize → exec{eval (step
-// I), probability (step II)}. What the execution counted is in
+// time: parse → bind → optimize → exec{eval (step I), probability (step
+// II)}. What the execution counted is in
 // ExecReport.Counters, traced or not. Create one with NewTrace, pass it
 // via WithTrace, read it back from ExecReport.Trace (the same pointer),
 // render it with Render or marshal it to JSON. A Trace may be reused
@@ -28,8 +28,8 @@ type SpanView = obs.SpanView
 // NewTrace returns an empty execution trace for WithTrace.
 func NewTrace() *Trace { return obs.NewTrace() }
 
-// WithTrace records the execution's stages into tr: wall time and
-// allocation delta per span. Tracing off (no WithTrace) costs nothing on
+// WithTrace records the execution's stages into tr: wall time per span.
+// Tracing off (no WithTrace) costs nothing on
 // the hot path; tracing on costs a few clock reads per stage, not per
 // tuple.
 func WithTrace(tr *Trace) Option {

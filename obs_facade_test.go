@@ -15,8 +15,7 @@ import (
 // the EXPLAIN ANALYZE golden over TPC-H Q1.
 
 // normalizeSpans renders a span tree down to what must be
-// deterministic: names and structure. Durations and allocation deltas
-// vary run to run.
+// deterministic: names and structure. Durations vary run to run.
 func normalizeSpans(spans []pvcagg.SpanView) string {
 	var b strings.Builder
 	var walk func(s pvcagg.SpanView, depth int)
@@ -34,8 +33,7 @@ func normalizeSpans(spans []pvcagg.SpanView) string {
 
 // TestTraceDeterminism: the span tree — names and nesting — and the
 // query's counters are identical at Parallelism 1 and 4, because the
-// counters are order-independent sums. Only wall time and allocation
-// may differ.
+// counters are order-independent sums. Only wall time may differ.
 func TestTraceDeterminism(t *testing.T) {
 	db, _ := execTestDB(t)
 	const q = "SELECT k, COUNT(*) AS n FROM R GROUP BY k"

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"testing"
 
 	"pvcagg"
@@ -342,5 +343,81 @@ func TestExecSumOfOppositeInfinities(t *testing.T) {
 		if resp.StatusCode != http.StatusUnprocessableEntity {
 			t.Errorf("certain=%v pvcd: status %d, want %d", certain, resp.StatusCode, http.StatusUnprocessableEntity)
 		}
+	}
+}
+
+// TestStorePackedColumnsMatchInMemory is the storage differential over
+// every block encoding: a store whose value columns are packed in some
+// blocks (against negative bases and at width 0 too) and plain in others
+// (±∞, a span past 2⁵⁶), and whose annotation blocks are all 1, all
+// variables or mixed, answers $, π and σ queries exactly as the
+// in-memory database does, with and without read-ahead.
+func TestStorePackedColumnsMatchInMemory(t *testing.T) {
+	db := pvcagg.NewDatabase(pvcagg.Boolean)
+	rel := pvcagg.NewRelation("M", pvcagg.Schema{{Name: "k", Type: pvcagg.TValue}, {Name: "v", Type: pvcagg.TValue},
+		{Name: "w", Type: pvcagg.TValue}, {Name: "g", Type: pvcagg.TString}})
+	// Blocks of 64 rows: a packed run long enough for whole 64-bit loads.
+	const capacity = 64
+	for i := range int64(12 * capacity) {
+		b := i / capacity
+		var v int64
+		switch b % 3 {
+		case 0:
+			v = -1000 + i%5
+		case 1:
+			v = 1 << 60 // with −2⁶⁰ on odd rows: plain
+			if i%2 == 1 {
+				v = -v
+			}
+		case 2:
+			v = 42 // constant: width 0
+		}
+		w := pvcagg.Int((i*7)%13 - 6)
+		switch {
+		case b == 4 && i%capacity == 1:
+			w = pvcagg.PosInf()
+		case b == 4 && i%capacity == 5, b == 7 && i%capacity == 2:
+			w = pvcagg.NegInf()
+		}
+		cells := []pvcagg.Cell{pvcagg.IntCell(i), pvcagg.IntCell(v), pvcagg.ValueCell(w), pvcagg.StringCell([]string{"a", "b", "c"}[i%3])}
+		if b%4 == 0 || (b%4 == 2 && i%2 == 0) {
+			rel.MustInsert(pvcagg.MustParseExpr("1"), cells...)
+		} else if _, err := db.InsertIndependent(rel, 0.25+float64(i%4)/8, cells...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	db.Add(rel)
+	st := mirrorToStore(t, db, capacity)
+	queries := []string{
+		"SELECT g, COUNT(*) AS n, SUM(k) AS s FROM M GROUP BY g",
+		"SELECT g, MAX(w) AS hi, MIN(v) AS lo FROM M GROUP BY g",
+		"SELECT g FROM M WHERE w >= 0",
+		"SELECT v FROM M",
+		"SELECT k, v, w FROM M WHERE v <= 42",
+		"SELECT k, w FROM M WHERE k = 37",
+	}
+	ctx := context.Background()
+	for _, procs := range []int{1, 2} {
+		prev := runtime.GOMAXPROCS(procs)
+		for _, q := range queries {
+			memRes, err := pvcagg.ExecQuery(ctx, db, q)
+			if err != nil {
+				t.Fatalf("%s (memory): %v", q, err)
+			}
+			stRes, err := pvcagg.ExecQuery(ctx, nil, q, pvcagg.WithStore(st))
+			if err != nil {
+				t.Fatalf("%s (store): %v", q, err)
+			}
+			mem, got := collectKeys(t, memRes), collectKeys(t, stRes)
+			if len(mem) == 0 || len(mem) != len(got) {
+				t.Errorf("GOMAXPROCS %d, %s: %d answers in memory, %d from the store", procs, q, len(mem), len(got))
+			}
+			for k, n := range mem {
+				if got[k] != n {
+					t.Errorf("GOMAXPROCS %d, %s: answer %s ×%d in memory, ×%d from the store", procs, q, k, n, got[k])
+				}
+			}
+		}
+		runtime.GOMAXPROCS(prev)
 	}
 }
