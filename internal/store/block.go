@@ -96,10 +96,11 @@ func filterable(schema pvc.Schema, h pvc.ScanHint) bool {
 // segment bounds) and decodes its needed columns and annotations into
 // the vectors, leaving in Sel every row — or, under dropZero, every row
 // whose annotation is not the constant 0S. wantRows is the row count the
-// block index recorded; vectors are sized by it only after the block's
-// own header agrees and the block holds at least one byte per row. On
-// error Sel is empty: no row of this block or of the block decoded
-// before it is visible.
+// block index recorded, which Open holds to the block capacity; vectors
+// are sized by it only after the block's own header agrees. A block may
+// hold fewer bytes than rows (a constant column packs to nothing), so
+// its length bounds no row count. On error Sel is empty: no row of this
+// block or of the block decoded before it is visible.
 func (b *blockVecs) decode(buf []byte, wantRows int, vars []expr.Expr, dropZero bool) error {
 	b.Sel = b.Sel[:0]
 	if len(buf) < minBlockLen || string(buf[:len(blockMagic)]) != blockMagic {
@@ -116,9 +117,6 @@ func (b *blockVecs) decode(buf []byte, wantRows int, vars []expr.Expr, dropZero 
 	}
 	if wantRows < 0 || nrows != uint64(wantRows) {
 		return fmt.Errorf("row count %d does not match index entry %d", nrows, wantRows)
-	}
-	if nrows > uint64(len(body)) {
-		return fmt.Errorf("row count %d exceeds block length %d", nrows, len(body))
 	}
 	ncols, err := r.uvarint()
 	if err != nil {

@@ -26,6 +26,11 @@
 //	uvarint seglen | segment                 — annotation segment
 //	crc32(IEEE) over everything above, 4 bytes little-endian
 //
+// nrows equals the block index's count for the block, which is at most
+// the manifest's block capacity, itself at most 2²⁰. Nothing bounds it
+// by the block's length: a packed column and an all-one annotation
+// segment may take no bytes per row.
+//
 // Every segment opens with an encoding byte. A value column's segment
 // is
 //
@@ -151,16 +156,18 @@ func appendValues(b []byte, vals []value.V, lo, hi value.V) []byte {
 	return b
 }
 
-// appendOrdinals encodes an all-variable annotation segment: the
-// variables' ordinals as a packed run against their minimum.
-func appendOrdinals(b []byte, ords []uint64) []byte {
-	lo, hi := ords[0], ords[0]
-	for _, o := range ords {
+// appendOrdinals encodes an all-variable annotation segment over anns,
+// each an expr.Var: their ordinals under ord as a packed run against
+// their minimum.
+func appendOrdinals(b []byte, anns []expr.Expr, ord func(string) uint64) []byte {
+	lo, hi := uint64(math.MaxUint64), uint64(0)
+	for _, ann := range anns {
+		o := ord(ann.(expr.Var).Name)
 		lo, hi = min(lo, o), max(hi, o)
 	}
 	b, p := beginRun(append(b, annsVars), int64(lo), hi-lo)
-	for _, o := range ords {
-		b = p.add(b, o-lo)
+	for _, ann := range anns {
+		b = p.add(b, ord(ann.(expr.Var).Name)-lo)
 	}
 	return p.end(b)
 }
@@ -435,7 +442,7 @@ func (r *reader) float64() (float64, error) {
 }
 
 // appendAnn encodes one annotation record. ord maps a variable name to
-// its ordinal, declaring it on first sight.
+// its ordinal.
 func appendAnn(b []byte, ann expr.Expr, ord func(string) uint64) []byte {
 	switch a := ann.(type) {
 	case expr.Const:
@@ -448,12 +455,6 @@ func appendAnn(b []byte, ann expr.Expr, ord func(string) uint64) []byte {
 		b = append(b, annVar)
 		return binary.AppendUvarint(b, ord(a.Name))
 	default:
-		// Register every variable inside the expression too, so its
-		// distribution is persisted (and an undeclared one is caught at
-		// commit) even though the expression round-trips as text.
-		for _, name := range expr.Vars(ann) {
-			ord(name)
-		}
 		b = append(b, annExpr)
 		return appendString(b, expr.String(ann))
 	}

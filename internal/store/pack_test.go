@@ -1,12 +1,16 @@
 package store
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
+	"errors"
 	"math"
 	"os"
 	"path/filepath"
 	"slices"
+	"strconv"
+	"strings"
 	"testing"
 
 	"pvcagg/internal/algebra"
@@ -146,7 +150,7 @@ func TestWriterPacksColumns(t *testing.T) {
 	if got := anns(0); len(got) != 1 || got[0] != annsOne {
 		t.Errorf("all-1S annotation segment %v, want [%d]", got, annsOne)
 	}
-	if got, want := anns(1), appendOrdinals(nil, []uint64{0, 1, 0, 0}); !slices.Equal(got, want) {
+	if got, want := anns(1), ordSeg(0, 1, 0, 0); !slices.Equal(got, want) {
 		t.Errorf("all-variable annotation segment %v, want %v", got, want)
 	}
 	for _, bi := range []int{2, 3} {
@@ -209,14 +213,14 @@ func TestPackedDecoderRejectsHostileBlocks(t *testing.T) {
 	}{
 		{"valid packed, all one", body(id, one), ""},
 		{"valid packed at width 56", body(packed(56, make([]byte, 28)...), one), ""},
-		{"valid ordinals", body(id, appendOrdinals(nil, []uint64{1, 0, 0, 1})), ""},
+		{"valid ordinals", body(id, ordSeg(1, 0, 0, 1)), ""},
 		{"valid records", body(valueSeg(ints(1, 2, 3, 4)...), append([]byte{annsRecords}, annOne, annOne, annVar, 1, annOne)), ""},
 		{"width 57", body(packed(57, make([]byte, 29)...), one), "packed width 57"},
 		{"short packed run", body(packed(8, 1, 2, 3), one), "packed run of 4 rows at width 8 needs 4 bytes, segment holds 3"},
 		{"long packed run", body(packed(0, 0), one), "needs 0 bytes, segment holds 1"},
 		{"unknown value encoding", body(append([]byte{2}, id[1:]...), one), "bad value encoding 2"},
 		{"unknown annotation encoding", body(id, []byte{3}), "bad annotation encoding 3"},
-		{"ordinal past the vars table", body(id, appendOrdinals(nil, []uint64{1, 0, 2, 1})), "variable ordinal 2 out of range (2 vars)"},
+		{"ordinal past the vars table", body(id, ordSeg(1, 0, 2, 1)), "variable ordinal 2 out of range (2 vars)"},
 		{"negative ordinal", body(id, append(binary.AppendVarint([]byte{annsVars}, -1), 0)), "variable ordinal -1 out of range"},
 		{"all-one segment longer than one byte", body(id, []byte{annsOne, annOne}), "all-one segment of 2 bytes"},
 		{"empty annotation segment", body(id, nil), "annotation: unexpected end of segment"},
@@ -225,6 +229,51 @@ func TestPackedDecoderRejectsHostileBlocks(t *testing.T) {
 			scanHostile(t, tab, blocks[0], c.body, 4, c.reason)
 		})
 	}
+}
+
+// TestBlockCapacityBoundsRowCount: a block's row count, which sizes a
+// scan's vectors, is bounded by the manifest's block capacity and that
+// by 2²⁰, since a packed block may hold fewer bytes than rows. Create
+// refuses a larger capacity; Open refuses a manifest whose capacity is
+// out of range or whose block holds more rows than it, as ErrCorrupt.
+func TestBlockCapacityBoundsRowCount(t *testing.T) {
+	if _, err := Create(t.TempDir(), algebra.Boolean, nil, Options{BlockCapacity: maxBlockCapacity + 1}); err == nil {
+		t.Error("Create accepted a block capacity past 2²⁰")
+	}
+	dir := writeFixture(t, 40, 16)
+	path := filepath.Join(dir, manifestName)
+	manifest, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct{ capacity, reason string }{
+		{"0", "block capacity 0"},
+		{"1048577", "block capacity 1048577"},
+		{"15", "table items: block of 16 rows"},
+	} {
+		bad := bytes.Replace(manifest, []byte(`"block_capacity": 16`), []byte(`"block_capacity": `+c.capacity), 1)
+		if err := os.WriteFile(path, bad, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := Open(dir)
+		var ce *CorruptError
+		if !errors.As(err, &ce) || !strings.Contains(ce.Reason, c.reason) {
+			t.Errorf("block capacity %s: %v, want a CorruptError naming %q", c.capacity, err, c.reason)
+		}
+	}
+}
+
+// ordSeg is the all-variable annotation segment of the variables of
+// ordinals ords.
+func ordSeg(ords ...uint64) []byte {
+	anns := make([]expr.Expr, len(ords))
+	for i, o := range ords {
+		anns[i] = expr.V(strconv.FormatUint(o, 10))
+	}
+	return appendOrdinals(nil, anns, func(name string) uint64 {
+		o, _ := strconv.ParseUint(name, 10, 64)
+		return o
+	})
 }
 
 // ints is finite values.

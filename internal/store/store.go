@@ -138,6 +138,9 @@ func OpenFS(dir string, fsys faultfs.FS) (*Store, error) {
 	if err != nil {
 		return nil, &CorruptError{File: manifestName, Block: -1, Reason: err.Error()}
 	}
+	if man.BlockCapacity < 1 || man.BlockCapacity > maxBlockCapacity {
+		return nil, &CorruptError{File: manifestName, Block: -1, Reason: fmt.Sprintf("block capacity %d", man.BlockCapacity)}
+	}
 	st := &Store{dir: dir, fs: fsys, man: man, kind: kind, tables: map[string]*Table{}}
 	if err := st.loadVars(); err != nil {
 		return nil, err
@@ -154,8 +157,10 @@ func OpenFS(dir string, fsys faultfs.FS) (*Store, error) {
 		}
 		for bi, b := range tm.Blocks {
 			// The extent is checked against the data file when a scan
-			// opens it; here, what no file of any size could hold.
-			if b.Rows < 0 || b.Off < 0 || b.Len < minBlockLen || b.Off > math.MaxInt64-int64(b.Len) {
+			// opens it; here, what no file of any size could hold. The
+			// row count sizes a scan's vectors, so it is held to the
+			// block capacity.
+			if b.Rows < 0 || b.Rows > man.BlockCapacity || b.Off < 0 || b.Len < minBlockLen || b.Off > math.MaxInt64-int64(b.Len) {
 				return nil, &CorruptError{File: manifestName, Block: bi, Reason: fmt.Sprintf("table %s: block of %d rows in %d bytes at %d", tm.Name, b.Rows, b.Len, b.Off)}
 			}
 			if len(b.Mins) != len(t.schema) || len(b.Maxs) != len(t.schema) {

@@ -19,10 +19,15 @@ import (
 // BlockCapacity zero.
 const DefaultBlockCapacity = 4096
 
+// maxBlockCapacity bounds Options.BlockCapacity, and at Open a
+// manifest's block capacity: a block's row count is bounded by nothing
+// else, since a packed column can hold a row in no bytes at all.
+const maxBlockCapacity = 1 << 20
+
 // Options configures store creation.
 type Options struct {
 	// BlockCapacity is the fixed row-group size: every block but the last
-	// of a table holds exactly this many rows.
+	// of a table holds exactly this many rows. It is at most 2²⁰.
 	BlockCapacity int
 }
 
@@ -97,6 +102,9 @@ func CreateFS(dir string, fsys faultfs.FS, kind algebra.SemiringKind, reg *vars.
 	if opts.BlockCapacity <= 0 {
 		opts.BlockCapacity = DefaultBlockCapacity
 	}
+	if opts.BlockCapacity > maxBlockCapacity {
+		return nil, fmt.Errorf("store: block capacity %d exceeds %d", opts.BlockCapacity, maxBlockCapacity)
+	}
 	if reg == nil {
 		reg = vars.NewRegistry()
 	}
@@ -163,9 +171,8 @@ func (w *Writer) CreateTable(name string, schema pvc.Schema) (*TableWriter, erro
 
 // TableWriter appends rows to one table, cutting a block every
 // BlockCapacity rows. Only the current block is held in memory — its
-// columns as cells and its annotations as records until the block is
-// cut and each column and the annotations are encoded — so ingest
-// streams.
+// columns and its annotations as appended, until the block is cut and
+// each is encoded — so ingest streams.
 type TableWriter struct {
 	w      *Writer
 	f      faultfs.File
@@ -174,20 +181,16 @@ type TableWriter struct {
 	err    error
 
 	// current block
-	segs    [][]byte    // encoded columns, at flush
-	vals    [][]value.V // value columns
-	strs    [][]string  // string columns
-	coder   dictCoder
-	recs    []byte   // the annotation records
-	ords    []uint64 // the annotations' ordinals while all are variables
-	annSeg  []byte   // the annotation segment, at flush
-	rows    int
-	mins    []pvc.Cell
-	maxs    []pvc.Cell
-	allOne  bool
-	allVar  bool
-	allZero bool
-	off     int64
+	segs   [][]byte    // encoded columns, at flush
+	vals   [][]value.V // value columns
+	strs   [][]string  // string columns
+	coder  dictCoder
+	anns   []expr.Expr
+	annSeg []byte // the annotation segment, at flush
+	rows   int
+	mins   []pvc.Cell
+	maxs   []pvc.Cell
+	off    int64
 
 	done bool
 }
@@ -205,7 +208,7 @@ func (tw *TableWriter) Append(ann expr.Expr, cells ...pvc.Cell) error {
 		return tw.fail(fmt.Errorf("store: %s: %d cells for %d columns", tw.meta.Name, len(cells), len(tw.schema)))
 	}
 	if ann == nil {
-		ann = expr.CInt(1)
+		ann = annOneExpr
 	}
 	if ann.Kind() != expr.KindSemiring {
 		return tw.fail(fmt.Errorf("store: %s: annotation %s is not a semiring expression", tw.meta.Name, expr.String(ann)))
@@ -231,19 +234,10 @@ func (tw *TableWriter) Append(ann expr.Expr, cells ...pvc.Cell) error {
 			}
 		}
 	}
-	tw.recs = appendAnn(tw.recs, ann, tw.w.ordinal)
-	one, zero := annClass(ann)
-	v, isVar := ann.(expr.Var)
-	if tw.rows == 0 {
-		tw.allOne, tw.allVar, tw.allZero = one, isVar, zero
-	} else {
-		tw.allOne = tw.allOne && one
-		tw.allVar = tw.allVar && isVar
-		tw.allZero = tw.allZero && zero
-	}
-	if tw.allVar {
-		tw.ords = append(tw.ords, tw.w.ordinal(v.Name))
-	}
+	// The block is encoded at flush, but its variables take their
+	// ordinals now, in the order the rows name them.
+	tw.w.intern(ann)
+	tw.anns = append(tw.anns, ann)
 	tw.rows++
 	tw.meta.Rows++
 	if tw.rows >= tw.w.capacity {
@@ -270,7 +264,7 @@ func (tw *TableWriter) flush() error {
 			tw.segs[i] = appendValues(tw.segs[i][:0], tw.vals[i], tw.mins[i].Value(), tw.maxs[i].Value())
 		}
 	}
-	tw.encodeAnns()
+	allZero := tw.encodeAnns()
 	buf := make([]byte, 0, len(tw.annSeg)+64)
 	buf = append(buf, blockMagic...)
 	buf = binary.AppendUvarint(buf, uint64(tw.rows))
@@ -294,7 +288,7 @@ func (tw *TableWriter) flush() error {
 		Len:     len(buf),
 		Mins:    make([]string, len(tw.schema)),
 		Maxs:    make([]string, len(tw.schema)),
-		AllZero: tw.allZero,
+		AllZero: allZero,
 	}
 	for i := range tw.schema {
 		bm.Mins[i] = zoneString(tw.mins[i])
@@ -307,22 +301,34 @@ func (tw *TableWriter) flush() error {
 		tw.vals[i] = tw.vals[i][:0]
 		tw.strs[i] = tw.strs[i][:0]
 	}
-	tw.recs, tw.ords = tw.recs[:0], tw.ords[:0]
+	clear(tw.anns)
+	tw.anns = tw.anns[:0]
 	return nil
 }
 
-// encodeAnns encodes the current block's annotation segment into annSeg:
-// one byte when every row is 1S, a packed run of ordinals when every row
-// is a variable, the records otherwise.
-func (tw *TableWriter) encodeAnns() {
-	switch {
-	case tw.allOne:
-		tw.annSeg = append(tw.annSeg[:0], annsOne)
-	case tw.allVar:
-		tw.annSeg = appendOrdinals(tw.annSeg[:0], tw.ords)
-	default:
-		tw.annSeg = append(append(tw.annSeg[:0], annsRecords), tw.recs...)
+// encodeAnns encodes the current block's annotation segment into annSeg
+// — one byte when every row is 1S, a packed run of ordinals when every
+// row is a variable, the records otherwise — and reports whether every
+// row is 0S.
+func (tw *TableWriter) encodeAnns() (allZero bool) {
+	allOne, allVar, allZero := true, true, true
+	for _, ann := range tw.anns {
+		one, zero := annClass(ann)
+		_, isVar := ann.(expr.Var)
+		allOne, allVar, allZero = allOne && one, allVar && isVar, allZero && zero
 	}
+	switch {
+	case allOne:
+		tw.annSeg = append(tw.annSeg[:0], annsOne)
+	case allVar:
+		tw.annSeg = appendOrdinals(tw.annSeg[:0], tw.anns, tw.w.ordinal)
+	default:
+		tw.annSeg = append(tw.annSeg[:0], annsRecords)
+		for _, ann := range tw.anns {
+			tw.annSeg = appendAnn(tw.annSeg, ann, tw.w.ordinal)
+		}
+	}
+	return allZero
 }
 
 // finish flushes the trailing partial block, records the column types, and
@@ -357,6 +363,21 @@ func zoneString(c pvc.Cell) string {
 		return c.Value().String()
 	}
 	return c.Str()
+}
+
+// intern gives every variable ann names its ordinal, in the order it
+// names them, so each variable's distribution is persisted (and an
+// undeclared one is caught at commit).
+func (w *Writer) intern(ann expr.Expr) {
+	switch a := ann.(type) {
+	case expr.Const:
+	case expr.Var:
+		w.ordinal(a.Name)
+	default:
+		for _, name := range expr.Vars(ann) {
+			w.ordinal(name)
+		}
+	}
 }
 
 // ordinal interns a variable name, assigning the next ordinal on first
