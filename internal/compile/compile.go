@@ -180,6 +180,15 @@ func New(s algebra.Semiring, reg *vars.Registry, opts Options) *Compiler {
 // the memo.
 func (c *Compiler) Reset() { c.memo.reset() }
 
+// Rebind points c at another semiring, registry and options and Resets
+// it: a compiler that serves query after query keeps its memo's capacity,
+// never an entry. Rebinding to a nil registry drops c's last references
+// to the query it served, for a compiler that waits in a pool.
+func (c *Compiler) Rebind(s algebra.Semiring, reg *vars.Registry, opts Options) {
+	c.Reset()
+	c.s, c.reg, c.opts, c.ctx = s, reg, opts, nil
+}
+
 // SetMaxNodes replaces Options.MaxNodes for the compilations that follow.
 func (c *Compiler) SetMaxNodes(n int) { c.opts.MaxNodes = n }
 
@@ -373,34 +382,20 @@ func (c *Compiler) combine(parts []dtree.Node, join func(l, r dtree.Node) dtree.
 // as a multiplicative factor in *every* term and vanishes from the
 // residuals, the sum equals x · (Σ residuals) by distributivity — or
 // x ⊗ (Σ residuals) for semimodule sums, by the semimodule laws
-// (paper Example 14).
+// (paper Example 14). Each candidate is tested on every term before any
+// residual is built, so a sum that does not factor allocates nothing.
 func (c *Compiler) tryFactorSum(terms []expr.Expr, module bool, agg algebra.Agg) (dtree.Node, bool, error) {
-	// Candidate variables: factors of the first term.
-	for _, xv := range factorVariables(terms[0], module) {
+	// Candidate variables: factors of the first term. The list lives in
+	// the scratch; the loop returns before anything it calls reuses it.
+	c.sc.factors = factorVariables(c.sc.factors, terms[0], module)
+	for _, xv := range c.sc.factors {
 		x := xv.ID()
+		if !factorsAll(terms, x, module) {
+			continue
+		}
 		residuals := make([]expr.Expr, len(terms))
-		ok := true
 		for i, t := range terms {
-			r, removed := removeFactor(t, x, module)
-			if !removed {
-				ok = false
-				break
-			}
-			residuals[i] = r
-		}
-		if !ok {
-			continue
-		}
-		// x must vanish entirely, or the two sides would share it.
-		shared := false
-		for _, r := range residuals {
-			if expr.HasVarID(r, x) {
-				shared = true
-				break
-			}
-		}
-		if shared {
-			continue
+			residuals[i] = removeFactor(t, x, module)
 		}
 		c.st.Factorings++
 		restNode, err := c.compile(expr.Simplify(sumOf(residuals, module, agg), c.s))
@@ -425,84 +420,105 @@ func (c *Compiler) tryFactorSum(terms []expr.Expr, module bool, agg algebra.Agg)
 	return nil, false, nil
 }
 
-// factorVariables lists the variables available for factoring out of a
-// term: the top-level Var/Mul factors of a semiring term, or of the scalar
-// of a semimodule tensor term. Candidates are ordered by name, matching
-// the deterministic choice of the original string-keyed implementation;
-// the names are the ones the Var nodes carry, so the interner is not
-// consulted.
-func factorVariables(t expr.Expr, module bool) []expr.Var {
+// factorVariables lists, in buf's array, the variables available for
+// factoring out of a term: the top-level Var/Mul factors of a semiring
+// term, or of the scalar of a semimodule tensor term. Candidates are
+// ordered by name, matching the deterministic choice of the original
+// string-keyed implementation; the names are the ones the Var nodes
+// carry, so the interner is not consulted.
+func factorVariables(buf []expr.Var, t expr.Expr, module bool) []expr.Var {
+	dst := buf[:0]
 	if module {
 		tensor, ok := t.(expr.Tensor)
 		if !ok {
-			return nil
+			return dst
 		}
-		return factorVariables(tensor.Scalar, false)
+		t = tensor.Scalar
 	}
 	switch n := t.(type) {
 	case expr.Var:
-		return []expr.Var{n}
+		return append(dst, n)
 	case expr.Mul:
-		var out []expr.Var
 		for _, f := range n.Factors {
 			v, ok := f.(expr.Var)
 			if !ok {
 				continue
 			}
-			at := 0 // v's place in name order
-			for at < len(out) && out[at].Name < v.Name {
-				at++
+			at := len(dst) - 1 // v's place in name order
+			for at >= 0 && dst[at].Name > v.Name {
+				at--
 			}
-			if at < len(out) && out[at].Name == v.Name {
+			if at >= 0 && dst[at].Name == v.Name {
 				continue
 			}
-			out = append(out, v)
-			copy(out[at+1:], out[at:])
-			out[at] = v
+			dst = append(dst, v)
+			copy(dst[at+2:], dst[at+1:])
+			dst[at+1] = v
 		}
-		return out
-	default:
-		return nil
 	}
+	return dst
 }
 
-// removeFactor divides term t by variable x, removing exactly one
-// occurrence of x as a top-level factor. It reports whether the division
-// succeeded.
-func removeFactor(t expr.Expr, x expr.VarID, module bool) (expr.Expr, bool) {
+// factorsAll reports whether x factors out of every term: it is a
+// top-level factor of the term (of its scalar, for a semimodule term)
+// and occurs in the term nowhere else — exactly when removeFactor
+// succeeds and leaves a residual without x. It allocates nothing.
+func factorsAll(terms []expr.Expr, x expr.VarID, module bool) bool {
+	for _, t := range terms {
+		if !isolatedFactor(t, x, module) {
+			return false
+		}
+	}
+	return true
+}
+
+func isolatedFactor(t expr.Expr, x expr.VarID, module bool) bool {
 	if module {
 		tensor, ok := t.(expr.Tensor)
-		if !ok {
-			return nil, false
-		}
-		sc, ok := removeFactor(tensor.Scalar, x, false)
-		if !ok {
-			return nil, false
-		}
-		return expr.NewTensor(tensor.Agg, sc, tensor.Mod), true
+		return ok && isolatedFactor(tensor.Scalar, x, false) && !expr.HasVarID(tensor.Mod, x)
 	}
 	switch n := t.(type) {
 	case expr.Var:
-		if n.ID() == x {
-			return expr.CInt(1), true
-		}
-		return nil, false
+		return n.ID() == x
 	case expr.Mul:
-		for i, f := range n.Factors {
-			if v, ok := f.(expr.Var); ok && v.ID() == x {
-				rest := make([]expr.Expr, 0, len(n.Factors)-1)
-				rest = append(rest, n.Factors[:i]...)
-				rest = append(rest, n.Factors[i+1:]...)
-				if len(rest) == 0 {
-					return expr.CInt(1), true
-				}
-				return expr.Product(rest...), true
+		found := false
+		for _, f := range n.Factors {
+			if v, ok := f.(expr.Var); ok && !found && v.ID() == x {
+				found = true // the occurrence removeFactor removes
+			} else if expr.HasVarID(f, x) {
+				return false
 			}
 		}
-		return nil, false
+		return found
 	default:
-		return nil, false
+		return false
 	}
+}
+
+// removeFactor divides term t by variable x, removing its first
+// occurrence as a top-level factor; x must factor out of t
+// (isolatedFactor).
+func removeFactor(t expr.Expr, x expr.VarID, module bool) expr.Expr {
+	if module {
+		tensor := t.(expr.Tensor)
+		return expr.NewTensor(tensor.Agg, removeFactor(tensor.Scalar, x, false), tensor.Mod)
+	}
+	m, ok := t.(expr.Mul)
+	if !ok { // t is x itself
+		return expr.CInt(1)
+	}
+	for i, f := range m.Factors {
+		if v, ok := f.(expr.Var); ok && v.ID() == x {
+			rest := make([]expr.Expr, 0, len(m.Factors)-1)
+			rest = append(rest, m.Factors[:i]...)
+			rest = append(rest, m.Factors[i+1:]...)
+			if len(rest) == 0 {
+				return expr.CInt(1)
+			}
+			return expr.Product(rest...)
+		}
+	}
+	panic("compile: removeFactor of a variable that is no factor")
 }
 
 // compileProduct applies rule 3: split the factors of a product into

@@ -338,11 +338,11 @@ func scalarBounds(s algebra.Semiring, reg *vars.Registry, e expr.Expr) (value.V,
 		if err != nil {
 			return value.V{}, value.V{}, false
 		}
-		support := d.Support()
-		lo := s.Normalise(support[0])
-		hi := s.Normalise(support[len(support)-1])
-		for _, v := range support {
-			nv := s.Normalise(v)
+		pairs := d.Pairs()
+		lo := s.Normalise(pairs[0].V)
+		hi := s.Normalise(pairs[len(pairs)-1].V)
+		for _, p := range pairs {
+			nv := s.Normalise(p.V)
 			lo, hi = lo.Min(nv), hi.Max(nv)
 		}
 		if lo.Less(value.Int(0)) {

@@ -27,6 +27,8 @@ type scratch struct {
 	vs     expr.VarSet  // chooseVariable's counts; disjoint's left side; the walk partition's owner table
 	termVs expr.VarSet  // the walk partition's variables of one term
 	ints   []int32      // components: union-find parents, root → group, group sizes
+	// factors is tryFactorSum's list of candidate variables.
+	factors []expr.Var
 	// sigExact records that no two variables of the compilation's root
 	// share a signature bit (expr.SigIsExact). Every expression the
 	// compilation then meets is built from the root's variables, so

@@ -356,16 +356,29 @@ func pairCost(t *PlusNode, ds *[]prob.Dist, cap *prob.Cap) (int, prob.SumShape) 
 
 // convolvePairs convolves the summands of the cluster under t, taken from
 // the front of ds, in the cluster's own order, counting its inner nodes as
-// eval would have.
+// eval would have. Ownership: the summands are the caller's — a summand
+// may be memoised or shared — and are never recycled; the distribution of
+// an inner ⊕ node is made here, read once, by the ConvolveSum of its
+// parent, and given back to prob (prob.Recycle) as soon as that returns;
+// the distribution of t itself is the caller's. Only an Evaluator that
+// does not keep what it evaluates gets here (evalSum).
 func (ev *Evaluator) convolvePairs(t *PlusNode, ds *[]prob.Dist, cap *prob.Cap) prob.Dist {
-	side := func(c Node) prob.Dist {
+	side := func(c Node) (d prob.Dist, inner bool) {
 		if p, ok := inCluster(c, t.Agg); ok {
-			return ev.counted(ev.convolvePairs(p, ds, cap))
+			return ev.counted(ev.convolvePairs(p, ds, cap)), true
 		}
-		d := (*ds)[0]
+		d = (*ds)[0]
 		*ds = (*ds)[1:]
-		return d
+		return d, false
 	}
-	l := side(t.L)
-	return prob.ConvolveSum(l, side(t.R), cap)
+	l, lInner := side(t.L)
+	r, rInner := side(t.R)
+	d := prob.ConvolveSum(l, r, cap)
+	if lInner {
+		prob.Recycle(l)
+	}
+	if rInner {
+		prob.Recycle(r)
+	}
+	return d
 }

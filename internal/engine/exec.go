@@ -64,7 +64,9 @@ type worker struct {
 	cfg *ExecConfig
 	// c compiles every exact expression of the worker — annotations and
 	// columns, tuple after tuple — with its memo reset after each, so no
-	// two compilations share a node. Made on first use.
+	// two compilations share a node. It is taken from compilers on first
+	// use and given back by release; a reuse shares the memo's capacity
+	// and the compiler's scratch, never a memo entry or a d-tree node.
 	c *compile.Compiler
 	// The sampling strategy's scratch and generator, reused from tuple to
 	// tuple (rng is re-seeded for every tuple); nil under the others.
@@ -78,6 +80,22 @@ func newWorker(s algebra.Semiring, reg *vars.Registry, cfg *ExecConfig) *worker 
 		w.sampler, w.rng = new(worlds.Sampler), rand.New(rand.NewSource(0))
 	}
 	return w
+}
+
+// compilers holds the exact compilers of finished workers. The memo is
+// Reset after every compilation and again when a compiler is rebound to
+// its next worker's semiring, registry and options; a compilation that
+// panics takes its compiler with it (exact).
+var compilers sync.Pool
+
+// release gives the worker's compiler back to compilers; the worker's
+// owner calls it when the worker is done.
+func (w *worker) release() {
+	if w.c != nil {
+		w.c.Rebind(nil, nil, compile.Options{})
+		compilers.Put(w.c)
+		w.c = nil
+	}
 }
 
 // ExactReport describes one exact computation, or the sum of several:
@@ -118,12 +136,19 @@ func Weight(e expr.Expr, reg *vars.Registry) int {
 // (0: no limit) and evaluates the d-tree bottom-up (Theorem 2).
 func (w *worker) exact(ctx context.Context, e expr.Expr, maxNodes int) (prob.Dist, ExactReport, error) {
 	var rep ExactReport
-	if w.c == nil {
-		w.c = compile.New(w.s, w.reg, w.cfg.Compile)
+	c := w.c
+	if c == nil {
+		if c, _ = compilers.Get().(*compile.Compiler); c != nil {
+			c.Rebind(w.s, w.reg, w.cfg.Compile)
+		} else {
+			c = compile.New(w.s, w.reg, w.cfg.Compile)
+		}
 	}
-	w.c.SetMaxNodes(maxNodes)
-	res, err := w.c.CompileCtx(ctx, e)
-	w.c.Reset()
+	w.c = nil // until the compilation returns: a panic drops c, half-filled memo and all
+	c.SetMaxNodes(maxNodes)
+	res, err := c.CompileCtx(ctx, e)
+	c.Reset()
+	w.c = c
 	if err != nil {
 		return prob.Dist{}, rep, fmt.Errorf("engine: compile %s: %w", expr.Abbrev(e), err)
 	}
@@ -143,7 +168,9 @@ func (w *worker) exact(ctx context.Context, e expr.Expr, maxNodes int) (prob.Dis
 // interpret for what it returns.
 func Interpret(ctx context.Context, s algebra.Semiring, reg *vars.Registry, e expr.Expr, cfg ExecConfig) (b compile.Bounds, d prob.Dist, rep TupleReport, err error) {
 	defer contain(0, &err)
-	return newWorker(s, reg, &cfg).interpret(ctx, 0, e)
+	w := newWorker(s, reg, &cfg)
+	defer w.release()
+	return w.interpret(ctx, 0, e)
 }
 
 // interpret is step II's strategy dispatch. It returns e's confidence
@@ -288,6 +315,7 @@ func Outcomes(ctx context.Context, db *pvc.Database, rel *pvc.Relation, cfg Exec
 		go func() {
 			defer wg.Done()
 			wk := newWorker(db.Semiring(), db.Registry, &cfg)
+			defer wk.release()
 			for ctx.Err() == nil {
 				i := int(next.Add(1)) - 1
 				if i >= n {

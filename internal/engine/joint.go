@@ -42,6 +42,7 @@ func Joint(ctx context.Context, s algebra.Semiring, reg *vars.Registry, es []exp
 		simplified[i] = expr.Simplify(e, s)
 	}
 	j := &joint{w: newWorker(s, reg, &cfg)}
+	defer j.w.release()
 	if err := j.expand(ctx, simplified, 1); err != nil {
 		return nil, err
 	}

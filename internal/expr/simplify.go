@@ -12,45 +12,191 @@ import (
 // monoid sum has a child of its own kind, constant children are folded
 // into at most one trailing constant, the unit laws 0+Φ = Φ, 1·Φ = Φ,
 // 0·Φ = 0, 0S⊗m = 0M, 1S⊗m = m, 0M +M α = α have been applied, nested
-// tensors are merged by (s1·s2)⊗m, and comparisons of two constants are
-// decided. The form is closed under taking children and under regrouping
-// the children of a sum or product, and Simplify is the identity on it
-// (Simplify is idempotent) — the invariant Restrict and the compilers
-// rest on: an expression in simplified form never needs to be walked by
-// Simplify again.
+// tensors are merged by (s1·s2)⊗m, comparisons of two constants are
+// decided, and every composite node carries its cached summary (hash,
+// occurrence count, signature). The form is closed under taking children
+// and under regrouping the children of a sum or product, and Simplify
+// returns an expression in it as it is — the same interface value, with
+// nothing allocated — the invariant Restrict and the compilers rest on:
+// an expression in simplified form never needs to be rebuilt by Simplify
+// again. Both rewrites are copy-on-write: they rebuild only the paths
+// from the root to what changes and share every other sub-tree.
 
 // Simplify performs semiring-aware normalisation of an arbitrary
 // well-formed expression into simplified form: flattening of nested
 // sums/products, constant folding and the unit laws above. It preserves
-// the distribution of the expression under any valuation into s. The
-// compilers call it once on the expression they are handed and on the few
-// sub-expressions they build themselves (factoring residuals, pruned
-// comparisons); Shannon substitution keeps the form through Restrict.
+// the distribution of the expression under any valuation into s. An
+// expression already in simplified form is returned as it is, allocating
+// nothing; otherwise only the nodes on a path to a change are rebuilt. A
+// composite node built as a struct literal, which carries no summary,
+// counts as a change. The compilers call it once on the expression they
+// are handed and on the few sub-expressions they build themselves
+// (factoring residuals, pruned comparisons); Shannon substitution keeps
+// the form through Restrict.
 func Simplify(e Expr, s algebra.Semiring) Expr {
+	out, _ := simplify(e, s)
+	return out
+}
+
+// simplify is Simplify, reporting whether the result differs from e. An
+// unchanged node is returned as the interface value it arrived in.
+func simplify(e Expr, s algebra.Semiring) (Expr, bool) {
 	switch n := e.(type) {
 	case Var, Const, MConst:
-		return e
+		return e, false
 	case Add:
-		return foldAdd(simplifyAll(n.Terms, s), s, false)
+		terms, changed := simplifyAll(n.Terms, s)
+		if !changed && n.h != 0 && addFolded(terms, s) {
+			return e, false
+		}
+		return foldAdd(gift(terms, changed), s, false), true
 	case Mul:
-		return foldMul(simplifyAll(n.Factors, s), s, false)
+		factors, changed := simplifyAll(n.Factors, s)
+		if !changed && n.h != 0 && mulFolded(factors, s) {
+			return e, false
+		}
+		return foldMul(gift(factors, changed), s, false), true
 	case Tensor:
-		return foldTensor(n.Agg, Simplify(n.Scalar, s), Simplify(n.Mod, s), s)
+		sc, c1 := simplify(n.Scalar, s)
+		mod, c2 := simplify(n.Mod, s)
+		if !c1 && !c2 && n.h != 0 && tensorFolded(n.Agg, sc, mod, s) {
+			return e, false
+		}
+		return foldTensor(n.Agg, sc, mod, s), true
 	case AggSum:
-		return foldAggSum(n.Agg, simplifyAll(n.Terms, s), false)
+		terms, changed := simplifyAll(n.Terms, s)
+		if !changed && n.h != 0 && aggSumFolded(n.Agg, terms) {
+			return e, false
+		}
+		return foldAggSum(n.Agg, gift(terms, changed), false), true
 	case Cmp:
-		return foldCmp(n.Th, Simplify(n.L, s), Simplify(n.R, s), s)
+		l, c1 := simplify(n.L, s)
+		r, c2 := simplify(n.R, s)
+		if !c1 && !c2 && n.h != 0 && !bothConst(l, r) {
+			return e, false
+		}
+		return foldCmp(n.Th, l, r, s), true
 	default:
 		panic(fmt.Sprintf("expr: unknown node %T", e))
 	}
 }
 
-func simplifyAll(es []Expr, s algebra.Semiring) []Expr {
-	out := make([]Expr, len(es))
+// simplifyAll simplifies every element of es. While none changes it
+// allocates nothing and returns es itself; from the first change on it
+// builds a fresh slice holding the elements before it and every later
+// result, and returns that.
+func simplifyAll(es []Expr, s algebra.Semiring) ([]Expr, bool) {
+	var out []Expr
 	for i, e := range es {
-		out[i] = Simplify(e, s)
+		r, c := simplify(e, s)
+		if c && out == nil {
+			out = make([]Expr, i, len(es))
+			copy(out, es[:i])
+		}
+		if out != nil {
+			out = append(out, r)
+		}
 	}
-	return out
+	if out == nil {
+		return es, false
+	}
+	return out, true
+}
+
+// gift returns children a fold may compact in place and adopt: es itself
+// when simplifyAll built it, else a copy, since es is then a node's own.
+func gift(es []Expr, fresh bool) []Expr {
+	if fresh {
+		return es
+	}
+	return append(make([]Expr, 0, len(es)), es...)
+}
+
+// The folded tests say whether the fold of a node's kind, handed its
+// children, would rebuild the node exactly — same children in the same
+// order, the same constant — so that Simplify may return it as it is.
+// They mirror the folds below case for case, and allocate nothing.
+
+// addFolded: foldAdd keeps terms as they are.
+func addFolded(terms []Expr, s algebra.Semiring) bool {
+	if len(terms) < 2 {
+		return false
+	}
+	last := len(terms) - 1
+	for i, t := range terms {
+		switch t := t.(type) {
+		case Add:
+			return false
+		case Const:
+			acc := s.Add(s.Zero(), t.V)
+			if i != last || acc.IsZero() || boxedValue(acc) != t.V {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// mulFolded: foldMul keeps factors as they are.
+func mulFolded(factors []Expr, s algebra.Semiring) bool {
+	if len(factors) < 2 {
+		return false
+	}
+	last := len(factors) - 1
+	for i, f := range factors {
+		switch f := f.(type) {
+		case Mul:
+			return false
+		case Const:
+			acc := s.Mul(s.One(), f.V)
+			if i != last || acc == s.Zero() || acc.IsOne() || acc != f.V {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// aggSumFolded: foldAggSum keeps terms as they are.
+func aggSumFolded(agg algebra.Agg, terms []Expr) bool {
+	if len(terms) < 2 {
+		return false
+	}
+	mo := algebra.MonoidFor(agg)
+	last := len(terms) - 1
+	for i, t := range terms {
+		if a, ok := t.(AggSum); ok && sameMonoid(a.Agg, agg) {
+			return false
+		}
+		if c, ok := t.(MConst); ok {
+			acc := mo.Combine(mo.Neutral(), c.V)
+			if i != last || acc == mo.Neutral() || acc != c.V {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// tensorFolded: foldTensor rebuilds sc ⊗ mod as it is.
+func tensorFolded(agg algebra.Agg, sc, mod Expr, s algebra.Semiring) bool {
+	if c, ok := sc.(Const); ok {
+		if _, ok := mod.(MConst); ok || c.V == s.Zero() || c.V == s.One() {
+			return false
+		}
+	}
+	if mc, ok := mod.(MConst); ok && mc.V == algebra.MonoidFor(agg).Neutral() {
+		return false
+	}
+	inner, ok := mod.(Tensor)
+	return !ok || !sameMonoid(inner.Agg, agg)
+}
+
+// bothConst: foldCmp decides [l θ r].
+func bothConst(l, r Expr) bool {
+	_, lok := constValue(l)
+	_, rok := constValue(r)
+	return lok && rok
 }
 
 // Restrict returns the cofactor Φ|x←v of Eq. (10) in simplified form: e
@@ -190,6 +336,17 @@ var (
 		return t
 	}()
 )
+
+// boxedValue is the value of the Const semiringConst(v) returns.
+func boxedValue(v value.V) value.V {
+	switch {
+	case v.IsZero():
+		return value.Int(0)
+	case v.IsOne():
+		return value.Int(1)
+	}
+	return v
+}
 
 // semiringConst boxes the semiring constant v.
 func semiringConst(v value.V) Expr {

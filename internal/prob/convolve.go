@@ -5,6 +5,7 @@ import (
 	"math/bits"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"pvcagg/internal/value"
 )
@@ -261,7 +262,7 @@ func (d *denseAcc) emit() Dist {
 			k++
 		}
 	}
-	out := make([]Pair, 0, k)
+	out := pairsFor(k)
 	if d.negInf > dropBelow {
 		out = append(out, Pair{value.NegInf(), d.negInf})
 	}
@@ -274,6 +275,68 @@ func (d *denseAcc) emit() Dist {
 		out = append(out, Pair{value.PosInf(), d.posInf})
 	}
 	return Dist{out}
+}
+
+// Recycled pair arrays. A caller that holds the only reference to a
+// distribution it no longer reads gives its array back with Recycle, and
+// emit and fromMap — the outputs of the dense and of the map kernels —
+// draw from them. recycled[c] holds arrays whose capacity lies in [2^c, 2^(c+1)),
+// so an array is offered only to a request of its own class and wastes
+// less than half of itself; boxes holds the empty *[]Pair headers the
+// pools carry, so neither side allocates one.
+var (
+	recycled [bits.UintSize]sync.Pool
+	boxes    = sync.Pool{New: func() any { return new([]Pair) }}
+	// poisonRecycled, raised by tests only (PoisonRecycledForTest), has
+	// Recycle overwrite every probability of the array with NaN, so that
+	// a reader that still held the distribution would read NaN.
+	poisonRecycled atomic.Int32
+)
+
+// Recycle gives d's pair array back for a later kernel's result. The
+// caller must hold the only reference to d — a distribution it made
+// itself, read by nothing else — and must not read d afterwards. The
+// interned point distributions, and a distribution that is memoised,
+// shared or returned, must never be recycled.
+func Recycle(d Dist) {
+	p := d.pairs[:cap(d.pairs)]
+	if len(p) == 0 {
+		return
+	}
+	if poisonRecycled.Load() > 0 {
+		for i := range p {
+			p[i].P = math.NaN()
+		}
+	}
+	box := boxes.Get().(*[]Pair)
+	*box = p[:0]
+	recycled[bits.Len(uint(len(p)))-1].Put(box)
+}
+
+// pairsFor returns an empty slice with room for n pairs: a recycled array
+// of n's class when one is large enough, otherwise a new one of exactly n.
+func pairsFor(n int) []Pair {
+	if n == 0 {
+		return make([]Pair, 0)
+	}
+	pool := &recycled[bits.Len(uint(n))-1]
+	if box, ok := pool.Get().(*[]Pair); ok {
+		if p := *box; cap(p) >= n {
+			*box = nil
+			boxes.Put(box)
+			return p
+		}
+		pool.Put(box) // too small for n; it may fit the next request
+	}
+	return make([]Pair, 0, n)
+}
+
+// PoisonRecycledForTest has Recycle overwrite every array it takes with
+// NaN probabilities until tb's test ends: a distribution read after it
+// was recycled then shows as NaN instead of as a stale answer.
+func PoisonRecycledForTest(tb interface{ Cleanup(func()) }) {
+	poisonRecycled.Add(1)
+	tb.Cleanup(func() { poisonRecycled.Add(-1) })
 }
 
 // spillMapPool recycles the maps of the sparse-support spill path.

@@ -53,7 +53,7 @@ func FromPairs(pairs []Pair) Dist {
 }
 
 func fromMap(m map[value.V]float64) Dist {
-	out := make([]Pair, 0, len(m))
+	out := pairsFor(len(m))
 	for v, p := range m {
 		if p > dropBelow {
 			out = append(out, Pair{v, p})
@@ -116,15 +116,6 @@ func (d Dist) Mass() float64 {
 		t += p.P
 	}
 	return t
-}
-
-// Support returns the values with non-zero probability, sorted.
-func (d Dist) Support() []value.V {
-	out := make([]value.V, len(d.pairs))
-	for i, p := range d.pairs {
-		out[i] = p.V
-	}
-	return out
 }
 
 // Scale multiplies all probabilities by f ≥ 0 (used by mutex mixtures).

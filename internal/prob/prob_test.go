@@ -69,9 +69,9 @@ func TestMassAndSupport(t *testing.T) {
 	if math.Abs(d.Mass()-0.75) > tol {
 		t.Errorf("Mass = %v", d.Mass())
 	}
-	s := d.Support()
-	if len(s) != 2 || s[0] != value.Int(1) || s[1] != value.Int(2) {
-		t.Errorf("Support = %v", s)
+	s := d.Pairs()
+	if len(s) != 2 || s[0].V != value.Int(1) || s[1].V != value.Int(2) {
+		t.Errorf("Pairs = %v", s)
 	}
 }
 

@@ -21,6 +21,7 @@ import (
 	"pvcagg/internal/algebra"
 	"pvcagg/internal/engine"
 	"pvcagg/internal/gen"
+	"pvcagg/internal/prob"
 	"pvcagg/internal/pvc"
 	"pvcagg/internal/tpch"
 	"pvcagg/internal/value"
@@ -44,17 +45,23 @@ type point struct {
 	maxDist int     // the largest distribution of any seed
 }
 
-// measure compiles and evaluates the instances of seeds 1–3 of p.
+// measure compiles and evaluates the instances of seeds 1–3 of p, with
+// recycled distributions poisoned (prob.PoisonRecycledForTest): a
+// confidence that read one would not be a probability.
 func measure(t *testing.T, p gen.Params) point {
 	t.Helper()
+	prob.PoisonRecycledForTest(t)
 	const seeds = 3
 	var pt point
 	for seed := int64(1); seed <= seeds; seed++ {
 		p.Seed = seed
 		inst := gen.MustNew(p)
-		_, _, rep, err := engine.Interpret(context.Background(), algebra.SemiringFor(algebra.Boolean), inst.Registry, inst.Expr, engine.ExecConfig{})
+		conf, _, rep, err := engine.Interpret(context.Background(), algebra.SemiringFor(algebra.Boolean), inst.Registry, inst.Expr, engine.ExecConfig{})
 		if err != nil {
 			t.Fatal(err)
+		}
+		if !(conf.Lo >= 0 && conf.Lo == conf.Hi && conf.Hi <= 1) {
+			t.Fatalf("seed %d: confidence [%v, %v] is no exact probability", seed, conf.Lo, conf.Hi)
 		}
 		pt.nodes += float64(rep.Exact.Compile.Nodes) / seeds
 		pt.shannon += float64(rep.Exact.Compile.Shannon) / seeds
