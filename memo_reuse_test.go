@@ -44,6 +44,8 @@ func TestRepeatedExprReusesCompilerMemo(t *testing.T) {
 		}
 		c.Reset()
 	}
+	// reused has compiled inst.Expr once and been Reset, as the pooled
+	// compiler of the second run below has when it compiles again.
 	compileOn(reused)
 	growth := allocatedBy(func() { compileOn(compile.New(s, inst.Registry, compile.Options{})) }) -
 		allocatedBy(func() { compileOn(reused) })
