@@ -362,21 +362,23 @@ func (ax *approximator) classify(e expr.Expr) (*anode, error) {
 		}
 	}
 	// Structural splits on independent parts, mirroring rules 2 and 3 of
-	// the exact compiler. A group is adopted as the children of the node
-	// built over it (twice for a sum: the soundness test's node is
-	// discarded).
+	// the exact compiler, over the same groups.
 	switch t := e.(type) {
 	case expr.Add:
-		if groups := ax.c.sc.components(t.Terms); len(groups) > 1 && ax.sumSplitsSound(groups) {
-			return ax.split(nkOr, groups, expr.AdoptSum)
+		if groups := ax.c.sc.components(t.Terms, expr.AdoptSum); groups != nil {
+			defer ax.c.sc.popGroups(groups)
+			if ax.sumSplitsSound(groups) {
+				return ax.split(nkOr, groups)
+			}
 		}
 	case expr.Mul:
 		// The same product-level pruning the exact compiler starts with.
 		if pruned, n := pruneProduct(ax.s, ax.reg, t.Factors); n > 0 {
 			return ax.classify(pruned)
 		}
-		if groups := ax.c.sc.components(t.Factors); len(groups) > 1 {
-			return ax.split(nkAnd, groups, expr.AdoptProduct)
+		if groups := ax.c.sc.components(t.Factors, expr.AdoptProduct); groups != nil {
+			defer ax.c.sc.popGroups(groups)
+			return ax.split(nkAnd, groups)
 		}
 	}
 	leaf := ax.newNode(&anode{kind: nkFrontier, lo: 0, hi: 1, e: e})
@@ -389,12 +391,12 @@ func (ax *approximator) classify(e expr.Expr) (*anode, error) {
 // safe (+ is ∨); for the Natural semiring, interval analysis must prove
 // every group non-negative (scalarBounds bails out on any negative constant
 // or variable support, so success implies no negative contribution).
-func (ax *approximator) sumSplitsSound(groups [][]expr.Expr) bool {
+func (ax *approximator) sumSplitsSound(groups []expr.Expr) bool {
 	if ax.s.Kind() == algebra.Boolean {
 		return true
 	}
 	for _, g := range groups {
-		lo, _, ok := scalarBounds(ax.s, ax.reg, expr.AdoptSum(g))
+		lo, _, ok := scalarBounds(ax.s, ax.reg, g)
 		if !ok || lo.Less(value.Int(0)) {
 			return false
 		}
@@ -402,11 +404,11 @@ func (ax *approximator) sumSplitsSound(groups [][]expr.Expr) bool {
 	return true
 }
 
-func (ax *approximator) split(kind anodeKind, groups [][]expr.Expr, rebuild func([]expr.Expr) expr.Expr) (*anode, error) {
+func (ax *approximator) split(kind anodeKind, groups []expr.Expr) (*anode, error) {
 	n := ax.newNode(&anode{kind: kind})
 	n.children = make([]*anode, 0, len(groups))
 	for _, g := range groups {
-		c, err := ax.classify(rebuild(g))
+		c, err := ax.classify(g)
 		if err != nil {
 			return nil, err
 		}

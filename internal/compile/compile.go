@@ -5,8 +5,9 @@
 //
 //  1. constant expressions become leaves;
 //  2. sums split into independent summands (connected components of the
-//     clause-dependency graph), with read-once factoring of common
-//     variables inside a component;
+//     clause-dependency graph), the k parts of one n-ary ⊕ node (counted
+//     as the k−1 binary nodes it stands for), with read-once factoring of
+//     common variables inside a component;
 //  3. products split into independent factor groups;
 //  4. tensors Φ ⊗ α split when scalar and module sides are independent;
 //  5. comparisons [Φ θ Ψ] split when the sides are independent, after the
@@ -238,15 +239,22 @@ func (c *Compiler) compileSimplified(ctx context.Context, e expr.Expr) (Result, 
 	return Result{Root: root, Stats: c.st}, nil
 }
 
-func (c *Compiler) newNode(n dtree.Node) (dtree.Node, error) {
-	c.st.Nodes++
-	if c.ctx != nil && c.st.Nodes&ctxCheckMask == 0 {
-		if err := c.ctx.Err(); err != nil {
-			return nil, err
+func (c *Compiler) newNode(n dtree.Node) (dtree.Node, error) { return c.newNodes(n, 1) }
+
+// newNodes creates n, counting it as k nodes: a ⊕ of k+1 parts is the k
+// binary nodes it stands for, so the node budget and the cancellation
+// polls see them one by one, as if each were created.
+func (c *Compiler) newNodes(n dtree.Node, k int) (dtree.Node, error) {
+	for range k {
+		c.st.Nodes++
+		if c.ctx != nil && c.st.Nodes&ctxCheckMask == 0 {
+			if err := c.ctx.Err(); err != nil {
+				return nil, err
+			}
 		}
-	}
-	if c.opts.MaxNodes > 0 && c.st.Nodes > c.opts.MaxNodes {
-		return nil, fmt.Errorf("compile: d-tree exceeds %d nodes: %w", c.opts.MaxNodes, ErrNodeBudget)
+		if c.opts.MaxNodes > 0 && c.st.Nodes > c.opts.MaxNodes {
+			return nil, fmt.Errorf("compile: d-tree exceeds %d nodes: %w", c.opts.MaxNodes, ErrNodeBudget)
+		}
 	}
 	// A new node has the one parent its caller is about to give it; only a
 	// memo hit in compile hands a node out a second time.
@@ -322,20 +330,19 @@ func (c *Compiler) compileUncached(e expr.Expr) (dtree.Node, error) {
 // compileSum handles Add (module=false) and AggSum (module=true): rule 2
 // (independent partition, then factoring), then Shannon.
 func (c *Compiler) compileSum(terms []expr.Expr, module bool, agg algebra.Agg, whole expr.Expr) (dtree.Node, error) {
-	groups := c.sc.components(terms)
-	if len(groups) > 1 {
+	groups := c.sc.components(terms, func(g []expr.Expr) expr.Expr { return sumOf(g, module, agg) })
+	if groups != nil {
+		defer c.sc.popGroups(groups)
 		c.st.SumSplits += len(groups) - 1
 		parts := make([]dtree.Node, len(groups))
 		for i, g := range groups {
-			p, err := c.compile(sumOf(g, module, agg))
+			p, err := c.compile(g)
 			if err != nil {
 				return nil, err
 			}
 			parts[i] = p
 		}
-		return c.combine(parts, func(l, r dtree.Node) dtree.Node {
-			return &dtree.PlusNode{Module: module, Agg: agg, L: l, R: r}
-		})
+		return c.newNodes(&dtree.PlusNode{Module: module, Agg: agg, Parts: parts}, len(parts)-1)
 	}
 	if node, ok, err := c.tryFactorSum(terms, module, agg); err != nil {
 		return nil, err
@@ -355,11 +362,11 @@ func sumOf(terms []expr.Expr, module bool, agg algebra.Agg) expr.Expr {
 	return expr.AdoptSum(terms)
 }
 
-// combine folds independent parts into a balanced binary tree of the
-// nodes join builds (⊕ or ⊙), pairing neighbours level by level. Each
-// level is written over the front of parts: pair i/2 is written after
-// parts i and i+1 are read.
-func (c *Compiler) combine(parts []dtree.Node, join func(l, r dtree.Node) dtree.Node) (dtree.Node, error) {
+// combine folds independent factors into a balanced binary tree of ⊙
+// nodes, pairing neighbours level by level — the pairing dtree.Halve
+// describes. Each level is written over the front of parts: pair i/2 is
+// written after parts i and i+1 are read.
+func (c *Compiler) combine(parts []dtree.Node) (dtree.Node, error) {
 	for len(parts) > 1 {
 		k := 0
 		for i := 0; i < len(parts); i, k = i+2, k+1 {
@@ -367,7 +374,7 @@ func (c *Compiler) combine(parts []dtree.Node, join func(l, r dtree.Node) dtree.
 				parts[k] = parts[i]
 				continue
 			}
-			n, err := c.newNode(join(parts[i], parts[i+1]))
+			n, err := c.newNode(&dtree.TimesNode{L: parts[i], R: parts[i+1]})
 			if err != nil {
 				return nil, err
 			}
@@ -530,19 +537,20 @@ func (c *Compiler) compileProduct(m expr.Mul, whole expr.Expr) (dtree.Node, erro
 			return c.compile(pruned)
 		}
 	}
-	groups := c.sc.components(m.Factors)
-	if len(groups) > 1 {
+	// A group of the factors of a simplified product is simplified.
+	groups := c.sc.components(m.Factors, expr.AdoptProduct)
+	if groups != nil {
+		defer c.sc.popGroups(groups)
 		c.st.ProductSplits += len(groups) - 1
 		parts := make([]dtree.Node, len(groups))
 		for i, g := range groups {
-			// A group of the factors of a simplified product is simplified.
-			p, err := c.compile(expr.AdoptProduct(g))
+			p, err := c.compile(g)
 			if err != nil {
 				return nil, err
 			}
 			parts[i] = p
 		}
-		return c.combine(parts, func(l, r dtree.Node) dtree.Node { return &dtree.TimesNode{L: l, R: r} })
+		return c.combine(parts)
 	}
 	return c.shannon(whole)
 }

@@ -584,7 +584,7 @@ func TestComponentsPartition(t *testing.T) {
 		expr.Product(expr.V("b"), expr.V("e")),
 		expr.CInt(1),
 	}
-	groups := new(scratch).components(terms)
+	groups := new(scratch).components(terms, expr.AdoptSum)
 	if len(groups) != 3 {
 		t.Fatalf("components = %d groups, want 3", len(groups))
 	}

@@ -149,10 +149,17 @@ func goldenCases() []goldenCase {
 // dtreeDigest hashes the d-tree as a DAG in post-order: each distinct node
 // is numbered at its first visit and rendered with its kind, its own
 // fields and the numbers of its children, so two digests agree exactly
-// when the trees agree node for node, sharing included.
+// when the trees agree node for node, sharing included. A ⊕ of k parts is
+// rendered as the k−1 nodes of its balanced binary form (dtree.Halve).
 func dtreeDigest(root dtree.Node) string {
 	h := sha256.New()
 	index := map[dtree.Node]int{}
+	next := 0
+	emit := func(line string) int {
+		fmt.Fprintf(h, "%d %s\n", next, line)
+		next++
+		return next - 1
+	}
 	var walk func(n dtree.Node) int
 	walk = func(n dtree.Node) int {
 		if i, ok := index[n]; ok {
@@ -165,7 +172,19 @@ func dtreeDigest(root dtree.Node) string {
 		case *dtree.ConstLeaf:
 			line = fmt.Sprintf("const %v module=%v", t.V, t.Module)
 		case *dtree.PlusNode:
-			line = fmt.Sprintf("plus module=%v agg=%v %d %d", t.Module, t.Agg, walk(t.L), walk(t.R))
+			plus := func(l, r int) string { return fmt.Sprintf("plus module=%v agg=%v %d %d", t.Module, t.Agg, l, r) }
+			var pairs func(parts []dtree.Node) int
+			pairs = func(parts []dtree.Node) int {
+				if len(parts) == 1 {
+					return walk(parts[0])
+				}
+				half := dtree.Halve(len(parts))
+				l := pairs(parts[:half])
+				return emit(plus(l, pairs(parts[half:])))
+			}
+			half := dtree.Halve(len(t.Parts))
+			l := pairs(t.Parts[:half])
+			line = plus(l, pairs(t.Parts[half:]))
 		case *dtree.TimesNode:
 			line = fmt.Sprintf("times %d %d", walk(t.L), walk(t.R))
 		case *dtree.TensorNode:
@@ -184,9 +203,8 @@ func dtreeDigest(root dtree.Node) string {
 		default:
 			panic(fmt.Sprintf("unknown d-tree node %T", n))
 		}
-		i := len(index)
+		i := emit(line)
 		index[n] = i
-		fmt.Fprintf(h, "%d %s\n", i, line)
 		return i
 	}
 	walk(root)

@@ -105,3 +105,48 @@ func BenchmarkApproxPairs(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkCompileIndependentSum compiles and evaluates Σ xi ⊗ mi over
+// 1 000 independent Boolean variables, as SUM (mi from 1 to 5) and as
+// COUNT (mi = 1): the aggregation column of one large group, whose one
+// partition is rule 2's whole work and whose sum the evaluator folds. A
+// compiler is reused and Reset, as an engine worker's is, so B/op and
+// allocs/op are the partition, the d-tree and the distributions, not the
+// memo's growth.
+func BenchmarkCompileIndependentSum(b *testing.B) {
+	const n = 1000
+	reg := vars.NewRegistry()
+	xs := make([]expr.Expr, n)
+	for i := range xs {
+		name := fmt.Sprintf("is%d", i)
+		reg.DeclareBool(name, 0.5)
+		xs[i] = expr.V(name)
+	}
+	s := algebra.SemiringFor(algebra.Boolean)
+	env := dtree.Env{Semiring: s, Registry: reg}
+	for _, agg := range []algebra.Agg{algebra.Sum, algebra.Count} {
+		terms := make([]expr.Expr, n)
+		for i, x := range xs {
+			m := int64(1)
+			if agg == algebra.Sum {
+				m = int64(1 + i%5)
+			}
+			terms[i] = expr.Scale(agg, x, value.Int(m))
+		}
+		e := expr.MSum(agg, terms...)
+		b.Run(agg.String(), func(b *testing.B) {
+			c := New(s, reg, Options{})
+			b.ReportAllocs()
+			for range b.N {
+				res, err := c.CompileCtx(context.Background(), e)
+				if err != nil {
+					b.Fatal(err)
+				}
+				c.Reset()
+				if _, _, err := dtree.Evaluate(res.Root, env); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -2,6 +2,7 @@ package compile
 
 import (
 	"math/bits"
+	"slices"
 	"sync"
 
 	"pvcagg/internal/expr"
@@ -26,7 +27,10 @@ type scratch struct {
 	cof    expr.Scratch // frames of Restrict
 	vs     expr.VarSet  // chooseVariable's counts; disjoint's left side; the walk partition's owner table
 	termVs expr.VarSet  // the walk partition's variables of one term
-	ints   []int32      // components: union-find parents, root → group, group sizes
+	ints   []int32      // components: union-find parents, root → group, group sizes, fill cursors
+	// groups is the stack of the group lists components returns: the
+	// compilation of a group nests, and reuses ints.
+	groups []expr.Expr
 	// factors is tryFactorSum's list of candidate variables.
 	factors []expr.Var
 	// sigExact records that no two variables of the compilation's root
@@ -55,12 +59,15 @@ func putScratch(sc *scratch) {
 
 // components partitions terms into connected components of the
 // clause-dependency graph: two terms are connected when they share a
-// variable; a constant term is a component of its own. Groups, and the
-// terms inside a group, come out in the order of their first term. It
-// returns nil when the terms form one component. Otherwise it allocates
-// its result — the groups and one backing array they are carved from, each
-// group capped at its own length so that a node may adopt it — and nothing
-// else.
+// variable; a constant term is a component of its own. It returns nil
+// when the terms form one component. Otherwise it returns one expression
+// per group, in the order of the groups' first terms: a group of one term
+// is the term itself, and a larger one is what build makes of its terms,
+// in their order, which build may adopt. The groups are carved from one
+// backing array, allocated only when some group has two terms, each
+// capped at its own length; the list is pushed on sc.groups, and the
+// caller pops it (popGroups) when it has compiled them — in between,
+// nested compilations push and pop above it.
 //
 // Signature contract: with sc.sigExact the partition is computed over
 // signature bits alone, which are then the variables themselves. Without
@@ -68,15 +75,15 @@ func putScratch(sc *scratch) {
 // component without being walked — and the variables of the rest are
 // collected by walking them. Both give the same partition in the same
 // order.
-func (sc *scratch) components(terms []expr.Expr) [][]expr.Expr {
+func (sc *scratch) components(terms []expr.Expr, build func([]expr.Expr) expr.Expr) []expr.Expr {
 	n := len(terms)
 	if n == 1 {
 		return nil
 	}
-	if cap(sc.ints) < 3*n {
-		sc.ints = make([]int32, 3*n)
+	if cap(sc.ints) < 4*n {
+		sc.ints = make([]int32, 4*n)
 	}
-	parent, group, size := sc.ints[:n], sc.ints[n:2*n], sc.ints[2*n:3*n]
+	parent, group, size, next := sc.ints[:n], sc.ints[n:2*n], sc.ints[2*n:3*n], sc.ints[3*n:4*n]
 	for i := range parent {
 		parent[i] = int32(i)
 	}
@@ -128,19 +135,45 @@ func (sc *scratch) components(terms []expr.Expr) [][]expr.Expr {
 	if distinct == 1 {
 		return nil
 	}
-	backing := make([]expr.Expr, n)
-	out := make([][]expr.Expr, distinct)
-	off := 0
-	for g := range out {
-		end := off + int(size[g])
-		out[g] = backing[off:off:end]
-		off = end
+	// next[g] is where group g's next term goes in the backing array: the
+	// groups of two or more terms lie there one after the other.
+	multi := int32(0)
+	for g, k := range size[:distinct] {
+		next[g] = multi
+		if k > 1 {
+			multi += k
+		}
 	}
+	var backing []expr.Expr
+	if multi > 0 {
+		backing = make([]expr.Expr, multi)
+	}
+	base := len(sc.groups)
+	sc.groups = slices.Grow(sc.groups, int(distinct))[:base+int(distinct)] // popGroups left it clear
+	out := sc.groups[base:]
 	for i, t := range terms {
 		g := group[find(parent, int32(i))] - 1
-		out[g] = append(out[g], t)
+		if size[g] == 1 {
+			out[g] = t
+			continue
+		}
+		backing[next[g]] = t
+		next[g]++
+	}
+	for g, k := range size[:distinct] {
+		if k > 1 {
+			out[g] = build(backing[next[g]-k : next[g] : next[g]])
+		}
 	}
 	return out
+}
+
+// popGroups pops groups, the list components pushed last, off sc.groups,
+// dropping the expressions it held.
+func (sc *scratch) popGroups(groups []expr.Expr) {
+	top := len(sc.groups) - len(groups)
+	clear(sc.groups[top:])
+	sc.groups = sc.groups[:top]
 }
 
 func find(parent []int32, i int32) int32 {

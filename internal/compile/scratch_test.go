@@ -58,15 +58,20 @@ func bruteComponents(terms []expr.Expr) [][]int {
 	return out
 }
 
-// indices renders a partition of terms as term indices; the terms of one
-// test are pairwise distinct expressions.
-func indices(terms []expr.Expr, groups [][]expr.Expr) [][]int {
+// indices renders a partition of terms, its groups built by
+// expr.AdoptSum, as term indices; the terms of one test are pairwise
+// distinct expressions, none of them a sum.
+func indices(terms []expr.Expr, groups []expr.Expr) [][]int {
 	if groups == nil {
-		groups = [][]expr.Expr{terms}
+		groups = []expr.Expr{expr.AdoptSum(terms)}
 	}
 	out := make([][]int, len(groups))
 	for g, group := range groups {
-		for _, t := range group {
+		members := []expr.Expr{group}
+		if a, ok := group.(expr.Add); ok {
+			members = a.Terms
+		}
+		for _, t := range members {
 			for i := range terms {
 				if expr.Equal(terms[i], t) {
 					out[g] = append(out[g], i)
@@ -105,8 +110,9 @@ func randomTerms(r *rand.Rand, pool []string, n int) []expr.Expr {
 // by walking and the partition by definition are the same, group for
 // group in the same order; on inputs with more than 64 variables the
 // compilation takes the walk, and two terms that share a bit but no
-// variable stay apart. Either way the groups are carved from one array at
-// their own length, and the partition allocates its result alone.
+// variable stay apart. Either way a group of one term is the term, the
+// larger groups are carved from one array at their own length, and the
+// partition allocates that array alone.
 func TestComponentsSignatureEqualsWalk(t *testing.T) {
 	narrow := make([]string, 12)
 	for i := range narrow {
@@ -139,23 +145,33 @@ func TestComponentsSignatureEqualsWalk(t *testing.T) {
 			}
 			for _, sigExact := range modes {
 				sc.sigExact = sigExact
-				groups := sc.components(terms)
+				var built [][]expr.Expr // what components hands to build
+				groups := sc.components(terms, func(g []expr.Expr) expr.Expr {
+					built = append(built, g)
+					return expr.AdoptSum(g)
+				})
 				if got := indices(terms, groups); !reflect.DeepEqual(got, want) {
 					t.Fatalf("sigExact=%v: components(%s) = %v, by definition %v", sigExact, expr.String(expr.Sum(terms...)), got, want)
 				}
-				for _, g := range groups {
-					if cap(g) != len(g) {
+				for _, g := range built {
+					if cap(g) != len(g) || len(g) < 2 {
 						t.Fatalf("group of %d terms has room for %d: a node adopting it could be overwritten", len(g), cap(g))
 					}
 				}
-				wantAllocs := 2.0 // the groups and their backing array
-				if groups == nil {
-					wantAllocs = 0
-				} else {
+				sc.popGroups(groups)
+				wantAllocs := 0.0
+				if groups != nil {
 					split++
 				}
-				if n := testing.AllocsPerRun(5, func() { sc.components(terms) }); n != wantAllocs {
+				if len(built) > 0 {
+					wantAllocs = 1 // the backing array
+				}
+				first := func(g []expr.Expr) expr.Expr { return g[0] }
+				if n := testing.AllocsPerRun(5, func() { sc.popGroups(sc.components(terms, first)) }); n != wantAllocs {
 					t.Fatalf("sigExact=%v: components allocates %v times for %d groups", sigExact, n, len(groups))
+				}
+				if len(sc.groups) != 0 {
+					t.Fatalf("popGroups leaves %d groups on the stack", len(sc.groups))
 				}
 			}
 			putScratch(sc)
@@ -180,7 +196,7 @@ func TestComponentsSignatureEqualsWalk(t *testing.T) {
 		if sc.sigExact || expr.Sig(terms[0]) != expr.Sig(terms[1]) {
 			t.Fatalf("%s and %s share a signature bit, yet sigExact = %v", other, name, sc.sigExact)
 		}
-		if got, want := indices(terms, sc.components(terms)), [][]int{{0, 2}, {1}}; !reflect.DeepEqual(got, want) {
+		if got, want := indices(terms, sc.components(terms, expr.AdoptSum)), [][]int{{0, 2}, {1}}; !reflect.DeepEqual(got, want) {
 			t.Fatalf("components = %v, want %v", got, want)
 		}
 		if sc.disjoint(terms[0], terms[2]) || !sc.disjoint(terms[0], terms[1]) {

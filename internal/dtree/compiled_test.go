@@ -14,134 +14,29 @@ import (
 	"pvcagg/internal/gen"
 	"pvcagg/internal/prob"
 	"pvcagg/internal/testutil"
+	"pvcagg/internal/testutil/dtreeref"
 	"pvcagg/internal/value"
 	"pvcagg/internal/vars"
 )
 
-// The reference evaluator and measurer: every node through a map keyed by
-// (node, cap) resp. node, the generic Convolve at every ⊕ and Map at every
-// leaf — dtree.Evaluate and dtree.Measure as they were before nodes
-// carried ownership marks and SUM had kernels of its own. The tests below
-// hold the shipped ones to these on distribution, EvalStats and Stats, and
-// an Evaluator that keeps what it evaluates to them on distribution and
-// node count.
+// The reference is dtreeref's: a ⊕ of k parts binarised into the binary
+// ⊕ nodes that pair its parts level by level, every node through a map
+// keyed by (node, cap) resp. node, the generic Convolve at every ⊕ and Map
+// at every leaf — dtree.Evaluate and dtree.Measure as they were before
+// nodes carried ownership marks, SUM had kernels of its own and ⊕ was
+// n-ary. The tests below hold the shipped ones to it on distribution,
+// EvalStats and Stats, and an Evaluator that keeps what it evaluates to it
+// on distribution and node count.
 //
-// Evaluate folds a cluster of SUM/COUNT ⊕ nodes left to right where the
-// reference convolves it pairwise in the compiled order, and floating-point
-// addition is not associative: the two agree bit for bit only where every
-// sum is exact in either order. That holds for dyadic probabilities over
-// few variables (sums of multiples of 2⁻ⁿ with n small, which float64
-// represents exactly), so those instances are compared at tolerance 0 and
-// the others at a relative 1e-12 per probability. The kept evaluation
-// never folds and stays bit for bit everywhere.
-
-type refKey struct {
-	n   dtree.Node
-	cap *prob.Cap
-}
-
-type refEvaluator struct {
-	env   dtree.Env
-	memo  map[refKey]prob.Dist
-	stats dtree.EvalStats
-}
-
-func refEvaluate(n dtree.Node, env dtree.Env) (prob.Dist, dtree.EvalStats) {
-	ev := &refEvaluator{env: env, memo: map[refKey]prob.Dist{}}
-	return ev.eval(n, nil), ev.stats
-}
-
-func (ev *refEvaluator) eval(n dtree.Node, cap *prob.Cap) prob.Dist {
-	key := refKey{n, cap}
-	if d, ok := ev.memo[key]; ok {
-		return d
-	}
-	d := ev.evalUncached(n, cap)
-	ev.stats.MaxDistSize = max(ev.stats.MaxDistSize, d.Size())
-	ev.stats.NodeEvals++
-	ev.memo[key] = d
-	return d
-}
-
-func (ev *refEvaluator) evalUncached(n dtree.Node, cap *prob.Cap) prob.Dist {
-	s := ev.env.Semiring
-	switch t := n.(type) {
-	case *dtree.VarLeaf:
-		return prob.Map(ev.env.Registry.MustDist(t.Name), s.Normalise)
-	case *dtree.ConstLeaf:
-		if t.Module {
-			return cap.Clamp(prob.Point(t.V))
-		}
-		return prob.Point(s.Normalise(t.V))
-	case *dtree.PlusNode:
-		if t.Module {
-			return prob.Convolve(ev.eval(t.L, cap), ev.eval(t.R, cap), algebra.MonoidFor(t.Agg).Combine, cap)
-		}
-		return prob.Convolve(ev.eval(t.L, nil), ev.eval(t.R, nil), s.Add, nil)
-	case *dtree.TimesNode:
-		return prob.Convolve(ev.eval(t.L, nil), ev.eval(t.R, nil), s.Mul, nil)
-	case *dtree.TensorNode:
-		mo := algebra.MonoidFor(t.Agg)
-		op := func(a, b value.V) value.V { return algebra.Action(s, mo, a, b) }
-		return prob.Convolve(ev.eval(t.Scalar, nil), ev.eval(t.Mod, cap), op, cap)
-	case *dtree.CmpNode:
-		return prob.Map(prob.CmpConvolve(ev.eval(t.L, t.Cap), ev.eval(t.R, nil), t.Th), s.Normalise)
-	case *dtree.ExclusiveNode:
-		branches := make([]prob.Dist, len(t.Branches))
-		weights := make([]float64, len(t.Branches))
-		for i, br := range t.Branches {
-			branches[i], weights[i] = ev.eval(br.Child, cap), br.P
-		}
-		return prob.Mixture(branches, weights)
-	}
-	panic(fmt.Sprintf("unknown node %T", n))
-}
-
-func children(n dtree.Node) []dtree.Node {
-	switch t := n.(type) {
-	case *dtree.PlusNode:
-		return []dtree.Node{t.L, t.R}
-	case *dtree.TimesNode:
-		return []dtree.Node{t.L, t.R}
-	case *dtree.TensorNode:
-		return []dtree.Node{t.Scalar, t.Mod}
-	case *dtree.CmpNode:
-		return []dtree.Node{t.L, t.R}
-	case *dtree.ExclusiveNode:
-		out := make([]dtree.Node, len(t.Branches))
-		for i, b := range t.Branches {
-			out[i] = b.Child
-		}
-		return out
-	}
-	return nil
-}
-
-func refMeasure(root dtree.Node) dtree.Stats {
-	seen := map[dtree.Node]bool{}
-	var s dtree.Stats
-	var walk func(n dtree.Node, depth int)
-	walk = func(n dtree.Node, depth int) {
-		s.Depth = max(s.Depth, depth)
-		if seen[n] {
-			return
-		}
-		seen[n] = true
-		s.Nodes++
-		kids := children(n)
-		if len(kids) == 0 {
-			s.Leaves++
-		}
-		if _, ok := n.(*dtree.ExclusiveNode); ok {
-			s.Exclusive++
-		}
-		for _, c := range kids {
-			walk(c, depth+1)
-		}
-	}
-	walk(root, 1)
-	return s
-}
+// A compiled tree is held to the reference evaluation that folds where
+// Evaluate folds — the parts of a SUM/COUNT ⊕ into one window when that
+// sweeps fewer cells than their pairing — bit for bit. A hand-built DAG is
+// held to the pairwise reference: Evaluate folds a ⊕ of three parts or
+// more left to right where the reference convolves it pairwise, and
+// floating-point addition is not associative, so the probabilities agree
+// to a relative 1e-12, and a fold's MaxDistSize may be below the
+// reference's. The kept evaluation never folds and stays bit for bit
+// everywhere.
 
 // sameDist reports whether got and want have the same support and every
 // probability of got is within rel of want's, relatively; rel = 0 asks for
@@ -159,32 +54,40 @@ func sameDist(got, want prob.Dist, rel float64) bool {
 	return true
 }
 
-// assertSameAsReference compares Evaluate on root to the reference, its
-// probabilities within rel (see above). A fold builds no distribution for
-// a cluster's inner ⊕ nodes, so MaxDistSize may be below the reference's;
-// NodeEvals counts them all the same.
-func assertSameAsReference(t *testing.T, label string, root dtree.Node, env dtree.Env, rel float64) {
+// assertSameAsReference compares Evaluate on root to the reference: bit
+// for bit and with the same EvalStats for a compiled tree, within a
+// relative 1e-12 and a MaxDistSize no larger for a hand-built one (see
+// above).
+func assertSameAsReference(t *testing.T, label string, root dtree.Node, env dtree.Env, compiled bool) {
 	t.Helper()
 	got, gotStats, err := dtree.Evaluate(root, env)
 	if err != nil {
 		t.Fatalf("%s: %v", label, err)
 	}
-	want, wantStats := refEvaluate(root, env)
+	bin := dtreeref.Binarise(root)
+	want, wantStats := dtreeref.Evaluate(bin, env, compiled)
+	rel := 1e-12
+	if compiled {
+		rel = 0
+	}
 	if !sameDist(got, want, rel) {
 		t.Fatalf("%s: distribution %v, reference %v", label, got, want)
 	}
-	if gotStats.NodeEvals != wantStats.NodeEvals || gotStats.MaxDistSize > wantStats.MaxDistSize {
+	if gotStats.NodeEvals != wantStats.NodeEvals || gotStats.MaxDistSize > wantStats.MaxDistSize ||
+		compiled && gotStats != wantStats {
 		t.Fatalf("%s: EvalStats %+v, reference %+v", label, gotStats, wantStats)
 	}
-	if got, want := dtree.Measure(root), refMeasure(root); got != want {
+	if got, want := dtree.Measure(root), dtreeref.Measure(bin); got != want {
 		t.Fatalf("%s: Measure %+v, reference %+v", label, got, want)
 	}
 	// An Evaluator that keeps what it evaluates, handed the root's
 	// children before the root and the root twice — as trees of one memo
 	// reach nodes earlier calls evaluated while they were unique — gives
-	// the same distribution and counts each node once.
+	// the same distribution as the pairwise reference and counts each node
+	// once.
+	want, _ = dtreeref.Evaluate(bin, env, false)
 	ev := dtree.NewEvaluator(env)
-	for _, c := range children(root) {
+	for _, c := range dtree.Children(root) {
 		if _, err := ev.Evaluate(c); err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}
@@ -198,7 +101,7 @@ func assertSameAsReference(t *testing.T, label string, root dtree.Node, env dtre
 			t.Fatalf("%s: kept evaluation %d: %v, reference %v", label, i, kept, want)
 		}
 	}
-	if got, want := ev.Nodes(), refMeasure(root).Nodes; got != want {
+	if got, want := ev.Nodes(), dtreeref.Measure(bin).Nodes; got != want {
 		t.Fatalf("%s: kept evaluation counts %d nodes, Measure %d", label, got, want)
 	}
 }
@@ -223,8 +126,7 @@ func TestCompiledTreesMatchReference(t *testing.T) {
 				t.Fatalf("seed %d: %v", seed, err)
 			}
 			hits += res.Stats.CacheHits
-			// Every variable is ½ and there are at most 8: dyadic and few.
-			assertSameAsReference(t, fmt.Sprintf("seed %d/%v", seed, kind), res.Root, dtree.Env{Semiring: s, Registry: inst.Registry}, 0)
+			assertSameAsReference(t, fmt.Sprintf("seed %d/%v", seed, kind), res.Root, dtree.Env{Semiring: s, Registry: inst.Registry}, true)
 			if got := dtree.Measure(res.Root).Nodes; got > res.Stats.Nodes {
 				t.Fatalf("seed %d: Measure counts %d nodes, the compiler created %d", seed, got, res.Stats.Nodes)
 			}
@@ -266,7 +168,7 @@ func (g *dagBuilder) sem(depth int) dtree.Node {
 			n = &dtree.VarLeaf{Name: fmt.Sprintf("v%d", g.r.Intn(6))}
 		}
 	case k == 1:
-		n = &dtree.PlusNode{L: g.sem(depth - 1), R: g.sem(depth - 1)}
+		n = &dtree.PlusNode{Parts: g.parts(depth-1, g.sem)}
 	case k == 2:
 		n = &dtree.TimesNode{L: g.sem(depth - 1), R: g.sem(depth - 1)}
 	case k == 3:
@@ -286,6 +188,15 @@ func (g *dagBuilder) sem(depth int) dtree.Node {
 	return n
 }
 
+// parts draws the two to four parts of a ⊕.
+func (g *dagBuilder) parts(depth int, draw func(int) dtree.Node) []dtree.Node {
+	out := make([]dtree.Node, 2+g.r.Intn(3))
+	for i := range out {
+		out[i] = draw(depth)
+	}
+	return out
+}
+
 func (g *dagBuilder) mod(depth int) dtree.Node {
 	if n := g.reuse(g.mods); n != nil {
 		return n
@@ -300,7 +211,7 @@ func (g *dagBuilder) mod(depth int) dtree.Node {
 			{Val: value.Int(1), P: 0.75, Child: g.mod(depth - 1)},
 		}}
 	case k == 2:
-		n = &dtree.PlusNode{Module: true, Agg: algebra.Sum, L: g.mod(depth - 1), R: g.mod(depth - 1)}
+		n = &dtree.PlusNode{Module: true, Agg: algebra.Sum, Parts: g.parts(depth-1, g.mod)}
 	default:
 		n = &dtree.TensorNode{Agg: algebra.Sum, Scalar: g.sem(depth - 1), Mod: g.mod(depth - 1)}
 	}
@@ -312,18 +223,7 @@ func (g *dagBuilder) mod(depth int) dtree.Node {
 // the number of parent edges it has. One node in eight is left unmarked,
 // which hand-built trees are and which must only ever cost speed.
 func markByParents(root dtree.Node, r *rand.Rand) {
-	parents := map[dtree.Node]int{root: 0}
-	var walk func(dtree.Node)
-	walk = func(n dtree.Node) {
-		for _, c := range children(n) {
-			parents[c]++
-			if parents[c] == 1 {
-				walk(c)
-			}
-		}
-	}
-	walk(root)
-	for n, k := range parents {
+	for n, k := range dtreeref.Parents(root) {
 		switch {
 		case r.Intn(8) == 0:
 		case k <= 1:
@@ -355,13 +255,13 @@ func TestMarkedDAGsMatchReference(t *testing.T) {
 		if seed%3 == 0 {
 			kind = algebra.Natural
 		}
-		assertSameAsReference(t, fmt.Sprintf("seed %d", seed), root, dtree.Env{Semiring: algebra.SemiringFor(kind), Registry: reg}, 1e-12)
+		assertSameAsReference(t, fmt.Sprintf("seed %d", seed), root, dtree.Env{Semiring: algebra.SemiringFor(kind), Registry: reg}, false)
 	}
 }
 
 // independentSum is Σ_SUM xi ⊗ v(i) over n distinct variables — the shape
 // of an ungrouped SUM over independent tuples — which compiles without a
-// single memo hit into a balanced ⊕ tree of 4n−1 nodes.
+// single memo hit into one ⊕ of n parts, 4n−1 nodes counted as binary.
 func independentSum(tb testing.TB, n int, v func(i int) int64) (dtree.Node, dtree.Env) {
 	tb.Helper()
 	reg := vars.NewRegistry()
@@ -391,15 +291,14 @@ func sparse(i int) int64 { return int64(1000 + i*997%4000) }
 // TestHitFreeTreeEvaluatesWithoutMap: a compiled tree without memo hits
 // has only unique nodes, so evaluating it allocates results and nothing
 // else that grows with the tree (a memo of its 4n−1 nodes would add some
-// 15 allocations at n = 128 and 47 at n = 1024: map growth). Its ⊕ nodes
-// are one cluster. On the dense sum the cost choice folds it: one Dist per
-// ⊗ and per constant vi, and the window's, 2n+1 in all, where the
-// pairwise order builds one per ⊕ besides (3n−1); the slack is for the
-// pooled window and summand stack regrowing after a GC. On the sparse sum
-// of 16 terms the pairwise order is the cheaper one — its widest
-// convolution is 256×256 cells, each of the fold's sweeps thousands of
-// cells wide — so every ⊕ is built: at least 3n−1 allocations. With 2ⁿ
-// worlds the sums are not exact in float64, hence the relative tolerance.
+// 15 allocations at n = 128 and 47 at n = 1024: map growth). On the dense
+// sum the cost choice folds its one ⊕: one Dist per ⊗ and per constant
+// vi, and the window's, 2n+1 in all, where the pairing builds one per
+// binary ⊕ besides (3n−1); the slack is for the pooled window and part
+// stack regrowing after a GC. On the sparse sum of 16 terms the pairing is
+// the cheaper one — its widest convolution is 256×256 cells, each of the
+// fold's sweeps thousands of cells wide — so every inner sum is built: at
+// least 3n−1 allocations.
 func TestHitFreeTreeEvaluatesWithoutMap(t *testing.T) {
 	allocs := func(root dtree.Node, env dtree.Env) float64 {
 		return testing.AllocsPerRun(10, func() {
@@ -410,7 +309,7 @@ func TestHitFreeTreeEvaluatesWithoutMap(t *testing.T) {
 	}
 	for _, n := range []int{128, 1024} {
 		root, env := independentSum(t, n, dense)
-		assertSameAsReference(t, fmt.Sprintf("dense n=%d", n), root, env, 1e-12)
+		assertSameAsReference(t, fmt.Sprintf("dense n=%d", n), root, env, true)
 		if testutil.RaceEnabled {
 			continue // allocation counts mean nothing under the race detector
 		}
@@ -420,7 +319,7 @@ func TestHitFreeTreeEvaluatesWithoutMap(t *testing.T) {
 	}
 	const n = 16
 	root, env := independentSum(t, n, sparse)
-	assertSameAsReference(t, fmt.Sprintf("sparse n=%d", n), root, env, 1e-12)
+	assertSameAsReference(t, fmt.Sprintf("sparse n=%d", n), root, env, true)
 	if got := allocs(root, env); !testutil.RaceEnabled && got < 3*n-1 {
 		t.Errorf("sparse n=%d: %v allocations per Evaluate, want the pairwise order's %v or more", n, got, 3*n-1)
 	}

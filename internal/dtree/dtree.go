@@ -6,10 +6,16 @@
 // variables or constants. The probability distribution of a d-tree is
 // computed bottom-up by the convolutions of Eqs. (4)–(10) in one pass
 // (Theorem 2).
+//
+// ⊕ is n-ary, being associative and commutative (Eqs. (4)/(6)): a node of
+// k parts is the same tree up to association as the k−1 binary ⊕ nodes
+// that pair neighbouring parts level by level (Halve), and Measure and
+// evaluation count it, and Measure its depth, as those. ⊙ stays binary.
 package dtree
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 	"strings"
 
@@ -74,14 +80,23 @@ type ConstLeaf struct {
 	Module bool
 }
 
-// PlusNode is ⊕: the sum of two independent expressions — the semiring +
-// when Module is false (Eq. (4)), the monoid +M of Agg when true (Eq. (6)).
+// PlusNode is ⊕: the sum of two or more independent expressions — the
+// semiring + when Module is false (Eq. (4)), the monoid +M of Agg when
+// true (Eq. (6)). It stands for the balanced binary ⊕ tree over Parts, in
+// order (see the package doc), and is evaluated in that pairing unless a
+// SUM or COUNT is cheaper to fold (Evaluate).
 type PlusNode struct {
 	header
 	Module bool
 	Agg    algebra.Agg
-	L, R   Node
+	Parts  []Node
 }
+
+// Halve returns how many of k ≥ 2 parts the left operand of their
+// balanced binary ⊕ sums: the largest power of two below k. Pairing
+// neighbours level by level, the parts of the left operand are those of
+// the last level's left node.
+func Halve(k int) int { return 1 << (bits.Len(uint(k-1)) - 1) }
 
 // TimesNode is ⊙: the product of two independent semiring expressions
 // (Eq. (5)).
@@ -136,15 +151,73 @@ type Stats struct {
 	Exclusive int
 }
 
-// Measure computes Stats, counting shared sub-trees once.
+// Children returns n's children in order: a ⊔x node's are its branches'.
+func Children(n Node) []Node {
+	switch t := n.(type) {
+	case *VarLeaf, *ConstLeaf:
+		return nil
+	case *PlusNode:
+		return t.Parts
+	case *TimesNode:
+		return []Node{t.L, t.R}
+	case *TensorNode:
+		return []Node{t.Scalar, t.Mod}
+	case *CmpNode:
+		return []Node{t.L, t.R}
+	case *ExclusiveNode:
+		out := make([]Node, len(t.Branches))
+		for i, b := range t.Branches {
+			out[i] = b.Child
+		}
+		return out
+	default:
+		panic(fmt.Sprintf("dtree: unknown node %T", n))
+	}
+}
+
+// symbol is n's label in DOT and in Validate's errors.
+func symbol(n Node) string {
+	switch t := n.(type) {
+	case *VarLeaf:
+		return t.Name
+	case *ConstLeaf:
+		return t.V.String()
+	case *PlusNode:
+		return "⊕"
+	case *TimesNode:
+		return "⊙"
+	case *TensorNode:
+		return "⊗"
+	case *CmpNode:
+		return "[" + t.Th.String() + "]"
+	case *ExclusiveNode:
+		return "⊔" + t.Var
+	default:
+		panic(fmt.Sprintf("dtree: unknown node %T", n))
+	}
+}
+
+// Measure computes Stats, counting shared sub-trees once and a ⊕ of k
+// parts as the k−1 nodes of its balanced binary form, whose depth it
+// measures too.
 func Measure(n Node) Stats {
 	var seen map[Node]struct{} // nodes not marked unique, which may recur
 	var s Stats
 	var walk func(n Node, depth int)
-	walk = func(n Node, depth int) {
-		if depth > s.Depth {
-			s.Depth = depth
+	// pairs walks the parts of a ⊕ whose binary node over them lies at
+	// depth.
+	var pairs func(parts []Node, depth int)
+	pairs = func(parts []Node, depth int) {
+		if len(parts) == 1 {
+			walk(parts[0], depth)
+			return
 		}
+		h := Halve(len(parts))
+		pairs(parts[:h], depth+1)
+		pairs(parts[h:], depth+1)
+	}
+	walk = func(n Node, depth int) {
+		s.Depth = max(s.Depth, depth)
 		if !unique(n) {
 			if _, ok := seen[n]; ok {
 				return
@@ -159,24 +232,14 @@ func Measure(n Node) Stats {
 		case *VarLeaf, *ConstLeaf:
 			s.Leaves++
 		case *PlusNode:
-			walk(t.L, depth+1)
-			walk(t.R, depth+1)
-		case *TimesNode:
-			walk(t.L, depth+1)
-			walk(t.R, depth+1)
-		case *TensorNode:
-			walk(t.Scalar, depth+1)
-			walk(t.Mod, depth+1)
-		case *CmpNode:
-			walk(t.L, depth+1)
-			walk(t.R, depth+1)
+			s.Nodes += len(t.Parts) - 2
+			pairs(t.Parts, depth)
+			return
 		case *ExclusiveNode:
 			s.Exclusive++
-			for _, b := range t.Branches {
-				walk(b.Child, depth+1)
-			}
-		default:
-			panic(fmt.Sprintf("dtree: unknown node %T", n))
+		}
+		for _, c := range Children(n) {
+			walk(c, depth+1)
 		}
 	}
 	walk(n, 1)
@@ -193,26 +256,11 @@ func Variables(n Node) []string {
 			return
 		}
 		seen[n] = struct{}{}
-		switch t := n.(type) {
-		case *VarLeaf:
-			set[t.Name] = struct{}{}
-		case *ConstLeaf:
-		case *PlusNode:
-			walk(t.L)
-			walk(t.R)
-		case *TimesNode:
-			walk(t.L)
-			walk(t.R)
-		case *TensorNode:
-			walk(t.Scalar)
-			walk(t.Mod)
-		case *CmpNode:
-			walk(t.L)
-			walk(t.R)
-		case *ExclusiveNode:
-			for _, b := range t.Branches {
-				walk(b.Child)
-			}
+		if v, ok := n.(*VarLeaf); ok {
+			set[v.Name] = struct{}{}
+		}
+		for _, c := range Children(n) {
+			walk(c)
 		}
 	}
 	walk(n)
@@ -235,14 +283,6 @@ func Validate(n Node) error {
 			return map[string]struct{}{t.Name: {}}, nil
 		case *ConstLeaf:
 			return nil, nil
-		case *PlusNode:
-			return independentPair(t.L, t.R, "⊕", walk)
-		case *TimesNode:
-			return independentPair(t.L, t.R, "⊙", walk)
-		case *TensorNode:
-			return independentPair(t.Scalar, t.Mod, "⊗", walk)
-		case *CmpNode:
-			return independentPair(t.L, t.R, "[θ]", walk)
 		case *ExclusiveNode:
 			all := map[string]struct{}{}
 			for _, b := range t.Branches {
@@ -259,35 +299,29 @@ func Validate(n Node) error {
 			}
 			all[t.Var] = struct{}{}
 			return all, nil
-		default:
-			return nil, fmt.Errorf("dtree: unknown node %T", n)
 		}
+		// The children of the other nodes are independent.
+		var all map[string]struct{}
+		for _, c := range Children(n) {
+			vs, err := walk(c)
+			if err != nil {
+				return nil, err
+			}
+			if all == nil { // the first child, or constants so far
+				all = vs
+				continue
+			}
+			for x := range vs {
+				if _, ok := all[x]; ok {
+					return nil, fmt.Errorf("dtree: %s children share variable %s", symbol(n), x)
+				}
+				all[x] = struct{}{}
+			}
+		}
+		return all, nil
 	}
 	_, err := walk(n)
 	return err
-}
-
-func independentPair(l, r Node, op string, walk func(Node) (map[string]struct{}, error)) (map[string]struct{}, error) {
-	lv, err := walk(l)
-	if err != nil {
-		return nil, err
-	}
-	rv, err := walk(r)
-	if err != nil {
-		return nil, err
-	}
-	if lv == nil { // a constant left child
-		return rv, nil
-	}
-	for x := range lv {
-		if _, ok := rv[x]; ok {
-			return nil, fmt.Errorf("dtree: %s children share variable %s", op, x)
-		}
-	}
-	for x := range rv {
-		lv[x] = struct{}{}
-	}
-	return lv, nil
 }
 
 // String renders the d-tree in an indented form for debugging and docs.
@@ -295,41 +329,33 @@ func String(n Node) string {
 	var b strings.Builder
 	var walk func(n Node, indent string)
 	walk = func(n Node, indent string) {
+		label := symbol(n)
 		switch t := n.(type) {
 		case *VarLeaf:
-			fmt.Fprintf(&b, "%svar %s\n", indent, t.Name)
+			label = "var " + t.Name
 		case *ConstLeaf:
 			sort := "s"
 			if t.Module {
 				sort = "m"
 			}
-			fmt.Fprintf(&b, "%sconst %s:%v\n", indent, sort, t.V)
+			label = fmt.Sprintf("const %s:%v", sort, t.V)
 		case *PlusNode:
-			label := "⊕"
 			if t.Module {
-				label = "⊕" + strings.ToLower(t.Agg.String())
+				label += strings.ToLower(t.Agg.String())
 			}
-			fmt.Fprintf(&b, "%s%s\n", indent, label)
-			walk(t.L, indent+"  ")
-			walk(t.R, indent+"  ")
-		case *TimesNode:
-			fmt.Fprintf(&b, "%s⊙\n", indent)
-			walk(t.L, indent+"  ")
-			walk(t.R, indent+"  ")
 		case *TensorNode:
-			fmt.Fprintf(&b, "%s⊗%s\n", indent, strings.ToLower(t.Agg.String()))
-			walk(t.Scalar, indent+"  ")
-			walk(t.Mod, indent+"  ")
-		case *CmpNode:
-			fmt.Fprintf(&b, "%s[%s]\n", indent, t.Th)
-			walk(t.L, indent+"  ")
-			walk(t.R, indent+"  ")
+			label += strings.ToLower(t.Agg.String())
 		case *ExclusiveNode:
-			fmt.Fprintf(&b, "%s⊔%s\n", indent, t.Var)
+			fmt.Fprintf(&b, "%s%s\n", indent, label)
 			for _, br := range t.Branches {
 				fmt.Fprintf(&b, "%s %s←%v (p=%.4g)\n", indent, t.Var, br.Val, br.P)
 				walk(br.Child, indent+"  ")
 			}
+			return
+		}
+		fmt.Fprintf(&b, "%s%s\n", indent, label)
+		for _, c := range Children(n) {
+			walk(c, indent+"  ")
 		}
 	}
 	walk(n, "")
@@ -341,9 +367,7 @@ func DOT(n Node) string {
 	var b strings.Builder
 	b.WriteString("digraph dtree {\n  node [shape=box];\n")
 	ids := map[Node]int{}
-	var id func(Node) int
-	var walk func(Node)
-	id = func(n Node) int {
+	id := func(n Node) int {
 		if i, ok := ids[n]; ok {
 			return i
 		}
@@ -351,57 +375,27 @@ func DOT(n Node) string {
 		ids[n] = i
 		return i
 	}
-	emit := func(n Node, label string) {
-		fmt.Fprintf(&b, "  n%d [label=%q];\n", id(n), label)
-	}
-	edge := func(from, to Node, label string) {
-		if label == "" {
-			fmt.Fprintf(&b, "  n%d -> n%d;\n", id(from), id(to))
-		} else {
-			fmt.Fprintf(&b, "  n%d -> n%d [label=%q];\n", id(from), id(to), label)
-		}
-	}
 	seen := map[Node]struct{}{}
+	var walk func(Node)
 	walk = func(n Node) {
 		if _, ok := seen[n]; ok {
 			return
 		}
 		seen[n] = struct{}{}
-		switch t := n.(type) {
-		case *VarLeaf:
-			emit(n, t.Name)
-		case *ConstLeaf:
-			emit(n, t.V.String())
-		case *PlusNode:
-			emit(n, "⊕")
-			edge(n, t.L, "")
-			edge(n, t.R, "")
-			walk(t.L)
-			walk(t.R)
-		case *TimesNode:
-			emit(n, "⊙")
-			edge(n, t.L, "")
-			edge(n, t.R, "")
-			walk(t.L)
-			walk(t.R)
-		case *TensorNode:
-			emit(n, "⊗")
-			edge(n, t.Scalar, "")
-			edge(n, t.Mod, "")
-			walk(t.Scalar)
-			walk(t.Mod)
-		case *CmpNode:
-			emit(n, "["+t.Th.String()+"]")
-			edge(n, t.L, "")
-			edge(n, t.R, "")
-			walk(t.L)
-			walk(t.R)
-		case *ExclusiveNode:
-			emit(n, "⊔"+t.Var)
+		fmt.Fprintf(&b, "  n%d [label=%q];\n", id(n), symbol(n))
+		if t, ok := n.(*ExclusiveNode); ok {
 			for _, br := range t.Branches {
-				edge(n, br.Child, fmt.Sprintf("%s←%v", t.Var, br.Val))
+				fmt.Fprintf(&b, "  n%d -> n%d [label=%q];\n", id(n), id(br.Child), fmt.Sprintf("%s←%v", t.Var, br.Val))
 				walk(br.Child)
 			}
+			return
+		}
+		kids := Children(n)
+		for _, c := range kids {
+			fmt.Fprintf(&b, "  n%d -> n%d;\n", id(n), id(c))
+		}
+		for _, c := range kids {
+			walk(c)
 		}
 	}
 	walk(n)

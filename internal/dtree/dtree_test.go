@@ -19,11 +19,11 @@ func env(reg *vars.Registry, k algebra.SemiringKind) Env {
 // (a ⊗ ((b ⊕ 1) ⊗ 10)) ⊕sum (1 ⊗ 20), then the full ⊔c tree.
 func figure5Tree(reg *vars.Registry) Node {
 	branch := func(cv int64) Node {
-		bPlus := &PlusNode{L: &VarLeaf{Name: "b"}, R: &ConstLeaf{V: value.Int(cv)}}
+		bPlus := &PlusNode{Parts: []Node{&VarLeaf{Name: "b"}, &ConstLeaf{V: value.Int(cv)}}}
 		inner := &TensorNode{Agg: algebra.Sum, Scalar: bPlus, Mod: &ConstLeaf{V: value.Int(10), Module: true}}
 		left := &TensorNode{Agg: algebra.Sum, Scalar: &VarLeaf{Name: "a"}, Mod: inner}
 		right := &ConstLeaf{V: value.Int(20 * cv), Module: true}
-		return &PlusNode{Module: true, Agg: algebra.Sum, L: left, R: right}
+		return &PlusNode{Module: true, Agg: algebra.Sum, Parts: []Node{left, right}}
 	}
 	pc := reg.MustDist("c")
 	return &ExclusiveNode{Var: "c", Branches: []Branch{
@@ -85,7 +85,7 @@ func TestMeasureAndVariables(t *testing.T) {
 }
 
 func TestValidateRejectsSharedVariables(t *testing.T) {
-	bad := &PlusNode{L: &VarLeaf{Name: "x"}, R: &VarLeaf{Name: "x"}}
+	bad := &PlusNode{Parts: []Node{&VarLeaf{Name: "x"}, &VarLeaf{Name: "y"}, &VarLeaf{Name: "x"}}}
 	if err := Validate(bad); err == nil {
 		t.Fatalf("⊕ with shared variable accepted")
 	}
@@ -96,7 +96,7 @@ func TestValidateRejectsSharedVariables(t *testing.T) {
 		t.Fatalf("⊔x with x in branch accepted")
 	}
 	// A constant left child mentions no variable; this used to panic.
-	good := &PlusNode{L: &ConstLeaf{V: value.Bool(true)}, R: &TimesNode{L: &VarLeaf{Name: "x"}, R: &VarLeaf{Name: "y"}}}
+	good := &PlusNode{Parts: []Node{&ConstLeaf{V: value.Bool(true)}, &TimesNode{L: &VarLeaf{Name: "x"}, R: &VarLeaf{Name: "y"}}}}
 	if err := Validate(good); err != nil {
 		t.Fatalf("⊕ with a constant left child rejected: %v", err)
 	}

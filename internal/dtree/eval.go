@@ -48,9 +48,9 @@ type Evaluator struct {
 	// since was inherited from it.
 	revisit bool
 	stats   EvalStats
-	// leaves is the stack evalSum evaluates a cluster's summands onto,
-	// checked out of leafPool by the first cluster and returned by the
-	// package-level Evaluate.
+	// leaves is the stack evalPlus evaluates the parts of a ⊕ node of
+	// three or more onto, checked out of leafPool by the first such node
+	// and returned by the package-level Evaluate.
 	leaves *[]prob.Dist
 }
 
@@ -78,26 +78,28 @@ func (ev *Evaluator) Evaluate(n Node) (prob.Dist, error) { return ev.eval(n, nil
 
 // Nodes returns the number of distinct nodes the calls of an Evaluator
 // made by NewEvaluator have evaluated: its memo's nodes, counted once
-// however many caps they were evaluated under.
+// however many caps they were evaluated under, and a ⊕ of k parts as its
+// k−1 binary nodes (as Measure counts it).
 func (ev *Evaluator) Nodes() int {
-	n := len(ev.memo)
+	n := 0
 	var capped map[Node]struct{} // nodes counted through a capped key
 	for k := range ev.memo {
-		if k.cap == nil {
-			continue
+		if k.cap != nil {
+			if _, ok := ev.memo[memoKey{k.n, nil}]; ok {
+				continue
+			}
+			if _, ok := capped[k.n]; ok {
+				continue
+			}
+			if capped == nil {
+				capped = map[Node]struct{}{}
+			}
+			capped[k.n] = struct{}{}
 		}
-		if _, ok := ev.memo[memoKey{k.n, nil}]; ok {
-			n--
-			continue
+		n++
+		if p, ok := k.n.(*PlusNode); ok {
+			n += len(p.Parts) - 2
 		}
-		if _, ok := capped[k.n]; ok {
-			n--
-			continue
-		}
-		if capped == nil {
-			capped = map[Node]struct{}{}
-		}
-		capped[k.n] = struct{}{}
 	}
 	return n
 }
@@ -178,31 +180,7 @@ func (ev *Evaluator) evalUncached(n Node, cap *prob.Cap) (prob.Dist, error) {
 		}
 		return prob.Point(s.Normalise(t.V)), nil
 	case *PlusNode:
-		if t.Module {
-			// SUM and COUNT combine by integer addition, which has kernels
-			// of its own; the other monoids take the generic one.
-			if t.Agg == algebra.Sum || t.Agg == algebra.Count {
-				return ev.evalSum(t, cap)
-			}
-			l, err := ev.eval(t.L, cap, true)
-			if err != nil {
-				return prob.Dist{}, err
-			}
-			r, err := ev.eval(t.R, cap, true)
-			if err != nil {
-				return prob.Dist{}, err
-			}
-			return prob.Convolve(l, r, algebra.MonoidFor(t.Agg).Combine, cap), nil
-		}
-		l, err := ev.eval(t.L, nil, false)
-		if err != nil {
-			return prob.Dist{}, err
-		}
-		r, err := ev.eval(t.R, nil, false)
-		if err != nil {
-			return prob.Dist{}, err
-		}
-		return prob.Convolve(l, r, s.Add, nil), nil
+		return ev.evalPlus(t, cap)
 	case *TimesNode:
 		l, err := ev.eval(t.L, nil, false)
 		if err != nil {
@@ -252,64 +230,60 @@ func (ev *Evaluator) evalUncached(n Node, cap *prob.Cap) (prob.Dist, error) {
 	}
 }
 
-// inCluster reports whether n is a unique ⊕ node over the monoid agg,
-// which belongs to the cluster of its parent's (see evalSum).
-func inCluster(n Node, agg algebra.Agg) (*PlusNode, bool) {
-	p, ok := n.(*PlusNode)
-	return p, ok && p.Module && p.Agg == agg && unique(p)
-}
-
-// leafPool recycles the summand stacks of evaluators that fold.
+// leafPool recycles the part stacks of evaluators that do not keep.
 var leafPool = sync.Pool{New: func() any { return new([]prob.Dist) }}
 
-// evalSum evaluates a SUM/COUNT ⊕ node t under cap. t and the unique ⊕
-// nodes of its monoid below it form a cluster: each of those has one
-// parent and inherits t's cap, so eval would neither memoise it nor hand
-// its distribution to anything but that parent, and the cluster's leaves —
-// the first nodes below it that are not such ⊕ nodes — are independent
-// summands. An Evaluator that does not keep what it evaluates evaluates
-// them left to right, as eval would, onto its stack; it folds them into
-// one window (prob.FoldSum) when the cells that sweeps (prob.FoldCost) are
-// fewer than the cells of the cluster's own pairwise order (pairCost), and
-// convolves them in that order otherwise. One that keeps never folds: a
-// node marked unique there may gain a second parent after it has been
-// evaluated. NodeEvals counts every ⊕ node of a cluster either way; a fold
-// builds no distribution for the cluster's inner nodes, so MaxDistSize
-// does not see them.
-func (ev *Evaluator) evalSum(t *PlusNode, cap *prob.Cap) (prob.Dist, error) {
-	_, inL := inCluster(t.L, t.Agg)
-	_, inR := inCluster(t.R, t.Agg)
-	if ev.keep || !(inL || inR) {
-		l, err := ev.eval(t.L, cap, true)
+// evalPlus evaluates a ⊕ node under cap: its parts left to right — a
+// module node's under cap, a semiring node's under none — then their sum
+// in the balanced pairing, one convolution per binary node. An Evaluator
+// that does not keep what it evaluates folds the parts of a SUM/COUNT node
+// into one window (prob.FoldSum) when that sweeps fewer cells
+// (prob.FoldCost) than the pairing (pairCost), and otherwise recycles
+// each inner sum once its parent has read it. NodeEvals counts the k−1
+// binary nodes either way; a fold builds no inner sum for MaxDistSize.
+func (ev *Evaluator) evalPlus(t *PlusNode, cap *prob.Cap) (prob.Dist, error) {
+	if !t.Module {
+		cap = nil
+	}
+	if len(t.Parts) == 2 {
+		l, err := ev.eval(t.Parts[0], cap, t.Module)
 		if err != nil {
 			return prob.Dist{}, err
 		}
-		r, err := ev.eval(t.R, cap, true)
+		r, err := ev.eval(t.Parts[1], cap, t.Module)
 		if err != nil {
 			return prob.Dist{}, err
 		}
-		return prob.ConvolveSum(l, r, cap), nil
+		return ev.plus(t, l, r, cap), nil
 	}
 	if ev.leaves == nil {
 		ev.leaves = leafPool.Get().(*[]prob.Dist)
 	}
 	base := len(*ev.leaves)
-	err := ev.pushSummands(t, cap)
+	var err error
+	for _, p := range t.Parts {
+		var d prob.Dist
+		if d, err = ev.eval(p, cap, t.Module); err != nil {
+			break
+		}
+		*ev.leaves = append(*ev.leaves, d)
+	}
 	ds := (*ev.leaves)[base:]
 	var d prob.Dist
 	if err == nil {
+		sum := !ev.keep && t.Module && (t.Agg == algebra.Sum || t.Agg == algebra.Count)
 		fold := false
-		if cost, ok := prob.FoldCost(ds, cap); ok {
-			rest := ds
-			pairs, _ := pairCost(t, &rest, cap)
-			fold = cost < pairs
+		if sum {
+			if cost, ok := prob.FoldCost(ds, cap); ok {
+				pairs, _ := pairCost(ds, cap)
+				fold = cost < pairs
+			}
 		}
 		if fold {
 			d = prob.FoldSum(ds, cap)
-			ev.stats.NodeEvals += len(ds) - 2 // the cluster's ⊕ nodes but t
+			ev.stats.NodeEvals += len(ds) - 2 // the binary nodes but the root
 		} else {
-			rest := ds
-			d = ev.convolvePairs(t, &rest, cap)
+			d = ev.pairUp(t, ds, cap, sum)
 		}
 	}
 	clear(ds) // the pooled stack keeps no distribution alive
@@ -317,67 +291,54 @@ func (ev *Evaluator) evalSum(t *PlusNode, cap *prob.Cap) (prob.Dist, error) {
 	return d, err
 }
 
-// pushSummands evaluates the summands of the cluster under t onto
-// ev.leaves, left to right.
-func (ev *Evaluator) pushSummands(t *PlusNode, cap *prob.Cap) error {
-	for _, c := range [2]Node{t.L, t.R} {
-		if p, ok := inCluster(c, t.Agg); ok {
-			if err := ev.pushSummands(p, cap); err != nil {
-				return err
-			}
-			continue
-		}
-		d, err := ev.eval(c, cap, true)
-		if err != nil {
-			return err
-		}
-		*ev.leaves = append(*ev.leaves, d)
+// plus is the distribution of the sum of two independent operands of t.
+func (ev *Evaluator) plus(t *PlusNode, l, r prob.Dist, cap *prob.Cap) prob.Dist {
+	switch {
+	case !t.Module:
+		return prob.Convolve(l, r, ev.env.Semiring.Add, nil)
+	case t.Agg == algebra.Sum || t.Agg == algebra.Count:
+		// SUM and COUNT combine by integer addition, which has kernels of
+		// its own; the other monoids take the generic one.
+		return prob.ConvolveSum(l, r, cap)
+	default:
+		return prob.Convolve(l, r, algebra.MonoidFor(t.Agg).Combine, cap)
 	}
-	return nil
 }
 
-// pairCost prices the cluster under t in its own order, taking its
-// summands from the front of ds: the cells |L|·|R| of each of its ⊕
-// nodes, an inner node's size estimated from its operands
-// (prob.SumShape.Plus). It returns the estimated shape of t too.
-func pairCost(t *PlusNode, ds *[]prob.Dist, cap *prob.Cap) (int, prob.SumShape) {
-	side := func(c Node) (int, prob.SumShape) {
-		if p, ok := inCluster(c, t.Agg); ok {
-			return pairCost(p, ds, cap)
-		}
-		s := prob.ShapeOf((*ds)[0])
-		*ds = (*ds)[1:]
-		return 0, s
+// pairCost prices summing ds, which FoldCost has accepted, in their
+// balanced pairing: the cells |L|·|R| of each binary node, an inner
+// node's size estimated from its operands (prob.SumShape.Plus). It
+// returns the estimated shape of the sum too.
+func pairCost(ds []prob.Dist, cap *prob.Cap) (int, prob.SumShape) {
+	if len(ds) == 1 {
+		return 0, prob.ShapeOf(ds[0])
 	}
-	cl, l := side(t.L)
-	cr, r := side(t.R)
+	h := Halve(len(ds))
+	cl, l := pairCost(ds[:h], cap)
+	cr, r := pairCost(ds[h:], cap)
 	return cl + cr + l.Size*r.Size, l.Plus(r, cap)
 }
 
-// convolvePairs convolves the summands of the cluster under t, taken from
-// the front of ds, in the cluster's own order, counting its inner nodes as
-// eval would have. Ownership: the summands are the caller's — a summand
-// may be memoised or shared — and are never recycled; the distribution of
-// an inner ⊕ node is made here, read once, by the ConvolveSum of its
-// parent, and given back to prob (prob.Recycle) as soon as that returns;
-// the distribution of t itself is the caller's. Only an Evaluator that
-// does not keep what it evaluates gets here (evalSum).
-func (ev *Evaluator) convolvePairs(t *PlusNode, ds *[]prob.Dist, cap *prob.Cap) prob.Dist {
-	side := func(c Node) (d prob.Dist, inner bool) {
-		if p, ok := inCluster(c, t.Agg); ok {
-			return ev.counted(ev.convolvePairs(p, ds, cap)), true
+// pairUp sums the parts ds of t, two or more, in their balanced pairing,
+// counting each inner sum as eval counts a node. Ownership: the parts are
+// the caller's — a part may be memoised or shared — and never recycled;
+// an inner sum is given back to prob once its parent has read it when
+// recycle is set; the sum of all of ds is the caller's.
+func (ev *Evaluator) pairUp(t *PlusNode, ds []prob.Dist, cap *prob.Cap, recycle bool) prob.Dist {
+	side := func(ds []prob.Dist) (d prob.Dist, inner bool) {
+		if len(ds) == 1 {
+			return ds[0], false
 		}
-		d = (*ds)[0]
-		*ds = (*ds)[1:]
-		return d, false
+		return ev.counted(ev.pairUp(t, ds, cap, recycle)), true
 	}
-	l, lInner := side(t.L)
-	r, rInner := side(t.R)
-	d := prob.ConvolveSum(l, r, cap)
-	if lInner {
+	h := Halve(len(ds))
+	l, lInner := side(ds[:h])
+	r, rInner := side(ds[h:])
+	d := ev.plus(t, l, r, cap)
+	if recycle && lInner {
 		prob.Recycle(l)
 	}
-	if rInner {
+	if recycle && rInner {
 		prob.Recycle(r)
 	}
 	return d

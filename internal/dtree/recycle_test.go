@@ -10,11 +10,11 @@ import (
 )
 
 // TestRecycledInnerSumsUnderPoison: on the sparse independent sum the
-// evaluator convolves the cluster pairwise and recycles every inner sum.
-// With recycled arrays poisoned, three evaluations — the second and third
-// built from the arrays the one before gave back — equal, bit for bit,
-// what an Evaluator that keeps everything (and so recycles nothing)
-// computes in the same pairwise order.
+// evaluator convolves the parts of its one ⊕ in their pairing and
+// recycles every inner sum. With recycled arrays poisoned, three
+// evaluations — the second and third built from the arrays the one before
+// gave back — equal, bit for bit, what an Evaluator that keeps everything
+// (and so recycles nothing) computes in the same pairwise order.
 func TestRecycledInnerSumsUnderPoison(t *testing.T) {
 	prob.PoisonRecycledForTest(t)
 	for _, n := range []int{5, 16} {

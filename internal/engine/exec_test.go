@@ -17,6 +17,7 @@ import (
 	"pvcagg/internal/prob"
 	"pvcagg/internal/pvc"
 	"pvcagg/internal/testutil"
+	"pvcagg/internal/testutil/dtreeref"
 	"pvcagg/internal/tpch"
 	"pvcagg/internal/value"
 	"pvcagg/internal/vars"
@@ -207,6 +208,39 @@ func TestCompileCountsTheTree(t *testing.T) {
 	for seed := int64(1); seed <= 40; seed++ {
 		inst := gen.MustNewDB(gen.DBParams{Seed: seed})
 		check(fmt.Sprintf("generated seed %d", seed), inst.DB, inst.Plan)
+	}
+}
+
+// TestNaryEqualsBinaryTPCHQ1 holds the d-trees of TPC-H Q1's annotations
+// and aggregation columns, whose ⊕ nodes have hundreds of parts and fold,
+// to their binary form (dtreeref.AssertNaryEqualsBinary).
+func TestNaryEqualsBinaryTPCHQ1(t *testing.T) {
+	ctx := context.Background()
+	db, err := tpch.Generate(tpch.Config{SF: 0.0005, Seed: 1, Probabilistic: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rel, _, err := engine.StreamEvalPlan(ctx, db, tpch.Q1(1200))
+	if err != nil {
+		t.Fatal(err)
+	}
+	env := dtree.Env{Semiring: db.Semiring(), Registry: db.Registry}
+	for i, tup := range rel.Tuples {
+		exprs := []expr.Expr{tup.Ann}
+		for _, ci := range rel.Schema.ModuleColumns() {
+			e, err := tup.Cells[ci].ModuleExpr()
+			if err != nil {
+				t.Fatal(err)
+			}
+			exprs = append(exprs, e)
+		}
+		for j, e := range exprs {
+			res, err := compile.New(db.Semiring(), db.Registry, compile.Options{}).CompileCtx(ctx, e)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dtreeref.AssertNaryEqualsBinary(t, fmt.Sprintf("tuple %d expression %d", i, j), res.Root, env)
+		}
 	}
 }
 

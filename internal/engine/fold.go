@@ -75,20 +75,18 @@ func (a *annSum) add(e expr.Expr) {
 	}
 }
 
+// result hands the sum its terms without copying them: the node adopts
+// them at their own length, so a later add appends past what it holds.
 func (a *annSum) result() expr.Expr {
-	terms := a.terms
+	terms := a.terms[:len(a.terms):len(a.terms)]
 	if a.hasConst && !a.acc.IsZero() {
-		// Full-capacity slice expression: emission must not alias the
-		// accumulator's backing array.
-		terms = append(terms[:len(terms):len(terms)], expr.Const{V: a.acc})
+		terms = append(terms, expr.Const{V: a.acc})
 	}
 	if len(terms) == 0 {
 		return expr.Const{V: a.s.Zero()}
 	}
-	if len(terms) == 1 {
-		return terms[0]
-	}
-	return expr.Sum(terms...)
+	// No term is an Add: AdoptSum flattens nothing and copies nothing.
+	return expr.AdoptSum(terms)
 }
 
 // neCond is the $ group annotation, Figure 4's non-emptiness condition:
@@ -176,16 +174,15 @@ func (m *modSum) add(ann expr.Expr, mv value.V) error {
 	return nil
 }
 
+// result adopts the terms as annSum.result does; they are tensors and at
+// most one constant.
 func (m *modSum) result() expr.Expr {
-	terms := m.terms
+	terms := m.terms[:len(m.terms):len(m.terms)]
 	if m.hasConst && m.acc != m.mo.Neutral() {
-		terms = append(terms[:len(terms):len(terms)], expr.MConst{V: m.acc})
+		terms = append(terms, expr.MConst{V: m.acc})
 	}
 	if len(terms) == 0 {
 		return expr.MConst{V: m.mo.Neutral()}
 	}
-	if len(terms) == 1 {
-		return terms[0]
-	}
-	return expr.MSum(m.agg, terms...)
+	return expr.AdoptMSum(m.agg, terms)
 }

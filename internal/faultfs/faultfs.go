@@ -156,6 +156,7 @@ type Stats struct {
 	Ops      int64 // operations passed through or faulted
 	Injected int64 // faults injected (all kinds)
 	Torn     int64 // short writes performed
+	Writes   int64 // writes attempted before a crash, the crashing one included
 }
 
 // Injector wraps an FS with a fault Plan. Safe for concurrent use; all
@@ -167,7 +168,6 @@ type Injector struct {
 
 	mu      sync.Mutex
 	opCount [numOps]int64
-	writes  int64
 	rng     uint64
 	crashed bool
 	stats   Stats
@@ -237,14 +237,14 @@ func (in *Injector) writeDecision(path string) (torn bool, err error) {
 		in.stats.Injected++
 		return false, ErrCrashed
 	}
-	in.writes++
-	if in.plan.CrashNth > 0 && in.writes == in.plan.CrashNth {
+	in.stats.Writes++
+	if in.plan.CrashNth > 0 && in.stats.Writes == in.plan.CrashNth {
 		in.crashed = true
 		in.stats.Injected++
 		in.stats.Torn++
 		return true, ErrCrashed
 	}
-	if in.plan.ShortWriteNth > 0 && in.writes == in.plan.ShortWriteNth {
+	if in.plan.ShortWriteNth > 0 && in.stats.Writes == in.plan.ShortWriteNth {
 		in.stats.Injected++
 		in.stats.Torn++
 		return true, &FaultError{Op: OpWrite, Path: path, Transient: in.plan.Transient}

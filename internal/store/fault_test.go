@@ -216,10 +216,12 @@ func TestBoundedSkipAllZero(t *testing.T) {
 	}
 }
 
-// TestCrashRecoveryRandomized kills an ingest at each of the first 20
-// write points and asserts the manifest-last contract: the directory
-// either refuses to open (no committed manifest — never a half-loaded
-// store) or opens fully consistent with everything the ingest wrote.
+// TestCrashRecoveryRandomized kills an ingest at every one of its W write
+// points — W counted on a clean injected ingest first — and asserts the
+// manifest-last contract: the directory either refuses to open (no
+// committed manifest — never a half-loaded store) or opens fully
+// consistent with everything the ingest wrote. A kill point past W never
+// fires, and that run must commit.
 func TestCrashRecoveryRandomized(t *testing.T) {
 	const rows = 20
 	ingest := func(dir string, fsys faultfs.FS) error {
@@ -240,12 +242,23 @@ func TestCrashRecoveryRandomized(t *testing.T) {
 		}
 		return w.Close()
 	}
+	clean := faultfs.NewInjector(faultfs.OS(), faultfs.Plan{})
+	if err := ingest(t.TempDir(), clean); err != nil {
+		t.Fatal(err)
+	}
+	writes := clean.Stats().Writes
+	if writes < 2 {
+		t.Fatalf("a clean ingest counted %d writes", writes)
+	}
 	sawCrash, sawCommit := false, false
-	for kill := int64(1); kill <= 20; kill++ {
+	for kill := int64(1); kill <= writes+1; kill++ {
 		dir := t.TempDir()
 		in := faultfs.NewInjector(faultfs.OS(), faultfs.Plan{CrashNth: kill})
 		ingErr := ingest(dir, in)
 		st, openErr := Open(dir)
+		if openErr != nil && kill > writes {
+			t.Fatalf("kill %d of %d writes never fires, yet the store does not open: %v (ingest: %v)", kill, writes, openErr, ingErr)
+		}
 		if openErr != nil {
 			sawCrash = true
 			if ingErr == nil {
@@ -291,6 +304,7 @@ func TestCrashRecoveryRandomized(t *testing.T) {
 	if !sawCrash || !sawCommit {
 		t.Errorf("kill sweep covered crash=%v commit=%v, want both regimes", sawCrash, sawCommit)
 	}
+	t.Logf("killed the ingest at each of its %d writes", writes)
 }
 
 // TestScanFDHygiene runs a thousand scans through every termination path

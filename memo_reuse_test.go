@@ -3,6 +3,7 @@ package pvcagg_test
 import (
 	"context"
 	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"pvcagg"
@@ -24,13 +25,21 @@ func allocatedBy(f func()) uint64 {
 
 // TestRepeatedExprReusesCompilerMemo: ExecExpr compiles on a pooled
 // compiler, so a repeated ExecExpr of one §7.1 expression allocates less
-// than its first run by at least what the compiler's memo grows by — the
-// bytes a fresh compiler allocates beyond a Reset one on the same
-// expression.
+// than its first run, which finds no compiler in the pool. What it saves
+// is held to the memo's growth — the bytes a fresh compiler allocates
+// beyond a Reset one on the same expression, some 35 KB. The two are
+// nearly equal by construction (the first run also misses a few engine
+// buffers, some 0.5 KB), so the test asks for half the growth: a run
+// that reused no memo would save none of it.
+//
+// Every sync.Pool is emptied by a GC, and what the pools hold decides
+// each of these byte counts, so the collector is held off for the whole
+// test: only its own two runtime.GC calls run.
 func TestRepeatedExprReusesCompilerMemo(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("sync.Pool drops items at random under the race detector")
 	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	p := paperBase()
 	p.Seed = 1
 	inst := gen.MustNew(p)
@@ -47,8 +56,12 @@ func TestRepeatedExprReusesCompilerMemo(t *testing.T) {
 	// reused has compiled inst.Expr once and been Reset, as the pooled
 	// compiler of the second run below has when it compiles again.
 	compileOn(reused)
-	growth := allocatedBy(func() { compileOn(compile.New(s, inst.Registry, compile.Options{})) }) -
-		allocatedBy(func() { compileOn(reused) })
+	fresh := allocatedBy(func() { compileOn(compile.New(s, inst.Registry, compile.Options{})) })
+	again := allocatedBy(func() { compileOn(reused) })
+	if again >= fresh {
+		t.Fatalf("a Reset compiler allocated %d bytes, a fresh one %d: the memo is not reused", again, fresh)
+	}
+	growth := fresh - again
 
 	run := func() {
 		if _, err := pvcagg.ExecExpr(ctx, inst.Expr, inst.Registry, pvcagg.Boolean, pvcagg.WithMode(pvcagg.Exact)); err != nil {
@@ -57,7 +70,8 @@ func TestRepeatedExprReusesCompilerMemo(t *testing.T) {
 	}
 	// Two GCs empty every pool; one compilation and evaluation outside the
 	// engine then refills all but the engine's compilers, so that the
-	// first run differs from the second only in the compiler it gets.
+	// first run differs from the second only in the compiler it gets and
+	// in the engine's own buffers.
 	runtime.GC()
 	runtime.GC()
 	res, err := compile.New(s, inst.Registry, compile.Options{}).CompileCtx(ctx, inst.Expr)
@@ -69,9 +83,9 @@ func TestRepeatedExprReusesCompilerMemo(t *testing.T) {
 	}
 	first := allocatedBy(run)
 	second := allocatedBy(run)
-	if first < second+growth {
-		t.Errorf("ExecExpr allocated %d bytes, then %d: the repeat saves %d, less than the memo's growth of %d",
-			first, second, int64(first)-int64(second), growth)
+	if saved := int64(first) - int64(second); saved < int64(growth/2) {
+		t.Errorf("ExecExpr allocated %d bytes, then %d: the repeat saves %d, less than half the memo's growth of %d",
+			first, second, saved, growth)
 	}
 	t.Logf("first run %d bytes, second %d, memo growth %d", first, second, growth)
 }
