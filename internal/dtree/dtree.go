@@ -274,7 +274,8 @@ func Variables(n Node) []string {
 
 // Validate checks the d-tree property of Definition 7: the children of
 // every ⊕, ⊙, ⊗ and [θ] node mention disjoint variable sets, and no
-// branch of ⊔x mentions x.
+// branch of ⊔x mentions x. It also checks that every ⊕ has two parts or
+// more.
 func Validate(n Node) error {
 	var walk func(Node) (map[string]struct{}, error)
 	walk = func(n Node) (map[string]struct{}, error) {
@@ -299,6 +300,9 @@ func Validate(n Node) error {
 			}
 			all[t.Var] = struct{}{}
 			return all, nil
+		}
+		if p, ok := n.(*PlusNode); ok && len(p.Parts) < 2 {
+			return nil, fmt.Errorf("dtree: ⊕ of %d parts", len(p.Parts))
 		}
 		// The children of the other nodes are independent.
 		var all map[string]struct{}

@@ -95,6 +95,9 @@ func TestValidateRejectsSharedVariables(t *testing.T) {
 	if err := Validate(badEx); err == nil {
 		t.Fatalf("⊔x with x in branch accepted")
 	}
+	if err := Validate(&PlusNode{Parts: []Node{&VarLeaf{Name: "x"}}}); err == nil {
+		t.Fatalf("⊕ of one part accepted")
+	}
 	// A constant left child mentions no variable; this used to panic.
 	good := &PlusNode{Parts: []Node{&ConstLeaf{V: value.Bool(true)}, &TimesNode{L: &VarLeaf{Name: "x"}, R: &VarLeaf{Name: "y"}}}}
 	if err := Validate(good); err != nil {
