@@ -4,7 +4,10 @@
 // priority-frontier heuristic and the closure budgets — a behavioural
 // change that silently widens bounds or expands more of the d-tree fails
 // here. All Figure 1 probabilities are dyadic rationals (every marginal is
-// 0.5), so the expected values are exact floats.
+// 0.5), so the expected values are exact floats. Both run with recycled
+// distributions and the nodes a compiler's Reset frees poisoned
+// (poisoned), where a pooled compiler or evaluator that kept a stale node
+// or distribution would show.
 package pvcagg_test
 
 import (
@@ -12,9 +15,18 @@ import (
 	"testing"
 
 	"pvcagg"
+	"pvcagg/internal/compile"
 	"pvcagg/internal/gen"
+	"pvcagg/internal/prob"
 	"pvcagg/internal/tpch"
 )
+
+// poisoned poisons recycled distributions and the nodes compilers' Resets
+// free until t ends.
+func poisoned(t *testing.T) {
+	prob.PoisonRecycledForTest(t)
+	compile.PoisonResetForTest(t)
+}
 
 // figure1Q2 is the running-example query Q2: shops whose most expensive
 // offered product costs at most 50.
@@ -45,6 +57,7 @@ func figure1Q2() pvcagg.Plan {
 // so the priority frontier does real work (the Gap/M&S annotations are
 // otherwise closed exactly at the first probe).
 func TestGoldenFigure1Approx(t *testing.T) {
+	poisoned(t)
 	type tupleGold struct {
 		lo, hi     float64
 		expansions int
@@ -120,6 +133,7 @@ func TestGoldenFigure1Approx(t *testing.T) {
 // Q1's hardness lives in its [SUM ≤ c] selection, which pruning caps. The
 // ε = 0 request runs the exact strategy: its reports are Exact's.
 func TestGoldenTPCHQ1Approx(t *testing.T) {
+	poisoned(t)
 	db, err := tpch.Generate(tpch.Config{SF: 0.0005, Seed: 1, Probabilistic: true})
 	if err != nil {
 		t.Fatal(err)

@@ -140,18 +140,30 @@ func ApproximateCtx(ctx context.Context, s algebra.Semiring, reg *vars.Registry,
 	if err := reg.CheckDeclared(e); err != nil {
 		return Bounds{}, ApproxReport{}, err
 	}
+	// The run's compiler comes from the pool; a run that panics drops it.
+	c := Get(s, reg, Options{})
+	b, rep, err := approximate(ctx, c, e, opts)
+	Put(c)
+	return b, rep, err
+}
+
+// approximate is ApproximateCtx for a validated e, on c, a compiler that
+// has been Reset since its last use, which it leaves to be Reset again.
+func approximate(ctx context.Context, c *Compiler, e expr.Expr, opts ApproxOptions) (Bounds, ApproxReport, error) {
 	t0 := time.Now()
-	// Validated and simplified once, here: every sub-expression the
-	// frontier classifies, closes or expands from now on is in simplified
-	// form, and the leaf closures compile it without re-checking.
-	e = expr.Simplify(e, s)
-	ax := &approximator{
-		s: s, reg: reg, opts: opts, ctx: ctx,
-		c:  New(s, reg, Options{}),
-		ev: dtree.NewEvaluator(dtree.Env{Semiring: s, Registry: reg}),
+	// Simplified once, here: every sub-expression the frontier
+	// classifies, closes or expands from now on is in simplified form, and
+	// the leaf closures compile it without re-checking.
+	e = expr.Simplify(e, c.s)
+	if c.ev == nil {
+		c.ev = dtree.NewEvaluator(dtree.Env{Semiring: c.s, Registry: c.reg})
 	}
-	ax.c.sc = getScratch(e)
-	defer putScratch(ax.c.sc)
+	ax := &approximator{s: c.s, reg: c.reg, opts: opts, ctx: ctx, c: c}
+	c.sc = getScratch(e)
+	defer func() {
+		putScratch(c.sc)
+		c.sc = nil
+	}()
 	root, err := ax.classify(e)
 	if err != nil {
 		return Bounds{}, ApproxReport{}, err
@@ -162,7 +174,7 @@ func ApproximateCtx(ctx context.Context, s algebra.Semiring, reg *vars.Registry,
 	}
 	b := Bounds{root.lo, root.hi}
 	ax.rep.Converged = b.Width() <= opts.Eps
-	ax.rep.ExactNodes = ax.ev.Nodes()
+	ax.rep.ExactNodes = c.ev.Nodes()
 	ax.rep.WastedNodes = ax.built - ax.rep.ExactNodes
 	return b, ax.rep, nil
 }
@@ -307,11 +319,11 @@ type approximator struct {
 	// c is the run's one exact compiler: every closure attempt is a
 	// compilation of c under that attempt's budget, so its memo — every
 	// sub-d-tree any attempt finished — and its scratch serve the whole
-	// run, all of whose attempts compile residuals of one root.
+	// run, all of whose attempts compile residuals of one root. Its
+	// keeping evaluator, c.ev, evaluates the d-trees of the closures that
+	// succeed: they are trees of one memo and share nodes, which it
+	// evaluates once.
 	c *Compiler
-	// ev evaluates the d-trees of the closures that succeed. They are
-	// trees of one memo and share nodes, which ev evaluates once.
-	ev *dtree.Evaluator
 	// built counts the d-tree nodes c has built, evaluated or not.
 	built int
 }
@@ -447,7 +459,7 @@ func (ax *approximator) close(e expr.Expr, budget int) (float64, bool, error) {
 	if err != nil {
 		return 0, false, err
 	}
-	d, err := ax.ev.Evaluate(res.Root)
+	d, err := ax.c.ev.Evaluate(res.Root)
 	if err != nil {
 		return 0, false, err
 	}

@@ -32,6 +32,11 @@
 // memo outlives a compilation — an anytime run compiles all its leaf
 // closures with one Compiler — so a node may gain its second parent after
 // a tree it was unique in has been evaluated (dtree.NewEvaluator).
+//
+// A Compiler carves its nodes from slabs it reuses after Reset (nodes.go),
+// so a tree lives until its compiler's next Reset: a caller evaluates it
+// first. Compilers are pooled (Get, Put), one pool for the engine's
+// workers and the anytime runs.
 package compile
 
 import (
@@ -98,6 +103,12 @@ type Compiler struct {
 	// out when the compilation first needs one and returned by
 	// compileSimplified.
 	sc *scratch
+	// nodes are the slabs the compiler's d-tree nodes are carved from.
+	nodes nodeSlabs
+	// ev is the keeping evaluator of the anytime runs on c, made by the
+	// first: its memo is keyed by c's nodes, and Reset empties it with
+	// them.
+	ev *dtree.Evaluator
 }
 
 // memoEntry pairs a memoised expression with its compiled node; the
@@ -178,16 +189,27 @@ func New(s algebra.Semiring, reg *vars.Registry, opts Options) *Compiler {
 // the next compilation shares no node with the trees compiled before it,
 // as if it ran on a fresh Compiler, but without a fresh memo to allocate
 // and grow. It costs what the compilations since the last Reset put in
-// the memo.
-func (c *Compiler) Reset() { c.memo.reset() }
+// the memo and in the node slabs.
+//
+// Reset invalidates every tree compiled since the last Reset: the
+// compilations that follow reuse its nodes, so such a tree must be
+// evaluated before Reset and not read after it.
+func (c *Compiler) Reset() {
+	c.memo.reset()
+	c.nodes.reset()
+	if c.ev != nil {
+		c.ev.Reset(dtree.Env{Semiring: c.s, Registry: c.reg})
+	}
+}
 
 // Rebind points c at another semiring, registry and options and Resets
-// it: a compiler that serves query after query keeps its memo's capacity,
-// never an entry. Rebinding to a nil registry drops c's last references
-// to the query it served, for a compiler that waits in a pool.
+// it: a compiler that serves query after query keeps its memo's and its
+// slabs' capacity, never an entry or a node. Rebinding to a nil registry
+// drops c's last references to the query it served, for a compiler that
+// waits in a pool.
 func (c *Compiler) Rebind(s algebra.Semiring, reg *vars.Registry, opts Options) {
-	c.Reset()
 	c.s, c.reg, c.opts, c.ctx = s, reg, opts, nil
+	c.Reset()
 }
 
 // SetMaxNodes replaces Options.MaxNodes for the compilations that follow.
@@ -239,7 +261,15 @@ func (c *Compiler) compileSimplified(ctx context.Context, e expr.Expr) (Result, 
 	return Result{Root: root, Stats: c.st}, nil
 }
 
-func (c *Compiler) newNode(n dtree.Node) (dtree.Node, error) { return c.newNodes(n, 1) }
+// carve creates the node v in a slot of slab s.
+func carve[T any, P interface {
+	*T
+	dtree.Node
+}](c *Compiler, s *slab[T], v T) (dtree.Node, error) {
+	p := P(s.one())
+	*p = v
+	return c.newNodes(p, 1)
+}
 
 // newNodes creates n, counting it as k nodes: a ⊕ of k+1 parts is the k
 // binary nodes it stands for, so the node budget and the cancellation
@@ -270,7 +300,7 @@ func (c *Compiler) newNodes(n dtree.Node, k int) (dtree.Node, error) {
 func (c *Compiler) compile(e expr.Expr) (dtree.Node, error) {
 	// A Shannon descent over a large sum does O(|e|) substitution and
 	// simplification work per level and creates its decision nodes only
-	// post-order, so the newNode poll alone can leave a cancelled
+	// post-order, so the newNodes poll alone can leave a cancelled
 	// context unnoticed for the entire descent. Poll here too, keyed on
 	// recursion steps rather than created nodes.
 	c.steps++
@@ -285,10 +315,10 @@ func (c *Compiler) compile(e expr.Expr) (dtree.Node, error) {
 		if err != nil {
 			return nil, err
 		}
-		return c.newNode(&dtree.ConstLeaf{V: v, Module: e.Kind() == expr.KindModule})
+		return carve(c, &c.nodes.consts, dtree.ConstLeaf{V: v, Module: e.Kind() == expr.KindModule})
 	}
 	if v, ok := e.(expr.Var); ok {
-		return c.newNode(&dtree.VarLeaf{Name: v.Name, ID: v.ID()})
+		return carve(c, &c.nodes.vars, dtree.VarLeaf{Name: v.Name, ID: v.ID()})
 	}
 	h := expr.Hash(e)
 	if n, ok := c.memo.get(h, e); ok {
@@ -334,15 +364,13 @@ func (c *Compiler) compileSum(terms []expr.Expr, module bool, agg algebra.Agg, w
 	if groups != nil {
 		defer c.sc.popGroups(groups)
 		c.st.SumSplits += len(groups) - 1
-		parts := make([]dtree.Node, len(groups))
-		for i, g := range groups {
-			p, err := c.compile(g)
-			if err != nil {
-				return nil, err
-			}
-			parts[i] = p
+		parts, err := c.compileParts(groups)
+		if err != nil {
+			return nil, err
 		}
-		return c.newNodes(&dtree.PlusNode{Module: module, Agg: agg, Parts: parts}, len(parts)-1)
+		plus := c.nodes.pluses.one()
+		*plus = dtree.PlusNode{Module: module, Agg: agg, Parts: parts}
+		return c.newNodes(plus, len(parts)-1)
 	}
 	if node, ok, err := c.tryFactorSum(terms, module, agg); err != nil {
 		return nil, err
@@ -350,6 +378,19 @@ func (c *Compiler) compileSum(terms []expr.Expr, module bool, agg algebra.Agg, w
 		return node, nil
 	}
 	return c.shannon(whole)
+}
+
+// compileParts compiles each of groups into a slice of the parts slab.
+func (c *Compiler) compileParts(groups []expr.Expr) ([]dtree.Node, error) {
+	parts := c.nodes.parts.take(len(groups))
+	for i, g := range groups {
+		p, err := c.compile(g)
+		if err != nil {
+			return nil, err
+		}
+		parts[i] = p
+	}
+	return parts, nil
 }
 
 // sumOf builds the semiring (module=false) or agg-monoid sum of a group of
@@ -374,7 +415,7 @@ func (c *Compiler) combine(parts []dtree.Node) (dtree.Node, error) {
 				parts[k] = parts[i]
 				continue
 			}
-			n, err := c.newNode(&dtree.TimesNode{L: parts[i], R: parts[i+1]})
+			n, err := carve(c, &c.nodes.times, dtree.TimesNode{L: parts[i], R: parts[i+1]})
 			if err != nil {
 				return nil, err
 			}
@@ -415,9 +456,9 @@ func (c *Compiler) tryFactorSum(terms []expr.Expr, module bool, agg algebra.Agg)
 		}
 		var out dtree.Node
 		if module {
-			out, err = c.newNode(&dtree.TensorNode{Agg: agg, Scalar: xNode, Mod: restNode})
+			out, err = carve(c, &c.nodes.tensors, dtree.TensorNode{Agg: agg, Scalar: xNode, Mod: restNode})
 		} else {
-			out, err = c.newNode(&dtree.TimesNode{L: xNode, R: restNode})
+			out, err = carve(c, &c.nodes.times, dtree.TimesNode{L: xNode, R: restNode})
 		}
 		if err != nil {
 			return nil, false, err
@@ -542,13 +583,9 @@ func (c *Compiler) compileProduct(m expr.Mul, whole expr.Expr) (dtree.Node, erro
 	if groups != nil {
 		defer c.sc.popGroups(groups)
 		c.st.ProductSplits += len(groups) - 1
-		parts := make([]dtree.Node, len(groups))
-		for i, g := range groups {
-			p, err := c.compile(g)
-			if err != nil {
-				return nil, err
-			}
-			parts[i] = p
+		parts, err := c.compileParts(groups)
+		if err != nil {
+			return nil, err
 		}
 		return c.combine(parts)
 	}
@@ -567,7 +604,7 @@ func (c *Compiler) compileTensor(t expr.Tensor, whole expr.Expr) (dtree.Node, er
 		if err != nil {
 			return nil, err
 		}
-		return c.newNode(&dtree.TensorNode{Agg: t.Agg, Scalar: sc, Mod: mod})
+		return carve(c, &c.nodes.tensors, dtree.TensorNode{Agg: t.Agg, Scalar: sc, Mod: mod})
 	}
 	return c.shannon(whole)
 }
@@ -583,7 +620,7 @@ func (c *Compiler) compileCmp(cm expr.Cmp) (dtree.Node, error) {
 				if err != nil {
 					return nil, err
 				}
-				return c.newNode(&dtree.ConstLeaf{V: v})
+				return carve(c, &c.nodes.consts, dtree.ConstLeaf{V: v})
 			}
 			var ok bool
 			if cm, ok = pruned.(expr.Cmp); !ok {
@@ -605,7 +642,7 @@ func (c *Compiler) compileCmp(cm expr.Cmp) (dtree.Node, error) {
 		if !c.opts.DisablePruning {
 			cap = capFor(c.s, c.reg, cm)
 		}
-		return c.newNode(&dtree.CmpNode{Th: cm.Th, L: l, R: r, Cap: cap})
+		return carve(c, &c.nodes.cmps, dtree.CmpNode{Th: cm.Th, L: l, R: r, Cap: cap})
 	}
 	return c.shannon(cm)
 }
@@ -627,15 +664,15 @@ func (c *Compiler) shannon(e expr.Expr) (dtree.Node, error) {
 		return nil, err
 	}
 	c.st.Shannon++
-	branches := make([]dtree.Branch, 0, d.Size())
-	for _, pair := range d.Pairs() {
+	branches := c.nodes.branches.take(d.Size())
+	for i, pair := range d.Pairs() {
 		child, err := c.compile(c.sc.cof.Restrict(e, x, pair.V, c.s))
 		if err != nil {
 			return nil, err
 		}
-		branches = append(branches, dtree.Branch{Val: pair.V, P: pair.P, Child: child})
+		branches[i] = dtree.Branch{Val: pair.V, P: pair.P, Child: child}
 	}
-	return c.newNode(&dtree.ExclusiveNode{Var: name, Branches: branches})
+	return carve(c, &c.nodes.excls, dtree.ExclusiveNode{Var: name, Branches: branches})
 }
 
 // chooseVariable picks the Shannon-expansion variable of e, the one with

@@ -211,7 +211,11 @@ func dtreeDigest(root dtree.Node) string {
 	return fmt.Sprintf("%x", h.Sum(nil))
 }
 
+// TestDTreeGolden holds every golden case's Stats and d-tree digest to
+// testdata, compiled on a new compiler and then three times on one that
+// is Reset after each, with the nodes Reset frees poisoned.
 func TestDTreeGolden(t *testing.T) {
+	PoisonResetForTest(t)
 	path := filepath.Join("testdata", "dtree_golden.json")
 	var rows []goldenRow
 	for _, c := range goldenCases() {

@@ -112,7 +112,7 @@ func BenchmarkApproxPairs(b *testing.B) {
 // partition is rule 2's whole work and whose sum the evaluator folds. A
 // compiler is reused and Reset, as an engine worker's is, so B/op and
 // allocs/op are the partition, the d-tree and the distributions, not the
-// memo's growth.
+// memo's growth or the nodes.
 func BenchmarkCompileIndependentSum(b *testing.B) {
 	const n = 1000
 	reg := vars.NewRegistry()
@@ -142,10 +142,10 @@ func BenchmarkCompileIndependentSum(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				c.Reset()
 				if _, _, err := dtree.Evaluate(res.Root, env); err != nil {
 					b.Fatal(err)
 				}
+				c.Reset()
 			}
 		})
 	}

@@ -11,10 +11,17 @@ import (
 // grid among them, to its binary form: a ⊕ of k parts evaluates, counts
 // and measures as the k−1 binary ⊕ nodes that pair its parts level by
 // level, and the evaluator folds exactly the sums it would fold over
-// those (dtreeref.AssertNaryEqualsBinary).
+// those (dtreeref.AssertNaryEqualsBinary, which poisons recycled
+// distributions). The trees compile on one compiler, rebound — and so
+// Reset, its nodes poisoned — before each, so every tree is carved from
+// the slabs of the one before: a field the compiler failed to write
+// would show.
 func TestNaryEqualsBinary(t *testing.T) {
-	for _, c := range goldenCases() {
-		res := mustCompile(t, New(c.s, c.reg, c.opts), c.e)
-		dtreeref.AssertNaryEqualsBinary(t, c.name, res.Root, dtree.Env{Semiring: c.s, Registry: c.reg})
+	PoisonResetForTest(t)
+	c := New(nil, nil, Options{})
+	for _, gc := range goldenCases() {
+		c.Rebind(gc.s, gc.reg, gc.opts)
+		res := mustCompile(t, c, gc.e)
+		dtreeref.AssertNaryEqualsBinary(t, gc.name, res.Root, dtree.Env{Semiring: gc.s, Registry: gc.reg})
 	}
 }

@@ -165,3 +165,69 @@ func BenchmarkCompileReset(b *testing.B) {
 		}
 	})
 }
+
+// TestTreeHeldAcrossResetFails: Reset invalidates the trees compiled
+// since the last Reset. With its nodes poisoned, a golden tree evaluated
+// after its compiler's Reset fails, naming the cause, instead of reading
+// whatever the next compilation carves from the same slabs.
+func TestTreeHeldAcrossResetFails(t *testing.T) {
+	PoisonResetForTest(t)
+	c := New(nil, nil, Options{})
+	for _, gc := range goldenCases() {
+		c.Rebind(gc.s, gc.reg, gc.opts)
+		res := mustCompile(t, c, gc.e)
+		if _, ok := res.Root.(*dtree.ConstLeaf); ok {
+			continue // a constant has nothing to poison
+		}
+		c.Reset()
+		_, _, err := dtree.Evaluate(res.Root, dtree.Env{Semiring: gc.s, Registry: gc.reg})
+		if err == nil || !strings.Contains(err.Error(), "after its compiler's Reset") {
+			t.Fatalf("%s: evaluating the tree after Reset gives %v", gc.name, err)
+		}
+	}
+}
+
+// TestApproximatePooledEqualsFresh: an anytime run on a compiler of the
+// pool — back to back with the run before it, and after an exact
+// compilation on the same pool — gives the same bounds and ApproxReport,
+// ExactNodes and WastedNodes included, as a run on a new compiler. Every
+// fourth semiring case of the golden set, with a tiny MaxLeafNodes, so
+// that the runs expand, resume and waste nodes.
+func TestApproximatePooledEqualsFresh(t *testing.T) {
+	ctx := context.Background()
+	opts := ApproxOptions{Eps: 0.05, MaxLeafNodes: 8}
+	cases := goldenCases()
+	runs, wasted := 0, 0
+	for i, gc := range cases {
+		if i%4 != 0 || gc.e.Kind() != expr.KindSemiring {
+			continue
+		}
+		b, rep, err := approximate(ctx, New(gc.s, gc.reg, Options{}), gc.e, opts)
+		if err != nil {
+			t.Fatalf("%s: %v", gc.name, err)
+		}
+		runs, wasted = runs+1, wasted+rep.WastedNodes
+		for j := range 3 {
+			if j == 2 {
+				// An exact compilation of the next case in between.
+				next := cases[(i+1)%len(cases)]
+				c := Get(next.s, next.reg, next.opts)
+				res := mustCompile(t, c, next.e)
+				if _, _, err := dtree.Evaluate(res.Root, dtree.Env{Semiring: next.s, Registry: next.reg}); err != nil {
+					t.Fatal(err)
+				}
+				Put(c)
+			}
+			pb, prep, err := ApproximateCtx(ctx, gc.s, gc.reg, gc.e, opts)
+			if err != nil {
+				t.Fatalf("%s: %v", gc.name, err)
+			}
+			if pb != b || prep != rep {
+				t.Fatalf("%s: pooled run %d gives %v %+v, a new compiler %v %+v", gc.name, j, pb, prep, b, rep)
+			}
+		}
+	}
+	if runs < 20 || wasted == 0 {
+		t.Fatalf("%d runs wasting %d nodes: the test needs more, and waste", runs, wasted)
+	}
+}

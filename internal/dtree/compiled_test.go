@@ -108,8 +108,10 @@ func assertSameAsReference(t *testing.T, label string, root dtree.Node, env dtre
 
 // TestCompiledTreesMatchReference compiles Eq. (11) expressions over few
 // variables — so Shannon expansion meets the same residual again and the
-// d-tree is a DAG — and evaluates the marked trees against the reference.
+// d-tree is a DAG — and evaluates the marked trees against the reference,
+// with recycled distributions poisoned.
 func TestCompiledTreesMatchReference(t *testing.T) {
+	prob.PoisonRecycledForTest(t)
 	aggs := []algebra.Agg{algebra.Sum, algebra.Count, algebra.Min, algebra.Max}
 	thetas := []value.Theta{value.LE, value.GE, value.EQ, value.NE, value.LT, value.GT}
 	hits := 0
@@ -235,6 +237,7 @@ func markByParents(root dtree.Node, r *rand.Rand) {
 }
 
 func TestMarkedDAGsMatchReference(t *testing.T) {
+	prob.PoisonRecycledForTest(t)
 	reg := vars.NewRegistry()
 	for i := 0; i < 6; i++ {
 		reg.Declare(fmt.Sprintf("v%d", i), prob.FromPairs([]prob.Pair{

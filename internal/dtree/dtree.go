@@ -11,6 +11,18 @@
 // k parts is the same tree up to association as the k−1 binary ⊕ nodes
 // that pair neighbouring parts level by level (Halve), and Measure and
 // evaluation count it, and Measure its depth, as those. ⊙ stays binary.
+//
+// Ownership: each node's distribution is read once, by its parent, unless
+// the node is reached twice (a memo keeps it) or the Evaluator keeps
+// everything (NewEvaluator). A parent therefore gives a distribution that
+// a kernel made for it, and that no memo holds, back to prob.Recycle as
+// soon as it has combined it, at every node kind and every ⊕ monoid, so
+// that in steady state an evaluation allocates little beyond the root's
+// distribution, which is the caller's. A leaf gives its parent nothing to
+// give back — a variable's distribution is its registry's, a constant's
+// an interned point — unless normalising or capping it made a new one.
+// A compiled tree lives only as long as its compiler's nodes: it must be
+// evaluated before the compiler's next Reset.
 package dtree
 
 import (

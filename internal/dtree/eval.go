@@ -38,6 +38,13 @@ type memoKey struct {
 // compilation (the anytime engine's), and such a tree may reach, through a
 // later memo hit, a node an earlier call evaluated while the node was
 // still marked unique.
+//
+// Ownership: a distribution a kernel made in this evaluation for a node
+// that is not memoised is read by the node's one parent alone, which gives
+// it back to prob.Recycle once it has combined it. So is an inner sum of a
+// ⊕'s pairing. Leaves, the registry's distributions, interned points and
+// memoised distributions are never given back; nor is the root's, which
+// is the caller's.
 type Evaluator struct {
 	env  Env
 	memo map[memoKey]prob.Dist // allocated on first use
@@ -48,14 +55,35 @@ type Evaluator struct {
 	// since was inherited from it.
 	revisit bool
 	stats   EvalStats
-	// leaves is the stack evalPlus evaluates the parts of a ⊕ node of
-	// three or more onto, checked out of leafPool by the first such node
-	// and returned by the package-level Evaluate.
-	leaves *[]prob.Dist
+	// st is the stack evalPlus evaluates the parts of a ⊕ node of three or
+	// more onto, and evalExclusive the branches of a ⊔, checked out of
+	// stackPool by the first such node and returned by the package-level
+	// Evaluate.
+	st *stack
+}
+
+// stack holds, for every ⊕ and ⊔ whose children are being evaluated, the
+// distributions of those evaluated so far, whether each is owned (see
+// Evaluator), and a ⊔'s branch weights. A node pushes above what its
+// ancestors pushed and pops back to it before it returns.
+type stack struct {
+	ds      []prob.Dist
+	owned   []bool
+	weights []float64
 }
 
 // NewEvaluator returns an Evaluator that keeps what it evaluates.
 func NewEvaluator(env Env) *Evaluator { return &Evaluator{env: env, keep: true} }
+
+// Reset empties the memo of an Evaluator made by NewEvaluator, keeping its
+// capacity, and points it at env: the trees it evaluated may since have
+// been invalidated (compile.Compiler.Reset).
+func (ev *Evaluator) Reset(env Env) {
+	if len(ev.memo) > 0 {
+		clear(ev.memo)
+	}
+	ev.env, ev.stats = env, EvalStats{}
+}
 
 // Evaluate computes the probability distribution represented by the d-tree
 // rooted at n, bottom-up in one pass (Theorem 2): Eq. (4)/(6) at ⊕ nodes,
@@ -66,15 +94,18 @@ func NewEvaluator(env Env) *Evaluator { return &Evaluator{env: env, keep: true} 
 func Evaluate(n Node, env Env) (prob.Dist, EvalStats, error) {
 	ev := Evaluator{env: env}
 	d, err := ev.Evaluate(n)
-	if ev.leaves != nil {
-		leafPool.Put(ev.leaves)
+	if ev.st != nil {
+		stackPool.Put(ev.st)
 	}
 	return d, ev.stats, err
 }
 
 // Evaluate computes the distribution of the d-tree rooted at n, as the
 // package-level Evaluate does, reusing what earlier calls evaluated.
-func (ev *Evaluator) Evaluate(n Node) (prob.Dist, error) { return ev.eval(n, nil, true) }
+func (ev *Evaluator) Evaluate(n Node) (prob.Dist, error) {
+	d, _, err := ev.eval(n, nil, true)
+	return d, err
+}
 
 // Nodes returns the number of distinct nodes the calls of an Evaluator
 // made by NewEvaluator have evaluated: its memo's nodes, counted once
@@ -104,9 +135,11 @@ func (ev *Evaluator) Nodes() int {
 	return n
 }
 
-// eval evaluates n under cap. inherited says that cap is the cap n's
-// parent is being evaluated under, rather than one the parent chose (nil
-// for a scalar, the node's own for the left side of a [θ]).
+// eval evaluates n under cap, and reports whether the caller owns the
+// distribution (see Evaluator): a kernel made it in this evaluation and
+// no memo holds it. inherited says that cap is the cap n's parent is being
+// evaluated under, rather than one the parent chose (nil for a scalar,
+// the node's own for the left side of a [θ]).
 //
 // A unique node is reached only from its one parent, so it needs no memo
 // as long as each visit has a key of its own. Visits repeat when a
@@ -114,21 +147,21 @@ func (ev *Evaluator) Nodes() int {
 // caps the keys then differ like the ancestor's, but a cap the parent
 // chose is the same both times — that child goes through the memo, and,
 // being evaluated once, shields what lies below it.
-func (ev *Evaluator) eval(n Node, cap *prob.Cap, inherited bool) (prob.Dist, error) {
+func (ev *Evaluator) eval(n Node, cap *prob.Cap, inherited bool) (prob.Dist, bool, error) {
 	shared := !unique(n)
 	memoised := ev.keep || shared || (ev.revisit && !inherited)
 	key := memoKey{n, cap}
 	if memoised {
 		if d, ok := ev.memo[key]; ok {
-			return d, nil
+			return d, false, nil
 		}
 	}
 	outer := ev.revisit
 	ev.revisit = shared || (outer && inherited)
-	d, err := ev.evalUncached(n, cap)
+	d, owned, err := ev.evalUncached(n, cap)
 	ev.revisit = outer
 	if err != nil {
-		return prob.Dist{}, err
+		return prob.Dist{}, false, err
 	}
 	ev.counted(d)
 	if memoised {
@@ -136,8 +169,9 @@ func (ev *Evaluator) eval(n Node, cap *prob.Cap, inherited bool) (prob.Dist, err
 			ev.memo = map[memoKey]prob.Dist{}
 		}
 		ev.memo[key] = d
+		return d, false, nil
 	}
-	return d, nil
+	return d, owned, nil
 }
 
 // counted accounts one node evaluation that produced d, and returns d.
@@ -147,19 +181,30 @@ func (ev *Evaluator) counted(d prob.Dist) prob.Dist {
 	return d
 }
 
-// normalised returns d with the semiring's Normalise applied to its
-// values — d itself when that changes nothing, which is the case for every
-// variable of a Boolean query and every [θ] outcome.
-func normalised(d prob.Dist, s algebra.Semiring) prob.Dist {
-	for _, p := range d.Pairs() {
-		if s.Normalise(p.V) != p.V {
-			return prob.Map(d, s.Normalise)
-		}
+// release gives d back to prob once its reader has combined it, if the
+// reader owns it.
+func release(d prob.Dist, owned bool) {
+	if owned {
+		prob.Recycle(d)
 	}
-	return d
 }
 
-func (ev *Evaluator) evalUncached(n Node, cap *prob.Cap) (prob.Dist, error) {
+// normalised returns d with the semiring's Normalise applied to its
+// values, and whether that made a new distribution: it returns d itself
+// when Normalise changes nothing, which is the case for every variable of
+// a Boolean query and every [θ] outcome.
+func normalised(d prob.Dist, s algebra.Semiring) (prob.Dist, bool) {
+	for _, p := range d.Pairs() {
+		if s.Normalise(p.V) != p.V {
+			return prob.Map(d, s.Normalise), true
+		}
+	}
+	return d, false
+}
+
+// evalUncached evaluates n under cap, and reports whether a kernel made
+// the distribution in this evaluation.
+func (ev *Evaluator) evalUncached(n Node, cap *prob.Cap) (prob.Dist, bool, error) {
 	s := ev.env.Semiring
 	switch t := n.(type) {
 	case *VarLeaf:
@@ -171,109 +216,162 @@ func (ev *Evaluator) evalUncached(n Node, cap *prob.Cap) (prob.Dist, error) {
 			d, err = ev.env.Registry.Dist(t.Name)
 		}
 		if err != nil {
-			return prob.Dist{}, err
+			return prob.Dist{}, false, err
 		}
-		return normalised(d, s), nil
+		d, made := normalised(d, s)
+		return d, made, nil
 	case *ConstLeaf:
 		if t.Module {
-			return cap.Clamp(prob.Point(t.V)), nil
+			// Clamp maps the point to a new distribution under a cap.
+			return cap.Clamp(prob.Point(t.V)), cap != nil, nil
 		}
-		return prob.Point(s.Normalise(t.V)), nil
+		return prob.Point(s.Normalise(t.V)), false, nil
 	case *PlusNode:
-		return ev.evalPlus(t, cap)
+		d, err := ev.evalPlus(t, cap)
+		return d, err == nil, err
 	case *TimesNode:
-		l, err := ev.eval(t.L, nil, false)
+		l, lOwned, err := ev.eval(t.L, nil, false)
 		if err != nil {
-			return prob.Dist{}, err
+			return prob.Dist{}, false, err
 		}
-		r, err := ev.eval(t.R, nil, false)
+		r, rOwned, err := ev.eval(t.R, nil, false)
 		if err != nil {
-			return prob.Dist{}, err
+			return prob.Dist{}, false, err
 		}
-		return prob.Convolve(l, r, s.Mul, nil), nil
+		d := prob.Convolve(l, r, s.Mul, nil)
+		release(l, lOwned)
+		release(r, rOwned)
+		return d, true, nil
 	case *TensorNode:
 		mo := algebra.MonoidFor(t.Agg)
-		sc, err := ev.eval(t.Scalar, nil, false)
+		sc, scOwned, err := ev.eval(t.Scalar, nil, false)
 		if err != nil {
-			return prob.Dist{}, err
+			return prob.Dist{}, false, err
 		}
-		mod, err := ev.eval(t.Mod, cap, true)
+		mod, modOwned, err := ev.eval(t.Mod, cap, true)
 		if err != nil {
-			return prob.Dist{}, err
+			return prob.Dist{}, false, err
 		}
 		op := func(a, b value.V) value.V { return algebra.Action(s, mo, a, b) }
-		return prob.Convolve(sc, mod, op, cap), nil
+		d := prob.Convolve(sc, mod, op, cap)
+		release(sc, scOwned)
+		release(mod, modOwned)
+		return d, true, nil
 	case *CmpNode:
-		l, err := ev.eval(t.L, t.Cap, false)
+		l, lOwned, err := ev.eval(t.L, t.Cap, false)
 		if err != nil {
-			return prob.Dist{}, err
+			return prob.Dist{}, false, err
 		}
-		r, err := ev.eval(t.R, nil, false)
+		r, rOwned, err := ev.eval(t.R, nil, false)
 		if err != nil {
-			return prob.Dist{}, err
+			return prob.Dist{}, false, err
 		}
-		return normalised(prob.CmpConvolve(l, r, t.Th), s), nil
+		c := prob.CmpConvolve(l, r, t.Th)
+		release(l, lOwned)
+		release(r, rOwned)
+		d, made := normalised(c, s)
+		release(c, made)
+		return d, true, nil
 	case *ExclusiveNode:
-		branches := make([]prob.Dist, len(t.Branches))
-		weights := make([]float64, len(t.Branches))
-		for i, br := range t.Branches {
-			d, err := ev.eval(br.Child, cap, true)
-			if err != nil {
-				return prob.Dist{}, err
-			}
-			branches[i] = d
-			weights[i] = br.P
-		}
-		return prob.Mixture(branches, weights), nil
+		d, err := ev.evalExclusive(t, cap)
+		return d, err == nil, err
 	default:
-		return prob.Dist{}, fmt.Errorf("dtree: unknown node %T", n)
+		return prob.Dist{}, false, fmt.Errorf("dtree: unknown node %T", n)
 	}
 }
 
-// leafPool recycles the part stacks of evaluators that do not keep.
-var leafPool = sync.Pool{New: func() any { return new([]prob.Dist) }}
+// stackPool recycles the stacks of evaluators that do not keep.
+var stackPool = sync.Pool{New: func() any { return new(stack) }}
+
+// stack returns ev's stack, checking one out on first use.
+func (ev *Evaluator) stack() *stack {
+	if ev.st == nil {
+		ev.st = stackPool.Get().(*stack)
+	}
+	return ev.st
+}
+
+// push evaluates n under cap onto the stack.
+func (ev *Evaluator) push(n Node, cap *prob.Cap, inherited bool) error {
+	d, owned, err := ev.eval(n, cap, inherited)
+	if err != nil {
+		return err
+	}
+	st := ev.st
+	st.ds = append(st.ds, d)
+	st.owned = append(st.owned, owned)
+	return nil
+}
+
+// pop drops every entry above base, giving back those owned: their node
+// has read them, or failed and never will.
+func (st *stack) pop(base int) {
+	for i, d := range st.ds[base:] {
+		release(d, st.owned[base+i])
+	}
+	clear(st.ds[base:]) // the pooled stack keeps no distribution alive
+	st.ds, st.owned = st.ds[:base], st.owned[:base]
+}
+
+// evalExclusive evaluates a ⊔ node under cap: the mixture of its branches,
+// evaluated onto the stack.
+func (ev *Evaluator) evalExclusive(t *ExclusiveNode, cap *prob.Cap) (prob.Dist, error) {
+	st := ev.stack()
+	base, wbase := len(st.ds), len(st.weights)
+	var err error
+	for _, br := range t.Branches {
+		if err = ev.push(br.Child, cap, true); err != nil {
+			break
+		}
+		st.weights = append(st.weights, br.P)
+	}
+	var d prob.Dist
+	if err == nil {
+		d = prob.Mixture(st.ds[base:], st.weights[wbase:])
+	}
+	st.pop(base)
+	st.weights = st.weights[:wbase]
+	return d, err
+}
 
 // evalPlus evaluates a ⊕ node under cap: its parts left to right — a
 // module node's under cap, a semiring node's under none — then their sum
 // in the balanced pairing, one convolution per binary node. An Evaluator
 // that does not keep what it evaluates folds the parts of a SUM/COUNT node
 // into one window (prob.FoldSum) when that sweeps fewer cells
-// (prob.FoldCost) than the pairing (pairCost), and otherwise recycles
-// each inner sum once its parent has read it. NodeEvals counts the k−1
+// (prob.FoldCost) than the pairing (pairCost). NodeEvals counts the k−1
 // binary nodes either way; a fold builds no inner sum for MaxDistSize.
 func (ev *Evaluator) evalPlus(t *PlusNode, cap *prob.Cap) (prob.Dist, error) {
 	if !t.Module {
 		cap = nil
 	}
 	if len(t.Parts) == 2 {
-		l, err := ev.eval(t.Parts[0], cap, t.Module)
+		l, lOwned, err := ev.eval(t.Parts[0], cap, t.Module)
 		if err != nil {
 			return prob.Dist{}, err
 		}
-		r, err := ev.eval(t.Parts[1], cap, t.Module)
+		r, rOwned, err := ev.eval(t.Parts[1], cap, t.Module)
 		if err != nil {
 			return prob.Dist{}, err
 		}
-		return ev.plus(t, l, r, cap), nil
+		d := ev.plus(t, l, r, cap)
+		release(l, lOwned)
+		release(r, rOwned)
+		return d, nil
 	}
-	if ev.leaves == nil {
-		ev.leaves = leafPool.Get().(*[]prob.Dist)
-	}
-	base := len(*ev.leaves)
+	st := ev.stack()
+	base := len(st.ds)
 	var err error
 	for _, p := range t.Parts {
-		var d prob.Dist
-		if d, err = ev.eval(p, cap, t.Module); err != nil {
+		if err = ev.push(p, cap, t.Module); err != nil {
 			break
 		}
-		*ev.leaves = append(*ev.leaves, d)
 	}
-	ds := (*ev.leaves)[base:]
 	var d prob.Dist
 	if err == nil {
-		sum := !ev.keep && t.Module && (t.Agg == algebra.Sum || t.Agg == algebra.Count)
+		ds, owned := st.ds[base:], st.owned[base:]
 		fold := false
-		if sum {
+		if !ev.keep && t.Module && (t.Agg == algebra.Sum || t.Agg == algebra.Count) {
 			if cost, ok := prob.FoldCost(ds, cap); ok {
 				pairs, _ := pairCost(ds, cap)
 				fold = cost < pairs
@@ -283,11 +381,11 @@ func (ev *Evaluator) evalPlus(t *PlusNode, cap *prob.Cap) (prob.Dist, error) {
 			d = prob.FoldSum(ds, cap)
 			ev.stats.NodeEvals += len(ds) - 2 // the binary nodes but the root
 		} else {
-			d = ev.pairUp(t, ds, cap, sum)
+			d = ev.pairUp(t, ds, owned, cap)
+			clear(owned) // pairUp has given back the parts it owned
 		}
 	}
-	clear(ds) // the pooled stack keeps no distribution alive
-	*ev.leaves = (*ev.leaves)[:base]
+	st.pop(base)
 	return d, err
 }
 
@@ -320,26 +418,22 @@ func pairCost(ds []prob.Dist, cap *prob.Cap) (int, prob.SumShape) {
 }
 
 // pairUp sums the parts ds of t, two or more, in their balanced pairing,
-// counting each inner sum as eval counts a node. Ownership: the parts are
-// the caller's — a part may be memoised or shared — and never recycled;
-// an inner sum is given back to prob once its parent has read it when
-// recycle is set; the sum of all of ds is the caller's.
-func (ev *Evaluator) pairUp(t *PlusNode, ds []prob.Dist, cap *prob.Cap, recycle bool) prob.Dist {
-	side := func(ds []prob.Dist) (d prob.Dist, inner bool) {
+// counting each inner sum as eval counts a node, and gives back every
+// operand once its binary node has read it if owned says the part is
+// owned, and always if it is an inner sum. The sum of all of ds is the
+// caller's.
+func (ev *Evaluator) pairUp(t *PlusNode, ds []prob.Dist, owned []bool, cap *prob.Cap) prob.Dist {
+	side := func(ds []prob.Dist, owned []bool) (prob.Dist, bool) {
 		if len(ds) == 1 {
-			return ds[0], false
+			return ds[0], owned[0]
 		}
-		return ev.counted(ev.pairUp(t, ds, cap, recycle)), true
+		return ev.counted(ev.pairUp(t, ds, owned, cap)), true
 	}
 	h := Halve(len(ds))
-	l, lInner := side(ds[:h])
-	r, rInner := side(ds[h:])
+	l, lOwned := side(ds[:h], owned[:h])
+	r, rOwned := side(ds[h:], owned[h:])
 	d := ev.plus(t, l, r, cap)
-	if recycle && lInner {
-		prob.Recycle(l)
-	}
-	if recycle && rInner {
-		prob.Recycle(r)
-	}
+	release(l, lOwned)
+	release(r, rOwned)
 	return d
 }

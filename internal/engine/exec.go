@@ -63,10 +63,11 @@ type worker struct {
 	reg *vars.Registry
 	cfg *ExecConfig
 	// c compiles every exact expression of the worker — annotations and
-	// columns, tuple after tuple — with its memo reset after each, so no
-	// two compilations share a node. It is taken from compilers on first
-	// use and given back by release; a reuse shares the memo's capacity
-	// and the compiler's scratch, never a memo entry or a d-tree node.
+	// columns, tuple after tuple — and is Reset after each tree has been
+	// evaluated, so no two compilations share a node. It is taken from
+	// compile's pool on first use and given back by release; a reuse
+	// shares the memo's and the node slabs' capacity and the compiler's
+	// scratch, never a memo entry or a live d-tree node.
 	c *compile.Compiler
 	// The sampling strategy's scratch and generator, reused from tuple to
 	// tuple (rng is re-seeded for every tuple); nil under the others.
@@ -82,18 +83,11 @@ func newWorker(s algebra.Semiring, reg *vars.Registry, cfg *ExecConfig) *worker 
 	return w
 }
 
-// compilers holds the exact compilers of finished workers. The memo is
-// Reset after every compilation and again when a compiler is rebound to
-// its next worker's semiring, registry and options; a compilation that
-// panics takes its compiler with it (exact).
-var compilers sync.Pool
-
-// release gives the worker's compiler back to compilers; the worker's
-// owner calls it when the worker is done.
+// release gives the worker's compiler back to compile's pool; the
+// worker's owner calls it when the worker is done.
 func (w *worker) release() {
 	if w.c != nil {
-		w.c.Rebind(nil, nil, compile.Options{})
-		compilers.Put(w.c)
+		compile.Put(w.c)
 		w.c = nil
 	}
 }
@@ -133,27 +127,26 @@ func Weight(e expr.Expr, reg *vars.Registry) int {
 }
 
 // exact is the exact path: it compiles e (Algorithm 1) within maxNodes
-// (0: no limit) and evaluates the d-tree bottom-up (Theorem 2).
+// (0: no limit), evaluates the d-tree bottom-up (Theorem 2), and then
+// Resets the compiler, which invalidates the tree.
 func (w *worker) exact(ctx context.Context, e expr.Expr, maxNodes int) (prob.Dist, ExactReport, error) {
 	var rep ExactReport
 	c := w.c
 	if c == nil {
-		if c, _ = compilers.Get().(*compile.Compiler); c != nil {
-			c.Rebind(w.s, w.reg, w.cfg.Compile)
-		} else {
-			c = compile.New(w.s, w.reg, w.cfg.Compile)
-		}
+		c = compile.Get(w.s, w.reg, w.cfg.Compile)
 	}
-	w.c = nil // until the compilation returns: a panic drops c, half-filled memo and all
+	w.c = nil // until the tree is evaluated: a panic drops c, half-filled memo and all
 	c.SetMaxNodes(maxNodes)
 	res, err := c.CompileCtx(ctx, e)
-	c.Reset()
-	w.c = c
 	if err != nil {
+		c.Reset()
+		w.c = c
 		return prob.Dist{}, rep, fmt.Errorf("engine: compile %s: %w", expr.Abbrev(e), err)
 	}
 	rep.Compile = res.Stats
 	d, evalStats, err := dtree.Evaluate(res.Root, dtree.Env{Semiring: w.s, Registry: w.reg})
+	c.Reset()
+	w.c = c
 	if err != nil {
 		return prob.Dist{}, rep, fmt.Errorf("engine: evaluate %s: %w", expr.Abbrev(e), err)
 	}

@@ -183,11 +183,11 @@ func TestCompileCountsTheTree(t *testing.T) {
 			nodes := 0
 			for _, e := range exprs {
 				res, err := c.CompileCtx(ctx, e)
-				c.Reset()
 				if err != nil {
 					t.Fatalf("%s tuple %d: %v", name, i, err)
 				}
-				m := dtree.Measure(res.Root)
+				m := dtree.Measure(res.Root) // before Reset, which invalidates the tree
+				c.Reset()
 				if res.Stats.Nodes != m.Nodes || res.Stats.Shannon != m.Exclusive {
 					t.Errorf("%s tuple %d: compiler counted %d nodes, %d Shannon; the tree has %d nodes, %d exclusive",
 						name, i, res.Stats.Nodes, res.Stats.Shannon, m.Nodes, m.Exclusive)
@@ -213,7 +213,8 @@ func TestCompileCountsTheTree(t *testing.T) {
 
 // TestNaryEqualsBinaryTPCHQ1 holds the d-trees of TPC-H Q1's annotations
 // and aggregation columns, whose ⊕ nodes have hundreds of parts and fold,
-// to their binary form (dtreeref.AssertNaryEqualsBinary).
+// to their binary form (dtreeref.AssertNaryEqualsBinary), compiled on
+// one compiler as a worker's, whose Reset poisons the nodes it frees.
 func TestNaryEqualsBinaryTPCHQ1(t *testing.T) {
 	ctx := context.Background()
 	db, err := tpch.Generate(tpch.Config{SF: 0.0005, Seed: 1, Probabilistic: true})
@@ -225,6 +226,8 @@ func TestNaryEqualsBinaryTPCHQ1(t *testing.T) {
 		t.Fatal(err)
 	}
 	env := dtree.Env{Semiring: db.Semiring(), Registry: db.Registry}
+	compile.PoisonResetForTest(t)
+	c := compile.New(db.Semiring(), db.Registry, compile.Options{})
 	for i, tup := range rel.Tuples {
 		exprs := []expr.Expr{tup.Ann}
 		for _, ci := range rel.Schema.ModuleColumns() {
@@ -235,11 +238,12 @@ func TestNaryEqualsBinaryTPCHQ1(t *testing.T) {
 			exprs = append(exprs, e)
 		}
 		for j, e := range exprs {
-			res, err := compile.New(db.Semiring(), db.Registry, compile.Options{}).CompileCtx(ctx, e)
+			res, err := c.CompileCtx(ctx, e)
 			if err != nil {
 				t.Fatal(err)
 			}
 			dtreeref.AssertNaryEqualsBinary(t, fmt.Sprintf("tuple %d expression %d", i, j), res.Root, env)
+			c.Reset()
 		}
 	}
 }

@@ -54,8 +54,8 @@ func getPairBuf() *[]Pair  { return pairBufPool.Get().(*[]Pair) }
 func putPairBuf(b *[]Pair) { *b = (*b)[:0]; pairBufPool.Put(b) }
 
 // accumulate sorts the scratch pairs by value (stably, so collision sums
-// fold in encounter order) and merges equal values into a fresh
-// exact-sized Dist, dropping empty entries per dropBelow. Already-sorted
+// fold in encounter order) and merges equal values into a new Dist
+// (pairsFor), dropping empty entries per dropBelow. Already-sorted
 // buffers (the common case: Map over a sorted Dist with a monotone
 // function) skip the sort entirely; small buffers use a stable insertion
 // sort, avoiding sort.SliceStable's per-call swapper allocation.
@@ -94,9 +94,7 @@ func accumulate(buf []Pair) Dist {
 		}
 		i = j
 	}
-	out := make([]Pair, k)
-	copy(out, buf[:k])
-	return Dist{out}
+	return Dist{append(pairsFor(k), buf[:k]...)}
 }
 
 // denseAcc accumulates probabilities into a float window indexed by the
@@ -279,8 +277,8 @@ func (d *denseAcc) emit() Dist {
 
 // Recycled pair arrays. A caller that holds the only reference to a
 // distribution it no longer reads gives its array back with Recycle, and
-// emit and fromMap — the outputs of the dense and of the map kernels —
-// draw from them. recycled[c] holds arrays whose capacity lies in [2^c, 2^(c+1)),
+// every kernel — Convolve, ConvolveSum, FoldSum, Map, Mixture and
+// CmpConvolve — draws its result from them (pairsFor). recycled[c] holds arrays whose capacity lies in [2^c, 2^(c+1)),
 // so an array is offered only to a request of its own class and wastes
 // less than half of itself; boxes holds the empty *[]Pair headers the
 // pools carry, so neither side allocates one.
@@ -294,10 +292,13 @@ var (
 )
 
 // Recycle gives d's pair array back for a later kernel's result. The
-// caller must hold the only reference to d — a distribution it made
-// itself, read by nothing else — and must not read d afterwards. The
-// interned point distributions, and a distribution that is memoised,
-// shared or returned, must never be recycled.
+// caller must own d: a kernel made it for this caller, and nothing else
+// reads it — not a memo, not a second parent, not whoever the caller
+// returns to. It must not read d afterwards. A distribution a kernel did
+// not make — a registry's, an interned point (Point), a Dist built by
+// FromPairs for a caller that keeps it — is never the caller's to give
+// back, nor is one a kernel returned unchanged (Cap.Clamp under a nil
+// cap, FoldSum of one summand): it is its input's.
 func Recycle(d Dist) {
 	p := d.pairs[:cap(d.pairs)]
 	if len(p) == 0 {
@@ -457,8 +458,7 @@ func Mixture(branches []Dist, weights []float64) Dist {
 			buf = append(buf, Pair{minV.Key(), acc})
 		}
 	}
-	out := make([]Pair, len(buf))
-	copy(out, buf)
+	out := append(pairsFor(len(buf)), buf...)
 	*bufp = buf
 	putPairBuf(bufp)
 	return Dist{out}
@@ -491,7 +491,7 @@ func CmpConvolve(a, b Dist, th value.Theta) Dist {
 	// The prefix-mass regrouping can leave ulp-sized negatives where the
 	// exact result is 0; those are dropped with the zeros, ⊥ (0) before ⊤
 	// (1), as FromPairs would.
-	out := make([]Pair, 0, 2)
+	out := pairsFor(2)
 	if pFalse > dropBelow {
 		out = append(out, Pair{value.Bool(false), pFalse})
 	}
@@ -647,7 +647,8 @@ func (c *Cap) clamp(v value.V) value.V {
 	return v
 }
 
-// Clamp applies the cap to every value of d.
+// Clamp applies the cap to every value of d: d itself under a nil cap,
+// otherwise a new distribution (Map).
 func (c *Cap) Clamp(d Dist) Dist {
 	if c == nil {
 		return d

@@ -111,7 +111,8 @@ func sumWindow(a, b []Pair, cap *Cap) (base int64, width int, ok bool) {
 
 // FoldSum is the distribution of the sum of the independent SUM/COUNT
 // summands ds under cap: ConvolveSum chained left to right,
-// (…((ds[0] + ds[1]) + ds[2]) + …), and ds[0] itself when it is alone.
+// (…((ds[0] + ds[1]) + ds[2]) + …). A single summand is returned itself,
+// so the result is the caller's to Recycle only when ds has two or more.
 // When FoldCost accepts ds, the partial sum lives in one pooled dense
 // window and each summand is folded into it in place, in one pass from the
 // top of the window down: new[k] = Σⱼ old[k − eⱼ]·qⱼ over the summand's
@@ -122,16 +123,19 @@ func sumWindow(a, b []Pair, cap *Cap) (base int64, width int, ok bool) {
 // cell row by row, as ConvolveSum does, so the result is the chain's bit
 // for bit whenever ds[0] needs no clamping (the evaluator's summands,
 // capped themselves, never do). Where FoldCost refuses ds, FoldSum chains
-// ConvolveSum.
+// ConvolveSum, recycling each partial sum once the next is made; the
+// summands stay the caller's.
 func FoldSum(ds []Dist, cap *Cap) Dist {
 	if len(ds) == 1 {
 		return ds[0]
 	}
 	width, _, ok := foldPlan(ds, cap)
 	if !ok {
-		out := ds[0]
-		for _, d := range ds[1:] {
-			out = ConvolveSum(out, d, cap)
+		out := ConvolveSum(ds[0], ds[1], cap)
+		for _, d := range ds[2:] {
+			next := ConvolveSum(out, d, cap)
+			Recycle(out)
+			out = next
 		}
 		return out
 	}
