@@ -122,6 +122,7 @@ func mulAnn(l, r expr.Expr, s algebra.Semiring) expr.Expr {
 // for the added (ann, mv) rows — i.e. the semimodule sum ⊕ annᵢ ⊗ mvᵢ.
 type modSum struct {
 	s        algebra.Semiring
+	one      value.V // s.One()
 	agg      algebra.Agg
 	mo       algebra.Monoid
 	acc      value.V
@@ -132,11 +133,22 @@ type modSum struct {
 
 func newModSum(s algebra.Semiring, agg algebra.Agg) *modSum {
 	mo := algebra.MonoidFor(agg)
-	return &modSum{s: s, agg: agg, mo: mo, acc: mo.Neutral()}
+	return &modSum{s: s, one: s.One(), agg: agg, mo: mo, acc: mo.Neutral()}
 }
 
+// fold combines v into the accumulator: SUM, COUNT, MIN and MAX as
+// their monoids combine, without a call through the interface per row.
 func (m *modSum) fold(v value.V) {
-	m.acc = m.mo.Combine(m.acc, v)
+	switch m.agg {
+	case algebra.Sum, algebra.Count:
+		m.acc = m.acc.Add(v)
+	case algebra.Min:
+		m.acc = m.acc.Min(v)
+	case algebra.Max:
+		m.acc = m.acc.Max(v)
+	default:
+		m.acc = m.mo.Combine(m.acc, v)
+	}
 	m.hasConst = true
 }
 
@@ -153,7 +165,7 @@ func (m *modSum) add(ann expr.Expr, mv value.V) error {
 			return value.ErrUndefined
 		}
 	}
-	if c, ok := ann.(expr.Const); ok && c.V == m.s.One() {
+	if c, ok := ann.(expr.Const); ok && c.V == m.one {
 		m.fold(mv)
 		return nil
 	}

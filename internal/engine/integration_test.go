@@ -144,9 +144,10 @@ func commuteTrials(t *testing.T, seed int64, kind algebra.SemiringKind, trials i
 
 // TestCodedGroupsCommute is the diagram over tables served by dictionary
 // lenders (pvctest.DictLendingDatabase), whose batches code their string
-// columns with a dictionary that changes order from batch to batch: π/∪
-// and $ group those rows by their codes, in every world too, and must
-// give the in-memory answer.
+// columns with a dictionary that changes order from batch to batch and
+// span their integer columns, tightly and loosely by turns: π/∪ and $
+// group those rows by their codes, and ⋈ probes by them, in every world
+// too, and must give the in-memory answer.
 func TestCodedGroupsCommute(t *testing.T) {
 	if testing.Short() {
 		t.Skip("world enumeration is slow in -short mode")
@@ -186,6 +187,11 @@ func TestCodedGroupsCommute(t *testing.T) {
 			&Union{L: &Scan{Table: "T"}, R: &Scan{Table: "U"}},
 			// π̂ folds into the scans: ∪ keys their coded batches.
 			&Union{L: &Prune{Cols: []string{"f", "s"}, Input: &Scan{Table: "U"}}, R: &Prune{Cols: []string{"f", "s"}, Input: &Scan{Table: "T"}}},
+			// Integer keys, alone and beside a string.
+			&GroupAgg{Input: &Scan{Table: "T"}, GroupBy: []string{"b"}, Aggs: []AggSpec{{Out: "n", Agg: algebra.Count}}},
+			&GroupAgg{Input: &Scan{Table: "T"}, GroupBy: []string{"f", "b"}, Aggs: []AggSpec{{Out: "m", Agg: agg, Over: "b"}}},
+			&Project{Cols: []string{"b"}, Input: &Scan{Table: "T"}},
+			&Join{L: &Scan{Table: "T"}, R: &Prune{Cols: []string{"b"}, Input: &Scan{Table: "U"}}},
 		} {
 			t.Run(fmt.Sprintf("trial%d/shape%d", trial, i), func(t *testing.T) {
 				coded := func(d *pvc.Database) (*pvc.Relation, error) { return eval(pvctest.DictLendingDatabase(d), plan) }

@@ -36,8 +36,12 @@ package engine
 // are keytab.go's) and drainRoot read their inputs through one cursor,
 // which steps through a scan's blocks and reads each row off the
 // vectors: π/∪, $, the ⋈/× build side and drainRoot drain it with
-// drainRows, the ⋈/× probe side pulls it; π/∪ and $ find the group of a
-// row of a dictionary-coded block by its codes (codeIDs). The sinks
+// drainRows, the ⋈/× probe side pulls it. When every key column of a
+// block is coded — a dictionary-coded string or an integer column with
+// a span (pvc.Batch) — π/∪ and $ find a row's group and the ⋈/× probe
+// its bucket by the row's codes, keying and hashing each code
+// combination once per block (codeIDs); the build side keys every row
+// by bytes, its keys being mostly distinct. The sinks
 // copy the group cells they keep and the probe the cells of a row that
 // matches; the sites that keep a whole row past its loan copy it then
 // (row.keep, told by lendsCells whether a tuple input lends):
@@ -520,7 +524,8 @@ func (it *pruneIter) Close() error { return it.child.Close() }
 // build side (materialized into a hash table that grows as its rows
 // arrive, then closed), the left child is probed lazily in order — a
 // block at a time when it serves batches, each row keyed straight off
-// the vectors and copied out only when it matches — so emission is
+// the vectors, or looked up by its codes when the block's key columns
+// are coded, and copied out only when it matches — so emission is
 // left-major, as a nested loop's would be. A × is a ⋈ with no key
 // columns: every tuple hashes to the single empty-key bucket.
 type pairIter struct {
@@ -535,8 +540,9 @@ type pairIter struct {
 	built   bool
 	tab     keyTable      // join key → index into buckets
 	buckets [][]pvc.Tuple // per join key: its build rows
-	key     []byte        // reused key buffer of both sides
+	key     []byte        // reused key buffer of the build side
 	probe   cursor        // over the left input
+	ids     codeIDs       // a coded probe batch's rows → their buckets
 	row     []pvc.Cell    // the output row, refilled per Next and lent
 	nl      int           // the probe row's cells at the head of row
 	bucket  []pvc.Tuple   // the probe row's matches
@@ -587,8 +593,7 @@ func (it *pairIter) Next() (pvc.Tuple, bool, error) {
 		if ok, err := it.probe.next(); err != nil || !ok {
 			return pvc.Tuple{}, false, err
 		}
-		it.key = it.probe.appendKey(it.key[:0], it.lKey)
-		if bi := it.tab.find(it.key); bi >= 0 {
+		if bi := it.ids.find(&it.tab, &it.probe.row, it.lKey); bi >= 0 {
 			it.bucket, it.bi = it.buckets[bi], 0
 			it.row = it.probe.appendCells(it.row[:0])
 			it.nl = len(it.row)
@@ -605,6 +610,7 @@ func (it *pairIter) Next() (pvc.Tuple, bool, error) {
 
 // Close closes both inputs; closing the built right one again is harmless.
 func (it *pairIter) Close() error {
+	it.ids.release()
 	err := it.left.Close()
 	if e := it.right.Close(); err == nil {
 		err = e
@@ -643,6 +649,7 @@ func (it *groupIter) Open() error {
 
 func (it *groupIter) drain() error {
 	it.drained = true
+	defer it.ids.release()
 	add := func(r *row) error {
 		g, added := it.ids.id(&it.tab, r, it.cols)
 		if added {
@@ -733,6 +740,7 @@ func (it *groupAggIter) Open() error { return it.child.Open() }
 
 func (it *groupAggIter) drain() error {
 	it.drained = true
+	defer it.ids.release()
 	err := drainRows(it.ctx, it.child, func(r *row) error {
 		gi, added := it.ids.id(&it.tab, r, it.gIdx)
 		if added {

@@ -33,6 +33,11 @@ func TestStreamEvalPlanMatchesEvalGenerated(t *testing.T) {
 		pvctest.CheckCommutes(t, inst.DB, func(db *pvc.Database) (*pvc.Relation, error) {
 			return eval(pvctest.LendingDatabase(db))
 		})
+		// Every table served by a dictionary lender: the keyed operators
+		// key its batches by codes and spans.
+		pvctest.CheckCommutes(t, inst.DB, func(db *pvc.Database) (*pvc.Relation, error) {
+			return eval(pvctest.DictLendingDatabase(db))
+		})
 		// The same seed's larger instance over tables that lend and poison
 		// their rows (see TestPoisonedLenderDifferential): the rendering
 		// of a relation spells out every cell and annotation.

@@ -19,8 +19,10 @@ package engine
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math/bits"
 	"math/rand/v2"
+	"sync"
 
 	"pvcagg/internal/expr"
 	"pvcagg/internal/pvc"
@@ -83,31 +85,84 @@ func (r *row) appendKey(buf []byte, idx []int) []byte {
 }
 
 // maxCodeIDs caps the code combinations a codeIDs array indexes (16 KiB
-// of ids): a batch whose key columns' dictionary sizes multiply past it
-// is keyed by bytes.
+// of ids): a batch whose key columns' code ranges multiply past it is
+// keyed by bytes.
 const maxCodeIDs = 1 << 12
 
-// codeIDs gives the rows of a batch whose key columns are all
-// dictionary-coded (pvc.Batch.Coded) their ids in a keyTable, for π/∪
-// and $. The first row of each code combination in the batch is keyed
-// by bytes and interned like any row, so equal cells get one id across
-// batches whose dictionaries differ; the later ones read that id from
-// an array indexed by their codes. The array is sized to the product of
-// the dictionary sizes, reused, and cleared whenever the cursor takes a
-// new batch (row.batch changes): a code means nothing outside its
-// batch. A tuple row, and a row of a batch with a plain key column or
-// more than maxCodeIDs combinations, is keyed by bytes. The zero value
-// is ready; an operator with several inputs resets it before each.
+// codeIDs gives the rows of a batch whose key columns are all coded
+// their ids in a keyTable: π/∪ and $ intern them (id), the ⋈ probe looks
+// them up (find). A column is coded when it is dictionary-coded
+// (pvc.Batch.Coded: its code is the row's dictionary index, its range
+// the dictionary) or has a span (pvc.Batch.Span: its code is v − Base,
+// its range N). When the cursor takes a new batch (row.batch changes),
+// setup computes every selected row's code combination a column at a
+// time and clears an array of ids, one per combination: a code means
+// nothing outside its batch. The first row of each combination is keyed
+// by bytes and interned or found like any row, so equal cells get one
+// id across batches whose codes differ and the same id the tuple path
+// gives; the later ones read that id — or find's miss, since the table
+// a probe reads is complete — from the array. A tuple row, and a row of
+// a batch with an uncoded key column or more than maxCodeIDs
+// combinations, is keyed by bytes. The zero value is ready; an operator
+// with several inputs resets it before each, and every operator
+// releases it when it is done, which hands its arrays back to codePool.
 type codeIDs struct {
-	batch  int       // the row.batch the array serves
-	on     bool      // that batch's key columns are all coded
-	codes  [][]uint8 // per key column, that batch's codes
-	stride []int     // per key column, its code's weight in a combination
-	ids    []int32   // per combination: id+1, 0 until its first row
-	key    []byte    // reused key buffer
+	batch int         // the row.batch the arrays serve
+	on    bool        // that batch's key columns are all coded
+	cols  []codeCol   // setup's scratch: per key column, in that batch
+	arr   *codeArrays // from codePool, once a batch was coded
+	ids   []int32     // per combination: id+2 (1 for a miss of find), 0 until its first row
+	combo []int32     // per selected row of the batch: its combination
+	key   []byte      // reused key buffer
+}
+
+// codeArrays is the storage of a codeIDs' ids and combinations.
+// codePool keeps them across operators and queries, so a query keyed by
+// codes allocates none once the pool holds arrays for its batches.
+type codeArrays struct {
+	ids   [maxCodeIDs]int32
+	combo []int32
+}
+
+var codePool = sync.Pool{New: func() any { return new(codeArrays) }}
+
+// codeCol is one coded key column of a batch.
+type codeCol struct {
+	codes  []uint8   // its dictionary codes, or nil when it has a span
+	vals   []value.V // its values, when it has a span
+	base   uint64    // the span's base
+	n      uint64    // its codes' range: the dictionary's size or the span's N
+	stride int32     // its code's weight in a combination
+}
+
+// addCodes adds to combo[i] the column's code of row i times its stride,
+// for every row i of sel.
+func (c *codeCol) addCodes(combo, sel []int32) {
+	if c.codes != nil {
+		for _, i := range sel {
+			combo[i] += int32(c.codes[i]) * c.stride
+		}
+		return
+	}
+	for _, i := range sel {
+		d := uint64(c.vals[i].Int64()) - c.base
+		if d >= c.n {
+			panic(fmt.Sprintf("engine: a batch's span [%d, +%d) does not hold its row's value %v", int64(c.base), c.n, c.vals[i]))
+		}
+		combo[i] += int32(d) * c.stride
+	}
 }
 
 func (c *codeIDs) reset() { c.batch, c.on = 0, false }
+
+// release resets c and hands its arrays back to codePool.
+func (c *codeIDs) release() {
+	c.reset()
+	if c.arr != nil {
+		codePool.Put(c.arr)
+		c.arr, c.ids, c.combo = nil, nil, nil
+	}
+}
 
 // id returns the id in t of r's key, the cells at idx, and whether it
 // was added.
@@ -119,40 +174,73 @@ func (c *codeIDs) id(t *keyTable, r *row, idx []int) (int, bool) {
 		c.key = r.appendKey(c.key[:0], idx)
 		return t.intern(c.key)
 	}
-	slot := 0
-	for k, codes := range c.codes {
-		slot += int(codes[r.i]) * c.stride[k]
-	}
-	if id := c.ids[slot]; id > 0 {
-		return int(id - 1), false
+	s := c.combo[r.i]
+	if id := c.ids[s]; id != 0 {
+		return int(id - 2), false
 	}
 	c.key = r.appendKey(c.key[:0], idx)
 	id, added := t.intern(c.key)
-	c.ids[slot] = int32(id + 1)
+	c.ids[s] = int32(id + 2)
 	return id, added
 }
 
-// setup readies the array for r's batch.
+// find returns the id in t of r's key, the cells at idx, or -1 when t
+// holds no such key. t must not change while the batch lasts.
+func (c *codeIDs) find(t *keyTable, r *row, idx []int) int {
+	if r.batch != c.batch {
+		c.setup(r, idx)
+	}
+	if !c.on {
+		c.key = r.appendKey(c.key[:0], idx)
+		return t.find(c.key)
+	}
+	s := c.combo[r.i]
+	if id := c.ids[s]; id != 0 {
+		return int(id - 2)
+	}
+	c.key = r.appendKey(c.key[:0], idx)
+	id := t.find(c.key)
+	c.ids[s] = int32(id + 2)
+	return id
+}
+
+// setup readies the arrays for r's batch.
 func (c *codeIDs) setup(r *row, idx []int) {
 	c.batch, c.on = r.batch, false
 	if r.b == nil {
 		return
 	}
-	c.codes, c.stride = c.codes[:0], c.stride[:0]
+	c.cols = c.cols[:0]
 	n := 1
 	for _, j := range idx {
-		dict, codes := r.b.Coded(j)
-		if codes == nil || n*len(dict) > maxCodeIDs {
+		col := codeCol{stride: int32(n)}
+		if dict, codes := r.b.Coded(j); codes != nil {
+			col.codes, col.n = codes, uint64(len(dict))
+		} else if sp := r.b.Span(j); sp.N > 0 {
+			col.vals, col.base, col.n = r.b.Vals[j], uint64(sp.Base), uint64(sp.N)
+		}
+		if col.n == 0 || col.n > uint64(maxCodeIDs/n) {
 			return
 		}
-		c.codes, c.stride = append(c.codes, codes), append(c.stride, n)
-		n *= len(dict)
+		c.cols = append(c.cols, col)
+		n *= int(col.n)
 	}
-	if cap(c.ids) < n {
-		c.ids = make([]int32, n)
+	if c.arr == nil {
+		c.arr = codePool.Get().(*codeArrays)
 	}
-	c.ids = c.ids[:n]
+	c.ids = c.arr.ids[:n]
 	clear(c.ids)
+	sel := r.b.Sel
+	if rows := int(sel[len(sel)-1]) + 1; len(c.arr.combo) < rows {
+		c.arr.combo = make([]int32, rows)
+	}
+	c.combo = c.arr.combo
+	for _, i := range sel {
+		c.combo[i] = 0
+	}
+	for k := range c.cols {
+		c.cols[k].addCodes(c.combo, sel)
+	}
 	c.on = true
 }
 
@@ -164,6 +252,7 @@ func (c *codeIDs) setup(r *row, idx []int) {
 // seed. The zero value is an empty table.
 type keyTable struct {
 	interns int // calls of intern, which the tests count
+	finds   int // calls of find, likewise
 	seed    uint64
 	slots   []int32  // id+1 of the key in the slot; 0 when it is free
 	hash    []uint64 // per id
@@ -173,6 +262,7 @@ type keyTable struct {
 
 // find returns key's id, or -1 when it was never interned.
 func (t *keyTable) find(key []byte) int {
+	t.finds++
 	if len(t.end) == 0 {
 		return -1
 	}

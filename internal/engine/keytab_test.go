@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -323,5 +324,119 @@ func TestKeyTableGrows(t *testing.T) {
 	}
 	if len(tab.slots) < 2*n {
 		t.Errorf("%d slots for %d keys: grown past ½ load", len(tab.slots), n)
+	}
+}
+
+// TestSpanCodesMatchBytes holds codeIDs over spanned integer columns to
+// the byte-keyed table: over batches whose spans have a negative base,
+// reach the int64 extremes (one wrapping past them), hold exactly
+// maxCodeIDs offsets or one more (keyed by bytes), or sit beside a
+// dictionary-coded string, every row gets from id the id that interning
+// its key's bytes in another table gives, in the same order, and from
+// find over the finished table the id the bytes find — a miss included.
+func TestSpanCodesMatchBytes(t *testing.T) {
+	ints := func(ns ...int64) []value.V {
+		vs := make([]value.V, len(ns))
+		for i, n := range ns {
+			vs[i] = value.Int(n)
+		}
+		return vs
+	}
+	upTo := func(lo, n int64) []int64 {
+		var ns []int64
+		for i := range n {
+			ns = append(ns, lo+(i*7919)%n)
+		}
+		return ns
+	}
+	// batch is one batch of a value column k with span sp and, when strs
+	// is set, a coded string column s beside it (its dictionary in
+	// first-seen order).
+	batch := func(sp pvc.Span, ks []int64, strs ...string) *pvc.Batch {
+		b := &pvc.Batch{Vals: [][]value.V{ints(ks...), nil}, Strs: [][]string{nil, nil}, Spans: []pvc.Span{sp, {}}}
+		for i := range ks {
+			b.Anns, b.Sel = append(b.Anns, expr.CInt(1)), append(b.Sel, int32(i))
+		}
+		if strs != nil {
+			b.Strs[1], b.Dicts, b.Codes = strs, [][]string{nil, nil}, [][]uint8{nil, make([]uint8, len(strs))}
+			for i, s := range strs {
+				if !slices.Contains(b.Dicts[1], s) {
+					b.Dicts[1] = append(b.Dicts[1], s)
+				}
+				b.Codes[1][i] = uint8(slices.Index(b.Dicts[1], s))
+			}
+		}
+		return b
+	}
+	const lo, hi = math.MinInt64, math.MaxInt64
+	cases := []struct {
+		name    string
+		idx     []int
+		batches []*pvc.Batch
+		coded   []bool // per batch: keyed by codes
+	}{
+		{"negative base", []int{0}, []*pvc.Batch{
+			batch(pvc.Span{Base: -10, N: 8}, []int64{-3, -10, -3, -7, -10}),
+			batch(pvc.Span{Base: -20, N: 32}, []int64{-7, -20, -5, -7, -3}),
+		}, []bool{true, true}},
+		{"int64 extremes", []int{0}, []*pvc.Batch{
+			batch(pvc.Span{Base: hi - 1, N: 2}, []int64{hi, hi - 1, hi}),
+			batch(pvc.Span{Base: lo, N: 4}, []int64{lo + 3, lo, lo + 3}),
+			batch(pvc.Span{Base: hi, N: 2}, []int64{lo, hi, lo, hi}), // lo − hi wraps to 1
+			batch(pvc.Span{Base: hi - 2, N: 8}, []int64{lo + 1, hi, lo + 1}),
+		}, []bool{true, true, true, true}},
+		{"maxCodeIDs offsets", []int{0}, []*pvc.Batch{
+			batch(pvc.Span{Base: -5, N: maxCodeIDs}, upTo(-5, maxCodeIDs)),
+			batch(pvc.Span{Base: -6, N: maxCodeIDs + 1}, upTo(-6, maxCodeIDs+1)),
+			batch(pvc.Span{Base: 0, N: maxCodeIDs}, upTo(0, 3000)),
+		}, []bool{true, false, true}},
+		{"string and span", []int{1, 0}, []*pvc.Batch{
+			batch(pvc.Span{Base: -2, N: 4}, []int64{1, -2, 1, 0, -2, 1}, "b", "a", "b", "a", "a", "b"),
+			batch(pvc.Span{Base: 0, N: 1024}, []int64{0, 1, 1, 1023, 0}, "a", "a", "c", "b", "a"),
+			batch(pvc.Span{Base: 0, N: 4096}, []int64{0, 1}, "a", "b"), // 2 × 4096 combinations: bytes
+		}, []bool{true, true, false}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			var coded, plain keyTable
+			var ids codeIDs
+			for bi, b := range c.batches {
+				for i := range b.Sel {
+					r := row{b: b, i: i, batch: bi + 1}
+					id, added := ids.id(&coded, &r, c.idx)
+					want, wantAdded := plain.intern(r.appendKey(nil, c.idx))
+					if id != want || added != wantAdded {
+						t.Fatalf("batch %d row %d: id %d (added %v), bytes give %d (added %v)", bi, i, id, added, want, wantAdded)
+					}
+					if i == 0 && ids.on != c.coded[bi] {
+						t.Fatalf("batch %d keyed by codes: %v, want %v", bi, ids.on, c.coded[bi])
+					}
+				}
+			}
+			// find over the finished table, R's rows probing a table
+			// that lacks the first batch's last key.
+			probe := keyTable{}
+			last := c.batches[0]
+			skip := row{b: last, i: len(last.Sel) - 1, batch: 1}
+			skipKey := skip.appendKey(nil, c.idx)
+			for bi, b := range c.batches {
+				for i := range b.Sel {
+					r := row{b: b, i: i, batch: bi + 1}
+					if key := r.appendKey(nil, c.idx); !bytes.Equal(key, skipKey) {
+						probe.intern(key)
+					}
+				}
+			}
+			var found codeIDs
+			for bi, b := range c.batches {
+				for i := range b.Sel {
+					r := row{b: b, i: i, batch: bi + 1}
+					got, want := found.find(&probe, &r, c.idx), probe.find(r.appendKey(nil, c.idx))
+					if got != want {
+						t.Fatalf("batch %d row %d: find %d, bytes find %d", bi, i, got, want)
+					}
+				}
+			}
+		})
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"pvcagg/internal/algebra"
@@ -96,8 +97,9 @@ func sameOutcome(t *testing.T, what string, want *pvc.Relation, errW error, got 
 // whose atoms all reach the scan is discharged — and over inexact ones,
 // which ignore the hints, so every σ stays and must still give the same
 // answer, and over dictionary lenders, whose batches code their string
-// columns with dictionaries that change order from batch to batch, so
-// π/∪ and $ group their rows by codes. StreamEvalPlan and EXPLAIN
+// columns with dictionaries that change order from batch to batch and
+// span their integer columns, tightly and loosely by turns, so π/∪ and
+// $ group their rows, and ⋈ probes them, by codes. StreamEvalPlan and EXPLAIN
 // ANALYZE are both held to it, and
 // every node of the analyzed tree to the in-memory run's actual rows
 // (sameActuals). The in-memory run's analyzed tree must have Explain's shape:
@@ -280,13 +282,15 @@ func TestLendersAtKeepSites(t *testing.T) {
 // Batch: a batch scan that allocates per scan, never per block or row.
 // It serves no rows through Next. A coded one (newCodedVecTable) also
 // codes its string columns, a dictionary per batch in first-seen order,
-// reversed in odd batches.
+// reversed in odd batches, and gives its value columns their tight span
+// in each batch.
 type vecTable struct {
 	rel   *pvc.Relation
 	vals  [][]value.V
 	strs  [][]string
 	dicts [][][]string // per column, per batch; nil unless coded
 	codes [][]uint8    // per column; nil unless coded
+	spans [][]pvc.Span // per column, per batch; nil unless coded
 	anns  []expr.Expr
 	sel   []int32
 }
@@ -294,6 +298,14 @@ type vecTable struct {
 func newCodedVecTable(rel *pvc.Relation) *vecTable {
 	v := newVecTable(rel)
 	v.dicts, v.codes = make([][][]string, len(rel.Schema)), make([][]uint8, len(rel.Schema))
+	v.spans = make([][]pvc.Span, len(rel.Schema))
+	for c, vals := range v.vals {
+		for lo := 0; lo < len(vals); lo += vecBlock {
+			block := vals[lo:min(lo+vecBlock, len(vals))]
+			lo, hi := slices.MinFunc(block, value.V.Cmp).Int64(), slices.MaxFunc(block, value.V.Cmp).Int64()
+			v.spans[c] = append(v.spans[c], pvc.Span{Base: lo, N: int(hi-lo) + 1})
+		}
+	}
 	for c, strs := range v.strs {
 		if strs == nil {
 			continue
@@ -349,7 +361,7 @@ func (v *vecTable) NewScan(_ context.Context, opts pvc.ScanOptions) (pvc.TupleIt
 	n := len(v.rel.Schema)
 	sc := &vecScan{v: v, b: pvc.Batch{Vals: make([][]value.V, n), Strs: make([][]string, n)}}
 	if v.codes != nil {
-		sc.b.Dicts, sc.b.Codes = make([][]string, n), make([][]uint8, n)
+		sc.b.Dicts, sc.b.Codes, sc.b.Spans = make([][]string, n), make([][]uint8, n), make([]pvc.Span, n)
 	}
 	return sc, nil
 }
@@ -377,6 +389,9 @@ func (s *vecScan) NextBatch() (*pvc.Batch, bool, error) {
 			}
 		} else {
 			s.b.Vals[c] = s.v.vals[c][s.lo:hi]
+			if s.v.spans != nil {
+				s.b.Spans[c] = s.v.spans[c][s.lo/vecBlock]
+			}
 		}
 	}
 	s.b.Anns, s.b.Sel = s.v.anns[s.lo:hi], s.v.sel[:hi-s.lo]
@@ -469,34 +484,48 @@ func TestPruneNoAllocPerRow(t *testing.T) {
 }
 
 // TestCodedGroupsInternPerBatch: over a batch scan whose key columns are
-// all coded, π and $ key and intern a code combination once per batch
-// and find every later row of it by its codes, so they intern at most
-// (combinations × batches) keys, not one a row — and give the answers
-// they give in memory. Over the same vectors uncoded they intern one key
+// all coded — dictionary-coded strings, spanned integers or both — π and
+// $ key and intern a code combination once per batch and find every
+// later row of it by its codes, so they intern at most (combinations ×
+// batches) keys, not one a row, and a ⋈ probing the scan looks each
+// combination up once per batch; all give the answers they give in
+// memory. Over the same vectors uncoded they intern or look up one key
 // a row, except $ without grouping, whose empty key has no column to be
 // plain and is interned once per batch either way.
 func TestCodedGroupsInternPerBatch(t *testing.T) {
 	ctx := context.Background()
 	const rows = 2000
 	flags, states := []string{"A", "N", "R"}, []string{"F", "O"}
-	r := pvc.NewRelation("R", pvc.Schema{{Name: "f", Type: pvc.TString}, {Name: "s", Type: pvc.TString}, {Name: "b", Type: pvc.TValue}})
+	r := pvc.NewRelation("R", pvc.Schema{{Name: "f", Type: pvc.TString}, {Name: "s", Type: pvc.TString},
+		{Name: "b", Type: pvc.TValue}, {Name: "k", Type: pvc.TValue}})
 	for i := 0; i < rows; i++ {
-		r.MustInsert(nil, pvc.StringCell(flags[i%3]), pvc.StringCell(states[i/7%2]), pvc.IntCell(int64(i)))
+		r.MustInsert(nil, pvc.StringCell(flags[i%3]), pvc.StringCell(states[i/7%2]), pvc.IntCell(int64(i)), pvc.IntCell(int64(i%5-3)))
 	}
+	// K matches k = -3 and -1 of R's five keys.
+	k := pvc.NewRelation("K", pvc.Schema{{Name: "k", Type: pvc.TValue}, {Name: "name", Type: pvc.TString}})
+	k.MustInsert(nil, pvc.IntCell(-3), pvc.StringCell("low"))
+	k.MustInsert(nil, pvc.IntCell(-1), pvc.StringCell("mid"))
 	mem := pvc.NewDatabase(algebra.Boolean)
 	mem.Add(r)
+	mem.Add(k)
 	batches := (rows + vecBlock - 1) / vecBlock
 	for _, c := range []struct {
 		name   string
 		plan   Plan
 		combos int
-		plain  int // interns over the uncoded vectors
+		plain  int // interns or finds over the uncoded vectors
 	}{
 		{"$ by f, s", &GroupAgg{Input: &Scan{Table: "R"}, GroupBy: []string{"f", "s"},
 			Aggs: []AggSpec{{Out: "N", Agg: algebra.Count}, {Out: "S", Agg: algebra.Sum, Over: "b"}}}, 6, rows},
 		{"$ by s", &GroupAgg{Input: &Scan{Table: "R"}, GroupBy: []string{"s"}, Aggs: []AggSpec{{Out: "M", Agg: algebra.Max, Over: "b"}}}, 2, rows},
 		{"$ ungrouped", &GroupAgg{Input: &Scan{Table: "R"}, Aggs: []AggSpec{{Out: "N", Agg: algebra.Count}}}, 1, batches},
 		{"π onto f, s", &Project{Input: &Scan{Table: "R"}, Cols: []string{"f", "s"}}, 6, rows},
+		{"$ by k", &GroupAgg{Input: &Scan{Table: "R"}, GroupBy: []string{"k"},
+			Aggs: []AggSpec{{Out: "S", Agg: algebra.Sum, Over: "b"}}}, 5, rows},
+		{"$ by f, k", &GroupAgg{Input: &Scan{Table: "R"}, GroupBy: []string{"f", "k"},
+			Aggs: []AggSpec{{Out: "N", Agg: algebra.Count}}}, 15, rows},
+		{"π onto k", &Project{Input: &Scan{Table: "R"}, Cols: []string{"k"}}, 5, rows},
+		{"⋈ on k", &Join{L: &Scan{Table: "R"}, R: &Scan{Table: "K"}}, 5, rows},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			want, err := eval(mem, c.plan)
@@ -510,6 +539,7 @@ func TestCodedGroupsInternPerBatch(t *testing.T) {
 				} else {
 					db.AddProvider(newVecTable(r))
 				}
+				db.Add(k)
 				it, schema, name, err := newIterBuilder(ctx, db).build(c.plan)
 				if err != nil {
 					t.Fatal(err)
@@ -523,20 +553,76 @@ func TestCodedGroupsInternPerBatch(t *testing.T) {
 				}
 				it.Close()
 				relEqual(t, want, got)
-				var interns int
-				switch sink := it.(type) {
+				var keyed int
+				switch op := it.(type) {
 				case *groupAggIter:
-					interns = sink.tab.interns
+					keyed = op.tab.interns
 				case *groupIter:
-					interns = sink.tab.interns
+					keyed = op.tab.interns
+				case *pairIter:
+					keyed = op.tab.finds
 				}
 				switch {
-				case coded && interns > c.combos*batches:
-					t.Errorf("coded: %d interns for %d rows, want at most %d combinations × %d batches", interns, rows, c.combos, batches)
-				case !coded && interns != c.plain:
-					t.Errorf("plain: %d interns for %d rows, want %d", interns, rows, c.plain)
+				case coded && keyed > c.combos*batches:
+					t.Errorf("coded: %d keys interned or found for %d rows, want at most %d combinations × %d batches", keyed, rows, c.combos, batches)
+				case !coded && keyed != c.plain:
+					t.Errorf("plain: %d keys interned or found for %d rows, want %d", keyed, rows, c.plain)
 				}
 			}
 		})
 	}
+}
+
+// TestCodedQueriesConcurrent runs queries keyed by codes on several
+// goroutines at once, each operator taking its code arrays from the one
+// pool and handing them back when it is done: under -race, and against
+// the in-memory answers, no two live operators share an array.
+func TestCodedQueriesConcurrent(t *testing.T) {
+	const rows = 600
+	r := pvc.NewRelation("R", pvc.Schema{{Name: "f", Type: pvc.TString}, {Name: "k", Type: pvc.TValue}})
+	for i := 0; i < rows; i++ {
+		r.MustInsert(nil, pvc.StringCell([]string{"A", "N", "R"}[i%3]), pvc.IntCell(int64(i%5-3)))
+	}
+	k := pvc.NewRelation("K", pvc.Schema{{Name: "k", Type: pvc.TValue}, {Name: "name", Type: pvc.TString}})
+	k.MustInsert(nil, pvc.IntCell(-3), pvc.StringCell("low"))
+	k.MustInsert(nil, pvc.IntCell(-1), pvc.StringCell("mid"))
+	mem, coded := pvc.NewDatabase(algebra.Boolean), pvc.NewDatabase(algebra.Boolean)
+	mem.Add(r)
+	coded.AddProvider(newCodedVecTable(r))
+	for _, db := range []*pvc.Database{mem, coded} {
+		db.Add(k)
+	}
+	plans := []Plan{
+		&GroupAgg{Input: &Scan{Table: "R"}, GroupBy: []string{"f", "k"}, Aggs: []AggSpec{{Out: "N", Agg: algebra.Count}}},
+		&GroupAgg{Input: &Join{L: &Scan{Table: "R"}, R: &Scan{Table: "K"}}, GroupBy: []string{"name"}, Aggs: []AggSpec{{Out: "N", Agg: algebra.Count}}},
+		&Project{Input: &Scan{Table: "R"}, Cols: []string{"k"}},
+	}
+	want := make([]string, len(plans))
+	for i, p := range plans {
+		rel, err := eval(mem, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = rel.String()
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for n := 0; n < 20; n++ {
+				i := (g + n) % len(plans)
+				rel, err := eval(coded, plans[i])
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if got := rel.String(); got != want[i] {
+					t.Errorf("plan %d: got\n%s\nwant\n%s", i, got, want[i])
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -54,13 +54,36 @@ type BatchIter interface {
 // the same strings in another order, or other strings, so a code means
 // nothing outside its batch. Readers that ignore the codes read Strs as
 // before.
+//
+// A value column may also come with a span: Spans[c] = {Base, N} with
+// N > 0 promises that every selected row's cell is an integer v with
+// uint64(v − Base) < N (the subtraction wrapping), so v − Base is a
+// code in [0, N). A span is lent like the vectors, is the batch's alone
+// (the next batch may have another Base) and may be loose, covering
+// values no row holds; N = 0 means the batch promises nothing. Spans is
+// either nil (no column has one) or holds an entry per column.
 type Batch struct {
 	Vals  [][]value.V
 	Strs  [][]string
 	Dicts [][]string
 	Codes [][]uint8
+	Spans []Span
 	Anns  []expr.Expr
 	Sel   []int32 // ascending
+}
+
+// Span is the range of a value column in one batch: see Batch.
+type Span struct {
+	Base int64
+	N    int
+}
+
+// Span returns column c's span, N = 0 when the batch gives none.
+func (b *Batch) Span(c int) Span {
+	if b.Spans == nil {
+		return Span{}
+	}
+	return b.Spans[c]
 }
 
 // Coded returns column c's dictionary and codes, or nils for a plain

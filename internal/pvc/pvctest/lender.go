@@ -5,6 +5,8 @@ package pvctest
 import (
 	"context"
 	"fmt"
+	"math"
+	"math/bits"
 	"slices"
 
 	"pvcagg/internal/expr"
@@ -34,8 +36,13 @@ const batchRows = 3
 // states nothing. A dictionary lender (exact) also codes every string
 // column of its batches (pvc.Batch.Coded), listing each batch's strings
 // in first-seen order in even batches and in reverse in odd ones, so a
-// code names a different string from one batch to the next; the
-// dictionaries and codes of a batch are poisoned with it.
+// code names a different string from one batch to the next, and gives
+// every value column whose selected rows are integers a span
+// (pvc.Batch.Span): tight in even batches, loose in odd ones (its base
+// lowered, its size rounded up to a power of two), so an offset names a
+// different value from one batch to the next. The dictionaries, codes
+// and spans of a batch are poisoned with it; a poisoned span sends every
+// value far outside it.
 type Lender struct {
 	rel   *pvc.Relation
 	exact bool
@@ -156,6 +163,9 @@ func (it *lendIter) poison() {
 				b.Dicts[c][k] = Poison
 			}
 		}
+		for c := range b.Spans {
+			b.Spans[c] = pvc.Span{Base: math.MinInt64 / 2, N: 1}
+		}
 		clear(b.Sel)
 		it.batch = nil
 	}
@@ -251,10 +261,22 @@ func (it batchIter) NextBatch() (*pvc.Batch, bool, error) {
 	return nil, false, nil
 }
 
+// maxSpan bounds the spans a dictionary lender gives: a column whose
+// selected rows spread wider gets none.
+const maxSpan = 1 << 20
+
 // code dictionary-codes every string column of b, listing its strings
-// in first-seen order, reversed in odd batches.
+// in first-seen order, reversed in odd batches, and spans every value
+// column whose selected rows are integers within maxSpan, tightly in
+// even batches and loosely in odd ones.
 func (it batchIter) code(b *pvc.Batch) {
 	b.Dicts, b.Codes = make([][]string, len(b.Strs)), make([][]uint8, len(b.Strs))
+	b.Spans = make([]pvc.Span, len(b.Vals))
+	for c, vals := range b.Vals {
+		if vals != nil {
+			b.Spans[c] = span(vals, b.Sel, it.nb%2 == 1)
+		}
+	}
 	for c, strs := range b.Strs {
 		if strs == nil {
 			continue
@@ -274,4 +296,26 @@ func (it batchIter) code(b *pvc.Batch) {
 		}
 		b.Dicts[c], b.Codes[c] = dict, codes
 	}
+}
+
+// span returns the span of the rows sel of vals, loose or tight, or N = 0
+// when one of them is infinite or they spread past maxSpan.
+func span(vals []value.V, sel []int32, loose bool) pvc.Span {
+	lo, hi := int64(math.MaxInt64), int64(math.MinInt64)
+	for _, i := range sel {
+		if !vals[i].IsInt() {
+			return pvc.Span{}
+		}
+		lo, hi = min(lo, vals[i].Int64()), max(hi, vals[i].Int64())
+	}
+	d := uint64(hi) - uint64(lo)
+	if d >= maxSpan {
+		return pvc.Span{}
+	}
+	if !loose {
+		return pvc.Span{Base: lo, N: int(d) + 1}
+	}
+	// Lowered by about half the spread, wrapping below math.MinInt64.
+	k := d/2 + 1
+	return pvc.Span{Base: int64(uint64(lo) - k), N: 1 << bits.Len64(d+k)}
 }

@@ -187,8 +187,10 @@ func TestLenderLendsBatches(t *testing.T) {
 
 // TestDictLenderCodesBatches: a dictionary lender codes each string
 // column of a batch, Strs[c][i] = Dicts[c][Codes[c][i]], in first-seen
-// order in even batches and reversed in odd ones, leaves value columns
-// plain, and poisons dictionaries and codes with the batch.
+// order in even batches and reversed in odd ones, spans each integer
+// column, tightly in even batches and loosely (a lower base, a power of
+// two) in odd ones, and poisons dictionaries, codes and spans with the
+// batch.
 func TestDictLenderCodesBatches(t *testing.T) {
 	rel := pvc.NewRelation("S", pvc.Schema{{Name: "sid", Type: pvc.TValue}, {Name: "shop", Type: pvc.TString}})
 	for i, shop := range []string{"M&S", "Gap", "Gap", "M&S", "Gap", "M&S"} {
@@ -204,13 +206,20 @@ func TestDictLenderCodesBatches(t *testing.T) {
 	defer sc.Close()
 	it := sc.(pvc.BatchIter)
 	var kept []*pvc.Batch
-	for _, want := range [][]string{{"M&S", "Gap"}, {"Gap", "M&S"}} {
+	spans := []pvc.Span{{Base: 0, N: 3}, {Base: 1, N: 8}}
+	for bi, want := range [][]string{{"M&S", "Gap"}, {"Gap", "M&S"}} {
 		b, ok, err := it.NextBatch()
 		if err != nil || !ok {
 			t.Fatalf("NextBatch: ok=%v err=%v", ok, err)
 		}
 		if d, codes := b.Coded(0); d != nil || codes != nil {
 			t.Errorf("value column coded: %v %v", d, codes)
+		}
+		if sp := b.Span(0); sp != spans[bi] {
+			t.Errorf("batch %d span %+v, want %+v", bi, sp, spans[bi])
+		}
+		if sp := b.Span(1); sp.N != 0 {
+			t.Errorf("string column spanned: %+v", sp)
 		}
 		dict, codes := b.Coded(1)
 		if fmt.Sprint(dict) != fmt.Sprint(want) {
@@ -226,10 +235,13 @@ func TestDictLenderCodesBatches(t *testing.T) {
 	if _, ok, _ := it.NextBatch(); ok {
 		t.Fatal("a third batch")
 	}
-	for _, b := range kept {
+	for bi, b := range kept {
 		dict, codes := b.Coded(1)
 		if dict[codes[0]] != pvctest.Poison || dict[codes[2]] != pvctest.Poison {
 			t.Errorf("coded batch still readable after its loan: %q %v", dict, codes)
+		}
+		if sp := b.Span(0); sp == spans[bi] {
+			t.Errorf("batch %d span still readable after its loan: %+v", bi, sp)
 		}
 	}
 }

@@ -35,7 +35,11 @@ var annOneExpr expr.Expr = expr.CInt(1)
 // Dicts and Codes entries; they are nil for a plain column. Their
 // storage stays in dicts and codes while a column's blocks are plain,
 // and a dictionary entry equal to the one it replaces keeps its string,
-// so blocks that list the same strings allocate nothing.
+// so blocks that list the same strings allocate nothing. A value column
+// packed at width w ≤ spanWidth sets its Spans entry to the run's base
+// and 2ʷ, so step I may key its rows by their offsets as it keys coded
+// strings; a plain column (one holding ±∞ among them) and a wider run
+// set N = 0.
 type blockVecs struct {
 	pvc.Batch
 	schema pvc.Schema
@@ -51,7 +55,7 @@ func newBlockVecs(schema pvc.Schema) *blockVecs {
 	n := len(schema)
 	return &blockVecs{
 		Batch: pvc.Batch{Vals: make([][]value.V, n), Strs: make([][]string, n),
-			Dicts: make([][]string, n), Codes: make([][]uint8, n)},
+			Dicts: make([][]string, n), Codes: make([][]uint8, n), Spans: make([]pvc.Span, n)},
 		schema: schema,
 		need:   make([]bool, n),
 		dicts:  make([][]string, n),
@@ -155,11 +159,15 @@ func (b *blockVecs) decode(buf []byte, wantRows int, vars []expr.Expr, dropZero 
 	return nil
 }
 
+// spanWidth is the widest packed run whose span a batch hands on: 2¹²
+// offsets, the engine's cap on the code combinations it indexes.
+const spanWidth = 12
+
 // decodeValues decodes value column ci of an n-row block from its
-// segment, plain or packed.
+// segment, plain or packed, and sets its span.
 func (b *blockVecs) decodeValues(ci int, sr *reader, n int) error {
 	vals := grow(b.Vals[ci], n)
-	b.Vals[ci] = vals
+	b.Vals[ci], b.Spans[ci] = vals, pvc.Span{}
 	enc, err := sr.byte()
 	if err != nil {
 		return err
@@ -178,6 +186,9 @@ func (b *blockVecs) decodeValues(ci int, sr *reader, n int) error {
 			return err
 		}
 		p.values(vals)
+		if p.w <= spanWidth {
+			b.Spans[ci] = pvc.Span{Base: p.base, N: 1 << p.w}
+		}
 		return nil
 	}
 	return fmt.Errorf("bad value encoding %d", enc)

@@ -214,7 +214,8 @@ func TestTooDeepAnnotationIsCorrupt(t *testing.T) {
 // borrowing the scratch the one before gave back after its rows or its
 // ErrCorrupt: twice row by row (Next) and once batch by batch
 // (NextBatch), and all three must return the same rows and the same
-// error.
+// error. Every batch keeps the promise of its spans, which step I
+// indexes by (checkSpans).
 func FuzzReadBlock(f *testing.F) {
 	tab, blocks := fuzzFixture(f)
 	for bi, b := range blocks {
@@ -264,6 +265,7 @@ func FuzzReadBlock(f *testing.F) {
 					if len(b.Sel) == 0 {
 						t.Fatal("NextBatch returned an empty batch")
 					}
+					checkSpans(t, b)
 					k = 0
 				}
 				i := int(b.Sel[k])
@@ -321,4 +323,33 @@ func FuzzReadBlock(f *testing.F) {
 			}
 		}
 	})
+}
+
+// checkSpans holds a batch's spans to their promise: a value column with
+// a span has N a power of two at most 2^spanWidth and every selected row
+// an integer v with uint64(v − Base) < N; a column holding ±∞ in a
+// selected row, and a string column, has N = 0.
+func checkSpans(t *testing.T, b *pvc.Batch) {
+	t.Helper()
+	for c := range b.Vals {
+		sp := b.Span(c)
+		if b.Strs[c] != nil {
+			if sp.N != 0 {
+				t.Fatalf("string column %d has span %+v", c, sp)
+			}
+			continue
+		}
+		if sp.N < 0 || sp.N > 1<<spanWidth || sp.N&(sp.N-1) != 0 {
+			t.Fatalf("column %d: span %+v", c, sp)
+		}
+		for _, i := range b.Sel {
+			v := b.Vals[c][i]
+			switch {
+			case !v.IsInt() && sp.N != 0:
+				t.Fatalf("column %d row %d: %v under span %+v", c, i, v, sp)
+			case v.IsInt() && sp.N != 0 && uint64(v.Int64()-sp.Base) >= uint64(sp.N):
+				t.Fatalf("column %d row %d: %v outside span %+v", c, i, v, sp)
+			}
+		}
+	}
 }

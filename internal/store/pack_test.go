@@ -231,6 +231,97 @@ func TestPackedDecoderRejectsHostileBlocks(t *testing.T) {
 	}
 }
 
+// TestPackedSpans: a value column packed at width w ≤ spanWidth hands
+// its batch the span {base, 2ʷ} — a negative base, a constant column at
+// width 0 and width 12 included — and a column packed wider, written
+// plain (holding ±∞, or finite values written plain) or plain after a
+// packed block on the same scratch has none; a scan projects the spans
+// with the columns.
+func TestPackedSpans(t *testing.T) {
+	schema := make(pvc.Schema, 6)
+	for c := range schema {
+		schema[c] = pvc.Col{Name: "c" + strconv.Itoa(c), Type: pvc.TValue}
+	}
+	plainSeg := func(vals ...value.V) []byte {
+		b := []byte{valPlain}
+		for _, v := range vals {
+			b = appendValue(b, v)
+		}
+		return b
+	}
+	packed := blockBody(3,
+		valueSeg(ints(-5, -2, -5)...), // width 2
+		valueSeg(ints(7, 7, 7)...),    // width 0
+		valueSeg(ints(0, 4095, 9)...), // width 12
+		valueSeg(ints(0, 4096, 9)...), // width 13
+		valueSeg(value.Int(1), value.PosInf(), value.Int(2)),
+		plainSeg(ints(1, 2, 3)...),
+		[]byte{annsOne})
+	b := newBlockVecs(schema)
+	b.reset([]int{0, 1, 2, 3, 4, 5}, nil)
+	if err := b.decode(sealBlock(packed), 3, nil, false); err != nil {
+		t.Fatal(err)
+	}
+	want := []pvc.Span{{Base: -5, N: 4}, {Base: 7, N: 1}, {Base: 0, N: 4096}, {}, {}, {}}
+	if !slices.Equal(b.Spans, want) {
+		t.Errorf("spans %v, want %v", b.Spans, want)
+	}
+	for c, sp := range b.Spans {
+		for _, i := range b.Sel {
+			if v := b.Vals[c][i]; sp.N > 0 && uint64(v.Int64()-sp.Base) >= uint64(sp.N) {
+				t.Errorf("column %d row %d: %v outside its span %+v", c, i, v, sp)
+			}
+		}
+	}
+	plain := blockBody(3, plainSeg(ints(-5, -2, -5)...), valueSeg(value.NegInf(), value.Int(7), value.Int(7)),
+		valueSeg(ints(0, 4095, 9)...), valueSeg(ints(0, 4096, 9)...), valueSeg(ints(1, 1, 1)...), plainSeg(ints(1, 2, 3)...), []byte{annsOne})
+	if err := b.decode(sealBlock(plain), 3, nil, false); err != nil {
+		t.Fatal(err)
+	}
+	want = []pvc.Span{{}, {}, {Base: 0, N: 4096}, {}, {Base: 1, N: 1}, {}}
+	if !slices.Equal(b.Spans, want) {
+		t.Errorf("spans over the same scratch %v, want %v", b.Spans, want)
+	}
+
+	// A scan's batch carries the spans of its projected columns.
+	dir := t.TempDir()
+	w, err := Create(dir, algebra.Boolean, vars.NewRegistry(), Options{BlockCapacity: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tw, err := w.CreateTable("t", pvc.Schema{{Name: "wide", Type: pvc.TValue}, {Name: "s", Type: pvc.TString}, {Name: "k", Type: pvc.TValue}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range 8 {
+		if err := tw.Append(nil, pvc.IntCell(int64(i)<<20), pvc.StringCell("x"), pvc.IntCell(int64(i-6))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tab, _ := st.Table("t")
+	sc, err := tab.NewScan(context.Background(), pvc.ScanOptions{Cols: []int{2, 1, 0}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sc.Close()
+	for _, want := range [][]pvc.Span{{{Base: -6, N: 4}, {}, {}}, {{Base: -2, N: 4}, {}, {}}} {
+		batch, ok, err := sc.(pvc.BatchIter).NextBatch()
+		if err != nil || !ok {
+			t.Fatalf("NextBatch: ok=%v err=%v", ok, err)
+		}
+		if !slices.Equal(batch.Spans, want) {
+			t.Errorf("scan spans %v, want %v", batch.Spans, want)
+		}
+	}
+}
+
 // TestBlockCapacityBoundsRowCount: a block's row count, which sizes a
 // scan's vectors, is bounded by the manifest's block capacity and that
 // by 2²⁰, since a packed block may hold fewer bytes than rows. Create

@@ -582,10 +582,11 @@ func (it *scanIter) fill() (bool, error) {
 		it.si = 0
 		b := &it.batch
 		b.Vals, b.Strs, b.Anns = b.Vals[:0], b.Strs[:0], it.blk.Anns
-		b.Dicts, b.Codes = b.Dicts[:0], b.Codes[:0]
+		b.Dicts, b.Codes, b.Spans = b.Dicts[:0], b.Codes[:0], b.Spans[:0]
 		for _, ci := range it.cols {
 			b.Vals, b.Strs = append(b.Vals, it.blk.Vals[ci]), append(b.Strs, it.blk.Strs[ci])
 			b.Dicts, b.Codes = append(b.Dicts, it.blk.Dicts[ci]), append(b.Codes, it.blk.Codes[ci])
+			b.Spans = append(b.Spans, it.blk.Spans[ci])
 		}
 		it.t.st.health.ok()
 		it.count(true)

@@ -60,9 +60,14 @@ func (v V) IsNegInf() bool { return v.inf == negInf }
 // must check IsInt first when infinities may occur.
 func (v V) Int64() int64 {
 	if v.inf != finite {
-		panic("value: Int64 of infinite value " + v.String())
+		panicInfinite(v)
 	}
 	return v.n
+}
+
+// panicInfinite is Int64's failure, out of line so that Int64 inlines.
+func panicInfinite(v V) {
+	panic("value: Int64 of infinite value " + v.String())
 }
 
 // Truth interprets v as a Boolean semiring element: 0 is ⊥ and everything
